@@ -1,5 +1,5 @@
 # Developer entry points. CI runs the same checks as `make check`.
-.PHONY: build test lint check bench bench-serving bench-ingest bench-query bench-archive bench-load bench-obs bench-smoke fuzz-smoke
+.PHONY: build test lint check bench bench-serving bench-ingest bench-query bench-archive bench-load bench-obs bench-smoke bench-module fuzz-smoke
 
 build:
 	go build ./...
@@ -77,4 +77,11 @@ bench-smoke: fuzz-smoke
 	go test -run xxx -bench . -benchtime 1x ./...
 
 fuzz-smoke:
-	go test -run 'Fuzz' -count=1 ./internal/server/ ./internal/query/ ./internal/archive/
+	go test -run 'Fuzz' -count=1 ./internal/server/ ./internal/query/ ./internal/archive/ ./internal/stream/
+
+# The benchmark (bench/, BENCHMARK.json) is a module of its own, so the
+# targets above never compile it; this keeps it building, vetted, tested
+# and lint-clean against the tree. Running it is `bash bench/run.sh run`.
+bench-module:
+	go build -o bin/repro-lint ./cmd/repro-lint
+	cd bench && go build ./... && go vet ./... && go test ./... && go vet -vettool=../bin/repro-lint ./...

@@ -157,7 +157,7 @@ func main() {
 			"shed ingest once a tenant's backlog reaches this fraction of its "+
 				"queue bounds, with 429 + Retry-After before the WAL sees the batch "+
 				"(0 disables; e.g. 0.8)")
-		snapRH = flag.Int("snapshot-rank-history", 0, "rank-history entries kept in published epoch snapshots (0 = full history)")
+		snapRH = flag.Int("snapshot-rank-history", 0, "rank-history entries served per event (0 = full history); bounds response size only")
 		grace  = flag.Duration("grace", 30*time.Second, "graceful shutdown budget")
 
 		walDir  = flag.String("wal-dir", "", "write-ahead log directory (empty disables crash durability)")

@@ -253,95 +253,6 @@ func (a *AKG) Support(k dygraph.NodeID) int {
 	return 0
 }
 
-// UnionSupport returns the number of distinct users associated with any of
-// the given keywords inside the window — the cluster support measure of
-// the ranking function (Section 6). Computed as a k-way distinct count
-// over the cached sorted user lists (k is a cluster's node count, a
-// handful), replacing the per-call union map the apply path used to
-// build for every dirty cluster every quantum. Single-threaded use.
-func (a *AKG) UnionSupport(ks []dygraph.NodeID) int {
-	lists := a.listScratch[:0]
-	for _, k := range ks {
-		if u := a.sortedUsers(k); len(u) > 0 {
-			lists = append(lists, u)
-		}
-	}
-	a.listScratch = lists[:0]
-	return countDistinct(lists)
-}
-
-// countDistinct counts the distinct values across sorted ascending
-// lists (duplicate-free individually) by advancing k cursors in step.
-func countDistinct(lists [][]uint64) int {
-	switch len(lists) {
-	case 0:
-		return 0
-	case 1:
-		return len(lists[0])
-	}
-	distinct := 0
-	for {
-		var (
-			min   uint64
-			found bool
-		)
-		for _, l := range lists {
-			if len(l) == 0 {
-				continue
-			}
-			if !found || l[0] < min {
-				min, found = l[0], true
-			}
-		}
-		if !found {
-			return distinct
-		}
-		distinct++
-		for i, l := range lists {
-			if len(l) > 0 && l[0] == min {
-				lists[i] = l[1:]
-			}
-		}
-	}
-}
-
-// UserJaccard returns the Jaccard coefficient between the windowed user
-// communities of two keyword sets. The detector's post-processing uses it
-// to correlate clusters that describe the same real-world event with
-// different vocabularies (Section 1.1, case 2: "users indeed used
-// different keywords, providing different perspectives about the same
-// event" — such clusters show strong user overlap).
-func (a *AKG) UserJaccard(ks1, ks2 []dygraph.NodeID) float64 {
-	u1 := a.unionUsers(ks1)
-	u2 := a.unionUsers(ks2)
-	if len(u1) == 0 || len(u2) == 0 {
-		return 0
-	}
-	if len(u1) > len(u2) {
-		u1, u2 = u2, u1
-	}
-	inter := 0
-	for u := range u1 {
-		if _, ok := u2[u]; ok {
-			inter++
-		}
-	}
-	union := len(u1) + len(u2) - inter
-	return float64(inter) / float64(union)
-}
-
-func (a *AKG) unionUsers(ks []dygraph.NodeID) map[uint64]struct{} {
-	users := make(map[uint64]struct{})
-	for _, k := range ks {
-		if set, ok := a.idsets[k]; ok {
-			for u := range set.counts {
-				users[u] = struct{}{}
-			}
-		}
-	}
-	return users
-}
-
 // DirtyNodes returns the vertices whose windowed user support changed
 // during the last ProcessQuantum, in mark order. Valid until the next
 // ProcessQuantum. Structural changes (edges added/removed/reweighted,
@@ -754,9 +665,15 @@ func (a *AKG) jaccardCached(k1, k2 dygraph.NodeID) float64 {
 	return float64(inter) / float64(union)
 }
 
-// AppendUnionUsers appends the distinct users supporting any of ks
-// (sorted ascending) to dst, reusing its capacity — the same k-way walk
-// as UnionSupport, emitting the values. Single-threaded use only.
+// AppendUnionUsers appends the distinct users associated with any of ks
+// inside the window (sorted ascending) to dst, reusing its capacity. The
+// appended count is the cluster support measure of the ranking function
+// (Section 6); the values are the cluster's user community, which the
+// detector's post-processing correlates across clusters (Section 1.1,
+// case 2: "users indeed used different keywords, providing different
+// perspectives about the same event"). One k-way walk over the cached
+// sorted user lists (k is a cluster's node count, a handful).
+// Single-threaded use only.
 func (a *AKG) AppendUnionUsers(dst []uint64, ks []dygraph.NodeID) []uint64 {
 	lists := a.listScratch[:0]
 	for _, k := range ks {
@@ -764,38 +681,40 @@ func (a *AKG) AppendUnionUsers(dst []uint64, ks []dygraph.NodeID) []uint64 {
 			lists = append(lists, u)
 		}
 	}
-	defer func() { a.listScratch = lists[:0] }()
-	if len(lists) == 1 {
-		return append(dst, lists[0]...)
-	}
-	for {
-		var (
-			min   uint64
-			found bool
-		)
-		for _, l := range lists {
-			if len(l) == 0 {
-				continue
+	a.listScratch = lists[:0]
+	// Every list in play is non-empty: one that runs out is swapped out,
+	// so the walk never tests for exhaustion and the last list standing
+	// is copied in bulk.
+	for len(lists) > 1 {
+		min := lists[0][0]
+		for _, l := range lists[1:] {
+			if l[0] < min {
+				min = l[0]
 			}
-			if !found || l[0] < min {
-				min, found = l[0], true
-			}
-		}
-		if !found {
-			return dst
 		}
 		dst = append(dst, min)
-		for i, l := range lists {
-			if len(l) > 0 && l[0] == min {
+		for i := 0; i < len(lists); {
+			l := lists[i]
+			switch {
+			case l[0] != min:
+				i++
+			case len(l) > 1:
 				lists[i] = l[1:]
+				i++
+			default:
+				lists[i] = lists[len(lists)-1]
+				lists = lists[:len(lists)-1]
 			}
 		}
 	}
+	if len(lists) == 1 {
+		dst = append(dst, lists[0]...)
+	}
+	return dst
 }
 
 // JaccardSorted returns |A∩B| / |A∪B| of two sorted duplicate-free user
-// lists — the merge-based form of UserJaccard for callers that hold the
-// union lists already (0 when either is empty, like UserJaccard).
+// lists, such as two AppendUnionUsers results (0 when either is empty).
 func JaccardSorted(u1, u2 []uint64) float64 {
 	if len(u1) == 0 || len(u2) == 0 {
 		return 0

@@ -2,6 +2,7 @@ package akg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ckg"
@@ -198,7 +199,7 @@ func TestKeywordStaysWhileInCluster(t *testing.T) {
 	}
 }
 
-func TestUnionSupport(t *testing.T) {
+func TestAppendUnionUsers(t *testing.T) {
 	a := newTest(2, 0.2, 5)
 	users := map[uint64][]dygraph.NodeID{
 		1: {10, 11},
@@ -206,8 +207,12 @@ func TestUnionSupport(t *testing.T) {
 		3: {11},
 	}
 	a.ProcessQuantum(quantumOf(users))
-	if got := a.UnionSupport([]dygraph.NodeID{10, 11}); got != 3 {
-		t.Fatalf("UnionSupport = %d, want 3", got)
+	got := a.AppendUnionUsers([]uint64{99}, []dygraph.NodeID{10, 11})
+	if want := []uint64{99, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("AppendUnionUsers = %v, want %v", got, want)
+	}
+	if got := a.AppendUnionUsers(nil, []dygraph.NodeID{77}); len(got) != 0 {
+		t.Fatalf("unknown keyword should contribute no users, got %v", got)
 	}
 }
 
@@ -303,15 +308,18 @@ func TestUserJaccard(t *testing.T) {
 		6: {10, 20},
 	}
 	a.ProcessQuantum(quantumOf(users))
-	// users(10) = {1,2,3,6}, users(20) = {4,5,6}: inter 1, union 6.
-	got := a.UserJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{20})
-	if got < 1.0/6-1e-9 || got > 1.0/6+1e-9 {
-		t.Fatalf("UserJaccard = %v, want 1/6", got)
+	jaccard := func(ks1, ks2 []dygraph.NodeID) float64 {
+		return JaccardSorted(a.AppendUnionUsers(nil, ks1), a.AppendUnionUsers(nil, ks2))
 	}
-	if a.UserJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{99}) != 0 {
+	// users(10) = {1,2,3,6}, users(20) = {4,5,6}: inter 1, union 6.
+	got := jaccard([]dygraph.NodeID{10}, []dygraph.NodeID{20})
+	if got < 1.0/6-1e-9 || got > 1.0/6+1e-9 {
+		t.Fatalf("user Jaccard = %v, want 1/6", got)
+	}
+	if jaccard([]dygraph.NodeID{10}, []dygraph.NodeID{99}) != 0 {
 		t.Fatalf("unknown keyword should give 0")
 	}
-	if a.UserJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{10}) != 1 {
+	if jaccard([]dygraph.NodeID{10}, []dygraph.NodeID{10}) != 1 {
 		t.Fatalf("self overlap should be 1")
 	}
 }

@@ -8,6 +8,7 @@ package detect
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -130,6 +131,13 @@ type Event struct {
 	// subset that are exact MQCs (informational — the paper argues MQC
 	// membership is deliberately not enforced in a dynamic graph).
 	ExactMQC bool
+
+	// users is the cluster's windowed user community: the distinct users
+	// of any of its keywords, ascending. len(users) == Support while the
+	// event is live; nil once it finishes. Reconciliation replaces the
+	// slice whenever the cluster is dirty and never writes into it, so
+	// epoch snapshots share it (see snapshot.go).
+	users []uint64
 }
 
 // Spurious applies the post-hoc rule from Section 7.2.2: never-evolving
@@ -174,6 +182,12 @@ type QuantumResult struct {
 	Born   []uint64
 	Ended  []uint64
 	Merged []MergeNote
+	// Recomputed / Carried split the live events by what reconciliation
+	// did to them: rank, keywords, support and user community recomputed
+	// (new or dirty cluster), or last quantum's values carried forward
+	// (clean cluster). Their ratio is the dirty-set fraction.
+	Recomputed int
+	Carried    int
 	// Elapsed is the wall time spent processing this quantum (graph
 	// maintenance + event reconciliation; excludes the caller's IO).
 	Elapsed time.Duration
@@ -217,15 +231,18 @@ type Detector struct {
 	// it to archive history instead of losing it.
 	onEvict func(*Event)
 
-	// Incremental epoch-snapshot builder state (see snapshot.go): cached
-	// immutable views of d.finished (eviction order), the same views
-	// ID-sorted (the base slice snapshots share until the finished set
-	// changes), the trim counter they are synced to, and the rank-history
-	// cap applied to snapshot views.
+	// Incremental epoch-snapshot builder state (see snapshot.go): the
+	// views of d.finished (eviction order), the same views ID-sorted (the
+	// base slice snapshots share until the finished set changes), the
+	// trim counter they are synced to, the rank-history cap applied to
+	// snapshot views, the newest snapshot built (its live part is reused
+	// by a republish inside the same quantum) and the sharing counters.
 	snapFin        []*Event
 	snapFinSorted  []*Event
 	snapFinTrimmed uint64
 	snapMaxHist    int
+	lastSnap       *Snapshot
+	snapCounters   snapshotCounters
 
 	// reconcileMode pins the dirty-set reconciliation path for the
 	// equivalence tests: 0 auto (dirty path with full-pass fallback when
@@ -246,6 +263,7 @@ type Detector struct {
 	nodeScratch    []dygraph.NodeID
 	edgeScratch    []dygraph.Edge
 	kwScratch      []string
+	userScratch    []uint64
 	degScratch     map[dygraph.NodeID]int
 	rankWeight     rank.Weights
 	rankCorr       rank.Correlations
@@ -648,6 +666,8 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 			ev.State = EventEnded
 			res.Ended = append(res.Ended, ev.ID)
 		}
+		// The last write to ev: from here on snapshots alias it.
+		ev.users = nil
 		d.finished = append(d.finished, ev)
 		delete(d.events, cid)
 	}
@@ -692,6 +712,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 				// bookkeeping runs; reportability is re-derived from the
 				// same inputs (cheap — a rank compare and a noun scan) so
 				// no cached decision needs to survive checkpoints.
+				res.Carried++
 				ev.RankHistory = append(ev.RankHistory, ev.Rank)
 				ev.LastQuantum = quantum
 				if d.reportable(ev, c) {
@@ -713,6 +734,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 				continue
 			}
 		}
+		res.Recomputed++
 		nodes := c.AppendNodes(d.nodeScratch[:0])
 		d.nodeScratch = nodes
 		keywords := d.kwScratch[:0]
@@ -743,7 +765,18 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 		} else if !sameStrings(ev.Keywords, keywords) {
 			ev.Evolved = true
 			ev.Keywords = append([]string(nil), keywords...)
+			// Copy-on-write: published snapshot views share the map, so a
+			// keyword new to the event goes into a fresh copy (rare — most
+			// evolutions shuffle words the event has already seen).
+			grown := false
 			for _, kw := range ev.Keywords {
+				if _, seen := ev.AllKeywords[kw]; seen {
+					continue
+				}
+				if !grown {
+					ev.AllKeywords = maps.Clone(ev.AllKeywords)
+					grown = true
+				}
 				ev.AllKeywords[kw] = struct{}{}
 			}
 		}
@@ -757,7 +790,8 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 		}
 		ev.LastQuantum = quantum
 		ev.Size = c.NodeCount()
-		ev.Support = d.akg.UnionSupport(nodes)
+		ev.users = d.unionUsers(nodes)
+		ev.Support = len(ev.users)
 		ev.ExactMQC = quasi.IsMQCEdges(edges, d.degScratch)
 
 		if d.reportable(ev, c) {
@@ -794,6 +828,17 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 	// Lifecycle notes were consumed; reset for the next quantum.
 	clear(d.mergedInto)
 	clear(d.splitFrom)
+}
+
+// unionUsers returns the user community of a cluster's nodes as a fresh
+// exactly-sized slice (nil when empty): the one k-way walk per dirty
+// cluster that both the rank support and the related-pair overlaps use.
+func (d *Detector) unionUsers(nodes []dygraph.NodeID) []uint64 {
+	d.userScratch = d.akg.AppendUnionUsers(d.userScratch[:0], nodes)
+	if len(d.userScratch) == 0 {
+		return nil
+	}
+	return slices.Clone(d.userScratch)
 }
 
 // reportable applies the Section 7.2.2 reporting filters.

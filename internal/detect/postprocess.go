@@ -1,10 +1,10 @@
 package detect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/akg"
-	"repro/internal/dygraph"
 )
 
 // This file implements the pre- and post-processing hooks Section 1.1 of
@@ -29,51 +29,40 @@ type RelatedPair struct {
 // merging same-event clusters; it is O(live²) on the handful of live
 // events, never on the graph.
 func (d *Detector) RelatedEvents(minOverlap float64) []RelatedPair {
-	// Each event's distinct windowed user community is materialised once
-	// (sorted, in a shared arena) and every pair is a linear merge —
-	// building per-pair union maps made this O(live²) map churn on the
-	// apply path, where it runs every quantum for the epoch snapshot.
-	type liveEv struct {
-		id       uint64
-		off, end int
-	}
-	var (
-		live  []liveEv
-		arena []uint64
-		nodes []dygraph.NodeID
-	)
-	eng := d.akg.Engine()
-	//repro:order-insensitive per-event arena segments are self-contained; live is sorted by ID before use
-	for cid, ev := range d.events {
-		if !ev.Reported {
-			continue
+	evs := make([]*Event, 0, len(d.events))
+	for _, ev := range d.events { //repro:order-insensitive conditional collect; evs is sorted by ID before use
+		if ev.Reported {
+			evs = append(evs, ev)
 		}
-		c := eng.Cluster(cid)
-		if c == nil {
-			continue
-		}
-		nodes = c.AppendNodes(nodes[:0])
-		off := len(arena)
-		arena = d.akg.AppendUnionUsers(arena, nodes)
-		live = append(live, liveEv{id: ev.ID, off: off, end: len(arena)})
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	slices.SortFunc(evs, byIDAsc)
+	return relatedPairs(evs, minOverlap)
+}
+
+// relatedPairs is the one pair builder behind Detector.RelatedEvents and
+// Snapshot.Related. evs are reported live events (or their snapshot
+// views) in ID order; each carries the user community reconciliation
+// captured for it, so every pair is one linear merge and nothing here
+// touches the graph. The result order is total — overlap descending,
+// then A, then B — so the detector and a snapshot of it agree byte for
+// byte however many pairs tie.
+func relatedPairs(evs []*Event, minOverlap float64) []RelatedPair {
 	var out []RelatedPair
-	for i := 0; i < len(live); i++ {
-		for j := i + 1; j < len(live); j++ {
-			jac := akg.JaccardSorted(arena[live[i].off:live[i].end], arena[live[j].off:live[j].end])
-			if jac >= minOverlap {
-				out = append(out, RelatedPair{
-					A: live[i].id, B: live[j].id, UserJaccard: jac,
-				})
+	for i, a := range evs {
+		for _, b := range evs[i+1:] {
+			if jac := akg.JaccardSorted(a.users, b.users); jac >= minOverlap {
+				out = append(out, RelatedPair{A: a.ID, B: b.ID, UserJaccard: jac})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].UserJaccard != out[j].UserJaccard {
-			return out[i].UserJaccard > out[j].UserJaccard
+	slices.SortFunc(out, func(p, q RelatedPair) int {
+		if p.UserJaccard != q.UserJaccard {
+			if p.UserJaccard > q.UserJaccard {
+				return -1
+			}
+			return 1
 		}
-		return out[i].A < out[j].A
+		return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
 	})
 	return out
 }

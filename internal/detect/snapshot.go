@@ -4,21 +4,32 @@
 // event, related pairs, keyword lookup) are wait-free against the latest
 // epoch instead of contending on the detector lock with ingest.
 //
-// The snapshot is built incrementally from what actually changed:
-// finished events are immutable once they retire, so their views are
-// cloned exactly once and cached across epochs (with an ID-sorted base
-// slice reused verbatim by every epoch until the finished set changes);
-// only the (small) live set is re-cloned each quantum. Per-quantum
-// build cost is proportional to the live set, not the retained history.
+// The snapshot is built by structural sharing, so the per-quantum build
+// costs one struct copy per live event plus whatever finished, however
+// much history is retained. Everything an Event points at is immutable
+// once a snapshot can see it:
+//
+//   - Keywords and users are replaced, never written in place, when
+//     reconciliation recomputes a dirty cluster; AllKeywords is
+//     copy-on-write. A view shares all three with the detector's event
+//     and with every epoch since they last changed.
+//   - RankHistory is append-only. A view holds hist[lo:hi:hi] of the
+//     detector's array: later appends write at index hi or beyond, or
+//     into a fresh array, never into what the view can read, and the
+//     capped capacity keeps a reader's own append off the shared array.
+//   - A finished event is never written after it retires, so the
+//     finished base holds the detector's events themselves, in an
+//     ID-sorted slice reused verbatim until the finished set changes.
+//
+// What no epoch may need — the related-pair list and the keyword and
+// time indexes — is built lazily from the views on the first read.
 package detect
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"sync"
-
-	"repro/internal/core"
+	"sync/atomic"
 )
 
 // byIDAsc orders snapshot views by event ID without sort.Slice's
@@ -33,10 +44,30 @@ func byIDAsc(a, b *Event) int {
 	return 0
 }
 
+// snapshotCounters count the sharing the epoch builder achieved; atomic
+// because a metrics scrape reads them while ingest applies quanta.
+type snapshotCounters struct {
+	viewsReused   atomic.Uint64
+	viewsRebuilt  atomic.Uint64
+	relatedBuilds atomic.Uint64
+}
+
+// SnapshotCounters reports, over the detector's lifetime: live views
+// published for clean clusters (everything but the header shared with
+// the previous epoch), live views published for new or dirty clusters
+// (fresh user community, possibly fresh keywords), and related-pair
+// lists a reader actually demanded. Unlike every other Detector method
+// it is safe to call concurrently with ingest.
+func (d *Detector) SnapshotCounters() (viewsReused, viewsRebuilt, relatedBuilds uint64) {
+	c := &d.snapCounters
+	return c.viewsReused.Load(), c.viewsRebuilt.Load(), c.relatedBuilds.Load()
+}
+
 // Snapshot is an immutable view of the detector at one quantum boundary.
-// Every reachable *Event is a deep copy owned by the snapshot; callers
-// may read them from any goroutine for as long as they like, but must
-// not mutate them (the finished-event views are shared across epochs).
+// Callers may read every reachable *Event from any goroutine for as long
+// as they like, but must not mutate it or anything it points at: the
+// views share their slices and maps with other epochs and with the
+// detector (see the file comment).
 type Snapshot struct {
 	// Quantum is the epoch: the index of the last processed quantum.
 	Quantum int
@@ -54,10 +85,16 @@ type Snapshot struct {
 	Ended  []uint64
 	Merged []MergeNote
 
-	finSorted []*Event      // finished events, ID ascending (shared across epochs)
-	live      []*Event      // live events, rank-descending (ties: ID)
-	liveByID  []*Event      // the same live views, ID ascending
-	related   []RelatedPair // live reported pairs, overlap-descending
+	finSorted []*Event // finished events, ID ascending (shared across epochs)
+	live      []*Event // live events, rank-descending (ties: ID)
+	liveByID  []*Event // the same live views, ID ascending
+
+	// Live reported pairs, overlap-descending, built lazily from the
+	// views' user communities on the first /related read: most epochs
+	// are never asked, and the SSE payload does not carry the list.
+	relatedOnce sync.Once
+	related     []RelatedPair
+	counters    *snapshotCounters
 
 	// keyword → live reported event IDs (ascending), built lazily on
 	// the first keyword-filtered query: it is derivable from the
@@ -141,13 +178,30 @@ func (s *Snapshot) LiveCount() int { return len(s.live) }
 // TotalCount returns the number of retained events (live + finished).
 func (s *Snapshot) TotalCount() int { return len(s.finSorted) + len(s.live) }
 
+// relatedPairs builds (once, thread-safely) every live reported pair
+// with its overlap, from the views alone.
+func (s *Snapshot) relatedPairs() []RelatedPair {
+	s.relatedOnce.Do(func() {
+		reported := make([]*Event, 0, len(s.liveByID))
+		for _, ev := range s.liveByID {
+			if ev.Reported {
+				reported = append(reported, ev)
+			}
+		}
+		s.related = relatedPairs(reported, 0)
+		s.counters.relatedBuilds.Add(1)
+	})
+	return s.related
+}
+
 // Related returns the live reported event pairs with user-community
-// overlap ≥ minOverlap, mirroring Detector.RelatedEvents: the pairs were
-// computed at the epoch boundary, so this is a wait-free filter of a
-// precomputed overlap-descending list. Never nil.
+// overlap ≥ minOverlap, mirroring Detector.RelatedEvents as of the epoch
+// boundary: a filter of the lazily built overlap-descending list, so
+// reads never wait on ingest. Never nil.
 func (s *Snapshot) Related(minOverlap float64) []RelatedPair {
-	out := make([]RelatedPair, 0, len(s.related))
-	for _, p := range s.related {
+	related := s.relatedPairs()
+	out := make([]RelatedPair, 0, len(related))
+	for _, p := range related {
 		if p.UserJaccard >= minOverlap {
 			out = append(out, p)
 		}
@@ -274,89 +328,123 @@ func (s *Snapshot) TopKKeyword(k int, kw string) []*Event {
 	return out
 }
 
-// SetSnapshotRankHistory caps the RankHistory entries carried into
-// subsequent Snapshot calls (keeping the newest n); n ≤ 0 keeps the full
-// history. Rank history grows one entry per quantum per live event, so
-// unbounded snapshots of a long-lived tenant would copy O(quanta) floats
-// per epoch — the cap bounds snapshot size and build time. Like the
-// hooks, the setting is not part of checkpoints.
+// SetSnapshotRankHistory caps the RankHistory entries a snapshot view
+// exposes (the newest n); n ≤ 0 exposes the full history. Views alias
+// the detector's history instead of copying it, so the cap no longer
+// buys build time or memory — it bounds what a reader serialises. Like
+// the hooks, the setting is not part of checkpoints.
 func (d *Detector) SetSnapshotRankHistory(n int) { d.snapMaxHist = n }
 
-// cloneEventView deep-copies ev for inclusion in a snapshot, truncating
-// RankHistory to the newest maxHist entries when maxHist > 0.
-// AllKeywords is cloned too: the unified query engine matches keywords
-// against the full history (the archive's rule), so snapshot views must
-// carry it for a query to return the same events before and after
-// eviction. Finished views are cloned exactly once and cached, so the
-// recurring cost is only the (small) live set's keyword maps per
-// quantum.
-func cloneEventView(ev *Event, maxHist int) *Event {
-	cp := *ev
-	cp.Keywords = append([]string(nil), ev.Keywords...)
-	hist := ev.RankHistory
+// viewHistory returns the part of an append-only rank history a view may
+// hold: the newest maxHist entries (all when maxHist ≤ 0), capacity
+// capped at the length.
+func viewHistory(hist []float64, maxHist int) []float64 {
 	if maxHist > 0 && len(hist) > maxHist {
 		hist = hist[len(hist)-maxHist:]
 	}
-	cp.RankHistory = append([]float64(nil), hist...)
-	cp.AllKeywords = maps.Clone(ev.AllKeywords)
+	return hist[:len(hist):len(hist)]
+}
+
+// finishedView returns the snapshot view of a retired event: the event
+// itself, unless the rank-history cap calls for a shorter header.
+func finishedView(ev *Event, maxHist int) *Event {
+	if maxHist <= 0 || len(ev.RankHistory) <= maxHist {
+		return ev
+	}
+	cp := *ev
+	cp.RankHistory = viewHistory(ev.RankHistory, maxHist)
 	return &cp
 }
 
-// syncFinishedViews brings the cached finished-event views in line with
+// syncFinishedViews brings the finished-event views in line with
 // d.finished: trimmed events fall off the front (matched by the
-// cumulative trim counter), newly finished events are cloned once and
-// appended. The ID-sorted base slice (what snapshots serve from) is
-// rebuilt only when the finished set actually changed; on the common
+// cumulative trim counter), newly finished events join the back. The
+// ID-sorted base slice (what snapshots serve from) is rebuilt only when
+// the finished set actually changed, by merging the few arrivals into —
+// and the few departures out of — a fresh copy of the old base: one
+// O(retained) pointer copy, no sort of the retained set. On the common
 // quantum where nothing finishes, every epoch shares the same base and
 // the sync costs nothing. Published snapshots reference the base slice
-// by value, so the rebuild (a fresh allocation) never mutates an
-// already-published epoch.
+// by value, so the rebuild never mutates an already-published epoch.
 func (d *Detector) syncFinishedViews() {
-	changed := false
+	var dropped []*Event
 	if delta := d.trimmed - d.snapFinTrimmed; delta > 0 {
-		if int(delta) >= len(d.snapFin) {
-			d.snapFin = d.snapFin[:0]
-		} else {
-			d.snapFin = append(d.snapFin[:0:0], d.snapFin[delta:]...)
-		}
+		n := min(int(delta), len(d.snapFin))
+		dropped = d.snapFin[:n] // the old array: abandoned on the next line
+		d.snapFin = append(d.snapFin[:0:0], d.snapFin[n:]...)
 		d.snapFinTrimmed = d.trimmed
-		changed = true
 	}
-	for i := len(d.snapFin); i < len(d.finished); i++ {
-		d.snapFin = append(d.snapFin, cloneEventView(d.finished[i], d.snapMaxHist))
-		changed = true
+	synced := len(d.snapFin)
+	for _, ev := range d.finished[synced:] {
+		d.snapFin = append(d.snapFin, finishedView(ev, d.snapMaxHist))
 	}
-	if changed || (d.snapFinSorted == nil && len(d.snapFin) > 0) {
-		d.snapFinSorted = append([]*Event(nil), d.snapFin...)
-		slices.SortFunc(d.snapFinSorted, byIDAsc)
+	added := slices.Clone(d.snapFin[synced:])
+	if len(dropped) == 0 && len(added) == 0 {
+		return
 	}
+	slices.SortFunc(dropped, byIDAsc)
+	slices.SortFunc(added, byIDAsc)
+	old := d.snapFinSorted
+	merged := make([]*Event, 0, len(d.snapFin))
+	for _, ev := range old {
+		if len(dropped) > 0 && dropped[0] == ev {
+			dropped = dropped[1:]
+			continue
+		}
+		for len(added) > 0 && added[0].ID < ev.ID {
+			merged = append(merged, added[0])
+			added = added[1:]
+		}
+		merged = append(merged, ev)
+	}
+	d.snapFinSorted = append(merged, added...)
 }
 
 // Snapshot materializes the immutable epoch view of the detector's
 // queryable state. res, when non-nil, is the QuantumResult that closed
 // the epoch and supplies the lifecycle deltas (pass nil after a restore,
-// where there is no delta to report). Like every other Detector method
-// it must not race with ingest: callers serialise it on whichever
-// goroutine applies quanta.
+// or to republish after TrimFinished, where there is no delta to
+// report). Like every other Detector method it must not race with
+// ingest: callers serialise it on whichever goroutine applies quanta.
 func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 	d.syncFinishedViews()
-
-	// Live views, cloned fresh each epoch in cluster-ID order (every live
-	// event's rank and history changed this quantum anyway).
-	cids := make([]core.ClusterID, 0, len(d.events))
-	for cid := range d.events {
-		cids = append(cids, cid)
+	s := &Snapshot{
+		Quantum:   d.akg.Quantum(),
+		Processed: d.processed,
+		Trimmed:   d.trimmed,
+		AKGNodes:  d.akg.NodeCount(),
+		AKGEdges:  d.akg.EdgeCount(),
+		finSorted: d.snapFinSorted,
+		counters:  &d.snapCounters,
 	}
-	slices.Sort(cids)
-	live := make([]*Event, 0, len(cids))
-	for _, cid := range cids {
-		live = append(live, cloneEventView(d.events[cid], d.snapMaxHist))
+	if res != nil {
+		s.Born = res.Born
+		s.Ended = res.Ended
+		s.Merged = res.Merged
+		d.snapCounters.viewsReused.Add(uint64(res.Carried))
+		d.snapCounters.viewsRebuilt.Add(uint64(res.Recomputed))
+	}
+	if last := d.lastSnap; res == nil && last != nil && last.Quantum == s.Quantum {
+		// Live events only change when a quantum closes: a republish
+		// inside the quantum shares the replaced epoch's live part.
+		s.live, s.liveByID = last.live, last.liveByID
+		d.lastSnap = s
+		return s
 	}
 
-	// Two orderings of the (small) live overlay: by ID for history
-	// merges and lookups, by rank for the top-k view.
-	liveByID := append([]*Event(nil), live...)
+	// One header copy per live event, carved from one allocation; the
+	// two orderings of the overlay are by ID for history merges and
+	// lookups, by rank for the top-k view.
+	views := make([]Event, len(d.events))
+	liveByID := make([]*Event, 0, len(d.events))
+	for _, ev := range d.events { //repro:order-insensitive one header copy per event into its own slot; liveByID is sorted by ID before use
+		v := &views[len(liveByID)]
+		*v = *ev
+		v.RankHistory = viewHistory(ev.RankHistory, d.snapMaxHist)
+		liveByID = append(liveByID, v)
+	}
 	slices.SortFunc(liveByID, byIDAsc)
+	live := slices.Clone(liveByID)
 	slices.SortFunc(live, func(a, b *Event) int {
 		if a.Rank != b.Rank {
 			if a.Rank > b.Rank {
@@ -366,22 +454,7 @@ func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 		}
 		return byIDAsc(a, b)
 	})
-
-	s := &Snapshot{
-		Quantum:   d.akg.Quantum(),
-		Processed: d.processed,
-		Trimmed:   d.trimmed,
-		AKGNodes:  d.akg.NodeCount(),
-		AKGEdges:  d.akg.EdgeCount(),
-		finSorted: d.snapFinSorted,
-		live:      live,
-		liveByID:  liveByID,
-		related:   d.RelatedEvents(0),
-	}
-	if res != nil {
-		s.Born = res.Born
-		s.Ended = res.Ended
-		s.Merged = res.Merged
-	}
+	s.live, s.liveByID = live, liveByID
+	d.lastSnap = s
 	return s
 }

@@ -212,9 +212,14 @@ func FromState(s DetectorState) (*Detector, error) {
 	}
 	for _, es := range s.Events {
 		ev := restoreEvent(es)
-		if d.akg.Engine().Cluster(ev.ClusterID) == nil {
+		c := d.akg.Engine().Cluster(ev.ClusterID)
+		if c == nil {
 			return nil, fmt.Errorf("detect: event %d references missing cluster %d", ev.ID, ev.ClusterID)
 		}
+		// The user community is derived state: a checkpoint carries only
+		// its size (Support), the restored window rebuilds the members.
+		d.nodeScratch = c.AppendNodes(d.nodeScratch[:0])
+		ev.users = d.unionUsers(d.nodeScratch)
 		d.events[ev.ClusterID] = ev
 	}
 	for _, es := range s.Finished {

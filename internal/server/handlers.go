@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -285,21 +287,8 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 		return
 	}
 	tr.Step("decode")
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var msgs []stream.Message
-	var err error
-	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		msgs, err = stream.ReadAll(stream.NewJSONLReader(body))
-	} else {
-		dec := json.NewDecoder(body)
-		if err = dec.Decode(&msgs); err == nil {
-			// Reject trailing content: silently dropping a second batch
-			// concatenated after the array would be invisible data loss.
-			if _, terr := dec.Token(); terr != io.EOF {
-				err = errors.New("trailing data after JSON array")
-			}
-		}
-	}
+	ndjson := strings.Contains(r.Header.Get("Content-Type"), "ndjson")
+	msgs, fast, err := decodeMessages(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength, ndjson)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -319,6 +308,11 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 			retryableError(w, http.StatusServiceUnavailable, time.Second, err.Error())
 		}
 		return
+	}
+	if fast {
+		t.decodeFast.Add(1)
+	} else {
+		t.decodeFallback.Add(1)
 	}
 	tr.Step("enqueue")
 	if err := t.Enqueue(msgs); err != nil {
@@ -352,6 +346,67 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 		"queued": len(msgs),
 	})
 }
+
+// maxPooledBody is the largest request buffer bodyPool keeps: a rare
+// huge batch must not pin its buffer for the life of the process.
+const maxPooledBody = 4 << 20
+
+// bodyPool recycles ingest request buffers; the decoded messages never
+// point into one (decodeMessages copies the body into a string first).
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeMessages reads one ingest body — a JSON array, or NDJSON — and
+// decodes it. The body is read whole into a pooled buffer sized from the
+// declared length, then scanned by the stream package's reflection-free
+// decoder (fast). Anything that decoder does not recognise as the
+// canonical shape, and any read error, goes instead to the encoding/json
+// path over a reader that replays the buffered bytes followed by the
+// read's outcome, so it sees exactly what it would have seen reading the
+// request itself: accept/reject decisions and error texts are its own.
+func decodeMessages(body io.Reader, declared int64, ndjson bool) (msgs []stream.Message, fast bool, err error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	// ReadFrom wants MinRead spare bytes before every read, the one that
+	// returns io.EOF included; with them a declared length never regrows.
+	buf.Grow(int(min(max(declared, 0), maxBodyBytes)) + bytes.MinRead)
+	_, readErr := buf.ReadFrom(body)
+	replay := io.Reader(bytes.NewReader(buf.Bytes()))
+	if readErr != nil {
+		replay = io.MultiReader(replay, errReader{readErr})
+	} else {
+		if ndjson {
+			msgs, fast = stream.ScanMessageLines(buf.String())
+		} else {
+			msgs, fast = stream.ScanMessages(buf.String())
+		}
+		if fast {
+			return msgs, true, nil
+		}
+	}
+	if ndjson {
+		msgs, err = stream.ReadAll(stream.NewJSONLReader(replay))
+		return msgs, false, err
+	}
+	dec := json.NewDecoder(replay)
+	if err = dec.Decode(&msgs); err == nil {
+		// Reject trailing content: silently dropping a second batch
+		// concatenated after the array would be invisible data loss.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after JSON array")
+		}
+	}
+	return msgs, false, err
+}
+
+// errReader is a reader that only ever fails with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // getTenant resolves the {tenant} path value to an existing tenant,
 // writing the error response itself when absent or invalid.

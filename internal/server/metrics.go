@@ -60,6 +60,20 @@ type TenantMetrics struct {
 	WALReopens          uint64 `json:"wal_reopens,omitempty"`
 	StorageRetries      uint64 `json:"storage_retries,omitempty"`
 	QuarantinedSegments uint64 `json:"quarantined_segments,omitempty"`
+
+	// Write-path sharing counters — what shows that the per-quantum
+	// serving cost follows what changed. SnapshotViewsReused /
+	// SnapshotViewsRebuilt split the live-event views published so far
+	// into clean clusters (everything but the header shared with the
+	// previous epoch) and new or dirty ones; RelatedBuilds counts epochs
+	// whose related-pair list a reader demanded (the rest never built
+	// it); IngestDecodeFast / IngestDecodeFallback split accepted ingest
+	// bodies by decoder (reflection-free scanner vs encoding/json).
+	SnapshotViewsReused  uint64 `json:"snapshot_views_reused_total"`
+	SnapshotViewsRebuilt uint64 `json:"snapshot_views_rebuilt_total"`
+	RelatedBuilds        uint64 `json:"related_builds_total"`
+	IngestDecodeFast     uint64 `json:"ingest_decode_fast_total"`
+	IngestDecodeFallback uint64 `json:"ingest_decode_fallback_total"`
 }
 
 // MetricsTotals aggregates the per-tenant metrics for dashboards that
@@ -99,6 +113,9 @@ func (t *Tenant) Metrics() TenantMetrics {
 	m.Degraded, _ = t.Degraded()
 	m.WALReopens = t.health.walReopens.Load()
 	m.StorageRetries = t.health.storageRetries.Load()
+	m.SnapshotViewsReused, m.SnapshotViewsRebuilt, m.RelatedBuilds = t.det.SnapshotCounters()
+	m.IngestDecodeFast = t.decodeFast.Load()
+	m.IngestDecodeFallback = t.decodeFallback.Load()
 	if wl := t.walLog(); wl != nil {
 		m.WALEnabled = true
 		m.WALSegments = wl.SegmentCount()

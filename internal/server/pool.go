@@ -170,11 +170,10 @@ type PoolConfig struct {
 	// of goroutines that apply every tenant's ingest batches, replacing
 	// the old goroutine-per-tenant design. Zero selects GOMAXPROCS.
 	Workers int
-	// SnapshotRankHistory caps the rank-history entries carried into
-	// each published epoch snapshot (newest kept). Zero keeps the full
-	// history — bit-identical query responses, but snapshots of a
-	// long-lived tenant copy O(quanta) floats per epoch; bound it for
-	// unbounded streams.
+	// SnapshotRankHistory caps the rank-history entries each published
+	// epoch snapshot exposes (newest kept); zero exposes the full
+	// history. Snapshots alias the detector's history instead of copying
+	// it, so this bounds response size only.
 	SnapshotRankHistory int
 }
 
@@ -421,6 +420,11 @@ type Tenant struct {
 	shedRateLimit atomic.Uint64 // batches shed by the token bucket
 	shedQueue     atomic.Uint64 // batches shed by the queue-depth gate
 	shedMsgs      atomic.Uint64 // messages across all shed batches
+
+	// decodeFast / decodeFallback count accepted ingest bodies by the
+	// decoder that produced their messages (see decodeMessages).
+	decodeFast     atomic.Uint64
+	decodeFallback atomic.Uint64
 
 	retain int // finished-event retention cap (0 = unlimited)
 

@@ -106,6 +106,16 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.StorageRetries) }},
 	{"eventdetect_quarantined_segments", "gauge", "Archive segments quarantined for structural corruption.",
 		func(m *TenantMetrics) float64 { return float64(m.QuarantinedSegments) }},
+	{"eventdetect_snapshot_views_reused_total", "counter", "Live-event views published for clean clusters (shared with the previous epoch).",
+		func(m *TenantMetrics) float64 { return float64(m.SnapshotViewsReused) }},
+	{"eventdetect_snapshot_views_rebuilt_total", "counter", "Live-event views published for new or dirty clusters.",
+		func(m *TenantMetrics) float64 { return float64(m.SnapshotViewsRebuilt) }},
+	{"eventdetect_related_builds_total", "counter", "Epochs whose related-pair list a reader demanded.",
+		func(m *TenantMetrics) float64 { return float64(m.RelatedBuilds) }},
+	{"eventdetect_ingest_decode_fast_total", "counter", "Accepted ingest bodies decoded by the reflection-free scanner.",
+		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFast) }},
+	{"eventdetect_ingest_decode_fallback_total", "counter", "Accepted ingest bodies decoded by encoding/json.",
+		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFallback) }},
 }
 
 // promPoolMetrics is the pool-totals series table.

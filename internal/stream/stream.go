@@ -65,10 +65,13 @@ type JSONLReader struct {
 	line int
 }
 
+// maxLineBytes bounds one JSONL line: a longer one fails the read.
+const maxLineBytes = 4 * 1024 * 1024
+
 // NewJSONLReader returns a Source reading from r.
 func NewJSONLReader(r io.Reader) *JSONLReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &JSONLReader{sc: sc}
 }
 
