@@ -1,5 +1,5 @@
 # Developer entry points. CI runs the same checks as `make check`.
-.PHONY: build test lint check bench bench-serving bench-ingest bench-query bench-archive bench-load bench-obs bench-smoke bench-module fuzz-smoke
+.PHONY: build test lint check bench-load bench-obs bench-smoke bench-module fuzz-smoke
 
 build:
 	go build ./...
@@ -24,33 +24,10 @@ check: lint
 	go build ./...
 	go test ./...
 
-# Persistence benchmarks (WAL append/replay, crash recovery); emits
-# BENCH_persistence.json. Pass BENCHTIME=5s for steadier numbers.
+# Benchmark iteration time for the targets below; pass BENCHTIME=5s for
+# steadier numbers. End-to-end and per-layer performance numbers come
+# from the benchmark under bench/ (see bench-module).
 BENCHTIME ?= 1s
-bench:
-	./scripts/bench_persistence.sh $(BENCHTIME)
-
-# Serving benchmarks (query p50/p99 under full-rate ingest, ingest
-# throughput, durable-ingest ack latency); emits BENCH_serving.json.
-bench-serving:
-	./scripts/bench_serving.sh $(BENCHTIME)
-
-# Write-path-only subset of bench-serving for fast iteration on ingest
-# work: runs the ingest throughput + durable-ack benchmarks and rewrites
-# BENCH_serving.json with those numbers (run bench-serving for the full
-# suite before committing the file).
-bench-ingest:
-	./scripts/bench_serving.sh $(BENCHTIME) 'IngestThroughput|IngestDurable'
-
-# Unified query-engine benchmarks (LIMIT pushdown segment skipping);
-# emits BENCH_query.json.
-bench-query:
-	./scripts/bench_query.sh $(BENCHTIME)
-
-# Archive storage-layer benchmarks (v1 JSONL vs v2 columnar decode,
-# zone-map block skipping, on-disk footprint); emits BENCH_archive.json.
-bench-archive:
-	./scripts/bench_archive.sh $(BENCHTIME)
 
 # Adversarial load harness (uniform / zipf-hot / flash-flood scenarios
 # against an in-process server with admission control on); emits

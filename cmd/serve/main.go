@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	serve -addr :8080 -checkpoints ./ckpt
+//	serve -addr :8080 -wal-dir ./wal
 //
 // Ingest and query:
 //
@@ -21,24 +21,21 @@
 // turn), so tenants-per-process scales past the goroutine-per-tenant
 // limit and a hot tenant cannot starve the rest.
 //
-// On SIGINT/SIGTERM the server drains in-flight requests and ingest
-// queues and checkpoints every tenant; a restart with the same
-// -checkpoints directory resumes each stream bit-identically.
-//
 // With -wal-dir set, every accepted batch is write-ahead logged before
 // it is acknowledged and the detector is snapshotted every
 // -snapshot-every quanta, so even a kill -9 loses nothing: restart with
 // the same -wal-dir and recovery (snapshot + tail replay) resumes
-// bit-identically. With -archive-dir set, events evicted by -retain are
-// persisted to a queryable on-disk archive (GET /v1/{tenant}/archive)
-// instead of discarded. With -archive-compact-interval set, a background
-// compactor incrementally merges small archive segments and rewrites
-// cold v1 JSONL segments into the v2 columnar format (zone-map
-// predicate skipping, several-fold smaller on disk); -archive-migrate
-// performs that rewrite once, offline, and exits. See
-// docs/PERSISTENCE.md. GET /v1/{tenant}/query
-// answers one time-travel request across live and archived events with
-// LIMIT pushdown and cursor pagination; see docs/QUERY.md.
+// bit-identically. On SIGINT/SIGTERM the server drains in-flight
+// requests and ingest queues and writes a final snapshot per tenant, so
+// a clean restart replays nothing. Without -wal-dir tenants live in
+// memory only. With -archive-dir set (it needs -wal-dir), events
+// evicted by -retain are persisted to a queryable on-disk archive of
+// columnar segments (zone-map predicate skipping) instead of discarded;
+// with -archive-compact-interval set, a background compactor merges the
+// small segments that sealing before every snapshot leaves behind. See
+// docs/PERSISTENCE.md. GET /v1/{tenant}/query answers one time-travel
+// request across live and archived events with LIMIT pushdown and
+// cursor pagination; see docs/QUERY.md.
 //
 // Overload protection: -rate-limit caps each tenant's sustained ingest
 // rate (token bucket, burst via -rate-burst) and -admission-frac sheds
@@ -65,59 +62,15 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served only via -pprof-addr
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"syscall"
 	"time"
 
 	"repro/internal/akg"
-	"repro/internal/archive"
 	"repro/internal/detect"
 	"repro/internal/server"
 )
-
-// migrateArchives is the -archive-migrate one-shot mode: open every
-// tenant archive under dir, drive compaction to completion — merging
-// runs of small sealed segments and rewriting every cold v1 JSONL
-// segment into the v2 columnar format — print per-tenant stats, and
-// return the process exit code. Tenants that fail are reported and
-// skipped so one corrupt directory does not block the rest.
-func migrateArchives(dir string, opt archive.Options) int {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve: archive-migrate:", err)
-		return 1
-	}
-	code, migrated := 0, 0
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		l, err := archive.Open(filepath.Join(dir, name), opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: archive-migrate: tenant %s: %v\n", name, err)
-			code = 1
-			continue
-		}
-		st, cerr := l.CompactAll()
-		columnar := l.ColumnarSegmentCount()
-		if closeErr := l.Close(); cerr == nil {
-			cerr = closeErr
-		}
-		if cerr != nil {
-			fmt.Fprintf(os.Stderr, "serve: archive-migrate: tenant %s: %v\n", name, cerr)
-			code = 1
-			continue
-		}
-		fmt.Printf("archive-migrate: tenant=%s compactions=%d segments_in=%d records=%d bytes_reclaimed=%d columnar_segments=%d\n",
-			name, st.Compactions, st.SegmentsIn, st.Records, st.BytesReclaimed, columnar)
-		migrated++
-	}
-	fmt.Printf("archive-migrate: done tenants=%d\n", migrated)
-	return code
-}
 
 // buildInfo extracts the module path, Go toolchain and VCS revision
 // baked into the binary, for the structured startup line.
@@ -142,7 +95,6 @@ func buildInfo() (path, goVersion, revision string) {
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		ckpt    = flag.String("checkpoints", "", "checkpoint directory (empty disables persistence)")
 		queue   = flag.Int("queue", 64, "per-tenant ingest queue depth in batches")
 		queueM  = flag.Int("queue-msgs", 100000, "per-tenant ingest queue bound in messages")
 		maxT    = flag.Int("max-tenants", 1024, "tenant limit")
@@ -160,7 +112,7 @@ func main() {
 		snapRH = flag.Int("snapshot-rank-history", 0, "rank-history entries served per event (0 = full history); bounds response size only")
 		grace  = flag.Duration("grace", 30*time.Second, "graceful shutdown budget")
 
-		walDir  = flag.String("wal-dir", "", "write-ahead log directory (empty disables crash durability)")
+		walDir  = flag.String("wal-dir", "", "write-ahead log directory (empty disables persistence)")
 		walSeg  = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
 		walSync = flag.Int("wal-sync", 0, "fsync the WAL every N appends (0 = rely on the page cache)")
 		walGC   = flag.Duration("wal-group-commit-interval", 0,
@@ -177,22 +129,19 @@ func main() {
 			"degradation supervisor probe cadence: how often fail-stopped "+
 				"WALs are reopened and degraded tenants' devices write-probed; "+
 				"also the Retry-After hint on degraded-shed responses")
-		archDir = flag.String("archive-dir", "", "evicted-event archive directory (empty discards evicted events)")
+		archDir = flag.String("archive-dir", "",
+			"evicted-event archive directory (empty discards evicted events; requires -wal-dir)")
 		archSeg = flag.Int("archive-segment-events", 512, "archive segment rotation by record count")
 		archBkt = flag.Int("archive-bucket-quanta", 1024, "archive segment rotation by quantum span")
 		archBlk = flag.Int("archive-block-events", 256,
-			"records per block inside v2 columnar archive segments — the unit "+
+			"records per block inside archive segments — the unit "+
 				"of zone-map predicate skipping and of decode work")
 		archBpk = flag.Int("archive-bloom-bits-per-key", 0,
 			"archive keyword Bloom filter sizing in bits per record "+
 				"(0 = legacy fixed 8192-bit filters; 10 gives ~1% false positives)")
 		archComp = flag.Duration("archive-compact-interval", 0,
 			"background archive compaction cadence (0 disables; e.g. 30s). Each "+
-				"tick merges runs of small sealed segments or rewrites one cold v1 "+
-				"JSONL segment per tenant into the v2 columnar format")
-		archMigrate = flag.Bool("archive-migrate", false,
-			"one-shot mode: compact every tenant archive under -archive-dir "+
-				"fully into the v2 columnar format, print per-tenant stats, and exit")
+				"tick merges one run of small sealed segments per tenant")
 
 		pprofAddr = flag.String("pprof-addr", "",
 			"listen address for net/http/pprof diagnostics (empty disables; "+
@@ -254,7 +203,11 @@ func main() {
 	req(*archBpk >= 0 && *archBpk <= 64,
 		"-archive-bloom-bits-per-key must be in [0,64] (0 = legacy sizing)")
 	req(*archComp >= 0, "-archive-compact-interval must be non-negative (0 = disabled)")
-	req(!*archMigrate || *archDir != "", "-archive-migrate requires -archive-dir")
+	// The archive deduplicates replayed evictions by the detector's trim
+	// counter, which only the WAL carries across a restart; without it
+	// the counter restarts at 0 and every eviction is dropped as a
+	// duplicate until it catches up with what the archive already holds.
+	req(*archDir == "" || *walDir != "", "-archive-dir requires -wal-dir (the WAL carries the eviction ordinal across restarts)")
 	req(*traceRing >= 0, "-trace-ring must be non-negative (0 = tracing off)")
 	req(*slowReqMs >= 0, "-slow-request-ms must be non-negative (0 = trace everything)")
 	if len(bad) > 0 {
@@ -262,15 +215,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "serve: invalid flag:", msg)
 		}
 		os.Exit(2)
-	}
-
-	if *archMigrate {
-		os.Exit(migrateArchives(*archDir, archive.Options{
-			SegmentEvents:   *archSeg,
-			BucketQuanta:    *archBkt,
-			BlockEvents:     *archBlk,
-			BloomBitsPerKey: *archBpk,
-		}))
 	}
 
 	// The pool treats a negative ring size as "tracing off"; the flag
@@ -298,7 +242,6 @@ func main() {
 			QueueDepth:          *queue,
 			QueueMessages:       *queueM,
 			RetainEvents:        *retain,
-			CheckpointDir:       *ckpt,
 			MaxTenants:          *maxT,
 			Workers:             *workers,
 			SnapshotRankHistory: *snapRH,
@@ -348,7 +291,6 @@ func main() {
 		"group_commit", walGC.String(),
 		"archive", *archDir != "",
 		"archive_compact_interval", archComp.String(),
-		"checkpoints", *ckpt != "",
 		"rate_limit", *rateLim,
 		"admission_frac", *admFrac,
 		"telemetry", *telemetry,
@@ -385,7 +327,7 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop() // restore default signal handling: a second signal kills
-		logger.Info("shutting down", "phase", "draining queues and checkpointing")
+		logger.Info("shutting down", "phase", "draining queues and snapshotting")
 		if err := srv.Shutdown(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: shutdown:", err)
 			os.Exit(1)

@@ -1,26 +1,29 @@
 // Package archive is the queryable history of finished events. The
 // serving layer's retention policy evicts finished events from detector
 // memory (detect.TrimFinished); instead of losing them, an eviction hook
-// appends each one here, to time-bucketed JSONL segment files with
-// per-segment sidecar metadata — min/max quantum plus a keyword Bloom
-// filter — so time-range and keyword queries skip segments that cannot
-// match and scan only the rest (the data-skipping idea of
-// provenance-pruned scans, applied to event history).
+// appends each one here. Appended records sit in an in-memory buffer —
+// the active segment, visible to queries at once — until a seal writes
+// the buffer out as one columnar segment file with a sidecar of zone
+// maps and keyword Bloom filters, so time-range, rank and keyword
+// queries skip the segments and blocks that cannot match and decode
+// only the rest (the data-skipping idea of provenance-pruned scans,
+// applied to event history). A background compactor merges the small
+// segments frequent seals leave behind (compact.go).
 //
 // Layout of one tenant's archive directory:
 //
-//	ev-00000000000000000001.jsonl      records 1..k, one JSON line each
-//	ev-00000000000000000001.meta.json  sidecar: seq/quantum ranges, Bloom
-//	ev-00000000000000000314.jsonl      active segment (sidecar on rotate)
+//	ev-00000000000000000001.col            records 1..k, CRC-framed blocks
+//	ev-00000000000000000001.col.meta.json  sidecar: ranges, Bloom, zone maps
 //
 // Records carry a 1-based eviction ordinal (Seq) matching the
 // detector's cumulative trim counter, which makes appends idempotent
-// across WAL replays: a replayed eviction whose ordinal is already on
-// disk is dropped by the writer.
+// across WAL replays: a replayed eviction whose ordinal the archive
+// already holds is dropped. That is also the crash story of the buffer:
+// the serving layer seals before every WAL snapshot, so a kill loses
+// only buffered records whose evictions the WAL tail regenerates.
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -39,12 +42,15 @@ import (
 
 const (
 	segPrefix = "ev-"
-	segExt    = ".jsonl"
-	metaExt   = ".meta.json"
+	// legacyExt / legacyMetaExt name the JSON-lines segments and sidecars
+	// written before the columnar format; Open converts them once.
+	legacyExt     = ".jsonl"
+	legacyMetaExt = ".meta.json"
 )
 
-// Record is one archived event, the JSON line shape. Quanta double as
-// the archive's time axis (the detector's clock).
+// Record is one archived event (the JSON tags are the legacy line
+// shape). Quanta double as the archive's time axis (the detector's
+// clock).
 type Record struct {
 	// Seq is the 1-based eviction ordinal (detect's trim counter).
 	Seq           uint64   `json:"seq"`
@@ -67,16 +73,11 @@ type Record struct {
 }
 
 // segMeta is the sidecar: enough to decide, without opening the data
-// file, whether a query's time range or keyword can possibly match.
-// File is the seq the data file is named by — normally equal to
-// FirstSeq, but an eviction-ordinal gap (records lost to a crash) can
-// land a first record whose Seq differs from the name of the already-
-// created file, so the two are tracked separately.
-//
-// Format 0 (absent) is a v1 JSONL segment; Format 2 a v2 columnar
-// segment, whose sidecar additionally carries the per-block zone maps
-// (Blocks) and lives at ev-<seq>.col.meta.json so the two formats'
-// sidecars never collide during a compaction crash window.
+// file, whether a query's time range, rank floor or keywords can
+// possibly match — for the segment as a whole and per block. File is
+// the seq the data file is named by: a sealed buffer is named by its
+// first record, a converted legacy segment keeps the name it had, which
+// an eviction-ordinal gap can leave different from FirstSeq.
 type segMeta struct {
 	File       uint64 `json:"file"` // data file name seq
 	FirstSeq   uint64 `json:"first_seq"`
@@ -86,23 +87,21 @@ type segMeta struct {
 	MaxQuantum int    `json:"max_quantum"`
 	Bloom      string `json:"bloom"` // base64 keyword Bloom filter
 
-	// Format is the data file format (0 = v1 JSONL, 2 = v2 columnar).
-	Format int `json:"format,omitempty"`
 	// BloomK is the filter's hash count; 0 means the legacy 4 (sidecars
 	// written before the filter became configurable).
 	BloomK int `json:"bloom_k,omitempty"`
 	// MaxPeakRank bounds PeakRank across the segment's records, for
-	// rank-floor skipping. Absent (0) in pre-v2 sidecars, so readers
-	// treat 0 as "unknown", which is always safe.
+	// rank-floor skipping; 0 reads as "unknown", which is always safe.
 	MaxPeakRank float64 `json:"max_peak_rank,omitempty"`
-	// Blocks are the v2 per-block zone maps, in file order.
+	// Blocks are the per-block zone maps, in file order.
 	Blocks []blockZone `json:"blocks,omitempty"`
 
 	bf bloom // decoded lazily
 }
 
-// observeBounds folds one record into the seq/quantum/rank bounds.
-func (m *segMeta) observeBounds(rec *Record) {
+// observe folds one record into the seq/quantum/rank bounds and the
+// keyword filter, creating the filter with sizing bp on first use.
+func (m *segMeta) observe(rec *Record, bp bloomParams) {
 	if m.Count == 0 {
 		m.FirstSeq, m.MinQuantum, m.MaxQuantum = rec.Seq, rec.BornQuantum, rec.LastQuantum
 	}
@@ -117,12 +116,6 @@ func (m *segMeta) observeBounds(rec *Record) {
 	if rec.PeakRank > m.MaxPeakRank {
 		m.MaxPeakRank = rec.PeakRank
 	}
-}
-
-// observe folds one record into the bounds and the keyword filter,
-// creating the filter with sizing bp on first use.
-func (m *segMeta) observe(rec Record, bp bloomParams) {
-	m.observeBounds(&rec)
 	if m.bf.empty() {
 		m.bf = newBloomSized(bp)
 		m.BloomK = bp.hashes
@@ -137,17 +130,18 @@ func (m *segMeta) observe(rec Record, bp bloomParams) {
 
 // Options tune one Log.
 type Options struct {
-	// SegmentEvents rotates the active segment after this many records.
-	// Zero selects 512.
+	// SegmentEvents seals the buffer once it holds this many records,
+	// and caps what the compactor merges into one segment. Zero selects
+	// 512.
 	SegmentEvents int
-	// BucketQuanta rotates the active segment once it spans more than
-	// this many quanta (max observed LastQuantum − min BornQuantum) — the
-	// time bucketing that keeps a segment's [min,max] window tight enough
-	// for range skipping to bite. Zero selects 1024.
+	// BucketQuanta seals the buffer once it spans more than this many
+	// quanta (max observed LastQuantum − min BornQuantum) — the time
+	// bucketing that keeps a segment's [min,max] window tight enough for
+	// range skipping to bite. Zero selects 1024.
 	BucketQuanta int
-	// BlockEvents caps records per block when the compactor rewrites a
-	// segment into the v2 columnar format — the granularity at which
-	// zone maps skip and scans decode. Zero selects 256.
+	// BlockEvents caps records per block inside a segment — the
+	// granularity at which zone maps skip and scans decode. Zero selects
+	// 256.
 	BlockEvents int
 	// BloomBitsPerKey sizes new segments' keyword Bloom filters as
 	// bits-per-key × SegmentEvents (hash count at the ln2·bits/key
@@ -173,10 +167,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Log is one tenant's event archive. Safe for concurrent use: Query
-// snapshots the segment metadata under the internal lock, then scans
-// the (append-only) data files without holding it, so a long history
-// scan never blocks the ingest path that appends evictions.
+// Log is one tenant's event archive. Safe for concurrent use: Segments
+// snapshots the segment metadata under the internal lock and scans read
+// the (immutable) data files without it, so a long history scan never
+// blocks the ingest path that appends evictions.
 type Log struct {
 	dir      string
 	opt      Options
@@ -184,13 +178,15 @@ type Log struct {
 	bloomPar bloomParams // sizing for new segment-level filters
 
 	mu     sync.Mutex
-	sealed []segMeta // rotated segments, ascending FirstSeq
-	active *segMeta  // nil when no active segment
-	f      vfs.File  // active segment data file
-	w      *bufio.Writer
+	sealed []segMeta // segments on disk, ascending FirstSeq
+	// buf is the active segment: records appended since the last seal,
+	// with active their bounds and keyword filter. Views alias buf, so
+	// it only ever grows by append and a seal starts a fresh slice.
+	buf    []Record
+	active segMeta
 	seq    uint64 // last appended ordinal
 	gaps   uint64 // ordinal gaps observed (records lost before a crash)
-	// quarantined counts sealed segments renamed aside after a scan hit
+	// quarantined counts segments renamed aside after hitting
 	// corruption — history the service keeps serving around.
 	quarantined uint64
 
@@ -204,15 +200,15 @@ type Log struct {
 	recordsCompacted uint64
 }
 
-// Open opens (creating if needed) an archive directory. Sealed segments
-// are described by their sidecars; a segment missing its sidecar (crash
-// between data write and rotation, or between compaction commit and
-// sidecar write) is scanned once and the sidecar rewritten. The newest
-// JSONL segment resumes as the active one. Any segment whose ordinal
+// Open opens (creating if needed) an archive directory. Segments are
+// described by their sidecars; a segment missing its sidecar (crash
+// between the data file's commit rename and the sidecar write) is
+// decoded once and the sidecar rewritten. Any segment whose ordinal
 // range is covered by another segment is a leftover from a compaction
 // the process crashed out of after the commit rename — it is deleted
-// here, which is what makes kill -9 at any point of a compaction
-// converge to exactly-once records.
+// here, which is what makes kill -9 at any point of a seal or a
+// compaction converge to exactly-once records. Segments in the legacy
+// JSON-lines format are converted to columnar ones first.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
@@ -229,89 +225,45 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: list %s: %w", dir, err)
 	}
-	var v1Starts, v2Starts []uint64
+	var starts []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) {
+		stem, isCol := strings.CutSuffix(e.Name(), colExt)
+		isLegacy := false
+		if !isCol {
+			stem, isLegacy = strings.CutSuffix(e.Name(), legacyExt)
+		}
+		num, ok := strings.CutPrefix(stem, segPrefix)
+		if !ok || (!isCol && !isLegacy) {
 			continue
 		}
-		var ext string
-		switch {
-		case strings.HasSuffix(name, segExt):
-			ext = segExt
-		case strings.HasSuffix(name, colExt):
-			ext = colExt
-		default:
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), ext), 10, 64)
+		n, err := strconv.ParseUint(num, 10, 64)
 		if err != nil {
 			continue
 		}
-		if ext == segExt {
-			v1Starts = append(v1Starts, n)
-		} else {
-			v2Starts = append(v2Starts, n)
+		if isLegacy {
+			if converted, err := l.convertLegacy(n); err != nil {
+				return nil, err
+			} else if !converted {
+				continue
+			}
 		}
+		starts = append(starts, n)
 	}
-	sort.Slice(v1Starts, func(i, j int) bool { return v1Starts[i] < v1Starts[j] })
-	sort.Slice(v2Starts, func(i, j int) bool { return v2Starts[i] < v2Starts[j] })
-
-	var metas []segMeta
-	for _, start := range v2Starts {
+	metas := make([]segMeta, 0, len(starts))
+	for _, start := range starts {
 		m, err := l.loadOrRebuildColMeta(start)
 		if err != nil {
 			return nil, err
 		}
 		metas = append(metas, m)
 	}
-	for i, start := range v1Starts {
-		if i == len(v1Starts)-1 {
-			continue // active candidate, handled below
-		}
-		m, err := l.loadOrRebuildMeta(start)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, m)
-	}
-	if len(v1Starts) > 0 {
-		// Resume the newest JSONL segment as active so a restart keeps
-		// filling the same bucket instead of fragmenting. Its sidecar
-		// (if any) predates appends made after the last rotation, so
-		// rebuild from the data file, truncating any torn tail a crash
-		// left so new appends never land after garbage. If a v2 segment
-		// covers it (sealed, compacted, then crashed before cleanup) it
-		// is superseded like any other — drop it instead of resuming.
-		start := v1Starts[len(v1Starts)-1]
-		m, err := l.resumeActive(start)
-		if err != nil {
-			return nil, err
-		}
-		if supersededBy(m, metas) >= 0 {
-			l.f.Close() //nolint:errcheck // dropping the file anyway
-			l.f, l.w, l.active = nil, nil, nil
-			l.removeSegmentFiles(m)
-		} else {
-			metas = append(metas, m)
-		}
-	}
-
-	// Resolve supersession among the remaining segments, then keep the
-	// survivors as the sealed list (minus the resumed active).
-	dead := make([]bool, len(metas))
-	for i := range metas {
-		dead[i] = supersededBy(metas[i], metas) >= 0
-	}
 	for i := range metas {
 		m := metas[i]
-		if dead[i] {
-			l.removeSegmentFiles(m)
+		if supersededBy(m, metas) {
+			l.removeSegmentFiles(m.File)
 			continue
 		}
-		if l.active == nil || m.File != l.active.File || m.Format != l.active.Format {
-			l.sealed = append(l.sealed, m)
-		}
+		l.sealed = append(l.sealed, m)
 		if m.LastSeq > l.seq {
 			l.seq = m.LastSeq
 		}
@@ -321,156 +273,120 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// supersededBy returns the index of a segment in metas whose ordinal
-// range covers m's (making m a compaction leftover), or -1. On an exact
-// range tie the columnar segment wins — the compactor rewrites a JSONL
-// segment to a same-range .col file, and both survive a crash between
-// the commit rename and the JSONL deletion.
-func supersededBy(m segMeta, metas []segMeta) int {
-	if m.Count == 0 {
-		return -1
+// convertLegacy rewrites one JSON-lines segment (one Record per line)
+// as the columnar segment of the same name seq, by the compactor's
+// commit protocol — data file via tmp+fsync+rename, sidecar, then the
+// inputs deleted — so a kill at any step converges on the next Open: a
+// .col of that name already in place is complete and covers the legacy
+// file (whether this conversion or the old compactor wrote it), and
+// only the deletion is redone. An unterminated or unparsable last line
+// is the torn tail of a crashed append and is dropped — the WAL replay
+// re-evicts that ordinal; damage before the last line sets the whole
+// file aside like any corrupt segment. Reports whether it wrote a .col.
+func (l *Log) convertLegacy(start uint64) (bool, error) {
+	data, side := l.segPath(start, legacyExt), l.segPath(start, legacyMetaExt)
+	drop := func() {
+		l.fs.Remove(data) //nolint:errcheck // best effort; redone by the next Open
+		l.fs.Remove(side) //nolint:errcheck // best effort; swept as an orphan otherwise
 	}
+	if _, err := l.fs.Stat(l.colPath(start)); err == nil {
+		drop()
+		return false, nil
+	}
+	raw, err := l.fs.ReadFile(data)
+	if err != nil {
+		return false, fmt.Errorf("archive: read legacy segment: %w", err)
+	}
+	var recs []Record
+	for len(raw) > 0 {
+		nl := bytes.IndexByte(raw, '\n')
+		if nl < 0 {
+			break // unterminated: torn even if it parses
+		}
+		if line := raw[:nl]; len(line) > 0 {
+			var rec Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				if nl+1 < len(raw) {
+					l.fs.Rename(data, data+quarantineSuffix) //nolint:errcheck // best effort
+					l.fs.Rename(side, side+quarantineSuffix) //nolint:errcheck // best effort
+					l.quarantined++
+					return false, nil
+				}
+				break
+			}
+			recs = append(recs, rec)
+		}
+		raw = raw[nl+1:]
+	}
+	if len(recs) == 0 {
+		drop()
+		return false, nil
+	}
+	m, err := writeSegmentV2(l.fs, l.colPath(start), recs, l.opt.BlockEvents, l.bloomPar)
+	if err != nil {
+		return false, err
+	}
+	m.File = start
+	if err := l.writeMeta(&m); err != nil {
+		return false, err
+	}
+	drop()
+	return true, nil
+}
+
+// supersededBy reports whether another segment in metas covers m's
+// ordinal range, making m a compaction leftover. The compactor only
+// ever replaces whole segments by a strictly larger one, so two
+// distinct segments never tie on the exact range.
+func supersededBy(m segMeta, metas []segMeta) bool {
 	for i := range metas {
 		o := &metas[i]
-		if o.Count == 0 || (o.File == m.File && o.Format == m.Format) {
-			continue
+		if o.File != m.File && o.FirstSeq <= m.FirstSeq && o.LastSeq >= m.LastSeq &&
+			(o.FirstSeq != m.FirstSeq || o.LastSeq != m.LastSeq) {
+			return true
 		}
-		if o.FirstSeq > m.FirstSeq || o.LastSeq < m.LastSeq {
-			continue
-		}
-		if o.FirstSeq == m.FirstSeq && o.LastSeq == m.LastSeq {
-			if o.Format == 2 && m.Format != 2 {
-				return i
-			}
-			continue
-		}
-		return i
 	}
-	return -1
+	return false
 }
 
 // removeSegmentFiles deletes a segment's data file and sidecar.
-func (l *Log) removeSegmentFiles(m segMeta) {
-	if m.Format == 2 {
-		l.fs.Remove(l.colPath(m.File))     //nolint:errcheck // best effort
-		l.fs.Remove(l.colMetaPath(m.File)) //nolint:errcheck // best effort
-		return
-	}
-	l.fs.Remove(l.segPath(m.File))  //nolint:errcheck // best effort
-	l.fs.Remove(l.metaPath(m.File)) //nolint:errcheck // best effort
+func (l *Log) removeSegmentFiles(file uint64) {
+	l.fs.Remove(l.colPath(file))     //nolint:errcheck // best effort
+	l.fs.Remove(l.colMetaPath(file)) //nolint:errcheck // best effort
 }
 
 // sweepOrphanSidecars removes sidecars whose data file is gone — the
-// one file a crash between a compaction's data-file deletion and
-// sidecar deletion can leave behind.
+// one file a crash between a segment's data-file deletion and sidecar
+// deletion can leave behind. No legacy data file outlives Open, so
+// every legacy sidecar is such an orphan.
 func (l *Log) sweepOrphanSidecars(entries []os.DirEntry) {
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) {
+		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, legacyMetaExt) {
 			continue
 		}
-		var data string
-		switch {
-		case strings.HasSuffix(name, colMetaSuffix):
-			data = strings.TrimSuffix(name, colMetaSuffix) + colExt
-		case strings.HasSuffix(name, metaExt):
-			data = strings.TrimSuffix(name, metaExt) + segExt
-		default:
-			continue
-		}
-		if _, err := l.fs.Stat(filepath.Join(l.dir, data)); os.IsNotExist(err) {
-			l.fs.Remove(filepath.Join(l.dir, name)) //nolint:errcheck // best effort
-		}
-	}
-}
-
-// resumeActive rebuilds the newest segment's metadata byte-exactly and
-// reopens it for appending. A final line without a terminating newline
-// is treated as torn even if it parses — the conservative choice; at
-// worst one record is dropped and the WAL replay re-archives it.
-func (l *Log) resumeActive(start uint64) (segMeta, error) {
-	path := l.segPath(start)
-	data, err := l.fs.ReadFile(path)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("archive: resume segment: %w", err)
-	}
-	var m segMeta
-	var valid int
-	for valid < len(data) {
-		nl := bytes.IndexByte(data[valid:], '\n')
-		if nl < 0 {
-			break // unterminated tail: torn
-		}
-		line := data[valid : valid+nl]
-		if len(line) > 0 {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break
+		if data, ok := strings.CutSuffix(name, colMetaSuffix); ok {
+			if _, err := l.fs.Stat(filepath.Join(l.dir, data+colExt)); !os.IsNotExist(err) {
+				continue
 			}
-			m.observe(rec, l.bloomPar)
 		}
-		valid += nl + 1
+		l.fs.Remove(filepath.Join(l.dir, name)) //nolint:errcheck // best effort
 	}
-	if valid < len(data) {
-		if err := l.fs.Truncate(path, int64(valid)); err != nil {
-			return segMeta{}, fmt.Errorf("archive: truncate torn tail: %w", err)
-		}
-	}
-	m.File = start
-	if m.Count == 0 {
-		m.FirstSeq = start
-	}
-	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("archive: reopen active segment: %w", err)
-	}
-	l.f, l.w, l.active = f, bufio.NewWriter(f), &m
-	return m, nil
 }
 
-// loadOrRebuildMeta reads a v1 segment's sidecar, or scans the data
-// file and rewrites the sidecar when it is missing or unreadable.
-func (l *Log) loadOrRebuildMeta(start uint64) (segMeta, error) {
-	raw, err := l.fs.ReadFile(l.metaPath(start))
-	if err == nil {
-		var m segMeta
-		if jerr := json.Unmarshal(raw, &m); jerr == nil && m.Count > 0 && m.Format == 0 {
-			m.File = start // authoritative: the sidecar sits next to the file
-			m.Blocks = nil // zone maps never describe a JSONL body
-			m.bf = decodeBloom(m.Bloom, m.BloomK)
-			return m, nil
-		}
-	}
-	var m segMeta
-	if _, err := l.scanSegment(start, func(rec Record) error {
-		m.observe(rec, l.bloomPar)
-		return nil
-	}); err != nil {
-		return segMeta{}, err
-	}
-	m.File = start
-	if m.Count == 0 {
-		m.FirstSeq = start
-	}
-	if err := l.writeMeta(&m, start); err != nil {
-		return segMeta{}, err
-	}
-	return m, nil
-}
-
-// loadOrRebuildColMeta reads a v2 segment's sidecar, or decodes every
-// block of the data file to rebuild the zone maps when the sidecar is
-// missing, unreadable, describes the wrong format, or disagrees with
-// the data file's header — that last one is the crash window where a
-// re-compaction renamed a new data file over this path but died before
-// rewriting the sidecar, leaving zone maps that describe the old bytes.
+// loadOrRebuildColMeta reads a segment's sidecar, or decodes every block
+// of the data file to rebuild the zone maps when the sidecar is
+// missing, unreadable, or disagrees with the data file's header — that
+// last one is the crash window where a re-compaction renamed a new data
+// file over this path but died before rewriting the sidecar, leaving
+// zone maps that describe the old bytes.
 func (l *Log) loadOrRebuildColMeta(start uint64) (segMeta, error) {
 	raw, err := l.fs.ReadFile(l.colMetaPath(start))
 	if err == nil {
 		var m segMeta
-		if jerr := json.Unmarshal(raw, &m); jerr == nil && m.Count > 0 && m.Format == 2 && len(m.Blocks) > 0 &&
+		if jerr := json.Unmarshal(raw, &m); jerr == nil && m.Count > 0 && len(m.Blocks) > 0 &&
 			l.colHeaderMatches(start, &m) {
-			m.File = start
+			m.File = start // authoritative: the sidecar sits next to the file
 			m.bf = decodeBloom(m.Bloom, m.BloomK)
 			for i := range m.Blocks {
 				m.Blocks[i].bf = decodeBloom(m.Blocks[i].Bloom, blockBloomHashes)
@@ -478,16 +394,9 @@ func (l *Log) loadOrRebuildColMeta(start uint64) (segMeta, error) {
 			return m, nil
 		}
 	}
-	m := segMeta{Format: 2, BloomK: l.bloomPar.hashes}
-	m.bf = newBloomSized(l.bloomPar)
+	m := segMeta{File: start}
 	_, err = scanColFile(l.fs, l.colPath(start), func(rec *Record) error {
-		m.observeBounds(rec)
-		for _, kw := range rec.Keywords {
-			m.bf.add(kw)
-		}
-		for _, kw := range rec.AllKeywords {
-			m.bf.add(kw)
-		}
+		m.observe(rec, l.bloomPar)
 		return nil
 	}, func(z blockZone) {
 		m.Blocks = append(m.Blocks, z)
@@ -495,14 +404,13 @@ func (l *Log) loadOrRebuildColMeta(start uint64) (segMeta, error) {
 	if err != nil {
 		return segMeta{}, err
 	}
-	m.File = start
-	if err := l.writeMeta(&m, start); err != nil {
+	if err := l.writeMeta(&m); err != nil {
 		return segMeta{}, err
 	}
 	return m, nil
 }
 
-// colHeaderMatches reports whether a v2 sidecar agrees with its data
+// colHeaderMatches reports whether a sidecar agrees with its data
 // file's fixed header on the ordinal range and count.
 func (l *Log) colHeaderMatches(start uint64, m *segMeta) bool {
 	f, err := l.fs.Open(l.colPath(start))
@@ -521,13 +429,16 @@ func (l *Log) colHeaderMatches(start uint64, m *segMeta) bool {
 	return hdr.firstSeq == m.FirstSeq && hdr.lastSeq == m.LastSeq && hdr.count == m.Count
 }
 
-// Append archives one record. Records whose Seq is at or below the
-// highest ordinal on disk are dropped (replayed evictions already
+// Append archives one record: it joins the in-memory buffer, where
+// Segments-based scans see it at once. Records whose Seq is at or below
+// the highest ordinal held are dropped (replayed evictions already
 // archived). An ordinal gap — records lost to a crash whose evictions
 // the WAL snapshot already covers, so replay will never regenerate
 // them — is counted (Gaps) and skipped over: those records are gone
 // either way, and refusing all future appends would turn a small hole
-// into total history loss.
+// into total history loss. A buffer that reaches the SegmentEvents or
+// BucketQuanta bound is sealed; the only error Append returns is that
+// seal failing, and the record is then still buffered.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -537,67 +448,49 @@ func (l *Log) Append(rec Record) error {
 	if rec.Seq != l.seq+1 {
 		l.gaps++
 	}
-	if l.f == nil {
-		if err := l.startSegment(rec.Seq); err != nil {
-			return err
-		}
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("archive: encode record %d: %w", rec.Seq, err)
-	}
-	if _, err := l.w.Write(line); err != nil {
-		return fmt.Errorf("archive: append: %w", err)
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("archive: append: %w", err)
-	}
-	l.active.observe(rec, l.bloomPar)
+	l.buf = append(l.buf, rec)
+	l.active.observe(&rec, l.bloomPar)
 	l.seq = rec.Seq
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("archive: append: %w", err)
-	}
-	if l.active.Count >= l.opt.SegmentEvents ||
+	if len(l.buf) >= l.opt.SegmentEvents ||
 		l.active.MaxQuantum-l.active.MinQuantum >= l.opt.BucketQuanta {
-		return l.rotateLocked()
+		return l.sealLocked()
 	}
 	return nil
 }
 
-func (l *Log) startSegment(firstSeq uint64) error {
-	f, err := l.fs.OpenFile(l.segPath(firstSeq), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("archive: new segment: %w", err)
-	}
-	l.f, l.w = f, bufio.NewWriter(f)
-	l.active = &segMeta{File: firstSeq}
-	return nil
+// Seal makes every appended record durable: the buffer is written out
+// as one columnar segment (data file via tmp+fsync+rename — the commit
+// point — then its sidecar) and a fresh buffer started. On failure the
+// records stay buffered, still served, for the next attempt. Callers
+// that persist the eviction counter elsewhere (the serving layer's WAL
+// snapshots) must seal first, or a crash loses the buffered records for
+// good.
+func (l *Log) Seal() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sealLocked()
 }
 
-// rotateLocked seals the active segment: flush, sync, write its
-// sidecar. Caller holds l.mu.
-func (l *Log) rotateLocked() error {
-	if l.f == nil {
+// sealLocked is Seal; caller holds l.mu.
+func (l *Log) sealLocked() error {
+	if len(l.buf) == 0 {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("archive: rotate: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("archive: rotate: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("archive: rotate: %w", err)
-	}
-	if err := l.writeMeta(l.active, l.active.File); err != nil {
+	file := l.buf[0].Seq
+	m, err := writeSegmentV2(l.fs, l.colPath(file), l.buf, l.opt.BlockEvents, l.bloomPar)
+	if err != nil {
 		return err
 	}
-	l.sealed = append(l.sealed, *l.active)
-	l.f, l.w, l.active = nil, nil, nil
-	return nil
+	m.File = file
+	l.sealed = append(l.sealed, m)
+	l.buf, l.active = nil, segMeta{}
+	// The segment is committed and served from m whether or not its
+	// sidecar lands; a missing one is rebuilt by the next Open.
+	return l.writeMeta(&m)
 }
 
-func (l *Log) writeMeta(m *segMeta, start uint64) error {
+// writeMeta writes a segment's sidecar (tmp + rename).
+func (l *Log) writeMeta(m *segMeta) error {
 	if !m.bf.empty() {
 		m.Bloom = m.bf.encode()
 	}
@@ -605,10 +498,7 @@ func (l *Log) writeMeta(m *segMeta, start uint64) error {
 	if err != nil {
 		return fmt.Errorf("archive: encode sidecar: %w", err)
 	}
-	path := l.metaPath(start)
-	if m.Format == 2 {
-		path = l.colMetaPath(start)
-	}
+	path := l.colMetaPath(m.File)
 	tmp := path + ".tmp"
 	if err := l.fs.WriteFile(tmp, raw, 0o644); err != nil {
 		return fmt.Errorf("archive: write sidecar: %w", err)
@@ -619,7 +509,7 @@ func (l *Log) writeMeta(m *segMeta, start uint64) error {
 	return nil
 }
 
-// LastSeq returns the highest eviction ordinal on disk.
+// LastSeq returns the highest eviction ordinal the archive holds.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -634,12 +524,13 @@ func (l *Log) Gaps() uint64 {
 	return l.gaps
 }
 
-// SegmentCount returns the number of data segments (sealed + active).
+// SegmentCount returns the number of segments Segments would list:
+// sealed files plus the buffer when it holds records.
 func (l *Log) SegmentCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.sealed)
-	if l.active != nil {
+	if len(l.buf) > 0 {
 		n++
 	}
 	return n
@@ -649,41 +540,15 @@ func (l *Log) SegmentCount() int {
 func (l *Log) EventCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
+	n := len(l.buf)
 	for i := range l.sealed {
 		n += l.sealed[i].Count
-	}
-	if l.active != nil {
-		n += l.active.Count
 	}
 	return n
 }
 
-// Close seals the active segment (so its sidecar exists for the next
-// process) without starting a new one.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rotateLocked()
-}
-
-// QueryStats reports how much data a query skipped — the observable
-// effect of the sidecar metadata. Truncated marks a limit-stopped scan:
-// the counts describe only the work done before the limit hit, and
-// segments (or tail records) that were never considered are NOT in the
-// skip counters — partial stats, flagged rather than silently wrong.
-type QueryStats struct {
-	Segments       int  `json:"segments"`         // total segments considered
-	Scanned        int  `json:"scanned"`          // segments actually read
-	SkippedByTime  int  `json:"skipped_by_time"`  // pruned on quantum range
-	SkippedByBloom int  `json:"skipped_by_bloom"` // pruned on keyword Bloom
-	Truncated      bool `json:"truncated"`        // scan stopped at the limit; stats partial
-	// Quarantined counts sealed segments this query hit corruption in
-	// and renamed aside; Degraded flags that the results are therefore
-	// missing that history — served, but incomplete.
-	Quarantined int  `json:"quarantined,omitempty"`
-	Degraded    bool `json:"degraded,omitempty"`
-}
+// Close seals the buffer; the Log holds no open files between calls.
+func (l *Log) Close() error { return l.Seal() }
 
 // ErrStop, returned by a SegmentView.Scan callback, stops the scan
 // early without error — the LIMIT-pushdown signal.
@@ -706,11 +571,12 @@ const quarantineSuffix = ".quarantine"
 // SegmentView is a point-in-time handle on one segment: the sidecar
 // bounds for planning (time-range, rank-floor, and Bloom data skipping)
 // plus a record iterator. Views are snapshots — records appended to the
-// active segment after Segments() returned are not visible through
-// them, and a view stays readable even if the segment it describes is
-// compacted away mid-scan: a vanished or replaced data file makes the
-// scan fall back to the covering compacted segment, filtered to this
-// view's ordinal range.
+// buffer after Segments() returned are not visible through them, a
+// buffer view outlives the seal that empties the buffer, and a sealed
+// view stays readable even if the segment it describes is compacted
+// away mid-scan: a vanished or replaced data file makes the scan fall
+// back to the covering compacted segment, filtered to this view's
+// ordinal range.
 type SegmentView struct {
 	// FirstSeq/LastSeq bound the eviction ordinals in the segment.
 	FirstSeq uint64
@@ -723,20 +589,20 @@ type SegmentView struct {
 	MinQuantum int
 	MaxQuantum int
 	// MaxPeakRank bounds PeakRank across the covered records; +Inf when
-	// the sidecar predates rank bounds (never skip on unknown).
+	// unknown (never skip on unknown).
 	MaxPeakRank float64
-	// Sealed marks a rotated (immutable, count-exact) segment.
+	// Sealed marks a segment on disk; false is the in-memory buffer.
 	Sealed bool
-	// Format is the data file format: 0 = v1 JSONL, 2 = v2 columnar.
-	Format int
 
 	file  uint64
-	zones []blockZone // v2 zone maps (immutable once sealed; shared)
+	zones []blockZone // sealed: zone maps (immutable; shared)
+	recs  []Record    // buffer: the records themselves (append-only; shared)
 	bf    bloom
 	l     *Log
 }
 
-// Blocks returns the number of v2 blocks the view covers (0 for v1).
+// Blocks returns the number of on-disk blocks the view covers (0 for
+// the buffer).
 func (v *SegmentView) Blocks() int { return len(v.zones) }
 
 // Quarantine sets this view's segment aside in its parent Log after a
@@ -751,10 +617,10 @@ func (v *SegmentView) MayContain(kw string) bool {
 }
 
 // Pred is the predicate ScanPred pushes below segment granularity: a
-// v2 scan skips whole blocks whose zone maps prove no record can
-// match. Records handed to the callback are NOT individually filtered
-// — block skipping is conservative, so callers apply their own
-// record-level filter exactly as they would after Scan.
+// scan skips whole blocks whose zone maps prove no record can match.
+// Records handed to the callback are NOT individually filtered — block
+// skipping is conservative, so callers apply their own record-level
+// filter exactly as they would after Scan.
 type Pred struct {
 	// From/To bound the quantum range: a record matches when its
 	// [BornQuantum, LastQuantum] span intersects [From, To]. To < 0
@@ -805,7 +671,7 @@ func (z *blockZone) skip(p *Pred) skipReason {
 
 // BlockStats reports one ScanPred's block-level work: how many blocks
 // the segment holds, how many were read, and why the rest were skipped
-// without touching the data file. A v1 segment counts as one block.
+// without touching the data file. The buffer counts as one block.
 type BlockStats struct {
 	Blocks           int // blocks covered by the view
 	Scanned          int // blocks read and decoded
@@ -826,20 +692,18 @@ func (b *BlockStats) addTo(o *BlockStats) {
 
 // Scan streams the view's records to fn in eviction order. fn returning
 // ErrStop ends the scan early (stopped=true, err=nil); any other error
-// aborts and is returned. seen counts records handed to fn. On a sealed
-// view a complete scan that read fewer records than the sidecar count
-// means mid-file corruption and is reported as an error: silently
-// truncating history would be worse than failing the query. An active
-// view stops after Count records so concurrent appends never leak past
-// the point-in-time the view was taken.
+// aborts and is returned. seen counts records handed to fn. A block
+// that decodes to a different record count than its zone map states is
+// corruption and is reported as an error: silently truncating history
+// would be worse than failing the query.
 func (v *SegmentView) Scan(fn func(Record) error) (seen int, stopped bool, err error) {
 	bs, stopped, err := v.scanWithPred(matchAll(), 0, func(rec *Record) error { return fn(*rec) })
 	return bs.Records, stopped, err
 }
 
 // ScanPred streams the view's records to fn in eviction order, skipping
-// v2 blocks whose zone maps prove no record can match pred (see Pred
-// for what the callback still must filter). The *Record and its slices
+// blocks whose zone maps prove no record can match pred (see Pred for
+// what the callback still must filter). The *Record and its slices
 // remain valid after fn returns, but the struct pointed to is reused —
 // copy it to keep it. Stop/error semantics match Scan.
 func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (BlockStats, bool, error) {
@@ -851,52 +715,26 @@ func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (BlockStats, b
 // re-compaction racing the fallback itself.
 const maxRescanDepth = 2
 
+// scanWithPred is the scan behind Scan and ScanPred: the buffer's
+// records straight from memory, or zone-map skipping followed by a
+// CRC-checked column-at-a-time decode of only the surviving blocks.
 func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error) (bs BlockStats, stopped bool, err error) {
+	if !v.Sealed {
+		bs.Blocks, bs.Scanned = 1, 1
+		for i := range v.recs {
+			rec := v.recs[i] // a copy: fn must not reach the shared buffer
+			bs.Records++
+			if err := fn(&rec); err == ErrStop {
+				return bs, true, nil
+			} else if err != nil {
+				return bs, false, err
+			}
+		}
+		return bs, false, nil
+	}
 	if pred.To < 0 {
 		pred.To = maxInt
 	}
-	if v.Format == 2 {
-		return v.scanColWithPred(pred, depth, fn)
-	}
-	bs.Blocks, bs.Scanned = 1, 1
-	raw := 0        // records decoded (pre-filter), for the corruption check
-	capped := false // hit the view's point-in-time record cap, not a caller stop
-	_, serr := v.l.scanSegment(v.file, func(rec Record) error {
-		// The cap applies only to active views (appends may have landed
-		// after the view was taken); a sealed file holding more records
-		// than its sidecar is corruption, which the count check below
-		// must see rather than have silently truncated away.
-		if !v.Sealed && raw >= v.Count {
-			capped = true
-			return ErrStop
-		}
-		raw++
-		if (pred.minSeq > 0 && rec.Seq < pred.minSeq) || (pred.maxSeq > 0 && rec.Seq > pred.maxSeq) {
-			return nil
-		}
-		bs.Records++
-		return fn(&rec)
-	})
-	switch {
-	case serr == ErrStop && !capped:
-		return bs, true, nil
-	case serr != nil && serr != ErrStop:
-		if errors.Is(serr, os.ErrNotExist) && v.Sealed && depth < maxRescanDepth {
-			// Compacted away mid-scan: rescan via the covering segment.
-			return v.rescanCompacted(pred, depth, fn)
-		}
-		return bs, false, serr
-	}
-	if v.Sealed && raw != v.Count {
-		return bs, false, fmt.Errorf("archive: segment %d: %d of %d records readable: %w",
-			v.file, raw, v.Count, ErrCorrupt)
-	}
-	return bs, false, nil
-}
-
-// scanColWithPred is the v2 scan: zone-map skipping, then CRC-checked
-// column-at-a-time decode of only the surviving blocks.
-func (v *SegmentView) scanColWithPred(pred Pred, depth int, fn func(*Record) error) (bs BlockStats, stopped bool, err error) {
 	f, err := v.l.fs.Open(v.l.colPath(v.file))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) && depth < maxRescanDepth {
@@ -979,7 +817,9 @@ func (v *SegmentView) scanColWithPred(pred Pred, depth int, fn func(*Record) err
 // (or replaced) after the view was taken: the compactor only ever
 // merges whole segments, so some current segment's ordinal range covers
 // this view's — rescan it with the predicate narrowed to the view's
-// ordinals, yielding exactly the original record set.
+// ordinals, yielding exactly the original record set. The merged
+// segment keeps its first input's file name, so the covering segment is
+// told from the vanished one by its range, not its name.
 func (v *SegmentView) rescanCompacted(pred Pred, depth int, fn func(*Record) error) (BlockStats, bool, error) {
 	if pred.minSeq == 0 || pred.minSeq < v.FirstSeq {
 		pred.minSeq = v.FirstSeq
@@ -990,21 +830,22 @@ func (v *SegmentView) rescanCompacted(pred Pred, depth int, fn func(*Record) err
 	views := v.l.Segments()
 	for i := range views {
 		w := &views[i]
-		if w.file == v.file && w.Format == v.Format {
-			continue // the vanished segment itself (stale list)
+		if !w.Sealed || (w.FirstSeq == v.FirstSeq && w.LastSeq == v.LastSeq) {
+			continue // the buffer, or the vanished segment itself (stale list)
 		}
-		if w.Count > 0 && w.FirstSeq <= v.FirstSeq && w.LastSeq >= v.LastSeq {
+		if w.FirstSeq <= v.FirstSeq && w.LastSeq >= v.LastSeq {
 			return w.scanWithPred(pred, depth+1, fn)
 		}
 	}
 	return BlockStats{}, false, fmt.Errorf("archive: segment %d vanished with no covering replacement", v.file)
 }
 
-// Segments snapshots the archive's segment metadata (sealed + active)
-// in ascending-FirstSeq order. The metadata is copied under the lock
-// and the data files (append-only, or replaced only via the rescan
-// fallback above) are read without it, so planning and scanning never
-// block concurrent appends.
+// Segments snapshots the archive's segments — sealed ones, then the
+// buffer when it holds records — in ascending-FirstSeq order. The
+// metadata is copied under the lock and the records (immutable files,
+// replaced only via the rescan fallback above; an append-only buffer)
+// are read without it, so planning and scanning never block concurrent
+// appends.
 func (l *Log) Segments() []SegmentView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1022,24 +863,22 @@ func (l *Log) Segments() []SegmentView {
 			MaxQuantum:  m.MaxQuantum,
 			MaxPeakRank: rankBound(m),
 			Sealed:      true,
-			Format:      m.Format,
 			file:        m.File,
 			zones:       m.Blocks,
 			bf:          m.bf,
 			l:           l,
 		})
 	}
-	if l.active != nil && l.active.Count > 0 {
-		// The active filter keeps mutating under appends; copy it.
+	if n := len(l.buf); n > 0 {
 		views = append(views, SegmentView{
 			FirstSeq:    l.active.FirstSeq,
 			LastSeq:     l.active.LastSeq,
-			Count:       l.active.Count,
+			Count:       n,
 			MinQuantum:  l.active.MinQuantum,
 			MaxQuantum:  l.active.MaxQuantum,
-			MaxPeakRank: rankBound(l.active),
-			file:        l.active.File,
-			bf:          l.active.bf.clone(),
+			MaxPeakRank: rankBound(&l.active),
+			recs:        l.buf[:n:n],
+			bf:          l.active.bf.clone(), // the live filter keeps mutating under appends
 			l:           l,
 		})
 	}
@@ -1051,7 +890,7 @@ func (l *Log) Segments() []SegmentView {
 // so every later query serves the surviving history instead of
 // re-hitting the damage. The damaged bytes stay on disk for forensics.
 // Reports whether the view named a segment still in the sealed list
-// (false for active views, already-quarantined segments, or views of a
+// (false for buffer views, already-quarantined segments, or views of a
 // compacted-away file — in all of those there is nothing to remove).
 // Safe against a concurrent compaction: it takes the compactor's mutex,
 // so the splice never invalidates a compaction step mid-flight.
@@ -1065,7 +904,7 @@ func (l *Log) Quarantine(v *SegmentView) bool {
 	defer l.mu.Unlock()
 	idx := -1
 	for i := range l.sealed {
-		if l.sealed[i].File == v.file && l.sealed[i].Format == v.Format {
+		if l.sealed[i].File == v.file {
 			idx = i
 			break
 		}
@@ -1073,13 +912,10 @@ func (l *Log) Quarantine(v *SegmentView) bool {
 	if idx < 0 {
 		return false
 	}
-	data, side := l.segPath(v.file), l.metaPath(v.file)
-	if v.Format == 2 {
-		data, side = l.colPath(v.file), l.colMetaPath(v.file)
-	}
 	// Rename failures are tolerated: the segment leaves the sealed list
 	// either way, which is what stops the bleeding. A file that could
 	// not be renamed is swept as superseded-or-orphaned on next Open.
+	data, side := l.colPath(v.file), l.colMetaPath(v.file)
 	l.fs.Rename(data, data+quarantineSuffix) //nolint:errcheck // best effort
 	l.fs.Rename(side, side+quarantineSuffix) //nolint:errcheck // best effort
 	l.sealed = append(l.sealed[:idx], l.sealed[idx+1:]...)
@@ -1105,140 +941,14 @@ func rankBound(m *segMeta) float64 {
 	return math.Inf(1)
 }
 
-// Query returns archived events whose [BornQuantum, LastQuantum] span
-// intersects [from, to] (to < 0 means unbounded) and, when keyword is
-// non-empty, whose keyword sets contain it (matched against AllKeywords
-// when present, else Keywords). Results are in eviction order; limit > 0
-// caps them (stats.Truncated then marks the partial scan); a negative
-// limit is an error — it is always a caller bug, and treating it as
-// "unlimited" silently turned bad input into a full history scan.
-// Records in the active segment are visible immediately. Implemented on
-// the SegmentView iterator, the same scan the unified query engine
-// uses, so a long history scan never blocks concurrent appends.
-func (l *Log) Query(from, to int, keyword string, limit int) ([]Record, QueryStats, error) {
-	var stats QueryStats
-	if limit < 0 {
-		return nil, stats, fmt.Errorf("archive: negative limit %d", limit)
-	}
-	if to < 0 {
-		to = int(^uint(0) >> 1) // MaxInt
-	}
-	views := l.Segments()
-	out := []Record{}
-	stats.Segments = len(views)
-	for i := range views {
-		v := &views[i]
-		if limit > 0 && len(out) >= limit {
-			stats.Truncated = true
-			break
-		}
-		if v.MaxQuantum < from || v.MinQuantum > to {
-			stats.SkippedByTime++
-			continue
-		}
-		if keyword != "" && !v.MayContain(keyword) {
-			stats.SkippedByBloom++
-			continue
-		}
-		stats.Scanned++
-		before := len(out)
-		_, stopped, err := v.Scan(func(rec Record) error {
-			if limit > 0 && len(out) >= limit {
-				return ErrStop
-			}
-			if rec.LastQuantum < from || rec.BornQuantum > to {
-				return nil
-			}
-			if keyword != "" && !recordHasKeyword(rec, keyword) {
-				return nil
-			}
-			out = append(out, rec)
-			return nil
-		})
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) && v.Sealed {
-				// The damage is in this segment's bytes alone: set it
-				// aside and keep serving the surviving history, flagged
-				// as incomplete. Records the scan yielded before hitting
-				// the corruption are dropped — a segment is either
-				// served whole or not at all. A concurrent query may
-				// have already quarantined it (count it only once).
-				if l.Quarantine(v) {
-					stats.Quarantined++
-				}
-				out = out[:before]
-				stats.Degraded = true
-				continue
-			}
-			return nil, stats, err
-		}
-		if stopped {
-			stats.Truncated = true
-		}
-	}
-	return out, stats, nil
+// segName is the file name of the segment file named by seq.
+func segName(seq uint64, ext string) string {
+	return fmt.Sprintf("%s%020d%s", segPrefix, seq, ext)
 }
 
-func recordHasKeyword(rec Record, kw string) bool {
-	set := rec.AllKeywords
-	if len(set) == 0 {
-		set = rec.Keywords
-	}
-	for _, k := range set {
-		if k == kw {
-			return true
-		}
-	}
-	return false
+func (l *Log) segPath(seq uint64, ext string) string {
+	return filepath.Join(l.dir, segName(seq, ext))
 }
 
-// scanSegment streams a segment's records to fn, returning the byte
-// offset through the last intact record. A torn trailing line (the
-// crash-mid-append signature) stops the scan there; the active-resume
-// path truncates the file to the returned offset so new appends never
-// land after garbage.
-func (l *Log) scanSegment(start uint64, fn func(Record) error) (int64, error) {
-	f, err := l.fs.Open(l.segPath(start))
-	if err != nil {
-		return 0, fmt.Errorf("archive: open segment: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var valid int64
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			valid++ // just the newline
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return valid, nil
-		}
-		if err := fn(rec); err != nil {
-			return valid, err
-		}
-		valid += int64(len(line)) + 1
-	}
-	if err := sc.Err(); err != nil {
-		return valid, fmt.Errorf("archive: scan segment %d: %w", start, err)
-	}
-	return valid, nil
-}
-
-func (l *Log) segPath(firstSeq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, segExt))
-}
-
-func (l *Log) metaPath(firstSeq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, metaExt))
-}
-
-func (l *Log) colPath(firstSeq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, colExt))
-}
-
-func (l *Log) colMetaPath(firstSeq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, colMetaSuffix))
-}
+func (l *Log) colPath(seq uint64) string     { return l.segPath(seq, colExt) }
+func (l *Log) colMetaPath(seq uint64) string { return l.segPath(seq, colMetaSuffix) }

@@ -2,9 +2,13 @@ package archive
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -22,16 +26,75 @@ func rec(seq uint64, born, last int, kws ...string) Record {
 	}
 }
 
-// TestAppendQueryRotation drives three time buckets through rotation and
-// checks range queries, keyword queries, and the skip statistics that
-// prove the sidecar metadata is doing its job.
+// skipStats counts what scanMatching's segment-level planning did.
+type skipStats struct {
+	segments, scanned, byTime, byBloom int
+}
+
+// scanMatching is the tests' reader over the scan surface (Segments +
+// Scan): every record whose span intersects [from, to] (to < 0 =
+// unbounded) and, when kw is non-empty, carries it — in eviction order,
+// skipping segments on their sidecar bounds the way a planner would.
+func scanMatching(t testing.TB, l *Log, from, to int, kw string) ([]Record, skipStats) {
+	t.Helper()
+	if to < 0 {
+		to = maxInt
+	}
+	var out []Record
+	var st skipStats
+	for _, v := range l.Segments() {
+		st.segments++
+		if v.MaxQuantum < from || v.MinQuantum > to {
+			st.byTime++
+			continue
+		}
+		if kw != "" && !v.MayContain(kw) {
+			st.byBloom++
+			continue
+		}
+		st.scanned++
+		if _, _, err := v.Scan(func(r Record) error {
+			if r.LastQuantum >= from && r.BornQuantum <= to && (kw == "" || slices.Contains(r.AllKeywords, kw)) {
+				out = append(out, r)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out, st
+}
+
+// writeLegacySegment stages a pre-columnar JSON-lines segment the way
+// the old writer left it: one record per line, then tail verbatim (a
+// torn last line, or nothing).
+func writeLegacySegment(t testing.TB, dir string, start uint64, recs []Record, tail string) {
+	t.Helper()
+	var body bytes.Buffer
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(line)
+		body.WriteByte('\n')
+	}
+	body.WriteString(tail)
+	if err := os.WriteFile(filepath.Join(dir, segName(start, legacyExt)), body.Bytes(), 0o644); err != nil { //repro:vfs-exempt staging a legacy on-disk fixture under test, not storage-layer I/O
+		t.Fatal(err)
+	}
+}
+
+// TestAppendQueryRotation drives three time buckets through sealing and
+// checks range scans, keyword scans, and the skip statistics that prove
+// the sidecar metadata is doing its job.
 func TestAppendQueryRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Segments: {1,2} quanta 0..19, {3,4} quanta 100..119, {5} active 200..209.
+	// Segments: {1,2} quanta 0..19, {3,4} quanta 100..119, {5} buffered 200..209.
 	for i, r := range []Record{
 		rec(1, 0, 9, "earthquake", "turkey"),
 		rec(2, 10, 19, "flood", "river"),
@@ -51,66 +114,56 @@ func TestAppendQueryRotation(t *testing.T) {
 	}
 
 	// Full range, no keyword: everything, in eviction order.
-	all, stats, err := l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all, stats := scanMatching(t, l, 0, -1, "")
 	if len(all) != 5 {
-		t.Fatalf("full query = %d records", len(all))
+		t.Fatalf("full scan = %d records", len(all))
 	}
 	for i, r := range all {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("order broken: %v", all)
 		}
 	}
-	if stats.Scanned != 3 || stats.Segments != 3 {
-		t.Fatalf("full query stats = %+v", stats)
+	if stats.scanned != 3 || stats.segments != 3 {
+		t.Fatalf("full scan stats = %+v", stats)
 	}
 
-	// Range query hitting only the middle bucket skips the other two.
-	mid, stats, err := l.Query(100, 119, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Range scan hitting only the middle bucket skips the other two.
+	mid, stats := scanMatching(t, l, 100, 119, "")
 	if len(mid) != 2 || mid[0].Seq != 3 || mid[1].Seq != 4 {
-		t.Fatalf("mid query = %v", mid)
+		t.Fatalf("mid scan = %v", mid)
 	}
-	if stats.SkippedByTime != 2 || stats.Scanned != 1 {
-		t.Fatalf("mid query stats = %+v, want 2 time-skips", stats)
+	if stats.byTime != 2 || stats.scanned != 1 {
+		t.Fatalf("mid scan stats = %+v, want 2 time-skips", stats)
 	}
 
 	// Keyword present in one sealed segment: Bloom skips the others.
-	storm, stats, err := l.Query(0, -1, "storm", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	storm, stats := scanMatching(t, l, 0, -1, "storm")
 	if len(storm) != 1 || storm[0].Seq != 3 {
-		t.Fatalf("storm query = %v", storm)
+		t.Fatalf("storm scan = %v", storm)
 	}
-	if stats.SkippedByBloom != 2 || stats.Scanned != 1 {
-		t.Fatalf("storm query stats = %+v, want 2 bloom-skips", stats)
+	if stats.byBloom != 2 || stats.scanned != 1 {
+		t.Fatalf("storm scan stats = %+v, want 2 bloom-skips", stats)
 	}
 
 	// Absent keyword: every segment skipped, nothing scanned.
-	none, stats, err := l.Query(0, -1, "nosuchkeyword", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 || stats.Scanned != 0 || stats.SkippedByBloom != 3 {
+	none, stats := scanMatching(t, l, 0, -1, "nosuchkeyword")
+	if len(none) != 0 || stats.scanned != 0 || stats.byBloom != 3 {
 		t.Fatalf("absent keyword: records = %v stats = %+v", none, stats)
 	}
 
-	// Limit caps the result set.
-	two, _, err := l.Query(0, -1, "", 2)
+	// Nothing but columnar files ever reaches the directory.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(two) != 2 {
-		t.Fatalf("limit query = %d records", len(two))
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), colExt) && !strings.HasSuffix(e.Name(), colMetaSuffix) {
+			t.Fatalf("unexpected file %s in archive directory", e.Name())
+		}
 	}
 }
 
-// TestBucketRotationByQuanta rotates on time span even when the event
+// TestBucketRotationByQuanta seals on time span even when the event
 // count stays under the segment cap.
 func TestBucketRotationByQuanta(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{SegmentEvents: 100, BucketQuanta: 50})
@@ -120,7 +173,7 @@ func TestBucketRotationByQuanta(t *testing.T) {
 	if err := l.Append(rec(1, 0, 10, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(2, 40, 60, "b")); err != nil { // span 0..60 ≥ 50: rotate
+	if err := l.Append(rec(2, 40, 60, "b")); err != nil { // span 0..60 ≥ 50: seal
 		t.Fatal(err)
 	}
 	if err := l.Append(rec(3, 100, 110, "c")); err != nil {
@@ -131,9 +184,10 @@ func TestBucketRotationByQuanta(t *testing.T) {
 	}
 }
 
-// TestReopenDedup reopens an archive and verifies replayed (duplicate)
-// ordinals are dropped while fresh ones append — the WAL-replay
-// idempotence contract.
+// TestReopenDedup kills an archive with a non-empty buffer and verifies
+// the WAL-replay idempotence contract on reopen: the buffered record is
+// gone, replayed ordinals the archive still holds are dropped, and the
+// lost one plus fresh ones append without a gap.
 func TestReopenDedup(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
@@ -145,26 +199,23 @@ func TestReopenDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// No Close: simulates a kill. The active segment has no sidecar yet.
+	// No Close: simulates a kill. {1,2} were sealed; 3 was only buffered.
 	l2, err := Open(dir, Options{SegmentEvents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.LastSeq() != 3 {
-		t.Fatalf("LastSeq after reopen = %d, want 3", l2.LastSeq())
+	if l2.LastSeq() != 2 {
+		t.Fatalf("LastSeq after reopen = %d, want 2 (buffered record lost)", l2.LastSeq())
 	}
-	// Replayed evictions 1..3 are dropped; 4 is new.
+	// Replayed evictions 1..2 are dropped; 3 is re-archived; 4 is new.
 	for i := uint64(1); i <= 4; i++ {
 		if err := l2.Append(rec(i, int(i)*10, int(i)*10+5, fmt.Sprintf("kw%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	all, _, err := l2.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 4 {
-		t.Fatalf("records after dedup = %d, want 4", len(all))
+	all, _ := scanMatching(t, l2, 0, -1, "")
+	if len(all) != 4 || l2.Gaps() != 0 {
+		t.Fatalf("records after dedup = %d (gaps %d), want 4 and no gap", len(all), l2.Gaps())
 	}
 	// An ordinal gap (records lost for good) is skipped over and
 	// counted, not allowed to wedge all future archiving.
@@ -179,107 +230,75 @@ func TestReopenDedup(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated leaves a partial JSON line (crash mid-append) in
-// the active segment; reopen must drop it and re-accept that ordinal.
+// TestTornTailTruncated opens a legacy JSON-lines segment whose last
+// line is partial (the old writer's crash-mid-append signature): the
+// torn record must be dropped and that ordinal re-accepted.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
+	writeLegacySegment(t, dir, 1, []Record{rec(1, 0, 5, "alpha"), rec(2, 6, 9, "beta")},
+		`{"seq":3,"id":30,"torn`)
+
 	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(1, 0, 5, "alpha")); err != nil {
+	if l.LastSeq() != 2 {
+		t.Fatalf("LastSeq = %d, want 2 (torn record dropped)", l.LastSeq())
+	}
+	if err := l.Append(rec(3, 10, 15, "gamma")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(2, 6, 9, "beta")); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segExt))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments = %v", segs)
-	}
-	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644) //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":3,"id":30,"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d, want 2 (torn record dropped)", l2.LastSeq())
-	}
-	if err := l2.Append(rec(3, 10, 15, "gamma")); err != nil {
-		t.Fatal(err)
-	}
-	all, _, err := l2.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all, _ := scanMatching(t, l, 0, -1, "")
 	if len(all) != 3 || all[2].Keywords[0] != "gamma" {
 		t.Fatalf("records after torn-tail recovery = %v", all)
 	}
 }
 
-// TestCorruptSealedSegmentQuarantined flips bytes mid-file in a sealed
-// segment: the sidecar knows the true record count, so a query detects
-// the corruption, quarantines the segment (renamed aside, dropped from
-// the sealed list), and keeps serving the surviving history with the
-// degraded flag set — instead of failing every query forever.
+// TestCorruptSealedSegmentQuarantined flips a byte inside a sealed
+// segment's block: the frame CRC catches it, the scan reports
+// ErrCorrupt, and quarantining the view renames the segment aside and
+// drops it from the sealed list, so the surviving history keeps being
+// served — instead of every scan failing forever.
 func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 4; i++ { // 3 seal a segment, 1 stays active
+	for i := uint64(1); i <= 4; i++ { // 3 seal a segment, 1 stays buffered
 		if err := l.Append(rec(i, int(i)*10, int(i)*10+5, "kw")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segExt))
-	if err != nil || len(segs) != 2 {
-		t.Fatalf("segments = %v", segs)
-	}
-	raw, err := os.ReadFile(segs[0])
+	seg := l.colPath(1)
+	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Break the structure of the middle record (JSON tolerates stray
-	// bytes inside strings, so corrupt the leading brace).
-	raw[bytes.IndexByte(raw, '\n')+1] = 'X'
-	if err := os.WriteFile(segs[0], raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(seg, raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
 		t.Fatal(err)
 	}
-	recs, stats, err := l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatalf("query over corrupt sealed segment: %v", err)
+	views := l.Segments()
+	if _, _, err := views[0].Scan(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scan over corrupt sealed segment = %v, want ErrCorrupt", err)
 	}
-	if !stats.Degraded || stats.Quarantined != 1 {
-		t.Fatalf("stats = %+v, want degraded with 1 quarantined", stats)
-	}
-	// Only the active segment's record survives.
-	if len(recs) != 1 || recs[0].Seq != 4 {
-		t.Fatalf("degraded results = %+v, want just seq 4", recs)
+	if !views[0].Quarantine() || views[0].Quarantine() {
+		t.Fatal("Quarantine must set the segment aside exactly once")
 	}
 	if got := l.QuarantinedSegments(); got != 1 {
 		t.Fatalf("QuarantinedSegments = %d, want 1", got)
 	}
 	// The damaged files are renamed aside, not deleted.
-	if _, err := os.Stat(segs[0] + quarantineSuffix); err != nil {
+	if _, err := os.Stat(seg + quarantineSuffix); err != nil {
 		t.Fatalf("quarantined data file: %v", err)
 	}
-	if _, err := os.Stat(segs[0]); !os.IsNotExist(err) {
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
 		t.Fatal("corrupt data file still at its serving path")
 	}
-	// Later queries serve cleanly — the damage is out of the list.
-	recs, stats, err = l.Query(0, -1, "", 0)
-	if err != nil || stats.Degraded || len(recs) != 1 {
-		t.Fatalf("post-quarantine query = %+v, %+v, %v", recs, stats, err)
+	// Later scans serve cleanly — only the buffered record survives.
+	if recs, _ := scanMatching(t, l, 0, -1, ""); len(recs) != 1 || recs[0].Seq != 4 {
+		t.Fatalf("post-quarantine scan = %+v, want just seq 4", recs)
 	}
 	// And a reopen does not resurrect the quarantined segment.
 	if err := l.Close(); err != nil {
@@ -290,9 +309,8 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	recs, _, err = l2.Query(0, -1, "", 0)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("query after reopen = %+v, %v", recs, err)
+	if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 1 {
+		t.Fatalf("scan after reopen = %+v", recs)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// buildBenchDir fills dir with 4096 records in 256 sealed v1 segments
-// of 16 records × 16 quanta each — the same shape the query-engine
+// buildBenchDir fills dir with 4096 records in 256 sealed segments of
+// 16 records × 16 quanta each — the same shape the query-engine
 // benchmarks use, so numbers compare across layers.
 func buildBenchDir(b *testing.B, dir string) {
 	b.Helper()
@@ -35,23 +35,18 @@ func buildBenchDir(b *testing.B, dir string) {
 	}
 }
 
-func benchLog(b *testing.B, compact bool) *Log {
+// benchLog opens the bench directory compacted into 512-record segments.
+func benchLog(b *testing.B) *Log {
 	b.Helper()
 	dir := b.TempDir()
 	buildBenchDir(b, dir)
-	opt := Options{SegmentEvents: 16}
-	if compact {
-		opt = Options{SegmentEvents: 512, BucketQuanta: 1 << 20}
-	}
-	l, err := Open(dir, opt)
+	l, err := Open(dir, Options{SegmentEvents: 512, BucketQuanta: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { l.Close() })
-	if compact {
-		if _, err := l.CompactAll(); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := l.CompactAll(); err != nil {
+		b.Fatal(err)
 	}
 	return l
 }
@@ -76,23 +71,21 @@ func scanAll(b *testing.B, l *Log, pred Pred) (records int, bs BlockStats) {
 }
 
 // BenchmarkArchiveScan is the storage-layer half of the columnar
-// story: fullscan-v1 vs fullscan-v2 is the decode-speed and allocation
-// comparison; zonemap-hit-v2 shows predicate pushdown reading only the
-// blocks a narrow time range touches.
+// story: fullscan-v2 is the decode speed and allocation of a whole-
+// history scan; zonemap-hit-v2 shows predicate pushdown reading only
+// the blocks a narrow time range touches.
 func BenchmarkArchiveScan(b *testing.B) {
 	cases := []struct {
-		name    string
-		compact bool
-		pred    Pred
-		want    int // records the scan must hand out
+		name string
+		pred Pred
+		want int // records the scan must hand out (0 = unchecked)
 	}{
-		{"fullscan-v1", false, Pred{To: -1}, 4096},
-		{"fullscan-v2", true, Pred{To: -1}, 4096},
-		{"zonemap-hit-v2", true, Pred{From: 2048, To: 2079}, 0 /* set below */},
+		{"fullscan-v2", Pred{To: -1}, 4096},
+		{"zonemap-hit-v2", Pred{From: 2048, To: 2079}, 0},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			l := benchLog(b, c.compact)
+			l := benchLog(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var records, scanned, blocks float64
@@ -114,10 +107,9 @@ func BenchmarkArchiveScan(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveFootprint reports the on-disk size of the same 4096
-// events as a v1 JSONL body and as a compacted v2 columnar body
-// (data + sidecars, bytes). The work loop is trivial — the metrics are
-// the result.
+// BenchmarkArchiveFootprint reports the on-disk size of 4096 events as
+// a compacted columnar body (data + sidecars, bytes). The work loop is
+// trivial — the metric is the result.
 func BenchmarkArchiveFootprint(b *testing.B) {
 	size := func(l *Log) float64 {
 		dir := filepath.Dir(l.colPath(1))
@@ -135,14 +127,11 @@ func BenchmarkArchiveFootprint(b *testing.B) {
 		}
 		return float64(total)
 	}
-	v1 := size(benchLog(b, false))
-	v2 := size(benchLog(b, true))
+	v2 := size(benchLog(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = i
 	}
 	b.ReportMetric(0, "ns/op")
-	b.ReportMetric(v1, "v1_bytes")
 	b.ReportMetric(v2, "v2_bytes")
-	b.ReportMetric(v1/v2, "shrink_x")
 }

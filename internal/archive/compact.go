@@ -5,22 +5,21 @@ import (
 )
 
 // The background compactor: merges runs of small adjacent sealed
-// segments into one v2 columnar segment (time-bucket defragmentation)
-// and rewrites cold v1 JSONL segments into v2 in place (same ordinal
-// range, same name seq, .col extension). Appends keep landing in v1 —
-// the torn-tail crash story of the active segment is unchanged — so the
-// archive steady-state is a v1 head being filled and a v2 body being
-// read.
+// segments into one (time-bucket defragmentation). The serving layer
+// seals the buffer before every WAL snapshot, so the archive's steady
+// state is a tail of small segments the compactor keeps folding into a
+// body of full ones.
 //
 // Commit protocol (crash-safe at every step, verified by the
 // Compaction crash tests):
 //
-//  1. write the merged v2 data file at ev-<run[0].File>.col via
+//  1. write the merged data file at ev-<run[0].File>.col via
 //     tmp+fsync+rename — the commit point. From here Open's
 //     supersession pass treats the inputs as dead.
-//  2. write its sidecar (tmp+rename; rebuilt from the data file if a
-//     crash lands between 1 and 2).
-//  3. splice the in-memory sealed list under the lock.
+//  2. splice the in-memory sealed list, under the same lock hold as
+//     the rename.
+//  3. write its sidecar (tmp+rename; rebuilt from the data file if a
+//     crash lands between 1 and 3).
 //  4. delete the input data files and sidecars (redone by Open's
 //     supersession pass and orphan-sidecar sweep if a crash lands
 //     mid-deletion). In-flight scans holding views of the deleted
@@ -29,8 +28,8 @@ import (
 
 // CompactStats sums what compaction steps accomplished.
 type CompactStats struct {
-	// Compactions counts committed rewrites; SegmentsIn the input
-	// segments they consumed (a merge consumes ≥ 2, a format rewrite 1).
+	// Compactions counts committed merges; SegmentsIn the input
+	// segments they consumed (≥ 2 each).
 	Compactions int
 	SegmentsIn  int
 	// Records is the number of records rewritten.
@@ -42,8 +41,8 @@ type CompactStats struct {
 }
 
 // CompactOnce performs at most one compaction step — one merge of an
-// adjacent run of small sealed segments, or one v1→v2 rewrite of the
-// oldest JSONL segment — and reports whether it did anything. The step
+// adjacent run of small sealed segments — and reports whether it did
+// anything. The step
 // reads and writes outside the archive lock; only the final metadata
 // splice holds it, so ingest and queries proceed throughout. Steps are
 // serialized against each other.
@@ -68,29 +67,18 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	var bytesIn int64
 	for i := range run {
 		m := &run[i]
-		path := l.segPath(m.File)
-		if m.Format == 2 {
-			path = l.colPath(m.File)
-		}
+		path := l.colPath(m.File)
 		if st, err := l.fs.Stat(path); err == nil {
 			bytesIn += st.Size()
 		}
-		if st, err := l.fs.Stat(l.sidecarPath(m)); err == nil {
+		if st, err := l.fs.Stat(l.colMetaPath(m.File)); err == nil {
 			bytesIn += st.Size()
 		}
 		before := len(recs)
-		var err error
-		if m.Format == 2 {
-			_, err = scanColFile(l.fs, path, func(rec *Record) error {
-				recs = append(recs, *rec)
-				return nil
-			}, nil)
-		} else {
-			_, err = l.scanSegment(m.File, func(rec Record) error {
-				recs = append(recs, rec)
-				return nil
-			})
-		}
+		_, err := scanColFile(l.fs, path, func(rec *Record) error {
+			recs = append(recs, *rec)
+			return nil
+		}, nil)
 		if err != nil {
 			return CompactStats{}, false, fmt.Errorf("archive: compact: read segment %d: %w", m.File, err)
 		}
@@ -105,14 +93,33 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 		}
 	}
 
-	// Commit: data file, then sidecar.
+	// Commit. The rename is the commit point, and it lands on the first
+	// input's path: it and the sealed-list splice share one lock hold, so
+	// a scan that finds the merged bytes behind a stale view also finds
+	// the merged segment in the list to fall back to. Only the compactor
+	// rewrites the list and we hold compactMu, so the run is still where
+	// we found it; seals only append behind it.
 	newPath := l.colPath(run[0].File)
-	m, err := writeSegmentV2(l.fs, newPath, recs, l.opt.BlockEvents, l.bloomPar)
+	tmp := newPath + ".tmp"
+	m, err := writeSegmentTmp(l.fs, tmp, recs, l.opt.BlockEvents, l.bloomPar)
 	if err != nil {
 		return CompactStats{}, false, err
 	}
 	m.File = run[0].File
-	if err := l.writeMeta(&m, m.File); err != nil {
+	l.mu.Lock()
+	if err := l.fs.Rename(tmp, newPath); err != nil {
+		l.mu.Unlock()
+		l.fs.Remove(tmp) //nolint:errcheck // best effort
+		return CompactStats{}, false, fmt.Errorf("archive: compact: %w", err)
+	}
+	spliced := append([]segMeta{}, l.sealed[:lo]...)
+	spliced = append(spliced, m)
+	spliced = append(spliced, l.sealed[hi:]...)
+	l.sealed = spliced
+	l.mu.Unlock()
+	// A sidecar lost here is rebuilt, and the inputs swept, by the next
+	// Open; the segment is served from m either way.
+	if err := l.writeMeta(&m); err != nil {
 		return CompactStats{}, false, err
 	}
 	var bytesOut int64
@@ -123,39 +130,26 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 		bytesOut += st.Size()
 	}
 
-	// Splice the sealed list. Only the compactor rewrites it and we hold
-	// compactMu, so the run is still where we found it; rotations only
-	// append behind it.
+	// Cleanup: inputs are dead. The first one's files were just renamed
+	// over by the merged segment, which keeps its name.
+	for _, in := range run[1:] {
+		l.removeSegmentFiles(in.File)
+	}
 	st := CompactStats{Compactions: 1, SegmentsIn: len(run), Records: len(recs)}
 	if bytesIn > bytesOut {
 		st.BytesReclaimed = uint64(bytesIn - bytesOut)
 	}
 	l.mu.Lock()
-	spliced := append([]segMeta{}, l.sealed[:lo]...)
-	spliced = append(spliced, m)
-	spliced = append(spliced, l.sealed[hi:]...)
-	l.sealed = spliced
 	l.compactions++
 	l.segsCompacted += uint64(len(run))
 	l.recordsCompacted += uint64(len(recs))
 	l.bytesReclaimed += st.BytesReclaimed
 	l.mu.Unlock()
-
-	// Cleanup: inputs are dead. The merged file itself (a re-compacted
-	// .col keeps its name) was just renamed over, not an input to delete.
-	for i := range run {
-		in := &run[i]
-		if in.Format == 2 && in.File == m.File {
-			continue
-		}
-		l.removeSegmentFiles(*in)
-	}
 	return st, true, nil
 }
 
-// CompactAll runs compaction steps until none applies — the one-shot
-// migration mode (cmd/serve -archive-migrate) and the test/bench
-// helper. Seal the active segment first (Close) to migrate everything.
+// CompactAll runs compaction steps until none applies. Seal the buffer
+// first to include its records.
 func (l *Log) CompactAll() (CompactStats, error) {
 	var total CompactStats
 	for {
@@ -176,7 +170,7 @@ func (l *Log) CompactAll() (CompactStats, error) {
 // pickCompactRun chooses the next compaction step over a sealed-list
 // snapshot: the first (oldest) maximal run of ≥ 2 adjacent segments
 // that merged stay within the segment-size and time-bucket bounds, else
-// the first v1 segment (format rewrite), else nothing ([-1, -1)).
+// nothing ([-1, -1)).
 func pickCompactRun(sealed []segMeta, opt Options) (int, int) {
 	for i := 0; i < len(sealed); i++ {
 		if sealed[i].Count == 0 {
@@ -207,20 +201,7 @@ func pickCompactRun(sealed []segMeta, opt Options) (int, int) {
 			return i, j
 		}
 	}
-	for i := 0; i < len(sealed); i++ {
-		if sealed[i].Format != 2 && sealed[i].Count > 0 {
-			return i, i + 1
-		}
-	}
 	return -1, -1
-}
-
-// sidecarPath returns the sidecar path for a segment of either format.
-func (l *Log) sidecarPath(m *segMeta) string {
-	if m.Format == 2 {
-		return l.colMetaPath(m.File)
-	}
-	return l.metaPath(m.File)
 }
 
 // CompactTotals reports the compactor's lifetime counters for this Log:
@@ -232,16 +213,10 @@ func (l *Log) CompactTotals() (compactions, segmentsIn, records, bytesReclaimed 
 	return l.compactions, l.segsCompacted, l.recordsCompacted, l.bytesReclaimed
 }
 
-// ColumnarSegmentCount returns how many sealed segments are in the v2
-// columnar format.
+// ColumnarSegmentCount returns how many columnar segments are sealed
+// on disk.
 func (l *Log) ColumnarSegmentCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for i := range l.sealed {
-		if l.sealed[i].Format == 2 {
-			n++
-		}
-	}
-	return n
+	return len(l.sealed)
 }

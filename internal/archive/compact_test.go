@@ -9,14 +9,11 @@ import (
 	"testing"
 )
 
-// queryJSON snapshots a query's full result set as JSON — the
+// queryJSON snapshots a scan's full result set as JSON — the
 // byte-identity oracle the compaction tests compare against.
 func queryJSON(t *testing.T, l *Log, from, to int, kw string) string {
 	t.Helper()
-	recs, _, err := l.Query(from, to, kw, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, _ := scanMatching(t, l, from, to, kw)
 	raw, err := json.Marshal(recs)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +22,7 @@ func queryJSON(t *testing.T, l *Log, from, to int, kw string) string {
 }
 
 // seedArchive fills dir with n records through tiny rotation bounds so
-// the sealed list holds many small v1 segments, then closes the Log.
+// the sealed list holds many small segments, then closes the Log.
 func seedArchive(t *testing.T, dir string, n int, opt Options) {
 	t.Helper()
 	l, err := Open(dir, opt)
@@ -101,9 +98,11 @@ func dirSize(t *testing.T, dir string) int64 {
 	return total
 }
 
+// TestCompactionMergesSmallSegments: the small segments frequent seals
+// leave behind are merged into one, with identical scan results.
 func TestCompactionMergesSmallSegments(t *testing.T) {
 	dir := t.TempDir()
-	seedArchive(t, dir, 9, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}{7,8} sealed + {9}
+	seedArchive(t, dir, 9, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}{7,8}{9}
 	l, err := Open(dir, Options{SegmentEvents: 100, BucketQuanta: 1024, BlockEvents: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -116,87 +115,75 @@ func TestCompactionMergesSmallSegments(t *testing.T) {
 	if err != nil || !worked {
 		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
 	}
-	if st.Compactions != 1 || st.SegmentsIn != 4 || st.Records != 8 {
+	if st.Compactions != 1 || st.SegmentsIn != 5 || st.Records != 9 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.BytesReclaimed == 0 {
 		t.Fatal("merge reclaimed no bytes")
 	}
-	if n := l.ColumnarSegmentCount(); n != 1 {
-		t.Fatalf("columnar segments = %d", n)
-	}
-	if n := l.SegmentCount(); n != 2 { // merged v2 + active
-		t.Fatalf("segments = %d, want 2", n)
+	if n := l.SegmentCount(); n != 1 {
+		t.Fatalf("segments = %d, want 1", n)
 	}
 	if got := queryJSON(t, l, 0, -1, ""); got != before {
-		t.Fatalf("full query changed:\n before %s\n after  %s", before, got)
+		t.Fatalf("full scan changed:\n before %s\n after  %s", before, got)
 	}
 	if got := queryJSON(t, l, 0, -1, "kw-3"); got != beforeKw {
-		t.Fatalf("keyword query changed:\n before %s\n after  %s", beforeKw, got)
+		t.Fatalf("keyword scan changed:\n before %s\n after  %s", beforeKw, got)
 	}
 	c, segs, recs, bytes := l.CompactTotals()
-	if c != 1 || segs != 4 || recs != 8 || bytes == 0 {
+	if c != 1 || segs != 5 || recs != 9 || bytes == 0 {
 		t.Fatalf("totals = %d/%d/%d/%d", c, segs, recs, bytes)
 	}
-	// The singleton v2 segment is never re-picked: compaction converges.
+	// A lone segment is never re-picked: compaction converges.
 	if _, worked, err := l.CompactOnce(); err != nil || worked {
 		t.Fatalf("second CompactOnce: worked=%v err=%v", worked, err)
 	}
 	// Inputs are gone from disk.
-	if _, err := os.Stat(l.segPath(1)); !os.IsNotExist(err) {
-		t.Fatal("input jsonl segment survived compaction")
+	if _, err := os.Stat(l.colPath(3)); !os.IsNotExist(err) {
+		t.Fatal("input segment survived compaction")
 	}
 }
 
-// TestCompactionRewritesColdSegments covers the format-rewrite path:
-// segments too far apart in time to merge are still rewritten v1→v2
-// one at a time, and CompactAll converges to an all-columnar body.
+// TestCompactionRewritesColdSegments covers legacy segments too far
+// apart in time to merge: Open rewrites each to a columnar segment one
+// to one, compaction finds nothing to do, and time skipping works
+// across the rewritten segments.
 func TestCompactionRewritesColdSegments(t *testing.T) {
 	dir := t.TempDir()
+	var all []Record
+	for i := 1; i <= 8; i += 2 { // buckets 1000 quanta apart: no merge run
+		q := i / 2 * 1000
+		pair := []Record{
+			rec(uint64(i), q, q+3, "common", fmt.Sprintf("kw-%d", i)),
+			rec(uint64(i+1), q+1, q+4, "common", fmt.Sprintf("kw-%d", i+1)),
+		}
+		writeLegacySegment(t, dir, uint64(i), pair, "")
+		all = append(all, pair...)
+	}
 	l, err := Open(dir, Options{SegmentEvents: 2, BucketQuanta: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 8; i++ { // buckets 1000 quanta apart: no merge run
-		q := i / 2 * 1000
-		if err := l.Append(rec(uint64(i), q, q+3, "common", fmt.Sprintf("kw-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = Open(dir, Options{SegmentEvents: 2, BucketQuanta: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer l.Close()
-	before := queryJSON(t, l, 0, -1, "")
-	beforeMid := queryJSON(t, l, 2000, 2999, "")
-
-	st, err := l.CompactAll()
+	if n := l.ColumnarSegmentCount(); n != 4 {
+		t.Fatalf("columnar segments = %d, want 4", n)
+	}
+	if st, err := l.CompactAll(); err != nil || st.Compactions != 0 {
+		t.Fatalf("CompactAll over unmergeable segments: %+v, %v", st, err)
+	}
+	want, err := json.Marshal(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Compactions != 3 || st.SegmentsIn != 3 { // three sealed v1 rewrites, 1:1
-		t.Fatalf("stats = %+v", st)
+	if got := queryJSON(t, l, 0, -1, ""); got != string(want) {
+		t.Fatalf("full scan differs after rewrite:\n want %s\n have %s", want, got)
 	}
-	if n := l.ColumnarSegmentCount(); n != 3 {
-		t.Fatalf("columnar segments = %d, want 3", n)
+	mid, qs := scanMatching(t, l, 2000, 2999, "")
+	if len(mid) != 2 || mid[0].Seq != 5 {
+		t.Fatalf("range scan after rewrite = %+v", mid)
 	}
-	if got := queryJSON(t, l, 0, -1, ""); got != before {
-		t.Fatalf("full query changed after rewrite:\n before %s\n after  %s", before, got)
-	}
-	if got := queryJSON(t, l, 2000, 2999, ""); got != beforeMid {
-		t.Fatalf("range query changed after rewrite")
-	}
-	// Time skipping still works across the rewritten segments.
-	_, qs, err := l.Query(2000, 2999, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.SkippedByTime == 0 {
-		t.Fatalf("no time skips after rewrite: %+v", qs)
+	if qs.byTime != 3 {
+		t.Fatalf("time skips after rewrite = %+v, want 3", qs)
 	}
 }
 
@@ -238,7 +225,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"AfterRenameBeforeSidecar", func() { // col committed, sidecar missing, inputs alive
+		{"AfterRenameBeforeSidecar", func() { // col committed under the first input's stale sidecar, inputs alive
 			restoreDir(t, dir, pre)
 			if err := os.WriteFile(filepath.Join(dir, colName), post[colName], 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
 				t.Fatal(err)
@@ -255,7 +242,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		{"MidDeletes", func() { // data files of inputs gone, their sidecars orphaned
 			restoreDir(t, dir, post)
 			for name, raw := range pre {
-				if strings.HasSuffix(name, metaExt) && pre[strings.TrimSuffix(name, metaExt)+segExt] != nil {
+				if strings.HasSuffix(name, colMetaSuffix) {
 					if name == sideName {
 						continue
 					}
@@ -293,7 +280,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				if strings.HasSuffix(e.Name(), ".tmp") {
 					t.Fatalf("tmp file %s survived recovery", e.Name())
 				}
-				if e.Name() == "ev-00000000000000000001.jsonl" && w.name != "BeforeRename" {
+				if e.Name() == "ev-00000000000000000003.col" && w.name != "BeforeRename" {
 					t.Fatal("superseded input segment survived recovery")
 				}
 			}
@@ -325,7 +312,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.File = 1
-	if err := l.writeMeta(&m, 1); err != nil {
+	if err := l.writeMeta(&m); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -349,10 +336,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	recs, _, err := l2.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, _ := scanMatching(t, l2, 0, -1, "")
 	if len(recs) != 6 {
 		t.Fatalf("recovered %d records, want 6 (stale sidecar trusted?)", len(recs))
 	}
@@ -415,14 +399,62 @@ func TestCompactionScanFallback(t *testing.T) {
 	}
 }
 
-// TestCompactionFootprint pins the v2 format's size win: the same event
-// set is ≥ 5× smaller as a compacted columnar body than as the v1
-// JSONL segments (data + sidecars) it replaced.
+// TestCompactionConcurrentScans scans every segment over and over while
+// compaction merges them away underneath: each pass must see every
+// record exactly once, whichever side of a commit its views were taken.
+func TestCompactionConcurrentScans(t *testing.T) {
+	const n = 64
+	dir := t.TempDir()
+	seedArchive(t, dir, n, Options{SegmentEvents: 2})
+	// Merges cap at 8 records, so compaction takes many steps.
+	l, err := Open(dir, Options{SegmentEvents: 8, BucketQuanta: 1024, BlockEvents: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.CompactAll()
+		done <- err
+	}()
+	for compacting := true; compacting; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacting = false // one more pass over the final layout
+		default:
+		}
+		next := uint64(1)
+		for _, v := range l.Segments() {
+			if _, _, err := v.Scan(func(r Record) error {
+				if r.Seq != next {
+					return fmt.Errorf("seq %d where %d was due", r.Seq, next)
+				}
+				next++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if next != n+1 {
+			t.Fatalf("pass saw %d records, want %d", next-1, n)
+		}
+	}
+	if got := l.SegmentCount(); got != n/8 {
+		t.Fatalf("segments after compaction = %d, want %d", got, n/8)
+	}
+}
+
+// TestCompactionFootprint pins what compaction buys on disk: the same
+// event set is ≥ 4× smaller as one compacted segment than as the small
+// segments (data + sidecars) frequent seals leave behind.
 func TestCompactionFootprint(t *testing.T) {
 	dir := t.TempDir()
-	n := 4096 // multiple of SegmentEvents: everything seals, nothing stays active
+	n := 4096
 	seedArchive(t, dir, n, Options{SegmentEvents: 16, BucketQuanta: 1024})
-	v1Bytes := dirSize(t, dir)
+	smallBytes := dirSize(t, dir)
 
 	l, err := Open(dir, Options{SegmentEvents: n, BucketQuanta: 1 << 20})
 	if err != nil {
@@ -432,13 +464,13 @@ func TestCompactionFootprint(t *testing.T) {
 	if _, err := l.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	v2Bytes := dirSize(t, dir)
+	mergedBytes := dirSize(t, dir)
 	if l.EventCount() != n {
 		t.Fatalf("events = %d, want %d", l.EventCount(), n)
 	}
-	if v2Bytes*5 > v1Bytes {
-		t.Fatalf("footprint: v1 %d B → v2 %d B (%.1f×), want ≥ 5×",
-			v1Bytes, v2Bytes, float64(v1Bytes)/float64(v2Bytes))
+	if mergedBytes*4 > smallBytes {
+		t.Fatalf("footprint: small %d B → merged %d B (%.1f×), want ≥ 4×",
+			smallBytes, mergedBytes, float64(smallBytes)/float64(mergedBytes))
 	}
 }
 
@@ -446,9 +478,8 @@ func TestCompactionFootprint(t *testing.T) {
 // granularity on every zone-map dimension.
 func TestCompactionBlockSkipping(t *testing.T) {
 	dir := t.TempDir()
-	// SegmentEvents 16: the 16th append rotates, so the whole batch is a
-	// sealed v1 segment the compactor can rewrite (no reopen — that would
-	// resume the only JSONL segment as active again).
+	// SegmentEvents 16: the 16th append seals the whole batch as one
+	// segment of four blocks.
 	l, err := Open(dir, Options{SegmentEvents: 16, BucketQuanta: 1 << 20, BlockEvents: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -464,11 +495,8 @@ func TestCompactionBlockSkipping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, worked, err := l.CompactOnce(); err != nil || !worked {
-		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
-	}
 	views := l.Segments()
-	if len(views) != 1 || views[0].Format != 2 || views[0].Blocks() != 4 {
+	if len(views) != 1 || !views[0].Sealed || views[0].Blocks() != 4 {
 		t.Fatalf("views = %+v", views)
 	}
 	v := &views[0]
@@ -501,22 +529,26 @@ func TestCompactionBlockSkipping(t *testing.T) {
 	}
 }
 
-// TestCompactionMixedFormatReopen: a directory holding v1 and v2
-// segments side by side answers identically before and after a restart.
+// TestCompactionMixedFormatReopen: a directory holding legacy JSON-lines
+// and columnar segments side by side (a deployment the old compactor
+// had half worked through) opens as one archive and answers identically
+// before and after a restart.
 func TestCompactionMixedFormatReopen(t *testing.T) {
 	dir := t.TempDir()
-	seedArchive(t, dir, 13, Options{SegmentEvents: 2})
+	seedArchive(t, dir, 8, Options{SegmentEvents: 2}) // columnar {1,2}..{7,8}
+	legacy := []Record{rec(9, 9, 12, "common", "kw-2"), rec(10, 10, 13, "common", "kw-3"), rec(11, 11, 14, "common", "kw-4")}
+	writeLegacySegment(t, dir, 9, legacy[:2], "")
+	writeLegacySegment(t, dir, 11, legacy[2:], "")
 	opt := Options{SegmentEvents: 4, BucketQuanta: 1024, BlockEvents: 4}
 	l, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One merge only: sealed list is now v2, v1, v1... mixed.
+	if n := l.EventCount(); n != 11 {
+		t.Fatalf("events = %d, want 11", n)
+	}
 	if _, worked, err := l.CompactOnce(); err != nil || !worked {
 		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
-	}
-	if l.ColumnarSegmentCount() == 0 || l.ColumnarSegmentCount() == len(l.Segments()) {
-		t.Fatalf("directory not mixed-format: %d columnar of %d", l.ColumnarSegmentCount(), len(l.Segments()))
 	}
 	want := queryJSON(t, l, 0, -1, "")
 	wantKw := queryJSON(t, l, 0, -1, "kw-4")
@@ -533,5 +565,100 @@ func TestCompactionMixedFormatReopen(t *testing.T) {
 	}
 	if got := queryJSON(t, l, 0, -1, "kw-4"); got != wantKw {
 		t.Fatalf("mixed-format keyword reopen differs")
+	}
+}
+
+// TestLegacyDirectoryConverts: a directory written by the JSON-lines
+// writer — sealed segments with sidecars, an active one with a torn
+// last line — is converted once inside Open to columnar files holding
+// the identical records, and a kill at any step of a conversion
+// converges to the same directory on the next Open.
+func TestLegacyDirectoryConverts(t *testing.T) {
+	dir := t.TempDir()
+	var all []Record
+	for i := 1; i <= 5; i++ {
+		r := rec(uint64(i), i, i+3, "common", fmt.Sprintf("kw-%d", i%3))
+		if i == 5 {
+			r.Keywords, r.AllKeywords = nil, []string{} // nil-vs-empty through the rewrite
+		}
+		all = append(all, r)
+	}
+	writeLegacySegment(t, dir, 1, all[:2], "")
+	writeLegacySegment(t, dir, 3, all[2:4], "")
+	writeLegacySegment(t, dir, 5, all[4:], `{"seq":6,"id":60,"torn`)
+	for _, start := range []uint64{1, 3} { // the old sealed segments' sidecars; contents are never read
+		stageFile(t, dir, segName(start, legacyMetaExt), []byte(`{"count":2}`))
+	}
+	pre := snapshotDir(t, dir)
+	wantJSON, err := json.Marshal(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(wantJSON)
+
+	check := func(t *testing.T) {
+		t.Helper()
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if got := queryJSON(t, l, 0, -1, ""); got != want {
+			t.Fatalf("converted records differ:\n want %s\n have %s", want, got)
+		}
+		if l.LastSeq() != 5 || l.Gaps() != 0 {
+			t.Fatalf("LastSeq = %d gaps = %d, want 5/0 (torn record dropped)", l.LastSeq(), l.Gaps())
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), colExt) && !strings.HasSuffix(e.Name(), colMetaSuffix) {
+				t.Fatalf("%s survived the conversion", e.Name())
+			}
+		}
+	}
+	check(t)
+	post := snapshotDir(t, dir)
+	colName, sideName := segName(3, colExt), segName(3, colMetaSuffix)
+
+	windows := []struct {
+		name  string
+		stage func()
+	}{
+		{"BeforeRename", func() { // crash mid-write: only a tmp exists
+			restoreDir(t, dir, pre)
+			stageFile(t, dir, colName+".tmp", []byte("torn"))
+		}},
+		{"AfterRenameBeforeSidecar", func() { // col committed, legacy input alive
+			restoreDir(t, dir, pre)
+			stageFile(t, dir, colName, post[colName])
+		}},
+		{"AfterSidecarBeforeDeletes", func() {
+			restoreDir(t, dir, pre)
+			stageFile(t, dir, colName, post[colName])
+			stageFile(t, dir, sideName, post[sideName])
+		}},
+		{"MidDeletes", func() { // legacy data gone, its sidecar orphaned
+			restoreDir(t, dir, post)
+			name := segName(3, legacyMetaExt)
+			stageFile(t, dir, name, pre[name])
+		}},
+		{"AlreadyConverted", func() { restoreDir(t, dir, post) }},
+	}
+	for _, w := range windows {
+		t.Run(w.name, func(t *testing.T) {
+			w.stage()
+			check(t)
+		})
+	}
+}
+
+// stageFile writes one file of a staged crash window.
+func stageFile(t *testing.T, dir, name string, raw []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+		t.Fatal(err)
 	}
 }

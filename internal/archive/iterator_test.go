@@ -1,8 +1,8 @@
 package archive
 
 import (
+	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -11,56 +11,10 @@ func iterRec(seq uint64, born, last int, kws ...string) Record {
 		Keywords: kws, BornQuantum: born, LastQuantum: last}
 }
 
-// TestQueryTruncatedOnLimitStop pins the stats contract: a limit-stopped
-// scan marks its stats partial instead of presenting skip counters that
-// silently exclude never-visited segments.
-func TestQueryTruncatedOnLimitStop(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SegmentEvents: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 1; i <= 6; i++ {
-		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, stats, err := l.Query(0, -1, "", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || !stats.Truncated {
-		t.Fatalf("limit-stopped query: %d recs, stats %+v — want 2 recs, Truncated", len(recs), stats)
-	}
-	recs, stats, err = l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 6 || stats.Truncated {
-		t.Fatalf("full query: %d recs, stats %+v — want 6 recs, not Truncated", len(recs), stats)
-	}
-	// Exactly-at-limit is complete, not truncated.
-	if _, stats, err = l.Query(0, -1, "", 6); err != nil || stats.Truncated {
-		t.Fatalf("exact-limit query: stats %+v err %v — want not Truncated", stats, err)
-	}
-}
-
-// TestQueryNegativeLimitRejected: a negative limit used to be silently
-// treated as unlimited; now it is a caller error.
-func TestQueryNegativeLimitRejected(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, _, err := l.Query(0, -1, "", -1); err == nil {
-		t.Fatal("negative limit accepted")
-	}
-}
-
-// TestSegmentViewPointInTime: a view taken from the active segment must
-// not see records appended after Segments() returned, and a sealed
-// view scans exactly its sidecar count.
+// TestSegmentViewPointInTime: a record is scannable from the moment
+// Append returns; a view taken of the buffer must not see records
+// appended after Segments() returned, stays readable after the seal
+// that empties the buffer, and a sealed view scans exactly its count.
 func TestSegmentViewPointInTime(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{SegmentEvents: 100})
 	if err != nil {
@@ -76,11 +30,15 @@ func TestSegmentViewPointInTime(t *testing.T) {
 	if len(views) != 1 || views[0].Sealed || views[0].Count != 3 {
 		t.Fatalf("active view = %+v, want unsealed count 3", views)
 	}
-	// Concurrent-append simulation: two more records land after the view.
+	// Concurrent-append simulation: two more records land after the
+	// view, then a seal moves everything to disk.
 	for i := 4; i <= 5; i++ {
 		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
 	}
 	seen, stopped, err := views[0].Scan(func(Record) error { return nil })
 	if err != nil {
@@ -89,19 +47,28 @@ func TestSegmentViewPointInTime(t *testing.T) {
 	if seen != 3 || stopped {
 		t.Fatalf("point-in-time scan saw %d records (stopped=%v), want exactly 3", seen, stopped)
 	}
+	views = l.Segments()
+	if len(views) != 1 || !views[0].Sealed || views[0].Count != 5 {
+		t.Fatalf("sealed view = %+v, want one sealed segment of 5", views)
+	}
+	if seen, _, err := views[0].Scan(func(Record) error { return nil }); err != nil || seen != 5 {
+		t.Fatalf("sealed scan saw %d records (err %v), want 5", seen, err)
+	}
 }
 
 // TestSealedSegmentOverCountIsCorruption: a sealed data file holding
-// MORE records than its sidecar count is corruption and must surface as
-// an error, not be silently capped at the sidecar count.
+// MORE records than its sidecar states is corruption and must surface
+// as an error, not be silently capped at the sidecar count.
 func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 2; i++ {
-		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
+	defer l.Close()
+	recs := []Record{iterRec(1, 1, 1, "kw"), iterRec(2, 2, 2, "kw"), iterRec(3, 3, 3, "kw")}
+	for _, r := range recs[:2] {
+		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,29 +76,26 @@ func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 	if len(views) != 1 || !views[0].Sealed {
 		t.Fatalf("want one sealed segment, got %+v", views)
 	}
-	// Corrupt: splice an extra valid record line into the sealed file.
-	f, err := os.OpenFile(filepath.Join(dir, "ev-00000000000000000001.jsonl"), //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-		os.O_WRONLY|os.O_APPEND, 0o644)
+	// Corrupt: replace the data file with one whose block holds a third
+	// record, under a header still claiming the sidecar's two.
+	if _, err := writeSegmentV2(l.fs, l.colPath(1), recs, 4, l.bloomPar); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(l.colPath(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":3,"id":3,"state":"ended"}` + "\n"); err != nil {
+	hdr := appendColHeader(nil, colHeader{firstSeq: 1, lastSeq: 2, count: 2, minQ: 1, maxQ: 2})
+	if err := os.WriteFile(l.colPath(1), append(hdr, raw[colHeaderLen:]...), 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
 		t.Fatal(err)
 	}
-	f.Close()
-	if _, _, err := views[0].Scan(func(Record) error { return nil }); err == nil {
-		t.Fatal("over-count sealed segment scanned without error")
+	if _, _, err := views[0].Scan(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-count sealed segment scan = %v, want ErrCorrupt", err)
 	}
-	// Query-level handling: the corrupt segment is quarantined and the
-	// results (now empty — no other segment) are flagged degraded.
-	recs, stats, err := l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatalf("Query over over-count sealed segment: %v", err)
+	// The corrupt segment can be set aside; nothing else is left to serve.
+	if !views[0].Quarantine() || len(l.Segments()) != 0 {
+		t.Fatalf("quarantine left segments %+v", l.Segments())
 	}
-	if !stats.Degraded || stats.Quarantined != 1 || len(recs) != 0 {
-		t.Fatalf("degraded query = %+v, %+v", recs, stats)
-	}
-	l.Close()
 }
 
 // TestSegmentViewScanStop: ErrStop from the callback ends the scan

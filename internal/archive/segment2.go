@@ -11,7 +11,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// A v2 columnar segment file (ev-<seq>.col) is:
+// A columnar segment file (ev-<seq>.col) is:
 //
 //	header: "EVC2" magic, version byte, first/last seq (u64), record
 //	        count (u32), min/max quantum (i64) — 41 bytes, little-endian,
@@ -21,11 +21,11 @@ import (
 //	        payload, payload (see block.go)
 //
 // The zone maps live in the ev-<seq>.col.meta.json sidecar (a segMeta
-// with Format 2 and a Blocks list); a missing or stale sidecar is
-// rebuilt by decoding every block. Files are written tmp+fsync+rename,
-// so a partial .col never becomes visible — a torn write is a swept
-// *.tmp, and any CRC or count mismatch inside a visible file is
-// corruption, reported rather than silently truncated.
+// with a Blocks list); a missing or stale sidecar is rebuilt by
+// decoding every block. Files are written tmp+fsync+rename, so a
+// partial .col never becomes visible — a torn write is a swept *.tmp,
+// and any CRC or count mismatch inside a visible file is corruption,
+// reported rather than silently truncated.
 const (
 	colExt        = ".col"
 	colMetaSuffix = ".col.meta.json"
@@ -73,30 +73,38 @@ func parseColHeader(b []byte) (colHeader, error) {
 	return h, nil
 }
 
-// writeSegmentV2 writes recs (non-empty, ascending Seq) as a v2 segment
-// at path via temp-file + fsync + rename, and returns its complete
-// metadata (Format 2, zone maps, segment-level Bloom sized by bp). The
+// writeSegmentV2 writes recs (non-empty, ascending Seq) as a columnar
+// segment at path via temp-file + fsync + rename, and returns its
+// complete metadata (zone maps, segment-level Bloom sized by bp). The
 // returned meta's File field is left for the caller.
 func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp bloomParams) (segMeta, error) {
+	tmp := path + ".tmp"
+	m, err := writeSegmentTmp(fsys, tmp, recs, blockEvents, bp)
+	if err != nil {
+		return segMeta{}, err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp) //nolint:errcheck // best effort
+		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
+	}
+	return m, nil
+}
+
+// writeSegmentTmp is writeSegmentV2 up to, not including, the commit
+// rename: tmp holds the complete, fsynced segment, or is removed on
+// error.
+func writeSegmentTmp(fsys vfs.FS, tmp string, recs []Record, blockEvents int, bp bloomParams) (segMeta, error) {
 	if len(recs) == 0 {
 		return segMeta{}, fmt.Errorf("archive: write v2 segment: no records")
 	}
 	if blockEvents <= 0 {
 		blockEvents = defaultBlockEvents
 	}
-	m := segMeta{Format: 2, BloomK: bp.hashes}
-	m.bf = newBloomSized(bp)
+	var m segMeta
 	for i := range recs {
-		m.observeBounds(&recs[i])
-		for _, kw := range recs[i].Keywords {
-			m.bf.add(kw)
-		}
-		for _, kw := range recs[i].AllKeywords {
-			m.bf.add(kw)
-		}
+		m.observe(&recs[i], bp)
 	}
 
-	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
@@ -145,10 +153,6 @@ func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp
 		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
 	}
 	f = nil
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp) //nolint:errcheck // best effort
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
-	}
 	return m, nil
 }
 

@@ -28,7 +28,7 @@ const (
 	// admission + WAL + ack).
 	StageHTTPIngest Stage = iota
 	// StageHTTPQuery is a read endpoint's wall time (/events, /related,
-	// /events/{id}, /query, /archive).
+	// /events/{id}, /query).
 	StageHTTPQuery
 	// StageAdmission is the admission gate: queue-bound checks and the
 	// token bucket, including the ingest-queue lock acquisition.
@@ -81,7 +81,7 @@ const (
 	// scan: zone-map evaluation plus block decode of the survivors.
 	StageArchiveBlockScan
 	// StageArchiveCompact is one background archive compaction step
-	// (segment merge or v1→v2 rewrite).
+	// (a segment merge).
 	StageArchiveCompact
 	// StageStorageRetry is one storage-retry turn on the ingest path:
 	// the backoff sleep plus the in-place WAL repair and re-append after

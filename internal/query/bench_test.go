@@ -8,7 +8,7 @@ import (
 	"repro/internal/detect"
 )
 
-// buildBenchArchive fills dir with 4096 records in 256 sealed v1
+// buildBenchArchive fills dir with 4096 records in 256 sealed
 // segments, each spanning 16 quanta, with one rare keyword confined to
 // a handful of segments — enough structure for every planner path
 // (time skip, Bloom skip, limit pushdown) to show up in the numbers.
@@ -35,28 +35,19 @@ func buildBenchArchive(b *testing.B, dir string) {
 	}
 }
 
-// benchArchive opens the 256-segment archive as-is (v1 JSONL body) or
-// compacted into v2 columnar segments of 512 records.
-func benchArchive(b *testing.B, compact bool) *archive.Log {
+// benchArchive opens the 256-segment archive compacted into segments
+// of 512 records.
+func benchArchive(b *testing.B) *archive.Log {
 	b.Helper()
 	dir := b.TempDir()
 	buildBenchArchive(b, dir)
-	opt := archive.Options{SegmentEvents: 16}
-	if compact {
-		opt = archive.Options{SegmentEvents: 512, BucketQuanta: 1 << 20}
-	}
-	l, err := archive.Open(dir, opt)
+	l, err := archive.Open(dir, archive.Options{SegmentEvents: 512, BucketQuanta: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { l.Close() })
-	if compact {
-		if _, err := l.CompactAll(); err != nil {
-			b.Fatal(err)
-		}
-		if l.ColumnarSegmentCount() == 0 {
-			b.Fatal("bench archive did not compact")
-		}
+	if st, err := l.CompactAll(); err != nil || st.Compactions == 0 {
+		b.Fatalf("bench archive did not compact: %+v, %v", st, err)
 	}
 	return l
 }
@@ -71,12 +62,10 @@ func benchSnap() *fakeSnap {
 	return newFakeSnap(evs...)
 }
 
-// BenchmarkUnifiedQuery measures the executor over a 256-segment
-// archive plus a 64-event live overlay, in both archive body formats.
-// The headline comparisons: limit10 vs fullscan (LIMIT pushdown must
-// scan strictly fewer segments, reported as segscanned/op), and
-// v1/fullscan vs v2/fullscan (the columnar decode must cut both time
-// and allocations).
+// BenchmarkUnifiedQuery measures the executor over a compacted
+// 4096-record archive plus a 64-event live overlay. The headline
+// comparison: limit10 vs fullscan (LIMIT pushdown must scan strictly
+// fewer segments, reported as segscanned/op).
 func BenchmarkUnifiedQuery(b *testing.B) {
 	cases := []struct {
 		name string
@@ -87,37 +76,28 @@ func BenchmarkUnifiedQuery(b *testing.B) {
 		{"keyword-rare", Request{To: -1, Keywords: []string{"rare"}, Limit: 10}},
 		{"timerange", Request{From: 4000, To: 4100, Limit: 100}},
 	}
-	for _, format := range []struct {
-		name    string
-		compact bool
-	}{{"v1", false}, {"v2", true}} {
-		b.Run(format.name, func(b *testing.B) {
-			arch := benchArchive(b, format.compact)
-			snap := benchSnap()
-			for _, c := range cases {
-				b.Run(c.name, func(b *testing.B) {
-					var segs, scanned, blocks, blkScanned, events float64
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						res, err := Run(snap, arch, c.req)
-						if err != nil {
-							b.Fatal(err)
-						}
-						segs += float64(res.Stats.Segments)
-						scanned += float64(res.Stats.SegmentsScanned)
-						blocks += float64(res.Stats.Blocks)
-						blkScanned += float64(res.Stats.BlocksScanned)
-						events += float64(len(res.Events))
-					}
-					b.ReportMetric(segs/float64(b.N), "segments/op")
-					b.ReportMetric(scanned/float64(b.N), "segscanned/op")
-					if blocks > 0 {
-						b.ReportMetric(blocks/float64(b.N), "blocks/op")
-						b.ReportMetric(blkScanned/float64(b.N), "blkscanned/op")
-					}
-					b.ReportMetric(events/float64(b.N), "events/op")
-				})
+	arch := benchArchive(b)
+	snap := benchSnap()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var segs, scanned, blocks, blkScanned, events float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(snap, arch, c.req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				segs += float64(res.Stats.Segments)
+				scanned += float64(res.Stats.SegmentsScanned)
+				blocks += float64(res.Stats.Blocks)
+				blkScanned += float64(res.Stats.BlocksScanned)
+				events += float64(len(res.Events))
 			}
+			b.ReportMetric(segs/float64(b.N), "segments/op")
+			b.ReportMetric(scanned/float64(b.N), "segscanned/op")
+			b.ReportMetric(blocks/float64(b.N), "blocks/op")
+			b.ReportMetric(blkScanned/float64(b.N), "blkscanned/op")
+			b.ReportMetric(events/float64(b.N), "events/op")
 		})
 	}
 }

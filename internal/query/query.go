@@ -75,10 +75,6 @@ type Request struct {
 	Limit int
 	// Cursor resumes a previous scan: the opaque Result.Cursor value.
 	Cursor string
-	// ArchiveOnly restricts the scan to the archive source — the
-	// compatibility mode the /archive endpoint runs in (no snapshot
-	// fan-out, no live/archive dedup).
-	ArchiveOnly bool
 
 	// Trace, when non-nil, receives plan/snapshot-scan/archive-scan
 	// spans with per-source stats annotations; Obs, when non-nil,
@@ -138,11 +134,11 @@ type Stats struct {
 	// SkippedByRank counts segments pruned because the sidecar's rank
 	// bound proves no record reaches the requested MinRank.
 	SkippedByRank int `json:"skipped_by_rank,omitempty"`
-	// Blocks counts v2 columnar blocks covered by the scanned segments;
-	// BlocksScanned the blocks actually decoded. The difference is
-	// itemised by the BlocksSkippedBy* counters — the zone-map pushdown
-	// working below segment granularity. All zero over a v1-only
-	// archive (a JSONL segment has no blocks to skip).
+	// Blocks counts the blocks covered by the scanned segments (the
+	// archive's in-memory buffer counts as one); BlocksScanned the
+	// blocks actually decoded. The difference is itemised by the
+	// BlocksSkippedBy* counters — the zone-map pushdown working below
+	// segment granularity.
 	Blocks                 int `json:"blocks,omitempty"`
 	BlocksScanned          int `json:"blocks_scanned,omitempty"`
 	BlocksSkippedByTime    int `json:"blocks_skipped_by_time,omitempty"`
@@ -186,9 +182,8 @@ func (k key) less(o key) bool {
 }
 
 // Run executes one unified query. snap and arch may each be nil (the
-// corresponding source is skipped); req.ArchiveOnly skips the snapshot
-// even when present. The only errors are source scan failures and
-// malformed requests (ErrBadCursor, negative limit).
+// corresponding source is skipped). The only errors are source scan
+// failures and malformed requests (ErrBadCursor, negative limit).
 func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 	// clk gates every instrumentation time read on telemetry actually
 	// being attached, keeping the plain path time-read free.
@@ -238,7 +233,7 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 	trunc := false
 	clk(obs.StageQueryPlan)
 
-	if snap != nil && !req.ArchiveOnly {
+	if snap != nil {
 		req.Trace.Step("snapshot_scan")
 		trunc = scanSnapshot(snap, req, from, to, floor, cur, hasCur, p, &res.Stats) || trunc
 		clk(obs.StageQuerySnapshotScan)
@@ -247,12 +242,8 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 		}
 	}
 	if arch != nil {
-		dedup := snap
-		if req.ArchiveOnly {
-			dedup = nil
-		}
 		req.Trace.Step("archive_scan")
-		t, err := scanArchive(arch, dedup, req, from, to, cur, hasCur, p, &res.Stats)
+		t, err := scanArchive(arch, snap, req, from, to, cur, hasCur, p, &res.Stats)
 		clk(obs.StageQueryArchiveScan)
 		if req.Trace != nil {
 			req.Trace.Annotate(fmt.Sprintf("hits=%d segments=%d/%d blocks=%d/%d records=%d",
@@ -381,11 +372,11 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 		}
 		st.SegmentsScanned++
 		// The surviving predicate is pushed below segment granularity:
-		// a v2 scan skips whole blocks on their zone maps. Block
-		// skipping is conservative, so the record-level filter below is
-		// unchanged — it is what makes answers format-independent.
+		// the scan skips whole blocks on their zone maps. Block skipping
+		// is conservative, so the record-level filter below decides
+		// every answer.
 		var colStart time.Time
-		if timed && v.Format == 2 {
+		if timed {
 			colStart = time.Now() //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
 		}
 		pred := archive.Pred{From: from, To: to, MinRank: req.MinRank, Keywords: req.Keywords}
@@ -415,15 +406,13 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 			p.add(eventOfRecord(rec), k)
 			return nil
 		})
-		if v.Format == 2 {
-			st.Blocks += bs.Blocks
-			st.BlocksScanned += bs.Scanned
-			st.BlocksSkippedByTime += bs.SkippedByTime
-			st.BlocksSkippedByRank += bs.SkippedByRank
-			st.BlocksSkippedByKeyword += bs.SkippedByKeyword
-			if timed {
-				colDur += time.Since(colStart) //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
-			}
+		st.Blocks += bs.Blocks
+		st.BlocksScanned += bs.Scanned
+		st.BlocksSkippedByTime += bs.SkippedByTime
+		st.BlocksSkippedByRank += bs.SkippedByRank
+		st.BlocksSkippedByKeyword += bs.SkippedByKeyword
+		if timed {
+			colDur += time.Since(colStart) //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
 		}
 		if err != nil {
 			if errors.Is(err, archive.ErrCorrupt) && v.Sealed {

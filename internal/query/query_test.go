@@ -326,7 +326,10 @@ func TestBloomFalsePositiveYieldsZeroRows(t *testing.T) {
 	if res.Stats.SegmentsScanned != 1 || res.Stats.SkippedByBloom != 0 {
 		t.Fatalf("segment should have been scanned, not skipped: %+v", res.Stats)
 	}
-	if res.Stats.RecordsScanned != 128 || res.Stats.ArchiveHits != 0 {
+	// The block filter (sized differently) may refute what the segment
+	// filter let through; otherwise every record is decoded and filtered.
+	if res.Stats.ArchiveHits != 0 ||
+		(res.Stats.RecordsScanned != 128 && res.Stats.BlocksSkippedByKeyword != res.Stats.Blocks) {
 		t.Fatalf("scan accounting wrong: %+v", res.Stats)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// httpPage is the client-visible part of a /query or /archive response.
+// httpPage is the client-visible part of a /query response.
 // Stats are deliberately dropped before comparison: segment and block
 // counts legitimately change when the archive is compacted; the events
 // and the cursor must not.
@@ -59,10 +59,9 @@ func fetchWalk(t *testing.T, base string) []string {
 
 // TestArchiveCompactionHTTPIdentity is the tentpole acceptance check at
 // the HTTP layer: a server restarted with the background compactor
-// enabled must keep serving byte-identical /archive and /query pages
-// while (and after) its archive is rewritten from v1 JSONL into the v2
-// columnar format, and the compactor's work must show up on /metrics in
-// both JSON and Prometheus form.
+// enabled must keep serving byte-identical /query pages while (and
+// after) its archive's small segments are merged, and the compactor's
+// work must show up on /metrics in both JSON and Prometheus form.
 func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	dir := t.TempDir()
 	pcfg := PoolConfig{
@@ -70,7 +69,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 		RetainEvents:         1,
 		WALDir:               filepath.Join(dir, "wal"),
 		ArchiveDir:           filepath.Join(dir, "archive"),
-		ArchiveSegmentEvents: 1, // every archived event seals a v1 segment
+		ArchiveSegmentEvents: 1, // every archived event seals a segment
 	}
 	pool1, err := NewPool(pcfg)
 	if err != nil {
@@ -93,10 +92,9 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	}
 
 	endpoints := []string{
-		"/v1/t/archive?from=0&limit=500",
-		"/v1/t/archive?from=0&keyword=earthquake&limit=500",
 		"/v1/t/query?from=0&limit=500",
-		"/v1/t/archive?from=0&limit=3", // cursor-walked
+		"/v1/t/query?from=0&keyword=earthquake&limit=500",
+		"/v1/t/query?from=0&limit=3", // cursor-walked
 	}
 	baseline := make([][]string, len(endpoints))
 	ts1 := httptest.NewServer(NewHandler(pool1))
@@ -110,7 +108,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 
 	// Restart on the same directories with merge-friendly bounds and a
 	// fast background compactor. Queries race live compaction steps
-	// here; the final comparison runs over the fully columnar archive.
+	// here; the final comparison runs over the fully compacted archive.
 	pcfg.ArchiveSegmentEvents = 64
 	pcfg.ArchiveBucketQuanta = 1 << 20
 	pcfg.ArchiveBlockEvents = 4

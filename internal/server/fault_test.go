@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/detect"
 	"repro/internal/vfs"
 )
 
@@ -363,92 +362,99 @@ func TestSnapshotENOSPCKeepsPrevious(t *testing.T) {
 	}
 }
 
-// TestCheckpointENOSPCLeavesPreviousIntact: a failed checkpoint write
-// (ENOSPC mid-gob) must leave the previous checkpoint loadable and no
-// temp files behind — the atomic tmp+rename contract under injection.
-func TestCheckpointENOSPCLeavesPreviousIntact(t *testing.T) {
-	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
-	store, err := newCheckpointStore(dir, ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det := detect.New(testDetectConfig())
-	for _, m := range quantumOf(0, "earthquake struck city center") {
-		det.IngestAll(m)
-	}
-	if err := store.Save("acme", det); err != nil {
-		t.Fatal(err)
-	}
-	want := det.Processed()
-	// Mutate the detector, then fail the second save mid-write.
-	for _, m := range quantumOf(8, "flood river rising fast") {
-		det.IngestAll(m)
-	}
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".tmp-", Err: syscall.ENOSPC})
-	if err := store.Save("acme", det); !vfs.IsNoSpace(err) {
-		t.Fatalf("Save under ENOSPC = %v, want ENOSPC", err)
-	}
-	// Previous checkpoint intact and loadable.
-	got, err := store.Load("acme")
-	if err != nil {
-		t.Fatalf("previous checkpoint unreadable after failed save: %v", err)
-	}
-	if got == nil || got.Processed() != want {
-		t.Fatalf("previous checkpoint corrupted: processed %v, want %d", got, want)
-	}
-	// No temp debris.
-	debris, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(debris) != 0 {
-		t.Fatalf("temp debris left behind: %v", debris)
-	}
-}
-
-// TestArchiveFaultsDoNotCrashIngest: archive append and compaction
-// failures are availability events, not correctness ones — they count
-// into archive_errors and ingest keeps flowing.
+// TestArchiveFaultsDoNotCrashIngest: a sick archive device is an
+// availability event that loses nothing. While its writes fail, ingest
+// keeps flowing, evictions pile up in the archive's buffer (counted in
+// archive_errors), and no WAL snapshot is allowed past them; once the
+// fault clears the buffer seals, snapshots resume, and a crash right
+// after finds every eviction in the archive exactly once.
 func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
+	retain := 1
 	pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
-		c.RetainEvents = 1
+		c.Detector = persistCfg()
+		c.RetainEvents = retain
+		c.SnapshotEvery = 3
 		c.ArchiveDir = filepath.Join(filepath.Dir(c.WALDir), "archive")
+		c.ArchiveSegmentEvents = 2
 	})
-	_ = dir
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
+	batches := burstBatches()
+	ref := referenceRun(persistCfg(), batches, retain)
 	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "archive"})
-	// Sequential short bursts: events are born, die of window expiry,
-	// and get evicted into the (sick) archive.
-	texts := []string{
-		"earthquake struck eastern turkey",
-		"flood river rising rapidly",
-		"storm warning coast evacuation",
-		"election debate results tonight",
-		"wildfire spreading canyon homes",
-		"blizzard closes mountain passes",
-	}
-	for b, text := range texts {
-		for q := 0; q < 8; q++ {
-			if err := tn.Enqueue(quantumOf(100*b, text)); err != nil {
-				t.Fatalf("ingest must keep flowing through archive faults: %v", err)
-			}
+	for _, b := range batches {
+		if err := tn.Enqueue(b); err != nil {
+			t.Fatalf("ingest must keep flowing through archive faults: %v", err)
 		}
 	}
 	waitApplied(t, tn)
-	if errs := tn.Metrics().ArchiveErrors; errs == 0 {
-		t.Skip("no evictions reached the archive in this run; nothing injected")
+	m := tn.Metrics()
+	if m.ArchiveErrors == 0 || m.ArchiveColumnarSegments != 0 || m.ArchiveEvents == 0 {
+		t.Fatalf("archive writes were meant to fail with the evictions kept buffered: %+v", m)
+	}
+	// With evictions stuck in the buffer, no snapshot may pass them,
+	// however many cadence points go by.
+	stalled := m.WALSnapshotSeq
+	more := func(startUser int) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			if err := tn.Enqueue(quantumOf(startUser+8*i, "volcano ash cloud grounded flights")); err != nil {
+				t.Fatalf("ingest must keep flowing through archive faults: %v", err)
+			}
+		}
+		waitApplied(t, tn)
+	}
+	more(900)
+	if m = tn.Metrics(); m.WALSnapshotSeq != stalled {
+		t.Fatalf("snapshot advanced %d → %d past unsealed evictions", stalled, m.WALSnapshotSeq)
 	}
 	if down, _ := tn.Degraded(); down {
-		t.Fatal("archive faults must not degrade ingest")
+		t.Fatal("an archive IO error must not degrade ingest")
 	}
-	// Compaction under the same fault: errors are swallowed into the
-	// counter, never a crash.
-	if ar := tn.archLog(); ar != nil {
-		ar.CompactOnce() //nolint:errcheck // exercising the failure path
+	// Compaction under the same fault never crashes either.
+	tn.archLog().CompactOnce() //nolint:errcheck // exercising the failure path
+
+	// The device heals; the next cadence point seals and snapshots.
+	ffs.Clear()
+	more(950)
+	if m = tn.Metrics(); m.WALSnapshotSeq <= stalled || m.ArchiveColumnarSegments == 0 {
+		t.Fatalf("no seal + snapshot after the fault cleared: %+v", m)
+	}
+	evicted := m.ArchiveEvents
+	if evicted < len(ref.evicted) {
+		t.Fatalf("archive holds %d events, the burst stream alone evicts %d", evicted, len(ref.evicted))
+	}
+
+	// Crash (the pool is abandoned, its buffer with it) and reopen.
+	pool2, err := NewPool(PoolConfig{
+		Detector:             persistCfg(),
+		RetainEvents:         retain,
+		WALDir:               filepath.Join(dir, "wal"),
+		ArchiveDir:           filepath.Join(dir, "archive"),
+		ArchiveSegmentEvents: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool2.Shutdown(context.Background()) //nolint:errcheck // best effort
+	tn2, ok := pool2.Tenant("acme")
+	if !ok {
+		t.Fatal("tenant not recovered")
+	}
+	recs := archivedRecords(t, tn2)
+	if len(recs) != evicted || tn2.archLog().Gaps() != 0 {
+		t.Fatalf("recovered archive holds %d events with %d gaps, want %d and 0",
+			len(recs), tn2.archLog().Gaps(), evicted)
+	}
+	for i, rec := range recs {
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("archive record %d has ordinal %d", i, rec.Seq)
+		}
+		if i < len(ref.evicted) && rec.ID != ref.evicted[i] {
+			t.Fatalf("archive record %d = event %d, want %d", i, rec.ID, ref.evicted[i])
+		}
 	}
 }
 

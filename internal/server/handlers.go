@@ -33,8 +33,6 @@ const maxBodyBytes = 64 << 20
 //	                             snapshot + archive (?from= ?to= quanta,
 //	                             repeated ?keyword=, ?min_rank=, ?limit=,
 //	                             ?cursor=) with skip/scan stats
-//	GET  /v1/{tenant}/archive    evicted-event history: /query restricted
-//	                             to the archive source (same parameters)
 //	GET  /v1/tenants             tenant names
 //	GET  /healthz                liveness
 //	GET  /readyz                 readiness: 503 with the degraded tenant
@@ -42,7 +40,6 @@ const maxBodyBytes = 64 << 20
 //	GET  /statsz                 per-tenant throughput, lag, graph size
 //	GET  /metrics                durability + observability counters
 //	                             (?tenant= filter, ?format=prometheus)
-//	GET  /metrics/prometheus     Prometheus text exposition (alias)
 //	GET  /debug/requests         slowest traced requests (?min_ms=, ?tenant=)
 func NewHandler(p *Pool) http.Handler {
 	mux := http.NewServeMux()
@@ -147,13 +144,6 @@ func NewHandler(p *Pool) http.Handler {
 		}
 		handleUnifiedQuery(w, r, t, p)
 	})
-	mux.HandleFunc("GET /v1/{tenant}/archive", func(w http.ResponseWriter, r *http.Request) {
-		t, ok := getTenant(w, r, p)
-		if !ok {
-			return
-		}
-		handleArchiveQuery(w, r, t, p)
-	})
 	mux.HandleFunc("GET /v1/{tenant}/stream", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := getTenant(w, r, p)
 		if !ok {
@@ -195,13 +185,6 @@ func NewHandler(p *Pool) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		handleMetrics(w, r, p)
-	})
-	mux.HandleFunc("GET /metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {
-		pm, ok := metricsBody(w, r, p)
-		if !ok {
-			return
-		}
-		writePrometheus(w, pm, p.tel)
 	})
 	mux.HandleFunc("GET /debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		handleDebugRequests(w, r, p)

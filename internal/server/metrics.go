@@ -21,15 +21,17 @@ type TenantMetrics struct {
 	// WALErrors counts failed snapshot/compaction passes.
 	WALErrors uint64 `json:"wal_errors,omitempty"`
 	// ArchiveSegments / ArchiveEvents size the evicted-event history;
-	// ArchiveErrors counts append failures (events lost to the archive)
-	// and ArchiveGaps ordinal holes skipped over (records lost to a
-	// crash that replay could not regenerate).
+	// ArchiveErrors counts failed seals and compaction steps (the
+	// records stay buffered and are retried) and ArchiveGaps ordinal
+	// holes skipped over (records lost to a crash that replay could not
+	// regenerate).
 	ArchiveSegments int    `json:"archive_segments,omitempty"`
 	ArchiveEvents   int    `json:"archive_events,omitempty"`
 	ArchiveErrors   uint64 `json:"archive_errors,omitempty"`
 	ArchiveGaps     uint64 `json:"archive_gaps,omitempty"`
-	// ArchiveColumnarSegments counts sealed segments already in the v2
-	// columnar format; the Compact* counters are the background
+	// ArchiveColumnarSegments counts the columnar segments sealed on
+	// disk (ArchiveSegments also counts the in-memory buffer while it
+	// holds records); the Compact* counters are the background
 	// compactor's lifetime totals for this tenant (committed steps,
 	// input segments consumed, and bytes reclaimed, data + sidecars).
 	ArchiveColumnarSegments  int    `json:"archive_columnar_segments,omitempty"`
@@ -123,7 +125,7 @@ func (t *Tenant) Metrics() TenantMetrics {
 		m.WALSnapshotSeq = wl.SnapshotSeq()
 		m.WALErrors = t.storage.walErrs.Load()
 		// Clamp at zero: after recovery the snapshot can be ahead of the
-		// published epoch (lastSnapQuantum seeds from the checkpointed
+		// published epoch (lastSnapQuantum seeds from the snapshotted
 		// quantum while Quanta starts from the replayed snapshot), and a
 		// negative age would read as a uint underflow on dashboards.
 		if age := m.Quanta - int(t.lastSnapQuantum.Load()); age > 0 {

@@ -290,12 +290,6 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Errorf("missing runtime series %s", name)
 		}
 	}
-	// The alias endpoint serves the same format.
-	code, aliasBody := getBody(t, ts.URL+"/metrics/prometheus")
-	if code != http.StatusOK {
-		t.Fatalf("alias status = %d", code)
-	}
-	validatePromExposition(t, aliasBody)
 }
 
 // TestMetricsFilterAndJSONCompat covers the ?tenant= filter and pins

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,8 +11,8 @@ import (
 	"time"
 
 	"repro/internal/akg"
+	"repro/internal/archive"
 	"repro/internal/detect"
-	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/tracegen"
 )
@@ -103,15 +104,44 @@ func asJSON(t *testing.T, v any) string {
 // stream, and (c) still serve events archived before the crash. It runs
 // once with synchronous WAL appends and once under cross-tenant group
 // commit: the durability contract (acked ⇒ recovered) must hold
-// identically for both.
+// identically for both. Each runs with the archive sealing on every
+// eviction (seg-1) and with it sealing only ahead of WAL snapshots
+// (seg-512), where the crash catches evictions still in the buffer
+// after a snapshot that covered earlier ones — every WAL snapshot must
+// have been preceded by a durable seal of the evictions it covers, and
+// the WAL tail must regenerate the rest.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
-	t.Run("sync", func(t *testing.T) { testCrashRecoveryBitIdentical(t, 0) })
-	t.Run("group-commit", func(t *testing.T) {
-		testCrashRecoveryBitIdentical(t, 200*time.Microsecond)
-	})
+	for _, mode := range []struct {
+		name        string
+		groupCommit time.Duration
+	}{{"sync", 0}, {"group-commit", 200 * time.Microsecond}} {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, seg := range []int{1, 512} {
+				t.Run(fmt.Sprintf("seg-%d", seg), func(t *testing.T) {
+					testCrashRecoveryBitIdentical(t, mode.groupCommit, seg)
+				})
+			}
+		})
+	}
 }
 
-func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
+// archivedRecords reads a tenant's whole archive in eviction order
+// through the scan surface the query engine uses.
+func archivedRecords(t *testing.T, tn *Tenant) []archive.Record {
+	t.Helper()
+	var recs []archive.Record
+	for _, v := range tn.archLog().Segments() {
+		if _, _, err := v.Scan(func(r archive.Record) error {
+			recs = append(recs, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
+
+func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration, segmentEvents int) {
 	cfg := persistCfg()
 	const retain = 1
 	dir := t.TempDir()
@@ -120,10 +150,10 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 		RetainEvents:           retain,
 		WALDir:                 filepath.Join(dir, "wal"),
 		WALSegmentBytes:        2048, // force rotation
-		SnapshotEvery:          3,    // force several snapshots + compactions
+		SnapshotEvery:          5,    // several snapshots + compactions, the last before the last eviction
 		WALGroupCommitInterval: groupCommit,
 		ArchiveDir:             filepath.Join(dir, "archive"),
-		ArchiveSegmentEvents:   1, // every archived event seals a segment
+		ArchiveSegmentEvents:   segmentEvents,
 	}
 	batches := burstBatches()
 	ref := referenceRun(cfg, batches, retain)
@@ -131,7 +161,7 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 		t.Fatalf("test stream too tame: only %d evictions", len(ref.evicted))
 	}
 
-	// Phase 1: apply the first six batches, then accept a seventh that
+	// Phase 1: apply the first eight batches, then accept a ninth that
 	// the worker never finishes (frozen mid-batch under the detector
 	// lock) — the WAL has it, the detector state does not.
 	pool1, err := NewPool(pcfg)
@@ -142,7 +172,7 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cut = 6
+	const cut = 8
 	for _, b := range batches[:cut] {
 		if err := tn.Enqueue(b); err != nil {
 			t.Fatal(err)
@@ -151,9 +181,13 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 	if err := tn.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	preCrashArchived := tn.Metrics().ArchiveEvents
-	if preCrashArchived == 0 {
+	m := tn.Metrics()
+	if m.ArchiveEvents == 0 {
 		t.Fatalf("no events archived before the crash; stream needs retuning")
+	}
+	if segmentEvents > 1 && (m.WALSnapshotSeq == 0 || m.ArchiveColumnarSegments == 0 ||
+		m.ArchiveSegments == m.ArchiveColumnarSegments) {
+		t.Fatalf("want a snapshot-driven seal behind and a non-empty buffer at the crash; stream needs retuning: %+v", m)
 	}
 	tn.mu.Lock() // freeze the worker mid-pipeline; never unlocked
 	if err := tn.Enqueue(batches[cut]); err != nil {
@@ -239,13 +273,9 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 	}
 
 	// The archive holds every eviction — the ones from before the crash
-	// included — without duplicates or ordinal holes (the programmatic
-	// API keeps eviction ordinals and eviction order).
-	recs, _, err := tn2.ArchiveQuery(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(ref.evicted) {
+	// included — without duplicates or ordinal holes, in eviction order.
+	recs := archivedRecords(t, tn2)
+	if len(recs) != len(ref.evicted) || tn2.archLog().Gaps() != 0 {
 		t.Fatalf("archived = %d events, want %d", len(recs), len(ref.evicted))
 	}
 	for i, rec := range recs {
@@ -255,52 +285,34 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 		}
 	}
 
-	// The HTTP surface routes through the unified query engine: same
-	// record set, re-ordered to the engine's (last_quantum, id) key.
-	resp, err = http.Get(ts.URL + "/v1/t/archive?from=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("archive status = %d", resp.StatusCode)
-	}
-	var arch struct {
-		Events []query.Event `json:"events"`
-		Stats  query.Stats   `json:"stats"`
-	}
-	decodeBody(t, resp, &arch)
-	if len(arch.Events) != len(ref.evicted) {
-		t.Fatalf("archived = %d events over HTTP, want %d", len(arch.Events), len(ref.evicted))
+	// The HTTP surface merges the archive with the retained events:
+	// every eviction exactly once, in the engine's (last_quantum, id)
+	// order.
+	all := getQuery(t, ts.URL, "t", "?from=0")
+	if all.Stats.ArchiveHits != len(ref.evicted) {
+		t.Fatalf("archive hits = %d over HTTP, want %d", all.Stats.ArchiveHits, len(ref.evicted))
 	}
 	want := make(map[uint64]bool, len(ref.evicted))
 	for _, id := range ref.evicted {
 		want[id] = true
 	}
-	for i, ev := range arch.Events {
-		if !want[ev.ID] {
-			t.Fatalf("archive served unexpected or duplicate event id %d", ev.ID)
-		}
+	for i, ev := range all.Events {
 		delete(want, ev.ID)
 		if i > 0 {
-			prev := arch.Events[i-1]
+			prev := all.Events[i-1]
 			if ev.LastQuantum < prev.LastQuantum ||
 				(ev.LastQuantum == prev.LastQuantum && ev.ID <= prev.ID) {
-				t.Fatalf("archive order violated at %d: (%d,%d) after (%d,%d)",
+				t.Fatalf("query order violated at %d: (%d,%d) after (%d,%d)",
 					i, ev.LastQuantum, ev.ID, prev.LastQuantum, prev.ID)
 			}
 		}
 	}
+	if len(want) != 0 {
+		t.Fatalf("evicted events missing from /query: %v", want)
+	}
 
 	// Keyword queries hit only the matching bucket (Bloom skipping).
-	resp, err = http.Get(ts.URL + "/v1/t/archive?keyword=earthquake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kw struct {
-		Events []query.Event `json:"events"`
-		Stats  query.Stats   `json:"stats"`
-	}
-	decodeBody(t, resp, &kw)
+	kw := getQuery(t, ts.URL, "t", "?keyword=earthquake")
 	if len(kw.Events) == 0 {
 		t.Fatal("keyword query found nothing")
 	}
@@ -315,14 +327,14 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 			t.Fatalf("keyword query returned non-matching record %+v", ev)
 		}
 	}
-	if len(arch.Events) > 1 && kw.Stats.SkippedByBloom == 0 {
+	if kw.Stats.Segments > 1 && kw.Stats.SkippedByBloom == 0 {
 		t.Fatalf("keyword query skipped nothing: %+v", kw.Stats)
 	}
 }
 
 // TestCleanShutdownWALRestart checks the no-crash path: shutdown writes
 // a final snapshot, restart replays nothing, and the stream continues
-// bit-identically (the WAL analogue of TestServeRestartBitIdentical).
+// bit-identically (the pool-level twin of TestServeRestartBitIdentical).
 func TestCleanShutdownWALRestart(t *testing.T) {
 	cfg := persistCfg()
 	dir := t.TempDir()
@@ -455,157 +467,6 @@ func testFlushSurvivesCrash(t *testing.T, groupCommit time.Duration) {
 	}
 }
 
-// TestCheckpointToWALMigration enables the WAL on a deployment that so
-// far only had shutdown checkpoints: the restored state must be seeded
-// into the fresh WAL (a snapshot at position 0), so that a subsequent
-// crash — before any cadence snapshot — still recovers the full
-// pre-migration history instead of replaying onto an empty detector.
-func TestCheckpointToWALMigration(t *testing.T) {
-	cfg := persistCfg()
-	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
-	batches := burstBatches()
-	ref := referenceRun(cfg, batches, 0)
-
-	// Era 1: checkpoint-only deployment, clean shutdown.
-	pool1, err := NewPool(PoolConfig{Detector: cfg, CheckpointDir: ckptDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := pool1.GetOrCreate("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cut = 5
-	for _, b := range batches[:cut] {
-		if err := tn.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Era 2: same checkpoints plus a fresh WAL dir; ingest one more
-	// batch, then crash (no shutdown, no cadence snapshot: cadence is
-	// left at the 256-quanta default).
-	pcfg2 := PoolConfig{Detector: cfg, CheckpointDir: ckptDir, WALDir: filepath.Join(dir, "wal")}
-	pool2, err := NewPool(pcfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn2, ok := pool2.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not restored from checkpoint")
-	}
-	if err := tn2.Enqueue(batches[cut]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn2.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: abandon pool2 (workers drained; no snapshot, no Close).
-	tn2.shutdown(context.Background()) //nolint:errcheck // drained above
-
-	// Era 3: recovery must see checkpointed history + the WAL tail.
-	pool3, err := NewPool(pcfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool3.Shutdown(context.Background())
-	tn3, ok := pool3.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not recovered")
-	}
-	if got := tn3.Stats().Messages; got != uint64((cut+1)*16) {
-		t.Fatalf("recovered messages = %d, want %d (checkpointed history lost?)", got, (cut+1)*16)
-	}
-	for _, b := range batches[cut+1:] {
-		if err := tn3.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tn3.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := asJSON(t, tn3.Events(0, true)), asJSON(t, ref.views); got != want {
-		t.Fatalf("post-migration history diverges:\ngot  %s\nwant %s", got, want)
-	}
-}
-
-// TestCheckpointNewerThanWAL covers the operator round-trip that leaves
-// the WAL stale: run with WAL, run without it (checkpoint advances),
-// re-enable the WAL. Recovery must keep the newer checkpoint state
-// instead of silently rewinding to the old WAL position.
-func TestCheckpointNewerThanWAL(t *testing.T) {
-	cfg := persistCfg()
-	dir := t.TempDir()
-	both := PoolConfig{Detector: cfg, CheckpointDir: filepath.Join(dir, "ckpt"), WALDir: filepath.Join(dir, "wal")}
-	ckptOnly := PoolConfig{Detector: cfg, CheckpointDir: filepath.Join(dir, "ckpt")}
-	batches := burstBatches()
-
-	// Run 1: WAL + checkpoints, clean shutdown after three batches.
-	pool1, err := NewPool(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := pool1.GetOrCreate("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches[:3] {
-		if err := tn.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run 2: WAL disabled; the checkpoint moves ahead.
-	pool2, err := NewPool(ckptOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn2, ok := pool2.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not restored in run 2")
-	}
-	for _, b := range batches[3:6] {
-		if err := tn2.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool2.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run 3: WAL re-enabled. The stale WAL (3 batches) must lose to the
-	// newer checkpoint (6 batches).
-	pool3, err := NewPool(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool3.Shutdown(context.Background())
-	tn3, ok := pool3.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not restored in run 3")
-	}
-	if got := tn3.Stats().Messages; got != 6*16 {
-		t.Fatalf("recovered messages = %d, want %d (rewound to stale WAL?)", got, 6*16)
-	}
-	// And the tenant keeps working on the re-seeded WAL.
-	if err := tn3.Enqueue(batches[6]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn3.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := tn3.Stats().Messages; got != 7*16 {
-		t.Fatalf("messages after re-seed = %d, want %d", got, 7*16)
-	}
-}
-
 // TestMetricsEndpoint covers the observability surface: per-tenant
 // queue, quanta, WAL and archive gauges plus pool totals.
 func TestMetricsEndpoint(t *testing.T) {
@@ -670,8 +531,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestArchiveDisabled404 pins the error surface when no archive is
-// configured.
+// TestArchiveDisabled404 pins the removed archive-only route: history
+// is served by /query alone, with or without an archive configured.
 func TestArchiveDisabled404(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Detector: persistCfg()})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package server is the HTTP/JSON serving subsystem: a multi-tenant pool
 // of streaming detectors behind ingest, query, and SSE push endpoints,
-// with checkpoint-on-shutdown persistence so restarts resume the stream
-// bit-identically. See docs/ARCHITECTURE.md for the design.
+// with write-ahead-log persistence so restarts — clean or kill -9 —
+// resume the stream bit-identically. See docs/ARCHITECTURE.md for the
+// design.
 package server
 
 import (
@@ -33,7 +34,6 @@ var (
 	ErrBadTenant     = errors.New("server: invalid tenant name")
 	ErrNoTenant      = errors.New("server: unknown tenant")
 	ErrMaxTenants    = errors.New("server: tenant limit reached")
-	ErrNoArchive     = errors.New("server: event archive not enabled")
 )
 
 // tenantNameRE keeps tenant names URL- and filename-safe.
@@ -42,7 +42,7 @@ var tenantNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 // PoolConfig configures a detector pool.
 type PoolConfig struct {
 	// Detector is the configuration every new tenant's detector gets.
-	// Restored tenants keep the configuration frozen in their checkpoint.
+	// Restored tenants keep the configuration frozen in their snapshot.
 	Detector detect.Config
 	// QueueDepth bounds each tenant's ingest queue in batches (one POST
 	// body = one batch). Zero selects 64. A full queue rejects ingest
@@ -57,20 +57,16 @@ type PoolConfig struct {
 	// Zero keeps everything — fine for bounded experiments, not for a
 	// long-lived tenant, whose history otherwise grows forever.
 	RetainEvents int
-	// CheckpointDir, when non-empty, enables clean-shutdown persistence:
-	// tenants with a checkpoint are restored on pool start and every
-	// tenant is checkpointed on Shutdown. A crash between checkpoints
-	// loses everything since startup — use WALDir for crash durability.
-	CheckpointDir string
 	// MaxTenants bounds the number of tenants. Zero selects 1024.
 	MaxTenants int
 
-	// WALDir, when non-empty, enables crash durability: every accepted
-	// ingest batch is appended to a per-tenant write-ahead log before it
-	// is acknowledged, and the detector is snapshotted every
-	// SnapshotEvery quanta. On pool start each tenant found under WALDir
-	// is recovered as latest snapshot + replay of the segment tail —
-	// bit-identical to the pre-crash state, however the process died.
+	// WALDir, when non-empty, enables persistence: every accepted ingest
+	// batch is appended to a per-tenant write-ahead log before it is
+	// acknowledged, and the detector is snapshotted every SnapshotEvery
+	// quanta and on Shutdown. On pool start each tenant found under
+	// WALDir is recovered as latest snapshot + replay of the segment
+	// tail — bit-identical to the state at exit, however the process
+	// died. Empty keeps tenants in memory only.
 	WALDir string
 	// WALSegmentBytes rotates WAL segments (default 4 MiB).
 	WALSegmentBytes int64
@@ -90,8 +86,8 @@ type PoolConfig struct {
 	// Smaller = faster recovery, more snapshot IO.
 	SnapshotEvery int
 
-	// FS is the filesystem every storage layer (WAL, archive,
-	// checkpoints) goes through. Nil selects the real OS filesystem;
+	// FS is the filesystem both storage layers (WAL, archive) go
+	// through. Nil selects the real OS filesystem;
 	// tests inject a vfs.FaultFS here to exercise EIO/ENOSPC/torn-write
 	// paths without privileged mounts.
 	FS vfs.FS
@@ -111,26 +107,28 @@ type PoolConfig struct {
 
 	// ArchiveDir, when non-empty, routes events evicted by the
 	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
-	// JSONL segments with data-skipping sidecars) instead of discarding
-	// them, queryable via Tenant.ArchiveQuery and GET /v1/{t}/archive.
+	// columnar segments with data-skipping sidecars) instead of
+	// discarding them, queryable via Tenant.Query and GET /v1/{t}/query.
+	// The archive's buffer is sealed to disk before every WAL snapshot,
+	// so a crash loses no eviction the WAL tail cannot regenerate; that
+	// needs the eviction ordinal to survive restarts, i.e. WALDir.
 	ArchiveDir string
-	// ArchiveSegmentEvents rotates archive segments by record count
+	// ArchiveSegmentEvents seals archive segments by record count
 	// (default 512); ArchiveBucketQuanta by time span (default 1024).
 	ArchiveSegmentEvents int
 	ArchiveBucketQuanta  int
-	// ArchiveBlockEvents sizes the record blocks inside v2 columnar
-	// segments (default 256) — the unit of zone-map skipping and of
-	// decode work. ArchiveBloomBitsPerKey sizes each sealed segment's
-	// keyword Bloom filter proportionally to its record count (zero
-	// keeps the legacy fixed 8192-bit filter).
+	// ArchiveBlockEvents sizes the record blocks inside archive segments
+	// (default 256) — the unit of zone-map skipping and of decode work.
+	// ArchiveBloomBitsPerKey sizes each sealed segment's keyword Bloom
+	// filter proportionally to its record count (zero keeps the legacy
+	// fixed 8192-bit filter).
 	ArchiveBlockEvents     int
 	ArchiveBloomBitsPerKey int
 	// ArchiveCompactInterval, when positive, runs a background
 	// compactor: every interval it performs at most one compaction step
-	// per tenant — merging runs of small adjacent sealed segments or
-	// rewriting a cold v1 JSONL segment into the v2 columnar format.
-	// Zero disables background compaction (the archive stays readable;
-	// cmd/serve -archive-migrate offers a one-shot rewrite instead).
+	// per tenant — merging a run of small adjacent sealed segments, which
+	// per-snapshot sealing keeps producing. Zero disables it (the
+	// archive stays readable, in more and smaller segments).
 	ArchiveCompactInterval time.Duration
 
 	// RateLimit, when positive, caps each tenant's sustained ingest rate
@@ -210,7 +208,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 type TenantStats struct {
 	Tenant string `json:"tenant"`
 	// Messages is the number of messages ingested over the tenant's
-	// lifetime (it survives checkpoint/restore).
+	// lifetime (it survives restarts).
 	Messages uint64 `json:"messages"`
 	// Quanta is the index of the last processed quantum.
 	Quanta int `json:"quanta"`
@@ -305,7 +303,7 @@ type walBatch struct {
 type tenantStorage struct {
 	wal      *wal.Log
 	arch     *archive.Log
-	archErrs *atomic.Uint64 // archive append failures (events lost)
+	archErrs *atomic.Uint64 // archive seal/compaction failures (records stay buffered)
 	walErrs  *atomic.Uint64 // snapshot/compaction failures
 }
 
@@ -313,22 +311,23 @@ type tenantStorage struct {
 // archive. The detector's cumulative trim counter is the record's
 // eviction ordinal; the archive drops ordinals it already holds, which
 // makes the hook idempotent across WAL replays. Must be registered
-// before any replay so pre-crash evictions the archive lost (torn tail)
-// self-heal.
-func (s *tenantStorage) attachEvict(det *detect.Detector) {
+// before any replay so pre-crash evictions the archive lost (buffered,
+// never sealed) self-heal. An Append error is a failed seal: the record
+// is still buffered, and failed says who accounts for it.
+func (s *tenantStorage) attachEvict(det *detect.Detector, failed func(error)) {
 	if s == nil || s.arch == nil {
 		return
 	}
-	arch, errs := s.arch, s.archErrs
+	arch := s.arch
 	det.SetOnEvict(func(ev *detect.Event) {
 		if err := arch.Append(archiveRecord(det.Trimmed(), ev)); err != nil {
-			errs.Add(1)
+			failed(err)
 		}
 	})
 }
 
-// archiveRecord projects an evicted event onto the archive's JSONL
-// record shape, with seq as its eviction ordinal.
+// archiveRecord projects an evicted event onto the archive's record
+// shape, with seq as its eviction ordinal.
 func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
 	all := make([]string, 0, len(ev.AllKeywords))
 	for kw := range ev.AllKeywords {
@@ -364,8 +363,8 @@ func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
 // immutable epoch snapshot (detect.Snapshot) through an atomic pointer,
 // and every query endpoint resolves against the latest snapshot without
 // touching t.mu. The mutex has shrunk to the APPLY lock — it serialises
-// batch application, WAL snapshot capture and shutdown checkpointing
-// against each other, never against queries.
+// batch application and WAL snapshot capture against each other, never
+// against queries.
 type Tenant struct {
 	name   string
 	broker *broker
@@ -458,7 +457,7 @@ type Tenant struct {
 	elapsed   atomic.Int64 // ns of detector time spent this process
 	since     atomic.Uint64
 
-	mu  sync.Mutex // the apply lock: guards det during apply/checkpoint
+	mu  sync.Mutex // the apply lock: guards det during apply/snapshot
 	det *detect.Detector
 }
 
@@ -481,7 +480,7 @@ func newTenant(name string, det *detect.Detector, cfg PoolConfig, st *tenantStor
 		probeEvery:    cfg.DegradedProbeInterval,
 		kick:          kick,
 	}
-	st.attachEvict(det)
+	st.attachEvict(det, func(err error) { t.storageWriteFailed(st.archErrs, err) })
 	det.SetSnapshotRankHistory(cfg.SnapshotRankHistory)
 	det.SetOnQuantum(func(res *detect.QuantumResult) {
 		t.elapsed.Add(int64(res.Elapsed))
@@ -628,8 +627,8 @@ func (t *Tenant) runOne() {
 }
 
 // apply ingests one batch (or flush marker) into the detector. The apply
-// lock is taken per message, not per batch, so checkpointing never waits
-// behind a large batch; queries don't take it at all — they read the
+// lock is taken per message, not per batch, so nothing waits behind a
+// large batch; queries don't take it at all — they read the
 // epoch snapshot the quantum hook publishes.
 func (t *Tenant) apply(batch walBatch) {
 	if !batch.enq.IsZero() {
@@ -700,8 +699,7 @@ func (t *Tenant) apply(batch walBatch) {
 // WAL appends from Enqueue) proceed during the write; only this
 // tenant's batch application waits.
 func (t *Tenant) maybeSnapshot() {
-	wl := t.walLog()
-	if wl == nil || t.snapEvery <= 0 {
+	if t.walLog() == nil || t.snapEvery <= 0 {
 		return
 	}
 	t.mu.Lock()
@@ -712,28 +710,49 @@ func (t *Tenant) maybeSnapshot() {
 	}
 	st := t.det.State()
 	t.mu.Unlock()
-	err := wl.Snapshot(t.lastApplied.Load(), func(w io.Writer) error {
+	err := t.sealThenSnapshot(func(w io.Writer) error {
 		return detect.EncodeState(&st, w)
 	})
-	if err != nil {
-		if t.storage.walErrs != nil {
-			t.storage.walErrs.Add(1)
-		}
-		// A failed snapshot is not fatal — the WAL still holds the full
-		// history — but ENOSPC means the device is out of space and the
-		// next append will fail too. Degrade proactively so ingest sheds
-		// instead of burning retry budgets, and let the supervisor's
-		// write probe decide when space is back.
-		if vfs.Classify(err) == vfs.ClassNoSpace {
-			t.enterDegraded(degradedNoSpace)
-			if t.kick != nil {
-				t.kick()
-			}
-		}
-		return
-	}
-	if q > int(t.lastSnapQuantum.Load()) {
+	if err == nil && q > int(t.lastSnapQuantum.Load()) {
 		t.lastSnapQuantum.Store(int64(q))
+	}
+}
+
+// sealThenSnapshot is the one way a WAL snapshot gets written: the
+// archive's buffer is sealed to disk first, because the snapshot
+// persists the detector's eviction counter and replay from it never
+// regenerates the evictions it covers — a record still only in memory
+// would be lost to the next crash for good. A failed seal therefore
+// skips the snapshot; the records stay buffered and the WAL keeps the
+// tail that can re-evict them. Runs on the goroutine that applies the
+// tenant's batches (or after its drain), so no eviction can land
+// between the state save captures and the seal.
+func (t *Tenant) sealThenSnapshot(save func(io.Writer) error) error {
+	if ar := t.archLog(); ar != nil {
+		if err := ar.Seal(); err != nil {
+			t.storageWriteFailed(t.storage.archErrs, err)
+			return err
+		}
+	}
+	err := t.walLog().Snapshot(t.lastApplied.Load(), save)
+	if err != nil {
+		t.storageWriteFailed(t.storage.walErrs, err)
+	}
+	return err
+}
+
+// storageWriteFailed accounts a failed archive seal or WAL snapshot.
+// Neither is fatal — the WAL still holds the full history — but ENOSPC
+// means the device is out of space and the next append will fail too.
+// Degrade proactively so ingest sheds instead of burning retry budgets,
+// and let the supervisor's write probe decide when space is back.
+func (t *Tenant) storageWriteFailed(errs *atomic.Uint64, err error) {
+	errs.Add(1)
+	if vfs.Classify(err) == vfs.ClassNoSpace {
+		t.enterDegraded(degradedNoSpace)
+		if t.kick != nil {
+			t.kick()
+		}
 	}
 }
 
@@ -937,31 +956,16 @@ func (t *Tenant) ShedCheck() *ShedError {
 	return se
 }
 
-// ArchiveQuery serves the tenant's evicted-event history: records whose
-// lifecycle intersects [from, to] quanta (to < 0 = unbounded), filtered
-// by keyword when non-empty. The archive synchronises internally, so a
-// long history scan never blocks this tenant's ingest.
-func (t *Tenant) ArchiveQuery(from, to int, keyword string, limit int) ([]archive.Record, archive.QueryStats, error) {
-	arch := t.archLog()
-	if arch == nil {
-		return nil, archive.QueryStats{}, ErrNoArchive
-	}
-	return arch.Query(from, to, keyword, limit)
-}
-
 // Query runs one unified time-travel query across the tenant's live
 // epoch snapshot and its on-disk archive (when enabled), merged in
 // deterministic (LastQuantum, ID) order with LIMIT pushdown into both
 // sources. Wait-free against ingest on the snapshot side; the archive
 // side snapshots segment metadata under the archive's own lock and
-// scans append-only files without it.
+// scans immutable files without it.
 func (t *Tenant) Query(req query.Request) (query.Result, error) {
 	var arch query.Archive
 	if l := t.archLog(); l != nil {
 		arch = l
-	}
-	if req.ArchiveOnly && arch == nil {
-		return query.Result{}, ErrNoArchive
 	}
 	o := t.obs
 	req.Obs = o
@@ -1125,7 +1129,6 @@ func (t *Tenant) shutdown(ctx context.Context) error {
 // Pool manages the tenants of one serving process.
 type Pool struct {
 	cfg   PoolConfig
-	ckpt  *checkpointStore    // nil when persistence is disabled
 	sched *scheduler          // shared worker pool applying every tenant's batches
 	gc    *wal.GroupCommitter // nil unless WALGroupCommitInterval is set
 	tel   *obs.Telemetry      // nil when ObsDisabled
@@ -1139,7 +1142,7 @@ type Pool struct {
 	creating map[string]chan struct{}
 	closed   bool // refuses new tenants (set by BeginShutdown)
 
-	// shutdownOnce guards the drain+checkpoint pass; shutdownDone is
+	// shutdownOnce guards the drain+snapshot pass; shutdownDone is
 	// closed when it finishes so concurrent Shutdown callers wait for
 	// completion instead of returning success early.
 	shutdownOnce sync.Once
@@ -1161,9 +1164,8 @@ type Pool struct {
 	superviseOff  sync.Once
 }
 
-// NewPool builds a pool and restores tenants from disk: first by WAL
-// recovery (snapshot + tail replay — survives crashes), then from
-// clean-shutdown checkpoints for tenants without a WAL directory.
+// NewPool builds a pool and restores every tenant found under WALDir by
+// WAL recovery (snapshot + tail replay).
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	p := &Pool{
@@ -1197,13 +1199,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		p.sched.stop(true)
 		p.gc.Stop()
 	}
-	if cfg.CheckpointDir != "" {
-		store, err := newCheckpointStore(cfg.CheckpointDir, cfg.FS)
-		if err != nil {
-			return nil, err
-		}
-		p.ckpt = store
-	}
 	if cfg.WALDir != "" {
 		if err := p.fs.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: wal dir: %w", err)
@@ -1224,87 +1219,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			p.tenants[e.Name()] = t
 		}
 	}
-	if p.ckpt != nil {
-		names, err := p.ckpt.List()
-		if err != nil {
-			abandon()
-			return nil, err
-		}
-		for _, name := range names {
-			if !tenantNameRE.MatchString(name) {
-				// A stray file (backup copy, editor droppings) would
-				// otherwise become a zombie tenant no route can reach.
-				continue
-			}
-			if existing, ok := p.tenants[name]; ok {
-				// The WAL is usually at least as new as the shutdown
-				// checkpoint — but if the server ran for a while with the
-				// WAL disabled, the checkpoint can be ahead. Prefer
-				// whichever processed more of the stream instead of
-				// silently rewinding the tenant.
-				det, err := p.ckpt.Load(name)
-				if err != nil {
-					abandon()
-					return nil, err
-				}
-				if det == nil {
-					continue
-				}
-				existing.mu.Lock()
-				cur := existing.det.Processed()
-				existing.mu.Unlock()
-				if det.Processed() <= cur {
-					continue
-				}
-				existing.shutdown(context.Background()) //nolint:errcheck // empty queue drains instantly
-				st := existing.storage
-				if st.wal != nil {
-					// Re-seed the WAL from the newer checkpoint; the
-					// records it held are superseded and compacted away.
-					if err := st.wal.Snapshot(st.wal.LastSeq(), det.Save); err != nil {
-						abandon()
-						return nil, err
-					}
-				}
-				t := newTenant(name, det, cfg, st, p.sched, p.tenantObs(name), p.kickSupervisor)
-				if st.wal != nil {
-					t.lastApplied.Store(st.wal.LastSeq())
-				}
-				t.lastSnapQuantum.Store(int64(det.AKG().Quantum()))
-				p.tenants[name] = t
-				continue
-			}
-			det, err := p.ckpt.Load(name)
-			if err != nil {
-				abandon()
-				return nil, err
-			}
-			if det == nil {
-				// Checkpoint vanished between List and Load (concurrent
-				// cleanup); skip rather than panic on a nil detector.
-				continue
-			}
-			st, err := p.openStorage(name)
-			if err != nil {
-				abandon()
-				return nil, err
-			}
-			if st.wal != nil {
-				// Base the fresh WAL on the checkpointed state: without
-				// this, a crash before the first cadence snapshot would
-				// replay the tail onto an empty detector.
-				if err := st.wal.Snapshot(st.wal.LastSeq(), det.Save); err != nil {
-					st.close()
-					abandon()
-					return nil, err
-				}
-			}
-			t := newTenant(name, det, cfg, st, p.sched, p.tenantObs(name), p.kickSupervisor)
-			t.lastApplied.Store(0)
-			t.lastSnapQuantum.Store(int64(det.AKG().Quantum()))
-			p.tenants[name] = t
-		}
-	}
 	if cfg.ArchiveDir != "" && cfg.ArchiveCompactInterval > 0 {
 		p.compactStop = make(chan struct{})
 		p.compactDone = make(chan struct{})
@@ -1313,7 +1227,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.WALDir != "" {
 		// The degradation supervisor only has work when a WAL exists to
 		// reopen and a device to probe; without one, storage errors are
-		// limited to checkpoints/archives and stay on their error paths.
+		// limited to the archive and stay on its error path.
 		p.superviseStop = make(chan struct{})
 		p.superviseKick = make(chan struct{}, 1)
 		p.superviseDone = make(chan struct{})
@@ -1323,8 +1237,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 }
 
 // compactLoop is the background archive compactor: each tick it takes
-// one compaction step per tenant (merge a run of small sealed segments,
-// or rewrite one cold v1 segment to the v2 columnar format). One step
+// one compaction step per tenant (merge a run of small sealed
+// segments). One step
 // per tick bounds the IO burst a tick can cause; an idle archive makes
 // the step a no-op. Failures count into the tenant's archive error
 // counter and the loop moves on — compaction is an optimization, never
@@ -1435,8 +1349,8 @@ func (s *tenantStorage) close() {
 // through the detector exactly as the worker would have applied it.
 // Determinism makes the result bit-identical to the pre-crash state;
 // the eviction hook is attached before replay so events the archive
-// already holds are deduplicated by ordinal while any it lost to a torn
-// tail are re-archived.
+// already holds are deduplicated by ordinal while any it lost with its
+// unsealed buffer are re-archived.
 func (p *Pool) recoverTenant(name string) (*Tenant, error) {
 	st, err := p.openStorage(name)
 	if err != nil {
@@ -1461,7 +1375,7 @@ func (p *Pool) recoverTenant(name string) (*Tenant, error) {
 		det = detect.New(p.cfg.Detector)
 	}
 	baseQuantum := det.AKG().Quantum()
-	st.attachEvict(det)
+	st.attachEvict(det, func(error) { st.archErrs.Add(1) })
 	if err := st.wal.Replay(snapSeq, func(seq uint64, msgs []stream.Message, flush bool) error {
 		// Mirror the worker exactly: flush markers flush, batches apply
 		// per message then trim.
@@ -1637,8 +1551,8 @@ func (p *Pool) Stats() []TenantStats {
 // tenant's SSE stream, without draining anything yet. Server.Shutdown
 // calls it before draining HTTP: http.Server.Shutdown waits for
 // connections to go idle, and an SSE subscriber never goes idle on its
-// own — without this the drain (and therefore checkpointing) stalls for
-// the whole grace period behind a single connected client. Refusing new
+// own — without this the drain (and therefore the final snapshot) stalls
+// for the whole grace period behind a single connected client. Refusing new
 // tenants first closes the race where a tenant created mid-drain gets a
 // fresh broker that a late subscriber could hang the drain on.
 // Idempotent; returns the tenants present at shutdown, name-sorted.
@@ -1658,8 +1572,9 @@ func (p *Pool) BeginShutdown() []*Tenant {
 }
 
 // Shutdown stops ingest on every tenant, drains their queues (bounded by
-// ctx), and — when persistence is enabled — checkpoints each detector.
-// The first error is returned, but every tenant is still processed.
+// ctx), seals each archive and — only after a successful seal — writes
+// each WAL's final snapshot, so a restart replays nothing. The first
+// error is returned, but every tenant is still processed.
 // Concurrent calls block until the shutdown pass completes (bounded by
 // their own ctx) rather than reporting success while it is in flight.
 func (p *Pool) Shutdown(ctx context.Context) error {
@@ -1676,46 +1591,30 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 		var first error
 		drainFailed := false
 		for _, t := range tenants {
-			derr := t.shutdown(ctx)
-			if derr != nil {
+			if derr := t.shutdown(ctx); derr != nil {
 				drainFailed = true
 				if first == nil {
 					first = derr
 				}
-			}
-			if p.ckpt != nil {
-				t.mu.Lock()
-				err := p.ckpt.Save(t.name, t.det)
-				t.mu.Unlock()
-				if err != nil && first == nil {
-					first = err
-				}
-			}
-			if derr != nil {
 				// The worker may still be applying a batch; touching the
 				// WAL now could pair partially-applied state with a
 				// pre-batch log position. Leave the log as-is — that is
 				// exactly the crash case recovery replays correctly.
 				continue
 			}
+			var err error
 			if wl := t.walLog(); wl != nil {
 				t.mu.Lock()
-				err := wl.Snapshot(t.lastApplied.Load(), t.det.Save)
+				err = t.sealThenSnapshot(t.det.Save)
 				t.mu.Unlock()
 				if cerr := wl.Close(); err == nil {
 					err = cerr
 				}
-				if err != nil && first == nil {
-					first = err
-				}
+			} else if ar := t.archLog(); ar != nil {
+				err = ar.Close()
 			}
-			if ar := t.archLog(); ar != nil {
-				t.mu.Lock()
-				err := ar.Close()
-				t.mu.Unlock()
-				if err != nil && first == nil {
-					first = err
-				}
+			if err != nil && first == nil {
+				first = err
 			}
 		}
 		// Every tenant is closed, so the runnable queue stays empty; stop

@@ -74,17 +74,17 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.SnapshotAgeQuanta) }},
 	{"eventdetect_wal_errors_total", "counter", "Failed WAL snapshot/compaction passes.",
 		func(m *TenantMetrics) float64 { return float64(m.WALErrors) }},
-	{"eventdetect_archive_segments", "gauge", "On-disk archive segment files.",
+	{"eventdetect_archive_segments", "gauge", "Archive segments: sealed files plus the in-memory buffer when it holds records.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegments) }},
-	{"eventdetect_archive_events", "gauge", "Events retained in the on-disk archive.",
+	{"eventdetect_archive_events", "gauge", "Events held by the archive.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveEvents) }},
-	{"eventdetect_archive_errors_total", "counter", "Archive append failures (events lost).",
+	{"eventdetect_archive_errors_total", "counter", "Failed archive seals and compaction steps (records stay buffered).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveErrors) }},
 	{"eventdetect_archive_gaps_total", "counter", "Archive ordinal holes skipped (records lost to a crash).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveGaps) }},
-	{"eventdetect_archive_columnar_segments", "gauge", "Sealed archive segments in the v2 columnar format.",
+	{"eventdetect_archive_columnar_segments", "gauge", "Columnar archive segments sealed on disk.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveColumnarSegments) }},
-	{"eventdetect_archive_compactions_total", "counter", "Committed archive compaction steps (merges and v1→v2 rewrites).",
+	{"eventdetect_archive_compactions_total", "counter", "Committed archive compaction steps (segment merges).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveCompactions) }},
 	{"eventdetect_archive_segments_compacted_total", "counter", "Input segments consumed by archive compaction.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegmentsCompacted) }},

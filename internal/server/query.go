@@ -16,13 +16,9 @@ import (
 // is the sanctioned way to read everything.
 const maxQueryLimit = 10000
 
-// defaultQueryLimit / defaultArchiveLimit are the page sizes when the
-// client does not pass ?limit= (the archive default predates the
-// unified engine and is kept for compatibility).
-const (
-	defaultQueryLimit   = 100
-	defaultArchiveLimit = 1000
-)
+// defaultQueryLimit is the page size when the client does not pass
+// ?limit=.
+const defaultQueryLimit = 100
 
 // intParam parses a non-negative integer query parameter, writing a 400
 // JSON error and reporting ok=false on any malformed value. A missing
@@ -74,11 +70,11 @@ func boolParam(w http.ResponseWriter, r *http.Request, name string) (bool, bool)
 	return false, false
 }
 
-// parseQueryRequest assembles the unified engine request shared by
-// /query and /archive: ?from= / ?to= quantum bounds (to absent =
-// unbounded), repeated ?keyword= (AND), ?min_rank=, ?limit= (0 = server
-// max) and ?cursor=. Reports ok=false after writing the 400 itself.
-func parseQueryRequest(w http.ResponseWriter, r *http.Request, defLimit int) (query.Request, bool) {
+// parseQueryRequest assembles the unified engine request of /query:
+// ?from= / ?to= quantum bounds (to absent = unbounded), repeated
+// ?keyword= (AND), ?min_rank=, ?limit= (0 = server max) and ?cursor=.
+// Reports ok=false after writing the 400 itself.
+func parseQueryRequest(w http.ResponseWriter, r *http.Request) (query.Request, bool) {
 	var req query.Request
 	from, ok := intParam(w, r, "from", 0)
 	if !ok {
@@ -88,7 +84,7 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request, defLimit int) (qu
 	if !ok {
 		return req, false
 	}
-	limit, ok := intParam(w, r, "limit", defLimit)
+	limit, ok := intParam(w, r, "limit", defaultQueryLimit)
 	if !ok {
 		return req, false
 	}
@@ -122,24 +118,6 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request, defLimit int) (qu
 // (parse / plan / snapshot_scan / archive_scan / finalize) under
 // "debug" — the spans partition the traced wall time exactly.
 func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Pool) {
-	runTracedQuery(w, r, t, p, "query", defaultQueryLimit, false)
-}
-
-// handleArchiveQuery serves the evicted-event history. Since the
-// unified engine landed this is a restriction of /query to the archive
-// source (one shared scan implementation): same parameters plus the
-// same deterministic (last_quantum, id) result order — no longer
-// eviction order — same cursor pagination, and stats that mark
-// limit-stopped scans as truncated.
-func handleArchiveQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Pool) {
-	runTracedQuery(w, r, t, p, "archive", defaultArchiveLimit, true)
-}
-
-// runTracedQuery is the shared /query + /archive implementation:
-// parse, execute through the unified engine with a request trace
-// attached, offer the trace to the slow-request ring, and serve the
-// page (with the span breakdown when ?debug=1).
-func runTracedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Pool, op string, defLimit int, archiveOnly bool) {
 	debug, ok := boolParam(w, r, "debug")
 	if !ok {
 		return
@@ -148,14 +126,13 @@ func runTracedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Pool, 
 	// caller explicitly asked for the breakdown.
 	var tr *obs.ReqTrace
 	if t.obs != nil || debug {
-		tr = obs.StartTrace(op, t.Name(), r.URL.RequestURI())
+		tr = obs.StartTrace("query", t.Name(), r.URL.RequestURI())
 		tr.Step("parse")
 	}
-	req, ok := parseQueryRequest(w, r, defLimit)
+	req, ok := parseQueryRequest(w, r)
 	if !ok {
 		return
 	}
-	req.ArchiveOnly = archiveOnly
 	req.Trace = tr
 	res, err := t.Query(req)
 	if err != nil {
@@ -177,12 +154,9 @@ func runTracedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Pool, 
 }
 
 func queryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrNoArchive):
-		httpError(w, http.StatusNotFound, err.Error())
-	case errors.Is(err, query.ErrBadCursor):
+	if errors.Is(err, query.ErrBadCursor) {
 		httpError(w, http.StatusBadRequest, err.Error())
-	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
+	httpError(w, http.StatusInternalServerError, err.Error())
 }

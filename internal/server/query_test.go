@@ -133,18 +133,14 @@ func TestQueryCursorPaginationHTTP(t *testing.T) {
 	}
 }
 
-// TestArchiveEndpointTruncatedSurface: the rerouted /archive surfaces
-// the partial-stats flag of limit-stopped scans in its HTTP response.
+// TestArchiveEndpointTruncatedSurface: /query over an archive-backed
+// tenant surfaces the partial-stats flag of limit-stopped scans in its
+// HTTP response.
 func TestArchiveEndpointTruncatedSurface(t *testing.T) {
 	_, ts := queryPool(t, 1, true)
-	resp, err := http.Get(ts.URL + "/v1/t/archive?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out queryResponse
-	decodeBody(t, resp, &out)
+	out := getQuery(t, ts.URL, "t", "?limit=1")
 	if len(out.Events) != 1 || !out.Stats.Truncated || out.Cursor == "" {
-		t.Fatalf("limit-stopped archive query: %d events, stats %+v, cursor %q — want truncated with cursor",
+		t.Fatalf("limit-stopped query: %d events, stats %+v, cursor %q — want truncated with cursor",
 			len(out.Events), out.Stats, out.Cursor)
 	}
 }
@@ -164,9 +160,8 @@ func TestQueryParamValidation(t *testing.T) {
 		"/v1/t/query?min_rank=-1",
 		"/v1/t/query?min_rank=NaN",
 		"/v1/t/query?cursor=@@not-base64@@",
-		"/v1/t/archive?from=abc",
-		"/v1/t/archive?limit=-5",
-		"/v1/t/archive?cursor=zzz.zzz",
+		"/v1/t/query?limit=-5",
+		"/v1/t/query?cursor=zzz.zzz",
 		"/v1/t/events?k=abc",
 		"/v1/t/events?k=-1",
 		"/v1/t/events?all=maybe",
@@ -195,19 +190,11 @@ func TestQueryParamValidation(t *testing.T) {
 }
 
 // TestQueryWithoutArchive: /query works on an archive-less tenant
-// (snapshot only); /archive keeps its 404 contract.
+// (snapshot only).
 func TestQueryWithoutArchive(t *testing.T) {
 	_, ts := queryPool(t, 0, false)
 	if got := getQuery(t, ts.URL, "t", ""); len(got.Events) == 0 {
 		t.Fatal("snapshot-only query served nothing")
-	}
-	resp, err := http.Get(ts.URL + "/v1/t/archive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("archive status without archive = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -230,7 +217,7 @@ func FuzzQueryParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw string) {
 		r := &http.Request{URL: &url.URL{RawQuery: raw}}
 		w := httptest.NewRecorder()
-		req, ok := parseQueryRequest(w, r, defaultQueryLimit)
+		req, ok := parseQueryRequest(w, r)
 		if !ok {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("rejected %q with status %d, want 400", raw, w.Code)

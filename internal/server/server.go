@@ -14,13 +14,13 @@ type Config struct {
 	// Pool configures the tenant pool behind the API.
 	Pool PoolConfig
 	// ShutdownGrace bounds graceful shutdown (HTTP drain + queue drain +
-	// checkpointing). Default 30s.
+	// final snapshots). Default 30s.
 	ShutdownGrace time.Duration
 }
 
 // Server ties the HTTP listener to the detector pool and owns graceful
 // shutdown: stop accepting, drain in-flight requests, drain ingest
-// queues, checkpoint every tenant.
+// queues, snapshot every tenant.
 type Server struct {
 	Pool *Pool
 	HTTP *http.Server
@@ -28,7 +28,7 @@ type Server struct {
 	grace time.Duration
 }
 
-// New builds a server (and its pool, restoring any checkpoints).
+// New builds a server (and its pool, recovering any tenants on disk).
 func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = ":8080"
@@ -64,7 +64,7 @@ func (s *Server) ListenAndServe() error {
 	return err
 }
 
-// Shutdown gracefully stops the HTTP side, then drains and checkpoints
+// Shutdown gracefully stops the HTTP side, then drains and snapshots
 // the pool. Bounded by the configured grace period (or ctx, whichever
 // ends first). SSE streams are ended first — they never go idle on
 // their own, and http.Server.Shutdown waits for idle connections.

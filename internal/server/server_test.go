@@ -251,9 +251,9 @@ func TestLifecycleOverHTTP(t *testing.T) {
 }
 
 // TestServeRestartBitIdentical is the acceptance scenario: serve part of
-// a synthetic TW trace, shut down (checkpointing), restart from the
-// checkpoint directory, serve the rest, and require the event history to
-// be bit-identical to an uninterrupted in-process run.
+// a synthetic TW trace, shut down (final WAL snapshot), restart from the
+// WAL directory, serve the rest, and require the event history to be
+// bit-identical to an uninterrupted in-process run.
 func TestServeRestartBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -264,12 +264,12 @@ func TestServeRestartBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 
 	// Phase 1: serve the first part, observing SSE, then shut down.
-	pool1, err := NewPool(PoolConfig{Detector: cfg, CheckpointDir: dir})
+	pool1, err := NewPool(PoolConfig{Detector: cfg, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(NewHandler(pool1))
-	cut := 12500 // deliberately not a multiple of Δ=160: pending buffer is checkpointed
+	cut := 12500 // deliberately not a multiple of Δ=160: the pending buffer is snapshotted
 	resp := postJSON(t, ts1.URL+"/v1/tw/messages", msgs[:8000])
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
@@ -310,7 +310,7 @@ func TestServeRestartBitIdentical(t *testing.T) {
 		t.Fatalf("no events discovered mid-stream")
 	}
 
-	// Graceful shutdown checkpoints the tenant and ends the SSE stream.
+	// Graceful shutdown snapshots the tenant and ends the SSE stream.
 	ctx, cancelCtx := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancelCtx()
 	if err := pool1.Shutdown(ctx); err != nil {
@@ -324,7 +324,7 @@ func TestServeRestartBitIdentical(t *testing.T) {
 	}
 
 	// Phase 2: a fresh pool restores the tenant from disk and continues.
-	pool2, err := NewPool(PoolConfig{Detector: cfg, CheckpointDir: dir})
+	pool2, err := NewPool(PoolConfig{Detector: cfg, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,10 +389,10 @@ func TestServeRestartBitIdentical(t *testing.T) {
 // while an SSE client is connected: http.Server.Shutdown waits for idle
 // connections and an SSE stream never goes idle on its own, so the
 // server must end the streams first or stall for the whole grace period
-// (delaying checkpoints behind a single connected client).
+// (delaying the final snapshots behind a single connected client).
 func TestServerShutdownWithSSEClient(t *testing.T) {
 	srv, err := New(Config{
-		Pool:          PoolConfig{Detector: testDetectConfig(), CheckpointDir: t.TempDir()},
+		Pool:          PoolConfig{Detector: testDetectConfig(), WALDir: t.TempDir()},
 		ShutdownGrace: 30 * time.Second,
 	})
 	if err != nil {

@@ -293,15 +293,15 @@ func TestSSEDropSlowestClient(t *testing.T) {
 }
 
 // TestConcurrentIngestQueriesShutdown runs full-rate ingest, concurrent
-// queries on every endpoint, and a SIGTERM-style checkpoint shutdown on
-// one tenant — the scenario the race-detector CI job exists for. After
-// restart, the checkpointed tenant must be present and queryable.
+// queries on every endpoint, and a SIGTERM-style snapshotting shutdown
+// on one tenant — the scenario the race-detector CI job exists for.
+// After restart, the snapshotted tenant must be present and queryable.
 func TestConcurrentIngestQueriesShutdown(t *testing.T) {
 	dir := t.TempDir()
 	pool, err := NewPool(PoolConfig{
-		Detector:      testDetectConfig(),
-		CheckpointDir: dir,
-		RetainEvents:  64,
+		Detector:     testDetectConfig(),
+		WALDir:       dir,
+		RetainEvents: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +362,7 @@ func TestConcurrentIngestQueriesShutdown(t *testing.T) {
 	}
 
 	time.Sleep(300 * time.Millisecond)
-	// SIGTERM path: drain + checkpoint while queries and ingest still run.
+	// SIGTERM path: drain + snapshot while queries and ingest still run.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := pool.Shutdown(ctx); err != nil {
@@ -374,8 +374,8 @@ func TestConcurrentIngestQueriesShutdown(t *testing.T) {
 		t.Fatal("no queries completed during the run")
 	}
 
-	// The checkpoint restores.
-	pool2, err := NewPool(PoolConfig{Detector: testDetectConfig(), CheckpointDir: dir, RetainEvents: 64})
+	// The final snapshot restores.
+	pool2, err := NewPool(PoolConfig{Detector: testDetectConfig(), WALDir: dir, RetainEvents: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 //   - Pool / Server: the HTTP/JSON serving subsystem (cmd/serve): a
 //     multi-tenant detector pool with bounded ingest queues, live event
 //     and correlation queries, an SSE push stream of per-quantum reports,
-//     and checkpoint-on-shutdown persistence so restarts resume each
+//     and write-ahead-log persistence so restarts resume each
 //     tenant's stream bit-identically. Design notes: docs/ARCHITECTURE.md.
 //
 // Quickstart:
@@ -105,7 +105,7 @@ type MergeNote = detect.MergeNote
 // ---- Event-serving HTTP subsystem ----
 
 // Pool is a multi-tenant detector pool: per-tenant ingest queues, query
-// snapshots and SSE push, with checkpoint-on-shutdown persistence.
+// snapshots and SSE push, with write-ahead-log persistence.
 type Pool = server.Pool
 
 // PoolConfig configures a Pool.
@@ -129,7 +129,7 @@ type ServerConfig = server.Config
 // Server is the HTTP serving frontend over a Pool (see cmd/serve).
 type Server = server.Server
 
-// NewPool builds a detector pool, restoring any checkpointed tenants.
+// NewPool builds a detector pool, recovering any tenants on disk.
 func NewPool(cfg PoolConfig) (*Pool, error) { return server.NewPool(cfg) }
 
 // NewServer builds an HTTP server (and its pool) from cfg.

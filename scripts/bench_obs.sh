@@ -39,7 +39,7 @@ OUT="BENCH_obs.json"
 # tolerance between rounds. b.TempDir() honours TMPDIR, so point the
 # benchmark WALs at tmpfs when one is mounted — fsyncs become cheap
 # and repeatable, leaving the instrumentation as the only difference
-# between the arms. (BENCH_serving.json keeps measuring real disk.)
+# between the arms. (The bench/ module's workloads measure real disk.)
 if [ -z "${TMPDIR:-}" ] && [ -w /dev/shm ]; then
 	TMPDIR="$(mktemp -d /dev/shm/benchobs.XXXXXX)"
 	trap 'rm -rf "$TMPDIR"' EXIT
