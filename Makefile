@@ -1,5 +1,5 @@
 # Developer entry points. CI runs the same checks as `make check`.
-.PHONY: build test lint check bench-load bench-obs bench-smoke bench-module fuzz-smoke
+.PHONY: build test lint check bench-load bench-smoke bench-module fuzz-smoke
 
 build:
 	go build ./...
@@ -24,10 +24,8 @@ check: lint
 	go build ./...
 	go test ./...
 
-# Benchmark iteration time for the targets below; pass BENCHTIME=5s for
-# steadier numbers. End-to-end and per-layer performance numbers come
-# from the benchmark under bench/ (see bench-module).
-BENCHTIME ?= 1s
+# End-to-end and per-layer performance numbers come from the benchmark
+# under bench/ (see bench-module).
 
 # Adversarial load harness (uniform / zipf-hot / flash-flood scenarios
 # against an in-process server with admission control on); emits
@@ -36,16 +34,6 @@ BENCHTIME ?= 1s
 # docs/OPERATIONS.md.
 bench-load:
 	./scripts/bench_load.sh
-
-# Instrumentation-overhead gate: the durable-ingest and
-# query-under-ingest benchmarks with telemetry off vs on must agree
-# within OBS_TOLERANCE_PCT (default 3) ns/op and +0 allocs/op; emits
-# BENCH_obs.json and fails on regression. See docs/OPERATIONS.md.
-OBS_TOLERANCE_PCT ?= 3
-OBS_ALLOC_SLACK ?= 0
-bench-obs:
-	OBS_TOLERANCE_PCT=$(OBS_TOLERANCE_PCT) OBS_ALLOC_SLACK=$(OBS_ALLOC_SLACK) \
-		./scripts/bench_obs.sh $(BENCHTIME)
 
 # One-iteration pass over every benchmark in the repo, so bench-only
 # files cannot rot uncompiled (CI runs this on every PR), plus the fuzz

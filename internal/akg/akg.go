@@ -60,16 +60,23 @@ type Config struct {
 	NoMinHashScreen bool
 }
 
+// Table 2 nominal values, selected by zero fields.
+const (
+	DefaultTau    = 4
+	DefaultBeta   = 0.20
+	DefaultWindow = 30
+)
+
 // withDefaults fills zero fields with Table 2 nominal values.
 func (c Config) withDefaults() Config {
 	if c.Tau <= 0 {
-		c.Tau = 4
+		c.Tau = DefaultTau
 	}
 	if c.Beta <= 0 {
-		c.Beta = 0.20
+		c.Beta = DefaultBeta
 	}
 	if c.Window <= 0 {
-		c.Window = 30
+		c.Window = DefaultWindow
 	}
 	if c.P <= 0 {
 		c.P = minhash.RecommendedP(c.Tau, c.Beta)

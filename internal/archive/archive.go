@@ -87,8 +87,8 @@ type segMeta struct {
 	MaxQuantum int    `json:"max_quantum"`
 	Bloom      string `json:"bloom"` // base64 keyword Bloom filter
 
-	// BloomK is the filter's hash count; 0 means the legacy 4 (sidecars
-	// written before the filter became configurable).
+	// BloomK is the filter's hash count; 0 means the legacy 4 (the
+	// oldest sidecars carry none). Readers honour whatever is recorded.
 	BloomK int `json:"bloom_k,omitempty"`
 	// MaxPeakRank bounds PeakRank across the segment's records, for
 	// rank-floor skipping; 0 reads as "unknown", which is always safe.
@@ -100,8 +100,8 @@ type segMeta struct {
 }
 
 // observe folds one record into the seq/quantum/rank bounds and the
-// keyword filter, creating the filter with sizing bp on first use.
-func (m *segMeta) observe(rec *Record, bp bloomParams) {
+// keyword filter, creating the filter on first use.
+func (m *segMeta) observe(rec *Record) {
 	if m.Count == 0 {
 		m.FirstSeq, m.MinQuantum, m.MaxQuantum = rec.Seq, rec.BornQuantum, rec.LastQuantum
 	}
@@ -117,8 +117,8 @@ func (m *segMeta) observe(rec *Record, bp bloomParams) {
 		m.MaxPeakRank = rec.PeakRank
 	}
 	if m.bf.empty() {
-		m.bf = newBloomSized(bp)
-		m.BloomK = bp.hashes
+		m.bf = newBloom()
+		m.BloomK = defaultBloomHashes
 	}
 	for _, kw := range rec.Keywords {
 		m.bf.add(kw)
@@ -143,11 +143,6 @@ type Options struct {
 	// granularity at which zone maps skip and scans decode. Zero selects
 	// 256.
 	BlockEvents int
-	// BloomBitsPerKey sizes new segments' keyword Bloom filters as
-	// bits-per-key × SegmentEvents (hash count at the ln2·bits/key
-	// optimum). Zero selects the legacy fixed 8192-bit/4-hash filter.
-	// Existing sidecars keep the shape they were written with.
-	BloomBitsPerKey int
 	// FS overrides the filesystem behind every file operation — the
 	// fault-injection seam for tests. Nil selects the real one.
 	FS vfs.FS
@@ -172,10 +167,9 @@ func (o Options) withDefaults() Options {
 // the (immutable) data files without it, so a long history scan never
 // blocks the ingest path that appends evictions.
 type Log struct {
-	dir      string
-	opt      Options
-	fs       vfs.FS
-	bloomPar bloomParams // sizing for new segment-level filters
+	dir string
+	opt Options
+	fs  vfs.FS
 
 	mu     sync.Mutex
 	sealed []segMeta // segments on disk, ascending FirstSeq
@@ -214,7 +208,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: open %s: %w", dir, err)
 	}
-	l := &Log{dir: dir, opt: opt, fs: opt.FS, bloomPar: bloomSizing(opt.BloomBitsPerKey, opt.SegmentEvents)}
+	l := &Log{dir: dir, opt: opt, fs: opt.FS}
 	// Sweep temp files a crash between write and rename left.
 	if orphans, err := l.fs.Glob(filepath.Join(dir, "*.tmp")); err == nil {
 		for _, o := range orphans {
@@ -322,7 +316,7 @@ func (l *Log) convertLegacy(start uint64) (bool, error) {
 		drop()
 		return false, nil
 	}
-	m, err := writeSegmentV2(l.fs, l.colPath(start), recs, l.opt.BlockEvents, l.bloomPar)
+	m, err := writeSegmentV2(l.fs, l.colPath(start), recs, l.opt.BlockEvents)
 	if err != nil {
 		return false, err
 	}
@@ -396,7 +390,7 @@ func (l *Log) loadOrRebuildColMeta(start uint64) (segMeta, error) {
 	}
 	m := segMeta{File: start}
 	_, err = scanColFile(l.fs, l.colPath(start), func(rec *Record) error {
-		m.observe(rec, l.bloomPar)
+		m.observe(rec)
 		return nil
 	}, func(z blockZone) {
 		m.Blocks = append(m.Blocks, z)
@@ -449,7 +443,7 @@ func (l *Log) Append(rec Record) error {
 		l.gaps++
 	}
 	l.buf = append(l.buf, rec)
-	l.active.observe(&rec, l.bloomPar)
+	l.active.observe(&rec)
 	l.seq = rec.Seq
 	if len(l.buf) >= l.opt.SegmentEvents ||
 		l.active.MaxQuantum-l.active.MinQuantum >= l.opt.BucketQuanta {
@@ -477,7 +471,7 @@ func (l *Log) sealLocked() error {
 		return nil
 	}
 	file := l.buf[0].Seq
-	m, err := writeSegmentV2(l.fs, l.colPath(file), l.buf, l.opt.BlockEvents, l.bloomPar)
+	m, err := writeSegmentV2(l.fs, l.colPath(file), l.buf, l.opt.BlockEvents)
 	if err != nil {
 		return err
 	}

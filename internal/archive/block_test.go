@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestWriteAndScanColFile(t *testing.T) {
 		recs = append(recs, rec(i, int(i), int(i)+3, fmt.Sprintf("kw-%d", i%50)))
 	}
 	path := filepath.Join(dir, "ev-00000000000000000001.col")
-	m, err := writeSegmentV2(vfs.OS, path, recs, 256, bloomSizing(0, 512))
+	m, err := writeSegmentV2(vfs.OS, path, recs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,27 +172,65 @@ func TestWriteAndScanColFile(t *testing.T) {
 	}
 }
 
-// TestBloomSizingConfigurable pins the bits-per-key sizing arithmetic
-// and the no-false-negative property at a non-default shape.
-func TestBloomSizingConfigurable(t *testing.T) {
-	p := bloomSizing(0, 512)
-	if p.bits != defaultBloomBits || p.hashes != defaultBloomHashes {
-		t.Fatalf("legacy sizing = %+v", p)
-	}
-	p = bloomSizing(10, 512)
-	if p.bits != 5120 || p.hashes != 7 {
-		t.Fatalf("10 bits/key × 512 = %+v, want 5120 bits / 7 hashes", p)
-	}
-	if q := bloomSizing(1, 64); q.bits != 512 || q.hashes != 1 {
-		t.Fatalf("floor sizing = %+v", q)
-	}
-	bf := newBloomSized(p)
-	for i := 0; i < 512; i++ {
-		bf.add(fmt.Sprintf("kw-%d", i))
-	}
-	for i := 0; i < 512; i++ {
-		if !bf.mayContain(fmt.Sprintf("kw-%d", i)) {
-			t.Fatalf("false negative at configured sizing for kw-%d", i)
+// TestBloomRecordedShapeHonoured: the writer only produces the fixed
+// 8192-bit / 4-hash segment filter, but sidecars written with another
+// shape (the removed bits-per-key sizing) are still on disk. A reopened
+// log must probe them with the recorded bit count and BloomK: the
+// 1-hash shape below turns into false negatives under any reader that
+// assumes the default 4.
+func TestBloomRecordedShapeHonoured(t *testing.T) {
+	for _, shape := range []bloomParams{{bits: 5120, hashes: 7}, {bits: 512, hashes: 1}} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := uint64(1); i <= 300; i++ {
+			if err := l.Append(rec(i, int(i), int(i)+1, fmt.Sprintf("kw-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		side := l.colMetaPath(1)
+		raw, err := os.ReadFile(side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m segMeta
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		if bits := len(decodeBloom(m.Bloom, m.BloomK).bits) * 8; m.BloomK != defaultBloomHashes || bits != defaultBloomBits {
+			t.Fatalf("writer shape = %d hashes / %d bits, want the fixed default", m.BloomK, bits)
+		}
+		// Re-stamp the sidecar with the legacy shape.
+		bf := newBloomSized(shape)
+		for i := 1; i <= 300; i++ {
+			bf.add(fmt.Sprintf("kw-%d", i))
+		}
+		m.Bloom, m.BloomK = bf.encode(), shape.hashes
+		if raw, err = json.Marshal(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(side, raw, 0o644); err != nil { //repro:vfs-exempt staging a legacy on-disk fixture under test, not storage-layer I/O
+			t.Fatal(err)
+		}
+
+		l2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := l2.Segments()
+		if len(views) != 1 {
+			t.Fatalf("segments = %d, want 1", len(views))
+		}
+		for i := 1; i <= 300; i++ {
+			if !views[0].MayContain(fmt.Sprintf("kw-%d", i)) {
+				t.Fatalf("false negative for kw-%d through a recorded %+v filter", i, shape)
+			}
+		}
+		l2.Close()
 	}
 }

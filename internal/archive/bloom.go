@@ -3,31 +3,30 @@ package archive
 import (
 	"encoding/base64"
 	"hash/fnv"
-	"math"
 )
 
 // defaultBloomBits / defaultBloomHashes size the per-segment keyword
-// Bloom filter when no explicit sizing is configured: 8192 bits with 4
-// hashes keeps the false-positive rate under ~2% for the few hundred
-// distinct keywords a segment accumulates, at 1 KiB of sidecar per
-// segment. Sidecars written before the filter became configurable carry
-// no hash count, so 4 is also the decode default — changing it would
-// turn old filters into false-negative machines.
+// Bloom filter: 8192 bits with 4 hashes keeps the false-positive rate
+// under ~2% for the few hundred distinct keywords a segment
+// accumulates, at 1 KiB of sidecar per segment (keyword skipping below
+// segment level is the per-block filters' job). The oldest sidecars
+// carry no hash count, so 4 is also the decode default — changing it
+// would turn old filters into false-negative machines.
 const (
 	defaultBloomBits   = 8192
 	defaultBloomHashes = 4
 )
 
-// blockBloomBitsPerKey / blockBloomHashes size the per-block keyword
+// blockBitsPerKey / blockBloomHashes size the per-block keyword
 // filters of v2 zone maps. Blocks are small and their filters are
 // sized from the block's actual distinct-keyword count, so 8 bits/key
 // (~2% false positives at 4 hashes) costs a few dozen bytes per block.
 const (
-	blockBloomBitsPerKey = 8
-	blockBloomHashes     = 4
+	blockBitsPerKey  = 8
+	blockBloomHashes = 4
 )
 
-// bloomParams is the filter sizing one Log stamps onto new filters.
+// bloomParams is the sizing of one filter.
 type bloomParams struct {
 	bits   int
 	hashes int
@@ -36,7 +35,7 @@ type bloomParams struct {
 // blockBloomParams sizes one block's zone-map keyword filter from its
 // (approximate) distinct-string count.
 func blockBloomParams(keys int) bloomParams {
-	bits := blockBloomBitsPerKey * keys
+	bits := blockBitsPerKey * keys
 	if bits < 256 {
 		bits = 256
 	}
@@ -47,37 +46,11 @@ func blockBloomParams(keys int) bloomParams {
 	return bloomParams{bits: bits, hashes: blockBloomHashes}
 }
 
-// bloomSizing derives the per-segment filter size from a bits-per-key
-// budget and the segment's rotation bound. bitsPerKey ≤ 0 selects the
-// legacy fixed 8192-bit / 4-hash shape. The hash count follows the
-// textbook optimum k = ln2 · bits/key, clamped to a sane range.
-func bloomSizing(bitsPerKey, segmentEvents int) bloomParams {
-	if bitsPerKey <= 0 {
-		return bloomParams{bits: defaultBloomBits, hashes: defaultBloomHashes}
-	}
-	bits := bitsPerKey * segmentEvents
-	if bits < 512 {
-		bits = 512
-	}
-	if bits > 1<<21 {
-		bits = 1 << 21
-	}
-	bits = (bits + 63) &^ 63 // whole words
-	k := int(math.Round(math.Ln2 * float64(bitsPerKey)))
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return bloomParams{bits: bits, hashes: k}
-}
-
 // bloom is a Bloom filter over keyword strings, using double hashing
 // (h1 + i·h2) over one 64-bit FNV-1a pass. The bit-array length (any
-// multiple of 64 bits) is the modulus, so filters of different
-// configured sizes coexist in one archive; the hash count rides along
-// because it must match between add and probe.
+// multiple of 64 bits) is the modulus, so filters of different sizes
+// coexist in one archive; the hash count rides along because it must
+// match between add and probe.
 type bloom struct {
 	bits []byte
 	k    int
@@ -143,9 +116,9 @@ func (b bloom) mayContain(s string) bool {
 
 func (b bloom) encode() string { return base64.StdEncoding.EncodeToString(b.bits) }
 
-// decodeBloom rebuilds a filter from its sidecar encoding. k ≤ 0
-// selects the legacy hash count (sidecars written before the filter
-// became configurable carry none).
+// decodeBloom rebuilds a filter from its sidecar encoding with the
+// sidecar's recorded hash count; k ≤ 0 selects the legacy count (the
+// oldest sidecars carry none).
 func decodeBloom(s string, k int) bloom {
 	raw, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {

@@ -101,7 +101,7 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	// we found it; seals only append behind it.
 	newPath := l.colPath(run[0].File)
 	tmp := newPath + ".tmp"
-	m, err := writeSegmentTmp(l.fs, tmp, recs, l.opt.BlockEvents, l.bloomPar)
+	m, err := writeSegmentTmp(l.fs, tmp, recs, l.opt.BlockEvents)
 	if err != nil {
 		return CompactStats{}, false, err
 	}

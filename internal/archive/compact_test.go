@@ -307,7 +307,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Old merged segment: records 1..4, sidecar in agreement.
-	m, err := writeSegmentV2(l.fs, l.colPath(1), oldRecs, 2, l.bloomPar)
+	m, err := writeSegmentV2(l.fs, l.colPath(1), oldRecs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-merge commits records 1..6 over the same path...
-	if _, err := writeSegmentV2(l.fs, l.colPath(1), allRecs, 2, l.bloomPar); err != nil {
+	if _, err := writeSegmentV2(l.fs, l.colPath(1), allRecs, 2); err != nil {
 		t.Fatal(err)
 	}
 	// ...and the crash leaves the 4-record sidecar in place.

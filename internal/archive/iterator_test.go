@@ -78,7 +78,7 @@ func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 	}
 	// Corrupt: replace the data file with one whose block holds a third
 	// record, under a header still claiming the sidecar's two.
-	if _, err := writeSegmentV2(l.fs, l.colPath(1), recs, 4, l.bloomPar); err != nil {
+	if _, err := writeSegmentV2(l.fs, l.colPath(1), recs, 4); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(l.colPath(1))

@@ -75,11 +75,11 @@ func parseColHeader(b []byte) (colHeader, error) {
 
 // writeSegmentV2 writes recs (non-empty, ascending Seq) as a columnar
 // segment at path via temp-file + fsync + rename, and returns its
-// complete metadata (zone maps, segment-level Bloom sized by bp). The
+// complete metadata (zone maps, segment-level Bloom). The
 // returned meta's File field is left for the caller.
-func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp bloomParams) (segMeta, error) {
+func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int) (segMeta, error) {
 	tmp := path + ".tmp"
-	m, err := writeSegmentTmp(fsys, tmp, recs, blockEvents, bp)
+	m, err := writeSegmentTmp(fsys, tmp, recs, blockEvents)
 	if err != nil {
 		return segMeta{}, err
 	}
@@ -93,7 +93,7 @@ func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp
 // writeSegmentTmp is writeSegmentV2 up to, not including, the commit
 // rename: tmp holds the complete, fsynced segment, or is removed on
 // error.
-func writeSegmentTmp(fsys vfs.FS, tmp string, recs []Record, blockEvents int, bp bloomParams) (segMeta, error) {
+func writeSegmentTmp(fsys vfs.FS, tmp string, recs []Record, blockEvents int) (segMeta, error) {
 	if len(recs) == 0 {
 		return segMeta{}, fmt.Errorf("archive: write v2 segment: no records")
 	}
@@ -102,7 +102,7 @@ func writeSegmentTmp(fsys vfs.FS, tmp string, recs []Record, blockEvents int, bp
 	}
 	var m segMeta
 	for i := range recs {
-		m.observe(&recs[i], bp)
+		m.observe(&recs[i])
 	}
 
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -56,9 +56,12 @@ type Config struct {
 	Synonyms map[string]string
 }
 
+// DefaultDelta is the Table 2 nominal quantum size in messages.
+const DefaultDelta = 160
+
 func (c Config) withDefaults() Config {
 	if c.Delta <= 0 {
-		c.Delta = 160
+		c.Delta = DefaultDelta
 	}
 	if c.SpuriousFactor <= 0 {
 		c.SpuriousFactor = 1.0
@@ -234,13 +237,12 @@ type Detector struct {
 	// Incremental epoch-snapshot builder state (see snapshot.go): the
 	// views of d.finished (eviction order), the same views ID-sorted (the
 	// base slice snapshots share until the finished set changes), the
-	// trim counter they are synced to, the rank-history cap applied to
-	// snapshot views, the newest snapshot built (its live part is reused
-	// by a republish inside the same quantum) and the sharing counters.
+	// trim counter they are synced to, the newest snapshot built (its
+	// live part is reused by a republish inside the same quantum) and the
+	// sharing counters.
 	snapFin        []*Event
 	snapFinSorted  []*Event
 	snapFinTrimmed uint64
-	snapMaxHist    int
 	lastSnap       *Snapshot
 	snapCounters   snapshotCounters
 

@@ -13,8 +13,8 @@
 //     reconciliation recomputes a dirty cluster; AllKeywords is
 //     copy-on-write. A view shares all three with the detector's event
 //     and with every epoch since they last changed.
-//   - RankHistory is append-only. A view holds hist[lo:hi:hi] of the
-//     detector's array: later appends write at index hi or beyond, or
+//   - RankHistory is append-only. A view holds hist[:n:n] of the
+//     detector's array: later appends write at index n or beyond, or
 //     into a fresh array, never into what the view can read, and the
 //     capped capacity keeps a reader's own append off the shared array.
 //   - A finished event is never written after it retires, so the
@@ -328,34 +328,6 @@ func (s *Snapshot) TopKKeyword(k int, kw string) []*Event {
 	return out
 }
 
-// SetSnapshotRankHistory caps the RankHistory entries a snapshot view
-// exposes (the newest n); n ≤ 0 exposes the full history. Views alias
-// the detector's history instead of copying it, so the cap no longer
-// buys build time or memory — it bounds what a reader serialises. Like
-// the hooks, the setting is not part of checkpoints.
-func (d *Detector) SetSnapshotRankHistory(n int) { d.snapMaxHist = n }
-
-// viewHistory returns the part of an append-only rank history a view may
-// hold: the newest maxHist entries (all when maxHist ≤ 0), capacity
-// capped at the length.
-func viewHistory(hist []float64, maxHist int) []float64 {
-	if maxHist > 0 && len(hist) > maxHist {
-		hist = hist[len(hist)-maxHist:]
-	}
-	return hist[:len(hist):len(hist)]
-}
-
-// finishedView returns the snapshot view of a retired event: the event
-// itself, unless the rank-history cap calls for a shorter header.
-func finishedView(ev *Event, maxHist int) *Event {
-	if maxHist <= 0 || len(ev.RankHistory) <= maxHist {
-		return ev
-	}
-	cp := *ev
-	cp.RankHistory = viewHistory(ev.RankHistory, maxHist)
-	return &cp
-}
-
 // syncFinishedViews brings the finished-event views in line with
 // d.finished: trimmed events fall off the front (matched by the
 // cumulative trim counter), newly finished events join the back. The
@@ -375,9 +347,7 @@ func (d *Detector) syncFinishedViews() {
 		d.snapFinTrimmed = d.trimmed
 	}
 	synced := len(d.snapFin)
-	for _, ev := range d.finished[synced:] {
-		d.snapFin = append(d.snapFin, finishedView(ev, d.snapMaxHist))
-	}
+	d.snapFin = append(d.snapFin, d.finished[synced:]...)
 	added := slices.Clone(d.snapFin[synced:])
 	if len(dropped) == 0 && len(added) == 0 {
 		return
@@ -440,7 +410,7 @@ func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 	for _, ev := range d.events { //repro:order-insensitive one header copy per event into its own slot; liveByID is sorted by ID before use
 		v := &views[len(liveByID)]
 		*v = *ev
-		v.RankHistory = viewHistory(ev.RankHistory, d.snapMaxHist)
+		v.RankHistory = slices.Clip(ev.RankHistory)
 		liveByID = append(liveByID, v)
 	}
 	slices.SortFunc(liveByID, byIDAsc)

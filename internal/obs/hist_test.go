@@ -184,7 +184,7 @@ func TestStageNames(t *testing.T) {
 }
 
 func TestTelemetryRegistry(t *testing.T) {
-	tl := New(Config{TraceRingSize: 4})
+	tl := New()
 	a := tl.Tenant("a")
 	if a == nil || tl.Tenant("a") != a {
 		t.Fatal("Tenant must be idempotent")
@@ -197,21 +197,12 @@ func TestTelemetryRegistry(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Tenants() = %v", names)
 	}
-	if a.Ring() == nil || a.Ring().Cap() != 4 {
+	if a.Ring() == nil || a.Ring().Cap() != RingSize {
 		t.Fatal("ring not configured")
 	}
 	// Disabled state: nil registry, nil tenant, everything no-ops.
 	var nilTl *Telemetry
-	if nilTl.Tenant("x") != nil || nilTl.Tenants() != nil || nilTl.SlowThreshold() != 0 {
+	if nilTl.Tenant("x") != nil || nilTl.Tenants() != nil {
 		t.Fatal("nil Telemetry must degrade to no-ops")
-	}
-	// Negative ring size disables tracing but keeps histograms.
-	noRing := New(Config{TraceRingSize: -1}).Tenant("x")
-	if noRing.Ring() != nil {
-		t.Fatal("negative TraceRingSize should disable the ring")
-	}
-	noRing.Observe(StageHTTPIngest, time.Millisecond)
-	if noRing.Snapshot(StageHTTPIngest).Count != 1 {
-		t.Fatal("histograms must work without a ring")
 	}
 }

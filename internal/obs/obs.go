@@ -140,34 +140,21 @@ func Stages() []Stage {
 // NumStages is the number of defined stages.
 func NumStages() int { return int(numStages) }
 
-// Config tunes one Telemetry registry.
-type Config struct {
-	// TraceRingSize bounds each tenant's slow-request ring (the N
-	// slowest traced requests are retained). Zero selects 64; negative
-	// disables request tracing while keeping the histograms.
-	TraceRingSize int
-	// SlowRequest, when positive, drops traces of requests faster than
-	// this from the ring offer path. Zero offers every traced request —
-	// the ring keeps only the slowest anyway.
-	SlowRequest time.Duration
-}
+// RingSize is how many traced requests each tenant's slow-request
+// ring retains: the N slowest, for GET /debug/requests.
+const RingSize = 64
 
 // Telemetry is the process-wide registry of per-tenant telemetry. A
 // nil *Telemetry is the disabled state: Tenant returns nil and every
 // downstream observe call no-ops.
 type Telemetry struct {
-	cfg Config
-
 	mu      sync.Mutex
 	tenants map[string]*TenantObs
 }
 
 // New builds a telemetry registry.
-func New(cfg Config) *Telemetry {
-	if cfg.TraceRingSize == 0 {
-		cfg.TraceRingSize = 64
-	}
-	return &Telemetry{cfg: cfg, tenants: make(map[string]*TenantObs)}
+func New() *Telemetry {
+	return &Telemetry{tenants: make(map[string]*TenantObs)}
 }
 
 // Tenant returns (creating on first use) the named tenant's telemetry.
@@ -182,10 +169,7 @@ func (tl *Telemetry) Tenant(name string) *TenantObs {
 	if to, ok := tl.tenants[name]; ok {
 		return to
 	}
-	to := &TenantObs{name: name}
-	if tl.cfg.TraceRingSize > 0 {
-		to.ring = NewSlowRing(tl.cfg.TraceRingSize)
-	}
+	to := &TenantObs{name: name, ring: NewSlowRing(RingSize)}
 	tl.tenants[name] = to
 	return to
 }
@@ -203,15 +187,6 @@ func (tl *Telemetry) Tenants() []*TenantObs {
 	tl.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// SlowThreshold returns the configured slow-request trace threshold
-// (0 = trace everything offered). Nil receiver returns 0.
-func (tl *Telemetry) SlowThreshold() time.Duration {
-	if tl == nil {
-		return 0
-	}
-	return tl.cfg.SlowRequest
 }
 
 // TenantObs is one tenant's telemetry: a fixed stage-indexed histogram
@@ -257,8 +232,8 @@ func (t *TenantObs) Hist(st Stage) *Histogram {
 	return &t.hists[st]
 }
 
-// Ring returns the tenant's slow-request ring (nil when tracing is
-// disabled or the receiver is nil).
+// Ring returns the tenant's slow-request ring (nil when the receiver
+// is nil).
 func (t *TenantObs) Ring() *SlowRing {
 	if t == nil {
 		return nil

@@ -89,9 +89,8 @@ func (tb *tokenBucket) take(n int) (time.Duration, bool) {
 // bucket (nil when rate limiting is off), the queue-depth shed
 // threshold, and the shed counters surfaced via /metrics.
 type admission struct {
-	bucket    *tokenBucket
-	shedFrac  float64 // shed when backlog ≥ frac × (QueueDepth | QueueMessages); 0 = off
-	retryHint time.Duration
+	bucket   *tokenBucket
+	shedFrac float64 // shed when backlog ≥ frac × (QueueDepth | QueueMessages); 0 = off
 }
 
 // newAdmission builds the admission state from the pool configuration;
@@ -101,7 +100,7 @@ func newAdmission(cfg PoolConfig, now func() time.Time) *admission {
 	if cfg.RateLimit <= 0 && cfg.AdmissionFrac <= 0 {
 		return nil
 	}
-	a := &admission{shedFrac: cfg.AdmissionFrac, retryHint: time.Second}
+	a := &admission{shedFrac: cfg.AdmissionFrac}
 	if cfg.RateLimit > 0 {
 		a.bucket = newTokenBucket(cfg.RateLimit, cfg.RateBurst, now)
 	}
@@ -109,15 +108,16 @@ func newAdmission(cfg PoolConfig, now func() time.Time) *admission {
 }
 
 // checkQueueLocked applies the queue-depth gate for a batch of n
-// messages; qmu held by the caller (Enqueue). depth/queued are the
-// tenant's current backlog, maxDepth/maxMsgs its hard bounds.
+// messages; qmu held by the caller (Enqueue, ShedCheck). depth/queued
+// are the tenant's current backlog, maxDepth/maxMsgs its hard bounds.
+// The caller fills RetryAfter from the tenant's drain estimate.
 func (a *admission) checkQueueLocked(n, depth, maxDepth int, queued, maxMsgs int64) *ShedError {
 	if a == nil || a.shedFrac <= 0 {
 		return nil
 	}
 	if float64(depth) >= a.shedFrac*float64(maxDepth) ||
 		float64(queued)+float64(n) > a.shedFrac*float64(maxMsgs) {
-		return &ShedError{Reason: "queue-depth", RetryAfter: a.retryHint}
+		return &ShedError{Reason: "queue-depth"}
 	}
 	return nil
 }

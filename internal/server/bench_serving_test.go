@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,12 +16,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/tracegen"
 )
-
-// benchObsDisabled reports whether this run is the untelemetered
-// baseline arm of the instrumentation-overhead gate
-// (scripts/bench_obs.sh sets BENCH_TELEMETRY=off for it). The default
-// arm runs with stage histograms live, exactly as production does.
-func benchObsDisabled() bool { return os.Getenv("BENCH_TELEMETRY") == "off" }
 
 // benchBatches cuts a synthetic TW trace into quantum-sized ingest
 // batches, cached across benchmark runs.
@@ -53,7 +46,6 @@ func BenchmarkQueryUnderIngest(b *testing.B) {
 		RetainEvents:  512,
 		QueueDepth:    8,
 		QueueMessages: 1 << 20,
-		ObsDisabled:   benchObsDisabled(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -151,7 +143,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		RetainEvents:  512,
 		QueueDepth:    8,
 		QueueMessages: 1 << 20,
-		ObsDisabled:   benchObsDisabled(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -179,13 +170,12 @@ func BenchmarkIngestThroughput(b *testing.B) {
 }
 
 // BenchmarkIngestDurable measures the acknowledged-ingest path with the
-// WAL enabled — every Enqueue is durable before it returns — across
-// four concurrent tenants. The sync arm pays one fsync per accepted
-// batch; the group-commit arm shares one fsync per tenant per interval
-// across every batch that arrived within it. ns/op is the mean ack
-// latency per batch.
+// WAL enabled across four concurrent tenants, at both durability
+// levels: the page-cache arm acks after one write (kill-safe); the
+// group-commit arm acks after the fsync one tenant's batches of an
+// interval share (power-safe). ns/op is the mean ack latency per batch.
 func BenchmarkIngestDurable(b *testing.B) {
-	run := func(b *testing.B, groupCommit time.Duration, syncEvery int) {
+	run := func(b *testing.B, groupCommit time.Duration) {
 		batches := benchBatches(b)
 		pool, err := NewPool(PoolConfig{
 			Detector:               detect.Config{Delta: 160, AKG: akg.Config{Tau: 4, Beta: 0.2, Window: 30}},
@@ -193,10 +183,8 @@ func BenchmarkIngestDurable(b *testing.B) {
 			QueueDepth:             64,
 			QueueMessages:          1 << 20,
 			WALDir:                 b.TempDir(),
-			WALSyncEvery:           syncEvery,
 			WALGroupCommitInterval: groupCommit,
 			SnapshotEvery:          1 << 30, // keep snapshot IO out of the measurement
-			ObsDisabled:            benchObsDisabled(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -234,6 +222,6 @@ func BenchmarkIngestDurable(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N*160)/b.Elapsed().Seconds(), "msgs/sec")
 	}
-	b.Run("sync-every-batch", func(b *testing.B) { run(b, 0, 1) })
-	b.Run("group-commit", func(b *testing.B) { run(b, 2*time.Millisecond, 0) })
+	b.Run("page-cache", func(b *testing.B) { run(b, 0) })
+	b.Run("group-commit", func(b *testing.B) { run(b, 2*time.Millisecond) })
 }

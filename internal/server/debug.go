@@ -7,22 +7,14 @@ import (
 	"repro/internal/obs"
 )
 
-// offerTrace finishes a request trace and offers it to the tenant's
-// slow-request ring, honouring the pool's slow-request threshold. Also
-// observes the request's wall time into the given stage histogram.
+// offerTrace finishes a request trace, observes its wall time into the
+// given stage histogram and offers it to the tenant's slow-request ring
+// (which keeps the N slowest and rejects the rest on an atomic floor).
 // Returns the finished record so ?debug=1 responses can embed it.
-// Nil-safe on every input.
-func (p *Pool) offerTrace(t *Tenant, tr *obs.ReqTrace, stage obs.Stage) *obs.TraceRecord {
+func offerTrace(t *Tenant, tr *obs.ReqTrace, stage obs.Stage) *obs.TraceRecord {
 	rec := tr.Finish()
-	if rec == nil {
-		return nil
-	}
-	if t != nil && t.obs != nil {
-		t.obs.Observe(stage, rec.Total)
-		if th := p.tel.SlowThreshold(); th <= 0 || rec.Total >= th {
-			t.obs.OfferTrace(rec)
-		}
-	}
+	t.obs.Observe(stage, rec.Total)
+	t.obs.OfferTrace(rec)
 	return rec
 }
 
@@ -62,40 +54,24 @@ func traceView(rec *obs.TraceRecord) traceJSON {
 
 // handleDebugRequests serves GET /debug/requests: the slowest traced
 // requests retained per tenant, slowest first, filtered by ?tenant= and
-// ?min_ms= (minimum total duration). 404 when telemetry or tracing is
-// disabled — a disabled debug surface should be loud, not empty.
+// ?min_ms= (minimum total duration).
 func handleDebugRequests(w http.ResponseWriter, r *http.Request, p *Pool) {
-	if p.tel == nil {
-		httpError(w, http.StatusNotFound, "telemetry disabled")
-		return
-	}
 	minMs, ok := intParam(w, r, "min_ms", 0)
 	if !ok {
 		return
 	}
 	filter := r.URL.Query().Get("tenant")
-	tobs := p.tel.Tenants()
 	traces := []traceJSON{}
-	ringing := false
-	for _, to := range tobs {
+	for _, to := range p.tel.Tenants() {
 		if filter != "" && to.Name() != filter {
 			continue
 		}
-		ring := to.Ring()
-		if ring == nil {
-			continue
-		}
-		ringing = true
-		for _, rec := range ring.Snapshot() {
+		for _, rec := range to.Ring().Snapshot() {
 			if rec.Total < time.Duration(minMs)*time.Millisecond {
 				continue
 			}
 			traces = append(traces, traceView(rec))
 		}
-	}
-	if !ringing {
-		httpError(w, http.StatusNotFound, "request tracing disabled")
-		return
 	}
 	// Global slowest-first across tenants (per-ring snapshots are
 	// already sorted; a simple insertion-style merge is overkill for a
@@ -106,7 +82,9 @@ func handleDebugRequests(w http.ResponseWriter, r *http.Request, p *Pool) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"traces":       traces,
-		"threshold_ms": ms(p.tel.SlowThreshold()),
+		"traces": traces,
+		// Kept for the wire shape: every traced request competes for a
+		// ring slot, there is no admission threshold.
+		"threshold_ms": 0.0,
 	})
 }

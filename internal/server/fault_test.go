@@ -145,18 +145,31 @@ func TestTornWriteRetriesInline(t *testing.T) {
 	}
 }
 
-// TestTornFsyncRetriesInline: a failed fsync whose write already landed
-// (WALSyncEvery 1) — the power-cut-mid-fsync shape — must roll the
-// unacked frame back and recover on the inline retry.
-func TestTornFsyncRetriesInline(t *testing.T) {
-	pool, ffs, dir := faultPool(t, func(c *PoolConfig) { c.WALSyncEvery = 1 })
+// TestTornFsyncClientRetryLandsOnce: a failed fsync whose write already
+// landed — the power-cut-mid-fsync shape, reached through the group
+// committer, the only path that fsyncs before an ack. The frame must be
+// rolled back and the request refused (never acked), and once the
+// supervisor has repaired the log the client's retry of the same batch
+// must be what replays: once, not twice.
+func TestTornFsyncClientRetryLandsOnce(t *testing.T) {
+	pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
+		c.WALGroupCommitInterval = 200 * time.Microsecond
+	})
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal", Count: 1})
+	var deg *DegradedError
+	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); !errors.As(err, &deg) {
+		t.Fatalf("Enqueue with torn fsync = %v, want DegradedError (batch not acked)", err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		down, _ := tn.Degraded()
+		return !down
+	}, "supervised WAL reopen")
 	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); err != nil {
-		t.Fatalf("Enqueue with torn fsync: %v", err)
+		t.Fatalf("client retry after reopen: %v", err)
 	}
 	waitApplied(t, tn)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -165,7 +178,7 @@ func TestTornFsyncRetriesInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := replayCount(t, dir, "acme"); got != 8 {
-		t.Fatalf("recovered %d messages, want 8", got)
+		t.Fatalf("recovered %d messages, want 8 (the retried batch, once)", got)
 	}
 }
 

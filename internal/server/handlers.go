@@ -63,13 +63,10 @@ func NewHandler(p *Pool) http.Handler {
 		if !ok {
 			return
 		}
-		// Histogram-only instrumentation: these two read endpoints are
-		// the telemetry-overhead benchmark's hot path, so they pay one
-		// clock read and a few atomic adds — no trace allocation.
-		var t0 time.Time
-		if t.obs != nil {
-			t0 = time.Now()
-		}
+		// Histogram-only instrumentation: the two snapshot read
+		// endpoints pay one clock read and a few atomic adds — no trace
+		// allocation.
+		t0 := time.Now()
 		k, ok := intParam(w, r, "k", 0)
 		if !ok {
 			return
@@ -84,6 +81,12 @@ func NewHandler(p *Pool) http.Handler {
 		case keyword != "" && all:
 			httpError(w, http.StatusBadRequest, "keyword filter applies to live events; drop all=1")
 			return
+		case k > 0 && all:
+			// all=1 is the whole history in birth order; there is no
+			// top-k of it to serve, and ignoring k would be a quiet
+			// default.
+			httpError(w, http.StatusBadRequest, "k applies to live events; drop all=1 (page history with /query)")
+			return
 		case keyword != "":
 			// Resolved through the epoch snapshot's keyword→event
 			// inverted index; rank order, like the unfiltered view.
@@ -95,9 +98,7 @@ func NewHandler(p *Pool) http.Handler {
 			"tenant": t.Name(),
 			"events": events,
 		})
-		if t.obs != nil {
-			t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
-		}
+		t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
 	})
 	mux.HandleFunc("GET /v1/{tenant}/events/{id}", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := getTenant(w, r, p)
@@ -121,10 +122,7 @@ func NewHandler(p *Pool) http.Handler {
 		if !ok {
 			return
 		}
-		var t0 time.Time
-		if t.obs != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		min, ok := floatParam(w, r, "min", 0.1, 0, 1)
 		if !ok {
 			return
@@ -133,16 +131,14 @@ func NewHandler(p *Pool) http.Handler {
 			"tenant":  t.Name(),
 			"related": t.Related(min),
 		})
-		if t.obs != nil {
-			t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
-		}
+		t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
 	})
 	mux.HandleFunc("GET /v1/{tenant}/query", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := getTenant(w, r, p)
 		if !ok {
 			return
 		}
-		handleUnifiedQuery(w, r, t, p)
+		handleUnifiedQuery(w, r, t)
 	})
 	mux.HandleFunc("GET /v1/{tenant}/stream", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := getTenant(w, r, p)
@@ -238,14 +234,11 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 		httpError(w, http.StatusBadRequest, ErrBadTenant.Error())
 		return
 	}
-	// One trace per ingest request when telemetry is on. This endpoint
-	// allocates per request anyway (body decode); the gated zero-alloc
-	// ingest path is Tenant.Enqueue, which traces nothing.
-	var tr *obs.ReqTrace
-	if p.tel != nil {
-		tr = obs.StartTrace("ingest", name, r.URL.Path)
-		tr.Step("shed_check")
-	}
+	// One trace per ingest request. This endpoint allocates per request
+	// anyway (body decode); the zero-alloc ingest path is
+	// Tenant.Enqueue, which traces nothing.
+	tr := obs.StartTrace("ingest", name, r.URL.Path)
+	tr.Step("shed_check")
 	// Shed guaranteed-rejected ingest before paying to decode the body:
 	// a closed or tenant-full pool — or a tenant already past its
 	// queue-depth admission threshold — would only refuse the batch
@@ -299,7 +292,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 	}
 	tr.Step("enqueue")
 	if err := t.Enqueue(msgs); err != nil {
-		p.offerTrace(t, tr, obs.StageHTTPIngest)
+		offerTrace(t, tr, obs.StageHTTPIngest)
 		var shed *ShedError
 		var deg *DegradedError
 		switch {
@@ -323,7 +316,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 		}
 		return
 	}
-	p.offerTrace(t, tr, obs.StageHTTPIngest)
+	offerTrace(t, tr, obs.StageHTTPIngest)
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"tenant": name,
 		"queued": len(msgs),

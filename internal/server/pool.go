@@ -39,170 +39,10 @@ var (
 // tenantNameRE keeps tenant names URL- and filename-safe.
 var tenantNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 
-// PoolConfig configures a detector pool.
-type PoolConfig struct {
-	// Detector is the configuration every new tenant's detector gets.
-	// Restored tenants keep the configuration frozen in their snapshot.
-	Detector detect.Config
-	// QueueDepth bounds each tenant's ingest queue in batches (one POST
-	// body = one batch). Zero selects 64. A full queue rejects ingest
-	// with ErrQueueFull — backpressure, never unbounded memory.
-	QueueDepth int
-	// QueueMessages bounds the total messages buffered across queued
-	// batches — the actual memory bound, since one batch can hold a
-	// whole POST body. Zero selects 100000.
-	QueueMessages int
-	// RetainEvents, when positive, caps the finished-event history kept
-	// per tenant (oldest trimmed first; live events are never dropped).
-	// Zero keeps everything — fine for bounded experiments, not for a
-	// long-lived tenant, whose history otherwise grows forever.
-	RetainEvents int
-	// MaxTenants bounds the number of tenants. Zero selects 1024.
-	MaxTenants int
-
-	// WALDir, when non-empty, enables persistence: every accepted ingest
-	// batch is appended to a per-tenant write-ahead log before it is
-	// acknowledged, and the detector is snapshotted every SnapshotEvery
-	// quanta and on Shutdown. On pool start each tenant found under
-	// WALDir is recovered as latest snapshot + replay of the segment
-	// tail — bit-identical to the state at exit, however the process
-	// died. Empty keeps tenants in memory only.
-	WALDir string
-	// WALSegmentBytes rotates WAL segments (default 4 MiB).
-	WALSegmentBytes int64
-	// WALSyncEvery fsyncs the WAL after every N appends; 0 never fsyncs
-	// explicitly (kill-safe via the page cache, not power-safe).
-	// Ignored when WALGroupCommitInterval is set.
-	WALSyncEvery int
-	// WALGroupCommitInterval, when positive, switches WAL durability to
-	// cross-tenant group commit: appends from every tenant buffer in
-	// memory and a single committer goroutine flushes + fsyncs each
-	// dirty log once per interval; Enqueue acknowledges only after the
-	// flush covering its batch. Acked batches are then power-safe (not
-	// just kill-safe), and the fsync cost is shared across all batches
-	// of an interval instead of paid per Enqueue.
-	WALGroupCommitInterval time.Duration
-	// SnapshotEvery is the WAL snapshot cadence in quanta (default 256).
-	// Smaller = faster recovery, more snapshot IO.
-	SnapshotEvery int
-
-	// FS is the filesystem both storage layers (WAL, archive) go
-	// through. Nil selects the real OS filesystem;
-	// tests inject a vfs.FaultFS here to exercise EIO/ENOSPC/torn-write
-	// paths without privileged mounts.
-	FS vfs.FS
-	// StorageRetries bounds the inline retry turns Enqueue spends on a
-	// transient device IO error before degrading the tenant: each turn
-	// backs off, repairs the WAL in place, and re-appends. Zero selects
-	// 3; negative disables inline retries (first error degrades).
-	StorageRetries int
-	// StorageRetryBackoff is the first retry's backoff (doubling each
-	// turn, capped at 32×). Zero selects 5ms.
-	StorageRetryBackoff time.Duration
-	// DegradedProbeInterval is the degradation supervisor's probe
-	// cadence: how often it tries to reopen fail-stopped WALs and write-
-	// probe degraded tenants' devices. It doubles as the Retry-After
-	// hint on degraded-shed responses. Zero selects 1s.
-	DegradedProbeInterval time.Duration
-
-	// ArchiveDir, when non-empty, routes events evicted by the
-	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
-	// columnar segments with data-skipping sidecars) instead of
-	// discarding them, queryable via Tenant.Query and GET /v1/{t}/query.
-	// The archive's buffer is sealed to disk before every WAL snapshot,
-	// so a crash loses no eviction the WAL tail cannot regenerate; that
-	// needs the eviction ordinal to survive restarts, i.e. WALDir.
-	ArchiveDir string
-	// ArchiveSegmentEvents seals archive segments by record count
-	// (default 512); ArchiveBucketQuanta by time span (default 1024).
-	ArchiveSegmentEvents int
-	ArchiveBucketQuanta  int
-	// ArchiveBlockEvents sizes the record blocks inside archive segments
-	// (default 256) — the unit of zone-map skipping and of decode work.
-	// ArchiveBloomBitsPerKey sizes each sealed segment's keyword Bloom
-	// filter proportionally to its record count (zero keeps the legacy
-	// fixed 8192-bit filter).
-	ArchiveBlockEvents     int
-	ArchiveBloomBitsPerKey int
-	// ArchiveCompactInterval, when positive, runs a background
-	// compactor: every interval it performs at most one compaction step
-	// per tenant — merging a run of small adjacent sealed segments, which
-	// per-snapshot sealing keeps producing. Zero disables it (the
-	// archive stays readable, in more and smaller segments).
-	ArchiveCompactInterval time.Duration
-
-	// RateLimit, when positive, caps each tenant's sustained ingest rate
-	// in messages per second via a per-tenant token bucket. A batch that
-	// exceeds the bucket is shed with a ShedError (HTTP 429 +
-	// Retry-After) before the WAL or the queue ever see it. Zero
-	// disables rate limiting.
-	RateLimit float64
-	// RateBurst is the token-bucket capacity in messages (how far a
-	// tenant may briefly exceed RateLimit). Zero selects one second of
-	// sustained rate.
-	RateBurst int
-	// AdmissionFrac, when in (0, 1], sheds ingest once a tenant's
-	// backlog reaches this fraction of its hard queue bounds (QueueDepth
-	// batches or QueueMessages messages) — load is turned away with a
-	// retryable ShedError while the queue still has headroom, instead of
-	// slamming into ErrQueueFull at the wall. Zero disables the gate.
-	AdmissionFrac float64
-
-	// ObsDisabled turns the telemetry layer off entirely: no stage
-	// histograms, no slow-request ring, /metrics?format=prometheus
-	// serves counters only. The default (false) enables it — the hot
-	// path cost is two time.Time reads and a handful of atomic adds per
-	// batch, and the memory cost ~41 KiB of histogram shards per tenant.
-	ObsDisabled bool
-	// TraceRingSize bounds the per-tenant slow-request trace ring (the N
-	// slowest traced requests retained for GET /debug/requests). Zero
-	// selects 64; negative disables request tracing while keeping the
-	// stage histograms.
-	TraceRingSize int
-	// SlowRequestThreshold, when positive, only offers traces at least
-	// this slow to the ring. Zero offers every traced request (the ring
-	// keeps the slowest anyway).
-	SlowRequestThreshold time.Duration
-
-	// Workers sizes the shared scheduler's worker pool — the fixed set
-	// of goroutines that apply every tenant's ingest batches, replacing
-	// the old goroutine-per-tenant design. Zero selects GOMAXPROCS.
-	Workers int
-	// SnapshotRankHistory caps the rank-history entries each published
-	// epoch snapshot exposes (newest kept); zero exposes the full
-	// history. Snapshots alias the detector's history instead of copying
-	// it, so this bounds response size only.
-	SnapshotRankHistory int
-}
-
-func (c PoolConfig) withDefaults() PoolConfig {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.QueueMessages <= 0 {
-		c.QueueMessages = 100000
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 1024
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 256
-	}
-	c.FS = vfs.Default(c.FS)
-	switch {
-	case c.StorageRetries == 0:
-		c.StorageRetries = 3
-	case c.StorageRetries < 0:
-		c.StorageRetries = 0
-	}
-	if c.StorageRetryBackoff <= 0 {
-		c.StorageRetryBackoff = 5 * time.Millisecond
-	}
-	if c.DegradedProbeInterval <= 0 {
-		c.DegradedProbeInterval = time.Second
-	}
-	return c
-}
+// storageRetries bounds the inline retry turns Enqueue spends on a
+// transient device IO error before degrading the tenant: each turn
+// backs off, repairs the WAL in place, and re-appends.
+const storageRetries = 3
 
 // TenantStats is the monitoring snapshot of one tenant.
 type TenantStats struct {
@@ -294,7 +134,7 @@ type walBatch struct {
 	msgs  []stream.Message
 	flush bool
 	// enq is when the batch entered the queue, for the queue-wait
-	// histogram; the zero value means telemetry is off.
+	// histogram.
 	enq time.Time
 }
 
@@ -367,25 +207,20 @@ func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
 // against queries.
 type Tenant struct {
 	name   string
+	cfg    PoolConfig // the pool's resolved configuration
 	broker *broker
 	sched  *scheduler
 
 	// obs is the tenant's telemetry handle: stage histograms plus the
-	// slow-request ring. Nil when telemetry is disabled — every method
-	// is nil-receiver safe, so instrumentation sites just call through.
+	// slow-request ring.
 	obs *obs.TenantObs
 
 	// qmu guards the pending-batch queue, the closed flag, and WAL
 	// appends (so WAL record order is queue order). It is never held
 	// while a batch is applying, and is always acquired before the
-	// scheduler's lock, never after. One deliberate exception to
-	// "pointer work only": with WALSyncEvery ≥ 1 an Enqueue holds qmu
-	// across its fsync, which can briefly delay this tenant's pop (and
-	// the one scheduler worker turn that wanted it) — the price of
-	// keeping the append-order/queue-order identity that replay needs.
-	// Group commit removes that exception: the append under qmu is a
-	// memory copy, and the durability wait (Log.Commit) happens after
-	// qmu is released.
+	// scheduler's lock, never after. The WAL append under it is one
+	// write (or, under group commit, a memory copy) and never an fsync:
+	// the durability wait (Log.Commit) happens after qmu is released.
 	qmu      sync.Mutex
 	pending  []walBatch // FIFO; pendHead is the ring start
 	pendHead int
@@ -395,14 +230,13 @@ type Tenant struct {
 	// Commit has to observe the fail-stop, or a fresh record reusing
 	// the seq could commit it spuriously.
 	inflightSeq uint64
-	maxDepth    int  // accepted-but-unapplied batch bound
 	scheduled   bool // t is in the scheduler's runnable queue or mid-apply
 	closed      bool
 	drainDone   bool
 	drained     chan struct{} // closed when closed and fully drained
-	// runnableAt is when the tenant entered the scheduler's runnable
-	// queue (zero once a worker picked it up, or when telemetry is off);
-	// the delta feeds the sched-wait histogram.
+	// runnableAt is when the tenant last entered the scheduler's
+	// runnable queue; the delta to its worker turn feeds the sched-wait
+	// histogram.
 	runnableAt time.Time
 
 	// accepted counts batches admitted to the queue, applied counts
@@ -425,28 +259,19 @@ type Tenant struct {
 	decodeFast     atomic.Uint64
 	decodeFallback atomic.Uint64
 
-	retain int // finished-event retention cap (0 = unlimited)
-
 	// Durability. lastApplied is the WAL seq of the last fully applied
-	// batch — the only safe snapshot position. snapEvery is the snapshot
-	// cadence in quanta; lastSnapQuantum tracks the quantum of the
-	// newest snapshot for cadence and the snapshot-age metric (written
-	// only by the apply step, read by /metrics).
+	// batch — the only safe snapshot position; lastSnapQuantum tracks the
+	// quantum of the newest snapshot for cadence and the snapshot-age
+	// metric (written only by the apply step, read by /metrics).
 	storage         *tenantStorage
 	lastApplied     atomic.Uint64
-	snapEvery       int
 	lastSnapQuantum atomic.Int64
 
 	// Storage-degradation state (see supervisor.go): health carries the
-	// read-only degraded flag plus recovery counters; retryMax and
-	// retryBackoff bound the inline retry loop on transient IO errors;
-	// probeEvery is the supervisor cadence (the Retry-After hint on
-	// degraded sheds); kick nudges the pool supervisor to probe now.
-	health       tenantHealth
-	retryMax     int
-	retryBackoff time.Duration
-	probeEvery   time.Duration
-	kick         func()
+	// read-only degraded flag plus recovery counters; kick nudges the
+	// pool supervisor to probe now.
+	health tenantHealth
+	kick   func()
 
 	// Wait-free read state. snap is the latest epoch snapshot; lastEvent
 	// the newest SSE payload (for catch-up); msgs mirrors det.Processed()
@@ -464,43 +289,31 @@ type Tenant struct {
 func newTenant(name string, det *detect.Detector, cfg PoolConfig, st *tenantStorage, sched *scheduler, tob *obs.TenantObs, kick func()) *Tenant {
 	t := &Tenant{
 		name:          name,
+		cfg:           cfg,
 		broker:        newBroker(),
 		sched:         sched,
-		maxDepth:      cfg.QueueDepth,
 		drained:       make(chan struct{}),
 		det:           det,
 		maxQueuedMsgs: int64(cfg.QueueMessages),
-		retain:        cfg.RetainEvents,
 		storage:       st,
-		snapEvery:     cfg.SnapshotEvery,
 		admit:         newAdmission(cfg, nil),
 		obs:           tob,
-		retryMax:      cfg.StorageRetries,
-		retryBackoff:  cfg.StorageRetryBackoff,
-		probeEvery:    cfg.DegradedProbeInterval,
 		kick:          kick,
 	}
 	st.attachEvict(det, func(err error) { t.storageWriteFailed(st.archErrs, err) })
-	det.SetSnapshotRankHistory(cfg.SnapshotRankHistory)
 	det.SetOnQuantum(func(res *detect.QuantumResult) {
 		t.elapsed.Add(int64(res.Elapsed))
-		o := t.obs
-		if o != nil {
-			// The quantum's wall time plus its sub-phases: tokenization
-			// (which may have run on a pipeline worker), graph
-			// maintenance, and event reconciliation.
-			o.Observe(obs.StageDetectQuantum, res.PrepElapsed+res.Elapsed)
-			o.Observe(obs.StageTokenize, res.PrepElapsed)
-			o.Observe(obs.StageGraphMaintain, res.GraphElapsed)
-			o.Observe(obs.StageReconcile, res.ReconcileElapsed)
-		}
+		// The quantum's wall time plus its sub-phases: tokenization
+		// (which may have run on a pipeline worker), graph maintenance,
+		// and event reconciliation.
+		tob.Observe(obs.StageDetectQuantum, res.PrepElapsed+res.Elapsed)
+		tob.Observe(obs.StageTokenize, res.PrepElapsed)
+		tob.Observe(obs.StageGraphMaintain, res.GraphElapsed)
+		tob.Observe(obs.StageReconcile, res.ReconcileElapsed)
 		// Publish the epoch snapshot before announcing the quantum over
 		// SSE: a subscriber that reacts to the notification with a query
 		// must observe at least this quantum.
-		var t0 time.Time
-		if o != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		t.snap.Store(det.Snapshot(res))
 		ev := &StreamEvent{
 			Tenant:   name,
@@ -513,15 +326,10 @@ func newTenant(name string, det *detect.Detector, cfg PoolConfig, st *tenantStor
 			AKGEdges: res.AKGEdges,
 		}
 		t.lastEvent.Store(ev)
-		var t1 time.Time
-		if o != nil {
-			t1 = time.Now()
-			o.Observe(obs.StageSnapshotPublish, t1.Sub(t0))
-		}
+		t1 := time.Now()
+		tob.Observe(obs.StageSnapshotPublish, t1.Sub(t0))
 		t.broker.publish(ev)
-		if o != nil {
-			o.Observe(obs.StageSSEFanout, time.Since(t1))
-		}
+		tob.Observe(obs.StageSSEFanout, time.Since(t1))
 	})
 	t.msgs.Store(det.Processed())
 	// Queries may arrive before the first quantum (or right after a
@@ -545,9 +353,7 @@ func (t *Tenant) pushLocked(b walBatch) {
 	t.pending = append(t.pending, b)
 	if !t.scheduled {
 		t.scheduled = true
-		if t.obs != nil {
-			t.runnableAt = time.Now()
-		}
+		t.runnableAt = time.Now()
 		t.sched.submit(t)
 	}
 }
@@ -596,10 +402,8 @@ func (t *Tenant) archLog() *archive.Log {
 // the round-robin fairness unit.
 func (t *Tenant) runOne() {
 	t.qmu.Lock()
-	if !t.runnableAt.IsZero() {
-		t.obs.Observe(obs.StageSchedWait, time.Since(t.runnableAt))
-		t.runnableAt = time.Time{}
-	}
+	// Every path here went through a submit, which stamped runnableAt.
+	t.obs.Observe(obs.StageSchedWait, time.Since(t.runnableAt))
 	if t.queueLenLocked() == 0 {
 		t.scheduled = false
 		t.finishDrainLocked()
@@ -615,9 +419,7 @@ func (t *Tenant) runOne() {
 	t.qmu.Lock()
 	t.inflightSeq = 0
 	if t.queueLenLocked() > 0 {
-		if t.obs != nil {
-			t.runnableAt = time.Now()
-		}
+		t.runnableAt = time.Now()
 		t.sched.submit(t) // back of the line: other tenants go first
 	} else {
 		t.scheduled = false
@@ -626,17 +428,68 @@ func (t *Tenant) runOne() {
 	t.qmu.Unlock()
 }
 
-// apply ingests one batch (or flush marker) into the detector. The apply
-// lock is taken per message, not per batch, so nothing waits behind a
-// large batch; queries don't take it at all — they read the
-// epoch snapshot the quantum hook publishes.
-func (t *Tenant) apply(batch walBatch) {
-	if !batch.enq.IsZero() {
-		// Queue wait: accepted (pushed) to picked up by a worker,
-		// measured before the group-commit wait below — durability time
-		// has its own histograms.
-		t.obs.Observe(obs.StageQueueWait, time.Since(batch.enq))
+// applyRecord performs the detector mutation one WAL record stands for:
+// a flush marker forces the buffered partial quantum through; a batch is
+// ingested message by message and the finished history then trimmed to
+// retain (0 = keep everything). This is the only definition of that
+// mutation — the live worker (Tenant.apply) and WAL replay
+// (recoverTenant) both call it, so what recovery rebuilds cannot drift
+// from what was served. mu is taken per message, not per batch, so
+// nothing waits behind a large batch. The hooks run under mu: each after
+// every ingested message, trimmed after a trim that evicted events;
+// replay passes nil for both.
+func applyRecord(det *detect.Detector, mu *sync.Mutex, retain int, msgs []stream.Message, flush bool, each, trimmed func()) {
+	if flush {
+		mu.Lock()
+		det.Flush()
+		mu.Unlock()
+		return
 	}
+	for _, m := range msgs {
+		mu.Lock()
+		det.IngestAll(m)
+		if each != nil {
+			each()
+		}
+		mu.Unlock()
+	}
+	if retain > 0 {
+		mu.Lock()
+		if det.TrimFinished(retain) > 0 && trimmed != nil {
+			trimmed()
+		}
+		mu.Unlock()
+	}
+}
+
+// messageApplied is applyRecord's per-message hook on the live path;
+// the apply lock is held.
+func (t *Tenant) messageApplied() {
+	t.msgs.Store(t.det.Processed())
+	t.since.Add(1)
+}
+
+// republishTrimmed is applyRecord's post-trim hook on the live path
+// (apply lock held): trimming changed the retained history, so
+// republish for reads to observe it before the next quantum boundary.
+// The quantum has not advanced, so carry the previous epoch's lifecycle
+// deltas forward instead of wiping them.
+func (t *Tenant) republishTrimmed() {
+	next := t.det.Snapshot(nil)
+	if prev := t.snap.Load(); prev != nil && prev.Quantum == next.Quantum {
+		next.Born, next.Ended, next.Merged = prev.Born, prev.Ended, prev.Merged
+	}
+	t.snap.Store(next)
+}
+
+// apply ingests one batch (or flush marker) into the detector. Queries
+// don't take the apply lock at all — they read the epoch snapshot the
+// quantum hook publishes.
+func (t *Tenant) apply(batch walBatch) {
+	// Queue wait: accepted (pushed) to picked up by a worker, measured
+	// before the group-commit wait below — durability time has its own
+	// histograms.
+	t.obs.Observe(obs.StageQueueWait, time.Since(batch.enq))
 	if batch.seq > 0 {
 		// Never apply a batch before its WAL record is durable. The
 		// synchronous append path guarantees this by construction; under
@@ -654,33 +507,7 @@ func (t *Tenant) apply(batch walBatch) {
 			return
 		}
 	}
-	if batch.flush {
-		t.mu.Lock()
-		t.det.Flush()
-		t.mu.Unlock()
-	}
-	for _, m := range batch.msgs {
-		t.mu.Lock()
-		t.det.IngestAll(m)
-		t.msgs.Store(t.det.Processed())
-		t.mu.Unlock()
-		t.since.Add(1)
-	}
-	if !batch.flush && t.retain > 0 {
-		t.mu.Lock()
-		if t.det.TrimFinished(t.retain) > 0 {
-			// Trimming changed the retained history; republish so reads
-			// observe it before the next quantum boundary. The quantum
-			// has not advanced, so carry the previous epoch's lifecycle
-			// deltas forward instead of wiping them.
-			next := t.det.Snapshot(nil)
-			if prev := t.snap.Load(); prev != nil && prev.Quantum == next.Quantum {
-				next.Born, next.Ended, next.Merged = prev.Born, prev.Ended, prev.Merged
-			}
-			t.snap.Store(next)
-		}
-		t.mu.Unlock()
-	}
+	applyRecord(t.det, &t.mu, t.cfg.RetainEvents, batch.msgs, batch.flush, t.messageApplied, t.republishTrimmed)
 	if batch.seq > 0 {
 		t.lastApplied.Store(batch.seq)
 	}
@@ -699,12 +526,12 @@ func (t *Tenant) apply(batch walBatch) {
 // WAL appends from Enqueue) proceed during the write; only this
 // tenant's batch application waits.
 func (t *Tenant) maybeSnapshot() {
-	if t.walLog() == nil || t.snapEvery <= 0 {
+	if t.walLog() == nil {
 		return
 	}
 	t.mu.Lock()
 	q := t.det.AKG().Quantum()
-	if q-int(t.lastSnapQuantum.Load()) < t.snapEvery {
+	if q-int(t.lastSnapQuantum.Load()) < t.cfg.SnapshotEvery {
 		t.mu.Unlock()
 		return
 	}
@@ -774,11 +601,7 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	o := t.obs
-	var t0 time.Time
-	if o != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	t.qmu.Lock()
 	if t.closed {
 		t.qmu.Unlock()
@@ -802,7 +625,7 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 	// rate); the token bucket caps the tenant's sustained message rate
 	// and is checked last so a batch the queue would reject anyway never
 	// burns tokens.
-	if se := t.admit.checkQueueLocked(len(msgs), t.queueLenLocked(), t.maxDepth,
+	if se := t.admit.checkQueueLocked(len(msgs), t.queueLenLocked(), t.cfg.QueueDepth,
 		t.queuedMsgs.Load(), t.maxQueuedMsgs); se != nil {
 		se.RetryAfter = t.drainEstimate()
 		t.shedQueue.Add(1)
@@ -818,7 +641,7 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 	// but then rejected would reappear at recovery as data the client
 	// was told to retry. Only a scheduler worker pops, and only under
 	// qmu, so a free slot observed here stays free until our push.
-	if t.queueLenLocked() >= t.maxDepth {
+	if t.queueLenLocked() >= t.cfg.QueueDepth {
 		t.qmu.Unlock()
 		return ErrQueueFull
 	}
@@ -828,11 +651,8 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 		t.qmu.Unlock()
 		return se
 	}
-	var t1 time.Time
-	if o != nil {
-		t1 = time.Now()
-		o.Observe(obs.StageAdmission, t1.Sub(t0))
-	}
+	t1 := time.Now()
+	t.obs.Observe(obs.StageAdmission, t1.Sub(t0))
 	var seq uint64
 	wl := t.walLog()
 	if wl != nil {
@@ -844,11 +664,9 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 			t.qmu.Unlock()
 			return t.failStorage(err)
 		}
-		if o != nil {
-			now := time.Now()
-			o.Observe(obs.StageWALAppend, now.Sub(t1))
-			t1 = now
-		}
+		now := time.Now()
+		t.obs.Observe(obs.StageWALAppend, now.Sub(t1))
+		t1 = now
 	}
 	t.pushLocked(walBatch{seq: seq, msgs: msgs, enq: t1})
 	t.queuedMsgs.Add(int64(len(msgs)))
@@ -865,9 +683,7 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 			// instead of fail-stopping again.
 			return t.failStorage(err)
 		}
-		if o != nil {
-			o.Observe(obs.StageWALCommit, time.Since(t1))
-		}
+		t.obs.Observe(obs.StageWALCommit, time.Since(t1))
 	}
 	return nil
 }
@@ -878,13 +694,13 @@ func (t *Tenant) Enqueue(msgs []stream.Message) error {
 // rolled back cleanly), and re-append. A controller hiccup or a
 // transient path error thus recovers without shedding a single request.
 // Runs under qmu — the sleeps briefly hold up this tenant's producers,
-// never another tenant's; with the default budget (3 turns from 5ms)
-// the worst case is ~35ms. Only ClassIO errors are retried: ENOSPC
+// never another tenant's; with the default backoff (storageRetries
+// turns from 5ms) the worst case is ~35ms. Only ClassIO errors are retried: ENOSPC
 // cannot succeed until space frees, and logic errors never will.
 func (t *Tenant) retryAppend(wl *wal.Log, msgs []stream.Message, err error) (uint64, error) {
-	backoff := t.retryBackoff
-	maxBackoff := 32 * t.retryBackoff
-	for turn := 0; turn < t.retryMax; turn++ {
+	backoff := t.cfg.StorageRetryBackoff
+	maxBackoff := 32 * t.cfg.StorageRetryBackoff
+	for turn := 0; turn < storageRetries; turn++ {
 		if vfs.Classify(err) != vfs.ClassIO {
 			return 0, err
 		}
@@ -947,7 +763,7 @@ func (t *Tenant) drainEstimate() time.Duration {
 func (t *Tenant) ShedCheck() *ShedError {
 	t.qmu.Lock()
 	defer t.qmu.Unlock()
-	se := t.admit.checkQueueLocked(0, t.queueLenLocked(), t.maxDepth,
+	se := t.admit.checkQueueLocked(0, t.queueLenLocked(), t.cfg.QueueDepth,
 		t.queuedMsgs.Load(), t.maxQueuedMsgs)
 	if se != nil {
 		se.RetryAfter = t.drainEstimate()
@@ -967,20 +783,14 @@ func (t *Tenant) Query(req query.Request) (query.Result, error) {
 	if l := t.archLog(); l != nil {
 		arch = l
 	}
-	o := t.obs
-	req.Obs = o
-	var t0 time.Time
-	if o != nil {
-		t0 = time.Now()
-	}
+	req.Obs = t.obs
+	t0 := time.Now()
 	res, err := query.Run(t.snap.Load(), arch, req)
-	if o != nil {
-		o.Observe(obs.StageQueryExec, time.Since(t0))
-	}
+	t.obs.Observe(obs.StageQueryExec, time.Since(t0))
 	return res, err
 }
 
-// Obs returns the tenant's telemetry handle (nil when disabled).
+// Obs returns the tenant's telemetry handle.
 func (t *Tenant) Obs() *obs.TenantObs { return t.obs }
 
 // Flush forces processing of the tenant's buffered partial quantum (end
@@ -1004,7 +814,7 @@ func (t *Tenant) Flush(ctx context.Context) error {
 			t.qmu.Unlock()
 			return derr
 		}
-		if t.queueLenLocked() < t.maxDepth {
+		if t.queueLenLocked() < t.cfg.QueueDepth {
 			var seq uint64
 			wl := t.walLog()
 			if wl != nil {
@@ -1015,7 +825,7 @@ func (t *Tenant) Flush(ctx context.Context) error {
 				}
 				seq = s
 			}
-			t.pushLocked(walBatch{seq: seq, flush: true})
+			t.pushLocked(walBatch{seq: seq, flush: true, enq: time.Now()})
 			t.accepted.Add(1)
 			target = t.accepted.Load()
 			t.qmu.Unlock()
@@ -1098,7 +908,7 @@ func (t *Tenant) Stats() TenantStats {
 		AKGEdges:       snap.AKGEdges,
 		QueueDepth:     t.queueLen(),
 		QueuedMessages: t.queuedMsgs.Load(),
-		QueueCap:       t.maxDepth,
+		QueueCap:       t.cfg.QueueDepth,
 		Quanta:         snap.Quantum,
 		ProcessMillis:  float64(t.elapsed.Load()) / float64(time.Millisecond),
 	}
@@ -1131,7 +941,7 @@ type Pool struct {
 	cfg   PoolConfig
 	sched *scheduler          // shared worker pool applying every tenant's batches
 	gc    *wal.GroupCommitter // nil unless WALGroupCommitInterval is set
-	tel   *obs.Telemetry      // nil when ObsDisabled
+	tel   *obs.Telemetry      // per-tenant stage histograms + slow-request rings
 	fs    vfs.FS              // the storage layers' filesystem (never nil)
 
 	mu      sync.RWMutex
@@ -1164,25 +974,23 @@ type Pool struct {
 	superviseOff  sync.Once
 }
 
-// NewPool builds a pool and restores every tenant found under WALDir by
-// WAL recovery (snapshot + tail replay).
+// NewPool validates cfg, builds a pool and restores every tenant found
+// under WALDir by WAL recovery (snapshot + tail replay).
 func NewPool(cfg PoolConfig) (*Pool, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("server: invalid pool configuration:\n%w", err)
+	}
 	cfg = cfg.withDefaults()
 	p := &Pool{
 		cfg:          cfg,
 		sched:        newScheduler(cfg.Workers),
+		tel:          obs.New(),
 		tenants:      make(map[string]*Tenant),
 		creating:     make(map[string]chan struct{}),
 		shutdownDone: make(chan struct{}),
 		fs:           cfg.FS,
 	}
-	if !cfg.ObsDisabled {
-		p.tel = obs.New(obs.Config{
-			TraceRingSize: cfg.TraceRingSize,
-			SlowRequest:   cfg.SlowRequestThreshold,
-		})
-	}
-	if cfg.WALDir != "" && cfg.WALGroupCommitInterval > 0 {
+	if cfg.WALGroupCommitInterval > 0 {
 		p.gc = wal.NewGroupCommitter(cfg.WALGroupCommitInterval)
 	}
 	abandon := func() {
@@ -1288,26 +1096,16 @@ func (p *Pool) stopCompactor() {
 	<-p.compactDone
 }
 
-// tenantObs resolves (creating on first use) the named tenant's
-// telemetry handle; nil when telemetry is disabled.
-func (p *Pool) tenantObs(name string) *obs.TenantObs {
-	return p.tel.Tenant(name)
-}
-
 // openStorage opens (creating as needed) one tenant's WAL and archive
 // handles; disabled subsystems yield nil fields.
 func (p *Pool) openStorage(name string) (*tenantStorage, error) {
 	st := &tenantStorage{archErrs: new(atomic.Uint64), walErrs: new(atomic.Uint64)}
 	if p.cfg.WALDir != "" {
-		var onFlush func(time.Duration)
-		if tob := p.tenantObs(name); tob != nil {
-			onFlush = func(d time.Duration) { tob.Observe(obs.StageWALFsync, d) }
-		}
+		tob := p.tel.Tenant(name)
 		wl, err := wal.Open(filepath.Join(p.cfg.WALDir, name), wal.Options{
 			SegmentBytes: p.cfg.WALSegmentBytes,
-			SyncEvery:    p.cfg.WALSyncEvery,
 			GroupCommit:  p.gc,
-			OnFlush:      onFlush,
+			OnFlush:      func(d time.Duration) { tob.Observe(obs.StageWALFsync, d) },
 			FS:           p.fs,
 		})
 		if err != nil {
@@ -1317,11 +1115,10 @@ func (p *Pool) openStorage(name string) (*tenantStorage, error) {
 	}
 	if p.cfg.ArchiveDir != "" {
 		ar, err := archive.Open(filepath.Join(p.cfg.ArchiveDir, name), archive.Options{
-			SegmentEvents:   p.cfg.ArchiveSegmentEvents,
-			BucketQuanta:    p.cfg.ArchiveBucketQuanta,
-			BlockEvents:     p.cfg.ArchiveBlockEvents,
-			BloomBitsPerKey: p.cfg.ArchiveBloomBitsPerKey,
-			FS:              p.fs,
+			SegmentEvents: p.cfg.ArchiveSegmentEvents,
+			BucketQuanta:  p.cfg.ArchiveBucketQuanta,
+			BlockEvents:   p.cfg.ArchiveBlockEvents,
+			FS:            p.fs,
 		})
 		if err != nil {
 			if st.wal != nil {
@@ -1346,7 +1143,7 @@ func (s *tenantStorage) close() {
 
 // recoverTenant rebuilds one tenant from its WAL directory: load the
 // latest snapshot (or start empty), then replay the segment tail
-// through the detector exactly as the worker would have applied it.
+// through applyRecord, the function the worker applied it with.
 // Determinism makes the result bit-identical to the pre-crash state;
 // the eviction hook is attached before replay so events the archive
 // already holds are deduplicated by ordinal while any it lost with its
@@ -1376,24 +1173,14 @@ func (p *Pool) recoverTenant(name string) (*Tenant, error) {
 	}
 	baseQuantum := det.AKG().Quantum()
 	st.attachEvict(det, func(error) { st.archErrs.Add(1) })
+	var mu sync.Mutex // applyRecord's lock; nothing else can reach det yet
 	if err := st.wal.Replay(snapSeq, func(seq uint64, msgs []stream.Message, flush bool) error {
-		// Mirror the worker exactly: flush markers flush, batches apply
-		// per message then trim.
-		if flush {
-			det.Flush()
-			return nil
-		}
-		for _, m := range msgs {
-			det.IngestAll(m)
-		}
-		if p.cfg.RetainEvents > 0 {
-			det.TrimFinished(p.cfg.RetainEvents)
-		}
+		applyRecord(det, &mu, p.cfg.RetainEvents, msgs, flush, nil, nil)
 		return nil
 	}); err != nil {
 		return fail(err)
 	}
-	t := newTenant(name, det, p.cfg, st, p.sched, p.tenantObs(name), p.kickSupervisor)
+	t := newTenant(name, det, p.cfg, st, p.sched, p.tel.Tenant(name), p.kickSupervisor)
 	t.lastApplied.Store(st.wal.LastSeq())
 	t.lastSnapQuantum.Store(int64(baseQuantum))
 	// If the tail replay crossed a snapshot cadence, snapshot now so a
@@ -1512,7 +1299,7 @@ func (p *Pool) buildTenant(name string) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTenant(name, detect.New(p.cfg.Detector), p.cfg, st, p.sched, p.tenantObs(name), p.kickSupervisor), nil
+	return newTenant(name, detect.New(p.cfg.Detector), p.cfg, st, p.sched, p.tel.Tenant(name), p.kickSupervisor), nil
 }
 
 // Names returns the tenant names, sorted.
@@ -1533,13 +1320,7 @@ func sortTenants(tenants []*Tenant) {
 
 // Stats returns every tenant's monitoring snapshot, sorted by name.
 func (p *Pool) Stats() []TenantStats {
-	p.mu.RLock()
-	tenants := make([]*Tenant, 0, len(p.tenants))
-	for _, t := range p.tenants {
-		tenants = append(tenants, t)
-	}
-	p.mu.RUnlock()
-	sortTenants(tenants)
+	tenants := p.tenantsSorted()
 	out := make([]TenantStats, len(tenants))
 	for i, t := range tenants {
 		out[i] = t.Stats()
@@ -1559,12 +1340,10 @@ func (p *Pool) Stats() []TenantStats {
 func (p *Pool) BeginShutdown() []*Tenant {
 	p.mu.Lock()
 	p.closed = true
-	tenants := make([]*Tenant, 0, len(p.tenants))
-	for _, t := range p.tenants {
-		tenants = append(tenants, t)
-	}
 	p.mu.Unlock()
-	sortTenants(tenants)
+	// Once closed is set no tenant is ever published (GetOrCreate
+	// re-checks it under p.mu), so the set read here is final.
+	tenants := p.tenantsSorted()
 	for _, t := range tenants {
 		t.broker.close()
 	}

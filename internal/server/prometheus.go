@@ -174,9 +174,8 @@ func promFloat(v float64) string {
 
 // writePrometheus renders the full exposition: every JSON counter with
 // tenant labels, the pool totals, the per-tenant stage-latency
-// histograms, and Go runtime health. tel may be nil (histograms
-// omitted). The tenant set in pm controls which tenants appear — the
-// ?tenant= filter composes.
+// histograms, and Go runtime health. The tenant set in pm controls
+// which tenants appear — the ?tenant= filter composes.
 func writePrometheus(w http.ResponseWriter, pm PoolMetrics, tel *obs.Telemetry) {
 	w.Header().Set("Content-Type", promContentType)
 	bw := bufio.NewWriterSize(w, 32<<10)
@@ -225,9 +224,6 @@ func writeHelpType(bw *bufio.Writer, name, typ, help string) {
 // forward), which keeps the exposition a few hundred lines instead of
 // 64 × stages × tenants.
 func writeStageHistograms(bw *bufio.Writer, pm PoolMetrics, tel *obs.Telemetry) {
-	if tel == nil {
-		return
-	}
 	const name = "eventdetect_stage_duration_seconds"
 	// Restrict to the tenants in pm, so ?tenant= filtering composes.
 	want := make(map[string]bool, len(pm.Tenants))

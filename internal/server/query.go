@@ -117,18 +117,14 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (query.Request, b
 // With ?debug=1 the response carries the request's own span breakdown
 // (parse / plan / snapshot_scan / archive_scan / finalize) under
 // "debug" — the spans partition the traced wall time exactly.
-func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Pool) {
+func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	debug, ok := boolParam(w, r, "debug")
 	if !ok {
 		return
 	}
-	// Trace when telemetry is on (the ring wants slow requests) or the
-	// caller explicitly asked for the breakdown.
-	var tr *obs.ReqTrace
-	if t.obs != nil || debug {
-		tr = obs.StartTrace("query", t.Name(), r.URL.RequestURI())
-		tr.Step("parse")
-	}
+	// Always traced: the ring wants the slow ones, ?debug=1 this one.
+	tr := obs.StartTrace("query", t.Name(), r.URL.RequestURI())
+	tr.Step("parse")
 	req, ok := parseQueryRequest(w, r)
 	if !ok {
 		return
@@ -136,7 +132,7 @@ func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Po
 	req.Trace = tr
 	res, err := t.Query(req)
 	if err != nil {
-		p.offerTrace(t, tr, obs.StageHTTPQuery)
+		offerTrace(t, tr, obs.StageHTTPQuery)
 		queryError(w, err)
 		return
 	}
@@ -147,7 +143,7 @@ func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant, p *Po
 		"stats":  res.Stats,
 		"cursor": res.Cursor,
 	}
-	if rec := p.offerTrace(t, tr, obs.StageHTTPQuery); debug && rec != nil {
+	if rec := offerTrace(t, tr, obs.StageHTTPQuery); debug {
 		body["debug"] = traceView(rec)
 	}
 	writeJSON(w, http.StatusOK, body)

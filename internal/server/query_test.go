@@ -165,6 +165,8 @@ func TestQueryParamValidation(t *testing.T) {
 		"/v1/t/events?k=abc",
 		"/v1/t/events?k=-1",
 		"/v1/t/events?all=maybe",
+		"/v1/t/events?all=1&k=5",
+		"/v1/t/events?all=1&keyword=quake",
 		"/v1/t/related?min=abc",
 		"/v1/t/related?min=2",
 		"/v1/t/related?min=NaN",

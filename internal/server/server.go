@@ -3,20 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 )
-
-// Config configures a Server.
-type Config struct {
-	// Addr is the listen address (host:port), default ":8080".
-	Addr string
-	// Pool configures the tenant pool behind the API.
-	Pool PoolConfig
-	// ShutdownGrace bounds graceful shutdown (HTTP drain + queue drain +
-	// final snapshots). Default 30s.
-	ShutdownGrace time.Duration
-}
 
 // Server ties the HTTP listener to the detector pool and owns graceful
 // shutdown: stop accepting, drain in-flight requests, drain ingest
@@ -28,14 +18,13 @@ type Server struct {
 	grace time.Duration
 }
 
-// New builds a server (and its pool, recovering any tenants on disk).
+// New validates cfg, then builds a server (and its pool, recovering any
+// tenants on disk).
 func New(cfg Config) (*Server, error) {
-	if cfg.Addr == "" {
-		cfg.Addr = ":8080"
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("server: invalid configuration:\n%w", err)
 	}
-	if cfg.ShutdownGrace <= 0 {
-		cfg.ShutdownGrace = 30 * time.Second
-	}
+	cfg = cfg.WithDefaults()
 	pool, err := NewPool(cfg.Pool)
 	if err != nil {
 		return nil, err

@@ -80,7 +80,7 @@ func (t *Tenant) DegradedCheck() *DegradedError {
 	if !down {
 		return nil
 	}
-	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.probeEvery}
+	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.DegradedProbeInterval}
 }
 
 // enterDegraded flips the tenant read-only (idempotent — the first
@@ -88,7 +88,7 @@ func (t *Tenant) DegradedCheck() *DegradedError {
 // triggering request with.
 func (t *Tenant) enterDegraded(reason string) *DegradedError {
 	t.health.degraded.set(reason)
-	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.probeEvery}
+	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.DegradedProbeInterval}
 }
 
 // storageFailed classifies a storage error that escaped the inline

@@ -15,32 +15,51 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestReopenAfterTornWrite: a torn synchronous append fail-stops the
-// log; Reopen truncates back to the acked prefix and appends resume.
-// Replay after a real close/reopen must equal exactly the acked
-// records — the torn bytes and the failed record must be gone.
-func TestReopenAfterTornWrite(t *testing.T) {
-	dir := t.TempDir()
-	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
+// openFsynced opens a log at the fsynced-before-ack durability level:
+// every acked record went through a group flush's write + fsync.
+func openFsynced(t *testing.T, dir string, ff *vfs.FaultFS) *Log {
+	t.Helper()
+	gc := NewGroupCommitter(200 * time.Microsecond)
+	t.Cleanup(gc.Stop)
+	l, err := Open(dir, Options{GroupCommit: gc, FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+// appendAcked is one acknowledged write: Append, then wait for the
+// group flush covering it. An error means the batch was never acked.
+func appendAcked(l *Log, msgs []stream.Message) (uint64, error) {
+	seq, err := l.Append(msgs)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.Commit(seq)
+}
+
+// TestReopenAfterTornWrite: a torn flush fail-stops the log; Reopen
+// truncates back to the acked prefix and appends resume. Replay after
+// a real close/reopen must equal exactly the acked records — the torn
+// bytes and the failed record must be gone.
+func TestReopenAfterTornWrite(t *testing.T) {
+	dir := t.TempDir()
+	ff := vfs.NewFaultFS(nil)
+	l := openFsynced(t, dir, ff)
 	want := map[uint64][]stream.Message{}
 	for i := 1; i <= 3; i++ {
-		seq, err := l.Append(batch(i, 2))
+		seq, err := appendAcked(l, batch(i, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[seq] = batch(i, 2)
 	}
 
-	// Tear the next write 5 bytes in, then break the rollback truncate
-	// too so the log actually fail-stops (a successful rollback keeps a
-	// synchronous log healthy).
+	// Tear the next write 5 bytes in, and break the rollback truncate
+	// too, so the torn bytes are still in the segment when Reopen runs.
 	wr := ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", TornBytes: 5, Count: 1})
 	tr := ff.Inject(vfs.Rule{Op: vfs.OpTruncate, Path: ".wal", Count: 1})
-	if _, err := l.Append(batch(4, 2)); err == nil {
+	if _, err := appendAcked(l, batch(4, 2)); err == nil {
 		t.Fatal("append through torn write should fail")
 	}
 	ff.ClearRule(wr)
@@ -62,7 +81,7 @@ func TestReopenAfterTornWrite(t *testing.T) {
 		t.Fatalf("CommittedSeq after reopen = %d, want 3", got)
 	}
 	for i := 4; i <= 6; i++ {
-		seq, err := l.Append(batch(i, 2))
+		seq, err := appendAcked(l, batch(i, 2))
 		if err != nil {
 			t.Fatalf("append %d after reopen: %v", i, err)
 		}
@@ -154,13 +173,10 @@ func TestReopenAfterGroupFsyncFailure(t *testing.T) {
 func TestReopenENOSPCFirstWrite(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openFsynced(t, dir, ff)
 	wr := ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", Err: syscall.ENOSPC, Count: 1})
 	tr := ff.Inject(vfs.Rule{Op: vfs.OpTruncate, Path: ".wal", Err: syscall.ENOSPC, Count: 1})
-	if _, err := l.Append(batch(1, 2)); !errors.Is(err, syscall.ENOSPC) {
+	if _, err := appendAcked(l, batch(1, 2)); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append = %v, want ENOSPC", err)
 	}
 	ff.ClearRule(wr)
@@ -171,7 +187,7 @@ func TestReopenENOSPCFirstWrite(t *testing.T) {
 	if err := l.Reopen(); err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	seq, err := l.Append(batch(1, 2))
+	seq, err := appendAcked(l, batch(1, 2))
 	if err != nil || seq != 1 {
 		t.Fatalf("append after reopen = (%d, %v), want (1, nil)", seq, err)
 	}
@@ -195,18 +211,15 @@ func TestReopenENOSPCFirstWrite(t *testing.T) {
 func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
-	if err != nil {
+	l := openFsynced(t, dir, ff)
+	if _, err := appendAcked(l, batch(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(batch(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Persistent EIO on every wal write and truncate: the append fails,
-	// the rollback fails (fail-stop), and Reopen's own truncate fails.
+	// Persistent EIO on every wal truncate, one failed write: the flush
+	// fails, its rollback fails, and Reopen's own truncate fails.
 	rule := ff.Inject(vfs.Rule{Op: vfs.OpTruncate, Path: ".wal"})
 	wr := ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", Count: 1})
-	if _, err := l.Append(batch(2, 2)); err == nil {
+	if _, err := appendAcked(l, batch(2, 2)); err == nil {
 		t.Fatal("append should fail")
 	}
 	ff.ClearRule(wr)
@@ -223,11 +236,24 @@ func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 	if err := l.Reopen(); err != nil {
 		t.Fatalf("reopen after disk heals: %v", err)
 	}
-	seq, err := l.Append(batch(2, 2))
+	seq, err := appendAcked(l, batch(2, 2))
 	if err != nil || seq != 2 {
 		t.Fatalf("append after recovery = (%d, %v), want (2, nil)", seq, err)
 	}
-	l.Close()
+	// The batch whose flush failed was never acked; what replays is the
+	// acked pair, once each.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	want := map[uint64][]stream.Message{1: batch(1, 2), 2: batch(2, 2)}
+	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay mismatch:\ngot  %v\nwant %v", got, want)
+	}
 }
 
 // TestSnapshotENOSPCLeavesPreviousIntact: a snapshot write that runs
@@ -237,13 +263,13 @@ func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 func TestSnapshotENOSPCLeavesPreviousIntact(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openFsynced(t, dir, ff)
 	want := map[uint64][]stream.Message{}
 	for i := 1; i <= 3; i++ {
-		seq, _ := l.Append(batch(i, 2))
+		seq, err := appendAcked(l, batch(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want[seq] = batch(i, 2)
 	}
 	state := []byte("detector state after seq 3")
@@ -259,7 +285,10 @@ func TestSnapshotENOSPCLeavesPreviousIntact(t *testing.T) {
 	}
 
 	for i := 4; i <= 5; i++ {
-		seq, _ := l.Append(batch(i, 2))
+		seq, err := appendAcked(l, batch(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want[seq] = batch(i, 2)
 	}
 	rule := ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "snap-tmp", Err: syscall.ENOSPC})
@@ -291,7 +320,7 @@ func TestSnapshotENOSPCLeavesPreviousIntact(t *testing.T) {
 	if l.Failed() != nil {
 		t.Fatalf("log failed after snapshot ENOSPC: %v", l.Failed())
 	}
-	seq, err := l.Append(batch(6, 2))
+	seq, err := appendAcked(l, batch(6, 2))
 	if err != nil || seq != 6 {
 		t.Fatalf("append after failed snapshot = (%d, %v)", seq, err)
 	}

@@ -29,12 +29,8 @@ type GroupCommitter struct {
 }
 
 // NewGroupCommitter starts a committer flushing dirty logs every
-// interval (≤ 0 selects 2ms). Stop it when the logs it serves are
-// closed.
+// interval. Stop it when the logs it serves are closed.
 func NewGroupCommitter(interval time.Duration) *GroupCommitter {
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
 	g := &GroupCommitter{
 		interval: interval,
 		wake:     make(chan struct{}, 1),

@@ -63,19 +63,15 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes (checked after each append). Zero selects 4 MiB.
 	SegmentBytes int64
-	// SyncEvery fsyncs the active segment after every N appends; 0 never
-	// fsyncs explicitly (the OS page cache still survives kill -9; only
-	// power loss can lose the unsynced tail). 1 is fully synchronous.
-	// Ignored when GroupCommit is set (every group flush fsyncs).
-	SyncEvery int
-	// GroupCommit, when non-nil, switches the log to group-committed
-	// appends: Append buffers the framed record in memory and returns
-	// immediately; the shared committer goroutine flushes every dirty
-	// log's buffer with one write and one fsync per interval, and
+	// GroupCommit selects the durability level. Nil: Append writes the
+	// record to the active segment and never fsyncs it — the OS page
+	// cache survives kill -9, only power loss can lose the unsynced
+	// tail. Non-nil: Append buffers the framed record in memory and
+	// returns immediately; the shared committer goroutine flushes every
+	// dirty log's buffer with one write and one fsync per interval, and
 	// Commit(seq) blocks until the record is durable. Callers that ack
-	// after Commit keep the exact durability contract of synchronous
-	// appends while all concurrent appenders — across every tenant
-	// sharing the committer — split the fsync cost.
+	// after Commit get power-safe acks while all concurrent appenders —
+	// across every tenant sharing the committer — split the fsync cost.
 	GroupCommit *GroupCommitter
 	// OnFlush, when non-nil, is called with the wall time of each
 	// successful write+fsync of pending group-commit records, from the
@@ -113,7 +109,6 @@ type Log struct {
 	snapSeq  uint64   // seq of the latest snapshot
 	hasSnap  bool     // a snapshot exists (snapSeq 0 is a valid position)
 	failed   error    // set when the active segment may hold garbage
-	unsynced int      // appends since the last fsync
 	segCount int      // on-disk segment files (avoids ReadDir per metric read)
 
 	// encBuf is the pooled record-encoding buffer: one frame (header +
@@ -208,10 +203,10 @@ func Open(dir string, opt Options) (*Log, error) {
 
 // Append frames and writes one ingest batch, returning its sequence
 // number (1-based, monotonic). In synchronous mode (no group
-// committer) the record is on disk (page cache at least; fsynced per
-// Options.SyncEvery) before Append returns, so a batch acknowledged to
-// a client is never lost to a process kill. Under group commit the
-// record is only buffered — callers must Commit(seq) before acking.
+// committer) the record is in the page cache before Append returns, so
+// a batch acknowledged to a client is never lost to a process kill.
+// Under group commit the record is only buffered — callers must
+// Commit(seq) before acking.
 func (l *Log) Append(msgs []stream.Message) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -272,20 +267,6 @@ func (l *Log) appendRecordLocked(kind byte, msgs []stream.Message) (uint64, erro
 	}
 	l.seq++
 	l.size += int64(len(buf))
-	l.unsynced++
-	if l.opt.SyncEvery > 0 && l.unsynced >= l.opt.SyncEvery {
-		if err := l.f.Sync(); err != nil {
-			// The record is written but its durability is in doubt, and
-			// the caller will report failure — roll it back so a client
-			// retry cannot leave two copies for replay to double-apply.
-			l.seq--
-			l.size -= int64(len(buf))
-			l.unsynced--
-			l.rollback()
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.unsynced = 0
-	}
 	l.committed = l.seq
 	if l.size >= l.opt.SegmentBytes {
 		// The record is committed; a failed rotation must not fail the
@@ -370,11 +351,10 @@ func (l *Log) flushLocked() error {
 	}
 	if err := l.f.Sync(); err != nil {
 		// The frames are in the file but were never acknowledged (their
-		// Commit waiters get this error). Truncate them away — exactly
-		// like the synchronous path's fsync rollback — or a restart
-		// would replay records whose clients were told to retry,
-		// double-applying on retry. l.size still names the pre-flush
-		// offset here.
+		// Commit waiters get this error). Truncate them away, or a
+		// restart would replay records whose clients were told to
+		// retry, double-applying on retry. l.size still names the
+		// pre-flush offset here.
 		l.rollback()
 		l.fail(fmt.Errorf("wal: group fsync: %w", err))
 		return l.failed
@@ -385,7 +365,6 @@ func (l *Log) flushLocked() error {
 	l.size += int64(len(l.pend))
 	l.pend = l.pend[:0]
 	l.committed = l.seq
-	l.unsynced = 0
 	if l.commitCh != nil {
 		close(l.commitCh)
 		l.commitCh = nil
@@ -442,7 +421,7 @@ func (l *Log) rotate(firstSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: new segment: %w", err)
 	}
-	l.f, l.segStart, l.size, l.unsynced = f, firstSeq, 0, 0
+	l.f, l.segStart, l.size = f, firstSeq, 0
 	l.segCount++
 	return nil
 }
@@ -669,7 +648,7 @@ func (l *Log) Reopen() error {
 			l.segCount--
 		}
 		l.failed = nil
-		l.f, l.segStart, l.size, l.unsynced = nil, 0, 0, 0
+		l.f, l.segStart, l.size = nil, 0, 0
 		return nil
 	}
 	start := segs[len(segs)-1]
@@ -703,7 +682,7 @@ func (l *Log) Reopen() error {
 		if err != nil {
 			return fmt.Errorf("wal: reopen: %w", err)
 		}
-		l.f, l.segStart, l.size, l.unsynced = f, start, 0, 0
+		l.f, l.segStart, l.size = f, start, 0
 		l.failed = nil
 		return nil
 	}
@@ -748,7 +727,7 @@ func (l *Log) SegmentCount() int {
 }
 
 // Sync flushes any group-committed buffer and fsyncs the active
-// segment regardless of SyncEvery.
+// segment.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -758,7 +737,6 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return nil
 	}
-	l.unsynced = 0
 	return l.f.Sync()
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/stream"
+	"repro/internal/vfs"
 )
 
 func batch(seq, n int) []stream.Message {
@@ -309,22 +310,32 @@ func TestSnapshotAtSeqZero(t *testing.T) {
 	}
 }
 
-// TestSyncEvery exercises the fsync cadence path (correctness only; the
-// durability claim cannot be asserted in-process).
-func TestSyncEvery(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SyncEvery: 1})
+// TestAppendWithoutCommitterNeverFsyncs pins the page-cache durability
+// level: with no group committer an append is one write and no fsync,
+// so a device whose every fsync fails still accepts appends. (Kill -9
+// safety of this level is TestCrashRecoveryBitIdentical/sync in
+// internal/server.)
+func TestAppendWithoutCommitterNeverFsyncs(t *testing.T) {
+	ff := vfs.NewFaultFS(nil)
+	l, err := Open(t.TempDir(), Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	ff.Inject(vfs.Rule{Op: vfs.OpSync, Path: ".wal"})
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append(batch(i, 1)); err != nil {
+		seq, err := l.Append(batch(i, 1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := l.Commit(seq); err != nil {
+			t.Fatalf("Commit without a committer = %v, want immediate nil", err)
+		}
 	}
-	if l.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d", l.LastSeq())
+	if n := ff.Injected(); n != 0 {
+		t.Fatalf("%d fsyncs reached the device on the append path", n)
 	}
+	ff.Clear()
 }
 
 // BenchmarkWALAppend measures framed append throughput at a typical
