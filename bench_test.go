@@ -8,13 +8,16 @@
 package repro_test
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro"
 	"repro/internal/akg"
 	"repro/internal/baseline"
+	"repro/internal/ckg"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/dygraph"
@@ -195,6 +198,39 @@ func BenchmarkAKGReduction(b *testing.B) {
 	if ckgEdges > 0 {
 		b.ReportMetric(100*akgEdges/ckgEdges, "akg_edges_pct_of_ckg")
 	}
+}
+
+// BenchmarkAKGWindow times the AKG layer alone — window slide, id-set
+// upkeep, correlation refresh, Min-Hash screen, engine maintenance — one
+// op being a fresh layer fed the whole cached TW trace quantum by quantum.
+func BenchmarkAKGWindow(b *testing.B) {
+	msgs, _ := cachedTrace("tw", benchTraceLen)
+	in := textproc.NewInterner()
+	var quanta [][]ckg.UserKeywords
+	for lo := 0; lo+detect.DefaultDelta <= len(msgs); lo += detect.DefaultDelta {
+		byUser := map[uint64][]dygraph.NodeID{}
+		for _, m := range msgs[lo : lo+detect.DefaultDelta] {
+			for _, w := range textproc.Keywords(m.Text) {
+				byUser[m.User] = append(byUser[m.User], in.Intern(w))
+			}
+		}
+		batch := make([]ckg.UserKeywords, 0, len(byUser))
+		for u, ks := range byUser {
+			slices.Sort(ks)
+			batch = append(batch, ckg.UserKeywords{User: u, Keywords: slices.Compact(ks)})
+		}
+		slices.SortFunc(batch, func(x, y ckg.UserKeywords) int { return cmp.Compare(x.User, y.User) })
+		quanta = append(quanta, batch)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := akg.New(akg.Config{}, core.Hooks{})
+		for _, batch := range quanta {
+			a.ProcessQuantum(batch)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(quanta)*detect.DefaultDelta), "ns/msg")
 }
 
 // ---- Ablations ----

@@ -25,6 +25,7 @@
 package akg
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -102,87 +103,52 @@ type QuantumStats struct {
 	// maintenance (event reconciliation) revisits instead of rescanning
 	// the whole graph.
 	DirtyNodes int
+	// SketchRebuilds counts Min-Hash sketches recomputed because the
+	// keyword's user set changed since its last screening (a cache
+	// statistic: a restored layer starts with every sketch stale).
+	SketchRebuilds int
+	// JaccardBails counts exact-correlation calls answered without a
+	// full merge: rejected on the size ratio alone, or abandoned once β
+	// was out of reach.
+	JaccardBails int
+	// WindowEntries is Σ|users| over all id sets after this quantum —
+	// the (keyword, distinct user) pairs the window holds.
+	WindowEntries int
 }
 
-type idSet struct {
-	counts map[uint64]int // user -> observations inside the window
-	// sorted caches the distinct users ascending. Membership changes —
-	// a user first observed (userAdded) or expired off the window
-	// (userRemoved) — accumulate as deltas, and sortedUsers folds them
-	// in with a linear merge instead of re-sorting the whole set: the
-	// pairwise-Jaccard path needs ordered lists, and rebuilding them
-	// with pdqsort every quantum was the hottest code in the system.
-	// sketchStale gates the keyword's cached Min-Hash sketch (held in
-	// AKG.sketches), which only needs set membership, not order.
-	sorted      []uint64
-	added       []uint64 // joined since sorted was built (unsorted)
-	removed     []uint64 // left since sorted was built (unsorted)
-	sketchStale bool
-}
-
-func (s *idSet) size() int { return len(s.counts) }
-
-// userAdded records that u entered the distinct-user set. sorted == nil
-// means a full rebuild is already pending — no deltas needed.
-func (s *idSet) userAdded(u uint64) {
-	s.sketchStale = true
-	if s.sorted == nil {
-		return
-	}
-	// A user expiring and reappearing within one delta window must
-	// cancel out, or the merge would both exclude and re-include it.
-	// Deltas are small (recent churn), so a linear scan beats an index;
-	// the scanned list is the opposite delta, which is almost always
-	// empty (expiry happens before observation within a quantum).
-	for i, r := range s.removed {
-		if r == u {
-			s.removed[i] = s.removed[len(s.removed)-1]
-			s.removed = s.removed[:len(s.removed)-1]
-			return // still present in sorted
-		}
-	}
-	s.added = append(s.added, u)
-	s.maybeDegrade()
-}
-
-// userRemoved records that u left the distinct-user set.
-func (s *idSet) userRemoved(u uint64) {
-	s.sketchStale = true
-	if s.sorted == nil {
-		return
-	}
-	for i, r := range s.added {
-		if r == u {
-			s.added[i] = s.added[len(s.added)-1]
-			s.added = s.added[:len(s.added)-1]
-			return // never made it into sorted
-		}
-	}
-	s.removed = append(s.removed, u)
-	s.maybeDegrade()
-}
-
-// maybeDegrade abandons delta tracking once the accumulated churn
-// rivals the set size (a keyword nobody Jaccard-compared for many
-// quanta) — at that point one full rebuild is cheaper than carrying
-// and scanning the deltas.
-func (s *idSet) maybeDegrade() {
-	if d := len(s.added) + len(s.removed); d > 64 && d*2 > len(s.counts) {
-		s.sorted = nil
-		s.added = s.added[:0]
-		s.removed = s.removed[:0]
-	}
+// keyword is everything the layer knows about one keyword seen inside
+// the window. The record is resolved once per quantum (one map lookup in
+// the observe loop) and then travels by pointer: the ring entry keeps it
+// next to the keyword's users, so expiry, classification, refresh,
+// screening and eviction never look anything up.
+//
+// A record referenced from the ring is live: its set holds at least the
+// users that ring entry lists, so it cannot be empty — and is therefore
+// still in AKG.kw — while any quantum of the window mentions the keyword.
+type keyword struct {
+	id  dygraph.NodeID
+	set idSet
+	// sketch caches the set's bottom-p Min-Hash sketch (nil until first
+	// screened); stale says the membership changed since it was built.
+	sketch *minhash.Sketch
+	stale  bool
+	// present: currently an AKG node (and a node of the engine's graph).
+	present bool
+	// dirtyAt / refreshedAt are quantum stamps: the record was marked
+	// support-dirty, or had its incident edges refreshed, in that quantum.
+	dirtyAt     int
+	refreshedAt int
 }
 
 // quantumObs is one quantum's observations in columnar form: distinct
 // keywords ascending, each key's distinct users (ascending) in one
-// shared slice addressed by prefix offsets. Three allocations per
-// quantum retained in the ring, where the old keyword→users map cost
-// one per keyword — and the window slide walks it in expiry order for
-// free.
+// shared slice addressed by prefix offsets, and each key's record. The
+// window slide walks it in expiry order for free, and the slices of the
+// expired entry are reused for the incoming one.
 type quantumObs struct {
 	keys  []dygraph.NodeID
-	off   []int32 // len(keys)+1 prefix offsets into users
+	recs  []*keyword // parallel to keys
+	off   []int32    // len(keys)+1 prefix offsets into users
 	users []uint64
 }
 
@@ -195,33 +161,34 @@ type AKG struct {
 	eng     *core.Engine
 	quantum int
 
-	ring    []quantumObs // per live quantum, oldest first
-	idsets  map[dygraph.NodeID]*idSet
-	present map[dygraph.NodeID]bool // keyword currently in AKG
+	ring []quantumObs                // per live quantum, oldest first
+	kw   map[dygraph.NodeID]*keyword // every keyword with a non-empty id set
+	// nodes counts records with present set; entries is Σ|users| over kw.
+	nodes   int
+	entries int
 
-	// dirty is the set of vertices whose windowed support changed this
-	// quantum (new user observed, or a user expired off the window).
-	// Together with the engine's touched-cluster set it tells the
-	// detector which clusters need their rank recomputed.
-	dirty dygraph.DirtySet
+	// dirty lists the vertices whose windowed support changed this
+	// quantum (new user observed, or a user expired off the window), in
+	// mark order; keyword.dirtyAt dedupes. Together with the engine's
+	// touched-cluster set it tells the detector which clusters need
+	// their rank recomputed.
+	dirty []dygraph.NodeID
 
 	// scratch reused across quanta
-	sketches   map[dygraph.NodeID]*minhash.Sketch
-	keyScratch []dygraph.NodeID
-	curScratch []int32
-	set1       []dygraph.NodeID
-	set2       []dygraph.NodeID
-	refresh    []dygraph.NodeID // set2 ++ set1 concatenation for refreshEdges
-	nbrs       []dygraph.NodeID // sorted-neighbor scratch
-	visited    map[dygraph.Edge]struct{}
-	drop       []edgeRef
-	keep       []edgeRef
-	weights    []float64
-	high       map[dygraph.NodeID]bool
+	spare       quantumObs // slices of the last expired ring entry
+	pairScratch []uint64   // group's packed (keyword, batch position) pairs
+	fresh       []uint64   // idSet.observe's new-user list
+	emptied     []*keyword // sets the slide emptied; dropped unless re-observed
+	free        []*keyword // dropped records (empty sets), for reuse
+	set1        []*keyword
+	set2        []*keyword
+	nbrs        []dygraph.NodeID // sorted-neighbor scratch
+	drop        []edgeRef
+	keep        []edgeRef
+	weights     []float64
 
 	// union-support scratch (single-threaded use under the apply lock).
-	mergeScratch []uint64
-	listScratch  [][]uint64
+	listScratch [][]uint64
 }
 
 type edgeRef struct{ a, b dygraph.NodeID }
@@ -231,13 +198,9 @@ type edgeRef struct{ a, b dygraph.NodeID }
 func New(cfg Config, hooks core.Hooks) *AKG {
 	cfg = cfg.withDefaults()
 	return &AKG{
-		cfg:      cfg,
-		eng:      core.NewEngine(hooks),
-		idsets:   make(map[dygraph.NodeID]*idSet),
-		present:  make(map[dygraph.NodeID]bool),
-		sketches: make(map[dygraph.NodeID]*minhash.Sketch),
-		visited:  make(map[dygraph.Edge]struct{}),
-		high:     make(map[dygraph.NodeID]bool),
+		cfg: cfg,
+		eng: core.NewEngine(hooks),
+		kw:  make(map[dygraph.NodeID]*keyword),
 	}
 }
 
@@ -253,12 +216,7 @@ func (a *AKG) Quantum() int { return a.quantum }
 // Support returns the number of distinct users associated with keyword k
 // inside the current window — the node weight w_i of the ranking function
 // (Section 6).
-func (a *AKG) Support(k dygraph.NodeID) int {
-	if s, ok := a.idsets[k]; ok {
-		return s.size()
-	}
-	return 0
-}
+func (a *AKG) Support(k dygraph.NodeID) int { return len(a.sortedUsers(k)) }
 
 // DirtyNodes returns the vertices whose windowed user support changed
 // during the last ProcessQuantum, in mark order. Valid until the next
@@ -266,13 +224,45 @@ func (a *AKG) Support(k dygraph.NodeID) int {
 // nodes added/removed) are tracked separately by the engine's
 // touched-cluster set; together the two describe every cluster whose
 // rank inputs could have moved.
-func (a *AKG) DirtyNodes() []dygraph.NodeID { return a.dirty.Nodes() }
+func (a *AKG) DirtyNodes() []dygraph.NodeID { return a.dirty }
+
+// recycleCap is the largest id-set capacity a dead record may carry into
+// the free list.
+const recycleCap = 8
+
+// newKeyword registers a record for first-seen keyword k, recycling a
+// dead one when there is one.
+func (a *AKG) newKeyword(k dygraph.NodeID) *keyword {
+	var r *keyword
+	if n := len(a.free); n > 0 {
+		r = a.free[n-1]
+		a.free = a.free[:n-1]
+		*r = keyword{id: k, set: r.set, sketch: r.sketch, stale: true}
+	} else {
+		r = &keyword{id: k, stale: true}
+	}
+	a.kw[k] = r
+	return r
+}
+
+// markDirty records that r's windowed user set changed this quantum: its
+// cached sketch no longer describes it, and it joins the dirty list once.
+func (a *AKG) markDirty(r *keyword) {
+	r.stale = true
+	if r.dirtyAt != a.quantum {
+		r.dirtyAt = a.quantum
+		a.dirty = append(a.dirty, r.id)
+	}
+}
 
 // InAKG reports whether keyword k is currently an AKG node.
-func (a *AKG) InAKG(k dygraph.NodeID) bool { return a.present[k] }
+func (a *AKG) InAKG(k dygraph.NodeID) bool {
+	r := a.kw[k]
+	return r != nil && r.present
+}
 
 // NodeCount returns the number of AKG nodes.
-func (a *AKG) NodeCount() int { return len(a.present) }
+func (a *AKG) NodeCount() int { return a.nodes }
 
 // EdgeCount returns the number of AKG edges.
 func (a *AKG) EdgeCount() int { return a.eng.Graph().EdgeCount() }
@@ -280,223 +270,234 @@ func (a *AKG) EdgeCount() int { return a.eng.Graph().EdgeCount() }
 // Jaccard returns the exact edge correlation of two keywords' windowed
 // user-id sets.
 func (a *AKG) Jaccard(k1, k2 dygraph.NodeID) float64 {
-	s1, ok1 := a.idsets[k1]
-	s2, ok2 := a.idsets[k2]
-	if !ok1 || !ok2 || s1.size() == 0 || s2.size() == 0 {
-		return 0
-	}
-	small, large := s1.counts, s2.counts
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for u := range small {
-		if _, ok := large[u]; ok {
-			inter++
-		}
-	}
-	union := len(s1.counts) + len(s2.counts) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return JaccardSorted(a.sortedUsers(k1), a.sortedUsers(k2))
 }
 
-// ProcessQuantum ingests one quantum of per-user keyword sets (keywords
-// must be distinct within each user's set) and performs the five
-// maintenance steps described in the package comment.
+// ProcessQuantum ingests one quantum of per-user keyword sets and
+// performs the five maintenance steps described in the package comment.
+//
+// Precondition: batch holds one entry per user, users strictly ascending
+// across the batch, keywords distinct within each entry (any order) —
+// the shape detect.Detector produces. It is what makes every keyword's
+// user list come out strictly ascending, which the merge-maintained id
+// sets rely on. The grouping pass checks exactly that; a batch that
+// violates it is normalised into a private copy first (entries sorted by
+// user, one user's entries merged, repeated keywords dropped), so the
+// result is the one the ordered batch gives.
 func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	a.quantum++
 	st := QuantumStats{Quantum: a.quantum}
 	a.eng.BeginQuantum()
-	a.dirty.Reset()
+	a.dirty = a.dirty[:0]
 
 	a.slideWindow(&st)
 
-	// Observe this quantum: group the batch's (keyword, user) pairs by
-	// keyword into the columnar ring entry — in expiry order, with no
-	// per-keyword map. Keys are sorted with the specialised ordered
-	// sort (duplicates included), then each user is placed into its
-	// key's slot range by binary search; users ascend across the batch,
-	// so every group comes out user-ascending.
-	keysAll := a.keyScratch[:0]
-	for _, uk := range batch {
-		keysAll = append(keysAll, uk.Keywords...)
+	obs, ok := a.group(batch, a.spare)
+	if !ok {
+		obs, _ = a.group(normalized(batch), obs)
 	}
-	a.keyScratch = keysAll
-	slices.Sort(keysAll)
-	distinct := 0
-	for i := 0; i < len(keysAll); {
-		j := i + 1
-		for j < len(keysAll) && keysAll[j] == keysAll[i] {
-			j++
-		}
-		distinct++
-		i = j
-	}
-	obs := quantumObs{
-		keys:  make([]dygraph.NodeID, 0, distinct),
-		off:   make([]int32, 1, distinct+1),
-		users: make([]uint64, len(keysAll)),
-	}
-	for i := 0; i < len(keysAll); {
-		j := i + 1
-		for j < len(keysAll) && keysAll[j] == keysAll[i] {
-			j++
-		}
-		obs.keys = append(obs.keys, keysAll[i])
-		obs.off = append(obs.off, int32(j))
-		i = j
-	}
-	cur := a.curScratch[:0]
-	cur = append(cur, obs.off[:len(obs.keys)]...)
-	a.curScratch = cur
-	for _, uk := range batch {
-		for _, k := range uk.Keywords {
-			ki, _ := slices.BinarySearch(obs.keys, k)
-			obs.users[cur[ki]] = uk.User
-			cur[ki]++
-		}
-	}
+	a.spare = quantumObs{}
 	for ki, k := range obs.keys {
-		users := obs.usersOf(ki)
-		set, ok := a.idsets[k]
-		if !ok {
-			set = &idSet{counts: make(map[uint64]int, len(users))}
-			a.idsets[k] = set
+		r := a.kw[k]
+		if r == nil {
+			r = a.newKeyword(k)
 		}
+		obs.recs[ki] = r
 		// A keyword whose distinct-user set grew is support-dirty: its
 		// node weight in the ranking function changed.
-		for _, u := range users {
-			if set.counts[u] == 0 {
-				a.dirty.Mark(k)
-				set.userAdded(u)
-			}
-			set.counts[u]++
+		if grew := r.set.observe(obs.usersOf(ki), &a.fresh); grew > 0 {
+			a.entries += grew
+			a.markDirty(r)
 		}
 	}
 	a.ring = append(a.ring, obs)
 	st.Keywords = len(obs.keys)
 
-	// Classify: set1 = bursty this quantum; set2 = in AKG and observed.
-	// Keys are already ascending, so both lists come out sorted.
-	set1, set2 := a.set1[:0], a.set2[:0]
-	for i, k := range obs.keys {
-		if int(obs.off[i+1]-obs.off[i]) >= a.cfg.Tau {
-			set1 = append(set1, k)
-		} else if a.present[k] {
-			set2 = append(set2, k)
+	// Keywords the slide emptied and this quantum did not bring back are
+	// stale (unseen for a whole window): no ring entry lists them now.
+	// Their records go to the next first-seen keywords, arrays included:
+	// vocabulary churn is steady and almost all of it is keywords a few
+	// users ever used, so this keeps it off the heap. A record that grew
+	// large arrays is left to the collector instead — handed to a rare
+	// keyword its capacity would be held for nothing, and every record
+	// would drift towards the largest set ever seen.
+	for _, r := range a.emptied {
+		if r.set.size() == 0 {
+			delete(a.kw, r.id)
+			if cap(r.set.users) <= recycleCap {
+				a.free = append(a.free, r)
+			}
 		}
 	}
-	// Bursty AKG members count for both roles; set2 handling below walks
-	// set1 members' existing neighbors too, so keep the lists disjoint.
+	a.emptied = a.emptied[:0]
+
+	// Classify: set1 = bursty this quantum; set2 = in AKG and observed.
+	// Keys are already ascending, so both lists come out sorted, and they
+	// are disjoint: a bursty AKG member is handled as set 1.
+	set1, set2 := a.set1[:0], a.set2[:0]
+	for i, r := range obs.recs {
+		if int(obs.off[i+1]-obs.off[i]) >= a.cfg.Tau {
+			set1 = append(set1, r)
+		} else if r.present {
+			set2 = append(set2, r)
+		}
+	}
 	a.set1, a.set2 = set1, set2
 	st.HighState = len(set1)
 	st.Refreshed = len(set2)
 
 	// Admit bursty keywords.
-	for _, k := range set1 {
-		if !a.present[k] {
-			a.present[k] = true
-			a.eng.AddNode(k)
+	for _, r := range set1 {
+		if !r.present {
+			r.present = true
+			a.nodes++
+			a.eng.AddNode(r.id)
 			st.NodesAdded++
 		}
 	}
 
 	// Lazy correlation refresh for observed AKG keywords and bursty
 	// keywords that already have neighbors.
-	a.refresh = append(append(a.refresh[:0], set2...), set1...)
-	a.refreshEdges(a.refresh, &st)
+	a.refreshEdges(set2, set1, &st)
 
 	// New edges among set-1 pairs.
 	a.connectBursty(set1, &st)
 
 	// Isolated, non-bursty keywords leave the AKG (they are in no
-	// cluster by construction).
-	clear(a.high)
-	for _, k := range set1 {
-		a.high[k] = true
-	}
-	a.refresh = append(append(a.refresh[:0], set1...), set2...)
-	for _, k := range a.refresh {
-		if a.present[k] && !a.high[k] && a.eng.Graph().Degree(k) == 0 {
-			a.eng.RemoveNode(k)
-			delete(a.present, k)
+	// cluster by construction). Set 1 is bursty, so only set 2 can go.
+	for _, r := range set2 {
+		if a.eng.Graph().Degree(r.id) == 0 {
+			a.eng.RemoveNode(r.id)
+			r.present = false
+			a.nodes--
 			st.NodesRemoved++
 		}
 	}
-	st.DirtyNodes = a.dirty.Len()
+	st.DirtyNodes = len(a.dirty)
+	st.WindowEntries = a.entries
 	return st
 }
 
+// group arranges the batch's (keyword, user) pairs by keyword into a
+// columnar ring entry built over buf's slices — in expiry order, with no
+// per-keyword map: each pair is packed as keyword<<32 | position of the
+// user's entry, one ordered sort brings the pairs of a keyword together
+// with their users in batch order, and one scan cuts the groups. ok
+// reports that every keyword's users came out strictly ascending (see
+// ProcessQuantum's precondition); the entry's recs are left for the
+// caller to fill.
+func (a *AKG) group(batch []ckg.UserKeywords, buf quantumObs) (obs quantumObs, ok bool) {
+	pairs := a.pairScratch[:0]
+	for ui, uk := range batch {
+		for _, k := range uk.Keywords {
+			pairs = append(pairs, uint64(k)<<32|uint64(uint32(ui)))
+		}
+	}
+	a.pairScratch = pairs
+	slices.Sort(pairs)
+	obs = quantumObs{
+		keys:  buf.keys[:0],
+		off:   buf.off[:0],
+		users: slices.Grow(buf.users[:0], len(pairs))[:len(pairs)],
+	}
+	ok = true
+	for i, p := range pairs {
+		k, u := dygraph.NodeID(p>>32), batch[uint32(p)].User
+		if n := len(obs.keys); n == 0 || obs.keys[n-1] != k {
+			obs.keys = append(obs.keys, k)
+			obs.off = append(obs.off, int32(i))
+		} else if obs.users[i-1] >= u {
+			ok = false
+		}
+		obs.users[i] = u
+	}
+	obs.off = append(obs.off, int32(len(pairs)))
+	obs.recs = slices.Grow(buf.recs[:0], len(obs.keys))[:len(obs.keys)]
+	return obs, ok
+}
+
+// normalized returns a copy of batch that meets ProcessQuantum's
+// precondition: entries sorted by user, a user's entries merged, each
+// entry's keywords distinct (and ascending). Cold path.
+func normalized(batch []ckg.UserKeywords) []ckg.UserKeywords {
+	sorted := slices.Clone(batch)
+	slices.SortStableFunc(sorted, func(x, y ckg.UserKeywords) int { return cmp.Compare(x.User, y.User) })
+	out := sorted[:0]
+	for _, uk := range sorted {
+		if n := len(out); n > 0 && out[n-1].User == uk.User {
+			out[n-1].Keywords = append(out[n-1].Keywords, uk.Keywords...)
+		} else {
+			out = append(out, ckg.UserKeywords{User: uk.User, Keywords: slices.Clone(uk.Keywords)})
+		}
+	}
+	for i := range out {
+		slices.Sort(out[i].Keywords)
+		out[i].Keywords = slices.Compact(out[i].Keywords)
+	}
+	return out
+}
+
 // slideWindow expires the oldest quantum once the ring is full and removes
-// keywords whose id sets emptied (stale: unseen for a whole window).
+// keywords whose id sets emptied (stale: unseen for a whole window) from
+// the AKG.
 func (a *AKG) slideWindow(st *QuantumStats) {
 	if len(a.ring) < a.cfg.Window {
 		return
 	}
 	oldest := a.ring[0]
 	copy(a.ring, a.ring[1:])
+	a.ring[len(a.ring)-1] = quantumObs{}
 	a.ring = a.ring[:len(a.ring)-1]
 	// Keys are stored ascending, so expiry is naturally sorted: node
 	// removals reach the engine, where split identities must be
 	// reproducible across runs.
-	for ki, k := range oldest.keys {
-		set, ok := a.idsets[k]
-		if !ok {
-			continue
-		}
-		shrank := false
-		for _, u := range oldest.usersOf(ki) {
-			set.counts[u]--
-			if set.counts[u] <= 0 {
-				delete(set.counts, u)
-				set.userRemoved(u)
-				shrank = true
-			}
-		}
-		if shrank {
+	for ki, r := range oldest.recs {
+		if shrank := r.set.expire(oldest.usersOf(ki)); shrank > 0 {
 			// Support shrank without any engine mutation; clusters
-			// containing k must still be re-ranked.
-			a.dirty.Mark(k)
+			// containing the keyword must still be re-ranked.
+			a.entries -= shrank
+			a.markDirty(r)
 		}
-		if set.size() == 0 {
-			delete(a.idsets, k)
-			if a.present[k] {
-				a.eng.RemoveNode(k)
-				delete(a.present, k)
+		if r.set.size() == 0 {
+			// The record leaves a.kw after the observe loop, unless this
+			// very quantum observes the keyword again.
+			a.emptied = append(a.emptied, r)
+			if r.present {
+				a.eng.RemoveNode(r.id)
+				r.present = false
+				a.nodes--
 				st.NodesRemoved++
 			}
 		}
 	}
+	clear(oldest.recs) // the spare must not pin dead records
+	a.spare = oldest
 }
 
 // refreshEdges re-evaluates the EC of every edge incident to the given
-// keywords (each edge once), removing edges under threshold and updating
-// surviving weights — Section 3.1's lazy update principle.
-func (a *AKG) refreshEdges(keys []dygraph.NodeID, st *QuantumStats) {
-	clear(a.visited)
+// keywords (set 2, then set 1; all AKG members), each edge once, removing
+// edges under threshold and updating surviving weights — Section 3.1's
+// lazy update principle.
+func (a *AKG) refreshEdges(set2, set1 []*keyword, st *QuantumStats) {
 	drop, keep, weights := a.drop[:0], a.keep[:0], a.weights[:0]
-	for _, k := range keys {
-		if !a.present[k] {
-			continue
-		}
-		// Sorted neighbor iteration: removal order reaches the engine,
-		// where split identities must be reproducible across runs.
-		a.nbrs = a.eng.Graph().AppendNeighbors(a.nbrs[:0], k)
-		for _, m := range a.nbrs {
-			e := dygraph.NewEdge(k, m)
-			if _, ok := a.visited[e]; ok {
-				continue
+	for _, list := range [2][]*keyword{set2, set1} {
+		for _, r := range list {
+			// Sorted neighbor iteration: removal order reaches the engine,
+			// where split identities must be reproducible across runs.
+			a.nbrs = a.eng.Graph().AppendNeighbors(a.nbrs[:0], r.id)
+			for _, id := range a.nbrs {
+				m := a.kw[id] // a graph node is an AKG member: its set is non-empty
+				if m.refreshedAt == a.quantum {
+					continue // m came earlier in the lists and refreshed this edge
+				}
+				if j := a.correlation(r, m, st); j < a.cfg.Beta {
+					drop = append(drop, edgeRef{r.id, id})
+				} else {
+					keep = append(keep, edgeRef{r.id, id})
+					weights = append(weights, j)
+				}
 			}
-			a.visited[e] = struct{}{}
-			j := a.correlation(k, m)
-			if j < a.cfg.Beta {
-				drop = append(drop, edgeRef{k, m})
-			} else {
-				keep = append(keep, edgeRef{k, m})
-				weights = append(weights, j)
-			}
+			r.refreshedAt = a.quantum
 		}
 	}
 	a.drop, a.keep, a.weights = drop, keep, weights
@@ -512,120 +513,58 @@ func (a *AKG) refreshEdges(keys []dygraph.NodeID, st *QuantumStats) {
 
 // connectBursty screens set-1 pairs with Min-Hash and inserts edges whose
 // correlation clears β.
-func (a *AKG) connectBursty(set1 []dygraph.NodeID, st *QuantumStats) {
+func (a *AKG) connectBursty(set1 []*keyword, st *QuantumStats) {
 	if len(set1) < 2 {
 		return
 	}
-	if !a.cfg.NoMinHashScreen {
-		a.buildSketches(set1)
+	screen := a.cfg.MinHashOnly || !a.cfg.NoMinHashScreen
+	if screen {
+		for _, r := range set1 {
+			a.freshSketch(r, st)
+		}
 	}
-	for i := 0; i < len(set1); i++ {
-		for j := i + 1; j < len(set1); j++ {
-			k1, k2 := set1[i], set1[j]
-			if a.eng.Graph().HasEdge(k1, k2) {
+	for i, r1 := range set1 {
+		for _, r2 := range set1[i+1:] {
+			if a.eng.Graph().HasEdge(r1.id, r2.id) {
 				continue // already refreshed this quantum
 			}
 			st.PairsScreened++
-			var w float64
-			switch {
-			case a.cfg.MinHashOnly:
-				if !minhash.SharesValue(a.sketches[k1], a.sketches[k2]) {
-					continue
-				}
-				st.PairsPassed++
-				w = minhash.EstimateJaccard(a.sketches[k1], a.sketches[k2])
-				if w <= 0 {
-					continue
-				}
-			case a.cfg.NoMinHashScreen:
-				st.PairsPassed++
-				w = a.jaccardCached(k1, k2)
-				if w < a.cfg.Beta {
-					continue
-				}
-			default:
-				if !minhash.SharesValue(a.sketches[k1], a.sketches[k2]) {
-					continue
-				}
-				st.PairsPassed++
-				w = a.jaccardCached(k1, k2)
-				if w < a.cfg.Beta {
-					continue
-				}
+			if screen && !minhash.SharesValue(r1.sketch, r2.sketch) {
+				continue
 			}
-			a.eng.AddEdge(k1, k2, w)
+			st.PairsPassed++
+			var w float64
+			if a.cfg.MinHashOnly {
+				if w = minhash.EstimateJaccard(r1.sketch, r2.sketch); w <= 0 {
+					continue
+				}
+			} else if w = a.jaccard(r1, r2, st); w < a.cfg.Beta {
+				continue
+			}
+			a.eng.AddEdge(r1.id, r2.id, w)
 			st.EdgesAdded++
 		}
 	}
 }
 
-// sortedUsers returns keyword k's distinct windowed users as a sorted
-// slice. The list is maintained incrementally: membership deltas since
-// the last call are folded in with one linear merge (the deltas
-// themselves are tiny and sorted in O(d log d)), so the per-quantum
-// cost scales with churn instead of set size — re-sorting every hot
-// keyword's full window community each quantum was the hottest code in
-// the system. Returns nil for an unknown keyword; the slice is owned
-// by the id set and valid until its next membership change.
+// sortedUsers returns keyword k's distinct windowed users, ascending
+// (nil for an unknown keyword). The slice is the id set's own and valid
+// until the set's next membership change.
 func (a *AKG) sortedUsers(k dygraph.NodeID) []uint64 {
-	set, ok := a.idsets[k]
-	if !ok {
-		return nil
+	if r := a.kw[k]; r != nil {
+		return r.set.users
 	}
-	if set.sorted == nil {
-		// Full (re)build: fresh keyword, restored checkpoint, or delta
-		// tracking degraded under churn.
-		set.sorted = make([]uint64, 0, len(set.counts))
-		for u := range set.counts {
-			set.sorted = append(set.sorted, u)
-		}
-		slices.Sort(set.sorted)
-		set.added = set.added[:0]
-		set.removed = set.removed[:0]
-		return set.sorted
-	}
-	if len(set.added) == 0 && len(set.removed) == 0 {
-		return set.sorted
-	}
-	slices.Sort(set.added)
-	slices.Sort(set.removed)
-	// Merge old ∖ removed with added. The cancellation in
-	// userAdded/userRemoved guarantees added ∩ old = ∅ and
-	// removed ⊆ old, so a plain two-way merge with a skip cursor is
-	// exact.
-	out := a.mergeScratch[:0]
-	old, add, rem := set.sorted, set.added, set.removed
-	i, j, r := 0, 0, 0
-	for i < len(old) || j < len(add) {
-		if i < len(old) && (j == len(add) || old[i] < add[j]) {
-			if r < len(rem) && old[i] == rem[r] {
-				i++
-				r++
-				continue
-			}
-			out = append(out, old[i])
-			i++
-		} else {
-			out = append(out, add[j])
-			j++
-		}
-	}
-	a.mergeScratch = out
-	set.sorted = append(set.sorted[:0], out...)
-	set.added = set.added[:0]
-	set.removed = set.removed[:0]
-	return set.sorted
+	return nil
 }
 
-// jaccardCached is the exact Jaccard of Jaccard, computed as a linear
-// merge of the cached sorted user lists. Contract: for values ≥ β the
+// jaccard is the exact Jaccard of two keywords' user sets, computed as a
+// linear merge of the sorted user lists. Contract: for values ≥ β the
 // result is exact (callers store it as the edge weight); below β
 // callers only compare against β and discard, so a provable sub-β pair
 // may return 0 without the merge — J ≤ min/max, giving an O(1)
 // rejection for size-skewed pairs.
-func (a *AKG) jaccardCached(k1, k2 dygraph.NodeID) float64 {
-	u1 := a.sortedUsers(k1)
-	u2 := a.sortedUsers(k2)
+func (a *AKG) jaccard(r1, r2 *keyword, st *QuantumStats) float64 {
+	u1, u2 := r1.set.users, r2.set.users
 	if len(u1) == 0 || len(u2) == 0 {
 		return 0
 	}
@@ -634,6 +573,7 @@ func (a *AKG) jaccardCached(k1, k2 dygraph.NodeID) float64 {
 		lo, hi = hi, lo
 	}
 	if float64(lo) < a.cfg.Beta*float64(hi) {
+		st.JaccardBails++
 		return 0 // J ≤ lo/hi < β: unobservable below the threshold
 	}
 	// needInter is the intersection size below which J < β is certain
@@ -652,6 +592,7 @@ func (a *AKG) jaccardCached(k1, k2 dygraph.NodeID) float64 {
 			rem = r2
 		}
 		if inter+rem < needInter {
+			st.JaccardBails++
 			return 0 // cannot reach β anymore
 		}
 		switch {
@@ -745,48 +686,34 @@ func JaccardSorted(u1, u2 []uint64) float64 {
 
 // correlation returns the EC used for edge decisions, honouring the
 // MinHashOnly switch.
-func (a *AKG) correlation(k1, k2 dygraph.NodeID) float64 {
+func (a *AKG) correlation(r1, r2 *keyword, st *QuantumStats) float64 {
 	if a.cfg.MinHashOnly {
-		a.buildSketches([]dygraph.NodeID{k1, k2})
-		if !minhash.SharesValue(a.sketches[k1], a.sketches[k2]) {
+		a.freshSketch(r1, st)
+		a.freshSketch(r2, st)
+		if !minhash.SharesValue(r1.sketch, r2.sketch) {
 			return 0
 		}
-		return minhash.EstimateJaccard(a.sketches[k1], a.sketches[k2])
+		return minhash.EstimateJaccard(r1.sketch, r2.sketch)
 	}
-	return a.jaccardCached(k1, k2)
+	return a.jaccard(r1, r2, st)
 }
 
-// buildSketches ensures window sketches for the given keywords are
-// current. Sketches cannot subtract expired users, so a keyword's
-// sketch is rebuilt from its id set — but only when the set's
-// membership actually changed since the last build (the sketch is a
-// pure function of the membership set, insertion-order independent),
-// which preserves the paper's per-quantum p-Min-Hash semantics at a
-// fraction of the hashing cost.
-func (a *AKG) buildSketches(keys []dygraph.NodeID) {
-	for _, k := range keys {
-		sk, ok := a.sketches[k]
-		if !ok {
-			sk = minhash.New(a.cfg.P, a.cfg.Seed)
-			a.sketches[k] = sk
-		}
-		set := a.idsets[k]
-		if set == nil {
-			sk.Reset()
-			continue
-		}
-		if ok && !set.sketchStale {
-			continue
-		}
-		sk.Reset()
-		// The bottom-p sketch is a pure function of the membership set
-		// (insertion-order independent); feeding it the incrementally
-		// maintained sorted list costs a delta fold that the pairwise
-		// Jaccard path would pay anyway for these same keywords, and
-		// beats iterating the counts map.
-		for _, u := range a.sortedUsers(k) {
-			sk.Add(u)
-		}
-		set.sketchStale = false
+// freshSketch makes r's window sketch current. Sketches cannot subtract
+// expired users, so a keyword's sketch is rebuilt from its id set — but
+// only when the set's membership actually changed since the last build
+// (the sketch is a pure function of the membership set,
+// insertion-order independent), which preserves the paper's per-quantum
+// p-Min-Hash semantics at a fraction of the hashing cost.
+func (a *AKG) freshSketch(r *keyword, st *QuantumStats) {
+	if r.sketch == nil {
+		r.sketch = minhash.New(a.cfg.P, a.cfg.Seed)
+	} else if !r.stale {
+		return
 	}
+	r.sketch.Reset()
+	for _, u := range r.set.users {
+		r.sketch.Add(u)
+	}
+	r.stale = false
+	st.SketchRebuilds++
 }

@@ -1,13 +1,19 @@
 package akg
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/ckg"
 	"repro/internal/core"
 	"repro/internal/dygraph"
+	"repro/internal/textproc"
+	"repro/internal/tracegen"
 )
 
 // quantumOf builds a batch where each listed keyword is used by users
@@ -250,6 +256,83 @@ func TestQuantumStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestQuantumStatsSignals pins the algorithm-level counters: window size
+// (maintained incrementally across observe and expiry), sketch rebuilds
+// and correlations settled without a merge.
+func TestQuantumStatsSignals(t *testing.T) {
+	a := New(Config{Tau: 3, Beta: 0.5, Window: 2}, core.Hooks{})
+	users := map[uint64][]dygraph.NodeID{}
+	for u := uint64(0); u < 20; u++ {
+		users[u] = []dygraph.NodeID{1}
+	}
+	for u := uint64(0); u < 4; u++ {
+		users[u] = []dygraph.NodeID{1, 2}
+	}
+	st := a.ProcessQuantum(quantumOf(users))
+	// Both keywords are bursty; |2|/|1| = 4/20 < β, so the pair is either
+	// screened out or rejected on the size ratio — never merged.
+	if st.WindowEntries != 24 || st.SketchRebuilds != 2 || st.PairsScreened != 1 || st.JaccardBails != st.PairsPassed {
+		t.Fatalf("first quantum: %+v", st)
+	}
+	// Same users again: no membership change, so nothing is dirty and the
+	// cached sketches stand.
+	st = a.ProcessQuantum(quantumOf(users))
+	if st.WindowEntries != 24 || st.SketchRebuilds != 0 || st.DirtyNodes != 0 {
+		t.Fatalf("second quantum: %+v", st)
+	}
+	// Two quanta of other traffic slide both out of the window.
+	a.ProcessQuantum(burstBatch(2, 7))
+	st = a.ProcessQuantum(burstBatch(2, 7))
+	if st.WindowEntries != 2 || a.Support(1) != 0 {
+		t.Fatalf("after the slide: %+v, support(1) = %d", st, a.Support(1))
+	}
+}
+
+// checkLayer verifies the layer's bookkeeping invariants: every record in
+// the keyword table has a non-empty, strictly ascending id set whose
+// counts add up to the ring's observations; every ring entry points at
+// the table's record for its keyword; the incremental node and entry
+// counters match a recount; AKG members are exactly the engine's nodes.
+func checkLayer(t *testing.T, a *AKG) {
+	t.Helper()
+	observed := map[dygraph.NodeID]int{}
+	for qi, obs := range a.ring {
+		for ki, k := range obs.keys {
+			if obs.recs[ki] != a.kw[k] || obs.recs[ki].id != k {
+				t.Fatalf("ring[%d]: keyword %d does not point at its record", qi, k)
+			}
+			observed[k] += len(obs.usersOf(ki))
+		}
+	}
+	nodes, entries := 0, 0
+	for k, r := range a.kw {
+		if r.set.size() == 0 || !strictlyAscending(r.set.users) {
+			t.Fatalf("keyword %d: id set empty or unordered: %v", k, r.set.users)
+		}
+		total := 0
+		for _, c := range r.set.cnt {
+			total += int(c)
+		}
+		if total != observed[k] {
+			t.Fatalf("keyword %d: counts sum to %d, ring holds %d observations", k, total, observed[k])
+		}
+		entries += r.set.size()
+		if r.present {
+			nodes++
+			if !a.eng.Graph().HasNode(k) {
+				t.Fatalf("keyword %d present but not an engine node", k)
+			}
+		}
+	}
+	if len(observed) != len(a.kw) {
+		t.Fatalf("%d keywords in the ring, %d records", len(observed), len(a.kw))
+	}
+	if nodes != a.nodes || nodes != a.eng.Graph().NodeCount() || entries != a.entries {
+		t.Fatalf("counters drifted: nodes %d (counter %d, engine %d), entries %d (counter %d)",
+			nodes, a.nodes, a.eng.Graph().NodeCount(), entries, a.entries)
+	}
+}
+
 // TestManyQuantaStability drives a longer mixed workload and checks basic
 // consistency invariants every quantum: AKG node count equals the engine
 // graph, supports are non-negative, edge weights within [0,1].
@@ -267,10 +350,7 @@ func TestManyQuantaStability(t *testing.T) {
 		}
 		a.ProcessQuantum(quantumOf(users))
 
-		if a.NodeCount() != a.Engine().Graph().NodeCount() {
-			t.Fatalf("q%d: present map (%d) and engine graph (%d) disagree",
-				q, a.NodeCount(), a.Engine().Graph().NodeCount())
-		}
+		checkLayer(t, a)
 		bad := false
 		a.Engine().Graph().ForEachEdge(func(e dygraph.Edge, w float64) {
 			if w < 0 || w > 1 {
@@ -334,6 +414,7 @@ func TestAKGStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLayer(t, b)
 	if b.Quantum() != a.Quantum() || b.NodeCount() != a.NodeCount() || b.EdgeCount() != a.EdgeCount() {
 		t.Fatalf("counts differ after restore")
 	}
@@ -344,6 +425,9 @@ func TestAKGStateRoundTrip(t *testing.T) {
 	for q := 0; q < 6; q++ {
 		sa := a.ProcessQuantum(burstBatch(5, dygraph.NodeID(q%3), dygraph.NodeID(q%3+1)))
 		sb := b.ProcessQuantum(burstBatch(5, dygraph.NodeID(q%3), dygraph.NodeID(q%3+1)))
+		// A restored layer starts with no cached sketches, so it rebuilds
+		// more of them; everything else must match.
+		sa.SketchRebuilds, sb.SketchRebuilds = 0, 0
 		if sa != sb {
 			t.Fatalf("post-restore stats diverge: %+v vs %+v", sa, sb)
 		}
@@ -370,5 +454,139 @@ func TestAKGStateValidation(t *testing.T) {
 	bad.Present = append([]dygraph.NodeID{}, 999)
 	if _, err := FromState(bad, core.Hooks{}); err == nil {
 		t.Fatalf("phantom present keyword accepted")
+	}
+
+	// The id sets are maintained by merge: a ring that is not in State's
+	// own order would corrupt them silently, so it must be refused.
+	reshape := func(f func(q *QuantumObs)) State {
+		st := a.State() // fresh deep copy
+		f(&st.Ring[0])
+		return st
+	}
+	for name, st := range map[string]State{
+		"keywords descending": reshape(func(q *QuantumObs) {
+			slices.Reverse(q.Keywords)
+			slices.Reverse(q.Users)
+		}),
+		"keyword repeated": reshape(func(q *QuantumObs) { q.Keywords[1] = q.Keywords[0] }),
+		"users descending": reshape(func(q *QuantumObs) { slices.Reverse(q.Users[1]) }),
+		"user repeated":    reshape(func(q *QuantumObs) { q.Users[2][1] = q.Users[2][0] }),
+		"no users":         reshape(func(q *QuantumObs) { q.Users[0] = nil }),
+	} {
+		if _, err := FromState(st, core.Hooks{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := FromState(a.State(), core.Hooks{}); err != nil {
+		t.Fatalf("untouched state refused: %v", err)
+	}
+}
+
+// TestProcessQuantumUnorderedBatch pins the cold path: a batch that breaks
+// the documented precondition (entries shuffled, one user split over two
+// entries, a keyword repeated) yields the state the ordered batch gives.
+func TestProcessQuantumUnorderedBatch(t *testing.T) {
+	quanta := twQuanta(t, 8000, 160)
+	rng := rand.New(rand.NewSource(5))
+	ordered, shuffled := newTest(3, 0.2, 6), newTest(3, 0.2, 6)
+	for _, batch := range quanta {
+		ordered.ProcessQuantum(batch)
+
+		mess := slices.Clone(batch)
+		if len(mess) > 0 {
+			first := mess[0]
+			if n := len(first.Keywords); n > 1 { // split one user's entry in two
+				mess[0].Keywords = first.Keywords[:n/2]
+				mess = append(mess, ckg.UserKeywords{User: first.User, Keywords: first.Keywords[n/2:]})
+			}
+			last := &mess[len(mess)-1] // repeat a keyword
+			last.Keywords = append(slices.Clone(last.Keywords), last.Keywords[0])
+		}
+		rng.Shuffle(len(mess), func(i, j int) { mess[i], mess[j] = mess[j], mess[i] })
+		shuffled.ProcessQuantum(mess)
+		checkLayer(t, shuffled)
+	}
+	if !reflect.DeepEqual(ordered.State(), shuffled.State()) {
+		t.Fatalf("shuffled batches diverged from ordered ones")
+	}
+	if ordered.EdgeCount() == 0 {
+		t.Fatalf("trace formed no edges: the comparison is vacuous")
+	}
+}
+
+// twQuanta tokenizes a TW trace into ProcessQuantum batches of delta
+// messages, shaped the way detect.Detector shapes them.
+func twQuanta(tb testing.TB, n, delta int) [][]ckg.UserKeywords {
+	tb.Helper()
+	msgs, _ := tracegen.Generate(tracegen.TWConfig(3, n))
+	in := textproc.NewInterner()
+	var quanta [][]ckg.UserKeywords
+	for lo := 0; lo+delta <= len(msgs); lo += delta {
+		byUser := map[uint64][]dygraph.NodeID{}
+		for _, m := range msgs[lo : lo+delta] {
+			for _, w := range textproc.Keywords(m.Text) {
+				byUser[m.User] = append(byUser[m.User], in.Intern(w))
+			}
+		}
+		batch := make([]ckg.UserKeywords, 0, len(byUser))
+		for u, ks := range byUser {
+			slices.Sort(ks)
+			batch = append(batch, ckg.UserKeywords{User: u, Keywords: slices.Compact(ks)})
+		}
+		slices.SortFunc(batch, func(x, y ckg.UserKeywords) int { return cmp.Compare(x.User, y.User) })
+		quanta = append(quanta, batch)
+	}
+	return quanta
+}
+
+// TestProcessQuantumSteadyStateAllocs bounds what a quantum allocates
+// once the window is full and the scratch has grown: the ring entry's
+// slices and the records of dead keywords are recycled and the id sets
+// are arrays, so what is left is array growth of sets that reach a new
+// high-water mark and the engine's cluster bookkeeping — nothing per
+// observation. Measured 44 here; the hash-map sets measured 214.
+func TestProcessQuantumSteadyStateAllocs(t *testing.T) {
+	quanta := twQuanta(t, 48000, 160)
+	a := New(Config{}, core.Hooks{})
+	warm := len(quanta) / 2
+	for _, batch := range quanta[:warm] {
+		a.ProcessQuantum(batch)
+	}
+	next := warm
+	runs := len(quanta) - warm - 1
+	perQuantum := testing.AllocsPerRun(runs, func() {
+		a.ProcessQuantum(quanta[next])
+		next++
+	})
+	t.Logf("%.1f allocs per quantum over %d quanta", perQuantum, runs)
+	if perQuantum > 80 {
+		t.Fatalf("%.1f allocs per quantum, want ≤ 80", perQuantum)
+	}
+
+}
+
+// TestRecycledRecordsStaySmall: a dead keyword's record is reused for the
+// next first-seen keyword, arrays included — unless the arrays grew
+// large. Handing those on made every record drift towards the largest
+// set ever seen (18 slots held per user on a long dense trace).
+func TestRecycledRecordsStaySmall(t *testing.T) {
+	a := newTest(3, 0.2, 1)
+	a.ProcessQuantum(burstBatch(200, 1)) // keyword 1: 200 users
+	large := a.kw[1]
+	a.ProcessQuantum(burstBatch(2, 2)) // 1 slides out empty: too large to list
+	a.ProcessQuantum(burstBatch(2, 3)) // 2 slides out empty: listed
+	if len(a.free) != 1 || a.kw[3] == large {
+		t.Fatalf("free list holds %d records (want keyword 2's only); keyword 3 on the 200-user record: %v",
+			len(a.free), a.kw[3] == large)
+	}
+	listed := a.free[0]
+	a.ProcessQuantum(burstBatch(2, 4))
+	if a.kw[4] != listed {
+		t.Fatalf("first-seen keyword did not take the listed record")
+	}
+	for _, r := range append(slices.Collect(maps.Values(a.kw)), a.free...) {
+		if c := cap(r.set.users); c > recycleCap {
+			t.Fatalf("record of keyword %d (%d users) holds %d slots", r.id, r.set.size(), c)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package akg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dygraph"
@@ -43,15 +44,22 @@ func (a *AKG) State() State {
 		}
 		s.Ring = append(s.Ring, q)
 	}
-	for k := range a.present {
-		s.Present = append(s.Present, k)
+	//repro:order-insensitive conditional collect; Present is sorted below
+	for k, r := range a.kw {
+		if r.present {
+			s.Present = append(s.Present, k)
+		}
 	}
-	sort.Slice(s.Present, func(i, j int) bool { return s.Present[i] < s.Present[j] })
+	slices.Sort(s.Present)
 	return s
 }
 
-// FromState reconstructs the layer (id sets rebuilt from the ring) and
-// re-attaches lifecycle hooks to the restored engine.
+// FromState reconstructs the layer (keyword records and their id sets
+// rebuilt from the ring, which gets its record pointers back) and
+// re-attaches lifecycle hooks to the restored engine. The ring must have
+// the shape State writes — keywords strictly ascending per quantum,
+// users strictly ascending per keyword — because the id sets are
+// maintained by merge and would be silently corrupted by anything else.
 func FromState(s State, hooks core.Hooks) (*AKG, error) {
 	if len(s.Ring) > s.Cfg.withDefaults().Window {
 		return nil, fmt.Errorf("akg: ring holds %d quanta, window is %d", len(s.Ring), s.Cfg.withDefaults().Window)
@@ -63,42 +71,61 @@ func FromState(s State, hooks core.Hooks) (*AKG, error) {
 	a := New(s.Cfg, hooks)
 	a.eng = eng
 	a.quantum = s.Quantum
-	for _, q := range s.Ring {
+	for qi, q := range s.Ring {
 		if len(q.Keywords) != len(q.Users) {
 			return nil, fmt.Errorf("akg: ring entry has %d keywords, %d user lists", len(q.Keywords), len(q.Users))
+		}
+		if !strictlyAscending(q.Keywords) {
+			return nil, fmt.Errorf("akg: ring entry %d: keywords not strictly ascending", qi)
 		}
 		total := 0
 		for _, users := range q.Users {
 			total += len(users)
 		}
 		obs := quantumObs{
-			keys:  append([]dygraph.NodeID(nil), q.Keywords...),
+			keys:  slices.Clone(q.Keywords),
+			recs:  make([]*keyword, 0, len(q.Keywords)),
 			off:   make([]int32, 1, len(q.Keywords)+1),
 			users: make([]uint64, 0, total),
 		}
 		for i, k := range q.Keywords {
+			if len(q.Users[i]) == 0 || !strictlyAscending(q.Users[i]) {
+				return nil, fmt.Errorf("akg: ring entry %d: users of keyword %d empty or not strictly ascending", qi, k)
+			}
 			obs.users = append(obs.users, q.Users[i]...)
 			obs.off = append(obs.off, int32(len(obs.users)))
-			set, ok := a.idsets[k]
-			if !ok {
-				set = &idSet{counts: make(map[uint64]int, len(q.Users[i]))}
-				a.idsets[k] = set
+			r := a.kw[k]
+			if r == nil {
+				r = a.newKeyword(k)
 			}
-			for _, u := range q.Users[i] {
-				set.counts[u]++
-			}
+			obs.recs = append(obs.recs, r)
+			a.entries += r.set.observe(q.Users[i], &a.fresh)
 		}
 		a.ring = append(a.ring, obs)
 	}
 	for _, k := range s.Present {
+		r := a.kw[k]
+		if r == nil || r.present {
+			return nil, fmt.Errorf("akg: present keyword %d repeated or unseen inside the window", k)
+		}
 		if !a.eng.Graph().HasNode(k) {
 			return nil, fmt.Errorf("akg: present keyword %d missing from engine graph", k)
 		}
-		a.present[k] = true
+		r.present = true
+		a.nodes++
 	}
-	if a.eng.Graph().NodeCount() != len(a.present) {
+	if a.eng.Graph().NodeCount() != a.nodes {
 		return nil, fmt.Errorf("akg: engine graph has %d nodes but %d present keywords",
-			a.eng.Graph().NodeCount(), len(a.present))
+			a.eng.Graph().NodeCount(), a.nodes)
 	}
 	return a, nil
+}
+
+func strictlyAscending[T cmp.Ordered](xs []T) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] >= xs[i] {
+			return false
+		}
+	}
+	return true
 }

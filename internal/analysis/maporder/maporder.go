@@ -378,7 +378,7 @@ func (c *checker) collectThenSort(fn *ast.FuncDecl) bool {
 		return false
 	}
 	// The destination may be a plain ident (keys) or a field path
-	// (set.sorted, s.Present); it must be appended to itself.
+	// (st.Keys); it must be appended to itself.
 	dstStr := types.ExprString(as.Lhs[0])
 	call, ok := as.Rhs[0].(*ast.CallExpr)
 	if !ok || len(call.Args) < 2 {

@@ -155,3 +155,39 @@ func less(a, b dygraph.Edge) bool {
 	}
 	return a.V < b.V
 }
+
+// unionFind is a minimal weighted quick-union with path halving, used to
+// group edges by connected short-cycle component.
+type unionFind struct {
+	parent []int
+	size   []int
+}
+
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
+	for i := range uf.parent {
+		uf.parent[i] = i
+		uf.size[i] = 1
+	}
+	return uf
+}
+
+func (uf *unionFind) find(x int) int {
+	for uf.parent[x] != x {
+		uf.parent[x] = uf.parent[uf.parent[x]]
+		x = uf.parent[x]
+	}
+	return x
+}
+
+func (uf *unionFind) union(a, b int) {
+	ra, rb := uf.find(a), uf.find(b)
+	if ra == rb {
+		return
+	}
+	if uf.size[ra] < uf.size[rb] {
+		ra, rb = rb, ra
+	}
+	uf.parent[rb] = ra
+	uf.size[ra] += uf.size[rb]
+}

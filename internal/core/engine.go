@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dygraph"
@@ -31,6 +32,10 @@ type Engine struct {
 	// linger in the set; consumers iterate live clusters and use touched
 	// as a membership filter, so stale IDs are harmless.
 	touched map[ClusterID]struct{}
+
+	// rs is repair's working memory; ids is RemoveNode's.
+	rs  repairScratch
+	ids []ClusterID
 
 	// stats for the harness (Section 7.4).
 	statCycleChecks int64
@@ -257,31 +262,30 @@ func (en *Engine) RemoveNode(n dygraph.NodeID) bool {
 		return false
 	}
 	removed := en.g.RemoveNode(n)
-	// Group removed edges by owning cluster so each cluster is repaired
-	// exactly once no matter how many of its edges died.
-	affected := make(map[ClusterID]*Cluster)
+	// Collect the clusters that lost an edge so each is repaired exactly
+	// once no matter how many of its edges died.
+	ids := en.ids[:0]
 	for _, e := range removed {
 		id, ok := en.edgeCluster[e]
 		if !ok {
 			continue
 		}
 		delete(en.edgeCluster, e)
-		c := en.clusters[id]
 		en.markTouched(id)
-		for _, gone := range c.removeEdge(e) {
+		for _, gone := range en.clusters[id].removeEdge(e) {
 			en.dropMembership(gone, id)
 		}
-		affected[id] = c
+		ids = append(ids, id)
 	}
 	// Repair in ID order: split parts receive fresh IDs, so the repair
 	// order must be deterministic for checkpoint/resume equivalence.
-	ids := make([]ClusterID, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Clusters are edge-disjoint, so repairing one never touches another
+	// on the list.
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	en.ids = ids
 	for _, id := range ids {
-		en.repair(affected[id])
+		en.repair(en.clusters[id])
 	}
 	return true
 }

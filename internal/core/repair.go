@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dygraph"
 )
@@ -27,85 +28,39 @@ func (en *Engine) repair(c *Cluster) {
 		en.dissolve(c)
 		return
 	}
+	rs := &en.rs
+	rs.load(c)
+	en.statCycleChecks += rs.shortCycles()
 
-	// Local adjacency over the cluster's surviving edges.
-	adj := make(map[dygraph.NodeID]map[dygraph.NodeID]struct{}, len(c.nodes))
-	link := func(a, b dygraph.NodeID) {
-		m, ok := adj[a]
-		if !ok {
-			m = make(map[dygraph.NodeID]struct{}, 4)
-			adj[a] = m
-		}
-		m[b] = struct{}{}
+	// Group surviving edges by union-find root. Edge indices ascend in
+	// (U,V) order, so groups are numbered by their smallest edge and each
+	// group's edges come out sorted.
+	nEdges := len(rs.edges)
+	slot := resize(&rs.slot, nEdges)
+	for i := range slot {
+		slot[i] = -1
 	}
-	edges := make([]dygraph.Edge, 0, len(c.edges))
-	index := make(map[dygraph.Edge]int, len(c.edges))
-	//repro:order-insensitive edge indices are arbitrary labels; grouping is by connectivity and the groups are canonicalised below
-	for e := range c.edges {
-		index[e] = len(edges)
-		edges = append(edges, e)
-		link(e.U, e.V)
-		link(e.V, e.U)
-	}
-
-	uf := newUnionFind(len(edges))
-	onCycle := make([]bool, len(edges))
-	mark := func(a, b dygraph.Edge) {
-		i, j := index[a], index[b]
-		onCycle[i], onCycle[j] = true, true
-		uf.union(i, j)
-	}
-	for _, e := range edges {
-		u, v := e.U, e.V
-		// Triangles u–v–x within the cluster.
-		nu, nv := adj[u], adj[v]
-		if len(nu) > len(nv) {
-			nu, nv = nv, nu
-			u, v = v, u
-		}
-		for x := range nu { //repro:order-insensitive marks and unions are idempotent; the final components are order-independent
-			en.statCycleChecks++
-			if _, ok := nv[x]; ok {
-				mark(e, dygraph.NewEdge(u, x))
-				mark(e, dygraph.NewEdge(v, x))
-			}
-		}
-		// 4-cycles u–n3–n4–v within the cluster.
-		for n3 := range adj[u] { //repro:order-insensitive marks and unions are idempotent; the final components are order-independent
-			if n3 == v {
-				continue
-			}
-			for n4 := range adj[v] { //repro:order-insensitive marks and unions are idempotent; the final components are order-independent
-				if n4 == u || n4 == n3 {
-					continue
-				}
-				en.statCycleChecks++
-				if _, ok := adj[n3][n4]; ok {
-					mark(e, dygraph.NewEdge(u, n3))
-					mark(e, dygraph.NewEdge(n3, n4))
-					mark(e, dygraph.NewEdge(n4, v))
-				}
-			}
-		}
-	}
-
-	// Group surviving edges by union-find root.
-	groups := make(map[int][]dygraph.Edge)
+	groups := rs.groups[:0]
 	survivors := 0
-	for i, e := range edges {
-		if !onCycle[i] {
+	for i := 0; i < nEdges; i++ {
+		if !rs.onCycle[i] {
 			continue
 		}
-		root := uf.find(i)
-		groups[root] = append(groups[root], e)
+		root := rs.find(int32(i))
+		if slot[root] < 0 {
+			slot[root] = int32(len(groups))
+			groups = append(groups, edgeGroup{first: int32(i)})
+		}
+		groups[slot[root]].n++
 		survivors++
 	}
+	rs.groups = groups
 
 	if len(groups) == 0 {
 		en.dissolve(c)
 		return
 	}
-	if len(groups) == 1 && survivors == len(edges) {
+	if len(groups) == 1 && survivors == nEdges {
 		// Every edge still sits on a short cycle and the cluster held
 		// together: nothing to restructure.
 		en.hooks.updated(c)
@@ -114,39 +69,38 @@ func (en *Engine) repair(c *Cluster) {
 
 	// Restructure: the largest component keeps the original identity so
 	// that event history survives partial decay; the rest become new
-	// clusters; expelled edges become cluster-less.
-	comps := make([][]dygraph.Edge, 0, len(groups))
-	//repro:order-insensitive each component is sorted here and comps is fully ordered by the sort below
-	for _, g := range groups {
-		sortEdges(g) // must precede the tie-break below
-		comps = append(comps, g)
+	// clusters; expelled edges become cluster-less. Ties go to the
+	// component with the smallest edge, for reproducible splits.
+	off := int32(0)
+	for g := range groups {
+		groups[g].off, groups[g].fill = off, off
+		off += groups[g].n
 	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
+	grouped := resize(&rs.grouped, survivors)
+	for i := 0; i < nEdges; i++ {
+		if rs.onCycle[i] {
+			g := &groups[slot[rs.find(int32(i))]]
+			grouped[g.fill] = rs.edges[i]
+			g.fill++
 		}
-		// Deterministic tie-break for reproducible splits: compare the
-		// smallest edge of each (already sorted) component.
-		a, b := comps[i][0], comps[j][0]
-		if a.U != b.U {
-			return a.U < b.U
+	}
+	slices.SortFunc(groups, func(a, b edgeGroup) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		return a.V < b.V
+		return cmp.Compare(a.first, b.first)
 	})
 
 	oldID := c.id
-	//repro:order-insensitive per-node membership drops commute; each node is handled once
-	for n := range c.nodes {
-		en.dropMembership(n, oldID)
+	for i, e := range rs.edges {
+		if !rs.onCycle[i] {
+			delete(en.edgeCluster, e)
+		}
 	}
-	for e := range c.edges {
-		delete(en.edgeCluster, e)
-	}
-	c.nodes = make(map[dygraph.NodeID]int)
-	c.edges = make(map[dygraph.Edge]struct{})
-
-	parts := make([]*Cluster, 0, len(comps))
-	for i, comp := range comps {
+	clear(c.nodes)
+	clear(c.edges)
+	parts := rs.parts[:0]
+	for i, g := range groups {
 		target := c
 		if i > 0 {
 			target = en.newCluster()
@@ -157,21 +111,188 @@ func (en *Engine) repair(c *Cluster) {
 		// (an expelled edge can strand a part that holds neither endpoint
 		// of the deleted element).
 		en.markTouched(target.id)
-		for _, e := range comp {
+		for _, e := range grouped[g.off : g.off+g.n] {
 			target.addEdge(e)
-			en.edgeCluster[e] = target.id
-			en.addMembership(e.U, target.id)
-			en.addMembership(e.V, target.id)
+			if i > 0 {
+				en.edgeCluster[e] = target.id
+				en.addMembership(e.U, target.id)
+				en.addMembership(e.V, target.id)
+			}
 		}
 		parts = append(parts, target)
 	}
+	// Nodes the original identity no longer reaches leave it — after the
+	// new parts took them in, so a node that only changes cluster keeps
+	// its membership set.
+	for _, n := range rs.nodes {
+		if _, stays := c.nodes[n]; !stays {
+			en.dropMembership(n, oldID)
+		}
+	}
+	rs.parts = parts
 
-	if len(parts) == 1 {
+	if len(parts) > 1 {
+		en.statSplits++
+		en.hooks.split(oldID, parts)
+	} else {
 		en.hooks.updated(c)
+	}
+	clear(parts) // the scratch must not pin clusters
+}
+
+// repairScratch is the working memory of repair, owned by the engine and
+// reused call to call. Nodes and edges are addressed by their position in
+// the cluster's sorted node and edge lists; the adjacency is CSR over
+// those positions, with the edge index stored beside every neighbor so
+// cycle enumeration never searches for an edge it is already walking.
+type repairScratch struct {
+	edges   []dygraph.Edge   // cluster edges, sorted by (U,V)
+	nodes   []dygraph.NodeID // cluster nodes, ascending
+	adjOff  []int32          // neighbors of node i: adj[adjOff[i]:adjOff[i+1]]
+	adj     []int32          // neighbor positions, ascending per node
+	adjEdge []int32          // position in edges of the edge to adj[k]
+	cursor  []int32          // CSR fill cursors
+	parent  []int32          // union-find over edge positions
+	size    []int32
+	onCycle []bool // the edge lies on a cycle of length ≤ 4 inside the cluster
+
+	slot    []int32 // union-find root → position in groups (-1: none yet)
+	groups  []edgeGroup
+	grouped []dygraph.Edge // surviving edges, group by group
+	parts   []*Cluster
+}
+
+// edgeGroup is one connected component of the "share a short cycle"
+// relation: n edges at grouped[off:], the smallest being edges[first].
+type edgeGroup struct {
+	first, n, off, fill int32
+}
+
+// resize returns (*s)[:n], growing the backing array when needed.
+// Contents are unspecified.
+func resize[T any](s *[]T, n int) []T {
+	*s = slices.Grow((*s)[:0], n)[:n]
+	return *s
+}
+
+// load builds the local adjacency over c's surviving edges and resets
+// the union-find and cycle marks.
+func (rs *repairScratch) load(c *Cluster) {
+	rs.edges = c.AppendEdges(rs.edges[:0])
+	rs.nodes = c.AppendNodes(rs.nodes[:0])
+	nNodes, nEdges := len(rs.nodes), len(rs.edges)
+
+	off := resize(&rs.adjOff, nNodes+1)
+	clear(off)
+	for i, n := range rs.nodes {
+		off[i+1] = int32(c.nodes[n]) // the node's degree inside the cluster
+	}
+	for i := 0; i < nNodes; i++ {
+		off[i+1] += off[i]
+	}
+	cursor := resize(&rs.cursor, nNodes)
+	copy(cursor, off)
+	adj := resize(&rs.adj, 2*nEdges)
+	adjEdge := resize(&rs.adjEdge, 2*nEdges)
+	// Edges ascend by (U,V) and U < V, so every node first receives its
+	// smaller neighbors in ascending order, then its larger ones: each
+	// adjacency row comes out sorted.
+	for ei, e := range rs.edges {
+		u, v := rs.local(e.U), rs.local(e.V)
+		adj[cursor[u]], adjEdge[cursor[u]] = v, int32(ei)
+		cursor[u]++
+		adj[cursor[v]], adjEdge[cursor[v]] = u, int32(ei)
+		cursor[v]++
+	}
+
+	parent := resize(&rs.parent, nEdges)
+	size := resize(&rs.size, nEdges)
+	for i := range parent {
+		parent[i], size[i] = int32(i), 1
+	}
+	clear(resize(&rs.onCycle, nEdges))
+}
+
+// local returns the position of n in the sorted node list.
+func (rs *repairScratch) local(n dygraph.NodeID) int32 {
+	i, _ := slices.BinarySearch(rs.nodes, n)
+	return int32(i)
+}
+
+// row returns node u's neighbor positions and the matching edge positions.
+func (rs *repairScratch) row(u int32) (nbrs, edges []int32) {
+	lo, hi := rs.adjOff[u], rs.adjOff[u+1]
+	return rs.adj[lo:hi], rs.adjEdge[lo:hi]
+}
+
+// shortCycles finds every triangle and 4-cycle of the loaded cluster
+// through each of its edges, marks their edges as on-cycle and unions
+// them, and returns the number of existence checks performed.
+func (rs *repairScratch) shortCycles() (checks int64) {
+	for ei, e := range rs.edges {
+		ei := int32(ei)
+		u, v := rs.local(e.U), rs.local(e.V)
+		nu, eu := rs.row(u)
+		nv, ev := rs.row(v)
+		// Triangles u–v–x: intersect the two sorted rows.
+		checks += int64(min(len(nu), len(nv)))
+		for i, j := 0, 0; i < len(nu) && j < len(nv); {
+			switch {
+			case nu[i] < nv[j]:
+				i++
+			case nu[i] > nv[j]:
+				j++
+			default:
+				rs.mark(ei, eu[i])
+				rs.mark(ei, ev[j])
+				i++
+				j++
+			}
+		}
+		// 4-cycles u–n3–n4–v.
+		for i, n3 := range nu {
+			if n3 == v {
+				continue
+			}
+			n3row, n3edges := rs.row(n3)
+			for j, n4 := range nv {
+				if n4 == u || n4 == n3 {
+					continue
+				}
+				checks++
+				if k, ok := slices.BinarySearch(n3row, n4); ok {
+					rs.mark(ei, eu[i])
+					rs.mark(ei, n3edges[k])
+					rs.mark(ei, ev[j])
+				}
+			}
+		}
+	}
+	return checks
+}
+
+// mark records that edges a and b lie on a common short cycle.
+func (rs *repairScratch) mark(a, b int32) {
+	rs.onCycle[a], rs.onCycle[b] = true, true
+	ra, rb := rs.find(a), rs.find(b)
+	if ra == rb {
 		return
 	}
-	en.statSplits++
-	en.hooks.split(oldID, parts)
+	if rs.size[ra] < rs.size[rb] {
+		ra, rb = rb, ra
+	}
+	rs.parent[rb] = ra
+	rs.size[ra] += rs.size[rb]
+}
+
+// find is weighted quick-union's root lookup with path halving.
+func (rs *repairScratch) find(x int32) int32 {
+	p := rs.parent
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x
 }
 
 // dissolve removes a cluster entirely: its edges stay in the graph but are
@@ -186,40 +307,4 @@ func (en *Engine) dissolve(c *Cluster) {
 	}
 	delete(en.clusters, c.id)
 	en.hooks.dissolved(c.id)
-}
-
-// unionFind is a minimal weighted quick-union with path halving, used to
-// group cluster edges by connected short-cycle component.
-type unionFind struct {
-	parent []int
-	size   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
 }

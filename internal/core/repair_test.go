@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -243,5 +244,55 @@ func TestSameClusteringNegative(t *testing.T) {
 	c := []EdgeSet{{dygraph.NewEdge(1, 2): {}, dygraph.NewEdge(2, 3): {}}}
 	if SameClustering(a, c) {
 		t.Fatalf("different sizes reported equal")
+	}
+}
+
+// TestRepairAllocs pins repair's working memory to the engine-owned
+// scratch: a call that finds the cluster intact allocates nothing, and a
+// call that splits allocates only the new part (the Cluster and its two
+// maps) — no adjacency, index or grouping map per call.
+func TestRepairAllocs(t *testing.T) {
+	en := NewEngine(Hooks{})
+	buildClique(en, 8)
+	c := en.Clusters()[0]
+	if n := testing.AllocsPerRun(50, func() { en.repair(c) }); n != 0 {
+		t.Errorf("repair of an intact K8: %.1f allocs per call, want 0", n)
+	}
+
+	// Two triangles meeting at node 2 are two clusters; the chord 1–3
+	// closes the triangle 1–2–3 across them and merges them. Removing the
+	// chord splits the cluster again, adding it merges it back.
+	en = NewEngine(Hooks{})
+	addEdges(en,
+		[2]dygraph.NodeID{0, 1}, [2]dygraph.NodeID{1, 2}, [2]dygraph.NodeID{0, 2},
+		[2]dygraph.NodeID{2, 3}, [2]dygraph.NodeID{3, 4}, [2]dygraph.NodeID{2, 4})
+	cycle := func() (splitAllocs uint64) {
+		en.BeginQuantum()
+		en.AddEdge(1, 3, 1)
+		if en.ClusterCount() != 1 {
+			t.Fatalf("chord did not merge the triangles: %d clusters", en.ClusterCount())
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		en.RemoveEdge(1, 3)
+		runtime.ReadMemStats(&after)
+		if en.ClusterCount() != 2 {
+			t.Fatalf("removing the chord did not split: %d clusters", en.ClusterCount())
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cycle() // grow the scratch
+	var total uint64
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		total += cycle()
+	}
+	// One new part per split: the Cluster, and a map header plus one
+	// group of slots for each of its nodes and edges maps.
+	perSplit := float64(total) / runs
+	t.Logf("%.1f allocs per splitting repair", perSplit)
+	if perSplit > 5 {
+		t.Errorf("splitting repair: %.1f allocs per call, want ≤ 5", perSplit)
 	}
 }

@@ -1,5 +1,11 @@
 package server
 
+import (
+	"sync/atomic"
+
+	"repro/internal/akg"
+)
+
 // TenantMetrics extends the monitoring snapshot with the durability
 // layer's counters — the observability surface behind GET /metrics.
 type TenantMetrics struct {
@@ -76,6 +82,36 @@ type TenantMetrics struct {
 	RelatedBuilds        uint64 `json:"related_builds_total"`
 	IngestDecodeFast     uint64 `json:"ingest_decode_fast_total"`
 	IngestDecodeFallback uint64 `json:"ingest_decode_fallback_total"`
+
+	// Graph-layer signals (akg.QuantumStats), summed over the quanta this
+	// process applied: candidate pairs of bursty keywords examined and
+	// how many passed the Min-Hash screen, sketches recomputed because
+	// the keyword's user set had changed, and exact correlations settled
+	// without a full merge (size-ratio rejections + early exits).
+	// AKGDirtyNodes / AKGWindowUserEntries are the last quantum's
+	// support-dirty vertex count and Σ|users| over the window's id sets.
+	AKGPairsScreened     uint64 `json:"akg_pairs_screened_total"`
+	AKGPairsPassed       uint64 `json:"akg_pairs_passed_total"`
+	AKGSketchRebuilds    uint64 `json:"akg_sketch_rebuilds_total"`
+	AKGJaccardBails      uint64 `json:"akg_jaccard_bails_total"`
+	AKGDirtyNodes        int64  `json:"akg_dirty_nodes"`
+	AKGWindowUserEntries int64  `json:"akg_window_user_entries"`
+}
+
+// akgCounters is the tenant-side accumulator behind the akg_* metrics:
+// written by the apply step once per quantum, read by /metrics.
+type akgCounters struct {
+	pairsScreened, pairsPassed, sketchRebuilds, jaccardBails atomic.Uint64
+	dirtyNodes, windowEntries                                atomic.Int64
+}
+
+func (c *akgCounters) add(st *akg.QuantumStats) {
+	c.pairsScreened.Add(uint64(st.PairsScreened))
+	c.pairsPassed.Add(uint64(st.PairsPassed))
+	c.sketchRebuilds.Add(uint64(st.SketchRebuilds))
+	c.jaccardBails.Add(uint64(st.JaccardBails))
+	c.dirtyNodes.Store(int64(st.DirtyNodes))
+	c.windowEntries.Store(int64(st.WindowEntries))
 }
 
 // MetricsTotals aggregates the per-tenant metrics for dashboards that
@@ -118,6 +154,12 @@ func (t *Tenant) Metrics() TenantMetrics {
 	m.SnapshotViewsReused, m.SnapshotViewsRebuilt, m.RelatedBuilds = t.det.SnapshotCounters()
 	m.IngestDecodeFast = t.decodeFast.Load()
 	m.IngestDecodeFallback = t.decodeFallback.Load()
+	m.AKGPairsScreened = t.akg.pairsScreened.Load()
+	m.AKGPairsPassed = t.akg.pairsPassed.Load()
+	m.AKGSketchRebuilds = t.akg.sketchRebuilds.Load()
+	m.AKGJaccardBails = t.akg.jaccardBails.Load()
+	m.AKGDirtyNodes = t.akg.dirtyNodes.Load()
+	m.AKGWindowUserEntries = t.akg.windowEntries.Load()
 	if wl := t.walLog(); wl != nil {
 		m.WALEnabled = true
 		m.WALSegments = wl.SegmentCount()

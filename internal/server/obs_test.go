@@ -273,6 +273,15 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Errorf("promTenantMetrics has %d rows, TenantMetrics has %d fields — exposition drifted from JSON",
 			len(promTenantMetrics), jsonFields)
 	}
+	// The graph-layer signals carry the detector's own numbers: three
+	// quanta of two keywords used by the same users leave (keyword, user)
+	// pairs in the window, rebuilt sketches and at least one screened pair.
+	for _, name := range []string{"eventdetect_akg_window_user_entries", "eventdetect_akg_dirty_nodes",
+		"eventdetect_akg_pairs_screened_total", "eventdetect_akg_pairs_passed_total", "eventdetect_akg_sketch_rebuilds_total"} {
+		if v := series[name+`{tenant="exp"}`]; v <= 0 {
+			t.Errorf("%s = %v after three bursty quanta, want > 0", name, v)
+		}
+	}
 	// At least 8 distinct pipeline stages must have histogram data.
 	stages := map[string]bool{}
 	stageRE := regexp.MustCompile(`eventdetect_stage_duration_seconds_count\{tenant="exp",stage="([a-z_]+)"\}`)

@@ -259,6 +259,11 @@ type Tenant struct {
 	decodeFast     atomic.Uint64
 	decodeFallback atomic.Uint64
 
+	// akg sums the graph layer's per-quantum screening statistics over
+	// the quanta this process applied, and keeps the last quantum's
+	// dirty-set and window sizes (see akgCounters.add).
+	akg akgCounters
+
 	// Durability. lastApplied is the WAL seq of the last fully applied
 	// batch — the only safe snapshot position; lastSnapQuantum tracks the
 	// quantum of the newest snapshot for cadence and the snapshot-age
@@ -303,6 +308,7 @@ func newTenant(name string, det *detect.Detector, cfg PoolConfig, st *tenantStor
 	st.attachEvict(det, func(err error) { t.storageWriteFailed(st.archErrs, err) })
 	det.SetOnQuantum(func(res *detect.QuantumResult) {
 		t.elapsed.Add(int64(res.Elapsed))
+		t.akg.add(&res.Stats)
 		// The quantum's wall time plus its sub-phases: tokenization
 		// (which may have run on a pipeline worker), graph maintenance,
 		// and event reconciliation.

@@ -116,6 +116,18 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFast) }},
 	{"eventdetect_ingest_decode_fallback_total", "counter", "Accepted ingest bodies decoded by encoding/json.",
 		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFallback) }},
+	{"eventdetect_akg_pairs_screened_total", "counter", "Candidate pairs of bursty keywords examined for a new edge.",
+		func(m *TenantMetrics) float64 { return float64(m.AKGPairsScreened) }},
+	{"eventdetect_akg_pairs_passed_total", "counter", "Candidate pairs that passed the Min-Hash screen.",
+		func(m *TenantMetrics) float64 { return float64(m.AKGPairsPassed) }},
+	{"eventdetect_akg_sketch_rebuilds_total", "counter", "Min-Hash sketches recomputed after the keyword's user set changed.",
+		func(m *TenantMetrics) float64 { return float64(m.AKGSketchRebuilds) }},
+	{"eventdetect_akg_jaccard_bails_total", "counter", "Exact correlations settled without a full merge (size-ratio rejections and early exits).",
+		func(m *TenantMetrics) float64 { return float64(m.AKGJaccardBails) }},
+	{"eventdetect_akg_dirty_nodes", "gauge", "Keywords whose windowed user support changed in the last quantum.",
+		func(m *TenantMetrics) float64 { return float64(m.AKGDirtyNodes) }},
+	{"eventdetect_akg_window_user_entries", "gauge", "(keyword, distinct user) pairs held by the window's id sets.",
+		func(m *TenantMetrics) float64 { return float64(m.AKGWindowUserEntries) }},
 }
 
 // promPoolMetrics is the pool-totals series table.
