@@ -141,6 +141,25 @@ type Event struct {
 	// slice whenever the cluster is dirty and never writes into it, so
 	// epoch snapshots share it (see snapshot.go).
 	users []uint64
+
+	// history is AllKeywords in ascending order, for the read path, which
+	// serves it on every query hit and must not sort a map per hit. Like
+	// the map it is copy-on-write — replaced when a keyword joins, never
+	// written in place — so snapshot views share it.
+	history []string
+}
+
+// KeywordHistory returns AllKeywords as an ascending slice. The slice is
+// shared with every view of the event: read it, do not write it. An
+// Event built by hand rather than by a Detector (tests, literals) has no
+// precomputed history and pays for a sort here; a Detector's event
+// answers without touching the map at all (the map header is a cache
+// miss per hit on a scan over thousands of events).
+func (e *Event) KeywordHistory() []string {
+	if e.history != nil || len(e.AllKeywords) == 0 {
+		return e.history
+	}
+	return slices.Sorted(maps.Keys(e.AllKeywords))
 }
 
 // Spurious applies the post-hoc rule from Section 7.2.2: never-evolving
@@ -764,6 +783,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 			for _, kw := range ev.Keywords {
 				ev.AllKeywords[kw] = struct{}{}
 			}
+			ev.history = ev.Keywords // sorted, and replaced rather than written
 		} else if !sameStrings(ev.Keywords, keywords) {
 			ev.Evolved = true
 			ev.Keywords = append([]string(nil), keywords...)
@@ -780,6 +800,9 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 					grown = true
 				}
 				ev.AllKeywords[kw] = struct{}{}
+			}
+			if grown {
+				ev.history = slices.Sorted(maps.Keys(ev.AllKeywords))
 			}
 		}
 		edges := c.AppendEdges(d.edgeScratch[:0])

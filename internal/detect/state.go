@@ -4,6 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/akg"
@@ -66,11 +68,6 @@ type DetectorState struct {
 }
 
 func snapshotEvent(ev *Event) EventSnapshot {
-	all := make([]string, 0, len(ev.AllKeywords))
-	for kw := range ev.AllKeywords {
-		all = append(all, kw)
-	}
-	sort.Strings(all)
 	return EventSnapshot{
 		ID:            ev.ID,
 		ClusterID:     ev.ClusterID,
@@ -88,7 +85,7 @@ func snapshotEvent(ev *Event) EventSnapshot {
 		Size:          ev.Size,
 		Reported:      ev.Reported,
 		FirstReported: ev.FirstReported,
-		AllKeywords:   all,
+		AllKeywords:   append(make([]string, 0, len(ev.AllKeywords)), ev.KeywordHistory()...),
 		ExactMQC:      ev.ExactMQC,
 	}
 }
@@ -117,6 +114,7 @@ func restoreEvent(s EventSnapshot) *Event {
 		FirstReported: s.FirstReported,
 		AllKeywords:   all,
 		ExactMQC:      s.ExactMQC,
+		history:       slices.Sorted(maps.Keys(all)),
 	}
 }
 

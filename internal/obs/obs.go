@@ -30,6 +30,11 @@ const (
 	// StageHTTPQuery is a read endpoint's wall time (/events, /related,
 	// /events/{id}, /query).
 	StageHTTPQuery
+	// StageHTTPEncode is writing a response body through the typed
+	// writer: encoding plus the writes to the connection. On /events and
+	// /related it lies inside StageHTTPQuery; on /query and the ingest
+	// ack it follows the request's own stage, which ends before the body.
+	StageHTTPEncode
 	// StageAdmission is the admission gate: queue-bound checks and the
 	// token bucket, including the ingest-queue lock acquisition.
 	StageAdmission
@@ -97,6 +102,7 @@ const (
 var stageNames = [numStages]string{
 	"http_ingest",
 	"http_query",
+	"http_encode",
 	"admission",
 	"wal_append",
 	"wal_commit",

@@ -75,6 +75,9 @@ func BenchmarkUnifiedQuery(b *testing.B) {
 		{"fullscan", Request{To: -1}},
 		{"keyword-rare", Request{To: -1, Keywords: []string{"rare"}, Limit: 10}},
 		{"timerange", Request{From: 4000, To: 4100, Limit: 100}},
+		// Four matches under the server's page ceiling: the cost must
+		// follow the matches, not the limit.
+		{"keyword-rare-limit10000", Request{To: -1, Keywords: []string{"rare"}, Limit: 10000}},
 	}
 	arch := benchArchive(b)
 	snap := benchSnap()

@@ -9,43 +9,67 @@ import "slices"
 // must beat once full, and overflowed records that at least one match
 // was displaced, i.e. more matches exist than the page holds. With
 // limit ≤ 0 it is a plain accumulator sorted at the end.
+//
+// The events themselves sit in an append-only side store; what the heap
+// sifts and the final sort moves are 24-byte (key, slot) entries. Both
+// grow with the matches, never with the limit: a limit=10000 request
+// that matches ten events holds ten. The store is a list of fixed-size
+// chunks, so growing it never moves (or re-zeroes room for) the events
+// already held.
 type pool struct {
 	limit      int
-	cands      []cand // max-heap by key when limit > 0
+	chunkCap   int       // min(limit, chunkEvents): a small page needs one small chunk
+	chunks     [][]Event // each of capacity chunkCap; all but the last full
+	ents       []entry   // max-heap by key when limit > 0
 	overflowed bool
 }
 
-type cand struct {
-	ev Event
-	k  key
+// chunkEvents sizes a store chunk: ~11 KiB, small enough that a query
+// with a handful of matches does not pay much for the slots it leaves
+// empty, and a small-object allocation.
+const chunkEvents = 64
+
+// entry orders one candidate: its key and its slot in the store.
+type entry struct {
+	k key
+	i int
 }
 
+func (p *pool) slot(i int) *Event { return &p.chunks[i/p.chunkCap][i%p.chunkCap] }
+
 func newPool(limit int) *pool {
-	p := &pool{limit: limit}
+	p := &pool{limit: limit, chunkCap: chunkEvents}
 	if limit > 0 {
-		p.cands = make([]cand, 0, limit)
+		p.chunkCap = min(limit, chunkEvents)
+		p.ents = make([]entry, 0, p.chunkCap)
 	}
 	return p
 }
 
-func (p *pool) full() bool { return p.limit > 0 && len(p.cands) >= p.limit }
+func (p *pool) full() bool { return p.limit > 0 && len(p.ents) >= p.limit }
 
 // worst returns the largest kept key. Only valid when full().
-func (p *pool) worst() key { return p.cands[0].k }
+func (p *pool) worst() key { return p.ents[0].k }
 
 func (p *pool) add(ev Event, k key) {
-	if p.limit <= 0 {
-		p.cands = append(p.cands, cand{ev: ev, k: k})
-		return
-	}
-	if len(p.cands) < p.limit {
-		p.cands = append(p.cands, cand{ev: ev, k: k})
-		p.siftUp(len(p.cands) - 1)
+	if p.limit <= 0 || len(p.ents) < p.limit {
+		n := len(p.ents)
+		if n%p.chunkCap == 0 {
+			p.chunks = append(p.chunks, make([]Event, 0, p.chunkCap))
+		}
+		last := &p.chunks[len(p.chunks)-1]
+		*last = append(*last, ev)
+		p.ents = append(p.ents, entry{k: k, i: n})
+		if p.limit > 0 {
+			p.siftUp(len(p.ents) - 1)
+		}
 		return
 	}
 	p.overflowed = true
-	if k.less(p.cands[0].k) {
-		p.cands[0] = cand{ev: ev, k: k}
+	if k.less(p.ents[0].k) {
+		// The displaced root's slot takes the newcomer.
+		*p.slot(p.ents[0].i) = ev
+		p.ents[0].k = k
 		p.siftDown(0)
 	}
 }
@@ -53,28 +77,28 @@ func (p *pool) add(ev Event, k key) {
 func (p *pool) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !p.cands[parent].k.less(p.cands[i].k) {
+		if !p.ents[parent].k.less(p.ents[i].k) {
 			return
 		}
-		p.cands[parent], p.cands[i] = p.cands[i], p.cands[parent]
+		p.ents[parent], p.ents[i] = p.ents[i], p.ents[parent]
 		i = parent
 	}
 }
 
 func (p *pool) siftDown(i int) {
-	n := len(p.cands)
+	n := len(p.ents)
 	for {
 		l, r, max := 2*i+1, 2*i+2, i
-		if l < n && p.cands[max].k.less(p.cands[l].k) {
+		if l < n && p.ents[max].k.less(p.ents[l].k) {
 			max = l
 		}
-		if r < n && p.cands[max].k.less(p.cands[r].k) {
+		if r < n && p.ents[max].k.less(p.ents[r].k) {
 			max = r
 		}
 		if max == i {
 			return
 		}
-		p.cands[i], p.cands[max] = p.cands[max], p.cands[i]
+		p.ents[i], p.ents[max] = p.ents[max], p.ents[i]
 		i = max
 	}
 }
@@ -82,7 +106,7 @@ func (p *pool) siftDown(i int) {
 // ascending drains the pool into key-ascending order. The pool is
 // consumed; call once.
 func (p *pool) ascending() []Event {
-	slices.SortFunc(p.cands, func(a, b cand) int {
+	slices.SortFunc(p.ents, func(a, b entry) int {
 		switch {
 		case a.k.less(b.k):
 			return -1
@@ -91,9 +115,9 @@ func (p *pool) ascending() []Event {
 		}
 		return 0
 	})
-	out := make([]Event, len(p.cands))
-	for i := range p.cands {
-		out[i] = p.cands[i].ev
+	out := make([]Event, len(p.ents))
+	for i, e := range p.ents {
+		out[i] = *p.slot(e.i)
 	}
 	return out
 }

@@ -496,16 +496,11 @@ func eventOfRecord(rec *archive.Record) Event {
 }
 
 func eventOfView(ev *detect.Event) Event {
-	all := make([]string, 0, len(ev.AllKeywords))
-	for kw := range ev.AllKeywords {
-		all = append(all, kw)
-	}
-	slices.Sort(all)
 	return Event{
 		ID:            ev.ID,
 		State:         ev.State.String(),
 		Keywords:      ev.Keywords,
-		AllKeywords:   all,
+		AllKeywords:   ev.KeywordHistory(),
 		Rank:          ev.Rank,
 		PeakRank:      ev.PeakRank,
 		BornQuantum:   ev.BornQuantum,

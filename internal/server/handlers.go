@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/stream"
 )
@@ -94,10 +95,7 @@ func NewHandler(p *Pool) http.Handler {
 		default:
 			events = t.Events(k, all)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"tenant": t.Name(),
-			"events": events,
-		})
+		writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeEventsBody(jw, t.Name(), events) })
 		t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
 	})
 	mux.HandleFunc("GET /v1/{tenant}/events/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -115,7 +113,7 @@ func NewHandler(p *Pool) http.Handler {
 			httpError(w, http.StatusNotFound, "no such event")
 			return
 		}
-		writeJSON(w, http.StatusOK, ev)
+		writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeEventView(jw, &ev) })
 	})
 	mux.HandleFunc("GET /v1/{tenant}/related", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := getTenant(w, r, p)
@@ -127,10 +125,8 @@ func NewHandler(p *Pool) http.Handler {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"tenant":  t.Name(),
-			"related": t.Related(min),
-		})
+		related := t.Related(min)
+		writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeRelatedBody(jw, t.Name(), related) })
 		t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
 	})
 	mux.HandleFunc("GET /v1/{tenant}/query", func(w http.ResponseWriter, r *http.Request) {
@@ -317,10 +313,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 		return
 	}
 	offerTrace(t, tr, obs.StageHTTPIngest)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"tenant": name,
-		"queued": len(msgs),
-	})
+	writeBody(w, http.StatusAccepted, t.obs, func(jw *jsonw.Writer) { encodeIngestAck(jw, name, len(msgs)) })
 }
 
 // maxPooledBody is the largest request buffer bodyPool keeps: a rare
@@ -400,6 +393,9 @@ func getTenant(w http.ResponseWriter, r *http.Request, p *Pool) (*Tenant, bool) 
 	return t, true
 }
 
+// writeJSON serves the cold shapes (errors, /metrics, /statsz, health,
+// /tenants, /debug/requests) through encoding/json; the hot ones go
+// through writeBody.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

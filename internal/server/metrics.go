@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/akg"
+	"repro/internal/obs"
 )
 
 // TenantMetrics extends the monitoring snapshot with the durability
@@ -83,6 +84,15 @@ type TenantMetrics struct {
 	IngestDecodeFast     uint64 `json:"ingest_decode_fast_total"`
 	IngestDecodeFallback uint64 `json:"ingest_decode_fallback_total"`
 
+	// HTTPEncodeBodies / HTTPEncodeSeconds are the http_encode stage's
+	// count and summed time: response bodies the typed writer served
+	// (/query, /events, /related, the ingest ack) and what encoding them
+	// and writing them to the connection took. /query's trace and its
+	// http_query observation end before the body, so this is the part of
+	// a query the other stages do not see.
+	HTTPEncodeBodies  uint64  `json:"http_encode_total"`
+	HTTPEncodeSeconds float64 `json:"http_encode_seconds_total"`
+
 	// Graph-layer signals (akg.QuantumStats), summed over the quanta this
 	// process applied: candidate pairs of bursty keywords examined and
 	// how many passed the Min-Hash screen, sketches recomputed because
@@ -154,6 +164,8 @@ func (t *Tenant) Metrics() TenantMetrics {
 	m.SnapshotViewsReused, m.SnapshotViewsRebuilt, m.RelatedBuilds = t.det.SnapshotCounters()
 	m.IngestDecodeFast = t.decodeFast.Load()
 	m.IngestDecodeFallback = t.decodeFallback.Load()
+	enc := t.obs.Snapshot(obs.StageHTTPEncode)
+	m.HTTPEncodeBodies, m.HTTPEncodeSeconds = enc.Count, float64(enc.SumNs)/1e9
 	m.AKGPairsScreened = t.akg.pairsScreened.Load()
 	m.AKGPairsPassed = t.akg.pairsPassed.Load()
 	m.AKGSketchRebuilds = t.akg.sketchRebuilds.Load()

@@ -169,17 +169,12 @@ func (s *tenantStorage) attachEvict(det *detect.Detector, failed func(error)) {
 // archiveRecord projects an evicted event onto the archive's record
 // shape, with seq as its eviction ordinal.
 func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
-	all := make([]string, 0, len(ev.AllKeywords))
-	for kw := range ev.AllKeywords {
-		all = append(all, kw)
-	}
-	sort.Strings(all)
 	return archive.Record{
 		Seq:           seq,
 		ID:            ev.ID,
 		State:         ev.State.String(),
 		Keywords:      append([]string(nil), ev.Keywords...),
-		AllKeywords:   all,
+		AllKeywords:   append(make([]string, 0, len(ev.AllKeywords)), ev.KeywordHistory()...),
 		Rank:          ev.Rank,
 		PeakRank:      ev.PeakRank,
 		BornQuantum:   ev.BornQuantum,

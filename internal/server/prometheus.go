@@ -116,6 +116,10 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFast) }},
 	{"eventdetect_ingest_decode_fallback_total", "counter", "Accepted ingest bodies decoded by encoding/json.",
 		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFallback) }},
+	{"eventdetect_http_encode_total", "counter", "Response bodies served by the typed writer (the http_encode stage's count).",
+		func(m *TenantMetrics) float64 { return float64(m.HTTPEncodeBodies) }},
+	{"eventdetect_http_encode_seconds_total", "counter", "Time spent encoding and writing those bodies (the http_encode stage's sum).",
+		func(m *TenantMetrics) float64 { return m.HTTPEncodeSeconds }},
 	{"eventdetect_akg_pairs_screened_total", "counter", "Candidate pairs of bursty keywords examined for a new edge.",
 		func(m *TenantMetrics) float64 { return float64(m.AKGPairsScreened) }},
 	{"eventdetect_akg_pairs_passed_total", "counter", "Candidate pairs that passed the Min-Hash screen.",

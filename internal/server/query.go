@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/query"
 )
@@ -127,6 +128,7 @@ func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	tr.Step("parse")
 	req, ok := parseQueryRequest(w, r)
 	if !ok {
+		offerTrace(t, tr, obs.StageHTTPQuery)
 		return
 	}
 	req.Trace = tr
@@ -137,16 +139,15 @@ func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		return
 	}
 	tr.Step("finalize")
-	body := map[string]any{
-		"tenant": t.Name(),
-		"events": res.Events,
-		"stats":  res.Stats,
-		"cursor": res.Cursor,
-	}
+	// The trace and the http_query observation end here, before the
+	// body: ?debug=1 embeds the finished record in it. Writing the body
+	// is the http_encode stage.
+	var dbg *traceJSON
 	if rec := offerTrace(t, tr, obs.StageHTTPQuery); debug {
-		body["debug"] = traceView(rec)
+		v := traceView(rec)
+		dbg = &v
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeQueryBody(jw, t.Name(), &res, dbg) })
 }
 
 func queryError(w http.ResponseWriter, err error) {

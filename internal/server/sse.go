@@ -1,13 +1,14 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/detect"
+	"repro/internal/jsonw"
 )
 
 // StreamEvent is the payload pushed on the SSE stream, one per processed
@@ -74,12 +75,14 @@ func (b *broker) subscribe() (<-chan []byte, func()) {
 	return ch, cancel
 }
 
-// publish marshals ev once and offers it to every subscriber without
+// publish encodes ev once — the bytes json.Marshal would produce, through
+// the typed writer, copied into the one allocation the subscribers'
+// channels retain — and offers it to every subscriber without
 // blocking. Drop-slowest-client policy: a subscriber whose buffer is
 // full has stalled for subBuffer quanta — it is unsubscribed and its
 // channel closed (ending its SSE handler) rather than allowed to shed
 // events silently or, worse, stall the publisher. With no subscribers
-// publish returns before marshaling — this runs on the apply path under
+// publish returns before encoding — this runs on the apply path under
 // the detector lock, so idle-broker cost must be nil.
 func (b *broker) publish(ev *StreamEvent) {
 	b.mu.Lock()
@@ -87,10 +90,10 @@ func (b *broker) publish(ev *StreamEvent) {
 	if len(b.subs) == 0 {
 		return
 	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
+	jw := jsonw.Compact()
+	encodeStreamEvent(jw, ev)
+	payload := bytes.Clone(jw.Bytes())
+	jw.Close()
 	for ch := range b.subs { //repro:order-insensitive independent fan-out; every subscriber gets the same payload
 		select {
 		case ch <- payload:
@@ -153,9 +156,10 @@ func serveSSE(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	fmt.Fprintf(w, ": stream %s\n\n", t.name)
 	if catchup {
 		if ev := t.lastEvent.Load(); ev != nil {
-			if payload, err := json.Marshal(ev); err == nil {
-				fmt.Fprintf(w, "event: quantum\ndata: %s\n\n", payload)
-			}
+			jw := jsonw.Compact()
+			encodeStreamEvent(jw, ev)
+			fmt.Fprintf(w, "event: quantum\ndata: %s\n\n", jw.Bytes())
+			jw.Close()
 		}
 	}
 	fl.Flush()

@@ -2,8 +2,8 @@ package wal
 
 import (
 	"strconv"
-	"unicode/utf8"
 
+	"repro/internal/jsonw"
 	"repro/internal/stream"
 )
 
@@ -32,76 +32,8 @@ func appendMessagesJSON(dst []byte, msgs []stream.Message) []byte {
 		dst = append(dst, `,"time":`...)
 		dst = strconv.AppendInt(dst, m.Time, 10)
 		dst = append(dst, `,"text":`...)
-		dst = appendJSONString(dst, m.Text)
+		dst = jsonw.AppendString(dst, m.Text)
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
 }
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string exactly as encoding/json
-// encodes it with the default HTML escaping: control characters,
-// quote/backslash, '<', '>', '&', invalid UTF-8 (→ \ufffd) and the
-// JS-hostile U+2028/U+2029 are escaped; everything else is copied.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if jsonSafe[b] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				// Other control bytes and <, >, & get \u00xx.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// jsonSafe marks ASCII bytes that need no escaping under encoding/json's
-// default (HTML-escaping) encoder.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for b := 0x20; b < utf8.RuneSelf; b++ {
-		t[b] = true
-	}
-	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
-	return
-}()
