@@ -115,18 +115,7 @@ func TestPublicCheckpoint(t *testing.T) {
 	if d2.Processed() != uint64(len(msgs)) {
 		t.Fatalf("Processed = %d", d2.Processed())
 	}
-}
-
-func TestPublicRunParallel(t *testing.T) {
-	msgs, _ := repro.TWTrace(9, 12000)
-	d := repro.NewDetector(repro.Config{})
-	if err := d.RunParallel(repro.NewSliceSource(msgs), 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	if d.Processed() != uint64(len(msgs)) {
-		t.Fatalf("Processed = %d", d.Processed())
-	}
-	_ = d.TopK(3)
-	_ = d.RelatedEvents(0.9)
-	_ = d.SpuriousEvents()
+	_ = d2.TopK(3)
+	_ = d2.RelatedEvents(0.9)
+	_ = d2.SpuriousEvents()
 }

@@ -206,12 +206,13 @@ func BenchmarkAKGReduction(b *testing.B) {
 func BenchmarkAKGWindow(b *testing.B) {
 	msgs, _ := cachedTrace("tw", benchTraceLen)
 	in := textproc.NewInterner()
+	var tk textproc.Tokenizer
 	var quanta [][]ckg.UserKeywords
 	for lo := 0; lo+detect.DefaultDelta <= len(msgs); lo += detect.DefaultDelta {
 		byUser := map[uint64][]dygraph.NodeID{}
 		for _, m := range msgs[lo : lo+detect.DefaultDelta] {
-			for _, w := range textproc.Keywords(m.Text) {
-				byUser[m.User] = append(byUser[m.User], in.Intern(w))
+			for _, tok := range tk.Tokenize(m.Text) {
+				byUser[m.User] = append(byUser[m.User], in.InternBytes(tok.Text))
 			}
 		}
 		batch := make([]ckg.UserKeywords, 0, len(byUser))
@@ -447,9 +448,11 @@ func BenchmarkMinHashSharesValue(b *testing.B) {
 
 func BenchmarkTokenize(b *testing.B) {
 	msg := "Breaking: massive 5.9 earthquake struck eastern Turkey, #earthquake reports say https://example.com @newsdesk"
+	var tk textproc.Tokenizer
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		textproc.Tokenize(msg)
+		tk.Tokenize(msg)
 	}
 }
 
@@ -462,23 +465,4 @@ func BenchmarkDetectorIngest(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(d.AKG().NodeCount()), "akg_nodes")
-}
-
-// BenchmarkParallelIngest compares the serial pipeline against
-// RunParallel's tokenise-on-workers variant (Section 7.3's parallel
-// processing claim).
-func BenchmarkParallelIngest(b *testing.B) {
-	msgs, _ := cachedTrace("tw", benchTraceLen)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := detect.New(detect.Config{})
-				if err := d.RunParallel(stream.NewSliceSource(msgs), workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(msgs))*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-		})
-	}
 }

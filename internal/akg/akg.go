@@ -103,10 +103,14 @@ type QuantumStats struct {
 	// maintenance (event reconciliation) revisits instead of rescanning
 	// the whole graph.
 	DirtyNodes int
-	// SketchRebuilds counts Min-Hash sketches recomputed because the
-	// keyword's user set changed since its last screening (a cache
-	// statistic: a restored layer starts with every sketch stale).
+	// SketchRebuilds counts Min-Hash sketches recomputed from the
+	// keyword's whole user set: its first screening, or a user among its
+	// p minima left the window since the last one (a cache statistic: a
+	// restored layer starts with every sketch stale). SketchUpdates
+	// counts the membership changes a current sketch absorbed instead —
+	// arrivals inserted, departures shown to lie above its largest value.
 	SketchRebuilds int
+	SketchUpdates  int
 	// JaccardBails counts exact-correlation calls answered without a
 	// full merge: rejected on the size ratio alone, or abandoned once β
 	// was out of reach.
@@ -117,10 +121,10 @@ type QuantumStats struct {
 }
 
 // keyword is everything the layer knows about one keyword seen inside
-// the window. The record is resolved once per quantum (one map lookup in
-// the observe loop) and then travels by pointer: the ring entry keeps it
-// next to the keyword's users, so expiry, classification, refresh,
-// screening and eviction never look anything up.
+// the window. The record is resolved once per quantum (one index into
+// AKG.kw in the observe loop) and then travels by pointer: the ring entry
+// keeps it next to the keyword's users, so expiry, classification,
+// refresh, screening and eviction never look anything up.
 //
 // A record referenced from the ring is live: its set holds at least the
 // users that ring entry lists, so it cannot be empty — and is therefore
@@ -128,8 +132,12 @@ type QuantumStats struct {
 type keyword struct {
 	id  dygraph.NodeID
 	set idSet
-	// sketch caches the set's bottom-p Min-Hash sketch (nil until first
-	// screened); stale says the membership changed since it was built.
+	// sketch is the set's bottom-p Min-Hash sketch (nil until first
+	// screened). Invariant: while stale is false it equals a rebuild from
+	// set.users — arrivals are inserted as they are observed (exact for a
+	// bottom-p sketch) and a departure leaves it current only when the
+	// user provably was not among the p minima; any other departure sets
+	// stale and the next screening rebuilds.
 	sketch *minhash.Sketch
 	stale  bool
 	// present: currently an AKG node (and a node of the engine's graph).
@@ -161,8 +169,11 @@ type AKG struct {
 	eng     *core.Engine
 	quantum int
 
-	ring []quantumObs                // per live quantum, oldest first
-	kw   map[dygraph.NodeID]*keyword // every keyword with a non-empty id set
+	ring []quantumObs // per live quantum, oldest first
+	// kw is indexed by keyword ID — IDs are dense and never reused, so the
+	// table is a slice grown with slack as the vocabulary does — and holds
+	// a record for exactly the keywords with a non-empty id set.
+	kw []*keyword
 	// nodes counts records with present set; entries is Σ|users| over kw.
 	nodes   int
 	entries int
@@ -177,7 +188,9 @@ type AKG struct {
 	// scratch reused across quanta
 	spare       quantumObs // slices of the last expired ring entry
 	pairScratch []uint64   // group's packed (keyword, batch position) pairs
+	pairSwap    []uint64   // the radix passes' other buffer
 	fresh       []uint64   // idSet.observe's new-user list
+	gone        []uint64   // idSet.expire's departed-user list
 	emptied     []*keyword // sets the slide emptied; dropped unless re-observed
 	free        []*keyword // dropped records (empty sets), for reuse
 	set1        []*keyword
@@ -200,7 +213,6 @@ func New(cfg Config, hooks core.Hooks) *AKG {
 	return &AKG{
 		cfg: cfg,
 		eng: core.NewEngine(hooks),
-		kw:  make(map[dygraph.NodeID]*keyword),
 	}
 }
 
@@ -230,9 +242,22 @@ func (a *AKG) DirtyNodes() []dygraph.NodeID { return a.dirty }
 // the free list.
 const recycleCap = 8
 
+// rec returns keyword k's record, nil when its id set is empty (or k is
+// beyond anything the layer has seen).
+func (a *AKG) rec(k dygraph.NodeID) *keyword {
+	if int(k) < len(a.kw) {
+		return a.kw[k]
+	}
+	return nil
+}
+
 // newKeyword registers a record for first-seen keyword k, recycling a
-// dead one when there is one.
+// dead one when there is one. The table grows by a quarter beyond k:
+// first-seen keywords arrive with ever larger IDs, a few per quantum.
 func (a *AKG) newKeyword(k dygraph.NodeID) *keyword {
+	if n := int(k) + 1; n > len(a.kw) {
+		a.kw = append(a.kw, make([]*keyword, n+n/4-len(a.kw))...)
+	}
 	var r *keyword
 	if n := len(a.free); n > 0 {
 		r = a.free[n-1]
@@ -245,10 +270,9 @@ func (a *AKG) newKeyword(k dygraph.NodeID) *keyword {
 	return r
 }
 
-// markDirty records that r's windowed user set changed this quantum: its
-// cached sketch no longer describes it, and it joins the dirty list once.
+// markDirty records that r's windowed user set changed this quantum: it
+// joins the dirty list once.
 func (a *AKG) markDirty(r *keyword) {
-	r.stale = true
 	if r.dirtyAt != a.quantum {
 		r.dirtyAt = a.quantum
 		a.dirty = append(a.dirty, r.id)
@@ -257,7 +281,7 @@ func (a *AKG) markDirty(r *keyword) {
 
 // InAKG reports whether keyword k is currently an AKG node.
 func (a *AKG) InAKG(k dygraph.NodeID) bool {
-	r := a.kw[k]
+	r := a.rec(k)
 	return r != nil && r.present
 }
 
@@ -298,16 +322,23 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	}
 	a.spare = quantumObs{}
 	for ki, k := range obs.keys {
-		r := a.kw[k]
+		r := a.rec(k)
 		if r == nil {
 			r = a.newKeyword(k)
 		}
 		obs.recs[ki] = r
 		// A keyword whose distinct-user set grew is support-dirty: its
-		// node weight in the ranking function changed.
+		// node weight in the ranking function changed. A current sketch
+		// takes the arrivals in.
 		if grew := r.set.observe(obs.usersOf(ki), &a.fresh); grew > 0 {
 			a.entries += grew
 			a.markDirty(r)
+			if !r.stale {
+				for _, u := range a.fresh {
+					r.sketch.Add(u)
+				}
+				st.SketchUpdates++
+			}
 		}
 	}
 	a.ring = append(a.ring, obs)
@@ -323,7 +354,7 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	// would drift towards the largest set ever seen.
 	for _, r := range a.emptied {
 		if r.set.size() == 0 {
-			delete(a.kw, r.id)
+			a.kw[r.id] = nil
 			if cap(r.set.users) <= recycleCap {
 				a.free = append(a.free, r)
 			}
@@ -381,20 +412,23 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 // group arranges the batch's (keyword, user) pairs by keyword into a
 // columnar ring entry built over buf's slices — in expiry order, with no
 // per-keyword map: each pair is packed as keyword<<32 | position of the
-// user's entry, one ordered sort brings the pairs of a keyword together
-// with their users in batch order, and one scan cuts the groups. ok
-// reports that every keyword's users came out strictly ascending (see
-// ProcessQuantum's precondition); the entry's recs are left for the
-// caller to fill.
+// user's entry, one stable radix sort on the keyword brings the pairs of
+// a keyword together with their users in batch order, and one scan cuts
+// the groups. ok reports that every keyword's users came out strictly
+// ascending (see ProcessQuantum's precondition); the entry's recs are
+// left for the caller to fill.
 func (a *AKG) group(batch []ckg.UserKeywords, buf quantumObs) (obs quantumObs, ok bool) {
 	pairs := a.pairScratch[:0]
+	var maxKey dygraph.NodeID
 	for ui, uk := range batch {
 		for _, k := range uk.Keywords {
 			pairs = append(pairs, uint64(k)<<32|uint64(uint32(ui)))
+			maxKey = max(maxKey, k)
 		}
 	}
+	a.pairSwap = slices.Grow(a.pairSwap[:0], len(pairs))[:len(pairs)]
+	pairs, a.pairSwap = sortByKeyword(pairs, a.pairSwap, maxKey)
 	a.pairScratch = pairs
-	slices.Sort(pairs)
 	obs = quantumObs{
 		keys:  buf.keys[:0],
 		off:   buf.off[:0],
@@ -414,6 +448,36 @@ func (a *AKG) group(batch []ckg.UserKeywords, buf quantumObs) (obs quantumObs, o
 	obs.off = append(obs.off, int32(len(pairs)))
 	obs.recs = slices.Grow(buf.recs[:0], len(obs.keys))[:len(obs.keys)]
 	return obs, ok
+}
+
+// sortByKeyword orders packed pairs by their keyword (the high 32 bits),
+// keeping pairs of one keyword in input order — which, positions being
+// appended in ascending order, is the order a full sort of the pairs
+// gives. It is a byte-wise LSD radix sort over as many bytes as maxKey
+// has, ping-ponging between pairs and tmp (same length); a byte on which
+// all keywords agree costs its histogram only. Returns the sorted buffer
+// and the other one.
+func sortByKeyword(pairs, tmp []uint64, maxKey dygraph.NodeID) (sorted, other []uint64) {
+	for shift := 32; maxKey != 0 && len(pairs) > 1; shift, maxKey = shift+8, maxKey>>8 {
+		var count [256]int32
+		for _, p := range pairs {
+			count[uint8(p>>shift)]++
+		}
+		if int(count[uint8(pairs[0]>>shift)]) == len(pairs) {
+			continue
+		}
+		var pos int32
+		for d := range count {
+			count[d], pos = pos, pos+count[d]
+		}
+		for _, p := range pairs {
+			d := uint8(p >> shift)
+			tmp[count[d]] = p
+			count[d]++
+		}
+		pairs, tmp = tmp, pairs
+	}
+	return pairs, tmp
 }
 
 // normalized returns a copy of batch that meets ProcessQuantum's
@@ -452,11 +516,23 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 	// removals reach the engine, where split identities must be
 	// reproducible across runs.
 	for ki, r := range oldest.recs {
-		if shrank := r.set.expire(oldest.usersOf(ki)); shrank > 0 {
+		// Who left matters only to a sketch that is current.
+		var gone *[]uint64
+		if !r.stale {
+			gone = &a.gone
+		}
+		if shrank := r.set.expire(oldest.usersOf(ki), gone); shrank > 0 {
 			// Support shrank without any engine mutation; clusters
 			// containing the keyword must still be re-ranked.
 			a.entries -= shrank
 			a.markDirty(r)
+			if !r.stale {
+				// A sketch cannot subtract, but a user hashing above its
+				// largest value never was in it.
+				if r.stale = slices.ContainsFunc(a.gone, r.sketch.MayHold); !r.stale {
+					st.SketchUpdates++
+				}
+			}
 		}
 		if r.set.size() == 0 {
 			// The record leaves a.kw after the observe loop, unless this
@@ -486,7 +562,7 @@ func (a *AKG) refreshEdges(set2, set1 []*keyword, st *QuantumStats) {
 			// where split identities must be reproducible across runs.
 			a.nbrs = a.eng.Graph().AppendNeighbors(a.nbrs[:0], r.id)
 			for _, id := range a.nbrs {
-				m := a.kw[id] // a graph node is an AKG member: its set is non-empty
+				m := a.kw[id] // a graph node is an AKG member: it has a record
 				if m.refreshedAt == a.quantum {
 					continue // m came earlier in the lists and refreshed this edge
 				}
@@ -551,7 +627,7 @@ func (a *AKG) connectBursty(set1 []*keyword, st *QuantumStats) {
 // (nil for an unknown keyword). The slice is the id set's own and valid
 // until the set's next membership change.
 func (a *AKG) sortedUsers(k dygraph.NodeID) []uint64 {
-	if r := a.kw[k]; r != nil {
+	if r := a.rec(k); r != nil {
 		return r.set.users
 	}
 	return nil
@@ -698,12 +774,12 @@ func (a *AKG) correlation(r1, r2 *keyword, st *QuantumStats) float64 {
 	return a.jaccard(r1, r2, st)
 }
 
-// freshSketch makes r's window sketch current. Sketches cannot subtract
-// expired users, so a keyword's sketch is rebuilt from its id set — but
-// only when the set's membership actually changed since the last build
-// (the sketch is a pure function of the membership set,
-// insertion-order independent), which preserves the paper's per-quantum
-// p-Min-Hash semantics at a fraction of the hashing cost.
+// freshSketch makes r's window sketch current: a no-op while the upkeep
+// in ProcessQuantum and slideWindow has kept it so, a rebuild from the id
+// set otherwise. Either way the sketch is a pure function of the
+// membership set, insertion-order independent, which preserves the
+// paper's per-quantum p-Min-Hash semantics at a fraction of the hashing
+// cost.
 func (a *AKG) freshSketch(r *keyword, st *QuantumStats) {
 	if r.sketch == nil {
 		r.sketch = minhash.New(a.cfg.P, a.cfg.Seed)

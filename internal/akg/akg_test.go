@@ -3,7 +3,6 @@ package akg
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/ckg"
 	"repro/internal/core"
 	"repro/internal/dygraph"
+	"repro/internal/minhash"
 	"repro/internal/textproc"
 	"repro/internal/tracegen"
 )
@@ -292,20 +292,39 @@ func TestQuantumStatsSignals(t *testing.T) {
 // the keyword table has a non-empty, strictly ascending id set whose
 // counts add up to the ring's observations; every ring entry points at
 // the table's record for its keyword; the incremental node and entry
-// counters match a recount; AKG members are exactly the engine's nodes.
+// counters match a recount; AKG members are exactly the engine's nodes;
+// every sketch not marked stale is what a rebuild from the id set gives.
 func checkLayer(t *testing.T, a *AKG) {
 	t.Helper()
 	observed := map[dygraph.NodeID]int{}
 	for qi, obs := range a.ring {
 		for ki, k := range obs.keys {
-			if obs.recs[ki] != a.kw[k] || obs.recs[ki].id != k {
+			if obs.recs[ki] != a.rec(k) || obs.recs[ki].id != k {
 				t.Fatalf("ring[%d]: keyword %d does not point at its record", qi, k)
 			}
 			observed[k] += len(obs.usersOf(ki))
 		}
 	}
-	nodes, entries := 0, 0
-	for k, r := range a.kw {
+	nodes, entries, records := 0, 0, 0
+	for i, r := range a.kw {
+		if r == nil {
+			continue
+		}
+		records++
+		k := dygraph.NodeID(i)
+		if r.id != k {
+			t.Fatalf("slot %d holds the record of keyword %d", i, r.id)
+		}
+		if !r.stale {
+			fresh := minhash.New(a.cfg.P, a.cfg.Seed)
+			for _, u := range r.set.users {
+				fresh.Add(u)
+			}
+			if !slices.Equal(r.sketch.Values(), fresh.Values()) {
+				t.Fatalf("keyword %d: maintained sketch %v, rebuild from its %d users gives %v",
+					k, r.sketch.Values(), r.set.size(), fresh.Values())
+			}
+		}
 		if r.set.size() == 0 || !strictlyAscending(r.set.users) {
 			t.Fatalf("keyword %d: id set empty or unordered: %v", k, r.set.users)
 		}
@@ -324,8 +343,8 @@ func checkLayer(t *testing.T, a *AKG) {
 			}
 		}
 	}
-	if len(observed) != len(a.kw) {
-		t.Fatalf("%d keywords in the ring, %d records", len(observed), len(a.kw))
+	if len(observed) != records {
+		t.Fatalf("%d keywords in the ring, %d records", len(observed), records)
 	}
 	if nodes != a.nodes || nodes != a.eng.Graph().NodeCount() || entries != a.entries {
 		t.Fatalf("counters drifted: nodes %d (counter %d, engine %d), entries %d (counter %d)",
@@ -410,7 +429,7 @@ func TestAKGStateRoundTrip(t *testing.T) {
 		a.ProcessQuantum(burstBatch(4+q%2, dygraph.NodeID(q%4), dygraph.NodeID(q%4+1), dygraph.NodeID(q%4+2)))
 	}
 	st := a.State()
-	b, err := FromState(st, core.Hooks{})
+	b, err := FromState(st, core.Hooks{}, maxKeyword)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +445,9 @@ func TestAKGStateRoundTrip(t *testing.T) {
 		sa := a.ProcessQuantum(burstBatch(5, dygraph.NodeID(q%3), dygraph.NodeID(q%3+1)))
 		sb := b.ProcessQuantum(burstBatch(5, dygraph.NodeID(q%3), dygraph.NodeID(q%3+1)))
 		// A restored layer starts with no cached sketches, so it rebuilds
-		// more of them; everything else must match.
+		// more of them and keeps fewer current; everything else must match.
 		sa.SketchRebuilds, sb.SketchRebuilds = 0, 0
+		sa.SketchUpdates, sb.SketchUpdates = 0, 0
 		if sa != sb {
 			t.Fatalf("post-restore stats diverge: %+v vs %+v", sa, sb)
 		}
@@ -436,6 +456,10 @@ func TestAKGStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// maxKeyword is the vocabulary bound the state tests declare to
+// FromState; every keyword they use lies below it.
+const maxKeyword = 1000
 
 func TestAKGStateValidation(t *testing.T) {
 	a := newTest(3, 0.2, 4)
@@ -446,14 +470,27 @@ func TestAKGStateValidation(t *testing.T) {
 	bad.Ring = append(bad.Ring, bad.Ring...)
 	bad.Ring = append(bad.Ring, bad.Ring...)
 	bad.Ring = append(bad.Ring, bad.Ring...)
-	if _, err := FromState(bad, core.Hooks{}); err == nil {
+	if _, err := FromState(bad, core.Hooks{}, maxKeyword); err == nil {
 		t.Fatalf("oversized ring accepted")
 	}
 
 	bad = good
 	bad.Present = append([]dygraph.NodeID{}, 999)
-	if _, err := FromState(bad, core.Hooks{}); err == nil {
+	if _, err := FromState(bad, core.Hooks{}, maxKeyword); err == nil {
 		t.Fatalf("phantom present keyword accepted")
+	}
+
+	// The keyword table is indexed by ID: an ID beyond the declared
+	// vocabulary must be refused, not sized for (2³¹ records would be
+	// 16 GiB of pointers).
+	const huge = dygraph.NodeID(1) << 31
+	bad = good
+	bad.Present = append(slices.Clone(good.Present), huge)
+	if _, err := FromState(bad, core.Hooks{}, maxKeyword); err == nil {
+		t.Fatalf("present keyword 2^31 accepted")
+	}
+	if _, err := FromState(good, core.Hooks{}, 2); err == nil {
+		t.Fatalf("ring keyword 3 accepted under a vocabulary of 2")
 	}
 
 	// The id sets are maintained by merge: a ring that is not in State's
@@ -472,12 +509,16 @@ func TestAKGStateValidation(t *testing.T) {
 		"users descending": reshape(func(q *QuantumObs) { slices.Reverse(q.Users[1]) }),
 		"user repeated":    reshape(func(q *QuantumObs) { q.Users[2][1] = q.Users[2][0] }),
 		"no users":         reshape(func(q *QuantumObs) { q.Users[0] = nil }),
+		"keyword 2^31": reshape(func(q *QuantumObs) {
+			q.Keywords = append(q.Keywords, huge)
+			q.Users = append(q.Users, []uint64{1})
+		}),
 	} {
-		if _, err := FromState(st, core.Hooks{}); err == nil {
+		if _, err := FromState(st, core.Hooks{}, maxKeyword); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := FromState(a.State(), core.Hooks{}); err != nil {
+	if _, err := FromState(a.State(), core.Hooks{}, maxKeyword); err != nil {
 		t.Fatalf("untouched state refused: %v", err)
 	}
 }
@@ -520,12 +561,13 @@ func twQuanta(tb testing.TB, n, delta int) [][]ckg.UserKeywords {
 	tb.Helper()
 	msgs, _ := tracegen.Generate(tracegen.TWConfig(3, n))
 	in := textproc.NewInterner()
+	var tk textproc.Tokenizer
 	var quanta [][]ckg.UserKeywords
 	for lo := 0; lo+delta <= len(msgs); lo += delta {
 		byUser := map[uint64][]dygraph.NodeID{}
 		for _, m := range msgs[lo : lo+delta] {
-			for _, w := range textproc.Keywords(m.Text) {
-				byUser[m.User] = append(byUser[m.User], in.Intern(w))
+			for _, tok := range tk.Tokenize(m.Text) {
+				byUser[m.User] = append(byUser[m.User], in.InternBytes(tok.Text))
 			}
 		}
 		batch := make([]ckg.UserKeywords, 0, len(byUser))
@@ -584,9 +626,98 @@ func TestRecycledRecordsStaySmall(t *testing.T) {
 	if a.kw[4] != listed {
 		t.Fatalf("first-seen keyword did not take the listed record")
 	}
-	for _, r := range append(slices.Collect(maps.Values(a.kw)), a.free...) {
+	for _, r := range append(slices.Clone(a.kw), a.free...) {
+		if r == nil {
+			continue
+		}
 		if c := cap(r.set.users); c > recycleCap {
 			t.Fatalf("record of keyword %d (%d users) holds %d slots", r.id, r.set.size(), c)
+		}
+	}
+}
+
+// groupBySort is the comparison-sort grouping that the radix pass
+// replaced, kept as its reference: sort the packed pairs whole, cut the
+// groups, check the users.
+func groupBySort(batch []ckg.UserKeywords) (obs quantumObs, ok bool) {
+	var pairs []uint64
+	for ui, uk := range batch {
+		for _, k := range uk.Keywords {
+			pairs = append(pairs, uint64(k)<<32|uint64(uint32(ui)))
+		}
+	}
+	slices.Sort(pairs)
+	ok = true
+	for i, p := range pairs {
+		k, u := dygraph.NodeID(p>>32), batch[uint32(p)].User
+		if n := len(obs.keys); n == 0 || obs.keys[n-1] != k {
+			obs.keys = append(obs.keys, k)
+			obs.off = append(obs.off, int32(i))
+		} else if obs.users[i-1] >= u {
+			ok = false
+		}
+		obs.users = append(obs.users, u)
+	}
+	obs.off = append(obs.off, int32(len(pairs)))
+	return obs, ok
+}
+
+// TestGroupMatchesSortedPairs runs the grouping pass against the
+// sort-based one on batches in and out of the documented shape: users
+// ascending, shuffled, one user split over several entries, keywords
+// repeated inside an entry, keyword IDs that differ in one, two, three
+// and four bytes (every number of radix passes, and passes skipped
+// because all keywords agree on a byte), one pair, none.
+func TestGroupMatchesSortedPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := New(Config{}, core.Hooks{})
+	check := func(name string, batch []ckg.UserKeywords) {
+		t.Helper()
+		want, wantOK := groupBySort(batch)
+		got, ok := a.group(batch, a.spare)
+		a.spare = got // reuse the slices, as ProcessQuantum does
+		if ok != wantOK || !slices.Equal(got.keys, want.keys) || !slices.Equal(got.off, want.off) || !slices.Equal(got.users, want.users) {
+			t.Fatalf("%s: radix grouping diverges from the sorted pairs\n got %v %v %v ok=%v\nwant %v %v %v ok=%v",
+				name, got.keys, got.off, got.users, ok, want.keys, want.off, want.users, wantOK)
+		}
+		if len(got.recs) != len(got.keys) {
+			t.Fatalf("%s: %d record slots for %d keywords", name, len(got.recs), len(got.keys))
+		}
+	}
+	check("empty", nil)
+	check("one pair", []ckg.UserKeywords{{User: 5, Keywords: []dygraph.NodeID{1 << 20}}})
+	check("keyword zero only", []ckg.UserKeywords{{User: 1, Keywords: []dygraph.NodeID{0}}, {User: 2, Keywords: []dygraph.NodeID{0}}})
+	for _, span := range []dygraph.NodeID{3, 200, 70_000, 1 << 24, 1<<31 + 12345} {
+		for round := 0; round < 40; round++ {
+			base := dygraph.NodeID(0)
+			if round%3 == 0 {
+				base = span << 1 & 0xffff_ff00 // keywords share their high bytes
+			}
+			users := 1 + rng.Intn(60)
+			batch := make([]ckg.UserKeywords, 0, users+2)
+			for u := 0; u < users; u++ {
+				ks := make([]dygraph.NodeID, rng.Intn(9))
+				for i := range ks {
+					ks[i] = base + dygraph.NodeID(rng.Int63n(int64(span)))
+				}
+				if round%2 == 0 { // the documented shape: distinct keywords
+					slices.Sort(ks)
+					ks = slices.Compact(ks)
+				}
+				batch = append(batch, ckg.UserKeywords{User: uint64(u*7 + 1), Keywords: ks})
+			}
+			name := fmt.Sprintf("span %d round %d", span, round)
+			check(name+" ordered", batch)
+			if round%2 == 0 {
+				if _, ok := a.group(batch, quantumObs{}); !ok {
+					t.Fatalf("%s: a batch in the documented shape was reported unordered", name)
+				}
+			}
+			split := batch[rng.Intn(len(batch))] // one user over two entries
+			batch = append(batch, ckg.UserKeywords{User: split.User, Keywords: split.Keywords})
+			check(name+" split user", batch)
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			check(name+" shuffled", batch)
 		}
 	}
 }

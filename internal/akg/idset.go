@@ -78,10 +78,13 @@ func (s *idSet) observe(batch []uint64, scratch *[]uint64) (grew int) {
 }
 
 // expire withdraws one quantum's users (strictly ascending, each
-// observed earlier) and returns how many left the set. The arrays are
-// compacted in place, from the first vacated slot, only when someone
-// actually left.
-func (s *idSet) expire(batch []uint64) (shrank int) {
+// observed earlier) and returns how many left the set, listing them in
+// *gone unless gone is nil. The arrays are compacted in place, from the
+// first vacated slot, only when someone actually left.
+func (s *idSet) expire(batch []uint64, gone *[]uint64) (shrank int) {
+	if gone != nil {
+		*gone = (*gone)[:0]
+	}
 	first := -1
 	i := 0
 	for _, u := range batch {
@@ -95,6 +98,9 @@ func (s *idSet) expire(batch []uint64) (shrank int) {
 		if s.cnt[i]--; s.cnt[i] == 0 {
 			if first < 0 {
 				first = i
+			}
+			if gone != nil {
+				*gone = append(*gone, u)
 			}
 			shrank++
 		}

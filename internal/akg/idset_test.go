@@ -28,6 +28,7 @@ func idSetModel(t *testing.T, prog []byte) {
 	var (
 		set     idSet
 		scratch []uint64
+		gone    []uint64
 		model   = map[uint64]int{}
 		ring    [][]uint64
 	)
@@ -60,15 +61,15 @@ func idSetModel(t *testing.T, prog []byte) {
 		batch = slices.Compact(batch)
 
 		if len(ring) == window {
-			left := 0
+			var left []uint64
 			for _, u := range ring[0] {
 				if model[u]--; model[u] == 0 {
 					delete(model, u)
-					left++
+					left = append(left, u)
 				}
 			}
-			if got := set.expire(ring[0]); got != left {
-				t.Fatalf("expire %v: shrank by %d, model by %d", ring[0], got, left)
+			if got := set.expire(ring[0], &gone); got != len(left) || !slices.Equal(gone, left) {
+				t.Fatalf("expire %v: shrank by %d listing %v, model lost %v", ring[0], got, gone, left)
 			}
 			check("after expire")
 			ring = ring[1:]
@@ -93,7 +94,7 @@ func idSetModel(t *testing.T, prog []byte) {
 				delete(model, u)
 			}
 		}
-		set.expire(batch)
+		set.expire(batch, nil)
 		check("draining")
 	}
 	if set.size() != 0 {

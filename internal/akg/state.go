@@ -44,13 +44,11 @@ func (a *AKG) State() State {
 		}
 		s.Ring = append(s.Ring, q)
 	}
-	//repro:order-insensitive conditional collect; Present is sorted below
-	for k, r := range a.kw {
-		if r.present {
-			s.Present = append(s.Present, k)
+	for _, r := range a.kw {
+		if r != nil && r.present {
+			s.Present = append(s.Present, r.id)
 		}
 	}
-	slices.Sort(s.Present)
 	return s
 }
 
@@ -60,7 +58,10 @@ func (a *AKG) State() State {
 // the shape State writes — keywords strictly ascending per quantum,
 // users strictly ascending per keyword — because the id sets are
 // maintained by merge and would be silently corrupted by anything else.
-func FromState(s State, hooks core.Hooks) (*AKG, error) {
+// maxID is the largest keyword ID the caller's vocabulary holds: the
+// keyword table is indexed by ID, so a state naming a larger one is
+// refused rather than sized for.
+func FromState(s State, hooks core.Hooks, maxID dygraph.NodeID) (*AKG, error) {
 	if len(s.Ring) > s.Cfg.withDefaults().Window {
 		return nil, fmt.Errorf("akg: ring holds %d quanta, window is %d", len(s.Ring), s.Cfg.withDefaults().Window)
 	}
@@ -78,6 +79,9 @@ func FromState(s State, hooks core.Hooks) (*AKG, error) {
 		if !strictlyAscending(q.Keywords) {
 			return nil, fmt.Errorf("akg: ring entry %d: keywords not strictly ascending", qi)
 		}
+		if n := len(q.Keywords); n > 0 && q.Keywords[n-1] > maxID {
+			return nil, fmt.Errorf("akg: ring entry %d: keyword %d beyond the vocabulary (%d)", qi, q.Keywords[n-1], maxID)
+		}
 		total := 0
 		for _, users := range q.Users {
 			total += len(users)
@@ -94,7 +98,7 @@ func FromState(s State, hooks core.Hooks) (*AKG, error) {
 			}
 			obs.users = append(obs.users, q.Users[i]...)
 			obs.off = append(obs.off, int32(len(obs.users)))
-			r := a.kw[k]
+			r := a.rec(k)
 			if r == nil {
 				r = a.newKeyword(k)
 			}
@@ -104,7 +108,7 @@ func FromState(s State, hooks core.Hooks) (*AKG, error) {
 		a.ring = append(a.ring, obs)
 	}
 	for _, k := range s.Present {
-		r := a.kw[k]
+		r := a.rec(k)
 		if r == nil || r.present {
 			return nil, fmt.Errorf("akg: present keyword %d repeated or unseen inside the window", k)
 		}

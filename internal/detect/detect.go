@@ -7,6 +7,7 @@ package detect
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -217,9 +218,8 @@ type QuantumResult struct {
 	// processing into the pipeline's sub-phases for the serving layer's
 	// stage histograms: tokenization plus vocabulary interning, AKG/CKG
 	// graph and dense-cluster maintenance, and dirty-set event
-	// reconciliation. PrepElapsed is not part of Elapsed — tokenization
-	// may run on a pipeline worker (see RunParallel) while Elapsed
-	// times only the serial apply step.
+	// reconciliation. PrepElapsed comes before Elapsed and is not part of
+	// it; the other two add up to it.
 	PrepElapsed      time.Duration
 	GraphElapsed     time.Duration
 	ReconcileElapsed time.Duration
@@ -234,7 +234,7 @@ type Detector struct {
 	quant     *stream.Quantizer
 	tquant    *stream.TimeQuantizer // non-nil when cfg.QuantumTime > 0
 	ckg       *ckg.Graph
-	nounSeen  map[dygraph.NodeID]bool
+	nounSeen  []bool // by keyword ID; covers every interned ID (growNounSeen)
 	events    map[core.ClusterID]*Event
 	finished  []*Event
 	nextEvent uint64
@@ -271,11 +271,8 @@ type Detector struct {
 	// paths produce bit-identical results; the mode only moves work.
 	reconcileMode int
 
-	// Ingest-pipeline scratch, reused across quanta: the serial path's
-	// prepared quantum (RunParallel workers carry their own), and the
-	// interned per-user keyword arena.
+	// Ingest-pipeline scratch, reused across quanta.
 	prep       prepared
-	kwArena    []dygraph.NodeID
 	uksScratch []ckg.UserKeywords
 
 	// Reconciliation scratch, reused across quanta.
@@ -295,8 +292,7 @@ func New(cfg Config) *Detector {
 	cfg = cfg.withDefaults()
 	d := &Detector{
 		cfg:        cfg,
-		interner:   textproc.NewInterner(),
-		nounSeen:   make(map[dygraph.NodeID]bool),
+		interner:   withSynonyms(textproc.NewInterner(), cfg.Synonyms),
 		events:     make(map[core.ClusterID]*Event),
 		mergedInto: make(map[core.ClusterID]core.ClusterID),
 		splitFrom:  make(map[core.ClusterID]core.ClusterID),
@@ -323,8 +319,17 @@ func New(cfg Config) *Detector {
 	return d
 }
 
+// withSynonyms enters the synonym table into the interner, so a token's
+// one probe also says whether it is to be read as another word.
+func withSynonyms(in *textproc.Interner, synonyms map[string]string) *textproc.Interner {
+	for word, canon := range synonyms { //repro:order-insensitive one table entry per key; no entry depends on another
+		in.Alias(word, canon)
+	}
+	return in
+}
+
 // SetOnQuantum registers fn to be pushed every QuantumResult the detector
-// produces, whatever the entry point (Ingest, Run, RunParallel, Flush).
+// produces, whatever the entry point (Ingest, Run, Flush).
 // Serving layers use it for push notification; nil clears the hook. The
 // hook is not part of checkpoints — re-register after Load.
 func (d *Detector) SetOnQuantum(fn func(*QuantumResult)) { d.onQuantum = fn }
@@ -354,7 +359,9 @@ func (d *Detector) Processed() uint64 { return d.processed }
 // NounSeen reports whether the interned keyword was ever observed in a
 // noun-like shape. Exposed so alternative clustering schemes (the offline
 // baselines of Section 7.3) can apply the same reporting filters.
-func (d *Detector) NounSeen(n dygraph.NodeID) bool { return d.nounSeen[n] }
+func (d *Detector) NounSeen(n dygraph.NodeID) bool {
+	return int(n) < len(d.nounSeen) && d.nounSeen[n]
+}
 
 // Ingest feeds one message. When the message completes a quantum the
 // quantum is processed and its result returned; otherwise result is nil.
@@ -428,47 +435,55 @@ func (d *Detector) Run(src stream.Source, onQuantum func(*QuantumResult)) error 
 	return nil
 }
 
-// prepared is one quantum's tokenized, synonym-folded, per-user grouped
-// vocabulary, before interning: every canonical keyword's bytes live in
-// one arena and users reference them by offset, so the whole structure
-// is reused across quanta without per-message slice/string churn.
-// Computing it needs no detector state beyond the (read-only) synonym
-// table, so preparation can run on worker goroutines (RunParallel),
-// each with its own prepared scratch.
+// prepared is one quantum's tokenized, synonym-folded vocabulary grouped
+// per user, reused across quanta. A word the interner already knows is
+// carried as its ID from the tokenizer's probe onwards; only first-sight
+// words keep their bytes (in one arena, referenced by offset) until
+// resolveQuantum interns them.
 type prepared struct {
 	tk     textproc.Tokenizer
-	arena  []byte // canonical keyword bytes for the whole quantum
 	users  []prepUser
+	order  []userKey // one per entry of users; sorted by user once the batch is read
 	byUser map[uint64]int32
+	arena  []byte // canonical bytes of this quantum's first-sight words
 	synBuf []byte // canonical form of the current token, when substituted
-	// prepDur is the wall time prepareQuantumInto spent, carried into
-	// the QuantumResult so sub-phase timing survives the prepare/apply
-	// split of the parallel pipeline.
-	prepDur time.Duration
 }
 
-// prepUser is one user's distinct canonical keywords (arena offsets),
-// sorted lexicographically after prepare.
+// prepUser is one user's distinct canonical keywords of the quantum.
 type prepUser struct {
+	ids   []dygraph.NodeID // already interned, in order of appearance
+	fresh []wordRef        // first-sight words (arena offsets)
+}
+
+type userKey struct {
 	user uint64
-	refs []wordRef
+	idx  int32 // into prepared.users
 }
 
 type wordRef struct {
 	off, end int32
-	nounish  bool // ever seen in noun shape this quantum (any message)
+	nounish  bool // seen in noun shape this quantum (any of the user's messages)
 }
 
-// prepareQuantumInto tokenizes a quantum and groups keywords per user
-// into p, reusing all of p's storage. Pure with respect to detector
-// state (Synonyms is read-only), deterministic: users ascending, each
-// user's distinct keywords sorted lexicographically — exactly the
-// interning order of the original string-based pipeline.
-func (d *Detector) prepareQuantumInto(p *prepared, batch []stream.Message) {
-	prepStart := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
-	defer func() { p.prepDur = time.Since(prepStart) }()
+// resolveQuantum tokenizes a quantum into the per-user keyword-ID lists
+// the graph layers consume: users ascending, each user's distinct
+// keywords ascending by ID.
+//
+// IDs are assigned exactly as the string-based pipeline assigned them —
+// walk users ascending, each user's distinct canonical words in
+// lexicographic order, intern on first sight — because that order is
+// what checkpoints, WAL replays and archive rows were written under.
+// Words the interner knew when the quantum began are no-ops of that walk
+// wherever they fall in it, so only the first-sight words are sorted and
+// walked: a subsequence of the full walk, visited in the same order.
+// Nothing is interned before the whole batch has been tokenized, so
+// "first-sight" means the same thing for every message of the quantum.
+func (d *Detector) resolveQuantum(batch []stream.Message) []ckg.UserKeywords {
+	p := &d.prep
+	p.tk.Symbols = d.interner
 	p.arena = p.arena[:0]
 	p.users = p.users[:0]
+	p.order = p.order[:0]
 	if p.byUser == nil {
 		p.byUser = make(map[uint64]int32)
 	} else {
@@ -482,111 +497,109 @@ func (d *Detector) prepareQuantumInto(p *prepared, batch []stream.Message) {
 		ui, ok := p.byUser[m.User]
 		if !ok {
 			if len(p.users) < cap(p.users) {
-				p.users = p.users[:len(p.users)+1] // revive the old element's refs capacity
+				p.users = p.users[:len(p.users)+1] // revive the old element's capacity
 			} else {
 				p.users = append(p.users, prepUser{})
 			}
 			ui = int32(len(p.users) - 1)
-			pu := &p.users[ui]
-			pu.user = m.User
-			pu.refs = pu.refs[:0]
+			p.users[ui].ids = p.users[ui].ids[:0]
+			p.users[ui].fresh = p.users[ui].fresh[:0]
 			p.byUser[m.User] = ui
+			p.order = append(p.order, userKey{user: m.User, idx: ui})
 		}
 		pu := &p.users[ui]
 		for _, t := range toks {
-			text := t.Text
-			if canon, ok := d.cfg.Synonyms[string(text)]; ok {
+			if t.Sym.IsAlias() {
+				var canon string
+				canon, t.Sym = d.interner.Canonical(t.Text)
 				p.synBuf = append(p.synBuf[:0], canon...)
-				text = p.synBuf
+				t.Text = p.synBuf
 			}
-			// Noun shape is judged on the canonical text with the
-			// original occurrence's flags, and OR-ed across this user's
-			// occurrences — both as before.
-			nounish := textproc.LikelyNounRaw(textproc.RawToken{
-				Text:        text,
-				Capitalized: t.Capitalized,
-				Hashtag:     t.Hashtag,
-				Numeric:     t.Numeric,
-			})
+			// Noun shape is judged on the canonical word with the original
+			// occurrence's flags, and OR-ed across occurrences.
+			nounish := textproc.LikelyNounRaw(t)
+			if id := t.Sym.ID; id != 0 {
+				if nounish && !d.nounSeen[id] {
+					d.nounSeen[id] = true
+				}
+				if !slices.Contains(pu.ids, id) {
+					pu.ids = append(pu.ids, id)
+				}
+				continue
+			}
 			dup := false
-			for ri := range pu.refs {
-				rf := &pu.refs[ri]
-				if bytes.Equal(p.arena[rf.off:rf.end], text) {
-					if nounish {
-						rf.nounish = true
-					}
+			for ri := range pu.fresh {
+				rf := &pu.fresh[ri]
+				if bytes.Equal(p.arena[rf.off:rf.end], t.Text) {
+					rf.nounish = rf.nounish || nounish
 					dup = true
 					break
 				}
 			}
-			if dup {
-				continue
+			if !dup {
+				off := int32(len(p.arena))
+				p.arena = append(p.arena, t.Text...)
+				pu.fresh = append(pu.fresh, wordRef{off: off, end: int32(len(p.arena)), nounish: nounish})
 			}
-			off := int32(len(p.arena))
-			p.arena = append(p.arena, text...)
-			pu.refs = append(pu.refs, wordRef{off: off, end: int32(len(p.arena)), nounish: nounish})
 		}
 	}
-	slices.SortFunc(p.users, func(a, b prepUser) int {
-		switch {
-		case a.user < b.user:
-			return -1
-		case a.user > b.user:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(p.order, func(a, b userKey) int { return cmp.Compare(a.user, b.user) })
 	arena := p.arena
-	for ui := range p.users {
-		pu := &p.users[ui]
-		slices.SortFunc(pu.refs, func(a, b wordRef) int {
-			return bytes.Compare(arena[a.off:a.end], arena[b.off:b.end])
-		})
-	}
-}
-
-// processQuantum runs both pipeline stages serially, on the detector's
-// own prepared scratch.
-func (d *Detector) processQuantum(batch []stream.Message) QuantumResult {
-	d.prepareQuantumInto(&d.prep, batch)
-	return d.applyQuantum(&d.prep)
-}
-
-// applyQuantum interns the prepared vocabulary, updates the graph layers
-// and reconciles the event registry. Single-threaded (detector state).
-// The interner makes the only retained allocations (first-sight words);
-// the per-user keyword lists are carved from a reused arena.
-func (d *Detector) applyQuantum(prep *prepared) QuantumResult {
-	started := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
-	total := 0
-	for ui := range prep.users {
-		total += len(prep.users[ui].refs)
-	}
-	if cap(d.kwArena) < total {
-		d.kwArena = make([]dygraph.NodeID, 0, total)
-	}
-	kwArena := d.kwArena[:0]
 	uks := d.uksScratch[:0]
-	for ui := range prep.users {
-		pu := &prep.users[ui]
-		start := len(kwArena)
-		for _, rf := range pu.refs {
-			id := d.interner.InternBytes(prep.arena[rf.off:rf.end])
-			if rf.nounish && !d.nounSeen[id] {
+	for _, k := range p.order {
+		pu := &p.users[k.idx]
+		if len(pu.fresh) > 1 {
+			slices.SortFunc(pu.fresh, func(a, b wordRef) int {
+				return bytes.Compare(arena[a.off:a.end], arena[b.off:b.end])
+			})
+		}
+		for _, rf := range pu.fresh {
+			// An earlier user of this quantum may have interned the word
+			// already; distinct words get distinct IDs either way, so the
+			// list stays duplicate-free.
+			id := d.interner.InternBytes(arena[rf.off:rf.end])
+			d.growNounSeen()
+			if rf.nounish {
 				d.nounSeen[id] = true
 			}
-			kwArena = append(kwArena, id)
+			pu.ids = append(pu.ids, id)
 		}
-		// Distinct canonical words intern to distinct IDs, so the refs
-		// are already duplicate-free; sort by ID for the graph layers.
-		kws := kwArena[start:len(kwArena):len(kwArena)]
-		dygraph.SortNodes(kws)
-		uks = append(uks, ckg.UserKeywords{User: pu.user, Keywords: kws})
+		dygraph.SortNodes(pu.ids)
+		uks = append(uks, ckg.UserKeywords{User: k.user, Keywords: pu.ids})
 	}
-	d.kwArena = kwArena
 	d.uksScratch = uks
-	internDone := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
+	return uks
+}
 
+// growNounSeen keeps nounSeen indexable by every interned ID. IDs are
+// dense and never reused, so the table is a slice; it grows by a quarter
+// at a time, which a vocabulary that gains a few words per quantum
+// amortises to nothing.
+func (d *Detector) growNounSeen() {
+	if n := d.interner.Size() + 1; n > len(d.nounSeen) {
+		d.nounSeen = append(d.nounSeen, make([]bool, n+n/4-len(d.nounSeen))...)
+	}
+}
+
+// processQuantum resolves the batch to keyword IDs, updates the graph
+// layers and reconciles the event registry. Single-threaded (detector
+// state). The interner makes the only retained allocations (first-sight
+// words); everything else lives in scratch reused across quanta.
+func (d *Detector) processQuantum(batch []stream.Message) QuantumResult {
+	started := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
+	uks := d.resolveQuantum(batch)
+	res := d.applyQuantum(uks)
+	res.PrepElapsed = time.Since(started) - res.Elapsed //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
+	if d.onQuantum != nil {
+		d.onQuantum(&res)
+	}
+	return res
+}
+
+// applyQuantum feeds one quantum's per-user keyword lists to the graph
+// layers and reconciles the event registry.
+func (d *Detector) applyQuantum(uks []ckg.UserKeywords) QuantumResult {
+	started := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
 	if d.ckg != nil {
 		d.ckg.AddQuantum(uks)
 	}
@@ -598,19 +611,15 @@ func (d *Detector) applyQuantum(prep *prepared) QuantumResult {
 		Stats:   stats,
 	}
 	d.reconcileEvents(&res)
-	res.ReconcileElapsed = time.Since(graphDone) //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
 	res.AKGNodes = d.akg.NodeCount()
 	res.AKGEdges = d.akg.EdgeCount()
 	if d.ckg != nil {
 		res.CKGNodes = d.ckg.NodeCount()
 		res.CKGEdges = d.ckg.EdgeCount()
 	}
-	res.PrepElapsed = prep.prepDur + internDone.Sub(started)
-	res.GraphElapsed = graphDone.Sub(internDone)
+	res.GraphElapsed = graphDone.Sub(started)
 	res.Elapsed = time.Since(started) //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
-	if d.onQuantum != nil {
-		d.onQuantum(&res)
-	}
+	res.ReconcileElapsed = res.Elapsed - res.GraphElapsed
 	return res
 }
 
@@ -643,8 +652,13 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 	// Dirty clusters: structural churn (engine touched set) ∪ clusters
 	// of support-dirty vertices (AKG window slide + observations).
 	dirty := eng.TouchedClusters()
+	// Most support-dirty keywords never turned bursty: they are not AKG
+	// nodes, so not engine nodes, so in no cluster — answered from the
+	// keyword's record without probing the engine's membership map.
 	for _, n := range d.akg.DirtyNodes() {
-		eng.ForEachClusterOf(n, func(id core.ClusterID) { dirty[id] = struct{}{} })
+		if d.akg.InAKG(n) {
+			eng.ForEachClusterOf(n, func(id core.ClusterID) { dirty[id] = struct{}{} })
+		}
 	}
 	full := len(dirty)*2 >= eng.ClusterCount()
 	switch d.reconcileMode {
@@ -876,7 +890,7 @@ func (d *Detector) reportable(ev *Event, c *core.Cluster) bool {
 	if !d.cfg.DisableNounFilter {
 		hasNoun := false
 		c.ForEachNode(func(n dygraph.NodeID) {
-			if d.nounSeen[n] {
+			if d.NounSeen(n) {
 				hasNoun = true
 			}
 		})

@@ -131,12 +131,11 @@ func (d *Detector) State() DetectorState {
 		Processed: d.processed,
 		Trimmed:   d.trimmed,
 	}
-	for id, seen := range d.nounSeen { //repro:order-insensitive conditional collect; NounSeen is sorted below
+	for id, seen := range d.nounSeen {
 		if seen {
-			s.NounSeen = append(s.NounSeen, id)
+			s.NounSeen = append(s.NounSeen, dygraph.NodeID(id))
 		}
 	}
-	sort.Slice(s.NounSeen, func(i, j int) bool { return s.NounSeen[i] < s.NounSeen[j] })
 	if d.ckg != nil {
 		cs := d.ckg.State()
 		s.CKG = &cs
@@ -170,8 +169,7 @@ func FromState(s DetectorState) (*Detector, error) {
 	cfg := s.Cfg.withDefaults()
 	d := &Detector{
 		cfg:        cfg,
-		interner:   textproc.FromWordList(s.Words),
-		nounSeen:   make(map[dygraph.NodeID]bool, len(s.NounSeen)),
+		interner:   withSynonyms(textproc.FromWordList(s.Words), cfg.Synonyms),
 		events:     make(map[core.ClusterID]*Event, len(s.Events)),
 		nextEvent:  s.NextEvent,
 		processed:  s.Processed,
@@ -195,7 +193,10 @@ func FromState(s DetectorState) (*Detector, error) {
 			}
 		},
 	}
-	a, err := akg.FromState(s.AKG, hooks)
+	// Keyword IDs index dense tables here and in the AKG layer, so none
+	// may lie beyond the vocabulary the checkpoint itself carries.
+	maxID := dygraph.NodeID(d.interner.Size())
+	a, err := akg.FromState(s.AKG, hooks, maxID)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +206,11 @@ func FromState(s DetectorState) (*Detector, error) {
 	} else if d.cfg.TrackCKG {
 		return nil, fmt.Errorf("detect: checkpoint lacks CKG state but TrackCKG is set")
 	}
+	d.growNounSeen()
 	for _, id := range s.NounSeen {
+		if id > maxID {
+			return nil, fmt.Errorf("detect: noun-seen keyword %d beyond the vocabulary (%d)", id, maxID)
+		}
 		d.nounSeen[id] = true
 	}
 	for _, es := range s.Events {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dygraph"
 	"repro/internal/stream"
 	"repro/internal/tracegen"
 )
@@ -105,6 +106,47 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFromStateRejectsForeignIDs: keyword IDs index dense tables, so a
+// checkpoint naming one beyond its own vocabulary — one past the end, or
+// 2³¹, which would size a table in gigabytes — is refused with an error
+// wherever it appears, before anything is allocated for it.
+func TestFromStateRejectsForeignIDs(t *testing.T) {
+	msgs, _ := tracegen.Generate(tracegen.TWConfig(5, 8000))
+	d := New(Config{Delta: 100})
+	for _, m := range msgs {
+		d.Ingest(m)
+	}
+	if len(d.State().AKG.Present) == 0 {
+		t.Fatal("no AKG nodes: the engine cases are vacuous")
+	}
+	words := dygraph.NodeID(len(d.State().Words))
+	for _, id := range []dygraph.NodeID{words + 1, 1 << 31} {
+		for name, corrupt := range map[string]func(s *DetectorState){
+			"NounSeen": func(s *DetectorState) { s.NounSeen = append(s.NounSeen, id) },
+			"ring keyword": func(s *DetectorState) {
+				q := &s.AKG.Ring[len(s.AKG.Ring)-1]
+				q.Keywords = append(q.Keywords, id)
+				q.Users = append(q.Users, []uint64{1})
+			},
+			"Present":     func(s *DetectorState) { s.AKG.Present = append(s.AKG.Present, id) },
+			"engine node": func(s *DetectorState) { s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id) },
+			"engine and Present": func(s *DetectorState) {
+				s.AKG.Present = append(s.AKG.Present, id)
+				s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id)
+			},
+		} {
+			s := d.State() // fresh deep copy
+			corrupt(&s)
+			if _, err := FromState(s); err == nil {
+				t.Errorf("%s = %d accepted with a vocabulary of %d", name, id, words)
+			}
+		}
+	}
+	if _, err := FromState(d.State()); err != nil {
+		t.Fatalf("untouched state refused: %v", err)
+	}
+}
+
 func TestCheckpointPendingBuffer(t *testing.T) {
 	d := New(Config{Delta: 10})
 	for i := 0; i < 7; i++ { // partial quantum
@@ -129,5 +171,28 @@ func TestCheckpointPendingBuffer(t *testing.T) {
 	}
 	if res.Stats.Keywords != 2 {
 		t.Fatalf("restored quantum saw %d keywords, want 2", res.Stats.Keywords)
+	}
+}
+
+// TestSerialDeterminism pins down full run-to-run reproducibility: the
+// engine's merge-survivor and split-identity rules, the AKG's sorted
+// iteration, and event-ID assignment must make identical inputs produce
+// identical histories. (A regression here once came from an unsorted
+// tie-break in cluster repair.)
+func TestSerialDeterminism(t *testing.T) {
+	msgs, _ := tracegen.Generate(tracegen.ESConfig(31, 25000))
+	cfg := Config{Delta: 120}
+	run := func() string {
+		d := New(cfg)
+		if err := d.Run(stream.NewSliceSource(msgs), nil); err != nil {
+			t.Fatal(err)
+		}
+		return eventsDigest(d)
+	}
+	ref := run()
+	for i := 0; i < 2; i++ {
+		if run() != ref {
+			t.Fatalf("identical inputs produced different event histories (attempt %d)", i)
+		}
 	}
 }

@@ -89,6 +89,17 @@ func (s *Sketch) insert(h uint64) bool {
 	return true
 }
 
+// MayHold bounds membership from above: false means id's hash is
+// certainly not among the retained values, so removing id from the
+// underlying set leaves the sketch exactly as it is. A sketch cannot
+// subtract, but it can tell which removals it need not care about: once
+// it is full, everything hashing above its largest value. A sketch that
+// is not full retains every member's hash and answers true for all ids.
+func (s *Sketch) MayHold(id uint64) bool {
+	n := len(s.vals)
+	return n < s.p || Hash64(id, s.seed) <= s.vals[n-1]
+}
+
 // Values returns the retained hash values in ascending order. The slice
 // aliases sketch state and must not be mutated.
 func (s *Sketch) Values() []uint64 { return s.vals }

@@ -244,3 +244,99 @@ func TestSketchSortedInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMayHold pins the membership bound the window layer relies on to
+// keep a sketch current across removals: a sketch that is not full may
+// hold anything; a full one may hold an id exactly when the id's hash
+// does not exceed its largest retained value — the largest itself
+// included.
+func TestMayHold(t *testing.T) {
+	const p, seed = 4, 7
+	ids := make([]uint64, 40)
+	for i := range ids {
+		ids[i] = uint64(i) * 31
+	}
+	s := New(p, seed)
+	for _, id := range ids[:p-1] {
+		s.Add(id)
+	}
+	for _, id := range ids { // len < p: members and strangers alike
+		if !s.MayHold(id) {
+			t.Fatalf("sketch of %d < p values rules out id %d", s.Len(), id)
+		}
+	}
+	s.Add(ids[p-1]) // len == p, every member retained
+	for _, id := range ids[:p] {
+		if !s.MayHold(id) {
+			t.Fatalf("full sketch rules out its own member %d", id)
+		}
+	}
+	for _, id := range ids[p:] {
+		s.Add(id)
+	}
+	max := s.Values()[p-1]
+	held, ruledOut := 0, 0
+	for _, id := range ids {
+		h := Hash64(id, seed)
+		if got, want := s.MayHold(id), h <= max; got != want {
+			t.Fatalf("id %d (hash %x, largest retained %x): MayHold = %v", id, h, max, got)
+		}
+		switch {
+		case h == max:
+			held++ // equal to the largest value: retained, must not be ruled out
+		case h > max:
+			ruledOut++
+		}
+	}
+	if held != 1 || ruledOut != len(ids)-p {
+		t.Fatalf("%d ids at the largest value, %d above it; want 1 and %d", held, ruledOut, len(ids)-p)
+	}
+}
+
+// FuzzSketchUpkeep drives a sketch the way the window layer does —
+// insert on arrival, and on departure rebuild only when MayHold says the
+// id could be retained — against a rebuild from the model set after every
+// step: kept, not rebuilt, the sketch must stay the pure function of the
+// set that Section 3.2.2 defines.
+func FuzzSketchUpkeep(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 0x81, 0x83, 7, 0x82, 0x87, 8})
+	f.Add([]byte{1, 9, 0x89, 9, 9, 0x89})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		p := 1 + int(prog[0])%6
+		s := New(p, 3)
+		set := map[uint64]bool{}
+		rebuild := func() *Sketch {
+			r := New(p, 3)
+			for id := range set {
+				r.Add(id)
+			}
+			return r
+		}
+		for _, b := range prog[1:] {
+			id := uint64(b & 0x7f)
+			if b&0x80 == 0 {
+				set[id] = true
+				s.Add(id)
+			} else if set[id] {
+				delete(set, id)
+				if s.MayHold(id) {
+					s = rebuild()
+				}
+			}
+			want := rebuild().Values()
+			got := s.Values()
+			if len(got) != len(want) {
+				t.Fatalf("after op %#x: sketch %v, rebuild %v", b, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("after op %#x: sketch %v, rebuild %v", b, got, want)
+				}
+			}
+		}
+	})
+}

@@ -95,30 +95,41 @@ type TenantMetrics struct {
 
 	// Graph-layer signals (akg.QuantumStats), summed over the quanta this
 	// process applied: candidate pairs of bursty keywords examined and
-	// how many passed the Min-Hash screen, sketches recomputed because
-	// the keyword's user set had changed, and exact correlations settled
-	// without a full merge (size-ratio rejections + early exits).
+	// how many passed the Min-Hash screen, sketches recomputed from the
+	// keyword's whole user set and membership changes a current sketch
+	// absorbed instead, and exact correlations settled without a full
+	// merge (size-ratio rejections + early exits).
 	// AKGDirtyNodes / AKGWindowUserEntries are the last quantum's
 	// support-dirty vertex count and Σ|users| over the window's id sets.
 	AKGPairsScreened     uint64 `json:"akg_pairs_screened_total"`
 	AKGPairsPassed       uint64 `json:"akg_pairs_passed_total"`
 	AKGSketchRebuilds    uint64 `json:"akg_sketch_rebuilds_total"`
+	AKGSketchUpdates     uint64 `json:"akg_sketch_updates_total"`
 	AKGJaccardBails      uint64 `json:"akg_jaccard_bails_total"`
 	AKGDirtyNodes        int64  `json:"akg_dirty_nodes"`
 	AKGWindowUserEntries int64  `json:"akg_window_user_entries"`
+
+	// Vocabulary: InternerWords is the number of keywords the tenant has
+	// ever interned (IDs are never reused, so it only grows — and the
+	// ID-indexed tables of the detector grow with it);
+	// InternerFirstSight counts the words this process interned live,
+	// i.e. the vocabulary churn that takes ingest's slow path.
+	InternerWords      int64  `json:"interner_words"`
+	InternerFirstSight uint64 `json:"interner_first_sight_total"`
 }
 
 // akgCounters is the tenant-side accumulator behind the akg_* metrics:
 // written by the apply step once per quantum, read by /metrics.
 type akgCounters struct {
-	pairsScreened, pairsPassed, sketchRebuilds, jaccardBails atomic.Uint64
-	dirtyNodes, windowEntries                                atomic.Int64
+	pairsScreened, pairsPassed, sketchRebuilds, sketchUpdates, jaccardBails atomic.Uint64
+	dirtyNodes, windowEntries                                               atomic.Int64
 }
 
 func (c *akgCounters) add(st *akg.QuantumStats) {
 	c.pairsScreened.Add(uint64(st.PairsScreened))
 	c.pairsPassed.Add(uint64(st.PairsPassed))
 	c.sketchRebuilds.Add(uint64(st.SketchRebuilds))
+	c.sketchUpdates.Add(uint64(st.SketchUpdates))
 	c.jaccardBails.Add(uint64(st.JaccardBails))
 	c.dirtyNodes.Store(int64(st.DirtyNodes))
 	c.windowEntries.Store(int64(st.WindowEntries))
@@ -169,9 +180,12 @@ func (t *Tenant) Metrics() TenantMetrics {
 	m.AKGPairsScreened = t.akg.pairsScreened.Load()
 	m.AKGPairsPassed = t.akg.pairsPassed.Load()
 	m.AKGSketchRebuilds = t.akg.sketchRebuilds.Load()
+	m.AKGSketchUpdates = t.akg.sketchUpdates.Load()
 	m.AKGJaccardBails = t.akg.jaccardBails.Load()
 	m.AKGDirtyNodes = t.akg.dirtyNodes.Load()
 	m.AKGWindowUserEntries = t.akg.windowEntries.Load()
+	m.InternerWords = t.words.Load()
+	m.InternerFirstSight = t.firstSight.Load()
 	if wl := t.walLog(); wl != nil {
 		m.WALEnabled = true
 		m.WALSegments = wl.SegmentCount()

@@ -277,7 +277,8 @@ func TestPrometheusExposition(t *testing.T) {
 	// quanta of two keywords used by the same users leave (keyword, user)
 	// pairs in the window, rebuilt sketches and at least one screened pair.
 	for _, name := range []string{"eventdetect_akg_window_user_entries", "eventdetect_akg_dirty_nodes",
-		"eventdetect_akg_pairs_screened_total", "eventdetect_akg_pairs_passed_total", "eventdetect_akg_sketch_rebuilds_total"} {
+		"eventdetect_akg_pairs_screened_total", "eventdetect_akg_pairs_passed_total", "eventdetect_akg_sketch_rebuilds_total",
+		"eventdetect_akg_sketch_updates_total", "eventdetect_interner_words", "eventdetect_interner_first_sight_total"} {
 		if v := series[name+`{tenant="exp"}`]; v <= 0 {
 			t.Errorf("%s = %v after three bursty quanta, want > 0", name, v)
 		}

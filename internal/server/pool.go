@@ -256,8 +256,12 @@ type Tenant struct {
 
 	// akg sums the graph layer's per-quantum screening statistics over
 	// the quanta this process applied, and keeps the last quantum's
-	// dirty-set and window sizes (see akgCounters.add).
-	akg akgCounters
+	// dirty-set and window sizes (see akgCounters.add). words mirrors the
+	// interner's size as of the last applied quantum; firstSight sums its
+	// growth over the quanta this process applied live.
+	akg        akgCounters
+	words      atomic.Int64
+	firstSight atomic.Uint64
 
 	// Durability. lastApplied is the WAL seq of the last fully applied
 	// batch — the only safe snapshot position; lastSnapQuantum tracks the
@@ -275,7 +279,7 @@ type Tenant struct {
 
 	// Wait-free read state. snap is the latest epoch snapshot; lastEvent
 	// the newest SSE payload (for catch-up); msgs mirrors det.Processed()
-	// per applied message; elapsed/since feed the throughput stats.
+	// per applied batch; elapsed/since feed the throughput stats.
 	snap      atomic.Pointer[detect.Snapshot]
 	lastEvent atomic.Pointer[StreamEvent]
 	msgs      atomic.Uint64
@@ -304,9 +308,11 @@ func newTenant(name string, det *detect.Detector, cfg PoolConfig, st *tenantStor
 	det.SetOnQuantum(func(res *detect.QuantumResult) {
 		t.elapsed.Add(int64(res.Elapsed))
 		t.akg.add(&res.Stats)
-		// The quantum's wall time plus its sub-phases: tokenization
-		// (which may have run on a pipeline worker), graph maintenance,
-		// and event reconciliation.
+		words := int64(det.Interner().Size())
+		t.firstSight.Add(uint64(words - t.words.Swap(words)))
+		// The quantum's wall time and its three sub-phases: tokenization
+		// with keyword-ID resolution, graph maintenance, and event
+		// reconciliation.
 		tob.Observe(obs.StageDetectQuantum, res.PrepElapsed+res.Elapsed)
 		tob.Observe(obs.StageTokenize, res.PrepElapsed)
 		tob.Observe(obs.StageGraphMaintain, res.GraphElapsed)
@@ -333,6 +339,7 @@ func newTenant(name string, det *detect.Detector, cfg PoolConfig, st *tenantStor
 		tob.Observe(obs.StageSSEFanout, time.Since(t1))
 	})
 	t.msgs.Store(det.Processed())
+	t.words.Store(int64(det.Interner().Size()))
 	// Queries may arrive before the first quantum (or right after a
 	// restart): seed the snapshot from the detector's recovered state.
 	t.snap.Store(det.Snapshot(nil))
@@ -435,39 +442,35 @@ func (t *Tenant) runOne() {
 // retain (0 = keep everything). This is the only definition of that
 // mutation — the live worker (Tenant.apply) and WAL replay
 // (recoverTenant) both call it, so what recovery rebuilds cannot drift
-// from what was served. mu is taken per message, not per batch, so
-// nothing waits behind a large batch. The hooks run under mu: each after
-// every ingested message, trimmed after a trim that evicted events;
-// replay passes nil for both.
-func applyRecord(det *detect.Detector, mu *sync.Mutex, retain int, msgs []stream.Message, flush bool, each, trimmed func()) {
+// from what was served. mu is held for the whole record: readers never
+// take it (they load the epoch snapshot), and its two other takers cannot
+// be waiting — maybeSnapshot runs on this goroutine between records,
+// Shutdown's final snapshot after the drain. The hooks run under mu:
+// applied once with the record's message count, trimmed after a trim
+// that evicted events; replay passes nil for both.
+func applyRecord(det *detect.Detector, mu *sync.Mutex, retain int, msgs []stream.Message, flush bool, applied func(n int), trimmed func()) {
+	mu.Lock()
+	defer mu.Unlock()
 	if flush {
-		mu.Lock()
 		det.Flush()
-		mu.Unlock()
 		return
 	}
 	for _, m := range msgs {
-		mu.Lock()
 		det.IngestAll(m)
-		if each != nil {
-			each()
-		}
-		mu.Unlock()
 	}
-	if retain > 0 {
-		mu.Lock()
-		if det.TrimFinished(retain) > 0 && trimmed != nil {
-			trimmed()
-		}
-		mu.Unlock()
+	if applied != nil {
+		applied(len(msgs))
+	}
+	if retain > 0 && det.TrimFinished(retain) > 0 && trimmed != nil {
+		trimmed()
 	}
 }
 
-// messageApplied is applyRecord's per-message hook on the live path;
-// the apply lock is held.
-func (t *Tenant) messageApplied() {
+// recordApplied is applyRecord's hook on the live path, run once per
+// batch with the apply lock held.
+func (t *Tenant) recordApplied(n int) {
 	t.msgs.Store(t.det.Processed())
-	t.since.Add(1)
+	t.since.Add(uint64(n))
 }
 
 // republishTrimmed is applyRecord's post-trim hook on the live path
@@ -508,7 +511,7 @@ func (t *Tenant) apply(batch walBatch) {
 			return
 		}
 	}
-	applyRecord(t.det, &t.mu, t.cfg.RetainEvents, batch.msgs, batch.flush, t.messageApplied, t.republishTrimmed)
+	applyRecord(t.det, &t.mu, t.cfg.RetainEvents, batch.msgs, batch.flush, t.recordApplied, t.republishTrimmed)
 	if batch.seq > 0 {
 		t.lastApplied.Store(batch.seq)
 	}

@@ -124,14 +124,20 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.AKGPairsScreened) }},
 	{"eventdetect_akg_pairs_passed_total", "counter", "Candidate pairs that passed the Min-Hash screen.",
 		func(m *TenantMetrics) float64 { return float64(m.AKGPairsPassed) }},
-	{"eventdetect_akg_sketch_rebuilds_total", "counter", "Min-Hash sketches recomputed after the keyword's user set changed.",
+	{"eventdetect_akg_sketch_rebuilds_total", "counter", "Min-Hash sketches recomputed from the keyword's whole user set.",
 		func(m *TenantMetrics) float64 { return float64(m.AKGSketchRebuilds) }},
+	{"eventdetect_akg_sketch_updates_total", "counter", "User-set changes a current Min-Hash sketch absorbed without a rebuild.",
+		func(m *TenantMetrics) float64 { return float64(m.AKGSketchUpdates) }},
 	{"eventdetect_akg_jaccard_bails_total", "counter", "Exact correlations settled without a full merge (size-ratio rejections and early exits).",
 		func(m *TenantMetrics) float64 { return float64(m.AKGJaccardBails) }},
 	{"eventdetect_akg_dirty_nodes", "gauge", "Keywords whose windowed user support changed in the last quantum.",
 		func(m *TenantMetrics) float64 { return float64(m.AKGDirtyNodes) }},
 	{"eventdetect_akg_window_user_entries", "gauge", "(keyword, distinct user) pairs held by the window's id sets.",
 		func(m *TenantMetrics) float64 { return float64(m.AKGWindowUserEntries) }},
+	{"eventdetect_interner_words", "gauge", "Keywords the tenant has interned (its vocabulary; never shrinks).",
+		func(m *TenantMetrics) float64 { return float64(m.InternerWords) }},
+	{"eventdetect_interner_first_sight_total", "counter", "Keywords interned live by this process (vocabulary churn).",
+		func(m *TenantMetrics) float64 { return float64(m.InternerFirstSight) }},
 }
 
 // promPoolMetrics is the pool-totals series table.

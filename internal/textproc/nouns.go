@@ -1,10 +1,8 @@
 package textproc
 
-import "strings"
-
 // The paper filters discovered clusters with "at least one noun keyword"
 // using the Stanford POS tagger (Section 7.2.2). A full tagger is outside
-// stdlib scope, so LikelyNoun applies a conservative shape heuristic that
+// stdlib scope, so LikelyNounRaw applies a conservative shape heuristic that
 // plays the same role as that filter: it only has to separate
 // content-bearing nouns from verbs/adjectives/adverbs well enough that
 // real-event clusters (which contain proper nouns and concrete objects)
@@ -61,40 +59,11 @@ func init() {
 	}
 }
 
-// LikelyNoun reports whether the token is probably a noun. Decision order:
-// numbers are not nouns; capitalized or hashtag tokens are (proper nouns
-// and topic tags); known verb/adjective lexicon entries are not; noun
-// suffixes win over non-noun suffixes; everything else of length ≥ 3
-// defaults to noun.
-func LikelyNoun(t Token) bool {
-	if t.Numeric {
-		return false
-	}
-	if t.Capitalized || t.Hashtag {
-		return true
-	}
-	if _, ok := verbish[t.Text]; ok {
-		return false
-	}
-	if len(t.Text) == 0 {
-		return false
-	}
-	last := t.Text[len(t.Text)-1]
-	for _, suf := range nounSufByLast[last] {
-		if strings.HasSuffix(t.Text, suf) && len(t.Text) > len(suf) {
-			return true
-		}
-	}
-	for _, suf := range nonNounSufByLast[last] {
-		if strings.HasSuffix(t.Text, suf) && len(t.Text) > len(suf)+1 {
-			return false
-		}
-	}
-	return len(t.Text) >= 3
-}
-
-// LikelyNounRaw is LikelyNoun for the zero-alloc tokenizer output; it
-// must match LikelyNoun on the same text and flags exactly (tested).
+// LikelyNounRaw reports whether the token is probably a noun. Decision
+// order: numbers are not nouns; capitalized or hashtag tokens are (proper
+// nouns and topic tags); then the word's text decides (nounShape) — read
+// off the token's symbol when the table has an entry for it, so the
+// lexicon and suffix rules run once per word, not once per occurrence.
 func LikelyNounRaw(t RawToken) bool {
 	if t.Numeric {
 		return false
@@ -102,37 +71,36 @@ func LikelyNounRaw(t RawToken) bool {
 	if t.Capitalized || t.Hashtag {
 		return true
 	}
-	if _, ok := verbish[string(t.Text)]; ok { // non-allocating map probe
+	if t.Sym.flags&symKnown != 0 {
+		return t.Sym.flags&symNoun != 0
+	}
+	return nounShape(t.Text)
+}
+
+// nounShape is the text-only half of the heuristic: known verb/adjective
+// lexicon entries are not nouns; noun suffixes win over non-noun
+// suffixes; everything else of length ≥ 3 defaults to noun.
+func nounShape(text []byte) bool {
+	if _, ok := verbish[string(text)]; ok { // non-allocating map probe
 		return false
 	}
-	if len(t.Text) == 0 {
+	if len(text) == 0 {
 		return false
 	}
-	last := t.Text[len(t.Text)-1]
+	last := text[len(text)-1]
 	for _, suf := range nounSufByLast[last] {
-		if hasSuffixBytes(t.Text, suf) && len(t.Text) > len(suf) {
+		if hasSuffixBytes(text, suf) && len(text) > len(suf) {
 			return true
 		}
 	}
 	for _, suf := range nonNounSufByLast[last] {
-		if hasSuffixBytes(t.Text, suf) && len(t.Text) > len(suf)+1 {
+		if hasSuffixBytes(text, suf) && len(text) > len(suf)+1 {
 			return false
 		}
 	}
-	return len(t.Text) >= 3
+	return len(text) >= 3
 }
 
 func hasSuffixBytes(b []byte, suf string) bool {
 	return len(b) >= len(suf) && string(b[len(b)-len(suf):]) == suf
-}
-
-// HasNoun reports whether any token in the slice is a likely noun — the
-// cluster-level precision filter from Section 7.2.2.
-func HasNoun(tokens []Token) bool {
-	for _, t := range tokens {
-		if LikelyNoun(t) {
-			return true
-		}
-	}
-	return false
 }

@@ -12,31 +12,33 @@ import (
 	"unicode/utf8"
 )
 
-// Token is a normalised keyword extracted from a message, along with the
-// shape information the noun heuristic uses.
-type Token struct {
-	Text        string // lower-cased keyword
-	Capitalized bool   // first rune was upper case in the source
-	Hashtag     bool   // token was written as #tag
-	Numeric     bool   // token is a number such as "5.9"
-}
-
-// RawToken is a Token whose text aliases the Tokenizer's internal
-// scratch buffer: valid only until the Tokenizer's next call. The
-// ingest hot path consumes RawTokens immediately (interning is the only
+// RawToken is a normalised keyword extracted from a message, along with
+// the shape information the noun heuristic uses and what the symbol
+// table knows of the word. Its text aliases the Tokenizer's internal
+// scratch buffer: valid only until the Tokenizer's next call. The ingest
+// hot path consumes RawTokens immediately (interning is the only
 // retained copy), so tokenizing a message allocates nothing in steady
 // state.
 type RawToken struct {
 	Text        []byte // lower-cased keyword; owned by the Tokenizer
-	Capitalized bool
-	Hashtag     bool
-	Numeric     bool
+	Capitalized bool   // first rune was upper case in the source
+	Hashtag     bool   // token was written as #tag
+	Numeric     bool   // token is a number such as "5.9"
+	// Sym is the Tokenizer's table entry for Text at the time of the
+	// call: Sym.ID is the keyword's ID when it has been interned already.
+	Sym Symbol
 }
 
 // Tokenizer tokenizes messages into caller-visible RawTokens while
 // reusing all of its internal storage across calls. Not safe for
-// concurrent use; give each worker its own.
+// concurrent use.
 type Tokenizer struct {
+	// Symbols is the table every token is resolved against — one probe
+	// answers the stop test, the per-message duplicate test (by ID) and
+	// fills RawToken.Sym. Nil selects a private table holding only the
+	// stop list, so the zero Tokenizer is usable.
+	Symbols *Interner
+
 	buf  []byte // lower-cased token bytes for the current message
 	refs []rawRef
 	toks []RawToken
@@ -44,6 +46,7 @@ type Tokenizer struct {
 
 type rawRef struct {
 	off, end    int32
+	sym         Symbol
 	capitalized bool
 	hashtag     bool
 	numeric     bool
@@ -65,6 +68,9 @@ type rawRef struct {
 // The returned slice and the token texts are owned by the Tokenizer and
 // valid until its next call.
 func (tk *Tokenizer) Tokenize(msg string) []RawToken {
+	if tk.Symbols == nil {
+		tk.Symbols = NewInterner()
+	}
 	tk.buf = tk.buf[:0]
 	tk.refs = tk.refs[:0]
 	// Fields: split around runs of white space (strings.Fields
@@ -111,6 +117,7 @@ func (tk *Tokenizer) Tokenize(msg string) []RawToken {
 			Capitalized: rf.capitalized,
 			Hashtag:     rf.hashtag,
 			Numeric:     rf.numeric,
+			Sym:         rf.sym,
 		}
 	}
 	return tk.toks
@@ -212,12 +219,16 @@ func (tk *Tokenizer) field(f string) {
 		}
 	}
 	lower := tk.buf[start:]
-	if IsStopWordBytes(lower) {
+	sym := tk.Symbols.Resolve(lower)
+	if sym.Stop() {
 		tk.buf = tk.buf[:start]
 		return
 	}
-	for _, rf := range tk.refs {
-		if bytes.Equal(tk.buf[rf.off:rf.end], lower) {
+	// Distinct words have distinct IDs; only words nobody has interned
+	// yet (ID 0 on both sides) need their bytes compared.
+	for i := range tk.refs {
+		rf := &tk.refs[i]
+		if rf.sym.ID == sym.ID && (sym.ID != 0 || bytes.Equal(tk.buf[rf.off:rf.end], lower)) {
 			tk.buf = tk.buf[:start]
 			return
 		}
@@ -225,6 +236,7 @@ func (tk *Tokenizer) field(f string) {
 	tk.refs = append(tk.refs, rawRef{
 		off:         start,
 		end:         int32(len(tk.buf)),
+		sym:         sym,
 		capitalized: capd,
 		hashtag:     hashtag,
 		numeric:     numeric,
@@ -251,34 +263,6 @@ func isNumericASCII(s string) bool {
 		}
 	}
 	return digits > 0
-}
-
-// Tokenize is the allocating convenience form: a fresh Tokenizer per
-// call, token texts copied into ordinary strings. Hot paths hold a
-// Tokenizer and consume RawTokens instead.
-func Tokenize(msg string) []Token {
-	var tk Tokenizer
-	raw := tk.Tokenize(msg)
-	out := make([]Token, len(raw))
-	for i, t := range raw {
-		out[i] = Token{
-			Text:        string(t.Text),
-			Capitalized: t.Capitalized,
-			Hashtag:     t.Hashtag,
-			Numeric:     t.Numeric,
-		}
-	}
-	return out
-}
-
-// Keywords returns just the token texts of Tokenize(msg).
-func Keywords(msg string) []string {
-	toks := Tokenize(msg)
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
-	}
-	return out
 }
 
 func firstRune(s string) (rune, int) {
