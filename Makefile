@@ -1,5 +1,5 @@
 # Developer entry points. CI runs the same checks as `make check`.
-.PHONY: build test lint check bench-load bench-smoke bench-module fuzz-smoke
+.PHONY: build test lint check bench-smoke bench-module fuzz-smoke
 
 build:
 	go build ./...
@@ -25,15 +25,8 @@ check: lint
 	go test ./...
 
 # End-to-end and per-layer performance numbers come from the benchmark
-# under bench/ (see bench-module).
-
-# Adversarial load harness (uniform / zipf-hot / flash-flood scenarios
-# against an in-process server with admission control on); emits
-# BENCH_load.json with per-tenant ingest-to-SSE and query percentiles,
-# shed counts, and the reproducible traffic-plan SHA-256. See
-# docs/OPERATIONS.md.
-bench-load:
-	./scripts/bench_load.sh
+# under bench/ (see bench-module); the adversarial SLO scenarios are
+# ordinary tests: go test -run TestRun ./internal/loadharness/.
 
 # One-iteration pass over every benchmark in the repo, so bench-only
 # files cannot rot uncompiled (CI runs this on every PR), plus the fuzz

@@ -59,11 +59,8 @@ func BucketUpper(i int) uint64 {
 }
 
 // Observe records one latency. Negative durations clamp to zero.
-// Zero-alloc; safe for any number of concurrent callers. Nil-safe.
+// Zero-alloc; safe for any number of concurrent callers.
 func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
 	var ns uint64
 	if d > 0 {
 		ns = uint64(d)
@@ -91,12 +88,9 @@ type HistSnap struct {
 	Buckets [NumBuckets]uint64
 }
 
-// Snapshot sums the shards into one portable snapshot. Nil-safe.
+// Snapshot sums the shards into one portable snapshot.
 func (h *Histogram) Snapshot() HistSnap {
 	var s HistSnap
-	if h == nil {
-		return s
-	}
 	for i := range h.shards {
 		sh := &h.shards[i]
 		s.Count += sh.count.Load()

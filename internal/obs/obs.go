@@ -6,17 +6,12 @@
 //
 // The package deliberately imports nothing from the rest of the repo,
 // so any layer (server, wal, query, loadharness) can observe into it
-// without import cycles. Every method on *Telemetry, *TenantObs,
-// *Histogram, *ReqTrace and *SlowRing is nil-receiver safe: a caller
-// built with telemetry disabled holds nil pointers and the observe
-// calls degrade to a predictable branch.
+// without import cycles. Telemetry has no off switch; the two handles a
+// caller may legitimately leave nil — a query run outside a tenant has
+// no *TenantObs to Observe into and no *ReqTrace — are nil-receiver safe.
 package obs
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // Stage identifies one instrumented pipeline stage. The values index
 // a fixed per-tenant histogram array, so observing is an array load —
@@ -95,6 +90,14 @@ const (
 	// StageWALReopen is one supervised quarantine-and-reopen of a
 	// fail-stopped WAL (truncate to the acked prefix, seal, resume).
 	StageWALReopen
+	// StageArchiveSeal is sealing the archive's in-memory buffer into a
+	// columnar segment ahead of a WAL snapshot (a no-op when the buffer
+	// is empty).
+	StageArchiveSeal
+	// StageWALSnapshot is writing one WAL snapshot — encoding the
+	// detector state, fsync, rename — plus the segment compaction it
+	// allows.
+	StageWALSnapshot
 
 	numStages
 )
@@ -123,6 +126,8 @@ var stageNames = [numStages]string{
 	"archive_compact",
 	"storage_retry",
 	"wal_reopen",
+	"archive_seal",
+	"wal_snapshot",
 }
 
 // String returns the stage's exposition label (snake_case).
@@ -143,76 +148,23 @@ func Stages() []Stage {
 	return out
 }
 
-// NumStages is the number of defined stages.
-func NumStages() int { return int(numStages) }
-
 // RingSize is how many traced requests each tenant's slow-request
 // ring retains: the N slowest, for GET /debug/requests.
 const RingSize = 64
 
-// Telemetry is the process-wide registry of per-tenant telemetry. A
-// nil *Telemetry is the disabled state: Tenant returns nil and every
-// downstream observe call no-ops.
-type Telemetry struct {
-	mu      sync.Mutex
-	tenants map[string]*TenantObs
-}
-
-// New builds a telemetry registry.
-func New() *Telemetry {
-	return &Telemetry{tenants: make(map[string]*TenantObs)}
-}
-
-// Tenant returns (creating on first use) the named tenant's telemetry.
-// Idempotent and safe for concurrent use; nil receiver returns nil.
-// Callers cache the pointer — the hot path never takes this lock.
-func (tl *Telemetry) Tenant(name string) *TenantObs {
-	if tl == nil {
-		return nil
-	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	if to, ok := tl.tenants[name]; ok {
-		return to
-	}
-	to := &TenantObs{name: name, ring: NewSlowRing(RingSize)}
-	tl.tenants[name] = to
-	return to
-}
-
-// Tenants returns every registered tenant's telemetry, name-sorted.
-func (tl *Telemetry) Tenants() []*TenantObs {
-	if tl == nil {
-		return nil
-	}
-	tl.mu.Lock()
-	out := make([]*TenantObs, 0, len(tl.tenants))
-	for _, to := range tl.tenants {
-		out = append(out, to)
-	}
-	tl.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // TenantObs is one tenant's telemetry: a fixed stage-indexed histogram
-// array and the slow-request ring. All methods are nil-receiver safe.
+// array and the slow-request ring.
 type TenantObs struct {
-	name  string
 	hists [numStages]Histogram
 	ring  *SlowRing
 }
 
-// Name returns the tenant name.
-func (t *TenantObs) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
+// NewTenantObs builds one tenant's telemetry handle.
+func NewTenantObs() *TenantObs { return &TenantObs{ring: NewSlowRing(RingSize)} }
 
 // Observe records one stage latency. Zero-alloc, lock-free: a bucket
-// index computation and four atomic adds.
+// index computation and four atomic adds. A nil receiver observes
+// nothing.
 func (t *TenantObs) Observe(st Stage, d time.Duration) {
 	if t == nil {
 		return
@@ -222,35 +174,10 @@ func (t *TenantObs) Observe(st Stage, d time.Duration) {
 
 // Snapshot returns a consistent-enough copy of one stage's histogram
 // (bucket sums race benignly with concurrent observes).
-func (t *TenantObs) Snapshot(st Stage) HistSnap {
-	if t == nil {
-		return HistSnap{}
-	}
-	return t.hists[st].Snapshot()
-}
+func (t *TenantObs) Snapshot(st Stage) HistSnap { return t.hists[st].Snapshot() }
 
-// Hist returns the stage's histogram (nil when the receiver is nil),
-// for callers that observe repeatedly.
-func (t *TenantObs) Hist(st Stage) *Histogram {
-	if t == nil {
-		return nil
-	}
-	return &t.hists[st]
-}
-
-// Ring returns the tenant's slow-request ring (nil when the receiver
-// is nil).
-func (t *TenantObs) Ring() *SlowRing {
-	if t == nil {
-		return nil
-	}
-	return t.ring
-}
+// Ring returns the tenant's slow-request ring.
+func (t *TenantObs) Ring() *SlowRing { return t.ring }
 
 // OfferTrace offers a finished trace record to the slow-request ring.
-func (t *TenantObs) OfferTrace(rec *TraceRecord) {
-	if t == nil || rec == nil {
-		return
-	}
-	t.ring.Offer(rec)
-}
+func (t *TenantObs) OfferTrace(rec *TraceRecord) { t.ring.Offer(rec) }

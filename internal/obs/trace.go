@@ -121,11 +121,8 @@ func NewSlowRing(n int) *SlowRing {
 	return r
 }
 
-// Offer considers rec for retention. Nil-safe on both sides.
+// Offer considers rec for retention.
 func (r *SlowRing) Offer(rec *TraceRecord) {
-	if r == nil || rec == nil {
-		return
-	}
 	if f := r.floor.Load(); f >= 0 && int64(rec.Total) <= f {
 		return // full, and rec is no slower than the fastest retained
 	}
@@ -146,9 +143,6 @@ func (r *SlowRing) Offer(rec *TraceRecord) {
 
 // Snapshot returns the retained records, slowest first.
 func (r *SlowRing) Snapshot() []*TraceRecord {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	out := make([]*TraceRecord, len(r.recs))
 	copy(out, r.recs)
@@ -159,21 +153,13 @@ func (r *SlowRing) Snapshot() []*TraceRecord {
 
 // Len returns the number of retained records.
 func (r *SlowRing) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.recs)
 }
 
 // Cap returns the retention bound.
-func (r *SlowRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.capn
-}
+func (r *SlowRing) Cap() int { return r.capn }
 
 func (r *SlowRing) siftUp(i int) {
 	for i > 0 {

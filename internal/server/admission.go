@@ -96,13 +96,13 @@ type admission struct {
 // newAdmission builds the admission state from the pool configuration;
 // returns nil when every gate is disabled (the common un-configured
 // case costs one nil check per Enqueue).
-func newAdmission(cfg PoolConfig, now func() time.Time) *admission {
+func newAdmission(cfg PoolConfig) *admission {
 	if cfg.RateLimit <= 0 && cfg.AdmissionFrac <= 0 {
 		return nil
 	}
 	a := &admission{shedFrac: cfg.AdmissionFrac}
 	if cfg.RateLimit > 0 {
-		a.bucket = newTokenBucket(cfg.RateLimit, cfg.RateBurst, now)
+		a.bucket = newTokenBucket(cfg.RateLimit, cfg.RateBurst, nil)
 	}
 	return a
 }

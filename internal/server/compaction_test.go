@@ -136,7 +136,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	}
 	// ... then converge deterministically (CompactAll serializes with the
 	// loop on the archive's compaction mutex).
-	if _, err := tn2.archLog().CompactAll(); err != nil {
+	if _, err := tn2.storage.arch.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 

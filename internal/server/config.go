@@ -99,8 +99,8 @@ type PoolConfig struct {
 	// columnar segments with data-skipping sidecars) instead of
 	// discarding them, queryable via Tenant.Query and GET /v1/{t}/query.
 	// The archive's buffer is sealed to disk before every WAL snapshot,
-	// so a crash loses no eviction the WAL tail cannot regenerate. A
-	// Server needs WALDir with it (see Config.Validate).
+	// so a crash loses no eviction the WAL tail cannot regenerate. Needs
+	// WALDir: the WAL carries the eviction ordinal across restarts.
 	ArchiveDir string
 	// ArchiveCompactInterval, when positive, runs a background
 	// compactor: every interval it performs at most one compaction step
@@ -233,6 +233,12 @@ func (c PoolConfig) Validate() error {
 	// believing in a guarantee that is not there.
 	v.require(c.WALGroupCommitInterval <= 0 || c.WALDir != "",
 		"WALGroupCommitInterval (-wal-group-commit-interval) requires WALDir (-wal-dir): without a log there is nothing to fsync and acks are not durable at all")
+	// The archive deduplicates replayed evictions by the detector's trim
+	// counter, which only the WAL carries across a restart; without it
+	// the counter restarts at 0 and every eviction is dropped as a
+	// duplicate until it catches up with what the archive already holds.
+	v.require(c.ArchiveDir == "" || c.WALDir != "",
+		"ArchiveDir (-archive-dir) requires WALDir (-wal-dir): the WAL carries the eviction ordinal across restarts")
 	v.require(c.ArchiveCompactInterval <= 0 || c.ArchiveDir != "",
 		"ArchiveCompactInterval (-archive-compact-interval) requires ArchiveDir (-archive-dir): there is no archive to compact")
 	v.require(c.RateBurst <= 0 || c.RateLimit > 0,
@@ -240,18 +246,10 @@ func (c PoolConfig) Validate() error {
 	return errors.Join(v...)
 }
 
-// Validate is PoolConfig.Validate plus the rules of the long-lived
-// binary. New runs it.
+// Validate is PoolConfig.Validate plus the server's own settings. New
+// runs it.
 func (c Config) Validate() error {
 	var v violations
 	v.require(c.ShutdownGrace >= 0, "ShutdownGrace (-grace) must be non-negative (0 = default)")
-	// The archive deduplicates replayed evictions by the detector's trim
-	// counter, which only the WAL carries across a restart; without it
-	// the counter restarts at 0 and every eviction is dropped as a
-	// duplicate until it catches up with what the archive already holds.
-	// A restart-safety rule, so it binds servers, not bare pools: the
-	// load harness runs one over a fresh temp directory with no WAL.
-	v.require(c.Pool.ArchiveDir == "" || c.Pool.WALDir != "",
-		"ArchiveDir (-archive-dir) requires WALDir (-wal-dir): the WAL carries the eviction ordinal across restarts")
 	return errors.Join(append(v, c.Pool.Validate())...)
 }

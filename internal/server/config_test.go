@@ -111,10 +111,11 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s rejected: %v", name, ok)
 		}
 	}
-	// The archive ⇒ WAL rule is the long-lived binary's: a bare pool over
-	// a fresh directory (cmd/loadharness, CI load-smoke) runs without.
-	if err := (PoolConfig{ArchiveDir: "a", RetainEvents: 4}).Validate(); err != nil {
-		t.Errorf("bare pool with an archive and no WAL rejected: %v", err)
+	// The archive ⇒ WAL rule binds bare pools too: NewPool has no
+	// configuration in which evictions are archived under ordinals a
+	// restart would reuse.
+	if err := (PoolConfig{ArchiveDir: "a", RetainEvents: 4}).Validate(); err == nil || !strings.Contains(err.Error(), "-wal-dir") {
+		t.Errorf("bare pool with an archive and no WAL: err = %v, want the archive-needs-WAL violation", err)
 	}
 	if _, err := NewPool(PoolConfig{RateBurst: 4}); err == nil {
 		t.Error("NewPool accepted a configuration PoolConfig.Validate rejects")

@@ -60,13 +60,11 @@ func handleDebugRequests(w http.ResponseWriter, r *http.Request, p *Pool) {
 	if !ok {
 		return
 	}
-	filter := r.URL.Query().Get("tenant")
+	// An unknown ?tenant= is an empty list here, not a 404.
+	tenants, _ := tenantsFor(r, p)
 	traces := []traceJSON{}
-	for _, to := range p.tel.Tenants() {
-		if filter != "" && to.Name() != filter {
-			continue
-		}
-		for _, rec := range to.Ring().Snapshot() {
+	for _, t := range tenants {
+		for _, rec := range t.obs.Ring().Snapshot() {
 			if rec.Total < time.Duration(minMs)*time.Millisecond {
 				continue
 			}

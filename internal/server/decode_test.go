@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stream"
@@ -151,5 +154,62 @@ func TestIngestDecodeBufferReuse(t *testing.T) {
 	}
 	if first[0].Text != "first body text" {
 		t.Fatalf("text clobbered by buffer reuse: %q", first[0].Text)
+	}
+}
+
+// firstReadBody reports (once) when the handler first reads the request
+// body — which decodeMessages does only after sizing its buffer.
+type firstReadBody struct {
+	io.ReadCloser
+	once *sync.Once
+	seen *sync.WaitGroup
+}
+
+func (b firstReadBody) Read(p []byte) (int, error) {
+	b.once.Do(b.seen.Done)
+	return b.ReadCloser.Read(p)
+}
+
+// TestStalledDeclaredLengthBoundsHeap: a client that declares the largest
+// body the endpoint accepts, sends one byte of it and then stalls must
+// pin what it actually sent plus the pooled-buffer size, not the 64 MiB
+// it claimed — the server sets no read timeout, so such connections stay
+// open as long as the client likes.
+func TestStalledDeclaredLengthBoundsHeap(t *testing.T) {
+	const conns = 4
+	pool, err := NewPool(PoolConfig{Detector: testDetectConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Shutdown(context.Background()) //nolint:errcheck // nothing queued
+	var reading sync.WaitGroup
+	reading.Add(conns)
+	h := NewHandler(pool)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = firstReadBody{r.Body, new(sync.Once), &reading}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		fmt.Fprintf(c, "POST /v1/stall/messages HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n[", maxBodyBytes)
+	}
+	reading.Wait() // every handler has sized its buffer and is blocked on byte two
+	grew := int64(heap()) - int64(before)
+	if limit := int64(conns*maxPooledBody + 4<<20); grew > limit {
+		t.Fatalf("%d stalled requests declaring %d bytes each grew the heap by %d MiB, want at most %d MiB",
+			conns, maxBodyBytes, grew>>20, limit>>20)
 	}
 }

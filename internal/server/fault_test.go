@@ -427,7 +427,7 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 		t.Fatal("an archive IO error must not degrade ingest")
 	}
 	// Compaction under the same fault never crashes either.
-	tn.archLog().CompactOnce() //nolint:errcheck // exercising the failure path
+	tn.storage.arch.CompactOnce() //nolint:errcheck // exercising the failure path
 
 	// The device heals; the next cadence point seals and snapshots.
 	ffs.Clear()
@@ -457,9 +457,9 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 		t.Fatal("tenant not recovered")
 	}
 	recs := archivedRecords(t, tn2)
-	if len(recs) != evicted || tn2.archLog().Gaps() != 0 {
+	if len(recs) != evicted || tn2.storage.arch.Gaps() != 0 {
 		t.Fatalf("recovered archive holds %d events with %d gaps, want %d and 0",
-			len(recs), tn2.archLog().Gaps(), evicted)
+			len(recs), tn2.storage.arch.Gaps(), evicted)
 	}
 	for i, rec := range recs {
 		if rec.Seq != uint64(i+1) {

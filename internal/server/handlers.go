@@ -59,35 +59,27 @@ func NewHandler(p *Pool) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"flushed": true})
 	})
-	mux.HandleFunc("GET /v1/{tenant}/events", func(w http.ResponseWriter, r *http.Request) {
-		t, ok := getTenant(w, r, p)
-		if !ok {
-			return
-		}
-		// Histogram-only instrumentation: the two snapshot read
-		// endpoints pay one clock read and a few atomic adds — no trace
-		// allocation.
-		t0 := time.Now()
+	mux.HandleFunc("GET /v1/{tenant}/events", snapshotRead(p, func(w http.ResponseWriter, r *http.Request, t *Tenant) func(*jsonw.Writer) {
 		k, ok := intParam(w, r, "k", 0)
 		if !ok {
-			return
+			return nil
 		}
 		all, ok := boolParam(w, r, "all")
 		if !ok {
-			return
+			return nil
 		}
 		keyword := r.URL.Query().Get("keyword")
 		var events []EventView
 		switch {
 		case keyword != "" && all:
 			httpError(w, http.StatusBadRequest, "keyword filter applies to live events; drop all=1")
-			return
+			return nil
 		case k > 0 && all:
 			// all=1 is the whole history in birth order; there is no
 			// top-k of it to serve, and ignoring k would be a quiet
 			// default.
 			httpError(w, http.StatusBadRequest, "k applies to live events; drop all=1 (page history with /query)")
-			return
+			return nil
 		case keyword != "":
 			// Resolved through the epoch snapshot's keyword→event
 			// inverted index; rank order, like the unfiltered view.
@@ -95,40 +87,29 @@ func NewHandler(p *Pool) http.Handler {
 		default:
 			events = t.Events(k, all)
 		}
-		writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeEventsBody(jw, t.Name(), events) })
-		t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
-	})
-	mux.HandleFunc("GET /v1/{tenant}/events/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t, ok := getTenant(w, r, p)
-		if !ok {
-			return
-		}
+		return func(jw *jsonw.Writer) { encodeEventsBody(jw, t.Name(), events) }
+	}))
+	mux.HandleFunc("GET /v1/{tenant}/events/{id}", snapshotRead(p, func(w http.ResponseWriter, r *http.Request, t *Tenant) func(*jsonw.Writer) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad event id")
-			return
+			return nil
 		}
 		ev, ok := t.Event(id)
 		if !ok {
 			httpError(w, http.StatusNotFound, "no such event")
-			return
+			return nil
 		}
-		writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeEventView(jw, &ev) })
-	})
-	mux.HandleFunc("GET /v1/{tenant}/related", func(w http.ResponseWriter, r *http.Request) {
-		t, ok := getTenant(w, r, p)
-		if !ok {
-			return
-		}
-		t0 := time.Now()
+		return func(jw *jsonw.Writer) { encodeEventView(jw, &ev) }
+	}))
+	mux.HandleFunc("GET /v1/{tenant}/related", snapshotRead(p, func(w http.ResponseWriter, r *http.Request, t *Tenant) func(*jsonw.Writer) {
 		min, ok := floatParam(w, r, "min", 0.1, 0, 1)
 		if !ok {
-			return
+			return nil
 		}
 		related := t.Related(min)
-		writeBody(w, http.StatusOK, t.obs, func(jw *jsonw.Writer) { encodeRelatedBody(jw, t.Name(), related) })
-		t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
-	})
+		return func(jw *jsonw.Writer) { encodeRelatedBody(jw, t.Name(), related) }
+	}))
 	mux.HandleFunc("GET /v1/{tenant}/query", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := getTenant(w, r, p)
 		if !ok {
@@ -184,18 +165,38 @@ func NewHandler(p *Pool) http.Handler {
 	return mux
 }
 
-// metricsBody assembles the metrics for one request, applying the
-// ?tenant= filter (404 on an unknown name, written here).
-func metricsBody(w http.ResponseWriter, r *http.Request, p *Pool) (PoolMetrics, bool) {
-	if name := r.URL.Query().Get("tenant"); name != "" {
-		pm, ok := p.MetricsFor(name)
+// snapshotRead frames the three wait-free snapshot reads (/events,
+// /events/{id}, /related): resolve the tenant, let answer parse the
+// request and read the epoch snapshot — it returns the body's encoder, or
+// nil after writing an error itself — then write the body and observe the
+// whole as http_query. Histogram-only instrumentation: one clock read
+// and a few atomic adds per request, no trace allocation.
+func snapshotRead(p *Pool, answer func(http.ResponseWriter, *http.Request, *Tenant) func(*jsonw.Writer)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t, ok := getTenant(w, r, p)
 		if !ok {
-			httpError(w, http.StatusNotFound, ErrNoTenant.Error())
-			return PoolMetrics{}, false
+			return
 		}
-		return pm, true
+		t0 := time.Now()
+		if body := answer(w, r, t); body != nil {
+			writeBody(w, http.StatusOK, t.obs, body)
+			t.obs.Observe(obs.StageHTTPQuery, time.Since(t0))
+		}
 	}
-	return p.Metrics(), true
+}
+
+// tenantsFor resolves the tenant set of a /metrics or /debug/requests
+// request: every published tenant, name-sorted, or the one ?tenant=
+// names. ok is false when it names one the pool does not have.
+func tenantsFor(r *http.Request, p *Pool) ([]*Tenant, bool) {
+	name := r.URL.Query().Get("tenant")
+	if name == "" {
+		return p.tenantsSorted(), true
+	}
+	if t, ok := p.Tenant(name); ok {
+		return []*Tenant{t}, true
+	}
+	return nil, false
 }
 
 // handleMetrics dispatches GET /metrics: the JSON body by default
@@ -209,15 +210,16 @@ func handleMetrics(w http.ResponseWriter, r *http.Request, p *Pool) {
 		httpError(w, http.StatusBadRequest, "format must be json or prometheus")
 		return
 	}
-	pm, ok := metricsBody(w, r, p)
+	tenants, ok := tenantsFor(r, p)
 	if !ok {
+		httpError(w, http.StatusNotFound, ErrNoTenant.Error())
 		return
 	}
 	if format == "prometheus" {
-		writePrometheus(w, pm, p.tel)
+		writePrometheus(w, tenants)
 		return
 	}
-	writeJSON(w, http.StatusOK, pm)
+	writeJSON(w, http.StatusOK, metricsOf(tenants))
 }
 
 // handleIngest decodes the body — a JSON array by default, NDJSON when
@@ -242,11 +244,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 	// GetOrCreate) remain authoritative.
 	if t, ok := p.Tenant(name); !ok {
 		if err := p.CanCreate(); err != nil {
-			if errors.Is(err, ErrMaxTenants) {
-				httpError(w, http.StatusInsufficientStorage, err.Error())
-			} else {
-				retryableError(w, http.StatusServiceUnavailable, time.Second, err.Error())
-			}
+			createError(w, err)
 			return
 		}
 	} else if derr := t.DegradedCheck(); derr != nil {
@@ -273,12 +271,7 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 	}
 	t, err := p.GetOrCreate(name)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrMaxTenants):
-			httpError(w, http.StatusInsufficientStorage, err.Error())
-		default:
-			retryableError(w, http.StatusServiceUnavailable, time.Second, err.Error())
-		}
+		createError(w, err)
 		return
 	}
 	if fast {
@@ -316,6 +309,17 @@ func handleIngest(w http.ResponseWriter, r *http.Request, p *Pool) {
 	writeBody(w, http.StatusAccepted, t.obs, func(jw *jsonw.Writer) { encodeIngestAck(jw, name, len(msgs)) })
 }
 
+// createError answers an ingest whose tenant could not be created: 507
+// at the tenant limit, a retryable 503 otherwise (pool shutting down,
+// storage failing to open).
+func createError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrMaxTenants) {
+		httpError(w, http.StatusInsufficientStorage, err.Error())
+		return
+	}
+	retryableError(w, http.StatusServiceUnavailable, time.Second, err.Error())
+}
+
 // maxPooledBody is the largest request buffer bodyPool keeps: a rare
 // huge batch must not pin its buffer for the life of the process.
 const maxPooledBody = 4 << 20
@@ -342,7 +346,10 @@ func decodeMessages(body io.Reader, declared int64, ndjson bool) (msgs []stream.
 	}()
 	// ReadFrom wants MinRead spare bytes before every read, the one that
 	// returns io.EOF included; with them a declared length never regrows.
-	buf.Grow(int(min(max(declared, 0), maxBodyBytes)) + bytes.MinRead)
+	// The declaration is only trusted up to what the pool would keep
+	// anyway: past that the buffer grows as bytes actually arrive, so a
+	// client that declares 64 MiB and then stalls pins 4.
+	buf.Grow(int(min(max(declared, 0), maxPooledBody-bytes.MinRead)) + bytes.MinRead)
 	_, readErr := buf.ReadFrom(body)
 	replay := io.Reader(bytes.NewReader(buf.Bytes()))
 	if readErr != nil {

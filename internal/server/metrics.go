@@ -169,9 +169,6 @@ func (t *Tenant) Metrics() TenantMetrics {
 	m.ShedRateLimit = t.shedRateLimit.Load()
 	m.ShedQueueDepth = t.shedQueue.Load()
 	m.ShedMessages = t.shedMsgs.Load()
-	m.Degraded, _ = t.Degraded()
-	m.WALReopens = t.health.walReopens.Load()
-	m.StorageRetries = t.health.storageRetries.Load()
 	m.SnapshotViewsReused, m.SnapshotViewsRebuilt, m.RelatedBuilds = t.det.SnapshotCounters()
 	m.IngestDecodeFast = t.decodeFast.Load()
 	m.IngestDecodeFallback = t.decodeFallback.Load()
@@ -186,44 +183,15 @@ func (t *Tenant) Metrics() TenantMetrics {
 	m.AKGWindowUserEntries = t.akg.windowEntries.Load()
 	m.InternerWords = t.words.Load()
 	m.InternerFirstSight = t.firstSight.Load()
-	if wl := t.walLog(); wl != nil {
-		m.WALEnabled = true
-		m.WALSegments = wl.SegmentCount()
-		m.WALLastSeq = wl.LastSeq()
-		m.WALSnapshotSeq = wl.SnapshotSeq()
-		m.WALErrors = t.storage.walErrs.Load()
-		// Clamp at zero: after recovery the snapshot can be ahead of the
-		// published epoch (lastSnapQuantum seeds from the snapshotted
-		// quantum while Quanta starts from the replayed snapshot), and a
-		// negative age would read as a uint underflow on dashboards.
-		if age := m.Quanta - int(t.lastSnapQuantum.Load()); age > 0 {
-			m.SnapshotAgeQuanta = age
-		}
-	}
-	if ar := t.archLog(); ar != nil {
-		m.ArchiveEnabled = true
-		m.ArchiveSegments = ar.SegmentCount()
-		m.ArchiveEvents = ar.EventCount()
-		m.ArchiveErrors = t.storage.archErrs.Load()
-		m.ArchiveGaps = ar.Gaps()
-		m.ArchiveColumnarSegments = ar.ColumnarSegmentCount()
-		m.ArchiveCompactions, m.ArchiveSegmentsCompacted, _, m.ArchiveBytesReclaimed = ar.CompactTotals()
-		m.QuarantinedSegments = ar.QuarantinedSegments()
+	t.storage.fillMetrics(&m)
+	// Clamp at zero: after recovery the snapshot can be ahead of the
+	// published epoch (lastSnapQuantum seeds from the snapshotted
+	// quantum while Quanta starts from the replayed snapshot), and a
+	// negative age would read as a uint underflow on dashboards.
+	if age := m.Quanta - int(t.lastSnapQuantum.Load()); m.WALEnabled && age > 0 {
+		m.SnapshotAgeQuanta = age
 	}
 	return m
-}
-
-// tenantsSorted snapshots the tenant list under the read lock,
-// name-sorted.
-func (p *Pool) tenantsSorted() []*Tenant {
-	p.mu.RLock()
-	tenants := make([]*Tenant, 0, len(p.tenants))
-	for _, t := range p.tenants {
-		tenants = append(tenants, t)
-	}
-	p.mu.RUnlock()
-	sortTenants(tenants)
-	return tenants
 }
 
 // totalsOf folds per-tenant metrics into the one-line process summary.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -551,5 +552,125 @@ func TestIngestToSSEHistogramPath(t *testing.T) {
 		if o.Snapshot(st).Count == 0 {
 			t.Errorf("stage %s has no observations after ingest+flush", st)
 		}
+	}
+}
+
+// TestSnapshotReadsObserveHTTPQuery: each of the three snapshot-read
+// routes — /events, /events/{id}, /related — adds exactly one http_query
+// observation per request, visible in the exposition.
+func TestSnapshotReadsObserveHTTPQuery(t *testing.T) {
+	pool, err := NewPool(PoolConfig{Detector: testDetectConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Shutdown(context.Background())
+	ts := httptest.NewServer(NewHandler(pool))
+	defer ts.Close()
+	for i := 0; i < 4; i++ {
+		resp := postJSON(t, ts.URL+"/v1/reads/messages", quantumOf(0, "earthquake struck eastern turkey"))
+		resp.Body.Close()
+	}
+	resp := postJSON(t, ts.URL+"/v1/reads/flush", nil) // returns once all four quanta are applied
+	resp.Body.Close()
+	events := getEvents(t, ts.URL, "reads", "?all=1")
+	if len(events.Events) == 0 {
+		t.Fatal("no live event to read by id")
+	}
+	httpQueryCount := func() float64 {
+		_, body := getBody(t, ts.URL+"/metrics?format=prometheus")
+		return validatePromExposition(t, body)[`eventdetect_stage_duration_seconds_count{tenant="reads",stage="http_query"}`]
+	}
+	for _, path := range []string{
+		"/v1/reads/events?k=5",
+		"/v1/reads/events/" + strconv.FormatUint(events.Events[0].ID, 10),
+		"/v1/reads/related",
+	} {
+		before := httpQueryCount()
+		if code, body := getBody(t, ts.URL+path); code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, code, body)
+		}
+		if got := httpQueryCount(); got != before+1 {
+			t.Errorf("GET %s moved the http_query count %v → %v, want +1", path, before, got)
+		}
+	}
+}
+
+// TestTelemetryEnumeratesPublishedTenants: /debug/requests and the stage
+// histograms list exactly the tenants the pool has published — no
+// registry beside it that could hold more — in name order, and ?tenant=
+// narrows both to one.
+func TestTelemetryEnumeratesPublishedTenants(t *testing.T) {
+	pool, err := NewPool(PoolConfig{Detector: testDetectConfig(), MaxTenants: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Shutdown(context.Background())
+	ts := httptest.NewServer(NewHandler(pool))
+	defer ts.Close()
+	for _, name := range []string{"mid", "zed", "abe"} {
+		resp := postJSON(t, ts.URL+"/v1/"+name+"/messages", quantumOf(0, "hello world"))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest %s status = %d", name, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	// A tenant the pool refuses (limit reached) and one it never heard of
+	// leave no telemetry behind.
+	resp := postJSON(t, ts.URL+"/v1/extra/messages", quantumOf(0, "hello world"))
+	if resp.StatusCode != http.StatusInsufficientStorage {
+		t.Fatalf("ingest past the tenant limit = %d, want 507", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	traced := func(query string) []string {
+		code, body := getBody(t, ts.URL+"/debug/requests"+query)
+		if code != http.StatusOK {
+			t.Fatalf("debug/requests%s = %d", query, code)
+		}
+		var out struct {
+			Traces []traceJSON `json:"traces"`
+		}
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, tr := range out.Traces {
+			seen[tr.Tenant] = true
+		}
+		names := []string{}
+		for name := range seen {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return names
+	}
+	stageRE := regexp.MustCompile(`(?m)^eventdetect_stage_duration_seconds_count\{tenant="([^"]+)",stage="http_ingest"\}`)
+	histogrammed := func(query string) []string {
+		code, body := getBody(t, ts.URL+"/metrics?format=prometheus"+query)
+		if code != http.StatusOK {
+			t.Fatalf("exposition%s = %d", query, code)
+		}
+		validatePromExposition(t, body)
+		names := []string{} // in exposition order
+		for _, m := range stageRE.FindAllStringSubmatch(body, -1) {
+			names = append(names, m[1])
+		}
+		return names
+	}
+	all, one := []string{"abe", "mid", "zed"}, []string{"mid"}
+	if got := traced(""); !reflect.DeepEqual(got, all) {
+		t.Errorf("/debug/requests tenants = %v, want %v", got, all)
+	}
+	if got := histogrammed(""); !reflect.DeepEqual(got, all) {
+		t.Errorf("stage histogram tenants = %v, want %v in that order", got, all)
+	}
+	if got := traced("?tenant=mid"); !reflect.DeepEqual(got, one) {
+		t.Errorf("/debug/requests?tenant=mid tenants = %v, want %v", got, one)
+	}
+	if got := histogrammed("&tenant=mid"); !reflect.DeepEqual(got, one) {
+		t.Errorf("stage histogram tenants with ?tenant=mid = %v, want %v", got, one)
+	}
+	if got := traced("?tenant=extra"); len(got) != 0 {
+		t.Errorf("/debug/requests?tenant=extra tenants = %v, want none", got)
 	}
 }

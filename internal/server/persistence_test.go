@@ -130,7 +130,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 func archivedRecords(t *testing.T, tn *Tenant) []archive.Record {
 	t.Helper()
 	var recs []archive.Record
-	for _, v := range tn.archLog().Segments() {
+	for _, v := range tn.storage.arch.Segments() {
 		if _, _, err := v.Scan(func(r archive.Record) error {
 			recs = append(recs, r)
 			return nil
@@ -275,7 +275,7 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration, segm
 	// The archive holds every eviction — the ones from before the crash
 	// included — without duplicates or ordinal holes, in eviction order.
 	recs := archivedRecords(t, tn2)
-	if len(recs) != len(ref.evicted) || tn2.archLog().Gaps() != 0 {
+	if len(recs) != len(ref.evicted) || tn2.storage.arch.Gaps() != 0 {
 		t.Fatalf("archived = %d events, want %d", len(recs), len(ref.evicted))
 	}
 	for i, rec := range recs {
@@ -373,8 +373,8 @@ func TestCleanShutdownWALRestart(t *testing.T) {
 		t.Fatal("tenant not restored")
 	}
 	// A clean shutdown's snapshot covers the whole log: nothing replays.
-	if wl := tn2.walLog(); wl == nil || wl.SnapshotSeq() != wl.LastSeq() {
-		t.Fatalf("final snapshot missing: snap %d last %d", tn2.walLog().SnapshotSeq(), tn2.walLog().LastSeq())
+	if wl := tn2.storage.wal; wl == nil || wl.SnapshotSeq() != wl.LastSeq() {
+		t.Fatalf("final snapshot missing: snap %d last %d", tn2.storage.wal.SnapshotSeq(), tn2.storage.wal.LastSeq())
 	}
 	for _, b := range batches[cut:] {
 		if err := tn2.Enqueue(b); err != nil {
@@ -582,7 +582,7 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			tn.mu.Lock()
-			err = tn.walLog().Snapshot(tn.lastApplied.Load(), tn.det.Save)
+			err = tn.storage.wal.Snapshot(tn.lastApplied.Load(), tn.det.Save)
 			tn.mu.Unlock()
 			if err != nil {
 				b.Fatal(err)

@@ -194,11 +194,12 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writePrometheus renders the full exposition: every JSON counter with
-// tenant labels, the pool totals, the per-tenant stage-latency
-// histograms, and Go runtime health. The tenant set in pm controls
-// which tenants appear — the ?tenant= filter composes.
-func writePrometheus(w http.ResponseWriter, pm PoolMetrics, tel *obs.Telemetry) {
+// writePrometheus renders the full exposition for the given tenants
+// (every one, or the ?tenant= filter's): every JSON counter with tenant
+// labels, the pool totals, the per-tenant stage-latency histograms, and
+// Go runtime health.
+func writePrometheus(w http.ResponseWriter, tenants []*Tenant) {
+	pm := metricsOf(tenants)
 	w.Header().Set("Content-Type", promContentType)
 	bw := bufio.NewWriterSize(w, 32<<10)
 	defer bw.Flush() //nolint:errcheck // client gone; nothing to do
@@ -223,7 +224,7 @@ func writePrometheus(w http.ResponseWriter, pm PoolMetrics, tel *obs.Telemetry) 
 		bw.WriteString(promFloat(pmx.value(&pm.Totals)))
 		bw.WriteByte('\n')
 	}
-	writeStageHistograms(bw, pm, tel)
+	writeStageHistograms(bw, tenants)
 	writeRuntimeMetrics(bw)
 }
 
@@ -245,20 +246,12 @@ func writeHelpType(bw *bufio.Writer, name, typ, help string) {
 // resolution. Zero-delta buckets are skipped (cumulative counts carry
 // forward), which keeps the exposition a few hundred lines instead of
 // 64 × stages × tenants.
-func writeStageHistograms(bw *bufio.Writer, pm PoolMetrics, tel *obs.Telemetry) {
+func writeStageHistograms(bw *bufio.Writer, tenants []*Tenant) {
 	const name = "eventdetect_stage_duration_seconds"
-	// Restrict to the tenants in pm, so ?tenant= filtering composes.
-	want := make(map[string]bool, len(pm.Tenants))
-	for i := range pm.Tenants {
-		want[pm.Tenants[i].Tenant] = true
-	}
 	wroteHeader := false
-	for _, to := range tel.Tenants() {
-		if !want[to.Name()] {
-			continue
-		}
+	for _, t := range tenants {
 		for _, st := range obs.Stages() {
-			snap := to.Snapshot(st)
+			snap := t.obs.Snapshot(st)
 			if snap.Count == 0 {
 				continue
 			}
@@ -266,7 +259,7 @@ func writeStageHistograms(bw *bufio.Writer, pm PoolMetrics, tel *obs.Telemetry) 
 				writeHelpType(bw, name, "histogram", "Stage latency by pipeline stage (log2 buckets).")
 				wroteHeader = true
 			}
-			labels := `{tenant="` + promEscape(to.Name()) + `",stage="` + st.String() + `"`
+			labels := `{tenant="` + promEscape(t.name) + `",stage="` + st.String() + `"`
 			// total is derived from the bucket counts (not snap.Count)
 			// so the cumulative buckets, +Inf and _count agree exactly
 			// even when concurrent observes tear the snapshot slightly.

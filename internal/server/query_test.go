@@ -40,7 +40,9 @@ func queryPool(t *testing.T, retain int, withArchive bool) (*Pool, *httptest.Ser
 	t.Helper()
 	cfg := PoolConfig{Detector: persistCfg(), RetainEvents: retain}
 	if withArchive {
-		cfg.ArchiveDir = filepath.Join(t.TempDir(), "archive")
+		dir := t.TempDir()
+		cfg.WALDir = filepath.Join(dir, "wal")
+		cfg.ArchiveDir = filepath.Join(dir, "archive")
 		cfg.ArchiveSegmentEvents = 1 // every eviction seals a segment
 	}
 	pool, err := NewPool(cfg)

@@ -1,0 +1,304 @@
+package server
+
+import (
+	"fmt"
+	"io"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/archive"
+	"repro/internal/detect"
+	"repro/internal/obs"
+	"repro/internal/query"
+	"repro/internal/stream"
+	"repro/internal/vfs"
+	"repro/internal/wal"
+)
+
+// storageRetries bounds the inline retry turns an append spends on a
+// transient device IO error before the tenant degrades: each turn backs
+// off, repairs the WAL in place, and re-appends.
+const storageRetries = 3
+
+// tenantStorage is one tenant's durability owner — the only code that
+// knows whether a WAL or an archive backs the tenant. A disabled
+// subsystem is a no-op in here: without a WAL, appends yield sequence 0
+// and commits, snapshots and restores do nothing; without an archive
+// (PoolConfig.Validate admits one only with a WAL), evictions are
+// discarded. It also owns the tenant's storage health record: every path
+// that can find the device sick starts here.
+type tenantStorage struct {
+	name string
+	cfg  PoolConfig
+	wal  *wal.Log     // nil: memory-only tenant
+	arch *archive.Log // nil: evictions are discarded
+	obs  *obs.TenantObs
+	kick func() // nudges the pool supervisor after a degradation
+
+	health   tenantHealth
+	archErrs atomic.Uint64 // failed archive seals and compaction steps (records stay buffered)
+	walErrs  atomic.Uint64 // failed WAL snapshots
+}
+
+// openStorage opens (creating as needed) the handles cfg asks for.
+func openStorage(cfg PoolConfig, gc *wal.GroupCommitter, name string, tob *obs.TenantObs, kick func()) (*tenantStorage, error) {
+	s := &tenantStorage{name: name, cfg: cfg, obs: tob, kick: kick}
+	var err error
+	if cfg.WALDir != "" {
+		s.wal, err = wal.Open(filepath.Join(cfg.WALDir, name), wal.Options{
+			SegmentBytes: cfg.WALSegmentBytes,
+			GroupCommit:  gc,
+			OnFlush:      func(d time.Duration) { tob.Observe(obs.StageWALFsync, d) },
+			FS:           cfg.FS,
+		})
+	}
+	if err == nil && cfg.ArchiveDir != "" {
+		s.arch, err = archive.Open(filepath.Join(cfg.ArchiveDir, name), archive.Options{
+			SegmentEvents: cfg.ArchiveSegmentEvents,
+			BucketQuanta:  cfg.ArchiveBucketQuanta,
+			BlockEvents:   cfg.ArchiveBlockEvents,
+			FS:            cfg.FS,
+		})
+	}
+	if err != nil {
+		s.close() //nolint:errcheck // already failing
+		return nil, fmt.Errorf("server: tenant %s: %w", name, err)
+	}
+	return s, nil
+}
+
+// close releases the handles and returns the first error. Closing the
+// archive seals whatever its buffer still holds.
+func (s *tenantStorage) close() error {
+	var err error
+	if s.wal != nil {
+		err = s.wal.Close()
+	}
+	if s.arch != nil {
+		if aerr := s.arch.Close(); err == nil {
+			err = aerr
+		}
+	}
+	return err
+}
+
+// durable reports whether anything is logged at all — the apply loop
+// asks so a memory-only tenant never copies detector state for a
+// snapshot nobody would write.
+func (s *tenantStorage) durable() bool { return s.wal != nil }
+
+// failStopped reports whether the WAL has fail-stopped and is waiting
+// for the supervisor's reopen.
+func (s *tenantStorage) failStopped() bool { return s.wal != nil && s.wal.Failed() != nil }
+
+// archive returns the query engine's view of the evicted history, nil
+// when there is none.
+func (s *tenantStorage) archive() query.Archive {
+	if s.arch == nil {
+		return nil
+	}
+	return s.arch
+}
+
+// restore rebuilds the detector the WAL describes: the latest snapshot
+// (a fresh detector when there is none, or no WAL), then the segment
+// tail through applyRecord, the function the worker applied it with. The
+// eviction hook is attached before the replay so events the archive
+// already holds are deduplicated by ordinal while any it lost with its
+// unsealed buffer are re-archived. Returns the detector, the quantum of
+// the snapshot it started from, and the sequence of the last record
+// applied.
+func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
+	if s.wal == nil {
+		return detect.New(s.cfg.Detector), 0, 0, nil
+	}
+	r, snapSeq, err := s.wal.LatestSnapshot()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var det *detect.Detector
+	if r == nil {
+		det = detect.New(s.cfg.Detector)
+	} else {
+		det, err = detect.Load(r)
+		r.Close()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	base := det.AKG().Quantum()
+	s.attachEvict(det)
+	var mu sync.Mutex // applyRecord's lock; nothing else can reach det yet
+	err = s.wal.Replay(snapSeq, func(_ uint64, msgs []stream.Message, flush bool) error {
+		applyRecord(det, &mu, s.cfg.RetainEvents, msgs, flush, nil, nil)
+		return nil
+	})
+	return det, base, s.wal.LastSeq(), err
+}
+
+// attachEvict routes events evicted by detect.TrimFinished into the
+// archive. The detector's cumulative trim counter is the record's
+// eviction ordinal; the archive drops ordinals it already holds, which
+// makes the hook idempotent across WAL replays. An Append error is a
+// failed seal: the record is still buffered.
+func (s *tenantStorage) attachEvict(det *detect.Detector) {
+	if s.arch == nil {
+		return
+	}
+	det.SetOnEvict(func(ev *detect.Event) {
+		if err := s.arch.Append(archiveRecord(det.Trimmed(), ev)); err != nil {
+			s.writeFailed(&s.archErrs, err)
+		}
+	})
+}
+
+// archiveRecord projects an evicted event onto the archive's record
+// shape, with seq as its eviction ordinal.
+func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
+	return archive.Record{
+		Seq:           seq,
+		ID:            ev.ID,
+		State:         ev.State.String(),
+		Keywords:      append([]string(nil), ev.Keywords...),
+		AllKeywords:   append(make([]string, 0, len(ev.AllKeywords)), ev.KeywordHistory()...),
+		Rank:          ev.Rank,
+		PeakRank:      ev.PeakRank,
+		BornQuantum:   ev.BornQuantum,
+		LastQuantum:   ev.LastQuantum,
+		Evolved:       ev.Evolved,
+		Size:          ev.Size,
+		Support:       ev.Support,
+		Reported:      ev.Reported,
+		FirstReported: ev.FirstReported,
+		MergedInto:    ev.MergedInto,
+		SplitFrom:     ev.SplitFrom,
+		Spurious:      ev.Spurious(),
+	}
+}
+
+// append logs one ingest batch — or, with flush set, a stream-flush
+// marker — and returns its sequence number. On a transient device IO
+// error a batch runs the inline retry loop: back off (capped
+// exponential), repair the log in place through repair — the tenant's
+// reopen, which must also edit its queue; a no-op when the failed append
+// already rolled back cleanly — and re-append, so a controller hiccup
+// recovers without shedding a single request. Runs under the tenant's
+// queue lock: the sleeps briefly hold up this tenant's producers, never
+// another tenant's; with the default backoff (storageRetries turns from
+// 5ms) the worst case is ~35ms. Only ClassIO errors are retried: ENOSPC
+// cannot succeed until space frees, and logic errors never will.
+func (s *tenantStorage) append(msgs []stream.Message, flush bool, repair func() error) (uint64, error) {
+	switch {
+	case s.wal == nil:
+		return 0, nil
+	case flush:
+		return s.wal.AppendFlush()
+	}
+	seq, err := s.wal.Append(msgs)
+	backoff := s.cfg.StorageRetryBackoff
+	for turn := 0; err != nil && turn < storageRetries && vfs.Classify(err) == vfs.ClassIO; turn++ {
+		t0 := time.Now()
+		s.health.storageRetries.Add(1)
+		time.Sleep(backoff)
+		backoff = min(2*backoff, 32*s.cfg.StorageRetryBackoff)
+		if err = repair(); err == nil {
+			seq, err = s.wal.Append(msgs)
+		}
+		s.obs.Observe(obs.StageStorageRetry, time.Since(t0))
+	}
+	return seq, err
+}
+
+// commit waits until record seq is durable — immediately unless group
+// commit is on. Sequence 0 is "never logged" and always succeeds.
+func (s *tenantStorage) commit(seq uint64) error {
+	if seq == 0 {
+		return nil
+	}
+	return s.wal.Commit(seq)
+}
+
+// snapshot is the one way a WAL snapshot gets written, at the cadence
+// point, after a recovery that replayed past one, and on shutdown: the
+// archive's buffer is sealed to disk first, because the snapshot
+// persists the detector's eviction counter and replay from it never
+// regenerates the evictions it covers — a record still only in memory
+// would be lost to the next crash for good. A failed seal therefore
+// skips the snapshot; the records stay buffered and the WAL keeps the
+// tail that can re-evict them. Compaction inside wal.Snapshot then drops
+// the covered segments. seq must name exactly the state save writes, so
+// callers run on the goroutine that applies the tenant's batches (or
+// after its drain): no eviction can land between capture and seal.
+func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
+	if s.wal == nil {
+		return nil
+	}
+	t0 := time.Now()
+	if s.arch != nil {
+		if err := s.arch.Seal(); err != nil {
+			s.writeFailed(&s.archErrs, err)
+			return err
+		}
+		s.obs.Observe(obs.StageArchiveSeal, time.Since(t0))
+		t0 = time.Now()
+	}
+	if err := s.wal.Snapshot(seq, save); err != nil {
+		s.writeFailed(&s.walErrs, err)
+		return err
+	}
+	s.obs.Observe(obs.StageWALSnapshot, time.Since(t0))
+	return nil
+}
+
+// compactStep is the background compactor's unit of work: merge one run
+// of small sealed archive segments. The compactor only exists when an
+// archive is configured. A failure is counted and otherwise ignored —
+// compaction is an optimization, never a correctness requirement.
+func (s *tenantStorage) compactStep() {
+	start := time.Now()
+	_, worked, err := s.arch.CompactOnce()
+	if err != nil {
+		s.archErrs.Add(1)
+	} else if worked {
+		s.obs.Observe(obs.StageArchiveCompact, time.Since(start))
+	}
+}
+
+// writeFailed accounts a failed archive seal or WAL snapshot. Neither is
+// fatal — the WAL still holds the full history — but ENOSPC means the
+// device is out of space and the next append will fail too. Degrade
+// proactively so ingest sheds instead of burning retry budgets, and let
+// the supervisor's write probe decide when space is back.
+func (s *tenantStorage) writeFailed(errs *atomic.Uint64, err error) {
+	errs.Add(1)
+	if vfs.Classify(err) == vfs.ClassNoSpace {
+		s.health.enter(degradedNoSpace)
+		s.kick()
+	}
+}
+
+// fillMetrics writes the durability layer's share of /metrics.
+func (s *tenantStorage) fillMetrics(m *TenantMetrics) {
+	m.Degraded = s.health.degraded.Load() != nil
+	m.WALReopens = s.health.walReopens.Load()
+	m.StorageRetries = s.health.storageRetries.Load()
+	if wl := s.wal; wl != nil {
+		m.WALEnabled = true
+		m.WALSegments = wl.SegmentCount()
+		m.WALLastSeq = wl.LastSeq()
+		m.WALSnapshotSeq = wl.SnapshotSeq()
+		m.WALErrors = s.walErrs.Load()
+	}
+	if ar := s.arch; ar != nil {
+		m.ArchiveEnabled = true
+		m.ArchiveSegments = ar.SegmentCount()
+		m.ArchiveEvents = ar.EventCount()
+		m.ArchiveErrors = s.archErrs.Load()
+		m.ArchiveGaps = ar.Gaps()
+		m.ArchiveColumnarSegments = ar.ColumnarSegmentCount()
+		m.ArchiveCompactions, m.ArchiveSegmentsCompacted, _, m.ArchiveBytesReclaimed = ar.CompactTotals()
+		m.QuarantinedSegments = ar.QuarantinedSegments()
+	}
+}

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/vfs"
-	"repro/internal/wal"
 )
 
 // Degradation reasons, surfaced on /readyz and in DegradedError. The
@@ -48,13 +46,20 @@ func (e *DegradedError) Error() string {
 // flag is the ingest hot path's only touchpoint — one atomic load per
 // Enqueue; everything else is read by /metrics and /readyz.
 type tenantHealth struct {
-	degraded atomicDegraded
+	// degraded is nil while healthy, else why and since when. The first
+	// reason wins until recovery clears it.
+	degraded atomic.Pointer[degradation]
 
 	// walReopens counts supervised quarantine-and-reopen recoveries of
 	// the tenant's fail-stopped WAL; storageRetries counts inline
 	// retry turns after transient device errors on the ingest path.
 	walReopens     atomic.Uint64
 	storageRetries atomic.Uint64
+}
+
+type degradation struct {
+	reason string
+	since  time.Time
 }
 
 // DegradedInfo is one degraded tenant's entry in the /readyz body.
@@ -65,10 +70,18 @@ type DegradedInfo struct {
 	SinceSeconds float64 `json:"since_seconds"`
 }
 
+// enter flips the tenant read-only; a no-op when it already is.
+func (h *tenantHealth) enter(reason string) {
+	h.degraded.CompareAndSwap(nil, &degradation{reason: reason, since: time.Now()})
+}
+
 // Degraded reports whether the tenant is currently in read-only
 // degraded mode, and why.
 func (t *Tenant) Degraded() (bool, string) {
-	return t.health.degraded.get()
+	if d := t.health.degraded.Load(); d != nil {
+		return true, d.reason
+	}
+	return false, ""
 }
 
 // DegradedCheck returns the shed error ingest must be answered with
@@ -76,41 +89,43 @@ func (t *Tenant) Degraded() (bool, string) {
 // handler calls it before decoding the request body; Enqueue and Flush
 // re-check it authoritatively.
 func (t *Tenant) DegradedCheck() *DegradedError {
-	down, reason := t.health.degraded.get()
-	if !down {
+	d := t.health.degraded.Load()
+	if d == nil {
 		return nil
 	}
-	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.DegradedProbeInterval}
+	return &DegradedError{Tenant: t.name, Reason: d.reason, RetryAfter: t.cfg.DegradedProbeInterval}
 }
 
 // enterDegraded flips the tenant read-only (idempotent — the first
 // reason wins until recovery) and returns the shed error to answer the
 // triggering request with.
 func (t *Tenant) enterDegraded(reason string) *DegradedError {
-	t.health.degraded.set(reason)
+	t.health.enter(reason)
 	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.DegradedProbeInterval}
 }
 
-// storageFailed classifies a storage error that escaped the inline
-// retry budget and converts it into the tenant's degraded mode: the
-// caller sheds this request, the supervisor owns recovery. Device
-// conditions (ENOSPC, persistent EIO) degrade; anything else — logic
-// errors, a closed log — is returned as-is for the normal error path.
-func (t *Tenant) storageFailed(err error) error {
-	switch vfs.Classify(err) {
-	case vfs.ClassNoSpace:
-		return t.enterDegraded(degradedNoSpace)
-	case vfs.ClassIO:
-		return t.enterDegraded(degradedIO)
+// failStorage is the terminal storage-error path of an ingest request,
+// for an error that escaped the inline retry budget. Device conditions
+// (ENOSPC, persistent EIO) flip the tenant into read-only degraded mode:
+// the request is shed with the DegradedError and the supervisor, kicked
+// to probe now, owns recovery. So does a fail-stopped WAL whatever the
+// error says (a group commit covering this batch failed on another
+// tenant's turn, say) — shed rather than surface a raw internal error
+// the client cannot act on. Anything else — logic errors, a closed log —
+// surfaces as a plain error.
+func (t *Tenant) failStorage(err error) error {
+	var reason string
+	switch class := vfs.Classify(err); {
+	case class == vfs.ClassNoSpace:
+		reason = degradedNoSpace
+	case class == vfs.ClassIO, t.storage.failStopped():
+		reason = degradedIO
+	default:
+		return fmt.Errorf("server: tenant %s: %w", t.name, err)
 	}
-	// Not a device condition — but if the WAL fail-stopped (a group
-	// commit covering this batch failed on another tenant's turn, say),
-	// the supervisor still owns the reopen; shed rather than surface a
-	// raw internal error the client cannot act on.
-	if wl := t.walLog(); wl != nil && wl.Failed() != nil {
-		return t.enterDegraded(degradedIO)
-	}
-	return err
+	derr := t.enterDegraded(reason)
+	t.storage.kick()
+	return derr
 }
 
 // errReopenBusy defers a supervised reopen: a batch whose record the
@@ -125,9 +140,13 @@ var errReopenBusy = errors.New("server: wal reopen deferred: discarded batch sti
 // Commit failed — so dropping them keeps the detector consistent with
 // what replay rebuilds; leaving them queued would let a post-reopen
 // append reuse their seq and apply them under another record's
-// durability. Caller holds t.qmu, which also serializes this against
-// Enqueue's append-then-commit window.
-func (t *Tenant) reopenWALLocked(wl *wal.Log) error {
+// durability. Because the repair edits the queue it lives here, and is
+// the one place outside storage.go that touches the log handle; its two
+// callers (the append retry loop, the supervisor's probe of a
+// fail-stopped log) only exist when there is a WAL. Caller holds t.qmu,
+// which also serializes this against Enqueue's append-then-commit window.
+func (t *Tenant) reopenWALLocked() error {
+	wl := t.storage.wal
 	committed := wl.CommittedSeq()
 	if t.inflightSeq > committed {
 		return errReopenBusy
@@ -155,12 +174,11 @@ func (t *Tenant) reopenWALLocked(wl *wal.Log) error {
 // fail-stopped WAL in place, and when the tenant is degraded, verify
 // the device actually works again (a real write probe — not just the
 // absence of recent errors) before accepting ingest again.
-func (t *Tenant) probeStorage(fsys vfs.FS, walDir string) {
-	wl := t.walLog()
-	if wl != nil && wl.Failed() != nil {
+func (t *Tenant) probeStorage() {
+	if t.storage.failStopped() {
 		start := time.Now()
 		t.qmu.Lock()
-		err := t.reopenWALLocked(wl)
+		err := t.reopenWALLocked()
 		t.qmu.Unlock()
 		if err == errReopenBusy {
 			return // drains in microseconds; repair next turn
@@ -179,15 +197,13 @@ func (t *Tenant) probeStorage(fsys vfs.FS, walDir string) {
 		t.health.walReopens.Add(1)
 		t.obs.Observe(obs.StageWALReopen, time.Since(start))
 	}
-	if down, _ := t.health.degraded.get(); !down {
+	if t.health.degraded.Load() == nil {
 		return
 	}
-	if walDir != "" {
-		if err := probeWrite(fsys, filepath.Join(walDir, t.name)); err != nil {
-			return // device still sick; stay degraded, probe again next turn
-		}
+	if err := probeWrite(t.cfg.FS, filepath.Join(t.cfg.WALDir, t.name)); err != nil {
+		return // device still sick; stay degraded, probe again next turn
 	}
-	t.health.degraded.clear()
+	t.health.degraded.Store(nil)
 }
 
 // probeWrite proves the device under dir accepts and persists a small
@@ -213,111 +229,14 @@ func probeWrite(fsys vfs.FS, dir string) error {
 	return cerr
 }
 
-// superviseLoop is the pool's degradation supervisor: on a fixed probe
-// cadence (or immediately when kicked by a storage failure) it walks
-// the tenants, reopens fail-stopped WALs, and clears degraded mode once
-// a write probe proves the device recovered. One goroutine for the
-// whole pool — degradation is rare and the probe is cheap, so per-
-// tenant probers would only multiply shutdown edges.
-func (p *Pool) superviseLoop() {
-	defer close(p.superviseDone)
-	tick := time.NewTicker(p.cfg.DegradedProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.superviseStop:
-			return
-		case <-p.superviseKick:
-		case <-tick.C:
-		}
-		for _, t := range p.tenantsSorted() {
-			select {
-			case <-p.superviseStop:
-				return
-			default:
-			}
-			t.probeStorage(p.fs, p.cfg.WALDir)
-		}
-	}
-}
-
-// kickSupervisor nudges the supervisor to probe now instead of waiting
-// out the cadence — called when a storage failure flips a tenant
-// degraded, so short outages recover on the next probe, not the next
-// tick. Non-blocking; a kick while one is pending coalesces.
-func (p *Pool) kickSupervisor() {
-	if p.superviseKick == nil {
-		return
-	}
-	select {
-	case p.superviseKick <- struct{}{}:
-	default:
-	}
-}
-
-// stopSupervisor halts the supervisor and waits for an in-flight probe
-// pass to finish; idempotent, and a no-op when it never started. Must
-// run before tenant WALs close so a probe never races a Close.
-func (p *Pool) stopSupervisor() {
-	if p.superviseStop == nil {
-		return
-	}
-	p.superviseOff.Do(func() { close(p.superviseStop) })
-	<-p.superviseDone
-}
-
 // DegradedTenants returns every degraded tenant's entry, name-sorted —
 // the /readyz body.
 func (p *Pool) DegradedTenants() []DegradedInfo {
 	var out []DegradedInfo
 	for _, t := range p.tenantsSorted() {
-		if down, reason := t.health.degraded.get(); down {
-			out = append(out, DegradedInfo{
-				Tenant:       t.name,
-				Reason:       reason,
-				SinceSeconds: time.Since(t.health.degraded.since()).Seconds(),
-			})
+		if d := t.health.degraded.Load(); d != nil {
+			out = append(out, DegradedInfo{Tenant: t.name, Reason: d.reason, SinceSeconds: time.Since(d.since).Seconds()})
 		}
 	}
 	return out
-}
-
-// atomicDegraded is a flag + reason + start time under one small
-// mutex, with a lock-free fast path for the healthy case.
-type atomicDegraded struct {
-	flag atomic.Bool
-	mu   sync.Mutex
-	why  string
-	at   time.Time
-}
-
-func (d *atomicDegraded) get() (bool, string) {
-	if !d.flag.Load() {
-		return false, ""
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return true, d.why
-}
-
-func (d *atomicDegraded) set(reason string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.flag.Load() {
-		d.why, d.at = reason, time.Now()
-		d.flag.Store(true)
-	}
-}
-
-func (d *atomicDegraded) clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flag.Store(false)
-	d.why = ""
-}
-
-func (d *atomicDegraded) since() time.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.at
 }
