@@ -24,7 +24,6 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,23 +36,21 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/detect"
 	"repro/internal/vfs"
 )
 
-const (
-	segPrefix = "ev-"
-	// legacyExt / legacyMetaExt name the JSON-lines segments and sidecars
-	// written before the columnar format; Open converts them once.
-	legacyExt     = ".jsonl"
-	legacyMetaExt = ".meta.json"
-)
+const segPrefix = "ev-"
 
-// Record is one archived event (the JSON tags are the legacy line
-// shape). Quanta double as the archive's time axis (the detector's
+// Record is an event once it leaves the detector: what the eviction hook
+// appends, what a scan hands back, and — its JSON tags — the element of
+// a /query page, so an event reads the same from the live snapshot and
+// from disk. Quanta double as the archive's time axis (the detector's
 // clock).
 type Record struct {
-	// Seq is the 1-based eviction ordinal (detect's trim counter).
-	Seq           uint64   `json:"seq"`
+	// Seq is the 1-based eviction ordinal (detect's trim counter); zero
+	// on the projection of an event still retained in memory.
+	Seq           uint64   `json:"-"`
 	ID            uint64   `json:"id"`
 	State         string   `json:"state"`
 	Keywords      []string `json:"keywords"`
@@ -72,12 +69,41 @@ type Record struct {
 	Spurious      bool     `json:"spurious"`
 }
 
+// RecordOf is the one projection of a detector event onto the row: the
+// eviction hook archives it (after stamping Seq) and the query engine
+// serves it for events still retained, so the two agree by construction.
+// The keyword slices alias the event's — which a finished event or an
+// epoch-snapshot view never rewrites; project nothing that can still
+// change.
+func RecordOf(ev *detect.Event) Record {
+	return Record{
+		ID:            ev.ID,
+		State:         ev.State.String(),
+		Keywords:      ev.Keywords,
+		AllKeywords:   ev.KeywordHistory(),
+		Rank:          ev.Rank,
+		PeakRank:      ev.PeakRank,
+		BornQuantum:   ev.BornQuantum,
+		LastQuantum:   ev.LastQuantum,
+		Evolved:       ev.Evolved,
+		Size:          ev.Size,
+		Support:       ev.Support,
+		Reported:      ev.Reported,
+		FirstReported: ev.FirstReported,
+		MergedInto:    ev.MergedInto,
+		SplitFrom:     ev.SplitFrom,
+		Spurious:      ev.Spurious(),
+	}
+}
+
 // segMeta is the sidecar: enough to decide, without opening the data
 // file, whether a query's time range, rank floor or keywords can
 // possibly match — for the segment as a whole and per block. File is
 // the seq the data file is named by: a sealed buffer is named by its
-// first record, a converted legacy segment keeps the name it had, which
-// an eviction-ordinal gap can leave different from FirstSeq.
+// first record and a merged segment by its first input, but a segment
+// converted from the JSON-lines format by an earlier build kept the name
+// it had, which an eviction-ordinal gap can leave different from
+// FirstSeq.
 type segMeta struct {
 	File       uint64 `json:"file"` // data file name seq
 	FirstSeq   uint64 `json:"first_seq"`
@@ -201,47 +227,40 @@ type Log struct {
 // range is covered by another segment is a leftover from a compaction
 // the process crashed out of after the commit rename — it is deleted
 // here, which is what makes kill -9 at any point of a seal or a
-// compaction converge to exactly-once records. Segments in the legacy
-// JSON-lines format are converted to columnar ones first.
+// compaction converge to exactly-once records. A directory that still
+// holds a JSON-lines segment (ev-*.jsonl, the format before the
+// columnar one) is refused: this build has no reader for it.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: open %s: %w", dir, err)
 	}
 	l := &Log{dir: dir, opt: opt, fs: opt.FS}
-	// Sweep temp files a crash between write and rename left.
-	if orphans, err := l.fs.Glob(filepath.Join(dir, "*.tmp")); err == nil {
-		for _, o := range orphans {
-			l.fs.Remove(o) //nolint:errcheck // best effort
-		}
-	}
 	entries, err := l.fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("archive: list %s: %w", dir, err)
 	}
 	var starts []uint64
 	for _, e := range entries {
-		stem, isCol := strings.CutSuffix(e.Name(), colExt)
-		isLegacy := false
-		if !isCol {
-			stem, isLegacy = strings.CutSuffix(e.Name(), legacyExt)
+		name := e.Name()
+		if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, ".jsonl") {
+			return nil, fmt.Errorf("archive: %s is a JSON-lines segment, which this build cannot read "+
+				"(docs/PERSISTENCE.md: legacy directories)", filepath.Join(dir, name))
 		}
+		stem, isCol := strings.CutSuffix(name, colExt)
 		num, ok := strings.CutPrefix(stem, segPrefix)
-		if !ok || (!isCol && !isLegacy) {
+		if !isCol || !ok {
 			continue
 		}
-		n, err := strconv.ParseUint(num, 10, 64)
-		if err != nil {
-			continue
+		if n, err := strconv.ParseUint(num, 10, 64); err == nil {
+			starts = append(starts, n)
 		}
-		if isLegacy {
-			if converted, err := l.convertLegacy(n); err != nil {
-				return nil, err
-			} else if !converted {
-				continue
-			}
+	}
+	// Sweep temp files a crash between write and rename left.
+	if orphans, err := l.fs.Glob(filepath.Join(dir, "*.tmp")); err == nil {
+		for _, o := range orphans {
+			l.fs.Remove(o) //nolint:errcheck // best effort
 		}
-		starts = append(starts, n)
 	}
 	metas := make([]segMeta, 0, len(starts))
 	for _, start := range starts {
@@ -267,67 +286,6 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// convertLegacy rewrites one JSON-lines segment (one Record per line)
-// as the columnar segment of the same name seq, by the compactor's
-// commit protocol — data file via tmp+fsync+rename, sidecar, then the
-// inputs deleted — so a kill at any step converges on the next Open: a
-// .col of that name already in place is complete and covers the legacy
-// file (whether this conversion or the old compactor wrote it), and
-// only the deletion is redone. An unterminated or unparsable last line
-// is the torn tail of a crashed append and is dropped — the WAL replay
-// re-evicts that ordinal; damage before the last line sets the whole
-// file aside like any corrupt segment. Reports whether it wrote a .col.
-func (l *Log) convertLegacy(start uint64) (bool, error) {
-	data, side := l.segPath(start, legacyExt), l.segPath(start, legacyMetaExt)
-	drop := func() {
-		l.fs.Remove(data) //nolint:errcheck // best effort; redone by the next Open
-		l.fs.Remove(side) //nolint:errcheck // best effort; swept as an orphan otherwise
-	}
-	if _, err := l.fs.Stat(l.colPath(start)); err == nil {
-		drop()
-		return false, nil
-	}
-	raw, err := l.fs.ReadFile(data)
-	if err != nil {
-		return false, fmt.Errorf("archive: read legacy segment: %w", err)
-	}
-	var recs []Record
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			break // unterminated: torn even if it parses
-		}
-		if line := raw[:nl]; len(line) > 0 {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				if nl+1 < len(raw) {
-					l.fs.Rename(data, data+quarantineSuffix) //nolint:errcheck // best effort
-					l.fs.Rename(side, side+quarantineSuffix) //nolint:errcheck // best effort
-					l.quarantined++
-					return false, nil
-				}
-				break
-			}
-			recs = append(recs, rec)
-		}
-		raw = raw[nl+1:]
-	}
-	if len(recs) == 0 {
-		drop()
-		return false, nil
-	}
-	m, err := writeSegmentV2(l.fs, l.colPath(start), recs, l.opt.BlockEvents)
-	if err != nil {
-		return false, err
-	}
-	m.File = start
-	if err := l.writeMeta(&m); err != nil {
-		return false, err
-	}
-	drop()
-	return true, nil
-}
-
 // supersededBy reports whether another segment in metas covers m's
 // ordinal range, making m a compaction leftover. The compactor only
 // ever replaces whole segments by a strictly larger one, so two
@@ -351,20 +309,16 @@ func (l *Log) removeSegmentFiles(file uint64) {
 
 // sweepOrphanSidecars removes sidecars whose data file is gone — the
 // one file a crash between a segment's data-file deletion and sidecar
-// deletion can leave behind. No legacy data file outlives Open, so
-// every legacy sidecar is such an orphan.
+// deletion can leave behind.
 func (l *Log) sweepOrphanSidecars(entries []os.DirEntry) {
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, legacyMetaExt) {
+		data, ok := strings.CutSuffix(e.Name(), colMetaSuffix)
+		if !ok || !strings.HasPrefix(data, segPrefix) {
 			continue
 		}
-		if data, ok := strings.CutSuffix(name, colMetaSuffix); ok {
-			if _, err := l.fs.Stat(filepath.Join(l.dir, data+colExt)); !os.IsNotExist(err) {
-				continue
-			}
+		if _, err := l.fs.Stat(filepath.Join(l.dir, data+colExt)); os.IsNotExist(err) {
+			l.fs.Remove(filepath.Join(l.dir, e.Name())) //nolint:errcheck // best effort
 		}
-		l.fs.Remove(filepath.Join(l.dir, name)) //nolint:errcheck // best effort
 	}
 }
 
@@ -432,7 +386,7 @@ func (l *Log) colHeaderMatches(start uint64, m *segMeta) bool {
 // either way, and refusing all future appends would turn a small hole
 // into total history loss. A buffer that reaches the SegmentEvents or
 // BucketQuanta bound is sealed; the only error Append returns is that
-// seal failing, and the record is then still buffered.
+// seal's, and the record is held either way (see Seal for where).
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -454,11 +408,14 @@ func (l *Log) Append(rec Record) error {
 
 // Seal makes every appended record durable: the buffer is written out
 // as one columnar segment (data file via tmp+fsync+rename — the commit
-// point — then its sidecar) and a fresh buffer started. On failure the
-// records stay buffered, still served, for the next attempt. Callers
-// that persist the eviction counter elsewhere (the serving layer's WAL
-// snapshots) must seal first, or a crash loses the buffered records for
-// good.
+// point — then its sidecar) and a fresh buffer started. If the data
+// file cannot be committed the records stay buffered, still served, for
+// the next attempt. If only the sidecar write fails, the error is
+// returned but the seal stands: nothing is left buffered, the segment is
+// durable and served from memory, and the next Open rebuilds the
+// sidecar. Callers that persist the eviction counter elsewhere (the
+// serving layer's WAL snapshots) must seal first, or a crash loses the
+// buffered records for good.
 func (l *Log) Seal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -544,8 +501,8 @@ func (l *Log) EventCount() int {
 // Close seals the buffer; the Log holds no open files between calls.
 func (l *Log) Close() error { return l.Seal() }
 
-// ErrStop, returned by a SegmentView.Scan callback, stops the scan
-// early without error — the LIMIT-pushdown signal.
+// ErrStop, returned by a ScanPred callback, stops the scan early without
+// error — the LIMIT-pushdown signal.
 var ErrStop = fmt.Errorf("archive: stop scan")
 
 // ErrCorrupt marks structural damage inside a sealed segment's data
@@ -614,7 +571,7 @@ func (v *SegmentView) MayContain(kw string) bool {
 // scan skips whole blocks whose zone maps prove no record can match.
 // Records handed to the callback are NOT individually filtered — block
 // skipping is conservative, so callers apply their own record-level
-// filter exactly as they would after Scan.
+// filter.
 type Pred struct {
 	// From/To bound the quantum range: a record matches when its
 	// [BornQuantum, LastQuantum] span intersects [From, To]. To < 0
@@ -633,9 +590,6 @@ type Pred struct {
 	// original view's records.
 	minSeq, maxSeq uint64
 }
-
-// matchAll is the no-predicate Pred (plain Scan).
-func matchAll() Pred { return Pred{To: -1} }
 
 // skipReason classifies why a block was skipped.
 type skipReason int
@@ -675,31 +629,15 @@ type BlockStats struct {
 	Records          int // records handed to the callback
 }
 
-func (b *BlockStats) addTo(o *BlockStats) {
-	o.Blocks += b.Blocks
-	o.Scanned += b.Scanned
-	o.SkippedByTime += b.SkippedByTime
-	o.SkippedByRank += b.SkippedByRank
-	o.SkippedByKeyword += b.SkippedByKeyword
-	o.Records += b.Records
-}
-
-// Scan streams the view's records to fn in eviction order. fn returning
-// ErrStop ends the scan early (stopped=true, err=nil); any other error
-// aborts and is returned. seen counts records handed to fn. A block
-// that decodes to a different record count than its zone map states is
-// corruption and is reported as an error: silently truncating history
-// would be worse than failing the query.
-func (v *SegmentView) Scan(fn func(Record) error) (seen int, stopped bool, err error) {
-	bs, stopped, err := v.scanWithPred(matchAll(), 0, func(rec *Record) error { return fn(*rec) })
-	return bs.Records, stopped, err
-}
-
 // ScanPred streams the view's records to fn in eviction order, skipping
 // blocks whose zone maps prove no record can match pred (see Pred for
-// what the callback still must filter). The *Record and its slices
-// remain valid after fn returns, but the struct pointed to is reused —
-// copy it to keep it. Stop/error semantics match Scan.
+// what the callback still must filter; Pred{To: -1} skips nothing). The
+// *Record and its slices remain valid after fn returns, but the struct
+// pointed to is reused — copy it to keep it. fn returning ErrStop ends
+// the scan early (stopped=true, err=nil); any other error aborts and is
+// returned. A block that decodes to a different record count than its
+// zone map states is corruption and is reported as an error: silently
+// truncating history would be worse than failing the query.
 func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (BlockStats, bool, error) {
 	return v.scanWithPred(pred, 0, fn)
 }
@@ -709,7 +647,7 @@ func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (BlockStats, b
 // re-compaction racing the fallback itself.
 const maxRescanDepth = 2
 
-// scanWithPred is the scan behind Scan and ScanPred: the buffer's
+// scanWithPred is the scan behind ScanPred: the buffer's
 // records straight from memory, or zone-map skipping followed by a
 // CRC-checked column-at-a-time decode of only the surviving blocks.
 func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error) (bs BlockStats, stopped bool, err error) {

@@ -1,12 +1,11 @@
 package archive
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -32,7 +31,7 @@ type skipStats struct {
 }
 
 // scanMatching is the tests' reader over the scan surface (Segments +
-// Scan): every record whose span intersects [from, to] (to < 0 =
+// ScanPred): every record whose span intersects [from, to] (to < 0 =
 // unbounded) and, when kw is non-empty, carries it — in eviction order,
 // skipping segments on their sidecar bounds the way a planner would.
 func scanMatching(t testing.TB, l *Log, from, to int, kw string) ([]Record, skipStats) {
@@ -53,9 +52,9 @@ func scanMatching(t testing.TB, l *Log, from, to int, kw string) ([]Record, skip
 			continue
 		}
 		st.scanned++
-		if _, _, err := v.Scan(func(r Record) error {
+		if _, _, err := v.ScanPred(Pred{To: -1}, func(r *Record) error {
 			if r.LastQuantum >= from && r.BornQuantum <= to && (kw == "" || slices.Contains(r.AllKeywords, kw)) {
-				out = append(out, r)
+				out = append(out, *r)
 			}
 			return nil
 		}); err != nil {
@@ -63,26 +62,6 @@ func scanMatching(t testing.TB, l *Log, from, to int, kw string) ([]Record, skip
 		}
 	}
 	return out, st
-}
-
-// writeLegacySegment stages a pre-columnar JSON-lines segment the way
-// the old writer left it: one record per line, then tail verbatim (a
-// torn last line, or nothing).
-func writeLegacySegment(t testing.TB, dir string, start uint64, recs []Record, tail string) {
-	t.Helper()
-	var body bytes.Buffer
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body.Write(line)
-		body.WriteByte('\n')
-	}
-	body.WriteString(tail)
-	if err := os.WriteFile(filepath.Join(dir, segName(start, legacyExt)), body.Bytes(), 0o644); err != nil { //repro:vfs-exempt staging a legacy on-disk fixture under test, not storage-layer I/O
-		t.Fatal(err)
-	}
 }
 
 // TestAppendQueryRotation drives three time buckets through sealing and
@@ -230,27 +209,46 @@ func TestReopenDedup(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated opens a legacy JSON-lines segment whose last
-// line is partial (the old writer's crash-mid-append signature): the
-// torn record must be dropped and that ordinal re-accepted.
-func TestTornTailTruncated(t *testing.T) {
+// TestOpenRefusesLegacySegment: a directory still holding a JSON-lines
+// segment is refused with an error naming the file, and nothing in it is
+// touched — a build with the converter can still open it.
+func TestOpenRefusesLegacySegment(t *testing.T) {
 	dir := t.TempDir()
-	writeLegacySegment(t, dir, 1, []Record{rec(1, 0, 5, "alpha"), rec(2, 6, 9, "beta")},
-		`{"seq":3,"id":30,"torn`)
+	seedArchive(t, dir, 3, Options{SegmentEvents: 2})
+	name := segName(5, ".jsonl")
+	stageFile(t, dir, name, []byte(`{"seq":5,"id":50,"state":"ended","keywords":["alpha"]}`+"\n"))
+	stageFile(t, dir, segName(1, colExt)+".tmp", []byte("torn"))
+	pre := snapshotDir(t, dir)
 
 	l, err := Open(dir, Options{})
-	if err != nil {
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a directory holding a JSON-lines segment")
+	}
+	if !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+		t.Fatalf("error does not name the file: %v", err)
+	}
+	if post := snapshotDir(t, dir); !reflect.DeepEqual(post, pre) {
+		t.Fatalf("refused Open changed the directory: %d files before, %d after", len(pre), len(post))
+	}
+
+	// With the data file gone, the legacy sidecar a converting build's
+	// mid-delete crash can strand is not a reason to refuse: it is left
+	// alone and the columnar history opens.
+	if err := os.Remove(filepath.Join(dir, name)); err != nil { //repro:vfs-exempt staging the directory under test
 		t.Fatal(err)
 	}
-	if l.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d, want 2 (torn record dropped)", l.LastSeq())
+	stray := segName(5, ".meta.json")
+	stageFile(t, dir, stray, []byte(`{}`))
+	if l, err = Open(dir, Options{}); err != nil {
+		t.Fatalf("Open refused a directory holding only a stray legacy sidecar: %v", err)
 	}
-	if err := l.Append(rec(3, 10, 15, "gamma")); err != nil {
-		t.Fatal(err)
+	defer l.Close()
+	if recs, _ := scanMatching(t, l, 0, -1, ""); len(recs) != 3 {
+		t.Fatalf("records after reopen = %d, want 3", len(recs))
 	}
-	all, _ := scanMatching(t, l, 0, -1, "")
-	if len(all) != 3 || all[2].Keywords[0] != "gamma" {
-		t.Fatalf("records after torn-tail recovery = %v", all)
+	if _, err := os.Stat(filepath.Join(dir, stray)); err != nil {
+		t.Fatalf("stray legacy sidecar: %v", err)
 	}
 }
 
@@ -280,7 +278,7 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	views := l.Segments()
-	if _, _, err := views[0].Scan(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := views[0].ScanPred(Pred{To: -1}, func(*Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("scan over corrupt sealed segment = %v, want ErrCorrupt", err)
 	}
 	if !views[0].Quarantine() || views[0].Quarantine() {

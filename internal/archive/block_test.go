@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/vfs"
@@ -30,6 +31,15 @@ func variedRecords() []Record {
 			Rank: 0.1 + 0.2, PeakRank: 0.30000000000000004, BornQuantum: 0,
 			LastQuantum: 1000000, Support: 1 << 30, FirstReported: 999},
 	}
+}
+
+// sameRecord compares every field, Seq included (Record keeps it off
+// the wire, so a JSON comparison would not see it), floats by bit
+// pattern and keyword slices by nil-ness as well as content.
+func sameRecord(a, b Record) bool {
+	return reflect.DeepEqual(a, b) &&
+		math.Float64bits(a.Rank) == math.Float64bits(b.Rank) &&
+		math.Float64bits(a.PeakRank) == math.Float64bits(b.PeakRank)
 }
 
 func TestBlockRoundTrip(t *testing.T) {
@@ -62,10 +72,8 @@ func TestBlockRoundTrip(t *testing.T) {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
 	for i := range recs {
-		want, _ := json.Marshal(recs[i])
-		have, _ := json.Marshal(got[i])
-		if string(want) != string(have) {
-			t.Fatalf("record %d round-trip:\n want %s\n have %s", i, want, have)
+		if !sameRecord(recs[i], got[i]) {
+			t.Fatalf("record %d round-trip:\n want %+v\n have %+v", i, recs[i], got[i])
 		}
 		if gotKwNil[i] != (recs[i].Keywords == nil) || gotAllNil[i] != (recs[i].AllKeywords == nil) {
 			t.Fatalf("record %d nil-ness not preserved", i)
@@ -153,10 +161,8 @@ func TestWriteAndScanColFile(t *testing.T) {
 		t.Fatalf("scan: hdr=%+v got=%d zones=%d", hdr, len(got), len(zones))
 	}
 	for i := range recs {
-		want, _ := json.Marshal(recs[i])
-		have, _ := json.Marshal(got[i])
-		if string(want) != string(have) {
-			t.Fatalf("record %d: want %s have %s", i, want, have)
+		if !sameRecord(recs[i], got[i]) {
+			t.Fatalf("record %d: want %+v have %+v", i, recs[i], got[i])
 		}
 	}
 	// Rebuilt zones agree with the writer's on everything but the Bloom

@@ -18,8 +18,10 @@ import (
 //     supersession pass treats the inputs as dead.
 //  2. splice the in-memory sealed list, under the same lock hold as
 //     the rename.
-//  3. write its sidecar (tmp+rename; rebuilt from the data file if a
-//     crash lands between 1 and 3).
+//  3. write its sidecar (tmp+rename; rebuilt from the data file by the
+//     next Open if a crash lands between 1 and 3 or the write fails —
+//     a failed write is reported only after step 4, since the merge is
+//     committed either way).
 //  4. delete the input data files and sidecars (redone by Open's
 //     supersession pass and orphan-sidecar sweep if a crash lands
 //     mid-deletion). In-flight scans holding views of the deleted
@@ -41,11 +43,12 @@ type CompactStats struct {
 }
 
 // CompactOnce performs at most one compaction step — one merge of an
-// adjacent run of small sealed segments — and reports whether it did
-// anything. The step
-// reads and writes outside the archive lock; only the final metadata
-// splice holds it, so ingest and queries proceed throughout. Steps are
-// serialized against each other.
+// adjacent run of small sealed segments — and reports whether it
+// committed one. The step reads and writes outside the archive lock;
+// only the final metadata splice holds it, so ingest and queries
+// proceed throughout. Steps are serialized against each other. An error
+// next to worked=true is the merged segment's sidecar write failing:
+// the merge stands, its inputs are deleted and it is counted.
 func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -117,11 +120,11 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	spliced = append(spliced, l.sealed[hi:]...)
 	l.sealed = spliced
 	l.mu.Unlock()
-	// A sidecar lost here is rebuilt, and the inputs swept, by the next
-	// Open; the segment is served from m either way.
-	if err := l.writeMeta(&m); err != nil {
-		return CompactStats{}, false, err
-	}
+	// A sidecar lost here is rebuilt by the next Open and the segment is
+	// served from m either way, so the failure must not keep the inputs
+	// alive: a full disk is the likely cause and deleting them is what
+	// frees space.
+	metaErr := l.writeMeta(&m)
 	var bytesOut int64
 	if st, err := l.fs.Stat(newPath); err == nil {
 		bytesOut += st.Size()
@@ -145,7 +148,7 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	l.recordsCompacted += uint64(len(recs))
 	l.bytesReclaimed += st.BytesReclaimed
 	l.mu.Unlock()
-	return st, true, nil
+	return st, true, metaErr
 }
 
 // CompactAll runs compaction steps until none applies. Seal the buffer
@@ -154,16 +157,13 @@ func (l *Log) CompactAll() (CompactStats, error) {
 	var total CompactStats
 	for {
 		st, worked, err := l.CompactOnce()
-		if err != nil {
-			return total, err
-		}
-		if !worked {
-			return total, nil
-		}
 		total.Compactions += st.Compactions
 		total.SegmentsIn += st.SegmentsIn
 		total.Records += st.Records
 		total.BytesReclaimed += st.BytesReclaimed
+		if err != nil || !worked {
+			return total, err
+		}
 	}
 }
 

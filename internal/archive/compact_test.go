@@ -2,23 +2,44 @@ package archive
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+
+	"repro/internal/vfs"
 )
+
+// seqRecord re-exposes the eviction ordinal Record keeps off the wire
+// (`json:"-"`), so the JSON oracles of this package still see a dropped
+// or renumbered Seq.
+type seqRecord struct {
+	Seq uint64 `json:"seq"`
+	Record
+}
+
+// seqJSON marshals records with their ordinals.
+func seqJSON(recs ...Record) string {
+	out := make([]seqRecord, len(recs))
+	for i, r := range recs {
+		out[i] = seqRecord{Seq: r.Seq, Record: r}
+	}
+	raw, err := json.Marshal(out)
+	if err != nil {
+		panic(err)
+	}
+	return string(raw)
+}
 
 // queryJSON snapshots a scan's full result set as JSON — the
 // byte-identity oracle the compaction tests compare against.
 func queryJSON(t *testing.T, l *Log, from, to int, kw string) string {
 	t.Helper()
 	recs, _ := scanMatching(t, l, from, to, kw)
-	raw, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(raw)
+	return seqJSON(recs...)
 }
 
 // seedArchive fills dir with n records through tiny rotation bounds so
@@ -144,24 +165,78 @@ func TestCompactionMergesSmallSegments(t *testing.T) {
 	}
 }
 
-// TestCompactionRewritesColdSegments covers legacy segments too far
-// apart in time to merge: Open rewrites each to a columnar segment one
-// to one, compaction finds nothing to do, and time skipping works
-// across the rewritten segments.
+// TestCompactionSidecarFailureStillFreesInputs: the merged segment's
+// sidecar write fails (a full disk) after the commit rename. The merge
+// stands, so the step must still delete its inputs — the only thing that
+// frees space — and count itself, then report the error; a reopen
+// rebuilds the sidecar and serves every record once.
+func TestCompactionSidecarFailureStillFreesInputs(t *testing.T) {
+	dir := t.TempDir()
+	seedArchive(t, dir, 9, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}{7,8}{9}
+	ffs := vfs.NewFaultFS(nil)
+	opt := Options{SegmentEvents: 100, BucketQuanta: 1024, BlockEvents: 4, FS: ffs}
+	l, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := queryJSON(t, l, 0, -1, "")
+	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: colMetaSuffix + ".tmp", Err: syscall.ENOSPC})
+
+	st, worked, err := l.CompactOnce()
+	if !errors.Is(err, syscall.ENOSPC) || !worked {
+		t.Fatalf("CompactOnce: worked=%v err=%v, want a committed merge and ENOSPC", worked, err)
+	}
+	if st.Compactions != 1 || st.SegmentsIn != 5 || st.Records != 9 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if c, segs, recs, _ := l.CompactTotals(); c != 1 || segs != 5 || recs != 9 {
+		t.Fatalf("totals = %d/%d/%d, want 1/5/9", c, segs, recs)
+	}
+	for _, file := range []uint64{3, 5, 7, 9} {
+		for _, path := range []string{l.colPath(file), l.colMetaPath(file)} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("input file %s survived the merge", filepath.Base(path))
+			}
+		}
+	}
+	if got := queryJSON(t, l, 0, -1, ""); got != want {
+		t.Fatalf("scan changed after the merge:\n want %s\n have %s", want, got)
+	}
+	ffs.Clear()
+	if l, err = Open(dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if n := l.SegmentCount(); n != 1 {
+		t.Fatalf("segments after reopen = %d, want 1", n)
+	}
+	if got := queryJSON(t, l, 0, -1, ""); got != want {
+		t.Fatalf("scan changed after reopen:\n want %s\n have %s", want, got)
+	}
+}
+
+// TestCompactionRewritesColdSegments covers segments too far apart in
+// time to merge: compaction finds nothing to do, and time skipping
+// works across them after a reopen.
 func TestCompactionRewritesColdSegments(t *testing.T) {
 	dir := t.TempDir()
-	var all []Record
-	for i := 1; i <= 8; i += 2 { // buckets 1000 quanta apart: no merge run
-		q := i / 2 * 1000
-		pair := []Record{
-			rec(uint64(i), q, q+3, "common", fmt.Sprintf("kw-%d", i)),
-			rec(uint64(i+1), q+1, q+4, "common", fmt.Sprintf("kw-%d", i+1)),
-		}
-		writeLegacySegment(t, dir, uint64(i), pair, "")
-		all = append(all, pair...)
-	}
-	l, err := Open(dir, Options{SegmentEvents: 2, BucketQuanta: 1024})
+	opt := Options{SegmentEvents: 2, BucketQuanta: 1024}
+	l, err := Open(dir, opt)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var all []Record
+	for i := 1; i <= 8; i++ { // one pair per bucket, buckets 1000 quanta apart: no merge run
+		q := (i-1)/2*1000 + (i-1)%2
+		all = append(all, rec(uint64(i), q, q+3, "common", fmt.Sprintf("kw-%d", i)))
+		if err := l.Append(all[i-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir, opt); err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
@@ -171,19 +246,16 @@ func TestCompactionRewritesColdSegments(t *testing.T) {
 	if st, err := l.CompactAll(); err != nil || st.Compactions != 0 {
 		t.Fatalf("CompactAll over unmergeable segments: %+v, %v", st, err)
 	}
-	want, err := json.Marshal(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := queryJSON(t, l, 0, -1, ""); got != string(want) {
-		t.Fatalf("full scan differs after rewrite:\n want %s\n have %s", want, got)
+	want := seqJSON(all...)
+	if got := queryJSON(t, l, 0, -1, ""); got != want {
+		t.Fatalf("full scan differs after reopen:\n want %s\n have %s", want, got)
 	}
 	mid, qs := scanMatching(t, l, 2000, 2999, "")
 	if len(mid) != 2 || mid[0].Seq != 5 {
-		t.Fatalf("range scan after rewrite = %+v", mid)
+		t.Fatalf("range scan after reopen = %+v", mid)
 	}
 	if qs.byTime != 3 {
-		t.Fatalf("time skips after rewrite = %+v, want 3", qs)
+		t.Fatalf("time skips after reopen = %+v, want 3", qs)
 	}
 }
 
@@ -380,7 +452,7 @@ func TestCompactionScanFallback(t *testing.T) {
 	var got []uint64
 	for i := range views {
 		v := &views[i]
-		if _, _, err := v.ScanPred(matchAll(), func(r *Record) error {
+		if _, _, err := v.ScanPred(Pred{To: -1}, func(r *Record) error {
 			got = append(got, r.Seq)
 			return nil
 		}); err != nil {
@@ -428,7 +500,7 @@ func TestCompactionConcurrentScans(t *testing.T) {
 		}
 		next := uint64(1)
 		for _, v := range l.Segments() {
-			if _, _, err := v.Scan(func(r Record) error {
+			if _, _, err := v.ScanPred(Pred{To: -1}, func(r *Record) error {
 				if r.Seq != next {
 					return fmt.Errorf("seq %d where %d was due", r.Seq, next)
 				}
@@ -529,19 +601,24 @@ func TestCompactionBlockSkipping(t *testing.T) {
 	}
 }
 
-// TestCompactionMixedFormatReopen: a directory holding legacy JSON-lines
-// and columnar segments side by side (a deployment the old compactor
-// had half worked through) opens as one archive and answers identically
-// before and after a restart.
+// TestCompactionMixedFormatReopen: a directory sealed under one set of
+// bounds and grown under another — small segments of two sizes side by
+// side, a compaction half worked through them — opens as one archive
+// and answers identically before and after a restart.
 func TestCompactionMixedFormatReopen(t *testing.T) {
 	dir := t.TempDir()
-	seedArchive(t, dir, 8, Options{SegmentEvents: 2}) // columnar {1,2}..{7,8}
-	legacy := []Record{rec(9, 9, 12, "common", "kw-2"), rec(10, 10, 13, "common", "kw-3"), rec(11, 11, 14, "common", "kw-4")}
-	writeLegacySegment(t, dir, 9, legacy[:2], "")
-	writeLegacySegment(t, dir, 11, legacy[2:], "")
+	seedArchive(t, dir, 8, Options{SegmentEvents: 2}) // {1,2}..{7,8}
 	opt := Options{SegmentEvents: 4, BucketQuanta: 1024, BlockEvents: 4}
 	l, err := Open(dir, opt)
 	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Record{rec(9, 9, 12, "common", "kw-2"), rec(10, 10, 13, "common", "kw-3"), rec(11, 11, 14, "common", "kw-4")} {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Seal(); err != nil { // {9,10,11}
 		t.Fatal(err)
 	}
 	if n := l.EventCount(); n != 11 {
@@ -561,97 +638,10 @@ func TestCompactionMixedFormatReopen(t *testing.T) {
 	}
 	defer l.Close()
 	if got := queryJSON(t, l, 0, -1, ""); got != want {
-		t.Fatalf("mixed-format reopen differs:\n want %s\n have %s", want, got)
+		t.Fatalf("reopen differs:\n want %s\n have %s", want, got)
 	}
 	if got := queryJSON(t, l, 0, -1, "kw-4"); got != wantKw {
-		t.Fatalf("mixed-format keyword reopen differs")
-	}
-}
-
-// TestLegacyDirectoryConverts: a directory written by the JSON-lines
-// writer — sealed segments with sidecars, an active one with a torn
-// last line — is converted once inside Open to columnar files holding
-// the identical records, and a kill at any step of a conversion
-// converges to the same directory on the next Open.
-func TestLegacyDirectoryConverts(t *testing.T) {
-	dir := t.TempDir()
-	var all []Record
-	for i := 1; i <= 5; i++ {
-		r := rec(uint64(i), i, i+3, "common", fmt.Sprintf("kw-%d", i%3))
-		if i == 5 {
-			r.Keywords, r.AllKeywords = nil, []string{} // nil-vs-empty through the rewrite
-		}
-		all = append(all, r)
-	}
-	writeLegacySegment(t, dir, 1, all[:2], "")
-	writeLegacySegment(t, dir, 3, all[2:4], "")
-	writeLegacySegment(t, dir, 5, all[4:], `{"seq":6,"id":60,"torn`)
-	for _, start := range []uint64{1, 3} { // the old sealed segments' sidecars; contents are never read
-		stageFile(t, dir, segName(start, legacyMetaExt), []byte(`{"count":2}`))
-	}
-	pre := snapshotDir(t, dir)
-	wantJSON, err := json.Marshal(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := string(wantJSON)
-
-	check := func(t *testing.T) {
-		t.Helper()
-		l, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		if got := queryJSON(t, l, 0, -1, ""); got != want {
-			t.Fatalf("converted records differ:\n want %s\n have %s", want, got)
-		}
-		if l.LastSeq() != 5 || l.Gaps() != 0 {
-			t.Fatalf("LastSeq = %d gaps = %d, want 5/0 (torn record dropped)", l.LastSeq(), l.Gaps())
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), colExt) && !strings.HasSuffix(e.Name(), colMetaSuffix) {
-				t.Fatalf("%s survived the conversion", e.Name())
-			}
-		}
-	}
-	check(t)
-	post := snapshotDir(t, dir)
-	colName, sideName := segName(3, colExt), segName(3, colMetaSuffix)
-
-	windows := []struct {
-		name  string
-		stage func()
-	}{
-		{"BeforeRename", func() { // crash mid-write: only a tmp exists
-			restoreDir(t, dir, pre)
-			stageFile(t, dir, colName+".tmp", []byte("torn"))
-		}},
-		{"AfterRenameBeforeSidecar", func() { // col committed, legacy input alive
-			restoreDir(t, dir, pre)
-			stageFile(t, dir, colName, post[colName])
-		}},
-		{"AfterSidecarBeforeDeletes", func() {
-			restoreDir(t, dir, pre)
-			stageFile(t, dir, colName, post[colName])
-			stageFile(t, dir, sideName, post[sideName])
-		}},
-		{"MidDeletes", func() { // legacy data gone, its sidecar orphaned
-			restoreDir(t, dir, post)
-			name := segName(3, legacyMetaExt)
-			stageFile(t, dir, name, pre[name])
-		}},
-		{"AlreadyConverted", func() { restoreDir(t, dir, post) }},
-	}
-	for _, w := range windows {
-		t.Run(w.name, func(t *testing.T) {
-			w.stage()
-			check(t)
-		})
+		t.Fatalf("keyword reopen differs")
 	}
 }
 

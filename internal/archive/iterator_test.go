@@ -40,19 +40,19 @@ func TestSegmentViewPointInTime(t *testing.T) {
 	if err := l.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	seen, stopped, err := views[0].Scan(func(Record) error { return nil })
+	bs, stopped, err := views[0].ScanPred(Pred{To: -1}, func(*Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != 3 || stopped {
-		t.Fatalf("point-in-time scan saw %d records (stopped=%v), want exactly 3", seen, stopped)
+	if bs.Records != 3 || stopped {
+		t.Fatalf("point-in-time scan saw %d records (stopped=%v), want exactly 3", bs.Records, stopped)
 	}
 	views = l.Segments()
 	if len(views) != 1 || !views[0].Sealed || views[0].Count != 5 {
 		t.Fatalf("sealed view = %+v, want one sealed segment of 5", views)
 	}
-	if seen, _, err := views[0].Scan(func(Record) error { return nil }); err != nil || seen != 5 {
-		t.Fatalf("sealed scan saw %d records (err %v), want 5", seen, err)
+	if bs, _, err := views[0].ScanPred(Pred{To: -1}, func(*Record) error { return nil }); err != nil || bs.Records != 5 {
+		t.Fatalf("sealed scan saw %d records (err %v), want 5", bs.Records, err)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 	if err := os.WriteFile(l.colPath(1), append(hdr, raw[colHeaderLen:]...), 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
 		t.Fatal(err)
 	}
-	if _, _, err := views[0].Scan(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := views[0].ScanPred(Pred{To: -1}, func(*Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-count sealed segment scan = %v, want ErrCorrupt", err)
 	}
 	// The corrupt segment can be set aside; nothing else is left to serve.
@@ -116,14 +116,14 @@ func TestSegmentViewScanStop(t *testing.T) {
 		t.Fatalf("want one sealed segment, got %+v", views)
 	}
 	n := 0
-	seen, stopped, err := views[0].Scan(func(Record) error {
+	bs, stopped, err := views[0].ScanPred(Pred{To: -1}, func(*Record) error {
 		n++
 		if n == 2 {
 			return ErrStop
 		}
 		return nil
 	})
-	if err != nil || !stopped || seen != 2 {
-		t.Fatalf("stopped scan = seen %d stopped %v err %v, want 2 true nil", seen, stopped, err)
+	if err != nil || !stopped || bs.Records != 2 {
+		t.Fatalf("stopped scan = seen %d stopped %v err %v, want 2 true nil", bs.Records, stopped, err)
 	}
 }

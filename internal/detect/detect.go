@@ -182,6 +182,21 @@ type Report struct {
 	Evolved  bool     `json:"evolved"`
 }
 
+// report is the event's Report for quantum, taken after the quantum's
+// values are in place.
+func (e *Event) report(quantum int) Report {
+	return Report{
+		EventID:  e.ID,
+		Quantum:  quantum,
+		Keywords: e.Keywords,
+		Rank:     e.Rank,
+		Size:     e.Size,
+		Support:  e.Support,
+		Born:     e.BornQuantum,
+		Evolved:  e.Evolved,
+	}
+}
+
 // MergeNote records one event absorbed by another during a quantum. Into
 // is zero when the surviving cluster had no tracked event.
 type MergeNote struct {
@@ -755,16 +770,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 						ev.Reported = true
 						ev.FirstReported = quantum
 					}
-					res.Reports = append(res.Reports, Report{
-						EventID:  ev.ID,
-						Quantum:  quantum,
-						Keywords: ev.Keywords,
-						Rank:     ev.Rank,
-						Size:     ev.Size,
-						Support:  ev.Support,
-						Born:     ev.BornQuantum,
-						Evolved:  ev.Evolved,
-					})
+					res.Reports = append(res.Reports, ev.report(quantum))
 				}
 				continue
 			}
@@ -838,16 +844,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 				ev.Reported = true
 				ev.FirstReported = quantum
 			}
-			res.Reports = append(res.Reports, Report{
-				EventID:  ev.ID,
-				Quantum:  quantum,
-				Keywords: ev.Keywords,
-				Rank:     ev.Rank,
-				Size:     ev.Size,
-				Support:  ev.Support,
-				Born:     ev.BornQuantum,
-				Evolved:  ev.Evolved,
-			})
+			res.Reports = append(res.Reports, ev.report(quantum))
 		}
 	}
 	slices.SortFunc(res.Reports, func(a, b Report) int {
@@ -924,29 +921,12 @@ func (d *Detector) LiveCount() int { return len(d.events) }
 // use — trimmed events no longer count.
 func (d *Detector) TotalCount() int { return len(d.events) + len(d.finished) }
 
-// FindEvent returns the tracked event with the given ID, live or
-// finished, or nil. A linear scan, but without the copy-and-sort cost of
-// AllEvents — serving layers call this per lookup request.
-func (d *Detector) FindEvent(id uint64) *Event {
-	for _, ev := range d.events { //repro:order-insensitive event IDs are unique, so at most one entry matches
-		if ev.ID == id {
-			return ev
-		}
-	}
-	for _, ev := range d.finished {
-		if ev.ID == id {
-			return ev
-		}
-	}
-	return nil
-}
-
 // TrimFinished drops the oldest finished (ended or merged) events so at
 // most max remain, returning how many were dropped; max ≤ 0 means
 // unlimited (no-op). Live events are never dropped. Long-lived serving
 // deployments call this to bound per-tenant memory — the finished list
 // otherwise grows for the life of the stream. Trimmed events disappear
-// from AllEvents, FindEvent and subsequent checkpoints; the OnEvict
+// from AllEvents and subsequent checkpoints; the OnEvict
 // hook (if set) observes each one before it goes.
 func (d *Detector) TrimFinished(max int) int {
 	if max <= 0 || len(d.finished) <= max {

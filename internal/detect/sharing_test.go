@@ -66,7 +66,11 @@ func factsOf(s *Snapshot) snapshotFacts {
 			if _, done := f.KeywordIDs[kw]; done {
 				continue
 			}
-			f.KeywordIDs[kw] = s.KeywordEventIDs(kw)
+			ids := []uint64{}
+			for _, hit := range s.TopKKeyword(0, kw) {
+				ids = append(ids, hit.ID)
+			}
+			f.KeywordIDs[kw] = ids
 			for _, hit := range s.EventsWithKeyword(kw) {
 				f.WithKeyword[kw] = append(f.WithKeyword[kw], hit.ID)
 			}

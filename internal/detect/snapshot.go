@@ -1,7 +1,7 @@
 // Epoch snapshots: after every quantum the detector can materialize a
 // compact, immutable view of its queryable state. Serving layers publish
 // the view through an atomic pointer so queries (top-k, history, single
-// event, related pairs, keyword lookup) are wait-free against the latest
+// event, related pairs, keyword filter) are wait-free against the latest
 // epoch instead of contending on the detector lock with ingest.
 //
 // The snapshot is built by structural sharing, so the per-quantum build
@@ -21,8 +21,9 @@
 //     finished base holds the detector's events themselves, in an
 //     ID-sorted slice reused verbatim until the finished set changes.
 //
-// What no epoch may need — the related-pair list and the keyword and
-// time indexes — is built lazily from the views on the first read.
+// What no epoch may need — the related-pair list and the query engine's
+// time and keyword-history indexes — is built lazily from the views on
+// the first read.
 package detect
 
 import (
@@ -95,14 +96,6 @@ type Snapshot struct {
 	relatedOnce sync.Once
 	related     []RelatedPair
 	counters    *snapshotCounters
-
-	// keyword → live reported event IDs (ascending), built lazily on
-	// the first keyword-filtered query: it is derivable from the
-	// immutable live views alone, so deferring it keeps the per-quantum
-	// publish step (which runs on the apply path for every epoch,
-	// queried or not) free of the index build.
-	keywordOnce sync.Once
-	keyword     map[string][]uint64
 
 	// Retained-event indexes for the unified query engine, also built
 	// lazily from the immutable views: byLast orders every retained
@@ -209,33 +202,6 @@ func (s *Snapshot) Related(minOverlap float64) []RelatedPair {
 	return out
 }
 
-// keywordIndex builds (once, thread-safely) and returns the inverted
-// index over the live reported events' current keywords.
-func (s *Snapshot) keywordIndex() map[string][]uint64 {
-	s.keywordOnce.Do(func() {
-		keyword := make(map[string][]uint64)
-		for _, ev := range s.live {
-			if !ev.Reported {
-				continue
-			}
-			for _, kw := range ev.Keywords {
-				keyword[kw] = append(keyword[kw], ev.ID)
-			}
-		}
-		for kw := range keyword { //repro:order-insensitive per-key in-place sort; keys are independent
-			slices.Sort(keyword[kw])
-		}
-		s.keyword = keyword
-	})
-	return s.keyword
-}
-
-// KeywordEventIDs returns the IDs (ascending) of live reported events
-// whose current keyword set contains kw — the inverted-index lookup
-// behind keyword-filtered event queries. The slice is shared with the
-// snapshot: read-only.
-func (s *Snapshot) KeywordEventIDs(kw string) []uint64 { return s.keywordIndex()[kw] }
-
 // byLastAsc orders snapshot views by (LastQuantum, ID) — the unified
 // query engine's deterministic merge order.
 func byLastAsc(a, b *Event) int {
@@ -272,24 +238,21 @@ func (s *Snapshot) EventsSinceQuantum(from int) []*Event {
 }
 
 // keywordHistoryIndex builds (once, thread-safely) the inverted index
-// over retained events' full keyword history: AllKeywords when present,
-// else the current Keywords — the same matching rule the archive
-// applies to its records, so unified queries agree across sources.
+// over retained events' full keyword history: KeywordHistory when
+// recorded, else the current Keywords — the query engine's one keyword
+// rule, so the candidates it is handed are the events the rule admits.
 func (s *Snapshot) keywordHistoryIndex() map[string][]*Event {
 	s.allKwOnce.Do(func() {
 		m := make(map[string][]*Event)
 		// rangeIndex is (LastQuantum, ID)-ordered, so each keyword's
 		// list inherits that order without a per-list sort.
 		for _, ev := range s.rangeIndex() {
-			if len(ev.AllKeywords) > 0 {
-				//repro:order-insensitive each keyword key is visited once per event; list order comes from the sorted outer event loop
-				for kw := range ev.AllKeywords {
-					m[kw] = append(m[kw], ev)
-				}
-			} else {
-				for _, kw := range ev.Keywords {
-					m[kw] = append(m[kw], ev)
-				}
+			kws := ev.KeywordHistory()
+			if len(kws) == 0 {
+				kws = ev.Keywords
+			}
+			for _, kw := range kws {
+				m[kw] = append(m[kw], ev)
 			}
 		}
 		s.allKw = m
@@ -305,19 +268,11 @@ func (s *Snapshot) EventsWithKeyword(kw string) []*Event {
 }
 
 // TopKKeyword is TopK restricted to events whose current keyword set
-// contains kw, resolved through the inverted index.
+// contains kw: a filter of the same rank-ordered live view. Never nil.
 func (s *Snapshot) TopKKeyword(k int, kw string) []*Event {
-	ids := s.keywordIndex()[kw]
-	if len(ids) == 0 {
-		return []*Event{}
-	}
-	member := make(map[uint64]struct{}, len(ids))
-	for _, id := range ids {
-		member[id] = struct{}{}
-	}
-	out := make([]*Event, 0, len(ids))
+	out := []*Event{}
 	for _, ev := range s.live {
-		if _, ok := member[ev.ID]; !ok {
+		if !ev.Reported || !slices.Contains(ev.Keywords, kw) {
 			continue
 		}
 		out = append(out, ev)

@@ -103,18 +103,6 @@ func (h *Histogram) Snapshot() HistSnap {
 	return s
 }
 
-// Merge adds another snapshot into s (for cross-tenant aggregation).
-func (s *HistSnap) Merge(o HistSnap) {
-	s.Count += o.Count
-	s.SumNs += o.SumNs
-	if o.MaxNs > s.MaxNs {
-		s.MaxNs = o.MaxNs
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // Quantile returns the q-th quantile (0 < q ≤ 1) as a duration:
 // nearest-rank over the cumulative bucket counts, reported as the
 // containing bucket's upper bound — so the value is an upper estimate
@@ -148,14 +136,6 @@ func (s *HistSnap) Quantile(q float64) time.Duration {
 
 // Max returns the exact maximum observed latency.
 func (s *HistSnap) Max() time.Duration { return time.Duration(s.MaxNs) }
-
-// Mean returns the exact arithmetic mean (sum/count).
-func (s *HistSnap) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / s.Count)
-}
 
 // HistSummary is the JSON-friendly digest reports embed: count and the
 // standard percentile set in milliseconds.

@@ -99,25 +99,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 10; i++ {
-		a.Observe(time.Microsecond)
-		b.Observe(time.Millisecond)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 20 {
-		t.Fatalf("merged count = %d, want 20", sa.Count)
-	}
-	if sa.Max() != time.Millisecond {
-		t.Fatalf("merged max = %v, want 1ms", sa.Max())
-	}
-	if sa.SumNs != 10*uint64(time.Microsecond)+10*uint64(time.Millisecond) {
-		t.Fatalf("merged sum = %d", sa.SumNs)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	const goroutines, per = 8, 10000

@@ -14,8 +14,8 @@ import (
 func pageJSON(t *testing.T, res Result) string {
 	t.Helper()
 	raw, err := json.Marshal(struct {
-		Events []Event `json:"events"`
-		Cursor string  `json:"cursor"`
+		Events []archive.Record `json:"events"`
+		Cursor string           `json:"cursor"`
 	}{res.Events, res.Cursor})
 	if err != nil {
 		t.Fatal(err)

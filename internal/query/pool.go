@@ -1,6 +1,10 @@
 package query
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/archive"
+)
 
 // pool accumulates candidate events. With a positive limit it is a
 // bounded max-heap keyed by the engine's (LastQuantum, ID) order — the
@@ -18,16 +22,18 @@ import "slices"
 // already held.
 type pool struct {
 	limit      int
-	chunkCap   int       // min(limit, chunkEvents): a small page needs one small chunk
-	chunks     [][]Event // each of capacity chunkCap; all but the last full
-	ents       []entry   // max-heap by key when limit > 0
+	chunkCap   int                // min(limit, chunkEvents): a small page needs one small chunk
+	chunks     [][]archive.Record // each of capacity chunkCap; all but the last full
+	ents       []entry            // max-heap by key when limit > 0
 	overflowed bool
 }
 
-// chunkEvents sizes a store chunk: ~11 KiB, small enough that a query
+// chunkEvents sizes a store chunk: ~10 KiB, small enough that a query
 // with a handful of matches does not pay much for the slots it leaves
-// empty, and a small-object allocation.
-const chunkEvents = 64
+// empty, and a small-object allocation. 58 records of 176 B are
+// 10,208 B, which fills the allocator's 10,240 B size class; 64 would
+// round up to 12,288 B and waste a tenth of every chunk.
+const chunkEvents = 58
 
 // entry orders one candidate: its key and its slot in the store.
 type entry struct {
@@ -35,7 +41,7 @@ type entry struct {
 	i int
 }
 
-func (p *pool) slot(i int) *Event { return &p.chunks[i/p.chunkCap][i%p.chunkCap] }
+func (p *pool) slot(i int) *archive.Record { return &p.chunks[i/p.chunkCap][i%p.chunkCap] }
 
 func newPool(limit int) *pool {
 	p := &pool{limit: limit, chunkCap: chunkEvents}
@@ -51,11 +57,11 @@ func (p *pool) full() bool { return p.limit > 0 && len(p.ents) >= p.limit }
 // worst returns the largest kept key. Only valid when full().
 func (p *pool) worst() key { return p.ents[0].k }
 
-func (p *pool) add(ev Event, k key) {
+func (p *pool) add(ev archive.Record, k key) {
 	if p.limit <= 0 || len(p.ents) < p.limit {
 		n := len(p.ents)
 		if n%p.chunkCap == 0 {
-			p.chunks = append(p.chunks, make([]Event, 0, p.chunkCap))
+			p.chunks = append(p.chunks, make([]archive.Record, 0, p.chunkCap))
 		}
 		last := &p.chunks[len(p.chunks)-1]
 		*last = append(*last, ev)
@@ -105,7 +111,7 @@ func (p *pool) siftDown(i int) {
 
 // ascending drains the pool into key-ascending order. The pool is
 // consumed; call once.
-func (p *pool) ascending() []Event {
+func (p *pool) ascending() []archive.Record {
 	slices.SortFunc(p.ents, func(a, b entry) int {
 		switch {
 		case a.k.less(b.k):
@@ -115,7 +121,7 @@ func (p *pool) ascending() []Event {
 		}
 		return 0
 	})
-	out := make([]Event, len(p.ents))
+	out := make([]archive.Record, len(p.ents))
 	for i, e := range p.ents {
 		out[i] = *p.slot(e.i)
 	}

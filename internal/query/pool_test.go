@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"repro/internal/archive"
 )
 
 // TestPoolKeepsSmallestKeys holds the pool to its definition on random
@@ -23,7 +25,7 @@ func TestPoolKeepsSmallestKeys(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		p := newPool(limit)
 		for _, k := range keys {
-			p.add(Event{ID: k.id, LastQuantum: k.q}, k)
+			p.add(archive.Record{ID: k.id, LastQuantum: k.q}, k)
 			if p.full() {
 				kept := slices.MaxFunc(p.ents, func(a, b entry) int { return cmpKey(a.k, b.k) })
 				if p.worst() != kept.k {
@@ -90,7 +92,7 @@ func TestPoolAllocatesWithMatches(t *testing.T) {
 		t.Fatalf("ten matches allocate %d B under limit=%d but %d B under limit=10000", small, chunkEvents, large)
 	}
 	// One store chunk, the entries and the ten-event page.
-	if perSlot := int64(unsafe.Sizeof(Event{}) + unsafe.Sizeof(entry{})); large > 2*chunkEvents*perSlot {
+	if perSlot := int64(unsafe.Sizeof(archive.Record{}) + unsafe.Sizeof(entry{})); large > 2*chunkEvents*perSlot {
 		t.Fatalf("ten matches allocate %d B, more than two chunks of %d B slots", large, perSlot)
 	}
 }

@@ -84,30 +84,6 @@ type Request struct {
 	Obs   *obs.TenantObs
 }
 
-// Event is the unified result shape: the fields an event carries
-// identically whether it was read from the live snapshot or from the
-// archive, so a result set is byte-stable across eviction. (Archive
-// ordinals and live rank history are deliberately absent — each exists
-// on only one side of the eviction boundary.)
-type Event struct {
-	ID            uint64   `json:"id"`
-	State         string   `json:"state"`
-	Keywords      []string `json:"keywords"`
-	AllKeywords   []string `json:"all_keywords,omitempty"`
-	Rank          float64  `json:"rank"`
-	PeakRank      float64  `json:"peak_rank"`
-	BornQuantum   int      `json:"born_quantum"`
-	LastQuantum   int      `json:"last_quantum"`
-	Evolved       bool     `json:"evolved"`
-	Size          int      `json:"size"`
-	Support       int      `json:"support"`
-	Reported      bool     `json:"reported"`
-	FirstReported int      `json:"first_reported,omitempty"`
-	MergedInto    uint64   `json:"merged_into,omitempty"`
-	SplitFrom     uint64   `json:"split_from,omitempty"`
-	Spurious      bool     `json:"spurious"`
-}
-
 // Stats reports the work one request did and, more importantly, the
 // work it proved it could skip.
 type Stats struct {
@@ -162,12 +138,14 @@ type Stats struct {
 	EarlyExit string `json:"early_exit,omitempty"`
 }
 
-// Result is one page of events in (LastQuantum, ID) ascending order.
+// Result is one page of events in (LastQuantum, ID) ascending order,
+// each the same archive.Record whether it was read from the archive or
+// projected (archive.RecordOf) from an event the snapshot still retains.
 // Cursor, when non-empty, resumes the scan after the last event here.
 type Result struct {
-	Events []Event `json:"events"`
-	Stats  Stats   `json:"stats"`
-	Cursor string  `json:"cursor,omitempty"`
+	Events []archive.Record `json:"events"`
+	Stats  Stats            `json:"stats"`
+	Cursor string           `json:"cursor,omitempty"`
 }
 
 // key is the engine's total order: (LastQuantum, event ID). IDs are
@@ -202,7 +180,7 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 	req.Trace.Step("plan")
 	clk(0) // set the mark; no stage closes at the start
 
-	res := Result{Events: []Event{}}
+	res := Result{Events: []archive.Record{}}
 	if req.Limit < 0 {
 		return res, fmt.Errorf("query: negative limit %d", req.Limit)
 	}
@@ -283,7 +261,7 @@ func scanSnapshot(snap Snapshot, req Request, from, to, floor int, cur key, hasC
 		if req.MinRank > 0 && ev.PeakRank < req.MinRank {
 			continue
 		}
-		if !viewHasKeywords(ev, req.Keywords) {
+		if !hasKeywords(ev.KeywordHistory(), ev.Keywords, req.Keywords) {
 			continue
 		}
 		if p.full() && p.worst().less(k) {
@@ -292,7 +270,7 @@ func scanSnapshot(snap Snapshot, req Request, from, to, floor int, cur key, hasC
 			return true
 		}
 		st.SnapshotHits++
-		p.add(eventOfView(ev), k)
+		p.add(archive.RecordOf(ev), k)
 	}
 	return false
 }
@@ -392,7 +370,7 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 			if req.MinRank > 0 && rec.PeakRank < req.MinRank {
 				return nil
 			}
-			if !recordHasKeywords(rec, req.Keywords) {
+			if !hasKeywords(rec.AllKeywords, rec.Keywords, req.Keywords) {
 				return nil
 			}
 			if dedup != nil && dedup.Find(rec.ID) != nil {
@@ -403,7 +381,7 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 				return nil
 			}
 			st.ArchiveHits++
-			p.add(eventOfRecord(rec), k)
+			p.add(*rec, k)
 			return nil
 		})
 		st.Blocks += bs.Blocks
@@ -443,75 +421,18 @@ func segMayContainAll(v *archive.SegmentView, kws []string) bool {
 	return true
 }
 
-// viewHasKeywords applies the engine's keyword rule to a snapshot view:
-// every requested keyword must appear in the event's history
-// (AllKeywords when recorded, else the current set) — exactly the rule
-// recordHasKeywords applies to archived records, so results agree
-// across the eviction boundary.
-func viewHasKeywords(ev *detect.Event, kws []string) bool {
+// hasKeywords is the engine's keyword rule, the same on both sides of
+// the eviction boundary: every requested keyword must appear in the
+// event's keyword history, or in its current set when no history was
+// recorded.
+func hasKeywords(history, current, kws []string) bool {
+	if len(history) == 0 {
+		history = current
+	}
 	for _, kw := range kws {
-		if len(ev.AllKeywords) > 0 {
-			if _, ok := ev.AllKeywords[kw]; !ok {
-				return false
-			}
-		} else if !slices.Contains(ev.Keywords, kw) {
+		if !slices.Contains(history, kw) {
 			return false
 		}
 	}
 	return true
-}
-
-func recordHasKeywords(rec *archive.Record, kws []string) bool {
-	for _, kw := range kws {
-		set := rec.AllKeywords
-		if len(set) == 0 {
-			set = rec.Keywords
-		}
-		if !slices.Contains(set, kw) {
-			return false
-		}
-	}
-	return true
-}
-
-func eventOfRecord(rec *archive.Record) Event {
-	return Event{
-		ID:            rec.ID,
-		State:         rec.State,
-		Keywords:      rec.Keywords,
-		AllKeywords:   rec.AllKeywords,
-		Rank:          rec.Rank,
-		PeakRank:      rec.PeakRank,
-		BornQuantum:   rec.BornQuantum,
-		LastQuantum:   rec.LastQuantum,
-		Evolved:       rec.Evolved,
-		Size:          rec.Size,
-		Support:       rec.Support,
-		Reported:      rec.Reported,
-		FirstReported: rec.FirstReported,
-		MergedInto:    rec.MergedInto,
-		SplitFrom:     rec.SplitFrom,
-		Spurious:      rec.Spurious,
-	}
-}
-
-func eventOfView(ev *detect.Event) Event {
-	return Event{
-		ID:            ev.ID,
-		State:         ev.State.String(),
-		Keywords:      ev.Keywords,
-		AllKeywords:   ev.KeywordHistory(),
-		Rank:          ev.Rank,
-		PeakRank:      ev.PeakRank,
-		BornQuantum:   ev.BornQuantum,
-		LastQuantum:   ev.LastQuantum,
-		Evolved:       ev.Evolved,
-		Size:          ev.Size,
-		Support:       ev.Support,
-		Reported:      ev.Reported,
-		FirstReported: ev.FirstReported,
-		MergedInto:    ev.MergedInto,
-		SplitFrom:     ev.SplitFrom,
-		Spurious:      ev.Spurious(),
-	}
 }

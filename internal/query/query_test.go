@@ -41,7 +41,7 @@ func (f *fakeSnap) EventsSinceQuantum(from int) []*detect.Event {
 func (f *fakeSnap) EventsWithKeyword(kw string) []*detect.Event {
 	var out []*detect.Event
 	for _, ev := range f.evs {
-		if viewHasKeywords(ev, []string{kw}) {
+		if hasKeywords(ev.KeywordHistory(), ev.Keywords, []string{kw}) {
 			out = append(out, ev)
 		}
 	}
@@ -102,7 +102,7 @@ func appendAll(t testing.TB, l *archive.Log, recs ...archive.Record) {
 	}
 }
 
-func ids(evs []Event) []uint64 {
+func ids(evs []archive.Record) []uint64 {
 	out := make([]uint64, len(evs))
 	for i, ev := range evs {
 		out[i] = ev.ID

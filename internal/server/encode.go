@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/detect"
 	"repro/internal/jsonw"
 	"repro/internal/obs"
@@ -57,7 +58,9 @@ func encodeQueryBody(w *jsonw.Writer, tenant string, res *query.Result, debug *t
 	w.EndObject()
 }
 
-func encodeQueryEvent(w *jsonw.Writer, ev *query.Event) {
+// encodeQueryEvent is one /query element: archive.Record under its own
+// JSON tags.
+func encodeQueryEvent(w *jsonw.Writer, ev *archive.Record) {
 	w.BeginObject()
 	w.Key("id").Uint(ev.ID)
 	w.Key("state").String(ev.State)
@@ -152,16 +155,16 @@ func encodeTrace(w *jsonw.Writer, tr *traceJSON) {
 }
 
 // encodeEventsBody is the /events body (with or without ?keyword=).
-func encodeEventsBody(w *jsonw.Writer, tenant string, events []EventView) {
+func encodeEventsBody(w *jsonw.Writer, tenant string, events []*detect.Event) {
 	w.BeginObject()
 	w.Key("events")
 	if events == nil {
 		w.Null()
 	} else {
 		w.BeginArray()
-		for i := range events {
+		for _, ev := range events {
 			w.Elem()
-			encodeEventView(w, &events[i])
+			encodeEvent(w, ev)
 		}
 		w.EndArray()
 	}
@@ -169,11 +172,12 @@ func encodeEventsBody(w *jsonw.Writer, tenant string, events []EventView) {
 	w.EndObject()
 }
 
-// encodeEventView is one /events element and the whole /events/{id} body.
-func encodeEventView(w *jsonw.Writer, ev *EventView) {
+// encodeEvent is one /events element and the whole /events/{id} body,
+// written straight from the epoch's immutable view.
+func encodeEvent(w *jsonw.Writer, ev *detect.Event) {
 	w.BeginObject()
 	w.Key("id").Uint(ev.ID)
-	w.Key("state").String(ev.State)
+	w.Key("state").String(ev.State.String())
 	w.Key("keywords").Strings(ev.Keywords)
 	w.Key("rank").Float(ev.Rank)
 	w.Key("peak_rank").Float(ev.PeakRank)
@@ -195,7 +199,7 @@ func encodeEventView(w *jsonw.Writer, ev *EventView) {
 	if ev.SplitFrom != 0 {
 		w.Key("split_from").Uint(ev.SplitFrom)
 	}
-	w.Key("spurious").Bool(ev.Spurious)
+	w.Key("spurious").Bool(ev.Spurious())
 	w.EndObject()
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/detect"
 	"repro/internal/jsonw"
 	"repro/internal/obs"
@@ -22,6 +23,62 @@ import (
 // the typed writer: a map[string]any (or the bare struct) handed to
 // json.Encoder with SetIndent("", "  "), and json.Marshal for SSE. The
 // typed encoders must reproduce their bytes exactly.
+
+// EventView is that reference for /events and /events/{id}: the tagged
+// struct the handlers used to copy each epoch view into and marshal.
+// encodeEvent writes the same bytes from the *detect.Event itself.
+type EventView struct {
+	ID            uint64    `json:"id"`
+	State         string    `json:"state"`
+	Keywords      []string  `json:"keywords"`
+	Rank          float64   `json:"rank"`
+	PeakRank      float64   `json:"peak_rank"`
+	RankHistory   []float64 `json:"rank_history,omitempty"`
+	BornQuantum   int       `json:"born_quantum"`
+	LastQuantum   int       `json:"last_quantum"`
+	Evolved       bool      `json:"evolved"`
+	Size          int       `json:"size"`
+	Support       int       `json:"support"`
+	Reported      bool      `json:"reported"`
+	FirstReported int       `json:"first_reported,omitempty"`
+	MergedInto    uint64    `json:"merged_into,omitempty"`
+	SplitFrom     uint64    `json:"split_from,omitempty"`
+	Spurious      bool      `json:"spurious"`
+}
+
+func viewOf(ev *detect.Event) EventView {
+	return EventView{
+		ID:            ev.ID,
+		State:         ev.State.String(),
+		Keywords:      ev.Keywords,
+		Rank:          ev.Rank,
+		PeakRank:      ev.PeakRank,
+		RankHistory:   ev.RankHistory,
+		BornQuantum:   ev.BornQuantum,
+		LastQuantum:   ev.LastQuantum,
+		Evolved:       ev.Evolved,
+		Size:          ev.Size,
+		Support:       ev.Support,
+		Reported:      ev.Reported,
+		FirstReported: ev.FirstReported,
+		MergedInto:    ev.MergedInto,
+		SplitFrom:     ev.SplitFrom,
+		Spurious:      ev.Spurious(),
+	}
+}
+
+// viewsOf keeps nil nil, so the reference marshals null where the
+// encoder must.
+func viewsOf(evs []*detect.Event) []EventView {
+	if evs == nil {
+		return nil
+	}
+	out := make([]EventView, len(evs))
+	for i, ev := range evs {
+		out[i] = viewOf(ev)
+	}
+	return out
+}
 
 func refIndented(t testing.TB, v any) []byte {
 	t.Helper()
@@ -74,13 +131,13 @@ func checkQueryBody(t testing.TB, tenant string, res query.Result, debug *traceJ
 	sameBytes(t, "/query", got, refIndented(t, ref))
 }
 
-func checkEventsBody(t testing.TB, tenant string, events []EventView) {
+func checkEventsBody(t testing.TB, tenant string, events []*detect.Event) {
 	t.Helper()
 	got := typedIndented(t, func(jw *jsonw.Writer) { encodeEventsBody(jw, tenant, events) })
-	sameBytes(t, "/events", got, refIndented(t, map[string]any{"tenant": tenant, "events": events}))
-	for i := range events {
-		got := typedIndented(t, func(jw *jsonw.Writer) { encodeEventView(jw, &events[i]) })
-		sameBytes(t, "/events/{id}", got, refIndented(t, events[i]))
+	sameBytes(t, "/events", got, refIndented(t, map[string]any{"tenant": tenant, "events": viewsOf(events)}))
+	for _, ev := range events {
+		got := typedIndented(t, func(jw *jsonw.Writer) { encodeEvent(jw, ev) })
+		sameBytes(t, "/events/{id}", got, refIndented(t, viewOf(ev)))
 	}
 }
 
@@ -126,11 +183,12 @@ var encodeCornerFloats = []float64{
 	math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64,
 }
 
-// fullQueryEvent and fullEventView set every field, the omitempty ones
+// fullQueryEvent and fullEvent set every field, the omitempty ones
 // included, with a corner string and a corner float in rotation.
-func fullQueryEvent(i int) query.Event {
-	return query.Event{
-		ID: uint64(i) + 1, State: "merged",
+func fullQueryEvent(i int) archive.Record {
+	return archive.Record{
+		Seq: uint64(i) + 100, // never on the wire
+		ID:  uint64(i) + 1, State: "merged",
 		Keywords:    []string{"alpha", encodeCornerStrings[i%len(encodeCornerStrings)]},
 		AllKeywords: []string{"alpha", "beta", encodeCornerStrings[(i+3)%len(encodeCornerStrings)]},
 		Rank:        encodeCornerFloats[i%len(encodeCornerFloats)], PeakRank: 7.5 + float64(i)/3,
@@ -139,15 +197,19 @@ func fullQueryEvent(i int) query.Event {
 	}
 }
 
-func fullEventView(i int) EventView {
-	return EventView{
-		ID: uint64(i) + 1, State: "live",
+func fullEvent(i int) *detect.Event {
+	ev := &detect.Event{
+		ID: uint64(i) + 1, State: detect.EventState(i % 3),
 		Keywords: []string{"alpha", encodeCornerStrings[i%len(encodeCornerStrings)]},
 		Rank:     encodeCornerFloats[i%len(encodeCornerFloats)], PeakRank: 40,
 		RankHistory: encodeCornerFloats[:1+i%len(encodeCornerFloats)],
 		BornQuantum: i, LastQuantum: i + 2, Evolved: true, Size: 4, Support: 11,
-		Reported: true, FirstReported: i + 1, MergedInto: 12, SplitFrom: uint64(i) + 2, Spurious: true,
+		Reported: true, FirstReported: i + 1, MergedInto: 12, SplitFrom: uint64(i) + 2,
 	}
+	if i%4 == 3 { // a burst that only decays: spurious
+		ev.RankHistory, ev.Evolved = []float64{9, 4, 2, 1}, false
+	}
+	return ev
 }
 
 var fullStats = query.Stats{
@@ -171,9 +233,9 @@ var fullTrace = traceJSON{
 func TestEncodersMatchEncodingJSON(t *testing.T) {
 	// /query
 	checkQueryBody(t, "t0", query.Result{}, nil) // events null, stats all zero
-	checkQueryBody(t, "t0", query.Result{Events: []query.Event{}}, nil)
-	checkQueryBody(t, "t0", query.Result{Events: []query.Event{{}}}, nil) // keywords null, all_keywords omitted
-	checkQueryBody(t, "t0", query.Result{Events: []query.Event{{Keywords: []string{}, AllKeywords: []string{}}}}, nil)
+	checkQueryBody(t, "t0", query.Result{Events: []archive.Record{}}, nil)
+	checkQueryBody(t, "t0", query.Result{Events: []archive.Record{{}}}, nil) // keywords null, all_keywords omitted
+	checkQueryBody(t, "t0", query.Result{Events: []archive.Record{{Keywords: []string{}, AllKeywords: []string{}}}}, nil)
 	utc := fullTrace
 	utc.Start = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	utc.Detail, utc.Spans = "", []spanJSON{}
@@ -181,10 +243,10 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 	nilSpans.Spans = nil
 	for _, dbg := range []*traceJSON{nil, &fullTrace, &utc, &nilSpans} {
 		for _, n := range []int{1, 3, 40, 4000} {
-			res := query.Result{Stats: fullStats, Cursor: "djE6MTI6MzQ", Events: make([]query.Event, n)}
+			res := query.Result{Stats: fullStats, Cursor: "djE6MTI6MzQ", Events: make([]archive.Record, n)}
 			for i := range res.Events {
 				if i%5 == 4 {
-					res.Events[i] = query.Event{ID: uint64(i), State: "ended", Keywords: []string{"k"}}
+					res.Events[i] = archive.Record{ID: uint64(i), State: "ended", Keywords: []string{"k"}}
 				} else {
 					res.Events[i] = fullQueryEvent(i)
 				}
@@ -193,17 +255,17 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		}
 	}
 	for _, exit := range []string{"", "limit", "empty-range"} {
-		checkQueryBody(t, "t0", query.Result{Events: []query.Event{}, Stats: query.Stats{EarlyExit: exit}}, nil)
+		checkQueryBody(t, "t0", query.Result{Events: []archive.Record{}, Stats: query.Stats{EarlyExit: exit}}, nil)
 	}
 
 	// /events, /events?keyword=, /events/{id}
 	checkEventsBody(t, "t0", nil)
-	checkEventsBody(t, "t0", []EventView{})
-	checkEventsBody(t, "t0", []EventView{{}, {Keywords: []string{}, RankHistory: []float64{}}})
+	checkEventsBody(t, "t0", []*detect.Event{})
+	checkEventsBody(t, "t0", []*detect.Event{{}, {Keywords: []string{}, RankHistory: []float64{}}})
 	for _, n := range []int{1, 7, 3000} {
-		evs := make([]EventView, n)
+		evs := make([]*detect.Event, n)
 		for i := range evs {
-			evs[i] = fullEventView(i)
+			evs[i] = fullEvent(i)
 		}
 		checkEventsBody(t, "tenant-"+encodeCornerStrings[n%len(encodeCornerStrings)], evs)
 	}
@@ -283,14 +345,14 @@ func FuzzEncodeResponse(f *testing.F) {
 
 		res := query.Result{Cursor: str(3)}
 		if flag(0) {
-			res.Events = []query.Event{}
+			res.Events = []archive.Record{}
 		}
-		views := []EventView(nil)
+		views := []*detect.Event(nil)
 		if flag(1) {
-			views = []EventView{}
+			views = []*detect.Event{}
 		}
 		for i := 0; i < int(n); i++ {
-			res.Events = append(res.Events, query.Event{
+			res.Events = append(res.Events, archive.Record{
 				ID: bits + uint64(i), State: str(i), Keywords: strs(i), AllKeywords: strs(i + 1),
 				Rank: flt(i), PeakRank: flt(i + 1), BornQuantum: i, LastQuantum: int(int32(bits)) + i,
 				Evolved: flag(2), Size: i, Support: -i, Reported: flag(3),
@@ -303,10 +365,10 @@ func FuzzEncodeResponse(f *testing.F) {
 			if i%7 == 6 {
 				hist = []float64{}
 			}
-			views = append(views, EventView{
-				ID: bits - uint64(i), State: str(i + 2), Keywords: strs(i + 2), Rank: flt(i + 2), PeakRank: flt(i + 3),
+			views = append(views, &detect.Event{
+				ID: bits - uint64(i), State: detect.EventState(i % 4), Keywords: strs(i + 2), Rank: flt(i + 2), PeakRank: flt(i + 3),
 				RankHistory: hist, BornQuantum: -i, LastQuantum: i, Evolved: flag(8), Size: i, Support: i,
-				Reported: flag(9), FirstReported: opt(10, 1), MergedInto: uint64(opt(11, 1)), SplitFrom: uint64(opt(12, i)), Spurious: flag(13),
+				Reported: flag(9), FirstReported: opt(10, 1), MergedInto: uint64(opt(11, 1)), SplitFrom: uint64(opt(12, i)),
 			})
 		}
 		res.Stats = query.Stats{
@@ -366,11 +428,11 @@ func FuzzEncodeResponse(f *testing.F) {
 // a handful of keywords, a longer keyword history, most optional fields
 // unset.
 func benchResult(n int) query.Result {
-	res := query.Result{Events: make([]query.Event, n), Stats: query.Stats{ArchiveHits: n, Segments: 8, SegmentsScanned: 8, RecordsScanned: n}}
+	res := query.Result{Events: make([]archive.Record, n), Stats: query.Stats{ArchiveHits: n, Segments: 8, SegmentsScanned: 8, RecordsScanned: n}}
 	words := strings.Fields("earthquake struck eastern turkey rescue teams van province magnitude tremor aftershock relief")
 	for i := range res.Events {
 		kws := words[i%4 : i%4+4]
-		res.Events[i] = query.Event{
+		res.Events[i] = archive.Record{
 			ID: uint64(i) + 1, State: "ended", Keywords: kws, AllKeywords: words[i%4 : i%4+7],
 			Rank: 10 + float64(i%97)/7, PeakRank: 30 + float64(i%89)/3,
 			BornQuantum: i / 3, LastQuantum: i/3 + 5, Evolved: i%2 == 0, Size: 4, Support: 9 + i%40,

@@ -213,7 +213,7 @@ func TestPersistentEIODegradesThenRecovers(t *testing.T) {
 		t.Fatal("degraded shed burned retry turns")
 	}
 	// Reads keep serving while ingest is shed.
-	if evs := tn.Events(0, true); evs == nil {
+	if evs := tn.Snapshot().AllEvents(); evs == nil {
 		t.Fatal("query path stopped serving while degraded")
 	}
 	ffs.ClearRule(rule)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -25,7 +26,7 @@ const maxBodyBytes = 64 << 20
 //	POST /v1/{tenant}/messages   ingest a JSON array (or NDJSON) of messages
 //	POST /v1/{tenant}/flush      process the buffered partial quantum
 //	GET  /v1/{tenant}/events     live reported events (?k= top-k, ?all=1
-//	                             history, ?keyword= inverted-index filter)
+//	                             history, ?keyword= current-keyword filter)
 //	GET  /v1/{tenant}/events/{id} one event by ID
 //	GET  /v1/{tenant}/related    correlated same-event pairs (?min= overlap)
 //	GET  /v1/{tenant}/stream     SSE push of per-quantum reports + lifecycle
@@ -69,7 +70,8 @@ func NewHandler(p *Pool) http.Handler {
 			return nil
 		}
 		keyword := r.URL.Query().Get("keyword")
-		var events []EventView
+		snap := t.Snapshot()
+		var events []*detect.Event
 		switch {
 		case keyword != "" && all:
 			httpError(w, http.StatusBadRequest, "keyword filter applies to live events; drop all=1")
@@ -81,11 +83,12 @@ func NewHandler(p *Pool) http.Handler {
 			httpError(w, http.StatusBadRequest, "k applies to live events; drop all=1 (page history with /query)")
 			return nil
 		case keyword != "":
-			// Resolved through the epoch snapshot's keyword→event
-			// inverted index; rank order, like the unfiltered view.
-			events = t.EventsKeyword(k, keyword)
+			// A filter of the same rank-ordered live view.
+			events = snap.TopKKeyword(k, keyword)
+		case all:
+			events = snap.AllEvents()
 		default:
-			events = t.Events(k, all)
+			events = snap.TopK(k)
 		}
 		return func(jw *jsonw.Writer) { encodeEventsBody(jw, t.Name(), events) }
 	}))
@@ -95,12 +98,12 @@ func NewHandler(p *Pool) http.Handler {
 			httpError(w, http.StatusBadRequest, "bad event id")
 			return nil
 		}
-		ev, ok := t.Event(id)
-		if !ok {
+		ev := t.Snapshot().Find(id)
+		if ev == nil {
 			httpError(w, http.StatusNotFound, "no such event")
 			return nil
 		}
-		return func(jw *jsonw.Writer) { encodeEventView(jw, &ev) }
+		return func(jw *jsonw.Writer) { encodeEvent(jw, ev) }
 	}))
 	mux.HandleFunc("GET /v1/{tenant}/related", snapshotRead(p, func(w http.ResponseWriter, r *http.Request, t *Tenant) func(*jsonw.Writer) {
 		min, ok := floatParam(w, r, "min", 0.1, 0, 1)

@@ -131,8 +131,8 @@ func archivedRecords(t *testing.T, tn *Tenant) []archive.Record {
 	t.Helper()
 	var recs []archive.Record
 	for _, v := range tn.storage.arch.Segments() {
-		if _, _, err := v.Scan(func(r archive.Record) error {
-			recs = append(recs, r)
+		if _, _, err := v.ScanPred(archive.Pred{To: -1}, func(r *archive.Record) error {
+			recs = append(recs, *r)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -384,7 +384,7 @@ func TestCleanShutdownWALRestart(t *testing.T) {
 	if err := tn2.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := asJSON(t, tn2.Events(0, true)), asJSON(t, ref.views); got != want {
+	if got, want := asJSON(t, viewsOf(tn2.Snapshot().AllEvents())), asJSON(t, ref.views); got != want {
 		t.Fatalf("restarted history diverges:\ngot  %s\nwant %s", got, want)
 	}
 }
@@ -462,7 +462,7 @@ func testFlushSurvivesCrash(t *testing.T, groupCommit time.Duration) {
 	if err := tn2.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := asJSON(t, tn2.Events(0, true)); got != want {
+	if got := asJSON(t, viewsOf(tn2.Snapshot().AllEvents())); got != want {
 		t.Fatalf("flush lost across crash:\ngot  %s\nwant %s", got, want)
 	}
 }

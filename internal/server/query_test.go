@@ -10,14 +10,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/query"
 )
 
 type queryResponse struct {
-	Tenant string        `json:"tenant"`
-	Events []query.Event `json:"events"`
-	Stats  query.Stats   `json:"stats"`
-	Cursor string        `json:"cursor"`
+	Tenant string           `json:"tenant"`
+	Events []archive.Record `json:"events"`
+	Stats  query.Stats      `json:"stats"`
+	Cursor string           `json:"cursor"`
 }
 
 func getQuery(t *testing.T, base, tenant, params string) queryResponse {
@@ -115,7 +116,7 @@ func TestQueryCursorPaginationHTTP(t *testing.T) {
 	if len(full.Events) < 4 {
 		t.Fatalf("only %d events; retune", len(full.Events))
 	}
-	var paged []query.Event
+	var paged []archive.Record
 	params := "?limit=2"
 	for {
 		page := getQuery(t, ts.URL, "t", params)

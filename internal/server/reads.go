@@ -41,58 +41,6 @@ type TenantStats struct {
 	MsgsPerSec    float64 `json:"msgs_per_sec"`
 }
 
-// EventView is the immutable JSON projection of a detect.Event. Its
-// slices alias the source event's, so callers must pass events that are
-// themselves immutable — epoch-snapshot views, or a detector that will
-// not be mutated again (test references).
-type EventView struct {
-	ID            uint64    `json:"id"`
-	State         string    `json:"state"`
-	Keywords      []string  `json:"keywords"`
-	Rank          float64   `json:"rank"`
-	PeakRank      float64   `json:"peak_rank"`
-	RankHistory   []float64 `json:"rank_history,omitempty"`
-	BornQuantum   int       `json:"born_quantum"`
-	LastQuantum   int       `json:"last_quantum"`
-	Evolved       bool      `json:"evolved"`
-	Size          int       `json:"size"`
-	Support       int       `json:"support"`
-	Reported      bool      `json:"reported"`
-	FirstReported int       `json:"first_reported,omitempty"`
-	MergedInto    uint64    `json:"merged_into,omitempty"`
-	SplitFrom     uint64    `json:"split_from,omitempty"`
-	Spurious      bool      `json:"spurious"`
-}
-
-func viewOf(ev *detect.Event) EventView {
-	return EventView{
-		ID:            ev.ID,
-		State:         ev.State.String(),
-		Keywords:      ev.Keywords,
-		Rank:          ev.Rank,
-		PeakRank:      ev.PeakRank,
-		RankHistory:   ev.RankHistory,
-		BornQuantum:   ev.BornQuantum,
-		LastQuantum:   ev.LastQuantum,
-		Evolved:       ev.Evolved,
-		Size:          ev.Size,
-		Support:       ev.Support,
-		Reported:      ev.Reported,
-		FirstReported: ev.FirstReported,
-		MergedInto:    ev.MergedInto,
-		SplitFrom:     ev.SplitFrom,
-		Spurious:      ev.Spurious(),
-	}
-}
-
-func viewsOf(evs []*detect.Event) []EventView {
-	out := make([]EventView, len(evs))
-	for i, ev := range evs {
-		out[i] = viewOf(ev)
-	}
-	return out
-}
-
 // Query runs one unified time-travel query across the tenant's live
 // epoch snapshot and its on-disk archive (when enabled), merged in
 // deterministic (LastQuantum, ID) order with LIMIT pushdown into both
@@ -111,34 +59,10 @@ func (t *Tenant) Query(req query.Request) (query.Result, error) {
 func (t *Tenant) Obs() *obs.TenantObs { return t.obs }
 
 // Snapshot returns the tenant's latest published epoch snapshot. Reads
-// against it are wait-free; the contents are immutable.
+// against it are wait-free; the contents are immutable. /events,
+// /events?keyword= and /events/{id} are its AllEvents / TopK,
+// TopKKeyword and Find, encoded as they stand.
 func (t *Tenant) Snapshot() *detect.Snapshot { return t.snap.Load() }
-
-// Events returns the tenant's events: the top-k live reported events by
-// rank (k ≤ 0 means all) or, when all is set, every event ever tracked in
-// birth order. Wait-free: resolved against the latest epoch snapshot.
-func (t *Tenant) Events(k int, all bool) []EventView {
-	snap := t.snap.Load()
-	if all {
-		return viewsOf(snap.AllEvents())
-	}
-	return viewsOf(snap.TopK(k))
-}
-
-// EventsKeyword returns the top-k live reported events whose current
-// keyword set contains kw, resolved through the snapshot's inverted
-// index.
-func (t *Tenant) EventsKeyword(k int, kw string) []EventView {
-	return viewsOf(t.snap.Load().TopKKeyword(k, kw))
-}
-
-// Event returns one event by ID.
-func (t *Tenant) Event(id uint64) (EventView, bool) {
-	if ev := t.snap.Load().Find(id); ev != nil {
-		return viewOf(ev), true
-	}
-	return EventView{}, false
-}
 
 // Related returns live event pairs whose user communities overlap by at
 // least minOverlap (the paper's same-event correlation post-processing).

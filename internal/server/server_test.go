@@ -526,7 +526,7 @@ func TestRetention(t *testing.T) {
 	if err := tn.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	all := tn.Events(0, true)
+	all := viewsOf(tn.Snapshot().AllEvents())
 	if len(all) != 2 {
 		t.Fatalf("history = %d events (%+v), want 2 (1 retained finished + 1 live)", len(all), all)
 	}

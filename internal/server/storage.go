@@ -38,7 +38,7 @@ type tenantStorage struct {
 	kick func() // nudges the pool supervisor after a degradation
 
 	health   tenantHealth
-	archErrs atomic.Uint64 // failed archive seals and compaction steps (records stay buffered)
+	archErrs atomic.Uint64 // failed archive seals and compaction steps (no record is lost)
 	walErrs  atomic.Uint64 // failed WAL snapshots
 }
 
@@ -142,40 +142,18 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 // archive. The detector's cumulative trim counter is the record's
 // eviction ordinal; the archive drops ordinals it already holds, which
 // makes the hook idempotent across WAL replays. An Append error is a
-// failed seal: the record is still buffered.
+// failed seal; the archive holds the record either way.
 func (s *tenantStorage) attachEvict(det *detect.Detector) {
 	if s.arch == nil {
 		return
 	}
 	det.SetOnEvict(func(ev *detect.Event) {
-		if err := s.arch.Append(archiveRecord(det.Trimmed(), ev)); err != nil {
+		rec := archive.RecordOf(ev)
+		rec.Seq = det.Trimmed()
+		if err := s.arch.Append(rec); err != nil {
 			s.writeFailed(&s.archErrs, err)
 		}
 	})
-}
-
-// archiveRecord projects an evicted event onto the archive's record
-// shape, with seq as its eviction ordinal.
-func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
-	return archive.Record{
-		Seq:           seq,
-		ID:            ev.ID,
-		State:         ev.State.String(),
-		Keywords:      append([]string(nil), ev.Keywords...),
-		AllKeywords:   append(make([]string, 0, len(ev.AllKeywords)), ev.KeywordHistory()...),
-		Rank:          ev.Rank,
-		PeakRank:      ev.PeakRank,
-		BornQuantum:   ev.BornQuantum,
-		LastQuantum:   ev.LastQuantum,
-		Evolved:       ev.Evolved,
-		Size:          ev.Size,
-		Support:       ev.Support,
-		Reported:      ev.Reported,
-		FirstReported: ev.FirstReported,
-		MergedInto:    ev.MergedInto,
-		SplitFrom:     ev.SplitFrom,
-		Spurious:      ev.Spurious(),
-	}
 }
 
 // append logs one ingest batch — or, with flush set, a stream-flush
@@ -226,11 +204,13 @@ func (s *tenantStorage) commit(seq uint64) error {
 // persists the detector's eviction counter and replay from it never
 // regenerates the evictions it covers — a record still only in memory
 // would be lost to the next crash for good. A failed seal therefore
-// skips the snapshot; the records stay buffered and the WAL keeps the
-// tail that can re-evict them. Compaction inside wal.Snapshot then drops
-// the covered segments. seq must name exactly the state save writes, so
-// callers run on the goroutine that applies the tenant's batches (or
-// after its drain): no eviction can land between capture and seal.
+// skips the snapshot: the archive still holds every record (buffered if
+// the segment did not commit, sealed if only its sidecar failed) and the
+// WAL keeps the tail that can re-evict them. Compaction inside
+// wal.Snapshot then drops the covered segments. seq must name exactly
+// the state save writes, so callers run on the goroutine that applies
+// the tenant's batches (or after its drain): no eviction can land
+// between capture and seal.
 func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
 	if s.wal == nil {
 		return nil

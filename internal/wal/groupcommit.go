@@ -41,9 +41,6 @@ func NewGroupCommitter(interval time.Duration) *GroupCommitter {
 	return g
 }
 
-// Interval reports the flush interval (for metrics/logging).
-func (g *GroupCommitter) Interval() time.Duration { return g.interval }
-
 // noteDirty registers l for the next flush pass. Called by the log with
 // its own mutex held, exactly once per empty→non-empty transition of
 // its pending buffer. Returns true when the committer has stopped — the

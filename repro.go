@@ -117,9 +117,6 @@ type Tenant = server.Tenant
 // TenantStats is the monitoring snapshot of one tenant.
 type TenantStats = server.TenantStats
 
-// EventView is the JSON projection of an Event served by the API.
-type EventView = server.EventView
-
 // StreamEvent is the per-quantum SSE push payload.
 type StreamEvent = server.StreamEvent
 
