@@ -25,8 +25,9 @@ check: lint
 	go test ./...
 
 # End-to-end and per-layer performance numbers come from the benchmark
-# under bench/ (see bench-module); the adversarial SLO scenarios are
-# ordinary tests: go test -run TestRun ./internal/loadharness/.
+# under bench/ (see bench-module); the overload and degradation
+# contracts are ordinary tests:
+# go test -run TestOverloadContractsOverHTTP ./internal/server/.
 
 # One-iteration pass over every benchmark in the repo, so bench-only
 # files cannot rot uncompiled (CI runs this on every PR), plus the fuzz

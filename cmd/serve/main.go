@@ -42,8 +42,8 @@
 // ingest once a tenant's backlog crosses that fraction of its queue
 // bounds. Shed requests get 429 + Retry-After before the WAL ever sees
 // the batch; per-tenant shed/accept counters are on GET /metrics. See
-// docs/OPERATIONS.md for tuning and the load harness that validates
-// these limits under adversarial skew.
+// docs/OPERATIONS.md for tuning and the tests that hold these limits
+// under skewed traffic and a full disk.
 //
 // The 21 flags bind straight onto server.Config's fields; their
 // defaults are what the zero Config resolves to, and their valid ranges

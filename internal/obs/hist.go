@@ -30,10 +30,9 @@ type histShard struct {
 
 // Histogram is a lock-free log-bucketed latency histogram. The zero
 // value is ready to use; embed it by value (no constructor, no
-// allocation). Observe is wait-free apart from the max-register CAS.
+// allocation). Observe is wait-free.
 type Histogram struct {
 	shards [numShards]histShard
-	max    atomic.Uint64
 }
 
 // bucketOf maps a nanosecond value to its bucket: the value's bit
@@ -69,12 +68,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	s.buckets[bucketOf(ns)].Add(1)
 	s.count.Add(1)
 	s.sum.Add(ns)
-	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
 }
 
 // HistSnap is a point-in-time copy of a histogram, mergeable across
@@ -84,7 +77,6 @@ func (h *Histogram) Observe(d time.Duration) {
 type HistSnap struct {
 	Count   uint64
 	SumNs   uint64
-	MaxNs   uint64
 	Buckets [NumBuckets]uint64
 }
 
@@ -99,62 +91,5 @@ func (h *Histogram) Snapshot() HistSnap {
 			s.Buckets[b] += sh.buckets[b].Load()
 		}
 	}
-	s.MaxNs = h.max.Load()
 	return s
-}
-
-// Quantile returns the q-th quantile (0 < q ≤ 1) as a duration:
-// nearest-rank over the cumulative bucket counts, reported as the
-// containing bucket's upper bound — so the value is an upper estimate
-// within the bucket's 2× resolution — clamped to the exact observed
-// maximum (which also makes the top quantile of a one-point
-// distribution exact). Zero observations yield 0.
-func (s *HistSnap) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(q*float64(s.Count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var cum uint64
-	for i, c := range s.Buckets {
-		cum += c
-		if cum >= rank {
-			up := BucketUpper(i)
-			if up > s.MaxNs {
-				up = s.MaxNs
-			}
-			return time.Duration(up)
-		}
-	}
-	return time.Duration(s.MaxNs)
-}
-
-// Max returns the exact maximum observed latency.
-func (s *HistSnap) Max() time.Duration { return time.Duration(s.MaxNs) }
-
-// HistSummary is the JSON-friendly digest reports embed: count and the
-// standard percentile set in milliseconds.
-type HistSummary struct {
-	Count uint64  `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-// Summary digests the snapshot into the standard percentile set.
-func (s *HistSnap) Summary() HistSummary {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return HistSummary{
-		Count: s.Count,
-		P50Ms: ms(s.Quantile(0.50)),
-		P95Ms: ms(s.Quantile(0.95)),
-		P99Ms: ms(s.Quantile(0.99)),
-		MaxMs: ms(s.Max()),
-	}
 }

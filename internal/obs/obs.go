@@ -5,7 +5,7 @@
 // zero allocations, no locks.
 //
 // The package deliberately imports nothing from the rest of the repo,
-// so any layer (server, wal, query, loadharness) can observe into it
+// so any layer (server, wal, query) can observe into it
 // without import cycles. Telemetry has no off switch; the two handles a
 // caller may legitimately leave nil — a query run outside a tenant has
 // no *TenantObs to Observe into and no *ReqTrace — are nil-receiver safe.
@@ -163,7 +163,7 @@ type TenantObs struct {
 func NewTenantObs() *TenantObs { return &TenantObs{ring: NewSlowRing(RingSize)} }
 
 // Observe records one stage latency. Zero-alloc, lock-free: a bucket
-// index computation and four atomic adds. A nil receiver observes
+// index computation and three atomic adds. A nil receiver observes
 // nothing.
 func (t *TenantObs) Observe(st Stage, d time.Duration) {
 	if t == nil {

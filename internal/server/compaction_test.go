@@ -69,7 +69,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 		RetainEvents:         1,
 		WALDir:               filepath.Join(dir, "wal"),
 		ArchiveDir:           filepath.Join(dir, "archive"),
-		ArchiveSegmentEvents: 1, // every archived event seals a segment
+		archiveSegmentEvents: 1, // every archived event seals a segment
 	}
 	pool1, err := NewPool(pcfg)
 	if err != nil {
@@ -109,9 +109,9 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	// Restart on the same directories with merge-friendly bounds and a
 	// fast background compactor. Queries race live compaction steps
 	// here; the final comparison runs over the fully compacted archive.
-	pcfg.ArchiveSegmentEvents = 64
-	pcfg.ArchiveBucketQuanta = 1 << 20
-	pcfg.ArchiveBlockEvents = 4
+	pcfg.archiveSegmentEvents = 64
+	pcfg.archiveBucketQuanta = 1 << 20
+	pcfg.archiveBlockEvents = 4
 	pcfg.ArchiveCompactInterval = 2 * time.Millisecond
 	pool2, err := NewPool(pcfg)
 	if err != nil {

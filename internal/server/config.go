@@ -72,27 +72,12 @@ type PoolConfig struct {
 	// SnapshotEvery is the WAL snapshot cadence in quanta. Zero selects
 	// 256. Smaller = faster recovery, more snapshot IO.
 	SnapshotEvery int
-	// WALSegmentBytes rotates WAL segments; zero selects the wal
-	// package's default (4 MiB). No flag: tests shrink it to reach
-	// rotation quickly.
-	WALSegmentBytes int64
 
 	// FS is the filesystem both storage layers (WAL, archive) go
 	// through. Nil selects the real OS filesystem;
 	// tests inject a vfs.FaultFS here to exercise EIO/ENOSPC/torn-write
 	// paths without privileged mounts.
 	FS vfs.FS
-	// StorageRetryBackoff is the first backoff of the inline retry loop
-	// Enqueue runs on a transient device IO error (storageRetries turns,
-	// doubling each turn, capped at 32×) before the tenant degrades.
-	// Zero selects 5ms. No flag: fault tests shorten it.
-	StorageRetryBackoff time.Duration
-	// DegradedProbeInterval is the degradation supervisor's probe
-	// cadence: how often it tries to reopen fail-stopped WALs and write-
-	// probe degraded tenants' devices. It doubles as the Retry-After
-	// hint on degraded-shed responses. Zero selects 1s. No flag: fault
-	// tests and the load harness's disk-pressure scenario shorten it.
-	DegradedProbeInterval time.Duration
 
 	// ArchiveDir, when non-empty, routes events evicted by the
 	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
@@ -109,14 +94,6 @@ type PoolConfig struct {
 	// archive stays readable, in more and smaller segments). Needs
 	// ArchiveDir.
 	ArchiveCompactInterval time.Duration
-	// ArchiveSegmentEvents seals archive segments by record count,
-	// ArchiveBucketQuanta by time span, and ArchiveBlockEvents sizes the
-	// record blocks inside a segment — the unit of zone-map skipping and
-	// of decode work. Zero selects the archive package's defaults (512 /
-	// 1024 / 256). No flags: tests shrink them to reach seals quickly.
-	ArchiveSegmentEvents int
-	ArchiveBucketQuanta  int
-	ArchiveBlockEvents   int
 
 	// RateLimit, when positive, caps each tenant's sustained ingest rate
 	// in messages per second via a per-tenant token bucket. A batch that
@@ -134,6 +111,29 @@ type PoolConfig struct {
 	// retryable ShedError while the queue still has headroom, instead of
 	// slamming into ErrQueueFull at the wall. Zero disables the gate.
 	AdmissionFrac float64
+
+	// Fixed in production, shrunk by this package's tests to reach
+	// rotation, seals and recovery quickly; zero selects the default, and
+	// nothing outside the package can set them.
+	//
+	// walSegmentBytes rotates WAL segments (the wal package's default,
+	// 4 MiB). storageRetryBackoff is the first backoff of the inline
+	// retry loop Enqueue runs on a transient device IO error
+	// (storageRetries turns, doubling each turn, capped at 32×) before the
+	// tenant degrades (5ms). degradedProbeInterval is the degradation
+	// supervisor's probe cadence — how often it tries to reopen
+	// fail-stopped WALs and write-probe degraded tenants' devices — and
+	// the Retry-After hint on degraded-shed responses (1s).
+	// archiveSegmentEvents seals archive segments by record count,
+	// archiveBucketQuanta by time span, and archiveBlockEvents sizes the
+	// record blocks inside a segment — the unit of zone-map skipping and
+	// of decode work (the archive package's 512 / 1024 / 256).
+	walSegmentBytes       int64
+	storageRetryBackoff   time.Duration
+	degradedProbeInterval time.Duration
+	archiveSegmentEvents  int
+	archiveBucketQuanta   int
+	archiveBlockEvents    int
 }
 
 // WithDefaults returns c with every zero field that selects a default
@@ -180,11 +180,11 @@ func (c PoolConfig) withDefaults() PoolConfig {
 		c.SnapshotEvery = 256
 	}
 	c.FS = vfs.Default(c.FS)
-	if c.StorageRetryBackoff == 0 {
-		c.StorageRetryBackoff = 5 * time.Millisecond
+	if c.storageRetryBackoff == 0 {
+		c.storageRetryBackoff = 5 * time.Millisecond
 	}
-	if c.DegradedProbeInterval == 0 {
-		c.DegradedProbeInterval = time.Second
+	if c.degradedProbeInterval == 0 {
+		c.degradedProbeInterval = time.Second
 	}
 	return c
 }
@@ -217,13 +217,7 @@ func (c PoolConfig) Validate() error {
 	v.require(c.Workers >= 0, "Workers (-workers) must be non-negative (0 = GOMAXPROCS)")
 	v.require(c.WALGroupCommitInterval >= 0, "WALGroupCommitInterval (-wal-group-commit-interval) must be non-negative (0 = page-cache durability)")
 	v.require(c.SnapshotEvery >= 0, "SnapshotEvery (-snapshot-every) must be non-negative (0 = default)")
-	v.require(c.WALSegmentBytes >= 0, "WALSegmentBytes must be non-negative (0 = default)")
-	v.require(c.StorageRetryBackoff >= 0, "StorageRetryBackoff must be non-negative (0 = default)")
-	v.require(c.DegradedProbeInterval >= 0, "DegradedProbeInterval must be non-negative (0 = default)")
 	v.require(c.ArchiveCompactInterval >= 0, "ArchiveCompactInterval (-archive-compact-interval) must be non-negative (0 = disabled)")
-	v.require(c.ArchiveSegmentEvents >= 0, "ArchiveSegmentEvents must be non-negative (0 = default)")
-	v.require(c.ArchiveBucketQuanta >= 0, "ArchiveBucketQuanta must be non-negative (0 = default)")
-	v.require(c.ArchiveBlockEvents >= 0, "ArchiveBlockEvents must be non-negative (0 = default)")
 	v.require(c.RateLimit >= 0, "RateLimit (-rate-limit) must be non-negative (0 = unlimited)")
 	v.require(c.RateBurst >= 0, "RateBurst (-rate-burst) must be non-negative (0 = one second of RateLimit)")
 	v.require(c.AdmissionFrac >= 0 && c.AdmissionFrac <= 1, "AdmissionFrac (-admission-frac) must be in [0,1] (0 = disabled)")

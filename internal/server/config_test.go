@@ -39,12 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		{"wal-group-commit-interval", func(c *Config) { c.Pool.WALDir, c.Pool.WALGroupCommitInterval = "w", -1 }, []string{"-wal-group-commit-interval"}},
 		{"snapshot-every", func(c *Config) { c.Pool.SnapshotEvery = -1 }, []string{"-snapshot-every"}},
 		{"archive-compact-interval", func(c *Config) { c.Pool.ArchiveCompactInterval = -1 }, []string{"-archive-compact-interval"}},
-		{"WALSegmentBytes", func(c *Config) { c.Pool.WALSegmentBytes = -1 }, []string{"WALSegmentBytes"}},
-		{"StorageRetryBackoff", func(c *Config) { c.Pool.StorageRetryBackoff = -1 }, []string{"StorageRetryBackoff"}},
-		{"DegradedProbeInterval", func(c *Config) { c.Pool.DegradedProbeInterval = -1 }, []string{"DegradedProbeInterval"}},
-		{"ArchiveSegmentEvents", func(c *Config) { c.Pool.ArchiveSegmentEvents = -1 }, []string{"ArchiveSegmentEvents"}},
-		{"ArchiveBucketQuanta", func(c *Config) { c.Pool.ArchiveBucketQuanta = -1 }, []string{"ArchiveBucketQuanta"}},
-		{"ArchiveBlockEvents", func(c *Config) { c.Pool.ArchiveBlockEvents = -1 }, []string{"ArchiveBlockEvents"}},
 		// A setting accepted and then ignored is a misconfiguration: the
 		// message names both halves.
 		{"archive needs wal", func(c *Config) { c.Pool.ArchiveDir = "a" }, []string{"-archive-dir", "-wal-dir"}},

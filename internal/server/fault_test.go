@@ -25,8 +25,8 @@ func faultPool(t *testing.T, mutate func(*PoolConfig)) (*Pool, *vfs.FaultFS, str
 		Detector:              testDetectConfig(),
 		WALDir:                filepath.Join(dir, "wal"),
 		FS:                    ffs,
-		DegradedProbeInterval: 10 * time.Millisecond,
-		StorageRetryBackoff:   time.Millisecond,
+		degradedProbeInterval: 10 * time.Millisecond,
+		storageRetryBackoff:   time.Millisecond,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -388,7 +388,7 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 		c.RetainEvents = retain
 		c.SnapshotEvery = 3
 		c.ArchiveDir = filepath.Join(filepath.Dir(c.WALDir), "archive")
-		c.ArchiveSegmentEvents = 2
+		c.archiveSegmentEvents = 2
 	})
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
@@ -446,7 +446,7 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 		RetainEvents:         retain,
 		WALDir:               filepath.Join(dir, "wal"),
 		ArchiveDir:           filepath.Join(dir, "archive"),
-		ArchiveSegmentEvents: 2,
+		archiveSegmentEvents: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -559,8 +559,8 @@ func TestShutdownMidDegradedLeaksNothing(t *testing.T) {
 		Detector:              testDetectConfig(),
 		WALDir:                filepath.Join(dir, "wal"),
 		FS:                    ffs,
-		DegradedProbeInterval: time.Millisecond,
-		StorageRetryBackoff:   time.Millisecond,
+		degradedProbeInterval: time.Millisecond,
+		storageRetryBackoff:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

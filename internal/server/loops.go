@@ -79,7 +79,7 @@ func (p *Pool) startLoops() {
 		p.compactor = p.startLoop(p.cfg.ArchiveCompactInterval, func(t *Tenant) { t.storage.compactStep() })
 	}
 	if p.cfg.WALDir != "" {
-		p.supervisor = p.startLoop(p.cfg.DegradedProbeInterval, (*Tenant).probeStorage)
+		p.supervisor = p.startLoop(p.cfg.degradedProbeInterval, (*Tenant).probeStorage)
 	}
 }
 

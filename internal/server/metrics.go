@@ -28,8 +28,9 @@ type TenantMetrics struct {
 	// WALErrors counts failed snapshot/compaction passes.
 	WALErrors uint64 `json:"wal_errors,omitempty"`
 	// ArchiveSegments / ArchiveEvents size the evicted-event history;
-	// ArchiveErrors counts failed seals and compaction steps (the
-	// records stay buffered and are retried) and ArchiveGaps ordinal
+	// ArchiveErrors counts failed seals and compaction steps, none of
+	// which loses a record (buffered and retried if the segment did not
+	// commit, sealed if only its sidecar failed), and ArchiveGaps ordinal
 	// holes skipped over (records lost to a crash that replay could not
 	// regenerate).
 	ArchiveSegments int    `json:"archive_segments,omitempty"`
@@ -224,19 +225,4 @@ func metricsOf(tenants []*Tenant) PoolMetrics {
 	}
 	out.Totals = totalsOf(out.Tenants)
 	return out
-}
-
-// Metrics returns every tenant's metrics (name-sorted) plus totals.
-func (p *Pool) Metrics() PoolMetrics {
-	return metricsOf(p.tenantsSorted())
-}
-
-// MetricsFor returns the /metrics body restricted to one tenant (the
-// ?tenant= filter); ok is false when the tenant does not exist.
-func (p *Pool) MetricsFor(name string) (PoolMetrics, bool) {
-	t, ok := p.Tenant(name)
-	if !ok {
-		return PoolMetrics{}, false
-	}
-	return metricsOf([]*Tenant{t}), true
 }

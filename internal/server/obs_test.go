@@ -8,8 +8,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -303,6 +305,48 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestMetricReferenceMatchesDocs pins docs/OPERATIONS.md's metric
+// reference to the exposition in both directions: every family the
+// server writes and every stage label is documented, and every
+// eventdetect_ series the document names is written.
+func TestMetricReferenceMatchesDocs(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	const stageFamily = "eventdetect_stage_duration_seconds"
+	families := []string{stageFamily}
+	for _, m := range promTenantMetrics {
+		families = append(families, m.name)
+	}
+	for _, m := range promPoolMetrics {
+		families = append(families, m.name)
+	}
+	named := regexp.MustCompile(`eventdetect_[a-z0-9_]+`).FindAllString(doc, -1)
+	slices.Sort(named)
+	named = slices.Compact(named)
+	for _, name := range families {
+		if _, found := slices.BinarySearch(named, name); !found {
+			t.Errorf("docs/OPERATIONS.md does not name %s", name)
+		}
+	}
+	for _, st := range obs.Stages() {
+		if !strings.Contains(doc, "| `"+st.String()+"` |") {
+			t.Errorf("docs/OPERATIONS.md's stage table has no row for %s", st)
+		}
+	}
+	for _, name := range named {
+		switch strings.TrimPrefix(name, stageFamily) {
+		case "_bucket", "_sum", "_count":
+			continue
+		}
+		if !slices.Contains(families, name) {
+			t.Errorf("docs/OPERATIONS.md names %s, which the server does not write", name)
+		}
+	}
+}
+
 // TestMetricsFilterAndJSONCompat covers the ?tenant= filter and pins
 // the default JSON body to the exact pre-exposition encoding.
 func TestMetricsFilterAndJSONCompat(t *testing.T) {
@@ -321,8 +365,8 @@ func TestMetricsFilterAndJSONCompat(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Default body must be byte-identical to encoding p.Metrics() the
-	// way writeJSON always has.
+	// Default body must be byte-identical to encoding every tenant's
+	// metrics the way writeJSON always has.
 	code, body := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics status = %d", code)
@@ -330,7 +374,7 @@ func TestMetricsFilterAndJSONCompat(t *testing.T) {
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(pool.Metrics()); err != nil {
+	if err := enc.Encode(metricsOf(pool.tenantsSorted())); err != nil {
 		t.Fatal(err)
 	}
 	if body != want.String() {

@@ -3,19 +3,30 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/stream"
+	"repro/internal/vfs"
 )
 
 // Overload-protection tests: the token bucket and queue-depth admission
 // gates, the unified retryable error shape every 429/503 is served in,
-// the SSE drop policy against a genuinely stalled handler, and the
-// fairness bound admission buys the cold tenants.
+// the SSE drop policy against a genuinely stalled handler, the fairness
+// bound admission buys the cold tenants, and the whole contract over
+// HTTP under skewed traffic and a full disk.
 
 // TestTokenBucketDeterministic drives the bucket on an injected clock:
 // full at birth, empty after the burst, refilled by elapsed time,
@@ -378,5 +389,238 @@ func TestAdmissionFairnessColdTenantBounded(t *testing.T) {
 	}
 	if cm := cold.Metrics(); cm.ShedQueueDepth != 0 || cm.ShedRateLimit != 0 {
 		t.Fatalf("cold tenant recorded sheds it never suffered: %+v", cm)
+	}
+}
+
+// overloadClient is one tenant's closed-loop HTTP client: it POSTs one
+// quantum per batch, in order, reads /events and /query after every
+// fourth, and records every status. A shed batch is not retried and its
+// Retry-After is not honoured — the next batch goes straight out, so the
+// server is shown to survive clients that ignore it. The client sends
+// its batches and then keeps sending until four have gone out after the
+// row's fault window closed, so a window always lands inside the traffic
+// and healthy ingest follows it.
+type overloadClient struct {
+	base    string // http://host/v1/<tenant>
+	batches int
+	text    func(q int) string // the message text of quantum q
+	probe   func(q int) string // the keyword /query asks for after quantum q
+
+	statuses     []int // ingest status per batch; 0 is a transport error
+	noRetryAfter int   // 429s and 503s without a Retry-After of at least 1s
+	badReads     []string
+}
+
+func (c *overloadClient) run(window <-chan struct{}) {
+	after := 0
+	for q := 0; q < c.batches || after < 4; q++ {
+		select {
+		case <-window:
+			after++
+		default:
+		}
+		body, _ := json.Marshal(quantumOf(8*q, c.text(q))) // messages always marshal
+		status := 0
+		if resp, err := http.Post(c.base+"/messages", "application/json", bytes.NewReader(body)); err == nil {
+			status = resp.StatusCode
+			secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if (status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable) && (err != nil || secs < 1) {
+				c.noRetryAfter++
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for connection reuse
+			resp.Body.Close()
+		}
+		c.statuses = append(c.statuses, status)
+		if q%4 != 3 {
+			continue
+		}
+		for _, read := range []string{"/events?k=8", "/query?limit=16&keyword=" + c.probe(q)} {
+			resp, err := http.Get(c.base + read)
+			if err != nil {
+				c.badReads = append(c.badReads, fmt.Sprintf("GET %s after batch %d: %v", read, q, err))
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				c.badReads = append(c.badReads, fmt.Sprintf("GET %s after batch %d: HTTP %d", read, q, resp.StatusCode))
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for connection reuse
+			resp.Body.Close()
+		}
+	}
+}
+
+// TestOverloadContractsOverHTTP holds the serving contract over real HTTP,
+// one row per traffic shape: overload sheds and never fails, every 429 and
+// 503 carries Retry-After, every 202 is acknowledged by exactly one
+// quantum event on the tenant's stream, and reads answer 200 throughout.
+// Each tenant is created with [], subscribed to, and driven by one
+// overloadClient; tenant 0 sends hot times the others' batches. Streams
+// are counted once every accepted batch has applied and the pool's
+// shutdown has ended them, so the counts are exact.
+func TestOverloadContractsOverHTTP(t *testing.T) {
+	// Tenant 0 of flash-flood speaks five fresh words every quantum, so
+	// each of its events lives a quantum and retires; it asks /query for
+	// words two quanta old.
+	vocab := rand.New(rand.NewSource(1)).Perm(1 << 10)
+	flood := func(q int) string {
+		w := vocab[5*q:]
+		return fmt.Sprintf("flood%d flood%d flood%d flood%d flood%d", w[0], w[1], w[2], w[3], w[4])
+	}
+	retired := func(q int) string { return fmt.Sprintf("flood%d", vocab[5*(q-2)]) }
+
+	cases := []struct {
+		name     string
+		cfg      PoolConfig
+		durable  bool // a WAL and an archive under a temp dir
+		diskFull bool // faultPool, and an ENOSPC window under the WAL root mid-run
+		tenants  int
+		batches  int   // per tenant
+		hot      int   // tenant 0 sends hot × batches (0: as many as the others)
+		allowed  []int // the ingest statuses the row admits
+		mustSee  int   // a status at least one batch must get (0: none)
+		flood    bool  // tenant 0 speaks the churning vocabulary
+	}{
+		{name: "uniform", tenants: 3, batches: 24, allowed: []int{202}},
+		{name: "rate-limit", cfg: PoolConfig{RateLimit: 1, RateBurst: 1}, tenants: 1, batches: 6, allowed: []int{202, 429}, mustSee: 429},
+		{name: "zipf-hot", cfg: PoolConfig{Workers: 1, QueueDepth: 8, AdmissionFrac: 0.5}, tenants: 3, batches: 24, hot: 4,
+			allowed: []int{202, 429}},
+		{name: "flash-flood", cfg: PoolConfig{Workers: 1, QueueDepth: 16, AdmissionFrac: 0.8, RetainEvents: 16, SnapshotEvery: 8},
+			durable: true, tenants: 3, batches: 24, hot: 4, allowed: []int{202, 429}, flood: true},
+		{name: "disk-pressure", diskFull: true, tenants: 2, batches: 8, allowed: []int{202, 429, 503}, mustSee: 503},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var pool *Pool
+			var ffs *vfs.FaultFS
+			var dir string
+			if tc.diskFull {
+				pool, ffs, dir = faultPool(t, nil)
+			} else {
+				cfg := tc.cfg
+				cfg.Detector = testDetectConfig()
+				if tc.durable {
+					dir = t.TempDir()
+					cfg.WALDir, cfg.ArchiveDir = filepath.Join(dir, "wal"), filepath.Join(dir, "archive")
+				}
+				var err error
+				if pool, err = NewPool(cfg); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { pool.Shutdown(context.Background()) }) //nolint:errcheck // a second shutdown
+			}
+			srv := httptest.NewServer(NewHandler(pool))
+			t.Cleanup(srv.Close)
+
+			names := make([]string, tc.tenants)
+			streams := make([]<-chan StreamEvent, tc.tenants)
+			clients := make([]*overloadClient, tc.tenants)
+			for i := range clients {
+				names[i] = fmt.Sprintf("t%d", i)
+				resp := postJSON(t, srv.URL+"/v1/"+names[i]+"/messages", []stream.Message{})
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("create %s: HTTP %d", names[i], resp.StatusCode)
+				}
+				var stop func()
+				streams[i], stop = sseSubscribe(t, srv.URL+"/v1/"+names[i]+"/stream")
+				t.Cleanup(stop)
+				clients[i] = &overloadClient{
+					base: srv.URL + "/v1/" + names[i], batches: tc.batches,
+					text:  func(int) string { return "earthquake struck harbour town" },
+					probe: func(int) string { return "earthquake" },
+				}
+			}
+			if tc.hot > 0 {
+				clients[0].batches *= tc.hot
+			}
+			if tc.flood {
+				clients[0].text, clients[0].probe = flood, retired
+			}
+
+			// On every way out the window closes first, so the clients
+			// finish their last four batches and the test waits for them.
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			window := make(chan struct{})
+			closeWindow := sync.OnceFunc(func() { close(window) })
+			defer closeWindow()
+			for _, c := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.run(window)
+				}()
+			}
+			if tc.diskFull {
+				// Once every tenant has some accepted batches, fill the disk
+				// under the WAL root — the supervisor's write probe too — until
+				// a tenant degrades, then free it and wait for the in-process
+				// recovery.
+				waitFor(t, 10*time.Second, func() bool {
+					for _, tn := range pool.tenantsSorted() {
+						if tn.accepted.Load() < 2 {
+							return false
+						}
+					}
+					return true
+				}, "healthy ingest on every tenant")
+				rule := ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: filepath.Join(dir, "wal"), Err: syscall.ENOSPC})
+				waitFor(t, 10*time.Second, func() bool { return len(pool.DegradedTenants()) > 0 }, "a tenant to degrade")
+				ffs.ClearRule(rule)
+				waitFor(t, 10*time.Second, func() bool { return len(pool.DegradedTenants()) == 0 }, "in-process recovery")
+			}
+			closeWindow()
+			wg.Wait()
+			// Shutdown closes the streams before it drains the queues, so
+			// let every accepted batch apply — and publish — first.
+			for _, tn := range pool.tenantsSorted() {
+				waitApplied(t, tn)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := pool.Shutdown(ctx); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+
+			seen := make(map[int]int)
+			for i, c := range clients {
+				accepted, reported := 0, false
+				for q, s := range c.statuses {
+					seen[s]++
+					switch {
+					case s == http.StatusAccepted:
+						accepted++
+					case !slices.Contains(tc.allowed, s) && !reported: // the first is enough; the log has the counts
+						reported = true
+						t.Errorf("%s batch %d: HTTP %d, want one of %v", names[i], q, s, tc.allowed)
+					}
+				}
+				if c.statuses[0] != http.StatusAccepted {
+					t.Errorf("%s: first batch HTTP %d, want 202", names[i], c.statuses[0])
+				}
+				if c.noRetryAfter > 0 {
+					t.Errorf("%s: %d sheds without a Retry-After of at least 1s", names[i], c.noRetryAfter)
+				}
+				for _, msg := range c.badReads {
+					t.Errorf("%s: %s", names[i], msg)
+				}
+				events := 0
+				for range streams[i] {
+					events++
+				}
+				if events != accepted {
+					t.Errorf("%s: %d quantum events on the stream for %d accepted batches", names[i], events, accepted)
+				}
+				if tc.diskFull {
+					if got, want := replayCount(t, dir, names[i]), uint64(8*accepted); got != want {
+						t.Errorf("%s: replay recovered %d messages, want the acked %d", names[i], got, want)
+					}
+				}
+			}
+			if tc.mustSee != 0 && seen[tc.mustSee] == 0 {
+				t.Errorf("no batch got HTTP %d: %v", tc.mustSee, seen)
+			}
+			t.Logf("statuses: %v", seen)
+		})
 	}
 }

@@ -149,11 +149,11 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration, segm
 		Detector:               cfg,
 		RetainEvents:           retain,
 		WALDir:                 filepath.Join(dir, "wal"),
-		WALSegmentBytes:        2048, // force rotation
+		walSegmentBytes:        2048, // force rotation
 		SnapshotEvery:          5,    // several snapshots + compactions, the last before the last eviction
 		WALGroupCommitInterval: groupCommit,
 		ArchiveDir:             filepath.Join(dir, "archive"),
-		ArchiveSegmentEvents:   segmentEvents,
+		archiveSegmentEvents:   segmentEvents,
 	}
 	batches := burstBatches()
 	ref := referenceRun(cfg, batches, retain)

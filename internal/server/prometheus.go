@@ -78,7 +78,7 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegments) }},
 	{"eventdetect_archive_events", "gauge", "Events held by the archive.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveEvents) }},
-	{"eventdetect_archive_errors_total", "counter", "Failed archive seals and compaction steps (records stay buffered).",
+	{"eventdetect_archive_errors_total", "counter", "Failed archive seals and compaction steps; no record is lost (buffered and retried if the segment did not commit, sealed if only its sidecar failed).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveErrors) }},
 	{"eventdetect_archive_gaps_total", "counter", "Archive ordinal holes skipped (records lost to a crash).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveGaps) }},

@@ -44,7 +44,7 @@ func queryPool(t *testing.T, retain int, withArchive bool) (*Pool, *httptest.Ser
 		dir := t.TempDir()
 		cfg.WALDir = filepath.Join(dir, "wal")
 		cfg.ArchiveDir = filepath.Join(dir, "archive")
-		cfg.ArchiveSegmentEvents = 1 // every eviction seals a segment
+		cfg.archiveSegmentEvents = 1 // every eviction seals a segment
 	}
 	pool, err := NewPool(cfg)
 	if err != nil {

@@ -48,7 +48,7 @@ func openStorage(cfg PoolConfig, gc *wal.GroupCommitter, name string, tob *obs.T
 	var err error
 	if cfg.WALDir != "" {
 		s.wal, err = wal.Open(filepath.Join(cfg.WALDir, name), wal.Options{
-			SegmentBytes: cfg.WALSegmentBytes,
+			SegmentBytes: cfg.walSegmentBytes,
 			GroupCommit:  gc,
 			OnFlush:      func(d time.Duration) { tob.Observe(obs.StageWALFsync, d) },
 			FS:           cfg.FS,
@@ -56,9 +56,9 @@ func openStorage(cfg PoolConfig, gc *wal.GroupCommitter, name string, tob *obs.T
 	}
 	if err == nil && cfg.ArchiveDir != "" {
 		s.arch, err = archive.Open(filepath.Join(cfg.ArchiveDir, name), archive.Options{
-			SegmentEvents: cfg.ArchiveSegmentEvents,
-			BucketQuanta:  cfg.ArchiveBucketQuanta,
-			BlockEvents:   cfg.ArchiveBlockEvents,
+			SegmentEvents: cfg.archiveSegmentEvents,
+			BucketQuanta:  cfg.archiveBucketQuanta,
+			BlockEvents:   cfg.archiveBlockEvents,
 			FS:            cfg.FS,
 		})
 	}
@@ -175,12 +175,12 @@ func (s *tenantStorage) append(msgs []stream.Message, flush bool, repair func() 
 		return s.wal.AppendFlush()
 	}
 	seq, err := s.wal.Append(msgs)
-	backoff := s.cfg.StorageRetryBackoff
+	backoff := s.cfg.storageRetryBackoff
 	for turn := 0; err != nil && turn < storageRetries && vfs.Classify(err) == vfs.ClassIO; turn++ {
 		t0 := time.Now()
 		s.health.storageRetries.Add(1)
 		time.Sleep(backoff)
-		backoff = min(2*backoff, 32*s.cfg.StorageRetryBackoff)
+		backoff = min(2*backoff, 32*s.cfg.storageRetryBackoff)
 		if err = repair(); err == nil {
 			seq, err = s.wal.Append(msgs)
 		}

@@ -93,7 +93,7 @@ func (t *Tenant) DegradedCheck() *DegradedError {
 	if d == nil {
 		return nil
 	}
-	return &DegradedError{Tenant: t.name, Reason: d.reason, RetryAfter: t.cfg.DegradedProbeInterval}
+	return &DegradedError{Tenant: t.name, Reason: d.reason, RetryAfter: t.cfg.degradedProbeInterval}
 }
 
 // enterDegraded flips the tenant read-only (idempotent — the first
@@ -101,7 +101,7 @@ func (t *Tenant) DegradedCheck() *DegradedError {
 // triggering request with.
 func (t *Tenant) enterDegraded(reason string) *DegradedError {
 	t.health.enter(reason)
-	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.DegradedProbeInterval}
+	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.degradedProbeInterval}
 }
 
 // failStorage is the terminal storage-error path of an ingest request,
