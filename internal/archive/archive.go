@@ -3,17 +3,17 @@
 // memory (detect.TrimFinished); instead of losing them, an eviction hook
 // appends each one here. Appended records sit in an in-memory buffer —
 // the active segment, visible to queries at once — until a seal writes
-// the buffer out as one columnar segment file with a sidecar of zone
+// the buffer out as one columnar segment file ending in an index of zone
 // maps and keyword Bloom filters, so time-range, rank and keyword
 // queries skip the segments and blocks that cannot match and decode
 // only the rest (the data-skipping idea of provenance-pruned scans,
 // applied to event history). A background compactor merges the small
 // segments frequent seals leave behind (compact.go).
 //
-// Layout of one tenant's archive directory:
+// A tenant's archive directory holds one file per segment, named by its
+// first record (segment2.go has the layout):
 //
-//	ev-00000000000000000001.col            records 1..k, CRC-framed blocks
-//	ev-00000000000000000001.col.meta.json  sidecar: ranges, Bloom, zone maps
+//	ev-00000000000000000001.col   records 1..k: header, blocks, index
 //
 // Records carry a 1-based eviction ordinal (Seq) matching the
 // detector's cumulative trim counter, which makes appends idempotent
@@ -24,13 +24,11 @@
 package archive
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,33 +94,22 @@ func RecordOf(ev *detect.Event) Record {
 	}
 }
 
-// segMeta is the sidecar: enough to decide, without opening the data
-// file, whether a query's time range, rank floor or keywords can
-// possibly match — for the segment as a whole and per block. File is
-// the seq the data file is named by: a sealed buffer is named by its
-// first record and a merged segment by its first input, but a segment
-// converted from the JSON-lines format by an earlier build kept the name
-// it had, which an eviction-ordinal gap can leave different from
-// FirstSeq.
+// segMeta is what the archive holds in memory about a segment: enough to
+// decide, without reading a block, whether a query's time range, rank
+// floor or keywords can possibly match — for the segment as a whole and
+// per block. A sealed segment's file is named by its FirstSeq.
 type segMeta struct {
-	File       uint64 `json:"file"` // data file name seq
-	FirstSeq   uint64 `json:"first_seq"`
-	LastSeq    uint64 `json:"last_seq"`
-	Count      int    `json:"count"`
-	MinQuantum int    `json:"min_quantum"`
-	MaxQuantum int    `json:"max_quantum"`
-	Bloom      string `json:"bloom"` // base64 keyword Bloom filter
+	FirstSeq    uint64
+	LastSeq     uint64
+	Count       int
+	MinQuantum  int     // min BornQuantum
+	MaxQuantum  int     // max LastQuantum
+	MaxPeakRank float64 // max PeakRank, for rank-floor skipping
+	// Blocks are the per-block zone maps, in file order (none for the
+	// buffer).
+	Blocks []blockZone
 
-	// BloomK is the filter's hash count; 0 means the legacy 4 (the
-	// oldest sidecars carry none). Readers honour whatever is recorded.
-	BloomK int `json:"bloom_k,omitempty"`
-	// MaxPeakRank bounds PeakRank across the segment's records, for
-	// rank-floor skipping; 0 reads as "unknown", which is always safe.
-	MaxPeakRank float64 `json:"max_peak_rank,omitempty"`
-	// Blocks are the per-block zone maps, in file order.
-	Blocks []blockZone `json:"blocks,omitempty"`
-
-	bf bloom // decoded lazily
+	bf bloom // keyword filter over every record
 }
 
 // observe folds one record into the seq/quantum/rank bounds and the
@@ -130,6 +117,8 @@ type segMeta struct {
 func (m *segMeta) observe(rec *Record) {
 	if m.Count == 0 {
 		m.FirstSeq, m.MinQuantum, m.MaxQuantum = rec.Seq, rec.BornQuantum, rec.LastQuantum
+		m.MaxPeakRank = rec.PeakRank
+		m.bf = newBloom(8 * segBloomBytes)
 	}
 	m.LastSeq = rec.Seq
 	m.Count++
@@ -141,10 +130,6 @@ func (m *segMeta) observe(rec *Record) {
 	}
 	if rec.PeakRank > m.MaxPeakRank {
 		m.MaxPeakRank = rec.PeakRank
-	}
-	if m.bf.empty() {
-		m.bf = newBloom()
-		m.BloomK = defaultBloomHashes
 	}
 	for _, kw := range rec.Keywords {
 		m.bf.add(kw)
@@ -213,23 +198,23 @@ type Log struct {
 	// Compaction bookkeeping: compactMu serializes compactor steps (the
 	// sealed-list splice assumes one compactor); the counters (guarded by
 	// mu) feed the service metrics.
-	compactMu        sync.Mutex
-	compactions      uint64
-	segsCompacted    uint64
-	bytesReclaimed   uint64
-	recordsCompacted uint64
+	compactMu      sync.Mutex
+	compactions    uint64
+	segsCompacted  uint64
+	bytesReclaimed uint64
 }
 
-// Open opens (creating if needed) an archive directory. Segments are
-// described by their sidecars; a segment missing its sidecar (crash
-// between the data file's commit rename and the sidecar write) is
-// decoded once and the sidecar rewritten. Any segment whose ordinal
-// range is covered by another segment is a leftover from a compaction
-// the process crashed out of after the commit rename — it is deleted
-// here, which is what makes kill -9 at any point of a seal or a
-// compaction converge to exactly-once records. A directory that still
-// holds a JSON-lines segment (ev-*.jsonl, the format before the
-// columnar one) is refused: this build has no reader for it.
+// Open opens (creating if needed) an archive directory, reading each
+// segment's header and index. A segment whose ordinal range an earlier
+// segment covers is the leftover input of a compaction the process
+// crashed out of after the commit rename — it is deleted here, and so is
+// any temp file a crash left, which is what makes kill -9 at any point
+// of a seal or a compaction converge to exactly-once records. A segment
+// whose header or index is damaged is quarantined, as a scan that finds
+// a damaged block does. A directory holding a segment of an older format
+// — a JSON-lines ev-*.jsonl, a .col.meta.json sidecar, or a .col of
+// format version 1 — is refused with an error naming the file, before
+// anything in it changes: this build has no reader for them.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
@@ -240,141 +225,72 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: list %s: %w", dir, err)
 	}
-	var starts []uint64
+	var metas []segMeta
+	var corrupt []string
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, ".jsonl") {
-			return nil, fmt.Errorf("archive: %s is a JSON-lines segment, which this build cannot read "+
-				"(docs/PERSISTENCE.md: legacy directories)", filepath.Join(dir, name))
+		path := filepath.Join(dir, name)
+		if strings.HasPrefix(name, segPrefix) &&
+			(strings.HasSuffix(name, ".jsonl") || strings.HasSuffix(name, colExt+".meta.json")) {
+			return nil, fmt.Errorf("archive: %s belongs to an older segment format, which this build cannot read "+
+				"(docs/PERSISTENCE.md: legacy and pre-index directories)", path)
 		}
 		stem, isCol := strings.CutSuffix(name, colExt)
 		num, ok := strings.CutPrefix(stem, segPrefix)
-		if !isCol || !ok {
+		start, err := strconv.ParseUint(num, 10, 64)
+		if !isCol || !ok || err != nil {
 			continue
 		}
-		if n, err := strconv.ParseUint(num, 10, 64); err == nil {
-			starts = append(starts, n)
+		m, err := loadIndex(l.fs, path)
+		if err == nil && m.FirstSeq != start {
+			err = fmt.Errorf("holds records from seq %d: %w", m.FirstSeq, ErrCorrupt)
+		}
+		switch {
+		case errors.Is(err, ErrCorrupt):
+			corrupt = append(corrupt, path)
+		case err != nil:
+			return nil, fmt.Errorf("archive: %s: %w", path, err)
+		default:
+			metas = append(metas, m)
 		}
 	}
-	// Sweep temp files a crash between write and rename left.
-	if orphans, err := l.fs.Glob(filepath.Join(dir, "*.tmp")); err == nil {
-		for _, o := range orphans {
-			l.fs.Remove(o) //nolint:errcheck // best effort
+	// Nothing on disk has changed up to here.
+	for _, path := range corrupt {
+		l.fs.Rename(path, path+quarantineSuffix) //nolint:errcheck // best effort
+		l.quarantined++
+	}
+	if tmps, err := l.fs.Glob(filepath.Join(dir, "*.tmp")); err == nil {
+		for _, tmp := range tmps {
+			l.fs.Remove(tmp) //nolint:errcheck // best effort
 		}
 	}
-	metas := make([]segMeta, 0, len(starts))
-	for _, start := range starts {
-		m, err := l.loadOrRebuildColMeta(start)
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, m)
-	}
-	for i := range metas {
-		m := metas[i]
-		if supersededBy(m, metas) {
-			l.removeSegmentFiles(m.File)
+	// The compactor replaces a run of whole segments by one that keeps the
+	// first input's name, so in FirstSeq order a segment whose range an
+	// earlier one reaches past is a merged input.
+	sort.Slice(metas, func(i, j int) bool { return metas[i].FirstSeq < metas[j].FirstSeq })
+	for _, m := range metas {
+		if m.LastSeq <= l.seq {
+			l.fs.Remove(l.colPath(m.FirstSeq)) //nolint:errcheck // best effort
 			continue
 		}
 		l.sealed = append(l.sealed, m)
-		if m.LastSeq > l.seq {
-			l.seq = m.LastSeq
-		}
+		l.seq = m.LastSeq
 	}
-	sort.Slice(l.sealed, func(i, j int) bool { return l.sealed[i].FirstSeq < l.sealed[j].FirstSeq })
-	l.sweepOrphanSidecars(entries)
 	return l, nil
 }
 
-// supersededBy reports whether another segment in metas covers m's
-// ordinal range, making m a compaction leftover. The compactor only
-// ever replaces whole segments by a strictly larger one, so two
-// distinct segments never tie on the exact range.
-func supersededBy(m segMeta, metas []segMeta) bool {
-	for i := range metas {
-		o := &metas[i]
-		if o.File != m.File && o.FirstSeq <= m.FirstSeq && o.LastSeq >= m.LastSeq &&
-			(o.FirstSeq != m.FirstSeq || o.LastSeq != m.LastSeq) {
-			return true
-		}
-	}
-	return false
-}
-
-// removeSegmentFiles deletes a segment's data file and sidecar.
-func (l *Log) removeSegmentFiles(file uint64) {
-	l.fs.Remove(l.colPath(file))     //nolint:errcheck // best effort
-	l.fs.Remove(l.colMetaPath(file)) //nolint:errcheck // best effort
-}
-
-// sweepOrphanSidecars removes sidecars whose data file is gone — the
-// one file a crash between a segment's data-file deletion and sidecar
-// deletion can leave behind.
-func (l *Log) sweepOrphanSidecars(entries []os.DirEntry) {
-	for _, e := range entries {
-		data, ok := strings.CutSuffix(e.Name(), colMetaSuffix)
-		if !ok || !strings.HasPrefix(data, segPrefix) {
-			continue
-		}
-		if _, err := l.fs.Stat(filepath.Join(l.dir, data+colExt)); os.IsNotExist(err) {
-			l.fs.Remove(filepath.Join(l.dir, e.Name())) //nolint:errcheck // best effort
-		}
-	}
-}
-
-// loadOrRebuildColMeta reads a segment's sidecar, or decodes every block
-// of the data file to rebuild the zone maps when the sidecar is
-// missing, unreadable, or disagrees with the data file's header — that
-// last one is the crash window where a re-compaction renamed a new data
-// file over this path but died before rewriting the sidecar, leaving
-// zone maps that describe the old bytes.
-func (l *Log) loadOrRebuildColMeta(start uint64) (segMeta, error) {
-	raw, err := l.fs.ReadFile(l.colMetaPath(start))
-	if err == nil {
-		var m segMeta
-		if jerr := json.Unmarshal(raw, &m); jerr == nil && m.Count > 0 && len(m.Blocks) > 0 &&
-			l.colHeaderMatches(start, &m) {
-			m.File = start // authoritative: the sidecar sits next to the file
-			m.bf = decodeBloom(m.Bloom, m.BloomK)
-			for i := range m.Blocks {
-				m.Blocks[i].bf = decodeBloom(m.Blocks[i].Bloom, blockBloomHashes)
-			}
-			return m, nil
-		}
-	}
-	m := segMeta{File: start}
-	_, err = scanColFile(l.fs, l.colPath(start), func(rec *Record) error {
-		m.observe(rec)
-		return nil
-	}, func(z blockZone) {
-		m.Blocks = append(m.Blocks, z)
-	})
+// loadIndex reads the header and index of the segment file at path.
+func loadIndex(fsys vfs.FS, path string) (segMeta, error) {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return segMeta{}, err
-	}
-	if err := l.writeMeta(&m); err != nil {
-		return segMeta{}, err
-	}
-	return m, nil
-}
-
-// colHeaderMatches reports whether a sidecar agrees with its data
-// file's fixed header on the ordinal range and count.
-func (l *Log) colHeaderMatches(start uint64, m *segMeta) bool {
-	f, err := l.fs.Open(l.colPath(start))
-	if err != nil {
-		return false
 	}
 	defer f.Close()
-	var buf [colHeaderLen]byte
-	if _, err := f.ReadAt(buf[:], 0); err != nil {
-		return false
-	}
-	hdr, err := parseColHeader(buf[:])
+	st, err := f.Stat()
 	if err != nil {
-		return false
+		return segMeta{}, err
 	}
-	return hdr.firstSeq == m.FirstSeq && hdr.lastSeq == m.LastSeq && hdr.count == m.Count
+	return readIndex(f, st.Size())
 }
 
 // Append archives one record: it joins the in-memory buffer, where
@@ -407,15 +323,12 @@ func (l *Log) Append(rec Record) error {
 }
 
 // Seal makes every appended record durable: the buffer is written out
-// as one columnar segment (data file via tmp+fsync+rename — the commit
-// point — then its sidecar) and a fresh buffer started. If the data
-// file cannot be committed the records stay buffered, still served, for
-// the next attempt. If only the sidecar write fails, the error is
-// returned but the seal stands: nothing is left buffered, the segment is
-// durable and served from memory, and the next Open rebuilds the
-// sidecar. Callers that persist the eviction counter elsewhere (the
-// serving layer's WAL snapshots) must seal first, or a crash loses the
-// buffered records for good.
+// as one segment file (tmp + fsync, then a rename and a directory fsync
+// — the commit point) and a fresh buffer started. If any step fails the
+// records stay buffered, still served, and the error is returned; the
+// next seal writes them again under the same name. Callers that persist
+// the eviction counter elsewhere (the serving layer's WAL snapshots)
+// must seal first, or a crash loses the buffered records for good.
 func (l *Log) Seal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -427,35 +340,33 @@ func (l *Log) sealLocked() error {
 	if len(l.buf) == 0 {
 		return nil
 	}
-	file := l.buf[0].Seq
-	m, err := writeSegmentV2(l.fs, l.colPath(file), l.buf, l.opt.BlockEvents)
+	path := l.colPath(l.buf[0].Seq)
+	m, err := writeSegment(l.fs, path+".tmp", l.buf, l.opt.BlockEvents)
 	if err != nil {
 		return err
 	}
-	m.File = file
+	if err := l.fs.Rename(path+".tmp", path); err != nil {
+		l.fs.Remove(path + ".tmp") //nolint:errcheck // best effort
+		return fmt.Errorf("archive: seal: %w", err)
+	}
+	if err := l.syncDir(); err != nil {
+		return err
+	}
 	l.sealed = append(l.sealed, m)
 	l.buf, l.active = nil, segMeta{}
-	// The segment is committed and served from m whether or not its
-	// sidecar lands; a missing one is rebuilt by the next Open.
-	return l.writeMeta(&m)
+	return nil
 }
 
-// writeMeta writes a segment's sidecar (tmp + rename).
-func (l *Log) writeMeta(m *segMeta) error {
-	if !m.bf.empty() {
-		m.Bloom = m.bf.encode()
-	}
-	raw, err := json.MarshalIndent(m, "", "  ")
+// syncDir fsyncs the archive directory, so the renames before it survive
+// power loss.
+func (l *Log) syncDir() error {
+	d, err := l.fs.Open(l.dir)
 	if err != nil {
-		return fmt.Errorf("archive: encode sidecar: %w", err)
+		return fmt.Errorf("archive: sync %s: %w", l.dir, err)
 	}
-	path := l.colMetaPath(m.File)
-	tmp := path + ".tmp"
-	if err := l.fs.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("archive: write sidecar: %w", err)
-	}
-	if err := l.fs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("archive: write sidecar: %w", err)
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("archive: sync %s: %w", l.dir, err)
 	}
 	return nil
 }
@@ -507,19 +418,18 @@ var ErrStop = fmt.Errorf("archive: stop scan")
 
 // ErrCorrupt marks structural damage inside a sealed segment's data
 // file — a CRC mismatch, a torn frame, a record count that disagrees
-// with the sidecar. Errors wrapping it are the quarantine signal: the
+// with the index. Errors wrapping it are the quarantine signal: the
 // damage is in the bytes, not the device, so retrying the read cannot
 // help, but the rest of the archive is still good. Device-level read
 // errors (EIO) deliberately do NOT wrap it.
 var ErrCorrupt = errors.New("segment corrupt")
 
-// quarantineSuffix is appended to a corrupt segment's data file and
-// sidecar names. Open ignores the renamed files (wrong extension), so
-// the damage survives for offline forensics without ever being served
-// again.
+// quarantineSuffix is appended to a corrupt segment's file name. Open
+// ignores the renamed file (wrong extension), so the damage survives for
+// offline forensics without ever being served again.
 const quarantineSuffix = ".quarantine"
 
-// SegmentView is a point-in-time handle on one segment: the sidecar
+// SegmentView is a point-in-time handle on one segment: the index
 // bounds for planning (time-range, rank-floor, and Bloom data skipping)
 // plus a record iterator. Views are snapshots — records appended to the
 // buffer after Segments() returned are not visible through them, a
@@ -539,13 +449,11 @@ type SegmentView struct {
 	// falls inside [MinQuantum, MaxQuantum].
 	MinQuantum int
 	MaxQuantum int
-	// MaxPeakRank bounds PeakRank across the covered records; +Inf when
-	// unknown (never skip on unknown).
+	// MaxPeakRank bounds PeakRank across the covered records.
 	MaxPeakRank float64
 	// Sealed marks a segment on disk; false is the in-memory buffer.
 	Sealed bool
 
-	file  uint64
 	zones []blockZone // sealed: zone maps (immutable; shared)
 	recs  []Record    // buffer: the records themselves (append-only; shared)
 	bf    bloom
@@ -667,7 +575,7 @@ func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error)
 	if pred.To < 0 {
 		pred.To = maxInt
 	}
-	f, err := v.l.fs.Open(v.l.colPath(v.file))
+	f, err := v.l.fs.Open(v.l.colPath(v.FirstSeq))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) && depth < maxRescanDepth {
 			return v.rescanCompacted(pred, depth, fn)
@@ -681,23 +589,18 @@ func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error)
 	// view; a mismatch means the view's zone maps describe a replaced
 	// file, so fall back as if it had vanished.
 	var hdrBuf [colHeaderLen]byte
-	if _, err := f.ReadAt(hdrBuf[:], 0); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// The file is shorter than its own fixed header: structural
-			// damage, not a device error.
-			err = fmt.Errorf("short header: %w", ErrCorrupt)
-		}
-		return bs, false, fmt.Errorf("archive: segment %d: %w", v.file, err)
+	if err := readFull(f, hdrBuf[:], 0); err != nil {
+		return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
 	}
 	hdr, err := parseColHeader(hdrBuf[:])
 	if err != nil {
-		return bs, false, fmt.Errorf("archive: segment %d: %w: %w", v.file, err, ErrCorrupt)
+		return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
 	}
 	if hdr.firstSeq != v.FirstSeq || hdr.lastSeq != v.LastSeq || hdr.count != v.Count {
 		if depth < maxRescanDepth {
 			return v.rescanCompacted(pred, depth, fn)
 		}
-		return bs, false, fmt.Errorf("archive: segment %d: file replaced mid-scan", v.file)
+		return bs, false, fmt.Errorf("archive: segment %d: file replaced mid-scan", v.FirstSeq)
 	}
 
 	bs.Blocks = len(v.zones)
@@ -719,7 +622,7 @@ func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error)
 		bs.Scanned++
 		payload, err := readFrame(f, z, &sc.frame)
 		if err != nil {
-			return bs, false, fmt.Errorf("archive: segment %d: %w", v.file, err)
+			return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
 		}
 		n, derr := decodeBlock(payload, sc, func(rec *Record) error {
 			if (pred.minSeq > 0 && rec.Seq < pred.minSeq) || (pred.maxSeq > 0 && rec.Seq > pred.maxSeq) {
@@ -735,11 +638,11 @@ func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error)
 			if errors.Is(derr, errBlockCorrupt) {
 				derr = fmt.Errorf("%w: %w", derr, ErrCorrupt)
 			}
-			return bs, false, fmt.Errorf("archive: segment %d: block at %d: %w", v.file, z.Off, derr)
+			return bs, false, fmt.Errorf("archive: segment %d: block at %d: %w", v.FirstSeq, z.Off, derr)
 		}
 		if n != z.Count {
 			return bs, false, fmt.Errorf("archive: segment %d: block at %d has %d of %d records: %w",
-				v.file, z.Off, n, z.Count, ErrCorrupt)
+				v.FirstSeq, z.Off, n, z.Count, ErrCorrupt)
 		}
 	}
 	return bs, false, nil
@@ -769,7 +672,7 @@ func (v *SegmentView) rescanCompacted(pred Pred, depth int, fn func(*Record) err
 			return w.scanWithPred(pred, depth+1, fn)
 		}
 	}
-	return BlockStats{}, false, fmt.Errorf("archive: segment %d vanished with no covering replacement", v.file)
+	return BlockStats{}, false, fmt.Errorf("archive: segment %d vanished with no covering replacement", v.FirstSeq)
 }
 
 // Segments snapshots the archive's segments — sealed ones, then the
@@ -783,46 +686,41 @@ func (l *Log) Segments() []SegmentView {
 	defer l.mu.Unlock()
 	views := make([]SegmentView, 0, len(l.sealed)+1)
 	for i := range l.sealed {
-		m := &l.sealed[i]
-		if m.bf.empty() {
-			m.bf = decodeBloom(m.Bloom, m.BloomK) // immutable once sealed: safe to share
-		}
-		views = append(views, SegmentView{
-			FirstSeq:    m.FirstSeq,
-			LastSeq:     m.LastSeq,
-			Count:       m.Count,
-			MinQuantum:  m.MinQuantum,
-			MaxQuantum:  m.MaxQuantum,
-			MaxPeakRank: rankBound(m),
-			Sealed:      true,
-			file:        m.File,
-			zones:       m.Blocks,
-			bf:          m.bf,
-			l:           l,
-		})
+		views = append(views, l.sealed[i].view(l))
 	}
 	if n := len(l.buf); n > 0 {
-		views = append(views, SegmentView{
-			FirstSeq:    l.active.FirstSeq,
-			LastSeq:     l.active.LastSeq,
-			Count:       n,
-			MinQuantum:  l.active.MinQuantum,
-			MaxQuantum:  l.active.MaxQuantum,
-			MaxPeakRank: rankBound(&l.active),
-			recs:        l.buf[:n:n],
-			bf:          l.active.bf.clone(), // the live filter keeps mutating under appends
-			l:           l,
-		})
+		v := l.active.view(l)
+		v.Sealed = false
+		v.recs = l.buf[:n:n]
+		v.bf = l.active.bf.clone() // the live filter keeps mutating under appends
+		views = append(views, v)
 	}
 	return views
 }
 
-// Quarantine renames a corrupt sealed segment's data file and sidecar
-// aside (quarantineSuffix) and drops the segment from the sealed list,
-// so every later query serves the surviving history instead of
-// re-hitting the damage. The damaged bytes stay on disk for forensics.
-// Reports whether the view named a segment still in the sealed list
-// (false for buffer views, already-quarantined segments, or views of a
+// view is a sealed segment's SegmentView. Its zone maps and filters are
+// immutable once sealed, so views share them.
+func (m *segMeta) view(l *Log) SegmentView {
+	return SegmentView{
+		FirstSeq:    m.FirstSeq,
+		LastSeq:     m.LastSeq,
+		Count:       m.Count,
+		MinQuantum:  m.MinQuantum,
+		MaxQuantum:  m.MaxQuantum,
+		MaxPeakRank: m.MaxPeakRank,
+		Sealed:      true,
+		zones:       m.Blocks,
+		bf:          m.bf,
+		l:           l,
+	}
+}
+
+// Quarantine renames a corrupt sealed segment's file aside
+// (quarantineSuffix) and drops the segment from the sealed list, so
+// every later query serves the surviving history instead of re-hitting
+// the damage. The damaged bytes stay on disk for forensics. Reports
+// whether the view named a segment still in the sealed list (false for
+// buffer views, already-quarantined segments, or views of a
 // compacted-away file — in all of those there is nothing to remove).
 // Safe against a concurrent compaction: it takes the compactor's mutex,
 // so the splice never invalidates a compaction step mid-flight.
@@ -834,23 +732,17 @@ func (l *Log) Quarantine(v *SegmentView) bool {
 	defer l.compactMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := -1
-	for i := range l.sealed {
-		if l.sealed[i].File == v.file {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(l.sealed, func(m segMeta) bool {
+		return m.FirstSeq == v.FirstSeq && m.LastSeq == v.LastSeq
+	})
 	if idx < 0 {
 		return false
 	}
-	// Rename failures are tolerated: the segment leaves the sealed list
-	// either way, which is what stops the bleeding. A file that could
-	// not be renamed is swept as superseded-or-orphaned on next Open.
-	data, side := l.colPath(v.file), l.colMetaPath(v.file)
-	l.fs.Rename(data, data+quarantineSuffix) //nolint:errcheck // best effort
-	l.fs.Rename(side, side+quarantineSuffix) //nolint:errcheck // best effort
-	l.sealed = append(l.sealed[:idx], l.sealed[idx+1:]...)
+	// A rename failure is tolerated: the segment leaves the sealed list
+	// either way, which is what stops the bleeding.
+	path := l.colPath(v.FirstSeq)
+	l.fs.Rename(path, path+quarantineSuffix) //nolint:errcheck // best effort
+	l.sealed = slices.Delete(l.sealed, idx, idx+1)
 	l.quarantined++
 	return true
 }
@@ -863,24 +755,9 @@ func (l *Log) QuarantinedSegments() uint64 {
 	return l.quarantined
 }
 
-// rankBound maps a sidecar's MaxPeakRank to the view bound: 0 means
-// "written before rank bounds existed, or genuinely all-zero" — both
-// unskippable, so surface +Inf (never skip on unknown).
-func rankBound(m *segMeta) float64 {
-	if m.MaxPeakRank > 0 {
-		return m.MaxPeakRank
-	}
-	return math.Inf(1)
-}
-
 // segName is the file name of the segment file named by seq.
 func segName(seq uint64, ext string) string {
 	return fmt.Sprintf("%s%020d%s", segPrefix, seq, ext)
 }
 
-func (l *Log) segPath(seq uint64, ext string) string {
-	return filepath.Join(l.dir, segName(seq, ext))
-}
-
-func (l *Log) colPath(seq uint64) string     { return l.segPath(seq, colExt) }
-func (l *Log) colMetaPath(seq uint64) string { return l.segPath(seq, colMetaSuffix) }
+func (l *Log) colPath(seq uint64) string { return filepath.Join(l.dir, segName(seq, colExt)) }

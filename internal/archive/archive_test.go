@@ -33,7 +33,7 @@ type skipStats struct {
 // scanMatching is the tests' reader over the scan surface (Segments +
 // ScanPred): every record whose span intersects [from, to] (to < 0 =
 // unbounded) and, when kw is non-empty, carries it — in eviction order,
-// skipping segments on their sidecar bounds the way a planner would.
+// skipping segments on their index bounds the way a planner would.
 func scanMatching(t testing.TB, l *Log, from, to int, kw string) ([]Record, skipStats) {
 	t.Helper()
 	if to < 0 {
@@ -66,7 +66,7 @@ func scanMatching(t testing.TB, l *Log, from, to int, kw string) ([]Record, skip
 
 // TestAppendQueryRotation drives three time buckets through sealing and
 // checks range scans, keyword scans, and the skip statistics that prove
-// the sidecar metadata is doing its job.
+// the segment index is doing its job.
 func TestAppendQueryRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
@@ -136,7 +136,7 @@ func TestAppendQueryRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), colExt) && !strings.HasSuffix(e.Name(), colMetaSuffix) {
+		if !strings.HasSuffix(e.Name(), colExt) {
 			t.Fatalf("unexpected file %s in archive directory", e.Name())
 		}
 	}
@@ -252,6 +252,82 @@ func TestOpenRefusesLegacySegment(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesPreIndexSegments: a directory holding a segment of the
+// format before the index moved into the segment file — a .col.meta.json
+// sidecar, or a .col of format version 1 — is refused with an error
+// naming the file, and nothing in it is touched.
+func TestOpenRefusesPreIndexSegments(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		stage func(t *testing.T, dir string) string
+	}{
+		{"Sidecar", func(t *testing.T, dir string) string {
+			name := segName(1, colExt+".meta.json")
+			stageFile(t, dir, name, []byte(`{"file":1,"first_seq":1,"last_seq":2,"count":2}`))
+			return name
+		}},
+		{"Version1", func(t *testing.T, dir string) string {
+			name := segName(3, colExt)
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[4] = 1
+			stageFile(t, dir, name, raw)
+			return name
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedArchive(t, dir, 4, Options{SegmentEvents: 2})
+			name := c.stage(t, dir)
+			stageFile(t, dir, segName(5, colExt)+".tmp", []byte("torn"))
+			pre := snapshotDir(t, dir)
+			l, err := Open(dir, Options{})
+			if err == nil {
+				l.Close()
+				t.Fatal("Open accepted a directory holding a pre-index segment")
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+				t.Fatalf("error does not name the file: %v", err)
+			}
+			if post := snapshotDir(t, dir); !reflect.DeepEqual(post, pre) {
+				t.Fatalf("refused Open changed the directory: %d files before, %d after", len(pre), len(post))
+			}
+		})
+	}
+}
+
+// TestDamagedIndexQuarantinedAtOpen: a segment whose index no longer
+// checks out is set aside when the archive opens, as a scan sets aside a
+// segment with a damaged block, and the rest of the history is served.
+func TestDamagedIndexQuarantinedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	seedArchive(t, dir, 6, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}
+	path := filepath.Join(dir, segName(3, colExt))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-trailerLen-1] ^= 0xff // the index payload's last byte
+	stageFile(t, dir, segName(3, colExt), raw)
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.QuarantinedSegments(); got != 1 {
+		t.Fatalf("QuarantinedSegments = %d, want 1", got)
+	}
+	if _, err := os.Stat(path + quarantineSuffix); err != nil {
+		t.Fatalf("quarantined file: %v", err)
+	}
+	recs, _ := scanMatching(t, l, 0, -1, "")
+	if len(recs) != 4 || recs[0].Seq != 1 || recs[2].Seq != 5 {
+		t.Fatalf("records after quarantine = %+v, want seqs 1, 2, 5, 6", recs)
+	}
+}
+
 // TestCorruptSealedSegmentQuarantined flips a byte inside a sealed
 // segment's block: the frame CRC catches it, the scan reports
 // ErrCorrupt, and quarantining the view renames the segment aside and
@@ -273,7 +349,8 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-1] ^= 0xff
+	// Flip a byte inside the first block's payload.
+	raw[colHeaderLen+frameHdrLen] ^= 0xff
 	if err := os.WriteFile(seg, raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
 		t.Fatal(err)
 	}
@@ -315,7 +392,7 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 // TestBloomNoFalseNegatives is the Bloom correctness property the
 // skipping depends on: an added keyword is always reported present.
 func TestBloomNoFalseNegatives(t *testing.T) {
-	bf := newBloom()
+	bf := newBloom(8 * segBloomBytes)
 	for i := 0; i < 1000; i++ {
 		bf.add(fmt.Sprintf("keyword-%d", i))
 	}

@@ -109,7 +109,7 @@ func BenchmarkArchiveScan(b *testing.B) {
 }
 
 // BenchmarkArchiveFootprint reports the on-disk size of 4096 events as
-// a compacted columnar body (data + sidecars, bytes). The work loop is
+// a compacted columnar body (segment files, bytes). The work loop is
 // trivial — the metric is the result.
 func BenchmarkArchiveFootprint(b *testing.B) {
 	size := func(l *Log) float64 {

@@ -66,34 +66,30 @@ const (
 // for present-but-empty keyword sets (marshals as [], not null).
 var emptyStrings = make([]string, 0)
 
-// blockZone is one block's zone map, stored in the v2 sidecar: the
-// frame location plus the per-column bounds that let a scan prove the
-// block cannot match a predicate without reading it.
+// blockZone is one block's zone map, stored in the segment's index
+// (segment2.go): the frame location plus the per-column bounds that let
+// a scan prove the block cannot match a predicate without reading it.
 type blockZone struct {
-	Off   int64 `json:"off"`   // frame start offset in the data file
-	Len   int   `json:"len"`   // framed length: 8-byte frame header + payload
-	Count int   `json:"count"` // records in the block
+	Off   int64 // frame start offset in the segment file
+	Len   int   // framed length: 8-byte frame header + payload
+	Count int   // records in the block
 
-	FirstSeq   uint64  `json:"first_seq"`
-	LastSeq    uint64  `json:"last_seq"`
-	MinQuantum int     `json:"min_quantum"` // min BornQuantum
-	MaxQuantum int     `json:"max_quantum"` // max LastQuantum
-	MinRank    float64 `json:"min_rank"`    // over PeakRank (the rank-floor column)
-	MaxRank    float64 `json:"max_rank"`
-	MaxSupport int     `json:"max_support"` // max user count
-	// Bloom is a small keyword filter over the block's dictionary,
-	// sized from the block's distinct-string count.
-	Bloom string `json:"bloom,omitempty"`
+	FirstSeq   uint64
+	LastSeq    uint64
+	MinQuantum int     // min BornQuantum
+	MaxQuantum int     // max LastQuantum
+	MaxRank    float64 // max PeakRank (the rank-floor column)
 
-	bf bloom // decoded lazily from Bloom
+	// bf is a small keyword filter over the block's dictionary, sized
+	// from the block's distinct-string count.
+	bf bloom
 }
 
 func (z *blockZone) observe(rec *Record) {
 	if z.Count == 0 {
 		z.FirstSeq = rec.Seq
 		z.MinQuantum, z.MaxQuantum = rec.BornQuantum, rec.LastQuantum
-		z.MinRank, z.MaxRank = rec.PeakRank, rec.PeakRank
-		z.MaxSupport = rec.Support
+		z.MaxRank = rec.PeakRank
 	}
 	z.LastSeq = rec.Seq
 	z.Count++
@@ -103,14 +99,8 @@ func (z *blockZone) observe(rec *Record) {
 	if rec.LastQuantum > z.MaxQuantum {
 		z.MaxQuantum = rec.LastQuantum
 	}
-	if rec.PeakRank < z.MinRank {
-		z.MinRank = rec.PeakRank
-	}
 	if rec.PeakRank > z.MaxRank {
 		z.MaxRank = rec.PeakRank
-	}
-	if rec.Support > z.MaxSupport {
-		z.MaxSupport = rec.Support
 	}
 }
 
@@ -149,8 +139,8 @@ func (e *blockEncoder) intern(s string) uint64 {
 
 // encode serializes recs (ascending Seq, non-empty) into one block
 // payload, returning the payload (valid until the next encode) and its
-// zone map (Off/Len/Bloom left for the segment writer to fill —
-// encode sets the bounds and the filter).
+// zone map (Off/Len left for the segment writer to fill — encode sets
+// the bounds and the filter).
 func (e *blockEncoder) encode(recs []Record) ([]byte, blockZone, error) {
 	if len(recs) == 0 || len(recs) > maxBlockRecords {
 		return nil, blockZone{}, fmt.Errorf("archive: encode block: bad record count %d", len(recs))
@@ -261,17 +251,15 @@ func (e *blockEncoder) encode(recs []Record) ([]byte, blockZone, error) {
 
 	// The zone's keyword filter, sized from this block's distinct-string
 	// count (duplicate adds are harmless).
-	bf := newBloomSized(blockBloomParams(len(e.keys)))
+	zone.bf = newBloom(blockBloomBits(len(e.keys)))
 	for i := range recs {
 		for _, k := range recs[i].Keywords {
-			bf.add(k)
+			zone.bf.add(k)
 		}
 		for _, k := range recs[i].AllKeywords {
-			bf.add(k)
+			zone.bf.add(k)
 		}
 	}
-	zone.Bloom = bf.encode()
-	zone.bf = bf
 	return b, zone, nil
 }
 

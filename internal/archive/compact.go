@@ -2,6 +2,7 @@ package archive
 
 import (
 	"fmt"
+	"math"
 )
 
 // The background compactor: merges runs of small adjacent sealed
@@ -13,19 +14,16 @@ import (
 // Commit protocol (crash-safe at every step, verified by the
 // Compaction crash tests):
 //
-//  1. write the merged data file at ev-<run[0].File>.col via
-//     tmp+fsync+rename — the commit point. From here Open's
-//     supersession pass treats the inputs as dead.
-//  2. splice the in-memory sealed list, under the same lock hold as
-//     the rename.
-//  3. write its sidecar (tmp+rename; rebuilt from the data file by the
-//     next Open if a crash lands between 1 and 3 or the write fails —
-//     a failed write is reported only after step 4, since the merge is
-//     committed either way).
-//  4. delete the input data files and sidecars (redone by Open's
-//     supersession pass and orphan-sidecar sweep if a crash lands
-//     mid-deletion). In-flight scans holding views of the deleted
-//     inputs fall back to the merged segment, filtered to their
+//  1. write the merged segment, index included, to a temp file and
+//     fsync it;
+//  2. rename it over the first input's file, ev-<run[0].FirstSeq>.col —
+//     the commit point; from here Open's supersession pass treats the
+//     other inputs as dead — and splice the in-memory sealed list under
+//     the same lock hold;
+//  3. fsync the directory, so the rename survives power loss, then
+//     delete the other inputs (redone by Open's supersession pass if a
+//     crash lands mid-deletion). In-flight scans holding views of the
+//     deleted inputs fall back to the merged segment, filtered to their
 //     original ordinal range (SegmentView.rescanCompacted).
 
 // CompactStats sums what compaction steps accomplished.
@@ -45,10 +43,11 @@ type CompactStats struct {
 // CompactOnce performs at most one compaction step — one merge of an
 // adjacent run of small sealed segments — and reports whether it
 // committed one. The step reads and writes outside the archive lock;
-// only the final metadata splice holds it, so ingest and queries
+// only the rename and the metadata splice hold it, so ingest and queries
 // proceed throughout. Steps are serialized against each other. An error
-// next to worked=true is the merged segment's sidecar write failing:
-// the merge stands, its inputs are deleted and it is counted.
+// next to worked=true is the directory fsync failing after the commit:
+// the merged segment is served, and its inputs stay on disk until the
+// next Open deletes them as superseded.
 func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -64,30 +63,22 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	}
 	run := sealed[lo:hi]
 
-	// Read every input record, in ordinal order (inputs are adjacent and
-	// ordinal-disjoint, so concatenation in list order is sorted).
+	// Read every input record through the block reader queries use, in
+	// ordinal order (inputs are adjacent and ordinal-disjoint, so
+	// concatenation in list order is sorted).
 	var recs []Record
 	var bytesIn int64
+	all := Pred{From: math.MinInt, To: math.MaxInt}
 	for i := range run {
-		m := &run[i]
-		path := l.colPath(m.File)
-		if st, err := l.fs.Stat(path); err == nil {
+		if st, err := l.fs.Stat(l.colPath(run[i].FirstSeq)); err == nil {
 			bytesIn += st.Size()
 		}
-		if st, err := l.fs.Stat(l.colMetaPath(m.File)); err == nil {
-			bytesIn += st.Size()
-		}
-		before := len(recs)
-		_, err := scanColFile(l.fs, path, func(rec *Record) error {
+		v := run[i].view(l)
+		if _, _, err := v.ScanPred(all, func(rec *Record) error {
 			recs = append(recs, *rec)
 			return nil
-		}, nil)
-		if err != nil {
-			return CompactStats{}, false, fmt.Errorf("archive: compact: read segment %d: %w", m.File, err)
-		}
-		if len(recs)-before != m.Count {
-			return CompactStats{}, false, fmt.Errorf("archive: compact: segment %d has %d of %d records",
-				m.File, len(recs)-before, m.Count)
+		}); err != nil {
+			return CompactStats{}, false, fmt.Errorf("archive: compact: %w", err)
 		}
 	}
 	for i := 1; i < len(recs); i++ {
@@ -96,19 +87,18 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 		}
 	}
 
-	// Commit. The rename is the commit point, and it lands on the first
-	// input's path: it and the sealed-list splice share one lock hold, so
-	// a scan that finds the merged bytes behind a stale view also finds
-	// the merged segment in the list to fall back to. Only the compactor
-	// rewrites the list and we hold compactMu, so the run is still where
-	// we found it; seals only append behind it.
-	newPath := l.colPath(run[0].File)
+	// Commit. The rename lands on the first input's path, and it and the
+	// sealed-list splice share one lock hold, so a scan that finds the
+	// merged bytes behind a stale view also finds the merged segment in
+	// the list to fall back to. Only the compactor rewrites the list and
+	// we hold compactMu, so the run is still where we found it; seals
+	// only append behind it.
+	newPath := l.colPath(run[0].FirstSeq)
 	tmp := newPath + ".tmp"
-	m, err := writeSegmentTmp(l.fs, tmp, recs, l.opt.BlockEvents)
+	m, err := writeSegment(l.fs, tmp, recs, l.opt.BlockEvents)
 	if err != nil {
 		return CompactStats{}, false, err
 	}
-	m.File = run[0].File
 	l.mu.Lock()
 	if err := l.fs.Rename(tmp, newPath); err != nil {
 		l.mu.Unlock()
@@ -120,23 +110,17 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	spliced = append(spliced, l.sealed[hi:]...)
 	l.sealed = spliced
 	l.mu.Unlock()
-	// A sidecar lost here is rebuilt by the next Open and the segment is
-	// served from m either way, so the failure must not keep the inputs
-	// alive: a full disk is the likely cause and deleting them is what
-	// frees space.
-	metaErr := l.writeMeta(&m)
+	// Deleting an input before the rename is durable would let a power
+	// cut lose its records.
+	if err := l.syncDir(); err != nil {
+		return CompactStats{}, true, err
+	}
 	var bytesOut int64
 	if st, err := l.fs.Stat(newPath); err == nil {
-		bytesOut += st.Size()
+		bytesOut = st.Size()
 	}
-	if st, err := l.fs.Stat(l.colMetaPath(m.File)); err == nil {
-		bytesOut += st.Size()
-	}
-
-	// Cleanup: inputs are dead. The first one's files were just renamed
-	// over by the merged segment, which keeps its name.
 	for _, in := range run[1:] {
-		l.removeSegmentFiles(in.File)
+		l.fs.Remove(l.colPath(in.FirstSeq)) //nolint:errcheck // best effort; Open redoes it
 	}
 	st := CompactStats{Compactions: 1, SegmentsIn: len(run), Records: len(recs)}
 	if bytesIn > bytesOut {
@@ -145,10 +129,9 @@ func (l *Log) CompactOnce() (CompactStats, bool, error) {
 	l.mu.Lock()
 	l.compactions++
 	l.segsCompacted += uint64(len(run))
-	l.recordsCompacted += uint64(len(recs))
 	l.bytesReclaimed += st.BytesReclaimed
 	l.mu.Unlock()
-	return st, true, metaErr
+	return st, true, nil
 }
 
 // CompactAll runs compaction steps until none applies. Seal the buffer
@@ -205,12 +188,12 @@ func pickCompactRun(sealed []segMeta, opt Options) (int, int) {
 }
 
 // CompactTotals reports the compactor's lifetime counters for this Log:
-// committed compactions, input segments consumed, records rewritten,
-// and bytes reclaimed (data + sidecar files, input minus output).
-func (l *Log) CompactTotals() (compactions, segmentsIn, records, bytesReclaimed uint64) {
+// committed compactions, input segments consumed, and bytes reclaimed
+// (input minus output files).
+func (l *Log) CompactTotals() (compactions, segmentsIn, bytesReclaimed uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.compactions, l.segsCompacted, l.recordsCompacted, l.bytesReclaimed
+	return l.compactions, l.segsCompacted, l.bytesReclaimed
 }
 
 // ColumnarSegmentCount returns how many columnar segments are sealed

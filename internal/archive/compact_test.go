@@ -151,9 +151,9 @@ func TestCompactionMergesSmallSegments(t *testing.T) {
 	if got := queryJSON(t, l, 0, -1, "kw-3"); got != beforeKw {
 		t.Fatalf("keyword scan changed:\n before %s\n after  %s", beforeKw, got)
 	}
-	c, segs, recs, bytes := l.CompactTotals()
-	if c != 1 || segs != 5 || recs != 9 || bytes == 0 {
-		t.Fatalf("totals = %d/%d/%d/%d", c, segs, recs, bytes)
+	c, segs, bytes := l.CompactTotals()
+	if c != 1 || segs != 5 || bytes == 0 {
+		t.Fatalf("totals = %d/%d/%d", c, segs, bytes)
 	}
 	// A lone segment is never re-picked: compaction converges.
 	if _, worked, err := l.CompactOnce(); err != nil || worked {
@@ -165,12 +165,12 @@ func TestCompactionMergesSmallSegments(t *testing.T) {
 	}
 }
 
-// TestCompactionSidecarFailureStillFreesInputs: the merged segment's
-// sidecar write fails (a full disk) after the commit rename. The merge
-// stands, so the step must still delete its inputs — the only thing that
-// frees space — and count itself, then report the error; a reopen
-// rebuilds the sidecar and serves every record once.
-func TestCompactionSidecarFailureStillFreesInputs(t *testing.T) {
+// TestCompactionDirSyncFailureKeepsInputs: the directory fsync after a
+// merge's commit rename fails. Until that rename is durable a power cut
+// could undo it, so the step must report the error and leave every input
+// on disk; the merged segment is served meanwhile, and a reopen deletes
+// the inputs it supersedes.
+func TestCompactionDirSyncFailureKeepsInputs(t *testing.T) {
 	dir := t.TempDir()
 	seedArchive(t, dir, 9, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}{7,8}{9}
 	ffs := vfs.NewFaultFS(nil)
@@ -180,29 +180,21 @@ func TestCompactionSidecarFailureStillFreesInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := queryJSON(t, l, 0, -1, "")
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: colMetaSuffix + ".tmp", Err: syscall.ENOSPC})
+	// The first sync under dir is the merged file's own; the second is the
+	// directory's.
+	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: dir, After: 1, Count: 1})
 
-	st, worked, err := l.CompactOnce()
-	if !errors.Is(err, syscall.ENOSPC) || !worked {
-		t.Fatalf("CompactOnce: worked=%v err=%v, want a committed merge and ENOSPC", worked, err)
-	}
-	if st.Compactions != 1 || st.SegmentsIn != 5 || st.Records != 9 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if c, segs, recs, _ := l.CompactTotals(); c != 1 || segs != 5 || recs != 9 {
-		t.Fatalf("totals = %d/%d/%d, want 1/5/9", c, segs, recs)
+	if _, worked, err := l.CompactOnce(); !errors.Is(err, syscall.EIO) || !worked {
+		t.Fatalf("CompactOnce: worked=%v err=%v, want a committed merge and EIO", worked, err)
 	}
 	for _, file := range []uint64{3, 5, 7, 9} {
-		for _, path := range []string{l.colPath(file), l.colMetaPath(file)} {
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("input file %s survived the merge", filepath.Base(path))
-			}
+		if _, err := os.Stat(l.colPath(file)); err != nil {
+			t.Fatalf("input deleted before the directory sync: %v", err)
 		}
 	}
 	if got := queryJSON(t, l, 0, -1, ""); got != want {
 		t.Fatalf("scan changed after the merge:\n want %s\n have %s", want, got)
 	}
-	ffs.Clear()
 	if l, err = Open(dir, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +204,45 @@ func TestCompactionSidecarFailureStillFreesInputs(t *testing.T) {
 	}
 	if got := queryJSON(t, l, 0, -1, ""); got != want {
 		t.Fatalf("scan changed after reopen:\n want %s\n have %s", want, got)
+	}
+}
+
+// TestSealDirSyncFailureKeepsBuffer: the directory fsync after a seal's
+// commit rename fails. The seal must return the error — the serving layer
+// then skips the WAL snapshot it guards — and keep the records buffered;
+// the next seal commits them.
+func TestSealDirSyncFailureKeepsBuffer(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	l, err := Open(dir, Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if err := l.Append(rec(i, int(i), int(i)+1, "kw")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: dir, After: 1, Count: 1}) // the file's sync, then the directory's
+	if err := l.Seal(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Seal = %v, want EIO from the directory sync", err)
+	}
+	if views := l.Segments(); len(views) != 1 || views[0].Sealed || views[0].Count != 3 {
+		t.Fatalf("views after the failed seal = %+v, want the 3 records still buffered", views)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if views := l.Segments(); len(views) != 1 || !views[0].Sealed || views[0].Count != 3 {
+		t.Fatalf("views after the retried seal = %+v, want one sealed segment of 3", views)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 3 {
+		t.Fatalf("records after reopen = %d, want 3", len(recs))
 	}
 }
 
@@ -282,7 +313,6 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}
 	post := snapshotDir(t, dir)
 	colName := filepath.Base(l.colPath(1))
-	sideName := filepath.Base(l.colMetaPath(1))
 	if _, ok := post[colName]; !ok {
 		t.Fatalf("no merged col file in %v", post)
 	}
@@ -293,34 +323,18 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}{
 		{"BeforeRename", func() { // crash mid-write: only a tmp exists
 			restoreDir(t, dir, pre)
-			if err := os.WriteFile(filepath.Join(dir, colName+".tmp"), []byte("torn"), 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-				t.Fatal(err)
-			}
+			stageFile(t, dir, colName+".tmp", []byte("torn"))
 		}},
-		{"AfterRenameBeforeSidecar", func() { // col committed under the first input's stale sidecar, inputs alive
+		{"AfterRename", func() { // merged file committed over the first input, the other inputs alive
 			restoreDir(t, dir, pre)
-			if err := os.WriteFile(filepath.Join(dir, colName), post[colName], 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-				t.Fatal(err)
-			}
+			stageFile(t, dir, colName, post[colName])
 		}},
-		{"AfterSidecarBeforeDeletes", func() { // everything written, inputs alive
+		{"MidDeletes", func() { // some inputs deleted, the rest alive
 			restoreDir(t, dir, pre)
-			for _, name := range []string{colName, sideName} {
-				if err := os.WriteFile(filepath.Join(dir, name), post[name], 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+			stageFile(t, dir, colName, post[colName])
+			for _, seq := range []uint64{3, 7} {
+				if err := os.Remove(l.colPath(seq)); err != nil { //repro:vfs-exempt staging the directory under test
 					t.Fatal(err)
-				}
-			}
-		}},
-		{"MidDeletes", func() { // data files of inputs gone, their sidecars orphaned
-			restoreDir(t, dir, post)
-			for name, raw := range pre {
-				if strings.HasSuffix(name, colMetaSuffix) {
-					if name == sideName {
-						continue
-					}
-					if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-						t.Fatal(err)
-					}
 				}
 			}
 		}},
@@ -343,7 +357,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				t.Fatalf("recovered keyword query differs")
 			}
 			// Recovery converged the directory: no tmp files, no superseded
-			// inputs, no orphan sidecars.
+			// inputs.
 			entries, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -360,74 +374,51 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashStaleSidecarReopen stages the nastiest window: a
-// re-compaction renamed a NEW data file over an existing .col path and
-// died before rewriting the sidecar, leaving zone maps that describe
-// the old bytes. Open must detect the header mismatch and rebuild.
-func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
+// TestSealCrashWindows stages what a kill -9 leaves at each step of a
+// seal and verifies Open converges: with only the temp file written the
+// records are gone (the serving layer's WAL tail re-evicts them) and the
+// temp file is swept; after the rename the segment is whole.
+func TestSealCrashWindows(t *testing.T) {
 	dir := t.TempDir()
-	var oldRecs, allRecs []Record
-	for i := 1; i <= 6; i++ {
-		r := rec(uint64(i), i, i+2, "kw")
-		allRecs = append(allRecs, r)
-		if i <= 4 {
-			oldRecs = append(oldRecs, r)
-		}
-	}
+	seedArchive(t, dir, 4, Options{SegmentEvents: 2}) // {1,2}{3,4}
+	pre := snapshotDir(t, dir)
 	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Old merged segment: records 1..4, sidecar in agreement.
-	m, err := writeSegmentV2(l.fs, l.colPath(1), oldRecs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.File = 1
-	if err := l.writeMeta(&m); err != nil {
-		t.Fatal(err)
+	for i := uint64(5); i <= 6; i++ {
+		if err := l.Append(rec(i, int(i), int(i)+1, "kw")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	staleSidecar, err := os.ReadFile(l.colMetaPath(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-merge commits records 1..6 over the same path...
-	if _, err := writeSegmentV2(l.fs, l.colPath(1), allRecs, 2); err != nil {
-		t.Fatal(err)
-	}
-	// ...and the crash leaves the 4-record sidecar in place.
-	if err := os.WriteFile(l.colMetaPath(1), staleSidecar, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-		t.Fatal(err)
-	}
-
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	recs, _ := scanMatching(t, l2, 0, -1, "")
-	if len(recs) != 6 {
-		t.Fatalf("recovered %d records, want 6 (stale sidecar trusted?)", len(recs))
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("order broken: %+v", recs)
-		}
-	}
-	// The rebuilt sidecar now agrees with the data file.
-	raw, err := os.ReadFile(l2.colMetaPath(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebuilt segMeta
-	if err := json.Unmarshal(raw, &rebuilt); err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Count != 6 || rebuilt.LastSeq != 6 {
-		t.Fatalf("sidecar not rebuilt: %+v", rebuilt)
+	name := segName(5, colExt)
+	sealed := snapshotDir(t, dir)[name]
+	for _, w := range []struct {
+		name   string
+		file   string
+		events int
+	}{
+		{"TmpWritten", name + ".tmp", 4},
+		{"AfterRename", name, 6},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			restoreDir(t, dir, pre)
+			stageFile(t, dir, w.file, sealed)
+			l, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if n := l.EventCount(); n != w.events || l.LastSeq() != uint64(w.events) {
+				t.Fatalf("events = %d, last seq %d; want %d", n, l.LastSeq(), w.events)
+			}
+			if _, err := os.Stat(filepath.Join(dir, name+".tmp")); !os.IsNotExist(err) {
+				t.Fatalf("tmp file survived recovery: %v", err)
+			}
+		})
 	}
 }
 
@@ -520,8 +511,9 @@ func TestCompactionConcurrentScans(t *testing.T) {
 }
 
 // TestCompactionFootprint pins what compaction buys on disk: the same
-// event set is ≥ 4× smaller as one compacted segment than as the small
-// segments (data + sidecars) frequent seals leave behind.
+// event set is ≥ 3× smaller as one compacted segment than as the small
+// segments frequent seals leave behind (each of which carries a 1 KiB
+// segment Bloom filter in its index).
 func TestCompactionFootprint(t *testing.T) {
 	dir := t.TempDir()
 	n := 4096
@@ -540,8 +532,8 @@ func TestCompactionFootprint(t *testing.T) {
 	if l.EventCount() != n {
 		t.Fatalf("events = %d, want %d", l.EventCount(), n)
 	}
-	if mergedBytes*4 > smallBytes {
-		t.Fatalf("footprint: small %d B → merged %d B (%.1f×), want ≥ 4×",
+	if mergedBytes*3 > smallBytes {
+		t.Fatalf("footprint: small %d B → merged %d B (%.1f×), want ≥ 3×",
 			smallBytes, mergedBytes, float64(smallBytes)/float64(mergedBytes))
 	}
 }

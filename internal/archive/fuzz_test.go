@@ -1,7 +1,14 @@
 package archive
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // FuzzBlockDecode drives decodeBlock with arbitrary bytes: corrupt or
@@ -56,4 +63,75 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatalf("decode emitted %d records from a %d-byte payload", n, len(payload))
 		}
 	})
+}
+
+// FuzzSegmentIndex drives readIndex with arbitrary segment-file bytes.
+// With fix set, the frame the trailer points at first gets a correct
+// length and CRC, so mutations reach the index decoder instead of
+// stopping at the checksum. Nothing may panic, and any index the decoder
+// accepts must describe zones that ascend without overlap inside the
+// file and together hold exactly the header's record count.
+func FuzzSegmentIndex(f *testing.F) {
+	dir := f.TempDir()
+	for i, recs := range [][]Record{
+		{rec(1, 0, 5, "alpha", "beta"), rec(2, 3, 9, "alpha"), rec(7, -2, 100)},
+		variedRecords(),
+	} {
+		path := filepath.Join(dir, segName(uint64(i), colExt))
+		if _, err := writeSegment(vfs.OS, path, recs, 2); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, false)
+		f.Add(raw[:len(raw)-1], true) // truncation
+		mut := bytes.Clone(raw)
+		mut[len(mut)-trailerLen-3] ^= 0x10 // inside the index payload
+		f.Add(mut, false)
+		f.Add(mut, true)
+	}
+	f.Add([]byte{}, true)
+
+	f.Fuzz(func(t *testing.T, file []byte, fix bool) {
+		file = bytes.Clone(file)
+		if fix {
+			fixIndexFrame(file)
+		}
+		m, err := readIndex(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			return // rejected cleanly
+		}
+		end, count := int64(colHeaderLen), 0
+		for i, z := range m.Blocks {
+			if z.Off < end || z.Len <= frameHdrLen || z.Off+int64(z.Len) > int64(len(file)) {
+				t.Fatalf("zone %d [%d, +%d) overlaps or leaves the %d-byte file", i, z.Off, z.Len, len(file))
+			}
+			if z.LastSeq < z.FirstSeq || (i > 0 && z.FirstSeq <= m.Blocks[i-1].LastSeq) {
+				t.Fatalf("zone %d seqs [%d, %d] do not ascend", i, z.FirstSeq, z.LastSeq)
+			}
+			end = z.Off + int64(z.Len)
+			count += z.Count
+		}
+		if hdr := int(binary.LittleEndian.Uint32(file[21:])); count != m.Count || count != hdr {
+			t.Fatalf("zones count %d records, index %d, header %d", count, m.Count, hdr)
+		}
+	})
+}
+
+// fixIndexFrame rewrites the length and CRC of the frame the trailer
+// points at to match its bytes, when the trailer points inside the file.
+func fixIndexFrame(file []byte) {
+	if len(file) < colHeaderLen+frameHdrLen+trailerLen {
+		return
+	}
+	end := uint64(len(file) - trailerLen)
+	off := binary.LittleEndian.Uint64(file[end:])
+	if off < colHeaderLen || off > end-frameHdrLen {
+		return
+	}
+	payload := file[off+frameHdrLen : end]
+	binary.LittleEndian.PutUint32(file[off:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(file[off+4:], crc32.Checksum(payload, castagnoli))
 }

@@ -57,8 +57,8 @@ func TestSegmentViewPointInTime(t *testing.T) {
 }
 
 // TestSealedSegmentOverCountIsCorruption: a sealed data file holding
-// MORE records than its sidecar states is corruption and must surface
-// as an error, not be silently capped at the sidecar count.
+// MORE records than its index states is corruption and must surface
+// as an error, not be silently capped at the indexed count.
 func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
@@ -77,8 +77,8 @@ func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 		t.Fatalf("want one sealed segment, got %+v", views)
 	}
 	// Corrupt: replace the data file with one whose block holds a third
-	// record, under a header still claiming the sidecar's two.
-	if _, err := writeSegmentV2(l.fs, l.colPath(1), recs, 4); err != nil {
+	// record, under a header still claiming the view's two.
+	if _, err := writeSegment(l.fs, l.colPath(1), recs, 4); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(l.colPath(1))

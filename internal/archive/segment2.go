@@ -6,33 +6,40 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/vfs"
 )
 
-// A columnar segment file (ev-<seq>.col) is:
+// A columnar segment file (ev-<first seq>.col) is:
 //
-//	header: "EVC2" magic, version byte, first/last seq (u64), record
-//	        count (u32), min/max quantum (i64) — 41 bytes, little-endian,
-//	        enough to resolve segment supersession at Open without the
-//	        sidecar
-//	body:   CRC-framed blocks: u32 payload length, u32 CRC-32C of the
-//	        payload, payload (see block.go)
+//	header:  "EVC2" magic, format version byte, first/last seq (u64),
+//	         record count (u32), min/max quantum (i64) — 41 bytes,
+//	         little-endian
+//	blocks:  CRC-framed: u32 payload length, u32 CRC-32C of the payload,
+//	         payload (see block.go)
+//	index:   one more frame of the same shape, whose payload is the
+//	         segment's keyword Bloom filter (segBloomBytes) followed by
+//	         one zone map per block, in file order: uvarint framed length,
+//	         uvarint record count, uvarint first seq, uvarint last−first
+//	         seq, zigzag min quantum, uvarint max−min quantum, 8-byte max
+//	         peak rank, uvarint Bloom byte count and the block's Bloom bits
+//	trailer: u64 offset of the index frame
 //
-// The zone maps live in the ev-<seq>.col.meta.json sidecar (a segMeta
-// with a Blocks list); a missing or stale sidecar is rebuilt by
-// decoding every block. Files are written tmp+fsync+rename, so a
-// partial .col never becomes visible — a torn write is a swept *.tmp,
-// and any CRC or count mismatch inside a visible file is corruption,
-// reported rather than silently truncated.
+// Block offsets are not stored: the blocks tile the file from the end of
+// the header to the index frame. The whole file is written under a temp
+// name, fsynced and renamed into place, so one rename commits the
+// records and the index that describes them; a torn write is a swept
+// *.tmp, and any CRC or count mismatch inside a visible file is
+// corruption, reported rather than silently truncated.
 const (
-	colExt        = ".col"
-	colMetaSuffix = ".col.meta.json"
-	colMagic      = "EVC2"
-	colVersion    = 1
-	colHeaderLen  = 4 + 1 + 8 + 8 + 4 + 8 + 8
-	frameHdrLen   = 8
+	colExt       = ".col"
+	colMagic     = "EVC2"
+	colVersion   = 2
+	colHeaderLen = 4 + 1 + 8 + 8 + 4 + 8 + 8
+	frameHdrLen  = 8
+	trailerLen   = 8
 	// maxBlockFrame bounds how large a framed block the reader will
 	// buffer (far above anything the writer produces).
 	maxBlockFrame = 64 << 20
@@ -57,13 +64,17 @@ func appendColHeader(b []byte, h colHeader) []byte {
 	return b
 }
 
+// parseColHeader decodes a segment header. A file that is not a segment
+// at all is an error wrapping ErrCorrupt; a segment of another format
+// version is not damage, and its error does not wrap it.
 func parseColHeader(b []byte) (colHeader, error) {
 	var h colHeader
 	if len(b) < colHeaderLen || string(b[:4]) != colMagic {
-		return h, fmt.Errorf("archive: not a v2 segment")
+		return h, fmt.Errorf("not a columnar segment: %w", ErrCorrupt)
 	}
 	if b[4] != colVersion {
-		return h, fmt.Errorf("archive: v2 segment version %d not supported", b[4])
+		return h, fmt.Errorf("segment format version %d, this build reads only %d "+
+			"(docs/PERSISTENCE.md: pre-index directories)", b[4], colVersion)
 	}
 	h.firstSeq = binary.LittleEndian.Uint64(b[5:])
 	h.lastSeq = binary.LittleEndian.Uint64(b[13:])
@@ -73,29 +84,20 @@ func parseColHeader(b []byte) (colHeader, error) {
 	return h, nil
 }
 
-// writeSegmentV2 writes recs (non-empty, ascending Seq) as a columnar
-// segment at path via temp-file + fsync + rename, and returns its
-// complete metadata (zone maps, segment-level Bloom). The
-// returned meta's File field is left for the caller.
-func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int) (segMeta, error) {
-	tmp := path + ".tmp"
-	m, err := writeSegmentTmp(fsys, tmp, recs, blockEvents)
-	if err != nil {
-		return segMeta{}, err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp) //nolint:errcheck // best effort
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
-	}
-	return m, nil
+// appendFrame appends payload to b as one CRC frame.
+func appendFrame(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
 }
 
-// writeSegmentTmp is writeSegmentV2 up to, not including, the commit
-// rename: tmp holds the complete, fsynced segment, or is removed on
-// error.
-func writeSegmentTmp(fsys vfs.FS, tmp string, recs []Record, blockEvents int) (segMeta, error) {
+// writeSegment writes recs (non-empty, ascending Seq) as a complete,
+// fsynced segment file at path — callers pass a temp name and rename it
+// into place — and returns the segment's metadata. On error the file is
+// removed.
+func writeSegment(fsys vfs.FS, path string, recs []Record, blockEvents int) (segMeta, error) {
 	if len(recs) == 0 {
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: no records")
+		return segMeta{}, fmt.Errorf("archive: write segment: no records")
 	}
 	if blockEvents <= 0 {
 		blockEvents = defaultBlockEvents
@@ -104,158 +106,206 @@ func writeSegmentTmp(fsys vfs.FS, tmp string, recs []Record, blockEvents int) (s
 	for i := range recs {
 		m.observe(&recs[i])
 	}
-
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
-	}
-	defer func() {
-		if f != nil {
-			f.Close()        //nolint:errcheck // already failing
-			fsys.Remove(tmp) //nolint:errcheck // best effort
-		}
-	}()
-	hdr := appendColHeader(nil, colHeader{
+	b := appendColHeader(nil, colHeader{
 		firstSeq: m.FirstSeq, lastSeq: m.LastSeq, count: m.Count,
 		minQ: m.MinQuantum, maxQ: m.MaxQuantum,
 	})
-	if _, err := f.Write(hdr); err != nil {
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
-	}
-	off := int64(len(hdr))
 	var enc blockEncoder
-	var frame [frameHdrLen]byte
 	for start := 0; start < len(recs); start += blockEvents {
-		end := min(start+blockEvents, len(recs))
-		payload, zone, err := enc.encode(recs[start:end])
+		payload, zone, err := enc.encode(recs[start:min(start+blockEvents, len(recs))])
 		if err != nil {
 			return segMeta{}, err
 		}
-		binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-		if _, err := f.Write(frame[:]); err != nil {
-			return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
-		}
-		if _, err := f.Write(payload); err != nil {
-			return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
-		}
-		zone.Off = off
-		zone.Len = frameHdrLen + len(payload)
-		off += int64(zone.Len)
+		zone.Off, zone.Len = int64(len(b)), frameHdrLen+len(payload)
 		m.Blocks = append(m.Blocks, zone)
+		b = appendFrame(b, payload)
 	}
-	if err := f.Sync(); err != nil {
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
+	idxOff := len(b)
+	b = appendFrame(b, m.appendIndex(nil))
+	b = binary.LittleEndian.AppendUint64(b, uint64(idxOff))
+
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return segMeta{}, fmt.Errorf("archive: write segment: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		f = nil
-		fsys.Remove(tmp) //nolint:errcheck // best effort
-		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	f = nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(path) //nolint:errcheck // best effort
+		return segMeta{}, fmt.Errorf("archive: write segment: %w", err)
+	}
 	return m, nil
+}
+
+// appendIndex appends the index frame's payload for m.
+func (m *segMeta) appendIndex(b []byte) []byte {
+	b = append(b, m.bf...)
+	for i := range m.Blocks {
+		z := &m.Blocks[i]
+		b = binary.AppendUvarint(b, uint64(z.Len))
+		b = binary.AppendUvarint(b, uint64(z.Count))
+		b = binary.AppendUvarint(b, z.FirstSeq)
+		b = binary.AppendUvarint(b, z.LastSeq-z.FirstSeq)
+		b = binary.AppendVarint(b, int64(z.MinQuantum))
+		b = binary.AppendUvarint(b, uint64(z.MaxQuantum-z.MinQuantum))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(z.MaxRank))
+		b = binary.AppendUvarint(b, uint64(len(z.bf)))
+		b = append(b, z.bf...)
+	}
+	return b
+}
+
+// readIndex reads a segment file's header and index — everything needed
+// to plan over the segment without touching a block. Damage (a short
+// file, a bad frame, an index that disagrees with the header or does not
+// tile the file) is an error wrapping ErrCorrupt; a device error is
+// returned as is.
+func readIndex(r io.ReaderAt, size int64) (segMeta, error) {
+	var hb [colHeaderLen]byte
+	if err := readFull(r, hb[:], 0); err != nil {
+		return segMeta{}, err
+	}
+	hdr, err := parseColHeader(hb[:])
+	if err != nil {
+		return segMeta{}, err
+	}
+	if size < colHeaderLen+frameHdrLen+trailerLen {
+		return segMeta{}, fmt.Errorf("short segment: %w", ErrCorrupt)
+	}
+	var tb [trailerLen]byte
+	if err := readFull(r, tb[:], size-trailerLen); err != nil {
+		return segMeta{}, err
+	}
+	idxOff := binary.LittleEndian.Uint64(tb[:])
+	if idxOff < colHeaderLen || idxOff > uint64(size-trailerLen-frameHdrLen) {
+		return segMeta{}, fmt.Errorf("index offset %d out of range: %w", idxOff, ErrCorrupt)
+	}
+	frame := make([]byte, size-trailerLen-int64(idxOff))
+	if err := readFull(r, frame, int64(idxOff)); err != nil {
+		return segMeta{}, err
+	}
+	payload, err := checkFrame(frame)
+	if err != nil {
+		return segMeta{}, fmt.Errorf("index %w", err)
+	}
+	m, err := decodeIndex(hdr, int64(idxOff), payload)
+	if err != nil {
+		return segMeta{}, fmt.Errorf("index: %w: %w", err, ErrCorrupt)
+	}
+	return m, nil
+}
+
+// decodeIndex decodes an index payload against its segment's header and
+// index offset, checking that the zones ascend without overlap, tile the
+// blocks region exactly and agree with the header's bounds.
+func decodeIndex(hdr colHeader, idxOff int64, payload []byte) (segMeta, error) {
+	if len(payload) < segBloomBytes {
+		return segMeta{}, errBlockCorrupt
+	}
+	m := segMeta{FirstSeq: hdr.firstSeq, LastSeq: hdr.lastSeq, Count: hdr.count, bf: bloom(payload[:segBloomBytes])}
+	r := &byteReader{b: payload, off: segBloomBytes}
+	off, count := int64(colHeaderLen), 0
+	for r.off < len(r.b) {
+		z := blockZone{Off: off}
+		var err error
+		var seqSpan, rank uint64
+		var minQ int64
+		var qSpan, nbf int
+		if z.Len, err = r.intUvarint(); err != nil || z.Len <= frameHdrLen || z.Len > maxBlockFrame {
+			return segMeta{}, errBlockCorrupt
+		}
+		if z.Count, err = r.intUvarint(); err != nil || z.Count < 1 || z.Count > hdr.count-count {
+			return segMeta{}, errBlockCorrupt
+		}
+		if z.FirstSeq, err = r.uvarint(); err != nil {
+			return segMeta{}, err
+		}
+		// Seqs strictly ascend within a block and across blocks.
+		if seqSpan, err = r.uvarint(); err != nil || seqSpan < uint64(z.Count-1) || z.FirstSeq+seqSpan < z.FirstSeq ||
+			(len(m.Blocks) > 0 && z.FirstSeq <= m.Blocks[len(m.Blocks)-1].LastSeq) {
+			return segMeta{}, errBlockCorrupt
+		}
+		z.LastSeq = z.FirstSeq + seqSpan
+		if minQ, err = r.varint(); err != nil {
+			return segMeta{}, err
+		}
+		if qSpan, err = r.intUvarint(); err != nil || int(minQ)+qSpan < int(minQ) {
+			return segMeta{}, errBlockCorrupt
+		}
+		z.MinQuantum, z.MaxQuantum = int(minQ), int(minQ)+qSpan
+		if rank, err = r.u64(); err != nil {
+			return segMeta{}, err
+		}
+		z.MaxRank = math.Float64frombits(rank)
+		if nbf, err = r.intUvarint(); err != nil || nbf == 0 || nbf%8 != 0 || nbf > len(r.b)-r.off {
+			return segMeta{}, errBlockCorrupt
+		}
+		z.bf = bloom(r.b[r.off : r.off+nbf])
+		r.off += nbf
+		if off += int64(z.Len); off > idxOff {
+			return segMeta{}, errBlockCorrupt
+		}
+		count += z.Count
+		if len(m.Blocks) == 0 || z.MinQuantum < m.MinQuantum {
+			m.MinQuantum = z.MinQuantum
+		}
+		if len(m.Blocks) == 0 || z.MaxQuantum > m.MaxQuantum {
+			m.MaxQuantum = z.MaxQuantum
+		}
+		if len(m.Blocks) == 0 || z.MaxRank > m.MaxPeakRank {
+			m.MaxPeakRank = z.MaxRank
+		}
+		m.Blocks = append(m.Blocks, z)
+	}
+	if off != idxOff || count != hdr.count || len(m.Blocks) == 0 ||
+		m.Blocks[0].FirstSeq != hdr.firstSeq || m.Blocks[len(m.Blocks)-1].LastSeq != hdr.lastSeq ||
+		m.MinQuantum != hdr.minQ || m.MaxQuantum != hdr.maxQ {
+		return segMeta{}, errBlockCorrupt
+	}
+	return m, nil
+}
+
+// checkFrame verifies one whole CRC frame and returns its payload.
+func checkFrame(frame []byte) ([]byte, error) {
+	if len(frame) < frameHdrLen {
+		return nil, fmt.Errorf("frame %w", ErrCorrupt)
+	}
+	payload := frame[frameHdrLen:]
+	if int(binary.LittleEndian.Uint32(frame)) != len(payload) ||
+		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:]) {
+		return nil, fmt.Errorf("frame %w", ErrCorrupt)
+	}
+	return payload, nil
+}
+
+// readFull reads len(buf) bytes at off; a file that ends first is
+// structural damage, not a device error.
+func readFull(r io.ReaderAt, buf []byte, off int64) error {
+	n, err := r.ReadAt(buf, off)
+	switch {
+	case n == len(buf):
+		return nil
+	case err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("truncated at %d: %w", off, ErrCorrupt)
+	}
+	return err
 }
 
 // readFrame reads and CRC-verifies the block frame z points at,
 // returning the payload (aliasing *buf, which is grown as needed).
 func readFrame(f io.ReaderAt, z *blockZone, buf *[]byte) ([]byte, error) {
-	if z.Len < frameHdrLen+1 || z.Len > maxBlockFrame {
-		return nil, fmt.Errorf("archive: block at %d: bad frame length %d: %w", z.Off, z.Len, ErrCorrupt)
-	}
 	*buf = grow(*buf, z.Len)
-	if _, err := f.ReadAt(*buf, z.Off); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// The file ends inside a frame the zone map says exists:
-			// structural damage, not a device error.
-			err = fmt.Errorf("truncated frame: %w", ErrCorrupt)
-		}
+	if err := readFull(f, *buf, z.Off); err != nil {
 		return nil, fmt.Errorf("archive: block at %d: %w", z.Off, err)
 	}
-	ln := binary.LittleEndian.Uint32(*buf)
-	crc := binary.LittleEndian.Uint32((*buf)[4:])
-	payload := (*buf)[frameHdrLen:z.Len]
-	if int(ln) != len(payload) || crc32.Checksum(payload, castagnoli) != crc {
-		return nil, fmt.Errorf("archive: block at %d: frame %w", z.Off, ErrCorrupt)
+	payload, err := checkFrame(*buf)
+	if err != nil {
+		return nil, fmt.Errorf("archive: block at %d: %w", z.Off, err)
 	}
 	return payload, nil
-}
-
-// scanColFile streams every record of a v2 segment file in order,
-// sequentially (no zone maps needed — the rebuild and compaction read
-// path). fn may be nil to only validate frames. zoneFn, when non-nil,
-// receives each block's reconstructed zone map.
-func scanColFile(fsys vfs.FS, path string, fn func(*Record) error, zoneFn func(blockZone)) (colHeader, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return colHeader{}, fmt.Errorf("archive: open v2 segment: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return colHeader{}, fmt.Errorf("archive: stat v2 segment: %w", err)
-	}
-	var hdrBuf [colHeaderLen]byte
-	if _, err := io.ReadFull(f, hdrBuf[:]); err != nil {
-		return colHeader{}, fmt.Errorf("archive: %s: short header: %w", path, err)
-	}
-	hdr, err := parseColHeader(hdrBuf[:])
-	if err != nil {
-		return colHeader{}, fmt.Errorf("archive: %s: %w", path, err)
-	}
-	sc := scratchPool.Get().(*blockScratch)
-	defer scratchPool.Put(sc)
-	seen := 0
-	var kws []string // per-block keyword accumulator for zone rebuild
-	off := int64(colHeaderLen)
-	for off < st.Size() {
-		if st.Size()-off < frameHdrLen {
-			return hdr, fmt.Errorf("archive: %s: torn frame at %d", path, off)
-		}
-		var fh [frameHdrLen]byte
-		if _, err := f.ReadAt(fh[:], off); err != nil {
-			return hdr, fmt.Errorf("archive: %s: frame at %d: %w", path, off, err)
-		}
-		ln := int(binary.LittleEndian.Uint32(fh[:]))
-		if ln <= 0 || ln > maxBlockFrame-frameHdrLen || int64(ln) > st.Size()-off-frameHdrLen {
-			return hdr, fmt.Errorf("archive: %s: bad frame length %d at %d", path, ln, off)
-		}
-		z := blockZone{Off: off, Len: frameHdrLen + ln}
-		payload, err := readFrame(f, &z, &sc.frame)
-		if err != nil {
-			return hdr, err
-		}
-		kws = kws[:0]
-		emit := func(r *Record) error {
-			z.observe(r)
-			seen++
-			if zoneFn != nil {
-				kws = append(kws, r.Keywords...)
-				kws = append(kws, r.AllKeywords...)
-			}
-			if fn != nil {
-				return fn(r)
-			}
-			return nil
-		}
-		if _, err := decodeBlock(payload, sc, emit); err != nil {
-			return hdr, fmt.Errorf("archive: %s: block at %d: %w", path, off, err)
-		}
-		if zoneFn != nil {
-			// Zone filter rebuilt from the records (the Bloom lives only in
-			// the sidecar); sized by the duplicate-counting upper bound of
-			// the distinct-keyword count, so it errs slightly large.
-			bf := newBloomSized(blockBloomParams(len(kws)))
-			for _, kw := range kws {
-				bf.add(kw)
-			}
-			z.Bloom = bf.encode()
-			z.bf = bf
-			zoneFn(z)
-		}
-		off += int64(z.Len)
-	}
-	if seen != hdr.count {
-		return hdr, fmt.Errorf("archive: %s: %d of %d records readable", path, seen, hdr.count)
-	}
-	return hdr, nil
 }

@@ -101,7 +101,7 @@ type Snapshot struct {
 	// lazily from the immutable views: byLast orders every retained
 	// event (live + finished) by (LastQuantum, ID) — the engine's
 	// deterministic merge order — and allKw inverts the full keyword
-	// history the same way the archive's Bloom sidecars do, so a query
+	// history the same way the archive's Bloom filters do, so a query
 	// matches identically whether an event is still retained or already
 	// evicted.
 	rangeOnce sync.Once

@@ -75,7 +75,7 @@ const (
 	// StageQuerySnapshotScan is the live epoch-snapshot scan.
 	StageQuerySnapshotScan
 	// StageQueryArchiveScan is the archive segment scan (including the
-	// sidecar skip decisions).
+	// segment-index skip decisions).
 	StageQueryArchiveScan
 	// StageArchiveBlockScan is the columnar (v2) portion of an archive
 	// scan: zone-map evaluation plus block decode of the survivors.

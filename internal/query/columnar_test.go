@@ -127,7 +127,7 @@ func TestQueryEquivalenceAcrossCompaction(t *testing.T) {
 	if res.Stats.BlocksSkippedByTime == 0 || res.Stats.BlocksScanned >= res.Stats.Blocks {
 		t.Fatalf("zone maps skipped nothing: %+v", res.Stats)
 	}
-	// And the rank floor prunes at segment granularity via the sidecar
+	// And the rank floor prunes at segment granularity via the index
 	// bound or below it via zone maps — either way, blocks are skipped.
 	res, err = Run(nil, l, Request{To: -1, MinRank: 4.4})
 	if err != nil {

@@ -51,7 +51,7 @@ type Snapshot interface {
 }
 
 // Archive is the history-source interface, implemented by
-// *archive.Log: a point-in-time list of segment views with sidecar
+// *archive.Log: a point-in-time list of segment views with index
 // bounds for skipping and a record iterator for scanning.
 type Archive interface {
 	Segments() []archive.SegmentView
@@ -107,7 +107,7 @@ type Stats struct {
 	// heap held Limit candidates all provably better than anything the
 	// remaining segments could contain — the LIMIT pushdown.
 	SkippedByLimit int `json:"skipped_by_limit"`
-	// SkippedByRank counts segments pruned because the sidecar's rank
+	// SkippedByRank counts segments pruned because the segment's rank
 	// bound proves no record reaches the requested MinRank.
 	SkippedByRank int `json:"skipped_by_rank,omitempty"`
 	// Blocks counts the blocks covered by the scanned segments (the
@@ -298,7 +298,7 @@ func snapshotCandidates(snap Snapshot, req Request, floor int) []*detect.Event {
 	return base[i:]
 }
 
-// scanArchive plans over the segment sidecars and scans the survivors
+// scanArchive plans over the segment indexes and scans the survivors
 // in ascending MinQuantum order — the order that lets a full pool prove
 // every remaining segment irrelevant (any record in a segment has
 // LastQuantum ≥ its BornQuantum ≥ the segment's MinQuantum, so the

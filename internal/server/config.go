@@ -81,7 +81,7 @@ type PoolConfig struct {
 
 	// ArchiveDir, when non-empty, routes events evicted by the
 	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
-	// columnar segments with data-skipping sidecars) instead of
+	// columnar segments, each indexed for data skipping) instead of
 	// discarding them, queryable via Tenant.Query and GET /v1/{t}/query.
 	// The archive's buffer is sealed to disk before every WAL snapshot,
 	// so a crash loses no eviction the WAL tail cannot regenerate. Needs

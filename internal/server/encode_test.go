@@ -446,6 +446,9 @@ func benchResult(n int) query.Result {
 // whether the page holds ten events or four thousand — nothing per
 // event, nothing per flush.
 func TestQueryResponseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
 	allocsFor := func(n int) float64 {
 		res := benchResult(n)
 		return testing.AllocsPerRun(20, func() {

@@ -29,8 +29,8 @@ type TenantMetrics struct {
 	WALErrors uint64 `json:"wal_errors,omitempty"`
 	// ArchiveSegments / ArchiveEvents size the evicted-event history;
 	// ArchiveErrors counts failed seals and compaction steps, none of
-	// which loses a record (buffered and retried if the segment did not
-	// commit, sealed if only its sidecar failed), and ArchiveGaps ordinal
+	// which loses a record (a failed seal leaves its records buffered for
+	// the next one), and ArchiveGaps ordinal
 	// holes skipped over (records lost to a crash that replay could not
 	// regenerate).
 	ArchiveSegments int    `json:"archive_segments,omitempty"`
@@ -41,7 +41,7 @@ type TenantMetrics struct {
 	// disk (ArchiveSegments also counts the in-memory buffer while it
 	// holds records); the Compact* counters are the background
 	// compactor's lifetime totals for this tenant (committed steps,
-	// input segments consumed, and bytes reclaimed, data + sidecars).
+	// input segments consumed, and segment-file bytes reclaimed).
 	ArchiveColumnarSegments  int    `json:"archive_columnar_segments,omitempty"`
 	ArchiveCompactions       uint64 `json:"archive_compactions,omitempty"`
 	ArchiveSegmentsCompacted uint64 `json:"archive_segments_compacted,omitempty"`

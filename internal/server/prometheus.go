@@ -78,7 +78,7 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegments) }},
 	{"eventdetect_archive_events", "gauge", "Events held by the archive.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveEvents) }},
-	{"eventdetect_archive_errors_total", "counter", "Failed archive seals and compaction steps; no record is lost (buffered and retried if the segment did not commit, sealed if only its sidecar failed).",
+	{"eventdetect_archive_errors_total", "counter", "Failed archive seals and compaction steps; no record is lost (a failed seal leaves its records buffered for the next one).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveErrors) }},
 	{"eventdetect_archive_gaps_total", "counter", "Archive ordinal holes skipped (records lost to a crash).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveGaps) }},
@@ -88,7 +88,7 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveCompactions) }},
 	{"eventdetect_archive_segments_compacted_total", "counter", "Input segments consumed by archive compaction.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegmentsCompacted) }},
-	{"eventdetect_archive_bytes_reclaimed_total", "counter", "Archive bytes reclaimed by compaction (data + sidecars).",
+	{"eventdetect_archive_bytes_reclaimed_total", "counter", "Archive bytes reclaimed by compaction (segment files, input minus output).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveBytesReclaimed) }},
 	{"eventdetect_accepted_batches_total", "counter", "Batches (and flush markers) admitted to the queue.",
 		func(m *TenantMetrics) float64 { return float64(m.AcceptedBatches) }},

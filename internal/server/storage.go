@@ -204,9 +204,8 @@ func (s *tenantStorage) commit(seq uint64) error {
 // persists the detector's eviction counter and replay from it never
 // regenerates the evictions it covers — a record still only in memory
 // would be lost to the next crash for good. A failed seal therefore
-// skips the snapshot: the archive still holds every record (buffered if
-// the segment did not commit, sealed if only its sidecar failed) and the
-// WAL keeps the tail that can re-evict them. Compaction inside
+// skips the snapshot: the archive still holds every record in its buffer
+// and the WAL keeps the tail that can re-evict them. Compaction inside
 // wal.Snapshot then drops the covered segments. seq must name exactly
 // the state save writes, so callers run on the goroutine that applies
 // the tenant's batches (or after its drain): no eviction can land
@@ -278,7 +277,7 @@ func (s *tenantStorage) fillMetrics(m *TenantMetrics) {
 		m.ArchiveErrors = s.archErrs.Load()
 		m.ArchiveGaps = ar.Gaps()
 		m.ArchiveColumnarSegments = ar.ColumnarSegmentCount()
-		m.ArchiveCompactions, m.ArchiveSegmentsCompacted, _, m.ArchiveBytesReclaimed = ar.CompactTotals()
+		m.ArchiveCompactions, m.ArchiveSegmentsCompacted, m.ArchiveBytesReclaimed = ar.CompactTotals()
 		m.QuarantinedSegments = ar.QuarantinedSegments()
 	}
 }

@@ -113,7 +113,8 @@ type Tenant struct {
 
 	// Wait-free read state. snap is the latest epoch snapshot; lastEvent
 	// the newest SSE payload (for catch-up); msgs mirrors det.Processed()
-	// per applied batch; elapsed/since feed the throughput stats.
+	// per quantum and per applied batch; elapsed/since feed the throughput
+	// stats.
 	snap      atomic.Pointer[detect.Snapshot]
 	lastEvent atomic.Pointer[StreamEvent]
 	msgs      atomic.Uint64
@@ -153,9 +154,11 @@ func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenan
 		tob.Observe(obs.StageTokenize, res.PrepElapsed)
 		tob.Observe(obs.StageGraphMaintain, res.GraphElapsed)
 		tob.Observe(obs.StageReconcile, res.ReconcileElapsed)
-		// Publish the epoch snapshot before announcing the quantum over
-		// SSE: a subscriber that reacts to the notification with a query
-		// must observe at least this quantum.
+		// Publish the message count and the epoch snapshot before
+		// announcing the quantum over SSE: a subscriber that reacts to the
+		// notification with /statsz or a query must observe at least this
+		// quantum.
+		t.msgs.Store(det.Processed())
 		t0 := time.Now()
 		t.snap.Store(det.Snapshot(res))
 		ev := &StreamEvent{
