@@ -30,12 +30,13 @@
 // a clean restart replays nothing. Without -wal-dir tenants live in
 // memory only. With -archive-dir set (it needs -wal-dir), events
 // evicted by -retain are persisted to a queryable on-disk archive of
-// columnar segments (zone-map predicate skipping) instead of discarded;
-// with -archive-compact-interval set, a background compactor merges the
-// small segments that sealing before every snapshot leaves behind. See
-// docs/PERSISTENCE.md. GET /v1/{tenant}/query answers one time-travel
-// request across live and archived events with LIMIT pushdown and
-// cursor pagination; see docs/QUERY.md.
+// columnar segments (zone-map predicate skipping) instead of discarded:
+// an in-memory buffer, rewritten to one buffer file before every
+// snapshot and sealed into a segment when full (-archive-compact-interval
+// is still accepted and has no effect). See docs/PERSISTENCE.md.
+// GET /v1/{tenant}/query answers one time-travel request across live
+// and archived events with LIMIT pushdown and cursor pagination; see
+// docs/QUERY.md.
 //
 // Overload protection: -rate-limit caps each tenant's sustained ingest
 // rate (token bucket, burst via -rate-burst) and -admission-frac sheds
@@ -45,9 +46,10 @@
 // docs/OPERATIONS.md for tuning and the tests that hold these limits
 // under skewed traffic and a full disk.
 //
-// The 21 flags bind straight onto server.Config's fields; their
-// defaults are what the zero Config resolves to, and their valid ranges
-// are server.Config.Validate's. Every violation is reported at startup,
+// The 21 flags bind straight onto server.Config's fields, -pprof-addr
+// and the inert -archive-compact-interval aside; their defaults are
+// what the zero Config resolves to, and their valid ranges are
+// server.Config.Validate's. Every violation is reported at startup,
 // not just the first. Telemetry (stage histograms on
 // GET /metrics?format=prometheus, the slowest traced requests on
 // GET /debug/requests) is always on.
@@ -112,9 +114,9 @@ func bindFlags(fs *flag.FlagSet) (cfg *server.Config, pprofAddr *string) {
 	fs.IntVar(&p.SnapshotEvery, "snapshot-every", p.SnapshotEvery, "WAL snapshot cadence in quanta")
 	fs.StringVar(&p.ArchiveDir, "archive-dir", p.ArchiveDir,
 		"evicted-event archive directory (empty discards evicted events; requires -wal-dir)")
-	fs.DurationVar(&p.ArchiveCompactInterval, "archive-compact-interval", p.ArchiveCompactInterval,
-		"background archive compaction cadence (0 disables; e.g. 30s; needs -archive-dir). "+
-			"Each tick merges one run of small sealed segments per tenant")
+	fs.Duration("archive-compact-interval", 0,
+		"no effect: archive segments are sealed only when full, so there is nothing to compact "+
+			"(accepted so existing command lines keep working)")
 	fs.IntVar(&p.RetainEvents, "retain", p.RetainEvents, "finished events kept per tenant (0 = unlimited)")
 
 	fs.IntVar(&d.Delta, "delta", d.Delta, "quantum size Δ in messages")
@@ -164,7 +166,6 @@ func main() {
 		"wal", cfg.Pool.WALDir != "",
 		"group_commit", cfg.Pool.WALGroupCommitInterval.String(),
 		"archive", cfg.Pool.ArchiveDir != "",
-		"archive_compact_interval", cfg.Pool.ArchiveCompactInterval.String(),
 		"rate_limit", cfg.Pool.RateLimit,
 		"admission_frac", cfg.Pool.AdmissionFrac,
 	)

@@ -68,20 +68,23 @@ func TestFlagSurface(t *testing.T) {
 // exists — the two files cannot drift apart unnoticed.
 func TestFlagsBindAndValidate(t *testing.T) {
 	fs, cfg := newFlagSet()
-	if err := fs.Parse([]string{"-queue", "7", "-beta", "0.4", "-wal-dir", "/w", "-grace", "5s"}); err != nil {
+	if err := fs.Parse([]string{"-queue", "7", "-beta", "0.4", "-wal-dir", "/w", "-grace", "5s",
+		"-archive-compact-interval", "250ms"}); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Pool.QueueDepth != 7 || cfg.Pool.Detector.AKG.Beta != 0.4 || cfg.Pool.WALDir != "/w" || cfg.ShutdownGrace.Seconds() != 5 {
 		t.Fatalf("flags did not bind: %+v", *cfg)
 	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a valid command line with the inert -archive-compact-interval was refused: %v", err)
+	}
 
 	fs, cfg = newFlagSet()
 	args := []string{"-archive-dir", "/a", "-wal-group-commit-interval", "2ms", "-rate-burst", "8"}
 	for _, name := range []string{"delta", "qtime", "tau", "w", "retain", "snapshot-every", "queue",
-		"queue-msgs", "workers", "max-tenants", "rate-limit", "admission-frac", "beta",
-		"archive-compact-interval", "grace"} {
+		"queue-msgs", "workers", "max-tenants", "rate-limit", "admission-frac", "beta", "grace"} {
 		neg := "-1"
-		if name == "archive-compact-interval" || name == "grace" {
+		if name == "grace" {
 			neg = "-1s"
 		}
 		args = append(args, "-"+name, neg)
@@ -104,6 +107,7 @@ func TestFlagsBindAndValidate(t *testing.T) {
 	for _, name := range serveFlags {
 		switch name {
 		case "addr", "pprof-addr": // free-form strings
+		case "archive-compact-interval": // accepted, no effect
 		default:
 			if !named[name] {
 				t.Errorf("-%s was given a bad value (or left dangling) and Validate did not name it:\n%v", name, err)

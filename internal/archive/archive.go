@@ -2,31 +2,33 @@
 // serving layer's retention policy evicts finished events from detector
 // memory (detect.TrimFinished); instead of losing them, an eviction hook
 // appends each one here. Appended records sit in an in-memory buffer —
-// the active segment, visible to queries at once — until a seal writes
-// the buffer out as one columnar segment file ending in an index of zone
-// maps and keyword Bloom filters, so time-range, rank and keyword
-// queries skip the segments and blocks that cannot match and decode
-// only the rest (the data-skipping idea of provenance-pruned scans,
-// applied to event history). A background compactor merges the small
-// segments frequent seals leave behind (compact.go).
+// the active segment, visible to queries at once — until it is full;
+// then a seal writes it out as one columnar segment file ending in an
+// index of zone maps and keyword Bloom filters, so time-range, rank and
+// keyword queries skip the segments and blocks that cannot match and
+// decode only the rest (the data-skipping idea of provenance-pruned
+// scans, applied to event history). Between seals, Sync makes the
+// buffer durable by rewriting one buffer file in the same format.
 //
-// A tenant's archive directory holds one file per segment, named by its
-// first record (segment2.go has the layout):
+// A tenant's archive directory holds one file per sealed segment, named
+// by its first record, plus the buffer file (segment2.go has the
+// layout):
 //
 //	ev-00000000000000000001.col   records 1..k: header, blocks, index
+//	buffer.col                    the buffer as of the last Sync
 //
 // Records carry a 1-based eviction ordinal (Seq) matching the
 // detector's cumulative trim counter, which makes appends idempotent
 // across WAL replays: a replayed eviction whose ordinal the archive
 // already holds is dropped. That is also the crash story of the buffer:
-// the serving layer seals before every WAL snapshot, so a kill loses
-// only buffered records whose evictions the WAL tail regenerates.
+// the serving layer syncs before every WAL snapshot, so a kill loses
+// only records appended since, whose evictions the WAL tail regenerates.
 package archive
 
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -38,7 +40,11 @@ import (
 	"repro/internal/vfs"
 )
 
-const segPrefix = "ev-"
+const (
+	segPrefix = "ev-"
+	// bufferName is the file Sync rewrites with the buffer's records.
+	bufferName = "buffer" + colExt
+)
 
 // Record is an event once it leaves the detector: what the eviction hook
 // appends, what a scan hands back, and — its JSON tags — the element of
@@ -141,9 +147,8 @@ func (m *segMeta) observe(rec *Record) {
 
 // Options tune one Log.
 type Options struct {
-	// SegmentEvents seals the buffer once it holds this many records,
-	// and caps what the compactor merges into one segment. Zero selects
-	// 512.
+	// SegmentEvents seals the buffer once it holds this many records.
+	// Zero selects 512.
 	SegmentEvents int
 	// BucketQuanta seals the buffer once it spans more than this many
 	// quanta (max observed LastQuantum − min BornQuantum) — the time
@@ -189,32 +194,28 @@ type Log struct {
 	// it only ever grows by append and a seal starts a fresh slice.
 	buf    []Record
 	active segMeta
+	synced int    // len(buf) when the buffer file was last written
 	seq    uint64 // last appended ordinal
 	gaps   uint64 // ordinal gaps observed (records lost before a crash)
-	// quarantined counts segments renamed aside after hitting
-	// corruption — history the service keeps serving around.
+	// quarantined counts files renamed aside after hitting corruption —
+	// history the service keeps serving around.
 	quarantined uint64
-
-	// Compaction bookkeeping: compactMu serializes compactor steps (the
-	// sealed-list splice assumes one compactor); the counters (guarded by
-	// mu) feed the service metrics.
-	compactMu      sync.Mutex
-	compactions    uint64
-	segsCompacted  uint64
-	bytesReclaimed uint64
 }
 
-// Open opens (creating if needed) an archive directory, reading each
-// segment's header and index. A segment whose ordinal range an earlier
-// segment covers is the leftover input of a compaction the process
-// crashed out of after the commit rename — it is deleted here, and so is
-// any temp file a crash left, which is what makes kill -9 at any point
-// of a seal or a compaction converge to exactly-once records. A segment
-// whose header or index is damaged is quarantined, as a scan that finds
-// a damaged block does. A directory holding a segment of an older format
-// — a JSON-lines ev-*.jsonl, a .col.meta.json sidecar, or a .col of
-// format version 1 — is refused with an error naming the file, before
-// anything in it changes: this build has no reader for them.
+// Open opens (creating if needed) an archive directory. It reads each
+// sealed segment's header and index, then loads the buffer file into
+// the buffer, dropping the records at or below the last sealed ordinal
+// — a crash between a seal's commit and the buffer file's removal
+// leaves them in both — and removing the file when nothing in it is
+// left. Temp files a crash left are swept. That is what makes kill -9 at
+// any step of a Sync or a seal converge to exactly-once records. A file
+// whose header, index or (for the buffer file) blocks are damaged is
+// quarantined, as a scan that finds a damaged block does, and so is a
+// segment overlapping an earlier one, which nothing in this package
+// writes. A directory holding a segment of an older format — a
+// JSON-lines ev-*.jsonl, a .col.meta.json sidecar, or a .col of format
+// version 1 — is refused with an error naming the file, before anything
+// in it changes: this build has no reader for them.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
@@ -226,6 +227,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, fmt.Errorf("archive: list %s: %w", dir, err)
 	}
 	var metas []segMeta
+	var buffered []Record
 	var corrupt []string
 	for _, e := range entries {
 		name := e.Name()
@@ -236,23 +238,36 @@ func Open(dir string, opt Options) (*Log, error) {
 				"(docs/PERSISTENCE.md: legacy and pre-index directories)", path)
 		}
 		stem, isCol := strings.CutSuffix(name, colExt)
-		num, ok := strings.CutPrefix(stem, segPrefix)
-		start, err := strconv.ParseUint(num, 10, 64)
-		if !isCol || !ok || err != nil {
+		num, isSeg := strings.CutPrefix(stem, segPrefix)
+		start, perr := strconv.ParseUint(num, 10, 64)
+		var m segMeta
+		switch {
+		case name == bufferName:
+			_, buffered, err = loadSegment(l.fs, path, true)
+		case isCol && isSeg && perr == nil:
+			if m, _, err = loadSegment(l.fs, path, false); err == nil && m.FirstSeq != start {
+				err = fmt.Errorf("holds records from seq %d: %w", m.FirstSeq, ErrCorrupt)
+			}
+		default:
 			continue
-		}
-		m, err := loadIndex(l.fs, path)
-		if err == nil && m.FirstSeq != start {
-			err = fmt.Errorf("holds records from seq %d: %w", m.FirstSeq, ErrCorrupt)
 		}
 		switch {
 		case errors.Is(err, ErrCorrupt):
 			corrupt = append(corrupt, path)
 		case err != nil:
 			return nil, fmt.Errorf("archive: %s: %w", path, err)
-		default:
+		case name != bufferName:
 			metas = append(metas, m)
 		}
+	}
+	sort.Slice(metas, func(i, j int) bool { return metas[i].FirstSeq < metas[j].FirstSeq })
+	for _, m := range metas {
+		if m.FirstSeq <= l.seq {
+			corrupt = append(corrupt, l.colPath(m.FirstSeq))
+			continue
+		}
+		l.sealed = append(l.sealed, m)
+		l.seq = m.LastSeq
 	}
 	// Nothing on disk has changed up to here.
 	for _, path := range corrupt {
@@ -264,33 +279,18 @@ func Open(dir string, opt Options) (*Log, error) {
 			l.fs.Remove(tmp) //nolint:errcheck // best effort
 		}
 	}
-	// The compactor replaces a run of whole segments by one that keeps the
-	// first input's name, so in FirstSeq order a segment whose range an
-	// earlier one reaches past is a merged input.
-	sort.Slice(metas, func(i, j int) bool { return metas[i].FirstSeq < metas[j].FirstSeq })
-	for _, m := range metas {
-		if m.LastSeq <= l.seq {
-			l.fs.Remove(l.colPath(m.FirstSeq)) //nolint:errcheck // best effort
-			continue
+	for i := range buffered {
+		if buffered[i].Seq > l.seq {
+			l.buf = append(l.buf, buffered[i])
+			l.active.observe(&buffered[i])
+			l.seq = buffered[i].Seq
 		}
-		l.sealed = append(l.sealed, m)
-		l.seq = m.LastSeq
+	}
+	l.synced = len(l.buf)
+	if len(l.buf) == 0 {
+		l.fs.Remove(l.bufferPath()) //nolint:errcheck // best effort; every record it held is sealed
 	}
 	return l, nil
-}
-
-// loadIndex reads the header and index of the segment file at path.
-func loadIndex(fsys vfs.FS, path string) (segMeta, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return segMeta{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return segMeta{}, err
-	}
-	return readIndex(f, st.Size())
 }
 
 // Append archives one record: it joins the in-memory buffer, where
@@ -302,7 +302,8 @@ func loadIndex(fsys vfs.FS, path string) (segMeta, error) {
 // either way, and refusing all future appends would turn a small hole
 // into total history loss. A buffer that reaches the SegmentEvents or
 // BucketQuanta bound is sealed; the only error Append returns is that
-// seal's, and the record is held either way (see Seal for where).
+// seal's, and the record stays buffered either way (the next Append
+// retries the seal).
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -322,53 +323,63 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
-// Seal makes every appended record durable: the buffer is written out
-// as one segment file (tmp + fsync, then a rename and a directory fsync
-// — the commit point) and a fresh buffer started. If any step fails the
-// records stay buffered, still served, and the error is returned; the
-// next seal writes them again under the same name. Callers that persist
-// the eviction counter elsewhere (the serving layer's WAL snapshots)
-// must seal first, or a crash loses the buffered records for good.
-func (l *Log) Seal() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sealLocked()
-}
-
-// sealLocked is Seal; caller holds l.mu.
+// sealLocked commits the full buffer as segment file ev-<first>.col,
+// starts a fresh buffer, and removes the buffer file, whose records the
+// segment now holds. A crash before the removal leaves them in both,
+// which Open resolves by ordinal. Caller holds l.mu.
 func (l *Log) sealLocked() error {
-	if len(l.buf) == 0 {
-		return nil
-	}
-	path := l.colPath(l.buf[0].Seq)
-	m, err := writeSegment(l.fs, path+".tmp", l.buf, l.opt.BlockEvents)
+	m, err := l.writeLocked(l.colPath(l.buf[0].Seq))
 	if err != nil {
 		return err
+	}
+	l.fs.Remove(l.bufferPath()) //nolint:errcheck // best effort; Open drops what the segment covers
+	l.sealed = append(l.sealed, m)
+	l.buf, l.active, l.synced = nil, segMeta{}, 0
+	return nil
+}
+
+// Sync makes every appended record durable: the buffer is written to
+// the buffer file (tmp + fsync, then a rename and a directory fsync —
+// the commit point), replacing the previous one; it does nothing when
+// nothing was appended since the last Sync or seal. If any step fails
+// the error is returned, the previous buffer file stays in place, and
+// the next Sync writes the buffer again. Callers that persist the
+// eviction counter elsewhere (the serving layer's WAL snapshots) must
+// Sync first, or a crash loses the records appended since for good.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.buf) == l.synced {
+		return nil
+	}
+	if _, err := l.writeLocked(l.bufferPath()); err != nil {
+		return err
+	}
+	l.synced = len(l.buf)
+	return nil
+}
+
+// writeLocked writes the buffer to path: to a temp file, fsynced, then
+// renamed into place, and the directory fsynced so the rename survives
+// power loss. Caller holds l.mu.
+func (l *Log) writeLocked(path string) (segMeta, error) {
+	m, err := writeSegment(l.fs, path+".tmp", l.buf, l.opt.BlockEvents)
+	if err != nil {
+		return segMeta{}, err
 	}
 	if err := l.fs.Rename(path+".tmp", path); err != nil {
 		l.fs.Remove(path + ".tmp") //nolint:errcheck // best effort
-		return fmt.Errorf("archive: seal: %w", err)
+		return segMeta{}, fmt.Errorf("archive: commit %s: %w", filepath.Base(path), err)
 	}
-	if err := l.syncDir(); err != nil {
-		return err
-	}
-	l.sealed = append(l.sealed, m)
-	l.buf, l.active = nil, segMeta{}
-	return nil
-}
-
-// syncDir fsyncs the archive directory, so the renames before it survive
-// power loss.
-func (l *Log) syncDir() error {
 	d, err := l.fs.Open(l.dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
 	if err != nil {
-		return fmt.Errorf("archive: sync %s: %w", l.dir, err)
+		return segMeta{}, fmt.Errorf("archive: sync %s: %w", l.dir, err)
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("archive: sync %s: %w", l.dir, err)
-	}
-	return nil
+	return m, nil
 }
 
 // LastSeq returns the highest eviction ordinal the archive holds.
@@ -398,6 +409,13 @@ func (l *Log) SegmentCount() int {
 	return n
 }
 
+// ColumnarSegmentCount returns how many segments are sealed on disk.
+func (l *Log) ColumnarSegmentCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.sealed)
+}
+
 // EventCount returns the number of archived events.
 func (l *Log) EventCount() int {
 	l.mu.Lock()
@@ -409,35 +427,31 @@ func (l *Log) EventCount() int {
 	return n
 }
 
-// Close seals the buffer; the Log holds no open files between calls.
-func (l *Log) Close() error { return l.Seal() }
+// Close is Sync; the Log holds no open files between calls.
+func (l *Log) Close() error { return l.Sync() }
 
 // ErrStop, returned by a ScanPred callback, stops the scan early without
 // error — the LIMIT-pushdown signal.
 var ErrStop = fmt.Errorf("archive: stop scan")
 
-// ErrCorrupt marks structural damage inside a sealed segment's data
-// file — a CRC mismatch, a torn frame, a record count that disagrees
-// with the index. Errors wrapping it are the quarantine signal: the
-// damage is in the bytes, not the device, so retrying the read cannot
-// help, but the rest of the archive is still good. Device-level read
-// errors (EIO) deliberately do NOT wrap it.
+// ErrCorrupt marks structural damage inside an archive file — a CRC
+// mismatch, a torn frame, a header or record count that disagrees with
+// the index. Errors wrapping it are the quarantine signal: the damage is
+// in the bytes, not the device, so retrying the read cannot help, but
+// the rest of the archive is still good. Device-level read errors (EIO)
+// deliberately do NOT wrap it.
 var ErrCorrupt = errors.New("segment corrupt")
 
-// quarantineSuffix is appended to a corrupt segment's file name. Open
-// ignores the renamed file (wrong extension), so the damage survives for
+// quarantineSuffix is appended to a corrupt file's name. Open ignores
+// the renamed file (wrong extension), so the damage survives for
 // offline forensics without ever being served again.
 const quarantineSuffix = ".quarantine"
 
 // SegmentView is a point-in-time handle on one segment: the index
 // bounds for planning (time-range, rank-floor, and Bloom data skipping)
 // plus a record iterator. Views are snapshots — records appended to the
-// buffer after Segments() returned are not visible through them, a
-// buffer view outlives the seal that empties the buffer, and a sealed
-// view stays readable even if the segment it describes is compacted
-// away mid-scan: a vanished or replaced data file makes the scan fall
-// back to the covering compacted segment, filtered to this view's
-// ordinal range.
+// buffer after Segments() returned are not visible through them, and a
+// buffer view outlives the seal that empties the buffer.
 type SegmentView struct {
 	// FirstSeq/LastSeq bound the eviction ordinals in the segment.
 	FirstSeq uint64
@@ -491,12 +505,6 @@ type Pred struct {
 	// Keywords requires every listed keyword (AND semantics), matched
 	// against the block Bloom filters.
 	Keywords []string
-
-	// minSeq/maxSeq (0 = unbounded) restrict records by eviction
-	// ordinal — set internally when a scan falls back from a compacted-
-	// away segment to the covering rewrite, which holds more than the
-	// original view's records.
-	minSeq, maxSeq uint64
 }
 
 // skipReason classifies why a block was skipped.
@@ -513,9 +521,6 @@ func (z *blockZone) skip(p *Pred) skipReason {
 	if z.MaxQuantum < p.From || z.MinQuantum > p.To {
 		return skipTime
 	}
-	if p.maxSeq > 0 && (z.FirstSeq > p.maxSeq || z.LastSeq < p.minSeq) {
-		return skipTime // ordinal range disjoint: same bucket as time
-	}
 	if p.MinRank > 0 && z.MaxRank < p.MinRank {
 		return skipRank
 	}
@@ -531,34 +536,25 @@ func (z *blockZone) skip(p *Pred) skipReason {
 type BlockStats struct {
 	Blocks           int // blocks covered by the view
 	Scanned          int // blocks read and decoded
-	SkippedByTime    int // zone quantum/ordinal range proved no match
+	SkippedByTime    int // zone quantum range proved no match
 	SkippedByRank    int // zone max PeakRank below the rank floor
 	SkippedByKeyword int // zone Bloom filter refuted a keyword
 	Records          int // records handed to the callback
 }
 
-// ScanPred streams the view's records to fn in eviction order, skipping
-// blocks whose zone maps prove no record can match pred (see Pred for
-// what the callback still must filter; Pred{To: -1} skips nothing). The
-// *Record and its slices remain valid after fn returns, but the struct
-// pointed to is reused — copy it to keep it. fn returning ErrStop ends
-// the scan early (stopped=true, err=nil); any other error aborts and is
-// returned. A block that decodes to a different record count than its
-// zone map states is corruption and is reported as an error: silently
-// truncating history would be worse than failing the query.
-func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (BlockStats, bool, error) {
-	return v.scanWithPred(pred, 0, fn)
-}
-
-// maxRescanDepth bounds compacted-away fallback nesting; one level is
-// the steady state (old view → covering rewrite) and a second absorbs a
-// re-compaction racing the fallback itself.
-const maxRescanDepth = 2
-
-// scanWithPred is the scan behind ScanPred: the buffer's
-// records straight from memory, or zone-map skipping followed by a
-// CRC-checked column-at-a-time decode of only the surviving blocks.
-func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error) (bs BlockStats, stopped bool, err error) {
+// ScanPred streams the view's records to fn in eviction order: the
+// buffer's straight from memory, a sealed segment's by zone-map skipping
+// followed by a CRC-checked column-at-a-time decode of only the
+// surviving blocks (see Pred for what the callback still must filter;
+// Pred{To: -1} skips nothing). The *Record and its slices remain valid
+// after fn returns, but the struct pointed to is reused — copy it to
+// keep it. fn returning ErrStop ends the scan early (stopped=true,
+// err=nil); any other error aborts and is returned. A data file whose
+// header disagrees with the view, or a block that decodes to a different
+// record count than its zone map states, is corruption and is reported
+// as an error: silently truncating history would be worse than failing
+// the query.
+func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (bs BlockStats, stopped bool, err error) {
 	if !v.Sealed {
 		bs.Blocks, bs.Scanned = 1, 1
 		for i := range v.recs {
@@ -577,38 +573,35 @@ func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error)
 	}
 	f, err := v.l.fs.Open(v.l.colPath(v.FirstSeq))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) && depth < maxRescanDepth {
-			return v.rescanCompacted(pred, depth, fn)
-		}
 		return bs, false, fmt.Errorf("archive: open segment: %w", err)
 	}
 	defer f.Close()
-	// The open fd pins the inode, so the scan below is immune to a
-	// concurrent re-compaction renaming over this path — but the path
-	// may already BE the replacement. Verify the header matches the
-	// view; a mismatch means the view's zone maps describe a replaced
-	// file, so fall back as if it had vanished.
 	var hdrBuf [colHeaderLen]byte
 	if err := readFull(f, hdrBuf[:], 0); err != nil {
 		return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
 	}
 	hdr, err := parseColHeader(hdrBuf[:])
+	if err == nil && (hdr.firstSeq != v.FirstSeq || hdr.lastSeq != v.LastSeq || hdr.count != v.Count) {
+		err = fmt.Errorf("header disagrees with the index: %w", ErrCorrupt)
+	}
+	if err == nil {
+		bs.Blocks = len(v.zones)
+		stopped, err = scanBlocks(f, v.zones, &pred, &bs, fn)
+	}
 	if err != nil {
 		return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
 	}
-	if hdr.firstSeq != v.FirstSeq || hdr.lastSeq != v.LastSeq || hdr.count != v.Count {
-		if depth < maxRescanDepth {
-			return v.rescanCompacted(pred, depth, fn)
-		}
-		return bs, false, fmt.Errorf("archive: segment %d: file replaced mid-scan", v.FirstSeq)
-	}
+	return bs, stopped, nil
+}
 
-	bs.Blocks = len(v.zones)
+// scanBlocks hands fn the records of every block in zones that pred does
+// not rule out, reading the frames from f, and counts the work in bs.
+func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn func(*Record) error) (stopped bool, err error) {
 	sc := scratchPool.Get().(*blockScratch)
 	defer scratchPool.Put(sc)
-	for zi := range v.zones {
-		z := &v.zones[zi]
-		switch z.skip(&pred) {
+	for zi := range zones {
+		z := &zones[zi]
+		switch z.skip(pred) {
 		case skipTime:
 			bs.SkippedByTime++
 			continue
@@ -622,65 +615,33 @@ func (v *SegmentView) scanWithPred(pred Pred, depth int, fn func(*Record) error)
 		bs.Scanned++
 		payload, err := readFrame(f, z, &sc.frame)
 		if err != nil {
-			return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
+			return false, err
 		}
-		n, derr := decodeBlock(payload, sc, func(rec *Record) error {
-			if (pred.minSeq > 0 && rec.Seq < pred.minSeq) || (pred.maxSeq > 0 && rec.Seq > pred.maxSeq) {
-				return nil
-			}
+		n, err := decodeBlock(payload, sc, func(rec *Record) error {
 			bs.Records++
 			return fn(rec)
 		})
-		if derr == ErrStop {
-			return bs, true, nil
+		if err == ErrStop {
+			return true, nil
 		}
-		if derr != nil {
-			if errors.Is(derr, errBlockCorrupt) {
-				derr = fmt.Errorf("%w: %w", derr, ErrCorrupt)
-			}
-			return bs, false, fmt.Errorf("archive: segment %d: block at %d: %w", v.FirstSeq, z.Off, derr)
+		if errors.Is(err, errBlockCorrupt) {
+			err = fmt.Errorf("%w: %w", err, ErrCorrupt)
 		}
-		if n != z.Count {
-			return bs, false, fmt.Errorf("archive: segment %d: block at %d has %d of %d records: %w",
-				v.FirstSeq, z.Off, n, z.Count, ErrCorrupt)
+		if err == nil && n != z.Count {
+			err = fmt.Errorf("has %d of %d records: %w", n, z.Count, ErrCorrupt)
 		}
-	}
-	return bs, false, nil
-}
-
-// rescanCompacted re-resolves a scan whose data file was compacted away
-// (or replaced) after the view was taken: the compactor only ever
-// merges whole segments, so some current segment's ordinal range covers
-// this view's — rescan it with the predicate narrowed to the view's
-// ordinals, yielding exactly the original record set. The merged
-// segment keeps its first input's file name, so the covering segment is
-// told from the vanished one by its range, not its name.
-func (v *SegmentView) rescanCompacted(pred Pred, depth int, fn func(*Record) error) (BlockStats, bool, error) {
-	if pred.minSeq == 0 || pred.minSeq < v.FirstSeq {
-		pred.minSeq = v.FirstSeq
-	}
-	if pred.maxSeq == 0 || pred.maxSeq > v.LastSeq {
-		pred.maxSeq = v.LastSeq
-	}
-	views := v.l.Segments()
-	for i := range views {
-		w := &views[i]
-		if !w.Sealed || (w.FirstSeq == v.FirstSeq && w.LastSeq == v.LastSeq) {
-			continue // the buffer, or the vanished segment itself (stale list)
-		}
-		if w.FirstSeq <= v.FirstSeq && w.LastSeq >= v.LastSeq {
-			return w.scanWithPred(pred, depth+1, fn)
+		if err != nil {
+			return false, fmt.Errorf("block at %d: %w", z.Off, err)
 		}
 	}
-	return BlockStats{}, false, fmt.Errorf("archive: segment %d vanished with no covering replacement", v.FirstSeq)
+	return false, nil
 }
 
 // Segments snapshots the archive's segments — sealed ones, then the
 // buffer when it holds records — in ascending-FirstSeq order. The
-// metadata is copied under the lock and the records (immutable files,
-// replaced only via the rescan fallback above; an append-only buffer)
-// are read without it, so planning and scanning never block concurrent
-// appends.
+// metadata is copied under the lock and the records (immutable files;
+// an append-only buffer) are read without it, so planning and scanning
+// never block concurrent appends.
 func (l *Log) Segments() []SegmentView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -720,16 +681,12 @@ func (m *segMeta) view(l *Log) SegmentView {
 // every later query serves the surviving history instead of re-hitting
 // the damage. The damaged bytes stay on disk for forensics. Reports
 // whether the view named a segment still in the sealed list (false for
-// buffer views, already-quarantined segments, or views of a
-// compacted-away file — in all of those there is nothing to remove).
-// Safe against a concurrent compaction: it takes the compactor's mutex,
-// so the splice never invalidates a compaction step mid-flight.
+// buffer views and already-quarantined segments — there is nothing to
+// remove).
 func (l *Log) Quarantine(v *SegmentView) bool {
 	if !v.Sealed {
 		return false
 	}
-	l.compactMu.Lock()
-	defer l.compactMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	idx := slices.IndexFunc(l.sealed, func(m segMeta) bool {
@@ -747,8 +704,8 @@ func (l *Log) Quarantine(v *SegmentView) bool {
 	return true
 }
 
-// QuarantinedSegments returns how many segments this Log has
-// quarantined since open.
+// QuarantinedSegments returns how many files this Log has quarantined
+// since open.
 func (l *Log) QuarantinedSegments() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -761,3 +718,5 @@ func segName(seq uint64, ext string) string {
 }
 
 func (l *Log) colPath(seq uint64) string { return filepath.Join(l.dir, segName(seq, colExt)) }
+
+func (l *Log) bufferPath() string { return filepath.Join(l.dir, bufferName) }

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// buildBenchDir fills dir with 4096 records in 256 sealed segments of
-// 16 records × 16 quanta each — the same shape the query-engine
-// benchmarks use, so numbers compare across layers.
+// buildBenchDir fills dir with 4096 records, 16 quanta per keyword
+// group, sealed into 512-record segments — the same shape the
+// query-engine benchmarks use, so numbers compare across layers.
 func buildBenchDir(b *testing.B, dir string) {
 	b.Helper()
-	l, err := Open(dir, Options{SegmentEvents: 16})
+	l, err := Open(dir, Options{SegmentEvents: 512, BucketQuanta: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,19 +35,16 @@ func buildBenchDir(b *testing.B, dir string) {
 	}
 }
 
-// benchLog opens the bench directory compacted into 512-record segments.
+// benchLog opens a freshly built bench directory.
 func benchLog(b *testing.B) *Log {
 	b.Helper()
 	dir := b.TempDir()
 	buildBenchDir(b, dir)
-	l, err := Open(dir, Options{SegmentEvents: 512, BucketQuanta: 1 << 20})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { l.Close() })
-	if _, err := l.CompactAll(); err != nil {
-		b.Fatal(err)
-	}
 	return l
 }
 
@@ -109,7 +106,7 @@ func BenchmarkArchiveScan(b *testing.B) {
 }
 
 // BenchmarkArchiveFootprint reports the on-disk size of 4096 events as
-// a compacted columnar body (segment files, bytes). The work loop is
+// a columnar body of full segments (segment files, bytes). The work loop is
 // trivial — the metric is the result.
 func BenchmarkArchiveFootprint(b *testing.B) {
 	size := func(l *Log) float64 {

@@ -149,12 +149,15 @@ func TestWriteAndScanColFile(t *testing.T) {
 	if m.Count != 700 || m.FirstSeq != 1 || m.LastSeq != 700 || len(m.Blocks) != 3 {
 		t.Fatalf("meta = %+v", m)
 	}
-	read, err := loadIndex(vfs.OS, path)
+	read, back, err := loadSegment(vfs.OS, path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(read, m) {
 		t.Fatalf("index read back differs from the written one:\n want %+v\n have %+v", m, read)
+	}
+	if len(back) != len(recs) || !sameRecord(back[0], recs[0]) || !sameRecord(back[699], recs[699]) {
+		t.Fatalf("loadSegment decoded %d records, want %d", len(back), len(recs))
 	}
 	l, err := Open(dir, Options{})
 	if err != nil {

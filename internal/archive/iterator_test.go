@@ -16,7 +16,7 @@ func iterRec(seq uint64, born, last int, kws ...string) Record {
 // appended after Segments() returned, stays readable after the seal
 // that empties the buffer, and a sealed view scans exactly its count.
 func TestSegmentViewPointInTime(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SegmentEvents: 100})
+	l, err := Open(t.TempDir(), Options{SegmentEvents: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,19 +26,20 @@ func TestSegmentViewPointInTime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := l.Sync(); err != nil { // the buffer file is a copy: the buffer keeps serving
+		t.Fatal(err)
+	}
 	views := l.Segments()
 	if len(views) != 1 || views[0].Sealed || views[0].Count != 3 {
 		t.Fatalf("active view = %+v, want unsealed count 3", views)
 	}
 	// Concurrent-append simulation: two more records land after the
-	// view, then a seal moves everything to disk.
+	// view, the second filling the buffer, whose seal moves everything
+	// to disk.
 	for i := 4; i <= 5; i++ {
 		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Seal(); err != nil {
-		t.Fatal(err)
 	}
 	bs, stopped, err := views[0].ScanPred(Pred{To: -1}, func(*Record) error { return nil })
 	if err != nil {

@@ -160,6 +160,32 @@ func (m *segMeta) appendIndex(b []byte) []byte {
 	return b
 }
 
+// loadSegment reads the header and index of the segment file at path
+// and, with records set, decodes every block too.
+func loadSegment(fsys vfs.FS, path string, records bool) (segMeta, []Record, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return segMeta{}, nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return segMeta{}, nil, err
+	}
+	m, err := readIndex(f, st.Size())
+	if err != nil || !records {
+		return m, nil, err
+	}
+	var recs []Record
+	if _, err := scanBlocks(f, m.Blocks, &Pred{From: math.MinInt, To: maxInt}, &BlockStats{}, func(r *Record) error {
+		recs = append(recs, *r)
+		return nil
+	}); err != nil {
+		return segMeta{}, nil, err
+	}
+	return m, recs, nil
+}
+
 // readIndex reads a segment file's header and index — everything needed
 // to plan over the segment without touching a block. Damage (a short
 // file, a bad frame, an index that disagrees with the header or does not

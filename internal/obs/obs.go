@@ -33,8 +33,10 @@ const (
 	// StageAdmission is the admission gate: queue-bound checks and the
 	// token bucket, including the ingest-queue lock acquisition.
 	StageAdmission
-	// StageWALAppend is the WAL append under the queue lock (a memory
-	// copy under group commit, a write+fsync in synchronous mode).
+	// StageWALAppend is the WAL append under the queue lock: without
+	// group commit one write() to the page cache and no fsync (unless the
+	// append fills a segment, whose rotation fsyncs it); under group
+	// commit a memory copy.
 	StageWALAppend
 	// StageWALCommit is the durability wait after the queue lock is
 	// released — under group commit, the shared flush the ack waits on.
@@ -80,9 +82,6 @@ const (
 	// StageArchiveBlockScan is the columnar (v2) portion of an archive
 	// scan: zone-map evaluation plus block decode of the survivors.
 	StageArchiveBlockScan
-	// StageArchiveCompact is one background archive compaction step
-	// (a segment merge).
-	StageArchiveCompact
 	// StageStorageRetry is one storage-retry turn on the ingest path:
 	// the backoff sleep plus the in-place WAL repair and re-append after
 	// a transient device error.
@@ -90,9 +89,9 @@ const (
 	// StageWALReopen is one supervised quarantine-and-reopen of a
 	// fail-stopped WAL (truncate to the acked prefix, seal, resume).
 	StageWALReopen
-	// StageArchiveSeal is sealing the archive's in-memory buffer into a
-	// columnar segment ahead of a WAL snapshot (a no-op when the buffer
-	// is empty).
+	// StageArchiveSeal is making the archive's in-memory buffer durable
+	// ahead of a WAL snapshot: rewriting its one buffer file (a no-op
+	// when nothing was appended since the last one).
 	StageArchiveSeal
 	// StageWALSnapshot is writing one WAL snapshot — encoding the
 	// detector state, fsync, rename — plus the segment compaction it
@@ -123,7 +122,6 @@ var stageNames = [numStages]string{
 	"query_snapshot_scan",
 	"query_archive_scan",
 	"archive_block_scan",
-	"archive_compact",
 	"storage_retry",
 	"wal_reopen",
 	"archive_seal",

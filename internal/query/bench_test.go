@@ -8,13 +8,14 @@ import (
 	"repro/internal/detect"
 )
 
-// buildBenchArchive fills dir with 4096 records in 256 sealed
-// segments, each spanning 16 quanta, with one rare keyword confined to
-// a handful of segments — enough structure for every planner path
-// (time skip, Bloom skip, limit pushdown) to show up in the numbers.
+// buildBenchArchive fills dir with 4096 records sealed into segments of
+// 512, in 256 keyword groups of 16 quanta each, with one rare keyword
+// confined to a handful of groups — enough structure for every planner
+// path (time skip, Bloom skip, limit pushdown) to show up in the
+// numbers.
 func buildBenchArchive(b *testing.B, dir string) {
 	b.Helper()
-	l, err := archive.Open(dir, archive.Options{SegmentEvents: 16})
+	l, err := archive.Open(dir, archive.Options{SegmentEvents: 512, BucketQuanta: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,20 +36,16 @@ func buildBenchArchive(b *testing.B, dir string) {
 	}
 }
 
-// benchArchive opens the 256-segment archive compacted into segments
-// of 512 records.
+// benchArchive opens a freshly built bench archive.
 func benchArchive(b *testing.B) *archive.Log {
 	b.Helper()
 	dir := b.TempDir()
 	buildBenchArchive(b, dir)
-	l, err := archive.Open(dir, archive.Options{SegmentEvents: 512, BucketQuanta: 1 << 20})
+	l, err := archive.Open(dir, archive.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { l.Close() })
-	if st, err := l.CompactAll(); err != nil || st.Compactions == 0 {
-		b.Fatalf("bench archive did not compact: %+v, %v", st, err)
-	}
 	return l
 }
 
@@ -62,7 +59,7 @@ func benchSnap() *fakeSnap {
 	return newFakeSnap(evs...)
 }
 
-// BenchmarkUnifiedQuery measures the executor over a compacted
+// BenchmarkUnifiedQuery measures the executor over a sealed
 // 4096-record archive plus a 64-event live overlay. The headline
 // comparison: limit10 vs fullscan (LIMIT pushdown must scan strictly
 // fewer segments, reported as segscanned/op).

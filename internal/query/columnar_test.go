@@ -9,8 +9,8 @@ import (
 )
 
 // pageJSON snapshots what a client sees — events and cursor. Stats are
-// deliberately excluded: segment/block counts legitimately change when
-// the archive is compacted; answers must not.
+// deliberately excluded: segment/block counts legitimately change with
+// the archive's physical layout; answers must not.
 func pageJSON(t *testing.T, res Result) string {
 	t.Helper()
 	raw, err := json.Marshal(struct {
@@ -43,52 +43,51 @@ func collectPages(t *testing.T, arch Archive, req Request) []string {
 	}
 }
 
-// TestQueryEquivalenceAcrossCompaction is the tentpole acceptance
+// TestQueryEquivalenceAcrossSeal is the seal policy's acceptance
 // criterion at the engine layer: every query — including a full cursor
-// walk — returns byte-identical pages whether the archive body is the
-// small segments frequent seals leave, partly merged after one
-// compaction step, or fully compacted.
-func TestQueryEquivalenceAcrossCompaction(t *testing.T) {
-	dir := t.TempDir()
-	l, err := archive.Open(dir, archive.Options{SegmentEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 39; i++ {
-		r := rec(uint64(i), uint64(1000+i), i, i+2, "common", fmt.Sprintf("kw-%d", i%6))
-		r.PeakRank = float64(i%10) / 2
-		if i%7 == 0 {
-			r.Keywords, r.AllKeywords = nil, nil
+// walk — returns byte-identical pages whether the records all sit in an
+// in-memory buffer, or went through a buffer file and a restart into
+// segments sealed at the bound, before and after another restart.
+func TestQueryEquivalenceAcrossSeal(t *testing.T) {
+	fill := func(l *archive.Log, from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			r := rec(uint64(i), uint64(1000+i), i, i+2, "common", fmt.Sprintf("kw-%d", i%6))
+			r.PeakRank = float64(i%10) / 2
+			if i%7 == 0 {
+				r.Keywords, r.AllKeywords = nil, nil
+			}
+			if err := l.Append(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := l.Append(r); err != nil {
+	}
+	open := func(dir string, opt archive.Options) *archive.Log {
+		t.Helper()
+		l, err := archive.Open(dir, opt)
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { l.Close() })
+		return l
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen with merge-friendly bounds so compaction has runs to merge.
-	opt := archive.Options{SegmentEvents: 16, BucketQuanta: 1 << 20, BlockEvents: 4}
-	l, err = archive.Open(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
 	requests := []Request{
 		{To: -1},
 		{To: -1, Keywords: []string{"kw-2"}},
 		{To: -1, Keywords: []string{"common", "kw-4"}},
 		{From: 5, To: 9},
 		{To: -1, MinRank: 3},
-		{To: -1, Limit: 7}, // cursor-walked below
+		{To: -1, Limit: 7}, // cursor-walked
 	}
+	// The reference: every record in the buffer of an archive whose
+	// bound is never reached.
+	ref := open(t.TempDir(), archive.Options{SegmentEvents: 1 << 20})
+	fill(ref, 1, 39)
 	baseline := make([][]string, len(requests))
 	for i, req := range requests {
-		baseline[i] = collectPages(t, l, req)
+		baseline[i] = collectPages(t, ref, req)
 	}
-
-	check := func(label string) {
+	check := func(label string, l *archive.Log) {
 		t.Helper()
 		for i, req := range requests {
 			pages := collectPages(t, l, req)
@@ -105,15 +104,27 @@ func TestQueryEquivalenceAcrossCompaction(t *testing.T) {
 		}
 	}
 
-	if _, worked, err := l.CompactOnce(); err != nil || !worked {
-		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
-	}
-	check("partly merged")
-
-	if _, err := l.CompactAll(); err != nil {
+	dir := t.TempDir()
+	opt := archive.Options{SegmentEvents: 16, BucketQuanta: 1 << 20, BlockEvents: 4}
+	l := open(dir, opt)
+	fill(l, 1, 15) // one short of the bound
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("fully compacted")
+	l = open(dir, opt)
+	if n := l.ColumnarSegmentCount(); n != 0 {
+		t.Fatalf("%d sealed segments under the bound", n)
+	}
+	fill(l, 16, 39)
+	if n := l.ColumnarSegmentCount(); n != 2 {
+		t.Fatalf("sealed segments = %d, want 2", n)
+	}
+	check("sealed", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = open(dir, opt)
+	check("sealed and reopened", l)
 
 	// The zone-map pushdown must actually engage on the columnar body: a
 	// narrow time-range query reads only a fraction of the blocks.

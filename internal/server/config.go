@@ -83,17 +83,10 @@ type PoolConfig struct {
 	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
 	// columnar segments, each indexed for data skipping) instead of
 	// discarding them, queryable via Tenant.Query and GET /v1/{t}/query.
-	// The archive's buffer is sealed to disk before every WAL snapshot,
+	// The archive's buffer is synced to disk before every WAL snapshot,
 	// so a crash loses no eviction the WAL tail cannot regenerate. Needs
 	// WALDir: the WAL carries the eviction ordinal across restarts.
 	ArchiveDir string
-	// ArchiveCompactInterval, when positive, runs a background
-	// compactor: every interval it performs at most one compaction step
-	// per tenant — merging a run of small adjacent sealed segments, which
-	// per-snapshot sealing keeps producing. Zero disables it (the
-	// archive stays readable, in more and smaller segments). Needs
-	// ArchiveDir.
-	ArchiveCompactInterval time.Duration
 
 	// RateLimit, when positive, caps each tenant's sustained ingest rate
 	// in messages per second via a per-tenant token bucket. A batch that
@@ -217,7 +210,6 @@ func (c PoolConfig) Validate() error {
 	v.require(c.Workers >= 0, "Workers (-workers) must be non-negative (0 = GOMAXPROCS)")
 	v.require(c.WALGroupCommitInterval >= 0, "WALGroupCommitInterval (-wal-group-commit-interval) must be non-negative (0 = page-cache durability)")
 	v.require(c.SnapshotEvery >= 0, "SnapshotEvery (-snapshot-every) must be non-negative (0 = default)")
-	v.require(c.ArchiveCompactInterval >= 0, "ArchiveCompactInterval (-archive-compact-interval) must be non-negative (0 = disabled)")
 	v.require(c.RateLimit >= 0, "RateLimit (-rate-limit) must be non-negative (0 = unlimited)")
 	v.require(c.RateBurst >= 0, "RateBurst (-rate-burst) must be non-negative (0 = one second of RateLimit)")
 	v.require(c.AdmissionFrac >= 0 && c.AdmissionFrac <= 1, "AdmissionFrac (-admission-frac) must be in [0,1] (0 = disabled)")
@@ -233,8 +225,6 @@ func (c PoolConfig) Validate() error {
 	// duplicate until it catches up with what the archive already holds.
 	v.require(c.ArchiveDir == "" || c.WALDir != "",
 		"ArchiveDir (-archive-dir) requires WALDir (-wal-dir): the WAL carries the eviction ordinal across restarts")
-	v.require(c.ArchiveCompactInterval <= 0 || c.ArchiveDir != "",
-		"ArchiveCompactInterval (-archive-compact-interval) requires ArchiveDir (-archive-dir): there is no archive to compact")
 	v.require(c.RateBurst <= 0 || c.RateLimit > 0,
 		"RateBurst (-rate-burst) requires RateLimit (-rate-limit): there is no bucket for the burst to size")
 	return errors.Join(v...)

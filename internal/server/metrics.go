@@ -28,24 +28,18 @@ type TenantMetrics struct {
 	// WALErrors counts failed snapshot/compaction passes.
 	WALErrors uint64 `json:"wal_errors,omitempty"`
 	// ArchiveSegments / ArchiveEvents size the evicted-event history;
-	// ArchiveErrors counts failed seals and compaction steps, none of
-	// which loses a record (a failed seal leaves its records buffered for
-	// the next one), and ArchiveGaps ordinal
-	// holes skipped over (records lost to a crash that replay could not
-	// regenerate).
+	// ArchiveErrors counts failed syncs and seals, none of which loses a
+	// record (the records stay buffered for the next attempt), and
+	// ArchiveGaps ordinal holes skipped over (records lost to a crash
+	// that replay could not regenerate).
 	ArchiveSegments int    `json:"archive_segments,omitempty"`
 	ArchiveEvents   int    `json:"archive_events,omitempty"`
 	ArchiveErrors   uint64 `json:"archive_errors,omitempty"`
 	ArchiveGaps     uint64 `json:"archive_gaps,omitempty"`
 	// ArchiveColumnarSegments counts the columnar segments sealed on
 	// disk (ArchiveSegments also counts the in-memory buffer while it
-	// holds records); the Compact* counters are the background
-	// compactor's lifetime totals for this tenant (committed steps,
-	// input segments consumed, and segment-file bytes reclaimed).
-	ArchiveColumnarSegments  int    `json:"archive_columnar_segments,omitempty"`
-	ArchiveCompactions       uint64 `json:"archive_compactions,omitempty"`
-	ArchiveSegmentsCompacted uint64 `json:"archive_segments_compacted,omitempty"`
-	ArchiveBytesReclaimed    uint64 `json:"archive_bytes_reclaimed,omitempty"`
+	// holds records).
+	ArchiveColumnarSegments int `json:"archive_columnar_segments,omitempty"`
 
 	// SLO / admission-control counters. AcceptedBatches counts batches
 	// (and flush markers) admitted to the queue; ShedRateLimit and
@@ -146,11 +140,8 @@ type MetricsTotals struct {
 	WALSegments     int    `json:"wal_segments"`
 	ArchiveSegments int    `json:"archive_segments"`
 	ArchiveEvents   int    `json:"archive_events"`
-	// ArchiveBytesReclaimed sums what background compaction has shaved
-	// off the archives' on-disk footprint across all tenants.
-	ArchiveBytesReclaimed uint64 `json:"archive_bytes_reclaimed"`
-	ShedBatches           uint64 `json:"shed_batches"`
-	ShedMessages          uint64 `json:"shed_messages"`
+	ShedBatches     uint64 `json:"shed_batches"`
+	ShedMessages    uint64 `json:"shed_messages"`
 	// DegradedTenants counts tenants currently in read-only degraded
 	// mode — the pool-level "is storage sick anywhere" alert line.
 	DegradedTenants int `json:"degraded_tenants"`
@@ -207,7 +198,6 @@ func totalsOf(tenants []TenantMetrics) MetricsTotals {
 		tot.WALSegments += m.WALSegments
 		tot.ArchiveSegments += m.ArchiveSegments
 		tot.ArchiveEvents += m.ArchiveEvents
-		tot.ArchiveBytesReclaimed += m.ArchiveBytesReclaimed
 		tot.ShedBatches += m.ShedRateLimit + m.ShedQueueDepth
 		tot.ShedMessages += m.ShedMessages
 		if m.Degraded {

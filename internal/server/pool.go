@@ -50,10 +50,9 @@ type Pool struct {
 	shutdownDone chan struct{}
 	shutdownErr  error
 
-	// The background loops (see loops.go): the archive compactor, nil
-	// when disabled, and the degradation supervisor, nil without a WAL.
-	compactor  *tenantLoop
-	supervisor *tenantLoop
+	// supervisor is the degradation supervisor (supervisor.go), nil
+	// without a WAL.
+	supervisor *supervisor
 }
 
 // NewPool validates cfg, builds a pool and restores every tenant found
@@ -75,8 +74,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	abandon := func() {
 		// Don't leak scheduler workers, the group committer, or tenants
-		// already restored. (The background loops start only after
-		// restore succeeds.)
+		// already restored. (The supervisor starts only after restore
+		// succeeds.)
 		//repro:order-insensitive independent per-tenant shutdowns during abandoned startup; order is immaterial
 		for _, t := range p.tenants {
 			t.shutdown(context.Background()) //nolint:errcheck // empty queues drain instantly
@@ -104,7 +103,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			p.tenants[e.Name()] = t
 		}
 	}
-	p.startLoops()
+	p.startSupervisor()
 	return p, nil
 }
 
@@ -263,7 +262,7 @@ func (p *Pool) BeginShutdown() []*Tenant {
 }
 
 // Shutdown stops ingest on every tenant, drains their queues (bounded by
-// ctx) and takes each through the storage owner's seal-then-snapshot
+// ctx) and takes each through the storage owner's sync-then-snapshot
 // path one last time, so a restart replays nothing. The first error is
 // returned, but every tenant is still processed.
 // Concurrent calls block until the shutdown pass completes (bounded by
@@ -271,7 +270,7 @@ func (p *Pool) BeginShutdown() []*Tenant {
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.shutdownOnce.Do(func() {
 		defer close(p.shutdownDone)
-		p.stopLoops()
+		p.supervisor.halt()
 		tenants := p.BeginShutdown()
 		var first error
 		drainFailed := false

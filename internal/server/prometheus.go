@@ -78,18 +78,12 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegments) }},
 	{"eventdetect_archive_events", "gauge", "Events held by the archive.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveEvents) }},
-	{"eventdetect_archive_errors_total", "counter", "Failed archive seals and compaction steps; no record is lost (a failed seal leaves its records buffered for the next one).",
+	{"eventdetect_archive_errors_total", "counter", "Failed archive syncs and seals; no record is lost (the records stay buffered for the next attempt).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveErrors) }},
 	{"eventdetect_archive_gaps_total", "counter", "Archive ordinal holes skipped (records lost to a crash).",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveGaps) }},
 	{"eventdetect_archive_columnar_segments", "gauge", "Columnar archive segments sealed on disk.",
 		func(m *TenantMetrics) float64 { return float64(m.ArchiveColumnarSegments) }},
-	{"eventdetect_archive_compactions_total", "counter", "Committed archive compaction steps (segment merges).",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveCompactions) }},
-	{"eventdetect_archive_segments_compacted_total", "counter", "Input segments consumed by archive compaction.",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegmentsCompacted) }},
-	{"eventdetect_archive_bytes_reclaimed_total", "counter", "Archive bytes reclaimed by compaction (segment files, input minus output).",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveBytesReclaimed) }},
 	{"eventdetect_accepted_batches_total", "counter", "Batches (and flush markers) admitted to the queue.",
 		func(m *TenantMetrics) float64 { return float64(m.AcceptedBatches) }},
 	{"eventdetect_shed_rate_limit_total", "counter", "Batches shed by the token bucket.",
@@ -161,8 +155,6 @@ var promPoolMetrics = []struct {
 		func(t *MetricsTotals) float64 { return float64(t.ArchiveSegments) }},
 	{"eventdetect_pool_archive_events", "gauge", "Archived events across all tenants.",
 		func(t *MetricsTotals) float64 { return float64(t.ArchiveEvents) }},
-	{"eventdetect_pool_archive_bytes_reclaimed_total", "counter", "Archive bytes reclaimed by compaction across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.ArchiveBytesReclaimed) }},
 	{"eventdetect_pool_shed_batches_total", "counter", "Batches shed across all tenants and gates.",
 		func(t *MetricsTotals) float64 { return float64(t.ShedBatches) }},
 	{"eventdetect_pool_shed_messages_total", "counter", "Messages shed across all tenants.",

@@ -38,7 +38,7 @@ type tenantStorage struct {
 	kick func() // nudges the pool supervisor after a degradation
 
 	health   tenantHealth
-	archErrs atomic.Uint64 // failed archive seals and compaction steps (no record is lost)
+	archErrs atomic.Uint64 // failed archive syncs and seals (no record is lost)
 	walErrs  atomic.Uint64 // failed WAL snapshots
 }
 
@@ -70,7 +70,7 @@ func openStorage(cfg PoolConfig, gc *wal.GroupCommitter, name string, tob *obs.T
 }
 
 // close releases the handles and returns the first error. Closing the
-// archive seals whatever its buffer still holds.
+// archive syncs whatever its buffer still holds.
 func (s *tenantStorage) close() error {
 	var err error
 	if s.wal != nil {
@@ -106,10 +106,10 @@ func (s *tenantStorage) archive() query.Archive {
 // (a fresh detector when there is none, or no WAL), then the segment
 // tail through applyRecord, the function the worker applied it with. The
 // eviction hook is attached before the replay so events the archive
-// already holds are deduplicated by ordinal while any it lost with its
-// unsealed buffer are re-archived. Returns the detector, the quantum of
-// the snapshot it started from, and the sequence of the last record
-// applied.
+// already holds are deduplicated by ordinal while any it lost with the
+// unsynced part of its buffer are re-archived. Returns the detector, the
+// quantum of the snapshot it started from, and the sequence of the last
+// record applied.
 func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	if s.wal == nil {
 		return detect.New(s.cfg.Detector), 0, 0, nil
@@ -200,23 +200,23 @@ func (s *tenantStorage) commit(seq uint64) error {
 
 // snapshot is the one way a WAL snapshot gets written, at the cadence
 // point, after a recovery that replayed past one, and on shutdown: the
-// archive's buffer is sealed to disk first, because the snapshot
+// archive's buffer is synced to disk first, because the snapshot
 // persists the detector's eviction counter and replay from it never
 // regenerates the evictions it covers — a record still only in memory
-// would be lost to the next crash for good. A failed seal therefore
+// would be lost to the next crash for good. A failed sync therefore
 // skips the snapshot: the archive still holds every record in its buffer
 // and the WAL keeps the tail that can re-evict them. Compaction inside
 // wal.Snapshot then drops the covered segments. seq must name exactly
 // the state save writes, so callers run on the goroutine that applies
 // the tenant's batches (or after its drain): no eviction can land
-// between capture and seal.
+// between capture and sync.
 func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
 	if s.wal == nil {
 		return nil
 	}
 	t0 := time.Now()
 	if s.arch != nil {
-		if err := s.arch.Seal(); err != nil {
+		if err := s.arch.Sync(); err != nil {
 			s.writeFailed(&s.archErrs, err)
 			return err
 		}
@@ -231,21 +231,7 @@ func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
 	return nil
 }
 
-// compactStep is the background compactor's unit of work: merge one run
-// of small sealed archive segments. The compactor only exists when an
-// archive is configured. A failure is counted and otherwise ignored —
-// compaction is an optimization, never a correctness requirement.
-func (s *tenantStorage) compactStep() {
-	start := time.Now()
-	_, worked, err := s.arch.CompactOnce()
-	if err != nil {
-		s.archErrs.Add(1)
-	} else if worked {
-		s.obs.Observe(obs.StageArchiveCompact, time.Since(start))
-	}
-}
-
-// writeFailed accounts a failed archive seal or WAL snapshot. Neither is
+// writeFailed accounts a failed archive write or WAL snapshot. Neither is
 // fatal — the WAL still holds the full history — but ENOSPC means the
 // device is out of space and the next append will fail too. Degrade
 // proactively so ingest sheds instead of burning retry budgets, and let
@@ -277,7 +263,6 @@ func (s *tenantStorage) fillMetrics(m *TenantMetrics) {
 		m.ArchiveErrors = s.archErrs.Load()
 		m.ArchiveGaps = ar.Gaps()
 		m.ArchiveColumnarSegments = ar.ColumnarSegmentCount()
-		m.ArchiveCompactions, m.ArchiveSegmentsCompacted, m.ArchiveBytesReclaimed = ar.CompactTotals()
 		m.QuarantinedSegments = ar.QuarantinedSegments()
 	}
 }

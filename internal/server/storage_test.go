@@ -15,9 +15,9 @@ import (
 // surface — restore, append, flush marker, commit, snapshot, close — in
 // each configuration NewPool admits. A disabled subsystem must be a
 // no-op in there (sequence 0, no save callback, nothing in the metrics)
-// so that no caller has to ask what is enabled; and the seal-then-
+// so that no caller has to ask what is enabled; and the sync-then-
 // snapshot path must not write a snapshot past evictions it failed to
-// seal.
+// sync.
 func TestStorageOwner(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -86,16 +86,16 @@ func TestStorageOwner(t *testing.T) {
 			}
 			if tc.arch {
 				// An eviction stuck in the archive's buffer behind a sick
-				// device: the seal fails, so the snapshot must not happen.
+				// device: the sync fails, so the snapshot must not happen.
 				if err := st.arch.Append(archive.Record{Seq: 1, ID: 7, State: "ended", Keywords: []string{"fire"}}); err != nil {
 					t.Fatal(err)
 				}
 				rule := ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: cfg.ArchiveDir})
 				if err := st.snapshot(fseq, save); err == nil {
-					t.Fatal("snapshot succeeded past a failed seal")
+					t.Fatal("snapshot succeeded past a failed sync")
 				}
 				if saves != 0 || snapSeq() != 0 || st.archErrs.Load() != 1 || st.walErrs.Load() != 0 {
-					t.Fatalf("failed seal: %d saves, snapshot seq %d, %d archive / %d wal errors; want 0, 0, 1, 0",
+					t.Fatalf("failed sync: %d saves, snapshot seq %d, %d archive / %d wal errors; want 0, 0, 1, 0",
 						saves, snapSeq(), st.archErrs.Load(), st.walErrs.Load())
 				}
 				if n := tob.Snapshot(obs.StageArchiveSeal).Count + tob.Snapshot(obs.StageWALSnapshot).Count; n != 0 {
@@ -117,7 +117,7 @@ func TestStorageOwner(t *testing.T) {
 			var m TenantMetrics
 			st.fillMetrics(&m)
 			if m.WALEnabled != tc.wal || m.ArchiveEnabled != tc.arch || m.WALLastSeq != fseq ||
-				m.ArchiveColumnarSegments != int(b2u(tc.arch)) || m.Degraded || m.StorageRetries != 0 {
+				m.ArchiveEvents != int(b2u(tc.arch)) || m.ArchiveColumnarSegments != 0 || m.Degraded || m.StorageRetries != 0 {
 				t.Fatalf("metrics share: %+v", m)
 			}
 			if err := st.close(); err != nil {
@@ -135,6 +135,9 @@ func TestStorageOwner(t *testing.T) {
 			if err != nil || last2 != fseq || det2.Processed() != uint64(want(8)) {
 				t.Fatalf("second restore = (%d processed, last %d, %v), want (%d, %d, nil)",
 					det2.Processed(), last2, err, want(8), fseq)
+			}
+			if tc.arch && st2.arch.EventCount() != 1 {
+				t.Fatalf("second owner's archive holds %d events, want the synced one", st2.arch.EventCount())
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,6 +170,80 @@ func (t *Tenant) reopenWALLocked() error {
 	t.finishDrainLocked()
 	return wl.Reopen()
 }
+
+// supervisor is the pool's one background goroutine: on its probe
+// cadence, or at once when a storage failure kicks it, it takes every
+// published tenant through probeStorage in name order. One goroutine for
+// the whole pool — degradation is rare and the probe is cheap, so
+// per-tenant probers would only multiply shutdown edges. A nil
+// *supervisor is one that never started: kick and halt are no-ops on it.
+type supervisor struct {
+	stop chan struct{}
+	wake chan struct{}
+	done chan struct{}
+	once sync.Once
+}
+
+// startSupervisor starts the supervisor once every tenant on disk is
+// restored. It only has work when a WAL exists.
+func (p *Pool) startSupervisor() {
+	if p.cfg.WALDir == "" {
+		return
+	}
+	s := &supervisor{stop: make(chan struct{}), wake: make(chan struct{}, 1), done: make(chan struct{})}
+	p.supervisor = s
+	go func() {
+		defer close(s.done)
+		tick := time.NewTicker(p.cfg.degradedProbeInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-s.wake:
+			case <-tick.C:
+			}
+			for _, t := range p.tenantsSorted() {
+				select {
+				case <-s.stop:
+					return
+				default:
+				}
+				t.probeStorage()
+			}
+		}
+	}()
+}
+
+// kick starts a pass now instead of at the next tick. Non-blocking; a
+// kick while one is pending coalesces.
+func (s *supervisor) kick() {
+	if s == nil {
+		return
+	}
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// halt stops the supervisor and waits for the probe in flight to
+// finish; idempotent. Shutdown halts it before anything closes: a
+// probe's reopen racing a WAL Close would resurrect file handles
+// Shutdown just released.
+func (s *supervisor) halt() {
+	if s == nil {
+		return
+	}
+	s.once.Do(func() { close(s.stop) })
+	<-s.done
+}
+
+// kickSupervisor nudges the supervisor to probe now instead of waiting
+// out the cadence — called when a storage failure flips a tenant
+// degraded, so short outages recover on the next probe, not the next
+// tick.
+func (p *Pool) kickSupervisor() { p.supervisor.kick() }
 
 // probeStorage is one supervisor turn for this tenant: repair a
 // fail-stopped WAL in place, and when the tenant is degraded, verify

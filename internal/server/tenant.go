@@ -311,7 +311,7 @@ func (t *Tenant) apply(batch walBatch) {
 }
 
 // maybeSnapshot checkpoints the detector through the storage owner's
-// seal-then-snapshot path once enough quanta have passed since the last
+// sync-then-snapshot path once enough quanta have passed since the last
 // snapshot. It runs synchronously on the worker between batches — that
 // is what makes lastApplied exactly name the state captured, and it
 // deliberately paces ingest to snapshot IO at the cadence point. The
