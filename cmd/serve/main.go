@@ -21,19 +21,22 @@
 // turn), so tenants-per-process scales past the goroutine-per-tenant
 // limit and a hot tenant cannot starve the rest.
 //
-// With -wal-dir set, every accepted batch is write-ahead logged before
-// it is acknowledged and the detector is snapshotted every
-// -snapshot-every quanta, so even a kill -9 loses nothing: restart with
-// the same -wal-dir and recovery (snapshot + tail replay) resumes
-// bit-identically. On SIGINT/SIGTERM the server drains in-flight
-// requests and ingest queues and writes a final snapshot per tenant, so
-// a clean restart replays nothing. Without -wal-dir tenants live in
-// memory only. With -archive-dir set (it needs -wal-dir), events
-// evicted by -retain are persisted to a queryable on-disk archive of
-// columnar segments (zone-map predicate skipping) instead of discarded:
-// an in-memory buffer, rewritten to one buffer file before every
-// snapshot and sealed into a segment when full (-archive-compact-interval
-// is still accepted and has no effect). See docs/PERSISTENCE.md.
+// With -wal-dir set, every accepted batch is write-ahead logged and
+// fsynced before it is acknowledged (concurrent batches of a tenant
+// share one flush; -wal-group-commit-interval is still accepted and has
+// no effect) and the detector is snapshotted every -snapshot-every
+// quanta, so neither a kill -9 nor a power loss loses an acknowledged
+// batch: restart with the same -wal-dir and recovery (snapshot + tail
+// replay) resumes bit-identically. On SIGINT/SIGTERM the server drains
+// in-flight requests and ingest queues and writes a final snapshot per
+// tenant, so a clean restart replays nothing. Without -wal-dir tenants
+// live in memory only. With -archive-dir set (it needs -wal-dir),
+// events evicted by -retain are persisted to a queryable on-disk
+// archive of columnar segments (zone-map predicate skipping) instead of
+// discarded: an in-memory buffer, rewritten to one buffer file before
+// every snapshot and sealed into a segment when full
+// (-archive-compact-interval is still accepted and has no effect). See
+// docs/PERSISTENCE.md.
 // GET /v1/{tenant}/query answers one time-travel request across live
 // and archived events with LIMIT pushdown and cursor pagination; see
 // docs/QUERY.md.
@@ -47,11 +50,11 @@
 // under skewed traffic and a full disk.
 //
 // The 21 flags bind straight onto server.Config's fields, -pprof-addr
-// and the inert -archive-compact-interval aside; their defaults are
-// what the zero Config resolves to, and their valid ranges are
-// server.Config.Validate's. Every violation is reported at startup,
-// not just the first. Telemetry (stage histograms on
-// GET /metrics?format=prometheus, the slowest traced requests on
+// and the inert -archive-compact-interval and -wal-group-commit-interval
+// aside; their defaults are what the zero Config resolves to, and their
+// valid ranges are server.Config.Validate's. Every violation is
+// reported at startup, not just the first. Telemetry (stage histograms
+// on GET /metrics?format=prometheus, the slowest traced requests on
 // GET /debug/requests) is always on.
 //
 // Tunables mirror Table 2: -delta (quantum size), -tau (high state
@@ -106,11 +109,11 @@ func bindFlags(fs *flag.FlagSet) (cfg *server.Config, pprofAddr *string) {
 		"listen address for net/http/pprof diagnostics (empty disables; "+
 			"e.g. localhost:6060 — keep it off public interfaces)")
 
-	fs.StringVar(&p.WALDir, "wal-dir", p.WALDir, "write-ahead log directory (empty disables persistence)")
-	fs.DurationVar(&p.WALGroupCommitInterval, "wal-group-commit-interval", p.WALGroupCommitInterval,
-		"cross-tenant WAL group commit flush interval (e.g. 2ms; needs -wal-dir). "+
-			"Acks wait for the shared flush+fsync: power-safe durability. "+
-			"0 acks from the page cache: kill-safe, not power-safe")
+	fs.StringVar(&p.WALDir, "wal-dir", p.WALDir,
+		"write-ahead log directory (empty disables persistence); every ack waits for the fsync of its batch")
+	fs.Duration("wal-group-commit-interval", 0,
+		"no effect: every ack waits for the fsync of its batch, and concurrent batches share one flush "+
+			"without a timer (accepted so existing command lines keep working)")
 	fs.IntVar(&p.SnapshotEvery, "snapshot-every", p.SnapshotEvery, "WAL snapshot cadence in quanta")
 	fs.StringVar(&p.ArchiveDir, "archive-dir", p.ArchiveDir,
 		"evicted-event archive directory (empty discards evicted events; requires -wal-dir)")
@@ -164,7 +167,6 @@ func main() {
 		"beta", cfg.Pool.Detector.AKG.Beta,
 		"window", cfg.Pool.Detector.AKG.Window,
 		"wal", cfg.Pool.WALDir != "",
-		"group_commit", cfg.Pool.WALGroupCommitInterval.String(),
 		"archive", cfg.Pool.ArchiveDir != "",
 		"rate_limit", cfg.Pool.RateLimit,
 		"admission_frac", cfg.Pool.AdmissionFrac,

@@ -69,18 +69,18 @@ func TestFlagSurface(t *testing.T) {
 func TestFlagsBindAndValidate(t *testing.T) {
 	fs, cfg := newFlagSet()
 	if err := fs.Parse([]string{"-queue", "7", "-beta", "0.4", "-wal-dir", "/w", "-grace", "5s",
-		"-archive-compact-interval", "250ms"}); err != nil {
+		"-archive-compact-interval", "250ms", "-wal-group-commit-interval", "2ms"}); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Pool.QueueDepth != 7 || cfg.Pool.Detector.AKG.Beta != 0.4 || cfg.Pool.WALDir != "/w" || cfg.ShutdownGrace.Seconds() != 5 {
 		t.Fatalf("flags did not bind: %+v", *cfg)
 	}
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("a valid command line with the inert -archive-compact-interval was refused: %v", err)
+		t.Fatalf("a valid command line with the inert -archive-compact-interval and -wal-group-commit-interval was refused: %v", err)
 	}
 
 	fs, cfg = newFlagSet()
-	args := []string{"-archive-dir", "/a", "-wal-group-commit-interval", "2ms", "-rate-burst", "8"}
+	args := []string{"-archive-dir", "/a", "-rate-burst", "8"}
 	for _, name := range []string{"delta", "qtime", "tau", "w", "retain", "snapshot-every", "queue",
 		"queue-msgs", "workers", "max-tenants", "rate-limit", "admission-frac", "beta", "grace"} {
 		neg := "-1"
@@ -107,7 +107,7 @@ func TestFlagsBindAndValidate(t *testing.T) {
 	for _, name := range serveFlags {
 		switch name {
 		case "addr", "pprof-addr": // free-form strings
-		case "archive-compact-interval": // accepted, no effect
+		case "archive-compact-interval", "wal-group-commit-interval": // accepted, no effect
 		default:
 			if !named[name] {
 				t.Errorf("-%s was given a bad value (or left dangling) and Validate did not name it:\n%v", name, err)

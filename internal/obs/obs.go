@@ -33,16 +33,16 @@ const (
 	// StageAdmission is the admission gate: queue-bound checks and the
 	// token bucket, including the ingest-queue lock acquisition.
 	StageAdmission
-	// StageWALAppend is the WAL append under the queue lock: without
-	// group commit one write() to the page cache and no fsync (unless the
-	// append fills a segment, whose rotation fsyncs it); under group
-	// commit a memory copy.
+	// StageWALAppend is the WAL append under the queue lock: a memory
+	// copy of the framed record into the log's pending buffer.
 	StageWALAppend
 	// StageWALCommit is the durability wait after the queue lock is
-	// released — under group commit, the shared flush the ack waits on.
+	// released: for the flush covering the record, which the waiter may
+	// lead itself.
 	StageWALCommit
-	// StageWALFsync is one group-commit flush pass (write + fsync of a
-	// log's pending records), observed from inside the WAL.
+	// StageWALFsync is one WAL flush (write + fsync of a log's pending
+	// records, plus the directory fsyncs a new segment needs), observed
+	// from inside the WAL.
 	StageWALFsync
 	// StageQueueWait is a batch's time in the ingest queue: accepted
 	// (pushed) to picked up by the apply step.
@@ -82,12 +82,9 @@ const (
 	// StageArchiveBlockScan is the columnar (v2) portion of an archive
 	// scan: zone-map evaluation plus block decode of the survivors.
 	StageArchiveBlockScan
-	// StageStorageRetry is one storage-retry turn on the ingest path:
-	// the backoff sleep plus the in-place WAL repair and re-append after
-	// a transient device error.
-	StageStorageRetry
-	// StageWALReopen is one supervised quarantine-and-reopen of a
-	// fail-stopped WAL (truncate to the acked prefix, seal, resume).
+	// StageWALReopen is one supervised reopen of a fail-stopped WAL (cut
+	// the newest segment back to the acked prefix, resume past the
+	// discarded records).
 	StageWALReopen
 	// StageArchiveSeal is making the archive's in-memory buffer durable
 	// ahead of a WAL snapshot: rewriting its one buffer file (a no-op
@@ -122,7 +119,6 @@ var stageNames = [numStages]string{
 	"query_snapshot_scan",
 	"query_archive_scan",
 	"archive_block_scan",
-	"storage_retry",
 	"wal_reopen",
 	"archive_seal",
 	"wal_snapshot",

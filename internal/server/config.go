@@ -53,22 +53,14 @@ type PoolConfig struct {
 	Workers int
 
 	// WALDir, when non-empty, enables persistence: every accepted ingest
-	// batch is appended to a per-tenant write-ahead log before it is
-	// acknowledged, and the detector is snapshotted every SnapshotEvery
+	// batch is appended to a per-tenant write-ahead log and fsynced
+	// before it is acknowledged (concurrent batches of a tenant share
+	// one flush), and the detector is snapshotted every SnapshotEvery
 	// quanta and on Shutdown. On pool start each tenant found under
 	// WALDir is recovered as latest snapshot + replay of the segment
 	// tail — bit-identical to the state at exit, however the process
 	// died. Empty keeps tenants in memory only.
 	WALDir string
-	// WALGroupCommitInterval selects the WAL's durability level. Zero:
-	// an acked batch is in the OS page cache — it survives kill -9, not
-	// power loss. Positive: cross-tenant group commit — appends from
-	// every tenant buffer in memory and a single committer goroutine
-	// flushes + fsyncs each dirty log once per interval; Enqueue
-	// acknowledges only after the flush covering its batch, so acked
-	// batches are power-safe and the fsync cost is shared across all
-	// batches of an interval. Needs WALDir.
-	WALGroupCommitInterval time.Duration
 	// SnapshotEvery is the WAL snapshot cadence in quanta. Zero selects
 	// 256. Smaller = faster recovery, more snapshot IO.
 	SnapshotEvery int
@@ -110,19 +102,15 @@ type PoolConfig struct {
 	// nothing outside the package can set them.
 	//
 	// walSegmentBytes rotates WAL segments (the wal package's default,
-	// 4 MiB). storageRetryBackoff is the first backoff of the inline
-	// retry loop Enqueue runs on a transient device IO error
-	// (storageRetries turns, doubling each turn, capped at 32×) before the
-	// tenant degrades (5ms). degradedProbeInterval is the degradation
-	// supervisor's probe cadence — how often it tries to reopen
-	// fail-stopped WALs and write-probe degraded tenants' devices — and
-	// the Retry-After hint on degraded-shed responses (1s).
+	// 4 MiB). degradedProbeInterval is the degradation supervisor's probe
+	// cadence — how often it tries to reopen fail-stopped WALs and
+	// write-probe degraded tenants' devices — and the Retry-After hint on
+	// degraded-shed responses (1s).
 	// archiveSegmentEvents seals archive segments by record count,
 	// archiveBucketQuanta by time span, and archiveBlockEvents sizes the
 	// record blocks inside a segment — the unit of zone-map skipping and
 	// of decode work (the archive package's 512 / 1024 / 256).
 	walSegmentBytes       int64
-	storageRetryBackoff   time.Duration
 	degradedProbeInterval time.Duration
 	archiveSegmentEvents  int
 	archiveBucketQuanta   int
@@ -173,9 +161,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 		c.SnapshotEvery = 256
 	}
 	c.FS = vfs.Default(c.FS)
-	if c.storageRetryBackoff == 0 {
-		c.storageRetryBackoff = 5 * time.Millisecond
-	}
 	if c.degradedProbeInterval == 0 {
 		c.degradedProbeInterval = time.Second
 	}
@@ -208,7 +193,6 @@ func (c PoolConfig) Validate() error {
 	v.require(c.RetainEvents >= 0, "RetainEvents (-retain) must be non-negative (0 = unlimited)")
 	v.require(c.MaxTenants >= 0, "MaxTenants (-max-tenants) must be non-negative (0 = default)")
 	v.require(c.Workers >= 0, "Workers (-workers) must be non-negative (0 = GOMAXPROCS)")
-	v.require(c.WALGroupCommitInterval >= 0, "WALGroupCommitInterval (-wal-group-commit-interval) must be non-negative (0 = page-cache durability)")
 	v.require(c.SnapshotEvery >= 0, "SnapshotEvery (-snapshot-every) must be non-negative (0 = default)")
 	v.require(c.RateLimit >= 0, "RateLimit (-rate-limit) must be non-negative (0 = unlimited)")
 	v.require(c.RateBurst >= 0, "RateBurst (-rate-burst) must be non-negative (0 = one second of RateLimit)")
@@ -217,8 +201,6 @@ func (c PoolConfig) Validate() error {
 	// A setting that only acts through another must not be accepted
 	// without it: it would be silently ignored, and the operator left
 	// believing in a guarantee that is not there.
-	v.require(c.WALGroupCommitInterval <= 0 || c.WALDir != "",
-		"WALGroupCommitInterval (-wal-group-commit-interval) requires WALDir (-wal-dir): without a log there is nothing to fsync and acks are not durable at all")
 	// The archive deduplicates replayed evictions by the detector's trim
 	// counter, which only the WAL carries across a restart; without it
 	// the counter restarts at 0 and every eviction is dropped as a

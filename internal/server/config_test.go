@@ -36,13 +36,10 @@ func TestConfigValidate(t *testing.T) {
 		{"rate-burst", func(c *Config) { c.Pool.RateLimit, c.Pool.RateBurst = 1, -1 }, []string{"-rate-burst)"}},
 		{"admission-frac", func(c *Config) { c.Pool.AdmissionFrac = 1.01 }, []string{"-admission-frac"}},
 		{"grace", func(c *Config) { c.ShutdownGrace = -time.Second }, []string{"-grace"}},
-		{"wal-group-commit-interval", func(c *Config) { c.Pool.WALDir, c.Pool.WALGroupCommitInterval = "w", -1 }, []string{"-wal-group-commit-interval"}},
 		{"snapshot-every", func(c *Config) { c.Pool.SnapshotEvery = -1 }, []string{"-snapshot-every"}},
 		// A setting accepted and then ignored is a misconfiguration: the
 		// message names both halves.
 		{"archive needs wal", func(c *Config) { c.Pool.ArchiveDir = "a" }, []string{"-archive-dir", "-wal-dir"}},
-		{"group commit needs wal", func(c *Config) { c.Pool.WALGroupCommitInterval = 2 * time.Millisecond },
-			[]string{"-wal-group-commit-interval", "-wal-dir"}},
 		{"burst needs limit", func(c *Config) { c.Pool.RateBurst = 16 }, []string{"-rate-burst", "-rate-limit"}},
 	}
 	for _, tc := range cases {
@@ -93,7 +90,7 @@ func TestConfigValidate(t *testing.T) {
 		"PoolConfig{Detector}": PoolConfig{Detector: testDetectConfig()}.Validate(),
 		"resolved zero":        Config{}.WithDefaults().Validate(),
 		"pairs together": Config{Pool: PoolConfig{
-			WALDir: "w", WALGroupCommitInterval: time.Millisecond, ArchiveDir: "a",
+			WALDir: "w", ArchiveDir: "a",
 			RateLimit: 10, RateBurst: 20,
 		}}.Validate(),
 	} {

@@ -26,7 +26,6 @@ func faultPool(t *testing.T, mutate func(*PoolConfig)) (*Pool, *vfs.FaultFS, str
 		WALDir:                filepath.Join(dir, "wal"),
 		FS:                    ffs,
 		degradedProbeInterval: 10 * time.Millisecond,
-		storageRetryBackoff:   time.Millisecond,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -87,87 +86,35 @@ func replayCount(t *testing.T, dir string, name string) uint64 {
 	return tn.msgs.Load()
 }
 
-// TestTransientEIORetriesInline: one transient write error on the WAL
-// append path must recover inside Enqueue — the client sees success,
-// never a shed — and the retry is visible on the metrics surface.
-func TestTransientEIORetriesInline(t *testing.T) {
+// testFaultThenClientRetry injects one device fault into the WAL flush
+// an Enqueue's commit leads. The flush fail-stops the log, so the batch
+// is refused with a 503 DegradedError — never acknowledged — and the
+// kicked supervisor reopens the log in place; the client's retry is
+// then acknowledged, and what replays after a restart is that retry,
+// once, with no bytes of the failed flush left behind (a torn frame in
+// a segment that is no longer the newest would make recovery refuse
+// the directory).
+func testFaultThenClientRetry(t *testing.T, fault vfs.Rule) {
 	pool, ffs, dir := faultPool(t, nil)
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal", Count: 1})
-	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); err != nil {
-		t.Fatalf("Enqueue with transient EIO: %v", err)
+	ffs.Inject(fault)
+	var deg *DegradedError
+	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); !errors.As(err, &deg) || deg.Reason != degradedIO {
+		t.Fatalf("Enqueue through a failed flush = %v, want DegradedError %q (batch not acked)", err, degradedIO)
 	}
 	if got := ffs.Injected(); got == 0 {
 		t.Fatal("fault was never injected; the test exercised nothing")
-	}
-	m := tn.Metrics()
-	if m.Degraded {
-		t.Fatal("transient error degraded the tenant")
-	}
-	if m.StorageRetries == 0 {
-		t.Fatal("StorageRetries = 0, want at least one retry turn")
-	}
-	waitApplied(t, tn)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := pool.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := replayCount(t, dir, "acme"); got != 8 {
-		t.Fatalf("recovered %d messages, want 8", got)
-	}
-}
-
-// TestTornWriteRetriesInline: a write torn mid-frame (short write + EIO)
-// must roll back cleanly and succeed on the inline retry, leaving no
-// torn bytes for replay to trip on.
-func TestTornWriteRetriesInline(t *testing.T) {
-	pool, ffs, dir := faultPool(t, nil)
-	tn, err := pool.GetOrCreate("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal", Count: 1, TornBytes: 7})
-	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); err != nil {
-		t.Fatalf("Enqueue with torn write: %v", err)
-	}
-	waitApplied(t, tn)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := pool.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := replayCount(t, dir, "acme"); got != 8 {
-		t.Fatalf("recovered %d messages, want 8", got)
-	}
-}
-
-// TestTornFsyncClientRetryLandsOnce: a failed fsync whose write already
-// landed — the power-cut-mid-fsync shape, reached through the group
-// committer, the only path that fsyncs before an ack. The frame must be
-// rolled back and the request refused (never acked), and once the
-// supervisor has repaired the log the client's retry of the same batch
-// must be what replays: once, not twice.
-func TestTornFsyncClientRetryLandsOnce(t *testing.T) {
-	pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
-		c.WALGroupCommitInterval = 200 * time.Microsecond
-	})
-	tn, err := pool.GetOrCreate("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal", Count: 1})
-	var deg *DegradedError
-	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); !errors.As(err, &deg) {
-		t.Fatalf("Enqueue with torn fsync = %v, want DegradedError (batch not acked)", err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		down, _ := tn.Degraded()
 		return !down
 	}, "supervised WAL reopen")
+	if got := tn.Metrics().WALReopens; got == 0 {
+		t.Fatal("WALReopens = 0, want a supervised reopen")
+	}
 	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); err != nil {
 		t.Fatalf("client retry after reopen: %v", err)
 	}
@@ -182,10 +129,32 @@ func TestTornFsyncClientRetryLandsOnce(t *testing.T) {
 	}
 }
 
-// TestPersistentEIODegradesThenRecovers: when the device error outlives
-// the inline retry budget the tenant must land in read-only degraded
-// mode (not crash, not block), shed with a DegradedError, and recover
-// in-process once the device heals — via the supervisor, no restart.
+// TestTransientEIORetriesInline: one transient write error on the WAL
+// flush — 503, supervised reopen, the client's retry lands once.
+func TestTransientEIORetriesInline(t *testing.T) {
+	testFaultThenClientRetry(t, vfs.Rule{Op: vfs.OpWrite, Path: "wal", Count: 1})
+}
+
+// TestTornWriteRetriesInline: a flush write torn mid-frame (short write
+// + EIO) — 503, supervised reopen, the client's retry lands once, and
+// no torn bytes are left for replay to trip on.
+func TestTornWriteRetriesInline(t *testing.T) {
+	testFaultThenClientRetry(t, vfs.Rule{Op: vfs.OpWrite, Path: "wal", Count: 1, TornBytes: 7})
+}
+
+// TestTornFsyncClientRetryLandsOnce: a failed fsync whose write already
+// landed — the power-cut-mid-fsync shape. The frame must be rolled back
+// and the request refused, and the client's retry of the same batch
+// must be what replays: once, not twice.
+func TestTornFsyncClientRetryLandsOnce(t *testing.T) {
+	testFaultThenClientRetry(t, vfs.Rule{Op: vfs.OpSync, Path: "wal", Count: 1})
+}
+
+// TestPersistentEIODegradesThenRecovers: under a persistent device error
+// the tenant must land in read-only degraded mode (not crash, not
+// block), shed with a DegradedError without touching the log, and
+// recover in-process once the device heals — via the supervisor, no
+// restart.
 func TestPersistentEIODegradesThenRecovers(t *testing.T) {
 	pool, ffs, dir := faultPool(t, nil)
 	tn, err := pool.GetOrCreate("acme")
@@ -201,16 +170,16 @@ func TestPersistentEIODegradesThenRecovers(t *testing.T) {
 	if deg.Reason != degradedIO {
 		t.Fatalf("reason = %q, want %q", deg.Reason, degradedIO)
 	}
-	if m := tn.Metrics(); !m.Degraded || m.StorageRetries == 0 {
-		t.Fatalf("metrics = %+v, want degraded with retries counted", m)
+	if m := tn.Metrics(); !m.Degraded {
+		t.Fatalf("metrics = %+v, want degraded", m)
 	}
-	// Degraded mode is a fast shed: no retry budget burned per request.
-	before := tn.health.storageRetries.Load()
+	// Degraded mode is a fast shed: the batch never reaches the log.
+	before := tn.storage.wal.LastSeq()
 	if err := tn.Enqueue(quantumOf(8, "flood river rising")); !errors.As(err, &deg) {
 		t.Fatalf("second Enqueue = %v, want DegradedError", err)
 	}
-	if tn.health.storageRetries.Load() != before {
-		t.Fatal("degraded shed burned retry turns")
+	if tn.storage.wal.LastSeq() != before {
+		t.Fatal("a degraded shed appended to the log")
 	}
 	// Reads keep serving while ingest is shed.
 	if evs := tn.Snapshot().AllEvents(); evs == nil {
@@ -235,10 +204,9 @@ func TestPersistentEIODegradesThenRecovers(t *testing.T) {
 	}
 }
 
-// TestENOSPCDegradesImmediately: out-of-space is not retried (more
-// attempts cannot help) — the tenant flips read-only on the first error
-// and recovers only after the supervisor's write probe proves space is
-// back.
+// TestENOSPCDegradesImmediately: the tenant flips read-only, reason
+// no_space, on the first out-of-space error, and recovers only after the
+// supervisor's write probe proves space is back.
 func TestENOSPCDegradesImmediately(t *testing.T) {
 	pool, ffs, _ := faultPool(t, nil)
 	tn, err := pool.GetOrCreate("acme")
@@ -254,9 +222,6 @@ func TestENOSPCDegradesImmediately(t *testing.T) {
 	if deg.Reason != degradedNoSpace {
 		t.Fatalf("reason = %q, want %q", deg.Reason, degradedNoSpace)
 	}
-	if got := tn.health.storageRetries.Load(); got != 0 {
-		t.Fatalf("storageRetries = %d, want 0 (ENOSPC must not be retried)", got)
-	}
 	ffs.ClearRule(rule)
 	waitFor(t, 5*time.Second, func() bool {
 		down, _ := tn.Degraded()
@@ -268,14 +233,11 @@ func TestENOSPCDegradesImmediately(t *testing.T) {
 	waitApplied(t, tn)
 }
 
-// TestGroupCommitFailStopReopens: a group-commit flush failure
-// fail-stops the WAL; the supervisor must quarantine-and-reopen it
-// in-process — counted in wal_reopens — and the acked prefix must
-// survive the reopen exactly.
+// TestGroupCommitFailStopReopens: a failed flush fail-stops the WAL;
+// the supervisor must reopen it in-process — counted in wal_reopens —
+// and the acked prefix must survive the reopen exactly.
 func TestGroupCommitFailStopReopens(t *testing.T) {
-	pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
-		c.WALGroupCommitInterval = 200 * time.Microsecond
-	})
+	pool, ffs, dir := faultPool(t, nil)
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +251,7 @@ func TestGroupCommitFailStopReopens(t *testing.T) {
 	err = tn.Enqueue(quantumOf(8, "flood river rising fast"))
 	var deg *DegradedError
 	if !errors.As(err, &deg) {
-		t.Fatalf("Enqueue across failed group flush = %v, want DegradedError", err)
+		t.Fatalf("Enqueue across a failed flush = %v, want DegradedError", err)
 	}
 	ffs.ClearRule(rule)
 	waitFor(t, 5*time.Second, func() bool {
@@ -557,7 +519,6 @@ func TestShutdownMidDegradedLeaksNothing(t *testing.T) {
 		WALDir:                filepath.Join(dir, "wal"),
 		FS:                    ffs,
 		degradedProbeInterval: time.Millisecond,
-		storageRetryBackoff:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -595,4 +556,114 @@ func TestShutdownMidDegradedLeaksNothing(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before
 	}, "goroutines to drain after shutdown")
+}
+
+// TestDiscardedBatchNeverApplied: a queued batch whose record a
+// supervised reopen discarded is never acknowledged and never applied,
+// and the supervisor reopens without waiting on the batch in flight.
+// The worker is frozen mid-batch (the apply lock held) across the whole
+// fault: batch A, acknowledged, is in flight; the flush carrying batch B
+// fails, so B is refused but stays queued; the supervisor reopens
+// anyway; batch C, acknowledged after the reopen, gets a seq past B's.
+// Released, the worker applies A, drops B, applies C — exactly what
+// replay rebuilds.
+func TestDiscardedBatchNeverApplied(t *testing.T) {
+	pool, ffs, dir := faultPool(t, nil)
+	tn, err := pool.GetOrCreate("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, tn)
+
+	tn.mu.Lock() // freeze the worker inside its next apply
+	frozen := true
+	defer func() {
+		if frozen {
+			tn.mu.Unlock()
+		}
+	}()
+	if err := tn.Enqueue(quantumOf(8, "flood river rising fast")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return tn.queueLen() == 0 }, "the worker to take batch A")
+	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal", Count: 1})
+	var deg *DegradedError
+	if err := tn.Enqueue(quantumOf(16, "storm warning coastal towns")); !errors.As(err, &deg) {
+		t.Fatalf("Enqueue of batch B through a failed flush = %v, want DegradedError", err)
+	}
+	b := tn.storage.wal.LastSeq()
+	waitFor(t, 5*time.Second, func() bool {
+		down, _ := tn.Degraded()
+		return !down
+	}, "the supervised reopen, with batch A still in flight")
+	if got := tn.Metrics().WALReopens; got == 0 {
+		t.Fatal("WALReopens = 0, want a supervised reopen")
+	}
+	if err := tn.Enqueue(quantumOf(24, "volcano ash cloud grounded flights")); err != nil {
+		t.Fatalf("Enqueue of batch C after the reopen: %v", err)
+	}
+	if c := tn.storage.wal.LastSeq(); c <= b {
+		t.Fatalf("batch C got seq %d, not past the discarded batch B's %d", c, b)
+	}
+
+	tn.mu.Unlock()
+	frozen = false
+	waitApplied(t, tn)
+	if got := tn.msgs.Load(); got != 24 {
+		t.Fatalf("applied %d messages, want 24 (the first batch, A and C; never B)", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := pool.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayCount(t, dir, "acme"); got != 24 {
+		t.Fatalf("recovered %d messages, want 24", got)
+	}
+}
+
+// TestArchiveDeviceFullStaysDegraded: the supervisor's write probe covers
+// every device the tenant writes. A full archive volume degrades the
+// tenant (its snapshot's archive sync fails), and it stays degraded —
+// no_space — probe after probe, however healthy the WAL's volume is;
+// once space frees on the archive volume too, it recovers.
+func TestArchiveDeviceFullStaysDegraded(t *testing.T) {
+	pool, ffs, _ := faultPool(t, func(c *PoolConfig) {
+		c.Detector = persistCfg()
+		c.RetainEvents = 1
+		c.SnapshotEvery = 3
+		c.ArchiveDir = filepath.Join(filepath.Dir(c.WALDir), "archive")
+	})
+	tn, err := pool.GetOrCreate("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: tn.cfg.ArchiveDir, Err: syscall.ENOSPC})
+	for _, b := range burstBatches() {
+		var deg *DegradedError
+		if err := tn.Enqueue(b); errors.As(err, &deg) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return tn.Metrics().ArchiveErrors > 0 }, "an archive sync to fail")
+	probes := ffs.Injected()
+	for i := 0; i < 10; i++ {
+		time.Sleep(tn.cfg.degradedProbeInterval)
+		if down, reason := tn.Degraded(); !down || reason != degradedNoSpace {
+			t.Fatalf("probe cadence %d: degraded = %v (%q), want still %q while the archive volume is full", i, down, reason, degradedNoSpace)
+		}
+	}
+	if ffs.Injected() == probes {
+		t.Fatal("no probe wrote to the archive volume")
+	}
+	ffs.ClearRule(full)
+	waitFor(t, 5*time.Second, func() bool {
+		down, _ := tn.Degraded()
+		return !down
+	}, "recovery once the archive volume has space")
 }

@@ -55,14 +55,12 @@ type TenantMetrics struct {
 	ShedMessages     uint64 `json:"shed_messages"`
 
 	// Storage-degradation surface. Degraded says whether ingest is
-	// currently shed read-only (the reason is on /readyz); WALReopens
-	// and StorageRetries are lifetime recovery counters (supervised
-	// quarantine-and-reopens of a fail-stopped WAL, inline retry turns
-	// after transient device errors); QuarantinedSegments counts archive
-	// segments sidelined for structural corruption.
+	// currently shed read-only (the reason is on /readyz); WALReopens is
+	// the lifetime count of supervised reopens of a fail-stopped WAL;
+	// QuarantinedSegments counts archive segments sidelined for
+	// structural corruption.
 	Degraded            bool   `json:"degraded"`
 	WALReopens          uint64 `json:"wal_reopens,omitempty"`
-	StorageRetries      uint64 `json:"storage_retries,omitempty"`
 	QuarantinedSegments uint64 `json:"quarantined_segments,omitempty"`
 
 	// Write-path sharing counters — what shows that the per-quantum

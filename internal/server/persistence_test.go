@@ -101,28 +101,22 @@ func asJSON(t *testing.T, v any) string {
 // not yet applied, the worker frozen mid-pipeline — and a fresh pool on
 // the same directories must (a) recover the detector bit-identically,
 // (b) produce byte-identical per-quantum reports for the rest of the
-// stream, and (c) still serve events archived before the crash. It runs
-// once with synchronous WAL appends and once under cross-tenant group
-// commit: the durability contract (acked ⇒ recovered) must hold
-// identically for both. Each runs with the archive sealing on every
-// eviction (seg-1) and with it sealing only ahead of WAL snapshots
-// (seg-512), where the crash catches evictions still in the buffer
-// after a snapshot that covered earlier ones — every WAL snapshot must
-// have been preceded by a durable seal of the evictions it covers, and
-// the WAL tail must regenerate the rest.
+// stream, and (c) still serve events archived before the crash, under
+// the one durability level — every ack waits for the group-committed
+// flush covering its batch, which the subtest is named for. It runs with
+// the archive sealing on every eviction (seg-1) and with it sealing
+// only ahead of WAL snapshots (seg-512), where the crash catches
+// evictions still in the buffer after a snapshot that covered earlier
+// ones — every WAL snapshot must have been preceded by a durable seal of
+// the evictions it covers, and the WAL tail must regenerate the rest.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		groupCommit time.Duration
-	}{{"sync", 0}, {"group-commit", 200 * time.Microsecond}} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, seg := range []int{1, 512} {
-				t.Run(fmt.Sprintf("seg-%d", seg), func(t *testing.T) {
-					testCrashRecoveryBitIdentical(t, mode.groupCommit, seg)
-				})
-			}
-		})
-	}
+	t.Run("group-commit", func(t *testing.T) {
+		for _, seg := range []int{1, 512} {
+			t.Run(fmt.Sprintf("seg-%d", seg), func(t *testing.T) {
+				testCrashRecoveryBitIdentical(t, seg)
+			})
+		}
+	})
 }
 
 // archivedRecords reads a tenant's whole archive in eviction order
@@ -141,19 +135,18 @@ func archivedRecords(t *testing.T, tn *Tenant) []archive.Record {
 	return recs
 }
 
-func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration, segmentEvents int) {
+func testCrashRecoveryBitIdentical(t *testing.T, segmentEvents int) {
 	cfg := persistCfg()
 	const retain = 1
 	dir := t.TempDir()
 	pcfg := PoolConfig{
-		Detector:               cfg,
-		RetainEvents:           retain,
-		WALDir:                 filepath.Join(dir, "wal"),
-		walSegmentBytes:        2048, // force rotation
-		SnapshotEvery:          5,    // several snapshots + compactions, the last before the last eviction
-		WALGroupCommitInterval: groupCommit,
-		ArchiveDir:             filepath.Join(dir, "archive"),
-		archiveSegmentEvents:   segmentEvents,
+		Detector:             cfg,
+		RetainEvents:         retain,
+		WALDir:               filepath.Join(dir, "wal"),
+		walSegmentBytes:      2048, // force rotation
+		SnapshotEvery:        5,    // several snapshots + compactions, the last before the last eviction
+		ArchiveDir:           filepath.Join(dir, "archive"),
+		archiveSegmentEvents: segmentEvents,
 	}
 	batches := burstBatches()
 	ref := referenceRun(cfg, batches, retain)
@@ -391,22 +384,18 @@ func TestCleanShutdownWALRestart(t *testing.T) {
 // TestFlushSurvivesCrash pins flush durability: POST /flush forces the
 // buffered partial quantum through — mutating quantum boundaries — so
 // it must be WAL-logged and replayed in order, or a crash after a
-// mid-stream flush would recover onto differently-cut quanta. Runs in
-// both durability modes like TestCrashRecoveryBitIdentical.
+// mid-stream flush would recover onto differently-cut quanta. Named
+// like TestCrashRecoveryBitIdentical's subtest.
 func TestFlushSurvivesCrash(t *testing.T) {
-	t.Run("sync", func(t *testing.T) { testFlushSurvivesCrash(t, 0) })
-	t.Run("group-commit", func(t *testing.T) {
-		testFlushSurvivesCrash(t, 200*time.Microsecond)
-	})
+	t.Run("group-commit", testFlushSurvivesCrash)
 }
 
-func testFlushSurvivesCrash(t *testing.T, groupCommit time.Duration) {
+func testFlushSurvivesCrash(t *testing.T) {
 	cfg := persistCfg()
 	dir := t.TempDir()
 	pcfg := PoolConfig{
-		Detector:               cfg,
-		WALDir:                 filepath.Join(dir, "wal"),
-		WALGroupCommitInterval: groupCommit,
+		Detector: cfg,
+		WALDir:   filepath.Join(dir, "wal"),
 	}
 
 	// 12 messages (1.5 quanta at Δ=8), a flush cutting the half-full

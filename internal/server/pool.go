@@ -12,8 +12,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-
-	"repro/internal/wal"
 )
 
 // Errors surfaced to handlers (mapped onto HTTP status codes there).
@@ -32,8 +30,7 @@ var tenantNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 // Pool manages the tenants of one serving process.
 type Pool struct {
 	cfg   PoolConfig
-	sched *scheduler          // shared worker pool applying every tenant's batches
-	gc    *wal.GroupCommitter // nil unless WALGroupCommitInterval is set
+	sched *scheduler // shared worker pool applying every tenant's batches
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
@@ -69,19 +66,14 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		creating:     make(map[string]chan struct{}),
 		shutdownDone: make(chan struct{}),
 	}
-	if cfg.WALGroupCommitInterval > 0 {
-		p.gc = wal.NewGroupCommitter(cfg.WALGroupCommitInterval)
-	}
 	abandon := func() {
-		// Don't leak scheduler workers, the group committer, or tenants
-		// already restored. (The supervisor starts only after restore
-		// succeeds.)
+		// Don't leak scheduler workers or tenants already restored. (The
+		// supervisor starts only after restore succeeds.)
 		//repro:order-insensitive independent per-tenant shutdowns during abandoned startup; order is immaterial
 		for _, t := range p.tenants {
 			t.shutdown(context.Background()) //nolint:errcheck // empty queues drain instantly
 		}
 		p.sched.stop(true)
-		p.gc.Stop()
 	}
 	if cfg.WALDir != "" {
 		if err := cfg.FS.MkdirAll(cfg.WALDir, 0o755); err != nil {
@@ -299,11 +291,8 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 		// Every tenant is closed, so the runnable queue stays empty; stop
 		// the shared workers. If a drain timed out, a worker may be wedged
 		// inside its apply step — don't wait on it, exactly as the old
-		// per-tenant goroutine was abandoned in that case. The group
-		// committer stops last: every log was flushed on Close above, and
-		// a straggler append after Stop degrades to a synchronous flush.
+		// per-tenant goroutine was abandoned in that case.
 		p.sched.stop(!drainFailed)
-		p.gc.Stop()
 		p.shutdownErr = first
 	})
 	// Completed-shutdown fast path first: with both channels ready the

@@ -94,10 +94,8 @@ var promTenantMetrics = []promMetric{
 		func(m *TenantMetrics) float64 { return float64(m.ShedMessages) }},
 	{"eventdetect_degraded", "gauge", "1 while the tenant is in read-only storage-degraded mode.",
 		func(m *TenantMetrics) float64 { return b2f(m.Degraded) }},
-	{"eventdetect_wal_reopens_total", "counter", "Supervised quarantine-and-reopen recoveries of a fail-stopped WAL.",
+	{"eventdetect_wal_reopens_total", "counter", "Supervised reopens of a fail-stopped WAL.",
 		func(m *TenantMetrics) float64 { return float64(m.WALReopens) }},
-	{"eventdetect_storage_retries_total", "counter", "Inline retry turns after transient storage device errors.",
-		func(m *TenantMetrics) float64 { return float64(m.StorageRetries) }},
 	{"eventdetect_quarantined_segments", "gauge", "Archive segments quarantined for structural corruption.",
 		func(m *TenantMetrics) float64 { return float64(m.QuarantinedSegments) }},
 	{"eventdetect_snapshot_views_reused_total", "counter", "Live-event views published for clean clusters (shared with the previous epoch).",

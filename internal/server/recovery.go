@@ -47,7 +47,7 @@ func applyRecord(det *detect.Detector, mu *sync.Mutex, retain int, msgs []stream
 // leftovers of a pool that died mid-create, recover to what they
 // describe.
 func (p *Pool) recoverTenant(name string) (*Tenant, error) {
-	st, err := openStorage(p.cfg, p.gc, name, obs.NewTenantObs(), p.kickSupervisor)
+	st, err := openStorage(p.cfg, name, obs.NewTenantObs(), p.kickSupervisor)
 	if err != nil {
 		return nil, err
 	}

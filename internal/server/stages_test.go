@@ -12,23 +12,20 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestEveryStageObserved: no dead stages. One pool with a WAL under
-// group commit and an archive that seals a segment every two evictions
-// is driven through every path that observes one — HTTP ingest, flush,
-// /events, /query over a sealed segment, the snapshot cadence, an inline
-// storage retry and a supervised WAL reopen — and then every declared
-// stage must have an observation. A stage nothing observes fails here
-// until it is deleted.
+// TestEveryStageObserved: no dead stages. One pool with a WAL and an
+// archive that seals a segment every two evictions is driven through
+// every path that observes one — HTTP ingest, flush, /events, /query
+// over a sealed segment, the snapshot cadence and a supervised WAL
+// reopen — and then every declared stage must have an observation. A
+// stage nothing observes fails here until it is deleted.
 func TestEveryStageObserved(t *testing.T) {
 	pool, ffs, _ := faultPool(t, func(c *PoolConfig) {
 		c.Detector = persistCfg()
 		c.RetainEvents = 1
 		c.SnapshotEvery = 3
-		c.WALGroupCommitInterval = 200 * time.Microsecond
 		c.ArchiveDir = filepath.Join(filepath.Dir(c.WALDir), "archive")
 		c.archiveSegmentEvents = 2
-		// The supervisor runs only when kicked, so it cannot repair the
-		// log the inline retry below is meant to find failed.
+		// The supervisor runs only when kicked.
 		c.degradedProbeInterval = time.Hour
 	})
 	ts := httptest.NewServer(NewHandler(pool))
@@ -63,27 +60,11 @@ func TestEveryStageObserved(t *testing.T) {
 	get("/v1/t/events")
 	get("/v1/t/query?from=0")
 
-	// An inline storage retry: a group flush fails with no producer
-	// waiting on it — here a flush marker nobody commits — so the log
-	// fail-stops while the tenant stays healthy, and the next append
-	// repairs it in place and re-appends.
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "wal", Count: 1})
-	if _, err := tn.storage.append(nil, true, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, tn.storage.failStopped, "the group flush to fail-stop the log")
-	if err := tn.Enqueue(quantumOf(500, "harbour fire spreading")); err != nil {
-		t.Fatalf("Enqueue over a fail-stopped log: %v", err)
-	}
-	if tn.health.storageRetries.Load() == 0 {
-		t.Fatal("the append did not retry")
-	}
-
 	// A fail-stop the producer sees, repaired by the supervisor.
 	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: "wal", Count: 1})
 	var deg *DegradedError
 	if err := tn.Enqueue(quantumOf(600, "harbour fire spreading")); !errors.As(err, &deg) {
-		t.Fatalf("Enqueue with a failing group fsync = %v, want DegradedError", err)
+		t.Fatalf("Enqueue with a failing flush fsync = %v, want DegradedError", err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		pool.kickSupervisor()

@@ -17,11 +17,6 @@ import (
 	"repro/internal/wal"
 )
 
-// storageRetries bounds the inline retry turns an append spends on a
-// transient device IO error before the tenant degrades: each turn backs
-// off, repairs the WAL in place, and re-appends.
-const storageRetries = 3
-
 // tenantStorage is one tenant's durability owner — the only code that
 // knows whether a WAL or an archive backs the tenant. A disabled
 // subsystem is a no-op in here: without a WAL, appends yield sequence 0
@@ -43,13 +38,12 @@ type tenantStorage struct {
 }
 
 // openStorage opens (creating as needed) the handles cfg asks for.
-func openStorage(cfg PoolConfig, gc *wal.GroupCommitter, name string, tob *obs.TenantObs, kick func()) (*tenantStorage, error) {
+func openStorage(cfg PoolConfig, name string, tob *obs.TenantObs, kick func()) (*tenantStorage, error) {
 	s := &tenantStorage{name: name, cfg: cfg, obs: tob, kick: kick}
 	var err error
 	if cfg.WALDir != "" {
 		s.wal, err = wal.Open(filepath.Join(cfg.WALDir, name), wal.Options{
 			SegmentBytes: cfg.walSegmentBytes,
-			GroupCommit:  gc,
 			OnFlush:      func(d time.Duration) { tob.Observe(obs.StageWALFsync, d) },
 			FS:           cfg.FS,
 		})
@@ -92,6 +86,23 @@ func (s *tenantStorage) durable() bool { return s.wal != nil }
 // failStopped reports whether the WAL has fail-stopped and is waiting
 // for the supervisor's reopen.
 func (s *tenantStorage) failStopped() bool { return s.wal != nil && s.wal.Failed() != nil }
+
+// reopen repairs a fail-stopped WAL in place (wal.Log.Reopen). Nothing
+// else has to change with it: a queued batch whose record the reopen
+// discarded fails its Commit at apply and is dropped there, however
+// long after the reopen that is.
+func (s *tenantStorage) reopen() error { return s.wal.Reopen() }
+
+// dirs lists the tenant's directories on every device it writes — the
+// WAL's and, when there is one, the archive's — for the supervisor's
+// write probe.
+func (s *tenantStorage) dirs() []string {
+	dirs := []string{filepath.Join(s.cfg.WALDir, s.name)}
+	if s.arch != nil {
+		dirs = append(dirs, filepath.Join(s.cfg.ArchiveDir, s.name))
+	}
+	return dirs
+}
 
 // archive returns the query engine's view of the evicted history, nil
 // when there is none.
@@ -157,40 +168,22 @@ func (s *tenantStorage) attachEvict(det *detect.Detector) {
 }
 
 // append logs one ingest batch — or, with flush set, a stream-flush
-// marker — and returns its sequence number. On a transient device IO
-// error a batch runs the inline retry loop: back off (capped
-// exponential), repair the log in place through repair — the tenant's
-// reopen, which must also edit its queue; a no-op when the failed append
-// already rolled back cleanly — and re-append, so a controller hiccup
-// recovers without shedding a single request. Runs under the tenant's
-// queue lock: the sleeps briefly hold up this tenant's producers, never
-// another tenant's; with the default backoff (storageRetries turns from
-// 5ms) the worst case is ~35ms. Only ClassIO errors are retried: ENOSPC
-// cannot succeed until space frees, and logic errors never will.
-func (s *tenantStorage) append(msgs []stream.Message, flush bool, repair func() error) (uint64, error) {
+// marker — and returns its sequence number. It is a memory copy into the
+// WAL's pending buffer: the only error is a log already fail-stopped by
+// a failed flush, which the supervisor repairs.
+func (s *tenantStorage) append(msgs []stream.Message, flush bool) (uint64, error) {
 	switch {
 	case s.wal == nil:
 		return 0, nil
 	case flush:
 		return s.wal.AppendFlush()
 	}
-	seq, err := s.wal.Append(msgs)
-	backoff := s.cfg.storageRetryBackoff
-	for turn := 0; err != nil && turn < storageRetries && vfs.Classify(err) == vfs.ClassIO; turn++ {
-		t0 := time.Now()
-		s.health.storageRetries.Add(1)
-		time.Sleep(backoff)
-		backoff = min(2*backoff, 32*s.cfg.storageRetryBackoff)
-		if err = repair(); err == nil {
-			seq, err = s.wal.Append(msgs)
-		}
-		s.obs.Observe(obs.StageStorageRetry, time.Since(t0))
-	}
-	return seq, err
+	return s.wal.Append(msgs)
 }
 
-// commit waits until record seq is durable — immediately unless group
-// commit is on. Sequence 0 is "never logged" and always succeeds.
+// commit waits until record seq is durable, leading the flush that makes
+// it so or finding an earlier one already did. Sequence 0 is "never
+// logged" and always succeeds.
 func (s *tenantStorage) commit(seq uint64) error {
 	if seq == 0 {
 		return nil
@@ -233,9 +226,9 @@ func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
 
 // writeFailed accounts a failed archive write or WAL snapshot. Neither is
 // fatal — the WAL still holds the full history — but ENOSPC means the
-// device is out of space and the next append will fail too. Degrade
-// proactively so ingest sheds instead of burning retry budgets, and let
-// the supervisor's write probe decide when space is back.
+// device is out of space and the next flush will fail too. Degrade
+// proactively so ingest sheds before it fail-stops the log, and let the
+// supervisor's write probe decide when space is back.
 func (s *tenantStorage) writeFailed(errs *atomic.Uint64, err error) {
 	errs.Add(1)
 	if vfs.Classify(err) == vfs.ClassNoSpace {
@@ -248,7 +241,6 @@ func (s *tenantStorage) writeFailed(errs *atomic.Uint64, err error) {
 func (s *tenantStorage) fillMetrics(m *TenantMetrics) {
 	m.Degraded = s.health.degraded.Load() != nil
 	m.WALReopens = s.health.walReopens.Load()
-	m.StorageRetries = s.health.storageRetries.Load()
 	if wl := s.wal; wl != nil {
 		m.WALEnabled = true
 		m.WALSegments = wl.SegmentCount()

@@ -39,7 +39,7 @@ func TestStorageOwner(t *testing.T) {
 				cfg.ArchiveDir = filepath.Join(dir, "archive")
 			}
 			tob := obs.NewTenantObs()
-			st, err := openStorage(cfg, nil, "acme", tob, func() {})
+			st, err := openStorage(cfg, "acme", tob, func() {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,6 @@ func TestStorageOwner(t *testing.T) {
 
 			// Sequences count records when there is a log and stay 0 — the
 			// "never logged" value commit accepts — when there is none.
-			noRepair := func() error { t.Error("repair called without a fault"); return nil }
 			want := func(n uint64) uint64 {
 				if tc.wal {
 					return n
@@ -61,13 +60,13 @@ func TestStorageOwner(t *testing.T) {
 				return 0
 			}
 			msgs := quantumOf(0, "harbour fire spreading")
-			seq, err := st.append(msgs, false, noRepair)
+			seq, err := st.append(msgs, false)
 			if err != nil || seq != want(1) {
 				t.Fatalf("append = (%d, %v), want seq %d", seq, err, want(1))
 			}
 			var mu sync.Mutex
 			applyRecord(det, &mu, 0, msgs, false, nil, nil)
-			fseq, err := st.append(nil, true, noRepair)
+			fseq, err := st.append(nil, true)
 			if err != nil || fseq != want(2) {
 				t.Fatalf("flush marker = (%d, %v), want seq %d", fseq, err, want(2))
 			}
@@ -117,7 +116,7 @@ func TestStorageOwner(t *testing.T) {
 			var m TenantMetrics
 			st.fillMetrics(&m)
 			if m.WALEnabled != tc.wal || m.ArchiveEnabled != tc.arch || m.WALLastSeq != fseq ||
-				m.ArchiveEvents != int(b2u(tc.arch)) || m.ArchiveColumnarSegments != 0 || m.Degraded || m.StorageRetries != 0 {
+				m.ArchiveEvents != int(b2u(tc.arch)) || m.ArchiveColumnarSegments != 0 || m.Degraded {
 				t.Fatalf("metrics share: %+v", m)
 			}
 			if err := st.close(); err != nil {
@@ -126,7 +125,7 @@ func TestStorageOwner(t *testing.T) {
 
 			// What was logged comes back: a second owner over the same
 			// directories restores from the snapshot with nothing to replay.
-			st2, err := openStorage(cfg, nil, "acme", tob, func() {})
+			st2, err := openStorage(cfg, "acme", tob, func() {})
 			if err != nil {
 				t.Fatal(err)
 			}

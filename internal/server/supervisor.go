@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,9 +20,9 @@ const (
 	// More retries cannot help until space is freed; the supervisor
 	// probes with a small write until one lands.
 	degradedNoSpace = "no_space"
-	// degradedIO: a device IO error persisted past the inline retry
-	// budget, or a group-commit flush fail-stopped the WAL. The
-	// supervisor repairs the log in place (Reopen) on its cadence.
+	// degradedIO: a device IO error — a failed WAL flush, which
+	// fail-stops the log. The supervisor repairs the log in place
+	// (Reopen) at once and then on its cadence.
 	degradedIO = "io_error"
 )
 
@@ -51,11 +50,9 @@ type tenantHealth struct {
 	// reason wins until recovery clears it.
 	degraded atomic.Pointer[degradation]
 
-	// walReopens counts supervised quarantine-and-reopen recoveries of
-	// the tenant's fail-stopped WAL; storageRetries counts inline
-	// retry turns after transient device errors on the ingest path.
-	walReopens     atomic.Uint64
-	storageRetries atomic.Uint64
+	// walReopens counts supervised recoveries of the tenant's
+	// fail-stopped WAL.
+	walReopens atomic.Uint64
 }
 
 type degradation struct {
@@ -105,15 +102,14 @@ func (t *Tenant) enterDegraded(reason string) *DegradedError {
 	return &DegradedError{Tenant: t.name, Reason: reason, RetryAfter: t.cfg.degradedProbeInterval}
 }
 
-// failStorage is the terminal storage-error path of an ingest request,
-// for an error that escaped the inline retry budget. Device conditions
-// (ENOSPC, persistent EIO) flip the tenant into read-only degraded mode:
-// the request is shed with the DegradedError and the supervisor, kicked
-// to probe now, owns recovery. So does a fail-stopped WAL whatever the
-// error says (a group commit covering this batch failed on another
-// tenant's turn, say) — shed rather than surface a raw internal error
-// the client cannot act on. Anything else — logic errors, a closed log —
-// surfaces as a plain error.
+// failStorage is the storage-error path of an ingest request: its
+// append found the WAL fail-stopped, or the flush its commit waited on
+// failed. Device conditions (ENOSPC, EIO) flip the tenant into read-only
+// degraded mode: the request is shed with the DegradedError and the
+// supervisor, kicked to repair now, owns recovery. So does a
+// fail-stopped WAL whatever the error says — shed rather than surface a
+// raw internal error the client cannot act on. Anything else — logic
+// errors, a closed log — surfaces as a plain error.
 func (t *Tenant) failStorage(err error) error {
 	var reason string
 	switch class := vfs.Classify(err); {
@@ -127,48 +123,6 @@ func (t *Tenant) failStorage(err error) error {
 	derr := t.enterDegraded(reason)
 	t.storage.kick()
 	return derr
-}
-
-// errReopenBusy defers a supervised reopen: a batch whose record the
-// reopen would discard is still mid-apply. Its Commit is guaranteed to
-// fail while the log stays fail-stopped (that is what drops it), so the
-// next probe turn finds the queue clean.
-var errReopenBusy = errors.New("server: wal reopen deferred: discarded batch still draining")
-
-// reopenWALLocked recovers a fail-stopped WAL in place and evicts every
-// queued batch whose record the reopen discards (seq past the acked
-// prefix). Those batches were never acknowledged — their producer's
-// Commit failed — so dropping them keeps the detector consistent with
-// what replay rebuilds; leaving them queued would let a post-reopen
-// append reuse their seq and apply them under another record's
-// durability. Because the repair edits the queue it lives here, and is
-// the one place outside storage.go that touches the log handle; its two
-// callers (the append retry loop, the supervisor's probe of a
-// fail-stopped log) only exist when there is a WAL. Caller holds t.qmu,
-// which also serializes this against Enqueue's append-then-commit window.
-func (t *Tenant) reopenWALLocked() error {
-	wl := t.storage.wal
-	committed := wl.CommittedSeq()
-	if t.inflightSeq > committed {
-		return errReopenBusy
-	}
-	w := t.pendHead
-	for i := t.pendHead; i < len(t.pending); i++ {
-		b := t.pending[i]
-		if b.seq > committed {
-			t.queuedMsgs.Add(-int64(len(b.msgs)))
-			t.applied.Add(1)
-			continue
-		}
-		t.pending[w] = b
-		w++
-	}
-	for i := w; i < len(t.pending); i++ {
-		t.pending[i] = walBatch{} // release the msgs for GC
-	}
-	t.pending = t.pending[:w]
-	t.finishDrainLocked()
-	return wl.Reopen()
 }
 
 // supervisor is the pool's one background goroutine: on its probe
@@ -247,20 +201,16 @@ func (p *Pool) kickSupervisor() { p.supervisor.kick() }
 
 // probeStorage is one supervisor turn for this tenant: repair a
 // fail-stopped WAL in place, and when the tenant is degraded, verify
-// the device actually works again (a real write probe — not just the
-// absence of recent errors) before accepting ingest again.
+// that every device it writes actually works again (a real write probe
+// in each of its directories — not just the absence of recent errors)
+// before accepting ingest again. The reopen waits on no queued or
+// in-flight batch: one whose record it discards is dropped at apply.
 func (t *Tenant) probeStorage() {
 	if t.storage.failStopped() {
 		start := time.Now()
-		t.qmu.Lock()
-		err := t.reopenWALLocked()
-		t.qmu.Unlock()
-		if err == errReopenBusy {
-			return // drains in microseconds; repair next turn
-		}
-		if err != nil {
+		if err := t.storage.reopen(); err != nil {
 			// Still sick. Stay (or become) degraded so ingest sheds
-			// instead of burning its retry budget per request.
+			// instead of fail-stopping the log again per request.
 			switch vfs.Classify(err) {
 			case vfs.ClassNoSpace:
 				t.enterDegraded(degradedNoSpace)
@@ -275,8 +225,10 @@ func (t *Tenant) probeStorage() {
 	if t.health.degraded.Load() == nil {
 		return
 	}
-	if err := probeWrite(t.cfg.FS, filepath.Join(t.cfg.WALDir, t.name)); err != nil {
-		return // device still sick; stay degraded, probe again next turn
+	for _, dir := range t.storage.dirs() {
+		if err := probeWrite(t.cfg.FS, dir); err != nil {
+			return // a device is still sick; stay degraded, probe again next turn
+		}
 	}
 	t.health.degraded.Store(nil)
 }

@@ -49,22 +49,16 @@ type Tenant struct {
 	// qmu guards the pending-batch queue, the closed flag, and WAL
 	// appends (so WAL record order is queue order). It is never held
 	// while a batch is applying, and is always acquired before the
-	// scheduler's lock, never after. The WAL append under it is one
-	// write (or, under group commit, a memory copy) and never an fsync:
-	// the durability wait (Log.Commit) happens after qmu is released.
-	qmu      sync.Mutex
-	pending  []walBatch // FIFO; pendHead is the ring start
-	pendHead int
-	// inflightSeq is the WAL seq of the batch currently mid-apply (0 =
-	// none); qmu held to read or write. A supervised reopen must not
-	// discard a record whose batch is between pop and Commit — the
-	// Commit has to observe the fail-stop, or a fresh record reusing
-	// the seq could commit it spuriously.
-	inflightSeq uint64
-	scheduled   bool // t is in the scheduler's runnable queue or mid-apply
-	closed      bool
-	drainDone   bool
-	drained     chan struct{} // closed when closed and fully drained
+	// scheduler's lock, never after. The WAL append under it is a memory
+	// copy: the durability wait (Log.Commit) happens after qmu is
+	// released.
+	qmu       sync.Mutex
+	pending   []walBatch // FIFO; pendHead is the ring start
+	pendHead  int
+	scheduled bool // t is in the scheduler's runnable queue or mid-apply
+	closed    bool
+	drainDone bool
+	drained   chan struct{} // closed when closed and fully drained
 	// runnableAt is when the tenant last entered the scheduler's
 	// runnable queue; the delta to its worker turn feeds the sched-wait
 	// histogram.
@@ -243,13 +237,11 @@ func (t *Tenant) runOne() {
 		return
 	}
 	batch := t.popLocked()
-	t.inflightSeq = batch.seq
 	t.qmu.Unlock()
 
 	t.apply(batch)
 
 	t.qmu.Lock()
-	t.inflightSeq = 0
 	if t.queueLenLocked() > 0 {
 		t.runnableAt = time.Now()
 		t.sched.submit(t) // back of the line: other tenants go first
@@ -285,19 +277,17 @@ func (t *Tenant) republishTrimmed() {
 // quantum hook publishes.
 func (t *Tenant) apply(batch walBatch) {
 	// Queue wait: accepted (pushed) to picked up by a worker, measured
-	// before the group-commit wait below — durability time has its own
-	// histograms.
+	// before the commit below — durability time has its own histograms.
 	t.obs.Observe(obs.StageQueueWait, time.Since(batch.enq))
-	// Never apply a batch before its WAL record is durable. The
-	// synchronous append path guarantees this by construction; under
-	// group commit the record may still be in the in-process buffer, and
-	// applying early would let side effects of the batch (archive writes
-	// keyed by eviction ordinal, snapshots) reach disk for a record a
-	// crash can still lose — recovery would then disagree with the
-	// on-disk artifacts. If the commit failed (log fail-stopped), the
-	// batch was never acknowledged: drop it without touching the
-	// detector, keeping memory consistent with what recovery will
-	// rebuild.
+	// Never apply a batch before its WAL record is durable. The producer
+	// may still be committing it (or not yet have started), and applying
+	// early would let side effects of the batch (archive writes keyed by
+	// eviction ordinal, snapshots) reach disk for a record a crash can
+	// still lose — recovery would then disagree with the on-disk
+	// artifacts. If the commit fails — the flush carrying the record
+	// failed, or a supervised reopen has since discarded it — the batch
+	// was never acknowledged: drop it without touching the detector,
+	// keeping memory consistent with what recovery will rebuild.
 	if err := t.storage.commit(batch.seq); err != nil {
 		t.queuedMsgs.Add(-int64(len(batch.msgs)))
 		t.applied.Add(1)
@@ -346,12 +336,12 @@ func (t *Tenant) Name() string { return t.name }
 // retry), a batch that could never fit even in an empty queue returns
 // ErrBatchTooLarge (retrying is futile — the client must split it), and
 // a shut-down tenant returns ErrClosed. With the WAL enabled the batch
-// is durable before Enqueue returns: synchronously appended, or — under
-// group commit — buffered and then awaited past the committer's next
-// flush+fsync, which many concurrent Enqueues share. A group-commit
-// flush failure fail-stops the tenant's log and the failed batch is
-// dropped unapplied (see Tenant.apply), so a client retry can never
-// double-log or double-apply it.
+// is durable before Enqueue returns: appended to the log's pending
+// buffer, then committed — written and fsynced by the flush that covers
+// it, which concurrent Enqueues on the tenant share. A flush failure
+// fail-stops the tenant's log and the failed batch is dropped unapplied
+// (see Tenant.apply), so a client retry can never double-log or
+// double-apply it.
 func (t *Tenant) Enqueue(msgs []stream.Message) error {
 	if len(msgs) == 0 {
 		return nil
@@ -415,12 +405,12 @@ func (t *Tenant) admitLocked(n int) error {
 // marker: log it, queue it under the sequence the log gave it (so queue
 // order is WAL order), release qmu, wait for durability. Called with qmu
 // held, at time start; returns with qmu released and the value of
-// accepted that counts b. A storage error — the append's after its
-// inline retries, or the commit's — ends in failStorage: the item was
-// never acknowledged and, if queued, will be dropped unapplied.
+// accepted that counts b. A storage error — the append's or the
+// commit's — ends in failStorage: the item was never acknowledged and,
+// if queued, will be dropped unapplied.
 func (t *Tenant) submitLocked(b walBatch, start time.Time) (uint64, error) {
 	var err error
-	if b.seq, err = t.storage.append(b.msgs, b.flush, t.reopenWALLocked); err != nil {
+	if b.seq, err = t.storage.append(b.msgs, b.flush); err != nil {
 		t.qmu.Unlock()
 		return 0, t.failStorage(err)
 	}
@@ -436,11 +426,11 @@ func (t *Tenant) submitLocked(b walBatch, start time.Time) (uint64, error) {
 	target := t.accepted.Add(1)
 	t.qmu.Unlock()
 	// The durability wait happens outside qmu: it must not delay other
-	// producers or this tenant's scheduler pop, and under group commit
-	// the whole point is that many producers wait on one fsync together.
-	// A commit failure fail-stopped the log; the supervisor owns the
-	// reopen — degrade now so the client's retry sheds cheaply instead of
-	// fail-stopping again.
+	// producers or this tenant's scheduler pop, and appends that land
+	// while one producer's flush is in flight ride the next flush
+	// together. A commit failure fail-stopped the log; the supervisor
+	// owns the reopen — degrade now so the client's retry sheds cheaply
+	// instead of fail-stopping again.
 	if err := t.storage.commit(b.seq); err != nil {
 		return 0, t.failStorage(err)
 	}

@@ -6,30 +6,27 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
-// openFsynced opens a log at the fsynced-before-ack durability level:
-// every acked record went through a group flush's write + fsync.
-func openFsynced(t *testing.T, dir string, ff *vfs.FaultFS) *Log {
+// openFaulty opens a log whose every file operation goes through ff.
+func openFaulty(t *testing.T, dir string, ff *vfs.FaultFS) *Log {
 	t.Helper()
-	gc := NewGroupCommitter(200 * time.Microsecond)
-	t.Cleanup(gc.Stop)
-	l, err := Open(dir, Options{GroupCommit: gc, FS: ff})
+	l, err := Open(dir, Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
 }
 
-// appendAcked is one acknowledged write: Append, then wait for the
-// group flush covering it. An error means the batch was never acked.
+// appendAcked is one acknowledged write: Append, then Commit. An error
+// means the batch was never acked.
 func appendAcked(l *Log, msgs []stream.Message) (uint64, error) {
 	seq, err := l.Append(msgs)
 	if err != nil {
@@ -45,7 +42,7 @@ func appendAcked(l *Log, msgs []stream.Message) (uint64, error) {
 func TestReopenAfterTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l := openFsynced(t, dir, ff)
+	l := openFaulty(t, dir, ff)
 	want := map[uint64][]stream.Message{}
 	for i := 1; i <= 3; i++ {
 		seq, err := appendAcked(l, batch(i, 2))
@@ -77,13 +74,13 @@ func TestReopenAfterTornWrite(t *testing.T) {
 	if l.Failed() != nil {
 		t.Fatalf("Failed after reopen = %v", l.Failed())
 	}
-	if got := l.CommittedSeq(); got != 3 {
-		t.Fatalf("CommittedSeq after reopen = %d, want 3", got)
-	}
 	for i := 4; i <= 6; i++ {
 		seq, err := appendAcked(l, batch(i, 2))
 		if err != nil {
 			t.Fatalf("append %d after reopen: %v", i, err)
+		}
+		if i == 4 && seq != 5 {
+			t.Fatalf("first append after reopen got seq %d, want 5 (the torn record's 4 is never reused)", seq)
 		}
 		want[seq] = batch(i, 2)
 	}
@@ -101,56 +98,46 @@ func TestReopenAfterTornWrite(t *testing.T) {
 	}
 }
 
-// TestReopenAfterGroupFsyncFailure: a failed group-commit fsync
-// fail-stops the log and fails every Commit waiter; Reopen recovers
+// TestReopenAfterGroupFsyncFailure: a failed flush fsync fail-stops the
+// log and fails the commit of every record it carried; Reopen recovers
 // in-process and the re-submitted batch is not duplicated.
 func TestReopenAfterGroupFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	gc := NewGroupCommitter(200 * time.Microsecond)
-	defer gc.Stop()
-	l, err := Open(dir, Options{GroupCommit: gc, FS: ff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openFaulty(t, dir, ff)
 	want := map[uint64][]stream.Message{}
 	for i := 1; i <= 2; i++ {
-		seq, err := l.Append(batch(i, 2))
+		seq, err := appendAcked(l, batch(i, 2))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(seq); err != nil {
 			t.Fatal(err)
 		}
 		want[seq] = batch(i, 2)
 	}
 
 	rule := ff.Inject(vfs.Rule{Op: vfs.OpSync, Path: ".wal"})
-	seq, err := l.Append(batch(3, 2))
+	failed, err := l.Append(batch(3, 2))
 	if err != nil {
-		t.Fatalf("group append buffers in memory, got %v", err)
+		t.Fatalf("append buffers in memory, got %v", err)
 	}
-	if err := l.Commit(seq); err == nil {
+	if err := l.Commit(failed); err == nil {
 		t.Fatal("commit through failed fsync should fail")
 	}
 	ff.ClearRule(rule)
 	if l.Failed() == nil {
-		t.Fatal("log should be fail-stopped after group fsync failure")
+		t.Fatal("log should be fail-stopped after a failed flush fsync")
 	}
 
 	if err := l.Reopen(); err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	// The client retries the failed batch; it must appear exactly once.
-	seq, err = l.Append(batch(3, 2))
+	// The client retries the failed batch; it must appear exactly once,
+	// under a fresh seq.
+	seq, err := appendAcked(l, batch(3, 2))
 	if err != nil {
 		t.Fatalf("retry after reopen: %v", err)
 	}
-	if err := l.Commit(seq); err != nil {
-		t.Fatalf("commit retry: %v", err)
-	}
-	if seq != 3 {
-		t.Fatalf("retried batch landed at seq %d, want 3 (no duplicate)", seq)
+	if seq <= failed {
+		t.Fatalf("retried batch landed at seq %d, want past the discarded %d", seq, failed)
 	}
 	want[seq] = batch(3, 2)
 	if err := l.Close(); err != nil {
@@ -173,7 +160,7 @@ func TestReopenAfterGroupFsyncFailure(t *testing.T) {
 func TestReopenENOSPCFirstWrite(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l := openFsynced(t, dir, ff)
+	l := openFaulty(t, dir, ff)
 	wr := ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", Err: syscall.ENOSPC, Count: 1})
 	tr := ff.Inject(vfs.Rule{Op: vfs.OpTruncate, Path: ".wal", Err: syscall.ENOSPC, Count: 1})
 	if _, err := appendAcked(l, batch(1, 2)); !errors.Is(err, syscall.ENOSPC) {
@@ -188,8 +175,8 @@ func TestReopenENOSPCFirstWrite(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	seq, err := appendAcked(l, batch(1, 2))
-	if err != nil || seq != 1 {
-		t.Fatalf("append after reopen = (%d, %v), want (1, nil)", seq, err)
+	if err != nil || seq != 2 {
+		t.Fatalf("append after reopen = (%d, %v), want (2, nil): seq 1 was discarded", seq, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -200,8 +187,8 @@ func TestReopenENOSPCFirstWrite(t *testing.T) {
 	}
 	defer l2.Close()
 	got := collect(t, l2, 0)
-	if len(got) != 1 || !reflect.DeepEqual(got[1], batch(1, 2)) {
-		t.Fatalf("replay = %v, want just batch 1", got)
+	if len(got) != 1 || !reflect.DeepEqual(got[2], batch(1, 2)) {
+		t.Fatalf("replay = %v, want just batch 1, at seq 2", got)
 	}
 }
 
@@ -211,7 +198,7 @@ func TestReopenENOSPCFirstWrite(t *testing.T) {
 func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l := openFsynced(t, dir, ff)
+	l := openFaulty(t, dir, ff)
 	if _, err := appendAcked(l, batch(1, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +224,8 @@ func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 		t.Fatalf("reopen after disk heals: %v", err)
 	}
 	seq, err := appendAcked(l, batch(2, 2))
-	if err != nil || seq != 2 {
-		t.Fatalf("append after recovery = (%d, %v), want (2, nil)", seq, err)
+	if err != nil || seq != 3 {
+		t.Fatalf("append after recovery = (%d, %v), want (3, nil): seq 2 was discarded", seq, err)
 	}
 	// The batch whose flush failed was never acked; what replays is the
 	// acked pair, once each.
@@ -250,7 +237,7 @@ func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	want := map[uint64][]stream.Message{1: batch(1, 2), 2: batch(2, 2)}
+	want := map[uint64][]stream.Message{1: batch(1, 2), 3: batch(2, 2)}
 	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay mismatch:\ngot  %v\nwant %v", got, want)
 	}
@@ -263,7 +250,7 @@ func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 func TestSnapshotENOSPCLeavesPreviousIntact(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l := openFsynced(t, dir, ff)
+	l := openFaulty(t, dir, ff)
 	want := map[uint64][]stream.Message{}
 	for i := 1; i <= 3; i++ {
 		seq, err := appendAcked(l, batch(i, 2))
@@ -368,5 +355,113 @@ func TestReopenHealthyNoOp(t *testing.T) {
 	}
 	if seq, err := l.Append(batch(2, 1)); err != nil || seq != 2 {
 		t.Fatalf("append after no-op reopen = (%d, %v)", seq, err)
+	}
+}
+
+// failOneFlush appends a record, then makes the flush carrying it fail
+// on its write, leaving the log fail-stopped. It returns the record's
+// seq.
+func failOneFlush(t *testing.T, l *Log, ff *vfs.FaultFS, msgs []stream.Message) uint64 {
+	t.Helper()
+	seq, err := l.Append(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", Count: 1})
+	if err := l.Sync(); err == nil {
+		t.Fatal("the flush was meant to fail")
+	}
+	return seq
+}
+
+// TestCommitOfDiscardedRecordFails: a record Reopen discarded can never
+// be acknowledged — not even after a later record is committed, which
+// pushes the durable position past its seq — because that seq is never
+// handed out again.
+func TestCommitOfDiscardedRecordFails(t *testing.T) {
+	ff := vfs.NewFaultFS(nil)
+	l := openFaulty(t, t.TempDir(), ff)
+	defer l.Close()
+	if _, err := l.Append(batch(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	a := failOneFlush(t, l, ff, batch(2, 1))
+	if err := l.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := appendAcked(l, batch(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c <= a {
+		t.Fatalf("record C got seq %d, not past the discarded record A's %d", c, a)
+	}
+	if err := l.Commit(a); err == nil {
+		t.Fatalf("Commit(%d) of the discarded record A succeeded after C (%d) committed", a, c)
+	}
+}
+
+// TestReplayAcrossReopenGap: a reopen leaves a gap in the segment names
+// (the new segment is named past the discarded records), and Open and
+// Replay reproduce exactly the acknowledged records across it — in
+// process, and after a crash that drops the log without a Close.
+func TestReplayAcrossReopenGap(t *testing.T) {
+	dir := t.TempDir()
+	ff := vfs.NewFaultFS(nil)
+	l := openFaulty(t, dir, ff)
+	want := map[uint64][]stream.Message{}
+	ack := func(i int) {
+		t.Helper()
+		seq, err := appendAcked(l, batch(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seq] = batch(i, 2)
+	}
+	ack(1)
+	ack(2)
+	failOneFlush(t, l, ff, batch(3, 2))
+	if _, err := l.Append(batch(4, 2)); err == nil {
+		t.Fatal("a fail-stopped log accepted an append")
+	}
+	if err := l.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	ack(5)
+	ack(6)
+	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	if wantNames := []string{filepath.Base(l.segPath(1)), filepath.Base(l.segPath(4))}; !slices.Equal(names, wantNames) {
+		t.Fatalf("segments = %v, want %v (record 3 discarded)", names, wantNames)
+	}
+	if got := collect(t, l, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("in-process replay:\ngot  %v\nwant %v", got, want)
+	}
+
+	// Crash: the handle is abandoned with nothing flushed or closed.
+	l.flushMu.Lock()
+	l.f.Close()
+	l.flushMu.Unlock()
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after crash:\ngot  %v\nwant %v", got, want)
+	}
+	if l2.LastSeq() != 5 {
+		t.Fatalf("LastSeq after crash = %d, want 5", l2.LastSeq())
+	}
+	if seq, err := appendAcked(l2, batch(7, 2)); err != nil || seq != 6 {
+		t.Fatalf("append after crash = (%d, %v), want (6, nil)", seq, err)
 	}
 }

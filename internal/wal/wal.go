@@ -21,12 +21,23 @@
 // mid-append — is truncated away on Open; the same damage in an older
 // (rotated, therefore once-complete) segment is reported as corruption
 // instead.
+//
+// Commit protocol. Append only frames a record into the in-memory
+// pending buffer and assigns it the next sequence number; it never
+// touches the file. Commit(seq) makes the record durable: the first
+// committer whose record is not yet durable takes the flush lock, swaps
+// the pending buffer out under the log mutex, and writes and fsyncs it
+// holding the flush lock alone, so appends keep landing in a fresh
+// buffer during the I/O and ride the next flush. Committers that queued
+// behind it on the flush lock usually find their record already
+// durable. A failed flush fail-stops the log; Reopen repairs it in place
+// and never hands out a discarded sequence number again, so a Commit of
+// a record the reopen discarded fails whenever it is called.
 package wal
 
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stream"
@@ -60,24 +72,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tune one Log.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this many
-	// bytes (checked after each append). Zero selects 4 MiB.
+	// SegmentBytes rotates the active segment once it holds this many
+	// bytes (checked before each flush). Zero selects 4 MiB.
 	SegmentBytes int64
-	// GroupCommit selects the durability level. Nil: Append writes the
-	// record to the active segment and never fsyncs it — the OS page
-	// cache survives kill -9, only power loss can lose the unsynced
-	// tail. Non-nil: Append buffers the framed record in memory and
-	// returns immediately; the shared committer goroutine flushes every
-	// dirty log's buffer with one write and one fsync per interval, and
-	// Commit(seq) blocks until the record is durable. Callers that ack
-	// after Commit get power-safe acks while all concurrent appenders —
-	// across every tenant sharing the committer — split the fsync cost.
-	GroupCommit *GroupCommitter
 	// OnFlush, when non-nil, is called with the wall time of each
-	// successful write+fsync of pending group-commit records, from the
-	// flushing goroutine with the log's lock held — it must be fast and
-	// must not call back into the log. Serving layers hook it to feed
-	// fsync-latency histograms.
+	// successful flush (write + fsync of the pending records, plus any
+	// directory fsync they need), from the flushing goroutine while it
+	// holds the flush lock — it must be fast and must not call back into
+	// the log. Serving layers hook it to feed fsync-latency histograms.
 	OnFlush func(time.Duration)
 	// FS overrides the filesystem behind every file operation — the
 	// fault-injection seam for tests. Nil selects the real one.
@@ -93,47 +95,52 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is one tenant's write-ahead log. Safe for concurrent use: the
-// server appends from its ingest path while the tenant worker snapshots
-// and reads metrics.
+// server appends and commits from its ingest path while the tenant
+// worker commits, snapshots and reads metrics.
+//
+// Two locks. flushMu serialises flushes and owns the file state (f,
+// segStart, size, dirsUnsynced); mu guards everything else and is held
+// only for memory work, never across the flush I/O. Lock order: flushMu,
+// then mu.
 type Log struct {
 	dir string
 	opt Options
 	fs  vfs.FS
-	gc  *GroupCommitter // nil = synchronous appends
 
-	mu       sync.Mutex
-	f        vfs.File // active segment
-	segStart uint64   // first record seq of the active segment
-	size     int64    // bytes written to the active segment
-	seq      uint64   // last appended record seq (0 = empty log)
-	snapSeq  uint64   // seq of the latest snapshot
-	hasSnap  bool     // a snapshot exists (snapSeq 0 is a valid position)
-	failed   error    // set when the active segment may hold garbage
-	segCount int      // on-disk segment files (avoids ReadDir per metric read)
+	flushMu      sync.Mutex
+	f            vfs.File // active segment; nil until the next flush creates one
+	segStart     uint64   // first record seq of the active segment
+	size         int64    // bytes durably written to the active segment
+	dirsUnsynced bool     // the next flush must fsync the log directory and its parent
+	segCount     atomic.Int64
 
-	// encBuf is the pooled record-encoding buffer: one frame (header +
-	// kind + JSON batch) is built here per append, then written with a
-	// single Write (or copied to pend under group commit).
-	encBuf []byte
-	// Group-commit state: pend accumulates framed records not yet
-	// written to the segment; committed is the seq of the last record
-	// durably flushed (== seq in synchronous mode); commitCh broadcasts
-	// each flush to Commit waiters.
-	pend      []byte
-	committed uint64
-	commitCh  chan struct{}
-	// waiters counts goroutines blocked in Commit. Reopen refuses to
-	// run until they drain: a waiter woken by fail-stop must observe
-	// l.failed before the reopen clears it, or a fresh record reusing
-	// its seq could release it spuriously — acking a batch whose log
-	// record now holds different data.
-	waiters int
+	mu      sync.Mutex
+	seq     uint64 // last assigned record seq (0 = empty log)
+	durable uint64 // last record written and fsynced; every record ≤ it is durable unless lost
+	// pend holds the framed records pendFirst..seq not yet handed to a
+	// flush; spare is the buffer the last flush returned, reused as the
+	// next pend.
+	pend, spare []byte
+	pendFirst   uint64
+	// lost lists the sequence ranges (from, to] Reopen discarded; their
+	// numbers are never assigned again, and committing one fails.
+	lost    []lostRange
+	snapSeq uint64 // seq of the latest snapshot
+	hasSnap bool   // a snapshot exists (snapSeq 0 is a valid position)
+	failed  error  // set when a flush failed; cleared by Reopen
 
 	// Replay scratch (guarded by mu like everything else): the frame
 	// payload buffer and decoded batch slice are reused across records,
 	// which is why Replay's callback must not retain its arguments.
 	scanBuf    []byte
 	replayMsgs []stream.Message
+}
+
+// lostRange is one Reopen's discarded records (from, to], and the
+// failure that cost them.
+type lostRange struct {
+	from, to uint64
+	cause    error
 }
 
 // Open opens (creating if needed) the log directory, truncates any torn
@@ -144,7 +151,10 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
-	l := &Log{dir: dir, opt: opt, fs: opt.FS, gc: opt.GroupCommit}
+	// Whether or not this Open created the directory, nothing says its
+	// entry — or the active segment's — reached the disk: the first flush
+	// fsyncs both directories before it acknowledges anything.
+	l := &Log{dir: dir, opt: opt, fs: opt.FS, dirsUnsynced: true}
 	// Sweep temp files a crash mid-snapshot left behind — the defer that
 	// would have removed them never ran, and nothing else ever would.
 	if orphans, err := l.fs.Glob(filepath.Join(dir, "snap-tmp-*")); err == nil {
@@ -160,7 +170,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		l.snapSeq = snaps[len(snaps)-1]
 		l.hasSnap = true
 	}
-	l.segCount = len(segs)
+	l.segCount.Store(int64(len(segs)))
 	l.seq = l.snapSeq
 	if len(segs) > 0 {
 		// Count records per segment; truncate a torn tail on the newest.
@@ -197,20 +207,18 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 		l.f, l.segStart, l.size = f, active, st.Size()
 	}
-	l.committed = l.seq
+	l.durable = l.seq
 	return l, nil
 }
 
-// Append frames and writes one ingest batch, returning its sequence
-// number (1-based, monotonic). In synchronous mode (no group
-// committer) the record is in the page cache before Append returns, so
-// a batch acknowledged to a client is never lost to a process kill.
-// Under group commit the record is only buffered — callers must
-// Commit(seq) before acking.
+// Append frames one ingest batch into the pending buffer and returns its
+// sequence number (1-based, strictly increasing for the life of the
+// Log). It never touches the file: callers must Commit(seq) before
+// acknowledging the batch.
 func (l *Log) Append(msgs []stream.Message) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendRecordLocked(recBatch, msgs)
+	return l.appendLocked(recBatch, msgs)
 }
 
 // AppendFlush logs a stream-flush control record. A flush forces the
@@ -221,112 +229,82 @@ func (l *Log) Append(msgs []stream.Message) (uint64, error) {
 func (l *Log) AppendFlush() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendRecordLocked(recFlush, nil)
+	return l.appendLocked(recFlush, nil)
 }
 
-// appendRecordLocked encodes one frame into the pooled buffer and either
-// writes it (synchronous mode) or parks it on the pending group-commit
-// buffer.
-func (l *Log) appendRecordLocked(kind byte, msgs []stream.Message) (uint64, error) {
+// appendLocked encodes one frame straight onto the pending buffer; mu
+// held.
+func (l *Log) appendLocked(kind byte, msgs []stream.Message) (uint64, error) {
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: log failed: %w", l.failed)
 	}
-	buf := append(l.encBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	if len(l.pend) == 0 {
+		l.pendFirst = l.seq + 1
+	}
+	at := len(l.pend)
+	buf := append(l.pend, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	if kind == recBatch {
 		buf = appendMessagesJSON(buf, msgs)
 	}
-	payload := buf[frameHdr:]
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	l.encBuf = buf
-
-	if l.gc != nil {
-		wasEmpty := len(l.pend) == 0
-		l.pend = append(l.pend, buf...)
-		l.seq++
-		if wasEmpty {
-			if stopped := l.gc.noteDirty(l); stopped {
-				// The committer is gone (shutdown path); degrade to a
-				// synchronous flush so no record can be stranded.
-				if err := l.flushLocked(); err != nil {
-					return 0, err
-				}
-			}
-		}
-		return l.seq, nil
-	}
-
-	if l.f == nil {
-		if err := l.rotate(l.seq + 1); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		l.rollback()
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
+	payload := buf[at+frameHdr:]
+	binary.BigEndian.PutUint32(buf[at:at+4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[at+4:at+8], crc32.Checksum(payload, crcTable))
+	l.pend = buf
 	l.seq++
-	l.size += int64(len(buf))
-	l.committed = l.seq
-	if l.size >= l.opt.SegmentBytes {
-		// The record is committed; a failed rotation must not fail the
-		// append (the caller would retry and duplicate it). Rotation is
-		// simply reattempted on the next append.
-		l.rotate(l.seq + 1) //nolint:errcheck // deferred to next append
-	}
 	return l.seq, nil
 }
 
-// Commit blocks until record seq is durable (flushed and fsynced by the
-// group committer) or the log has failed. In synchronous mode it
-// returns immediately: Append already provided the durability.
+// Commit returns once record seq is durable — leading the flush that
+// makes it so, or finding that an earlier flush already did — or with
+// an error when it never will be: its flush failed, a Reopen discarded
+// it, or no such record was appended.
 func (l *Log) Commit(seq uint64) error {
-	if l.gc == nil {
-		return nil
-	}
 	l.mu.Lock()
-	// seq > l.seq means a supervised Reopen discarded the record after
-	// its append (it was pending when the log fail-stopped): it will
-	// never become durable, and waiting would deadlock — or worse,
-	// release spuriously once a fresh record reuses the seq, acking a
-	// batch whose log record holds different data.
-	for l.committed < seq && l.failed == nil && seq <= l.seq {
-		if l.commitCh == nil {
-			l.commitCh = make(chan struct{})
-		}
-		ch := l.commitCh
-		l.waiters++
-		l.mu.Unlock()
-		<-ch
-		l.mu.Lock()
-		l.waiters--
-	}
-	var err error
-	if l.committed < seq {
-		if l.failed != nil {
-			err = fmt.Errorf("wal: commit: %w", l.failed)
-		} else {
-			err = fmt.Errorf("wal: commit: record %d discarded by reopen", seq)
-		}
-	}
+	done, err := l.settledLocked(seq)
 	l.mu.Unlock()
+	if done {
+		return err
+	}
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if done, err := l.settledLocked(seq); done {
+		return err // the flush this one waited behind covered the record
+	}
+	l.flushLocked() //nolint:errcheck // settledLocked reports the outcome
+	_, err = l.settledLocked(seq)
 	return err
 }
 
-// flushCommit is the group committer's entry point: flush this log's
-// pending records. Errors are not returned — they fail-stop the log
-// and are surfaced to every Commit waiter.
-func (l *Log) flushCommit() {
-	l.mu.Lock()
-	l.flushLocked() //nolint:errcheck // surfaced via l.failed to Commit waiters
-	l.mu.Unlock()
+// settledLocked reports whether record seq's fate is decided, and how:
+// nil once it is durable, an error when it never will be. A lost range
+// is checked first — records appended after a reopen push durable past
+// it. mu held.
+func (l *Log) settledLocked(seq uint64) (bool, error) {
+	for _, r := range l.lost {
+		if seq > r.from && seq <= r.to {
+			return true, fmt.Errorf("wal: commit: record %d discarded by reopen: %w", seq, r.cause)
+		}
+	}
+	switch {
+	case seq <= l.durable:
+		return true, nil
+	case l.failed != nil:
+		return true, fmt.Errorf("wal: commit: %w", l.failed)
+	case seq > l.seq:
+		return true, fmt.Errorf("wal: commit: record %d was never appended", seq)
+	}
+	return false, nil
 }
 
-// flushLocked writes the pending buffer with one Write, fsyncs, and
-// wakes Commit waiters. A write or fsync failure fail-stops the log:
-// the pending records were never acknowledged (their Commit calls
-// return the error), and accepting further appends after a partial
-// flush could tear the segment.
+// flushLocked makes every pending record durable. It swaps the pending
+// buffer out, releases mu for the write and fsync — appends keep
+// landing in the fresh buffer meanwhile — then publishes the new
+// durable position, or fail-stops the log: the flushed records were
+// never acknowledged (their Commit calls return the error), and
+// accepting further appends after a partial flush could tear the
+// segment. Called with flushMu and mu held; returns with both held.
 func (l *Log) flushLocked() error {
 	if l.failed != nil {
 		return l.failed
@@ -334,121 +312,108 @@ func (l *Log) flushLocked() error {
 	if len(l.pend) == 0 {
 		return nil
 	}
-	var flushStart time.Time
+	buf, first, last := l.pend, l.pendFirst, l.seq
+	l.pend = l.spare[:0]
+	l.mu.Unlock()
+	var start time.Time
 	if l.opt.OnFlush != nil {
-		flushStart = time.Now() //repro:wallclock-exempt flush-latency callback; durability telemetry, not record content
+		start = time.Now() //repro:wallclock-exempt flush-latency callback; durability telemetry, not record content
 	}
-	if l.f == nil {
-		if err := l.rotate(l.committed + 1); err != nil {
-			l.fail(err)
-			return err
+	err := l.write(buf, first)
+	if err == nil && l.opt.OnFlush != nil {
+		l.opt.OnFlush(time.Since(start)) //repro:wallclock-exempt flush-latency callback; durability telemetry, not record content
+	}
+	l.mu.Lock()
+	l.spare = buf[:0]
+	if err != nil {
+		if l.failed == nil {
+			l.failed = err
 		}
+		return err
 	}
-	if _, err := l.f.Write(l.pend); err != nil {
-		l.rollback() // drop any partially written frame
-		l.fail(fmt.Errorf("wal: group flush: %w", err))
-		return l.failed
-	}
-	if err := l.f.Sync(); err != nil {
-		// The frames are in the file but were never acknowledged (their
-		// Commit waiters get this error). Truncate them away, or a
-		// restart would replay records whose clients were told to
-		// retry, double-applying on retry. l.size still names the
-		// pre-flush offset here.
-		l.rollback()
-		l.fail(fmt.Errorf("wal: group fsync: %w", err))
-		return l.failed
-	}
-	if l.opt.OnFlush != nil {
-		l.opt.OnFlush(time.Since(flushStart)) //repro:wallclock-exempt flush-latency callback; durability telemetry, not record content
-	}
-	l.size += int64(len(l.pend))
-	l.pend = l.pend[:0]
-	l.committed = l.seq
-	if l.commitCh != nil {
-		close(l.commitCh)
-		l.commitCh = nil
-	}
-	if l.size >= l.opt.SegmentBytes {
-		l.rotate(l.seq + 1) //nolint:errcheck // reattempted on next flush
-	}
+	l.durable = last
 	return nil
 }
 
-// fail puts the log into fail-stop and wakes Commit waiters so they
-// observe the error instead of blocking forever.
-func (l *Log) fail(err error) {
-	if l.failed == nil {
-		l.failed = err
-	}
-	if l.commitCh != nil {
-		close(l.commitCh)
-		l.commitCh = nil
-	}
-}
-
-// rollback discards a partially-written frame after a failed append by
-// truncating the active segment to the last good offset. Without it a
-// later successful append would land after torn bytes mid-segment, and
-// recovery would either refuse the segment or truncate away records
-// that were already acknowledged. If even the truncate fails the log
-// goes fail-stop: better to refuse appends than to ack unrecoverable
-// ones.
-func (l *Log) rollback() {
-	if err := l.f.Truncate(l.size); err != nil {
-		l.failed = fmt.Errorf("truncate after failed append: %w", err)
-	}
-}
-
-// rotate closes the active segment (fsyncing it — a rotated segment is
-// immutable and must be complete) and starts a new one whose name is
-// the seq of the first record it will hold.
-func (l *Log) rotate(firstSeq uint64) error {
-	if l.f != nil {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync on rotate: %w", err)
+// write appends buf, whose first record is first, to the active segment
+// — creating the next one first when there is none or it is full — and
+// makes it durable: the segment's fsync, then, when a directory entry
+// the records depend on is new, the log directory's and its parent's.
+// On failure the written bytes are truncated away again, so a restart
+// cannot replay records whose clients were told to retry; if even that
+// truncate fails, Reopen cuts back to the durable prefix. flushMu held.
+func (l *Log) write(buf []byte, first uint64) error {
+	if l.f == nil || l.size >= l.opt.SegmentBytes {
+		if err := l.rotate(first); err != nil {
+			return err
 		}
-		if err := l.f.Close(); err != nil {
+	}
+	if _, err := l.f.Write(buf); err != nil {
+		l.f.Truncate(l.size) //nolint:errcheck // best effort, see above
+		return fmt.Errorf("wal: flush: %w", err)
+	}
+	err := l.f.Sync()
+	if err == nil && l.dirsUnsynced {
+		if err = syncDir(l.fs, l.dir); err == nil {
+			err = syncDir(l.fs, filepath.Dir(l.dir))
+		}
+		l.dirsUnsynced = err != nil
+	}
+	if err != nil {
+		l.f.Truncate(l.size) //nolint:errcheck // best effort, see above
+		return fmt.Errorf("wal: flush fsync: %w", err)
+	}
+	l.size += int64(len(buf))
+	return nil
+}
+
+// rotate closes the active segment and creates the next, named for the
+// first record it will hold. Every flush fsyncs what it wrote, so the
+// closed segment is already complete on disk; the new file's directory
+// entry is fsynced by the flush that first writes to it. flushMu held.
+func (l *Log) rotate(first uint64) error {
+	if l.f != nil {
+		err := l.f.Close()
+		l.f = nil
+		if err != nil {
 			return fmt.Errorf("wal: close segment: %w", err)
 		}
-		l.f = nil
 	}
-	// O_APPEND matters beyond convention: rollback() truncates after a
-	// failed write, and only append-mode writes land at the new EOF
-	// rather than at the stale positional offset (which would leave a
-	// zero-filled hole that parses as a phantom record).
-	f, err := l.fs.OpenFile(l.segPath(firstSeq), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	// O_APPEND matters beyond convention: a failed write is truncated
+	// away, and only append-mode writes land at the new EOF rather than
+	// at the stale positional offset (which would leave a zero-filled
+	// hole that parses as a phantom record).
+	f, err := l.fs.OpenFile(l.segPath(first), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: new segment: %w", err)
 	}
-	l.f, l.segStart, l.size = f, firstSeq, 0
-	l.segCount++
+	l.f, l.segStart, l.size = f, first, 0
+	l.dirsUnsynced = true
+	l.segCount.Add(1)
 	return nil
 }
 
 // Snapshot atomically persists the state after applying records 1..seq
 // (write is the caller's codec — the server passes detect's encoder),
 // then deletes segments and older snapshots the new snapshot covers.
-// The slow part — encoding and fsyncing the temp file — runs outside
-// the log mutex so concurrent Appends (the ingest ack path) never
-// stall behind snapshot IO; only the rename, bookkeeping and
-// compaction take the lock. Concurrent Snapshot calls are the caller's
-// responsibility to avoid (the server snapshots from one goroutine per
-// tenant).
+// Pending records are flushed first, so a snapshot never outlives the
+// records it claims to cover. Encoding and fsyncing the temp file run
+// outside both locks, so appends and commits never stall behind
+// snapshot IO. Covered files are deleted only once the directory fsync
+// after the rename succeeded: until then the snapshot may not survive a
+// crash, and the segments it covers are all that would. Concurrent
+// Snapshot calls are the caller's responsibility to avoid (the server
+// snapshots from one goroutine per tenant).
 func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
-	if l.hasSnap && seq < l.snapSeq {
-		defer l.mu.Unlock()
-		return fmt.Errorf("wal: snapshot seq %d behind existing snapshot %d", seq, l.snapSeq)
+	prev, behind := l.snapSeq, l.hasSnap && seq < l.snapSeq
+	l.mu.Unlock()
+	if behind {
+		return fmt.Errorf("wal: snapshot seq %d behind existing snapshot %d", seq, prev)
 	}
-	// Flush group-committed records first: the snapshot position names
-	// records 1..seq, which must not be outlived by an in-memory buffer
-	// a crash could lose while the snapshot survives.
-	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
+	if err := l.Sync(); err != nil {
 		return err
 	}
-	l.mu.Unlock()
 	tmp, err := l.fs.CreateTemp(l.dir, "snap-tmp-*")
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
@@ -465,35 +430,39 @@ func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hasSnap && seq < l.snapSeq {
-		return fmt.Errorf("wal: snapshot seq %d behind existing snapshot %d", seq, l.snapSeq)
-	}
 	if err := l.fs.Rename(tmp.Name(), l.snapPath(seq)); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	l.syncDir()
-	prev, hadPrev := l.snapSeq, l.hasSnap
-	l.snapSeq, l.hasSnap = seq, true
-	if hadPrev && prev != seq {
-		l.fs.Remove(l.snapPath(prev)) //nolint:errcheck // superseded; best effort
+	if err := syncDir(l.fs, l.dir); err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
 	}
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.snapSeq, l.hasSnap = seq, true
 	return l.compact()
 }
 
-// compact deletes non-active segments whose every record is ≤ snapSeq.
+// compact deletes older snapshots and non-active segments whose every
+// record is ≤ snapSeq; flushMu and mu held.
 func (l *Log) compact() error {
-	segs, _, err := l.scanDir()
+	segs, snaps, err := l.scanDir()
 	if err != nil {
 		return err
+	}
+	for _, s := range snaps {
+		if s < l.snapSeq {
+			l.fs.Remove(l.snapPath(s)) //nolint:errcheck // superseded; best effort
+		}
 	}
 	for i, start := range segs {
 		if start == l.segStart && l.f != nil {
 			continue // never delete the active segment
 		}
-		// The segment holds records start..(next segment's start - 1);
-		// for the last listed segment that is start..l.seq.
+		// The segment holds records from start up to at most the next
+		// segment's start - 1 (less when a reopen left a gap in the
+		// names); for the last listed segment, up to at most l.seq.
 		last := l.seq
 		if i+1 < len(segs) {
 			last = segs[i+1] - 1
@@ -502,10 +471,12 @@ func (l *Log) compact() error {
 			if err := l.fs.Remove(l.segPath(start)); err != nil {
 				return fmt.Errorf("wal: compact: %w", err)
 			}
-			l.segCount--
+			l.segCount.Add(-1)
 		}
 	}
-	l.syncDir()
+	if err := syncDir(l.fs, l.dir); err != nil {
+		return fmt.Errorf("wal: compact: %w", err)
+	}
 	return nil
 }
 
@@ -529,14 +500,16 @@ func (l *Log) LatestSnapshot() (io.ReadCloser, uint64, error) {
 // Replay streams every record with sequence number > after, in order,
 // to fn: an ingest batch (flush false) or a stream-flush marker (flush
 // true, msgs nil). Used with after = latest snapshot seq to rebuild
-// the tail. The msgs slice (and the payloads behind it) is reused
-// across records — fn must finish with it before returning, copying if
-// it needs to retain.
+// the tail. Pending records are flushed first. The msgs slice (and the
+// payloads behind it) is reused across records — fn must finish with it
+// before returning, copying if it needs to retain.
 func (l *Log) Replay(after uint64, fn func(seq uint64, msgs []stream.Message, flush bool) error) error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.flushLocked(); err != nil {
-		return err // group-committed records would be invisible to the scan
+		return err // pending records would be invisible to the scan
 	}
 	segs, _, err := l.scanDir()
 	if err != nil {
@@ -586,14 +559,6 @@ func (l *Log) LastSeq() uint64 {
 	return l.seq
 }
 
-// CommittedSeq returns the sequence number of the newest durably
-// committed record — the acked prefix Reopen recovers to.
-func (l *Log) CommittedSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.committed
-}
-
 // Failed returns the fail-stop error, or nil while the log is healthy.
 // A failed log refuses appends until Reopen succeeds.
 func (l *Log) Failed() error {
@@ -602,112 +567,83 @@ func (l *Log) Failed() error {
 	return l.failed
 }
 
-// Reopen recovers a fail-stopped log in process, without losing any
-// acknowledged record: the poisoned active segment — which may hold
-// torn bytes or frames whose fsync never completed — is truncated back
-// to the acked prefix (records ≤ committed; everything past it was
-// reported failed to its callers, so a client retry must not find it on
-// disk), sealed, and appends resume in a fresh segment. Pending
-// group-commit buffers are discarded for the same reason: their Commit
-// waiters already saw the failure. On success the log accepts appends
-// again; on error it stays fail-stopped and Reopen can be retried —
-// exactly what the serving layer's degradation supervisor does on a
-// probe cadence. A healthy log is a no-op.
+// Reopen recovers a fail-stopped log in process without losing any
+// acknowledged record. The newest segment — the only one a failed flush
+// can have touched — is cut back to the durable prefix and fsynced, or
+// removed when it holds no durable record; the pending buffer is
+// dropped. Every record past the durable prefix is thereby discarded:
+// its Commit failed, or now fails whenever it is called, so a client
+// retry never finds it on disk. Sequence numbers are not reused —
+// appends resume one past the last assigned seq, in a new segment named
+// for it, so segment names may skip the discarded range. On error the
+// log stays fail-stopped and Reopen can be retried — exactly what the
+// serving layer's degradation supervisor does on a probe cadence. A
+// healthy log is a no-op.
 func (l *Log) Reopen() error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed == nil {
 		return nil
 	}
-	if l.waiters > 0 {
-		// Commit waiters woken by the fail-stop have not re-acquired the
-		// mutex yet. They must observe l.failed — clearing it now could
-		// let a later append reuse their seq and release them spuriously.
-		// They drain in microseconds; the supervisor retries next probe.
-		return fmt.Errorf("wal: reopen: %d commit waiters still draining", l.waiters)
-	}
-	l.pend = l.pend[:0]
 	if l.f != nil {
 		l.f.Close() //nolint:errcheck // handle may already be poisoned
 		l.f = nil
 	}
 	segs, _, err := l.scanDir()
 	if err != nil {
-		return err
+		return fmt.Errorf("wal: reopen: %w", err)
 	}
-	l.seq = l.committed
-	if len(segs) == 0 || segs[len(segs)-1] > l.committed+1 {
-		// No segment on disk, or the newest segment holds no acked
-		// record at all (the failure was its very first write): nothing
-		// to truncate that an O_EXCL re-create won't replace. Drop a
-		// fully-unacked newest segment so the name is free again.
-		if len(segs) > 0 && segs[len(segs)-1] > l.committed+1 {
-			if err := l.fs.Remove(l.segPath(segs[len(segs)-1])); err != nil {
-				return fmt.Errorf("wal: reopen: drop unacked segment: %w", err)
-			}
-			l.segCount--
+	if len(segs) > 0 {
+		if err := l.cutToDurable(segs[len(segs)-1]); err != nil {
+			return fmt.Errorf("wal: reopen: %w", err)
 		}
-		l.failed = nil
-		l.f, l.segStart, l.size = nil, 0, 0
-		return nil
 	}
-	start := segs[len(segs)-1]
-	// Find the byte offset of the acked prefix: intact frames with
-	// seq ≤ committed. A torn tail stops the scan, which is fine — the
-	// torn bytes are past the prefix by construction (committed frames
-	// were written and fsynced whole).
+	if l.seq > l.durable {
+		l.lost = append(l.lost, lostRange{from: l.durable, to: l.seq, cause: l.failed})
+	}
+	l.pend = l.pend[:0]
+	l.failed = nil
+	return nil
+}
+
+// cutToDurable removes the records past the durable prefix from segment
+// start, the newest, and makes the cut survive a crash; flushMu and mu
+// held.
+func (l *Log) cutToDurable(start uint64) error {
+	path := l.segPath(start)
+	if start > l.durable {
+		if err := l.fs.Remove(path); err != nil {
+			return err
+		}
+		l.segCount.Add(-1)
+		return syncDir(l.fs, l.dir)
+	}
+	// Durable frames were written and fsynced whole, so the scan reaches
+	// the end of the prefix before any torn bytes.
 	var keep int64
-	if _, _, err := l.scanSegment(start, func(seq uint64, payload []byte) error {
-		if seq <= l.committed {
+	last, _, err := l.scanSegment(start, func(seq uint64, payload []byte) error {
+		if seq <= l.durable {
 			keep += frameHdr + int64(len(payload))
 		}
 		return nil
-	}); err != nil {
-		// A torn tail (or trailing garbage) is exactly the damage being
-		// repaired: the truncate below cuts it away. Only a segment that
-		// cannot be opened at all aborts — scanSegment surfaces that as
-		// an open error with keep still 0, and truncating an unreadable
-		// file would guess.
-		if keep == 0 && errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("wal: reopen: %w", err)
-		}
+	})
+	if last < l.durable {
+		return fmt.Errorf("durable prefix of %s unreadable: %v", path, err)
 	}
-	if err := l.fs.Truncate(l.segPath(start), keep); err != nil {
-		return fmt.Errorf("wal: reopen: truncate to acked prefix: %w", err)
-	}
-	if start == l.committed+1 && keep == 0 {
-		// The poisoned segment held no acked records; it is now empty and
-		// already named for the next record — resume appending into it.
-		f, err := l.fs.OpenFile(l.segPath(start), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("wal: reopen: %w", err)
-		}
-		l.f, l.segStart, l.size = f, start, 0
-		l.failed = nil
-		return nil
-	}
-	// Seal the truncated segment — it is complete through committed and
-	// must be fsynced before new appends land elsewhere — then start a
-	// fresh segment for the next record.
-	f, err := l.fs.OpenFile(l.segPath(start), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := l.fs.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: reopen: %w", err)
-	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if serr != nil {
-		return fmt.Errorf("wal: reopen: seal: %w", serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("wal: reopen: seal: %w", cerr)
-	}
-	prevFailed := l.failed
-	l.failed = nil
-	if err := l.rotate(l.committed + 1); err != nil {
-		l.failed = prevFailed
 		return err
 	}
-	return nil
+	err = f.Truncate(keep)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SnapshotSeq returns the sequence number of the latest snapshot.
@@ -718,43 +654,32 @@ func (l *Log) SnapshotSeq() uint64 {
 }
 
 // SegmentCount returns the number of on-disk segment files, tracked in
-// memory — metric reads must not hold the append mutex across a
-// directory listing.
-func (l *Log) SegmentCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segCount
-}
+// memory — metric reads must not wait on a flush or list the directory.
+func (l *Log) SegmentCount() int { return int(l.segCount.Load()) }
 
-// Sync flushes any group-committed buffer and fsyncs the active
-// segment.
+// Sync makes every pending record durable, as a Commit of the last one
+// would.
 func (l *Log) Sync() error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
+	return l.flushLocked()
 }
 
-// Close flushes, fsyncs and closes the active segment.
+// Close flushes pending records and closes the active segment.
 func (l *Log) Close() error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err := l.flushLocked()
-	if l.f == nil {
-		return err
+	if l.f != nil {
+		if cerr := l.f.Close(); err == nil {
+			err = cerr
+		}
+		l.f = nil
 	}
-	if serr := l.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
 	return err
 }
 
@@ -766,12 +691,18 @@ func (l *Log) snapPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", snapPrefix, seq, snapExt))
 }
 
-// syncDir fsyncs the directory so renames/removes survive power loss.
-func (l *Log) syncDir() {
-	if d, err := l.fs.Open(l.dir); err == nil {
-		d.Sync() //nolint:errcheck // best-effort directory fsync
-		d.Close()
+// syncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable.
+func syncDir(fsys vfs.FS, dir string) error {
+	d, err := fsys.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // scanDir lists segment start seqs and snapshot seqs, each ascending.

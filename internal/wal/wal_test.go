@@ -96,7 +96,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 8; i++ {
-		if _, err := l.Append(batch(i, 2)); err != nil {
+		if _, err := appendAcked(l, batch(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func TestCorruptRotatedSegmentRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		if _, err := l.Append(batch(i, 2)); err != nil {
+		if _, err := appendAcked(l, batch(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,11 +310,10 @@ func TestSnapshotAtSeqZero(t *testing.T) {
 	}
 }
 
-// TestAppendWithoutCommitterNeverFsyncs pins the page-cache durability
-// level: with no group committer an append is one write and no fsync,
-// so a device whose every fsync fails still accepts appends. (Kill -9
-// safety of this level is TestCrashRecoveryBitIdentical/sync in
-// internal/server.)
+// TestAppendWithoutCommitterNeverFsyncs: an append nobody commits never
+// reaches the device — Append only frames the record in memory — so a
+// device whose every create, write and fsync fails still accepts
+// appends, and only the Commit finds it sick.
 func TestAppendWithoutCommitterNeverFsyncs(t *testing.T) {
 	ff := vfs.NewFaultFS(nil)
 	l, err := Open(t.TempDir(), Options{FS: ff})
@@ -322,24 +321,26 @@ func TestAppendWithoutCommitterNeverFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	ff.Inject(vfs.Rule{Op: vfs.OpSync, Path: ".wal"})
+	for _, op := range []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpSync} {
+		ff.Inject(vfs.Rule{Op: op})
+	}
 	for i := 1; i <= 3; i++ {
-		seq, err := l.Append(batch(i, 1))
-		if err != nil {
+		if _, err := l.Append(batch(i, 1)); err != nil {
 			t.Fatal(err)
-		}
-		if err := l.Commit(seq); err != nil {
-			t.Fatalf("Commit without a committer = %v, want immediate nil", err)
 		}
 	}
 	if n := ff.Injected(); n != 0 {
-		t.Fatalf("%d fsyncs reached the device on the append path", n)
+		t.Fatalf("%d file operations reached the device on the append path", n)
+	}
+	if err := l.Commit(3); err == nil {
+		t.Fatal("Commit on a dead device succeeded")
 	}
 	ff.Clear()
 }
 
-// BenchmarkWALAppend measures framed append throughput at a typical
-// ingest batch size (64 messages, ~80 bytes of text each).
+// BenchmarkWALAppend measures the acknowledged append of one batch at a
+// typical ingest size (64 messages, ~80 bytes of text each), uncontended:
+// encode and frame, then a Commit that writes and fsyncs it alone.
 func BenchmarkWALAppend(b *testing.B) {
 	l, err := Open(b.TempDir(), Options{})
 	if err != nil {
@@ -354,7 +355,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.SetBytes(bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(msgs); err != nil {
+		if _, err := appendAcked(l, msgs); err != nil {
 			b.Fatal(err)
 		}
 	}
