@@ -21,7 +21,7 @@
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data); the shapes — who wins, directions of trends, rough factors — are
-// the reproduction target. See EXPERIMENTS.md.
+// the reproduction target. See README.md, "Experiments and benchmarks".
 package main
 
 import (

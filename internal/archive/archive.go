@@ -430,7 +430,7 @@ func (l *Log) EventCount() int {
 // Close is Sync; the Log holds no open files between calls.
 func (l *Log) Close() error { return l.Sync() }
 
-// ErrStop, returned by a ScanPred callback, stops the scan early without
+// ErrStop, returned by a scan's callback, stops the scan early without
 // error — the LIMIT-pushdown signal.
 var ErrStop = fmt.Errorf("archive: stop scan")
 
@@ -449,9 +449,11 @@ const quarantineSuffix = ".quarantine"
 
 // SegmentView is a point-in-time handle on one segment: the index
 // bounds for planning (time-range, rank-floor, and Bloom data skipping)
-// plus a record iterator. Views are snapshots — records appended to the
-// buffer after Segments() returned are not visible through them, and a
-// buffer view outlives the seal that empties the buffer.
+// plus its records: a sealed segment's through its decoded blocks, the
+// buffer's as they stand in memory. Views are snapshots — records
+// appended to the buffer after Segments() returned are not visible
+// through them, and a buffer view outlives the seal that empties the
+// buffer.
 type SegmentView struct {
 	// FirstSeq/LastSeq bound the eviction ordinals in the segment.
 	FirstSeq uint64
@@ -489,11 +491,10 @@ func (v *SegmentView) MayContain(kw string) bool {
 	return v.bf.mayContain(kw)
 }
 
-// Pred is the predicate ScanPred pushes below segment granularity: a
-// scan skips whole blocks whose zone maps prove no record can match.
-// Records handed to the callback are NOT individually filtered — block
-// skipping is conservative, so callers apply their own record-level
-// filter.
+// Pred is the predicate a scan pushes below segment granularity: it
+// skips whole blocks whose zone maps prove no record can match. The
+// records it hands over are NOT individually filtered — block skipping
+// is conservative, so callers apply their own record-level filter.
 type Pred struct {
 	// From/To bound the quantum range: a record matches when its
 	// [BornQuantum, LastQuantum] span intersects [From, To]. To < 0
@@ -530,8 +531,8 @@ func (z *blockZone) skip(p *Pred) skipReason {
 	return skipNone
 }
 
-// BlockStats reports one ScanPred's block-level work: how many blocks
-// the segment holds, how many were read, and why the rest were skipped
+// BlockStats reports one scan's block-level work: how many blocks the
+// segment holds, how many were read, and why the rest were skipped
 // without touching the data file. The buffer counts as one block.
 type BlockStats struct {
 	Blocks           int // blocks covered by the view
@@ -539,21 +540,24 @@ type BlockStats struct {
 	SkippedByTime    int // zone quantum range proved no match
 	SkippedByRank    int // zone max PeakRank below the rank floor
 	SkippedByKeyword int // zone Bloom filter refuted a keyword
-	Records          int // records handed to the callback
+	Records          int // records decoded and handed over
 }
 
+// Records returns a buffer view's records, in eviction order, and nil
+// for a sealed view. They are shared with the Log and never change:
+// read them, do not write them.
+func (v *SegmentView) Records() []Record { return v.recs }
+
 // ScanPred streams the view's records to fn in eviction order: the
-// buffer's straight from memory, a sealed segment's by zone-map skipping
-// followed by a CRC-checked column-at-a-time decode of only the
-// surviving blocks (see Pred for what the callback still must filter;
-// Pred{To: -1} skips nothing). The *Record and its slices remain valid
-// after fn returns, but the struct pointed to is reused — copy it to
-// keep it. fn returning ErrStop ends the scan early (stopped=true,
-// err=nil); any other error aborts and is returned. A data file whose
-// header disagrees with the view, or a block that decodes to a different
-// record count than its zone map states, is corruption and is reported
-// as an error: silently truncating history would be worse than failing
-// the query.
+// buffer's straight from memory, a sealed segment's materialised from
+// the blocks ScanBlocks decodes (see Pred for what the callback still
+// must filter; Pred{To: -1} skips nothing). The *Record and its slices
+// remain valid after fn returns, but the struct pointed to is reused —
+// copy it to keep it. fn returning ErrStop ends the scan early
+// (stopped=true, err=nil); any other error aborts and is returned.
+// Readers that can work on columns use ScanBlocks and skip the Records;
+// ScanPred remains for the benchmark module's archive read layer and
+// goes once that layer scans blocks.
 func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (bs BlockStats, stopped bool, err error) {
 	if !v.Sealed {
 		bs.Blocks, bs.Scanned = 1, 1
@@ -567,6 +571,36 @@ func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (bs BlockStats
 			}
 		}
 		return bs, false, nil
+	}
+	var rec Record
+	return v.ScanBlocks(pred, func(b *Block) error {
+		defer b.Release()
+		for i := 0; i < b.Len(); i++ {
+			rec = b.Record(i)
+			if err := fn(&rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// ScanBlocks hands fn, in eviction order, each block of a sealed
+// segment that pred does not rule out on its zone map, read and
+// CRC-checked, then decoded column-at-a-time into a pooled Block. fn
+// owns the Block: it may keep it past its return, and calls Release
+// once nothing reads it (a Block never released is left to the
+// collector). BlockStats.Records counts the rows of every Block handed
+// over. fn returning ErrStop ends the scan early (stopped=true,
+// err=nil); any other error aborts and is returned. A data file whose
+// header disagrees with the view, or a block that decodes to a different
+// record count than its zone map states, is corruption and is reported
+// as an error: silently truncating history would be worse than failing
+// the query. A buffer view has no blocks (read its Records); scanning
+// one is an error.
+func (v *SegmentView) ScanBlocks(pred Pred, fn func(*Block) error) (bs BlockStats, stopped bool, err error) {
+	if !v.Sealed {
+		return bs, false, errors.New("archive: ScanBlocks of the in-memory buffer")
 	}
 	if pred.To < 0 {
 		pred.To = maxInt
@@ -594,11 +628,15 @@ func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (bs BlockStats
 	return bs, stopped, nil
 }
 
-// scanBlocks hands fn the records of every block in zones that pred does
-// not rule out, reading the frames from f, and counts the work in bs.
-func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn func(*Record) error) (stopped bool, err error) {
-	sc := scratchPool.Get().(*blockScratch)
-	defer scratchPool.Put(sc)
+// framePool recycles the buffers scanBlocks reads block frames into.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// scanBlocks hands fn every block in zones that pred does not rule out,
+// reading the frames from f and decoding each into a pooled Block that
+// fn then owns, and counts the work in bs.
+func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn func(*Block) error) (stopped bool, err error) {
+	frame := framePool.Get().(*[]byte)
+	defer framePool.Put(frame)
 	for zi := range zones {
 		z := &zones[zi]
 		switch z.skip(pred) {
@@ -613,25 +651,26 @@ func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn
 			continue
 		}
 		bs.Scanned++
-		payload, err := readFrame(f, z, &sc.frame)
+		payload, err := readFrame(f, z, frame)
 		if err != nil {
 			return false, err
 		}
-		n, err := decodeBlock(payload, sc, func(rec *Record) error {
-			bs.Records++
-			return fn(rec)
-		})
-		if err == ErrStop {
-			return true, nil
-		}
-		if errors.Is(err, errBlockCorrupt) {
+		b := blockPool.Get().(*Block)
+		err = decodeBlock(payload, b)
+		if err != nil {
 			err = fmt.Errorf("%w: %w", err, ErrCorrupt)
-		}
-		if err == nil && n != z.Count {
-			err = fmt.Errorf("has %d of %d records: %w", n, z.Count, ErrCorrupt)
+		} else if b.Len() != z.Count {
+			err = fmt.Errorf("has %d of %d records: %w", b.Len(), z.Count, ErrCorrupt)
 		}
 		if err != nil {
+			b.Release()
 			return false, fmt.Errorf("block at %d: %w", z.Off, err)
+		}
+		bs.Records += b.Len()
+		if err := fn(b); err == ErrStop {
+			return true, nil
+		} else if err != nil {
+			return false, err
 		}
 	}
 	return false, nil

@@ -32,10 +32,12 @@ import (
 // bounds-checked, dictionary indexes are range-checked, counts are
 // clamped, and the payload must be consumed exactly — any violation is
 // an error, never a panic (the fuzz target in fuzz_test.go enforces
-// this). Strings are carved from one backing copy per block and
-// keyword slices from one arena per block, so a decoded block costs
-// O(1) allocations regardless of record count; callers may retain the
-// slices (arenas are never reused).
+// this). A block decodes into a pooled Block: columns whose capacity
+// the pool keeps, and a dictionary carved from one backing string per
+// block, so a decoded block costs O(1) allocations regardless of record
+// count. The columns are reused once the Block is released; the
+// dictionary strings, and the Records materialised from a block, are
+// not.
 const (
 	// defaultBlockEvents caps records per block when Options.BlockEvents
 	// is zero: big enough to amortize per-block framing and dictionary
@@ -263,33 +265,117 @@ func (e *blockEncoder) encode(recs []Record) ([]byte, blockZone, error) {
 	return b, zone, nil
 }
 
-// blockScratch is the reusable decode state. Pooled (scratchPool), so a
-// steady-state scan allocates only the per-block string backing and
-// keyword arena — the two things callers may retain.
-type blockScratch struct {
-	dict     []string
-	seq      []uint64
-	id       []uint64
-	born     []int
-	last     []int
-	rank     []float64
-	peak     []float64
-	size     []int
-	support  []int
-	firstRep []int
-	merged   []uint64
-	split    []uint64
-	flags    []byte
-	state    []uint32
-	kwIdx    []uint32 // flat keyword dictionary refs
-	kwOff    []uint32 // n+1 offsets into kwIdx
-	allIdx   []uint32
-	allOff   []uint32
-	frame    []byte // frame read buffer
-	rec      Record
+// Block is one decoded block, column by column: row i is the Record
+// with ID ID[i], Rank Rank[i], and so on, in eviction order. Its State
+// and keywords are indexes into Dict, which holds each string once. A
+// scan hands out Blocks from a pool; the columns are valid until
+// Release and must not be written.
+type Block struct {
+	// Dict is the block's dictionary: states and keywords, carved from
+	// one backing string per decode, so its strings outlive Release.
+	Dict []string
+
+	Seq, ID, MergedInto, SplitFrom                         []uint64
+	BornQuantum, LastQuantum, Size, Support, FirstReported []int
+	Rank, PeakRank                                         []float64
+	State                                                  []uint32 // index into Dict
+
+	flags         []byte
+	kwIdx, allIdx []uint32 // flat keyword dictionary indexes
+	kwOff, allOff []uint32 // n+1 offsets into kwIdx / allIdx
+	arena         []string // Record's keyword strings: fresh per decode, never reused
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+var blockPool = sync.Pool{New: func() any { return new(Block) }}
+
+// maxPooledRows and maxPooledDict cap the blocks the pool takes back,
+// by row capacity and by dictionary capacity: a rare oversized block
+// must not pin its columns for the life of the process. A row adds at
+// most its state and its keywords to the dictionary — about 13 strings
+// for a record with 6 keywords and 6.5 history keywords — so the
+// dictionary bound allows 16 per pooled row.
+const (
+	maxPooledRows = 4096
+	maxPooledDict = 16 * maxPooledRows
+)
+
+// Release hands b back to the pool. Nothing may read b's columns
+// afterwards; call it at most once per block a scan handed out.
+func (b *Block) Release() {
+	if b.poolable() {
+		blockPool.Put(b)
+	}
+}
+
+func (b *Block) poolable() bool {
+	return cap(b.ID) <= maxPooledRows && cap(b.Dict) <= maxPooledDict
+}
+
+// Len returns the block's row count.
+func (b *Block) Len() int { return len(b.ID) }
+
+// Evolved, Reported and Spurious read row i's flags.
+func (b *Block) Evolved(i int) bool  { return b.flags[i]&flagEvolved != 0 }
+func (b *Block) Reported(i int) bool { return b.flags[i]&flagReported != 0 }
+func (b *Block) Spurious(i int) bool { return b.flags[i]&flagSpurious != 0 }
+
+// KeywordsNil reports whether row i's Keywords is nil (JSON null)
+// rather than a possibly empty list.
+func (b *Block) KeywordsNil(i int) bool { return b.flags[i]&flagKwNil != 0 }
+
+// Keywords returns the Dict indexes of row i's Keywords.
+func (b *Block) Keywords(i int) []uint32 { return b.kwIdx[b.kwOff[i]:b.kwOff[i+1]] }
+
+// AllKeywords returns the Dict indexes of row i's AllKeywords.
+func (b *Block) AllKeywords(i int) []uint32 { return b.allIdx[b.allOff[i]:b.allOff[i+1]] }
+
+// Record materialises row i. Its keyword slices are carved from one
+// arena per decode, built at the first call, so a Record stays valid
+// after Release.
+func (b *Block) Record(i int) Record {
+	nkw := uint32(len(b.kwIdx))
+	if b.arena == nil && nkw+uint32(len(b.allIdx)) > 0 {
+		b.arena = make([]string, 0, int(nkw)+len(b.allIdx))
+		for _, d := range b.kwIdx {
+			b.arena = append(b.arena, b.Dict[d])
+		}
+		for _, d := range b.allIdx {
+			b.arena = append(b.arena, b.Dict[d])
+		}
+	}
+	rec := Record{
+		Seq:           b.Seq[i],
+		ID:            b.ID[i],
+		State:         b.Dict[b.State[i]],
+		Rank:          b.Rank[i],
+		PeakRank:      b.PeakRank[i],
+		BornQuantum:   b.BornQuantum[i],
+		LastQuantum:   b.LastQuantum[i],
+		Evolved:       b.Evolved(i),
+		Size:          b.Size[i],
+		Support:       b.Support[i],
+		Reported:      b.Reported(i),
+		FirstReported: b.FirstReported[i],
+		MergedInto:    b.MergedInto[i],
+		SplitFrom:     b.SplitFrom[i],
+		Spurious:      b.Spurious(i),
+	}
+	if !b.KeywordsNil(i) {
+		rec.Keywords = b.strings(b.kwOff[i], b.kwOff[i+1])
+	}
+	if b.flags[i]&flagAllKwNil == 0 {
+		rec.AllKeywords = b.strings(nkw+b.allOff[i], nkw+b.allOff[i+1])
+	}
+	return rec
+}
+
+// strings is arena[lo:hi], or the shared empty slice when that is empty.
+func (b *Block) strings(lo, hi uint32) []string {
+	if lo == hi {
+		return emptyStrings
+	}
+	return b.arena[lo:hi:hi]
+}
 
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -345,226 +431,163 @@ func (r *byteReader) intUvarint() (int, error) {
 
 const maxInt = int(^uint(0) >> 1)
 
-// decodeBlock decodes one block payload column-at-a-time and hands each
-// record to fn in Seq order. The *Record and its slices stay valid
-// after fn returns (they alias per-block arenas that are never reused),
-// but the pointer itself is reused — fn must copy the struct if it
-// keeps it. fn errors (including ErrStop) abort the decode and are
-// returned as-is; corrupt input returns an error wrapping
-// errBlockCorrupt, never panics.
-func decodeBlock(payload []byte, sc *blockScratch, fn func(*Record) error) (int, error) {
+// decodeBlock decodes one block payload column-at-a-time into b,
+// replacing whatever b held. Corrupt input returns an error wrapping
+// errBlockCorrupt, never panics; b's contents are then unspecified.
+func decodeBlock(payload []byte, b *Block) error {
 	r := &byteReader{b: payload}
 	n, err := r.intUvarint()
 	if err != nil || n < 1 || n > maxBlockRecords {
-		return 0, errBlockCorrupt
+		return errBlockCorrupt
 	}
+	b.arena = nil // Records materialised from the previous decode keep theirs
 
 	// Dictionary: one backing string per block, entries carved by slicing.
 	dn, err := r.intUvarint()
 	if err != nil || dn > maxBlockDict {
-		return 0, errBlockCorrupt
+		return errBlockCorrupt
 	}
-	sc.dict = grow(sc.dict, dn)
-	sc.seq = grow(sc.seq, dn) // seq column doubles as the length stash
+	b.Dict = grow(b.Dict, dn)
+	lens := byteReader{b: r.b, off: r.off} // re-reads the lengths below
 	total := 0
 	for i := 0; i < dn; i++ {
 		ln, err := r.intUvarint()
 		// Each length is bounded by the payload, so with dn ≤ 2²⁰ the
 		// running total cannot overflow int on 64-bit.
 		if err != nil || ln > len(r.b)-r.off {
-			return 0, errBlockCorrupt
+			return errBlockCorrupt
 		}
-		sc.seq[i] = uint64(ln)
 		total += ln
 	}
 	if total > len(r.b)-r.off {
-		return 0, errBlockCorrupt
+		return errBlockCorrupt
 	}
 	backing := string(r.b[r.off : r.off+total])
 	r.off += total
 	for i, pos := 0, 0; i < dn; i++ {
-		ln := int(sc.seq[i])
-		sc.dict[i] = backing[pos : pos+ln]
+		ln, _ := lens.intUvarint() // checked by the first pass
+		b.Dict[i] = backing[pos : pos+ln]
 		pos += ln
 	}
 
 	// Fixed columns.
-	sc.seq = grow(sc.seq, n)
-	sc.id = grow(sc.id, n)
-	sc.born = grow(sc.born, n)
-	sc.last = grow(sc.last, n)
-	sc.rank = grow(sc.rank, n)
-	sc.peak = grow(sc.peak, n)
-	sc.size = grow(sc.size, n)
-	sc.support = grow(sc.support, n)
-	sc.firstRep = grow(sc.firstRep, n)
-	sc.merged = grow(sc.merged, n)
-	sc.split = grow(sc.split, n)
-	sc.flags = grow(sc.flags, n)
-	sc.state = grow(sc.state, n)
+	b.Seq = grow(b.Seq, n)
+	b.ID = grow(b.ID, n)
+	b.BornQuantum = grow(b.BornQuantum, n)
+	b.LastQuantum = grow(b.LastQuantum, n)
+	b.Rank = grow(b.Rank, n)
+	b.PeakRank = grow(b.PeakRank, n)
+	b.Size = grow(b.Size, n)
+	b.Support = grow(b.Support, n)
+	b.FirstReported = grow(b.FirstReported, n)
+	b.MergedInto = grow(b.MergedInto, n)
+	b.SplitFrom = grow(b.SplitFrom, n)
+	b.flags = grow(b.flags, n)
+	b.State = grow(b.State, n)
 
-	if sc.seq[0], err = r.uvarint(); err != nil {
-		return 0, err
+	if b.Seq[0], err = r.uvarint(); err != nil {
+		return err
 	}
 	for i := 1; i < n; i++ {
 		d, err := r.uvarint()
 		if err != nil || d == 0 { // zero delta = duplicate ordinal
-			return 0, errBlockCorrupt
+			return errBlockCorrupt
 		}
-		sc.seq[i] = sc.seq[i-1] + d
-		if sc.seq[i] < sc.seq[i-1] { // wrapped
-			return 0, errBlockCorrupt
+		b.Seq[i] = b.Seq[i-1] + d
+		if b.Seq[i] < b.Seq[i-1] { // wrapped
+			return errBlockCorrupt
 		}
 	}
-	if sc.id[0], err = r.uvarint(); err != nil {
-		return 0, err
+	if b.ID[0], err = r.uvarint(); err != nil {
+		return err
 	}
 	for i := 1; i < n; i++ {
 		d, err := r.varint()
 		if err != nil {
-			return 0, err
+			return err
 		}
-		sc.id[i] = sc.id[i-1] + uint64(d)
+		b.ID[i] = b.ID[i-1] + uint64(d)
 	}
 	b0, err := r.varint()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	sc.born[0] = int(b0)
+	b.BornQuantum[0] = int(b0)
 	for i := 1; i < n; i++ {
 		d, err := r.varint()
 		if err != nil {
-			return 0, err
+			return err
 		}
-		sc.born[i] = sc.born[i-1] + int(d)
+		b.BornQuantum[i] = b.BornQuantum[i-1] + int(d)
 	}
 	for i := 0; i < n; i++ {
 		span, err := r.intUvarint()
 		if err != nil {
-			return 0, err
+			return err
 		}
-		sc.last[i] = sc.born[i] + span
-		if sc.last[i] < sc.born[i] { // overflow
-			return 0, errBlockCorrupt
+		b.LastQuantum[i] = b.BornQuantum[i] + span
+		if b.LastQuantum[i] < b.BornQuantum[i] { // overflow
+			return errBlockCorrupt
 		}
 	}
-	for i := 0; i < n; i++ {
-		bits, err := r.u64()
-		if err != nil {
-			return 0, err
+	for _, col := range []*[]float64{&b.Rank, &b.PeakRank} {
+		for i := 0; i < n; i++ {
+			bits, err := r.u64()
+			if err != nil {
+				return err
+			}
+			(*col)[i] = math.Float64frombits(bits)
 		}
-		sc.rank[i] = math.Float64frombits(bits)
 	}
-	for i := 0; i < n; i++ {
-		bits, err := r.u64()
-		if err != nil {
-			return 0, err
-		}
-		sc.peak[i] = math.Float64frombits(bits)
-	}
-	for _, col := range []*[]int{&sc.size, &sc.support, &sc.firstRep} {
+	for _, col := range []*[]int{&b.Size, &b.Support, &b.FirstReported} {
 		for i := 0; i < n; i++ {
 			v, err := r.varint()
 			if err != nil {
-				return 0, err
+				return err
 			}
 			(*col)[i] = int(v)
 		}
 	}
-	for _, col := range []*[]uint64{&sc.merged, &sc.split} {
+	for _, col := range []*[]uint64{&b.MergedInto, &b.SplitFrom} {
 		for i := 0; i < n; i++ {
 			v, err := r.uvarint()
 			if err != nil {
-				return 0, err
+				return err
 			}
 			(*col)[i] = v
 		}
 	}
 	if len(r.b)-r.off < n {
-		return 0, errBlockCorrupt
+		return errBlockCorrupt
 	}
-	copy(sc.flags, r.b[r.off:r.off+n])
+	copy(b.flags, r.b[r.off:r.off+n])
 	r.off += n
 	for i := 0; i < n; i++ {
-		if sc.flags[i]&^flagsKnown != 0 {
-			return 0, errBlockCorrupt
+		if b.flags[i]&^flagsKnown != 0 {
+			return errBlockCorrupt
 		}
 	}
 	for i := 0; i < n; i++ {
 		v, err := r.uvarint()
 		if err != nil || v >= uint64(dn) {
-			return 0, errBlockCorrupt
+			return errBlockCorrupt
 		}
-		sc.state[i] = uint32(v)
+		b.State[i] = uint32(v)
 	}
 
 	// Keyword index lists: flat refs + per-record offsets.
-	sc.kwIdx, sc.kwOff, err = readIndexLists(r, n, dn, sc.kwIdx, sc.kwOff, sc.flags, flagKwNil)
+	b.kwIdx, b.kwOff, err = readIndexLists(r, n, dn, b.kwIdx, b.kwOff, b.flags, flagKwNil)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	sc.allIdx, sc.allOff, err = readIndexLists(r, n, dn, sc.allIdx, sc.allOff, sc.flags, flagAllKwNil)
+	b.allIdx, b.allOff, err = readIndexLists(r, n, dn, b.allIdx, b.allOff, b.flags, flagAllKwNil)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if r.off != len(r.b) {
-		return 0, errBlockCorrupt // trailing garbage
+		return errBlockCorrupt // trailing garbage
 	}
-
-	// One string arena for every keyword slice in the block. Handed-out
-	// slices alias it, so it is allocated fresh per block, never reused.
-	nkw, nall := len(sc.kwIdx), len(sc.allIdx)
-	var arena []string
-	if nkw+nall > 0 {
-		arena = make([]string, nkw+nall)
-		for i, di := range sc.kwIdx {
-			arena[i] = sc.dict[di]
-		}
-		for i, di := range sc.allIdx {
-			arena[nkw+i] = sc.dict[di]
-		}
-	}
-
-	rec := &sc.rec
-	for i := 0; i < n; i++ {
-		*rec = Record{
-			Seq:           sc.seq[i],
-			ID:            sc.id[i],
-			State:         sc.dict[sc.state[i]],
-			Rank:          sc.rank[i],
-			PeakRank:      sc.peak[i],
-			BornQuantum:   sc.born[i],
-			LastQuantum:   sc.last[i],
-			Evolved:       sc.flags[i]&flagEvolved != 0,
-			Size:          sc.size[i],
-			Support:       sc.support[i],
-			Reported:      sc.flags[i]&flagReported != 0,
-			FirstReported: sc.firstRep[i],
-			MergedInto:    sc.merged[i],
-			SplitFrom:     sc.split[i],
-			Spurious:      sc.flags[i]&flagSpurious != 0,
-		}
-		if sc.flags[i]&flagKwNil == 0 {
-			lo, hi := sc.kwOff[i], sc.kwOff[i+1]
-			if lo == hi {
-				rec.Keywords = emptyStrings
-			} else {
-				rec.Keywords = arena[lo:hi:hi]
-			}
-		}
-		if sc.flags[i]&flagAllKwNil == 0 {
-			lo, hi := uint32(nkw)+sc.allOff[i], uint32(nkw)+sc.allOff[i+1]
-			if lo == hi {
-				rec.AllKeywords = emptyStrings
-			} else {
-				rec.AllKeywords = arena[lo:hi:hi]
-			}
-		}
-		if err := fn(rec); err != nil {
-			return i, err
-		}
-	}
-	return n, nil
+	return nil
 }
 
 // readIndexLists reads n length-prefixed dictionary-index lists into a

@@ -57,23 +57,17 @@ func TestBlockRoundTrip(t *testing.T) {
 		t.Fatalf("zone rank = %v", zone.MaxRank)
 	}
 
-	sc := new(blockScratch)
-	var got []Record
-	var gotKwNil, gotAllNil []bool
-	n, err := decodeBlock(payload, sc, func(r *Record) error {
-		got = append(got, *r)
-		gotKwNil = append(gotKwNil, r.Keywords == nil)
-		gotAllNil = append(gotAllNil, r.AllKeywords == nil)
-		return nil
-	})
-	if err != nil || n != len(recs) {
-		t.Fatalf("decode: n=%d err=%v", n, err)
+	b := new(Block)
+	if err := decodeBlock(payload, b); err != nil || b.Len() != len(recs) {
+		t.Fatalf("decode: n=%d err=%v", b.Len(), err)
 	}
 	for i := range recs {
-		if !sameRecord(recs[i], got[i]) {
-			t.Fatalf("record %d round-trip:\n want %+v\n have %+v", i, recs[i], got[i])
+		got := b.Record(i)
+		if !sameRecord(recs[i], got) {
+			t.Fatalf("record %d round-trip:\n want %+v\n have %+v", i, recs[i], got)
 		}
-		if gotKwNil[i] != (recs[i].Keywords == nil) || gotAllNil[i] != (recs[i].AllKeywords == nil) {
+		if (got.Keywords == nil) != (recs[i].Keywords == nil) || (got.AllKeywords == nil) != (recs[i].AllKeywords == nil) ||
+			b.KeywordsNil(i) != (recs[i].Keywords == nil) {
 			t.Fatalf("record %d nil-ness not preserved", i)
 		}
 	}
@@ -85,9 +79,10 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockDecodeScratchReuse decodes two different blocks through one
-// scratch and verifies the first block's handed-out slices survive —
-// the aliasing contract the query engine depends on.
+// TestBlockDecodeScratchReuse decodes two different blocks into one
+// Block, as the pool reuses it, and verifies a Record materialised from
+// the first survives — the contract Open's reload and ScanPred's
+// callers depend on.
 func TestBlockDecodeScratchReuse(t *testing.T) {
 	var enc blockEncoder
 	p1, _, err := enc.encode([]Record{rec(1, 0, 1, "first-kw", "shared")})
@@ -99,16 +94,51 @@ func TestBlockDecodeScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := new(blockScratch)
-	var first Record
-	if _, err := decodeBlock(p1, sc, func(r *Record) error { first = *r; return nil }); err != nil {
+	b := new(Block)
+	if err := decodeBlock(p1, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBlock(p2, sc, func(*Record) error { return nil }); err != nil {
+	first := b.Record(0)
+	if err := decodeBlock(p2, b); err != nil {
 		t.Fatal(err)
+	}
+	if b.Record(0).Keywords[0] != "second-kw" {
+		t.Fatalf("second decode reads %+v", b.Record(0))
 	}
 	if first.Keywords[0] != "first-kw" || first.Keywords[1] != "shared" || first.State != "ended" {
-		t.Fatalf("first block's strings corrupted by scratch reuse: %+v", first)
+		t.Fatalf("first block's strings corrupted by reuse: %+v", first)
+	}
+}
+
+// TestBlockPoolBounds: the pool takes back a block by its row and
+// dictionary capacity, so a default-sized block with a large vocabulary
+// is reused and only an oversized one is dropped.
+func TestBlockPoolBounds(t *testing.T) {
+	decoded := func(rows, kwsPerRow int) *Block {
+		recs := make([]Record, rows)
+		for i := range recs {
+			kws := make([]string, kwsPerRow)
+			for j := range kws {
+				kws[j] = fmt.Sprintf("kw-%d-%d", i, j)
+			}
+			recs[i] = rec(uint64(i+1), 0, 1, kws...)
+		}
+		var enc blockEncoder
+		payload, _, err := enc.encode(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := new(Block)
+		if err := decodeBlock(payload, b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if b := decoded(defaultBlockEvents, 20); len(b.Dict) <= maxPooledRows || !b.poolable() {
+		t.Fatalf("a %d-row block with %d dictionary entries is not pooled", b.Len(), len(b.Dict))
+	}
+	if b := decoded(maxPooledRows+1, 1); b.poolable() {
+		t.Fatalf("a %d-row block is pooled", b.Len())
 	}
 }
 
@@ -120,14 +150,14 @@ func TestBlockDecodeRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := new(blockScratch)
+	b := new(Block)
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeBlock(payload[:cut], sc, func(*Record) error { return nil }); err == nil {
+		if err := decodeBlock(payload[:cut], b); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(payload))
 		}
 	}
 	// And appended garbage is trailing-byte corruption, not ignored.
-	if _, err := decodeBlock(append(append([]byte(nil), payload...), 0), sc, func(*Record) error { return nil }); err == nil {
+	if err := decodeBlock(append(append([]byte(nil), payload...), 0), b); err == nil {
 		t.Fatal("trailing garbage decoded without error")
 	}
 }

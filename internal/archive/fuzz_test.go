@@ -39,28 +39,27 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		sc := new(blockScratch)
-		emitted := 0
-		n, err := decodeBlock(payload, sc, func(r *Record) error {
-			emitted++
-			// Touching every field catches out-of-bounds arena slices.
-			_ = r.State
-			for _, kw := range r.Keywords {
-				_ = kw
-			}
-			for _, kw := range r.AllKeywords {
-				_ = kw
-			}
-			return nil
-		})
-		if err != nil {
+		b := new(Block)
+		if err := decodeBlock(payload, b); err != nil {
 			return // rejected cleanly — the only requirement
 		}
-		if n != emitted {
-			t.Fatalf("decode reported %d records, emitted %d", n, emitted)
-		}
+		n := b.Len()
 		if n > maxBlockRecords {
-			t.Fatalf("decode emitted %d records from a %d-byte payload", n, len(payload))
+			t.Fatalf("decode produced %d records from a %d-byte payload", n, len(payload))
+		}
+		// Touching every row through both readers catches out-of-bounds
+		// columns, offsets and dictionary indexes.
+		for i := 0; i < n; i++ {
+			r := b.Record(i)
+			_ = r.State
+			for _, kws := range [][]uint32{b.Keywords(i), b.AllKeywords(i)} {
+				for _, d := range kws {
+					_ = b.Dict[d]
+				}
+			}
+			if len(r.Keywords) != len(b.Keywords(i)) || len(r.AllKeywords) != len(b.AllKeywords(i)) {
+				t.Fatalf("row %d: Record and columns disagree on keyword counts", i)
+			}
 		}
 	})
 }

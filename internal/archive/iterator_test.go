@@ -100,9 +100,10 @@ func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 }
 
 // TestSegmentViewScanStop: ErrStop from the callback ends the scan
-// early and is reported as stopped, not as an error.
+// early and is reported as stopped, not as an error. One record per
+// block, so the decoded-record count shows where the scan stopped.
 func TestSegmentViewScanStop(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SegmentEvents: 4})
+	l, err := Open(t.TempDir(), Options{SegmentEvents: 4, BlockEvents: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

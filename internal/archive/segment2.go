@@ -177,8 +177,11 @@ func loadSegment(fsys vfs.FS, path string, records bool) (segMeta, []Record, err
 		return m, nil, err
 	}
 	var recs []Record
-	if _, err := scanBlocks(f, m.Blocks, &Pred{From: math.MinInt, To: maxInt}, &BlockStats{}, func(r *Record) error {
-		recs = append(recs, *r)
+	if _, err := scanBlocks(f, m.Blocks, &Pred{From: math.MinInt, To: maxInt}, &BlockStats{}, func(b *Block) error {
+		for i := 0; i < b.Len(); i++ {
+			recs = append(recs, b.Record(i))
+		}
+		b.Release()
 		return nil
 	}); err != nil {
 		return segMeta{}, nil, err

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -251,6 +252,35 @@ func (w *Writer) Key(name string) *Writer {
 	} else {
 		w.buf = append(w.buf, '"', ':')
 	}
+	return w
+}
+
+// Lit is an object member key laid out in advance for objects at one
+// nesting depth: the comma, line break, indentation and quoted name an
+// Indented Writer's Key writes there for every member but the first.
+type Lit struct {
+	name, text string
+	depth      int
+}
+
+// KeyLit lays name out as a member key of objects at depth, counting
+// the outermost value's members as depth 1. Like Key's, name must need
+// no escaping.
+func KeyLit(depth int, name string) Lit {
+	return Lit{name: name, depth: depth, text: ",\n" + strings.Repeat("  ", depth) + `"` + name + `": `}
+}
+
+// Member is Key(l's name), appended as one literal when the Writer is
+// Indented and its innermost object sits at l's depth and already holds
+// a member; anywhere else it is Key itself, so the bytes never differ.
+func (w *Writer) Member(l *Lit) *Writer {
+	if !w.indent || w.empty || w.depth != l.depth {
+		return w.Key(l.name)
+	}
+	if w.dst != nil && len(w.buf) >= flushAt {
+		w.flush()
+	}
+	w.buf = append(w.buf, l.text...)
 	return w
 }
 

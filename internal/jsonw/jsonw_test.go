@@ -25,18 +25,23 @@ type sample struct {
 	Kids []sample  `json:"kids"`
 }
 
+// The key literals are laid out for a kid's depth (object, kids array,
+// kid), so a sample's own members take Member's fallback to Key and
+// its kids' members the literal.
+var litF, litI, litOpt = KeyLit(3, "f"), KeyLit(3, "i"), KeyLit(3, "opt")
+
 func (s *sample) write(w *Writer) {
 	w.BeginObject()
 	w.Key("s").String(s.S)
-	w.Key("f").Float(s.F)
-	w.Key("i").Int(s.I)
+	w.Member(&litF).Float(s.F)
+	w.Member(&litI).Int(s.I)
 	w.Key("u").Uint(s.U)
 	w.Key("b").Bool(s.B)
 	w.Key("ss").Strings(s.SS)
 	w.Key("ff").Floats(s.FF)
 	w.Key("uu").Uints(s.UU)
 	if s.Opt != "" {
-		w.Key("opt").String(s.Opt)
+		w.Member(&litOpt).String(s.Opt)
 	}
 	w.Key("kids")
 	if s.Kids == nil {

@@ -16,7 +16,7 @@ func pageJSON(t *testing.T, res Result) string {
 	raw, err := json.Marshal(struct {
 		Events []archive.Record `json:"events"`
 		Cursor string           `json:"cursor"`
-	}{res.Events, res.Cursor})
+	}{records(res.Events), res.Cursor})
 	if err != nil {
 		t.Fatal(err)
 	}

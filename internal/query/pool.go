@@ -4,126 +4,105 @@ import (
 	"slices"
 
 	"repro/internal/archive"
+	"repro/internal/detect"
 )
 
-// pool accumulates candidate events. With a positive limit it is a
-// bounded max-heap keyed by the engine's (LastQuantum, ID) order — the
-// "merged heap" of the LIMIT pushdown: it keeps the limit smallest keys
-// seen so far, its root (the worst kept key) is the bar a new candidate
-// must beat once full, and overflowed records that at least one match
-// was displaced, i.e. more matches exist than the page holds. With
-// limit ≤ 0 it is a plain accumulator sorted at the end.
+// Row is one event of a page, held by reference until the encoder
+// writes it: exactly one of Event (an event the snapshot retains), Rec
+// (a record of the archive's in-memory buffer) and Block (with Pos, a
+// row of a decoded archive block) is set. Nothing it points at is
+// copied or may be written; a Block row is valid until its Result is
+// released.
+type Row struct {
+	Event *detect.Event
+	Rec   *archive.Record
+	Block *archive.Block
+	Pos   int
+
+	k key // the row's sort key, kept for the pool's heap
+}
+
+// Record materialises the row as the archive.Record it stands for.
+func (r *Row) Record() archive.Record {
+	switch {
+	case r.Block != nil:
+		return r.Block.Record(r.Pos)
+	case r.Rec != nil:
+		return *r.Rec
+	}
+	return archive.RecordOf(r.Event)
+}
+
+// pool accumulates candidate rows. With a positive limit it becomes,
+// once it holds limit rows, a bounded max-heap keyed by the engine's
+// (LastQuantum, ID) order — the "merged heap" of the LIMIT pushdown: it
+// keeps the limit smallest keys seen so far, its root (the worst kept
+// key) is the bar a new candidate must beat, and overflowed records
+// that at least one match was displaced, i.e. more matches exist than
+// the page holds. Until then, and with limit ≤ 0 throughout, it is a
+// plain accumulator sorted at the end.
 //
-// The events themselves sit in an append-only side store; what the heap
-// sifts and the final sort moves are 24-byte (key, slot) entries. Both
-// grow with the matches, never with the limit: a limit=10000 request
-// that matches ten events holds ten. The store is a list of fixed-size
-// chunks, so growing it never moves (or re-zeroes room for) the events
-// already held.
+// A row is a reference, so what the heap sifts and the final sort moves
+// are small (row, key) values, never the events themselves. The pool
+// grows with the matches, never with the limit: a limit=10000 request
+// that matches ten events holds ten.
 type pool struct {
 	limit      int
-	chunkCap   int                // min(limit, chunkEvents): a small page needs one small chunk
-	chunks     [][]archive.Record // each of capacity chunkCap; all but the last full
-	ents       []entry            // max-heap by key when limit > 0
+	rows       []Row // a max-heap by key once it holds limit rows
 	overflowed bool
 }
 
-// chunkEvents sizes a store chunk: ~10 KiB, small enough that a query
-// with a handful of matches does not pay much for the slots it leaves
-// empty, and a small-object allocation. 58 records of 176 B are
-// 10,208 B, which fills the allocator's 10,240 B size class; 64 would
-// round up to 12,288 B and waste a tenth of every chunk.
-const chunkEvents = 58
+func newPool(limit int) *pool { return &pool{limit: limit} }
 
-// entry orders one candidate: its key and its slot in the store.
-type entry struct {
-	k key
-	i int
-}
-
-func (p *pool) slot(i int) *archive.Record { return &p.chunks[i/p.chunkCap][i%p.chunkCap] }
-
-func newPool(limit int) *pool {
-	p := &pool{limit: limit, chunkCap: chunkEvents}
-	if limit > 0 {
-		p.chunkCap = min(limit, chunkEvents)
-		p.ents = make([]entry, 0, p.chunkCap)
-	}
-	return p
-}
-
-func (p *pool) full() bool { return p.limit > 0 && len(p.ents) >= p.limit }
+func (p *pool) full() bool { return p.limit > 0 && len(p.rows) >= p.limit }
 
 // worst returns the largest kept key. Only valid when full().
-func (p *pool) worst() key { return p.ents[0].k }
+func (p *pool) worst() key { return p.rows[0].k }
 
-func (p *pool) add(ev archive.Record, k key) {
-	if p.limit <= 0 || len(p.ents) < p.limit {
-		n := len(p.ents)
-		if n%p.chunkCap == 0 {
-			p.chunks = append(p.chunks, make([]archive.Record, 0, p.chunkCap))
+// add offers r (its key set) and reports whether the pool kept it.
+func (p *pool) add(r Row) bool {
+	if p.limit <= 0 || len(p.rows) < p.limit {
+		p.rows = append(p.rows, r)
+		if len(p.rows) == p.limit {
+			for i := len(p.rows)/2 - 1; i >= 0; i-- {
+				p.siftDown(i)
+			}
 		}
-		last := &p.chunks[len(p.chunks)-1]
-		*last = append(*last, ev)
-		p.ents = append(p.ents, entry{k: k, i: n})
-		if p.limit > 0 {
-			p.siftUp(len(p.ents) - 1)
-		}
-		return
+		return true
 	}
 	p.overflowed = true
-	if k.less(p.ents[0].k) {
-		// The displaced root's slot takes the newcomer.
-		*p.slot(p.ents[0].i) = ev
-		p.ents[0].k = k
-		p.siftDown(0)
+	if !r.k.less(p.rows[0].k) {
+		return false
 	}
-}
-
-func (p *pool) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !p.ents[parent].k.less(p.ents[i].k) {
-			return
-		}
-		p.ents[parent], p.ents[i] = p.ents[i], p.ents[parent]
-		i = parent
-	}
+	p.rows[0] = r // displaces the root
+	p.siftDown(0)
+	return true
 }
 
 func (p *pool) siftDown(i int) {
-	n := len(p.ents)
+	n := len(p.rows)
 	for {
 		l, r, max := 2*i+1, 2*i+2, i
-		if l < n && p.ents[max].k.less(p.ents[l].k) {
+		if l < n && p.rows[max].k.less(p.rows[l].k) {
 			max = l
 		}
-		if r < n && p.ents[max].k.less(p.ents[r].k) {
+		if r < n && p.rows[max].k.less(p.rows[r].k) {
 			max = r
 		}
 		if max == i {
 			return
 		}
-		p.ents[i], p.ents[max] = p.ents[max], p.ents[i]
+		p.rows[i], p.rows[max] = p.rows[max], p.rows[i]
 		i = max
 	}
 }
 
-// ascending drains the pool into key-ascending order. The pool is
-// consumed; call once.
-func (p *pool) ascending() []archive.Record {
-	slices.SortFunc(p.ents, func(a, b entry) int {
-		switch {
-		case a.k.less(b.k):
-			return -1
-		case b.k.less(a.k):
-			return 1
-		}
-		return 0
-	})
-	out := make([]archive.Record, len(p.ents))
-	for i, e := range p.ents {
-		out[i] = *p.slot(e.i)
+// ascending sorts the pool's rows in place into key-ascending order and
+// returns them, never nil. The pool is consumed; call once.
+func (p *pool) ascending() []Row {
+	if len(p.rows) == 0 {
+		return []Row{}
 	}
-	return out
+	slices.SortFunc(p.rows, func(a, b Row) int { return a.k.cmp(b.k) })
+	return p.rows
 }

@@ -25,9 +25,9 @@ func TestPoolKeepsSmallestKeys(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		p := newPool(limit)
 		for _, k := range keys {
-			p.add(archive.Record{ID: k.id, LastQuantum: k.q}, k)
+			p.add(Row{Rec: &archive.Record{ID: k.id, LastQuantum: k.q}, k: k})
 			if p.full() {
-				kept := slices.MaxFunc(p.ents, func(a, b entry) int { return cmpKey(a.k, b.k) })
+				kept := slices.MaxFunc(p.rows, func(a, b Row) int { return cmpKey(a.k, b.k) })
 				if p.worst() != kept.k {
 					t.Fatalf("trial %d: worst() = %v, largest kept key %v", trial, p.worst(), kept.k)
 				}
@@ -42,8 +42,8 @@ func TestPoolKeepsSmallestKeys(t *testing.T) {
 		if got == nil || len(got) != len(want) {
 			t.Fatalf("trial %d: %d events (nil=%v), want %d", trial, len(got), got == nil, len(want))
 		}
-		for i, ev := range got {
-			if ev.ID != want[i].id || ev.LastQuantum != want[i].q {
+		for i := range got {
+			if ev := got[i].Rec; ev.ID != want[i].id || ev.LastQuantum != want[i].q {
 				t.Fatalf("trial %d: position %d holds (%d, %d), want %v", trial, i, ev.LastQuantum, ev.ID, want[i])
 			}
 		}
@@ -86,13 +86,14 @@ func TestPoolAllocatesWithMatches(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	// Any limit from one chunk up costs the same: a chunk, not the limit.
-	small, large := bytesFor(chunkEvents), bytesFor(10000)
+	// Any limit from the match count up costs the same.
+	small, large := bytesFor(10), bytesFor(10000)
 	if large > small+small/50 { // TotalAlloc also sees the runtime's own odd bytes
-		t.Fatalf("ten matches allocate %d B under limit=%d but %d B under limit=10000", small, chunkEvents, large)
+		t.Fatalf("ten matches allocate %d B under limit=10 but %d B under limit=10000", small, large)
 	}
-	// One store chunk, the entries and the ten-event page.
-	if perSlot := int64(unsafe.Sizeof(archive.Record{}) + unsafe.Sizeof(entry{})); large > 2*chunkEvents*perSlot {
-		t.Fatalf("ten matches allocate %d B, more than two chunks of %d B slots", large, perSlot)
+	// The rows grow by doubling to hold ten; with the request's own
+	// bookkeeping that stays under a hundred rows' worth.
+	if perRow := int64(unsafe.Sizeof(Row{})); large > 100*perRow {
+		t.Fatalf("ten matches allocate %d B, more than 100 rows of %d B", large, perRow)
 	}
 }

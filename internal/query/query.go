@@ -16,6 +16,12 @@
 // better candidate. Per-request Stats report exactly how much work the
 // data skipping and the early exit saved.
 //
+// Materialisation is late: a page's rows are references — to a
+// snapshot event, to a record of the archive's in-memory buffer, or to
+// a row of a decoded block — and the filters read only the block
+// columns they test, so nothing is copied between the scan and the
+// encoder.
+//
 // Pagination is an opaque cursor encoding the last returned sort key;
 // because the order is total and stable across snapshots epochs and
 // segment rotations, a resumed scan continues exactly where the
@@ -23,6 +29,7 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -138,14 +145,27 @@ type Stats struct {
 	EarlyExit string `json:"early_exit,omitempty"`
 }
 
-// Result is one page of events in (LastQuantum, ID) ascending order,
-// each the same archive.Record whether it was read from the archive or
-// projected (archive.RecordOf) from an event the snapshot still retains.
-// Cursor, when non-empty, resumes the scan after the last event here.
+// Result is one page of events in (LastQuantum, ID) ascending order.
+// Each Row stands for the same archive.Record whether the event was
+// read from the archive or is one the snapshot still retains
+// (archive.RecordOf). Cursor, when non-empty, resumes the scan after the
+// last event here. Rows of archive blocks point into decoded blocks the
+// Result holds until Release.
 type Result struct {
-	Events []archive.Record `json:"events"`
-	Stats  Stats            `json:"stats"`
-	Cursor string           `json:"cursor,omitempty"`
+	Events []Row
+	Stats  Stats
+	Cursor string
+
+	held []*archive.Block // decoded blocks some row may point into
+}
+
+// Release hands the decoded blocks behind the rows back for reuse; no
+// Row may be read afterwards. Releasing again does nothing.
+func (r *Result) Release() {
+	for _, b := range r.held {
+		b.Release()
+	}
+	r.held = nil
 }
 
 // key is the engine's total order: (LastQuantum, event ID). IDs are
@@ -157,6 +177,14 @@ type key struct {
 
 func (k key) less(o key) bool {
 	return k.q < o.q || (k.q == o.q && k.id < o.id)
+}
+
+// cmp is the three-way form of less, for sorting.
+func (k key) cmp(o key) int {
+	if k.q != o.q {
+		return cmp.Compare(k.q, o.q)
+	}
+	return cmp.Compare(k.id, o.id)
 }
 
 // Run executes one unified query. snap and arch may each be nil (the
@@ -180,7 +208,7 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 	req.Trace.Step("plan")
 	clk(0) // set the mark; no stage closes at the start
 
-	res := Result{Events: []archive.Record{}}
+	res := Result{Events: []Row{}}
 	if req.Limit < 0 {
 		return res, fmt.Errorf("query: negative limit %d", req.Limit)
 	}
@@ -207,13 +235,13 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 		floor = cur.q
 	}
 
-	p := newPool(req.Limit)
+	s := &scan{req: req, from: from, to: to, cur: cur, hasCur: hasCur, p: newPool(req.Limit), st: &res.Stats}
 	trunc := false
 	clk(obs.StageQueryPlan)
 
 	if snap != nil {
 		req.Trace.Step("snapshot_scan")
-		trunc = scanSnapshot(snap, req, from, to, floor, cur, hasCur, p, &res.Stats) || trunc
+		trunc = s.snapshot(snap, floor) || trunc
 		clk(obs.StageQuerySnapshotScan)
 		if req.Trace != nil {
 			req.Trace.Annotate(fmt.Sprintf("hits=%d", res.Stats.SnapshotHits))
@@ -221,7 +249,8 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 	}
 	if arch != nil {
 		req.Trace.Step("archive_scan")
-		t, err := scanArchive(arch, snap, req, from, to, cur, hasCur, p, &res.Stats)
+		t, err := s.archive(arch, snap)
+		res.held = s.held
 		clk(obs.StageQueryArchiveScan)
 		if req.Trace != nil {
 			req.Trace.Annotate(fmt.Sprintf("hits=%d segments=%d/%d blocks=%d/%d records=%d",
@@ -229,48 +258,61 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 				res.Stats.BlocksScanned, res.Stats.Blocks, res.Stats.RecordsScanned))
 		}
 		if err != nil {
+			res.Release()
 			return res, err
 		}
 		trunc = t || trunc
 	}
 
-	res.Events = p.ascending()
-	res.Stats.Truncated = trunc || p.overflowed
+	res.Events = s.p.ascending()
+	res.Stats.Truncated = trunc || s.p.overflowed
 	if res.Stats.Truncated && len(res.Events) > 0 {
-		last := res.Events[len(res.Events)-1]
-		res.Cursor = encodeCursor(key{q: last.LastQuantum, id: last.ID})
+		res.Cursor = encodeCursor(res.Events[len(res.Events)-1].k)
 	}
 	return res, nil
 }
 
-// scanSnapshot feeds matching retained events into the pool. The
-// candidate lists are (LastQuantum, ID)-ordered, so once the pool is
-// full and the next candidate's key is worse than the pool's worst, no
-// later candidate can improve the page and the scan stops (reported as
-// trunc — more matches exist beyond the page).
-func scanSnapshot(snap Snapshot, req Request, from, to, floor int, cur key, hasCur bool, p *pool, st *Stats) (trunc bool) {
-	base := snapshotCandidates(snap, req, floor)
-	for _, ev := range base {
-		if ev.BornQuantum > to || ev.LastQuantum < from {
+// scan is one request's execution: its bounds, the cursor, the pool the
+// sources feed, the stats they count into, and the decoded blocks the
+// kept rows point into.
+type scan struct {
+	req      Request
+	from, to int
+	cur      key
+	hasCur   bool
+	p        *pool
+	st       *Stats
+	held     []*archive.Block
+	kwIDs    []uint32 // the requested keywords in the current block's dictionary
+}
+
+// admits applies the range, cursor and rank filters — every rule but
+// the keyword one — to a candidate and returns its key.
+func (s *scan) admits(born, last int, id uint64, peakRank float64) (key, bool) {
+	k := key{q: last, id: id}
+	return k, born <= s.to && last >= s.from &&
+		(!s.hasCur || s.cur.less(k)) &&
+		(s.req.MinRank <= 0 || peakRank >= s.req.MinRank)
+}
+
+// snapshot feeds matching retained events into the pool. The candidate
+// lists are (LastQuantum, ID)-ordered, so once the pool is full and the
+// next candidate's key is worse than the pool's worst, no later
+// candidate can improve the page and the scan stops (reported as trunc
+// — more matches exist beyond the page).
+func (s *scan) snapshot(snap Snapshot, floor int) (trunc bool) {
+	for _, ev := range snapshotCandidates(snap, s.req, floor) {
+		k, ok := s.admits(ev.BornQuantum, ev.LastQuantum, ev.ID, ev.PeakRank)
+		if !ok || !hasKeywords(ev.KeywordHistory(), ev.Keywords, s.req.Keywords) {
 			continue
 		}
-		k := key{q: ev.LastQuantum, id: ev.ID}
-		if hasCur && !cur.less(k) {
-			continue
-		}
-		if req.MinRank > 0 && ev.PeakRank < req.MinRank {
-			continue
-		}
-		if !hasKeywords(ev.KeywordHistory(), ev.Keywords, req.Keywords) {
-			continue
-		}
-		if p.full() && p.worst().less(k) {
+		if s.p.full() && s.p.worst().less(k) {
 			// Sorted source: every later candidate is worse still.
-			st.EarlyExit = "limit"
+			s.st.EarlyExit = "limit"
 			return true
 		}
-		st.SnapshotHits++
-		p.add(archive.RecordOf(ev), k)
+		s.st.SnapshotHits++
+		s.p.add(Row{Event: ev, k: k})
 	}
 	return false
 }
@@ -298,12 +340,13 @@ func snapshotCandidates(snap Snapshot, req Request, floor int) []*detect.Event {
 	return base[i:]
 }
 
-// scanArchive plans over the segment indexes and scans the survivors
+// archive plans over the segment indexes and scans the survivors
 // in ascending MinQuantum order — the order that lets a full pool prove
 // every remaining segment irrelevant (any record in a segment has
 // LastQuantum ≥ its BornQuantum ≥ the segment's MinQuantum, so the
 // segment's smallest possible sort key is (MinQuantum, 0)).
-func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur key, hasCur bool, p *pool, st *Stats) (trunc bool, err error) {
+func (s *scan) archive(arch Archive, dedup Snapshot) (trunc bool, err error) {
+	req, st, from, to := s.req, s.st, s.from, s.to
 	// timed gates the block-scan stage clock on telemetry being
 	// attached, like Run's clk.
 	timed := req.Trace != nil || req.Obs != nil
@@ -324,7 +367,7 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 	})
 	for i := range segs {
 		v := &segs[i]
-		if p.full() && p.worst().less(key{q: v.MinQuantum}) {
+		if s.p.full() && s.p.worst().less(key{q: v.MinQuantum}) {
 			// The pushdown stop: the pool already holds Limit candidates,
 			// all with keys below anything this — or, MinQuantum being
 			// ascending, any later — segment can contain.
@@ -336,7 +379,7 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 			st.SkippedByTime++
 			continue
 		}
-		if hasCur && v.MaxQuantum < cur.q {
+		if s.hasCur && v.MaxQuantum < s.cur.q {
 			st.SkippedByCursor++
 			continue
 		}
@@ -351,39 +394,23 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 		st.SegmentsScanned++
 		// The surviving predicate is pushed below segment granularity:
 		// the scan skips whole blocks on their zone maps. Block skipping
-		// is conservative, so the record-level filter below decides
-		// every answer.
+		// is conservative, so the row-level filters decide every answer.
 		var colStart time.Time
 		if timed {
 			colStart = time.Now() //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
 		}
-		pred := archive.Pred{From: from, To: to, MinRank: req.MinRank, Keywords: req.Keywords}
-		bs, _, err := v.ScanPred(pred, func(rec *archive.Record) error {
-			st.RecordsScanned++
-			if rec.LastQuantum < from || rec.BornQuantum > to {
+		var bs archive.BlockStats
+		var err error
+		if v.Sealed {
+			pred := archive.Pred{From: from, To: to, MinRank: req.MinRank, Keywords: req.Keywords}
+			bs, _, err = v.ScanBlocks(pred, func(b *archive.Block) error {
+				s.block(b, dedup)
 				return nil
-			}
-			k := key{q: rec.LastQuantum, id: rec.ID}
-			if hasCur && !cur.less(k) {
-				return nil
-			}
-			if req.MinRank > 0 && rec.PeakRank < req.MinRank {
-				return nil
-			}
-			if !hasKeywords(rec.AllKeywords, rec.Keywords, req.Keywords) {
-				return nil
-			}
-			if dedup != nil && dedup.Find(rec.ID) != nil {
-				// Evicted after the snapshot epoch published: the retained
-				// copy already represents it (identically — only finished,
-				// immutable events are ever evicted).
-				st.Deduped++
-				return nil
-			}
-			st.ArchiveHits++
-			p.add(*rec, k)
-			return nil
-		})
+			})
+		} else {
+			bs = s.buffer(v.Records(), dedup)
+		}
+		st.RecordsScanned += bs.Records
 		st.Blocks += bs.Blocks
 		st.BlocksScanned += bs.Scanned
 		st.BlocksSkippedByTime += bs.SkippedByTime
@@ -412,6 +439,62 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 	return false, nil
 }
 
+// buffer feeds the matching records of the archive's in-memory buffer
+// into the pool, by reference, and reports the buffer as one block.
+func (s *scan) buffer(recs []archive.Record, dedup Snapshot) archive.BlockStats {
+	for i := range recs {
+		r := &recs[i]
+		if k, ok := s.admits(r.BornQuantum, r.LastQuantum, r.ID, r.PeakRank); ok &&
+			hasKeywords(r.AllKeywords, r.Keywords, s.req.Keywords) {
+			s.archived(Row{Rec: r, k: k}, dedup)
+		}
+	}
+	return archive.BlockStats{Blocks: 1, Scanned: 1, Records: len(recs)}
+}
+
+// block feeds the matching rows of one decoded block into the pool,
+// reading only the columns the filters need: each requested keyword is
+// looked up once in the block's dictionary, and a block whose
+// dictionary lacks one has no row to test. The Result keeps b when a
+// row of it went into the pool; otherwise b goes back at once.
+func (s *scan) block(b *archive.Block, dedup Snapshot) {
+	s.kwIDs = s.kwIDs[:0]
+	for _, kw := range s.req.Keywords {
+		d := slices.Index(b.Dict, kw) // the writer interns: each string once
+		if d < 0 {
+			b.Release()
+			return
+		}
+		s.kwIDs = append(s.kwIDs, uint32(d))
+	}
+	kept := false
+	for i := 0; i < b.Len(); i++ {
+		if k, ok := s.admits(b.BornQuantum[i], b.LastQuantum[i], b.ID[i], b.PeakRank[i]); ok &&
+			hasKeywords(b.AllKeywords(i), b.Keywords(i), s.kwIDs) {
+			kept = s.archived(Row{Block: b, Pos: i, k: k}, dedup) || kept
+		}
+	}
+	if kept {
+		s.held = append(s.held, b)
+	} else {
+		b.Release()
+	}
+}
+
+// archived feeds one matching archive row into the pool, unless the
+// snapshot still retains its event: evicted after the epoch published,
+// the retained copy already represents it (identically — only
+// finished, immutable events are ever evicted). It reports whether the
+// pool kept the row.
+func (s *scan) archived(r Row, dedup Snapshot) bool {
+	if dedup != nil && dedup.Find(r.k.id) != nil {
+		s.st.Deduped++
+		return false
+	}
+	s.st.ArchiveHits++
+	return s.p.add(r)
+}
+
 func segMayContainAll(v *archive.SegmentView, kws []string) bool {
 	for _, kw := range kws {
 		if !v.MayContain(kw) {
@@ -424,8 +507,8 @@ func segMayContainAll(v *archive.SegmentView, kws []string) bool {
 // hasKeywords is the engine's keyword rule, the same on both sides of
 // the eviction boundary: every requested keyword must appear in the
 // event's keyword history, or in its current set when no history was
-// recorded.
-func hasKeywords(history, current, kws []string) bool {
+// recorded. Keywords are strings, or a block's dictionary indexes.
+func hasKeywords[T comparable](history, current, kws []T) bool {
 	if len(history) == 0 {
 		history = current
 	}

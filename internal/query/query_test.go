@@ -102,10 +102,19 @@ func appendAll(t testing.TB, l *archive.Log, recs ...archive.Record) {
 	}
 }
 
-func ids(evs []archive.Record) []uint64 {
-	out := make([]uint64, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.ID
+func ids(rows []Row) []uint64 {
+	out := make([]uint64, len(rows))
+	for i, rec := range records(rows) {
+		out[i] = rec.ID
+	}
+	return out
+}
+
+// records materialises a page's rows.
+func records(rows []Row) []archive.Record {
+	out := make([]archive.Record, len(rows))
+	for i := range rows {
+		out[i] = rows[i].Record()
 	}
 	return out
 }
@@ -148,7 +157,7 @@ func TestDedupAcrossEvictionBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Events) != 1 || res.Events[0].ID != 7 {
+	if len(res.Events) != 1 || res.Events[0].Event == nil || res.Events[0].Event.ID != 7 {
 		t.Fatalf("dedup failed: %v", ids(res.Events))
 	}
 	if res.Stats.Deduped != 1 {
@@ -501,8 +510,8 @@ func TestQueryEquivalenceAcrossEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := json.Marshal(res.Events)
-		want, _ := json.Marshal(beforePages[i].Events)
+		got, _ := json.Marshal(records(res.Events))
+		want, _ := json.Marshal(records(beforePages[i].Events))
 		if string(got) != string(want) {
 			t.Fatalf("request %d diverges across eviction:\nbefore %s\nafter  %s", i, want, got)
 		}

@@ -85,12 +85,24 @@ func queryEventBytes(rec *archive.Record) []byte {
 	return buf.Bytes()
 }
 
+// blockRowBytes is queryEventBytes for a decoded block's row, written
+// from the columns.
+func blockRowBytes(b *archive.Block, i int) []byte {
+	var buf bytes.Buffer
+	jw := jsonw.Indented(&buf)
+	encodeBlockRow(jw, b, i)
+	jw.Close()
+	return buf.Bytes()
+}
+
 // TestEvictionBoundaryProperty holds "the live/archive boundary is
 // invisible to queries" on generated events instead of hand-picked ones:
 // the /query bytes of an event's projection equal the bytes of the same
-// event after projection → Append → Seal → reopen → ScanPred, and keyword
-// queries — present, absent and history-only keywords — select the same
-// events from the retained side and from disk.
+// event after projection → Append → Seal → reopen → scan, whether the
+// reopened buffer serves its record or a block's columns are written
+// (and the Record materialised from them), and keyword queries —
+// present, absent and history-only keywords — select the same events
+// from the retained side and from disk.
 func TestEvictionBoundaryProperty(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,11 +130,28 @@ func TestEvictionBoundaryProperty(t *testing.T) {
 			t.Fatalf("seed %d: reopen: %v", seed, err)
 		}
 		seen := 0
+		check := func(id uint64, got []byte) {
+			t.Helper()
+			if !bytes.Equal(got, live[id]) {
+				t.Fatalf("seed %d: event %d reads differently from disk:\nlive %s\ndisk %s", seed, id, live[id], got)
+			}
+		}
 		for _, v := range log.Segments() {
-			if _, _, err := v.ScanPred(archive.Pred{To: -1}, func(rec *archive.Record) error {
+			recs := v.Records()
+			for i := range recs {
 				seen++
-				if got := queryEventBytes(rec); !bytes.Equal(got, live[rec.ID]) {
-					t.Fatalf("seed %d: event %d reads differently from disk:\nlive %s\ndisk %s", seed, rec.ID, live[rec.ID], got)
+				check(recs[i].ID, queryEventBytes(&recs[i]))
+			}
+			if !v.Sealed {
+				continue
+			}
+			if _, _, err := v.ScanBlocks(archive.Pred{To: -1}, func(b *archive.Block) error {
+				defer b.Release()
+				for i := 0; i < b.Len(); i++ {
+					seen++
+					check(b.ID[i], blockRowBytes(b, i))
+					rec := b.Record(i)
+					check(rec.ID, queryEventBytes(&rec))
 				}
 				return nil
 			}); err != nil {
@@ -151,11 +180,12 @@ func TestEvictionBoundaryProperty(t *testing.T) {
 				}
 			}
 			for i := range fromLive.Events {
-				liveIDs = append(liveIDs, fromLive.Events[i].ID)
+				liveIDs = append(liveIDs, fromLive.Events[i].Record().ID)
 			}
 			for i := range fromDisk.Events {
-				diskIDs = append(diskIDs, fromDisk.Events[i].ID)
+				diskIDs = append(diskIDs, fromDisk.Events[i].Record().ID)
 			}
+			fromDisk.Release()
 			if !slices.Equal(liveIDs, wantIDs) || !slices.Equal(diskIDs, wantIDs) {
 				t.Fatalf("seed %d: keyword %q selects %v retained, %v archived; want %v", seed, kw, liveIDs, diskIDs, wantIDs)
 			}

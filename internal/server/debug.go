@@ -56,12 +56,13 @@ func traceView(rec *obs.TraceRecord) traceJSON {
 // requests retained per tenant, slowest first, filtered by ?tenant= and
 // ?min_ms= (minimum total duration).
 func handleDebugRequests(w http.ResponseWriter, r *http.Request, p *Pool) {
-	minMs, ok := intParam(w, r, "min_ms", 0)
+	q := r.URL.Query()
+	minMs, ok := intParam(w, q, "min_ms", 0)
 	if !ok {
 		return
 	}
 	// An unknown ?tenant= is an empty list here, not a 404.
-	tenants, _ := tenantsFor(r, p)
+	tenants, _ := tenantsFor(q, p)
 	traces := []traceJSON{}
 	for _, t := range tenants {
 		for _, rec := range t.obs.Ring().Snapshot() {

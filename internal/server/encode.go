@@ -47,8 +47,17 @@ func encodeQueryBody(w *jsonw.Writer, tenant string, res *query.Result, debug *t
 	} else {
 		w.BeginArray()
 		for i := range res.Events {
+			r := &res.Events[i]
 			w.Elem()
-			encodeQueryEvent(w, &res.Events[i])
+			switch {
+			case r.Block != nil:
+				encodeBlockRow(w, r.Block, r.Pos)
+			case r.Rec != nil:
+				encodeQueryEvent(w, r.Rec)
+			default:
+				rec := archive.RecordOf(r.Event)
+				encodeQueryEvent(w, &rec)
+			}
 		}
 		w.EndArray()
 	}
@@ -58,35 +67,104 @@ func encodeQueryBody(w *jsonw.Writer, tenant string, res *query.Result, debug *t
 	w.EndObject()
 }
 
+// The /query element's member keys after "id", laid out for where the
+// element sits in the body: body object, events array, element.
+var (
+	keyState         = rowKey("state")
+	keyKeywords      = rowKey("keywords")
+	keyAllKeywords   = rowKey("all_keywords")
+	keyRank          = rowKey("rank")
+	keyPeakRank      = rowKey("peak_rank")
+	keyBornQuantum   = rowKey("born_quantum")
+	keyLastQuantum   = rowKey("last_quantum")
+	keyEvolved       = rowKey("evolved")
+	keySize          = rowKey("size")
+	keySupport       = rowKey("support")
+	keyReported      = rowKey("reported")
+	keyFirstReported = rowKey("first_reported")
+	keyMergedInto    = rowKey("merged_into")
+	keySplitFrom     = rowKey("split_from")
+	keySpurious      = rowKey("spurious")
+)
+
+func rowKey(name string) jsonw.Lit { return jsonw.KeyLit(3, name) }
+
 // encodeQueryEvent is one /query element: archive.Record under its own
 // JSON tags.
 func encodeQueryEvent(w *jsonw.Writer, ev *archive.Record) {
 	w.BeginObject()
 	w.Key("id").Uint(ev.ID)
-	w.Key("state").String(ev.State)
-	w.Key("keywords").Strings(ev.Keywords)
+	w.Member(&keyState).String(ev.State)
+	w.Member(&keyKeywords).Strings(ev.Keywords)
 	if len(ev.AllKeywords) > 0 {
-		w.Key("all_keywords").Strings(ev.AllKeywords)
+		w.Member(&keyAllKeywords).Strings(ev.AllKeywords)
 	}
-	w.Key("rank").Float(ev.Rank)
-	w.Key("peak_rank").Float(ev.PeakRank)
-	w.Key("born_quantum").Int(ev.BornQuantum)
-	w.Key("last_quantum").Int(ev.LastQuantum)
-	w.Key("evolved").Bool(ev.Evolved)
-	w.Key("size").Int(ev.Size)
-	w.Key("support").Int(ev.Support)
-	w.Key("reported").Bool(ev.Reported)
+	w.Member(&keyRank).Float(ev.Rank)
+	w.Member(&keyPeakRank).Float(ev.PeakRank)
+	w.Member(&keyBornQuantum).Int(ev.BornQuantum)
+	w.Member(&keyLastQuantum).Int(ev.LastQuantum)
+	w.Member(&keyEvolved).Bool(ev.Evolved)
+	w.Member(&keySize).Int(ev.Size)
+	w.Member(&keySupport).Int(ev.Support)
+	w.Member(&keyReported).Bool(ev.Reported)
 	if ev.FirstReported != 0 {
-		w.Key("first_reported").Int(ev.FirstReported)
+		w.Member(&keyFirstReported).Int(ev.FirstReported)
 	}
 	if ev.MergedInto != 0 {
-		w.Key("merged_into").Uint(ev.MergedInto)
+		w.Member(&keyMergedInto).Uint(ev.MergedInto)
 	}
 	if ev.SplitFrom != 0 {
-		w.Key("split_from").Uint(ev.SplitFrom)
+		w.Member(&keySplitFrom).Uint(ev.SplitFrom)
 	}
-	w.Key("spurious").Bool(ev.Spurious)
+	w.Member(&keySpurious).Bool(ev.Spurious)
 	w.EndObject()
+}
+
+// encodeBlockRow writes row i of a decoded archive block straight from
+// its columns: the bytes encodeQueryEvent writes for b.Record(i).
+func encodeBlockRow(w *jsonw.Writer, b *archive.Block, i int) {
+	w.BeginObject()
+	w.Key("id").Uint(b.ID[i])
+	w.Member(&keyState).String(b.Dict[b.State[i]])
+	w.Member(&keyKeywords)
+	if b.KeywordsNil(i) {
+		w.Null()
+	} else {
+		dictStrings(w, b.Dict, b.Keywords(i))
+	}
+	if all := b.AllKeywords(i); len(all) > 0 {
+		w.Member(&keyAllKeywords)
+		dictStrings(w, b.Dict, all)
+	}
+	w.Member(&keyRank).Float(b.Rank[i])
+	w.Member(&keyPeakRank).Float(b.PeakRank[i])
+	w.Member(&keyBornQuantum).Int(b.BornQuantum[i])
+	w.Member(&keyLastQuantum).Int(b.LastQuantum[i])
+	w.Member(&keyEvolved).Bool(b.Evolved(i))
+	w.Member(&keySize).Int(b.Size[i])
+	w.Member(&keySupport).Int(b.Support[i])
+	w.Member(&keyReported).Bool(b.Reported(i))
+	if v := b.FirstReported[i]; v != 0 {
+		w.Member(&keyFirstReported).Int(v)
+	}
+	if v := b.MergedInto[i]; v != 0 {
+		w.Member(&keyMergedInto).Uint(v)
+	}
+	if v := b.SplitFrom[i]; v != 0 {
+		w.Member(&keySplitFrom).Uint(v)
+	}
+	w.Member(&keySpurious).Bool(b.Spurious(i))
+	w.EndObject()
+}
+
+// dictStrings writes the dictionary strings at indexes idx as a JSON
+// array.
+func dictStrings(w *jsonw.Writer, dict []string, idx []uint32) {
+	w.BeginArray()
+	for _, j := range idx {
+		w.Elem().String(dict[j])
+	}
+	w.EndArray()
 }
 
 func encodeQueryStats(w *jsonw.Writer, st *query.Stats) {

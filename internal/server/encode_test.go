@@ -5,10 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,11 +122,20 @@ func sameBytes(t testing.TB, shape string, got, want []byte) {
 		shape, i, len(got), len(want), got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
 }
 
+// checkQueryBody holds the /query body to encoding/json's bytes for the
+// Records the page's rows materialise.
 func checkQueryBody(t testing.TB, tenant string, res query.Result, debug *traceJSON) {
 	t.Helper()
+	var events []archive.Record
+	if res.Events != nil {
+		events = make([]archive.Record, len(res.Events))
+		for i := range res.Events {
+			events[i] = res.Events[i].Record()
+		}
+	}
 	ref := map[string]any{
 		"tenant": tenant,
-		"events": res.Events,
+		"events": events,
 		"stats":  res.Stats,
 		"cursor": res.Cursor,
 	}
@@ -129,6 +144,79 @@ func checkQueryBody(t testing.TB, tenant string, res query.Result, debug *traceJ
 	}
 	got := typedIndented(t, func(jw *jsonw.Writer) { encodeQueryBody(jw, tenant, &res, debug) })
 	sameBytes(t, "/query", got, refIndented(t, ref))
+}
+
+// rowsOf is a page of buffer-record rows over recs; nil stays nil.
+func rowsOf(recs []archive.Record) []query.Row {
+	if recs == nil {
+		return nil
+	}
+	rows := make([]query.Row, len(recs))
+	for i := range recs {
+		rows[i] = query.Row{Rec: &recs[i]}
+	}
+	return rows
+}
+
+// sealedRows archives recs (Seq ascending, no record spanning
+// backwards) as one sealed segment of blockEvents-record blocks and
+// reads it back: one block row per record, in Seq order. The blocks go
+// back to the pool when the test ends.
+func sealedRows(t testing.TB, recs []archive.Record, blockEvents int) []query.Row {
+	t.Helper()
+	l, err := archive.Open(t.TempDir(), archive.Options{SegmentEvents: len(recs), BucketQuanta: math.MaxInt, BlockEvents: blockEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []query.Row
+	for _, v := range l.Segments() {
+		if _, _, err := v.ScanBlocks(archive.Pred{From: math.MinInt, To: -1}, func(b *archive.Block) error {
+			for i := 0; i < b.Len(); i++ {
+				rows = append(rows, query.Row{Block: b, Pos: i})
+			}
+			t.Cleanup(b.Release)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rows) != len(recs) {
+		t.Fatalf("%d of %d records came back as block rows", len(rows), len(recs))
+	}
+	return rows
+}
+
+// mixedRows is a page over recs whose rows rotate through the three
+// kinds a Result holds: a decoded block row (recs sealed in blocks of
+// four), a buffer record, and — where evs has one — a snapshot event.
+// nil stays nil.
+func mixedRows(t testing.TB, recs []archive.Record, evs []*detect.Event) []query.Row {
+	t.Helper()
+	if recs == nil {
+		return nil
+	}
+	sealed := slices.Clone(recs)
+	for i := range sealed {
+		// The codec's invariants, which nothing on the wire shows.
+		sealed[i].Seq = uint64(i + 1)
+		sealed[i].BornQuantum = min(sealed[i].BornQuantum, sealed[i].LastQuantum)
+	}
+	blocks := sealedRows(t, sealed, 4)
+	rows := rowsOf(recs)
+	for i := range rows {
+		switch {
+		case i%3 == 0:
+			rows[i] = blocks[i]
+		case i%3 == 2 && i < len(evs):
+			rows[i] = query.Row{Event: evs[i]}
+		}
+	}
+	return rows
 }
 
 func checkEventsBody(t testing.TB, tenant string, events []*detect.Event) {
@@ -233,29 +321,36 @@ var fullTrace = traceJSON{
 func TestEncodersMatchEncodingJSON(t *testing.T) {
 	// /query
 	checkQueryBody(t, "t0", query.Result{}, nil) // events null, stats all zero
-	checkQueryBody(t, "t0", query.Result{Events: []archive.Record{}}, nil)
-	checkQueryBody(t, "t0", query.Result{Events: []archive.Record{{}}}, nil) // keywords null, all_keywords omitted
-	checkQueryBody(t, "t0", query.Result{Events: []archive.Record{{Keywords: []string{}, AllKeywords: []string{}}}}, nil)
+	checkQueryBody(t, "t0", query.Result{Events: []query.Row{}}, nil)
+	// keywords null and all_keywords omitted; both empty
+	edge := []archive.Record{{Seq: 1}, {Seq: 2, Keywords: []string{}, AllKeywords: []string{}}}
+	checkQueryBody(t, "t0", query.Result{Events: rowsOf(edge)}, nil)
+	checkQueryBody(t, "t0", query.Result{Events: sealedRows(t, edge, 1)}, nil)
+	checkQueryBody(t, "t0", query.Result{Events: []query.Row{{Event: &detect.Event{}}, {Event: fullEvent(2)}}}, nil)
 	utc := fullTrace
 	utc.Start = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	utc.Detail, utc.Spans = "", []spanJSON{}
 	nilSpans := fullTrace
 	nilSpans.Spans = nil
-	for _, dbg := range []*traceJSON{nil, &fullTrace, &utc, &nilSpans} {
-		for _, n := range []int{1, 3, 40, 4000} {
-			res := query.Result{Stats: fullStats, Cursor: "djE6MTI6MzQ", Events: make([]archive.Record, n)}
-			for i := range res.Events {
-				if i%5 == 4 {
-					res.Events[i] = archive.Record{ID: uint64(i), State: "ended", Keywords: []string{"k"}}
-				} else {
-					res.Events[i] = fullQueryEvent(i)
-				}
+	for _, n := range []int{1, 3, 40, 4000} {
+		recs := make([]archive.Record, n)
+		evs := make([]*detect.Event, n)
+		for i := range recs {
+			if i%5 == 4 {
+				recs[i] = archive.Record{ID: uint64(i), State: "ended", Keywords: []string{"k"}}
+			} else {
+				recs[i] = fullQueryEvent(i)
 			}
+			evs[i] = fullEvent(i)
+		}
+		rows := mixedRows(t, recs, evs)
+		for _, dbg := range []*traceJSON{nil, &fullTrace, &utc, &nilSpans} {
+			res := query.Result{Stats: fullStats, Cursor: "djE6MTI6MzQ", Events: rows}
 			checkQueryBody(t, encodeCornerStrings[n%len(encodeCornerStrings)], res, dbg)
 		}
 	}
 	for _, exit := range []string{"", "limit", "empty-range"} {
-		checkQueryBody(t, "t0", query.Result{Events: []archive.Record{}, Stats: query.Stats{EarlyExit: exit}}, nil)
+		checkQueryBody(t, "t0", query.Result{Events: []query.Row{}, Stats: query.Stats{EarlyExit: exit}}, nil)
 	}
 
 	// /events, /events?keyword=, /events/{id}
@@ -343,16 +438,16 @@ func FuzzEncodeResponse(f *testing.F) {
 			return 0
 		}
 
-		res := query.Result{Cursor: str(3)}
+		var recs []archive.Record
 		if flag(0) {
-			res.Events = []archive.Record{}
+			recs = []archive.Record{}
 		}
 		views := []*detect.Event(nil)
 		if flag(1) {
 			views = []*detect.Event{}
 		}
 		for i := 0; i < int(n); i++ {
-			res.Events = append(res.Events, archive.Record{
+			recs = append(recs, archive.Record{
 				ID: bits + uint64(i), State: str(i), Keywords: strs(i), AllKeywords: strs(i + 1),
 				Rank: flt(i), PeakRank: flt(i + 1), BornQuantum: i, LastQuantum: int(int32(bits)) + i,
 				Evolved: flag(2), Size: i, Support: -i, Reported: flag(3),
@@ -371,6 +466,7 @@ func FuzzEncodeResponse(f *testing.F) {
 				Reported: flag(9), FirstReported: opt(10, 1), MergedInto: uint64(opt(11, 1)), SplitFrom: uint64(opt(12, i)),
 			})
 		}
+		res := query.Result{Cursor: str(3), Events: mixedRows(t, recs, views)}
 		res.Stats = query.Stats{
 			SnapshotHits: int(n), ArchiveHits: opt(0, 1), Deduped: opt(1, 2), Segments: opt(2, 3), SegmentsScanned: opt(3, 4),
 			SkippedByTime: opt(4, 5), SkippedByBloom: opt(5, 6), SkippedByCursor: opt(6, 7), SkippedByLimit: opt(7, 8),
@@ -424,22 +520,149 @@ func FuzzEncodeResponse(f *testing.F) {
 	})
 }
 
-// benchResult is a /query page of n events shaped like the benchmark's:
-// a handful of keywords, a longer keyword history, most optional fields
-// unset.
+// benchResult is a /query page of n buffer-record events shaped like
+// the benchmark's: a handful of keywords, a longer keyword history, most
+// optional fields unset.
 func benchResult(n int) query.Result {
-	res := query.Result{Events: make([]archive.Record, n), Stats: query.Stats{ArchiveHits: n, Segments: 8, SegmentsScanned: 8, RecordsScanned: n}}
+	recs := make([]archive.Record, n)
 	words := strings.Fields("earthquake struck eastern turkey rescue teams van province magnitude tremor aftershock relief")
-	for i := range res.Events {
+	for i := range recs {
 		kws := words[i%4 : i%4+4]
-		res.Events[i] = archive.Record{
+		recs[i] = archive.Record{
 			ID: uint64(i) + 1, State: "ended", Keywords: kws, AllKeywords: words[i%4 : i%4+7],
 			Rank: 10 + float64(i%97)/7, PeakRank: 30 + float64(i%89)/3,
 			BornQuantum: i / 3, LastQuantum: i/3 + 5, Evolved: i%2 == 0, Size: 4, Support: 9 + i%40,
 			Reported: true, FirstReported: i/3 + 1,
 		}
 	}
-	return res
+	return query.Result{Events: rowsOf(recs), Stats: query.Stats{ArchiveHits: n, Segments: 8, SegmentsScanned: 8, RecordsScanned: n}}
+}
+
+// fullScanArchive seals n records shaped like a query-archive page —
+// six keywords and six or seven keyword-history entries each, ranks at
+// full float precision, a vocabulary of a few hundred words — into
+// segments of four blocks of blockEvents records.
+func fullScanArchive(tb testing.TB, n, blockEvents int) *archive.Log {
+	tb.Helper()
+	l, err := archive.Open(tb.TempDir(), archive.Options{SegmentEvents: 4 * blockEvents, BucketQuanta: 1 << 20, BlockEvents: blockEvents})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { l.Close() })
+	rng := rand.New(rand.NewSource(31))
+	word := func() string { return "kw" + strconv.Itoa(rng.Intn(300)) }
+	for i := 0; i < n; i++ {
+		set := map[string]bool{}
+		for len(set) < 6 {
+			set[word()] = true
+		}
+		kws := slices.Sorted(maps.Keys(set))
+		for len(set) < 6+i%2 {
+			set[word()] = true
+		}
+		rank := rng.Float64() * 90
+		rec := archive.Record{
+			Seq: uint64(i + 1), ID: uint64(5000 + i), State: "ended",
+			Keywords: kws, AllKeywords: slices.Sorted(maps.Keys(set)),
+			Rank: rank, PeakRank: rank + rng.Float64()*40,
+			BornQuantum: i / 4, LastQuantum: i/4 + rng.Intn(6), Evolved: rng.Intn(2) == 0,
+			Size: 3 + rng.Intn(8), Support: 5 + rng.Intn(60), Reported: true, FirstReported: i/4 + 1,
+		}
+		if err := l.Append(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return l
+}
+
+// fullScanBody is what /query?limit=10000 serves over arch, the
+// snapshot left out: Run, encode into dst, Release. Safe to call from
+// any goroutine.
+func fullScanBody(tb testing.TB, arch *archive.Log, dst io.Writer) {
+	res, err := query.Run(nil, arch, query.Request{To: -1, Limit: maxQueryLimit})
+	if err != nil {
+		tb.Error(err)
+		return
+	}
+	jw := jsonw.Indented(dst)
+	encodeQueryBody(jw, "t0", &res, nil)
+	jw.Close()
+	res.Release()
+}
+
+// TestQueryFullScanAllocs: a full-scan page (Run, encode, Release)
+// allocates per block scanned, not per row. Two sealed archives of 16
+// blocks each, one holding ten times the rows of the other, must cost
+// about the same; a row copy, or a store that allocates every few dozen
+// rows, puts tens to thousands on top of the larger one.
+func TestQueryFullScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	allocsFor := func(n, blockEvents int) float64 {
+		arch := fullScanArchive(t, n, blockEvents)
+		res, err := query.Run(nil, arch, query.Request{To: -1, Limit: maxQueryLimit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, rows := res.Stats.BlocksScanned, len(res.Events)
+		res.Release()
+		if arch.ColumnarSegmentCount() != 4 || blocks != 16 || rows != n {
+			t.Fatalf("%d segments, %d blocks, %d rows; want 4, 16, %d, all sealed", arch.ColumnarSegmentCount(), blocks, rows, n)
+		}
+		// A collection would empty the block pool and charge the run that
+		// follows for decoding into fresh blocks.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(10, func() { fullScanBody(t, arch, io.Discard) })
+	}
+	small, large := allocsFor(400, 25), allocsFor(4000, 250)
+	// The row slice and the escaped strings grow by doubling: a few more
+	// steps for ten times the rows.
+	if large > small+24 || large > 10*16+100 {
+		t.Fatalf("full scans of 16 blocks allocate %.0f times for 400 rows and %.0f for 4000; want O(blocks)", small, large)
+	}
+}
+
+// TestConcurrentFullScans runs full scans side by side, so they take
+// blocks from and hand them back to one pool while others still read
+// theirs: every body must equal the one a lone scan wrote.
+func TestConcurrentFullScans(t *testing.T) {
+	arch := fullScanArchive(t, 1500, 64)
+	var want bytes.Buffer
+	fullScanBody(t, arch, &want)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got bytes.Buffer
+			for i := 0; i < 8; i++ {
+				got.Reset()
+				fullScanBody(t, arch, &got)
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("a concurrent full scan served a different body (%d vs %d bytes)", got.Len(), want.Len())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkQueryFullScan is the full-scan page end to end inside the
+// server: Run over a sealed 4,096-record archive (16 blocks of 256) of
+// query-archive-shaped events, the body encoded into a discarding
+// connection, Release.
+func BenchmarkQueryFullScan(b *testing.B) {
+	arch := fullScanArchive(b, 4096, 256)
+	var size countWriter
+	fullScanBody(b, arch, &size)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fullScanBody(b, arch, io.Discard)
+	}
 }
 
 // TestQueryResponseAllocs: encoding a /query body allocates the same

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,15 +62,16 @@ func NewHandler(p *Pool) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"flushed": true})
 	})
 	mux.HandleFunc("GET /v1/{tenant}/events", snapshotRead(p, func(w http.ResponseWriter, r *http.Request, t *Tenant) func(*jsonw.Writer) {
-		k, ok := intParam(w, r, "k", 0)
+		q := r.URL.Query()
+		k, ok := intParam(w, q, "k", 0)
 		if !ok {
 			return nil
 		}
-		all, ok := boolParam(w, r, "all")
+		all, ok := boolParam(w, q, "all")
 		if !ok {
 			return nil
 		}
-		keyword := r.URL.Query().Get("keyword")
+		keyword := q.Get("keyword")
 		snap := t.Snapshot()
 		var events []*detect.Event
 		switch {
@@ -106,7 +108,7 @@ func NewHandler(p *Pool) http.Handler {
 		return func(jw *jsonw.Writer) { encodeEvent(jw, ev) }
 	}))
 	mux.HandleFunc("GET /v1/{tenant}/related", snapshotRead(p, func(w http.ResponseWriter, r *http.Request, t *Tenant) func(*jsonw.Writer) {
-		min, ok := floatParam(w, r, "min", 0.1, 0, 1)
+		min, ok := floatParam(w, r.URL.Query(), "min", 0.1, 0, 1)
 		if !ok {
 			return nil
 		}
@@ -191,8 +193,8 @@ func snapshotRead(p *Pool, answer func(http.ResponseWriter, *http.Request, *Tena
 // tenantsFor resolves the tenant set of a /metrics or /debug/requests
 // request: every published tenant, name-sorted, or the one ?tenant=
 // names. ok is false when it names one the pool does not have.
-func tenantsFor(r *http.Request, p *Pool) ([]*Tenant, bool) {
-	name := r.URL.Query().Get("tenant")
+func tenantsFor(q url.Values, p *Pool) ([]*Tenant, bool) {
+	name := q.Get("tenant")
 	if name == "" {
 		return p.tenantsSorted(), true
 	}
@@ -206,14 +208,15 @@ func tenantsFor(r *http.Request, p *Pool) ([]*Tenant, bool) {
 // (byte-identical to the pre-exposition shape), the Prometheus text
 // format with ?format=prometheus, both composable with ?tenant=.
 func handleMetrics(w http.ResponseWriter, r *http.Request, p *Pool) {
-	format := r.URL.Query().Get("format")
+	q := r.URL.Query()
+	format := q.Get("format")
 	switch format {
 	case "", "json", "prometheus":
 	default:
 		httpError(w, http.StatusBadRequest, "format must be json or prometheus")
 		return
 	}
-	tenants, ok := tenantsFor(r, p)
+	tenants, ok := tenantsFor(q, p)
 	if !ok {
 		httpError(w, http.StatusNotFound, ErrNoTenant.Error())
 		return

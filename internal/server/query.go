@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"repro/internal/jsonw"
@@ -21,11 +22,14 @@ const maxQueryLimit = 10000
 // ?limit=.
 const defaultQueryLimit = 100
 
+// The parameter readers below take the request's query string parsed
+// once (r.URL.Query() parses it anew on every call).
+
 // intParam parses a non-negative integer query parameter, writing a 400
 // JSON error and reporting ok=false on any malformed value. A missing
 // parameter yields def.
-func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	s := r.URL.Query().Get(name)
+func intParam(w http.ResponseWriter, q url.Values, name string, def int) (int, bool) {
+	s := q.Get(name)
 	if s == "" {
 		return def, true
 	}
@@ -39,8 +43,8 @@ func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int
 
 // floatParam parses a float query parameter in [min, max], writing a
 // 400 JSON error and reporting ok=false on any malformed value.
-func floatParam(w http.ResponseWriter, r *http.Request, name string, def, min, max float64) (float64, bool) {
-	s := r.URL.Query().Get(name)
+func floatParam(w http.ResponseWriter, q url.Values, name string, def, min, max float64) (float64, bool) {
+	s := q.Get(name)
 	if s == "" {
 		return def, true
 	}
@@ -60,8 +64,8 @@ func floatParam(w http.ResponseWriter, r *http.Request, name string, def, min, m
 // on anything outside {"", "0", "1", "true", "false"} — a misspelled
 // ?all=ture silently meaning false is exactly the kind of quiet default
 // this API refuses to serve.
-func boolParam(w http.ResponseWriter, r *http.Request, name string) (bool, bool) {
-	switch r.URL.Query().Get(name) {
+func boolParam(w http.ResponseWriter, q url.Values, name string) (bool, bool) {
+	switch q.Get(name) {
 	case "1", "true":
 		return true, true
 	case "", "0", "false":
@@ -75,28 +79,27 @@ func boolParam(w http.ResponseWriter, r *http.Request, name string) (bool, bool)
 // ?from= / ?to= quantum bounds (to absent = unbounded), repeated
 // ?keyword= (AND), ?min_rank=, ?limit= (0 = server max) and ?cursor=.
 // Reports ok=false after writing the 400 itself.
-func parseQueryRequest(w http.ResponseWriter, r *http.Request) (query.Request, bool) {
+func parseQueryRequest(w http.ResponseWriter, q url.Values) (query.Request, bool) {
 	var req query.Request
-	from, ok := intParam(w, r, "from", 0)
+	from, ok := intParam(w, q, "from", 0)
 	if !ok {
 		return req, false
 	}
-	to, ok := intParam(w, r, "to", -1)
+	to, ok := intParam(w, q, "to", -1)
 	if !ok {
 		return req, false
 	}
-	limit, ok := intParam(w, r, "limit", defaultQueryLimit)
+	limit, ok := intParam(w, q, "limit", defaultQueryLimit)
 	if !ok {
 		return req, false
 	}
 	if limit == 0 || limit > maxQueryLimit {
 		limit = maxQueryLimit
 	}
-	minRank, ok := floatParam(w, r, "min_rank", 0, 0, 1e18)
+	minRank, ok := floatParam(w, q, "min_rank", 0, 0, 1e18)
 	if !ok {
 		return req, false
 	}
-	q := r.URL.Query()
 	var kws []string
 	for _, kw := range q["keyword"] {
 		if kw != "" {
@@ -119,14 +122,15 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (query.Request, b
 // (parse / plan / snapshot_scan / archive_scan / finalize) under
 // "debug" — the spans partition the traced wall time exactly.
 func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	debug, ok := boolParam(w, r, "debug")
+	q := r.URL.Query()
+	debug, ok := boolParam(w, q, "debug")
 	if !ok {
 		return
 	}
 	// Always traced: the ring wants the slow ones, ?debug=1 this one.
 	tr := obs.StartTrace("query", t.Name(), r.URL.RequestURI())
 	tr.Step("parse")
-	req, ok := parseQueryRequest(w, r)
+	req, ok := parseQueryRequest(w, q)
 	if !ok {
 		offerTrace(t, tr, obs.StageHTTPQuery)
 		return
@@ -138,6 +142,8 @@ func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		queryError(w, err)
 		return
 	}
+	// The rows point into decoded archive blocks until the body is out.
+	defer res.Release()
 	tr.Step("finalize")
 	// The trace and the http_query observation end here, before the
 	// body: ?debug=1 embeds the finished record in it. Writing the body

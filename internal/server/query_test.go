@@ -222,7 +222,7 @@ func FuzzQueryParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw string) {
 		r := &http.Request{URL: &url.URL{RawQuery: raw}}
 		w := httptest.NewRecorder()
-		req, ok := parseQueryRequest(w, r)
+		req, ok := parseQueryRequest(w, r.URL.Query())
 		if !ok {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("rejected %q with status %d, want 400", raw, w.Code)

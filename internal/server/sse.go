@@ -126,7 +126,7 @@ func (b *broker) close() {
 func serveSSE(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	// Validate before the 200 + stream headers go out: a malformed
 	// catchup value must 400, not silently stream without catch-up.
-	catchup, ok := boolParam(w, r, "catchup")
+	catchup, ok := boolParam(w, r.URL.Query(), "catchup")
 	if !ok {
 		return
 	}
