@@ -1,12 +1,13 @@
 // Package jsonw writes JSON in one pass, without reflection, producing
 // exactly the bytes encoding/json would: the string escaper and number
 // formatting the WAL's batch encoder and the server's response writer
-// share, and a Writer that lays typed values out in either of the two
-// forms the server speaks — json.Marshal's compact form (SSE payloads)
-// and json.Encoder's with SetIndent("", "  ") plus its trailing newline
-// (HTTP bodies) — into a pooled buffer flushed to the destination as it
-// fills. The differential tests and fuzz targets here and in
-// internal/server hold the two encoders to the same bytes.
+// share, and a Writer that lays typed values out in encoding/json's one
+// compact layout into a pooled buffer. A Writer with a destination (HTTP
+// bodies) writes what json.Encoder's Encode does — the value and a
+// trailing newline — flushing as the buffer fills; one without (SSE
+// payloads) accumulates what json.Marshal returns. The differential tests
+// and fuzz targets here and in internal/server hold the two encoders to
+// the same bytes.
 //
 // The package imports nothing from the rest of the repo.
 package jsonw
@@ -15,7 +16,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -124,52 +124,46 @@ var pool = sync.Pool{New: func() any { return &Writer{buf: make([]byte, 0, bufSi
 
 // Writer lays JSON values out in one pass. Containers are opened and
 // closed explicitly and every member is announced with Key (objects) or
-// Elem (arrays), which place the separators, line breaks and
-// indentation; the value methods append the value itself. Misuse —
-// a value without Key/Elem, unbalanced containers — yields malformed
-// output, not a panic: the callers are hand-written encoders for fixed
-// shapes, each held to encoding/json's bytes by a differential test.
+// Elem (arrays), which place the separators; the value methods append
+// the value itself. Misuse — a value without Key/Elem, unbalanced
+// containers — yields malformed output, not a panic: the callers are
+// hand-written encoders for fixed shapes, each held to encoding/json's
+// bytes by a differential test.
 //
-// A Writer comes from Indented or Compact and must be finished with
-// Close, after which it must not be used.
+// A Writer comes from Body or Compact and must be finished with Close,
+// after which it must not be used.
 type Writer struct {
-	dst    io.Writer // nil: everything accumulates for Bytes
-	buf    []byte
-	err    error // first dst.Write failure; later output is discarded
-	indent bool
-	depth  int
+	dst io.Writer // nil: everything accumulates for Bytes
+	buf []byte
+	err error // first dst.Write failure; later output is discarded
 	// empty says the innermost open container has no member yet: its
 	// first member takes no comma and, closed now, it is "{}" / "[]".
 	empty bool
 }
 
-// Indented returns a Writer producing what json.Encoder writes after
-// SetIndent("", "  "): two-space indentation and a newline after the
-// value. dst receives the output as the buffer fills and at Close.
-func Indented(dst io.Writer) *Writer { return acquire(dst, true) }
+// Body returns a Writer producing what json.NewEncoder(dst).Encode
+// writes: the compact value and a newline after it. dst receives the
+// output as the buffer fills and at Close.
+func Body(dst io.Writer) *Writer {
+	w := pool.Get().(*Writer)
+	w.dst = dst
+	return w
+}
 
 // Compact returns a Writer producing what json.Marshal returns. It has
 // no destination: read the encoding with Bytes before Close.
-func Compact() *Writer { return acquire(nil, false) }
-
-func acquire(dst io.Writer, indent bool) *Writer {
-	w := pool.Get().(*Writer)
-	w.dst, w.indent = dst, indent
-	return w
-}
+func Compact() *Writer { return pool.Get().(*Writer) }
 
 // Bytes returns a Compact Writer's output so far. The slice is valid
 // until Close.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Close ends the output (the trailing newline of the indented form),
-// flushes it and recycles the Writer. It returns the first error the
-// destination reported.
+// Close ends the output (a Body's trailing newline), flushes it and
+// recycles the Writer. It returns the first error the destination
+// reported.
 func (w *Writer) Close() error {
-	if w.indent {
-		w.buf = append(w.buf, '\n')
-	}
 	if w.dst != nil {
+		w.buf = append(w.buf, '\n')
 		w.flush()
 	}
 	err := w.err
@@ -188,21 +182,6 @@ func (w *Writer) flush() {
 	w.buf = w.buf[:0]
 }
 
-// newlineIndent is a line break followed by eight levels of indentation;
-// deeper nesting appends the remainder level by level.
-const newlineIndent = "\n                "
-
-func (w *Writer) newline() {
-	if n := 1 + 2*w.depth; n <= len(newlineIndent) {
-		w.buf = append(w.buf, newlineIndent[:n]...)
-		return
-	}
-	w.buf = append(w.buf, newlineIndent...)
-	for i := (len(newlineIndent) - 1) / 2; i < w.depth; i++ {
-		w.buf = append(w.buf, ' ', ' ')
-	}
-}
-
 // sep starts a member of the innermost container.
 func (w *Writer) sep() {
 	if w.dst != nil && len(w.buf) >= flushAt {
@@ -212,22 +191,14 @@ func (w *Writer) sep() {
 		w.buf = append(w.buf, ',')
 	}
 	w.empty = false
-	if w.indent {
-		w.newline()
-	}
 }
 
 func (w *Writer) open(c byte) {
 	w.buf = append(w.buf, c)
-	w.depth++
 	w.empty = true
 }
 
 func (w *Writer) close(c byte) {
-	w.depth--
-	if !w.empty && w.indent {
-		w.newline()
-	}
 	w.empty = false
 	w.buf = append(w.buf, c)
 }
@@ -247,34 +218,23 @@ func (w *Writer) Key(name string) *Writer {
 	w.sep()
 	w.buf = append(w.buf, '"')
 	w.buf = append(w.buf, name...)
-	if w.indent {
-		w.buf = append(w.buf, '"', ':', ' ')
-	} else {
-		w.buf = append(w.buf, '"', ':')
-	}
+	w.buf = append(w.buf, '"', ':')
 	return w
 }
 
-// Lit is an object member key laid out in advance for objects at one
-// nesting depth: the comma, line break, indentation and quoted name an
-// Indented Writer's Key writes there for every member but the first.
-type Lit struct {
-	name, text string
-	depth      int
-}
+// Lit is an object member key laid out in advance: the comma and quoted
+// name Key writes for every member of an object but the first.
+type Lit struct{ name, text string }
 
-// KeyLit lays name out as a member key of objects at depth, counting
-// the outermost value's members as depth 1. Like Key's, name must need
-// no escaping.
-func KeyLit(depth int, name string) Lit {
-	return Lit{name: name, depth: depth, text: ",\n" + strings.Repeat("  ", depth) + `"` + name + `": `}
-}
+// KeyLit lays name out as a member key. Like Key's, name must need no
+// escaping.
+func KeyLit(name string) Lit { return Lit{name: name, text: `,"` + name + `":`} }
 
-// Member is Key(l's name), appended as one literal when the Writer is
-// Indented and its innermost object sits at l's depth and already holds
-// a member; anywhere else it is Key itself, so the bytes never differ.
+// Member is Key(l's name), appended as one literal when the innermost
+// object already holds a member; for its first member it is Key itself,
+// so the bytes never differ.
 func (w *Writer) Member(l *Lit) *Writer {
-	if !w.indent || w.empty || w.depth != l.depth {
+	if w.empty {
 		return w.Key(l.name)
 	}
 	if w.dst != nil && len(w.buf) >= flushAt {

@@ -11,7 +11,9 @@ import (
 )
 
 // sample exercises every Writer method: all value kinds, nil vs empty
-// slices, an omitempty member and nesting to arbitrary depth.
+// slices, an omitempty member and nesting to arbitrary depth. Members go
+// through Member both as an object's first member (no comma) and later
+// ones (the literal), at every depth the value nests to.
 type sample struct {
 	S    string    `json:"s"`
 	F    float64   `json:"f"`
@@ -25,14 +27,11 @@ type sample struct {
 	Kids []sample  `json:"kids"`
 }
 
-// The key literals are laid out for a kid's depth (object, kids array,
-// kid), so a sample's own members take Member's fallback to Key and
-// its kids' members the literal.
-var litF, litI, litOpt = KeyLit(3, "f"), KeyLit(3, "i"), KeyLit(3, "opt")
+var litS, litF, litI, litOpt = KeyLit("s"), KeyLit("f"), KeyLit("i"), KeyLit("opt")
 
 func (s *sample) write(w *Writer) {
 	w.BeginObject()
-	w.Key("s").String(s.S)
+	w.Member(&litS).String(s.S)
 	w.Member(&litF).Float(s.F)
 	w.Member(&litI).Int(s.I)
 	w.Key("u").Uint(s.U)
@@ -57,14 +56,12 @@ func (s *sample) write(w *Writer) {
 	w.EndObject()
 }
 
-// wantIndented is the HTTP-body reference: json.Encoder with the
-// server's indentation, trailing newline included.
-func wantIndented(t testing.TB, v any) []byte {
+// wantBody is the HTTP-body reference: json.Encoder's Encode, trailing
+// newline included.
+func wantBody(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -73,13 +70,13 @@ func wantIndented(t testing.TB, v any) []byte {
 func checkSample(t testing.TB, s *sample) {
 	t.Helper()
 	var got bytes.Buffer
-	w := Indented(&got)
+	w := Body(&got)
 	s.write(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want := wantIndented(t, s); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("indented form diverges:\ngot  %q\nwant %q", clip(got.Bytes()), clip(want))
+	if want := wantBody(t, s); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("body form diverges:\ngot  %q\nwant %q", clip(got.Bytes()), clip(want))
 	}
 	w = Compact()
 	s.write(w)
@@ -142,12 +139,6 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 	for _, f := range cornerFloats {
 		cases = append(cases, sample{F: f, FF: []float64{f}})
 	}
-	// Nesting past the precomputed indentation.
-	deep := sample{S: "bottom"}
-	for i := 0; i < 14; i++ {
-		deep = sample{I: i, Kids: []sample{deep}}
-	}
-	cases = append(cases, deep)
 	for i := range cases {
 		checkSample(t, &cases[i])
 	}
@@ -173,12 +164,12 @@ func TestWriterFlushesAsItFills(t *testing.T) {
 		big.Kids[i] = sample{S: "event <" + strings.Repeat("k", i%40) + ">", I: i, SS: []string{"alpha", "beta"}, FF: []float64{float64(i) / 7}}
 	}
 	var got chunkWriter
-	w := Indented(&got)
+	w := Body(&got)
 	big.write(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := wantIndented(t, &big)
+	want := wantBody(t, &big)
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("flushed body diverges from encoding/json (%d vs %d bytes)", got.Len(), len(want))
 	}
@@ -207,7 +198,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 func TestWriterReportsWriteError(t *testing.T) {
 	big := sample{Kids: make([]sample, 4000)}
 	var sink failWriter
-	w := Indented(&sink)
+	w := Body(&sink)
 	big.write(w)
 	if err := w.Close(); !errors.Is(err, errSink) {
 		t.Fatalf("Close = %v, want the destination's error", err)
@@ -252,7 +243,7 @@ func TestWriterSteadyStateAllocs(t *testing.T) {
 	var sink bytes.Buffer
 	allocs := testing.AllocsPerRun(100, func() {
 		sink.Reset()
-		w := Indented(&sink)
+		w := Body(&sink)
 		s.write(w)
 		w.Close()
 	})

@@ -79,7 +79,7 @@ func genBoundaryEvents(rng *rand.Rand, n int) retained {
 
 func queryEventBytes(rec *archive.Record) []byte {
 	var buf bytes.Buffer
-	jw := jsonw.Indented(&buf)
+	jw := jsonw.Body(&buf)
 	encodeQueryEvent(jw, rec)
 	jw.Close()
 	return buf.Bytes()
@@ -89,7 +89,7 @@ func queryEventBytes(rec *archive.Record) []byte {
 // from the columns.
 func blockRowBytes(b *archive.Block, i int) []byte {
 	var buf bytes.Buffer
-	jw := jsonw.Indented(&buf)
+	jw := jsonw.Body(&buf)
 	encodeBlockRow(jw, b, i)
 	jw.Close()
 	return buf.Bytes()

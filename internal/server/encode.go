@@ -27,7 +27,7 @@ func writeBody(w http.ResponseWriter, status int, tob *obs.TenantObs, body func(
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	t0 := time.Now()
-	jw := jsonw.Indented(w)
+	jw := jsonw.Body(w)
 	body(jw)
 	jw.Close() //nolint:errcheck // client gone; nothing to do
 	tob.Observe(obs.StageHTTPEncode, time.Since(t0))
@@ -67,27 +67,24 @@ func encodeQueryBody(w *jsonw.Writer, tenant string, res *query.Result, debug *t
 	w.EndObject()
 }
 
-// The /query element's member keys after "id", laid out for where the
-// element sits in the body: body object, events array, element.
+// The /query element's member keys after "id", laid out in advance.
 var (
-	keyState         = rowKey("state")
-	keyKeywords      = rowKey("keywords")
-	keyAllKeywords   = rowKey("all_keywords")
-	keyRank          = rowKey("rank")
-	keyPeakRank      = rowKey("peak_rank")
-	keyBornQuantum   = rowKey("born_quantum")
-	keyLastQuantum   = rowKey("last_quantum")
-	keyEvolved       = rowKey("evolved")
-	keySize          = rowKey("size")
-	keySupport       = rowKey("support")
-	keyReported      = rowKey("reported")
-	keyFirstReported = rowKey("first_reported")
-	keyMergedInto    = rowKey("merged_into")
-	keySplitFrom     = rowKey("split_from")
-	keySpurious      = rowKey("spurious")
+	keyState         = jsonw.KeyLit("state")
+	keyKeywords      = jsonw.KeyLit("keywords")
+	keyAllKeywords   = jsonw.KeyLit("all_keywords")
+	keyRank          = jsonw.KeyLit("rank")
+	keyPeakRank      = jsonw.KeyLit("peak_rank")
+	keyBornQuantum   = jsonw.KeyLit("born_quantum")
+	keyLastQuantum   = jsonw.KeyLit("last_quantum")
+	keyEvolved       = jsonw.KeyLit("evolved")
+	keySize          = jsonw.KeyLit("size")
+	keySupport       = jsonw.KeyLit("support")
+	keyReported      = jsonw.KeyLit("reported")
+	keyFirstReported = jsonw.KeyLit("first_reported")
+	keyMergedInto    = jsonw.KeyLit("merged_into")
+	keySplitFrom     = jsonw.KeyLit("split_from")
+	keySpurious      = jsonw.KeyLit("spurious")
 )
-
-func rowKey(name string) jsonw.Lit { return jsonw.KeyLit(3, name) }
 
 // encodeQueryEvent is one /query element: archive.Record under its own
 // JSON tags.

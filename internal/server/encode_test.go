@@ -27,8 +27,8 @@ import (
 
 // The references below are the bodies as the handlers built them before
 // the typed writer: a map[string]any (or the bare struct) handed to
-// json.Encoder with SetIndent("", "  "), and json.Marshal for SSE. The
-// typed encoders must reproduce their bytes exactly.
+// json.Encoder's Encode, and json.Marshal for SSE. The typed encoders
+// must reproduce their bytes exactly.
 
 // EventView is that reference for /events and /events/{id}: the tagged
 // struct the handlers used to copy each epoch view into and marshal.
@@ -86,21 +86,19 @@ func viewsOf(evs []*detect.Event) []EventView {
 	return out
 }
 
-func refIndented(t testing.TB, v any) []byte {
+func refBody(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func typedIndented(t testing.TB, body func(*jsonw.Writer)) []byte {
+func typedBody(t testing.TB, body func(*jsonw.Writer)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	jw := jsonw.Indented(&buf)
+	jw := jsonw.Body(&buf)
 	body(jw)
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
@@ -142,8 +140,8 @@ func checkQueryBody(t testing.TB, tenant string, res query.Result, debug *traceJ
 	if debug != nil {
 		ref["debug"] = *debug
 	}
-	got := typedIndented(t, func(jw *jsonw.Writer) { encodeQueryBody(jw, tenant, &res, debug) })
-	sameBytes(t, "/query", got, refIndented(t, ref))
+	got := typedBody(t, func(jw *jsonw.Writer) { encodeQueryBody(jw, tenant, &res, debug) })
+	sameBytes(t, "/query", got, refBody(t, ref))
 }
 
 // rowsOf is a page of buffer-record rows over recs; nil stays nil.
@@ -221,24 +219,24 @@ func mixedRows(t testing.TB, recs []archive.Record, evs []*detect.Event) []query
 
 func checkEventsBody(t testing.TB, tenant string, events []*detect.Event) {
 	t.Helper()
-	got := typedIndented(t, func(jw *jsonw.Writer) { encodeEventsBody(jw, tenant, events) })
-	sameBytes(t, "/events", got, refIndented(t, map[string]any{"tenant": tenant, "events": viewsOf(events)}))
+	got := typedBody(t, func(jw *jsonw.Writer) { encodeEventsBody(jw, tenant, events) })
+	sameBytes(t, "/events", got, refBody(t, map[string]any{"tenant": tenant, "events": viewsOf(events)}))
 	for _, ev := range events {
-		got := typedIndented(t, func(jw *jsonw.Writer) { encodeEvent(jw, ev) })
-		sameBytes(t, "/events/{id}", got, refIndented(t, viewOf(ev)))
+		got := typedBody(t, func(jw *jsonw.Writer) { encodeEvent(jw, ev) })
+		sameBytes(t, "/events/{id}", got, refBody(t, viewOf(ev)))
 	}
 }
 
 func checkRelatedBody(t testing.TB, tenant string, pairs []detect.RelatedPair) {
 	t.Helper()
-	got := typedIndented(t, func(jw *jsonw.Writer) { encodeRelatedBody(jw, tenant, pairs) })
-	sameBytes(t, "/related", got, refIndented(t, map[string]any{"tenant": tenant, "related": pairs}))
+	got := typedBody(t, func(jw *jsonw.Writer) { encodeRelatedBody(jw, tenant, pairs) })
+	sameBytes(t, "/related", got, refBody(t, map[string]any{"tenant": tenant, "related": pairs}))
 }
 
 func checkIngestAck(t testing.TB, tenant string, queued int) {
 	t.Helper()
-	got := typedIndented(t, func(jw *jsonw.Writer) { encodeIngestAck(jw, tenant, queued) })
-	sameBytes(t, "ingest ack", got, refIndented(t, map[string]any{"tenant": tenant, "queued": queued}))
+	got := typedBody(t, func(jw *jsonw.Writer) { encodeIngestAck(jw, tenant, queued) })
+	sameBytes(t, "ingest ack", got, refBody(t, map[string]any{"tenant": tenant, "queued": queued}))
 }
 
 func checkStreamEvent(t testing.TB, ev *StreamEvent) {
@@ -584,7 +582,7 @@ func fullScanBody(tb testing.TB, arch *archive.Log, dst io.Writer) {
 		tb.Error(err)
 		return
 	}
-	jw := jsonw.Indented(dst)
+	jw := jsonw.Body(dst)
 	encodeQueryBody(jw, "t0", &res, nil)
 	jw.Close()
 	res.Release()
@@ -675,7 +673,7 @@ func TestQueryResponseAllocs(t *testing.T) {
 	allocsFor := func(n int) float64 {
 		res := benchResult(n)
 		return testing.AllocsPerRun(20, func() {
-			jw := jsonw.Indented(io.Discard)
+			jw := jsonw.Body(io.Discard)
 			encodeQueryBody(jw, "t0", &res, nil)
 			jw.Close()
 		})
@@ -691,14 +689,14 @@ func TestQueryResponseAllocs(t *testing.T) {
 func BenchmarkQueryResponseEncode(b *testing.B) {
 	res := benchResult(4000)
 	var size countWriter
-	jw := jsonw.Indented(&size)
+	jw := jsonw.Body(&size)
 	encodeQueryBody(jw, "t0", &res, nil)
 	jw.Close()
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jw := jsonw.Indented(io.Discard)
+		jw := jsonw.Body(io.Discard)
 		encodeQueryBody(jw, "t0", &res, nil)
 		jw.Close()
 	}

