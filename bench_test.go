@@ -47,6 +47,11 @@ func cachedTrace(profile string, n int) ([]stream.Message, *tracegen.GroundTruth
 		cfg = tracegen.ESConfig(42, n)
 	case "gt":
 		cfg = tracegen.GroundTruthConfig(42, n)
+	case "dense": // the spine's ingest-dense shape: 10× the events and discussions
+		cfg = tracegen.TWConfig(42, n)
+		cfg.RealEvents *= 10
+		cfg.SpuriousEvents *= 10
+		cfg.Discussions *= 10
 	default:
 		cfg = tracegen.TWConfig(42, n)
 	}
@@ -456,8 +461,11 @@ func BenchmarkTokenize(b *testing.B) {
 	}
 }
 
-func BenchmarkDetectorIngest(b *testing.B) {
-	msgs, _ := cachedTrace("tw", benchTraceLen)
+func BenchmarkDetectorIngest(b *testing.B)      { detectorIngestBench(b, "tw") }
+func BenchmarkDetectorIngestDense(b *testing.B) { detectorIngestBench(b, "dense") }
+
+func detectorIngestBench(b *testing.B, profile string) {
+	msgs, _ := cachedTrace(profile, benchTraceLen)
 	d := repro.NewDetector(repro.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

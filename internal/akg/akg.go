@@ -26,7 +26,6 @@ package akg
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"repro/internal/ckg"
@@ -200,8 +199,10 @@ type AKG struct {
 	keep        []edgeRef
 	weights     []float64
 
-	// union-support scratch (single-threaded use under the apply lock).
+	// AppendUnionUsers' scratch (single-threaded use under the apply
+	// lock): the members' lists, and the fold's two partial unions.
 	listScratch [][]uint64
+	unionBuf    [2][]uint64
 }
 
 type edgeRef struct{ a, b dygraph.NodeID }
@@ -631,133 +632,6 @@ func (a *AKG) sortedUsers(k dygraph.NodeID) []uint64 {
 		return r.set.users
 	}
 	return nil
-}
-
-// jaccard is the exact Jaccard of two keywords' user sets, computed as a
-// linear merge of the sorted user lists. Contract: for values ≥ β the
-// result is exact (callers store it as the edge weight); below β
-// callers only compare against β and discard, so a provable sub-β pair
-// may return 0 without the merge — J ≤ min/max, giving an O(1)
-// rejection for size-skewed pairs.
-func (a *AKG) jaccard(r1, r2 *keyword, st *QuantumStats) float64 {
-	u1, u2 := r1.set.users, r2.set.users
-	if len(u1) == 0 || len(u2) == 0 {
-		return 0
-	}
-	lo, hi := len(u1), len(u2)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if float64(lo) < a.cfg.Beta*float64(hi) {
-		st.JaccardBails++
-		return 0 // J ≤ lo/hi < β: unobservable below the threshold
-	}
-	// needInter is the intersection size below which J < β is certain
-	// (J ≥ β ⇔ inter ≥ β(n1+n2)/(1+β)); the merge bails as soon as even
-	// a perfect remaining overlap cannot reach it. The 0.25 margin
-	// absorbs the float rounding of needInter: intersections are
-	// integers, so a pair at exactly β can never be misclassified. The
-	// bound is folded into one integer per comparison so the hot merge
-	// loop pays a single subtract-and-compare.
-	needInter := int(math.Ceil(a.cfg.Beta*float64(len(u1)+len(u2))/(1+a.cfg.Beta) - 0.25))
-	inter := 0
-	i, j := 0, 0
-	for i < len(u1) && j < len(u2) {
-		rem := len(u1) - i
-		if r2 := len(u2) - j; r2 < rem {
-			rem = r2
-		}
-		if inter+rem < needInter {
-			st.JaccardBails++
-			return 0 // cannot reach β anymore
-		}
-		switch {
-		case u1[i] == u2[j]:
-			inter++
-			i++
-			j++
-		case u1[i] < u2[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(u1) + len(u2) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// AppendUnionUsers appends the distinct users associated with any of ks
-// inside the window (sorted ascending) to dst, reusing its capacity. The
-// appended count is the cluster support measure of the ranking function
-// (Section 6); the values are the cluster's user community, which the
-// detector's post-processing correlates across clusters (Section 1.1,
-// case 2: "users indeed used different keywords, providing different
-// perspectives about the same event"). One k-way walk over the cached
-// sorted user lists (k is a cluster's node count, a handful).
-// Single-threaded use only.
-func (a *AKG) AppendUnionUsers(dst []uint64, ks []dygraph.NodeID) []uint64 {
-	lists := a.listScratch[:0]
-	for _, k := range ks {
-		if u := a.sortedUsers(k); len(u) > 0 {
-			lists = append(lists, u)
-		}
-	}
-	a.listScratch = lists[:0]
-	// Every list in play is non-empty: one that runs out is swapped out,
-	// so the walk never tests for exhaustion and the last list standing
-	// is copied in bulk.
-	for len(lists) > 1 {
-		min := lists[0][0]
-		for _, l := range lists[1:] {
-			if l[0] < min {
-				min = l[0]
-			}
-		}
-		dst = append(dst, min)
-		for i := 0; i < len(lists); {
-			l := lists[i]
-			switch {
-			case l[0] != min:
-				i++
-			case len(l) > 1:
-				lists[i] = l[1:]
-				i++
-			default:
-				lists[i] = lists[len(lists)-1]
-				lists = lists[:len(lists)-1]
-			}
-		}
-	}
-	if len(lists) == 1 {
-		dst = append(dst, lists[0]...)
-	}
-	return dst
-}
-
-// JaccardSorted returns |A∩B| / |A∪B| of two sorted duplicate-free user
-// lists, such as two AppendUnionUsers results (0 when either is empty).
-func JaccardSorted(u1, u2 []uint64) float64 {
-	if len(u1) == 0 || len(u2) == 0 {
-		return 0
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(u1) && j < len(u2) {
-		switch {
-		case u1[i] == u2[j]:
-			inter++
-			i++
-			j++
-		case u1[i] < u2[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return float64(inter) / float64(len(u1)+len(u2)-inter)
 }
 
 // correlation returns the EC used for edge decisions, honouring the

@@ -555,11 +555,16 @@ func TestProcessQuantumUnorderedBatch(t *testing.T) {
 	}
 }
 
-// twQuanta tokenizes a TW trace into ProcessQuantum batches of delta
-// messages, shaped the way detect.Detector shapes them.
+// twQuanta is traceQuanta over a TW trace of n messages.
 func twQuanta(tb testing.TB, n, delta int) [][]ckg.UserKeywords {
 	tb.Helper()
-	msgs, _ := tracegen.Generate(tracegen.TWConfig(3, n))
+	return traceQuanta(tracegen.TWConfig(3, n), delta)
+}
+
+// traceQuanta tokenizes a generated trace into ProcessQuantum batches of
+// delta messages, shaped the way detect.Detector shapes them.
+func traceQuanta(cfg tracegen.Config, delta int) [][]ckg.UserKeywords {
+	msgs, _ := tracegen.Generate(cfg)
 	in := textproc.NewInterner()
 	var tk textproc.Tokenizer
 	var quanta [][]ckg.UserKeywords
@@ -586,18 +591,30 @@ func twQuanta(tb testing.TB, n, delta int) [][]ckg.UserKeywords {
 // slices and the records of dead keywords are recycled and the id sets
 // are arrays, so what is left is array growth of sets that reach a new
 // high-water mark and the engine's cluster bookkeeping — nothing per
-// observation. Measured 44 here; the hash-map sets measured 214.
+// observation. Every cluster's user union is taken after each quantum,
+// as the detector takes it per dirty cluster, so the union's fold
+// buffers are counted too. Measured 41 here; the hash-map sets measured
+// 214.
 func TestProcessQuantumSteadyStateAllocs(t *testing.T) {
 	quanta := twQuanta(t, 48000, 160)
 	a := New(Config{}, core.Hooks{})
+	var nodes []dygraph.NodeID
+	var users []uint64
+	quantum := func(batch []ckg.UserKeywords) {
+		a.ProcessQuantum(batch)
+		a.Engine().ForEachCluster(func(c *core.Cluster) {
+			nodes = c.AppendNodes(nodes[:0])
+			users = a.AppendUnionUsers(users[:0], nodes)
+		})
+	}
 	warm := len(quanta) / 2
 	for _, batch := range quanta[:warm] {
-		a.ProcessQuantum(batch)
+		quantum(batch)
 	}
 	next := warm
 	runs := len(quanta) - warm - 1
 	perQuantum := testing.AllocsPerRun(runs, func() {
-		a.ProcessQuantum(quanta[next])
+		quantum(quanta[next])
 		next++
 	})
 	t.Logf("%.1f allocs per quantum over %d quanta", perQuantum, runs)

@@ -170,22 +170,22 @@ func (c *Cluster) addEdge(e dygraph.Edge) {
 	c.nodes[e.V]++
 }
 
-// removeEdge drops e and returns any endpoints whose incident cluster-edge
-// count reached zero (they leave the cluster).
-func (c *Cluster) removeEdge(e dygraph.Edge) []dygraph.NodeID {
+// removeEdge drops e and returns the endpoints whose incident
+// cluster-edge count reached zero (they leave the cluster): gone[:n].
+func (c *Cluster) removeEdge(e dygraph.Edge) (gone [2]dygraph.NodeID, n int) {
 	if _, ok := c.edges[e]; !ok {
-		return nil
+		return gone, 0
 	}
 	delete(c.edges, e)
-	var gone []dygraph.NodeID
-	for _, n := range [2]dygraph.NodeID{e.U, e.V} {
-		c.nodes[n]--
-		if c.nodes[n] == 0 {
-			delete(c.nodes, n)
-			gone = append(gone, n)
+	for _, v := range [2]dygraph.NodeID{e.U, e.V} {
+		c.nodes[v]--
+		if c.nodes[v] == 0 {
+			delete(c.nodes, v)
+			gone[n] = v
+			n++
 		}
 	}
-	return gone
+	return gone, n
 }
 
 func sortEdges(es []dygraph.Edge) { dygraph.SortEdges(es) }

@@ -33,9 +33,13 @@ type Engine struct {
 	// as a membership filter, so stale IDs are harmless.
 	touched map[ClusterID]struct{}
 
-	// rs is repair's working memory; ids is RemoveNode's.
-	rs  repairScratch
-	ids []ClusterID
+	// rs is repair's working memory; ids is RemoveNode's; seeds and
+	// absorbing are AddEdge's (the short-cycle edges through the new
+	// edge, and the clusters owning any of them).
+	rs        repairScratch
+	ids       []ClusterID
+	seeds     []dygraph.Edge
+	absorbing []*Cluster
 
 	// stats for the harness (Section 7.4).
 	statCycleChecks int64
@@ -198,8 +202,8 @@ func (en *Engine) AddEdge(a, b dygraph.NodeID, w float64) *Cluster {
 	if len(seeds) == 0 {
 		return nil // edge participates in no short cycle yet
 	}
-	seeds = append(seeds, e)
-	return en.absorb(seeds)
+	en.seeds = append(seeds, e)
+	return en.absorb(en.seeds)
 }
 
 // AddNodeWithEdges adds node n together with edges to each listed neighbor,
@@ -246,7 +250,8 @@ func (en *Engine) RemoveEdge(a, b dygraph.NodeID) bool {
 	delete(en.edgeCluster, e)
 	c := en.clusters[id]
 	en.markTouched(id)
-	for _, n := range c.removeEdge(e) {
+	gone, ngone := c.removeEdge(e)
+	for _, n := range gone[:ngone] {
 		en.dropMembership(n, id)
 	}
 	en.repair(c)
@@ -272,8 +277,9 @@ func (en *Engine) RemoveNode(n dygraph.NodeID) bool {
 		}
 		delete(en.edgeCluster, e)
 		en.markTouched(id)
-		for _, gone := range en.clusters[id].removeEdge(e) {
-			en.dropMembership(gone, id)
+		gone, ngone := en.clusters[id].removeEdge(e)
+		for _, m := range gone[:ngone] {
+			en.dropMembership(m, id)
 		}
 		ids = append(ids, id)
 	}
@@ -295,9 +301,10 @@ func (en *Engine) RemoveNode(n dygraph.NodeID) bool {
 // edges, excluding (a,b) itself. This is the discovery step of the paper's
 // EdgeAddition: triangles come from common neighbors (rule R2 shape) and
 // 4-cycles from adjacent pairs (n3,n4) with n3~a, n4~b, n3–n4 an edge
-// (rule R1 shape).
+// (rule R1 shape). The result is the engine's seeds scratch, valid until
+// the next call.
 func (en *Engine) cycleEdgesThrough(a, b dygraph.NodeID) []dygraph.Edge {
-	var out []dygraph.Edge
+	out := en.seeds[:0]
 	g := en.g
 	// Triangles a–b–c.
 	g.CommonNeighbors(a, b, func(c dygraph.NodeID) {
@@ -322,6 +329,7 @@ func (en *Engine) cycleEdgesThrough(a, b dygraph.NodeID) []dygraph.Edge {
 			}
 		})
 	})
+	en.seeds = out
 	return out
 }
 
@@ -330,13 +338,13 @@ func (en *Engine) cycleEdgesThrough(a, b dygraph.NodeID) []dygraph.Edge {
 // merge into one aMQC). The largest touched cluster survives; a new
 // cluster is created when none exist. Returns the surviving cluster.
 func (en *Engine) absorb(seeds []dygraph.Edge) *Cluster {
-	var touched []*Cluster
-	seen := make(map[ClusterID]struct{})
+	// The clusters owning a seed, in first-seen order. A handful at most,
+	// so the dedup is a scan.
+	touched := en.absorbing[:0]
 	for _, e := range seeds {
 		if id, ok := en.edgeCluster[e]; ok {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				touched = append(touched, en.clusters[id])
+			if c := en.clusters[id]; !slices.Contains(touched, c) {
+				touched = append(touched, c)
 			}
 		}
 	}
@@ -393,6 +401,8 @@ func (en *Engine) absorb(seeds []dygraph.Edge) *Cluster {
 		en.hooks.updated(target)
 	}
 	en.markTouched(target.id)
+	clear(touched) // the scratch must not pin merged-away clusters
+	en.absorbing = touched[:0]
 	return target
 }
 

@@ -296,3 +296,36 @@ func TestRepairAllocs(t *testing.T) {
 		t.Errorf("splitting repair: %.1f allocs per call, want ≤ 5", perSplit)
 	}
 }
+
+// TestAddEdgeAllocs pins AddEdge's working memory to the engine-owned
+// scratch: an edge that extends an existing cluster — a chord of an
+// 8-clique, closing triangles and 4-cycles through members only —
+// allocates nothing once the scratch has grown. The short-cycle edges,
+// the owning clusters and the endpoints a removal drops are no longer
+// built per call; the member's membership sets already exist.
+func TestAddEdgeAllocs(t *testing.T) {
+	en := NewEngine(Hooks{})
+	buildClique(en, 8)
+	extend := func() (allocs uint64) {
+		en.BeginQuantum()
+		en.RemoveEdge(0, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := en.AddEdge(0, 1, 1)
+		runtime.ReadMemStats(&after)
+		if en.ClusterCount() != 1 || c == nil || c.EdgeCount() != 28 {
+			t.Fatalf("the chord did not extend the clique's cluster: %d clusters", en.ClusterCount())
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	extend() // grow the scratch
+	var total uint64
+	const runs = 50
+	for i := 0; i < runs; i++ {
+		total += extend()
+	}
+	if per := float64(total) / runs; per != 0 {
+		t.Errorf("AddEdge extending a cluster: %.2f allocs per call, want 0", per)
+	}
+}

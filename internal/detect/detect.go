@@ -867,8 +867,8 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 }
 
 // unionUsers returns the user community of a cluster's nodes as a fresh
-// exactly-sized slice (nil when empty): the one k-way walk per dirty
-// cluster that both the rank support and the related-pair overlaps use.
+// exactly-sized slice (nil when empty): the one union per dirty cluster
+// that both the rank support and the related-pair overlaps use.
 func (d *Detector) unionUsers(nodes []dygraph.NodeID) []uint64 {
 	d.userScratch = d.akg.AppendUnionUsers(d.userScratch[:0], nodes)
 	if len(d.userScratch) == 0 {
