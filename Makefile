@@ -36,7 +36,7 @@ bench-smoke: fuzz-smoke
 	go test -run xxx -bench . -benchtime 1x ./...
 
 fuzz-smoke:
-	go test -run 'Fuzz' -count=1 ./internal/server/ ./internal/query/ ./internal/archive/ ./internal/stream/ ./internal/akg/ ./internal/core/ ./internal/jsonw/ ./internal/textproc/ ./internal/minhash/ ./internal/wal/
+	go test -run 'Fuzz' -count=1 ./internal/server/ ./internal/query/ ./internal/archive/ ./internal/stream/ ./internal/akg/ ./internal/core/ ./internal/dygraph/ ./internal/jsonw/ ./internal/textproc/ ./internal/minhash/ ./internal/wal/
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own, so the
 # targets above never compile it; this keeps it building, vetted, tested

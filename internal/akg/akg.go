@@ -560,9 +560,10 @@ func (a *AKG) refreshEdges(set2, set1 []*keyword, st *QuantumStats) {
 	for _, list := range [2][]*keyword{set2, set1} {
 		for _, r := range list {
 			// Sorted neighbor iteration: removal order reaches the engine,
-			// where split identities must be reproducible across runs.
-			a.nbrs = a.eng.Graph().AppendNeighbors(a.nbrs[:0], r.id)
-			for _, id := range a.nbrs {
+			// where split identities must be reproducible across runs. The
+			// graph changes only after the loop, so its row is read in place.
+			nbrs, _ := a.eng.Graph().Row(r.id)
+			for _, id := range nbrs {
 				m := a.kw[id] // a graph node is an AKG member: it has a record
 				if m.refreshedAt == a.quantum {
 					continue // m came earlier in the lists and refreshed this edge
@@ -601,9 +602,17 @@ func (a *AKG) connectBursty(set1 []*keyword, st *QuantumStats) {
 		}
 	}
 	for i, r1 := range set1 {
+		// Set 1 ascends, and so do r1's neighbors: one walk of the two
+		// skips the pairs already joined (refreshed this quantum). The
+		// row is copied, as the loop adds edges to it.
+		a.nbrs = a.eng.Graph().AppendNeighbors(a.nbrs[:0], r1.id)
+		nbrs := a.nbrs
 		for _, r2 := range set1[i+1:] {
-			if a.eng.Graph().HasEdge(r1.id, r2.id) {
-				continue // already refreshed this quantum
+			for len(nbrs) > 0 && nbrs[0] < r2.id {
+				nbrs = nbrs[1:]
+			}
+			if len(nbrs) > 0 && nbrs[0] == r2.id {
+				continue
 			}
 			st.PairsScreened++
 			if screen && !minhash.SharesValue(r1.sketch, r2.sketch) {

@@ -59,13 +59,14 @@ func (a *AKG) State() State {
 // users strictly ascending per keyword — because the id sets are
 // maintained by merge and would be silently corrupted by anything else.
 // maxID is the largest keyword ID the caller's vocabulary holds: the
-// keyword table is indexed by ID, so a state naming a larger one is
+// keyword table and the engine graph's node table are indexed by ID, so a
+// state naming a larger one — in the ring or in the engine's graph — is
 // refused rather than sized for.
 func FromState(s State, hooks core.Hooks, maxID dygraph.NodeID) (*AKG, error) {
 	if len(s.Ring) > s.Cfg.withDefaults().Window {
 		return nil, fmt.Errorf("akg: ring holds %d quanta, window is %d", len(s.Ring), s.Cfg.withDefaults().Window)
 	}
-	eng, err := core.EngineFromState(s.Engine, hooks)
+	eng, err := core.EngineFromState(s.Engine, hooks, maxID)
 	if err != nil {
 		return nil, err
 	}

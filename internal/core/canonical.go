@@ -98,7 +98,7 @@ func (en *Engine) Snapshot() []EdgeSet {
 	//repro:order-insensitive each cluster's set is built independently; out is normalised by sortEdgeSets below
 	for _, c := range en.clusters {
 		set := make(EdgeSet, len(c.edges))
-		for e := range c.edges {
+		for _, e := range c.edges {
 			set[e] = struct{}{}
 		}
 		out = append(out, set)

@@ -46,6 +46,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/dygraph"
 )
 
@@ -58,10 +61,12 @@ type ClusterID uint64
 // as read-only snapshots that are only valid until the next engine update.
 type Cluster struct {
 	id ClusterID
-	// nodes maps each member node to the number of cluster edges incident
-	// to it, so membership can be withdrawn when the count drops to zero.
-	nodes map[dygraph.NodeID]int
-	edges map[dygraph.Edge]struct{}
+	// nodes are the member nodes ascending, and deg[i] is the number of
+	// cluster edges incident to nodes[i] (at least 1): a node leaves the
+	// cluster with its last cluster edge.
+	nodes []dygraph.NodeID
+	deg   []int32
+	edges []dygraph.Edge // sorted by (U,V)
 	// birth is the engine operation sequence number at which the cluster
 	// was formed; used by higher layers to track event lifetime.
 	birth uint64
@@ -82,71 +87,45 @@ func (c *Cluster) EdgeCount() int { return len(c.edges) }
 
 // HasNode reports whether n belongs to the cluster.
 func (c *Cluster) HasNode(n dygraph.NodeID) bool {
-	_, ok := c.nodes[n]
+	_, ok := slices.BinarySearch(c.nodes, n)
 	return ok
 }
 
 // HasEdge reports whether e belongs to the cluster.
 func (c *Cluster) HasEdge(e dygraph.Edge) bool {
-	_, ok := c.edges[e]
+	_, ok := c.findEdge(e)
 	return ok
 }
 
 // Nodes returns the member nodes sorted ascending.
-func (c *Cluster) Nodes() []dygraph.NodeID {
-	out := make([]dygraph.NodeID, 0, len(c.nodes))
-	for n := range c.nodes {
-		out = append(out, n)
-	}
-	dygraph.SortNodes(out)
-	return out
-}
+func (c *Cluster) Nodes() []dygraph.NodeID { return slices.Clone(c.nodes) }
 
 // Edges returns the member edges sorted by (U,V).
-func (c *Cluster) Edges() []dygraph.Edge {
-	out := make([]dygraph.Edge, 0, len(c.edges))
-	for e := range c.edges {
-		out = append(out, e)
-	}
-	sortEdges(out)
-	return out
-}
+func (c *Cluster) Edges() []dygraph.Edge { return slices.Clone(c.edges) }
 
 // AppendNodes appends the member nodes (sorted ascending) to dst,
 // reusing its capacity — the allocation-amortised companion of Nodes
 // for per-quantum consumers.
 func (c *Cluster) AppendNodes(dst []dygraph.NodeID) []dygraph.NodeID {
-	start := len(dst)
-	for n := range c.nodes {
-		dst = append(dst, n)
-	}
-	dygraph.SortNodes(dst[start:])
-	return dst
+	return append(dst, c.nodes...)
 }
 
 // AppendEdges appends the member edges (canonical orientation, sorted
 // by (U,V)) to dst, reusing its capacity.
 func (c *Cluster) AppendEdges(dst []dygraph.Edge) []dygraph.Edge {
-	start := len(dst)
-	for e := range c.edges {
-		dst = append(dst, e)
-	}
-	sortEdges(dst[start:])
-	return dst
+	return append(dst, c.edges...)
 }
 
-// ForEachNode calls fn for every member node in unspecified order.
+// ForEachNode calls fn for every member node, ascending.
 func (c *Cluster) ForEachNode(fn func(n dygraph.NodeID)) {
-	//repro:order-insensitive documented unordered-callback API; callers needing order use Nodes/AppendNodes
-	for n := range c.nodes {
+	for _, n := range c.nodes {
 		fn(n)
 	}
 }
 
-// ForEachEdge calls fn for every member edge in unspecified order.
+// ForEachEdge calls fn for every member edge, sorted by (U,V).
 func (c *Cluster) ForEachEdge(fn func(e dygraph.Edge)) {
-	//repro:order-insensitive documented unordered-callback API; callers needing order use Edges/AppendEdges
-	for e := range c.edges {
+	for _, e := range c.edges {
 		fn(e)
 	}
 }
@@ -161,31 +140,66 @@ func (c *Cluster) Density() float64 {
 	return 2 * float64(len(c.edges)) / float64(n*(n-1))
 }
 
-func (c *Cluster) addEdge(e dygraph.Edge) {
-	if _, ok := c.edges[e]; ok {
-		return
+// IsMQC reports whether the cluster is an exact majority quasi clique:
+// every member adjacent, inside the cluster, to a strict majority of the
+// other members — quasi.Subgraph.IsMQC of the cluster's edges, read off
+// the per-node edge counts.
+func (c *Cluster) IsMQC() bool {
+	n := len(c.nodes)
+	if n < 2 {
+		return n == 1
 	}
-	c.edges[e] = struct{}{}
-	c.nodes[e.U]++
-	c.nodes[e.V]++
-}
-
-// removeEdge drops e and returns the endpoints whose incident
-// cluster-edge count reached zero (they leave the cluster): gone[:n].
-func (c *Cluster) removeEdge(e dygraph.Edge) (gone [2]dygraph.NodeID, n int) {
-	if _, ok := c.edges[e]; !ok {
-		return gone, 0
-	}
-	delete(c.edges, e)
-	for _, v := range [2]dygraph.NodeID{e.U, e.V} {
-		c.nodes[v]--
-		if c.nodes[v] == 0 {
-			delete(c.nodes, v)
-			gone[n] = v
-			n++
+	need := int32((n-1)/2 + 1) // smallest integer strictly greater than (n-1)/2
+	for _, d := range c.deg {
+		if d < need {
+			return false
 		}
 	}
-	return gone, n
+	return true
 }
 
-func sortEdges(es []dygraph.Edge) { dygraph.SortEdges(es) }
+// findEdge returns the position of e in c.edges, or where it would go.
+func (c *Cluster) findEdge(e dygraph.Edge) (int, bool) {
+	return slices.BinarySearchFunc(c.edges, e, cmpEdge)
+}
+
+func cmpEdge(a, b dygraph.Edge) int {
+	if a.U != b.U {
+		return cmp.Compare(a.U, b.U)
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// addEdge inserts e (absent from the cluster) and counts it at both
+// endpoints.
+func (c *Cluster) addEdge(e dygraph.Edge) {
+	i, _ := c.findEdge(e)
+	c.edges = slices.Insert(c.edges, i, e)
+	c.bump(e.U, 1)
+	c.bump(e.V, 1)
+}
+
+// removeEdge drops e (a member); an endpoint left without cluster edges
+// leaves the cluster.
+func (c *Cluster) removeEdge(e dygraph.Edge) {
+	i, _ := c.findEdge(e)
+	c.edges = slices.Delete(c.edges, i, i+1)
+	c.bump(e.U, -1)
+	c.bump(e.V, -1)
+}
+
+// bump adds d to n's edge count, inserting or dropping n as it enters or
+// leaves the cluster.
+func (c *Cluster) bump(n dygraph.NodeID, d int32) {
+	i, ok := slices.BinarySearch(c.nodes, n)
+	switch {
+	case !ok:
+		c.nodes = slices.Insert(c.nodes, i, n)
+		c.deg = slices.Insert(c.deg, i, d)
+	case c.deg[i]+d == 0:
+		c.nodes = slices.Delete(c.nodes, i, i+1)
+		c.deg = slices.Delete(c.deg, i, i+1)
+	default:
+		c.deg[i] += d
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/dygraph"
 )
@@ -13,16 +12,17 @@ import (
 //
 // The engine owns its graph: all mutations must go through the engine so
 // that clusters stay consistent. Read access is available via Graph.
+//
+// The graph's edge owners are the clustering's index: an edge's owner is
+// the ID of the cluster it belongs to (0: none). A node belongs to exactly
+// the clusters owning one of its edges, so its row in the graph lists
+// them too — a node may sit in several edge-disjoint clusters.
 type Engine struct {
-	g           *dygraph.Graph
-	clusters    map[ClusterID]*Cluster
-	edgeCluster map[dygraph.Edge]ClusterID
-	// nodeClusters indexes, for every node, the clusters it belongs to.
-	// Needed because a node may sit in several edge-disjoint clusters.
-	nodeClusters map[dygraph.NodeID]map[ClusterID]struct{}
-	nextID       ClusterID
-	ops          uint64
-	hooks        Hooks
+	g        *dygraph.Graph
+	clusters map[ClusterID]*Cluster
+	nextID   ClusterID
+	ops      uint64
+	hooks    Hooks
 
 	// touched collects the IDs of clusters whose node set, edge set or
 	// any edge weight changed since the last BeginQuantum — the exact
@@ -33,11 +33,14 @@ type Engine struct {
 	// as a membership filter, so stale IDs are harmless.
 	touched map[ClusterID]struct{}
 
-	// rs is repair's working memory; ids is RemoveNode's; seeds and
-	// absorbing are AddEdge's (the short-cycle edges through the new
-	// edge, and the clusters owning any of them).
+	// rs is repair's working memory; ids, owners and removed are
+	// RemoveNode's (the clusters to repair, the removed node's edge owners
+	// and edges); seeds and absorbing are AddEdge's (the short-cycle edges
+	// through the new edge, and the clusters owning any of them).
 	rs        repairScratch
 	ids       []ClusterID
+	owners    []uint64
+	removed   []dygraph.Edge
 	seeds     []dygraph.Edge
 	absorbing []*Cluster
 
@@ -50,11 +53,9 @@ type Engine struct {
 // NewEngine returns an engine over an empty graph.
 func NewEngine(hooks Hooks) *Engine {
 	return &Engine{
-		g:            dygraph.New(),
-		clusters:     make(map[ClusterID]*Cluster),
-		edgeCluster:  make(map[dygraph.Edge]ClusterID),
-		nodeClusters: make(map[dygraph.NodeID]map[ClusterID]struct{}),
-		hooks:        hooks,
+		g:        dygraph.New(),
+		clusters: make(map[ClusterID]*Cluster),
+		hooks:    hooks,
 	}
 }
 
@@ -86,14 +87,27 @@ func (en *Engine) markTouched(id ClusterID) {
 	en.touched[id] = struct{}{}
 }
 
-// ForEachClusterOf calls fn with the ID of every cluster containing n,
-// in unspecified order — the allocation-free companion of
+// ForEachClusterOf calls fn once with the ID of every cluster containing
+// n, in unspecified order — the allocation-free companion of
 // ClustersOfNode for dirty-set consumers.
 func (en *Engine) ForEachClusterOf(n dygraph.NodeID, fn func(id ClusterID)) {
-	//repro:order-insensitive documented unordered-callback API; callers needing order use ClustersOfNode
-	for id := range en.nodeClusters[n] {
+	var buf [8]ClusterID
+	for _, id := range en.appendClustersOf(buf[:0], n) {
 		fn(id)
 	}
+}
+
+// appendClustersOf appends the IDs of the clusters containing n — the
+// distinct owners of its edges — to dst, in the order of n's row.
+func (en *Engine) appendClustersOf(dst []ClusterID, n dygraph.NodeID) []ClusterID {
+	start := len(dst)
+	_, owners := en.g.Row(n)
+	for _, o := range owners {
+		if id := ClusterID(o); id != 0 && !slices.Contains(dst[start:], id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // AppendClusterIDs appends every live cluster ID to dst (unsorted),
@@ -119,24 +133,22 @@ func (en *Engine) Cluster(id ClusterID) *Cluster { return en.clusters[id] }
 
 // ClusterOfEdge returns the cluster owning edge (a,b), or nil.
 func (en *Engine) ClusterOfEdge(a, b dygraph.NodeID) *Cluster {
-	id, ok := en.edgeCluster[dygraph.NewEdge(a, b)]
-	if !ok {
-		return nil
-	}
-	return en.clusters[id]
+	return en.clusters[en.owner(a, b)]
 }
+
+// owner returns the ID of the cluster owning edge (a,b), 0 for none.
+func (en *Engine) owner(a, b dygraph.NodeID) ClusterID { return ClusterID(en.g.Owner(a, b)) }
+
+// setOwner records that cluster id (0: none) owns the present edge e.
+func (en *Engine) setOwner(e dygraph.Edge, id ClusterID) { en.g.SetOwner(e.U, e.V, uint64(id)) }
 
 // ClustersOfNode returns the clusters containing n, sorted by ID.
 func (en *Engine) ClustersOfNode(n dygraph.NodeID) []*Cluster {
-	set := en.nodeClusters[n]
-	if len(set) == 0 {
+	ids := en.appendClustersOf(nil, n)
+	if len(ids) == 0 {
 		return nil
 	}
-	ids := make([]ClusterID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]*Cluster, len(ids))
 	for i, id := range ids {
 		out[i] = en.clusters[id]
@@ -148,7 +160,8 @@ func (en *Engine) ClustersOfNode(n dygraph.NodeID) []*Cluster {
 // The AKG layer uses this for its lazy-removal rule: a keyword stays in the
 // AKG while it is part of any event cluster (Section 3.1).
 func (en *Engine) InAnyCluster(n dygraph.NodeID) bool {
-	return len(en.nodeClusters[n]) > 0
+	_, owners := en.g.Row(n)
+	return slices.ContainsFunc(owners, func(o uint64) bool { return o != 0 })
 }
 
 // Clusters returns all live clusters sorted by ID.
@@ -157,7 +170,7 @@ func (en *Engine) Clusters() []*Cluster {
 	for id := range en.clusters {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]*Cluster, len(ids))
 	for i, id := range ids {
 		out[i] = en.clusters[id]
@@ -192,7 +205,7 @@ func (en *Engine) AddEdge(a, b dygraph.NodeID, w float64) *Cluster {
 	e := dygraph.NewEdge(a, b)
 	if !en.g.AddEdge(a, b, w) {
 		// Weight refresh only; clustering is threshold-free at this layer.
-		if id, ok := en.edgeCluster[e]; ok {
+		if id := en.owner(a, b); id != 0 {
 			en.markTouched(id) // the owning cluster's rank inputs changed
 			return en.clusters[id]
 		}
@@ -228,7 +241,7 @@ func (en *Engine) SetWeight(a, b dygraph.NodeID, w float64) bool {
 	if !en.g.SetWeight(a, b, w) {
 		return false
 	}
-	if id, ok := en.edgeCluster[dygraph.NewEdge(a, b)]; ok {
+	if id := en.owner(a, b); id != 0 {
 		en.markTouched(id) // rank depends on cluster edge weights
 	}
 	return true
@@ -239,21 +252,16 @@ func (en *Engine) SetWeight(a, b dygraph.NodeID, w float64) bool {
 // then articulation check). It reports whether the edge existed.
 func (en *Engine) RemoveEdge(a, b dygraph.NodeID) bool {
 	en.ops++
-	e := dygraph.NewEdge(a, b)
+	id := en.owner(a, b)
 	if !en.g.RemoveEdge(a, b) {
 		return false
 	}
-	id, ok := en.edgeCluster[e]
-	if !ok {
+	if id == 0 {
 		return true
 	}
-	delete(en.edgeCluster, e)
 	c := en.clusters[id]
 	en.markTouched(id)
-	gone, ngone := c.removeEdge(e)
-	for _, n := range gone[:ngone] {
-		en.dropMembership(n, id)
-	}
+	c.removeEdge(dygraph.NewEdge(a, b))
 	en.repair(c)
 	return true
 }
@@ -266,21 +274,21 @@ func (en *Engine) RemoveNode(n dygraph.NodeID) bool {
 	if !en.g.HasNode(n) {
 		return false
 	}
-	removed := en.g.RemoveNode(n)
+	// The owners go with the node's row, so they are read first; the
+	// removed edges come back parallel to them.
+	_, owners := en.g.Row(n)
+	en.owners = append(en.owners[:0], owners...)
+	en.removed = en.g.AppendRemoveNode(en.removed[:0], n)
 	// Collect the clusters that lost an edge so each is repaired exactly
 	// once no matter how many of its edges died.
 	ids := en.ids[:0]
-	for _, e := range removed {
-		id, ok := en.edgeCluster[e]
-		if !ok {
+	for i, e := range en.removed {
+		id := ClusterID(en.owners[i])
+		if id == 0 {
 			continue
 		}
-		delete(en.edgeCluster, e)
 		en.markTouched(id)
-		gone, ngone := en.clusters[id].removeEdge(e)
-		for _, m := range gone[:ngone] {
-			en.dropMembership(m, id)
-		}
+		en.clusters[id].removeEdge(e)
 		ids = append(ids, id)
 	}
 	// Repair in ID order: split parts receive fresh IDs, so the repair
@@ -300,35 +308,33 @@ func (en *Engine) RemoveNode(n dygraph.NodeID) bool {
 // through the (already inserted) edge (a,b) and returns the union of their
 // edges, excluding (a,b) itself. This is the discovery step of the paper's
 // EdgeAddition: triangles come from common neighbors (rule R2 shape) and
-// 4-cycles from adjacent pairs (n3,n4) with n3~a, n4~b, n3–n4 an edge
-// (rule R1 shape). The result is the engine's seeds scratch, valid until
-// the next call.
+// 4-cycles a–n3–n4–b from the common neighbors n4 of b and each neighbor
+// n3 of a (rule R1 shape) — merges of sorted rows. The result is the
+// engine's seeds scratch, valid until the next call.
 func (en *Engine) cycleEdgesThrough(a, b dygraph.NodeID) []dygraph.Edge {
 	out := en.seeds[:0]
 	g := en.g
-	// Triangles a–b–c.
+	// One existence check per pair of a neighbor n3 ≠ b of a and a
+	// neighbor n4 ≠ a of b: a triangle when n3 = n4, a 4-cycle candidate
+	// otherwise.
+	na, _ := g.Row(a)
+	en.statCycleChecks += int64(len(na)-1) * int64(g.Degree(b)-1)
 	g.CommonNeighbors(a, b, func(c dygraph.NodeID) {
-		en.statCycleChecks++
 		out = append(out, dygraph.NewEdge(a, c), dygraph.NewEdge(b, c))
 	})
-	// 4-cycles a–n3–n4–b. Iterate from the lower-degree endpoint.
-	g.Neighbors(a, func(n3 dygraph.NodeID, _ float64) {
+	for _, n3 := range na {
 		if n3 == b {
-			return
+			continue
 		}
-		g.Neighbors(b, func(n4 dygraph.NodeID, _ float64) {
-			if n4 == a || n4 == n3 {
-				return
-			}
-			en.statCycleChecks++
-			if g.HasEdge(n3, n4) {
+		g.CommonNeighbors(n3, b, func(n4 dygraph.NodeID) {
+			if n4 != a {
 				out = append(out,
 					dygraph.NewEdge(a, n3),
 					dygraph.NewEdge(n3, n4),
 					dygraph.NewEdge(n4, b))
 			}
 		})
-	})
+	}
 	en.seeds = out
 	return out
 }
@@ -342,7 +348,7 @@ func (en *Engine) absorb(seeds []dygraph.Edge) *Cluster {
 	// so the dedup is a scan.
 	touched := en.absorbing[:0]
 	for _, e := range seeds {
-		if id, ok := en.edgeCluster[e]; ok {
+		if id := en.owner(e.U, e.V); id != 0 {
 			if c := en.clusters[id]; !slices.Contains(touched, c) {
 				touched = append(touched, c)
 			}
@@ -354,9 +360,10 @@ func (en *Engine) absorb(seeds []dygraph.Edge) *Cluster {
 		target = en.newCluster()
 		isNew = true
 	} else {
-		// Deterministic survivor: most edges, ties to the oldest ID —
-		// seed discovery order comes from map iteration, so the choice
-		// must not depend on it (checkpoint/resume equivalence).
+		// Deterministic survivor: most edges, ties to the oldest ID — the
+		// order the touched clusters were met in follows seed discovery,
+		// and the choice must not depend on it (checkpoint/resume
+		// equivalence).
 		target = touched[0]
 		for _, c := range touched[1:] {
 			if c.EdgeCount() > target.EdgeCount() ||
@@ -371,28 +378,20 @@ func (en *Engine) absorb(seeds []dygraph.Edge) *Cluster {
 			continue
 		}
 		en.statMerges++
-		//repro:order-insensitive set union into the target cluster; per-edge inserts commute
-		for e := range c.edges {
+		for _, e := range c.edges {
 			target.addEdge(e)
-			en.edgeCluster[e] = target.id
-			grew = true
+			en.setOwner(e, target.id)
 		}
-		//repro:order-insensitive per-node membership moves commute; each node is handled once
-		for n := range c.nodes {
-			en.dropMembership(n, c.id)
-			en.addMembership(n, target.id)
-		}
+		grew = true
 		delete(en.clusters, c.id)
 		en.hooks.merged(target, c.id)
 	}
 	for _, e := range seeds {
-		if _, ok := target.edges[e]; ok {
+		if en.owner(e.U, e.V) == target.id {
 			continue
 		}
 		target.addEdge(e)
-		en.edgeCluster[e] = target.id
-		en.addMembership(e.U, target.id)
-		en.addMembership(e.V, target.id)
+		en.setOwner(e, target.id)
 		grew = true
 	}
 	if isNew {
@@ -408,31 +407,9 @@ func (en *Engine) absorb(seeds []dygraph.Edge) *Cluster {
 
 func (en *Engine) newCluster() *Cluster {
 	en.nextID++
-	c := &Cluster{
-		id:    en.nextID,
-		nodes: make(map[dygraph.NodeID]int),
-		edges: make(map[dygraph.Edge]struct{}),
-		birth: en.ops,
-	}
+	c := &Cluster{id: en.nextID, birth: en.ops}
 	en.clusters[c.id] = c
 	return c
-}
-
-func (en *Engine) addMembership(n dygraph.NodeID, id ClusterID) {
-	set, ok := en.nodeClusters[n]
-	if !ok {
-		set = make(map[ClusterID]struct{}, 1)
-		en.nodeClusters[n] = set
-	}
-	set[id] = struct{}{}
-}
-
-func (en *Engine) dropMembership(n dygraph.NodeID, id ClusterID) {
-	set := en.nodeClusters[n]
-	delete(set, id)
-	if len(set) == 0 {
-		delete(en.nodeClusters, n)
-	}
 }
 
 // Stats returns counters describing the work the engine has done: short

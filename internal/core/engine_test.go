@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dygraph"
@@ -476,6 +478,95 @@ func checkInvariants(t *testing.T, en *Engine) {
 	}
 }
 
+// checkEngine cross-checks the engine's indexes against each other after
+// any operation: the graph's rows are sorted and symmetric (equal weights
+// and owners on both sides) and its counters right; every owner is the
+// cluster whose edge list holds the edge, and every cluster edge is owned
+// by its cluster; each cluster's node list and per-node edge counts are
+// what its edges imply; and every node's cluster list is exactly the
+// clusters listing it.
+func checkEngine(t testing.TB, en *Engine) {
+	t.Helper()
+	g := en.Graph()
+	nodes, edges := 0, 0
+	clustersOf := map[dygraph.NodeID][]ClusterID{}
+	g.ForEachNode(func(n dygraph.NodeID) {
+		nodes++
+		nbrs, owners := g.Row(n)
+		if len(nbrs) != len(owners) || len(nbrs) != g.Degree(n) {
+			t.Fatalf("node %d: %d neighbors, %d owners, degree %d", n, len(nbrs), len(owners), g.Degree(n))
+		}
+		for i, m := range nbrs {
+			if i > 0 && nbrs[i-1] >= m {
+				t.Fatalf("node %d: row not strictly ascending: %v", n, nbrs)
+			}
+			w, _ := g.Weight(n, m)
+			if back, ok := g.Weight(m, n); !ok || back != w {
+				t.Fatalf("edge %d–%d: weight %v, reverse side %v (present %v)", n, m, w, back, ok)
+			}
+			if back := g.Owner(m, n); back != owners[i] {
+				t.Fatalf("edge %d–%d: owner %d, reverse side %d", n, m, owners[i], back)
+			}
+			if n < m {
+				edges++
+			}
+			if id := ClusterID(owners[i]); id != 0 {
+				if c := en.clusters[id]; c == nil || !c.HasEdge(dygraph.NewEdge(n, m)) {
+					t.Fatalf("edge %d–%d owned by cluster %d, which does not hold it", n, m, id)
+				}
+			}
+		}
+		var visited []ClusterID
+		en.ForEachClusterOf(n, func(id ClusterID) { visited = append(visited, id) })
+		slices.Sort(visited)
+		var listed []ClusterID
+		for _, c := range en.ClustersOfNode(n) {
+			listed = append(listed, c.ID())
+		}
+		if !slices.Equal(visited, listed) || en.InAnyCluster(n) != (len(listed) > 0) {
+			t.Fatalf("node %d: ForEachClusterOf %v, ClustersOfNode %v, InAnyCluster %v", n, visited, listed, en.InAnyCluster(n))
+		}
+		if len(listed) > 0 {
+			clustersOf[n] = listed
+		}
+	})
+	if nodes != g.NodeCount() || edges != g.EdgeCount() {
+		t.Fatalf("graph counts %d nodes %d edges, rows hold %d / %d", g.NodeCount(), g.EdgeCount(), nodes, edges)
+	}
+	members := map[dygraph.NodeID][]ClusterID{}
+	for _, c := range en.Clusters() {
+		if len(c.nodes) != len(c.deg) {
+			t.Fatalf("cluster %d: %d nodes, %d edge counts", c.id, len(c.nodes), len(c.deg))
+		}
+		deg := map[dygraph.NodeID]int32{}
+		for i, e := range c.edges {
+			if i > 0 && cmpEdge(c.edges[i-1], e) >= 0 {
+				t.Fatalf("cluster %d: edges not strictly ascending: %v", c.id, c.edges)
+			}
+			if o := ClusterID(g.Owner(e.U, e.V)); o != c.id {
+				t.Fatalf("cluster %d holds %v, owned by %d", c.id, e, o)
+			}
+			deg[e.U]++
+			deg[e.V]++
+		}
+		for i, n := range c.nodes {
+			if i > 0 && c.nodes[i-1] >= n {
+				t.Fatalf("cluster %d: nodes not strictly ascending: %v", c.id, c.nodes)
+			}
+			if c.deg[i] != deg[n] {
+				t.Fatalf("cluster %d: node %d counts %d edges, holds %d", c.id, n, c.deg[i], deg[n])
+			}
+			members[n] = append(members[n], c.id)
+		}
+		if len(deg) != len(c.nodes) {
+			t.Fatalf("cluster %d: edges touch %d nodes, node list has %d", c.id, len(deg), len(c.nodes))
+		}
+	}
+	if !maps.EqualFunc(members, clustersOf, slices.Equal) {
+		t.Fatalf("clusters listing each node %v, each node's own list %v", members, clustersOf)
+	}
+}
+
 // TestRandomOpsMatchCanonical is the central property test: after every
 // operation in a random add/remove sequence, the incrementally maintained
 // clustering must equal the canonical global recomputation and satisfy all
@@ -496,6 +587,7 @@ func TestRandomOpsMatchCanonical(t *testing.T) {
 			default:
 				en.RemoveNode(a)
 			}
+			checkEngine(t, en)
 			if i%10 == 0 {
 				checkInvariants(t, en)
 			}
@@ -518,6 +610,7 @@ func TestDenseRandomOps(t *testing.T) {
 		} else {
 			en.RemoveEdge(a, b)
 		}
+		checkEngine(t, en)
 		if i%20 == 0 {
 			checkInvariants(t, en)
 		}

@@ -9,8 +9,8 @@ import (
 
 // FuzzEngineOps drives the engine with an op script decoded from fuzz
 // bytes (2 bits op, 2×5 bits node ids per 2-byte step) and checks the full
-// invariant set: canonical equality, SCP, biconnectivity, edge-disjoint
-// clusters.
+// invariant set: the engine's indexes agree after every step (checkEngine),
+// and at the end canonical equality, SCP, biconnectivity.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0x12, 0x34})
@@ -31,6 +31,7 @@ func FuzzEngineOps(f *testing.F) {
 			case 3:
 				en.RemoveNode(a)
 			}
+			checkEngine(t, en)
 		}
 		if !SameClustering(en.Snapshot(), Canonical(en.Graph())) {
 			t.Fatalf("incremental diverged from canonical")

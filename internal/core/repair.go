@@ -94,40 +94,27 @@ func (en *Engine) repair(c *Cluster) {
 	oldID := c.id
 	for i, e := range rs.edges {
 		if !rs.onCycle[i] {
-			delete(en.edgeCluster, e)
+			en.setOwner(e, 0)
 		}
 	}
-	clear(c.nodes)
-	clear(c.edges)
 	parts := rs.parts[:0]
 	for i, g := range groups {
+		es := grouped[g.off : g.off+g.n]
 		target := c
 		if i > 0 {
 			target = en.newCluster()
+			for _, e := range es {
+				en.setOwner(e, target.id)
+			}
 		}
+		rs.fill(target, es)
 		// Every part changed shape — the original identity lost nodes or
 		// edges, fresh parts are new. Dirty-set consumers must revisit
 		// them all even when a part contains no vertex the caller marked
 		// (an expelled edge can strand a part that holds neither endpoint
 		// of the deleted element).
 		en.markTouched(target.id)
-		for _, e := range grouped[g.off : g.off+g.n] {
-			target.addEdge(e)
-			if i > 0 {
-				en.edgeCluster[e] = target.id
-				en.addMembership(e.U, target.id)
-				en.addMembership(e.V, target.id)
-			}
-		}
 		parts = append(parts, target)
-	}
-	// Nodes the original identity no longer reaches leave it — after the
-	// new parts took them in, so a node that only changes cluster keeps
-	// its membership set.
-	for _, n := range rs.nodes {
-		if _, stays := c.nodes[n]; !stays {
-			en.dropMembership(n, oldID)
-		}
 	}
 	rs.parts = parts
 
@@ -154,7 +141,8 @@ type repairScratch struct {
 	cursor  []int32          // CSR fill cursors
 	parent  []int32          // union-find over edge positions
 	size    []int32
-	onCycle []bool // the edge lies on a cycle of length ≤ 4 inside the cluster
+	onCycle []bool  // the edge lies on a cycle of length ≤ 4 inside the cluster
+	deg     []int32 // per node: the edges of the part being filled at it
 
 	slot    []int32 // union-find root → position in groups (-1: none yet)
 	groups  []edgeGroup
@@ -183,12 +171,9 @@ func (rs *repairScratch) load(c *Cluster) {
 	nNodes, nEdges := len(rs.nodes), len(rs.edges)
 
 	off := resize(&rs.adjOff, nNodes+1)
-	clear(off)
-	for i, n := range rs.nodes {
-		off[i+1] = int32(c.nodes[n]) // the node's degree inside the cluster
-	}
-	for i := 0; i < nNodes; i++ {
-		off[i+1] += off[i]
+	off[0] = 0
+	for i, d := range c.deg { // the node's degree inside the cluster
+		off[i+1] = off[i] + d
 	}
 	cursor := resize(&rs.cursor, nNodes)
 	copy(cursor, off)
@@ -211,6 +196,39 @@ func (rs *repairScratch) load(c *Cluster) {
 		parent[i], size[i] = int32(i), 1
 	}
 	clear(resize(&rs.onCycle, nEdges))
+	clear(resize(&rs.deg, nNodes))
+}
+
+// fill makes es — one part of the loaded cluster's edges, sorted — the
+// whole of c, counting each node's edges at its position in the loaded
+// node list, so nodes come out ascending without a sort. A fresh part's
+// slices are sized exactly; the original identity shrinks in place.
+func (rs *repairScratch) fill(c *Cluster, es []dygraph.Edge) {
+	deg := rs.deg
+	for _, e := range es {
+		deg[rs.local(e.U)]++
+		deg[rs.local(e.V)]++
+	}
+	if c.edges == nil {
+		k := 0 // the part's nodes
+		for _, d := range deg {
+			if d > 0 {
+				k++
+			}
+		}
+		c.edges = make([]dygraph.Edge, 0, len(es))
+		c.nodes = make([]dygraph.NodeID, 0, k)
+		c.deg = make([]int32, 0, k)
+	}
+	c.edges = append(c.edges[:0], es...)
+	c.nodes, c.deg = c.nodes[:0], c.deg[:0]
+	for i, d := range deg {
+		if d > 0 {
+			c.nodes = append(c.nodes, rs.nodes[i])
+			c.deg = append(c.deg, d)
+			deg[i] = 0
+		}
+	}
 }
 
 // local returns the position of n in the sorted node list.
@@ -298,12 +316,8 @@ func (rs *repairScratch) find(x int32) int32 {
 // dissolve removes a cluster entirely: its edges stay in the graph but are
 // no longer part of any cluster.
 func (en *Engine) dissolve(c *Cluster) {
-	for e := range c.edges {
-		delete(en.edgeCluster, e)
-	}
-	//repro:order-insensitive per-node membership drops commute; each node is handled once
-	for n := range c.nodes {
-		en.dropMembership(n, c.id)
+	for _, e := range c.edges {
+		en.setOwner(e, 0)
 	}
 	delete(en.clusters, c.id)
 	en.hooks.dissolved(c.id)

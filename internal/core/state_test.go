@@ -20,7 +20,7 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		}
 	}
 	s := en.State()
-	en2, err := EngineFromState(s, Hooks{})
+	en2, err := EngineFromState(s, Hooks{}, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEngineStateValidation(t *testing.T) {
 	bad := good
 	bad.Clusters = append([]ClusterState(nil), good.Clusters...)
 	bad.Clusters[0] = ClusterState{ID: 99, Birth: 0, Edges: good.Clusters[0].Edges}
-	if _, err := EngineFromState(bad, Hooks{}); err == nil {
+	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
 		t.Fatalf("out-of-range cluster ID accepted")
 	}
 
@@ -74,7 +74,7 @@ func TestEngineStateValidation(t *testing.T) {
 		ID:    good.Clusters[0].ID,
 		Edges: []dygraph.Edge{dygraph.NewEdge(7, 8)},
 	}}
-	if _, err := EngineFromState(bad, Hooks{}); err == nil {
+	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
 		t.Fatalf("missing-edge cluster accepted")
 	}
 
@@ -83,14 +83,31 @@ func TestEngineStateValidation(t *testing.T) {
 		ID:    good.Clusters[0].ID,
 		Edges: good.Clusters[0].Edges[:2],
 	}}
-	if _, err := EngineFromState(bad, Hooks{}); err == nil {
+	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
 		t.Fatalf("sub-triangle cluster accepted")
 	}
 
 	bad = good
 	bad.Clusters = append(append([]ClusterState(nil), good.Clusters...), good.Clusters[0])
-	if _, err := EngineFromState(bad, Hooks{}); err == nil {
+	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
 		t.Fatalf("duplicate cluster accepted")
+	}
+
+	// The graph's node table is indexed by ID: an ID beyond the bound is
+	// refused wherever the graph names it, before the table is sized.
+	bad = good
+	bad.Graph.Nodes = append(append([]dygraph.NodeID(nil), good.Graph.Nodes...), 9)
+	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
+		t.Fatalf("engine node beyond the bound accepted")
+	}
+	bad = good
+	bad.Graph.Edges = append(append([]dygraph.Edge(nil), good.Graph.Edges...), dygraph.NewEdge(3, 1<<31))
+	bad.Graph.Weights = append(append([]float64(nil), good.Graph.Weights...), 1)
+	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
+		t.Fatalf("engine edge endpoint beyond the bound accepted")
+	}
+	if _, err := EngineFromState(good, Hooks{}, 8); err != nil {
+		t.Fatalf("untouched state refused: %v", err)
 	}
 }
 

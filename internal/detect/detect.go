@@ -18,7 +18,6 @@ import (
 	"repro/internal/ckg"
 	"repro/internal/core"
 	"repro/internal/dygraph"
-	"repro/internal/quasi"
 	"repro/internal/rank"
 	"repro/internal/stream"
 	"repro/internal/textproc"
@@ -297,7 +296,6 @@ type Detector struct {
 	edgeScratch    []dygraph.Edge
 	kwScratch      []string
 	userScratch    []uint64
-	degScratch     map[dygraph.NodeID]int
 	rankWeight     rank.Weights
 	rankCorr       rank.Correlations
 }
@@ -741,9 +739,6 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 			return w
 		}
 	}
-	if d.degScratch == nil {
-		d.degScratch = make(map[dygraph.NodeID]int)
-	}
 
 	// Create or update events for live clusters, in cluster-ID order so
 	// fresh event IDs are assigned deterministically (cluster IDs are
@@ -837,7 +832,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 		ev.Size = c.NodeCount()
 		ev.users = d.unionUsers(nodes)
 		ev.Support = len(ev.users)
-		ev.ExactMQC = quasi.IsMQCEdges(edges, d.degScratch)
+		ev.ExactMQC = c.IsMQC()
 
 		if d.reportable(ev, c) {
 			if !ev.Reported {

@@ -130,6 +130,11 @@ func TestFromStateRejectsForeignIDs(t *testing.T) {
 			},
 			"Present":     func(s *DetectorState) { s.AKG.Present = append(s.AKG.Present, id) },
 			"engine node": func(s *DetectorState) { s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id) },
+			"engine edge endpoint": func(s *DetectorState) {
+				g := &s.AKG.Engine.Graph
+				g.Edges = append(g.Edges, dygraph.NewEdge(s.AKG.Present[0], id))
+				g.Weights = append(g.Weights, 1)
+			},
 			"engine and Present": func(s *DetectorState) {
 				s.AKG.Present = append(s.AKG.Present, id)
 				s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id)

@@ -3,6 +3,7 @@ package dygraph
 import "fmt"
 
 // State is a serialisable snapshot of a Graph (for detector checkpoints).
+// Edge owners are not part of it: they belong to the layer that set them.
 type State struct {
 	Nodes   []NodeID // includes isolated nodes
 	Edges   []Edge
@@ -36,7 +37,9 @@ func (g *Graph) AppendState(buf State) State {
 	return s
 }
 
-// FromState reconstructs a graph from a snapshot.
+// FromState reconstructs a graph from a snapshot. The graph's node table
+// is sized by the largest ID the state names, so a caller restoring an
+// untrusted state bounds its IDs first.
 func FromState(s State) (*Graph, error) {
 	if len(s.Edges) != len(s.Weights) {
 		return nil, fmt.Errorf("dygraph: state has %d edges but %d weights", len(s.Edges), len(s.Weights))

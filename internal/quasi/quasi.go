@@ -154,35 +154,6 @@ func (s *Subgraph) IsMQC() bool {
 	return true
 }
 
-// IsMQCEdges is IsMQC evaluated directly on an edge list, for hot-path
-// callers: the detector re-verifies exact-MQC membership for every
-// dirty cluster every quantum, and building a Subgraph (a map of maps)
-// per check dominated that cost. degrees is caller-owned scratch,
-// cleared and reused across calls. edges must be duplicate-free (a
-// cluster's edge set always is); then the result matches
-// FromEdges(edges).IsMQC() exactly.
-func IsMQCEdges(edges []dygraph.Edge, degrees map[dygraph.NodeID]int) bool {
-	clear(degrees)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		degrees[e.U]++
-		degrees[e.V]++
-	}
-	n := len(degrees)
-	if n < 2 {
-		return n == 1
-	}
-	need := (n-1)/2 + 1
-	for _, d := range degrees {
-		if d < need {
-			return false
-		}
-	}
-	return true
-}
-
 // SatisfiesSCP reports whether every edge of the subgraph lies on a cycle
 // of length at most 4 using only subgraph edges — the short-cycle property
 // of Section 4.1. A subgraph with no edges satisfies SCP vacuously.

@@ -147,10 +147,15 @@ type Edge = dygraph.Edge
 // NewEdge returns the canonical edge between two nodes.
 func NewEdge(a, b NodeID) Edge { return dygraph.NewEdge(a, b) }
 
-// Graph is the dynamic undirected weighted graph substrate.
+// Graph is the dynamic undirected weighted graph substrate. Nodes are
+// found through a table indexed by NodeID, so its memory grows with the
+// largest NodeID used — by up to 4 bytes per ID (8 bytes per 64 IDs,
+// plus a 64-slot int32 page per block of 64 IDs holding a node): IDs
+// should be dense, as the detector's keyword IDs are.
 type Graph = dygraph.Graph
 
-// NewGraph returns an empty dynamic graph.
+// NewGraph returns an empty dynamic graph. Its node table grows by up to
+// 4 bytes per ID up to the largest NodeID added.
 func NewGraph() *Graph { return dygraph.New() }
 
 // Engine maintains the canonical short-cycle-property clustering of a
