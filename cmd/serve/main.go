@@ -33,8 +33,8 @@
 // live in memory only. With -archive-dir set (it needs -wal-dir),
 // events evicted by -retain are persisted to a queryable on-disk
 // archive of columnar segments (zone-map predicate skipping) instead of
-// discarded: an in-memory buffer, rewritten to one buffer file before
-// every snapshot and sealed into a segment when full
+// discarded: an in-memory buffer, carried inside every WAL snapshot and
+// sealed into a segment when full
 // (-archive-compact-interval is still accepted and has no effect). See
 // docs/PERSISTENCE.md.
 // GET /v1/{tenant}/query answers one time-travel request across live

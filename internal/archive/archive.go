@@ -7,28 +7,30 @@
 // index of zone maps and keyword Bloom filters, so time-range, rank and
 // keyword queries skip the segments and blocks that cannot match and
 // decode only the rest (the data-skipping idea of provenance-pruned
-// scans, applied to event history). Between seals, Sync makes the
-// buffer durable by rewriting one buffer file in the same format.
+// scans, applied to event history). Between seals the buffer is made
+// durable by whoever persists the eviction counter: WriteBuffer encodes
+// it as the same segment image, and the serving layer writes that into
+// each WAL snapshot.
 //
 // A tenant's archive directory holds one file per sealed segment, named
-// by its first record, plus the buffer file (segment2.go has the
-// layout):
+// by its first record (segment2.go has the layout):
 //
 //	ev-00000000000000000001.col   records 1..k: header, blocks, index
-//	buffer.col                    the buffer as of the last Sync
 //
 // Records carry a 1-based eviction ordinal (Seq) matching the
 // detector's cumulative trim counter, which makes appends idempotent
 // across WAL replays: a replayed eviction whose ordinal the archive
 // already holds is dropped. That is also the crash story of the buffer:
-// the serving layer syncs before every WAL snapshot, so a kill loses
-// only records appended since, whose evictions the WAL tail regenerates.
+// the WAL snapshot carries the buffer as it stood at the counter it
+// saves, RestoreBuffer hands it back, and replay of the WAL tail
+// re-evicts everything since.
 package archive
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -42,7 +44,9 @@ import (
 
 const (
 	segPrefix = "ev-"
-	// bufferName is the file Sync rewrites with the buffer's records.
+	// bufferName is the file earlier builds rewrote with the buffer
+	// before each WAL snapshot; Open refuses a directory still holding
+	// one.
 	bufferName = "buffer" + colExt
 )
 
@@ -194,7 +198,6 @@ type Log struct {
 	// it only ever grows by append and a seal starts a fresh slice.
 	buf    []Record
 	active segMeta
-	synced int    // len(buf) when the buffer file was last written
 	seq    uint64 // last appended ordinal
 	gaps   uint64 // ordinal gaps observed (records lost before a crash)
 	// quarantined counts files renamed aside after hitting corruption —
@@ -203,19 +206,15 @@ type Log struct {
 }
 
 // Open opens (creating if needed) an archive directory. It reads each
-// sealed segment's header and index, then loads the buffer file into
-// the buffer, dropping the records at or below the last sealed ordinal
-// — a crash between a seal's commit and the buffer file's removal
-// leaves them in both — and removing the file when nothing in it is
-// left. Temp files a crash left are swept. That is what makes kill -9 at
-// any step of a Sync or a seal converge to exactly-once records. A file
-// whose header, index or (for the buffer file) blocks are damaged is
-// quarantined, as a scan that finds a damaged block does, and so is a
-// segment overlapping an earlier one, which nothing in this package
-// writes. A directory holding a segment of an older format — a
-// JSON-lines ev-*.jsonl, a .col.meta.json sidecar, or a .col of format
-// version 1 — is refused with an error naming the file, before anything
-// in it changes: this build has no reader for them.
+// sealed segment's header and index and sweeps the temp files a crash
+// left; the buffer starts empty, for RestoreBuffer to refill. A segment
+// whose header or index is damaged is quarantined, as a scan that finds
+// a damaged block does, and so is a segment overlapping an earlier one,
+// which nothing in this package writes. A directory holding a file of a
+// retired layout — a JSON-lines ev-*.jsonl, a .col.meta.json sidecar, a
+// .col of format version 1, or a buffer.col — is refused with an error
+// naming the file, before anything in it changes: this build has no
+// reader for them.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
@@ -227,36 +226,31 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, fmt.Errorf("archive: list %s: %w", dir, err)
 	}
 	var metas []segMeta
-	var buffered []Record
 	var corrupt []string
 	for _, e := range entries {
 		name := e.Name()
 		path := filepath.Join(dir, name)
-		if strings.HasPrefix(name, segPrefix) &&
+		if name == bufferName || strings.HasPrefix(name, segPrefix) &&
 			(strings.HasSuffix(name, ".jsonl") || strings.HasSuffix(name, colExt+".meta.json")) {
-			return nil, fmt.Errorf("archive: %s belongs to an older segment format, which this build cannot read "+
-				"(docs/PERSISTENCE.md: legacy and pre-index directories)", path)
+			return nil, fmt.Errorf("archive: %s belongs to an older archive layout, which this build cannot read "+
+				"(docs/PERSISTENCE.md: retired layouts)", path)
 		}
 		stem, isCol := strings.CutSuffix(name, colExt)
 		num, isSeg := strings.CutPrefix(stem, segPrefix)
 		start, perr := strconv.ParseUint(num, 10, 64)
-		var m segMeta
-		switch {
-		case name == bufferName:
-			_, buffered, err = loadSegment(l.fs, path, true)
-		case isCol && isSeg && perr == nil:
-			if m, _, err = loadSegment(l.fs, path, false); err == nil && m.FirstSeq != start {
-				err = fmt.Errorf("holds records from seq %d: %w", m.FirstSeq, ErrCorrupt)
-			}
-		default:
+		if !isCol || !isSeg || perr != nil {
 			continue
+		}
+		m, err := loadSegment(l.fs, path)
+		if err == nil && m.FirstSeq != start {
+			err = fmt.Errorf("holds records from seq %d: %w", m.FirstSeq, ErrCorrupt)
 		}
 		switch {
 		case errors.Is(err, ErrCorrupt):
 			corrupt = append(corrupt, path)
 		case err != nil:
 			return nil, fmt.Errorf("archive: %s: %w", path, err)
-		case name != bufferName:
+		default:
 			metas = append(metas, m)
 		}
 	}
@@ -278,17 +272,6 @@ func Open(dir string, opt Options) (*Log, error) {
 		for _, tmp := range tmps {
 			l.fs.Remove(tmp) //nolint:errcheck // best effort
 		}
-	}
-	for i := range buffered {
-		if buffered[i].Seq > l.seq {
-			l.buf = append(l.buf, buffered[i])
-			l.active.observe(&buffered[i])
-			l.seq = buffered[i].Seq
-		}
-	}
-	l.synced = len(l.buf)
-	if len(l.buf) == 0 {
-		l.fs.Remove(l.bufferPath()) //nolint:errcheck // best effort; every record it held is sealed
 	}
 	return l, nil
 }
@@ -323,53 +306,35 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
-// sealLocked commits the full buffer as segment file ev-<first>.col,
-// starts a fresh buffer, and removes the buffer file, whose records the
-// segment now holds. A crash before the removal leaves them in both,
-// which Open resolves by ordinal. Caller holds l.mu.
-func (l *Log) sealLocked() error {
-	m, err := l.writeLocked(l.colPath(l.buf[0].Seq))
-	if err != nil {
-		return err
-	}
-	l.fs.Remove(l.bufferPath()) //nolint:errcheck // best effort; Open drops what the segment covers
-	l.sealed = append(l.sealed, m)
-	l.buf, l.active, l.synced = nil, segMeta{}, 0
-	return nil
-}
-
-// Sync makes every appended record durable: the buffer is written to
-// the buffer file (tmp + fsync, then a rename and a directory fsync —
-// the commit point), replacing the previous one; it does nothing when
-// nothing was appended since the last Sync or seal. If any step fails
-// the error is returned, the previous buffer file stays in place, and
-// the next Sync writes the buffer again. Callers that persist the
-// eviction counter elsewhere (the serving layer's WAL snapshots) must
-// Sync first, or a crash loses the records appended since for good.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.buf) == l.synced {
-		return nil
-	}
-	if _, err := l.writeLocked(l.bufferPath()); err != nil {
-		return err
-	}
-	l.synced = len(l.buf)
-	return nil
-}
-
-// writeLocked writes the buffer to path: to a temp file, fsynced, then
+// sealLocked commits the full buffer as segment file ev-<first>.col and
+// starts a fresh buffer. The image is written to a temp file, fsynced,
 // renamed into place, and the directory fsynced so the rename survives
-// power loss. Caller holds l.mu.
-func (l *Log) writeLocked(path string) (segMeta, error) {
-	m, err := writeSegment(l.fs, path+".tmp", l.buf, l.opt.BlockEvents)
+// power loss. If any step fails the error is returned and the records
+// stay buffered. Caller holds l.mu.
+func (l *Log) sealLocked() error {
+	m, b, err := encodeSegment(l.buf, l.opt.BlockEvents)
 	if err != nil {
-		return segMeta{}, err
+		return err
 	}
-	if err := l.fs.Rename(path+".tmp", path); err != nil {
-		l.fs.Remove(path + ".tmp") //nolint:errcheck // best effort
-		return segMeta{}, fmt.Errorf("archive: commit %s: %w", filepath.Base(path), err)
+	path := l.colPath(m.FirstSeq)
+	f, err := l.fs.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(b)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = l.fs.Rename(path+".tmp", path)
+		}
+		if err != nil {
+			l.fs.Remove(path + ".tmp") //nolint:errcheck // best effort
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("archive: write %s: %w", filepath.Base(path), err)
 	}
 	d, err := l.fs.Open(l.dir)
 	if err == nil {
@@ -377,9 +342,52 @@ func (l *Log) writeLocked(path string) (segMeta, error) {
 		d.Close()
 	}
 	if err != nil {
-		return segMeta{}, fmt.Errorf("archive: sync %s: %w", l.dir, err)
+		return fmt.Errorf("archive: sync %s: %w", l.dir, err)
 	}
-	return m, nil
+	l.sealed = append(l.sealed, m)
+	l.buf, l.active = nil, segMeta{}
+	return nil
+}
+
+// WriteBuffer writes the buffer to w as one segment image — the bytes a
+// seal would commit as a file — and nothing when the buffer is empty.
+// The serving layer writes it into each WAL snapshot, after the detector
+// state whose eviction counter the buffered records end at.
+func (l *Log) WriteBuffer(w io.Writer) error {
+	l.mu.Lock()
+	recs := l.buf[:len(l.buf):len(l.buf)] // append-only: these never change
+	l.mu.Unlock()
+	if len(recs) == 0 {
+		return nil
+	}
+	_, b, err := encodeSegment(recs, l.opt.BlockEvents)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// RestoreBuffer reads the rest of r — an image WriteBuffer wrote, or
+// nothing — and hands each of its records to Append, which drops the
+// ordinals a segment sealed since already holds. A read error, or an
+// image that fails its checks (an error wrapping ErrCorrupt), is
+// returned and nothing is appended. An Append error — a failed seal,
+// whose records stay buffered — goes to sealFailed.
+func (l *Log) RestoreBuffer(r io.Reader, sealFailed func(error)) error {
+	image, err := io.ReadAll(r)
+	var recs []Record
+	if err == nil && len(image) > 0 {
+		recs, err = decodeSegment(image)
+	}
+	if err != nil {
+		return fmt.Errorf("archive: buffer image: %w", err)
+	}
+	for _, rec := range recs {
+		if err := l.Append(rec); err != nil {
+			sealFailed(err)
+		}
+	}
+	return nil
 }
 
 // LastSeq returns the highest eviction ordinal the archive holds.
@@ -427,8 +435,11 @@ func (l *Log) EventCount() int {
 	return n
 }
 
-// Close is Sync; the Log holds no open files between calls.
-func (l *Log) Close() error { return l.Sync() }
+// Close does nothing: the Log holds no open files between calls, and
+// the buffer is durable only through the snapshot that carries its
+// image (WriteBuffer). It stays for the benchmark module, which calls
+// it.
+func (l *Log) Close() error { return nil }
 
 // ErrStop, returned by a scan's callback, stops the scan early without
 // error — the LIMIT-pushdown signal.
@@ -659,8 +670,8 @@ func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn
 		err = decodeBlock(payload, b)
 		if err != nil {
 			err = fmt.Errorf("%w: %w", err, ErrCorrupt)
-		} else if b.Len() != z.Count {
-			err = fmt.Errorf("has %d of %d records: %w", b.Len(), z.Count, ErrCorrupt)
+		} else if b.Len() != z.Count || b.Seq[0] != z.FirstSeq || b.Seq[b.Len()-1] != z.LastSeq {
+			err = fmt.Errorf("has %d of %d records in seqs [%d, %d]: %w", b.Len(), z.Count, z.FirstSeq, z.LastSeq, ErrCorrupt)
 		}
 		if err != nil {
 			b.Release()
@@ -757,5 +768,3 @@ func segName(seq uint64, ext string) string {
 }
 
 func (l *Log) colPath(seq uint64) string { return filepath.Join(l.dir, segName(seq, colExt)) }
-
-func (l *Log) bufferPath() string { return filepath.Join(l.dir, bufferName) }

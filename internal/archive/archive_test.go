@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -209,43 +210,58 @@ func TestReopenDedup(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesLegacySegment: a directory still holding a JSON-lines
-// segment is refused with an error naming the file, and nothing in it is
-// touched — a build with the converter can still open it.
+// TestOpenRefusesLegacySegment: a directory still holding a file of a
+// retired layout — a JSON-lines segment, or a buffer.col — is refused
+// with an error naming the file, and nothing in it is touched: a build
+// that reads it can still open it. With the file gone the history opens
+// again, buffer included.
 func TestOpenRefusesLegacySegment(t *testing.T) {
+	for _, retired := range []func(image []byte) (string, []byte){
+		func([]byte) (string, []byte) {
+			return segName(5, ".jsonl"), []byte(`{"seq":5,"id":50,"state":"ended","keywords":["alpha"]}` + "\n")
+		},
+		func(image []byte) (string, []byte) { return bufferName, image },
+	} {
+		dir := t.TempDir()
+		l := seedArchive(t, dir, 3, Options{SegmentEvents: 2}) // {1,2} sealed, 3 buffered
+		var image bytes.Buffer
+		if err := l.WriteBuffer(&image); err != nil {
+			t.Fatal(err)
+		}
+		name, raw := retired(image.Bytes())
+		stageFile(t, dir, name, raw)
+		stageFile(t, dir, segName(1, colExt)+".tmp", []byte("torn"))
+		pre := snapshotDir(t, dir)
+
+		if _, err := Open(dir, Options{}); err == nil {
+			t.Fatalf("Open accepted a directory holding %s", name)
+		} else if !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+			t.Fatalf("error does not name the file: %v", err)
+		}
+		if post := snapshotDir(t, dir); !reflect.DeepEqual(post, pre) {
+			t.Fatalf("refused Open of %s changed the directory: %d files before, %d after", name, len(pre), len(post))
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil { //repro:vfs-exempt staging the directory under test
+			t.Fatal(err)
+		}
+		if recs, _ := scanMatching(t, reopen(t, l, Options{}), 0, -1, ""); len(recs) != 3 {
+			t.Fatalf("records after reopen without %s = %d, want 3", name, len(recs))
+		}
+	}
+
+	// The legacy sidecar a converting build's mid-delete crash can strand
+	// is not a reason to refuse: it is left alone and the columnar history
+	// opens.
 	dir := t.TempDir()
-	seedArchive(t, dir, 3, Options{SegmentEvents: 2})
-	name := segName(5, ".jsonl")
-	stageFile(t, dir, name, []byte(`{"seq":5,"id":50,"state":"ended","keywords":["alpha"]}`+"\n"))
-	stageFile(t, dir, segName(1, colExt)+".tmp", []byte("torn"))
-	pre := snapshotDir(t, dir)
-
-	l, err := Open(dir, Options{})
-	if err == nil {
-		l.Close()
-		t.Fatal("Open accepted a directory holding a JSON-lines segment")
-	}
-	if !strings.Contains(err.Error(), filepath.Join(dir, name)) {
-		t.Fatalf("error does not name the file: %v", err)
-	}
-	if post := snapshotDir(t, dir); !reflect.DeepEqual(post, pre) {
-		t.Fatalf("refused Open changed the directory: %d files before, %d after", len(pre), len(post))
-	}
-
-	// With the data file gone, the legacy sidecar a converting build's
-	// mid-delete crash can strand is not a reason to refuse: it is left
-	// alone and the columnar history opens.
-	if err := os.Remove(filepath.Join(dir, name)); err != nil { //repro:vfs-exempt staging the directory under test
-		t.Fatal(err)
-	}
+	seedArchive(t, dir, 4, Options{SegmentEvents: 2})
 	stray := segName(5, ".meta.json")
 	stageFile(t, dir, stray, []byte(`{}`))
-	if l, err = Open(dir, Options{}); err != nil {
+	l, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatalf("Open refused a directory holding only a stray legacy sidecar: %v", err)
 	}
-	defer l.Close()
-	if recs, _ := scanMatching(t, l, 0, -1, ""); len(recs) != 3 {
-		t.Fatalf("records after reopen = %d, want 3", len(recs))
+	if recs, _ := scanMatching(t, l, 0, -1, ""); len(recs) != 4 {
+		t.Fatalf("records after reopen = %d, want 4", len(recs))
 	}
 	if _, err := os.Stat(filepath.Join(dir, stray)); err != nil {
 		t.Fatalf("stray legacy sidecar: %v", err)
@@ -376,15 +392,7 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 		t.Fatalf("post-quarantine scan = %+v, want just seq 4", recs)
 	}
 	// And a reopen does not resurrect the quarantined segment.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{SegmentEvents: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 1 {
+	if recs, _ := scanMatching(t, reopen(t, l, Options{SegmentEvents: 3}), 0, -1, ""); len(recs) != 1 {
 		t.Fatalf("scan after reopen = %+v", recs)
 	}
 }

@@ -171,23 +171,27 @@ func TestWriteAndScanColFile(t *testing.T) {
 	for i := uint64(1); i <= 700; i++ {
 		recs = append(recs, rec(i, int(i), int(i)+3, fmt.Sprintf("kw-%d", i%50)))
 	}
-	path := filepath.Join(dir, segName(1, colExt))
-	m, err := writeSegment(vfs.OS, path, recs, 256)
+	m, image, err := encodeSegment(recs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Count != 700 || m.FirstSeq != 1 || m.LastSeq != 700 || len(m.Blocks) != 3 {
 		t.Fatalf("meta = %+v", m)
 	}
-	read, back, err := loadSegment(vfs.OS, path, true)
+	stageFile(t, dir, segName(1, colExt), image)
+	read, err := loadSegment(vfs.OS, filepath.Join(dir, segName(1, colExt)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(read, m) {
 		t.Fatalf("index read back differs from the written one:\n want %+v\n have %+v", m, read)
 	}
+	back, err := decodeSegment(image)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(back) != len(recs) || !sameRecord(back[0], recs[0]) || !sameRecord(back[699], recs[699]) {
-		t.Fatalf("loadSegment decoded %d records, want %d", len(back), len(recs))
+		t.Fatalf("decodeSegment decoded %d records, want %d", len(back), len(recs))
 	}
 	l, err := Open(dir, Options{})
 	if err != nil {

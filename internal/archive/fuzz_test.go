@@ -4,11 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/vfs"
 )
 
 // FuzzBlockDecode drives decodeBlock with arbitrary bytes: corrupt or
@@ -69,18 +65,18 @@ func FuzzBlockDecode(f *testing.F) {
 // length and CRC, so mutations reach the index decoder instead of
 // stopping at the checksum. Nothing may panic, and any index the decoder
 // accepts must describe zones that ascend without overlap inside the
-// file and together hold exactly the header's record count.
+// file and together hold exactly the header's record count. Every image
+// the index decoder accepts is also fed to what a restart reads from a
+// WAL snapshot — decodeSegment and RestoreBuffer — which must agree, and
+// when they accept it must hand back the header's count of records in
+// ascending ordinals.
 func FuzzSegmentIndex(f *testing.F) {
-	dir := f.TempDir()
-	for i, recs := range [][]Record{
+	dir, opt := f.TempDir(), Options{}.withDefaults()
+	for _, recs := range [][]Record{
 		{rec(1, 0, 5, "alpha", "beta"), rec(2, 3, 9, "alpha"), rec(7, -2, 100)},
 		variedRecords(),
 	} {
-		path := filepath.Join(dir, segName(uint64(i), colExt))
-		if _, err := writeSegment(vfs.OS, path, recs, 2); err != nil {
-			f.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
+		_, raw, err := encodeSegment(recs, 2)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -113,8 +109,34 @@ func FuzzSegmentIndex(f *testing.F) {
 			end = z.Off + int64(z.Len)
 			count += z.Count
 		}
-		if hdr := int(binary.LittleEndian.Uint32(file[21:])); count != m.Count || count != hdr {
+		hdr := int(binary.LittleEndian.Uint32(file[21:]))
+		if count != m.Count || count != hdr {
 			t.Fatalf("zones count %d records, index %d, header %d", count, m.Count, hdr)
+		}
+
+		recs, err := decodeSegment(file)
+		l := &Log{dir: dir, opt: opt, fs: opt.FS} // a fresh Log: seals land in dir
+		if rerr := l.RestoreBuffer(bytes.NewReader(file), func(error) {}); (rerr == nil) != (err == nil) {
+			t.Fatalf("decodeSegment = %v but RestoreBuffer = %v", err, rerr)
+		}
+		if err != nil {
+			return // rejected cleanly
+		}
+		if len(recs) != hdr {
+			t.Fatalf("decoded %d records, header %d", len(recs), hdr)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Seq <= recs[i-1].Seq {
+				t.Fatalf("record %d has ordinal %d after %d", i, recs[i].Seq, recs[i-1].Seq)
+			}
+		}
+		want := len(recs)
+		if recs[0].Seq == 0 {
+			want-- // below every ordinal Append accepts
+		}
+		if l.EventCount() != want || l.LastSeq() != recs[len(recs)-1].Seq {
+			t.Fatalf("restored %d records up to ordinal %d, want %d up to %d",
+				l.EventCount(), l.LastSeq(), want, recs[len(recs)-1].Seq)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"errors"
+	"io"
 	"os"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestSegmentViewPointInTime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil { // the buffer file is a copy: the buffer keeps serving
+	if err := l.WriteBuffer(io.Discard); err != nil { // the image is a copy: the buffer keeps serving
 		t.Fatal(err)
 	}
 	views := l.Segments()
@@ -79,10 +80,7 @@ func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
 	}
 	// Corrupt: replace the data file with one whose block holds a third
 	// record, under a header still claiming the view's two.
-	if _, err := writeSegment(l.fs, l.colPath(1), recs, 4); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(l.colPath(1))
+	_, raw, err := encodeSegment(recs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

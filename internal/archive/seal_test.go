@@ -1,11 +1,14 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"syscall"
@@ -44,8 +47,9 @@ func queryJSON(t *testing.T, l *Log, from, to int, kw string) string {
 }
 
 // seedArchive fills dir with n records through tiny rotation bounds so
-// the sealed list holds many small segments, then closes the Log.
-func seedArchive(t *testing.T, dir string, n int, opt Options) {
+// the sealed list holds many small segments, and returns the Log, whose
+// buffer holds the records past the last seal.
+func seedArchive(t *testing.T, dir string, n int, opt Options) *Log {
 	t.Helper()
 	l, err := Open(dir, opt)
 	if err != nil {
@@ -61,9 +65,26 @@ func seedArchive(t *testing.T, dir string, n int, opt Options) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
+	return l
+}
+
+// reopen restarts l the way the serving layer does across a WAL
+// snapshot: the buffer's image (WriteBuffer) is all that survives of it,
+// and a fresh Log over the same directory takes it back (RestoreBuffer).
+func reopen(t testing.TB, l *Log, opt Options) *Log {
+	t.Helper()
+	var image bytes.Buffer
+	if err := l.WriteBuffer(&image); err != nil {
 		t.Fatal(err)
 	}
+	l2, err := Open(l.dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.RestoreBuffer(&image, func(err error) { t.Fatal(err) }); err != nil {
+		t.Fatal(err)
+	}
+	return l2
 }
 
 // snapshotDir reads every file in dir into memory.
@@ -123,16 +144,20 @@ func dirSize(t *testing.T, dir string) int64 {
 	return total
 }
 
-// TestSmallSegmentsNeverAppear: restarts and Syncs under the segment
-// bound leave the buffer file and no sealed segment, with every record
-// still served; past the bound there is exactly one sealed segment per
-// SegmentEvents records.
+// TestSmallSegmentsNeverAppear: restarts under the segment bound leave
+// no file behind — the buffer travels as its image — with every record
+// still served after each; past the bound there is exactly one sealed
+// segment per SegmentEvents records and nothing else in the directory.
 func TestSmallSegmentsNeverAppear(t *testing.T) {
 	const segEvents = 8
 	dir := t.TempDir()
 	opt := Options{SegmentEvents: segEvents, BucketQuanta: 1 << 20, BlockEvents: 3}
 	var all []Record
-	appendN := func(l *Log, n int) {
+	l, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN := func(n int) {
 		t.Helper()
 		for range n {
 			seq := uint64(len(all) + 1)
@@ -143,44 +168,27 @@ func TestSmallSegmentsNeverAppear(t *testing.T) {
 			}
 		}
 	}
-	open := func() *Log {
+	restart := func() {
 		t.Helper()
-		l, err := Open(dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l = reopen(t, l, opt)
 		if got, want := queryJSON(t, l, 0, -1, ""), seqJSON(all...); got != want {
 			t.Fatalf("records after reopen:\n want %s\n have %s", want, got)
 		}
-		return l
 	}
 
-	for restart := 0; restart < 3; restart++ {
-		l := open()
-		for range 2 {
-			appendN(l, 1)
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for i := 0; i < 3; i++ {
+		appendN(2)
 		if n := l.ColumnarSegmentCount(); n != 0 {
-			t.Fatalf("restart %d: %d sealed segments under the bound", restart, n)
+			t.Fatalf("restart %d: %d sealed segments under the bound", i, n)
 		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
+		if names := dirNames(t, dir); len(names) != 0 {
+			t.Fatalf("restart %d: directory holds %v, want nothing", i, names)
 		}
-		if names := dirNames(t, dir); !slices.Equal(names, []string{bufferName}) {
-			t.Fatalf("restart %d: directory holds %v, want only %s", restart, names, bufferName)
-		}
+		restart()
 	}
 
-	l := open()
-	appendN(l, 3*segEvents-len(all)+3) // three full segments and three buffered records
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l = open()
-	defer l.Close()
+	appendN(3*segEvents - len(all) + 3) // three full segments and three buffered records
+	restart()
 	views := l.Segments()
 	if l.ColumnarSegmentCount() != 3 || len(views) != 4 {
 		t.Fatalf("%d sealed segments, %d views; want 3 sealed and the buffer", l.ColumnarSegmentCount(), len(views))
@@ -190,21 +198,21 @@ func TestSmallSegmentsNeverAppear(t *testing.T) {
 			t.Fatalf("segment %d = %+v, want %d records from seq %d", i, v, segEvents, i*segEvents+1)
 		}
 	}
-	want := []string{segName(1, colExt), segName(9, colExt), segName(17, colExt), bufferName}
-	slices.Sort(want)
+	want := []string{segName(1, colExt), segName(9, colExt), segName(17, colExt)}
 	if names := dirNames(t, dir); !slices.Equal(names, want) {
 		t.Fatalf("directory holds %v, want %v", names, want)
 	}
 }
 
-// TestSealDirSyncFailureKeepsBuffer: the directory fsync after a Sync's
-// commit rename fails. Sync must return the error — the serving layer
-// then skips the WAL snapshot it guards — and the records stay buffered
-// and served; the next Sync commits them.
+// TestSealDirSyncFailureKeepsBuffer: the directory fsync after a bound
+// seal's commit rename fails. Until that rename is durable a power cut
+// could undo it, so the Append must report the error and keep the
+// records buffered and served; the next Append commits the seal, and a
+// reopen serves every record once.
 func TestSealDirSyncFailureKeepsBuffer(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{FS: ffs})
+	l, err := Open(dir, Options{SegmentEvents: 4, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,60 +220,16 @@ func TestSealDirSyncFailureKeepsBuffer(t *testing.T) {
 		if err := l.Append(rec(i, int(i), int(i)+1, "kw")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: dir, After: 1, Count: 1}) // the file's sync, then the directory's
-	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Sync = %v, want EIO from the directory sync", err)
-	}
-	if views := l.Segments(); len(views) != 1 || views[0].Sealed || views[0].Count != 3 {
-		t.Fatalf("views after the failed Sync = %+v, want the 3 records still buffered", views)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if names := dirNames(t, dir); !slices.Equal(names, []string{bufferName}) {
-		t.Fatalf("directory after the retried Sync holds %v, want only %s", names, bufferName)
-	}
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 3 {
-		t.Fatalf("records after reopen = %d, want 3", len(recs))
-	}
-}
-
-// TestBoundSealDirSyncFailureKeepsBufferFile: the directory fsync after
-// a bound seal's commit rename fails. Until that rename is durable a
-// power cut could undo it, so the Append must report the error, keep the
-// records buffered and leave the buffer file on disk; the next Append
-// commits the seal, and a reopen serves every record once.
-func TestBoundSealDirSyncFailureKeepsBufferFile(t *testing.T) {
-	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
-	opt := Options{SegmentEvents: 4, FS: ffs}
-	l, err := Open(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 3; i++ {
-		if err := l.Append(rec(i, int(i), int(i)+1, "kw")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: dir, After: 1, Count: 1}) // the segment's sync, then the directory's
 	if err := l.Append(rec(4, 4, 5, "kw")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Append = %v, want EIO from the seal's directory sync", err)
 	}
-	if _, err := os.Stat(l.bufferPath()); err != nil {
-		t.Fatalf("buffer file removed before the seal was durable: %v", err)
-	}
 	if views := l.Segments(); len(views) != 1 || views[0].Sealed || views[0].Count != 4 {
 		t.Fatalf("views after the failed seal = %+v, want the 4 records still buffered", views)
+	}
+	if recs, _ := scanMatching(t, l, 0, -1, ""); len(recs) != 4 {
+		t.Fatalf("records served after the failed seal = %d, want 4", len(recs))
 	}
 	if err := l.Append(rec(5, 5, 6, "kw")); err != nil {
 		t.Fatal(err)
@@ -276,20 +240,61 @@ func TestBoundSealDirSyncFailureKeepsBufferFile(t *testing.T) {
 	if names := dirNames(t, dir); !slices.Equal(names, []string{segName(1, colExt)}) {
 		t.Fatalf("directory after the seal holds %v, want only the segment", names)
 	}
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 5 {
+	if recs, _ := scanMatching(t, reopen(t, l, Options{}), 0, -1, ""); len(recs) != 5 {
 		t.Fatalf("records after reopen = %d, want 5", len(recs))
 	}
 }
 
-// TestCompactionRewritesColdSegments covers segments too far apart in
+// TestBoundSealDirSyncFailureKeepsBufferFile: a bound seal whose
+// directory fsync fails leaves its segment file renamed into place but
+// not durable, so a power cut may keep or undo it. The buffer's image —
+// what a WAL snapshot carries in place of the buffer file earlier builds
+// kept — must still hold every record, so that a restart from it serves
+// each record once either way.
+func TestBoundSealDirSyncFailureKeepsBufferFile(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	l, err := Open(dir, Options{SegmentEvents: 4, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if err := l.Append(rec(i, int(i), int(i)+1, "kw")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: dir, After: 1, Count: 1}) // the segment's sync, then the directory's
+	if err := l.Append(rec(4, 4, 5, "kw")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Append = %v, want EIO from the seal's directory sync", err)
+	}
+	var image bytes.Buffer
+	if err := l.WriteBuffer(&image); err != nil {
+		t.Fatal(err)
+	}
+	for _, undone := range []bool{false, true} {
+		if undone { // the power cut undid the rename
+			if err := os.Remove(filepath.Join(dir, segName(1, colExt))); err != nil { //repro:vfs-exempt staging the directory under test
+				t.Fatal(err)
+			}
+		}
+		l2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l2.RestoreBuffer(bytes.NewReader(image.Bytes()), func(err error) { t.Fatal(err) }); err != nil {
+			t.Fatal(err)
+		}
+		if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 4 || l2.EventCount() != 4 || l2.LastSeq() != 4 {
+			t.Fatalf("rename undone %v: records after restart = %d (count %d, last %d), want 4 once each",
+				undone, len(recs), l2.EventCount(), l2.LastSeq())
+		}
+	}
+}
+
+// TestTimeBucketSealsSkipAfterReopen covers segments too far apart in
 // time to share one: the time bucket seals each pair on its own, and time
 // skipping works across them after a reopen.
-func TestCompactionRewritesColdSegments(t *testing.T) {
+func TestTimeBucketSealsSkipAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{SegmentEvents: 2, BucketQuanta: 1024}
 	l, err := Open(dir, opt)
@@ -328,12 +333,12 @@ func TestCompactionRewritesColdSegments(t *testing.T) {
 }
 
 // TestSealCrashWindows stages what a kill -9 leaves at each step of a
-// Sync and of a bound seal, and verifies Open converges every one to
-// exactly-once records: a temp file is swept and the records it held
-// are gone (the serving layer's WAL tail re-evicts them); after a
-// rename the new file is whole; and a bound seal that committed its
-// segment before removing the buffer file leaves the buffer's records
-// in both, which Open serves once and removes the buffer file.
+// bound seal, and verifies that Open plus the hand-back of the last
+// snapshot's buffer image converge every one to exactly-once records:
+// a temp file is swept and the image serves its records (the serving
+// layer's WAL tail re-evicts the later ones); after the rename the
+// segment is whole, and the image's records it holds are dropped by
+// ordinal.
 func TestSealCrashWindows(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{SegmentEvents: 4}
@@ -349,16 +354,12 @@ func TestSealCrashWindows(t *testing.T) {
 			}
 		}
 	}
-	appendSeq(1, 6) // {1..4} sealed, {5,6} buffered
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	appendSeq(1, 7) // {1..4} sealed, {5,6,7} buffered
 	pre := snapshotDir(t, dir)
-	appendSeq(7, 7)
-	if err := l.Sync(); err != nil {
+	var image bytes.Buffer // what the last snapshot carries
+	if err := l.WriteBuffer(&image); err != nil {
 		t.Fatal(err)
 	}
-	synced := snapshotDir(t, dir)[bufferName]
 	appendSeq(8, 8) // fills the buffer: seals {5..8}
 	segment := segName(5, colExt)
 	sealed := snapshotDir(t, dir)[segment]
@@ -371,10 +372,8 @@ func TestSealCrashWindows(t *testing.T) {
 		files  map[string][]byte // staged over pre
 		events int
 	}{
-		{"TmpWritten", map[string][]byte{bufferName + ".tmp": synced}, 6},
-		{"AfterRename", map[string][]byte{bufferName: synced}, 7},
-		{"SealTmpWritten", map[string][]byte{bufferName: synced, segment + ".tmp": sealed}, 7},
-		{"SealRenamed", map[string][]byte{bufferName: synced, segment: sealed}, 8},
+		{"SealTmpWritten", map[string][]byte{segment + ".tmp": sealed}, 7},
+		{"SealRenamed", map[string][]byte{segment: sealed}, 8},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			restoreDir(t, dir, pre)
@@ -385,7 +384,9 @@ func TestSealCrashWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer l.Close()
+			if err := l.RestoreBuffer(bytes.NewReader(image.Bytes()), func(err error) { t.Fatal(err) }); err != nil {
+				t.Fatal(err)
+			}
 			if n := l.EventCount(); n != w.events || l.LastSeq() != uint64(w.events) {
 				t.Fatalf("events = %d, last seq %d; want %d", n, l.LastSeq(), w.events)
 			}
@@ -399,19 +400,17 @@ func TestSealCrashWindows(t *testing.T) {
 				if strings.HasSuffix(name, ".tmp") {
 					t.Fatalf("tmp file %s survived recovery", name)
 				}
-				if name == bufferName && w.events == 8 {
-					t.Fatal("a buffer file the sealed segment covers survived recovery")
-				}
 			}
 		})
 	}
 }
 
-// TestCompactionConcurrentScans scans every segment over and over while
-// appends fill and seal the buffer and Syncs rewrite the buffer file
-// underneath: each pass must see a gap-free prefix of the records, in
-// order and exactly once, whichever side of a seal its views were taken.
-func TestCompactionConcurrentScans(t *testing.T) {
+// TestScansRaceSeals scans every segment over and over, and encodes the
+// buffer's image as a snapshot would, while appends fill and seal the
+// buffer underneath: each pass must see a gap-free prefix of the
+// records, in order and exactly once, whichever side of a seal its
+// views were taken.
+func TestScansRaceSeals(t *testing.T) {
 	const n = 256
 	l, err := Open(t.TempDir(), Options{SegmentEvents: 8, BucketQuanta: 1 << 20, BlockEvents: 4})
 	if err != nil {
@@ -425,12 +424,6 @@ func TestCompactionConcurrentScans(t *testing.T) {
 				done <- err
 				return
 			}
-			if i%3 == 0 {
-				if err := l.Sync(); err != nil {
-					done <- err
-					return
-				}
-			}
 		}
 		done <- nil
 	}()
@@ -443,6 +436,9 @@ func TestCompactionConcurrentScans(t *testing.T) {
 			}
 			appending = false // one more pass over the final layout
 		default:
+		}
+		if err := l.WriteBuffer(io.Discard); err != nil {
+			t.Fatal(err)
 		}
 		next := uint64(1)
 		for _, v := range l.Segments() {
@@ -469,44 +465,33 @@ func TestCompactionConcurrentScans(t *testing.T) {
 	}
 }
 
-// TestCompactionFootprint pins what sealing only full segments buys on
-// disk: the same event set, synced every 16 records, is ≥ 3× smaller as
-// one buffer file than as the small segments sealing at every Sync would
-// leave behind (each of which carries a 1 KiB segment Bloom filter in
-// its index).
-func TestCompactionFootprint(t *testing.T) {
+// TestFullSegmentFootprint pins what sealing only full segments buys on
+// disk: the same event set is ≥ 3× smaller as one buffer image — what a
+// WAL snapshot carries — than as the small segments sealing at every
+// 16 records would leave behind (each of which carries a 1 KiB segment
+// Bloom filter in its index).
+func TestFullSegmentFootprint(t *testing.T) {
 	const n = 1024
-	synced, small := t.TempDir(), t.TempDir()
+	buffered, small := t.TempDir(), t.TempDir()
 	seedArchive(t, small, n, Options{SegmentEvents: 16, BucketQuanta: 1 << 20})
-
-	l, err := Open(synced, Options{SegmentEvents: n + 1, BucketQuanta: 1 << 20})
-	if err != nil {
+	l := seedArchive(t, buffered, n, Options{SegmentEvents: n + 1, BucketQuanta: 1 << 20})
+	var image bytes.Buffer
+	if err := l.WriteBuffer(&image); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	for i := 1; i <= n; i++ {
-		if err := l.Append(rec(uint64(i), i%40, i%40+3, "common", fmt.Sprintf("kw-%d", i%7))); err != nil {
-			t.Fatal(err)
-		}
-		if i%16 == 0 {
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if names := dirNames(t, buffered); len(names) != 0 {
+		t.Fatalf("buffered directory holds %v, want nothing", names)
 	}
-	if names := dirNames(t, synced); !slices.Equal(names, []string{bufferName}) {
-		t.Fatalf("synced directory holds %v, want only %s", names, bufferName)
-	}
-	syncedBytes, smallBytes := dirSize(t, synced), dirSize(t, small)
-	if syncedBytes*3 > smallBytes {
-		t.Fatalf("footprint: small segments %d B, one buffer file %d B (%.1f×), want ≥ 3×",
-			smallBytes, syncedBytes, float64(smallBytes)/float64(syncedBytes))
+	imageBytes, smallBytes := int64(image.Len()), dirSize(t, small)
+	if imageBytes*3 > smallBytes {
+		t.Fatalf("footprint: small segments %d B, one buffer image %d B (%.1f×), want ≥ 3×",
+			smallBytes, imageBytes, float64(smallBytes)/float64(imageBytes))
 	}
 }
 
-// TestCompactionBlockSkipping verifies ScanPred prunes below segment
+// TestZoneMapBlockSkipping verifies ScanPred prunes below segment
 // granularity on every zone-map dimension.
-func TestCompactionBlockSkipping(t *testing.T) {
+func TestZoneMapBlockSkipping(t *testing.T) {
 	dir := t.TempDir()
 	// SegmentEvents 16: the 16th append seals the whole batch as one
 	// segment of four blocks.
@@ -559,11 +544,11 @@ func TestCompactionBlockSkipping(t *testing.T) {
 	}
 }
 
-// TestCompactionMixedFormatReopen: a directory sealed under one set of
-// bounds and grown under another — small segments of one size, a
-// buffer file beside them — opens as one archive and answers
-// identically before and after a restart.
-func TestCompactionMixedFormatReopen(t *testing.T) {
+// TestReopenUnderMixedBounds: a directory sealed under one set of bounds
+// and grown under another — small segments of one size, a buffer beside
+// them — opens as one archive and answers identically before and after
+// a restart.
+func TestReopenUnderMixedBounds(t *testing.T) {
 	dir := t.TempDir()
 	seedArchive(t, dir, 8, Options{SegmentEvents: 2}) // {1,2}..{7,8}
 	opt := Options{SegmentEvents: 4, BucketQuanta: 1024, BlockEvents: 4}
@@ -576,22 +561,12 @@ func TestCompactionMixedFormatReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil { // {9,10,11} in the buffer file
-		t.Fatal(err)
-	}
 	if n := l.EventCount(); n != 11 {
 		t.Fatalf("events = %d, want 11", n)
 	}
 	want := queryJSON(t, l, 0, -1, "")
 	wantKw := queryJSON(t, l, 0, -1, "kw-4")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = Open(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	l = reopen(t, l, opt) // {9,10,11} through the buffer image
 	if got := queryJSON(t, l, 0, -1, ""); got != want {
 		t.Fatalf("reopen differs:\n want %s\n have %s", want, got)
 	}
@@ -600,32 +575,44 @@ func TestCompactionMixedFormatReopen(t *testing.T) {
 	}
 }
 
-// TestDamagedBufferFileQuarantinedAtOpen: a buffer file whose block no
-// longer checks out is set aside when the archive opens, and the sealed
-// history is served.
+// TestDamagedBufferFileQuarantinedAtOpen: a damaged buffer never has
+// its records served. A buffer.col an earlier build left — once
+// quarantined at open — is refused with an error naming it, and nothing
+// in the directory is touched; a damaged buffer image handed back from a
+// WAL snapshot is refused with ErrCorrupt, nothing of it is appended,
+// and the sealed history is served.
 func TestDamagedBufferFileQuarantinedAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	seedArchive(t, dir, 3, Options{SegmentEvents: 2}) // {1,2} sealed, 3 in the buffer file
-	path := filepath.Join(dir, bufferName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	l := seedArchive(t, dir, 3, Options{SegmentEvents: 2}) // {1,2} sealed, 3 buffered
+	var image bytes.Buffer
+	if err := l.WriteBuffer(&image); err != nil {
 		t.Fatal(err)
 	}
+	raw := image.Bytes()
 	raw[colHeaderLen+frameHdrLen] ^= 0xff // inside the first block's payload
+
 	stageFile(t, dir, bufferName, raw)
-	l, err := Open(dir, Options{})
+	pre := snapshotDir(t, dir)
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, bufferName)) {
+		t.Fatalf("Open with a damaged %s = %v, want an error naming it", bufferName, err)
+	}
+	if post := snapshotDir(t, dir); !reflect.DeepEqual(post, pre) {
+		t.Fatalf("refused Open changed the directory: %d files before, %d after", len(pre), len(post))
+	}
+	if err := os.Remove(filepath.Join(dir, bufferName)); err != nil { //repro:vfs-exempt staging the directory under test
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if got := l.QuarantinedSegments(); got != 1 {
-		t.Fatalf("QuarantinedSegments = %d, want 1", got)
+	if err := l2.RestoreBuffer(bytes.NewReader(raw), func(err error) { t.Fatal(err) }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("RestoreBuffer of a damaged image = %v, want ErrCorrupt", err)
 	}
-	if _, err := os.Stat(path + quarantineSuffix); err != nil {
-		t.Fatalf("quarantined file: %v", err)
-	}
-	if recs, _ := scanMatching(t, l, 0, -1, ""); len(recs) != 2 || l.LastSeq() != 2 {
-		t.Fatalf("records after quarantine = %+v, want seqs 1 and 2", recs)
+	if recs, _ := scanMatching(t, l2, 0, -1, ""); len(recs) != 2 || l2.LastSeq() != 2 || l2.QuarantinedSegments() != 0 {
+		t.Fatalf("records after the refused image = %+v (last %d, quarantined %d), want seqs 1 and 2",
+			recs, l2.LastSeq(), l2.QuarantinedSegments())
 	}
 }
 
@@ -640,9 +627,11 @@ func TestOverlappingSegmentQuarantinedAtOpen(t *testing.T) {
 	for i := uint64(3); i <= 4; i++ {
 		recs = append(recs, rec(i, int(i), int(i)+1, "kw"))
 	}
-	if _, err := writeSegment(vfs.OS, filepath.Join(dir, segName(3, colExt)), recs, 4); err != nil {
+	_, image, err := encodeSegment(recs, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
+	stageFile(t, dir, segName(3, colExt), image)
 	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)

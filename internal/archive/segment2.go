@@ -1,13 +1,13 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/vfs"
 )
@@ -32,7 +32,9 @@ import (
 // name, fsynced and renamed into place, so one rename commits the
 // records and the index that describes them; a torn write is a swept
 // *.tmp, and any CRC or count mismatch inside a visible file is
-// corruption, reported rather than silently truncated.
+// corruption, reported rather than silently truncated. The unsealed
+// buffer travels in the same image inside each WAL snapshot
+// (Log.WriteBuffer).
 const (
 	colExt       = ".col"
 	colMagic     = "EVC2"
@@ -91,13 +93,11 @@ func appendFrame(b, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// writeSegment writes recs (non-empty, ascending Seq) as a complete,
-// fsynced segment file at path — callers pass a temp name and rename it
-// into place — and returns the segment's metadata. On error the file is
-// removed.
-func writeSegment(fsys vfs.FS, path string, recs []Record, blockEvents int) (segMeta, error) {
+// encodeSegment encodes recs (non-empty, ascending Seq) as one whole
+// segment image and returns the segment's metadata with it.
+func encodeSegment(recs []Record, blockEvents int) (segMeta, []byte, error) {
 	if len(recs) == 0 {
-		return segMeta{}, fmt.Errorf("archive: write segment: no records")
+		return segMeta{}, nil, fmt.Errorf("archive: encode segment: no records")
 	}
 	if blockEvents <= 0 {
 		blockEvents = defaultBlockEvents
@@ -114,7 +114,7 @@ func writeSegment(fsys vfs.FS, path string, recs []Record, blockEvents int) (seg
 	for start := 0; start < len(recs); start += blockEvents {
 		payload, zone, err := enc.encode(recs[start:min(start+blockEvents, len(recs))])
 		if err != nil {
-			return segMeta{}, err
+			return segMeta{}, nil, err
 		}
 		zone.Off, zone.Len = int64(len(b)), frameHdrLen+len(payload)
 		m.Blocks = append(m.Blocks, zone)
@@ -123,23 +123,7 @@ func writeSegment(fsys vfs.FS, path string, recs []Record, blockEvents int) (seg
 	idxOff := len(b)
 	b = appendFrame(b, m.appendIndex(nil))
 	b = binary.LittleEndian.AppendUint64(b, uint64(idxOff))
-
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("archive: write segment: %w", err)
-	}
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fsys.Remove(path) //nolint:errcheck // best effort
-		return segMeta{}, fmt.Errorf("archive: write segment: %w", err)
-	}
-	return m, nil
+	return m, b, nil
 }
 
 // appendIndex appends the index frame's payload for m.
@@ -160,33 +144,37 @@ func (m *segMeta) appendIndex(b []byte) []byte {
 	return b
 }
 
-// loadSegment reads the header and index of the segment file at path
-// and, with records set, decodes every block too.
-func loadSegment(fsys vfs.FS, path string, records bool) (segMeta, []Record, error) {
+// loadSegment reads the header and index of the segment file at path.
+func loadSegment(fsys vfs.FS, path string) (segMeta, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return segMeta{}, nil, err
+		return segMeta{}, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return segMeta{}, nil, err
+		return segMeta{}, err
 	}
-	m, err := readIndex(f, st.Size())
-	if err != nil || !records {
-		return m, nil, err
+	return readIndex(f, st.Size())
+}
+
+// decodeSegment decodes a whole segment image — header, index and every
+// block — into its records.
+func decodeSegment(image []byte) ([]Record, error) {
+	r := bytes.NewReader(image)
+	m, err := readIndex(r, int64(len(image)))
+	if err != nil {
+		return nil, err
 	}
 	var recs []Record
-	if _, err := scanBlocks(f, m.Blocks, &Pred{From: math.MinInt, To: maxInt}, &BlockStats{}, func(b *Block) error {
+	_, err = scanBlocks(r, m.Blocks, &Pred{From: math.MinInt, To: maxInt}, &BlockStats{}, func(b *Block) error {
 		for i := 0; i < b.Len(); i++ {
 			recs = append(recs, b.Record(i))
 		}
 		b.Release()
 		return nil
-	}); err != nil {
-		return segMeta{}, nil, err
-	}
-	return m, recs, nil
+	})
+	return recs, err
 }
 
 // readIndex reads a segment file's header and index — everything needed

@@ -86,13 +86,9 @@ const (
 	// the newest segment back to the acked prefix, resume past the
 	// discarded records).
 	StageWALReopen
-	// StageArchiveSeal is making the archive's in-memory buffer durable
-	// ahead of a WAL snapshot: rewriting its one buffer file (a no-op
-	// when nothing was appended since the last one).
-	StageArchiveSeal
 	// StageWALSnapshot is writing one WAL snapshot — encoding the
-	// detector state, fsync, rename — plus the segment compaction it
-	// allows.
+	// detector state and the archive buffer's image, fsync, rename —
+	// plus the segment compaction it allows.
 	StageWALSnapshot
 
 	numStages
@@ -120,7 +116,6 @@ var stageNames = [numStages]string{
 	"query_archive_scan",
 	"archive_block_scan",
 	"wal_reopen",
-	"archive_seal",
 	"wal_snapshot",
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -21,6 +22,25 @@ func pageJSON(t *testing.T, res Result) string {
 		t.Fatal(err)
 	}
 	return string(raw)
+}
+
+// reopenArchive restarts l the way the serving layer does across a WAL
+// snapshot: the buffer's image (WriteBuffer) is all that survives of it,
+// and a fresh Log over the same directory takes it back (RestoreBuffer).
+func reopenArchive(t testing.TB, l *archive.Log, dir string, opt archive.Options) *archive.Log {
+	t.Helper()
+	var image bytes.Buffer
+	if err := l.WriteBuffer(&image); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := archive.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.RestoreBuffer(&image, func(err error) { t.Fatal(err) }); err != nil {
+		t.Fatal(err)
+	}
+	return l2
 }
 
 // collectPages walks a paginated query to exhaustion.
@@ -46,7 +66,7 @@ func collectPages(t *testing.T, arch Archive, req Request) []string {
 // TestQueryEquivalenceAcrossSeal is the seal policy's acceptance
 // criterion at the engine layer: every query — including a full cursor
 // walk — returns byte-identical pages whether the records all sit in an
-// in-memory buffer, or went through a buffer file and a restart into
+// in-memory buffer, or went through a buffer image and a restart into
 // segments sealed at the bound, before and after another restart.
 func TestQueryEquivalenceAcrossSeal(t *testing.T) {
 	fill := func(l *archive.Log, from, to int) {
@@ -108,10 +128,7 @@ func TestQueryEquivalenceAcrossSeal(t *testing.T) {
 	opt := archive.Options{SegmentEvents: 16, BucketQuanta: 1 << 20, BlockEvents: 4}
 	l := open(dir, opt)
 	fill(l, 1, 15) // one short of the bound
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l = open(dir, opt)
+	l = reopenArchive(t, l, dir, opt)
 	if n := l.ColumnarSegmentCount(); n != 0 {
 		t.Fatalf("%d sealed segments under the bound", n)
 	}
@@ -120,10 +137,7 @@ func TestQueryEquivalenceAcrossSeal(t *testing.T) {
 		t.Fatalf("sealed segments = %d, want 2", n)
 	}
 	check("sealed", l)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l = open(dir, opt)
+	l = reopenArchive(t, l, dir, opt)
 	check("sealed and reopened", l)
 
 	// The zone-map pushdown must actually engage on the columnar body: a

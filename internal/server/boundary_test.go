@@ -98,11 +98,11 @@ func blockRowBytes(b *archive.Block, i int) []byte {
 // TestEvictionBoundaryProperty holds "the live/archive boundary is
 // invisible to queries" on generated events instead of hand-picked ones:
 // the /query bytes of an event's projection equal the bytes of the same
-// event after projection → Append → Seal → reopen → scan, whether the
-// reopened buffer serves its record or a block's columns are written
-// (and the Record materialised from them), and keyword queries —
-// present, absent and history-only keywords — select the same events
-// from the retained side and from disk.
+// event after projection → Append → seal or buffer image → reopen →
+// scan, whether the reopened buffer serves its record or a block's
+// columns are written (and the Record materialised from them), and
+// keyword queries — present, absent and history-only keywords — select
+// the same events from the retained side and from disk.
 func TestEvictionBoundaryProperty(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,12 +123,7 @@ func TestEvictionBoundaryProperty(t *testing.T) {
 				t.Fatalf("seed %d: append: %v", seed, err)
 			}
 		}
-		if err := log.Close(); err != nil {
-			t.Fatalf("seed %d: seal: %v", seed, err)
-		}
-		if log, err = archive.Open(dir, opt); err != nil {
-			t.Fatalf("seed %d: reopen: %v", seed, err)
-		}
+		log = reopenArchive(t, log, dir, opt)
 		seen := 0
 		check := func(id uint64, got []byte) {
 			t.Helper()
@@ -203,8 +198,24 @@ func TestEvictionBoundaryProperty(t *testing.T) {
 			})
 		}
 		probe("absent", func(*detect.Event) bool { return false })
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
+}
+
+// reopenArchive restarts l the way tenantStorage does across a WAL
+// snapshot: the buffer's image (WriteBuffer) is all that survives of it,
+// and a fresh Log over the same directory takes it back (RestoreBuffer).
+func reopenArchive(t testing.TB, l *archive.Log, dir string, opt archive.Options) *archive.Log {
+	t.Helper()
+	var image bytes.Buffer
+	if err := l.WriteBuffer(&image); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := archive.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.RestoreBuffer(&image, func(err error) { t.Fatal(err) }); err != nil {
+		t.Fatal(err)
+	}
+	return l2
 }

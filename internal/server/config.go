@@ -75,8 +75,8 @@ type PoolConfig struct {
 	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
 	// columnar segments, each indexed for data skipping) instead of
 	// discarding them, queryable via Tenant.Query and GET /v1/{t}/query.
-	// The archive's buffer is synced to disk before every WAL snapshot,
-	// so a crash loses no eviction the WAL tail cannot regenerate. Needs
+	// Every WAL snapshot carries the archive's unsealed buffer, so a
+	// crash loses no eviction the WAL tail cannot regenerate. Needs
 	// WALDir: the WAL carries the eviction ordinal across restarts.
 	ArchiveDir string
 

@@ -28,8 +28,8 @@ type TenantMetrics struct {
 	// WALErrors counts failed snapshot/compaction passes.
 	WALErrors uint64 `json:"wal_errors,omitempty"`
 	// ArchiveSegments / ArchiveEvents size the evicted-event history;
-	// ArchiveErrors counts failed syncs and seals, none of which loses a
-	// record (the records stay buffered for the next attempt), and
+	// ArchiveErrors counts failed seals, none of which loses a record
+	// (the records stay buffered for the next attempt), and
 	// ArchiveGaps ordinal holes skipped over (records lost to a crash
 	// that replay could not regenerate).
 	ArchiveSegments int    `json:"archive_segments,omitempty"`

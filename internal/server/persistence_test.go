@@ -104,11 +104,11 @@ func asJSON(t *testing.T, v any) string {
 // stream, and (c) still serve events archived before the crash, under
 // the one durability level — every ack waits for the group-committed
 // flush covering its batch, which the subtest is named for. It runs with
-// the archive sealing on every eviction (seg-1) and with it sealing
-// only ahead of WAL snapshots (seg-512), where the crash catches
-// evictions still in the buffer after a snapshot that covered earlier
-// ones — every WAL snapshot must have been preceded by a durable seal of
-// the evictions it covers, and the WAL tail must regenerate the rest.
+// the archive sealing on every eviction (seg-1) and with it never
+// reaching its bound (seg-512), where the crash catches evictions still
+// in the buffer after a snapshot that covered earlier ones — every WAL
+// snapshot must carry the buffered evictions it covers, and the WAL
+// tail must regenerate the rest.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	t.Run("group-commit", func(t *testing.T) {
 		for _, seg := range []int{1, 512} {

@@ -254,8 +254,8 @@ func (p *Pool) BeginShutdown() []*Tenant {
 }
 
 // Shutdown stops ingest on every tenant, drains their queues (bounded by
-// ctx) and takes each through the storage owner's sync-then-snapshot
-// path one last time, so a restart replays nothing. The first error is
+// ctx) and takes each through the storage owner's snapshot path one
+// last time, so a restart replays nothing. The first error is
 // returned, but every tenant is still processed.
 // Concurrent calls block until the shutdown pass completes (bounded by
 // their own ctx) rather than reporting success while it is in flight.

@@ -58,11 +58,13 @@ func fetchWalk(t *testing.T, base string) []string {
 }
 
 // TestArchiveRestartHTTPIdentity is the seal policy's acceptance check
-// at the HTTP layer: the same stream archived under two layouts — every
-// eviction still in the buffer (and its buffer file), or nearly all of
-// them in segments sealed at a tiny bound — serves byte-identical /query
-// pages before and after a restart, and the layout shows on /metrics in
-// both JSON and Prometheus form.
+// at the HTTP layer: the same stream archived under three layouts —
+// every eviction still in the buffer (carried by the shutdown snapshot),
+// nearly all of them in segments sealed at a tiny bound, or that bound
+// with a crash after a seal that overlaps the last snapshot's buffer —
+// serves byte-identical /query pages before and after a restart, every
+// ordinal exactly once, and the layout shows on /metrics in both JSON
+// and Prometheus form.
 func TestArchiveRestartHTTPIdentity(t *testing.T) {
 	endpoints := []string{
 		"/v1/t/query?from=0&limit=500",
@@ -79,14 +81,17 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 		return out
 	}
 	var baseline [][]string
-	for _, segEvents := range []int{1 << 20, 2} {
+	for _, tc := range []struct {
+		segEvents int
+		crash     bool
+	}{{1 << 20, false}, {2, false}, {2, true}} {
 		dir := t.TempDir()
 		pcfg := PoolConfig{
 			Detector:             persistCfg(),
 			RetainEvents:         1,
 			WALDir:               filepath.Join(dir, "wal"),
 			ArchiveDir:           filepath.Join(dir, "archive"),
-			archiveSegmentEvents: segEvents,
+			archiveSegmentEvents: tc.segEvents,
 		}
 		pool1, err := NewPool(pcfg)
 		if err != nil {
@@ -96,9 +101,20 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range burstBatches() {
+		for i, b := range burstBatches() {
 			if err := tn.Enqueue(b); err != nil {
 				t.Fatal(err)
+			}
+			if tc.crash && i == 6 {
+				// The last snapshot before the crash carries eviction 1,
+				// still buffered; eviction 2 then seals {1, 2}.
+				waitApplied(t, tn)
+				tn.mu.Lock()
+				err := tn.storage.snapshot(tn.lastApplied.Load(), tn.det.Save)
+				tn.mu.Unlock()
+				if ar := tn.storage.arch; err != nil || ar.EventCount() != 1 || ar.ColumnarSegmentCount() != 0 {
+					t.Fatalf("snapshot = %v with %d events, %d sealed; want one buffered eviction", err, ar.EventCount(), ar.ColumnarSegmentCount())
+				}
 			}
 		}
 		if err := tn.Flush(context.Background()); err != nil {
@@ -109,26 +125,32 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 			t.Fatalf("stream too tame: only %d archived events", m.ArchiveEvents)
 		}
 		wantSealed := 0
-		if segEvents == 2 {
+		if tc.segEvents == 2 {
 			wantSealed = m.ArchiveEvents / 2
 		}
 		if m.ArchiveColumnarSegments != wantSealed {
 			t.Fatalf("bound %d: %d sealed segments for %d events, want %d",
-				segEvents, m.ArchiveColumnarSegments, m.ArchiveEvents, wantSealed)
+				tc.segEvents, m.ArchiveColumnarSegments, m.ArchiveEvents, wantSealed)
 		}
 		before := walkAll(pool1)
 		if baseline == nil {
 			baseline = before
 		}
-		if err := pool1.Shutdown(context.Background()); err != nil {
+		if tc.crash {
+			// Abandoned, not shut down: nothing more reaches the disk
+			// until the test is over.
+			t.Cleanup(func() { pool1.Shutdown(context.Background()) }) //nolint:errcheck // after the restart under test
+		} else if err := pool1.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		names, err := os.ReadDir(filepath.Join(pcfg.ArchiveDir, "t"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if segEvents > 2 && (len(names) != 1 || names[0].Name() != "buffer.col") {
-			t.Fatalf("archive directory holds %v, want only the buffer file", names)
+		for _, e := range names {
+			if !strings.HasPrefix(e.Name(), "ev-") || !strings.HasSuffix(e.Name(), ".col") {
+				t.Fatalf("bound %d: archive directory holds %s, want only ev-*.col", tc.segEvents, e.Name())
+			}
 		}
 
 		pool2, err := NewPool(pcfg)
@@ -139,9 +161,18 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 		for i, ep := range endpoints {
 			for _, got := range [][]string{before[i], after[i]} {
 				if !slices.Equal(got, baseline[i]) {
-					t.Fatalf("bound %d: %s diverges:\n want %q\n have %q", segEvents, ep, baseline[i], got)
+					t.Fatalf("bound %d: %s diverges:\n want %q\n have %q", tc.segEvents, ep, baseline[i], got)
 				}
 			}
+		}
+		tn2, _ := pool2.Tenant("t")
+		for i, rec := range archivedRecords(t, tn2) {
+			if rec.Seq != uint64(i+1) {
+				t.Fatalf("bound %d: archive record %d has ordinal %d: lost or duplicated", tc.segEvents, i, rec.Seq)
+			}
+		}
+		if gaps := tn2.storage.arch.Gaps(); gaps != 0 {
+			t.Fatalf("bound %d: %d ordinal gaps after the restart", tc.segEvents, gaps)
 		}
 
 		// The layout surfaces through both exposition formats.
@@ -156,9 +187,8 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn2, _ := pool2.Tenant("t")
 		if m2 := tn2.Metrics(); m2.ArchiveEvents != m.ArchiveEvents || m2.ArchiveColumnarSegments != m.ArchiveColumnarSegments {
-			t.Fatalf("bound %d: metrics after restart %+v, before %+v", segEvents, m2, m)
+			t.Fatalf("bound %d: metrics after restart %+v, before %+v", tc.segEvents, m2, m)
 		}
 		if !strings.Contains(string(raw), `eventdetect_archive_columnar_segments{tenant="t"}`) {
 			t.Fatal("prometheus exposition missing eventdetect_archive_columnar_segments")

@@ -43,7 +43,7 @@ func TestEveryStageObserved(t *testing.T) {
 	}
 
 	// Ingest, the quantum pipeline, evictions into sealed segments and
-	// the sync-then-snapshot cadence.
+	// the snapshot cadence.
 	for _, b := range burstBatches() {
 		resp := postJSON(t, ts.URL+"/v1/t/messages", b)
 		resp.Body.Close()

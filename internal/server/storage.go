@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -33,7 +34,7 @@ type tenantStorage struct {
 	kick func() // nudges the pool supervisor after a degradation
 
 	health   tenantHealth
-	archErrs atomic.Uint64 // failed archive syncs and seals (no record is lost)
+	archErrs atomic.Uint64 // failed archive seals (no record is lost)
 	walErrs  atomic.Uint64 // failed WAL snapshots
 }
 
@@ -63,19 +64,13 @@ func openStorage(cfg PoolConfig, name string, tob *obs.TenantObs, kick func()) (
 	return s, nil
 }
 
-// close releases the handles and returns the first error. Closing the
-// archive syncs whatever its buffer still holds.
+// close releases the WAL. The archive holds no open files, and its
+// buffer is durable only through the last snapshot's image.
 func (s *tenantStorage) close() error {
-	var err error
-	if s.wal != nil {
-		err = s.wal.Close()
+	if s.wal == nil {
+		return nil
 	}
-	if s.arch != nil {
-		if aerr := s.arch.Close(); err == nil {
-			err = aerr
-		}
-	}
-	return err
+	return s.wal.Close()
 }
 
 // durable reports whether anything is logged at all — the apply loop
@@ -115,12 +110,15 @@ func (s *tenantStorage) archive() query.Archive {
 
 // restore rebuilds the detector the WAL describes: the latest snapshot
 // (a fresh detector when there is none, or no WAL), then the segment
-// tail through applyRecord, the function the worker applied it with. The
-// eviction hook is attached before the replay so events the archive
-// already holds are deduplicated by ordinal while any it lost with the
-// unsynced part of its buffer are re-archived. Returns the detector, the
-// quantum of the snapshot it started from, and the sequence of the last
-// record applied.
+// tail through applyRecord, the function the worker applied it with.
+// The archive buffer's image that follows the detector state in the
+// snapshot is handed back first, and the eviction hook is attached
+// before the replay, so the evictions since the snapshot are re-archived
+// and those a segment sealed since already holds are dropped by ordinal.
+// A damaged image fails the restore like damaged state; a failed seal
+// while handing it back is counted and retried by the next Append.
+// Returns the detector, the quantum of the snapshot it started from, and
+// the sequence of the last record applied.
 func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	if s.wal == nil {
 		return detect.New(s.cfg.Detector), 0, 0, nil
@@ -133,7 +131,13 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	if r == nil {
 		det = detect.New(s.cfg.Detector)
 	} else {
-		det, err = detect.Load(r)
+		// A bufio.Reader is an io.ByteReader, so gob reads no further
+		// than the state and the image is left for RestoreBuffer.
+		br := bufio.NewReader(r)
+		det, err = detect.Load(br)
+		if err == nil && s.arch != nil {
+			err = s.arch.RestoreBuffer(br, func(err error) { s.writeFailed(&s.archErrs, err) })
+		}
 		r.Close()
 		if err != nil {
 			return nil, 0, 0, err
@@ -192,31 +196,25 @@ func (s *tenantStorage) commit(seq uint64) error {
 }
 
 // snapshot is the one way a WAL snapshot gets written, at the cadence
-// point, after a recovery that replayed past one, and on shutdown: the
-// archive's buffer is synced to disk first, because the snapshot
-// persists the detector's eviction counter and replay from it never
-// regenerates the evictions it covers — a record still only in memory
-// would be lost to the next crash for good. A failed sync therefore
-// skips the snapshot: the archive still holds every record in its buffer
-// and the WAL keeps the tail that can re-evict them. Compaction inside
-// wal.Snapshot then drops the covered segments. seq must name exactly
-// the state save writes, so callers run on the goroutine that applies
-// the tenant's batches (or after its drain): no eviction can land
-// between capture and sync.
+// point, after a recovery that replayed past one, and on shutdown. The
+// archive buffer's image follows the detector state in the same file,
+// because the snapshot persists the detector's eviction counter and
+// replay from it never regenerates the evictions it covers. Compaction
+// inside wal.Snapshot then drops the covered segments. seq must name
+// exactly the state save writes, so callers run on the goroutine that
+// applies the tenant's batches (or after its drain): no eviction can
+// land between capture and write.
 func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
 	if s.wal == nil {
 		return nil
 	}
 	t0 := time.Now()
-	if s.arch != nil {
-		if err := s.arch.Sync(); err != nil {
-			s.writeFailed(&s.archErrs, err)
+	if err := s.wal.Snapshot(seq, func(w io.Writer) error {
+		if err := save(w); err != nil || s.arch == nil {
 			return err
 		}
-		s.obs.Observe(obs.StageArchiveSeal, time.Since(t0))
-		t0 = time.Now()
-	}
-	if err := s.wal.Snapshot(seq, save); err != nil {
+		return s.arch.WriteBuffer(w)
+	}); err != nil {
 		s.writeFailed(&s.walErrs, err)
 		return err
 	}
@@ -224,7 +222,7 @@ func (s *tenantStorage) snapshot(seq uint64, save func(io.Writer) error) error {
 	return nil
 }
 
-// writeFailed accounts a failed archive write or WAL snapshot. Neither is
+// writeFailed accounts a failed archive seal or WAL snapshot. Neither is
 // fatal — the WAL still holds the full history — but ENOSPC means the
 // device is out of space and the next flush will fail too. Degrade
 // proactively so ingest sheds before it fail-stops the log, and let the

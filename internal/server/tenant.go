@@ -301,8 +301,7 @@ func (t *Tenant) apply(batch walBatch) {
 }
 
 // maybeSnapshot checkpoints the detector through the storage owner's
-// sync-then-snapshot path once enough quanta have passed since the last
-// snapshot. It runs synchronously on the worker between batches — that
+// snapshot path once enough quanta have passed since the last snapshot. It runs synchronously on the worker between batches — that
 // is what makes lastApplied exactly name the state captured, and it
 // deliberately paces ingest to snapshot IO at the cadence point. The
 // state is deep-copied under the detector lock but encoded and written
