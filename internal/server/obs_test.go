@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -344,6 +345,27 @@ func TestMetricReferenceMatchesDocs(t *testing.T) {
 		if !slices.Contains(families, name) {
 			t.Errorf("docs/OPERATIONS.md names %s, which the server does not write", name)
 		}
+	}
+
+	// The go_* runtime families match the reference's Runtime line.
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	writeRuntimeMetrics(bw)
+	bw.Flush()
+	var written []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (go_[a-z0-9_]+) `).FindAllStringSubmatch(buf.String(), -1) {
+		written = append(written, m[1])
+	}
+	_, line, found := strings.Cut(doc, "**Runtime**:")
+	if !found {
+		t.Fatal("docs/OPERATIONS.md has no **Runtime**: line")
+	}
+	line, _, _ = strings.Cut(line, "\n\n")
+	documented := regexp.MustCompile(`go_[a-z0-9_]+`).FindAllString(line, -1)
+	slices.Sort(written)
+	slices.Sort(documented)
+	if len(written) == 0 || !slices.Equal(written, documented) {
+		t.Errorf("runtime families written %v, documented on the Runtime line %v", written, documented)
 	}
 }
 

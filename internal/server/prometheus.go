@@ -308,6 +308,7 @@ func writeRuntimeMetrics(bw *bufio.Writer) {
 		{"go_memstats_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.", float64(ms.HeapAlloc)},
 		{"go_memstats_heap_objects", "gauge", "Allocated heap objects.", float64(ms.HeapObjects)},
 		{"go_memstats_alloc_bytes_total", "counter", "Cumulative bytes allocated.", float64(ms.TotalAlloc)},
+		{"go_memstats_mallocs_total", "counter", "Cumulative heap objects allocated.", float64(ms.Mallocs)},
 		{"go_gc_cycles_total", "counter", "Completed GC cycles.", float64(ms.NumGC)},
 		{"go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause.", float64(ms.PauseTotalNs) / 1e9},
 	}
