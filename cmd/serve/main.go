@@ -53,9 +53,9 @@
 // and the inert -archive-compact-interval and -wal-group-commit-interval
 // aside; their defaults are what the zero Config resolves to, and their
 // valid ranges are server.Config.Validate's. Every violation is
-// reported at startup, not just the first. Telemetry (stage histograms
-// on GET /metrics?format=prometheus, the slowest traced requests on
-// GET /debug/requests) is always on.
+// reported at startup, not just the first. Telemetry (every counter
+// and the stage histograms as Prometheus text on GET /metrics, the
+// slowest traced requests on GET /debug/requests) is always on.
 //
 // Tunables mirror Table 2: -delta (quantum size), -tau (high state
 // threshold), -beta (EC threshold), -w (window quanta).

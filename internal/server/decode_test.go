@@ -104,9 +104,9 @@ func TestIngestDecodeMatchesLegacyHandler(t *testing.T) {
 	if !ok {
 		t.Fatal("tenant not created")
 	}
-	if m := tn.Metrics(); m.IngestDecodeFast != uint64(fastSeen) || m.IngestDecodeFallback != uint64(fallbackSeen) {
-		t.Fatalf("decode counters fast=%d fallback=%d, want %d / %d",
-			m.IngestDecodeFast, m.IngestDecodeFallback, fastSeen, fallbackSeen)
+	m := tenantSamples(t, tn)
+	if fast, fallback := m["eventdetect_ingest_decode_fast_total"], m["eventdetect_ingest_decode_fallback_total"]; fast != float64(fastSeen) || fallback != float64(fallbackSeen) {
+		t.Fatalf("decode counters fast=%v fallback=%v, want %d / %d", fast, fallback, fastSeen, fallbackSeen)
 	}
 }
 

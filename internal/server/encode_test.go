@@ -754,15 +754,10 @@ func TestHTTPEncodeStage(t *testing.T) {
 		t.Fatalf("slow-request ring holds %d traces after a 400 in parsing, want %d", got, traced+1)
 	}
 
-	var pm PoolMetrics
-	_, body := getBody(t, ts.URL+"/metrics?tenant=enc")
-	if err := json.Unmarshal([]byte(body), &pm); err != nil {
-		t.Fatal(err)
+	if m := tenantSamples(t, tn); m["eventdetect_http_encode_total"] != 6 || m["eventdetect_http_encode_seconds_total"] <= 0 {
+		t.Fatalf("http_encode = %v bodies, %v s; want 6, > 0", m["eventdetect_http_encode_total"], m["eventdetect_http_encode_seconds_total"])
 	}
-	if m := pm.Tenants[0]; m.HTTPEncodeBodies != 6 || m.HTTPEncodeSeconds <= 0 {
-		t.Fatalf("JSON /metrics http_encode = %d bodies, %v s; want 6, > 0", m.HTTPEncodeBodies, m.HTTPEncodeSeconds)
-	}
-	_, body = getBody(t, ts.URL+"/metrics?format=prometheus")
+	_, body := getBody(t, ts.URL+"/metrics?format=prometheus")
 	for _, want := range []string{
 		`eventdetect_stage_duration_seconds_count{tenant="enc",stage="http_encode"} 6`,
 		`eventdetect_http_encode_total{tenant="enc"} 6`,

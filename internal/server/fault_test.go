@@ -112,7 +112,7 @@ func testFaultThenClientRetry(t *testing.T, fault vfs.Rule) {
 		down, _ := tn.Degraded()
 		return !down
 	}, "supervised WAL reopen")
-	if got := tn.Metrics().WALReopens; got == 0 {
+	if got := sample(t, tn, "eventdetect_wal_reopens_total"); got == 0 {
 		t.Fatal("WALReopens = 0, want a supervised reopen")
 	}
 	if err := tn.Enqueue(quantumOf(0, "earthquake struck city center")); err != nil {
@@ -170,8 +170,8 @@ func TestPersistentEIODegradesThenRecovers(t *testing.T) {
 	if deg.Reason != degradedIO {
 		t.Fatalf("reason = %q, want %q", deg.Reason, degradedIO)
 	}
-	if m := tn.Metrics(); !m.Degraded {
-		t.Fatalf("metrics = %+v, want degraded", m)
+	if m := tenantSamples(t, tn); m["eventdetect_degraded"] != 1 {
+		t.Fatalf("metrics = %v, want degraded", m)
 	}
 	// Degraded mode is a fast shed: the batch never reaches the log.
 	before := tn.storage.wal.LastSeq()
@@ -258,7 +258,7 @@ func TestGroupCommitFailStopReopens(t *testing.T) {
 		down, _ := tn.Degraded()
 		return !down
 	}, "supervised WAL reopen")
-	if got := tn.Metrics().WALReopens; got == 0 {
+	if got := sample(t, tn, "eventdetect_wal_reopens_total"); got == 0 {
 		t.Fatal("WALReopens = 0, want a supervised reopen")
 	}
 	// The log resumed in place: new ingest must append and apply.
@@ -292,7 +292,7 @@ func TestSnapshotENOSPCKeepsPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitApplied(t, tn)
-	if got := tn.Metrics().WALSnapshotSeq; got == 0 {
+	if got := sample(t, tn, "eventdetect_wal_snapshot_seq"); got == 0 {
 		t.Fatal("no baseline snapshot was taken; the test would check nothing")
 	}
 	// Next snapshot runs out of space mid-write. The supervisor's write
@@ -308,7 +308,7 @@ func TestSnapshotENOSPCKeepsPrevious(t *testing.T) {
 		down, _ := tn.Degraded()
 		return down
 	}, "failed snapshot to degrade the tenant")
-	if errs := tn.Metrics().WALErrors; errs == 0 {
+	if errs := sample(t, tn, "eventdetect_wal_errors_total"); errs == 0 {
 		t.Fatal("WALErrors = 0, want the failed snapshot counted")
 	}
 	// No temp debris: a crash loop must not fill the disk further.
@@ -365,30 +365,30 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 		}
 	}
 	waitApplied(t, tn)
-	m := tn.Metrics()
-	if m.ArchiveErrors == 0 || m.ArchiveColumnarSegments != 0 || m.ArchiveEvents == 0 {
-		t.Fatalf("archive writes were meant to fail with the evictions kept buffered: %+v", m)
+	m := tenantSamples(t, tn)
+	if m["eventdetect_archive_errors_total"] == 0 || m["eventdetect_archive_columnar_segments"] != 0 || m["eventdetect_archive_events"] == 0 {
+		t.Fatalf("archive writes were meant to fail with the evictions kept buffered: %v", m)
 	}
 	// The snapshot cadence does not wait for the archive device.
 	for _, startUser := range []int{900, 950} {
-		snapped := m.WALSnapshotSeq
+		snapped := m["eventdetect_wal_snapshot_seq"]
 		for i := 0; i < 4; i++ {
 			if err := tn.Enqueue(quantumOf(startUser+8*i, "volcano ash cloud grounded flights")); err != nil {
 				t.Fatalf("ingest must keep flowing through archive faults: %v", err)
 			}
 		}
 		waitApplied(t, tn)
-		if m = tn.Metrics(); m.WALSnapshotSeq <= snapped {
-			t.Fatalf("snapshot stuck at %d behind a failing archive device: %+v", snapped, m)
+		if m = tenantSamples(t, tn); m["eventdetect_wal_snapshot_seq"] <= snapped {
+			t.Fatalf("snapshot stuck at %v behind a failing archive device: %v", snapped, m)
 		}
 	}
 	if down, _ := tn.Degraded(); down {
 		t.Fatal("an archive IO error must not degrade ingest")
 	}
-	if m.ArchiveColumnarSegments != 0 || ffs.Injected() == 0 {
-		t.Fatalf("the archive device healed on its own: %+v", m)
+	if m["eventdetect_archive_columnar_segments"] != 0 || ffs.Injected() == 0 {
+		t.Fatalf("the archive device healed on its own: %v", m)
 	}
-	evicted := m.ArchiveEvents
+	evicted := int(m["eventdetect_archive_events"])
 	if evicted < len(ref.evicted) {
 		t.Fatalf("archive holds %d events, the burst stream alone evicts %d", evicted, len(ref.evicted))
 	}
@@ -594,7 +594,7 @@ func TestDiscardedBatchNeverApplied(t *testing.T) {
 		down, _ := tn.Degraded()
 		return !down
 	}, "the supervised reopen, with batch A still in flight")
-	if got := tn.Metrics().WALReopens; got == 0 {
+	if got := sample(t, tn, "eventdetect_wal_reopens_total"); got == 0 {
 		t.Fatal("WALReopens = 0, want a supervised reopen")
 	}
 	if err := tn.Enqueue(quantumOf(24, "volcano ash cloud grounded flights")); err != nil {
@@ -646,7 +646,7 @@ func TestArchiveDeviceFullStaysDegraded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return tn.Metrics().ArchiveErrors > 0 }, "an archive seal to fail")
+	waitFor(t, 5*time.Second, func() bool { return sample(t, tn, "eventdetect_archive_errors_total") > 0 }, "an archive seal to fail")
 	probes := ffs.Injected()
 	for i := 0; i < 10; i++ {
 		time.Sleep(tn.cfg.degradedProbeInterval)

@@ -40,9 +40,9 @@ const maxBodyBytes = 64 << 20
 //	GET  /healthz                liveness
 //	GET  /readyz                 readiness: 503 with the degraded tenant
 //	                             list while any tenant is storage-degraded
-//	GET  /statsz                 per-tenant throughput, lag, graph size
-//	GET  /metrics                durability + observability counters
-//	                             (?tenant= filter, ?format=prometheus)
+//	GET  /metrics                Prometheus text exposition: every tenant
+//	                             counter, pool totals, stage histograms,
+//	                             Go runtime (?tenant= filter)
 //	GET  /debug/requests         slowest traced requests (?min_ms=, ?tenant=)
 func NewHandler(p *Pool) http.Handler {
 	mux := http.NewServeMux()
@@ -158,9 +158,6 @@ func NewHandler(p *Pool) http.Handler {
 			"degraded": degraded,
 		})
 	})
-	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"tenants": p.Stats()})
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		handleMetrics(w, r, p)
 	})
@@ -204,17 +201,13 @@ func tenantsFor(q url.Values, p *Pool) ([]*Tenant, bool) {
 	return nil, false
 }
 
-// handleMetrics dispatches GET /metrics: the JSON body by default
-// (encoding/json's compact bytes for metricsOf's map, like every other
-// body), the Prometheus text format with ?format=prometheus, both
-// composable with ?tenant=.
+// handleMetrics serves GET /metrics: the Prometheus text exposition,
+// narrowed by ?tenant=. ?format=prometheus names the same body, for
+// scrapers that send it; any other format is a 400.
 func handleMetrics(w http.ResponseWriter, r *http.Request, p *Pool) {
 	q := r.URL.Query()
-	format := q.Get("format")
-	switch format {
-	case "", "json", "prometheus":
-	default:
-		httpError(w, http.StatusBadRequest, "format must be json or prometheus")
+	if f := q.Get("format"); f != "" && f != "prometheus" {
+		httpError(w, http.StatusBadRequest, "format must be prometheus or absent")
 		return
 	}
 	tenants, ok := tenantsFor(q, p)
@@ -222,11 +215,7 @@ func handleMetrics(w http.ResponseWriter, r *http.Request, p *Pool) {
 		httpError(w, http.StatusNotFound, ErrNoTenant.Error())
 		return
 	}
-	if format == "prometheus" {
-		writePrometheus(w, tenants)
-		return
-	}
-	writeJSON(w, http.StatusOK, metricsOf(tenants))
+	writePrometheus(w, tenants)
 }
 
 // handleIngest decodes the body — a JSON array by default, NDJSON when
@@ -407,8 +396,8 @@ func getTenant(w http.ResponseWriter, r *http.Request, p *Pool) (*Tenant, bool) 
 	return t, true
 }
 
-// writeJSON serves the cold shapes (errors, /metrics, /statsz, health,
-// /tenants, /debug/requests) through encoding/json, in the compact form
+// writeJSON serves the cold shapes (errors, health, /tenants,
+// /debug/requests) through encoding/json, in the compact form
 // writeBody gives the hot ones.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -38,53 +38,112 @@ func TestSnapshotAgeQuantaClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.lastSnapQuantum.Store(1 << 20) // snapshot "ahead" of the epoch
-	m := tn.Metrics()
-	if m.SnapshotAgeQuanta != 0 {
-		t.Fatalf("SnapshotAgeQuanta = %d, want 0 (clamped)", m.SnapshotAgeQuanta)
+	if age := sample(t, tn, "eventdetect_snapshot_age_quanta"); age != 0 {
+		t.Fatalf("eventdetect_snapshot_age_quanta = %v, want 0 (clamped)", age)
 	}
 }
 
-// TestMetricsTotalsAggregation drives totalsOf with synthetic tenant
-// rows, table-driven.
+// TestMetricsTotalsAggregation: every pool row equals the sum of the
+// tenant samples the same scrape wrote — for the full scrape and the
+// ?tenant= one — while a goroutine keeps ingesting into every tenant, so
+// totals that re-read the counters would disagree with the samples.
 func TestMetricsTotalsAggregation(t *testing.T) {
-	mk := func(msgs uint64, quanta int, queued int64, walSegs, archSegs, archEvents int, shedRL, shedQD, shedMsgs uint64) TenantMetrics {
-		m := TenantMetrics{}
-		m.Messages = msgs
-		m.Quanta = quanta
-		m.QueuedMessages = queued
-		m.WALSegments = walSegs
-		m.ArchiveSegments = archSegs
-		m.ArchiveEvents = archEvents
-		m.ShedRateLimit = shedRL
-		m.ShedQueueDepth = shedQD
-		m.ShedMessages = shedMsgs
-		return m
-	}
 	cases := []struct {
-		name string
-		in   []TenantMetrics
-		want MetricsTotals
+		name    string
+		tenants []string
+		ingest  bool
 	}{
-		{"empty", nil, MetricsTotals{}},
-		{"single", []TenantMetrics{mk(10, 2, 3, 1, 4, 5, 6, 7, 8)},
-			MetricsTotals{Tenants: 1, Messages: 10, Quanta: 2, QueuedMessages: 3,
-				WALSegments: 1, ArchiveSegments: 4, ArchiveEvents: 5,
-				ShedBatches: 13, ShedMessages: 8}},
-		{"pair", []TenantMetrics{
-			mk(10, 2, 3, 1, 4, 5, 6, 7, 8),
-			mk(90, 8, 7, 9, 6, 5, 4, 3, 2),
-		}, MetricsTotals{Tenants: 2, Messages: 100, Quanta: 10, QueuedMessages: 10,
-			WALSegments: 10, ArchiveSegments: 10, ArchiveEvents: 10,
-			ShedBatches: 20, ShedMessages: 10}},
-		{"zeros-are-counted", []TenantMetrics{mk(0, 0, 0, 0, 0, 0, 0, 0, 0), mk(0, 0, 0, 0, 0, 0, 0, 0, 0)},
-			MetricsTotals{Tenants: 2}},
+		{"empty", nil, false},
+		{"single", []string{"solo"}, true},
+		{"pair", []string{"left", "right"}, true},
+		{"zeros-are-counted", []string{"idle1", "idle2"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := totalsOf(c.in); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("totalsOf = %+v, want %+v", got, c.want)
+			pool, err := NewPool(PoolConfig{Detector: testDetectConfig(), WALDir: t.TempDir(), QueueDepth: 4, AdmissionFrac: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Shutdown(context.Background())
+			ts := httptest.NewServer(NewHandler(pool))
+			defer ts.Close()
+			var tenants []*Tenant
+			for _, name := range c.tenants {
+				tn, err := pool.GetOrCreate(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tenants = append(tenants, tn)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			if c.ingest {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, tn := range tenants {
+							tn.Enqueue(quantumOf(8*(i%50), "steady chatter about the weather")) //nolint:errcheck // a full queue is fine here
+						}
+					}
+				}()
+			}
+			scrapes := []string{""}
+			for _, name := range c.tenants {
+				scrapes = append(scrapes, "?tenant="+name)
+			}
+			for round := 0; round < 20; round++ {
+				for _, query := range scrapes {
+					code, body := getBody(t, ts.URL+"/metrics"+query)
+					if code != http.StatusOK {
+						t.Fatalf("/metrics%s = %d", query, code)
+					}
+					checkPoolSums(t, query, validatePromExposition(t, body))
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if c.ingest && sample(t, tenants[0], "eventdetect_messages_total") == 0 {
+				t.Fatal("the ingest goroutine never landed a batch; the scrapes raced nothing")
 			}
 		})
+	}
+}
+
+// checkPoolSums asserts every pool row of one scrape against the tenant
+// samples of that scrape.
+func checkPoolSums(t *testing.T, query string, series map[string]float64) {
+	t.Helper()
+	tenantSum := func(family string) (sum float64, n int) {
+		for id, v := range series {
+			if strings.HasPrefix(id, family+`{tenant="`) {
+				sum += v
+				n++
+			}
+		}
+		return sum, n
+	}
+	_, tenants := tenantSum("eventdetect_messages_total")
+	for _, pm := range promPoolMetrics {
+		want := float64(tenants)
+		if pm.sums != nil {
+			want = 0
+			for _, family := range pm.sums {
+				sum, n := tenantSum(family)
+				if n != tenants {
+					t.Fatalf("/metrics%s: %d %s samples for %d tenants", query, n, family, tenants)
+				}
+				want += sum
+			}
+		}
+		if got, ok := series[pm.name]; !ok || got != want {
+			t.Fatalf("/metrics%s: %s = %v (present %v), want %v from the scrape's tenant samples", query, pm.name, got, ok, want)
+		}
 	}
 }
 
@@ -206,9 +265,36 @@ func getBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
+// tenantSamples scrapes one tenant's exposition and returns its
+// per-tenant samples by family name.
+func tenantSamples(t *testing.T, tn *Tenant) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	writePrometheus(rec, []*Tenant{tn})
+	label := `{tenant="` + promEscape(tn.name) + `"}`
+	out := map[string]float64{}
+	for id, v := range validatePromExposition(t, rec.Body.String()) {
+		if family, ok := strings.CutSuffix(id, label); ok {
+			out[family] = v
+		}
+	}
+	return out
+}
+
+// sample reads one per-tenant family off the tenant's exposition — the
+// surface dashboards read.
+func sample(t *testing.T, tn *Tenant, family string) float64 {
+	t.Helper()
+	v, ok := tenantSamples(t, tn)[family]
+	if !ok {
+		t.Fatalf("exposition has no %s sample for tenant %s", family, tn.name)
+	}
+	return v
+}
+
 // TestPrometheusExposition exercises the full pipeline (ingest →
-// quantum → query) and validates the rendered exposition: every JSON
-// counter family present, at least 8 distinct stage histograms, all
+// quantum → query) and validates the rendered exposition: every tenant
+// and pool family present, at least 8 distinct stage histograms, all
 // format invariants holding.
 func TestPrometheusExposition(t *testing.T) {
 	pool, err := NewPool(PoolConfig{
@@ -244,7 +330,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	series := validatePromExposition(t, body)
 
-	// Every per-tenant JSON counter family appears with the tenant label.
+	// Every per-tenant family appears with the tenant label.
 	for _, pm := range promTenantMetrics {
 		if _, ok := series[pm.name+`{tenant="exp"}`]; !ok {
 			t.Errorf("missing series %s{tenant=\"exp\"}", pm.name)
@@ -254,28 +340,6 @@ func TestPrometheusExposition(t *testing.T) {
 		if _, ok := series[pm.name]; !ok {
 			t.Errorf("missing totals series %s", pm.name)
 		}
-	}
-	// promTenantMetrics must cover the whole JSON shape: one row per
-	// TenantMetrics field (TenantStats embedded fields included).
-	jsonFields := 0
-	var count func(reflect.Type)
-	count = func(ty reflect.Type) {
-		for i := 0; i < ty.NumField(); i++ {
-			f := ty.Field(i)
-			if f.Anonymous {
-				count(f.Type)
-				continue
-			}
-			if f.Name == "Tenant" {
-				continue // the label, not a sample
-			}
-			jsonFields++
-		}
-	}
-	count(reflect.TypeOf(TenantMetrics{}))
-	if len(promTenantMetrics) != jsonFields {
-		t.Errorf("promTenantMetrics has %d rows, TenantMetrics has %d fields — exposition drifted from JSON",
-			len(promTenantMetrics), jsonFields)
 	}
 	// The graph-layer signals carry the detector's own numbers: three
 	// quanta of two keywords used by the same users leave (keyword, user)
@@ -369,9 +433,10 @@ func TestMetricReferenceMatchesDocs(t *testing.T) {
 	}
 }
 
-// TestMetricsFilterAndJSONCompat covers the ?tenant= filter and pins
-// the default JSON body to encoding/json's bytes for metricsOf.
-func TestMetricsFilterAndJSONCompat(t *testing.T) {
+// TestMetricsFilterAndFormat covers the ?tenant= filter and the format
+// parameter: /metrics is the text exposition with or without
+// ?format=prometheus, and any other format is a 400.
+func TestMetricsFilterAndFormat(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Detector: testDetectConfig()})
 	if err != nil {
 		t.Fatal(err)
@@ -387,44 +452,53 @@ func TestMetricsFilterAndJSONCompat(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Default body must be byte-identical to json.Encoder's encoding of
-	// every tenant's metrics.
-	code, body := getBody(t, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics status = %d", code)
+	scrape := func(query string) map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != promContentType {
+			t.Fatalf("/metrics%s = %d, %q", query, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		return validatePromExposition(t, string(raw))
 	}
-	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(metricsOf(pool.tenantsSorted())); err != nil {
-		t.Fatal(err)
+	for _, query := range []string{"", "?format=prometheus"} {
+		series := scrape(query)
+		for _, name := range []string{"alpha", "beta"} {
+			if series[`eventdetect_messages_total{tenant="`+name+`"}`] != 8 {
+				t.Fatalf("/metrics%s: tenant %s missing or wrong", query, name)
+			}
+		}
+		if series["eventdetect_pool_tenants"] != 2 {
+			t.Fatalf("/metrics%s: pool_tenants = %v, want 2", query, series["eventdetect_pool_tenants"])
+		}
 	}
-	if body != want.String() {
-		t.Fatalf("JSON /metrics body drifted:\ngot:  %q\nwant: %q", body, want.String())
-	}
-
-	code, body = getBody(t, ts.URL+"/metrics?tenant=alpha")
-	if code != http.StatusOK {
-		t.Fatalf("filtered status = %d", code)
-	}
-	var pm PoolMetrics
-	if err := json.Unmarshal([]byte(body), &pm); err != nil {
-		t.Fatal(err)
-	}
-	if len(pm.Tenants) != 1 || pm.Tenants[0].Tenant != "alpha" || pm.Totals.Tenants != 1 {
-		t.Fatalf("filtered body = %+v", pm)
+	// The filter narrows the tenant samples and the totals alike, with
+	// or without the format parameter.
+	for _, query := range []string{"?tenant=beta", "?format=prometheus&tenant=beta"} {
+		series := scrape(query)
+		for id := range series {
+			if strings.Contains(id, `tenant="alpha"`) {
+				t.Fatalf("/metrics%s leaks %s", query, id)
+			}
+		}
+		if series[`eventdetect_messages_total{tenant="beta"}`] != 8 || series["eventdetect_pool_tenants"] != 1 {
+			t.Fatalf("/metrics%s: beta's samples or the one-tenant totals missing", query)
+		}
 	}
 	if code, _ := getBody(t, ts.URL+"/metrics?tenant=nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant filter status = %d, want 404", code)
 	}
-	if code, _ := getBody(t, ts.URL+"/metrics?format=xml"); code != http.StatusBadRequest {
-		t.Fatalf("bad format status = %d, want 400", code)
-	}
-	// The filter composes with the prometheus format: only alpha appears.
-	code, body = getBody(t, ts.URL+"/metrics?format=prometheus&tenant=beta")
-	if code != http.StatusOK {
-		t.Fatalf("filtered prometheus status = %d", code)
-	}
-	if strings.Contains(body, `tenant="alpha"`) || !strings.Contains(body, `tenant="beta"`) {
-		t.Fatal("tenant filter did not compose with prometheus format")
+	for _, format := range []string{"json", "xml"} {
+		if code, _ := getBody(t, ts.URL+"/metrics?format="+format); code != http.StatusBadRequest {
+			t.Fatalf("format=%s status = %d, want 400", format, code)
+		}
 	}
 }
 

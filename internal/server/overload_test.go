@@ -117,30 +117,23 @@ func TestRetryableResponseShape(t *testing.T) {
 
 	// The shed shows up on /metrics as a rate-limit shed with its
 	// messages, and admission reports itself enabled.
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	code, body := getBody(t, srv.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics = %d", code)
 	}
-	var metrics PoolMetrics
-	decodeBody(t, mresp, &metrics)
-	found := false
-	for _, m := range metrics.Tenants {
-		if m.Tenant != "rl" {
-			continue
-		}
-		found = true
-		if !m.AdmissionEnabled {
-			t.Fatal("admission_enabled = false with a rate limit configured")
-		}
-		if m.AcceptedBatches < 1 || m.ShedRateLimit < 1 || m.ShedMessages < uint64(len(batch)) {
-			t.Fatalf("shed counters did not move: %+v", m)
-		}
-	}
-	if !found {
+	series := validatePromExposition(t, body)
+	m := func(family string) float64 { return series[family+`{tenant="rl"}`] }
+	if _, found := series[`eventdetect_admission_enabled{tenant="rl"}`]; !found {
 		t.Fatal("tenant rl missing from /metrics")
 	}
-	if metrics.Totals.ShedBatches < 1 || metrics.Totals.ShedMessages < uint64(len(batch)) {
-		t.Fatalf("totals did not aggregate sheds: %+v", metrics.Totals)
+	if m("eventdetect_admission_enabled") != 1 {
+		t.Fatal("eventdetect_admission_enabled = 0 with a rate limit configured")
+	}
+	if m("eventdetect_accepted_batches_total") < 1 || m("eventdetect_shed_rate_limit_total") < 1 || m("eventdetect_shed_messages_total") < float64(len(batch)) {
+		t.Fatalf("shed counters did not move: %v", series)
+	}
+	if series["eventdetect_pool_shed_batches_total"] < 1 || series["eventdetect_pool_shed_messages_total"] < float64(len(batch)) {
+		t.Fatalf("totals did not aggregate sheds: %v", series)
 	}
 
 	// 503 via a hard-full queue (no admission configured): stall the
@@ -383,12 +376,11 @@ func TestAdmissionFairnessColdTenantBounded(t *testing.T) {
 		t.Fatalf("cold tenant apply latency %v — not bounded", coldLatency)
 	}
 
-	hm := hot.Metrics()
-	if hm.ShedQueueDepth == 0 || !hm.AdmissionEnabled {
-		t.Fatalf("hot tenant metrics missed the sheds: %+v", hm)
+	if hm := tenantSamples(t, hot); hm["eventdetect_shed_queue_depth_total"] == 0 || hm["eventdetect_admission_enabled"] != 1 {
+		t.Fatalf("hot tenant metrics missed the sheds: %v", hm)
 	}
-	if cm := cold.Metrics(); cm.ShedQueueDepth != 0 || cm.ShedRateLimit != 0 {
-		t.Fatalf("cold tenant recorded sheds it never suffered: %+v", cm)
+	if cm := tenantSamples(t, cold); cm["eventdetect_shed_queue_depth_total"] != 0 || cm["eventdetect_shed_rate_limit_total"] != 0 {
+		t.Fatalf("cold tenant recorded sheds it never suffered: %v", cm)
 	}
 }
 

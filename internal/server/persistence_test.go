@@ -174,12 +174,12 @@ func testCrashRecoveryBitIdentical(t *testing.T, segmentEvents int) {
 	if err := tn.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	m := tn.Metrics()
-	if m.ArchiveEvents == 0 {
+	m := tenantSamples(t, tn)
+	if m["eventdetect_archive_events"] == 0 {
 		t.Fatalf("no events archived before the crash; stream needs retuning")
 	}
-	if segmentEvents > 1 && (m.WALSnapshotSeq == 0 || m.ArchiveSegments == m.ArchiveColumnarSegments) {
-		t.Fatalf("want a snapshot-driven sync behind and a non-empty buffer at the crash; stream needs retuning: %+v", m)
+	if segmentEvents > 1 && (m["eventdetect_wal_snapshot_seq"] == 0 || m["eventdetect_archive_segments"] == m["eventdetect_archive_columnar_segments"]) {
+		t.Fatalf("want a snapshot-driven sync behind and a non-empty buffer at the crash; stream needs retuning: %v", m)
 	}
 	tn.mu.Lock() // freeze the worker mid-pipeline; never unlocked
 	if err := tn.Enqueue(batches[cut]); err != nil {
@@ -486,36 +486,33 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	code, body := getBody(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics status = %d", code)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status = %d", resp.StatusCode)
+	series := validatePromExposition(t, body)
+	tm := func(family string) float64 { return series[family+`{tenant="m"}`] }
+	if series["eventdetect_pool_tenants"] != 1 {
+		t.Fatalf("metrics = %v", series)
 	}
-	var m PoolMetrics
-	decodeBody(t, resp, &m)
-	if len(m.Tenants) != 1 || m.Totals.Tenants != 1 {
-		t.Fatalf("metrics = %+v", m)
+	if tm("eventdetect_wal_enabled") != 1 || tm("eventdetect_archive_enabled") != 1 {
+		t.Fatalf("tenant metrics = %v", series)
 	}
-	tm := m.Tenants[0]
-	if tm.Tenant != "m" || !tm.WALEnabled || !tm.ArchiveEnabled {
-		t.Fatalf("tenant metrics = %+v", tm)
+	if tm("eventdetect_quanta") == 0 || tm("eventdetect_wal_last_seq") == 0 || tm("eventdetect_wal_segments") == 0 {
+		t.Fatalf("WAL gauges zero: %v", series)
 	}
-	if tm.Quanta == 0 || tm.WALLastSeq == 0 || tm.WALSegments == 0 {
-		t.Fatalf("WAL gauges zero: %+v", tm)
+	if tm("eventdetect_wal_snapshot_seq") == 0 {
+		t.Fatalf("no snapshot taken at cadence 3 over %v quanta: %v", tm("eventdetect_quanta"), series)
 	}
-	if tm.WALSnapshotSeq == 0 {
-		t.Fatalf("no snapshot taken at cadence 3 over %d quanta: %+v", tm.Quanta, tm)
+	if age := tm("eventdetect_snapshot_age_quanta"); age < 0 || age > tm("eventdetect_quanta") {
+		t.Fatalf("snapshot age out of range: %v", series)
 	}
-	if tm.SnapshotAgeQuanta < 0 || tm.SnapshotAgeQuanta > tm.Quanta {
-		t.Fatalf("snapshot age out of range: %+v", tm)
+	if tm("eventdetect_archive_events") == 0 || tm("eventdetect_archive_segments") == 0 {
+		t.Fatalf("archive gauges zero: %v", series)
 	}
-	if tm.ArchiveEvents == 0 || tm.ArchiveSegments == 0 {
-		t.Fatalf("archive gauges zero: %+v", tm)
-	}
-	if m.Totals.Messages != uint64(tm.Messages) || m.Totals.ArchiveEvents != tm.ArchiveEvents {
-		t.Fatalf("totals do not aggregate: %+v", m.Totals)
+	if series["eventdetect_pool_messages_total"] != tm("eventdetect_messages_total") ||
+		series["eventdetect_pool_archive_events"] != tm("eventdetect_archive_events") {
+		t.Fatalf("totals do not aggregate: %v", series)
 	}
 }
 

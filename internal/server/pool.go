@@ -221,16 +221,6 @@ func (p *Pool) tenantsSorted() []*Tenant {
 	return tenants
 }
 
-// Stats returns every tenant's monitoring snapshot, sorted by name.
-func (p *Pool) Stats() []TenantStats {
-	tenants := p.tenantsSorted()
-	out := make([]TenantStats, len(tenants))
-	for i, t := range tenants {
-		out[i] = t.Stats()
-	}
-	return out
-}
-
 // BeginShutdown makes the pool refuse new tenants and ends every
 // tenant's SSE stream, without draining anything yet. Server.Shutdown
 // calls it before draining HTTP: http.Server.Shutdown waits for

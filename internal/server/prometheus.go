@@ -15,16 +15,23 @@ import (
 // endpoint speaks.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// promMetric describes one per-tenant series family: its exposition
-// name, TYPE, HELP line and the projection from the JSON metrics shape.
-// The Prometheus surface is derived from TenantMetrics so the two
-// endpoints can never drift apart: every counter the JSON body carries
-// has exactly one row here (enforced by a test).
+// tenantView is one tenant as one scrape sees it: the tenant, one Stats
+// read (so every row derived from the epoch snapshot comes from the same
+// epoch) and one http_encode histogram snapshot (so the encode count and
+// sum agree).
+type tenantView struct {
+	t   *Tenant
+	st  TenantStats
+	enc obs.HistSnap
+}
+
+// promMetric is one per-tenant series family — the only declaration of
+// a tenant counter: its exposition name, TYPE, HELP line and reader.
 type promMetric struct {
 	name  string
 	typ   string // "gauge" or "counter"
 	help  string
-	value func(m *TenantMetrics) float64
+	value func(v *tenantView) float64
 }
 
 func b2f(b bool) float64 {
@@ -34,131 +41,155 @@ func b2f(b bool) float64 {
 	return 0
 }
 
+// withWAL and withArchive guard a row that reads a durability subsystem:
+// a tenant without one reads 0.
+func withWAL(f func(v *tenantView) float64) func(v *tenantView) float64 {
+	return func(v *tenantView) float64 {
+		if v.t.storage.wal == nil {
+			return 0
+		}
+		return f(v)
+	}
+}
+
+func withArchive(f func(v *tenantView) float64) func(v *tenantView) float64 {
+	return func(v *tenantView) float64 {
+		if v.t.storage.arch == nil {
+			return 0
+		}
+		return f(v)
+	}
+}
+
 // promTenantMetrics is the per-tenant series table, in exposition order.
 var promTenantMetrics = []promMetric{
 	{"eventdetect_messages_total", "counter", "Messages ingested over the tenant's lifetime.",
-		func(m *TenantMetrics) float64 { return float64(m.Messages) }},
+		func(v *tenantView) float64 { return float64(v.st.Messages) }},
 	{"eventdetect_quanta", "gauge", "Index of the last processed quantum.",
-		func(m *TenantMetrics) float64 { return float64(m.Quanta) }},
+		func(v *tenantView) float64 { return float64(v.st.Quanta) }},
 	{"eventdetect_queue_depth_batches", "gauge", "Ingest batches accepted but not yet applied.",
-		func(m *TenantMetrics) float64 { return float64(m.QueueDepth) }},
+		func(v *tenantView) float64 { return float64(v.st.QueueDepth) }},
 	{"eventdetect_queue_capacity_batches", "gauge", "Ingest queue bound in batches.",
-		func(m *TenantMetrics) float64 { return float64(m.QueueCap) }},
+		func(v *tenantView) float64 { return float64(v.st.QueueCap) }},
 	{"eventdetect_queued_messages", "gauge", "Ingest backlog in messages.",
-		func(m *TenantMetrics) float64 { return float64(m.QueuedMessages) }},
+		func(v *tenantView) float64 { return float64(v.st.QueuedMessages) }},
 	{"eventdetect_live_events", "gauge", "Currently live detected events.",
-		func(m *TenantMetrics) float64 { return float64(m.LiveEvents) }},
+		func(v *tenantView) float64 { return float64(v.st.LiveEvents) }},
 	{"eventdetect_events", "gauge", "Retained event lifecycles (live + finished).",
-		func(m *TenantMetrics) float64 { return float64(m.TotalEvents) }},
+		func(v *tenantView) float64 { return float64(v.st.TotalEvents) }},
 	{"eventdetect_akg_nodes", "gauge", "Active keyword graph nodes.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGNodes) }},
+		func(v *tenantView) float64 { return float64(v.st.AKGNodes) }},
 	{"eventdetect_akg_edges", "gauge", "Active keyword graph edges.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGEdges) }},
+		func(v *tenantView) float64 { return float64(v.st.AKGEdges) }},
 	{"eventdetect_process_seconds_total", "counter", "Cumulative detector processing time this process.",
-		func(m *TenantMetrics) float64 { return m.ProcessMillis / 1000 }},
+		func(v *tenantView) float64 { return v.st.ProcessMillis / 1000 }},
 	{"eventdetect_msgs_per_sec", "gauge", "Pipeline rate: messages per detector-second this process.",
-		func(m *TenantMetrics) float64 { return m.MsgsPerSec }},
+		func(v *tenantView) float64 { return v.st.MsgsPerSec }},
 	{"eventdetect_wal_enabled", "gauge", "1 when the write-ahead log backs this tenant.",
-		func(m *TenantMetrics) float64 { return b2f(m.WALEnabled) }},
+		func(v *tenantView) float64 { return b2f(v.t.storage.wal != nil) }},
 	{"eventdetect_archive_enabled", "gauge", "1 when the evicted-event archive backs this tenant.",
-		func(m *TenantMetrics) float64 { return b2f(m.ArchiveEnabled) }},
+		func(v *tenantView) float64 { return b2f(v.t.storage.arch != nil) }},
 	{"eventdetect_admission_enabled", "gauge", "1 when admission control guards this tenant.",
-		func(m *TenantMetrics) float64 { return b2f(m.AdmissionEnabled) }},
+		func(v *tenantView) float64 { return b2f(v.t.admit != nil) }},
 	{"eventdetect_wal_segments", "gauge", "On-disk WAL segment files.",
-		func(m *TenantMetrics) float64 { return float64(m.WALSegments) }},
+		withWAL(func(v *tenantView) float64 { return float64(v.t.storage.wal.SegmentCount()) })},
 	{"eventdetect_wal_last_seq", "gauge", "Newest appended WAL record sequence.",
-		func(m *TenantMetrics) float64 { return float64(m.WALLastSeq) }},
+		withWAL(func(v *tenantView) float64 { return float64(v.t.storage.wal.LastSeq()) })},
 	{"eventdetect_wal_snapshot_seq", "gauge", "WAL sequence of the newest snapshot.",
-		func(m *TenantMetrics) float64 { return float64(m.WALSnapshotSeq) }},
+		withWAL(func(v *tenantView) float64 { return float64(v.t.storage.wal.SnapshotSeq()) })},
+	// Clamped at zero: after recovery the snapshot can be ahead of the
+	// published epoch (lastSnapQuantum seeds from the snapshotted quantum
+	// while Quanta starts from the replayed snapshot).
 	{"eventdetect_snapshot_age_quanta", "gauge", "Quanta processed since the newest WAL snapshot.",
-		func(m *TenantMetrics) float64 { return float64(m.SnapshotAgeQuanta) }},
+		withWAL(func(v *tenantView) float64 { return float64(max(0, v.st.Quanta-int(v.t.lastSnapQuantum.Load()))) })},
 	{"eventdetect_wal_errors_total", "counter", "Failed WAL snapshot/compaction passes.",
-		func(m *TenantMetrics) float64 { return float64(m.WALErrors) }},
+		withWAL(func(v *tenantView) float64 { return float64(v.t.storage.walErrs.Load()) })},
 	{"eventdetect_archive_segments", "gauge", "Archive segments: sealed files plus the in-memory buffer when it holds records.",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveSegments) }},
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.SegmentCount()) })},
 	{"eventdetect_archive_events", "gauge", "Events held by the archive.",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveEvents) }},
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.EventCount()) })},
 	{"eventdetect_archive_errors_total", "counter", "Failed archive seals; no record is lost (the records stay buffered for the next attempt).",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveErrors) }},
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.archErrs.Load()) })},
 	{"eventdetect_archive_gaps_total", "counter", "Archive ordinal holes skipped (records lost to a crash).",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveGaps) }},
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.Gaps()) })},
 	{"eventdetect_archive_columnar_segments", "gauge", "Columnar archive segments sealed on disk.",
-		func(m *TenantMetrics) float64 { return float64(m.ArchiveColumnarSegments) }},
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.ColumnarSegmentCount()) })},
 	{"eventdetect_accepted_batches_total", "counter", "Batches (and flush markers) admitted to the queue.",
-		func(m *TenantMetrics) float64 { return float64(m.AcceptedBatches) }},
+		func(v *tenantView) float64 { return float64(v.t.accepted.Load()) }},
 	{"eventdetect_shed_rate_limit_total", "counter", "Batches shed by the token bucket.",
-		func(m *TenantMetrics) float64 { return float64(m.ShedRateLimit) }},
+		func(v *tenantView) float64 { return float64(v.t.shedRateLimit.Load()) }},
 	{"eventdetect_shed_queue_depth_total", "counter", "Batches shed by the queue-depth admission gate.",
-		func(m *TenantMetrics) float64 { return float64(m.ShedQueueDepth) }},
+		func(v *tenantView) float64 { return float64(v.t.shedQueue.Load()) }},
 	{"eventdetect_shed_messages_total", "counter", "Messages across all shed batches.",
-		func(m *TenantMetrics) float64 { return float64(m.ShedMessages) }},
+		func(v *tenantView) float64 { return float64(v.t.shedMsgs.Load()) }},
 	{"eventdetect_degraded", "gauge", "1 while the tenant is in read-only storage-degraded mode.",
-		func(m *TenantMetrics) float64 { return b2f(m.Degraded) }},
+		func(v *tenantView) float64 { return b2f(v.t.health.degraded.Load() != nil) }},
 	{"eventdetect_wal_reopens_total", "counter", "Supervised reopens of a fail-stopped WAL.",
-		func(m *TenantMetrics) float64 { return float64(m.WALReopens) }},
+		func(v *tenantView) float64 { return float64(v.t.health.walReopens.Load()) }},
 	{"eventdetect_quarantined_segments", "gauge", "Archive segments quarantined for structural corruption.",
-		func(m *TenantMetrics) float64 { return float64(m.QuarantinedSegments) }},
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.QuarantinedSegments()) })},
 	{"eventdetect_snapshot_views_reused_total", "counter", "Live-event views published for clean clusters (shared with the previous epoch).",
-		func(m *TenantMetrics) float64 { return float64(m.SnapshotViewsReused) }},
+		func(v *tenantView) float64 { n, _, _ := v.t.det.SnapshotCounters(); return float64(n) }},
 	{"eventdetect_snapshot_views_rebuilt_total", "counter", "Live-event views published for new or dirty clusters.",
-		func(m *TenantMetrics) float64 { return float64(m.SnapshotViewsRebuilt) }},
+		func(v *tenantView) float64 { _, n, _ := v.t.det.SnapshotCounters(); return float64(n) }},
 	{"eventdetect_related_builds_total", "counter", "Epochs whose related-pair list a reader demanded.",
-		func(m *TenantMetrics) float64 { return float64(m.RelatedBuilds) }},
+		func(v *tenantView) float64 { _, _, n := v.t.det.SnapshotCounters(); return float64(n) }},
 	{"eventdetect_ingest_decode_fast_total", "counter", "Accepted ingest bodies decoded by the reflection-free scanner.",
-		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFast) }},
+		func(v *tenantView) float64 { return float64(v.t.decodeFast.Load()) }},
 	{"eventdetect_ingest_decode_fallback_total", "counter", "Accepted ingest bodies decoded by encoding/json.",
-		func(m *TenantMetrics) float64 { return float64(m.IngestDecodeFallback) }},
+		func(v *tenantView) float64 { return float64(v.t.decodeFallback.Load()) }},
 	{"eventdetect_http_encode_total", "counter", "Response bodies served by the typed writer (the http_encode stage's count).",
-		func(m *TenantMetrics) float64 { return float64(m.HTTPEncodeBodies) }},
+		func(v *tenantView) float64 { return float64(v.enc.Count) }},
 	{"eventdetect_http_encode_seconds_total", "counter", "Time spent encoding and writing those bodies (the http_encode stage's sum).",
-		func(m *TenantMetrics) float64 { return m.HTTPEncodeSeconds }},
+		func(v *tenantView) float64 { return float64(v.enc.SumNs) / 1e9 }},
 	{"eventdetect_akg_pairs_screened_total", "counter", "Candidate pairs of bursty keywords examined for a new edge.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGPairsScreened) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.pairsScreened.Load()) }},
 	{"eventdetect_akg_pairs_passed_total", "counter", "Candidate pairs that passed the Min-Hash screen.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGPairsPassed) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.pairsPassed.Load()) }},
 	{"eventdetect_akg_sketch_rebuilds_total", "counter", "Min-Hash sketches recomputed from the keyword's whole user set.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGSketchRebuilds) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.sketchRebuilds.Load()) }},
 	{"eventdetect_akg_sketch_updates_total", "counter", "User-set changes a current Min-Hash sketch absorbed without a rebuild.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGSketchUpdates) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.sketchUpdates.Load()) }},
 	{"eventdetect_akg_jaccard_bails_total", "counter", "Exact correlations settled without a full merge (size-ratio rejections and early exits).",
-		func(m *TenantMetrics) float64 { return float64(m.AKGJaccardBails) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.jaccardBails.Load()) }},
 	{"eventdetect_akg_dirty_nodes", "gauge", "Keywords whose windowed user support changed in the last quantum.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGDirtyNodes) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.dirtyNodes.Load()) }},
 	{"eventdetect_akg_window_user_entries", "gauge", "(keyword, distinct user) pairs held by the window's id sets.",
-		func(m *TenantMetrics) float64 { return float64(m.AKGWindowUserEntries) }},
+		func(v *tenantView) float64 { return float64(v.t.akg.windowEntries.Load()) }},
 	{"eventdetect_interner_words", "gauge", "Keywords the tenant has interned (its vocabulary; never shrinks).",
-		func(m *TenantMetrics) float64 { return float64(m.InternerWords) }},
+		func(v *tenantView) float64 { return float64(v.t.words.Load()) }},
 	{"eventdetect_interner_first_sight_total", "counter", "Keywords interned live by this process (vocabulary churn).",
-		func(m *TenantMetrics) float64 { return float64(m.InternerFirstSight) }},
+		func(v *tenantView) float64 { return float64(v.t.firstSight.Load()) }},
 }
 
-// promPoolMetrics is the pool-totals series table.
+// promPoolMetrics is the pool-totals series table. Each row sums the
+// named tenant families over the samples the same scrape wrote; a row
+// naming none counts the tenants.
 var promPoolMetrics = []struct {
-	name  string
-	typ   string
-	help  string
-	value func(t *MetricsTotals) float64
+	name string
+	typ  string
+	help string
+	sums []string
 }{
-	{"eventdetect_pool_tenants", "gauge", "Tenants in the pool.",
-		func(t *MetricsTotals) float64 { return float64(t.Tenants) }},
+	{"eventdetect_pool_tenants", "gauge", "Tenants in the pool.", nil},
 	{"eventdetect_pool_messages_total", "counter", "Messages ingested across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.Messages) }},
+		[]string{"eventdetect_messages_total"}},
 	{"eventdetect_pool_quanta", "gauge", "Sum of per-tenant quantum indexes.",
-		func(t *MetricsTotals) float64 { return float64(t.Quanta) }},
+		[]string{"eventdetect_quanta"}},
 	{"eventdetect_pool_queued_messages", "gauge", "Ingest backlog in messages across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.QueuedMessages) }},
+		[]string{"eventdetect_queued_messages"}},
 	{"eventdetect_pool_wal_segments", "gauge", "WAL segment files across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.WALSegments) }},
+		[]string{"eventdetect_wal_segments"}},
 	{"eventdetect_pool_archive_segments", "gauge", "Archive segment files across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.ArchiveSegments) }},
+		[]string{"eventdetect_archive_segments"}},
 	{"eventdetect_pool_archive_events", "gauge", "Archived events across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.ArchiveEvents) }},
+		[]string{"eventdetect_archive_events"}},
 	{"eventdetect_pool_shed_batches_total", "counter", "Batches shed across all tenants and gates.",
-		func(t *MetricsTotals) float64 { return float64(t.ShedBatches) }},
+		[]string{"eventdetect_shed_rate_limit_total", "eventdetect_shed_queue_depth_total"}},
 	{"eventdetect_pool_shed_messages_total", "counter", "Messages shed across all tenants.",
-		func(t *MetricsTotals) float64 { return float64(t.ShedMessages) }},
+		[]string{"eventdetect_shed_messages_total"}},
 	{"eventdetect_pool_degraded_tenants", "gauge", "Tenants currently in read-only storage-degraded mode.",
-		func(t *MetricsTotals) float64 { return float64(t.DegradedTenants) }},
+		[]string{"eventdetect_degraded"}},
 }
 
 // promEscape escapes a label value per the exposition format.
@@ -185,33 +216,45 @@ func promFloat(v float64) string {
 }
 
 // writePrometheus renders the full exposition for the given tenants
-// (every one, or the ?tenant= filter's): every JSON counter with tenant
-// labels, the pool totals, the per-tenant stage-latency histograms, and
-// Go runtime health.
+// (every one, or the ?tenant= filter's): the per-tenant families with
+// tenant labels, the pool totals, the per-tenant stage-latency
+// histograms, and Go runtime health.
 func writePrometheus(w http.ResponseWriter, tenants []*Tenant) {
-	pm := metricsOf(tenants)
+	views := make([]tenantView, len(tenants))
+	for i, t := range tenants {
+		views[i] = tenantView{t: t, st: t.Stats(), enc: t.obs.Snapshot(obs.StageHTTPEncode)}
+	}
 	w.Header().Set("Content-Type", promContentType)
 	bw := bufio.NewWriterSize(w, 32<<10)
 	defer bw.Flush() //nolint:errcheck // client gone; nothing to do
 
+	totals := make(map[string]float64, len(promTenantMetrics))
 	for i := range promTenantMetrics {
 		pmx := &promTenantMetrics[i]
 		writeHelpType(bw, pmx.name, pmx.typ, pmx.help)
-		for j := range pm.Tenants {
-			m := &pm.Tenants[j]
+		for j := range views {
+			val := pmx.value(&views[j])
+			totals[pmx.name] += val
 			bw.WriteString(pmx.name)
 			bw.WriteString(`{tenant="`)
-			bw.WriteString(promEscape(m.Tenant))
+			bw.WriteString(promEscape(views[j].t.name))
 			bw.WriteString(`"} `)
-			bw.WriteString(promFloat(pmx.value(m)))
+			bw.WriteString(promFloat(val))
 			bw.WriteByte('\n')
 		}
 	}
 	for _, pmx := range promPoolMetrics {
+		val := float64(len(views))
+		if pmx.sums != nil {
+			val = 0
+			for _, name := range pmx.sums {
+				val += totals[name]
+			}
+		}
 		writeHelpType(bw, pmx.name, pmx.typ, pmx.help)
 		bw.WriteString(pmx.name)
 		bw.WriteByte(' ')
-		bw.WriteString(promFloat(pmx.value(&pm.Totals)))
+		bw.WriteString(promFloat(val))
 		bw.WriteByte('\n')
 	}
 	writeStageHistograms(bw, tenants)

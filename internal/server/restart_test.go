@@ -120,17 +120,18 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 		if err := tn.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		m := tn.Metrics()
-		if m.ArchiveEvents < 3 {
-			t.Fatalf("stream too tame: only %d archived events", m.ArchiveEvents)
+		archived := sample(t, tn, "eventdetect_archive_events")
+		if archived < 3 {
+			t.Fatalf("stream too tame: only %v archived events", archived)
 		}
-		wantSealed := 0
+		wantSealed := 0.0
 		if tc.segEvents == 2 {
-			wantSealed = m.ArchiveEvents / 2
+			wantSealed = float64(int(archived) / 2)
 		}
-		if m.ArchiveColumnarSegments != wantSealed {
-			t.Fatalf("bound %d: %d sealed segments for %d events, want %d",
-				tc.segEvents, m.ArchiveColumnarSegments, m.ArchiveEvents, wantSealed)
+		sealed := sample(t, tn, "eventdetect_archive_columnar_segments")
+		if sealed != wantSealed {
+			t.Fatalf("bound %d: %v sealed segments for %v events, want %v",
+				tc.segEvents, sealed, archived, wantSealed)
 		}
 		before := walkAll(pool1)
 		if baseline == nil {
@@ -175,23 +176,21 @@ func TestArchiveRestartHTTPIdentity(t *testing.T) {
 			t.Fatalf("bound %d: %d ordinal gaps after the restart", tc.segEvents, gaps)
 		}
 
-		// The layout surfaces through both exposition formats.
+		// The layout surfaces through the exposition.
 		ts := httptest.NewServer(NewHandler(pool2))
-		resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		code, body := getBody(t, ts.URL+"/metrics")
 		ts.Close()
-		if err != nil {
-			t.Fatal(err)
+		if code != http.StatusOK {
+			t.Fatalf("/metrics = %d", code)
 		}
-		if m2 := tn2.Metrics(); m2.ArchiveEvents != m.ArchiveEvents || m2.ArchiveColumnarSegments != m.ArchiveColumnarSegments {
-			t.Fatalf("bound %d: metrics after restart %+v, before %+v", tc.segEvents, m2, m)
+		series := validatePromExposition(t, body)
+		archived2, ok1 := series[`eventdetect_archive_events{tenant="t"}`]
+		sealed2, ok2 := series[`eventdetect_archive_columnar_segments{tenant="t"}`]
+		if !ok1 || !ok2 {
+			t.Fatal("exposition missing eventdetect_archive_events or eventdetect_archive_columnar_segments")
 		}
-		if !strings.Contains(string(raw), `eventdetect_archive_columnar_segments{tenant="t"}`) {
-			t.Fatal("prometheus exposition missing eventdetect_archive_columnar_segments")
+		if archived2 != archived || sealed2 != sealed {
+			t.Fatalf("bound %d: after restart %v events, %v sealed; before %v, %v", tc.segEvents, archived2, sealed2, archived, sealed)
 		}
 		if err := pool2.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)

@@ -221,23 +221,20 @@ func TestLifecycleOverHTTP(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Stats reflect the ingested stream.
-	resp, err = http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	// The metrics reflect the ingested stream.
+	code, body := getBody(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics status = %d", code)
 	}
-	var stats struct {
-		Tenants []TenantStats `json:"tenants"`
+	stats := validatePromExposition(t, body)
+	if _, ok := stats[`eventdetect_messages_total{tenant="demo"}`]; !ok || stats["eventdetect_pool_tenants"] != 1 {
+		t.Fatalf("stats = %v", stats)
 	}
-	decodeBody(t, resp, &stats)
-	if len(stats.Tenants) != 1 || stats.Tenants[0].Tenant != "demo" {
-		t.Fatalf("stats = %+v", stats)
+	if got := stats[`eventdetect_messages_total{tenant="demo"}`]; got != float64(len(msgs)) {
+		t.Fatalf("stats messages = %v, want %d", got, len(msgs))
 	}
-	if got := stats.Tenants[0].Messages; got != uint64(len(msgs)) {
-		t.Fatalf("stats messages = %d, want %d", got, len(msgs))
-	}
-	if stats.Tenants[0].AKGNodes == 0 || stats.Tenants[0].Quanta != 16 {
-		t.Fatalf("stats = %+v", stats.Tenants[0])
+	if stats[`eventdetect_akg_nodes{tenant="demo"}`] == 0 || stats[`eventdetect_quanta{tenant="demo"}`] != 16 {
+		t.Fatalf("stats = %v", stats)
 	}
 
 	resp, err = http.Get(ts.URL + "/healthz")

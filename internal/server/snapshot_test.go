@@ -158,7 +158,7 @@ func TestQueriesDoNotBlockOnApply(t *testing.T) {
 		tn.Snapshot().Find(1)
 		tn.Related(0.1)
 		tn.Stats()
-		tn.Metrics()
+		writePrometheus(httptest.NewRecorder(), []*Tenant{tn})
 		tn.Snapshot()
 	}()
 	select {
@@ -330,7 +330,7 @@ func TestConcurrentIngestQueriesShutdown(t *testing.T) {
 	}()
 	paths := []string{
 		"/v1/busy/events", "/v1/busy/events?all=1", "/v1/busy/events?k=2",
-		"/v1/busy/related?min=0.05", "/statsz", "/metrics", "/healthz",
+		"/v1/busy/related?min=0.05", "/metrics", "/healthz",
 	}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -54,8 +54,8 @@ func TestEveryStageObserved(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/t/flush", nil)
 	resp.Body.Close()
 	tn, _ := pool.Tenant("t")
-	if m := tn.Metrics(); m.ArchiveColumnarSegments == 0 || m.WALSnapshotSeq == 0 {
-		t.Fatalf("want a sealed segment and a snapshot behind: %+v", m)
+	if m := tenantSamples(t, tn); m["eventdetect_archive_columnar_segments"] == 0 || m["eventdetect_wal_snapshot_seq"] == 0 {
+		t.Fatalf("want a sealed segment and a snapshot behind: %v", m)
 	}
 	get("/v1/t/events")
 	get("/v1/t/query?from=0")

@@ -234,25 +234,3 @@ func (s *tenantStorage) writeFailed(errs *atomic.Uint64, err error) {
 		s.kick()
 	}
 }
-
-// fillMetrics writes the durability layer's share of /metrics.
-func (s *tenantStorage) fillMetrics(m *TenantMetrics) {
-	m.Degraded = s.health.degraded.Load() != nil
-	m.WALReopens = s.health.walReopens.Load()
-	if wl := s.wal; wl != nil {
-		m.WALEnabled = true
-		m.WALSegments = wl.SegmentCount()
-		m.WALLastSeq = wl.LastSeq()
-		m.WALSnapshotSeq = wl.SnapshotSeq()
-		m.WALErrors = s.walErrs.Load()
-	}
-	if ar := s.arch; ar != nil {
-		m.ArchiveEnabled = true
-		m.ArchiveSegments = ar.SegmentCount()
-		m.ArchiveEvents = ar.EventCount()
-		m.ArchiveErrors = s.archErrs.Load()
-		m.ArchiveGaps = ar.Gaps()
-		m.ArchiveColumnarSegments = ar.ColumnarSegmentCount()
-		m.QuarantinedSegments = ar.QuarantinedSegments()
-	}
-}

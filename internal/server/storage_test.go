@@ -81,11 +81,7 @@ func TestStorageOwner(t *testing.T) {
 
 			saves := 0
 			save := func(w io.Writer) error { saves++; return det.Save(w) }
-			snapSeq := func() uint64 {
-				var m TenantMetrics
-				st.fillMetrics(&m)
-				return m.WALSnapshotSeq
-			}
+			snapSeq := func() uint64 { return uint64(storageRow(t, st, "eventdetect_wal_snapshot_seq")) }
 			if tc.arch {
 				// An eviction buffered while the archive device fails: the
 				// snapshot carries it without touching that device.
@@ -106,11 +102,13 @@ func TestStorageOwner(t *testing.T) {
 			}
 			ffs.Clear()
 
-			var m TenantMetrics
-			st.fillMetrics(&m)
-			if m.WALEnabled != tc.wal || m.ArchiveEnabled != tc.arch || m.WALLastSeq != fseq ||
-				m.ArchiveEvents != int(b2u(tc.arch)) || m.ArchiveColumnarSegments != 0 || m.Degraded {
-				t.Fatalf("metrics share: %+v", m)
+			m := func(family string) float64 { return storageRow(t, st, family) }
+			if m("eventdetect_wal_enabled") != float64(b2u(tc.wal)) || m("eventdetect_archive_enabled") != float64(b2u(tc.arch)) ||
+				m("eventdetect_wal_last_seq") != float64(fseq) || m("eventdetect_archive_events") != float64(b2u(tc.arch)) ||
+				m("eventdetect_archive_columnar_segments") != 0 || m("eventdetect_degraded") != 0 {
+				t.Fatalf("storage rows: wal %v, archive %v, last seq %v, archived %v, sealed %v, degraded %v",
+					m("eventdetect_wal_enabled"), m("eventdetect_archive_enabled"), m("eventdetect_wal_last_seq"),
+					m("eventdetect_archive_events"), m("eventdetect_archive_columnar_segments"), m("eventdetect_degraded"))
 			}
 			if err := st.close(); err != nil {
 				t.Fatalf("close: %v", err)
@@ -248,4 +246,18 @@ func TestRestoreCountsSealFailure(t *testing.T) {
 		t.Fatalf("%d archive errors, %d events, %d sealed segments; want > 0, 3, 0",
 			st.archErrs.Load(), st.arch.EventCount(), st.arch.ColumnarSegmentCount())
 	}
+}
+
+// storageRow evaluates one per-tenant table row for a bare storage
+// owner: the WAL, archive and health rows read nothing but the storage.
+func storageRow(t *testing.T, st *tenantStorage, family string) float64 {
+	t.Helper()
+	v := tenantView{t: &Tenant{name: st.name, storage: st, health: &st.health}}
+	for _, m := range promTenantMetrics {
+		if m.name == family {
+			return m.value(&v)
+		}
+	}
+	t.Fatalf("no table row %s", family)
+	return 0
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/akg"
 	"repro/internal/detect"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -119,6 +120,23 @@ type Tenant struct {
 	det *detect.Detector
 }
 
+// akgCounters is the tenant-side accumulator behind the akg_* metrics:
+// written by the apply step once per quantum, read by /metrics.
+type akgCounters struct {
+	pairsScreened, pairsPassed, sketchRebuilds, sketchUpdates, jaccardBails atomic.Uint64
+	dirtyNodes, windowEntries                                               atomic.Int64
+}
+
+func (c *akgCounters) add(st *akg.QuantumStats) {
+	c.pairsScreened.Add(uint64(st.PairsScreened))
+	c.pairsPassed.Add(uint64(st.PairsPassed))
+	c.sketchRebuilds.Add(uint64(st.SketchRebuilds))
+	c.sketchUpdates.Add(uint64(st.SketchUpdates))
+	c.jaccardBails.Add(uint64(st.JaccardBails))
+	c.dirtyNodes.Store(int64(st.DirtyNodes))
+	c.windowEntries.Store(int64(st.WindowEntries))
+}
+
 // newTenant wraps a detector — fresh or restored, its eviction hook
 // already attached by st — in its queue, broker and read state.
 func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenant {
@@ -150,7 +168,7 @@ func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenan
 		tob.Observe(obs.StageReconcile, res.ReconcileElapsed)
 		// Publish the message count and the epoch snapshot before
 		// announcing the quantum over SSE: a subscriber that reacts to the
-		// notification with /statsz or a query must observe at least this
+		// notification with /metrics or a query must observe at least this
 		// quantum.
 		t.msgs.Store(det.Processed())
 		t0 := time.Now()

@@ -143,8 +143,7 @@ func TestEveryBodyIsCompact(t *testing.T) {
 
 	// The cold shapes.
 	for _, path := range []string{
-		"/v1/tenants", "/statsz", "/metrics", "/metrics?format=json&tenant=acme",
-		"/debug/requests", "/debug/requests?tenant=acme&min_ms=0",
+		"/v1/tenants", "/debug/requests", "/debug/requests?tenant=acme&min_ms=0",
 	} {
 		get(path, http.StatusOK)
 	}
