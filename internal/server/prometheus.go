@@ -180,7 +180,7 @@ var promPoolMetrics = []struct {
 		[]string{"eventdetect_queued_messages"}},
 	{"eventdetect_pool_wal_segments", "gauge", "WAL segment files across all tenants.",
 		[]string{"eventdetect_wal_segments"}},
-	{"eventdetect_pool_archive_segments", "gauge", "Archive segment files across all tenants.",
+	{"eventdetect_pool_archive_segments", "gauge", "Archive segments across all tenants: sealed files plus each non-empty in-memory buffer.",
 		[]string{"eventdetect_archive_segments"}},
 	{"eventdetect_pool_archive_events", "gauge", "Archived events across all tenants.",
 		[]string{"eventdetect_archive_events"}},
