@@ -41,25 +41,7 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// withWAL and withArchive guard a row that reads a durability subsystem:
-// a tenant without one reads 0.
-func withWAL(f func(v *tenantView) float64) func(v *tenantView) float64 {
-	return func(v *tenantView) float64 {
-		if v.t.storage.wal == nil {
-			return 0
-		}
-		return f(v)
-	}
-}
-
-func withArchive(f func(v *tenantView) float64) func(v *tenantView) float64 {
-	return func(v *tenantView) float64 {
-		if v.t.storage.arch == nil {
-			return 0
-		}
-		return f(v)
-	}
-}
+func one(*tenantView) float64 { return 1 }
 
 // promTenantMetrics is the per-tenant series table, in exposition order.
 var promTenantMetrics = []promMetric{
@@ -86,9 +68,9 @@ var promTenantMetrics = []promMetric{
 	{"eventdetect_msgs_per_sec", "gauge", "Pipeline rate: messages per detector-second this process.",
 		func(v *tenantView) float64 { return v.st.MsgsPerSec }},
 	{"eventdetect_wal_enabled", "gauge", "1 when the write-ahead log backs this tenant.",
-		func(v *tenantView) float64 { return b2f(v.t.storage.wal != nil) }},
+		withWAL(one)},
 	{"eventdetect_archive_enabled", "gauge", "1 when the evicted-event archive backs this tenant.",
-		func(v *tenantView) float64 { return b2f(v.t.storage.arch != nil) }},
+		withArchive(one)},
 	{"eventdetect_admission_enabled", "gauge", "1 when admission control guards this tenant.",
 		func(v *tenantView) float64 { return b2f(v.t.admit != nil) }},
 	{"eventdetect_wal_segments", "gauge", "On-disk WAL segment files.",

@@ -24,7 +24,8 @@ import (
 // and commits, snapshots and restores do nothing; without an archive
 // (PoolConfig.Validate admits one only with a WAL), evictions are
 // discarded. It also owns the tenant's storage health record: every path
-// that can find the device sick starts here.
+// that can find the device sick starts here. The metrics table asks
+// through withWAL / withArchive.
 type tenantStorage struct {
 	name string
 	cfg  PoolConfig
@@ -71,6 +72,26 @@ func (s *tenantStorage) close() error {
 		return nil
 	}
 	return s.wal.Close()
+}
+
+// withWAL and withArchive guard a metrics row that reads a durability
+// subsystem: a tenant without one reads 0.
+func withWAL(f func(v *tenantView) float64) func(v *tenantView) float64 {
+	return func(v *tenantView) float64 {
+		if v.t.storage.wal == nil {
+			return 0
+		}
+		return f(v)
+	}
+}
+
+func withArchive(f func(v *tenantView) float64) func(v *tenantView) float64 {
+	return func(v *tenantView) float64 {
+		if v.t.storage.arch == nil {
+			return 0
+		}
+		return f(v)
+	}
 }
 
 // durable reports whether anything is logged at all — the apply loop
