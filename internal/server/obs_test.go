@@ -103,7 +103,11 @@ func TestMetricsTotalsAggregation(t *testing.T) {
 					if code != http.StatusOK {
 						t.Fatalf("/metrics%s = %d", query, code)
 					}
-					checkPoolSums(t, query, validatePromExposition(t, body))
+					want := len(c.tenants)
+					if query != "" {
+						want = 1
+					}
+					checkPoolSums(t, query, validatePromExposition(t, body), want)
 				}
 			}
 			close(stop)
@@ -116,8 +120,8 @@ func TestMetricsTotalsAggregation(t *testing.T) {
 }
 
 // checkPoolSums asserts every pool row of one scrape against the tenant
-// samples of that scrape.
-func checkPoolSums(t *testing.T, query string, series map[string]float64) {
+// samples of that scrape, which must cover wantTenants tenants.
+func checkPoolSums(t *testing.T, query string, series map[string]float64, wantTenants int) {
 	t.Helper()
 	tenantSum := func(family string) (sum float64, n int) {
 		for id, v := range series {
@@ -129,6 +133,9 @@ func checkPoolSums(t *testing.T, query string, series map[string]float64) {
 		return sum, n
 	}
 	_, tenants := tenantSum("eventdetect_messages_total")
+	if tenants != wantTenants {
+		t.Fatalf("/metrics%s: samples for %d tenants, want %d", query, tenants, wantTenants)
+	}
 	for _, pm := range promPoolMetrics {
 		want := float64(tenants)
 		if pm.sums != nil {
