@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/akg"
@@ -266,18 +265,12 @@ type Detector struct {
 	// TrimFinished, in eviction order (oldest first). Serving layers use
 	// it to archive history instead of losing it.
 	onEvict func(*Event)
+	// retain caps the finished history at the end of every quantum
+	// (SetRetain); ≤ 0 keeps everything.
+	retain int
 
-	// Incremental epoch-snapshot builder state (see snapshot.go): the
-	// views of d.finished (eviction order), the same views ID-sorted (the
-	// base slice snapshots share until the finished set changes), the
-	// trim counter they are synced to, the newest snapshot built (its
-	// live part is reused by a republish inside the same quantum) and the
-	// sharing counters.
-	snapFin        []*Event
-	snapFinSorted  []*Event
-	snapFinTrimmed uint64
-	lastSnap       *Snapshot
-	snapCounters   snapshotCounters
+	// snapCounters count the epoch builder's sharing (see snapshot.go).
+	snapCounters snapshotCounters
 
 	// reconcileMode pins the dirty-set reconciliation path for the
 	// equivalence tests: 0 auto (dirty path with full-pass fallback when
@@ -354,6 +347,17 @@ func (d *Detector) SetOnQuantum(fn func(*QuantumResult)) { d.onQuantum = fn }
 // across WAL replays. Like SetOnQuantum, the hook is not part of
 // checkpoints — re-register after Load. nil clears it.
 func (d *Detector) SetOnEvict(fn func(*Event)) { d.onEvict = fn }
+
+// SetRetain caps the finished history: every quantum ends with
+// TrimFinished(max), after reconciliation and before the OnQuantum hook,
+// so no epoch ever holds more than max finished events; max ≤ 0 means
+// unlimited. The call itself trims too, for a restored detector that
+// holds more than a lowered cap. Attach the OnEvict hook first. Like the
+// hooks, the cap is not part of checkpoints — set it again after Load.
+func (d *Detector) SetRetain(max int) {
+	d.retain = max
+	d.TrimFinished(max)
+}
 
 // Trimmed returns the cumulative count of finished events ever evicted
 // by TrimFinished. It survives checkpoint/restore, so a replayed stream
@@ -603,6 +607,7 @@ func (d *Detector) processQuantum(batch []stream.Message) QuantumResult {
 	uks := d.resolveQuantum(batch)
 	res := d.applyQuantum(uks)
 	res.PrepElapsed = time.Since(started) - res.Elapsed //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
+	d.TrimFinished(d.retain)
 	if d.onQuantum != nil {
 		d.onQuantum(&res)
 	}
@@ -893,20 +898,9 @@ func (d *Detector) reportable(ev *Event, c *core.Cluster) bool {
 	return true
 }
 
-// LiveEvents returns the currently live events sorted by rank descending.
-func (d *Detector) LiveEvents() []*Event {
-	out := make([]*Event, 0, len(d.events))
-	for _, ev := range d.events {
-		out = append(out, ev)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank > out[j].Rank
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
+// LiveEvents returns the currently live events sorted by rank
+// descending: the live views of a fresh Snapshot.
+func (d *Detector) LiveEvents() []*Event { return d.Snapshot(nil).live }
 
 // LiveCount returns the number of live events without copying them.
 func (d *Detector) LiveCount() int { return len(d.events) }
@@ -919,10 +913,12 @@ func (d *Detector) TotalCount() int { return len(d.events) + len(d.finished) }
 // TrimFinished drops the oldest finished (ended or merged) events so at
 // most max remain, returning how many were dropped; max ≤ 0 means
 // unlimited (no-op). Live events are never dropped. Long-lived serving
-// deployments call this to bound per-tenant memory — the finished list
-// otherwise grows for the life of the stream. Trimmed events disappear
-// from AllEvents and subsequent checkpoints; the OnEvict
-// hook (if set) observes each one before it goes.
+// deployments bound per-tenant memory this way, once per quantum through
+// SetRetain — the finished list otherwise grows for the life of the
+// stream. Trimmed events disappear from AllEvents and subsequent
+// checkpoints; the OnEvict hook (if set) observes each one before it
+// goes. The kept events move to a fresh array: published snapshots share
+// the old one.
 func (d *Detector) TrimFinished(max int) int {
 	if max <= 0 || len(d.finished) <= max {
 		return 0
@@ -938,17 +934,9 @@ func (d *Detector) TrimFinished(max int) int {
 	return n
 }
 
-// AllEvents returns every event ever tracked (live and finished), sorted
-// by ID (birth order).
-func (d *Detector) AllEvents() []*Event {
-	out := make([]*Event, 0, len(d.events)+len(d.finished))
-	out = append(out, d.finished...)
-	for _, ev := range d.events {
-		out = append(out, ev)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// AllEvents returns every retained event (live and finished), sorted
+// by ID (birth order): Snapshot(nil).AllEvents.
+func (d *Detector) AllEvents() []*Event { return d.Snapshot(nil).AllEvents() }
 
 func sameStrings(a, b []string) bool {
 	if len(a) != len(b) {

@@ -25,34 +25,24 @@ type RelatedPair struct {
 
 // RelatedEvents returns all pairs of live reported events whose windowed
 // user communities have Jaccard overlap of at least minOverlap, sorted by
-// descending overlap. This is the paper's suggested post-processing for
-// merging same-event clusters; it is O(live²) on the handful of live
-// events, never on the graph.
+// descending overlap: Snapshot(nil).Related. This is the paper's
+// suggested post-processing for merging same-event clusters; it is
+// O(live²) on the handful of live events, never on the graph.
 func (d *Detector) RelatedEvents(minOverlap float64) []RelatedPair {
-	evs := make([]*Event, 0, len(d.events))
-	for _, ev := range d.events { //repro:order-insensitive conditional collect; evs is sorted by ID before use
-		if ev.Reported {
-			evs = append(evs, ev)
-		}
-	}
-	slices.SortFunc(evs, byIDAsc)
-	return relatedPairs(evs, minOverlap)
+	return d.Snapshot(nil).Related(minOverlap)
 }
 
-// relatedPairs is the one pair builder behind Detector.RelatedEvents and
-// Snapshot.Related. evs are reported live events (or their snapshot
-// views) in ID order; each carries the user community reconciliation
-// captured for it, so every pair is one linear merge and nothing here
-// touches the graph. The result order is total — overlap descending,
-// then A, then B — so the detector and a snapshot of it agree byte for
-// byte however many pairs tie.
-func relatedPairs(evs []*Event, minOverlap float64) []RelatedPair {
+// relatedPairs builds every pair of evs — reported live views in ID
+// order — with its user-community overlap. Each view carries the user
+// community reconciliation captured for it, so every pair is one linear
+// merge and nothing here touches the graph. The result order is total —
+// overlap descending, then A, then B — so two builds agree byte for byte
+// however many pairs tie.
+func relatedPairs(evs []*Event) []RelatedPair {
 	var out []RelatedPair
 	for i, a := range evs {
 		for _, b := range evs[i+1:] {
-			if jac := akg.JaccardSorted(a.users, b.users); jac >= minOverlap {
-				out = append(out, RelatedPair{A: a.ID, B: b.ID, UserJaccard: jac})
-			}
+			out = append(out, RelatedPair{A: a.ID, B: b.ID, UserJaccard: akg.JaccardSorted(a.users, b.users)})
 		}
 	}
 	slices.SortFunc(out, func(p, q RelatedPair) int {
@@ -68,21 +58,9 @@ func relatedPairs(evs []*Event, minOverlap float64) []RelatedPair {
 }
 
 // TopK returns the k highest-ranked live reported events — the "trending
-// topics" view. k ≤ 0 returns all live reported events.
-func (d *Detector) TopK(k int) []*Event {
-	live := d.LiveEvents() // already rank-descending
-	out := make([]*Event, 0, len(live))
-	for _, ev := range live {
-		if !ev.Reported {
-			continue
-		}
-		out = append(out, ev)
-		if k > 0 && len(out) == k {
-			break
-		}
-	}
-	return out
-}
+// topics" view: Snapshot(nil).TopK. k ≤ 0 returns all live reported
+// events.
+func (d *Detector) TopK(k int) []*Event { return d.Snapshot(nil).TopK(k) }
 
 // SpuriousEvents returns all tracked events (live or finished) whose rank
 // history matches the post-hoc spurious profile of Section 7.2.2 — the

@@ -17,13 +17,14 @@
 //     detector's array: later appends write at index n or beyond, or
 //     into a fresh array, never into what the view can read, and the
 //     capped capacity keeps a reader's own append off the shared array.
-//   - A finished event is never written after it retires, so the
-//     finished base holds the detector's events themselves, in an
-//     ID-sorted slice reused verbatim until the finished set changes.
+//   - A finished event is never written after it retires, and the
+//     detector's finished list only grows past its length or moves to a
+//     fresh array on a trim, so every epoch shares that list itself,
+//     capacity-clipped, in eviction order.
 //
-// What no epoch may need — the related-pair list and the query engine's
-// time and keyword-history indexes — is built lazily from the views on
-// the first read.
+// What no epoch may need — the ID order of the finished events, the
+// related-pair list and the query engine's time and keyword-history
+// indexes — is built lazily from the views on the first read.
 package detect
 
 import (
@@ -72,10 +73,6 @@ func (d *Detector) SnapshotCounters() (viewsReused, viewsRebuilt, relatedBuilds 
 type Snapshot struct {
 	// Quantum is the epoch: the index of the last processed quantum.
 	Quantum int
-	// Processed / Trimmed mirror the detector's cumulative counters at
-	// the epoch boundary.
-	Processed uint64
-	Trimmed   uint64
 	// AKGNodes / AKGEdges size the active graph at the epoch boundary.
 	AKGNodes int
 	AKGEdges int
@@ -86,9 +83,13 @@ type Snapshot struct {
 	Ended  []uint64
 	Merged []MergeNote
 
-	finSorted []*Event // finished events, ID ascending (shared across epochs)
-	live      []*Event // live events, rank-descending (ties: ID)
-	liveByID  []*Event // the same live views, ID ascending
+	fin      []*Event // finished events, eviction order (the detector's list)
+	live     []*Event // live events, rank-descending (ties: ID)
+	liveByID []*Event // the same live views, ID ascending
+
+	// The finished events by ID ascending, for Find and AllEvents.
+	finByIDOnce sync.Once
+	finByID     []*Event
 
 	// Live reported pairs, overlap-descending, built lazily from the
 	// views' user communities on the first /related read: most epochs
@@ -110,48 +111,45 @@ type Snapshot struct {
 	allKw     map[string][]*Event
 }
 
+// finishedByID builds (once, thread-safely) the ID order of the
+// finished events.
+func (s *Snapshot) finishedByID() []*Event {
+	s.finByIDOnce.Do(func() {
+		s.finByID = slices.SortedFunc(slices.Values(s.fin), byIDAsc)
+	})
+	return s.finByID
+}
+
 // AllEvents returns every retained event in birth (ID) order, merged on
-// demand from the finished base and the live overlay (finished IDs and
-// live IDs never interleave-free — a live event can be older than a
-// finished one — so this is a two-way merge). The result is freshly
-// allocated; the events it points at are snapshot-owned and read-only.
+// demand from the finished events and the live overlay (a live event can
+// be older than a finished one, so this is a two-way merge). The result
+// is freshly allocated; the events it points at are snapshot-owned and
+// read-only.
 func (s *Snapshot) AllEvents() []*Event {
-	out := make([]*Event, 0, len(s.finSorted)+len(s.liveByID))
+	fin := s.finishedByID()
+	out := make([]*Event, 0, len(fin)+len(s.liveByID))
 	i, j := 0, 0
-	for i < len(s.finSorted) && j < len(s.liveByID) {
-		if s.finSorted[i].ID < s.liveByID[j].ID {
-			out = append(out, s.finSorted[i])
+	for i < len(fin) && j < len(s.liveByID) {
+		if fin[i].ID < s.liveByID[j].ID {
+			out = append(out, fin[i])
 			i++
 		} else {
 			out = append(out, s.liveByID[j])
 			j++
 		}
 	}
-	out = append(out, s.finSorted[i:]...)
+	out = append(out, fin[i:]...)
 	out = append(out, s.liveByID[j:]...)
 	return out
 }
 
-// TopK returns the k highest-ranked live reported events (k ≤ 0 = all),
-// mirroring Detector.TopK.
-func (s *Snapshot) TopK(k int) []*Event {
-	out := make([]*Event, 0, len(s.live))
-	for _, ev := range s.live {
-		if !ev.Reported {
-			continue
-		}
-		out = append(out, ev)
-		if k > 0 && len(out) == k {
-			break
-		}
-	}
-	return out
-}
+// TopK returns the k highest-ranked live reported events (k ≤ 0 = all).
+func (s *Snapshot) TopK(k int) []*Event { return s.TopKKeyword(k, "") }
 
 // Find returns the retained event with the given ID, or nil — a binary
-// search of the finished base, then of the live overlay.
+// search of the finished events, then of the live overlay.
 func (s *Snapshot) Find(id uint64) *Event {
-	if ev := findByID(s.finSorted, id); ev != nil {
+	if ev := findByID(s.finishedByID(), id); ev != nil {
 		return ev
 	}
 	return findByID(s.liveByID, id)
@@ -169,7 +167,7 @@ func findByID(sorted []*Event, id uint64) *Event {
 func (s *Snapshot) LiveCount() int { return len(s.live) }
 
 // TotalCount returns the number of retained events (live + finished).
-func (s *Snapshot) TotalCount() int { return len(s.finSorted) + len(s.live) }
+func (s *Snapshot) TotalCount() int { return len(s.fin) + len(s.live) }
 
 // relatedPairs builds (once, thread-safely) every live reported pair
 // with its overlap, from the views alone.
@@ -181,16 +179,16 @@ func (s *Snapshot) relatedPairs() []RelatedPair {
 				reported = append(reported, ev)
 			}
 		}
-		s.related = relatedPairs(reported, 0)
+		s.related = relatedPairs(reported)
 		s.counters.relatedBuilds.Add(1)
 	})
 	return s.related
 }
 
 // Related returns the live reported event pairs with user-community
-// overlap ≥ minOverlap, mirroring Detector.RelatedEvents as of the epoch
-// boundary: a filter of the lazily built overlap-descending list, so
-// reads never wait on ingest. Never nil.
+// overlap ≥ minOverlap as of the epoch boundary: a filter of the lazily
+// built overlap-descending list, so reads never wait on ingest. Never
+// nil.
 func (s *Snapshot) Related(minOverlap float64) []RelatedPair {
 	related := s.relatedPairs()
 	out := make([]RelatedPair, 0, len(related))
@@ -218,8 +216,8 @@ func byLastAsc(a, b *Event) int {
 // view of every retained event, live and finished alike.
 func (s *Snapshot) rangeIndex() []*Event {
 	s.rangeOnce.Do(func() {
-		all := make([]*Event, 0, len(s.finSorted)+len(s.liveByID))
-		all = append(all, s.finSorted...)
+		all := make([]*Event, 0, len(s.fin)+len(s.liveByID))
+		all = append(all, s.fin...)
 		all = append(all, s.liveByID...)
 		slices.SortFunc(all, byLastAsc)
 		s.byLast = all
@@ -268,79 +266,39 @@ func (s *Snapshot) EventsWithKeyword(kw string) []*Event {
 }
 
 // TopKKeyword is TopK restricted to events whose current keyword set
-// contains kw: a filter of the same rank-ordered live view. Never nil.
+// contains kw (kw "" admits every event): a filter of the same
+// rank-ordered live view, in one allocation. Never nil.
 func (s *Snapshot) TopKKeyword(k int, kw string) []*Event {
-	out := []*Event{}
+	n := len(s.live)
+	if k > 0 {
+		n = min(n, k)
+	}
+	out := make([]*Event, 0, n)
 	for _, ev := range s.live {
-		if !ev.Reported || !slices.Contains(ev.Keywords, kw) {
+		if !ev.Reported || kw != "" && !slices.Contains(ev.Keywords, kw) {
 			continue
 		}
 		out = append(out, ev)
-		if k > 0 && len(out) == k {
+		if len(out) == k {
 			break
 		}
 	}
 	return out
 }
 
-// syncFinishedViews brings the finished-event views in line with
-// d.finished: trimmed events fall off the front (matched by the
-// cumulative trim counter), newly finished events join the back. The
-// ID-sorted base slice (what snapshots serve from) is rebuilt only when
-// the finished set actually changed, by merging the few arrivals into —
-// and the few departures out of — a fresh copy of the old base: one
-// O(retained) pointer copy, no sort of the retained set. On the common
-// quantum where nothing finishes, every epoch shares the same base and
-// the sync costs nothing. Published snapshots reference the base slice
-// by value, so the rebuild never mutates an already-published epoch.
-func (d *Detector) syncFinishedViews() {
-	var dropped []*Event
-	if delta := d.trimmed - d.snapFinTrimmed; delta > 0 {
-		n := min(int(delta), len(d.snapFin))
-		dropped = d.snapFin[:n] // the old array: abandoned on the next line
-		d.snapFin = append(d.snapFin[:0:0], d.snapFin[n:]...)
-		d.snapFinTrimmed = d.trimmed
-	}
-	synced := len(d.snapFin)
-	d.snapFin = append(d.snapFin, d.finished[synced:]...)
-	added := slices.Clone(d.snapFin[synced:])
-	if len(dropped) == 0 && len(added) == 0 {
-		return
-	}
-	slices.SortFunc(dropped, byIDAsc)
-	slices.SortFunc(added, byIDAsc)
-	old := d.snapFinSorted
-	merged := make([]*Event, 0, len(d.snapFin))
-	for _, ev := range old {
-		if len(dropped) > 0 && dropped[0] == ev {
-			dropped = dropped[1:]
-			continue
-		}
-		for len(added) > 0 && added[0].ID < ev.ID {
-			merged = append(merged, added[0])
-			added = added[1:]
-		}
-		merged = append(merged, ev)
-	}
-	d.snapFinSorted = append(merged, added...)
-}
-
 // Snapshot materializes the immutable epoch view of the detector's
 // queryable state. res, when non-nil, is the QuantumResult that closed
 // the epoch and supplies the lifecycle deltas (pass nil after a restore,
-// or to republish after TrimFinished, where there is no delta to
-// report). Like every other Detector method it must not race with
-// ingest: callers serialise it on whichever goroutine applies quanta.
+// where there is no delta to report). Like every other Detector method
+// it must not race with ingest: callers serialise it on whichever
+// goroutine applies quanta.
 func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
-	d.syncFinishedViews()
 	s := &Snapshot{
-		Quantum:   d.akg.Quantum(),
-		Processed: d.processed,
-		Trimmed:   d.trimmed,
-		AKGNodes:  d.akg.NodeCount(),
-		AKGEdges:  d.akg.EdgeCount(),
-		finSorted: d.snapFinSorted,
-		counters:  &d.snapCounters,
+		Quantum:  d.akg.Quantum(),
+		AKGNodes: d.akg.NodeCount(),
+		AKGEdges: d.akg.EdgeCount(),
+		fin:      slices.Clip(d.finished),
+		counters: &d.snapCounters,
 	}
 	if res != nil {
 		s.Born = res.Born
@@ -348,13 +306,6 @@ func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 		s.Merged = res.Merged
 		d.snapCounters.viewsReused.Add(uint64(res.Carried))
 		d.snapCounters.viewsRebuilt.Add(uint64(res.Recomputed))
-	}
-	if last := d.lastSnap; res == nil && last != nil && last.Quantum == s.Quantum {
-		// Live events only change when a quantum closes: a republish
-		// inside the quantum shares the replaced epoch's live part.
-		s.live, s.liveByID = last.live, last.liveByID
-		d.lastSnap = s
-		return s
 	}
 
 	// One header copy per live event, carved from one allocation; the
@@ -380,6 +331,5 @@ func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 		return byIDAsc(a, b)
 	})
 	s.live, s.liveByID = live, liveByID
-	d.lastSnap = s
 	return s
 }

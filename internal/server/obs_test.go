@@ -458,6 +458,12 @@ func TestMetricsFilterAndFormat(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+	// A 202 acknowledges the batch before it applies; the message
+	// counter moves only once it has.
+	for _, name := range []string{"alpha", "beta"} {
+		tn, _ := pool.Tenant(name)
+		waitApplied(t, tn)
+	}
 
 	scrape := func(query string) map[string]float64 {
 		t.Helper()

@@ -11,17 +11,17 @@ import (
 
 // applyRecord performs the detector mutation one WAL record stands for:
 // a flush marker forces the buffered partial quantum through; a batch is
-// ingested message by message and the finished history then trimmed to
-// retain (0 = keep everything). This is the only definition of that
-// mutation — the live worker (Tenant.apply) and WAL replay
-// (recoverTenant) both call it, so what recovery rebuilds cannot drift
-// from what was served. mu is held for the whole record: readers never
-// take it (they load the epoch snapshot), and its two other takers cannot
-// be waiting — maybeSnapshot runs on this goroutine between records,
-// Shutdown's final snapshot after the drain. The hooks run under mu:
-// applied once with the record's message count, trimmed after a trim
-// that evicted events; replay passes nil for both.
-func applyRecord(det *detect.Detector, mu *sync.Mutex, retain int, msgs []stream.Message, flush bool, applied func(n int), trimmed func()) {
+// ingested message by message. Retention is the detector's own: every
+// quantum ends trimmed to the cap tenantStorage set. This is the only
+// definition of that mutation — the live worker (Tenant.apply) and WAL
+// replay (recoverTenant) both call it, so what recovery rebuilds cannot
+// drift from what was served. mu is held for the whole record: readers
+// never take it (they load the epoch snapshot), and its two other takers
+// cannot be waiting — maybeSnapshot runs on this goroutine between
+// records, Shutdown's final snapshot after the drain. applied, when
+// non-nil, runs under mu once with a batch's message count; replay
+// passes nil.
+func applyRecord(det *detect.Detector, mu *sync.Mutex, msgs []stream.Message, flush bool, applied func(n int)) {
 	mu.Lock()
 	defer mu.Unlock()
 	if flush {
@@ -33,9 +33,6 @@ func applyRecord(det *detect.Detector, mu *sync.Mutex, retain int, msgs []stream
 	}
 	if applied != nil {
 		applied(len(msgs))
-	}
-	if retain > 0 && det.TrimFinished(retain) > 0 && trimmed != nil {
-		trimmed()
 	}
 }
 

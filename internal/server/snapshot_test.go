@@ -16,10 +16,10 @@ import (
 	"repro/internal/tracegen"
 )
 
-// TestSnapshotQueriesMatchDetector is the refactor's fidelity gate: every
-// query answered from the epoch snapshot must be byte-identical to what
-// the pre-refactor lock-based read (a direct detector call) produces on
-// the same stream.
+// TestSnapshotQueriesMatchDetector is the serving path's fidelity gate:
+// every query a tenant answers from its published epoch must be
+// byte-identical to the same read of a bare detector fed the same
+// stream, so batching, queueing and publication change nothing.
 func TestSnapshotQueriesMatchDetector(t *testing.T) {
 	const n = 8000
 	msgs, _ := tracegen.Generate(tracegen.TWConfig(7, n))
@@ -44,8 +44,7 @@ func TestSnapshotQueriesMatchDetector(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Reference: a detector fed the same stream, queried directly (the
-	// pre-refactor read path).
+	// Reference: a bare detector fed the same stream, read directly.
 	ref := detect.New(cfg)
 	for _, m := range msgs {
 		ref.IngestAll(m)

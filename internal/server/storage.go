@@ -133,16 +133,19 @@ func (s *tenantStorage) archive() query.Archive {
 // (a fresh detector when there is none, or no WAL), then the segment
 // tail through applyRecord, the function the worker applied it with.
 // The archive buffer's image that follows the detector state in the
-// snapshot is handed back first, and the eviction hook is attached
-// before the replay, so the evictions since the snapshot are re-archived
-// and those a segment sealed since already holds are dropped by ordinal.
+// snapshot is handed back first, and the retention cap and eviction hook
+// are attached before the replay (attach), so the evictions since the
+// snapshot are re-archived and those a segment sealed since already
+// holds are dropped by ordinal.
 // A damaged image fails the restore like damaged state; a failed seal
 // while handing it back is counted and retried by the next Append.
 // Returns the detector, the quantum of the snapshot it started from, and
 // the sequence of the last record applied.
 func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	if s.wal == nil {
-		return detect.New(s.cfg.Detector), 0, 0, nil
+		det := detect.New(s.cfg.Detector)
+		s.attach(det)
+		return det, 0, 0, nil
 	}
 	r, snapSeq, err := s.wal.LatestSnapshot()
 	if err != nil {
@@ -165,31 +168,33 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 		}
 	}
 	base := det.AKG().Quantum()
-	s.attachEvict(det)
+	s.attach(det)
 	var mu sync.Mutex // applyRecord's lock; nothing else can reach det yet
 	err = s.wal.Replay(snapSeq, func(_ uint64, msgs []stream.Message, flush bool) error {
-		applyRecord(det, &mu, s.cfg.RetainEvents, msgs, flush, nil, nil)
+		applyRecord(det, &mu, msgs, flush, nil)
 		return nil
 	})
 	return det, base, s.wal.LastSeq(), err
 }
 
-// attachEvict routes events evicted by detect.TrimFinished into the
-// archive. The detector's cumulative trim counter is the record's
-// eviction ordinal; the archive drops ordinals it already holds, which
-// makes the hook idempotent across WAL replays. An Append error is a
-// failed seal; the archive holds the record either way.
-func (s *tenantStorage) attachEvict(det *detect.Detector) {
-	if s.arch == nil {
-		return
+// attach sets the tenant's retention cap on a detector it built and
+// routes the events the cap evicts into the archive. The detector's
+// cumulative trim counter is the record's eviction ordinal; the archive
+// drops ordinals it already holds, which makes the hook idempotent
+// across WAL replays. An Append error is a failed seal; the archive
+// holds the record either way. Without an archive evictions are
+// discarded.
+func (s *tenantStorage) attach(det *detect.Detector) {
+	if s.arch != nil {
+		det.SetOnEvict(func(ev *detect.Event) {
+			rec := archive.RecordOf(ev)
+			rec.Seq = det.Trimmed()
+			if err := s.arch.Append(rec); err != nil {
+				s.writeFailed(&s.archErrs, err)
+			}
+		})
 	}
-	det.SetOnEvict(func(ev *detect.Event) {
-		rec := archive.RecordOf(ev)
-		rec.Seq = det.Trimmed()
-		if err := s.arch.Append(rec); err != nil {
-			s.writeFailed(&s.archErrs, err)
-		}
-	})
+	det.SetRetain(s.cfg.RetainEvents)
 }
 
 // append logs one ingest batch — or, with flush set, a stream-flush

@@ -68,7 +68,7 @@ func TestStorageOwner(t *testing.T) {
 				t.Fatalf("append = (%d, %v), want seq %d", seq, err, want(1))
 			}
 			var mu sync.Mutex
-			applyRecord(det, &mu, 0, msgs, false, nil, nil)
+			applyRecord(det, &mu, msgs, false, nil)
 			fseq, err := st.append(nil, true)
 			if err != nil || fseq != want(2) {
 				t.Fatalf("flush marker = (%d, %v), want seq %d", fseq, err, want(2))

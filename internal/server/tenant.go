@@ -137,8 +137,9 @@ func (c *akgCounters) add(st *akg.QuantumStats) {
 	c.windowEntries.Store(int64(st.WindowEntries))
 }
 
-// newTenant wraps a detector — fresh or restored, its eviction hook
-// already attached by st — in its queue, broker and read state.
+// newTenant wraps a detector — fresh or restored, its retention cap and
+// eviction hook already attached by st — in its queue, broker and read
+// state.
 func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenant {
 	name, cfg, tob := st.name, st.cfg, st.obs
 	t := &Tenant{
@@ -277,19 +278,6 @@ func (t *Tenant) recordApplied(n int) {
 	t.since.Add(uint64(n))
 }
 
-// republishTrimmed is applyRecord's post-trim hook on the live path
-// (apply lock held): trimming changed the retained history, so
-// republish for reads to observe it before the next quantum boundary.
-// The quantum has not advanced, so carry the previous epoch's lifecycle
-// deltas forward instead of wiping them.
-func (t *Tenant) republishTrimmed() {
-	next := t.det.Snapshot(nil)
-	if prev := t.snap.Load(); prev != nil && prev.Quantum == next.Quantum {
-		next.Born, next.Ended, next.Merged = prev.Born, prev.Ended, prev.Merged
-	}
-	t.snap.Store(next)
-}
-
 // apply ingests one batch (or flush marker) into the detector. Queries
 // don't take the apply lock at all — they read the epoch snapshot the
 // quantum hook publishes.
@@ -311,7 +299,7 @@ func (t *Tenant) apply(batch walBatch) {
 		t.applied.Add(1)
 		return
 	}
-	applyRecord(t.det, &t.mu, t.cfg.RetainEvents, batch.msgs, batch.flush, t.recordApplied, t.republishTrimmed)
+	applyRecord(t.det, &t.mu, batch.msgs, batch.flush, t.recordApplied)
 	t.lastApplied.Store(batch.seq)
 	t.maybeSnapshot()
 	t.queuedMsgs.Add(-int64(len(batch.msgs)))

@@ -27,7 +27,7 @@ const (
 	OpRename
 	// OpRemove covers Remove.
 	OpRemove
-	// OpRead covers File.Read/ReadAt and ReadFile.
+	// OpRead covers File.Read/ReadAt and ReadDir.
 	OpRead
 	// OpTruncate covers Truncate (path and file forms).
 	OpTruncate
@@ -240,22 +240,11 @@ func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
 	return f.base.ReadDir(name)
 }
 
-func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	if err, _ := f.check(OpRead, name); err != nil {
-		return nil, &fs.PathError{Op: "read", Path: name, Err: err}
-	}
-	return f.base.ReadFile(name)
-}
-
 func (f *FaultFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	if err, _ := f.check(OpWrite, name); err != nil {
 		return &fs.PathError{Op: "write", Path: name, Err: err}
 	}
 	return f.base.WriteFile(name, data, perm)
-}
-
-func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
-	return f.base.Stat(name)
 }
 
 func (f *FaultFS) Glob(pattern string) ([]string, error) {

@@ -50,9 +50,7 @@ type FS interface {
 	Truncate(name string, size int64) error
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadDir(name string) ([]fs.DirEntry, error)
-	ReadFile(name string) ([]byte, error)
 	WriteFile(name string, data []byte, perm fs.FileMode) error
-	Stat(name string) (fs.FileInfo, error)
 	Glob(pattern string) ([]string, error)
 }
 
@@ -101,11 +99,9 @@ func (osFS) Truncate(name string, size int64) error {
 }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
-func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
 func (osFS) Glob(pattern string) ([]string, error) { return filepath.Glob(pattern) }
 
 // ErrClass buckets a storage error by the degradation policy it calls

@@ -25,7 +25,7 @@ func TestOSPassThrough(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := OS.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("ReadFile = %q, %v", data, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 	"syscall"
 	"testing"
@@ -207,7 +208,7 @@ func readDisk(t *testing.T, dir string) (map[uint64][]byte, uint64) {
 	var snap uint64
 	if len(snaps) > 0 {
 		snap = snaps[len(snaps)-1]
-		raw, err := vfs.OS.ReadFile(r.snapPath(snap))
+		raw, err := os.ReadFile(r.snapPath(snap))
 		if err != nil || string(raw) != fmt.Sprintf("state through %d", snap) {
 			t.Fatalf("snapshot %d holds %q (%v)", snap, raw, err)
 		}
