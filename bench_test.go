@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro"
@@ -182,6 +183,31 @@ func BenchmarkTable4ThroughputES(b *testing.B) {
 			throughputBench(b, "es", delta)
 		})
 	}
+}
+
+// spineTrace is one ingest-tw tenant's trace shape (bench/spec.go: the
+// TW profile, 662,400 messages, tenant seeds from 1001), generated once
+// per process.
+var spineTrace = sync.OnceValue(func() []stream.Message {
+	msgs, _ := tracegen.Generate(tracegen.TWConfig(1001, 662400))
+	return msgs
+})
+
+// BenchmarkDetectorSpineTW replays a whole spine-size TW trace through a
+// bare detector at Δ = 160, one op being one replay. Its vocabulary and
+// user population are about twenty times those of the benchTraceLen
+// traces, so the window's records, id sets and the symbol table outgrow
+// the L2 cache as they do on the server, and memory latency shows.
+func BenchmarkDetectorSpineTW(b *testing.B) {
+	msgs := spineTrace()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := detect.New(detect.Config{Delta: detect.DefaultDelta})
+		if err := d.Run(stream.NewSliceSource(msgs), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(msgs)), "ns/msg")
 }
 
 // ---- Section 7.4: AKG reduction ----

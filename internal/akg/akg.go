@@ -121,9 +121,13 @@ type QuantumStats struct {
 
 // keyword is everything the layer knows about one keyword seen inside
 // the window. The record is resolved once per quantum (one index into
-// AKG.kw in the observe loop) and then travels by pointer: the ring entry
-// keeps it next to the keyword's users, so expiry, classification,
-// refresh, screening and eviction never look anything up.
+// AKG.kw per arriving keyword, ahead of the observe loop) and then
+// travels by pointer: the ring entry keeps it next to the keyword's
+// users, so expiry, classification, refresh, screening and eviction
+// never look anything up. Both window loops over a quantum's records,
+// expiry and observe, run behind a gather pass (AKG.gather) that loads
+// each record and the head of its arrays first, so their cache misses
+// overlap.
 //
 // A record referenced from the ring is live: its set holds at least the
 // users that ring entry lists, so it cannot be empty — and is therefore
@@ -198,6 +202,9 @@ type AKG struct {
 	drop        []edgeRef
 	keep        []edgeRef
 	weights     []float64
+
+	// sink absorbs gather's loads; its value means nothing.
+	sink uint64
 
 	// AppendUnionUsers' scratch (single-threaded use under the apply
 	// lock): the members' lists, and the fold's two partial unions.
@@ -323,7 +330,11 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	}
 	a.spare = quantumObs{}
 	for ki, k := range obs.keys {
-		r := a.rec(k)
+		obs.recs[ki] = a.rec(k)
+	}
+	a.gather(obs.recs)
+	for ki, k := range obs.keys {
+		r := obs.recs[ki]
 		if r == nil {
 			r = a.newKeyword(k)
 		}
@@ -516,6 +527,7 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 	// Keys are stored ascending, so expiry is naturally sorted: node
 	// removals reach the engine, where split identities must be
 	// reproducible across runs.
+	a.gather(oldest.recs)
 	for ki, r := range oldest.recs {
 		// Who left matters only to a sketch that is current.
 		var gone *[]uint64
@@ -549,6 +561,29 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 	}
 	clear(oldest.recs) // the spare must not pin dead records
 	a.spare = oldest
+}
+
+// gather loads what the window loop that follows reads first of each
+// record — both of its cache lines, and the head of its users and cnt
+// arrays — before that loop touches any of them. The loop's visits are
+// dependent chains (record → array header → array) over a working set
+// far beyond the caches, most of them brief; issued back to back and
+// independent of each other, the loads here overlap their misses, where
+// the loop would wait on one chain at a time. The values are summed into
+// a.sink only so that the compiler keeps the loads. Nil records (keywords
+// not yet in the table) are skipped.
+func (a *AKG) gather(recs []*keyword) {
+	var sum uint64
+	for _, r := range recs {
+		if r == nil {
+			continue
+		}
+		sum += uint64(r.dirtyAt)
+		if len(r.set.users) > 0 {
+			sum += r.set.users[0] + uint64(r.set.cnt[0])
+		}
+	}
+	a.sink += sum
 }
 
 // refreshEdges re-evaluates the EC of every edge incident to the given

@@ -1,6 +1,10 @@
 package textproc
 
-import "repro/internal/dygraph"
+import (
+	"math/bits"
+
+	"repro/internal/dygraph"
+)
 
 // Symbol is what the table knows about one lower-cased word, answered by
 // a single probe: its keyword ID once interned, whether it is a stop
@@ -35,12 +39,15 @@ func (s Symbol) IsAlias() bool { return s.flags&symAlias != 0 }
 // and 7.2.2 from the same entry, so a token is looked up once. The stop
 // list and the synonym keys are entered up front without an ID: they
 // are not part of the vocabulary until a message actually interns them.
+// Words of up to seven bytes, most of a microblog vocabulary, live in a
+// flat open-addressing table (symTable); longer ones in a Go map.
 type Interner struct {
 	// A word of at most seven bytes is keyed by those bytes and its
-	// length packed into one integer: the probe hashes and compares a
-	// machine word and never follows a string pointer — most of a
-	// microblog vocabulary is that short.
-	short map[uint64]Symbol
+	// length packed into one integer, in a flat table: the probe hashes
+	// and compares a machine word and never follows a string pointer —
+	// most of a microblog vocabulary is that short. A stream's vocabulary
+	// outgrows the caches, so a lookup costs a miss; here it is one.
+	short symTable
 	long  map[string]Symbol
 	words []string
 	canon map[string]string // synonym → canonical form; nil without synonyms
@@ -51,7 +58,7 @@ type Interner struct {
 // interned word gets ID 1.
 func NewInterner() *Interner {
 	in := &Interner{
-		short: make(map[uint64]Symbol, 2*len(stopList)),
+		short: newSymTable(2 * len(stopList)),
 		long:  make(map[string]Symbol),
 		words: []string{""},
 	}
@@ -67,9 +74,11 @@ func NewInterner() *Interner {
 const maxShort = 7
 
 // packShort packs a word of at most maxShort bytes into its short-table
-// key: the length in the top byte, so no two words share a key.
+// key: the length in the top byte, so no two words share a key, and its
+// top bit set, so that no key — the empty word's included — is 0, the
+// table's empty-slot mark.
 func packShort[T string | []byte](word T) uint64 {
-	key := uint64(len(word)) << 56
+	key := 1<<63 | uint64(len(word))<<56
 	for i := 0; i < len(word); i++ {
 		key |= uint64(word[i]) << (8 * i)
 	}
@@ -82,14 +91,14 @@ func (in *Interner) Resolve(word []byte) Symbol { return resolve(in, word) }
 
 func resolve[T string | []byte](in *Interner, word T) Symbol {
 	if len(word) <= maxShort {
-		return in.short[packShort(word)]
+		return in.short.get(packShort(word))
 	}
 	return in.long[string(word)] // no allocation: a conversion in a map index
 }
 
 func (in *Interner) set(word string, s Symbol) {
 	if len(word) <= maxShort {
-		in.short[packShort(word)] = s
+		in.short.put(packShort(word), s)
 	} else {
 		in.long[word] = s
 	}
@@ -203,4 +212,77 @@ func FromWordList(words []string) *Interner {
 		in.Intern(w)
 	}
 	return in
+}
+
+// symTable is an open-addressing hash table from packed short-word keys
+// to symbols: 16-byte (key, Symbol) slots in one power-of-two array, a
+// multiplicative hash and linear probing. A probe starts at a slot the
+// key alone determines and usually ends in that slot's cache line, so a
+// lookup is one dependent miss. At most three slots in four are in use,
+// which keeps the probes short at the footprint of a Go map with the
+// same key and value. Keys are never removed.
+type symTable struct {
+	slots []symSlot // key 0 marks an empty slot
+	shift uint8     // 64 − log2(len(slots)): the hash's top bits index the array
+	n     int       // slots in use
+}
+
+type symSlot struct {
+	key uint64
+	sym Symbol
+}
+
+// newSymTable returns a table that holds n keys before it first grows.
+func newSymTable(n int) symTable {
+	size := 8
+	for size*3/4 < n {
+		size <<= 1
+	}
+	return symTable{slots: make([]symSlot, size), shift: uint8(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// home is key's first probe position.
+func (t *symTable) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// get returns key's symbol, the zero Symbol when the table has none.
+func (t *symTable) get(key uint64) Symbol {
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			return t.slots[i].sym
+		case 0:
+			return Symbol{}
+		}
+	}
+}
+
+// put sets key's symbol, inserting the key if it is new.
+func (t *symTable) put(key uint64, s Symbol) {
+	mask := len(t.slots) - 1
+	i := t.home(key)
+	for ; t.slots[i].key != 0; i = (i + 1) & mask {
+		if t.slots[i].key == key {
+			t.slots[i].sym = s
+			return
+		}
+	}
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
+		t.put(key, s)
+		return
+	}
+	t.slots[i] = symSlot{key, s}
+	t.n++
+}
+
+// grow rehashes every key into a table twice the size.
+func (t *symTable) grow() {
+	old := t.slots
+	*t = symTable{slots: make([]symSlot, 2*len(old)), shift: t.shift - 1}
+	for _, sl := range old {
+		if sl.key != 0 {
+			t.put(sl.key, sl.sym)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -245,6 +246,73 @@ func TestInterner(t *testing.T) {
 	if got := FromWordList(in.WordList()); got.Size() != 2 || got.Word(a) != "alpha" || got.Word(b) != "beta" {
 		t.Fatalf("WordList round trip: %v", got.WordList())
 	}
+
+	// The cases a flat short-word table could get wrong: the empty word,
+	// whose packed bytes and length are all zero (is it an empty slot?),
+	// a 7-byte word against its 8-byte extension (the two sides of the
+	// short table's limit), two words with the same home slot, and
+	// growth — each before and after a WordList round trip.
+	in = NewInterner()
+	if id, ok := in.Lookup(""); ok || id != 0 {
+		t.Fatalf("Lookup(\"\") on a fresh table = %d/%v", id, ok)
+	}
+	if id := in.Intern(""); id != 1 {
+		t.Fatalf("Intern(\"\") = %d, want 1", id)
+	}
+	seven, eight := in.Intern("abcdefg"), in.Intern("abcdefgh")
+	if seven == eight || in.Word(seven) != "abcdefg" || in.Word(eight) != "abcdefgh" {
+		t.Fatalf("7- and 8-byte words: ids %d %d, words %q %q", seven, eight, in.Word(seven), in.Word(eight))
+	}
+	if _, ok := in.Lookup("abcdefghi"); ok {
+		t.Fatalf("a 9-byte extension was found")
+	}
+
+	// Two words whose first probe lands on the same slot.
+	var pair []string
+	homes := map[int]string{}
+	for c1 := 'a'; c1 <= 'z' && pair == nil; c1++ {
+		for c2 := 'a'; c2 <= 'z'; c2++ {
+			w := "q" + string(c1) + string(c2)
+			h := in.short.home(packShort(w))
+			if prev, ok := homes[h]; ok {
+				pair = []string{prev, w}
+				break
+			}
+			homes[h] = w
+		}
+	}
+	if pair == nil {
+		t.Fatalf("no two words share a home slot")
+	}
+	p0, p1 := in.Intern(pair[0]), in.Intern(pair[1])
+	if p0 == p1 || in.Intern(pair[0]) != p0 || in.Intern(pair[1]) != p1 {
+		t.Fatalf("%q and %q (same home slot): ids %d %d", pair[0], pair[1], p0, p1)
+	}
+
+	want := map[string]dygraph.NodeID{"": 1, "abcdefg": seven, "abcdefgh": eight, pair[0]: p0, pair[1]: p1}
+	check := func(in *Interner, when string) {
+		t.Helper()
+		for w, id := range want {
+			if got, ok := in.Lookup(w); !ok || got != id {
+				t.Fatalf("%s: Lookup(%q) = %d/%v, want %d", when, w, got, ok, id)
+			}
+			if in.Word(id) != w {
+				t.Fatalf("%s: Word(%d) = %q, want %q", when, id, in.Word(id), w)
+			}
+		}
+	}
+	check(in, "before growth")
+
+	slots, growths := len(in.short.slots), 0
+	for i := 0; growths < 3; i++ {
+		w := strconv.Itoa(i)
+		want[w] = in.Intern(w)
+		if n := len(in.short.slots); n != slots {
+			slots, growths = n, growths+1
+		}
+	}
+	check(in, "after three growths")
+	check(FromWordList(in.WordList()), "after a WordList round trip")
 }
 
 // TestInternerAliases: a synonym key is entered without an ID, resolves
