@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"math/bits"
+	"math/rand/v2"
 
 	"repro/internal/dygraph"
 )
@@ -216,15 +217,22 @@ func FromWordList(words []string) *Interner {
 
 // symTable is an open-addressing hash table from packed short-word keys
 // to symbols: 16-byte (key, Symbol) slots in one power-of-two array, a
-// multiplicative hash and linear probing. A probe starts at a slot the
-// key alone determines and usually ends in that slot's cache line, so a
-// lookup is one dependent miss. At most three slots in four are in use,
-// which keeps the probes short at the footprint of a Go map with the
-// same key and value. Keys are never removed.
+// seeded multiply-fold hash and linear probing. A probe starts at a slot
+// the key and the table's seed determine and usually ends in that slot's
+// cache line, so a lookup is one dependent miss. At most three slots in
+// four are in use, which keeps the probes short at the footprint of a Go
+// map with the same key and value. Keys are never removed.
+//
+// The keys are words from ingested messages, so the hash is seeded per
+// table, as a Go map's is: with a fixed hash a client could search
+// offline for words that share a home slot at every table size and grow
+// one probe cluster that every later lookup in it walks. The seed places
+// slots only; IDs follow first-sight order whatever it is.
 type symTable struct {
 	slots []symSlot // key 0 marks an empty slot
 	shift uint8     // 64 − log2(len(slots)): the hash's top bits index the array
 	n     int       // slots in use
+	seed  [2]uint64
 }
 
 type symSlot struct {
@@ -238,11 +246,22 @@ func newSymTable(n int) symTable {
 	for size*3/4 < n {
 		size <<= 1
 	}
-	return symTable{slots: make([]symSlot, size), shift: uint8(64 - bits.TrailingZeros(uint(size)))}
+	return symTable{
+		slots: make([]symSlot, size),
+		shift: uint8(64 - bits.TrailingZeros(uint(size))),
+		seed:  [2]uint64{rand.Uint64(), rand.Uint64()}, //repro:wallclock-exempt hash seed; places slots only, never an ID or any output
+	}
 }
 
-// home is key's first probe position.
-func (t *symTable) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.shift) }
+// home is key's first probe position: the top bits of the folded
+// 128-bit product of the key masked by each half of the seed (wyhash's
+// multiply-fold mix). Both factors depend on the key and on the seed,
+// so two keys picked without knowing the seed share a home only by
+// chance.
+func (t *symTable) home(key uint64) int {
+	hi, lo := bits.Mul64(key^t.seed[0], key^t.seed[1])
+	return int((hi ^ lo) >> t.shift)
+}
 
 // get returns key's symbol, the zero Symbol when the table has none.
 func (t *symTable) get(key uint64) Symbol {
@@ -279,7 +298,7 @@ func (t *symTable) put(key uint64, s Symbol) {
 // grow rehashes every key into a table twice the size.
 func (t *symTable) grow() {
 	old := t.slots
-	*t = symTable{slots: make([]symSlot, 2*len(old)), shift: t.shift - 1}
+	*t = symTable{slots: make([]symSlot, 2*len(old)), shift: t.shift - 1, seed: t.seed}
 	for _, sl := range old {
 		if sl.key != 0 {
 			t.put(sl.key, sl.sym)

@@ -315,6 +315,74 @@ func TestInterner(t *testing.T) {
 	check(FromWordList(in.WordList()), "after a WordList round trip")
 }
 
+// TestSymTableSeededHash: words searched out to share one home slot
+// under a fixed multiplicative hash (the top bits of key·0x9e3779b97f4a7c15)
+// would, in a table hashed that way, pile into a single probe cluster
+// that every insert and every lookup landing in it walks to the end.
+// Under the table's seeded hash they spread like any other words, so
+// no probe is long.
+func TestSymTableSeededHash(t *testing.T) {
+	const n, homeBits = 2048, 12
+	fixedHome := func(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> (64 - homeBits) }
+
+	// Seven-byte [a-z0-9] words in counting order, keeping those whose
+	// fixed home is the first word's: about one word in 2^homeBits.
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+	digits := make([]int, maxShort)
+	word := make([]byte, maxShort)
+	var words []string
+	var target uint64
+	for len(words) < n {
+		for i, d := range digits {
+			word[i] = alphabet[d]
+		}
+		h := fixedHome(packShort(word))
+		if words == nil {
+			target = h
+		}
+		if h == target {
+			words = append(words, string(word))
+		}
+		for i := range digits {
+			if digits[i]++; digits[i] < len(alphabet) {
+				break
+			}
+			digits[i] = 0
+		}
+	}
+
+	in := NewInterner()
+	for _, w := range words {
+		in.Intern(w)
+	}
+	tab := &in.short
+	if len(tab.slots) > 1<<homeBits {
+		t.Fatalf("table has %d slots; the words share a fixed home only up to %d", len(tab.slots), 1<<homeBits)
+	}
+	for i, w := range words {
+		if id, ok := in.Lookup(w); !ok || in.Word(id) != w || id != in.Intern(w) {
+			t.Fatalf("word %d %q: Lookup = %d/%v", i, w, id, ok)
+		}
+	}
+
+	// A key's displacement is how far past its home slot it sits: the
+	// probes a lookup of it makes beyond the first. In one fixed-hash
+	// cluster the mean would be about n/2 and the longest n−1.
+	mask := len(tab.slots) - 1
+	worst, total := 0, 0
+	for i, sl := range tab.slots {
+		if sl.key == 0 {
+			continue
+		}
+		d := (i - tab.home(sl.key)) & mask
+		total += d
+		worst = max(worst, d)
+	}
+	if worst > 256 || total > 4*tab.n {
+		t.Fatalf("%d keys in %d slots: longest displacement %d, mean %.1f", tab.n, len(tab.slots), worst, float64(total)/float64(tab.n))
+	}
+}
+
 // TestInternerAliases: a synonym key is entered without an ID, resolves
 // to its canonical word by one more probe, and can still be interned in
 // its own right (it may be another synonym's canonical form).
