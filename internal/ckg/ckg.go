@@ -27,12 +27,6 @@ type Graph struct {
 	ring   [][]UserKeywords // one entry per live quantum
 	nodes  map[dygraph.NodeID]int
 	edges  map[dygraph.Edge]int
-	// dirty is the set of keywords whose reference counts moved during
-	// the last AddQuantum (observed this quantum or expired out of the
-	// window) — the CKG-level analogue of the AKG's support-dirty set,
-	// so harnesses measuring the full graph can also confine their
-	// per-quantum work to the touched region.
-	dirty dygraph.DirtySet
 }
 
 // New returns a CKG over a window of w quanta. w must be ≥ 1.
@@ -50,7 +44,6 @@ func New(w int) *Graph {
 // AddQuantum ingests one quantum of per-user keyword sets and slides the
 // window, expiring the oldest quantum if the window is full.
 func (g *Graph) AddQuantum(batch []UserKeywords) {
-	g.dirty.Reset()
 	if len(g.ring) == g.window {
 		g.expire(g.ring[0])
 		copy(g.ring, g.ring[1:])
@@ -77,7 +70,6 @@ func (g *Graph) expire(batch []UserKeywords) {
 
 func (g *Graph) apply(uk UserKeywords, delta int) {
 	for _, k := range uk.Keywords {
-		g.dirty.Mark(k)
 		g.nodes[k] += delta
 		if g.nodes[k] <= 0 {
 			delete(g.nodes, k)
@@ -118,7 +110,3 @@ func (g *Graph) HasEdge(a, b dygraph.NodeID) bool {
 
 // QuantaHeld returns how many quanta are currently inside the window.
 func (g *Graph) QuantaHeld() int { return len(g.ring) }
-
-// DirtyNodes returns the keywords touched (observed or expired) by the
-// last AddQuantum, in mark order; valid until the next AddQuantum.
-func (g *Graph) DirtyNodes() []dygraph.NodeID { return g.dirty.Nodes() }

@@ -272,11 +272,10 @@ type Detector struct {
 	// snapCounters count the epoch builder's sharing (see snapshot.go).
 	snapCounters snapshotCounters
 
-	// reconcileMode pins the dirty-set reconciliation path for the
-	// equivalence tests: 0 auto (dirty path with full-pass fallback when
-	// most clusters are dirty), 1 always full, 2 always dirty. Both
-	// paths produce bit-identical results; the mode only moves work.
-	reconcileMode int
+	// reconcileFull (tests only) recomputes every live cluster each
+	// quantum, not just the dirty ones: the reference the equivalence
+	// tests hold the dirty path to.
+	reconcileFull bool
 
 	// Ingest-pipeline scratch, reused across quanta.
 	prep       prepared
@@ -295,10 +294,28 @@ type Detector struct {
 
 // New returns a Detector with the given configuration.
 func New(cfg Config) *Detector {
+	d, hooks := newDetector(cfg, textproc.NewInterner())
+	d.akg = akg.New(d.cfg.AKG, hooks)
+	if d.cfg.TrackCKG {
+		d.ckg = ckg.New(d.akg.Config().Window)
+	}
+	return d
+}
+
+// newDetector builds what New and FromState share: a detector over cfg
+// (defaults applied) and in, with its event registry, lifecycle maps and
+// quantizer in place, plus the engine hooks that feed the lifecycle maps,
+// for the caller to build the graph layer with. The synonym table goes
+// into the interner, so a token's one probe also says whether it is to
+// be read as another word.
+func newDetector(cfg Config, in *textproc.Interner) (*Detector, core.Hooks) {
 	cfg = cfg.withDefaults()
+	for word, canon := range cfg.Synonyms { //repro:order-insensitive one table entry per key; no entry depends on another
+		in.Alias(word, canon)
+	}
 	d := &Detector{
 		cfg:        cfg,
-		interner:   withSynonyms(textproc.NewInterner(), cfg.Synonyms),
+		interner:   in,
 		events:     make(map[core.ClusterID]*Event),
 		mergedInto: make(map[core.ClusterID]core.ClusterID),
 		splitFrom:  make(map[core.ClusterID]core.ClusterID),
@@ -308,7 +325,7 @@ func New(cfg Config) *Detector {
 	} else {
 		d.quant = stream.NewQuantizer(cfg.Delta)
 	}
-	hooks := core.Hooks{
+	return d, core.Hooks{
 		OnMerged: func(into *core.Cluster, absorbed core.ClusterID) {
 			d.mergedInto[absorbed] = into.ID()
 		},
@@ -318,20 +335,6 @@ func New(cfg Config) *Detector {
 			}
 		},
 	}
-	d.akg = akg.New(cfg.AKG, hooks)
-	if cfg.TrackCKG {
-		d.ckg = ckg.New(d.akg.Config().Window)
-	}
-	return d
-}
-
-// withSynonyms enters the synonym table into the interner, so a token's
-// one probe also says whether it is to be read as another word.
-func withSynonyms(in *textproc.Interner, synonyms map[string]string) *textproc.Interner {
-	for word, canon := range synonyms { //repro:order-insensitive one table entry per key; no entry depends on another
-		in.Alias(word, canon)
-	}
-	return in
 }
 
 // SetOnQuantum registers fn to be pushed every QuantumResult the detector
@@ -641,14 +644,6 @@ func (d *Detector) applyQuantum(uks []ckg.UserKeywords) QuantumResult {
 	return res
 }
 
-// Reconciliation path selectors (reconcileMode); tests force one path
-// to prove both produce bit-identical output.
-const (
-	reconcileAuto = iota
-	reconcileForceFull
-	reconcileForceDirty
-)
-
 // reconcileEvents aligns the event registry with the engine's live
 // clusters after a quantum, filling res.Reports (the reportable snapshot,
 // rank-descending) and the lifecycle deltas.
@@ -659,10 +654,7 @@ const (
 // and MQC status recomputed. A clean cluster's inputs are untouched by
 // construction (supports frozen, edge weights frozen, membership
 // frozen), so its event carries the previous values forward: same
-// rank appended to the history, same reportability decision. When the
-// dirty fraction exceeds half the live clusters the loop degrades to
-// the full pass, which skips the per-cluster set probe; both paths are
-// bit-identical (tested), the fallback only moves work.
+// rank appended to the history, same reportability decision.
 func (d *Detector) reconcileEvents(res *QuantumResult) {
 	quantum := res.Quantum
 	eng := d.akg.Engine()
@@ -677,13 +669,6 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 		if d.akg.InAKG(n) {
 			eng.ForEachClusterOf(n, func(id core.ClusterID) { dirty[id] = struct{}{} })
 		}
-	}
-	full := len(dirty)*2 >= eng.ClusterCount()
-	switch d.reconcileMode {
-	case reconcileForceFull:
-		full = true
-	case reconcileForceDirty:
-		full = false
 	}
 
 	// Retire events whose cluster no longer exists, in cluster-ID order:
@@ -755,7 +740,7 @@ func (d *Detector) reconcileEvents(res *QuantumResult) {
 	for _, cid := range liveIDs {
 		c := eng.Cluster(cid)
 		ev, ok := d.events[cid]
-		if ok && !full {
+		if ok && !d.reconcileFull {
 			if _, isDirty := dirty[cid]; !isDirty {
 				// Clean cluster: every rank input is frozen, so the event
 				// repeats last quantum's values. Only the per-quantum

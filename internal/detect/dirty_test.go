@@ -9,14 +9,14 @@ import (
 	"repro/internal/tracegen"
 )
 
-// runReconcileMode drains a synthetic trace through a detector pinned to
-// one reconciliation path, capturing every per-quantum wire artifact
-// plus the final event registry.
-func runReconcileMode(t *testing.T, mode int, retain int) (quanta []string, final string) {
+// runReconcile drains a synthetic trace through a detector on the dirty
+// reconciliation path, or on the full pass when full is set, capturing
+// every per-quantum wire artifact plus the final event registry.
+func runReconcile(t *testing.T, full bool, retain int) (quanta []string, final string) {
 	t.Helper()
 	msgs, _ := tracegen.Generate(tracegen.TWConfig(7, 16000))
 	d := New(Config{Delta: 80, AKG: akg.Config{Tau: 3, Beta: 0.2, Window: 8}})
-	d.reconcileMode = mode
+	d.reconcileFull = full
 	for _, m := range msgs {
 		for _, res := range d.IngestAll(m) {
 			raw, err := json.Marshal(struct {
@@ -61,34 +61,30 @@ func runReconcileMode(t *testing.T, mode int, retain int) (quanta []string, fina
 // full per-quantum rescan, with and without retention trimming.
 func TestReconcileDirtyEquivalence(t *testing.T) {
 	for _, retain := range []int{0, 4} {
-		fullQ, fullFinal := runReconcileMode(t, reconcileForceFull, retain)
-		dirtyQ, dirtyFinal := runReconcileMode(t, reconcileForceDirty, retain)
-		autoQ, autoFinal := runReconcileMode(t, reconcileAuto, retain)
+		fullQ, fullFinal := runReconcile(t, true, retain)
+		dirtyQ, dirtyFinal := runReconcile(t, false, retain)
 		if len(fullQ) == 0 {
 			t.Fatal("trace produced no quanta")
 		}
-		if len(fullQ) != len(dirtyQ) || len(fullQ) != len(autoQ) {
-			t.Fatalf("retain=%d: quantum counts diverge: full=%d dirty=%d auto=%d",
-				retain, len(fullQ), len(dirtyQ), len(autoQ))
+		if len(fullQ) != len(dirtyQ) {
+			t.Fatalf("retain=%d: quantum counts diverge: full=%d dirty=%d",
+				retain, len(fullQ), len(dirtyQ))
 		}
 		for i := range fullQ {
 			if fullQ[i] != dirtyQ[i] {
 				t.Fatalf("retain=%d: quantum %d diverges (full vs dirty):\nfull  %s\ndirty %s",
 					retain, i, fullQ[i], dirtyQ[i])
 			}
-			if fullQ[i] != autoQ[i] {
-				t.Fatalf("retain=%d: quantum %d diverges (full vs auto)", retain, i)
-			}
 		}
-		if fullFinal != dirtyFinal || fullFinal != autoFinal {
+		if fullFinal != dirtyFinal {
 			t.Fatalf("retain=%d: final event registries diverge", retain)
 		}
 	}
 }
 
 // TestReconcileDirtyEquivalenceAcrossCheckpoint replays the second half
-// of a stream on a restored checkpoint under the forced-dirty path and
-// requires the final registry to match an uninterrupted forced-full
+// of a stream on a restored checkpoint under the dirty path and
+// requires the final registry to match an uninterrupted full-pass
 // run — the dirty set must not depend on state a checkpoint cannot
 // carry.
 func TestReconcileDirtyEquivalenceAcrossCheckpoint(t *testing.T) {
@@ -96,7 +92,7 @@ func TestReconcileDirtyEquivalenceAcrossCheckpoint(t *testing.T) {
 	cfg := Config{Delta: 80, AKG: akg.Config{Tau: 3, Beta: 0.2, Window: 8}}
 
 	ref := New(cfg)
-	ref.reconcileMode = reconcileForceFull
+	ref.reconcileFull = true
 	for _, m := range msgs {
 		ref.IngestAll(m)
 	}
@@ -104,7 +100,6 @@ func TestReconcileDirtyEquivalenceAcrossCheckpoint(t *testing.T) {
 	want := mustJSON(t, ref.AllEvents())
 
 	d1 := New(cfg)
-	d1.reconcileMode = reconcileForceDirty
 	cut := 6000 // mid-quantum on purpose
 	for _, m := range msgs[:cut] {
 		d1.IngestAll(m)
@@ -114,7 +109,6 @@ func TestReconcileDirtyEquivalenceAcrossCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.reconcileMode = reconcileForceDirty
 	for _, m := range msgs[cut:] {
 		d2.IngestAll(m)
 	}

@@ -94,11 +94,11 @@ func fromScratch(t *testing.T, d *Detector) *Snapshot {
 // TestSnapshotSharingEquivalence drives generated traces through the
 // structurally shared epoch builder and requires, after every quantum and
 // every trim, that the published snapshot answers exactly like one built
-// from scratch — on both reconciliation paths, across a checkpoint round
-// trip. Meanwhile a reader keeps re-serialising the eight newest epochs
-// and requires the bytes never to change: under -race that pins that
-// nothing a published view aliases (rank-history prefixes, user lists,
-// keyword maps, finished events) is written after publication.
+// from scratch, across a checkpoint round trip. Meanwhile a reader keeps
+// re-serialising the eight newest epochs and requires the bytes never to
+// change: under -race that pins that nothing a published view aliases
+// (rank-history prefixes, user lists, keyword maps, finished events) is
+// written after publication.
 func TestSnapshotSharingEquivalence(t *testing.T) {
 	traces := []struct {
 		name   string
@@ -109,13 +109,11 @@ func TestSnapshotSharingEquivalence(t *testing.T) {
 		{"short", shortTrace(5, 12000), 64},
 	}
 	for _, tr := range traces {
-		for _, mode := range []int{reconcileForceFull, reconcileForceDirty} {
-			runSharing(t, tr.name, tr.msgs, tr.retain, mode)
-		}
+		runSharing(t, tr.name, tr.msgs, tr.retain)
 	}
 }
 
-func runSharing(t *testing.T, name string, msgs []stream.Message, retain, mode int) {
+func runSharing(t *testing.T, name string, msgs []stream.Message, retain int) {
 	type epoch struct {
 		snap *Snapshot
 		want string
@@ -156,8 +154,8 @@ func runSharing(t *testing.T, name string, msgs []stream.Message, retain, mode i
 	check := func(d *Detector, snap *Snapshot, what string) {
 		t.Helper()
 		if got, want := factsOf(snap), factsOf(fromScratch(t, d)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s mode %d quantum %d (%s): shared snapshot differs from a from-scratch build",
-				name, mode, snap.Quantum, what)
+			t.Fatalf("%s quantum %d (%s): shared snapshot differs from a from-scratch build",
+				name, snap.Quantum, what)
 		}
 		ring[published%len(ring)].Store(&epoch{snap: snap, want: serialise(snap)})
 		published++
@@ -165,7 +163,6 @@ func runSharing(t *testing.T, name string, msgs []stream.Message, retain, mode i
 
 	const delta = 80
 	d := New(Config{Delta: delta, AKG: akg.Config{Tau: 3, Beta: 0.2, Window: 8}})
-	d.reconcileMode = mode
 	reused, trims := 0, 0
 	for i, m := range msgs {
 		if i == len(msgs)/2 {
@@ -173,7 +170,6 @@ func runSharing(t *testing.T, name string, msgs []stream.Message, retain, mode i
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored.reconcileMode = mode
 			d = restored
 		}
 		var snap *Snapshot
@@ -190,7 +186,7 @@ func runSharing(t *testing.T, name string, msgs []stream.Message, retain, mode i
 	if published < len(msgs)/delta {
 		t.Fatalf("%s: only %d epochs published", name, published)
 	}
-	if mode == reconcileForceDirty && reused == 0 {
+	if reused == 0 {
 		t.Fatalf("%s: no clean cluster was ever carried forward; the trace exercises nothing", name)
 	}
 	if retain > 0 && trims == 0 {

@@ -76,12 +76,6 @@ type Snapshot struct {
 	// AKGNodes / AKGEdges size the active graph at the epoch boundary.
 	AKGNodes int
 	AKGEdges int
-	// Born / Ended / Merged are the lifecycle deltas of the newest
-	// quantum (empty on a freshly restored detector): enough for a
-	// subscriber to catch up without diffing epochs.
-	Born   []uint64
-	Ended  []uint64
-	Merged []MergeNote
 
 	fin      []*Event // finished events, eviction order (the detector's list)
 	live     []*Event // live events, rank-descending (ties: ID)
@@ -288,10 +282,10 @@ func (s *Snapshot) TopKKeyword(k int, kw string) []*Event {
 
 // Snapshot materializes the immutable epoch view of the detector's
 // queryable state. res, when non-nil, is the QuantumResult that closed
-// the epoch and supplies the lifecycle deltas (pass nil after a restore,
-// where there is no delta to report). Like every other Detector method
-// it must not race with ingest: callers serialise it on whichever
-// goroutine applies quanta.
+// the epoch, whose carried and recomputed counts feed SnapshotCounters
+// (pass nil after a restore or a trim, where no quantum closed). Like
+// every other Detector method it must not race with ingest: callers
+// serialise it on whichever goroutine applies quanta.
 func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 	s := &Snapshot{
 		Quantum:  d.akg.Quantum(),
@@ -301,9 +295,6 @@ func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 		counters: &d.snapCounters,
 	}
 	if res != nil {
-		s.Born = res.Born
-		s.Ended = res.Ended
-		s.Merged = res.Merged
 		d.snapCounters.viewsReused.Add(uint64(res.Carried))
 		d.snapCounters.viewsRebuilt.Add(uint64(res.Recomputed))
 	}

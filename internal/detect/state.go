@@ -166,32 +166,10 @@ func FromState(s DetectorState) (*Detector, error) {
 	if s.Magic != checkpointMagic {
 		return nil, fmt.Errorf("detect: bad checkpoint magic %q", s.Magic)
 	}
-	cfg := s.Cfg.withDefaults()
-	d := &Detector{
-		cfg:        cfg,
-		interner:   withSynonyms(textproc.FromWordList(s.Words), cfg.Synonyms),
-		events:     make(map[core.ClusterID]*Event, len(s.Events)),
-		nextEvent:  s.NextEvent,
-		processed:  s.Processed,
-		trimmed:    s.Trimmed,
-		mergedInto: make(map[core.ClusterID]core.ClusterID),
-		splitFrom:  make(map[core.ClusterID]core.ClusterID),
-	}
-	if cfg.QuantumTime > 0 {
-		d.tquant = stream.NewTimeQuantizer(cfg.QuantumTime)
+	d, hooks := newDetector(s.Cfg, textproc.FromWordList(s.Words))
+	d.nextEvent, d.processed, d.trimmed = s.NextEvent, s.Processed, s.Trimmed
+	if d.tquant != nil {
 		d.tquant.Resume(s.TQStart, s.TQStarted)
-	} else {
-		d.quant = stream.NewQuantizer(cfg.Delta)
-	}
-	hooks := core.Hooks{
-		OnMerged: func(into *core.Cluster, absorbed core.ClusterID) {
-			d.mergedInto[absorbed] = into.ID()
-		},
-		OnSplit: func(from core.ClusterID, parts []*core.Cluster) {
-			for _, p := range parts[1:] {
-				d.splitFrom[p.ID()] = from
-			}
-		},
 	}
 	// Keyword IDs index dense tables here and in the AKG layer, so none
 	// may lie beyond the vocabulary the checkpoint itself carries.
@@ -240,21 +218,13 @@ func FromState(s DetectorState) (*Detector, error) {
 	return d, nil
 }
 
-// EncodeState writes an already-captured state as a checkpoint stream
-// (the format Save produces and Load reads). State() deep-copies, so a
-// serving layer can capture under its detector lock and encode/write
-// outside it, keeping slow disk IO off the ingest path.
-func EncodeState(s *DetectorState, w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
-		return fmt.Errorf("detect: encode checkpoint: %w", err)
-	}
-	return nil
-}
-
 // Save writes a gob-encoded checkpoint.
 func (d *Detector) Save(w io.Writer) error {
 	s := d.State()
-	return EncodeState(&s, w)
+	if err := gob.NewEncoder(w).Encode(&s); err != nil {
+		return fmt.Errorf("detect: encode checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Load reads a checkpoint written by Save and reconstructs the detector.

@@ -16,12 +16,7 @@
 // makes ranking viable in real time.
 package rank
 
-import (
-	"math"
-
-	"repro/internal/core"
-	"repro/internal/dygraph"
-)
+import "repro/internal/dygraph"
 
 // Weights supplies the node weight w_i (user support) for a keyword.
 type Weights func(n dygraph.NodeID) float64
@@ -29,28 +24,13 @@ type Weights func(n dygraph.NodeID) float64
 // Correlations supplies the edge correlation EC for a cluster edge.
 type Correlations func(a, b dygraph.NodeID) float64
 
-// Score computes the rank of a cluster from its local properties only.
-// Nodes and edges are summed in sorted order: float addition is not
-// associative, so map-order iteration would make ranks differ in the last
-// ulp from run to run — enough to flip reporting thresholds and break the
-// bit-identical replay guarantee checkpoints rely on.
-func Score(c *core.Cluster, w Weights, ec Correlations) float64 {
-	n := c.NodeCount()
-	if n == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, node := range c.Nodes() {
-		total += w(node) // diagonal: C_ii = 1
-	}
-	for _, e := range c.Edges() {
-		total += ec(e.U, e.V) * (w(e.U) + w(e.V))
-	}
-	return total / float64(n)
-}
-
-// ScoreParts computes the rank of an explicit node/edge list; used by the
-// baseline clustering schemes, which do not produce core.Cluster values.
+// ScoreParts computes the rank of a cluster, given as its node and edge
+// lists, from its local properties only. The lists are summed in the
+// order given, so pass them in a fixed order (a core.Cluster's are
+// sorted): float addition is not associative, so map-order iteration
+// would make ranks differ in the last ulp from run to run — enough to
+// flip reporting thresholds and break the bit-identical replay guarantee
+// checkpoints rely on.
 func ScoreParts(nodes []dygraph.NodeID, edges []dygraph.Edge, w Weights, ec Correlations) float64 {
 	n := len(nodes)
 	if n == 0 {
@@ -58,7 +38,7 @@ func ScoreParts(nodes []dygraph.NodeID, edges []dygraph.Edge, w Weights, ec Corr
 	}
 	total := 0.0
 	for _, node := range nodes {
-		total += w(node)
+		total += w(node) // diagonal: C_ii = 1
 	}
 	for _, e := range edges {
 		total += ec(e.U, e.V) * (w(e.U) + w(e.V))
@@ -104,47 +84,6 @@ func MinEdges(n int) int {
 	}
 }
 
-// Trend classifies a rank history for the spurious-event analysis of
-// Section 7.2.2: real events build up and wind down (non-monotonic rank,
-// evolving keyword set), spurious bursts spike once and decay
-// monotonically.
-type Trend int
-
-// Trend values.
-const (
-	TrendFlat Trend = iota
-	TrendMonotoneDown
-	TrendMonotoneUp
-	TrendNonMonotone
-)
-
-// ClassifyTrend inspects a rank history (chronological order).
-func ClassifyTrend(history []float64) Trend {
-	if len(history) < 2 {
-		return TrendFlat
-	}
-	up, down := false, false
-	for i := 1; i < len(history); i++ {
-		d := history[i] - history[i-1]
-		switch {
-		case d > 1e-12:
-			up = true
-		case d < -1e-12:
-			down = true
-		}
-	}
-	switch {
-	case up && down:
-		return TrendNonMonotone
-	case down:
-		return TrendMonotoneDown
-	case up:
-		return TrendMonotoneUp
-	default:
-		return TrendFlat
-	}
-}
-
 // Spurious applies the paper's post-hoc spuriousness rule (Section 7.2.2):
 // real events have a build-up and wind-down phase — their rank moves
 // non-monotonically and their keyword set evolves — while spurious events
@@ -184,21 +123,4 @@ func Spurious(history []float64, evolved bool) bool {
 		}
 	}
 	return true
-}
-
-// Normalize maps a raw score into [0,1] against a reference maximum; the
-// harness uses it when comparing rank distributions across schemes with
-// different support scales.
-func Normalize(score, reference float64) float64 {
-	if reference <= 0 || math.IsNaN(score) {
-		return 0
-	}
-	v := score / reference
-	if v > 1 {
-		return 1
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }

@@ -28,24 +28,24 @@ func constW(v float64) Weights {
 func TestScoreTriangle(t *testing.T) {
 	c := triangleCluster(t, 0.5)
 	// rank = (Σw + Σ ec·(wi+wj))/n = (3·10 + 3·0.5·20)/3 = 20.
-	got := Score(c, constW(10), func(a, b dygraph.NodeID) float64 { return 0.5 })
+	got := ScoreParts(c.Nodes(), c.Edges(), constW(10), func(a, b dygraph.NodeID) float64 { return 0.5 })
 	if math.Abs(got-20) > 1e-9 {
-		t.Fatalf("Score = %v, want 20", got)
+		t.Fatalf("ScoreParts = %v, want 20", got)
 	}
 }
 
 func TestScoreGrowsWithSupport(t *testing.T) {
 	c := triangleCluster(t, 0.5)
 	ec := func(a, b dygraph.NodeID) float64 { return 0.5 }
-	if Score(c, constW(20), ec) <= Score(c, constW(10), ec) {
+	if ScoreParts(c.Nodes(), c.Edges(), constW(20), ec) <= ScoreParts(c.Nodes(), c.Edges(), constW(10), ec) {
 		t.Fatalf("rank must grow with support")
 	}
 }
 
 func TestScoreGrowsWithCorrelation(t *testing.T) {
 	c := triangleCluster(t, 0.5)
-	lo := Score(c, constW(10), func(a, b dygraph.NodeID) float64 { return 0.2 })
-	hi := Score(c, constW(10), func(a, b dygraph.NodeID) float64 { return 0.9 })
+	lo := ScoreParts(c.Nodes(), c.Edges(), constW(10), func(a, b dygraph.NodeID) float64 { return 0.2 })
+	hi := ScoreParts(c.Nodes(), c.Edges(), constW(10), func(a, b dygraph.NodeID) float64 { return 0.9 })
 	if hi <= lo {
 		t.Fatalf("rank must grow with correlation")
 	}
@@ -112,25 +112,6 @@ func TestMinScoreMonotoneInThresholds(t *testing.T) {
 	}
 }
 
-func TestClassifyTrend(t *testing.T) {
-	cases := []struct {
-		hist []float64
-		want Trend
-	}{
-		{nil, TrendFlat},
-		{[]float64{5}, TrendFlat},
-		{[]float64{5, 5, 5}, TrendFlat},
-		{[]float64{5, 4, 3}, TrendMonotoneDown},
-		{[]float64{3, 4, 5}, TrendMonotoneUp},
-		{[]float64{3, 7, 4}, TrendNonMonotone},
-	}
-	for _, tc := range cases {
-		if got := ClassifyTrend(tc.hist); got != tc.want {
-			t.Errorf("ClassifyTrend(%v) = %v, want %v", tc.hist, got, tc.want)
-		}
-	}
-}
-
 func TestSpurious(t *testing.T) {
 	// Sudden burst then monotone decay, never evolved: spurious.
 	if !Spurious([]float64{90, 70, 50, 20}, false) {
@@ -161,23 +142,5 @@ func TestSpurious(t *testing.T) {
 	// Too little history to judge.
 	if Spurious([]float64{90}, false) {
 		t.Fatalf("single observation cannot be spurious")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	if Normalize(5, 10) != 0.5 {
-		t.Fatalf("Normalize(5,10) != 0.5")
-	}
-	if Normalize(15, 10) != 1 {
-		t.Fatalf("clamping high failed")
-	}
-	if Normalize(-1, 10) != 0 {
-		t.Fatalf("clamping low failed")
-	}
-	if Normalize(5, 0) != 0 {
-		t.Fatalf("zero reference should yield 0")
-	}
-	if Normalize(math.NaN(), 10) != 0 {
-		t.Fatalf("NaN should yield 0")
 	}
 }

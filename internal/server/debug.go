@@ -1,7 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -72,14 +74,8 @@ func handleDebugRequests(w http.ResponseWriter, r *http.Request, p *Pool) {
 			traces = append(traces, traceView(rec))
 		}
 	}
-	// Global slowest-first across tenants (per-ring snapshots are
-	// already sorted; a simple insertion-style merge is overkill for a
-	// debug endpoint — sort the small union).
-	for i := 1; i < len(traces); i++ {
-		for j := i; j > 0 && traces[j].TotalMs > traces[j-1].TotalMs; j-- {
-			traces[j], traces[j-1] = traces[j-1], traces[j]
-		}
-	}
+	// Global slowest-first across tenants; ties keep tenant order.
+	slices.SortStableFunc(traces, func(a, b traceJSON) int { return cmp.Compare(b.TotalMs, a.TotalMs) })
 	writeJSON(w, http.StatusOK, map[string]any{
 		"traces": traces,
 		// Kept for the wire shape: every traced request competes for a

@@ -637,6 +637,46 @@ func TestDebugRequestsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDebugRequestsMergesTenantsSlowestFirst: three tenants whose trace
+// durations interleave come back as one list, slowest first across
+// tenants, a tie in tenant order.
+func TestDebugRequestsMergesTenantsSlowestFirst(t *testing.T) {
+	pool, err := NewPool(PoolConfig{Detector: testDetectConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Shutdown(context.Background())
+	type trace struct {
+		Tenant  string  `json:"tenant"`
+		TotalMs float64 `json:"total_ms"`
+	}
+	for name, totals := range map[string][]time.Duration{"a": {9, 6, 1}, "b": {8, 5, 2}, "c": {7, 6, 3}} {
+		tn, err := pool.GetOrCreate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ms := range totals {
+			tn.Obs().OfferTrace(&obs.TraceRecord{Tenant: name, Op: "query", Total: ms * time.Millisecond})
+		}
+	}
+	ts := httptest.NewServer(NewHandler(pool))
+	defer ts.Close()
+	code, body := getBody(t, ts.URL+"/debug/requests")
+	if code != http.StatusOK {
+		t.Fatalf("debug/requests status = %d", code)
+	}
+	var out struct {
+		Traces []trace `json:"traces"`
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	want := []trace{{"a", 9}, {"b", 8}, {"c", 7}, {"a", 6}, {"c", 6}, {"b", 5}, {"c", 3}, {"b", 2}, {"a", 1}}
+	if !reflect.DeepEqual(out.Traces, want) {
+		t.Fatalf("merged traces = %v, want %v", out.Traces, want)
+	}
+}
+
 // TestTelemetryAlwaysOn: there is no off switch, so the debug surface
 // answers 200 — an empty list — on a pool that has served nothing, and
 // the exposition carries the stage histograms as soon as a stage ran.

@@ -292,13 +292,12 @@ func TestAdmissionFairnessColdTenantBounded(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []string
-	pool.sched.mu.Lock()
-	pool.sched.onBatch = func(tenant string) {
+	onBatch := func(tenant string) {
 		mu.Lock()
 		order = append(order, tenant)
 		mu.Unlock()
 	}
-	pool.sched.mu.Unlock()
+	pool.sched.onBatch.Store(&onBatch)
 
 	hot, err := pool.GetOrCreate("hot")
 	if err != nil {

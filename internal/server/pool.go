@@ -59,22 +59,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		return nil, fmt.Errorf("server: invalid pool configuration:\n%w", err)
 	}
 	cfg = cfg.withDefaults()
-	p := &Pool{
-		cfg:          cfg,
-		sched:        newScheduler(cfg.Workers),
-		tenants:      make(map[string]*Tenant),
-		creating:     make(map[string]chan struct{}),
-		shutdownDone: make(chan struct{}),
-	}
-	abandon := func() {
-		// Don't leak scheduler workers or tenants already restored. (The
-		// supervisor starts only after restore succeeds.)
-		//repro:order-insensitive independent per-tenant shutdowns during abandoned startup; order is immaterial
-		for _, t := range p.tenants {
-			t.shutdown(context.Background()) //nolint:errcheck // empty queues drain instantly
-		}
-		p.sched.stop(true)
-	}
+	var recovered []string
 	if cfg.WALDir != "" {
 		if err := cfg.FS.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: wal dir: %w", err)
@@ -84,16 +69,33 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			return nil, fmt.Errorf("server: list wal dir: %w", err)
 		}
 		for _, e := range entries {
-			if !e.IsDir() || !tenantNameRE.MatchString(e.Name()) {
-				continue
+			if e.IsDir() && tenantNameRE.MatchString(e.Name()) {
+				recovered = append(recovered, e.Name())
 			}
-			t, err := p.recoverTenant(e.Name())
-			if err != nil {
-				abandon()
-				return nil, err
-			}
-			p.tenants[e.Name()] = t
 		}
+	}
+	p := &Pool{
+		cfg: cfg,
+		// Recovery does not count against MaxTenants, so the runnable
+		// queue needs a slot for every recovered tenant on top.
+		sched:        newScheduler(cfg.Workers, cfg.MaxTenants+len(recovered)),
+		tenants:      make(map[string]*Tenant),
+		creating:     make(map[string]chan struct{}),
+		shutdownDone: make(chan struct{}),
+	}
+	for _, name := range recovered {
+		t, err := p.recoverTenant(name)
+		if err != nil {
+			// Don't leak scheduler workers or tenants already restored.
+			// (The supervisor starts only after restore succeeds.)
+			//repro:order-insensitive independent per-tenant shutdowns during abandoned startup; order is immaterial
+			for _, t := range p.tenants {
+				t.shutdown(context.Background()) //nolint:errcheck // empty queues drain instantly
+			}
+			p.sched.stop(true)
+			return nil, err
+		}
+		p.tenants[name] = t
 	}
 	p.startSupervisor()
 	return p, nil

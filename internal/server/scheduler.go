@@ -3,6 +3,7 @@ package server
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // scheduler is the pool's shared worker engine: a fixed-size set of
@@ -21,27 +22,29 @@ import (
 //     at the tail, so a hot tenant with a deep backlog advances one
 //     batch per cycle while every other runnable tenant gets its turn
 //     in between — one tenant cannot starve the rest.
+//
+// The first invariant also sizes the runnable queue: with a slot for
+// every tenant the pool can hold, a send never blocks. The queue is
+// never closed — a worker wedged past a timed-out drain may still
+// requeue its tenant after stop — so workers leave on the stop channel.
 type scheduler struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*Tenant // FIFO of runnable tenants; head is the ring start
-	head   int
-	closed bool
-	wg     sync.WaitGroup
+	runq  chan *Tenant
+	stopc chan struct{}
+	wg    sync.WaitGroup
 
-	// onBatch, when set (tests only, before any tenant exists), observes
-	// every applied batch in global application order.
-	onBatch func(tenant string)
+	// onBatch, when set (tests only), observes every applied batch in
+	// global application order.
+	onBatch atomic.Pointer[func(tenant string)]
 }
 
 // newScheduler starts a scheduler with the given number of workers
-// (≤ 0 selects GOMAXPROCS — one worker per core the runtime will use).
-func newScheduler(workers int) *scheduler {
+// (≤ 0 selects GOMAXPROCS — one worker per core the runtime will use)
+// over a runnable queue with room for tenants tenants.
+func newScheduler(workers, tenants int) *scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &scheduler{}
-	s.cond = sync.NewCond(&s.mu)
+	s := &scheduler{runq: make(chan *Tenant, tenants), stopc: make(chan struct{})}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go s.run()
@@ -50,53 +53,22 @@ func newScheduler(workers int) *scheduler {
 }
 
 // submit marks t runnable, queuing it at the tail. Callers guarantee the
-// at-most-once invariant via Tenant.scheduled (held under the tenant's
-// queue lock, which is always acquired before s.mu — never the reverse).
-func (s *scheduler) submit(t *Tenant) {
-	s.mu.Lock()
-	s.queue = append(s.queue, t)
-	s.mu.Unlock()
-	s.cond.Signal()
-}
+// at-most-once invariant via Tenant.scheduled, held under the tenant's
+// queue lock; the send cannot block, since every tenant has a slot.
+func (s *scheduler) submit(t *Tenant) { s.runq <- t }
 
-// pop removes the head of the runnable queue, blocking until a tenant is
-// available or the scheduler is stopped (ok=false).
-func (s *scheduler) pop() (t *Tenant, hook func(string), ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.head == len(s.queue) && !s.closed {
-		s.cond.Wait()
-	}
-	if s.head == len(s.queue) {
-		return nil, nil, false
-	}
-	t = s.queue[s.head]
-	s.queue[s.head] = nil
-	s.head++
-	// Compact once the consumed prefix dominates, so the backing array
-	// doesn't grow without bound under sustained load.
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
-	} else if s.head >= 1024 && s.head*2 >= len(s.queue) {
-		n := copy(s.queue, s.queue[s.head:])
-		s.queue = s.queue[:n]
-		s.head = 0
-	}
-	return t, s.onBatch, true
-}
-
-// run is one worker: pop a runnable tenant, apply one batch, repeat.
+// run is one worker: take a runnable tenant, apply one batch, repeat.
 func (s *scheduler) run() {
 	defer s.wg.Done()
 	for {
-		t, hook, ok := s.pop()
-		if !ok {
+		select {
+		case t := <-s.runq:
+			t.runOne()
+			if hook := s.onBatch.Load(); hook != nil {
+				(*hook)(t.name)
+			}
+		case <-s.stopc:
 			return
-		}
-		t.runOne()
-		if hook != nil {
-			hook(t.name)
 		}
 	}
 }
@@ -107,10 +79,7 @@ func (s *scheduler) run() {
 // failed to drain in time — one of the workers may be wedged inside its
 // apply step, and the pool's shutdown must not hang behind it.
 func (s *scheduler) stop(wait bool) {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
+	close(s.stopc)
 	if wait {
 		s.wg.Wait()
 	}

@@ -185,8 +185,7 @@ func TestSchedulerFairness(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	coldQueued := make(chan struct{})
-	pool.sched.mu.Lock()
-	pool.sched.onBatch = func(tenant string) {
+	onBatch := func(tenant string) {
 		mu.Lock()
 		order = append(order, tenant)
 		first := len(order) == 1
@@ -195,7 +194,7 @@ func TestSchedulerFairness(t *testing.T) {
 			<-coldQueued
 		}
 	}
-	pool.sched.mu.Unlock()
+	pool.sched.onBatch.Store(&onBatch)
 
 	hot, err := pool.GetOrCreate("hot")
 	if err != nil {
@@ -229,6 +228,47 @@ func TestSchedulerFairness(t *testing.T) {
 	}
 	if coldPos > 2 {
 		t.Fatalf("scheduler not round-robinning: %d hot batches before cold's turn, want at most 2", coldPos)
+	}
+}
+
+// TestTenantQueueStorageBounded: a tenant that always has a batch
+// waiting — the next one is queued before the current one is taken, so
+// the queue never empties — keeps its queue's storage within QueueDepth
+// however many batches pass through it.
+func TestTenantQueueStorageBounded(t *testing.T) {
+	const depth, batches = 4, 100_000
+	pool, err := NewPool(PoolConfig{Detector: testDetectConfig(), QueueDepth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Shutdown(context.Background())
+	tn, err := pool.GetOrCreate("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A scheduler without workers: the test takes every turn itself.
+	sched := &scheduler{runq: make(chan *Tenant, 1)}
+	tn.sched = sched
+	turn := func() {
+		<-sched.runq
+		tn.runOne()
+	}
+	batch := quantumOf(0, "steady stream")[:1]
+	if err := tn.Enqueue(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < batches; i++ {
+		if err := tn.Enqueue(batch); err != nil {
+			t.Fatal(err)
+		}
+		turn()
+	}
+	turn()
+	if n := tn.queueLen(); n != 0 {
+		t.Fatalf("%d batches left queued", n)
+	}
+	if c := cap(tn.queue); c > depth {
+		t.Fatalf("queue storage holds %d slots after %d batches, want at most QueueDepth = %d", c, batches, depth)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +34,7 @@ type walBatch struct {
 // immutable epoch snapshot (detect.Snapshot) through an atomic pointer,
 // and every query endpoint resolves against the latest snapshot without
 // touching t.mu. The mutex has shrunk to the APPLY lock — it serialises
-// batch application and WAL snapshot capture against each other, never
+// batch application and WAL snapshot writes against each other, never
 // against queries.
 type Tenant struct {
 	name   string
@@ -47,16 +46,15 @@ type Tenant struct {
 	// slow-request ring.
 	obs *obs.TenantObs
 
-	// qmu guards the pending-batch queue, the closed flag, and WAL
-	// appends (so WAL record order is queue order). It is never held
-	// while a batch is applying, and is always acquired before the
-	// scheduler's lock, never after. The WAL append under it is a memory
-	// copy: the durability wait (Log.Commit) happens after qmu is
-	// released.
+	// qmu guards sends to and receives from the batch queue, the
+	// scheduled and closed flags, and WAL appends (so WAL record order
+	// is queue order). It is never held while a batch is applying. The
+	// WAL append under it is a memory copy: the durability wait
+	// (Log.Commit) happens after qmu is released. Admission keeps a slot
+	// of queue free for every send, so no send under qmu blocks.
 	qmu       sync.Mutex
-	pending   []walBatch // FIFO; pendHead is the ring start
-	pendHead  int
-	scheduled bool // t is in the scheduler's runnable queue or mid-apply
+	queue     chan walBatch // capacity QueueDepth
+	scheduled bool          // t is in the scheduler's runnable queue or mid-apply
 	closed    bool
 	drainDone bool
 	drained   chan struct{} // closed when closed and fully drained
@@ -147,6 +145,7 @@ func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenan
 		cfg:           cfg,
 		broker:        newBroker(),
 		sched:         sched,
+		queue:         make(chan walBatch, cfg.QueueDepth),
 		drained:       make(chan struct{}),
 		det:           det,
 		maxQueuedMsgs: int64(cfg.QueueMessages),
@@ -198,19 +197,13 @@ func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenan
 	return t
 }
 
-// queueLenLocked returns the accepted-but-unapplied batch count; qmu held.
-func (t *Tenant) queueLenLocked() int { return len(t.pending) - t.pendHead }
+// queueLen returns the accepted-but-unapplied batch count.
+func (t *Tenant) queueLen() int { return len(t.queue) }
 
-// queueLen is queueLenLocked for callers not holding qmu.
-func (t *Tenant) queueLen() int {
-	t.qmu.Lock()
-	defer t.qmu.Unlock()
-	return t.queueLenLocked()
-}
-
-// pushLocked appends a batch and marks the tenant runnable; qmu held.
+// pushLocked queues a batch and marks the tenant runnable; qmu held and
+// a slot free.
 func (t *Tenant) pushLocked(b walBatch) {
-	t.pending = append(t.pending, b)
+	t.queue <- b
 	if !t.scheduled {
 		t.scheduled = true
 		t.runnableAt = time.Now()
@@ -218,22 +211,10 @@ func (t *Tenant) pushLocked(b walBatch) {
 	}
 }
 
-// popLocked removes and returns the head batch; qmu held, queue non-empty.
-func (t *Tenant) popLocked() walBatch {
-	b := t.pending[t.pendHead]
-	t.pending[t.pendHead] = walBatch{} // release the msgs for GC
-	t.pendHead++
-	if t.pendHead == len(t.pending) {
-		t.pending = t.pending[:0]
-		t.pendHead = 0
-	}
-	return b
-}
-
 // finishDrainLocked closes drained once the tenant is closed, idle and
 // empty; qmu held. Safe to call any number of times.
 func (t *Tenant) finishDrainLocked() {
-	if t.closed && !t.scheduled && t.queueLenLocked() == 0 && !t.drainDone {
+	if t.closed && !t.scheduled && len(t.queue) == 0 && !t.drainDone {
 		t.drainDone = true
 		close(t.drained)
 	}
@@ -249,19 +230,19 @@ func (t *Tenant) runOne() {
 	t.qmu.Lock()
 	// Every path here went through a submit, which stamped runnableAt.
 	t.obs.Observe(obs.StageSchedWait, time.Since(t.runnableAt))
-	if t.queueLenLocked() == 0 {
+	if len(t.queue) == 0 {
 		t.scheduled = false
 		t.finishDrainLocked()
 		t.qmu.Unlock()
 		return
 	}
-	batch := t.popLocked()
+	batch := <-t.queue
 	t.qmu.Unlock()
 
 	t.apply(batch)
 
 	t.qmu.Lock()
-	if t.queueLenLocked() > 0 {
+	if len(t.queue) > 0 {
 		t.runnableAt = time.Now()
 		t.sched.submit(t) // back of the line: other tenants go first
 	} else {
@@ -307,27 +288,25 @@ func (t *Tenant) apply(batch walBatch) {
 }
 
 // maybeSnapshot checkpoints the detector through the storage owner's
-// snapshot path once enough quanta have passed since the last snapshot. It runs synchronously on the worker between batches — that
-// is what makes lastApplied exactly name the state captured, and it
-// deliberately paces ingest to snapshot IO at the cadence point. The
-// state is deep-copied under the detector lock but encoded and written
-// outside it, so *queries* (and WAL appends from Enqueue) proceed during
-// the write; only this tenant's batch application waits.
+// snapshot path once enough quanta have passed since the last snapshot.
+// It runs synchronously on the worker between batches — that is what
+// makes lastApplied exactly name the state captured, and it deliberately
+// paces ingest to snapshot IO at the cadence point. Detector.Save writes
+// under the apply lock, as Pool.Shutdown's final snapshot does: queries
+// never take that lock and WAL appends from Enqueue take qmu, so both
+// proceed during the write; only this tenant's batch application, which
+// runs on this same goroutine, waits.
 func (t *Tenant) maybeSnapshot() {
 	if !t.storage.durable() {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	q := t.det.AKG().Quantum()
 	if q-int(t.lastSnapQuantum.Load()) < t.cfg.SnapshotEvery {
-		t.mu.Unlock()
 		return
 	}
-	st := t.det.State()
-	t.mu.Unlock()
-	err := t.storage.snapshot(t.lastApplied.Load(), func(w io.Writer) error {
-		return detect.EncodeState(&st, w)
-	})
+	err := t.storage.snapshot(t.lastApplied.Load(), t.det.Save)
 	if err == nil && q > int(t.lastSnapQuantum.Load()) {
 		t.lastSnapQuantum.Store(int64(q))
 	}
@@ -388,14 +367,14 @@ func (t *Tenant) admitLocked(n int) error {
 	// rate); the token bucket caps the tenant's sustained message rate
 	// and is checked last so a batch the queue would reject anyway never
 	// burns tokens.
-	if se := t.admit.checkQueueLocked(n, t.queueLenLocked(), t.cfg.QueueDepth,
+	if se := t.admit.checkQueueLocked(n, len(t.queue), t.cfg.QueueDepth,
 		t.queuedMsgs.Load(), t.maxQueuedMsgs); se != nil {
 		se.RetryAfter = t.drainEstimate()
 		t.shedQueue.Add(1)
 		t.shedMsgs.Add(uint64(n))
 		return se
 	}
-	if t.queuedMsgs.Load()+int64(n) > t.maxQueuedMsgs || t.queueLenLocked() >= t.cfg.QueueDepth {
+	if t.queuedMsgs.Load()+int64(n) > t.maxQueuedMsgs || len(t.queue) >= t.cfg.QueueDepth {
 		return ErrQueueFull
 	}
 	if se := t.admit.checkRate(n); se != nil {
@@ -470,7 +449,7 @@ func (t *Tenant) drainEstimate() time.Duration {
 func (t *Tenant) ShedCheck() *ShedError {
 	t.qmu.Lock()
 	defer t.qmu.Unlock()
-	se := t.admit.checkQueueLocked(0, t.queueLenLocked(), t.cfg.QueueDepth,
+	se := t.admit.checkQueueLocked(0, len(t.queue), t.cfg.QueueDepth,
 		t.queuedMsgs.Load(), t.maxQueuedMsgs)
 	if se != nil {
 		se.RetryAfter = t.drainEstimate()
@@ -500,7 +479,7 @@ func (t *Tenant) Flush(ctx context.Context) error {
 			t.qmu.Unlock()
 			return derr
 		}
-		if t.queueLenLocked() < t.cfg.QueueDepth {
+		if len(t.queue) < t.cfg.QueueDepth {
 			// Same write path and durability contract as Enqueue.
 			var err error
 			if target, err = t.submitLocked(walBatch{flush: true}, time.Now()); err != nil {
