@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -208,6 +209,44 @@ func BenchmarkDetectorSpineTW(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(msgs)), "ns/msg")
+}
+
+// shortEventTrace is a spine-size trace of the benchmark's query-archive
+// shape (bench/spec.go's shortEvents: many short, small events over the
+// TW background), tenant seed 1001.
+var shortEventTrace = sync.OnceValue(func() []stream.Message {
+	const n = 390400
+	c := tracegen.TWConfig(1001, n)
+	c.RealEvents = n / 100
+	c.EventMessagesMin, c.EventMessagesMax = 50, 100
+	c.EventSpanMin, c.EventSpanMax = 320, 640
+	c.EventUsersMin, c.EventUsersMax = 30, 60
+	c.PoolMin, c.PoolMax = 6, 8
+	msgs, _ := tracegen.Generate(c)
+	return msgs
+})
+
+// BenchmarkDetectorSave times one Detector.Save — the checkpoint every
+// WAL snapshot writes — of a detector that has run the whole
+// short-event trace with the benchmark's settings (Δ 160, τ 4, β 0.2,
+// w 30, 64 finished events retained), and reports the bytes it writes.
+// The replay that builds the state is set-up and is not timed.
+func BenchmarkDetectorSave(b *testing.B) {
+	d := detect.New(detect.Config{Delta: 160, AKG: akg.Config{Tau: 4, Beta: 0.2, Window: 30}})
+	d.SetRetain(64)
+	if err := d.Run(stream.NewSliceSource(shortEventTrace()), nil); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := d.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "B/save")
 }
 
 // ---- Section 7.4: AKG reduction ----

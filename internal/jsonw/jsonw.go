@@ -1,7 +1,6 @@
 // Package jsonw writes JSON in one pass, without reflection, producing
-// exactly the bytes encoding/json would: the string escaper and number
-// formatting the WAL's batch encoder and the server's response writer
-// share, and a Writer that lays typed values out in encoding/json's one
+// exactly the bytes encoding/json would: a string escaper and number
+// formatting, and a Writer that lays typed values out in encoding/json's one
 // compact layout into a pooled buffer. A Writer with a destination (HTTP
 // bodies) writes what json.Encoder's Encode does — the value and a
 // trailing newline — flushing as the buffer fills; one without (SSE

@@ -1,74 +1,92 @@
 package wal
 
 import (
-	"encoding/json"
-	"math/rand"
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stream"
 )
 
-// TestAppendMessagesJSONMatchesMarshal is the differential guarantee:
-// the hand-rolled encoder must be byte-identical to json.Marshal for
-// every batch, including the escaping corners (control bytes, HTML
-// characters, invalid UTF-8, U+2028/U+2029).
-func TestAppendMessagesJSONMatchesMarshal(t *testing.T) {
-	texts := []string{
-		"",
-		"earthquake struck eastern turkey",
-		`quotes " and \ backslashes`,
-		"tabs\tnewlines\nreturns\r",
-		"control \x00\x01\x1f bytes",
-		"html <b>&amp;</b> escaping",
-		"unicode ünïcödé 日本語 🦀",
-		"invalid \xff\xfe utf8 \xc3(",
-		"line\u2028and\u2029separators",
-		"trailing invalid \xf0",
-	}
-	var msgs []stream.Message
-	for i, txt := range texts {
-		msgs = append(msgs, stream.Message{ID: uint64(i), User: uint64(i * 7), Time: int64(-i), Text: txt})
-	}
-	cases := [][]stream.Message{nil, {}, msgs[:1], msgs}
-	for _, c := range cases {
-		want, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := appendMessagesJSON(nil, c)
-		if string(got) != string(want) {
-			t.Fatalf("encoding diverges:\ngot  %q\nwant %q", got, want)
-		}
-	}
-
-	// Randomized differential sweep over byte soup.
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		raw := make([]byte, rng.Intn(64))
-		for j := range raw {
-			raw[j] = byte(rng.Intn(256))
-		}
-		m := []stream.Message{{ID: rng.Uint64(), User: rng.Uint64(), Time: rng.Int63() - rng.Int63(), Text: string(raw)}}
-		want, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendMessagesJSON(nil, m); string(got) != string(want) {
-			t.Fatalf("case %d: encoding diverges for %q:\ngot  %q\nwant %q", i, raw, got, want)
-		}
-	}
-}
-
-// TestAppendMessagesJSONZeroAlloc pins the zero-alloc claim of the WAL
-// append encode path: with a warm caller-owned buffer, encoding a batch
+// TestAppendBatchZeroAlloc pins the zero-alloc claim of the WAL append
+// encode path: with a warm caller-owned buffer, encoding a batch
 // allocates nothing.
-func TestAppendMessagesJSONZeroAlloc(t *testing.T) {
+func TestAppendBatchZeroAlloc(t *testing.T) {
 	msgs := batch(1, 64)
-	buf := appendMessagesJSON(nil, msgs) // warm the buffer
+	buf := appendBatch(nil, msgs) // warm the buffer
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendMessagesJSON(buf[:0], msgs)
+		buf = appendBatch(buf[:0], msgs)
 	})
 	if allocs != 0 {
 		t.Fatalf("encode path allocates %.1f times per batch, want 0", allocs)
 	}
+}
+
+// TestDecodeBatchRejects feeds decodeBatch the ways a body can be
+// malformed; each must be an error, never a panic.
+func TestDecodeBatchRejects(t *testing.T) {
+	good := appendBatch(nil, []stream.Message{{ID: 1, User: 2, Time: -3, Text: "quake"}})
+	overflow := bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64+1)
+	cases := map[string]struct {
+		body []byte
+		want string
+	}{
+		"empty":             {nil, "message count"},
+		"count overflows":   {overflow, "message count"},
+		"count past bound":  {[]byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "exceeds"},
+		"huge count":        {binary.AppendUvarint(nil, 1<<62), "exceeds"},
+		"ID runs past":      {append([]byte{1, 0x80, 0x80, 0x80}, 0x80), "varint"},
+		"ID overflows":      {append([]byte{1}, overflow...), "varint"},
+		"text past the end": {[]byte{1, 1, 2, 3, 9, 'a', 'b'}, "text of 9 bytes"},
+		"trailing bytes":    {append(bytes.Clone(good), 0), "trailing"},
+		"truncated":         {good[:len(good)-1], "text of 5 bytes"},
+	}
+	for name, c := range cases {
+		msgs, err := decodeBatch(nil, c.body)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decode = %v, %v; want an error containing %q", name, msgs, err, c.want)
+		}
+	}
+	msgs, err := decodeBatch(nil, good)
+	if want := []stream.Message{{ID: 1, User: 2, Time: -3, Text: "quake"}}; err != nil || !reflect.DeepEqual(msgs, want) {
+		t.Fatalf("decode(good) = %v, %v", msgs, err)
+	}
+}
+
+// FuzzBatchRecord holds the batch codec to two properties. A message
+// list built from the inputs round-trips exactly. The raw bytes, read as
+// a record body, decode to an error or to messages that encode and
+// decode to the same list — without a panic, and without a slice larger
+// than the body's count bound asks for.
+func FuzzBatchRecord(f *testing.F) {
+	f.Add(appendBatch(nil, batch(1, 3)), uint64(7), uint64(3), int64(-5), "quake\xff\xfe struck|\x00|line sep", byte('|'))
+	f.Add([]byte{}, uint64(0), uint64(0), int64(0), "", byte(0))
+	f.Add([]byte{2, 1, 1, 1, 0, 0x80}, ^uint64(0), ^uint64(0), int64(-1<<63), "a", byte('a'))
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0}, uint64(1)<<63, uint64(1), int64(1<<62), "x|y", byte('|'))
+	f.Fuzz(func(t *testing.T, body []byte, id, user uint64, tm int64, text string, sep byte) {
+		var msgs []stream.Message
+		for i, part := range strings.Split(text, string([]byte{sep})) {
+			msgs = append(msgs, stream.Message{ID: id + uint64(i)*user, User: user ^ uint64(i), Time: tm - int64(i)*tm, Text: part})
+		}
+		got, err := decodeBatch(nil, appendBatch(nil, msgs))
+		if err != nil || !reflect.DeepEqual(got, msgs) {
+			t.Fatalf("round trip of %q: %q, %v", msgs, got, err)
+		}
+
+		got, err = decodeBatch(nil, body)
+		// The allocator rounds a slice up to its size class; the factor
+		// of two covers that and nothing a claimed count could add.
+		if bound := len(body) / minMessageBytes; cap(got) > 2*bound+1 {
+			t.Fatalf("a %d-byte body grew the slice to %d messages, bound %d", len(body), cap(got), bound)
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodeBatch(nil, appendBatch(nil, got))
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("body %x decoded to %q, which re-decodes to %q, %v", body, got, again, err)
+		}
+	})
 }

@@ -55,7 +55,7 @@ func recordPayload(msgs []stream.Message, flush bool) []byte {
 	if flush {
 		return []byte{recFlush}
 	}
-	return appendMessagesJSON([]byte{recBatch}, msgs)
+	return appendBatch([]byte{recBatch}, msgs)
 }
 
 // FuzzLogSchedule decodes the input into a schedule of appends, commits

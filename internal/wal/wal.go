@@ -4,7 +4,9 @@
 // server plugs in the detect checkpoint encoder). Recovery loads the
 // latest snapshot and replays the segment tail; because the detector is
 // deterministic, replay reproduces the pre-crash state bit-identically.
-// Compaction deletes segments wholly covered by the latest snapshot.
+// Compaction deletes segments wholly covered by the latest snapshot; a
+// snapshot also ends the active segment, so that the next one can
+// delete it.
 //
 // On-disk layout of one log directory:
 //
@@ -14,9 +16,13 @@
 //
 // Record framing: 4-byte big-endian payload length, 4-byte CRC-32
 // (Castagnoli) of the payload, payload. The payload's first byte is the
-// record kind — 'B' (ingest batch, followed by the JSON message array)
-// or 'F' (stream flush, no body; flushes mutate the detector and must
-// replay in order with batches). A torn tail — short frame or CRC
+// record kind — 'M' (ingest batch) or 'F' (stream flush, no body;
+// flushes mutate the detector and must replay in order with batches).
+// A batch body is binary: a uvarint message count, then per message a
+// uvarint ID, a uvarint User, a zigzag varint Time, a uvarint text
+// length and the text's bytes (encode.go). Kind 'B', the retired JSON
+// batch body, is refused by Replay; Open and a Replay from a snapshot
+// that covers it never read its kind. A torn tail — short frame or CRC
 // mismatch at the end of the newest segment, the signature of a crash
 // mid-append — is truncated away on Open; the same damage in an older
 // (rotated, therefore once-complete) segment is reported as corruption
@@ -37,7 +43,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -61,8 +66,11 @@ const (
 	snapExt    = ".snap"
 	frameHdr   = 8 // length + CRC
 	// Record kinds (first payload byte).
-	recBatch = 'B'
+	recBatch = 'M'
 	recFlush = 'F'
+	// recJSONBatch is the retired JSON batch record, which no build
+	// since the binary one writes or reads.
+	recJSONBatch = 'B'
 	// maxRecordBytes bounds one framed payload (a single ingest batch);
 	// it exists so a corrupt length field cannot drive a huge allocation.
 	maxRecordBytes = 256 << 20
@@ -131,7 +139,7 @@ type Log struct {
 
 	// Replay scratch (guarded by mu like everything else): the frame
 	// payload buffer and decoded batch slice are reused across records,
-	// which is why Replay's callback must not retain its arguments.
+	// which is why Replay's callback must not retain the slice.
 	scanBuf    []byte
 	replayMsgs []stream.Message
 }
@@ -244,7 +252,7 @@ func (l *Log) appendLocked(kind byte, msgs []stream.Message) (uint64, error) {
 	at := len(l.pend)
 	buf := append(l.pend, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	if kind == recBatch {
-		buf = appendMessagesJSON(buf, msgs)
+		buf = appendBatch(buf, msgs)
 	}
 	payload := buf[at+frameHdr:]
 	binary.BigEndian.PutUint32(buf[at:at+4], uint32(len(payload)))
@@ -395,7 +403,8 @@ func (l *Log) rotate(first uint64) error {
 
 // Snapshot atomically persists the state after applying records 1..seq
 // (write is the caller's codec — the server passes detect's encoder),
-// then deletes segments and older snapshots the new snapshot covers.
+// then ends the active segment and deletes segments and older
+// snapshots the new snapshot covers.
 // Pending records are flushed first, so a snapshot never outlives the
 // records it claims to cover. Encoding and fsyncing the temp file run
 // outside both locks, so appends and commits never stall behind
@@ -441,11 +450,22 @@ func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.snapSeq, l.hasSnap = seq, true
+	// End the active segment: the next flush starts a new one, so this
+	// one can go whole once a snapshot covers it. Compaction never
+	// deletes the active segment, which would otherwise keep up to
+	// SegmentBytes of records that every snapshot already covers.
+	if l.f != nil {
+		err := l.f.Close()
+		l.f = nil
+		if err != nil {
+			return fmt.Errorf("wal: snapshot: close segment: %w", err)
+		}
+	}
 	return l.compact()
 }
 
-// compact deletes older snapshots and non-active segments whose every
-// record is ≤ snapSeq; flushMu and mu held.
+// compact deletes older snapshots and the segments whose every record is
+// ≤ snapSeq; flushMu and mu held, and no segment open for appends.
 func (l *Log) compact() error {
 	segs, snaps, err := l.scanDir()
 	if err != nil {
@@ -457,9 +477,6 @@ func (l *Log) compact() error {
 		}
 	}
 	for i, start := range segs {
-		if start == l.segStart && l.f != nil {
-			continue // never delete the active segment
-		}
 		// The segment holds records from start up to at most the next
 		// segment's start - 1 (less when a reopen left a gap in the
 		// names); for the last listed segment, up to at most l.seq.
@@ -500,9 +517,10 @@ func (l *Log) LatestSnapshot() (io.ReadCloser, uint64, error) {
 // Replay streams every record with sequence number > after, in order,
 // to fn: an ingest batch (flush false) or a stream-flush marker (flush
 // true, msgs nil). Used with after = latest snapshot seq to rebuild
-// the tail. Pending records are flushed first. The msgs slice (and the
-// payloads behind it) is reused across records — fn must finish with it
-// before returning, copying if it needs to retain.
+// the tail. Pending records are flushed first. The msgs slice is reused
+// across records — fn must finish with it before returning, copying if
+// it needs to retain; the texts are strings of their own and may be
+// kept.
 func (l *Log) Replay(after uint64, fn func(seq uint64, msgs []stream.Message, flush bool) error) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -534,14 +552,18 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, msgs []stream.Message, fl
 			case recFlush:
 				return fn(seq, nil, true)
 			case recBatch:
-				// Decode into the reused batch slice: json.Unmarshal
-				// reuses the backing array capacity, so steady-state
-				// replay allocates only for message texts and growth.
-				l.replayMsgs = l.replayMsgs[:0]
-				if err := json.Unmarshal(payload[1:], &l.replayMsgs); err != nil {
+				// Decode into the reused batch slice: steady-state
+				// replay allocates one string per record, which every
+				// text of the batch is a substring of.
+				msgs, err := decodeBatch(l.replayMsgs, payload[1:])
+				l.replayMsgs = msgs
+				if err != nil {
 					return fmt.Errorf("wal: decode record %d: %w", seq, err)
 				}
-				return fn(seq, l.replayMsgs, false)
+				return fn(seq, msgs, false)
+			case recJSONBatch:
+				return fmt.Errorf("wal: record %d is a retired JSON batch record (kind 'B'), which this build does not read; "+
+					"start the previous build once on this directory and stop it cleanly, so that its snapshot covers the record, then start this one", seq)
 			default:
 				return fmt.Errorf("wal: record %d has unknown kind %q", seq, payload[0])
 			}
