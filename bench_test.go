@@ -226,17 +226,25 @@ var shortEventTrace = sync.OnceValue(func() []stream.Message {
 	return msgs
 })
 
-// BenchmarkDetectorSave times one Detector.Save — the checkpoint every
-// WAL snapshot writes — of a detector that has run the whole
+// checkpointBenchDetector is the detector BenchmarkDetectorSave and
+// BenchmarkDetectorLoad checkpoint: one that has run the whole
 // short-event trace with the benchmark's settings (Δ 160, τ 4, β 0.2,
-// w 30, 64 finished events retained), and reports the bytes it writes.
-// The replay that builds the state is set-up and is not timed.
-func BenchmarkDetectorSave(b *testing.B) {
+// w 30, 64 finished events retained). The replay that builds it is
+// set-up and is not timed.
+func checkpointBenchDetector(b *testing.B) *detect.Detector {
 	d := detect.New(detect.Config{Delta: 160, AKG: akg.Config{Tau: 4, Beta: 0.2, Window: 30}})
 	d.SetRetain(64)
 	if err := d.Run(stream.NewSliceSource(shortEventTrace()), nil); err != nil {
 		b.Fatal(err)
 	}
+	return d
+}
+
+// BenchmarkDetectorSave times one Detector.Save — the checkpoint every
+// WAL snapshot writes — of checkpointBenchDetector, and reports the
+// bytes it writes.
+func BenchmarkDetectorSave(b *testing.B) {
+	d := checkpointBenchDetector(b)
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -249,6 +257,25 @@ func BenchmarkDetectorSave(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()), "B/save")
 }
 
+// BenchmarkDetectorLoad times one detect.Load — a tenant's restore from
+// its snapshot, before the WAL tail replays — of the checkpoint
+// BenchmarkDetectorSave writes.
+func BenchmarkDetectorLoad(b *testing.B) {
+	var buf bytes.Buffer
+	if err := checkpointBenchDetector(b).Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := detect.Load(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(raw)), "B/load")
+}
+
 // ---- Section 7.4: AKG reduction ----
 
 func BenchmarkAKGReduction(b *testing.B) {
@@ -256,10 +283,12 @@ func BenchmarkAKGReduction(b *testing.B) {
 	var akgEdges, ckgEdges float64
 	for i := 0; i < b.N; i++ {
 		akgEdges, ckgEdges = 0, 0
-		d := detect.New(detect.Config{TrackCKG: true})
+		d := detect.New(detect.Config{})
+		full := ckg.New(d.AKG().Config().Window)
+		d.SetOnResolved(full.AddQuantum)
 		err := d.Run(stream.NewSliceSource(msgs), func(res *detect.QuantumResult) {
 			akgEdges += float64(res.AKGEdges)
-			ckgEdges += float64(res.CKGEdges)
+			ckgEdges += float64(full.EdgeCount())
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/ckg"
 	"repro/internal/detect"
 	"repro/internal/dygraph"
 	"repro/internal/stream"
@@ -17,7 +18,10 @@ import (
 // bursty, average degree < 6, average cluster size < 7.
 func runAKGStats() {
 	msgs, _ := tracegen.Generate(tracegen.TWConfig(*flagSeed, *flagN))
-	d := detect.New(detect.Config{TrackCKG: true})
+	d := detect.New(detect.Config{})
+	// The full CKG over the same window, fed the same keyword lists.
+	full := ckg.New(d.AKG().Config().Window)
+	d.SetOnResolved(full.AddQuantum)
 
 	var (
 		quanta         int
@@ -38,21 +42,22 @@ func runAKGStats() {
 	)
 	err := d.Run(stream.NewSliceSource(msgs), func(res *detect.QuantumResult) {
 		quanta++
-		if res.CKGNodes > 0 {
-			nodeRatioSum += float64(res.AKGNodes) / float64(res.CKGNodes)
+		ckgNodes, ckgEdges := full.NodeCount(), full.EdgeCount()
+		if ckgNodes > 0 {
+			nodeRatioSum += float64(res.AKGNodes) / float64(ckgNodes)
 		}
-		if res.CKGEdges > 0 {
-			edgeRatioSum += float64(res.AKGEdges) / float64(res.CKGEdges)
+		if ckgEdges > 0 {
+			edgeRatioSum += float64(res.AKGEdges) / float64(ckgEdges)
 		}
-		ckgNodeSamples += float64(res.CKGNodes)
+		ckgNodeSamples += float64(ckgNodes)
 		akgNodeSamples += float64(res.AKGNodes)
-		ckgEdgeSamples += float64(res.CKGEdges)
+		ckgEdgeSamples += float64(ckgEdges)
 		akgEdgeSamples += float64(res.AKGEdges)
-		if res.CKGNodes > peakCKGNodes {
-			peakCKGNodes = res.CKGNodes
+		if ckgNodes > peakCKGNodes {
+			peakCKGNodes = ckgNodes
 		}
-		if res.CKGEdges > peakCKGEdges {
-			peakCKGEdges = res.CKGEdges
+		if ckgEdges > peakCKGEdges {
+			peakCKGEdges = ckgEdges
 		}
 		if res.AKGNodes > peakAKGNodes {
 			peakAKGNodes = res.AKGNodes

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dygraph"
 )
@@ -49,6 +50,48 @@ func (a *AKG) State() State {
 			s.Present = append(s.Present, r.id)
 		}
 	}
+	return s
+}
+
+// Encode writes the layer from its live structures: the quantum
+// counter, the window ring oldest first — per quantum its keywords as an
+// ascending list, then each keyword's users as an ascending list
+// (codec.WriteAscending) — and the engine (core.Engine.Encode). Cfg is
+// the caller's to write, and Present is not written: FromState accepts
+// only a present set equal to the engine graph's node set, so
+// DecodeState takes it from there.
+func (a *AKG) Encode(w *codec.Writer) {
+	w.Varint(int64(a.quantum))
+	w.Uvarint(uint64(len(a.ring)))
+	for i := range a.ring {
+		obs := &a.ring[i]
+		codec.WriteAscending(w, obs.keys)
+		for k := range obs.keys {
+			codec.WriteAscending(w, obs.usersOf(k))
+		}
+	}
+	a.eng.Encode(w)
+}
+
+// DecodeState reads what Encode wrote, with cfg as the layer's
+// configuration. Structural damage fails r; FromState's checks still
+// apply to what it returns.
+func DecodeState(r *codec.Reader, cfg Config) State {
+	s := State{Cfg: cfg, Quantum: r.Int()}
+	s.Ring = make([]QuantumObs, r.Count(1))
+	var users []uint64 // one backing array for many quanta's lists
+	for i := range s.Ring {
+		q := &s.Ring[i]
+		q.Keywords = codec.ReadAscending[dygraph.NodeID](r, nil)
+		q.Users = make([][]uint64, len(q.Keywords))
+		for k := range q.Users {
+			at := len(users)
+			users = codec.ReadAscending(r, users)
+			q.Users[k] = users[at:len(users):len(users)]
+		}
+	}
+	s.Engine = core.DecodeEngineState(r)
+	s.Present = slices.Clone(s.Engine.Graph.Nodes)
 	return s
 }
 

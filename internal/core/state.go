@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/dygraph"
 )
 
@@ -36,6 +38,60 @@ func (en *Engine) State() EngineState {
 			Edges: c.Edges(),
 		})
 	}
+	return s
+}
+
+// Encode writes the engine from its live structures: the graph
+// (dygraph.Graph.Encode), the cluster count, each cluster in ID order —
+// its ID as a delta from the previous one's, its birth, and its edges
+// (count, then dygraph.EdgeWriter deltas) — and NextID and Ops.
+func (en *Engine) Encode(w *codec.Writer) {
+	en.g.Encode(w)
+	ids := en.AppendClusterIDs(make([]ClusterID, 0, len(en.clusters)))
+	slices.Sort(ids)
+	w.Uvarint(uint64(len(ids)))
+	var prev ClusterID
+	for _, id := range ids {
+		c := en.clusters[id]
+		w.Uvarint(uint64(id - prev))
+		prev = id
+		w.Uvarint(c.birth)
+		w.Uvarint(uint64(len(c.edges)))
+		var ew dygraph.EdgeWriter
+		for _, e := range c.edges {
+			ew.Put(w, e)
+		}
+	}
+	w.Uvarint(uint64(en.nextID))
+	w.Uvarint(en.ops)
+}
+
+// DecodeEngineState reads what Encode wrote. Structural damage fails r;
+// EngineFromState's checks still apply to what it returns.
+func DecodeEngineState(r *codec.Reader) EngineState {
+	s := EngineState{Graph: dygraph.DecodeState(r)}
+	n := r.Count(3) // ID delta, birth, edge count
+	s.Clusters = make([]ClusterState, 0, n)
+	var prev ClusterID
+	for i := range n {
+		d := ClusterID(r.Uvarint())
+		if i > 0 && d == 0 {
+			r.Fail(fmt.Errorf("core: cluster IDs not ascending after %d", prev))
+		}
+		prev += d
+		cs := ClusterState{ID: prev, Birth: r.Uvarint()}
+		cs.Edges = make([]dygraph.Edge, r.Count(2))
+		var er dygraph.EdgeReader
+		for j := range cs.Edges {
+			cs.Edges[j] = er.Get(r)
+		}
+		if r.Err() != nil {
+			return s
+		}
+		s.Clusters = append(s.Clusters, cs)
+	}
+	s.NextID = ClusterID(r.Uvarint())
+	s.Ops = r.Uvarint()
 	return s
 }
 

@@ -44,9 +44,6 @@ type Config struct {
 	// (Section 7.2.2 filter 2). Default true; set DisableNounFilter to
 	// turn off.
 	DisableNounFilter bool
-	// TrackCKG additionally maintains the full CKG so the AKG size
-	// reduction can be measured (Section 7.4). Costs memory and time.
-	TrackCKG bool
 	// Synonyms maps keyword variants to a canonical form before graph
 	// construction — the dictionary/thesaurus pre-processing Section 1.1
 	// suggests for merging clusters split by synonymous or multilingual
@@ -207,8 +204,6 @@ type QuantumResult struct {
 	Quantum  int
 	Stats    akg.QuantumStats
 	Reports  []Report // reportable events, rank-descending
-	CKGNodes int      // only when TrackCKG
-	CKGEdges int
 	AKGNodes int
 	AKGEdges int
 	// Lifecycle deltas observed this quantum: IDs of events born, of
@@ -229,7 +224,7 @@ type QuantumResult struct {
 	Elapsed time.Duration
 	// PrepElapsed / GraphElapsed / ReconcileElapsed split the quantum's
 	// processing into the pipeline's sub-phases for the serving layer's
-	// stage histograms: tokenization plus vocabulary interning, AKG/CKG
+	// stage histograms: tokenization plus vocabulary interning, AKG
 	// graph and dense-cluster maintenance, and dirty-set event
 	// reconciliation. PrepElapsed comes before Elapsed and is not part of
 	// it; the other two add up to it.
@@ -246,8 +241,7 @@ type Detector struct {
 	akg       *akg.AKG
 	quant     *stream.Quantizer
 	tquant    *stream.TimeQuantizer // non-nil when cfg.QuantumTime > 0
-	ckg       *ckg.Graph
-	nounSeen  []bool // by keyword ID; covers every interned ID (growNounSeen)
+	nounSeen  []bool                // by keyword ID; covers every interned ID (growNounSeen)
 	events    map[core.ClusterID]*Event
 	finished  []*Event
 	nextEvent uint64
@@ -261,6 +255,9 @@ type Detector struct {
 	// onQuantum, when set, is called with every QuantumResult the
 	// detector produces, on whichever goroutine applies quanta.
 	onQuantum func(*QuantumResult)
+	// onResolved, when set, is called with every quantum's resolved
+	// keyword lists before the graph layer sees them.
+	onResolved func([]ckg.UserKeywords)
 	// onEvict, when set, is called with each finished event dropped by
 	// TrimFinished, in eviction order (oldest first). Serving layers use
 	// it to archive history instead of losing it.
@@ -296,9 +293,6 @@ type Detector struct {
 func New(cfg Config) *Detector {
 	d, hooks := newDetector(cfg, textproc.NewInterner())
 	d.akg = akg.New(d.cfg.AKG, hooks)
-	if d.cfg.TrackCKG {
-		d.ckg = ckg.New(d.akg.Config().Window)
-	}
 	return d
 }
 
@@ -342,6 +336,15 @@ func newDetector(cfg Config, in *textproc.Interner) (*Detector, core.Hooks) {
 // Serving layers use it for push notification; nil clears the hook. The
 // hook is not part of checkpoints — re-register after Load.
 func (d *Detector) SetOnQuantum(fn func(*QuantumResult)) { d.onQuantum = fn }
+
+// SetOnResolved registers fn to be called once per quantum with the
+// quantum's per-user keyword lists — users ascending, each user's
+// keyword IDs ascending — just before the graph layer takes them. The
+// lists are the detector's scratch, valid during the call only.
+// Experiments use it to keep a full CKG beside the detector (Section
+// 7.4). Like the other hooks it is not part of checkpoints; nil clears
+// it.
+func (d *Detector) SetOnResolved(fn func([]ckg.UserKeywords)) { d.onResolved = fn }
 
 // SetOnEvict registers fn to be called with every finished event dropped
 // by TrimFinished, in eviction order. During the callback Trimmed()
@@ -621,8 +624,8 @@ func (d *Detector) processQuantum(batch []stream.Message) QuantumResult {
 // layers and reconciles the event registry.
 func (d *Detector) applyQuantum(uks []ckg.UserKeywords) QuantumResult {
 	started := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
-	if d.ckg != nil {
-		d.ckg.AddQuantum(uks)
+	if d.onResolved != nil {
+		d.onResolved(uks)
 	}
 	stats := d.akg.ProcessQuantum(uks)
 	graphDone := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
@@ -634,10 +637,6 @@ func (d *Detector) applyQuantum(uks []ckg.UserKeywords) QuantumResult {
 	d.reconcileEvents(&res)
 	res.AKGNodes = d.akg.NodeCount()
 	res.AKGEdges = d.akg.EdgeCount()
-	if d.ckg != nil {
-		res.CKGNodes = d.ckg.NodeCount()
-		res.CKGEdges = d.ckg.EdgeCount()
-	}
 	res.GraphElapsed = graphDone.Sub(started)
 	res.Elapsed = time.Since(started) //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
 	res.ReconcileElapsed = res.Elapsed - res.GraphElapsed

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/akg"
+	"repro/internal/ckg"
 	"repro/internal/stream"
 )
 
@@ -236,15 +237,15 @@ func TestMergeTracking(t *testing.T) {
 }
 
 func TestCKGTracking(t *testing.T) {
-	cfg := testConfig(6)
-	cfg.TrackCKG = true
-	d := New(cfg)
+	d := New(testConfig(6))
+	full := ckg.New(d.AKG().Config().Window)
+	d.SetOnResolved(full.AddQuantum)
 	res := runAll(t, d, burstMessages(0, 6, "earthquake struck turkey"))
 	last := res[len(res)-1]
-	if last.CKGNodes == 0 || last.CKGEdges == 0 {
-		t.Fatalf("CKG not tracked: %+v", last)
+	if full.NodeCount() == 0 || full.EdgeCount() == 0 {
+		t.Fatalf("CKG not tracked: %d nodes, %d edges", full.NodeCount(), full.EdgeCount())
 	}
-	if last.AKGNodes > last.CKGNodes {
+	if last.AKGNodes > full.NodeCount() {
 		t.Fatalf("AKG larger than CKG")
 	}
 }

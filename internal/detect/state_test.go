@@ -29,7 +29,7 @@ func eventsDigest(d *Detector) string {
 // histories, identical graph state.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	msgs, _ := tracegen.Generate(tracegen.ESConfig(77, 30000))
-	cfg := Config{Delta: 120, TrackCKG: true}
+	cfg := Config{Delta: 120}
 
 	// Uninterrupted run.
 	ref := New(cfg)

@@ -155,8 +155,9 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	if r == nil {
 		det = detect.New(s.cfg.Detector)
 	} else {
-		// A bufio.Reader is an io.ByteReader, so gob reads no further
-		// than the state and the image is left for RestoreBuffer.
+		// Load reads exactly the checkpoint (a retired gob one through
+		// the bufio.Reader's ReadByte), so the image is left for
+		// RestoreBuffer.
 		br := bufio.NewReader(r)
 		det, err = detect.Load(br)
 		if err == nil && s.arch != nil {

@@ -36,7 +36,7 @@ func (q *TimeQuantizer) Add(m Message) [][]Message {
 		q.start = m.Time
 	}
 	var out [][]Message
-	for m.Time >= q.start+q.duration {
+	for q.Closes(m.Time) {
 		done := q.buf
 		q.buf = nil
 		out = append(out, done) // may be nil: an empty quantum
@@ -44,6 +44,13 @@ func (q *TimeQuantizer) Add(m Message) [][]Message {
 	}
 	q.buf = append(q.buf, m)
 	return out
+}
+
+// Closes reports whether a message at time t would close the open
+// quantum (Add would return at least one batch). The difference is taken
+// unsigned, so a grid near the end of the int64 range cannot overflow.
+func (q *TimeQuantizer) Closes(t int64) bool {
+	return q.started && t >= q.start && uint64(t)-uint64(q.start) >= uint64(q.duration)
 }
 
 // Flush returns the open partial quantum and clears it.

@@ -1,6 +1,9 @@
 package stream
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func tmsg(id uint64, tm int64) Message {
 	return Message{ID: id, User: id, Time: tm, Text: "x"}
@@ -74,5 +77,23 @@ func TestTimeQuantizerResume(t *testing.T) {
 func TestTimeQuantizerClampsDuration(t *testing.T) {
 	if NewTimeQuantizer(0).Duration() != 1 {
 		t.Fatalf("duration not clamped")
+	}
+}
+
+// TestTimeQuantizerNearEndOfRange: a grid whose next boundary lies past
+// the largest int64 never closes — before Closes took the difference
+// unsigned, start+duration wrapped negative and Add looped for ever.
+func TestTimeQuantizerNearEndOfRange(t *testing.T) {
+	q := NewTimeQuantizer(10)
+	q.Resume(math.MaxInt64-3, true)
+	if q.Closes(math.MaxInt64) {
+		t.Fatal("a message inside the last quantum closes it")
+	}
+	if out := q.Add(Message{ID: 1, Time: math.MaxInt64}); len(out) != 0 {
+		t.Fatalf("Add closed %d quanta", len(out))
+	}
+	q.Resume(math.MinInt64, true)
+	if !q.Closes(math.MaxInt64) || q.Closes(math.MinInt64+9) {
+		t.Fatal("Closes is wrong across the whole range")
 	}
 }

@@ -57,11 +57,21 @@ type Interner struct {
 // NewInterner returns an interner holding only the stop list. The zero
 // NodeID is reserved so that "no node" can be expressed; the first
 // interned word gets ID 1.
-func NewInterner() *Interner {
+func NewInterner() *Interner { return newInterner(nil) }
+
+// newInterner returns an interner holding the stop list, its tables
+// sized up front for words as well, which the caller interns.
+func newInterner(words []string) *Interner {
+	long := 0
+	for _, w := range words {
+		if len(w) > maxShort {
+			long++
+		}
+	}
 	in := &Interner{
-		short: newSymTable(2 * len(stopList)),
-		long:  make(map[string]Symbol),
-		words: []string{""},
+		short: newSymTable(2*len(stopList) + len(words) - long),
+		long:  make(map[string]Symbol, long),
+		words: make([]string, 1, 1+len(words)),
 	}
 	for _, w := range stopList {
 		s := newSymbol(w)
@@ -206,9 +216,10 @@ func (in *Interner) WordList() []string {
 }
 
 // FromWordList reconstructs an interner so that each word receives the
-// same ID it had when WordList was taken.
+// same ID it had when WordList was taken. Its tables are sized for the
+// whole list up front, so the restore never grows or rehashes them.
 func FromWordList(words []string) *Interner {
-	in := NewInterner()
+	in := newInterner(words)
 	for _, w := range words {
 		in.Intern(w)
 	}

@@ -2,10 +2,10 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 )
 
@@ -19,8 +19,6 @@ import (
 // varints and an empty text. It bounds the count a body may claim, so a
 // corrupt count cannot drive a large allocation.
 const minMessageBytes = 4
-
-var errVarint = errors.New("varint runs past the record or overflows")
 
 // appendBatch appends the body of a batch record holding msgs to dst.
 func appendBatch(dst []byte, msgs []stream.Message) []byte {
@@ -42,57 +40,32 @@ func appendBatch(dst []byte, msgs []stream.Message) []byte {
 // one allocation however many messages it holds, and body may be reused
 // as soon as decodeBatch returns.
 func decodeBatch(dst []stream.Message, body []byte) ([]stream.Message, error) {
-	n, k := binary.Uvarint(body)
-	if k <= 0 {
-		return dst[:0], fmt.Errorf("message count: %w", errVarint)
+	r := codec.NewReader(body)
+	n := r.Count(minMessageBytes)
+	if err := r.Err(); err != nil {
+		return dst[:0], fmt.Errorf("message count: %w", err)
 	}
-	body = body[k:]
-	if n > uint64(len(body)/minMessageBytes) {
-		return dst[:0], fmt.Errorf("message count %d exceeds what %d bytes can hold", n, len(body))
-	}
-	dst = slices.Grow(dst[:0], int(n))[:n]
-	text := string(body)
-	r := varintReader{b: body}
+	dst = slices.Grow(dst[:0], n)[:n]
+	base := r.Off()
+	text := string(body[base:])
 	for i := range dst {
 		m := &dst[i]
-		m.ID = r.uvarint()
-		m.User = r.uvarint()
-		u := r.uvarint()
-		m.Time = int64(u>>1) ^ -int64(u&1) // zigzag, as binary.AppendVarint wrote it
-		size := r.uvarint()
-		if r.bad {
-			return dst[:0], fmt.Errorf("message %d: %w", i, errVarint)
+		m.ID = r.Uvarint()
+		m.User = r.Uvarint()
+		m.Time = r.Varint()
+		size := r.Uvarint()
+		if err := r.Err(); err != nil {
+			return dst[:0], fmt.Errorf("message %d: %w", i, err)
 		}
-		if size > uint64(len(body)-r.off) {
-			return dst[:0], fmt.Errorf("message %d: text of %d bytes, %d left in the record", i, size, len(body)-r.off)
+		if size > uint64(r.Remaining()) {
+			return dst[:0], fmt.Errorf("message %d: text of %d bytes, %d left in the record", i, size, r.Remaining())
 		}
-		m.Text = text[r.off : r.off+int(size)]
-		r.off += int(size)
+		at := r.Off() - base
+		m.Text = text[at : at+int(size)]
+		r.Next(int(size))
 	}
-	if r.off != len(body) {
-		return dst[:0], fmt.Errorf("%d trailing bytes after %d messages", len(body)-r.off, n)
+	if err := r.End(); err != nil {
+		return dst[:0], fmt.Errorf("after %d messages: %w", n, err)
 	}
 	return dst, nil
-}
-
-// varintReader reads consecutive uvarints from b. The first one that
-// runs past b or overflows 64 bits sets bad, and every later read
-// returns 0, so a decoder checks once per message.
-type varintReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *varintReader) uvarint() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, k := binary.Uvarint(r.b[r.off:])
-	if k <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += k
-	return v
 }
