@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/codec"
 )
 
 // This file is the v2 columnar block codec. A v2 segment's body is a
@@ -384,88 +386,45 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// byteReader is the decoder's bounds-checked cursor. All read methods
-// return an error instead of panicking on truncated or oversized input.
-type byteReader struct {
-	b   []byte
-	off int
-}
-
 var errBlockCorrupt = fmt.Errorf("archive: corrupt block")
-
-func (r *byteReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, errBlockCorrupt
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *byteReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, errBlockCorrupt
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *byteReader) u64() (uint64, error) {
-	if len(r.b)-r.off < 8 {
-		return 0, errBlockCorrupt
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// intUvarint reads a uvarint that must fit a non-negative int.
-func (r *byteReader) intUvarint() (int, error) {
-	v, err := r.uvarint()
-	if err != nil || v > math.MaxInt64 || int64(v) > int64(maxInt) {
-		return 0, errBlockCorrupt
-	}
-	return int(v), nil
-}
 
 const maxInt = int(^uint(0) >> 1)
 
 // decodeBlock decodes one block payload column-at-a-time into b,
-// replacing whatever b held. Corrupt input returns an error wrapping
-// errBlockCorrupt, never panics; b's contents are then unspecified.
+// replacing whatever b held. Corrupt input returns errBlockCorrupt,
+// never panics; b's contents are then unspecified. The reader's errors
+// stick, so a column's loop checks once, after the column.
 func decodeBlock(payload []byte, b *Block) error {
-	r := &byteReader{b: payload}
-	n, err := r.intUvarint()
-	if err != nil || n < 1 || n > maxBlockRecords {
+	r := codec.NewReader(payload)
+	n := r.UvarintInt()
+	if r.Err() != nil || n < 1 || n > maxBlockRecords {
 		return errBlockCorrupt
 	}
 	b.arena = nil // Records materialised from the previous decode keep theirs
 
 	// Dictionary: one backing string per block, entries carved by slicing.
-	dn, err := r.intUvarint()
-	if err != nil || dn > maxBlockDict {
+	dn := r.UvarintInt()
+	if r.Err() != nil || dn > maxBlockDict {
 		return errBlockCorrupt
 	}
 	b.Dict = grow(b.Dict, dn)
-	lens := byteReader{b: r.b, off: r.off} // re-reads the lengths below
+	lens := r // re-reads the lengths below
 	total := 0
 	for i := 0; i < dn; i++ {
-		ln, err := r.intUvarint()
+		ln := r.UvarintInt()
 		// Each length is bounded by the payload, so with dn ≤ 2²⁰ the
 		// running total cannot overflow int on 64-bit.
-		if err != nil || ln > len(r.b)-r.off {
+		if r.Err() != nil || ln > r.Remaining() {
 			return errBlockCorrupt
 		}
 		total += ln
 	}
-	if total > len(r.b)-r.off {
+	if total > r.Remaining() {
 		return errBlockCorrupt
 	}
-	backing := string(r.b[r.off : r.off+total])
-	r.off += total
+	backing := string(r.Next(total))
 	for i, pos := 0, 0; i < dn; i++ {
-		ln, _ := lens.intUvarint() // checked by the first pass
+		ln := lens.UvarintInt() // checked by the first pass
 		b.Dict[i] = backing[pos : pos+ln]
 		pos += ln
 	}
@@ -485,107 +444,72 @@ func decodeBlock(payload []byte, b *Block) error {
 	b.flags = grow(b.flags, n)
 	b.State = grow(b.State, n)
 
-	if b.Seq[0], err = r.uvarint(); err != nil {
-		return err
-	}
+	b.Seq[0] = r.Uvarint()
 	for i := 1; i < n; i++ {
-		d, err := r.uvarint()
-		if err != nil || d == 0 { // zero delta = duplicate ordinal
-			return errBlockCorrupt
-		}
+		d := r.Uvarint()
 		b.Seq[i] = b.Seq[i-1] + d
-		if b.Seq[i] < b.Seq[i-1] { // wrapped
+		if d == 0 || b.Seq[i] < b.Seq[i-1] { // zero delta = duplicate ordinal; or wrapped
 			return errBlockCorrupt
 		}
 	}
-	if b.ID[0], err = r.uvarint(); err != nil {
-		return err
-	}
+	b.ID[0] = r.Uvarint()
 	for i := 1; i < n; i++ {
-		d, err := r.varint()
-		if err != nil {
-			return err
-		}
-		b.ID[i] = b.ID[i-1] + uint64(d)
+		b.ID[i] = b.ID[i-1] + uint64(r.Varint())
 	}
-	b0, err := r.varint()
-	if err != nil {
-		return err
-	}
-	b.BornQuantum[0] = int(b0)
+	b.BornQuantum[0] = int(r.Varint())
 	for i := 1; i < n; i++ {
-		d, err := r.varint()
-		if err != nil {
-			return err
-		}
-		b.BornQuantum[i] = b.BornQuantum[i-1] + int(d)
+		b.BornQuantum[i] = b.BornQuantum[i-1] + int(r.Varint())
 	}
 	for i := 0; i < n; i++ {
-		span, err := r.intUvarint()
-		if err != nil {
-			return err
-		}
-		b.LastQuantum[i] = b.BornQuantum[i] + span
+		b.LastQuantum[i] = b.BornQuantum[i] + r.UvarintInt()
 		if b.LastQuantum[i] < b.BornQuantum[i] { // overflow
 			return errBlockCorrupt
 		}
 	}
 	for _, col := range []*[]float64{&b.Rank, &b.PeakRank} {
 		for i := 0; i < n; i++ {
-			bits, err := r.u64()
-			if err != nil {
-				return err
-			}
-			(*col)[i] = math.Float64frombits(bits)
+			(*col)[i] = r.Float64()
 		}
 	}
 	for _, col := range []*[]int{&b.Size, &b.Support, &b.FirstReported} {
 		for i := 0; i < n; i++ {
-			v, err := r.varint()
-			if err != nil {
-				return err
-			}
-			(*col)[i] = int(v)
+			(*col)[i] = int(r.Varint())
 		}
 	}
 	for _, col := range []*[]uint64{&b.MergedInto, &b.SplitFrom} {
 		for i := 0; i < n; i++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			(*col)[i] = v
+			(*col)[i] = r.Uvarint()
 		}
 	}
-	if len(r.b)-r.off < n {
+	copy(b.flags, r.Next(n))
+	if r.Err() != nil {
 		return errBlockCorrupt
 	}
-	copy(b.flags, r.b[r.off:r.off+n])
-	r.off += n
 	for i := 0; i < n; i++ {
 		if b.flags[i]&^flagsKnown != 0 {
 			return errBlockCorrupt
 		}
 	}
 	for i := 0; i < n; i++ {
-		v, err := r.uvarint()
-		if err != nil || v >= uint64(dn) {
+		v := r.Uvarint()
+		if v >= uint64(dn) {
 			return errBlockCorrupt
 		}
 		b.State[i] = uint32(v)
 	}
 
 	// Keyword index lists: flat refs + per-record offsets.
-	b.kwIdx, b.kwOff, err = readIndexLists(r, n, dn, b.kwIdx, b.kwOff, b.flags, flagKwNil)
+	var err error
+	b.kwIdx, b.kwOff, err = readIndexLists(&r, n, dn, b.kwIdx, b.kwOff, b.flags, flagKwNil)
 	if err != nil {
 		return err
 	}
-	b.allIdx, b.allOff, err = readIndexLists(r, n, dn, b.allIdx, b.allOff, b.flags, flagAllKwNil)
+	b.allIdx, b.allOff, err = readIndexLists(&r, n, dn, b.allIdx, b.allOff, b.flags, flagAllKwNil)
 	if err != nil {
 		return err
 	}
-	if r.off != len(r.b) {
-		return errBlockCorrupt // trailing garbage
+	if r.End() != nil { // a failed read, or trailing garbage
+		return errBlockCorrupt
 	}
 	return nil
 }
@@ -593,21 +517,21 @@ func decodeBlock(payload []byte, b *Block) error {
 // readIndexLists reads n length-prefixed dictionary-index lists into a
 // flat refs slice plus n+1 offsets. A record whose nil flag is set must
 // have an empty list.
-func readIndexLists(r *byteReader, n, dn int, idx, off []uint32, flags []byte, nilFlag byte) ([]uint32, []uint32, error) {
+func readIndexLists(r *codec.Reader, n, dn int, idx, off []uint32, flags []byte, nilFlag byte) ([]uint32, []uint32, error) {
 	off = grow(off, n+1)
 	idx = idx[:0]
 	off[0] = 0
 	for i := 0; i < n; i++ {
-		m, err := r.intUvarint()
-		if err != nil || m > len(r.b)-r.off { // each ref is ≥ 1 byte
+		m := r.UvarintInt()
+		if r.Err() != nil || m > r.Remaining() { // each ref is ≥ 1 byte
 			return idx, off, errBlockCorrupt
 		}
 		if m > 0 && flags[i]&nilFlag != 0 {
 			return idx, off, errBlockCorrupt
 		}
 		for j := 0; j < m; j++ {
-			v, err := r.uvarint()
-			if err != nil || v >= uint64(dn) {
+			v := r.Uvarint()
+			if v >= uint64(dn) {
 				return idx, off, errBlockCorrupt
 			}
 			idx = append(idx, uint32(v))

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/vfs"
 )
 
@@ -225,45 +226,36 @@ func decodeIndex(hdr colHeader, idxOff int64, payload []byte) (segMeta, error) {
 		return segMeta{}, errBlockCorrupt
 	}
 	m := segMeta{FirstSeq: hdr.firstSeq, LastSeq: hdr.lastSeq, Count: hdr.count, bf: bloom(payload[:segBloomBytes])}
-	r := &byteReader{b: payload, off: segBloomBytes}
+	r := codec.NewReader(payload[segBloomBytes:])
 	off, count := int64(colHeaderLen), 0
-	for r.off < len(r.b) {
+	for r.Remaining() > 0 {
 		z := blockZone{Off: off}
-		var err error
-		var seqSpan, rank uint64
-		var minQ int64
-		var qSpan, nbf int
-		if z.Len, err = r.intUvarint(); err != nil || z.Len <= frameHdrLen || z.Len > maxBlockFrame {
+		if z.Len = r.UvarintInt(); r.Err() != nil || z.Len <= frameHdrLen || z.Len > maxBlockFrame {
 			return segMeta{}, errBlockCorrupt
 		}
-		if z.Count, err = r.intUvarint(); err != nil || z.Count < 1 || z.Count > hdr.count-count {
+		if z.Count = r.UvarintInt(); r.Err() != nil || z.Count < 1 || z.Count > hdr.count-count {
 			return segMeta{}, errBlockCorrupt
 		}
-		if z.FirstSeq, err = r.uvarint(); err != nil {
-			return segMeta{}, err
-		}
+		z.FirstSeq = r.Uvarint()
 		// Seqs strictly ascend within a block and across blocks.
-		if seqSpan, err = r.uvarint(); err != nil || seqSpan < uint64(z.Count-1) || z.FirstSeq+seqSpan < z.FirstSeq ||
+		seqSpan := r.Uvarint()
+		if r.Err() != nil || seqSpan < uint64(z.Count-1) || z.FirstSeq+seqSpan < z.FirstSeq ||
 			(len(m.Blocks) > 0 && z.FirstSeq <= m.Blocks[len(m.Blocks)-1].LastSeq) {
 			return segMeta{}, errBlockCorrupt
 		}
 		z.LastSeq = z.FirstSeq + seqSpan
-		if minQ, err = r.varint(); err != nil {
-			return segMeta{}, err
-		}
-		if qSpan, err = r.intUvarint(); err != nil || int(minQ)+qSpan < int(minQ) {
+		minQ := r.Varint()
+		qSpan := r.UvarintInt()
+		if r.Err() != nil || int(minQ)+qSpan < int(minQ) {
 			return segMeta{}, errBlockCorrupt
 		}
 		z.MinQuantum, z.MaxQuantum = int(minQ), int(minQ)+qSpan
-		if rank, err = r.u64(); err != nil {
-			return segMeta{}, err
-		}
-		z.MaxRank = math.Float64frombits(rank)
-		if nbf, err = r.intUvarint(); err != nil || nbf == 0 || nbf%8 != 0 || nbf > len(r.b)-r.off {
+		z.MaxRank = r.Float64()
+		nbf := r.UvarintInt()
+		if r.Err() != nil || nbf == 0 || nbf%8 != 0 || nbf > r.Remaining() {
 			return segMeta{}, errBlockCorrupt
 		}
-		z.bf = bloom(r.b[r.off : r.off+nbf])
-		r.off += nbf
+		z.bf = bloom(r.Next(nbf))
 		if off += int64(z.Len); off > idxOff {
 			return segMeta{}, errBlockCorrupt
 		}

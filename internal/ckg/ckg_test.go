@@ -130,26 +130,3 @@ func TestWindowClamp(t *testing.T) {
 		t.Fatalf("window not clamped to 1")
 	}
 }
-
-func TestCKGStateRoundTrip(t *testing.T) {
-	g := New(3)
-	g.AddQuantum([]UserKeywords{uk(1, 10, 11)})
-	g.AddQuantum([]UserKeywords{uk(2, 11, 12)})
-	s := g.State()
-	g2 := FromState(s)
-	if g2.NodeCount() != g.NodeCount() || g2.EdgeCount() != g.EdgeCount() {
-		t.Fatalf("counts differ after restore: %d/%d vs %d/%d",
-			g2.NodeCount(), g2.EdgeCount(), g.NodeCount(), g.EdgeCount())
-	}
-	if g2.QuantaHeld() != g.QuantaHeld() {
-		t.Fatalf("quanta held differ")
-	}
-	// Both must expire identically as the window slides on.
-	g.AddQuantum([]UserKeywords{uk(3, 13)})
-	g2.AddQuantum([]UserKeywords{uk(3, 13)})
-	g.AddQuantum([]UserKeywords{uk(4, 14)})
-	g2.AddQuantum([]UserKeywords{uk(4, 14)})
-	if g2.HasNode(10) != g.HasNode(10) || g2.HasEdge(11, 12) != g.HasEdge(11, 12) {
-		t.Fatalf("post-restore evolution diverged")
-	}
-}

@@ -1,6 +1,8 @@
 // Package codec is the byte layer under the module's binary formats: a
-// sticky-error Reader over a byte slice, and a Writer that streams a
-// checksummed image in bounded frames.
+// sticky-error Reader over a byte slice, which the WAL's batch records,
+// the archive's blocks and segment index, and detector checkpoints are
+// decoded with, and a Writer that streams a checksummed image in
+// bounded frames, which checkpoints are written with.
 //
 // Reader's bounds rules are the same for every format built on it, so a
 // corrupt or hostile input costs at most its own length:
@@ -96,6 +98,16 @@ func (r *Reader) Varint() int64 {
 func (r *Reader) Int() int {
 	v := r.Varint()
 	if int64(int(v)) != v {
+		r.Fail(fmt.Errorf("value %d overflows an int", v))
+		return 0
+	}
+	return int(v)
+}
+
+// UvarintInt reads an unsigned varint that must fit a non-negative int.
+func (r *Reader) UvarintInt() int {
+	v := r.Uvarint()
+	if v > math.MaxInt {
 		r.Fail(fmt.Errorf("value %d overflows an int", v))
 		return 0
 	}

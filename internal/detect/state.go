@@ -241,14 +241,14 @@ func (d *Detector) Save(w io.Writer) error {
 	for id := 1; id <= words; id++ {
 		cw.String(d.interner.Word(dygraph.NodeID(id)))
 	}
-	var bits byte
+	var mask byte
 	for id := 0; id <= words; id++ {
 		if d.NounSeen(dygraph.NodeID(id)) {
-			bits |= 1 << (id % 8)
+			mask |= 1 << (id % 8)
 		}
 		if id%8 == 7 || id == words {
-			cw.Byte(bits)
-			bits = 0
+			cw.Byte(mask)
+			mask = 0
 		}
 	}
 
