@@ -34,9 +34,9 @@ import (
 	"sync"
 )
 
-// ErrVarint reports a varint that runs past the input or overflows 64
+// errVarint reports a varint that runs past the input or overflows 64
 // bits.
-var ErrVarint = errors.New("varint runs past the end or overflows")
+var errVarint = errors.New("varint runs past the end or overflows")
 
 // Reader decodes consecutive fields from b. It is a value: copy it to
 // look ahead without consuming.
@@ -81,7 +81,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	v, k := binary.Uvarint(r.b[r.off:])
 	if k <= 0 {
-		r.err = ErrVarint
+		r.err = errVarint
 		return 0
 	}
 	r.off += k

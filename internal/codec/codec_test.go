@@ -140,10 +140,10 @@ func TestReadFramesRejects(t *testing.T) {
 func TestReaderBounds(t *testing.T) {
 	over := bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64+1)
 	r := NewReader(over)
-	if r.Uvarint() != 0 || !errors.Is(r.Err(), ErrVarint) {
+	if r.Uvarint() != 0 || !errors.Is(r.Err(), errVarint) {
 		t.Fatalf("overflowing varint: %v", r.Err())
 	}
-	if r.Byte() != 0 || r.Count(1) != 0 || r.Next(0) != nil || !errors.Is(r.Err(), ErrVarint) {
+	if r.Byte() != 0 || r.Count(1) != 0 || r.Next(0) != nil || !errors.Is(r.Err(), errVarint) {
 		t.Fatalf("failure did not stick")
 	}
 

@@ -216,8 +216,9 @@ func (in *Interner) WordList() []string {
 }
 
 // FromWordList reconstructs an interner so that each word receives the
-// same ID it had when WordList was taken. Its tables are sized for the
-// whole list up front, so the restore never grows or rehashes them.
+// same ID it had when WordList was taken. Its symbol table and
+// long-word map are sized for the whole list up front, so the restore
+// does not grow them word by word.
 func FromWordList(words []string) *Interner {
 	in := newInterner(words)
 	for _, w := range words {
