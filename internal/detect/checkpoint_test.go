@@ -1,7 +1,10 @@
 package detect
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/gob"
+	"io"
 	"os"
 	"runtime"
 	"testing"
@@ -71,6 +74,34 @@ func TestCheckpointDeterministic(t *testing.T) {
 		}
 		if canonicalDigest(restored.State()) != canonicalDigest(d.State()) {
 			t.Fatalf("quantum time %d: restored state differs", qt)
+		}
+	}
+}
+
+// TestLoadV1StopsAtItsEnd: a tenant's restore reads a snapshot's
+// checkpoint through a bufio.Reader and hands what follows to the
+// archive, so a gob checkpoint too must be read to its last byte and no
+// further — the committed fixture, and one smaller than gob's own read
+// buffer, encoded here as the gob writer did (gob of State()).
+func TestLoadV1StopsAtItsEnd(t *testing.T) {
+	fixture, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{}).State()
+	s.Magic = v1Magic
+	var small bytes.Buffer
+	if err := gob.NewEncoder(&small).Encode(&s); err != nil {
+		t.Fatal(err)
+	}
+	const tail = "the archive image follows"
+	for _, v1 := range [][]byte{fixture, small.Bytes()} {
+		r := bufio.NewReader(bytes.NewReader(append(bytes.Clone(v1), tail...)))
+		if _, err := Load(r); err != nil {
+			t.Fatal(err)
+		}
+		if rest, _ := io.ReadAll(r); string(rest) != tail {
+			t.Fatalf("after a %d-byte v1 checkpoint %q is left, want %q", len(v1), rest, tail)
 		}
 	}
 }
