@@ -344,8 +344,8 @@ func (w *Writer) Close() error {
 // header the caller has already read from r and matched; magic goes into
 // the checksum. It returns the payload, reading nothing past the
 // checksum. The payload grows with the frames actually read, so a
-// corrupt header cannot make it allocate more than the input holds plus
-// one frame.
+// corrupt header cannot make it allocate more than about twice what the
+// input holds, plus one frame.
 func ReadFrames(r io.Reader, magic string) ([]byte, error) {
 	crc := crc32.Update(0, castagnoli, []byte(magic))
 	var payload []byte
