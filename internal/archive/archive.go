@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/detect"
 	"repro/internal/vfs"
@@ -190,6 +191,9 @@ type Log struct {
 	dir string
 	opt Options
 	fs  vfs.FS
+	id  uint64 // this Log's identity in the block cache
+
+	cache cacheCounters
 
 	mu     sync.Mutex
 	sealed []segMeta // segments on disk, ascending FirstSeq
@@ -204,6 +208,9 @@ type Log struct {
 	// history the service keeps serving around.
 	quarantined uint64
 }
+
+// logIDs numbers the Logs of the process, for the block cache's keys.
+var logIDs atomic.Uint64
 
 // Open opens (creating if needed) an archive directory. It reads each
 // sealed segment's header and index and sweeps the temp files a crash
@@ -220,7 +227,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: open %s: %w", dir, err)
 	}
-	l := &Log{dir: dir, opt: opt, fs: opt.FS}
+	l := &Log{dir: dir, opt: opt, fs: opt.FS, id: logIDs.Add(1)}
 	entries, err := l.fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("archive: list %s: %w", dir, err)
@@ -435,11 +442,28 @@ func (l *Log) EventCount() int {
 	return n
 }
 
-// Close does nothing: the Log holds no open files between calls, and
-// the buffer is durable only through the snapshot that carries its
-// image (WriteBuffer). It stays for the benchmark module, which calls
-// it.
-func (l *Log) Close() error { return nil }
+// Close drops the Log's blocks from the block cache. The Log holds no
+// open files between calls, and the buffer is durable only through the
+// snapshot that carries its image (WriteBuffer), so there is nothing
+// else to release; a Log used after Close reads its blocks afresh.
+func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.sealed {
+		blocks.drop(l.id, l.sealed[i].FirstSeq, len(l.sealed[i].Blocks))
+	}
+	return nil
+}
+
+// BlockCacheStats reports this Log's share of the block cache.
+func (l *Log) BlockCacheStats() BlockCacheStats {
+	return BlockCacheStats{
+		Hits:          l.cache.hits.Load(),
+		Misses:        l.cache.misses.Load(),
+		Evictions:     l.cache.evictions.Load(),
+		ResidentBytes: l.cache.resident.Load(),
+	}
+}
 
 // ErrStop, returned by a scan's callback, stops the scan early without
 // error — the LIMIT-pushdown signal.
@@ -585,7 +609,6 @@ func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (bs BlockStats
 	}
 	var rec Record
 	return v.ScanBlocks(pred, func(b *Block) error {
-		defer b.Release()
 		for i := 0; i < b.Len(); i++ {
 			rec = b.Record(i)
 			if err := fn(&rec); err != nil {
@@ -597,18 +620,19 @@ func (v *SegmentView) ScanPred(pred Pred, fn func(*Record) error) (bs BlockStats
 }
 
 // ScanBlocks hands fn, in eviction order, each block of a sealed
-// segment that pred does not rule out on its zone map, read and
-// CRC-checked, then decoded column-at-a-time into a pooled Block. fn
-// owns the Block: it may keep it past its return, and calls Release
-// once nothing reads it (a Block never released is left to the
-// collector). BlockStats.Records counts the rows of every Block handed
-// over. fn returning ErrStop ends the scan early (stopped=true,
-// err=nil); any other error aborts and is returned. A data file whose
-// header disagrees with the view, or a block that decodes to a different
-// record count than its zone map states, is corruption and is reported
-// as an error: silently truncating history would be worse than failing
-// the query. A buffer view has no blocks (read its Records); scanning
-// one is an error.
+// segment that pred does not rule out on its zone map. A block comes
+// from the block cache when it holds it; otherwise it is read,
+// CRC-checked and decoded column-at-a-time, and cached. The segment file
+// is opened only for such a miss. The Blocks are shared and immutable:
+// fn may keep one as long as it likes but must not write it.
+// BlockStats, which counts the rows of every Block handed over, reads
+// the same whether the blocks hit or missed. fn returning ErrStop ends
+// the scan early (stopped=true, err=nil); any other error aborts and is
+// returned. A data file whose header disagrees with the view, or a
+// block that decodes to a different record count than its zone map
+// states, is corruption and is reported as an error: silently
+// truncating history would be worse than failing the query. A buffer
+// view has no blocks (read its Records); scanning one is an error.
 func (v *SegmentView) ScanBlocks(pred Pred, fn func(*Block) error) (bs BlockStats, stopped bool, err error) {
 	if !v.Sealed {
 		return bs, false, errors.New("archive: ScanBlocks of the in-memory buffer")
@@ -616,41 +640,16 @@ func (v *SegmentView) ScanBlocks(pred Pred, fn func(*Block) error) (bs BlockStat
 	if pred.To < 0 {
 		pred.To = maxInt
 	}
-	f, err := v.l.fs.Open(v.l.colPath(v.FirstSeq))
-	if err != nil {
-		return bs, false, fmt.Errorf("archive: open segment: %w", err)
-	}
-	defer f.Close()
-	var hdrBuf [colHeaderLen]byte
-	if err := readFull(f, hdrBuf[:], 0); err != nil {
-		return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
-	}
-	hdr, err := parseColHeader(hdrBuf[:])
-	if err == nil && (hdr.firstSeq != v.FirstSeq || hdr.lastSeq != v.LastSeq || hdr.count != v.Count) {
-		err = fmt.Errorf("header disagrees with the index: %w", ErrCorrupt)
-	}
-	if err == nil {
-		bs.Blocks = len(v.zones)
-		stopped, err = scanBlocks(f, v.zones, &pred, &bs, fn)
-	}
-	if err != nil {
-		return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
-	}
-	return bs, stopped, nil
-}
-
-// framePool recycles the buffers scanBlocks reads block frames into.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// scanBlocks hands fn every block in zones that pred does not rule out,
-// reading the frames from f and decoding each into a pooled Block that
-// fn then owns, and counts the work in bs.
-func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn func(*Block) error) (stopped bool, err error) {
-	frame := framePool.Get().(*[]byte)
-	defer framePool.Put(frame)
-	for zi := range zones {
-		z := &zones[zi]
-		switch z.skip(pred) {
+	var f vfs.File // opened at the first miss
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
+	bs.Blocks = len(v.zones)
+	for zi := range v.zones {
+		z := &v.zones[zi]
+		switch z.skip(&pred) {
 		case skipTime:
 			bs.SkippedByTime++
 			continue
@@ -662,29 +661,79 @@ func scanBlocks(f io.ReaderAt, zones []blockZone, pred *Pred, bs *BlockStats, fn
 			continue
 		}
 		bs.Scanned++
-		payload, err := readFrame(f, z, frame)
-		if err != nil {
-			return false, err
+		b, err := v.block(zi, &f)
+		if err == nil {
+			bs.Records += b.Len()
+			err = fn(b)
 		}
-		b := blockPool.Get().(*Block)
-		err = decodeBlock(payload, b)
-		if err != nil {
-			err = fmt.Errorf("%w: %w", err, ErrCorrupt)
-		} else if b.Len() != z.Count || b.Seq[0] != z.FirstSeq || b.Seq[b.Len()-1] != z.LastSeq {
-			err = fmt.Errorf("has %d of %d records in seqs [%d, %d]: %w", b.Len(), z.Count, z.FirstSeq, z.LastSeq, ErrCorrupt)
-		}
-		if err != nil {
-			b.Release()
-			return false, fmt.Errorf("block at %d: %w", z.Off, err)
-		}
-		bs.Records += b.Len()
-		if err := fn(b); err == ErrStop {
-			return true, nil
+		if err == ErrStop {
+			return bs, true, nil
 		} else if err != nil {
-			return false, err
+			return bs, false, fmt.Errorf("archive: segment %d: %w", v.FirstSeq, err)
 		}
 	}
-	return false, nil
+	return bs, false, nil
+}
+
+// block returns block zi of the view's segment from the block cache,
+// or reads, verifies, decodes and caches it, opening the segment file
+// into *f first if no earlier miss of this scan has.
+func (v *SegmentView) block(zi int, f *vfs.File) (*Block, error) {
+	l := v.l
+	k := blockKey{log: l.id, seg: v.FirstSeq, block: zi}
+	if b := blocks.get(k); b != nil {
+		l.cache.hits.Add(1)
+		return b, nil
+	}
+	l.cache.misses.Add(1)
+	if *f == nil {
+		file, err := l.fs.Open(l.colPath(v.FirstSeq))
+		if err != nil {
+			return nil, fmt.Errorf("open: %w", err)
+		}
+		*f = file
+		var hdrBuf [colHeaderLen]byte
+		if err := readFull(file, hdrBuf[:], 0); err != nil {
+			return nil, err
+		}
+		hdr, err := parseColHeader(hdrBuf[:])
+		if err == nil && (hdr.firstSeq != v.FirstSeq || hdr.lastSeq != v.LastSeq || hdr.count != v.Count) {
+			err = fmt.Errorf("header disagrees with the index: %w", ErrCorrupt)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	b, err := readBlock(*f, &v.zones[zi])
+	if err != nil {
+		return nil, err
+	}
+	return blocks.add(k, b, &l.cache), nil
+}
+
+// framePool recycles the buffers readBlock reads block frames into.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBlock reads the block frame z points at from f, checks its CRC,
+// decodes it into a fresh Block and checks the Block against the zone.
+func readBlock(f io.ReaderAt, z *blockZone) (*Block, error) {
+	frame := framePool.Get().(*[]byte)
+	defer framePool.Put(frame)
+	payload, err := readFrame(f, z, frame)
+	if err != nil {
+		return nil, err
+	}
+	b := new(Block)
+	err = decodeBlock(payload, b)
+	if err != nil {
+		err = fmt.Errorf("%w: %w", err, ErrCorrupt)
+	} else if b.Len() != z.Count || b.Seq[0] != z.FirstSeq || b.Seq[b.Len()-1] != z.LastSeq {
+		err = fmt.Errorf("has %d of %d records in seqs [%d, %d]: %w", b.Len(), z.Count, z.FirstSeq, z.LastSeq, ErrCorrupt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("block at %d: %w", z.Off, err)
+	}
+	return b, nil
 }
 
 // Segments snapshots the archive's segments — sealed ones, then the
@@ -749,6 +798,7 @@ func (l *Log) Quarantine(v *SegmentView) bool {
 	// either way, which is what stops the bleeding.
 	path := l.colPath(v.FirstSeq)
 	l.fs.Rename(path, path+quarantineSuffix) //nolint:errcheck // best effort
+	blocks.drop(l.id, v.FirstSeq, len(l.sealed[idx].Blocks))
 	l.sealed = slices.Delete(l.sealed, idx, idx+1)
 	l.quarantined++
 	return true

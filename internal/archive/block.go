@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/codec"
@@ -34,12 +35,11 @@ import (
 // bounds-checked, dictionary indexes are range-checked, counts are
 // clamped, and the payload must be consumed exactly — any violation is
 // an error, never a panic (the fuzz target in fuzz_test.go enforces
-// this). A block decodes into a pooled Block: columns whose capacity
-// the pool keeps, and a dictionary carved from one backing string per
-// block, so a decoded block costs O(1) allocations regardless of record
-// count. The columns are reused once the Block is released; the
-// dictionary strings, and the Records materialised from a block, are
-// not.
+// this). A block decodes into a fresh Block: its columns carved from a
+// few slabs and its dictionary from one backing string, so a decoded
+// block costs O(1) allocations regardless of record count. Nothing
+// writes a Block after its decode, so a verified block is decoded once
+// and then shared (cache.go).
 const (
 	// defaultBlockEvents caps records per block when Options.BlockEvents
 	// is zero: big enough to amortize per-block framing and dictionary
@@ -270,11 +270,11 @@ func (e *blockEncoder) encode(recs []Record) ([]byte, blockZone, error) {
 // Block is one decoded block, column by column: row i is the Record
 // with ID ID[i], Rank Rank[i], and so on, in eviction order. Its State
 // and keywords are indexes into Dict, which holds each string once. A
-// scan hands out Blocks from a pool; the columns are valid until
-// Release and must not be written.
+// decoded Block is immutable: the block cache (cache.go) hands the same
+// Block to every scan that reads it, so nothing may write its columns.
 type Block struct {
 	// Dict is the block's dictionary: states and keywords, carved from
-	// one backing string per decode, so its strings outlive Release.
+	// one backing string per decode.
 	Dict []string
 
 	Seq, ID, MergedInto, SplitFrom                         []uint64
@@ -285,32 +285,14 @@ type Block struct {
 	flags         []byte
 	kwIdx, allIdx []uint32 // flat keyword dictionary indexes
 	kwOff, allOff []uint32 // n+1 offsets into kwIdx / allIdx
-	arena         []string // Record's keyword strings: fresh per decode, never reused
-}
+	dictBytes     int      // length of the string Dict is carved from
 
-var blockPool = sync.Pool{New: func() any { return new(Block) }}
+	// The rows' /query JSON, rendered together on first use (RowJSON).
+	render sync.Once
+	rows   []byte
+	rowOff []uint32 // n+1 offsets into rows
 
-// maxPooledRows and maxPooledDict cap the blocks the pool takes back,
-// by row capacity and by dictionary capacity: a rare oversized block
-// must not pin its columns for the life of the process. A row adds at
-// most its state and its keywords to the dictionary — about 13 strings
-// for a record with 6 keywords and 6.5 history keywords — so the
-// dictionary bound allows 16 per pooled row.
-const (
-	maxPooledRows = 4096
-	maxPooledDict = 16 * maxPooledRows
-)
-
-// Release hands b back to the pool. Nothing may read b's columns
-// afterwards; call it at most once per block a scan handed out.
-func (b *Block) Release() {
-	if b.poolable() {
-		blockPool.Put(b)
-	}
-}
-
-func (b *Block) poolable() bool {
-	return cap(b.ID) <= maxPooledRows && cap(b.Dict) <= maxPooledDict
+	ent *cacheEntry // the cache entry holding the block; nil when uncached
 }
 
 // Len returns the block's row count.
@@ -331,20 +313,11 @@ func (b *Block) Keywords(i int) []uint32 { return b.kwIdx[b.kwOff[i]:b.kwOff[i+1
 // AllKeywords returns the Dict indexes of row i's AllKeywords.
 func (b *Block) AllKeywords(i int) []uint32 { return b.allIdx[b.allOff[i]:b.allOff[i+1]] }
 
-// Record materialises row i. Its keyword slices are carved from one
-// arena per decode, built at the first call, so a Record stays valid
-// after Release.
+// Record materialises row i. Its keyword slices are its own, one
+// allocation for both: a shared Block is never written, and a cached
+// one keeps no per-reference string arena for a path /query never
+// takes.
 func (b *Block) Record(i int) Record {
-	nkw := uint32(len(b.kwIdx))
-	if b.arena == nil && nkw+uint32(len(b.allIdx)) > 0 {
-		b.arena = make([]string, 0, int(nkw)+len(b.allIdx))
-		for _, d := range b.kwIdx {
-			b.arena = append(b.arena, b.Dict[d])
-		}
-		for _, d := range b.allIdx {
-			b.arena = append(b.arena, b.Dict[d])
-		}
-	}
 	rec := Record{
 		Seq:           b.Seq[i],
 		ID:            b.ID[i],
@@ -362,21 +335,27 @@ func (b *Block) Record(i int) Record {
 		SplitFrom:     b.SplitFrom[i],
 		Spurious:      b.Spurious(i),
 	}
+	kw, all := b.Keywords(i), b.AllKeywords(i)
+	strs := make([]string, len(kw)+len(all))
 	if !b.KeywordsNil(i) {
-		rec.Keywords = b.strings(b.kwOff[i], b.kwOff[i+1])
+		rec.Keywords = b.strings(strs[:len(kw):len(kw)], kw)
 	}
 	if b.flags[i]&flagAllKwNil == 0 {
-		rec.AllKeywords = b.strings(nkw+b.allOff[i], nkw+b.allOff[i+1])
+		rec.AllKeywords = b.strings(strs[len(kw):], all)
 	}
 	return rec
 }
 
-// strings is arena[lo:hi], or the shared empty slice when that is empty.
-func (b *Block) strings(lo, hi uint32) []string {
-	if lo == hi {
+// strings fills dst with the Dict strings at idx and returns it, or the
+// shared empty slice when idx is empty.
+func (b *Block) strings(dst []string, idx []uint32) []string {
+	if len(idx) == 0 {
 		return emptyStrings
 	}
-	return b.arena[lo:hi:hi]
+	for j, d := range idx {
+		dst[j] = b.Dict[d]
+	}
+	return dst
 }
 
 func grow[T any](s []T, n int) []T {
@@ -391,23 +370,25 @@ var errBlockCorrupt = fmt.Errorf("archive: corrupt block")
 const maxInt = int(^uint(0) >> 1)
 
 // decodeBlock decodes one block payload column-at-a-time into b,
-// replacing whatever b held. Corrupt input returns errBlockCorrupt,
-// never panics; b's contents are then unspecified. The reader's errors
-// stick, so a column's loop checks once, after the column.
+// replacing whatever b held with freshly allocated columns — a few
+// slabs per block, however many records it holds. Corrupt input
+// returns errBlockCorrupt, never panics; b's contents are then
+// unspecified. The reader's errors stick, so a column's loop checks
+// once, after the column.
 func decodeBlock(payload []byte, b *Block) error {
+	*b = Block{}
 	r := codec.NewReader(payload)
 	n := r.UvarintInt()
 	if r.Err() != nil || n < 1 || n > maxBlockRecords {
 		return errBlockCorrupt
 	}
-	b.arena = nil // Records materialised from the previous decode keep theirs
 
 	// Dictionary: one backing string per block, entries carved by slicing.
 	dn := r.UvarintInt()
 	if r.Err() != nil || dn > maxBlockDict {
 		return errBlockCorrupt
 	}
-	b.Dict = grow(b.Dict, dn)
+	b.Dict = make([]string, dn)
 	lens := r // re-reads the lengths below
 	total := 0
 	for i := 0; i < dn; i++ {
@@ -428,21 +409,18 @@ func decodeBlock(payload []byte, b *Block) error {
 		b.Dict[i] = backing[pos : pos+ln]
 		pos += ln
 	}
+	b.dictBytes = total
 
-	// Fixed columns.
-	b.Seq = grow(b.Seq, n)
-	b.ID = grow(b.ID, n)
-	b.BornQuantum = grow(b.BornQuantum, n)
-	b.LastQuantum = grow(b.LastQuantum, n)
-	b.Rank = grow(b.Rank, n)
-	b.PeakRank = grow(b.PeakRank, n)
-	b.Size = grow(b.Size, n)
-	b.Support = grow(b.Support, n)
-	b.FirstReported = grow(b.FirstReported, n)
-	b.MergedInto = grow(b.MergedInto, n)
-	b.SplitFrom = grow(b.SplitFrom, n)
-	b.flags = grow(b.flags, n)
-	b.State = grow(b.State, n)
+	// Fixed columns, carved from one slab per element type.
+	u64 := make([]uint64, 4*n)
+	b.Seq, b.ID, b.MergedInto, b.SplitFrom = u64[:n:n], u64[n:2*n:2*n], u64[2*n:3*n:3*n], u64[3*n:]
+	ints := make([]int, 5*n)
+	b.BornQuantum, b.LastQuantum, b.Size = ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n]
+	b.Support, b.FirstReported = ints[3*n:4*n:4*n], ints[4*n:]
+	f64 := make([]float64, 2*n)
+	b.Rank, b.PeakRank = f64[:n:n], f64[n:]
+	b.flags = make([]byte, n)
+	b.State = make([]uint32, n)
 
 	b.Seq[0] = r.Uvarint()
 	for i := 1; i < n; i++ {
@@ -498,45 +476,55 @@ func decodeBlock(payload []byte, b *Block) error {
 		b.State[i] = uint32(v)
 	}
 
-	// Keyword index lists: flat refs + per-record offsets.
+	// Keyword index lists: flat refs + per-record offsets. What is left
+	// of the payload is the two lists, each n counts and its refs, every
+	// one at least a byte: that bounds the refs, so one slab holds both.
+	refs := make([]uint32, 0, max(r.Remaining()-2*n, 0))
+	offs := make([]uint32, 2*(n+1))
 	var err error
-	b.kwIdx, b.kwOff, err = readIndexLists(&r, n, dn, b.kwIdx, b.kwOff, b.flags, flagKwNil)
+	b.kwIdx, err = readIndexLists(&r, n, dn, refs, offs[:n+1:n+1], b.flags, flagKwNil)
 	if err != nil {
 		return err
 	}
-	b.allIdx, b.allOff, err = readIndexLists(&r, n, dn, b.allIdx, b.allOff, b.flags, flagAllKwNil)
+	b.allIdx, err = readIndexLists(&r, n, dn, refs[len(b.kwIdx):len(b.kwIdx)], offs[n+1:], b.flags, flagAllKwNil)
 	if err != nil {
 		return err
 	}
 	if r.End() != nil { // a failed read, or trailing garbage
 		return errBlockCorrupt
 	}
+	// The bound can be twice the refs (two-byte refs into a large
+	// dictionary); a cached block keeps only what it uses.
+	nk, used := len(b.kwIdx), len(b.kwIdx)+len(b.allIdx)
+	if refs = refs[:used]; cap(refs) > used+used/8 {
+		refs = slices.Clone(refs)
+	}
+	b.kwIdx, b.allIdx = refs[:nk:nk], refs[nk:used:used]
+	b.kwOff, b.allOff = offs[:n+1:n+1], offs[n+1:]
 	return nil
 }
 
-// readIndexLists reads n length-prefixed dictionary-index lists into a
-// flat refs slice plus n+1 offsets. A record whose nil flag is set must
-// have an empty list.
-func readIndexLists(r *codec.Reader, n, dn int, idx, off []uint32, flags []byte, nilFlag byte) ([]uint32, []uint32, error) {
-	off = grow(off, n+1)
-	idx = idx[:0]
+// readIndexLists appends n length-prefixed dictionary-index lists to
+// idx, which has the capacity for them, and writes n+1 offsets into
+// off. A record whose nil flag is set must have an empty list.
+func readIndexLists(r *codec.Reader, n, dn int, idx, off []uint32, flags []byte, nilFlag byte) ([]uint32, error) {
 	off[0] = 0
 	for i := 0; i < n; i++ {
 		m := r.UvarintInt()
-		if r.Err() != nil || m > r.Remaining() { // each ref is ≥ 1 byte
-			return idx, off, errBlockCorrupt
+		if r.Err() != nil || m > r.Remaining() || m > cap(idx)-len(idx) { // each ref is ≥ 1 byte
+			return idx, errBlockCorrupt
 		}
 		if m > 0 && flags[i]&nilFlag != 0 {
-			return idx, off, errBlockCorrupt
+			return idx, errBlockCorrupt
 		}
 		for j := 0; j < m; j++ {
 			v := r.Uvarint()
 			if v >= uint64(dn) {
-				return idx, off, errBlockCorrupt
+				return idx, errBlockCorrupt
 			}
 			idx = append(idx, uint32(v))
 		}
 		off[i+1] = uint32(len(idx))
 	}
-	return idx, off, nil
+	return idx, nil
 }

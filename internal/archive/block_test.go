@@ -80,9 +80,8 @@ func TestBlockRoundTrip(t *testing.T) {
 }
 
 // TestBlockDecodeScratchReuse decodes two different blocks into one
-// Block, as the pool reuses it, and verifies a Record materialised from
-// the first survives — the contract Open's reload and ScanPred's
-// callers depend on.
+// Block and verifies a Record materialised from the first survives —
+// the contract Open's reload and ScanPred's callers depend on.
 func TestBlockDecodeScratchReuse(t *testing.T) {
 	var enc blockEncoder
 	p1, _, err := enc.encode([]Record{rec(1, 0, 1, "first-kw", "shared")})
@@ -107,38 +106,6 @@ func TestBlockDecodeScratchReuse(t *testing.T) {
 	}
 	if first.Keywords[0] != "first-kw" || first.Keywords[1] != "shared" || first.State != "ended" {
 		t.Fatalf("first block's strings corrupted by reuse: %+v", first)
-	}
-}
-
-// TestBlockPoolBounds: the pool takes back a block by its row and
-// dictionary capacity, so a default-sized block with a large vocabulary
-// is reused and only an oversized one is dropped.
-func TestBlockPoolBounds(t *testing.T) {
-	decoded := func(rows, kwsPerRow int) *Block {
-		recs := make([]Record, rows)
-		for i := range recs {
-			kws := make([]string, kwsPerRow)
-			for j := range kws {
-				kws[j] = fmt.Sprintf("kw-%d-%d", i, j)
-			}
-			recs[i] = rec(uint64(i+1), 0, 1, kws...)
-		}
-		var enc blockEncoder
-		payload, _, err := enc.encode(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := new(Block)
-		if err := decodeBlock(payload, b); err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if b := decoded(defaultBlockEvents, 20); len(b.Dict) <= maxPooledRows || !b.poolable() {
-		t.Fatalf("a %d-row block with %d dictionary entries is not pooled", b.Len(), len(b.Dict))
-	}
-	if b := decoded(maxPooledRows+1, 1); b.poolable() {
-		t.Fatalf("a %d-row block is pooled", b.Len())
 	}
 }
 

@@ -168,14 +168,16 @@ func decodeSegment(image []byte) ([]Record, error) {
 		return nil, err
 	}
 	var recs []Record
-	_, err = scanBlocks(r, m.Blocks, &Pred{From: math.MinInt, To: maxInt}, &BlockStats{}, func(b *Block) error {
+	for i := range m.Blocks {
+		b, err := readBlock(r, &m.Blocks[i])
+		if err != nil {
+			return nil, err
+		}
 		for i := 0; i < b.Len(); i++ {
 			recs = append(recs, b.Record(i))
 		}
-		b.Release()
-		return nil
-	})
-	return recs, err
+	}
+	return recs, nil
 }
 
 // readIndex reads a segment file's header and index — everything needed

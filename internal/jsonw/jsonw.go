@@ -250,6 +250,9 @@ func (w *Writer) Elem() *Writer {
 	return w
 }
 
+// Raw writes v, a value this package already encoded, as is.
+func (w *Writer) Raw(v []byte) { w.buf = append(w.buf, v...) }
+
 // String writes a string value.
 func (w *Writer) String(s string) { w.buf = AppendString(w.buf, s) }
 

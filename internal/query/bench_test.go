@@ -92,7 +92,6 @@ func BenchmarkUnifiedQuery(b *testing.B) {
 				blocks += float64(res.Stats.Blocks)
 				blkScanned += float64(res.Stats.BlocksScanned)
 				events += float64(len(res.Events))
-				res.Release()
 			}
 			b.ReportMetric(segs/float64(b.N), "segments/op")
 			b.ReportMetric(scanned/float64(b.N), "segscanned/op")

@@ -256,7 +256,6 @@ func FuzzQueryExecutor(f *testing.F) {
 					page, req, st.Truncated, res.Cursor, st.EarlyExit, st.SnapshotHits, st.ArchiveHits, st.Deduped,
 					want.truncated, want.cursor, want.earlyExit, want.snapshotHits, want.archiveHits, want.deduped)
 			}
-			res.Release()
 			if res.Cursor == "" {
 				return
 			}

@@ -53,6 +53,43 @@ func TestPoolKeepsSmallestKeys(t *testing.T) {
 	}
 }
 
+// TestAscendingOrdersAnyKeys holds the final sort to the key order on
+// both of its paths: keys narrow enough to pack with their index into
+// one integer, and keys spanning the whole int and uint64 ranges, which
+// cannot be; rows that already ascend stay as they are.
+func TestAscendingOrdersAnyKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	wide := func() key { return key{q: int(rng.Uint64()), id: rng.Uint64()} }
+	narrow := func() key { return key{q: rng.Intn(50), id: uint64(rng.Intn(1 << 20))} }
+	for trial := 0; trial < 200; trial++ {
+		draw := narrow
+		if trial%2 == 1 {
+			draw = wide
+		}
+		n := 1 + rng.Intn(300)
+		seen := map[key]bool{}
+		p := newPool(0)
+		for len(p.rows) < n {
+			if k := draw(); !seen[k] { // keys are unique
+				seen[k] = true
+				p.add(Row{Rec: &archive.Record{ID: k.id, LastQuantum: k.q}, k: k})
+			}
+		}
+		if trial%10 == 0 {
+			slices.SortFunc(p.rows, func(a, b Row) int { return cmpKey(a.k, b.k) })
+		}
+		want := slices.Clone(p.rows)
+		slices.SortFunc(want, func(a, b Row) int { return cmpKey(a.k, b.k) })
+		got := p.ascending()
+		for i := range want {
+			if got[i].k != want[i].k || got[i].Rec.ID != want[i].k.id || got[i].Rec.LastQuantum != want[i].k.q {
+				t.Fatalf("trial %d: position %d holds %v (record %d, %d), want %v",
+					trial, i, got[i].k, got[i].Rec.LastQuantum, got[i].Rec.ID, want[i].k)
+			}
+		}
+	}
+}
+
 func cmpKey(a, b key) int {
 	switch {
 	case a.less(b):

@@ -18,9 +18,9 @@
 //
 // Materialisation is late: a page's rows are references — to a
 // snapshot event, to a record of the archive's in-memory buffer, or to
-// a row of a decoded block — and the filters read only the block
-// columns they test, so nothing is copied between the scan and the
-// encoder.
+// a row of a cached, immutable decoded block — and the filters read
+// only the block columns they test, so nothing is copied between the
+// scan and the encoder.
 //
 // Pagination is an opaque cursor encoding the last returned sort key;
 // because the order is total and stable across snapshots epochs and
@@ -149,23 +149,11 @@ type Stats struct {
 // Each Row stands for the same archive.Record whether the event was
 // read from the archive or is one the snapshot still retains
 // (archive.RecordOf). Cursor, when non-empty, resumes the scan after the
-// last event here. Rows of archive blocks point into decoded blocks the
-// Result holds until Release.
+// last event here.
 type Result struct {
 	Events []Row
 	Stats  Stats
 	Cursor string
-
-	held []*archive.Block // decoded blocks some row may point into
-}
-
-// Release hands the decoded blocks behind the rows back for reuse; no
-// Row may be read afterwards. Releasing again does nothing.
-func (r *Result) Release() {
-	for _, b := range r.held {
-		b.Release()
-	}
-	r.held = nil
 }
 
 // key is the engine's total order: (LastQuantum, event ID). IDs are
@@ -250,7 +238,6 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 	if arch != nil {
 		req.Trace.Step("archive_scan")
 		t, err := s.archive(arch, snap)
-		res.held = s.held
 		clk(obs.StageQueryArchiveScan)
 		if req.Trace != nil {
 			req.Trace.Annotate(fmt.Sprintf("hits=%d segments=%d/%d blocks=%d/%d records=%d",
@@ -258,7 +245,6 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 				res.Stats.BlocksScanned, res.Stats.Blocks, res.Stats.RecordsScanned))
 		}
 		if err != nil {
-			res.Release()
 			return res, err
 		}
 		trunc = t || trunc
@@ -273,8 +259,7 @@ func Run(snap Snapshot, arch Archive, req Request) (Result, error) {
 }
 
 // scan is one request's execution: its bounds, the cursor, the pool the
-// sources feed, the stats they count into, and the decoded blocks the
-// kept rows point into.
+// sources feed and the stats they count into.
 type scan struct {
 	req      Request
 	from, to int
@@ -282,7 +267,6 @@ type scan struct {
 	hasCur   bool
 	p        *pool
 	st       *Stats
-	held     []*archive.Block
 	kwIDs    []uint32 // the requested keywords in the current block's dictionary
 }
 
@@ -455,44 +439,35 @@ func (s *scan) buffer(recs []archive.Record, dedup Snapshot) archive.BlockStats 
 // block feeds the matching rows of one decoded block into the pool,
 // reading only the columns the filters need: each requested keyword is
 // looked up once in the block's dictionary, and a block whose
-// dictionary lacks one has no row to test. The Result keeps b when a
-// row of it went into the pool; otherwise b goes back at once.
+// dictionary lacks one has no row to test.
 func (s *scan) block(b *archive.Block, dedup Snapshot) {
 	s.kwIDs = s.kwIDs[:0]
 	for _, kw := range s.req.Keywords {
 		d := slices.Index(b.Dict, kw) // the writer interns: each string once
 		if d < 0 {
-			b.Release()
 			return
 		}
 		s.kwIDs = append(s.kwIDs, uint32(d))
 	}
-	kept := false
 	for i := 0; i < b.Len(); i++ {
 		if k, ok := s.admits(b.BornQuantum[i], b.LastQuantum[i], b.ID[i], b.PeakRank[i]); ok &&
 			hasKeywords(b.AllKeywords(i), b.Keywords(i), s.kwIDs) {
-			kept = s.archived(Row{Block: b, Pos: i, k: k}, dedup) || kept
+			s.archived(Row{Block: b, Pos: i, k: k}, dedup)
 		}
-	}
-	if kept {
-		s.held = append(s.held, b)
-	} else {
-		b.Release()
 	}
 }
 
 // archived feeds one matching archive row into the pool, unless the
 // snapshot still retains its event: evicted after the epoch published,
 // the retained copy already represents it (identically — only
-// finished, immutable events are ever evicted). It reports whether the
-// pool kept the row.
-func (s *scan) archived(r Row, dedup Snapshot) bool {
+// finished, immutable events are ever evicted).
+func (s *scan) archived(r Row, dedup Snapshot) {
 	if dedup != nil && dedup.Find(r.k.id) != nil {
 		s.st.Deduped++
-		return false
+		return
 	}
 	s.st.ArchiveHits++
-	return s.p.add(r)
+	s.p.add(r)
 }
 
 func segMayContainAll(v *archive.SegmentView, kws []string) bool {

@@ -80,17 +80,17 @@ func genBoundaryEvents(rng *rand.Rand, n int) retained {
 func queryEventBytes(rec *archive.Record) []byte {
 	var buf bytes.Buffer
 	jw := jsonw.Body(&buf)
-	encodeQueryEvent(jw, rec)
+	archive.EncodeQueryEvent(jw, rec)
 	jw.Close()
 	return buf.Bytes()
 }
 
-// blockRowBytes is queryEventBytes for a decoded block's row, written
+// blockRowBytes is queryEventBytes for a decoded block's row, rendered
 // from the columns.
 func blockRowBytes(b *archive.Block, i int) []byte {
 	var buf bytes.Buffer
 	jw := jsonw.Body(&buf)
-	encodeBlockRow(jw, b, i)
+	jw.Raw(b.RowJSON(i))
 	jw.Close()
 	return buf.Bytes()
 }
@@ -141,7 +141,6 @@ func TestEvictionBoundaryProperty(t *testing.T) {
 				continue
 			}
 			if _, _, err := v.ScanBlocks(archive.Pred{To: -1}, func(b *archive.Block) error {
-				defer b.Release()
 				for i := 0; i < b.Len(); i++ {
 					seen++
 					check(b.ID[i], blockRowBytes(b, i))
@@ -180,7 +179,6 @@ func TestEvictionBoundaryProperty(t *testing.T) {
 			for i := range fromDisk.Events {
 				diskIDs = append(diskIDs, fromDisk.Events[i].Record().ID)
 			}
-			fromDisk.Release()
 			if !slices.Equal(liveIDs, wantIDs) || !slices.Equal(diskIDs, wantIDs) {
 				t.Fatalf("seed %d: keyword %q selects %v retained, %v archived; want %v", seed, kw, liveIDs, diskIDs, wantIDs)
 			}

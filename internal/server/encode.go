@@ -51,12 +51,12 @@ func encodeQueryBody(w *jsonw.Writer, tenant string, res *query.Result, debug *t
 			w.Elem()
 			switch {
 			case r.Block != nil:
-				encodeBlockRow(w, r.Block, r.Pos)
+				w.Raw(r.Block.RowJSON(r.Pos))
 			case r.Rec != nil:
-				encodeQueryEvent(w, r.Rec)
+				archive.EncodeQueryEvent(w, r.Rec)
 			default:
 				rec := archive.RecordOf(r.Event)
-				encodeQueryEvent(w, &rec)
+				archive.EncodeQueryEvent(w, &rec)
 			}
 		}
 		w.EndArray()
@@ -65,103 +65,6 @@ func encodeQueryBody(w *jsonw.Writer, tenant string, res *query.Result, debug *t
 	encodeQueryStats(w, &res.Stats)
 	w.Key("tenant").String(tenant)
 	w.EndObject()
-}
-
-// The /query element's member keys after "id", laid out in advance.
-var (
-	keyState         = jsonw.KeyLit("state")
-	keyKeywords      = jsonw.KeyLit("keywords")
-	keyAllKeywords   = jsonw.KeyLit("all_keywords")
-	keyRank          = jsonw.KeyLit("rank")
-	keyPeakRank      = jsonw.KeyLit("peak_rank")
-	keyBornQuantum   = jsonw.KeyLit("born_quantum")
-	keyLastQuantum   = jsonw.KeyLit("last_quantum")
-	keyEvolved       = jsonw.KeyLit("evolved")
-	keySize          = jsonw.KeyLit("size")
-	keySupport       = jsonw.KeyLit("support")
-	keyReported      = jsonw.KeyLit("reported")
-	keyFirstReported = jsonw.KeyLit("first_reported")
-	keyMergedInto    = jsonw.KeyLit("merged_into")
-	keySplitFrom     = jsonw.KeyLit("split_from")
-	keySpurious      = jsonw.KeyLit("spurious")
-)
-
-// encodeQueryEvent is one /query element: archive.Record under its own
-// JSON tags.
-func encodeQueryEvent(w *jsonw.Writer, ev *archive.Record) {
-	w.BeginObject()
-	w.Key("id").Uint(ev.ID)
-	w.Member(&keyState).String(ev.State)
-	w.Member(&keyKeywords).Strings(ev.Keywords)
-	if len(ev.AllKeywords) > 0 {
-		w.Member(&keyAllKeywords).Strings(ev.AllKeywords)
-	}
-	w.Member(&keyRank).Float(ev.Rank)
-	w.Member(&keyPeakRank).Float(ev.PeakRank)
-	w.Member(&keyBornQuantum).Int(ev.BornQuantum)
-	w.Member(&keyLastQuantum).Int(ev.LastQuantum)
-	w.Member(&keyEvolved).Bool(ev.Evolved)
-	w.Member(&keySize).Int(ev.Size)
-	w.Member(&keySupport).Int(ev.Support)
-	w.Member(&keyReported).Bool(ev.Reported)
-	if ev.FirstReported != 0 {
-		w.Member(&keyFirstReported).Int(ev.FirstReported)
-	}
-	if ev.MergedInto != 0 {
-		w.Member(&keyMergedInto).Uint(ev.MergedInto)
-	}
-	if ev.SplitFrom != 0 {
-		w.Member(&keySplitFrom).Uint(ev.SplitFrom)
-	}
-	w.Member(&keySpurious).Bool(ev.Spurious)
-	w.EndObject()
-}
-
-// encodeBlockRow writes row i of a decoded archive block straight from
-// its columns: the bytes encodeQueryEvent writes for b.Record(i).
-func encodeBlockRow(w *jsonw.Writer, b *archive.Block, i int) {
-	w.BeginObject()
-	w.Key("id").Uint(b.ID[i])
-	w.Member(&keyState).String(b.Dict[b.State[i]])
-	w.Member(&keyKeywords)
-	if b.KeywordsNil(i) {
-		w.Null()
-	} else {
-		dictStrings(w, b.Dict, b.Keywords(i))
-	}
-	if all := b.AllKeywords(i); len(all) > 0 {
-		w.Member(&keyAllKeywords)
-		dictStrings(w, b.Dict, all)
-	}
-	w.Member(&keyRank).Float(b.Rank[i])
-	w.Member(&keyPeakRank).Float(b.PeakRank[i])
-	w.Member(&keyBornQuantum).Int(b.BornQuantum[i])
-	w.Member(&keyLastQuantum).Int(b.LastQuantum[i])
-	w.Member(&keyEvolved).Bool(b.Evolved(i))
-	w.Member(&keySize).Int(b.Size[i])
-	w.Member(&keySupport).Int(b.Support[i])
-	w.Member(&keyReported).Bool(b.Reported(i))
-	if v := b.FirstReported[i]; v != 0 {
-		w.Member(&keyFirstReported).Int(v)
-	}
-	if v := b.MergedInto[i]; v != 0 {
-		w.Member(&keyMergedInto).Uint(v)
-	}
-	if v := b.SplitFrom[i]; v != 0 {
-		w.Member(&keySplitFrom).Uint(v)
-	}
-	w.Member(&keySpurious).Bool(b.Spurious(i))
-	w.EndObject()
-}
-
-// dictStrings writes the dictionary strings at indexes idx as a JSON
-// array.
-func dictStrings(w *jsonw.Writer, dict []string, idx []uint32) {
-	w.BeginArray()
-	for _, j := range idx {
-		w.Elem().String(dict[j])
-	}
-	w.EndArray()
 }
 
 func encodeQueryStats(w *jsonw.Writer, st *query.Stats) {

@@ -158,8 +158,7 @@ func rowsOf(recs []archive.Record) []query.Row {
 
 // sealedRows archives recs (Seq ascending, no record spanning
 // backwards) as one sealed segment of blockEvents-record blocks and
-// reads it back: one block row per record, in Seq order. The blocks go
-// back to the pool when the test ends.
+// reads it back: one block row per record, in Seq order.
 func sealedRows(t testing.TB, recs []archive.Record, blockEvents int) []query.Row {
 	t.Helper()
 	l, err := archive.Open(t.TempDir(), archive.Options{SegmentEvents: len(recs), BucketQuanta: math.MaxInt, BlockEvents: blockEvents})
@@ -177,7 +176,6 @@ func sealedRows(t testing.TB, recs []archive.Record, blockEvents int) []query.Ro
 			for i := 0; i < b.Len(); i++ {
 				rows = append(rows, query.Row{Block: b, Pos: i})
 			}
-			t.Cleanup(b.Release)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -541,8 +539,16 @@ func benchResult(n int) query.Result {
 // full float precision, a vocabulary of a few hundred words — into
 // segments of four blocks of blockEvents records.
 func fullScanArchive(tb testing.TB, n, blockEvents int) *archive.Log {
+	l, _ := fullScanDir(tb, n, blockEvents)
+	return l
+}
+
+// fullScanDir is fullScanArchive, with a func that opens the archive
+// directory anew: a Log whose every block is a block-cache miss.
+func fullScanDir(tb testing.TB, n, blockEvents int) (*archive.Log, func() *archive.Log) {
 	tb.Helper()
-	l, err := archive.Open(tb.TempDir(), archive.Options{SegmentEvents: 4 * blockEvents, BucketQuanta: 1 << 20, BlockEvents: blockEvents})
+	dir, opt := tb.TempDir(), archive.Options{SegmentEvents: 4 * blockEvents, BucketQuanta: 1 << 20, BlockEvents: blockEvents}
+	l, err := archive.Open(dir, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -570,12 +576,18 @@ func fullScanArchive(tb testing.TB, n, blockEvents int) *archive.Log {
 			tb.Fatal(err)
 		}
 	}
-	return l
+	return l, func() *archive.Log {
+		l, err := archive.Open(dir, opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return l
+	}
 }
 
 // fullScanBody is what /query?limit=10000 serves over arch, the
-// snapshot left out: Run, encode into dst, Release. Safe to call from
-// any goroutine.
+// snapshot left out: Run, then encode into dst. Safe to call from any
+// goroutine.
 func fullScanBody(tb testing.TB, arch *archive.Log, dst io.Writer) {
 	res, err := query.Run(nil, arch, query.Request{To: -1, Limit: maxQueryLimit})
 	if err != nil {
@@ -585,10 +597,9 @@ func fullScanBody(tb testing.TB, arch *archive.Log, dst io.Writer) {
 	jw := jsonw.Body(dst)
 	encodeQueryBody(jw, "t0", &res, nil)
 	jw.Close()
-	res.Release()
 }
 
-// TestQueryFullScanAllocs: a full-scan page (Run, encode, Release)
+// TestQueryFullScanAllocs: a full-scan page (Run, then encode)
 // allocates per block scanned, not per row. Two sealed archives of 16
 // blocks each, one holding ten times the rows of the other, must cost
 // about the same; a row copy, or a store that allocates every few dozen
@@ -604,12 +615,11 @@ func TestQueryFullScanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		blocks, rows := res.Stats.BlocksScanned, len(res.Events)
-		res.Release()
 		if arch.ColumnarSegmentCount() != 4 || blocks != 16 || rows != n {
 			t.Fatalf("%d segments, %d blocks, %d rows; want 4, 16, %d, all sealed", arch.ColumnarSegmentCount(), blocks, rows, n)
 		}
-		// A collection would empty the block pool and charge the run that
-		// follows for decoding into fresh blocks.
+		// A collection would empty the writers' pool and charge the run
+		// that follows for a fresh buffer.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(10, func() { fullScanBody(t, arch, io.Discard) })
 	}
@@ -621,9 +631,8 @@ func TestQueryFullScanAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentFullScans runs full scans side by side, so they take
-// blocks from and hand them back to one pool while others still read
-// theirs: every body must equal the one a lone scan wrote.
+// TestConcurrentFullScans runs full scans side by side over the same
+// cached blocks: every body must equal the one a lone scan wrote.
 func TestConcurrentFullScans(t *testing.T) {
 	arch := fullScanArchive(t, 1500, 64)
 	var want bytes.Buffer
@@ -650,7 +659,8 @@ func TestConcurrentFullScans(t *testing.T) {
 // BenchmarkQueryFullScan is the full-scan page end to end inside the
 // server: Run over a sealed 4,096-record archive (16 blocks of 256) of
 // query-archive-shaped events, the body encoded into a discarding
-// connection, Release.
+// connection. Every op after the first finds its blocks in the block
+// cache, rows rendered; BenchmarkQueryFullScanCold is the first.
 func BenchmarkQueryFullScan(b *testing.B) {
 	arch := fullScanArchive(b, 4096, 256)
 	var size countWriter
@@ -660,6 +670,28 @@ func BenchmarkQueryFullScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fullScanBody(b, arch, io.Discard)
+	}
+}
+
+// BenchmarkQueryFullScanCold is BenchmarkQueryFullScan's page served by
+// a freshly opened Log, reopened outside the timer: every block is a
+// block-cache miss, read, CRC-checked, decoded and its rows rendered —
+// the first full scan after a restart or an eviction.
+func BenchmarkQueryFullScanCold(b *testing.B) {
+	_, reopen := fullScanDir(b, 4096, 256)
+	var size countWriter
+	fullScanBody(b, reopen(), &size)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		arch := reopen()
+		b.StartTimer()
+		fullScanBody(b, arch, io.Discard)
+		b.StopTimer()
+		arch.Close() // its blocks leave the cache, as an evicted Log's would
+		b.StartTimer()
 	}
 }
 

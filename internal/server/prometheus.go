@@ -96,6 +96,14 @@ var promTenantMetrics = []promMetric{
 		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.Gaps()) })},
 	{"eventdetect_archive_columnar_segments", "gauge", "Columnar archive segments sealed on disk.",
 		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.ColumnarSegmentCount()) })},
+	{"eventdetect_archive_block_cache_hits_total", "counter", "Sealed archive blocks queries found in the block cache.",
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.BlockCacheStats().Hits) })},
+	{"eventdetect_archive_block_cache_misses_total", "counter", "Sealed archive blocks read, verified and decoded from disk into the block cache.",
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.BlockCacheStats().Misses) })},
+	{"eventdetect_archive_block_cache_evictions_total", "counter", "Cached archive blocks the block cache's byte budget pushed out.",
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.BlockCacheStats().Evictions) })},
+	{"eventdetect_archive_block_cache_resident_bytes", "gauge", "Bytes the tenant's cached archive blocks hold: columns, dictionary and rendered rows.",
+		withArchive(func(v *tenantView) float64 { return float64(v.t.storage.arch.BlockCacheStats().ResidentBytes) })},
 	{"eventdetect_accepted_batches_total", "counter", "Batches (and flush markers) admitted to the queue.",
 		func(v *tenantView) float64 { return float64(v.t.accepted.Load()) }},
 	{"eventdetect_shed_rate_limit_total", "counter", "Batches shed by the token bucket.",
@@ -166,6 +174,14 @@ var promPoolMetrics = []struct {
 		[]string{"eventdetect_archive_segments"}},
 	{"eventdetect_pool_archive_events", "gauge", "Archived events across all tenants.",
 		[]string{"eventdetect_archive_events"}},
+	{"eventdetect_pool_archive_block_cache_hits_total", "counter", "Block-cache hits across all tenants.",
+		[]string{"eventdetect_archive_block_cache_hits_total"}},
+	{"eventdetect_pool_archive_block_cache_misses_total", "counter", "Block-cache misses across all tenants.",
+		[]string{"eventdetect_archive_block_cache_misses_total"}},
+	{"eventdetect_pool_archive_block_cache_evictions_total", "counter", "Block-cache evictions across all tenants.",
+		[]string{"eventdetect_archive_block_cache_evictions_total"}},
+	{"eventdetect_pool_archive_block_cache_resident_bytes", "gauge", "Bytes the block cache holds for all tenants (the cache's budget is shared by the process).",
+		[]string{"eventdetect_archive_block_cache_resident_bytes"}},
 	{"eventdetect_pool_shed_batches_total", "counter", "Batches shed across all tenants and gates.",
 		[]string{"eventdetect_shed_rate_limit_total", "eventdetect_shed_queue_depth_total"}},
 	{"eventdetect_pool_shed_messages_total", "counter", "Messages shed across all tenants.",

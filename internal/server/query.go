@@ -142,8 +142,6 @@ func handleUnifiedQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		queryError(w, err)
 		return
 	}
-	// The rows point into decoded archive blocks until the body is out.
-	defer res.Release()
 	tr.Step("finalize")
 	// The trace and the http_query observation end here, before the
 	// body: ?debug=1 embeds the finished record in it. Writing the body
