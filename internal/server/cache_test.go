@@ -76,12 +76,15 @@ func TestBlockCacheServesSameBodies(t *testing.T) {
 			return b, cursor
 		})
 		arch.Close()
-		restore := archive.SetBlockCacheBudgetForTesting(1)
-		arch = reopen()
-		tiny := walk(c.req, func(req query.Request) ([]byte, string) { return body(arch, req) })
-		scanned := arch.BlockCacheStats()
-		arch.Close()
-		restore()
+		var tiny [][]byte
+		var scanned archive.BlockCacheStats
+		func() {
+			defer archive.SetBlockCacheBudgetForTesting(1)()
+			arch := reopen()
+			defer arch.Close()
+			tiny = walk(c.req, func(req query.Request) ([]byte, string) { return body(arch, req) })
+			scanned = arch.BlockCacheStats()
+		}()
 
 		if len(cold) < 2 && c.name != "fullscan" {
 			t.Fatalf("%s: %d page(s); the class should need a cursor", c.name, len(cold))
