@@ -3,13 +3,23 @@
 // showed burstiness, with edges between keyword pairs whose user-id sets
 // have Jaccard correlation above the EC threshold.
 //
+// The window ring keeps every quantum's (keyword → distinct users)
+// lists for w quanta. On top of it the layer tracks only the keywords
+// that showed burstiness: from the quantum a keyword first reaches τ
+// distinct users until its windowed user set empties, it has a record
+// holding that set (maintained by merge as quanta arrive and expire) and
+// its Min-Hash sketch. Every other keyword in the window has no state
+// but its ring lists; the few reads that ask about one (Support,
+// Jaccard) take the union of those lists.
+//
 // Per quantum the layer:
 //
-//  1. slides the window, expiring id-set observations older than w quanta
-//     and removing stale keywords (not seen in the whole window);
+//  1. slides the window, expiring the tracked id sets' observations older
+//     than w quanta and removing stale keywords (not seen in the whole
+//     window);
 //  2. moves keywords that were used by ≥ τ distinct users this quantum
-//     into the high state (set 1 of Section 3.2.1) and adds them to the
-//     AKG;
+//     into the high state (set 1 of Section 3.2.1), tracking each from
+//     the ring if it was not yet, and adds them to the AKG;
 //  3. lazily refreshes the correlation of AKG keywords that appeared in
 //     this quantum's messages (set 2) with their current neighbors,
 //     dropping edges whose EC fell below β;
@@ -114,24 +124,31 @@ type QuantumStats struct {
 	// full merge: rejected on the size ratio alone, or abandoned once β
 	// was out of reach.
 	JaccardBails int
-	// WindowEntries is Σ|users| over all id sets after this quantum —
-	// the (keyword, distinct user) pairs the window holds.
+	// WindowEntries is Σ|users| over the tracked keywords' id sets after
+	// this quantum — the (keyword, distinct user) pairs they hold.
 	WindowEntries int
+	// Tracked is the number of keywords holding a record (an id set and
+	// a sketch) after this quantum; Tracks counts those that were given
+	// one from the ring this quantum, on turning bursty.
+	Tracked int
+	Tracks  int
 }
 
-// keyword is everything the layer knows about one keyword seen inside
-// the window. The record is resolved once per quantum (one index into
-// AKG.kw per arriving keyword, ahead of the observe loop) and then
-// travels by pointer: the ring entry keeps it next to the keyword's
-// users, so expiry, classification, refresh, screening and eviction
-// never look anything up. Both window loops over a quantum's records,
-// expiry and observe, run behind a gather pass (AKG.gather) that loads
-// each record and the head of its arrays first, so their cache misses
+// keyword is everything the layer knows about one tracked keyword: one
+// that reached τ distinct users in some quantum since its id set was
+// last empty. The window loops over a ring entry's keys, expiry and
+// observe, index AKG.kw by key (ascending, so the table is walked in
+// order) and skip the untracked; from there the record travels by
+// pointer through classification, refresh, screening and eviction. Both
+// loops run behind a gather pass (AKG.gather) that loads each key's
+// record and the head of its arrays first, so their cache misses
 // overlap.
 //
-// A record referenced from the ring is live: its set holds at least the
-// users that ring entry lists, so it cannot be empty — and is therefore
+// A tracked keyword's set holds every user its ring lists hold, counted
+// once per list, so it cannot be empty — and the record is therefore
 // still in AKG.kw — while any quantum of the window mentions the keyword.
+// A keyword stops being tracked when its set empties, so a record exists
+// for every AKG member and for few keywords besides.
 type keyword struct {
 	id  dygraph.NodeID
 	set idSet
@@ -152,14 +169,14 @@ type keyword struct {
 }
 
 // quantumObs is one quantum's observations in columnar form: distinct
-// keywords ascending, each key's distinct users (ascending) in one
-// shared slice addressed by prefix offsets, and each key's record. The
-// window slide walks it in expiry order for free, and the slices of the
-// expired entry are reused for the incoming one.
+// keywords ascending, and each key's distinct users (ascending) in one
+// shared slice addressed by prefix offsets. For an untracked keyword
+// these lists are all the layer keeps. The window slide walks an entry
+// in expiry order for free, and the slices of the expired entry are
+// reused for the incoming one.
 type quantumObs struct {
 	keys  []dygraph.NodeID
-	recs  []*keyword // parallel to keys
-	off   []int32    // len(keys)+1 prefix offsets into users
+	off   []int32 // len(keys)+1 prefix offsets into users
 	users []uint64
 }
 
@@ -175,11 +192,14 @@ type AKG struct {
 	ring []quantumObs // per live quantum, oldest first
 	// kw is indexed by keyword ID — IDs are dense and never reused, so the
 	// table is a slice grown with slack as the vocabulary does — and holds
-	// a record for exactly the keywords with a non-empty id set.
+	// a record for exactly the tracked keywords (each with a non-empty id
+	// set between quanta).
 	kw []*keyword
-	// nodes counts records with present set; entries is Σ|users| over kw.
+	// nodes counts records with present set; entries is Σ|users| over kw;
+	// records counts kw's non-nil entries.
 	nodes   int
 	entries int
+	records int
 
 	// dirty lists the vertices whose windowed support changed this
 	// quantum (new user observed, or a user expired off the window), in
@@ -235,7 +255,7 @@ func (a *AKG) Quantum() int { return a.quantum }
 
 // Support returns the number of distinct users associated with keyword k
 // inside the current window — the node weight w_i of the ranking function
-// (Section 6).
+// (Section 6). Exact for every keyword, tracked or not.
 func (a *AKG) Support(k dygraph.NodeID) int { return len(a.sortedUsers(k)) }
 
 // DirtyNodes returns the vertices whose windowed user support changed
@@ -250,8 +270,8 @@ func (a *AKG) DirtyNodes() []dygraph.NodeID { return a.dirty }
 // the free list.
 const recycleCap = 8
 
-// rec returns keyword k's record, nil when its id set is empty (or k is
-// beyond anything the layer has seen).
+// rec returns keyword k's record, nil when k is untracked (or beyond
+// anything the layer has seen).
 func (a *AKG) rec(k dygraph.NodeID) *keyword {
 	if int(k) < len(a.kw) {
 		return a.kw[k]
@@ -259,9 +279,10 @@ func (a *AKG) rec(k dygraph.NodeID) *keyword {
 	return nil
 }
 
-// newKeyword registers a record for first-seen keyword k, recycling a
-// dead one when there is one. The table grows by a quarter beyond k:
-// first-seen keywords arrive with ever larger IDs, a few per quantum.
+// newKeyword registers an empty record for untracked keyword k,
+// recycling a dead one when there is one. The table grows by a quarter
+// beyond k: newly tracked keywords tend to be recent ones, whose IDs are
+// the largest.
 func (a *AKG) newKeyword(k dygraph.NodeID) *keyword {
 	if n := int(k) + 1; n > len(a.kw) {
 		a.kw = append(a.kw, make([]*keyword, n+n/4-len(a.kw))...)
@@ -275,6 +296,25 @@ func (a *AKG) newKeyword(k dygraph.NodeID) *keyword {
 		r = &keyword{id: k, stale: true}
 	}
 	a.kw[k] = r
+	a.records++
+	return r
+}
+
+// track starts tracking keyword k: it gives k a record, unless the slide
+// just emptied the one k had, and builds the id set from the ring
+// entries that list k. Entries are searched, not walked: a keyword turns
+// bursty a few times per quantum against hundreds of keys per entry.
+func (a *AKG) track(k dygraph.NodeID) *keyword {
+	r := a.rec(k)
+	if r == nil {
+		r = a.newKeyword(k)
+	}
+	for i := range a.ring {
+		e := &a.ring[i]
+		if j, ok := slices.BinarySearch(e.keys, k); ok {
+			a.entries += r.set.observe(e.usersOf(j), &a.fresh)
+		}
+	}
 	return r
 }
 
@@ -329,20 +369,23 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 		obs, _ = a.group(normalized(batch), obs)
 	}
 	a.spare = quantumObs{}
+	a.gather(obs.keys)
 	for ki, k := range obs.keys {
-		obs.recs[ki] = a.rec(k)
-	}
-	a.gather(obs.recs)
-	for ki, k := range obs.keys {
-		r := obs.recs[ki]
-		if r == nil {
-			r = a.newKeyword(k)
+		r, users := a.rec(k), obs.usersOf(ki)
+		// An untracked keyword — or one whose set the slide just emptied —
+		// is tracked from the quantum it turns bursty, and left to the
+		// ring until then.
+		if r == nil || r.set.size() == 0 {
+			if len(users) < a.cfg.Tau {
+				continue
+			}
+			r = a.track(k)
+			st.Tracks++
 		}
-		obs.recs[ki] = r
 		// A keyword whose distinct-user set grew is support-dirty: its
 		// node weight in the ranking function changed. A current sketch
 		// takes the arrivals in.
-		if grew := r.set.observe(obs.usersOf(ki), &a.fresh); grew > 0 {
+		if grew := r.set.observe(users, &a.fresh); grew > 0 {
 			a.entries += grew
 			a.markDirty(r)
 			if !r.stale {
@@ -356,17 +399,16 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	a.ring = append(a.ring, obs)
 	st.Keywords = len(obs.keys)
 
-	// Keywords the slide emptied and this quantum did not bring back are
-	// stale (unseen for a whole window): no ring entry lists them now.
-	// Their records go to the next first-seen keywords, arrays included:
-	// vocabulary churn is steady and almost all of it is keywords a few
-	// users ever used, so this keeps it off the heap. A record that grew
-	// large arrays is left to the collector instead — handed to a rare
-	// keyword its capacity would be held for nothing, and every record
-	// would drift towards the largest set ever seen.
+	// Keywords the slide emptied and this quantum did not track again
+	// are no longer tracked: no ring entry lists them now. Their
+	// records go to the next newly tracked keywords, arrays included. A
+	// record that grew large arrays is left to the collector instead —
+	// handed to a small keyword its capacity would be held for nothing,
+	// and every record would drift towards the largest set ever seen.
 	for _, r := range a.emptied {
 		if r.set.size() == 0 {
 			a.kw[r.id] = nil
+			a.records--
 			if cap(r.set.users) <= recycleCap {
 				a.free = append(a.free, r)
 			}
@@ -376,12 +418,15 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 
 	// Classify: set1 = bursty this quantum; set2 = in AKG and observed.
 	// Keys are already ascending, so both lists come out sorted, and they
-	// are disjoint: a bursty AKG member is handled as set 1.
+	// are disjoint: a bursty AKG member is handled as set 1. Both are
+	// tracked: a bursty keyword was tracked above, and an AKG member has
+	// been since it turned bursty.
 	set1, set2 := a.set1[:0], a.set2[:0]
-	for i, r := range obs.recs {
+	for i, k := range obs.keys {
+		r := a.rec(k)
 		if int(obs.off[i+1]-obs.off[i]) >= a.cfg.Tau {
 			set1 = append(set1, r)
-		} else if r.present {
+		} else if r != nil && r.present {
 			set2 = append(set2, r)
 		}
 	}
@@ -418,6 +463,7 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	}
 	st.DirtyNodes = len(a.dirty)
 	st.WindowEntries = a.entries
+	st.Tracked = a.records
 	return st
 }
 
@@ -427,8 +473,7 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 // user's entry, one stable radix sort on the keyword brings the pairs of
 // a keyword together with their users in batch order, and one scan cuts
 // the groups. ok reports that every keyword's users came out strictly
-// ascending (see ProcessQuantum's precondition); the entry's recs are
-// left for the caller to fill.
+// ascending (see ProcessQuantum's precondition).
 func (a *AKG) group(batch []ckg.UserKeywords, buf quantumObs) (obs quantumObs, ok bool) {
 	pairs := a.pairScratch[:0]
 	var maxKey dygraph.NodeID
@@ -458,7 +503,6 @@ func (a *AKG) group(batch []ckg.UserKeywords, buf quantumObs) (obs quantumObs, o
 		obs.users[i] = u
 	}
 	obs.off = append(obs.off, int32(len(pairs)))
-	obs.recs = slices.Grow(buf.recs[:0], len(obs.keys))[:len(obs.keys)]
 	return obs, ok
 }
 
@@ -513,9 +557,10 @@ func normalized(batch []ckg.UserKeywords) []ckg.UserKeywords {
 	return out
 }
 
-// slideWindow expires the oldest quantum once the ring is full and removes
-// keywords whose id sets emptied (stale: unseen for a whole window) from
-// the AKG.
+// slideWindow expires the oldest quantum from the tracked id sets once
+// the ring is full and removes keywords whose id sets emptied (stale:
+// unseen for a whole window) from the AKG. Untracked keywords' lists
+// simply leave with the entry.
 func (a *AKG) slideWindow(st *QuantumStats) {
 	if len(a.ring) < a.cfg.Window {
 		return
@@ -527,8 +572,12 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 	// Keys are stored ascending, so expiry is naturally sorted: node
 	// removals reach the engine, where split identities must be
 	// reproducible across runs.
-	a.gather(oldest.recs)
-	for ki, r := range oldest.recs {
+	a.gather(oldest.keys)
+	for ki, k := range oldest.keys {
+		r := a.rec(k)
+		if r == nil {
+			continue
+		}
 		// Who left matters only to a sketch that is current.
 		var gone *[]uint64
 		if !r.stale {
@@ -559,22 +608,22 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 			}
 		}
 	}
-	clear(oldest.recs) // the spare must not pin dead records
 	a.spare = oldest
 }
 
 // gather loads what the window loop that follows reads first of each
-// record — both of its cache lines, and the head of its users and cnt
-// arrays — before that loop touches any of them. The loop's visits are
-// dependent chains (record → array header → array) over a working set
-// far beyond the caches, most of them brief; issued back to back and
-// independent of each other, the loads here overlap their misses, where
-// the loop would wait on one chain at a time. The values are summed into
-// a.sink only so that the compiler keeps the loads. Nil records (keywords
-// not yet in the table) are skipped.
-func (a *AKG) gather(recs []*keyword) {
+// tracked key's record — both of its cache lines, and the head of its
+// users and cnt arrays — before that loop touches any of them. The
+// loop's visits are dependent chains (table slot → record → array
+// header → array) over a working set far beyond the caches, most of
+// them brief; issued back to back and independent of each other, the
+// loads here overlap their misses, where the loop would wait on one
+// chain at a time. The values are summed into a.sink only so that the
+// compiler keeps the loads. Untracked keys are skipped.
+func (a *AKG) gather(keys []dygraph.NodeID) {
 	var sum uint64
-	for _, r := range recs {
+	for _, k := range keys {
+		r := a.rec(k)
 		if r == nil {
 			continue
 		}
@@ -669,13 +718,22 @@ func (a *AKG) connectBursty(set1 []*keyword, st *QuantumStats) {
 }
 
 // sortedUsers returns keyword k's distinct windowed users, ascending
-// (nil for an unknown keyword). The slice is the id set's own and valid
-// until the set's next membership change.
+// (nil for a keyword not in the window). A tracked keyword's slice is
+// its id set's own and valid until the set's next membership change; an
+// untracked keyword's is the union of its ring lists, built afresh — a
+// cold path, as the ranking and clustering read AKG members only.
 func (a *AKG) sortedUsers(k dygraph.NodeID) []uint64 {
 	if r := a.rec(k); r != nil {
 		return r.set.users
 	}
-	return nil
+	var users []uint64
+	for i := range a.ring {
+		e := &a.ring[i]
+		if j, ok := slices.BinarySearch(e.keys, k); ok {
+			users = appendUnion(nil, users, e.usersOf(j))
+		}
+	}
+	return users
 }
 
 // correlation returns the EC used for edge decisions, honouring the

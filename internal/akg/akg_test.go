@@ -269,40 +269,49 @@ func TestQuantumStatsSignals(t *testing.T) {
 		users[u] = []dygraph.NodeID{1, 2}
 	}
 	st := a.ProcessQuantum(quantumOf(users))
-	// Both keywords are bursty; |2|/|1| = 4/20 < β, so the pair is either
-	// screened out or rejected on the size ratio — never merged.
-	if st.WindowEntries != 24 || st.SketchRebuilds != 2 || st.PairsScreened != 1 || st.JaccardBails != st.PairsPassed {
+	// Both keywords are bursty, so both are tracked; |2|/|1| = 4/20 < β,
+	// so the pair is either screened out or rejected on the size ratio —
+	// never merged.
+	if st.WindowEntries != 24 || st.Tracked != 2 || st.Tracks != 2 || st.SketchRebuilds != 2 || st.PairsScreened != 1 || st.JaccardBails != st.PairsPassed {
 		t.Fatalf("first quantum: %+v", st)
 	}
 	// Same users again: no membership change, so nothing is dirty and the
 	// cached sketches stand.
 	st = a.ProcessQuantum(quantumOf(users))
-	if st.WindowEntries != 24 || st.SketchRebuilds != 0 || st.DirtyNodes != 0 {
+	if st.WindowEntries != 24 || st.Tracked != 2 || st.Tracks != 0 || st.SketchRebuilds != 0 || st.DirtyNodes != 0 {
 		t.Fatalf("second quantum: %+v", st)
 	}
-	// Two quanta of other traffic slide both out of the window.
+	// Two quanta of other traffic slide both out of the window: 1 and 2
+	// are dirty once more, as they empty. Keyword 7 (2 users, under τ) is
+	// never tracked, nor dirty: the ring alone answers for it.
 	a.ProcessQuantum(burstBatch(2, 7))
 	st = a.ProcessQuantum(burstBatch(2, 7))
-	if st.WindowEntries != 2 || a.Support(1) != 0 {
-		t.Fatalf("after the slide: %+v, support(1) = %d", st, a.Support(1))
+	if st.WindowEntries != 0 || st.Tracked != 0 || st.DirtyNodes != 2 || a.Support(1) != 0 || a.Support(7) != 2 {
+		t.Fatalf("after the slide: %+v, support(1) = %d, support(7) = %d", st, a.Support(1), a.Support(7))
 	}
 }
 
-// checkLayer verifies the layer's bookkeeping invariants: every record in
-// the keyword table has a non-empty, strictly ascending id set whose
-// counts add up to the ring's observations; every ring entry points at
-// the table's record for its keyword; the incremental node and entry
-// counters match a recount; AKG members are exactly the engine's nodes;
-// every sketch not marked stale is what a rebuild from the id set gives.
+// checkLayer verifies the layer's bookkeeping invariants: no record
+// exists for a keyword the ring does not list, and every tracked keyword
+// has a strictly ascending id set whose per-user counts are the ring's
+// observations; every AKG member is tracked and an engine node, and the
+// engine has no other nodes; the incremental node, entry and record
+// counters match a recount; every sketch not marked stale is what a
+// rebuild from the id set gives.
 func checkLayer(t *testing.T, a *AKG) {
 	t.Helper()
-	observed := map[dygraph.NodeID]int{}
-	for qi, obs := range a.ring {
+	observed := map[dygraph.NodeID]map[uint64]uint32{}
+	for _, obs := range a.ring {
 		for ki, k := range obs.keys {
-			if obs.recs[ki] != a.rec(k) || obs.recs[ki].id != k {
-				t.Fatalf("ring[%d]: keyword %d does not point at its record", qi, k)
+			if a.rec(k) == nil {
+				continue
 			}
-			observed[k] += len(obs.usersOf(ki))
+			if observed[k] == nil {
+				observed[k] = map[uint64]uint32{}
+			}
+			for _, u := range obs.usersOf(ki) {
+				observed[k][u]++
+			}
 		}
 	}
 	nodes, entries, records := 0, 0, 0
@@ -314,6 +323,9 @@ func checkLayer(t *testing.T, a *AKG) {
 		k := dygraph.NodeID(i)
 		if r.id != k {
 			t.Fatalf("slot %d holds the record of keyword %d", i, r.id)
+		}
+		if observed[k] == nil {
+			t.Fatalf("keyword %d is tracked but no ring entry lists it", k)
 		}
 		if !r.stale {
 			fresh := minhash.New(a.cfg.P, a.cfg.Seed)
@@ -328,12 +340,13 @@ func checkLayer(t *testing.T, a *AKG) {
 		if r.set.size() == 0 || !strictlyAscending(r.set.users) {
 			t.Fatalf("keyword %d: id set empty or unordered: %v", k, r.set.users)
 		}
-		total := 0
-		for _, c := range r.set.cnt {
-			total += int(c)
+		if len(observed[k]) != r.set.size() {
+			t.Fatalf("keyword %d: %d users in its set, %d in the ring", k, r.set.size(), len(observed[k]))
 		}
-		if total != observed[k] {
-			t.Fatalf("keyword %d: counts sum to %d, ring holds %d observations", k, total, observed[k])
+		for j, u := range r.set.users {
+			if r.set.cnt[j] != observed[k][u] {
+				t.Fatalf("keyword %d: user %d counted %d times, the ring lists it %d times", k, u, r.set.cnt[j], observed[k][u])
+			}
 		}
 		entries += r.set.size()
 		if r.present {
@@ -343,12 +356,158 @@ func checkLayer(t *testing.T, a *AKG) {
 			}
 		}
 	}
-	if len(observed) != records {
-		t.Fatalf("%d keywords in the ring, %d records", len(observed), records)
+	a.eng.Graph().ForEachNode(func(k dygraph.NodeID) {
+		if !a.InAKG(k) {
+			t.Fatalf("engine node %d is not a tracked AKG member", k)
+		}
+	})
+	if nodes != a.nodes || nodes != a.eng.Graph().NodeCount() || entries != a.entries || records != a.records {
+		t.Fatalf("counters drifted: nodes %d (counter %d, engine %d), entries %d (counter %d), records %d (counter %d)",
+			nodes, a.nodes, a.eng.Graph().NodeCount(), entries, a.entries, records, a.records)
 	}
-	if nodes != a.nodes || nodes != a.eng.Graph().NodeCount() || entries != a.entries {
-		t.Fatalf("counters drifted: nodes %d (counter %d, engine %d), entries %d (counter %d)",
-			nodes, a.nodes, a.eng.Graph().NodeCount(), entries, a.entries)
+}
+
+// ringUnions returns, per keyword the ring lists, the union of its
+// lists — the windowed user set, recomputed from scratch.
+func ringUnions(a *AKG) map[dygraph.NodeID][]uint64 {
+	unions := map[dygraph.NodeID][]uint64{}
+	for _, obs := range a.ring {
+		for ki, k := range obs.keys {
+			unions[k] = appendUnion(nil, unions[k], obs.usersOf(ki))
+		}
+	}
+	return unions
+}
+
+// checkRingAnswers holds the public reads to the ring: Support of every
+// keyword in the window, tracked or not, is the size of the union of its
+// ring lists, and Jaccard of every pair of AKG members is JaccardSorted
+// over those unions.
+func checkRingAnswers(t *testing.T, a *AKG) {
+	t.Helper()
+	unions := ringUnions(a)
+	for k, u := range unions {
+		if got := a.Support(k); got != len(u) {
+			t.Fatalf("q%d: Support(%d) = %d (tracked %v), the ring lists %d users", a.quantum, k, got, a.rec(k) != nil, len(u))
+		}
+	}
+	members := a.eng.Graph().Nodes()
+	for i, k1 := range members {
+		for _, k2 := range members[i+1:] {
+			if got, want := a.Jaccard(k1, k2), JaccardSorted(unions[k1], unions[k2]); got != want {
+				t.Fatalf("q%d: Jaccard(%d, %d) = %v, the ring gives %v", a.quantum, k1, k2, got, want)
+			}
+		}
+	}
+}
+
+// algorithmStats is st without the counters that depend on which
+// keywords the layer tracks or which sketches it has cached — those a
+// restored layer may differ in.
+func algorithmStats(st QuantumStats) QuantumStats {
+	st.SketchRebuilds, st.SketchUpdates = 0, 0
+	st.DirtyNodes, st.WindowEntries, st.Tracked, st.Tracks = 0, 0, 0, 0
+	return st
+}
+
+// TestTrackingMatchesRing drives keywords that burst, fall quiet, return
+// and go stale (absent for longer than the window), and after every
+// quantum checks the layer's invariants and that its public reads agree
+// with the ring, for untracked keywords too. Every so often the layer is
+// round-tripped through State/FromState — which tracks the AKG members
+// only — and the restored twin must then evolve like the original, up to
+// the counters of tracking and sketch caching, before it takes over.
+func TestTrackingMatchesRing(t *testing.T) {
+	const tau, window, keywords, quanta = 3, 5, 48, 600
+	rng := rand.New(rand.NewSource(46))
+	a := New(Config{Tau: tau, Beta: 0.2, Window: window}, core.Hooks{})
+	var twin *AKG
+	phase := make([]int, keywords) // 0 bursty, 1 quiet, 2 absent
+	tracked, untrackedSeen := 0, 0
+	for q := 0; q < quanta; q++ {
+		users := map[uint64][]dygraph.NodeID{}
+		for k := range phase {
+			if rng.Intn(5) == 0 {
+				phase[k] = rng.Intn(3)
+			}
+			n := 0
+			switch phase[k] {
+			case 0:
+				n = tau + rng.Intn(5)
+			case 1:
+				n = 1 + rng.Intn(tau-1)
+			}
+			// Keywords of one group of four draw from one community of
+			// 16 users, so bursty ones correlate and clusters form.
+			base := 16 * (k / 4)
+			for _, u := range rng.Perm(16)[:n] {
+				users[uint64(base+u)] = append(users[uint64(base+u)], dygraph.NodeID(k))
+			}
+		}
+		batch := quantumOf(users)
+		st := a.ProcessQuantum(batch)
+		checkLayer(t, a)
+		checkRingAnswers(t, a)
+		tracked += st.Tracks
+		for _, obs := range a.ring {
+			for _, k := range obs.keys {
+				if a.rec(k) == nil {
+					untrackedSeen++
+				}
+			}
+		}
+		if twin != nil {
+			if got := twin.ProcessQuantum(batch); algorithmStats(got) != algorithmStats(st) {
+				t.Fatalf("q%d: restored twin diverged: %+v vs %+v", q, got, st)
+			}
+			checkLayer(t, twin)
+			if !core.SameClustering(a.eng.Snapshot(), twin.eng.Snapshot()) {
+				t.Fatalf("q%d: restored twin's clustering diverged", q)
+			}
+		}
+		switch q % 29 {
+		case 13:
+			b, err := FromState(a.State(), core.Hooks{}, maxKeyword)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLayer(t, b)
+			checkRingAnswers(t, b)
+			twin = b
+		case 27:
+			a, twin = twin, nil
+		}
+	}
+	if tracked == 0 || untrackedSeen == 0 || a.EdgeCount() == 0 && a.eng.ClusterCount() == 0 {
+		t.Fatalf("vacuous run: %d tracks, %d untracked ring lists, %d edges", tracked, untrackedSeen, a.EdgeCount())
+	}
+}
+
+// TestTrackedKeywordsAreFew replays a fixed 100k-message TW prefix and
+// holds the layer to its design: records (id sets and sketches) for the
+// keywords that turned bursty, not for every keyword in the window. At
+// every full window the tracked keywords must be at most a tenth of the
+// distinct keywords the ring lists (6–7 % on this trace; a record
+// per keyword would be 100 %).
+func TestTrackedKeywordsAreFew(t *testing.T) {
+	quanta := twQuanta(t, 100000, 160)
+	a := New(Config{}, core.Hooks{})
+	w := a.Config().Window
+	checked := 0
+	for q, batch := range quanta {
+		st := a.ProcessQuantum(batch)
+		if (q+1)%w != 0 {
+			continue
+		}
+		distinct := len(ringUnions(a))
+		t.Logf("q%d: %d tracked of %d keywords in the window", q+1, st.Tracked, distinct)
+		if st.Tracked*10 > distinct {
+			t.Fatalf("q%d: %d keywords tracked of %d in the window, want at most a tenth", q+1, st.Tracked, distinct)
+		}
+		checked++
+	}
+	if checked < 10 {
+		t.Fatalf("only %d full windows checked", checked)
 	}
 }
 
@@ -625,23 +784,23 @@ func TestProcessQuantumSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRecycledRecordsStaySmall: a dead keyword's record is reused for the
-// next first-seen keyword, arrays included — unless the arrays grew
+// next newly tracked keyword, arrays included — unless the arrays grew
 // large. Handing those on made every record drift towards the largest
 // set ever seen (18 slots held per user on a long dense trace).
 func TestRecycledRecordsStaySmall(t *testing.T) {
 	a := newTest(3, 0.2, 1)
 	a.ProcessQuantum(burstBatch(200, 1)) // keyword 1: 200 users
 	large := a.kw[1]
-	a.ProcessQuantum(burstBatch(2, 2)) // 1 slides out empty: too large to list
-	a.ProcessQuantum(burstBatch(2, 3)) // 2 slides out empty: listed
+	a.ProcessQuantum(burstBatch(3, 2)) // 1 slides out empty: too large to list
+	a.ProcessQuantum(burstBatch(3, 3)) // 2 slides out empty: listed
 	if len(a.free) != 1 || a.kw[3] == large {
 		t.Fatalf("free list holds %d records (want keyword 2's only); keyword 3 on the 200-user record: %v",
 			len(a.free), a.kw[3] == large)
 	}
 	listed := a.free[0]
-	a.ProcessQuantum(burstBatch(2, 4))
+	a.ProcessQuantum(burstBatch(3, 4))
 	if a.kw[4] != listed {
-		t.Fatalf("first-seen keyword did not take the listed record")
+		t.Fatalf("newly tracked keyword did not take the listed record")
 	}
 	for _, r := range append(slices.Clone(a.kw), a.free...) {
 		if r == nil {
@@ -696,9 +855,6 @@ func TestGroupMatchesSortedPairs(t *testing.T) {
 		if ok != wantOK || !slices.Equal(got.keys, want.keys) || !slices.Equal(got.off, want.off) || !slices.Equal(got.users, want.users) {
 			t.Fatalf("%s: radix grouping diverges from the sorted pairs\n got %v %v %v ok=%v\nwant %v %v %v ok=%v",
 				name, got.keys, got.off, got.users, ok, want.keys, want.off, want.users, wantOK)
-		}
-		if len(got.recs) != len(got.keys) {
-			t.Fatalf("%s: %d record slots for %d keywords", name, len(got.recs), len(got.keys))
 		}
 	}
 	check("empty", nil)

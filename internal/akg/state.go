@@ -20,7 +20,8 @@ type QuantumObs struct {
 
 // State is a serialisable snapshot of the AKG layer. The per-keyword id
 // sets are not stored: they are exactly the column sums of the window
-// ring and are rebuilt on restore.
+// ring, and restore rebuilds those of the AKG members (Present) only —
+// any other keyword is tracked again from the ring if it turns bursty.
 type State struct {
 	Cfg     Config
 	Quantum int
@@ -95,9 +96,9 @@ func DecodeState(r *codec.Reader, cfg Config) State {
 	return s
 }
 
-// FromState reconstructs the layer (keyword records and their id sets
-// rebuilt from the ring, which gets its record pointers back) and
-// re-attaches lifecycle hooks to the restored engine. The ring must have
+// FromState reconstructs the layer — the present keywords tracked, their
+// id sets rebuilt from the ring — and re-attaches lifecycle hooks to the
+// restored engine. The ring must have
 // the shape State writes — keywords strictly ascending per quantum,
 // users strictly ascending per keyword — because the id sets are
 // maintained by merge and would be silently corrupted by anything else.
@@ -132,7 +133,6 @@ func FromState(s State, hooks core.Hooks, maxID dygraph.NodeID) (*AKG, error) {
 		}
 		obs := quantumObs{
 			keys:  slices.Clone(q.Keywords),
-			recs:  make([]*keyword, 0, len(q.Keywords)),
 			off:   make([]int32, 1, len(q.Keywords)+1),
 			users: make([]uint64, 0, total),
 		}
@@ -142,22 +142,21 @@ func FromState(s State, hooks core.Hooks, maxID dygraph.NodeID) (*AKG, error) {
 			}
 			obs.users = append(obs.users, q.Users[i]...)
 			obs.off = append(obs.off, int32(len(obs.users)))
-			r := a.rec(k)
-			if r == nil {
-				r = a.newKeyword(k)
-			}
-			obs.recs = append(obs.recs, r)
-			a.entries += r.set.observe(q.Users[i], &a.fresh)
 		}
 		a.ring = append(a.ring, obs)
 	}
 	for _, k := range s.Present {
-		r := a.rec(k)
-		if r == nil || r.present {
-			return nil, fmt.Errorf("akg: present keyword %d repeated or unseen inside the window", k)
-		}
+		// The graph check comes first: it bounds k by the vocabulary
+		// before the keyword table is sized for it.
 		if !a.eng.Graph().HasNode(k) {
 			return nil, fmt.Errorf("akg: present keyword %d missing from engine graph", k)
+		}
+		if a.rec(k) != nil {
+			return nil, fmt.Errorf("akg: present keyword %d repeated", k)
+		}
+		r := a.track(k)
+		if r.set.size() == 0 {
+			return nil, fmt.Errorf("akg: present keyword %d unseen inside the window", k)
 		}
 		r.present = true
 		a.nodes++

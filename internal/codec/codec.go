@@ -343,12 +343,19 @@ func (w *Writer) Close() error {
 // ReadFrames reads the frames and checksum of a framed image whose magic
 // header the caller has already read from r and matched; magic goes into
 // the checksum. It returns the payload, reading nothing past the
-// checksum. The payload grows with the frames actually read, so a
-// corrupt header cannot make it allocate more than about twice what the
-// input holds, plus one frame.
-func ReadFrames(r io.Reader, magic string) ([]byte, error) {
+// checksum. size is how many bytes r holds from here when the caller
+// knows it — exactly or as an upper bound, such as what is left of the
+// file the image lies in — and 0 otherwise. A known size is the
+// payload's one allocation (the frame headers and checksum are not part
+// of it, so it is never short); without one the payload grows with the
+// frames actually read. Either way a corrupt header cannot make it
+// allocate more than about twice what the input holds, plus one frame.
+func ReadFrames(r io.Reader, magic string, size int) ([]byte, error) {
 	crc := crc32.Update(0, castagnoli, []byte(magic))
 	var payload []byte
+	if size > 0 {
+		payload = make([]byte, 0, size)
+	}
 	var hdr [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -25,22 +25,62 @@ func image(t *testing.T, fields func(w *Writer)) []byte {
 }
 
 // payload reads an image back, checking its magic and that nothing after
-// it is consumed.
+// it is consumed — once with its size unknown and once with the bytes
+// left in the reader as the bound, which must read the same payload.
 func payload(t *testing.T, img []byte) []byte {
 	t.Helper()
-	r := bytes.NewReader(append(bytes.Clone(img), "tail"...))
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, head); err != nil || string(head) != magic {
-		t.Fatalf("magic %q, %v", head, err)
-	}
-	p, err := ReadFrames(r, magic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != len("tail") {
-		t.Fatalf("ReadFrames left %d bytes unread, want 4", r.Len())
+	var p []byte
+	for _, sized := range []bool{false, true} {
+		r := bytes.NewReader(append(bytes.Clone(img), "tail"...))
+		head := make([]byte, len(magic))
+		if _, err := io.ReadFull(r, head); err != nil || string(head) != magic {
+			t.Fatalf("magic %q, %v", head, err)
+		}
+		size := 0
+		if sized {
+			size = r.Len()
+		}
+		got, err := ReadFrames(r, magic, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != len("tail") {
+			t.Fatalf("ReadFrames left %d bytes unread, want 4", r.Len())
+		}
+		if sized && !bytes.Equal(got, p) {
+			t.Fatalf("sized read gave %d bytes, unsized %d", len(got), len(p))
+		}
+		p = got
 	}
 	return p
+}
+
+// TestReadFramesSizedAllocatesOnce: given the image's length, ReadFrames
+// allocates the payload once, so a six-frame image costs what a one-frame
+// image does; grown frame by frame, the payload takes more allocations
+// the more frames there are.
+func TestReadFramesSizedAllocatesOnce(t *testing.T) {
+	allocs := func(payloadBytes int, sized bool) float64 {
+		img := image(t, func(w *Writer) { w.Write(make([]byte, payloadBytes)) })
+		rest := img[len(magic):]
+		size := 0
+		if sized {
+			size = len(rest)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ReadFrames(bytes.NewReader(rest), magic, size); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := 17, 5*FrameSize+17
+	sizedSmall, sizedLarge := allocs(small, true), allocs(large, true)
+	unsizedSmall, unsizedLarge := allocs(small, false), allocs(large, false)
+	t.Logf("allocations sized %.0f → %.0f, unsized %.0f → %.0f from 1 to 6 frames", sizedSmall, sizedLarge, unsizedSmall, unsizedLarge)
+	if sizedLarge != sizedSmall || unsizedLarge <= sizedLarge {
+		t.Fatalf("from 1 to 6 frames allocations went %.0f → %.0f with the size known, %.0f → %.0f without",
+			sizedSmall, sizedLarge, unsizedSmall, unsizedLarge)
+	}
 }
 
 // TestFieldsRoundTrip writes one of every field kind — on both sides of
@@ -126,11 +166,11 @@ func TestReadFramesRejects(t *testing.T) {
 		"oversize frame": {oversize, "the most is"},
 	}
 	for name, c := range cases {
-		if _, err := ReadFrames(bytes.NewReader(c.in), magic); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := ReadFrames(bytes.NewReader(c.in), magic, len(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: %v, want an error containing %q", name, err, c.want)
 		}
 	}
-	if _, err := ReadFrames(bytes.NewReader(body), "other-magic"); err == nil {
+	if _, err := ReadFrames(bytes.NewReader(body), "other-magic", 0); err == nil {
 		t.Errorf("image accepted under another magic")
 	}
 }

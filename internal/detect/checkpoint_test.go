@@ -142,7 +142,7 @@ func framed(t testing.TB, payload []byte) []byte {
 
 // unframed returns a checkpoint's payload.
 func unframed(t testing.TB, ckpt []byte) []byte {
-	p, err := codec.ReadFrames(bytes.NewReader(ckpt[len(checkpointMagic):]), checkpointMagic)
+	p, err := codec.ReadFrames(bytes.NewReader(ckpt[len(checkpointMagic):]), checkpointMagic, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

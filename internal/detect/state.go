@@ -466,8 +466,23 @@ func decodeState(payload []byte) (DetectorState, error) {
 
 // Load reads a checkpoint written by Save — or by the gob format before
 // it (loadV1) — and reconstructs the detector. It reads exactly the
-// checkpoint's bytes, so whatever follows in r stays unread.
+// checkpoint's bytes, so whatever follows in r stays unread. A reader
+// that tells its length (Len, as bytes.Reader does) is read as LoadSized
+// reads it.
 func Load(r io.Reader) (*Detector, error) {
+	size := 0
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len()
+	}
+	return LoadSized(r, size)
+}
+
+// LoadSized is Load for a reader whose length the caller knows: size is
+// how many bytes r holds — exactly or as an upper bound, such as the
+// size of the snapshot file the checkpoint starts — or 0 when unknown.
+// A known size lets the checkpoint's payload be read into one
+// allocation instead of being grown frame by frame.
+func LoadSized(r io.Reader, size int) (*Detector, error) {
 	head := make([]byte, len(checkpointMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("detect: read checkpoint: %w", err)
@@ -475,7 +490,7 @@ func Load(r io.Reader) (*Detector, error) {
 	if string(head) != checkpointMagic {
 		return loadV1(head, r)
 	}
-	payload, err := codec.ReadFrames(r, checkpointMagic)
+	payload, err := codec.ReadFrames(r, checkpointMagic, max(size-len(head), 0))
 	if err != nil {
 		return nil, fmt.Errorf("detect: read checkpoint: %w", err)
 	}

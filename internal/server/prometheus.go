@@ -142,10 +142,14 @@ var promTenantMetrics = []promMetric{
 		func(v *tenantView) float64 { return float64(v.t.akg.sketchUpdates.Load()) }},
 	{"eventdetect_akg_jaccard_bails_total", "counter", "Exact correlations settled without a full merge (size-ratio rejections and early exits).",
 		func(v *tenantView) float64 { return float64(v.t.akg.jaccardBails.Load()) }},
-	{"eventdetect_akg_dirty_nodes", "gauge", "Keywords whose windowed user support changed in the last quantum.",
+	{"eventdetect_akg_dirty_nodes", "gauge", "Tracked keywords whose windowed user support changed in the last quantum.",
 		func(v *tenantView) float64 { return float64(v.t.akg.dirtyNodes.Load()) }},
-	{"eventdetect_akg_window_user_entries", "gauge", "(keyword, distinct user) pairs held by the window's id sets.",
+	{"eventdetect_akg_window_user_entries", "gauge", "(keyword, distinct user) pairs held by the tracked keywords' id sets.",
 		func(v *tenantView) float64 { return float64(v.t.akg.windowEntries.Load()) }},
+	{"eventdetect_akg_tracked_keywords", "gauge", "Keywords holding an id set and a sketch (those that turned bursty and are still in the window).",
+		func(v *tenantView) float64 { return float64(v.t.akg.tracked.Load()) }},
+	{"eventdetect_akg_tracks_total", "counter", "Keywords whose id set was built from the window ring on turning bursty.",
+		func(v *tenantView) float64 { return float64(v.t.akg.tracks.Load()) }},
 	{"eventdetect_interner_words", "gauge", "Keywords the tenant has interned (its vocabulary; never shrinks).",
 		func(v *tenantView) float64 { return float64(v.t.words.Load()) }},
 	{"eventdetect_interner_first_sight_total", "counter", "Keywords interned live by this process (vocabulary churn).",

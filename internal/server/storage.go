@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -157,9 +158,9 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	} else {
 		// Load reads exactly the checkpoint (a retired gob one through
 		// the bufio.Reader's ReadByte), so the image is left for
-		// RestoreBuffer.
+		// RestoreBuffer. The file's size bounds the checkpoint's.
 		br := bufio.NewReader(r)
-		det, err = detect.Load(br)
+		det, err = detect.LoadSized(br, snapshotSize(r))
 		if err == nil && s.arch != nil {
 			err = s.arch.RestoreBuffer(br, func(err error) { s.writeFailed(&s.archErrs, err) })
 		}
@@ -176,6 +177,17 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 		return nil
 	})
 	return det, base, s.wal.LastSeq(), err
+}
+
+// snapshotSize returns the size of the snapshot file r reads, or 0 when
+// r cannot tell.
+func snapshotSize(r io.Reader) int {
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if st, err := f.Stat(); err == nil {
+			return int(st.Size())
+		}
+	}
+	return 0
 }
 
 // attach sets the tenant's retention cap on a detector it built and

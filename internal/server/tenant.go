@@ -121,8 +121,8 @@ type Tenant struct {
 // akgCounters is the tenant-side accumulator behind the akg_* metrics:
 // written by the apply step once per quantum, read by /metrics.
 type akgCounters struct {
-	pairsScreened, pairsPassed, sketchRebuilds, sketchUpdates, jaccardBails atomic.Uint64
-	dirtyNodes, windowEntries                                               atomic.Int64
+	pairsScreened, pairsPassed, sketchRebuilds, sketchUpdates, jaccardBails, tracks atomic.Uint64
+	dirtyNodes, windowEntries, tracked                                              atomic.Int64
 }
 
 func (c *akgCounters) add(st *akg.QuantumStats) {
@@ -131,8 +131,10 @@ func (c *akgCounters) add(st *akg.QuantumStats) {
 	c.sketchRebuilds.Add(uint64(st.SketchRebuilds))
 	c.sketchUpdates.Add(uint64(st.SketchUpdates))
 	c.jaccardBails.Add(uint64(st.JaccardBails))
+	c.tracks.Add(uint64(st.Tracks))
 	c.dirtyNodes.Store(int64(st.DirtyNodes))
 	c.windowEntries.Store(int64(st.WindowEntries))
+	c.tracked.Store(int64(st.Tracked))
 }
 
 // newTenant wraps a detector — fresh or restored, its retention cap and

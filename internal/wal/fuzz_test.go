@@ -43,11 +43,12 @@ type logModel struct {
 	seqs      []uint64          // payload's keys, ascending
 	committed map[uint64]bool   // Commit returned nil
 	refused   map[uint64]bool   // Commit returned an error
+	discarded map[uint64]bool   // not on disk after a Reopen repaired the log
 	last      uint64            // the largest seq this instance has handed out or found
 }
 
 func newLogModel() *logModel {
-	return &logModel{payload: map[uint64][]byte{}, committed: map[uint64]bool{}, refused: map[uint64]bool{}}
+	return &logModel{payload: map[uint64][]byte{}, committed: map[uint64]bool{}, refused: map[uint64]bool{}, discarded: map[uint64]bool{}}
 }
 
 // recordPayload is the framed payload a record's bytes on disk must be.
@@ -68,7 +69,11 @@ func recordPayload(msgs []stream.Message, flush bool) []byte {
 // Commit failed is not there, any other record there is whole, and
 // sequence numbers strictly increase — within a Log's life, across its
 // reopens, and on disk. After every reopen and every Open, Replay must
-// yield exactly what the disk holds past the snapshot.
+// yield exactly what the disk holds past the snapshot. A snapshot is
+// taken at any committed record at or past the newest one — mostly one
+// inside a segment, whose records past it must then move — and after
+// one succeeds the disk must hold exactly the records it does not cover
+// that no reopen discarded.
 func FuzzLogSchedule(f *testing.F) {
 	f.Add([]byte{fuzzAppend, fuzzAppend, fuzzCommit, 1, fuzzSnapshot, fuzzAppend, fuzzCrash, fuzzAppend, fuzzSync})
 	// The discarded-seq case: a flush fails, the log reopens, a later
@@ -165,19 +170,30 @@ func FuzzLogSchedule(f *testing.F) {
 				if err := l.Reopen(); err == nil && failed {
 					disk, snap := readDisk(t, dir)
 					checkReplay(t, l, pastSnapshot(disk, snap))
+					for _, seq := range m.seqs {
+						if _, ok := disk[seq]; !ok && seq > snap {
+							m.discarded[seq] = true
+						}
+					}
 				}
 			case fuzzSnapshot:
-				var seq uint64
-				for s := range m.committed {
-					seq = max(seq, s)
+				var cands []uint64
+				for _, s := range m.seqs {
+					if m.committed[s] && s >= l.SnapshotSeq() {
+						cands = append(cands, s)
+					}
 				}
-				if seq == 0 || seq < l.SnapshotSeq() {
+				if len(cands) == 0 {
 					continue
 				}
-				l.Snapshot(seq, func(w io.Writer) error { //nolint:errcheck // a fault may fail it; the disk check below decides
+				seq := cands[arg()%len(cands)]
+				err := l.Snapshot(seq, func(w io.Writer) error {
 					_, err := fmt.Fprintf(w, "state through %d", seq)
 					return err
 				})
+				if err == nil { // a fault may fail it; the disk check below decides then
+					checkSnapshotExact(t, dir, m, seq)
+				}
 			case fuzzCrash:
 				l.flushMu.Lock()
 				if l.f != nil {
@@ -228,6 +244,27 @@ func readDisk(t *testing.T, dir string) (map[uint64][]byte, uint64) {
 		}
 	}
 	return disk, snap
+}
+
+// checkSnapshotExact holds a successful snapshot at seq to its
+// compaction: the disk keeps no record it covers and every record past
+// it — all were flushed first — that no reopen discarded.
+func checkSnapshotExact(t *testing.T, dir string, m *logModel, seq uint64) {
+	t.Helper()
+	disk, snap := readDisk(t, dir)
+	if snap != seq {
+		t.Fatalf("snapshot %d succeeded, the newest on disk is %d", seq, snap)
+	}
+	for s := range disk {
+		if s <= seq {
+			t.Fatalf("record %d, covered by snapshot %d, is still on disk", s, seq)
+		}
+	}
+	for _, s := range m.seqs {
+		if _, ok := disk[s]; !ok && s > seq && !m.discarded[s] {
+			t.Fatalf("record %d, past snapshot %d, is not on disk", s, seq)
+		}
+	}
 }
 
 // pastSnapshot is the part of disk Replay(snap) yields.

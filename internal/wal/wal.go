@@ -4,9 +4,11 @@
 // server plugs in the detect checkpoint encoder). Recovery loads the
 // latest snapshot and replays the segment tail; because the detector is
 // deterministic, replay reproduces the pre-crash state bit-identically.
-// Compaction deletes segments wholly covered by the latest snapshot; a
-// snapshot also ends the active segment, so that the next one can
-// delete it.
+// Compaction deletes segments wholly covered by the latest snapshot. A
+// snapshot also ends the active segment at its flush, and moves the
+// records past its position out of the segment that holds them into one
+// of their own, so that what stays on disk is exactly the snapshot plus
+// the records it does not cover.
 //
 // On-disk layout of one log directory:
 //
@@ -42,7 +44,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -77,6 +81,11 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorrupt marks a log directory Open refuses: damage other than a torn
+// tail on the newest segment, or two segments that both hold a record
+// with different bytes.
+var ErrCorrupt = errors.New("wal: corrupt log")
 
 // Options tune one Log.
 type Options struct {
@@ -182,11 +191,20 @@ func Open(dir string, opt Options) (*Log, error) {
 	l.seq = l.snapSeq
 	if len(segs) > 0 {
 		// Count records per segment; truncate a torn tail on the newest.
+		var prevLast uint64
 		for i, start := range segs {
+			if i > 0 && start <= prevLast {
+				// A snapshot that crashed between writing a segment of the
+				// records past it and deleting the segment they came from
+				// leaves both. Cut the older one back.
+				if err := l.resolveOverlap(segs[i-1], start); err != nil {
+					return nil, err
+				}
+			}
 			last, validBytes, err := l.scanSegment(start, nil)
 			if err != nil {
 				if i != len(segs)-1 {
-					return nil, fmt.Errorf("wal: segment %s: %w", l.segPath(start), err)
+					return nil, fmt.Errorf("wal: segment %s: %w: %v", l.segPath(start), ErrCorrupt, err)
 				}
 				if terr := l.fs.Truncate(l.segPath(start), validBytes); terr != nil {
 					return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", l.segPath(start), terr)
@@ -202,6 +220,7 @@ func Open(dir string, opt Options) (*Log, error) {
 			if last > l.seq {
 				l.seq = last
 			}
+			prevLast = last
 		}
 		active := segs[len(segs)-1]
 		f, err := l.fs.OpenFile(l.segPath(active), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -403,16 +422,23 @@ func (l *Log) rotate(first uint64) error {
 
 // Snapshot atomically persists the state after applying records 1..seq
 // (write is the caller's codec — the server passes detect's encoder),
-// then ends the active segment and deletes segments and older
-// snapshots the new snapshot covers.
+// then deletes the segments and older snapshots the new snapshot covers.
 // Pending records are flushed first, so a snapshot never outlives the
-// records it claims to cover. Encoding and fsyncing the temp file run
-// outside both locks, so appends and commits never stall behind
-// snapshot IO. Covered files are deleted only once the directory fsync
-// after the rename succeeded: until then the snapshot may not survive a
-// crash, and the segments it covers are all that would. Concurrent
-// Snapshot calls are the caller's responsibility to avoid (the server
-// snapshots from one goroutine per tenant).
+// records it claims to cover, and the flush ends the active segment: the
+// records appended while the snapshot is written go to a new one. The
+// records past seq that the ended segments hold — those the caller had
+// logged but not yet applied, at most a queue's worth — are copied into
+// a segment of their own, named seq+1, so that compaction can delete the
+// segment they came from and the log keeps exactly the records the
+// snapshot does not cover. Encoding the snapshot and writing both files
+// run outside both locks, so appends and commits never stall behind
+// snapshot IO; one directory fsync makes both new names durable. Covered
+// files are deleted only once it succeeded: until then the snapshot may
+// not survive a crash, and the segments it covers are all that would.
+// A crash after the copy's name is durable but before its source is
+// deleted leaves two segments holding the same records, which Open
+// resolves. Concurrent Snapshot calls are the caller's responsibility to
+// avoid (the server snapshots from one goroutine per tenant).
 func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
 	prev, behind := l.snapSeq, l.hasSnap && seq < l.snapSeq
@@ -420,7 +446,8 @@ func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	if behind {
 		return fmt.Errorf("wal: snapshot seq %d behind existing snapshot %d", seq, prev)
 	}
-	if err := l.Sync(); err != nil {
+	ended, err := l.syncAndEnd()
+	if err != nil {
 		return err
 	}
 	tmp, err := l.fs.CreateTemp(l.dir, "snap-tmp-*")
@@ -439,10 +466,28 @@ func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
+	split, tail, err := l.copyTail(seq, ended)
+	if err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
+	if tail != "" {
+		defer l.fs.Remove(tail) // a no-op once renamed
+	}
 	if err := l.fs.Rename(tmp.Name(), l.snapPath(seq)); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
+	if tail != "" {
+		if err := l.fs.Rename(tail, l.segPath(seq+1)); err != nil {
+			return fmt.Errorf("wal: snapshot: %w", err)
+		}
+		l.segCount.Add(1)
+	}
 	if err := syncDir(l.fs, l.dir); err != nil {
+		// Not durable: take the copy back, so that no two segments hold
+		// one record while this log runs.
+		if tail != "" && l.fs.Remove(l.segPath(seq+1)) == nil {
+			l.segCount.Add(-1)
+		}
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	l.flushMu.Lock()
@@ -450,23 +495,138 @@ func (l *Log) Snapshot(seq uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.snapSeq, l.hasSnap = seq, true
-	// End the active segment: the next flush starts a new one, so this
-	// one can go whole once a snapshot covers it. Compaction never
-	// deletes the active segment, which would otherwise keep up to
-	// SegmentBytes of records that every snapshot already covers.
+	return l.compact(split)
+}
+
+// syncAndEnd makes every pending record durable, as Sync does, and ends
+// the active segment: the next flush starts a new one. It returns the
+// last record the ended segments hold.
+func (l *Log) syncAndEnd() (uint64, error) {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.flushLocked(); err != nil {
+		return 0, err
+	}
 	if l.f != nil {
 		err := l.f.Close()
 		l.f = nil
 		if err != nil {
-			return fmt.Errorf("wal: snapshot: close segment: %w", err)
+			return 0, fmt.Errorf("wal: snapshot: close segment: %w", err)
 		}
 	}
-	return l.compact()
+	return l.durable, nil
 }
 
-// compact deletes older snapshots and the segments whose every record is
-// ≤ snapSeq; flushMu and mu held, and no segment open for appends.
-func (l *Log) compact() error {
+// copyTail finds the segment a snapshot at seq splits — the last one
+// starting at or before seq, whose name leaves room for records past
+// seq — writes the records past seq it holds to a new, fsynced temp
+// file, and returns the segment's start and the temp file's name (""
+// when it holds no record past seq: a reopen discarded them). ended is
+// the last record flushed before the active segment was ended: a
+// segment starting after it was created since and is left alone, and
+// one starting at or before it is closed. Without a segment to split,
+// split is 0 (no segment starts there).
+func (l *Log) copyTail(seq, ended uint64) (split uint64, tail string, err error) {
+	segs, _, err := l.scanDir()
+	if err != nil {
+		return 0, "", err
+	}
+	i := sort.Search(len(segs), func(i int) bool { return segs[i] > seq+1 })
+	if i == 0 || segs[i-1] > min(seq, ended) {
+		return 0, "", nil
+	}
+	split = segs[i-1]
+	// The scan runs outside both locks, so it reads with a Log of its
+	// own: l's frame buffer belongs to whoever holds mu.
+	var frames []byte
+	r := &Log{dir: l.dir, fs: l.fs}
+	if _, _, err := r.scanSegment(split, func(s uint64, payload []byte) error {
+		if s > seq {
+			frames = appendFrame(frames, payload)
+		}
+		return nil
+	}); err != nil {
+		return 0, "", err
+	}
+	if len(frames) == 0 {
+		return split, "", nil
+	}
+	f, err := l.fs.CreateTemp(l.dir, "snap-tmp-*")
+	if err != nil {
+		return 0, "", err
+	}
+	_, err = f.Write(frames)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		l.fs.Remove(f.Name()) //nolint:errcheck // best effort
+		return 0, "", err
+	}
+	return split, f.Name(), nil
+}
+
+// appendFrame appends one record's frame — length, CRC, payload — to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...)
+}
+
+// resolveOverlap handles segment newer starting at or before the last
+// record of segment older, its predecessor — the trace of a snapshot
+// that crashed after writing its copy of older's records past the
+// snapshot (named for the first of them) and before deleting older. The
+// records both hold must be byte for byte the same, older's running to
+// its end and newer holding all of them: then older is cut back to end
+// before newer's first record, and the cut fsynced. Anything else is
+// ErrCorrupt — in particular a sequence number written twice with
+// different records, as reuse after a Reopen would write it. Damage
+// inside older fails it too.
+func (l *Log) resolveOverlap(older, newer uint64) error {
+	var keep int64
+	var overlap [][]byte
+	if _, _, err := l.scanSegment(older, func(seq uint64, payload []byte) error {
+		if seq < newer {
+			keep += frameHdr + int64(len(payload))
+		} else {
+			overlap = append(overlap, bytes.Clone(payload))
+		}
+		return nil
+	}); err != nil {
+		return fmt.Errorf("wal: segment %s: %w: %v", l.segPath(older), ErrCorrupt, err)
+	}
+	// Damage past the shared records is Open's own scan to judge.
+	n, differs := 0, errors.New("differs")
+	_, _, err := l.scanSegment(newer, func(seq uint64, payload []byte) error {
+		if n == len(overlap) {
+			return nil
+		}
+		if !bytes.Equal(payload, overlap[n]) {
+			return differs
+		}
+		n++
+		return nil
+	})
+	if errors.Is(err, differs) || n < len(overlap) {
+		return fmt.Errorf("wal: segment %s: %w: record %d differs from, or lacks, its copy in %s",
+			l.segPath(newer), ErrCorrupt, newer+uint64(n), l.segPath(older))
+	}
+	if err := l.truncateSynced(l.segPath(older), keep); err != nil {
+		return fmt.Errorf("wal: cut %s: %w", l.segPath(older), err)
+	}
+	return nil
+}
+
+// compact deletes older snapshots, the segments whose every record is
+// ≤ snapSeq, and segment split (when not 0), whose records past snapSeq
+// the snapshot copied out; flushMu and mu held.
+func (l *Log) compact(split uint64) error {
 	segs, snaps, err := l.scanDir()
 	if err != nil {
 		return err
@@ -484,7 +644,7 @@ func (l *Log) compact() error {
 		if i+1 < len(segs) {
 			last = segs[i+1] - 1
 		}
-		if last <= l.snapSeq {
+		if last <= l.snapSeq || start == split {
 			if err := l.fs.Remove(l.segPath(start)); err != nil {
 				return fmt.Errorf("wal: compact: %w", err)
 			}
@@ -542,8 +702,8 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, msgs []stream.Message, fl
 			continue
 		}
 		if _, _, err := l.scanSegment(start, func(seq uint64, payload []byte) error {
-			if seq <= after {
-				return nil
+			if seq <= after || seq > last {
+				return nil // past last: a copy in the next segment holds it
 			}
 			if len(payload) == 0 {
 				return fmt.Errorf("wal: record %d has no kind byte", seq)
@@ -654,11 +814,16 @@ func (l *Log) cutToDurable(start uint64) error {
 	if last < l.durable {
 		return fmt.Errorf("durable prefix of %s unreadable: %v", path, err)
 	}
+	return l.truncateSynced(path, keep)
+}
+
+// truncateSynced cuts the file at path to size bytes and fsyncs the cut.
+func (l *Log) truncateSynced(path string, size int64) error {
 	f, err := l.fs.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	err = f.Truncate(keep)
+	err = f.Truncate(size)
 	if err == nil {
 		err = f.Sync()
 	}

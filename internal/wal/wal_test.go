@@ -152,9 +152,11 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndsActiveSegment: a snapshot ends the active segment, so
-// the segments a later snapshot covers are deleted however far they are
-// from SegmentBytes, and a snapshot of the last record leaves none.
+// TestSnapshotEndsActiveSegment: a snapshot ends the active segment and
+// moves the records past it into a segment of their own, so the log
+// keeps exactly the records no snapshot covers, however far the
+// segments are from SegmentBytes, and a snapshot of the last record
+// leaves none.
 func TestSnapshotEndsActiveSegment(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -188,10 +190,14 @@ func TestSnapshotEndsActiveSegment(t *testing.T) {
 		}
 	}
 	appendN(1, 5)
-	snapshot(3) // records 4 and 5 are not covered: their segment stays
+	snapshot(3) // records 4 and 5 are not covered: they move to segment 4
 	appendN(6, 7)
-	if got, want := segments(), []string{"seg-00000000000000000001.wal", "seg-00000000000000000006.wal"}; !reflect.DeepEqual(got, want) {
+	if got, want := segments(), []string{"seg-00000000000000000004.wal", "seg-00000000000000000006.wal"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("segments after snapshot 3 and two appends = %v, want %v", got, want)
+	}
+	want := map[uint64][]stream.Message{4: batch(4, 2), 5: batch(5, 2), 6: batch(6, 2), 7: batch(7, 2)}
+	if got := collect(t, l, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay past snapshot 3 = %v, want records 4 to 7", got)
 	}
 	snapshot(7)
 	if got := segments(); len(got) != 0 || l.SegmentCount() != 0 {
