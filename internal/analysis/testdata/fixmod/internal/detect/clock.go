@@ -4,6 +4,7 @@
 package detect
 
 import (
+	"hash/maphash"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"time"
@@ -27,6 +28,17 @@ func Jitter() int {
 // JitterV2 draws from the v2 global source.
 func JitterV2() int {
 	return randv2.IntN(10) // want walltime "math/rand/v2.IntN uses the global random source"
+}
+
+// Bucket hashes under a per-process random seed.
+func Bucket(word string) uint64 {
+	return maphash.String(maphash.MakeSeed(), word) // want walltime "maphash.MakeSeed draws a random seed"
+}
+
+// Slot carries a reasoned suppression, so it is not flagged.
+func Slot(word string) uint64 {
+	seed := maphash.MakeSeed() //repro:wallclock-exempt fixture: places table slots only, never an output
+	return maphash.String(seed, word)
 }
 
 // SeededJitter is fine: constructors and methods on an explicitly

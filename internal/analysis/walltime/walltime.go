@@ -1,6 +1,7 @@
 // Package walltime forbids ambient nondeterminism sources — wall-clock
 // reads (time.Now, time.Since, time.Until), the math/rand global
-// source, and crypto/rand — inside the replay-deterministic packages.
+// source, hash/maphash's random seeds, and crypto/rand — inside the
+// replay-deterministic packages.
 // Replay re-executes those packages from the WAL; a value pulled from
 // the environment instead of the recorded stream diverges silently on
 // the second run (or on a WAL-shipping follower).
@@ -8,8 +9,8 @@
 // Seeded generators (rand.New(rand.NewSource(seed)), rand/v2
 // rand.New(rand.NewPCG(…))) are allowed: they are deterministic
 // functions of their seed. Telemetry-only clock reads whose values
-// never enter replayed state are suppressed in place with
-// //repro:wallclock-exempt <reason>.
+// never enter replayed state, and hash seeds that only place slots,
+// are suppressed in place with //repro:wallclock-exempt <reason>.
 package walltime
 
 import (
@@ -62,6 +63,14 @@ func run(pass *analysis.Pass) error {
 				if isFunc && fn.Signature().Recv() == nil && !strings.HasPrefix(name, "New") {
 					pass.Reportf(sel.Pos(),
 						"%s.%s uses the global random source in a replay-deterministic package; use a seeded rand.New(...), or annotate //repro:wallclock-exempt <reason>", obj.Pkg().Path(), name)
+				}
+			case "hash/maphash":
+				// A seed drawn by MakeSeed is random per process: hashes
+				// under it, and any order or choice taken from them,
+				// differ from run to run.
+				if name == "MakeSeed" {
+					pass.Reportf(sel.Pos(),
+						"maphash.MakeSeed draws a random seed in a replay-deterministic package; nothing replayed may depend on its hashes, so annotate //repro:wallclock-exempt <reason>")
 				}
 			case "crypto/rand":
 				pass.Reportf(sel.Pos(),

@@ -159,17 +159,36 @@ func TestBlockCacheBudget(t *testing.T) {
 // while the Log seals new segments and quarantines old ones, under a
 // budget small enough that blocks come and go all the time. Every row
 // read must be the one its Record says. Run it with -race.
+//
+// The share and the eviction it asserts are arranged, not left to the
+// scheduler: the first full scanner holds its first block while the
+// second full scanner reads that block (a hit), and the scans stop only
+// after both full scanners have finished a pass over more blocks than
+// the budget holds (evictions).
 func TestCachedBlocksSharedUnderRace(t *testing.T) {
 	l := cachedSegments(t, 256, 32, 8)
 	var one int64
 	l.Segments()[0].ScanBlocks(Pred{To: -1}, func(b *Block) error { one = b.size(); return nil })
 	defer SetBlockCacheBudgetForTesting(12 * one)()
 
-	var wg sync.WaitGroup
+	var wg, passed sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, 8)
-	scan := func(pred Pred) {
+	cached, shared := make(chan struct{}), make(chan struct{})
+	// scan scans every sealed segment until stop. first, if set, runs
+	// once, on the first block; pass, if set, is told when the first
+	// pass is done. A scanner that fails early runs both on its way out,
+	// so the test is never left waiting on it.
+	scan := func(pred Pred, first func(), pass *sync.WaitGroup) {
 		defer wg.Done()
+		defer func() {
+			if first != nil {
+				first()
+			}
+			if pass != nil {
+				pass.Done()
+			}
+		}()
 		for {
 			select {
 			case <-stop:
@@ -181,6 +200,10 @@ func TestCachedBlocksSharedUnderRace(t *testing.T) {
 					continue
 				}
 				_, _, err := v.ScanBlocks(pred, func(b *Block) error {
+					if first != nil {
+						first()
+						first = nil
+					}
 					for i := 0; i < b.Len(); i++ {
 						rec := b.Record(i)
 						var want bytes.Buffer
@@ -200,12 +223,20 @@ func TestCachedBlocksSharedUnderRace(t *testing.T) {
 					return
 				}
 			}
+			if pass != nil {
+				pass.Done()
+				pass = nil
+			}
 		}
 	}
+	wg.Add(4)
+	passed.Add(2)
+	go scan(Pred{To: -1}, func() { close(cached); <-shared }, &passed)
+	<-cached
+	go scan(Pred{To: -1}, func() { close(shared) }, &passed)
+	<-shared
 	for g := 0; g < 2; g++ {
-		wg.Add(2)
-		go scan(Pred{To: -1})
-		go scan(Pred{To: -1, Keywords: []string{"kw-3"}})
+		go scan(Pred{To: -1, Keywords: []string{"kw-3"}}, nil, nil)
 	}
 	for i := uint64(257); i <= 512; i++ {
 		if err := l.Append(rec(i, int(i), int(i)+2, "kw", fmt.Sprintf("kw-%d", i%7))); err != nil {
@@ -217,6 +248,7 @@ func TestCachedBlocksSharedUnderRace(t *testing.T) {
 			}
 		}
 	}
+	passed.Wait()
 	close(stop)
 	wg.Wait()
 	close(errs)

@@ -606,8 +606,9 @@ func (d *Detector) growNounSeen() {
 
 // processQuantum resolves the batch to keyword IDs, updates the graph
 // layers and reconciles the event registry. Single-threaded (detector
-// state). The interner makes the only retained allocations (first-sight
-// words); everything else lives in scratch reused across quanta.
+// state). The interner makes the only retained allocations (its arena
+// and tables grow with first-sight words); everything else lives in
+// scratch reused across quanta.
 func (d *Detector) processQuantum(batch []stream.Message) QuantumResult {
 	started := time.Now() //repro:wallclock-exempt stage-latency telemetry; reported in QuantumResult, never in replayed state
 	uks := d.resolveQuantum(batch)

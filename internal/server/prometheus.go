@@ -152,6 +152,8 @@ var promTenantMetrics = []promMetric{
 		func(v *tenantView) float64 { return float64(v.t.akg.tracks.Load()) }},
 	{"eventdetect_interner_words", "gauge", "Keywords the tenant has interned (its vocabulary; never shrinks).",
 		func(v *tenantView) float64 { return float64(v.t.words.Load()) }},
+	{"eventdetect_interner_bytes", "gauge", "Bytes the tenant's interner holds, counted by capacity (word arena, offsets, lookup tables).",
+		func(v *tenantView) float64 { return float64(v.t.internerBytes.Load()) }},
 	{"eventdetect_interner_first_sight_total", "counter", "Keywords interned live by this process (vocabulary churn).",
 		func(v *tenantView) float64 { return float64(v.t.firstSight.Load()) }},
 }

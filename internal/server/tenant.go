@@ -85,12 +85,14 @@ type Tenant struct {
 
 	// akg sums the graph layer's per-quantum screening statistics over
 	// the quanta this process applied, and keeps the last quantum's
-	// dirty-set and window sizes (see akgCounters.add). words mirrors the
-	// interner's size as of the last applied quantum; firstSight sums its
-	// growth over the quanta this process applied live.
-	akg        akgCounters
-	words      atomic.Int64
-	firstSight atomic.Uint64
+	// dirty-set and window sizes (see akgCounters.add). words and
+	// internerBytes mirror the interner's size and footprint as of the
+	// last applied quantum; firstSight sums its growth over the quanta
+	// this process applied live.
+	akg           akgCounters
+	words         atomic.Int64
+	internerBytes atomic.Int64
+	firstSight    atomic.Uint64
 
 	// Durability. storage owns the WAL and archive handles (see
 	// storage.go); health is its degradation record — the read-only flag
@@ -161,6 +163,7 @@ func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenan
 		t.akg.add(&res.Stats)
 		words := int64(det.Interner().Size())
 		t.firstSight.Add(uint64(words - t.words.Swap(words)))
+		t.internerBytes.Store(int64(det.Interner().Footprint()))
 		// The quantum's wall time and its three sub-phases: tokenization
 		// with keyword-ID resolution, graph maintenance, and event
 		// reconciliation.
@@ -193,6 +196,7 @@ func newTenant(det *detect.Detector, st *tenantStorage, sched *scheduler) *Tenan
 	})
 	t.msgs.Store(det.Processed())
 	t.words.Store(int64(det.Interner().Size()))
+	t.internerBytes.Store(int64(det.Interner().Footprint()))
 	// Queries may arrive before the first quantum (or right after a
 	// restart): seed the snapshot from the detector's recovered state.
 	t.snap.Store(det.Snapshot(nil))

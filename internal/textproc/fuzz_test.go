@@ -97,7 +97,11 @@ func FuzzTokenize(f *testing.F) {
 // the model's. Words are 0–12 bytes over a small alphabet, so they
 // repeat and straddle the short table's 7-byte limit; a bulk step
 // interns up to 2,041 generated words at once, so one input can force
-// several table growths. The schedule ends with a WordList →
+// several table growths. Two steps fill the arena: one interns a word
+// of one repeated letter around a chunk's length (chunkSize−1 to
+// 2·chunkSize+1 bytes, so such words repeat too), the other a word as
+// long as it takes to end exactly at the next chunk boundary. The
+// schedule ends with a WordList →
 // FromWordList round trip, which must give every word its ID and
 // symbol back (aliases are not part of a word list).
 func FuzzInterner(f *testing.F) {
@@ -105,6 +109,7 @@ func FuzzInterner(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 0, 1, 7, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 0, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 3, 0, 6, 1})
 	f.Add([]byte{2, 5, 'q', 'u', 'a', 'k', 'e', 3, 't', 'h', 'e', 5, 5, 'q', 'u', 'a', 'k', 'e', 0, 3, 't', 'h', 'e'})
 	f.Add([]byte{0, 0, 7, 255, 7, 255, 4, 0, 0, 7, 'a', 'a', 'a', 'a', 'a', 'a', 'a', 6, 200})
+	f.Add([]byte{8, 2, 0, 9, 1, 8, 2, 0, 6, 1, 6, 2, 0, 3, 'a', 'b', 'c', 9, 2, 8, 4, 1, 6, 5, 6, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := NewInterner()
 		model := map[string]Symbol{}
@@ -140,9 +145,9 @@ func FuzzInterner(f *testing.F) {
 			}
 			return string(w)
 		}
-		generated := 0
+		generated, filled := 0, 0
 		for len(data) > 0 {
-			switch op := next() % 8; op {
+			switch op := next() % 10; op {
 			case 0, 1:
 				w := word()
 				want := intern(w)
@@ -197,6 +202,22 @@ func FuzzInterner(f *testing.F) {
 					if got, want := in.InternBytes([]byte(w)), intern(w); got != want {
 						t.Fatalf("InternBytes(%q) = %d, model %d", w, got, want)
 					}
+				}
+			case 8, 9:
+				var w string
+				if op == 8 {
+					n := []int{chunkSize - 1, chunkSize, chunkSize + 1, 2 * chunkSize, 2*chunkSize + 1}[next()%5]
+					w = strings.Repeat(string("ab"[next()%2]), n)
+				} else {
+					// A distinct word, '#' and a count, padded with '.' to
+					// end the arena on a chunk boundary.
+					filled++
+					tag := "#" + strconv.Itoa(filled)
+					pos := int(in.arena.ends[len(in.arena.ends)-1])
+					w = tag + strings.Repeat(".", max(0, chunkSize-pos%chunkSize-len(tag)))
+				}
+				if got, want := in.InternBytes([]byte(w)), intern(w); got != want {
+					t.Fatalf("InternBytes(%d bytes) = %d, model %d", len(w), got, want)
 				}
 			}
 		}

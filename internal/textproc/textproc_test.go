@@ -1,11 +1,13 @@
 package textproc
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/dygraph"
+	"repro/internal/tracegen"
 )
 
 // Token is a RawToken copied out of the Tokenizer's scratch, so a test
@@ -380,6 +382,104 @@ func TestSymTableSeededHash(t *testing.T) {
 	}
 	if worst > 256 || total > 4*tab.n {
 		t.Fatalf("%d keys in %d slots: longest displacement %d, mean %.1f", tab.n, len(tab.slots), worst, float64(total)/float64(tab.n))
+	}
+}
+
+// TestInternerLongCollisions pins every long word's hash to one value,
+// so the long table is a single probe cluster and only the arena check
+// tells its words apart: words that share a prefix, words of one length
+// that differ in their last byte, a long stop word and a long synonym
+// key moving from the side map into the table when interned, and
+// growths that move the cluster. IDs, Word, Lookup and WordList must
+// stay a map model's.
+func TestInternerLongCollisions(t *testing.T) {
+	in := NewInterner()
+	in.long.pin = 1<<63 | 1
+	in.Alias("earthquakes", "earthquake")
+	model := map[string]dygraph.NodeID{}
+	words := []string{""}
+	intern := func(w string) {
+		t.Helper()
+		id, ok := model[w]
+		if !ok {
+			id = dygraph.NodeID(len(words))
+			model[w], words = id, append(words, w)
+		}
+		got := in.Intern(w)
+		if len(words)%2 == 0 {
+			got = in.InternBytes([]byte(w))
+		}
+		if got != id {
+			t.Fatalf("Intern(%q) = %d, model %d", w, got, id)
+		}
+	}
+	for i := 8; i <= 40; i++ {
+		intern(strings.Repeat("x", i))
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		intern("collision" + string(c))
+	}
+	intern("themselves")
+	intern("earthquakes")
+	for i := 0; i < 1500; i++ {
+		intern("collide-" + strconv.Itoa(i))
+		if i%100 == 0 {
+			intern(strings.Repeat("x", 8+i%33)) // an old word again
+		}
+	}
+	if in.long.n != len(model) || len(in.side) != 4 {
+		t.Fatalf("long table holds %d words, side map %d entries; want %d and the other 4 long stop words", in.long.n, len(in.side), len(model))
+	}
+	for _, sl := range in.long.slots {
+		if sl.key != 0 && sl.key != in.long.pin {
+			t.Fatalf("slot keyed %#x, not the pinned hash", sl.key)
+		}
+	}
+	for w, id := range model {
+		if got, ok := in.Lookup(w); !ok || got != id || in.Word(id) != w {
+			t.Fatalf("Lookup(%q) = %d/%v, Word = %q; model %d", w, got, ok, in.Word(id), id)
+		}
+	}
+	if s := resolve(in, "themselves"); !s.Stop() || s.ID != model["themselves"] {
+		t.Fatalf("interned stop word: %+v", s)
+	}
+	if s := resolve(in, "earthquakes"); !s.IsAlias() || s.ID != model["earthquakes"] {
+		t.Fatalf("interned synonym key: %+v", s)
+	}
+	if s := resolve(in, "yourselves"); !s.Stop() || s.ID != 0 {
+		t.Fatalf("stop word nobody interned: %+v", s)
+	}
+	for _, w := range []string{"collide-1500", "collision", "collisionz!", strings.Repeat("x", 41), strings.Repeat("y", 20)} {
+		if id, ok := in.Lookup(w); ok {
+			t.Fatalf("Lookup(%q) found %d (%q)", w, id, in.Word(id))
+		}
+	}
+	if got := in.WordList(); !slices.Equal(got, words[1:]) {
+		t.Fatalf("WordList holds %d words, model %d, or in another order", len(got), len(words)-1)
+	}
+}
+
+// TestInternerFootprint is the interner's memory guard: over the TW
+// trace the spine benchmark runs (662,400 messages, 34.7k words) it
+// holds at most 50 bytes per word, counted by capacity over the arena,
+// the end offsets, both tables and the side maps (Footprint). A string
+// header per word alone is 16 bytes and an allocation per word 8 more.
+// The figure rises and falls with the tables' doublings (37.5 bytes at
+// 200k messages, 52.1 at 100k just past one); this trace sits mid-way.
+func TestInternerFootprint(t *testing.T) {
+	t.Parallel()
+	msgs, _ := tracegen.Generate(tracegen.TWConfig(3, 662400))
+	in := NewInterner()
+	var tk Tokenizer
+	for _, m := range msgs {
+		for _, tok := range tk.Tokenize(m.Text) {
+			in.InternBytes(tok.Text)
+		}
+	}
+	perWord := float64(in.Footprint()) / float64(in.Size())
+	t.Logf("%d words, %d bytes: %.1f bytes per word", in.Size(), in.Footprint(), perWord)
+	if perWord > 50 {
+		t.Fatalf("the interner holds %.1f bytes per word, want at most 50", perWord)
 	}
 }
 
