@@ -10,16 +10,12 @@ import (
 	"testing"
 )
 
-// gobLoader is the one file allowed to import encoding/gob: the
-// read-only loader of the retired gob checkpoint format.
-const gobLoader = "internal/detect/checkpoint_v1.go"
-
-// TestGobOnlyInV1Loader parses the imports of every non-test Go file in
-// the repository and fails if any but gobLoader imports encoding/gob, so
-// gob cannot return to the checkpoint's write path (or any other).
-func TestGobOnlyInV1Loader(t *testing.T) {
+// TestNoGobImport parses the imports of every non-test Go file in the
+// repository and fails if any imports encoding/gob: the checkpoint is
+// the binary repro-detector-v2 layout, and gob is not to return to it
+// (or to any other format).
+func TestNoGobImport(t *testing.T) {
 	fset := token.NewFileSet()
-	loaderImportsGob := false
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -38,21 +34,13 @@ func TestGobOnlyInV1Loader(t *testing.T) {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p != "encoding/gob" {
-				continue
-			}
-			if filepath.ToSlash(path) == gobLoader {
-				loaderImportsGob = true
-			} else {
-				t.Errorf("%s imports encoding/gob; only %s may", path, gobLoader)
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob", path)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !loaderImportsGob {
-		t.Errorf("%s no longer imports encoding/gob: update gobLoader, or delete this test with the loader", gobLoader)
 	}
 }

@@ -1,6 +1,7 @@
 package akg
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/ckg"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dygraph"
 	"repro/internal/minhash"
@@ -414,7 +416,7 @@ func algorithmStats(st QuantumStats) QuantumStats {
 // and go stale (absent for longer than the window), and after every
 // quantum checks the layer's invariants and that its public reads agree
 // with the ring, for untracked keywords too. Every so often the layer is
-// round-tripped through State/FromState — which tracks the AKG members
+// round-tripped through Encode/Decode — which tracks the AKG members
 // only — and the restored twin must then evolve like the original, up to
 // the counters of tracking and sketch caching, before it takes over.
 func TestTrackingMatchesRing(t *testing.T) {
@@ -467,10 +469,7 @@ func TestTrackingMatchesRing(t *testing.T) {
 		}
 		switch q % 29 {
 		case 13:
-			b, err := FromState(a.State(), core.Hooks{}, maxKeyword)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := roundTrip(t, a)
 			checkLayer(t, b)
 			checkRingAnswers(t, b)
 			twin = b
@@ -587,11 +586,7 @@ func TestAKGStateRoundTrip(t *testing.T) {
 	for q := 0; q < 10; q++ {
 		a.ProcessQuantum(burstBatch(4+q%2, dygraph.NodeID(q%4), dygraph.NodeID(q%4+1), dygraph.NodeID(q%4+2)))
 	}
-	st := a.State()
-	b, err := FromState(st, core.Hooks{}, maxKeyword)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := roundTrip(t, a)
 	checkLayer(t, b)
 	if b.Quantum() != a.Quantum() || b.NodeCount() != a.NodeCount() || b.EdgeCount() != a.EdgeCount() {
 		t.Fatalf("counts differ after restore")
@@ -616,70 +611,38 @@ func TestAKGStateRoundTrip(t *testing.T) {
 	}
 }
 
-// maxKeyword is the vocabulary bound the state tests declare to
-// FromState; every keyword they use lies below it.
+// maxKeyword is the vocabulary bound the round trips declare to
+// Decode; every keyword the tests use lies below it.
 const maxKeyword = 1000
 
-func TestAKGStateValidation(t *testing.T) {
-	a := newTest(3, 0.2, 4)
-	a.ProcessQuantum(burstBatch(5, 1, 2, 3))
-	good := a.State()
-
-	bad := good
-	bad.Ring = append(bad.Ring, bad.Ring...)
-	bad.Ring = append(bad.Ring, bad.Ring...)
-	bad.Ring = append(bad.Ring, bad.Ring...)
-	if _, err := FromState(bad, core.Hooks{}, maxKeyword); err == nil {
-		t.Fatalf("oversized ring accepted")
-	}
-
-	bad = good
-	bad.Present = append([]dygraph.NodeID{}, 999)
-	if _, err := FromState(bad, core.Hooks{}, maxKeyword); err == nil {
-		t.Fatalf("phantom present keyword accepted")
-	}
-
-	// The keyword table is indexed by ID: an ID beyond the declared
-	// vocabulary must be refused, not sized for (2³¹ records would be
-	// 16 GiB of pointers).
-	const huge = dygraph.NodeID(1) << 31
-	bad = good
-	bad.Present = append(slices.Clone(good.Present), huge)
-	if _, err := FromState(bad, core.Hooks{}, maxKeyword); err == nil {
-		t.Fatalf("present keyword 2^31 accepted")
-	}
-	if _, err := FromState(good, core.Hooks{}, 2); err == nil {
-		t.Fatalf("ring keyword 3 accepted under a vocabulary of 2")
-	}
-
-	// The id sets are maintained by merge: a ring that is not in State's
-	// own order would corrupt them silently, so it must be refused.
-	reshape := func(f func(q *QuantumObs)) State {
-		st := a.State() // fresh deep copy
-		f(&st.Ring[0])
-		return st
-	}
-	for name, st := range map[string]State{
-		"keywords descending": reshape(func(q *QuantumObs) {
-			slices.Reverse(q.Keywords)
-			slices.Reverse(q.Users)
-		}),
-		"keyword repeated": reshape(func(q *QuantumObs) { q.Keywords[1] = q.Keywords[0] }),
-		"users descending": reshape(func(q *QuantumObs) { slices.Reverse(q.Users[1]) }),
-		"user repeated":    reshape(func(q *QuantumObs) { q.Users[2][1] = q.Users[2][0] }),
-		"no users":         reshape(func(q *QuantumObs) { q.Users[0] = nil }),
-		"keyword 2^31": reshape(func(q *QuantumObs) {
-			q.Keywords = append(q.Keywords, huge)
-			q.Users = append(q.Users, []uint64{1})
-		}),
-	} {
-		if _, err := FromState(st, core.Hooks{}, maxKeyword); err == nil {
-			t.Errorf("%s: accepted", name)
+func strictlyAscending(xs []uint64) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] >= xs[i] {
+			return false
 		}
 	}
-	if _, err := FromState(a.State(), core.Hooks{}, maxKeyword); err != nil {
-		t.Fatalf("untouched state refused: %v", err)
+	return true
+}
+
+// roundTrip returns the layer Encode → Decode makes of a.
+func roundTrip(t *testing.T, a *AKG) *AKG {
+	t.Helper()
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf, "")
+	a.Encode(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
+	payload, err := codec.ReadFrames(&buf, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := codec.NewReader(payload)
+	b := Decode(&r, a.cfg, core.Hooks{}, maxKeyword)
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestProcessQuantumUnorderedBatch pins the cold path: a batch that breaks

@@ -1,27 +1,23 @@
 package akg
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dygraph"
 )
 
-// QuantumObs is the serialisable observation record of one quantum:
-// keyword -> distinct users who used it. Slices are sorted for stable
-// snapshots.
+// QuantumObs is the plain-data observation record of one quantum:
+// keyword -> distinct users who used it, both ascending.
 type QuantumObs struct {
 	Keywords []dygraph.NodeID
 	Users    [][]uint64 // parallel to Keywords
 }
 
-// State is a serialisable snapshot of the AKG layer. The per-keyword id
-// sets are not stored: they are exactly the column sums of the window
-// ring, and restore rebuilds those of the AKG members (Present) only —
-// any other keyword is tracked again from the ring if it turns bursty.
+// State is a plain-data picture of the AKG layer, which tests compare
+// layers by. The per-keyword id sets are not in it: they are the
+// column sums of the window ring.
 type State struct {
 	Cfg     Config
 	Quantum int
@@ -38,8 +34,6 @@ func (a *AKG) State() State {
 		Engine:  a.eng.State(),
 	}
 	for _, obs := range a.ring {
-		// The runtime ring is already keyword-ascending with users
-		// ascending per keyword — exactly the snapshot shape.
 		q := QuantumObs{Keywords: append([]dygraph.NodeID(nil), obs.keys...)}
 		for i := range obs.keys {
 			q.Users = append(q.Users, append([]uint64(nil), obs.usersOf(i)...))
@@ -57,10 +51,9 @@ func (a *AKG) State() State {
 // Encode writes the layer from its live structures: the quantum
 // counter, the window ring oldest first — per quantum its keywords as an
 // ascending list, then each keyword's users as an ascending list
-// (codec.WriteAscending) — and the engine (core.Engine.Encode). Cfg is
-// the caller's to write, and Present is not written: FromState accepts
-// only a present set equal to the engine graph's node set, so
-// DecodeState takes it from there.
+// (codec.WriteAscending) — and the engine (core.Engine.Encode). The
+// configuration is the caller's to write. The AKG members are not
+// written: they are exactly the engine graph's nodes.
 func (a *AKG) Encode(w *codec.Writer) {
 	w.Varint(int64(a.quantum))
 	w.Uvarint(uint64(len(a.ring)))
@@ -74,105 +67,58 @@ func (a *AKG) Encode(w *codec.Writer) {
 	a.eng.Encode(w)
 }
 
-// DecodeState reads what Encode wrote, with cfg as the layer's
-// configuration. Structural damage fails r; FromState's checks still
-// apply to what it returns.
-func DecodeState(r *codec.Reader, cfg Config) State {
-	s := State{Cfg: cfg, Quantum: r.Int()}
-	s.Ring = make([]QuantumObs, r.Count(1))
-	var users []uint64 // one backing array for many quanta's lists
-	for i := range s.Ring {
-		q := &s.Ring[i]
-		q.Keywords = codec.ReadAscending[dygraph.NodeID](r, nil)
-		q.Users = make([][]uint64, len(q.Keywords))
-		for k := range q.Users {
-			at := len(users)
+// Decode reads what Encode wrote into a new layer over cfg whose engine
+// reports to hooks. maxID is the largest keyword ID the caller's
+// vocabulary holds: the keyword table and the graph's node table are
+// indexed by ID, so a ring keyword or graph node above it fails r
+// before anything is sized for it. The ring may be no longer than the
+// window, and every keyword in it needs a user. The engine graph's nodes
+// are the AKG members, each tracked with its id set rebuilt from the
+// ring, which must therefore mention it. Whatever fails r, the layer
+// returned is not to be used.
+func Decode(r *codec.Reader, cfg Config, hooks core.Hooks, maxID dygraph.NodeID) *AKG {
+	a := &AKG{cfg: cfg.withDefaults(), quantum: r.Int()}
+	n := r.Count(1)
+	if n > a.cfg.Window {
+		r.Fail(fmt.Errorf("akg: ring holds %d quanta, window is %d", n, a.cfg.Window))
+	}
+	a.ring = make([]quantumObs, 0, n)
+	var users []uint64 // an entry's lists, read here and then copied at their size
+	for qi := 0; qi < n && r.Err() == nil; qi++ {
+		obs := quantumObs{keys: codec.ReadAscending[dygraph.NodeID](r, nil)}
+		if k := len(obs.keys); k > 0 && obs.keys[k-1] > maxID {
+			r.Fail(fmt.Errorf("akg: ring entry %d: keyword %d beyond the vocabulary (%d)", qi, obs.keys[k-1], maxID))
+		}
+		obs.off = make([]int32, 1, len(obs.keys)+1)
+		users = users[:0]
+		for _, k := range obs.keys {
 			users = codec.ReadAscending(r, users)
-			q.Users[k] = users[at:len(users):len(users)]
-		}
-	}
-	s.Engine = core.DecodeEngineState(r)
-	s.Present = slices.Clone(s.Engine.Graph.Nodes)
-	return s
-}
-
-// FromState reconstructs the layer — the present keywords tracked, their
-// id sets rebuilt from the ring — and re-attaches lifecycle hooks to the
-// restored engine. The ring must have
-// the shape State writes — keywords strictly ascending per quantum,
-// users strictly ascending per keyword — because the id sets are
-// maintained by merge and would be silently corrupted by anything else.
-// maxID is the largest keyword ID the caller's vocabulary holds: the
-// keyword table and the engine graph's node table are indexed by ID, so a
-// state naming a larger one — in the ring or in the engine's graph — is
-// refused rather than sized for.
-func FromState(s State, hooks core.Hooks, maxID dygraph.NodeID) (*AKG, error) {
-	if len(s.Ring) > s.Cfg.withDefaults().Window {
-		return nil, fmt.Errorf("akg: ring holds %d quanta, window is %d", len(s.Ring), s.Cfg.withDefaults().Window)
-	}
-	eng, err := core.EngineFromState(s.Engine, hooks, maxID)
-	if err != nil {
-		return nil, err
-	}
-	a := New(s.Cfg, hooks)
-	a.eng = eng
-	a.quantum = s.Quantum
-	for qi, q := range s.Ring {
-		if len(q.Keywords) != len(q.Users) {
-			return nil, fmt.Errorf("akg: ring entry has %d keywords, %d user lists", len(q.Keywords), len(q.Users))
-		}
-		if !strictlyAscending(q.Keywords) {
-			return nil, fmt.Errorf("akg: ring entry %d: keywords not strictly ascending", qi)
-		}
-		if n := len(q.Keywords); n > 0 && q.Keywords[n-1] > maxID {
-			return nil, fmt.Errorf("akg: ring entry %d: keyword %d beyond the vocabulary (%d)", qi, q.Keywords[n-1], maxID)
-		}
-		total := 0
-		for _, users := range q.Users {
-			total += len(users)
-		}
-		obs := quantumObs{
-			keys:  slices.Clone(q.Keywords),
-			off:   make([]int32, 1, len(q.Keywords)+1),
-			users: make([]uint64, 0, total),
-		}
-		for i, k := range q.Keywords {
-			if len(q.Users[i]) == 0 || !strictlyAscending(q.Users[i]) {
-				return nil, fmt.Errorf("akg: ring entry %d: users of keyword %d empty or not strictly ascending", qi, k)
+			if r.Err() == nil && int(obs.off[len(obs.off)-1]) == len(users) {
+				r.Fail(fmt.Errorf("akg: ring entry %d: keyword %d has no users", qi, k))
 			}
-			obs.users = append(obs.users, q.Users[i]...)
-			obs.off = append(obs.off, int32(len(obs.users)))
+			obs.off = append(obs.off, int32(len(users)))
 		}
+		obs.users = append([]uint64(nil), users...)
 		a.ring = append(a.ring, obs)
 	}
-	for _, k := range s.Present {
-		// The graph check comes first: it bounds k by the vocabulary
-		// before the keyword table is sized for it.
-		if !a.eng.Graph().HasNode(k) {
-			return nil, fmt.Errorf("akg: present keyword %d missing from engine graph", k)
+	if r.Err() != nil {
+		return a
+	}
+	a.eng = core.DecodeEngine(r, hooks, maxID)
+	if r.Err() != nil {
+		return a
+	}
+	// The members ascend, so the keyword table is sized once, for the last.
+	var last dygraph.NodeID
+	a.eng.Graph().ForEachNode(func(k dygraph.NodeID) { last = k })
+	a.kw = make([]*keyword, last+1)
+	a.eng.Graph().ForEachNode(func(k dygraph.NodeID) {
+		rec := a.track(k)
+		if rec.set.size() == 0 {
+			r.Fail(fmt.Errorf("akg: member keyword %d unseen inside the window", k))
 		}
-		if a.rec(k) != nil {
-			return nil, fmt.Errorf("akg: present keyword %d repeated", k)
-		}
-		r := a.track(k)
-		if r.set.size() == 0 {
-			return nil, fmt.Errorf("akg: present keyword %d unseen inside the window", k)
-		}
-		r.present = true
+		rec.present = true
 		a.nodes++
-	}
-	if a.eng.Graph().NodeCount() != a.nodes {
-		return nil, fmt.Errorf("akg: engine graph has %d nodes but %d present keywords",
-			a.eng.Graph().NodeCount(), a.nodes)
-	}
-	return a, nil
-}
-
-func strictlyAscending[T cmp.Ordered](xs []T) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] >= xs[i] {
-			return false
-		}
-	}
-	return true
+	})
+	return a
 }

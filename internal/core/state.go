@@ -8,15 +8,15 @@ import (
 	"repro/internal/dygraph"
 )
 
-// ClusterState is the serialisable form of one cluster.
+// ClusterState is the plain-data form of one cluster.
 type ClusterState struct {
 	ID    ClusterID
 	Birth uint64
 	Edges []dygraph.Edge
 }
 
-// EngineState is a serialisable snapshot of an Engine, sufficient to
-// resume incremental maintenance exactly where it stopped.
+// EngineState is a plain-data picture of an Engine, which tests compare
+// engines by.
 type EngineState struct {
 	Graph    dygraph.State
 	Clusters []ClusterState
@@ -66,85 +66,52 @@ func (en *Engine) Encode(w *codec.Writer) {
 	w.Uvarint(en.ops)
 }
 
-// DecodeEngineState reads what Encode wrote. Structural damage fails r;
-// EngineFromState's checks still apply to what it returns.
-func DecodeEngineState(r *codec.Reader) EngineState {
-	s := EngineState{Graph: dygraph.DecodeState(r)}
+// DecodeEngine reads what Encode wrote into a new engine whose lifecycle
+// callbacks go to hooks. The graph is bounded by maxID
+// (dygraph.Decode). Every cluster needs an ID from 1 to NextID, at
+// least three edges, each an edge of the graph that no other cluster
+// holds. Whatever fails r, the engine returned is not to be used.
+func DecodeEngine(r *codec.Reader, hooks Hooks, maxID dygraph.NodeID) *Engine {
+	en := &Engine{g: dygraph.Decode(r, maxID), hooks: hooks}
 	n := r.Count(3) // ID delta, birth, edge count
-	s.Clusters = make([]ClusterState, 0, n)
-	var prev ClusterID
-	for i := range n {
+	en.clusters = make(map[ClusterID]*Cluster, n)
+	var id ClusterID
+	for range n {
 		d := ClusterID(r.Uvarint())
-		if i > 0 && d == 0 {
-			r.Fail(fmt.Errorf("core: cluster IDs not ascending after %d", prev))
+		if d == 0 || id+d < id {
+			r.Fail(fmt.Errorf("core: cluster IDs not ascending from 1 after %d", id))
 		}
-		prev += d
-		cs := ClusterState{ID: prev, Birth: r.Uvarint()}
-		cs.Edges = make([]dygraph.Edge, r.Count(2))
+		id += d
+		c := &Cluster{id: id, birth: r.Uvarint(), edges: make([]dygraph.Edge, 0, r.Count(2))}
 		var er dygraph.EdgeReader
-		for j := range cs.Edges {
-			cs.Edges[j] = er.Get(r)
-		}
-		if r.Err() != nil {
-			return s
-		}
-		s.Clusters = append(s.Clusters, cs)
-	}
-	s.NextID = ClusterID(r.Uvarint())
-	s.Ops = r.Uvarint()
-	return s
-}
-
-// EngineFromState reconstructs an engine. The snapshot is validated:
-// node IDs must not exceed maxID (the graph's node table is sized by the
-// largest one, so the bound comes before anything is allocated), cluster
-// edges must exist in the graph, be disjoint across clusters, and cluster
-// IDs must not exceed NextID.
-func EngineFromState(s EngineState, hooks Hooks, maxID dygraph.NodeID) (*Engine, error) {
-	for _, n := range s.Graph.Nodes {
-		if n > maxID {
-			return nil, fmt.Errorf("core: graph node %d beyond the bound %d", n, maxID)
-		}
-	}
-	for _, e := range s.Graph.Edges {
-		if max(e.U, e.V) > maxID {
-			return nil, fmt.Errorf("core: graph edge %v beyond the bound %d", e, maxID)
-		}
-	}
-	g, err := dygraph.FromState(s.Graph)
-	if err != nil {
-		return nil, err
-	}
-	en := &Engine{
-		g:        g,
-		clusters: make(map[ClusterID]*Cluster, len(s.Clusters)),
-		nextID:   s.NextID,
-		ops:      s.Ops,
-		hooks:    hooks,
-	}
-	for _, cs := range s.Clusters {
-		if cs.ID == 0 || cs.ID > s.NextID {
-			return nil, fmt.Errorf("core: cluster ID %d out of range (next %d)", cs.ID, s.NextID)
-		}
-		if _, dup := en.clusters[cs.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate cluster ID %d", cs.ID)
-		}
-		c := &Cluster{id: cs.ID, birth: cs.Birth, edges: make([]dygraph.Edge, 0, len(cs.Edges))}
-		for _, e := range cs.Edges {
-			if !g.HasEdge(e.U, e.V) {
-				return nil, fmt.Errorf("core: cluster %d references missing edge %v", cs.ID, e)
+		for range cap(c.edges) {
+			e := er.Get(r)
+			if r.Err() != nil {
+				break
 			}
-			e = dygraph.NewEdge(e.U, e.V)
+			if !en.g.HasEdge(e.U, e.V) {
+				r.Fail(fmt.Errorf("core: cluster %d references missing edge %v", id, e))
+				break
+			}
 			if owner := en.owner(e.U, e.V); owner != 0 {
-				return nil, fmt.Errorf("core: edge %v claimed by clusters %d and %d", e, owner, cs.ID)
+				r.Fail(fmt.Errorf("core: edge %v claimed by clusters %d and %d", e, owner, id))
+				break
 			}
 			c.addEdge(e)
-			en.setOwner(e, cs.ID)
+			en.setOwner(e, id)
 		}
 		if len(c.edges) < 3 {
-			return nil, fmt.Errorf("core: cluster %d has %d edges; minimum cluster is a triangle", cs.ID, len(c.edges))
+			r.Fail(fmt.Errorf("core: cluster %d has %d edges; minimum cluster is a triangle", id, len(c.edges)))
 		}
-		en.clusters[cs.ID] = c
+		if r.Err() != nil {
+			return en
+		}
+		en.clusters[id] = c
 	}
-	return en, nil
+	en.nextID = ClusterID(r.Uvarint())
+	en.ops = r.Uvarint()
+	if id > en.nextID {
+		r.Fail(fmt.Errorf("core: cluster ID %d out of range (next %d)", id, en.nextID))
+	}
+	return en
 }

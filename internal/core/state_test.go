@@ -1,11 +1,35 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/dygraph"
 )
+
+// roundTrip encodes with encode and decodes what it wrote with decode,
+// which must consume it all.
+func roundTrip[T any](t *testing.T, encode func(*codec.Writer), decode func(*codec.Reader) T) T {
+	t.Helper()
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf, "")
+	encode(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.ReadFrames(&buf, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := codec.NewReader(payload)
+	v := decode(&r)
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 func TestEngineStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -19,11 +43,7 @@ func TestEngineStateRoundTrip(t *testing.T) {
 			en.RemoveEdge(a, b)
 		}
 	}
-	s := en.State()
-	en2, err := EngineFromState(s, Hooks{}, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
+	en2 := roundTrip(t, en.Encode, func(r *codec.Reader) *Engine { return DecodeEngine(r, Hooks{}, 19) })
 	if !SameClustering(en.Snapshot(), en2.Snapshot()) {
 		t.Fatalf("clustering lost in round trip")
 	}
@@ -55,87 +75,16 @@ func TestEngineStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEngineStateValidation(t *testing.T) {
-	en := NewEngine(Hooks{})
-	en.AddEdge(1, 2, 1)
-	en.AddEdge(2, 3, 1)
-	en.AddEdge(1, 3, 1)
-	good := en.State()
-
-	bad := good
-	bad.Clusters = append([]ClusterState(nil), good.Clusters...)
-	bad.Clusters[0] = ClusterState{ID: 99, Birth: 0, Edges: good.Clusters[0].Edges}
-	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
-		t.Fatalf("out-of-range cluster ID accepted")
-	}
-
-	bad = good
-	bad.Clusters = []ClusterState{{
-		ID:    good.Clusters[0].ID,
-		Edges: []dygraph.Edge{dygraph.NewEdge(7, 8)},
-	}}
-	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
-		t.Fatalf("missing-edge cluster accepted")
-	}
-
-	bad = good
-	bad.Clusters = []ClusterState{{
-		ID:    good.Clusters[0].ID,
-		Edges: good.Clusters[0].Edges[:2],
-	}}
-	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
-		t.Fatalf("sub-triangle cluster accepted")
-	}
-
-	bad = good
-	bad.Clusters = append(append([]ClusterState(nil), good.Clusters...), good.Clusters[0])
-	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
-		t.Fatalf("duplicate cluster accepted")
-	}
-
-	// The graph's node table is indexed by ID: an ID beyond the bound is
-	// refused wherever the graph names it, before the table is sized.
-	bad = good
-	bad.Graph.Nodes = append(append([]dygraph.NodeID(nil), good.Graph.Nodes...), 9)
-	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
-		t.Fatalf("engine node beyond the bound accepted")
-	}
-	bad = good
-	bad.Graph.Edges = append(append([]dygraph.Edge(nil), good.Graph.Edges...), dygraph.NewEdge(3, 1<<31))
-	bad.Graph.Weights = append(append([]float64(nil), good.Graph.Weights...), 1)
-	if _, err := EngineFromState(bad, Hooks{}, 8); err == nil {
-		t.Fatalf("engine edge endpoint beyond the bound accepted")
-	}
-	if _, err := EngineFromState(good, Hooks{}, 8); err != nil {
-		t.Fatalf("untouched state refused: %v", err)
-	}
-}
-
 func TestGraphStateRoundTrip(t *testing.T) {
 	g := dygraph.New()
 	g.AddEdge(1, 2, 0.25)
 	g.AddEdge(2, 3, 0.75)
 	g.AddNode(9) // isolated node must survive
-	s := g.State()
-	g2, err := dygraph.FromState(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := roundTrip(t, g.Encode, func(r *codec.Reader) *dygraph.Graph { return dygraph.Decode(r, 9) })
 	if !g2.HasNode(9) || g2.EdgeCount() != 2 {
 		t.Fatalf("round trip lost content")
 	}
 	if w, _ := g2.Weight(1, 2); w != 0.25 {
 		t.Fatalf("weight lost")
-	}
-	// Corrupt states rejected.
-	s.Weights = s.Weights[:1]
-	if _, err := dygraph.FromState(s); err == nil {
-		t.Fatalf("mismatched weights accepted")
-	}
-	if _, err := dygraph.FromState(dygraph.State{
-		Edges:   []dygraph.Edge{{U: 4, V: 4}},
-		Weights: []float64{1},
-	}); err == nil {
-		t.Fatalf("self loop accepted")
 	}
 }

@@ -1,10 +1,7 @@
 package detect
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
-	"io"
 	"os"
 	"runtime"
 	"testing"
@@ -78,34 +75,6 @@ func TestCheckpointDeterministic(t *testing.T) {
 	}
 }
 
-// TestLoadV1StopsAtItsEnd: a tenant's restore reads a snapshot's
-// checkpoint through a bufio.Reader and hands what follows to the
-// archive, so a gob checkpoint too must be read to its last byte and no
-// further — the committed fixture, and one smaller than gob's own read
-// buffer, encoded here as the gob writer did (gob of State()).
-func TestLoadV1StopsAtItsEnd(t *testing.T) {
-	fixture, err := os.ReadFile(v1Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{}).State()
-	s.Magic = v1Magic
-	var small bytes.Buffer
-	if err := gob.NewEncoder(&small).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-	const tail = "the archive image follows"
-	for _, v1 := range [][]byte{fixture, small.Bytes()} {
-		r := bufio.NewReader(bytes.NewReader(append(bytes.Clone(v1), tail...)))
-		if _, err := Load(r); err != nil {
-			t.Fatal(err)
-		}
-		if rest, _ := io.ReadAll(r); string(rest) != tail {
-			t.Fatalf("after a %d-byte v1 checkpoint %q is left, want %q", len(v1), rest, tail)
-		}
-	}
-}
-
 // TestCheckpointByteFlips: every single-byte corruption of a checkpoint
 // — magic, frame header, payload or checksum — makes Load fail.
 func TestCheckpointByteFlips(t *testing.T) {
@@ -154,8 +123,9 @@ func unframed(t testing.TB, ckpt []byte) []byte {
 // the same bytes. It never panics, and what it allocates is bounded by
 // the input's length: a claimed count or length cannot size anything.
 // Each input is tried twice: as a whole checkpoint (magic, frames and
-// checksum included, or a retired gob one), and as a checkpoint's
-// payload, framed and checksummed here.
+// checksum included), and as a checkpoint's payload, framed and
+// checksummed here. The retired gob checkpoint stays a seed; Load
+// refuses it (TestLoadV1Checkpoint).
 func FuzzCheckpoint(f *testing.F) {
 	for _, d := range []*Detector{smallDetector(f, 0), smallDetector(f, 25), New(Config{})} {
 		ckpt := save(f, d)
@@ -174,8 +144,8 @@ func FuzzCheckpoint(f *testing.F) {
 			runtime.ReadMemStats(&after)
 			// Restoring costs a few hundred bytes per input byte (word
 			// list, symbol table, keyword and node tables), plus the stop
-			// list, a frame and the gob reader's chunk on the retired path:
-			// fixed costs. A make from an unchecked count costs far more.
+			// list and a frame: fixed costs. A make from an unchecked
+			// count costs far more.
 			if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+1024*len(in)); grew > bound {
 				t.Fatalf("Load of %d bytes allocated %d bytes, bound %d", len(in), grew, bound)
 			}

@@ -296,7 +296,7 @@ func New(cfg Config) *Detector {
 	return d
 }
 
-// newDetector builds what New and FromState share: a detector over cfg
+// newDetector builds what New and Load share: a detector over cfg
 // (defaults applied) and in, with its event registry, lifecycle maps and
 // quantizer in place, plus the engine hooks that feed the lifecycle maps,
 // for the caller to build the graph layer with. The synonym table goes

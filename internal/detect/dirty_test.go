@@ -104,11 +104,7 @@ func TestReconcileDirtyEquivalenceAcrossCheckpoint(t *testing.T) {
 	for _, m := range msgs[:cut] {
 		d1.IngestAll(m)
 	}
-	st := d1.State()
-	d2, err := FromState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := reload(t, d1)
 	for _, m := range msgs[cut:] {
 		d2.IngestAll(m)
 	}

@@ -47,14 +47,11 @@ func TestKeywordHistoryTracksAllKeywords(t *testing.T) {
 	if quanta < 100 || grown == 0 {
 		t.Fatalf("%d quanta, %d events whose history outgrew their keywords; the trace does not exercise growth", quanta, grown)
 	}
-	restored, err := FromState(d.State())
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := reload(t, d)
 	if n := len(restored.AllEvents()); n == 0 || n != len(d.AllEvents()) {
 		t.Fatalf("restored %d events, want %d", n, len(d.AllEvents()))
 	}
-	checkHistories(t, "after FromState", restored.AllEvents())
+	checkHistories(t, "after Load", restored.AllEvents())
 	checkHistories(t, "restored snapshot views", restored.Snapshot(nil).AllEvents())
 
 	// A hand-built event has no stored history and gets a sorted copy.

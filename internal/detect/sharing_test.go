@@ -84,11 +84,7 @@ func factsOf(s *Snapshot) snapshotFacts {
 // and snapshots that: the reference the shared build must equal.
 func fromScratch(t *testing.T, d *Detector) *Snapshot {
 	t.Helper()
-	ref, err := FromState(d.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref.Snapshot(nil)
+	return reload(t, d).Snapshot(nil)
 }
 
 // TestSnapshotSharingEquivalence drives generated traces through the
@@ -166,11 +162,7 @@ func runSharing(t *testing.T, name string, msgs []stream.Message, retain int) {
 	reused, trims := 0, 0
 	for i, m := range msgs {
 		if i == len(msgs)/2 {
-			restored, err := FromState(d.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			d = restored
+			d = reload(t, d)
 		}
 		var snap *Snapshot
 		for _, res := range d.IngestAll(m) {

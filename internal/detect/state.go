@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -15,201 +17,14 @@ import (
 	"repro/internal/textproc"
 )
 
-// checkpointMagic tags the checkpoint format Save writes, and a
-// DetectorState that FromState accepts. The layout is in Save's comment;
-// the gob format before it is read by loadV1.
+// checkpointMagic tags the checkpoint format Save writes and Load
+// reads. The layout is in Save's comment.
 const checkpointMagic = "repro-detector-v2"
-
-// EventSnapshot is the serialisable form of an Event (AllKeywords
-// flattened to a sorted slice; the lifecycle enum stored as an int).
-type EventSnapshot struct {
-	ID            uint64
-	ClusterID     core.ClusterID
-	BornQuantum   int
-	LastQuantum   int
-	Keywords      []string
-	Rank          float64
-	RankHistory   []float64
-	PeakRank      float64
-	Evolved       bool
-	MergedInto    uint64
-	SplitFrom     uint64
-	Lifecycle     int
-	Support       int
-	Size          int
-	Reported      bool
-	FirstReported int
-	AllKeywords   []string
-	ExactMQC      bool
-}
-
-// DetectorState is a full checkpoint of a Detector: feed the same
-// remaining stream to a restored detector and it produces exactly the
-// same events as an uninterrupted run.
-type DetectorState struct {
-	Magic     string
-	Cfg       Config
-	Words     []string
-	NounSeen  []dygraph.NodeID
-	AKG       akg.State
-	Events    []EventSnapshot
-	Finished  []EventSnapshot
-	NextEvent uint64
-	Processed uint64
-	// Trimmed is the cumulative TrimFinished eviction count; restoring it
-	// keeps eviction ordinals stable across a snapshot + WAL replay, so
-	// the archive can deduplicate re-evicted events exactly.
-	Trimmed uint64
-	Pending []stream.Message // partial quantum buffered at snapshot time
-	// Time-quantizer grid position (meaningful when Cfg.QuantumTime > 0).
-	TQStart   int64
-	TQStarted bool
-}
-
-func snapshotEvent(ev *Event) EventSnapshot {
-	return EventSnapshot{
-		ID:            ev.ID,
-		ClusterID:     ev.ClusterID,
-		BornQuantum:   ev.BornQuantum,
-		LastQuantum:   ev.LastQuantum,
-		Keywords:      append([]string(nil), ev.Keywords...),
-		Rank:          ev.Rank,
-		RankHistory:   append([]float64(nil), ev.RankHistory...),
-		PeakRank:      ev.PeakRank,
-		Evolved:       ev.Evolved,
-		MergedInto:    ev.MergedInto,
-		SplitFrom:     ev.SplitFrom,
-		Lifecycle:     int(ev.State),
-		Support:       ev.Support,
-		Size:          ev.Size,
-		Reported:      ev.Reported,
-		FirstReported: ev.FirstReported,
-		AllKeywords:   append(make([]string, 0, len(ev.AllKeywords)), ev.KeywordHistory()...),
-		ExactMQC:      ev.ExactMQC,
-	}
-}
-
-func restoreEvent(s EventSnapshot) *Event {
-	all := make(map[string]struct{}, len(s.AllKeywords))
-	for _, kw := range s.AllKeywords {
-		all[kw] = struct{}{}
-	}
-	return &Event{
-		ID:            s.ID,
-		ClusterID:     s.ClusterID,
-		BornQuantum:   s.BornQuantum,
-		LastQuantum:   s.LastQuantum,
-		Keywords:      append([]string(nil), s.Keywords...),
-		Rank:          s.Rank,
-		RankHistory:   append([]float64(nil), s.RankHistory...),
-		PeakRank:      s.PeakRank,
-		Evolved:       s.Evolved,
-		MergedInto:    s.MergedInto,
-		SplitFrom:     s.SplitFrom,
-		State:         EventState(s.Lifecycle),
-		Support:       s.Support,
-		Size:          s.Size,
-		Reported:      s.Reported,
-		FirstReported: s.FirstReported,
-		AllKeywords:   all,
-		ExactMQC:      s.ExactMQC,
-		history:       slices.Sorted(maps.Keys(all)),
-	}
-}
-
-// State captures the detector. Must be called at a quantum boundary or
-// before the first message of a quantum; buffered partial-quantum
-// messages are included, so any point is actually safe.
-func (d *Detector) State() DetectorState {
-	s := DetectorState{
-		Magic:     checkpointMagic,
-		Cfg:       d.cfg,
-		Words:     d.interner.WordList(),
-		AKG:       d.akg.State(),
-		NextEvent: d.nextEvent,
-		Processed: d.processed,
-		Trimmed:   d.trimmed,
-	}
-	for id, seen := range d.nounSeen {
-		if seen {
-			s.NounSeen = append(s.NounSeen, dygraph.NodeID(id))
-		}
-	}
-	// Live events sorted by cluster ID for deterministic snapshots.
-	for _, cid := range slices.Sorted(maps.Keys(d.events)) {
-		s.Events = append(s.Events, snapshotEvent(d.events[cid]))
-	}
-	for _, ev := range d.finished {
-		s.Finished = append(s.Finished, snapshotEvent(ev))
-	}
-	if d.tquant != nil {
-		s.Pending = append(s.Pending, d.tquant.Buffered()...)
-		s.TQStart, s.TQStarted = d.tquant.Pos()
-	} else {
-		s.Pending = append(s.Pending, d.quant.Buffered()...)
-	}
-	return s
-}
-
-// FromState reconstructs a detector from a checkpoint.
-func FromState(s DetectorState) (*Detector, error) {
-	if s.Magic != checkpointMagic {
-		return nil, fmt.Errorf("detect: bad checkpoint magic %q", s.Magic)
-	}
-	d, hooks := newDetector(s.Cfg, textproc.FromWordList(s.Words))
-	d.nextEvent, d.processed, d.trimmed = s.NextEvent, s.Processed, s.Trimmed
-	if d.tquant != nil {
-		d.tquant.Resume(s.TQStart, s.TQStarted)
-	}
-	// Keyword IDs index dense tables here and in the AKG layer, so none
-	// may lie beyond the vocabulary the checkpoint itself carries.
-	maxID := dygraph.NodeID(d.interner.Size())
-	a, err := akg.FromState(s.AKG, hooks, maxID)
-	if err != nil {
-		return nil, err
-	}
-	d.akg = a
-	d.growNounSeen()
-	for _, id := range s.NounSeen {
-		if id > maxID {
-			return nil, fmt.Errorf("detect: noun-seen keyword %d beyond the vocabulary (%d)", id, maxID)
-		}
-		d.nounSeen[id] = true
-	}
-	for _, es := range s.Events {
-		ev := restoreEvent(es)
-		c := d.akg.Engine().Cluster(ev.ClusterID)
-		if c == nil {
-			return nil, fmt.Errorf("detect: event %d references missing cluster %d", ev.ID, ev.ClusterID)
-		}
-		// The user community is derived state: a checkpoint carries only
-		// its size (Support), the restored window rebuilds the members.
-		d.nodeScratch = c.AppendNodes(d.nodeScratch[:0])
-		ev.users = d.unionUsers(d.nodeScratch)
-		d.events[ev.ClusterID] = ev
-	}
-	for _, es := range s.Finished {
-		d.finished = append(d.finished, restoreEvent(es))
-	}
-	for _, m := range s.Pending {
-		if d.tquant != nil {
-			// Checked before Add, which would cut one empty quantum per
-			// period of a gap, however long.
-			if d.tquant.Closes(m.Time) {
-				return nil, fmt.Errorf("detect: checkpoint pending buffer crosses a time-quantum boundary")
-			}
-			d.tquant.Add(m)
-		} else if batch := d.quant.Add(m); batch != nil {
-			return nil, fmt.Errorf("detect: checkpoint pending buffer holds a full quantum")
-		}
-	}
-	return d, nil
-}
 
 // Save writes a checkpoint: a framed image (codec.NewWriter) tagged
 // checkpointMagic, streamed from the live structures through one
-// frame-sized buffer, without a DetectorState or the whole image in
-// memory. The payload, in order:
+// frame-sized buffer, without the whole image in memory. The payload, in
+// order:
 //
 //   - the configuration (writeConfig);
 //   - NextEvent, Processed and Trimmed;
@@ -238,8 +53,8 @@ func (d *Detector) Save(w io.Writer) error {
 
 	words := d.interner.Size()
 	cw.Uvarint(uint64(words))
-	for id := 1; id <= words; id++ {
-		cw.String(d.interner.Word(dygraph.NodeID(id)))
+	for word := range d.interner.All() {
+		cw.String(word)
 	}
 	var mask byte
 	for id := 0; id <= words; id++ {
@@ -390,85 +205,54 @@ func writeEvent(w *codec.Writer, ev *Event) {
 	}
 }
 
-func readEvents(r *codec.Reader) []EventSnapshot {
-	evs := make([]EventSnapshot, r.Count(minEventBytes))
-	for i := range evs {
-		e := &evs[i]
-		e.ID = r.Uvarint()
-		e.ClusterID = core.ClusterID(r.Uvarint())
-		e.BornQuantum = r.Int()
-		e.LastQuantum = r.Int()
-		e.Keywords = r.Strings(nil, r.Count(1))
-		e.Rank = r.Float64()
-		e.RankHistory = make([]float64, r.Count(8))
-		for j := range e.RankHistory {
-			e.RankHistory[j] = r.Float64()
-		}
-		e.PeakRank = r.Float64()
-		flags := r.Byte()
-		if flags&^(flagEvolved|flagReported|flagExactMQC) != 0 {
-			r.Fail(fmt.Errorf("event %d: unknown flags %#x", e.ID, flags))
-		}
-		e.Evolved = flags&flagEvolved != 0
-		e.Reported = flags&flagReported != 0
-		e.ExactMQC = flags&flagExactMQC != 0
-		e.MergedInto = r.Uvarint()
-		e.SplitFrom = r.Uvarint()
-		e.Lifecycle = r.Int()
-		e.Support = r.Int()
-		e.Size = r.Int()
-		e.FirstReported = r.Int()
-		e.AllKeywords = r.Strings(nil, r.Count(1))
+// readEvent reads what writeEvent wrote. A live event's user community
+// is not in the checkpoint: the caller derives it from the cluster.
+func readEvent(r *codec.Reader) *Event {
+	ev := &Event{ID: r.Uvarint()}
+	ev.ClusterID = core.ClusterID(r.Uvarint())
+	ev.BornQuantum = r.Int()
+	ev.LastQuantum = r.Int()
+	ev.Keywords = r.Strings(nil, r.Count(1))
+	ev.Rank = r.Float64()
+	ev.RankHistory = make([]float64, r.Count(8))
+	for j := range ev.RankHistory {
+		ev.RankHistory[j] = r.Float64()
 	}
-	return evs
+	ev.PeakRank = r.Float64()
+	flags := r.Byte()
+	if flags&^(flagEvolved|flagReported|flagExactMQC) != 0 {
+		r.Fail(fmt.Errorf("event %d: unknown flags %#x", ev.ID, flags))
+	}
+	ev.Evolved = flags&flagEvolved != 0
+	ev.Reported = flags&flagReported != 0
+	ev.ExactMQC = flags&flagExactMQC != 0
+	ev.MergedInto = r.Uvarint()
+	ev.SplitFrom = r.Uvarint()
+	ev.State = EventState(r.Int())
+	ev.Support = r.Int()
+	ev.Size = r.Int()
+	ev.FirstReported = r.Int()
+	ev.history = r.Strings(nil, r.Count(1))
+	ev.AllKeywords = make(map[string]struct{}, len(ev.history))
+	for _, kw := range ev.history {
+		ev.AllKeywords[kw] = struct{}{}
+	}
+	if len(ev.AllKeywords) != len(ev.history) || !slices.IsSorted(ev.history) {
+		ev.history = slices.Sorted(maps.Keys(ev.AllKeywords))
+	}
+	return ev
 }
 
-// decodeState reads a checkpoint's payload (what Save wrote after the
-// magic, unframed) into a DetectorState for FromState to validate.
-func decodeState(payload []byte) (DetectorState, error) {
-	r := codec.NewReader(payload)
-	s := DetectorState{Magic: checkpointMagic, Cfg: readConfig(&r)}
-	s.NextEvent = r.Uvarint()
-	s.Processed = r.Uvarint()
-	s.Trimmed = r.Uvarint()
+// gobCheckpointMark is in the first bytes of every repro-detector-v1
+// checkpoint: gob sends a type's definition before its first value, and
+// the definition of DetectorState, the gob-encoded struct, begins with
+// its name.
+const gobCheckpointMark = "DetectorSt"
 
-	words := r.Count(1)
-	s.Words = r.Strings(make([]string, 0, words), words)
-	bitmap := r.Next(words/8 + 1)
-	for i, b := range bitmap {
-		for b != 0 {
-			id := 8*i + bits.TrailingZeros8(b)
-			if id > words {
-				r.Fail(fmt.Errorf("noun-seen bitmap sets bit %d past the %d words", id, words))
-				break
-			}
-			s.NounSeen = append(s.NounSeen, dygraph.NodeID(id))
-			b &= b - 1
-		}
-	}
-
-	s.AKG = akg.DecodeState(&r, s.Cfg.AKG)
-	s.Events = readEvents(&r)
-	s.Finished = readEvents(&r)
-
-	s.Pending = make([]stream.Message, r.Count(4)) // four one-byte fields and an empty text
-	for i := range s.Pending {
-		m := &s.Pending[i]
-		m.ID = r.Uvarint()
-		m.User = r.Uvarint()
-		m.Time = r.Varint()
-		m.Text = r.String()
-	}
-	s.TQStart = r.Varint()
-	s.TQStarted = r.Bool()
-	return s, r.End()
-}
-
-// Load reads a checkpoint written by Save — or by the gob format before
-// it (loadV1) — and reconstructs the detector. It reads exactly the
-// checkpoint's bytes, so whatever follows in r stays unread. A reader
-// that tells its length (Len, as bytes.Reader does) is read as LoadSized
-// reads it.
+// Load reads a checkpoint written by Save and reconstructs the detector.
+// It reads exactly the checkpoint's bytes, so whatever follows in r
+// stays unread. A reader that tells its length (Len, as bytes.Reader
+// does) is read as LoadSized reads it.
 func Load(r io.Reader) (*Detector, error) {
 	size := 0
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -482,21 +266,116 @@ func Load(r io.Reader) (*Detector, error) {
 // size of the snapshot file the checkpoint starts — or 0 when unknown.
 // A known size lets the checkpoint's payload be read into one
 // allocation instead of being grown frame by frame.
+//
+// A gob checkpoint (repro-detector-v1), the format before Save's, is
+// refused with an error that says how to move past it.
 func LoadSized(r io.Reader, size int) (*Detector, error) {
 	head := make([]byte, len(checkpointMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("detect: read checkpoint: %w", err)
 	}
-	if string(head) != checkpointMagic {
-		return loadV1(head, r)
+	switch {
+	case bytes.Contains(head, []byte(gobCheckpointMark)):
+		return nil, errors.New("detect: the checkpoint is a retired gob checkpoint (repro-detector-v1), which this build does not read; " +
+			"start the previous build once on this directory and stop it cleanly, so that it writes the checkpoint again as " +
+			checkpointMagic + ", then start this one")
+	case string(head) != checkpointMagic:
+		return nil, fmt.Errorf("detect: bad checkpoint magic %q", head)
 	}
 	payload, err := codec.ReadFrames(r, checkpointMagic, max(size-len(head), 0))
 	if err != nil {
 		return nil, fmt.Errorf("detect: read checkpoint: %w", err)
 	}
-	s, err := decodeState(payload)
-	if err != nil {
+	pr := codec.NewReader(payload)
+	d := decode(&pr)
+	if err := pr.End(); err != nil {
 		return nil, fmt.Errorf("detect: decode checkpoint: %w", err)
 	}
-	return FromState(s)
+	return d, nil
+}
+
+// decode reads a checkpoint's payload (what Save wrote after the magic,
+// unframed) straight into a detector. Keyword IDs index dense tables
+// here and in the AKG layer, so none may lie beyond the vocabulary the
+// checkpoint itself carries. Whatever fails r, the detector returned is
+// not to be used.
+func decode(r *codec.Reader) *Detector {
+	cfg := readConfig(r)
+	nextEvent, processed, trimmed := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	words := r.Count(1)
+	list := r.Strings(make([]string, 0, words), words)
+	if r.Err() != nil {
+		return nil
+	}
+	d, hooks := newDetector(cfg, textproc.FromWordList(list))
+	d.nextEvent, d.processed, d.trimmed = nextEvent, processed, trimmed
+	maxID := d.interner.Size() // below words if the list repeats a word
+
+	d.growNounSeen()
+	for i, b := range r.Next(words/8 + 1) {
+		for ; b != 0; b &= b - 1 {
+			id := 8*i + bits.TrailingZeros8(b)
+			if id > maxID {
+				r.Fail(fmt.Errorf("noun-seen bitmap sets keyword %d beyond the vocabulary (%d)", id, maxID))
+				break
+			}
+			d.nounSeen[id] = true
+		}
+	}
+
+	d.akg = akg.Decode(r, d.cfg.AKG, hooks, dygraph.NodeID(maxID))
+	if r.Err() != nil {
+		return nil
+	}
+	for range r.Count(minEventBytes) {
+		ev := readEvent(r)
+		if r.Err() != nil {
+			return nil
+		}
+		c := d.akg.Engine().Cluster(ev.ClusterID)
+		if c == nil {
+			r.Fail(fmt.Errorf("event %d references missing cluster %d", ev.ID, ev.ClusterID))
+			return nil
+		}
+		d.nodeScratch = c.AppendNodes(d.nodeScratch[:0])
+		ev.users = d.unionUsers(d.nodeScratch)
+		d.events[ev.ClusterID] = ev
+	}
+	d.finished = make([]*Event, r.Count(minEventBytes))
+	for i := range d.finished {
+		d.finished[i] = readEvent(r)
+	}
+
+	// The pending quantum comes before the quantizer's position, which
+	// it is checked against.
+	pending := make([]stream.Message, r.Count(4)) // four one-byte fields and an empty text
+	for i := range pending {
+		m := &pending[i]
+		m.ID = r.Uvarint()
+		m.User = r.Uvarint()
+		m.Time = r.Varint()
+		m.Text = r.String()
+	}
+	tqStart, tqStarted := r.Varint(), r.Bool()
+	if r.Err() != nil {
+		return nil
+	}
+	if d.tquant != nil {
+		d.tquant.Resume(tqStart, tqStarted)
+	}
+	for _, m := range pending {
+		if d.tquant != nil {
+			// Checked before Add, which would cut one empty quantum per
+			// period of a gap, however long.
+			if d.tquant.Closes(m.Time) {
+				r.Fail(errors.New("pending buffer crosses a time-quantum boundary"))
+				return nil
+			}
+			d.tquant.Add(m)
+		} else if batch := d.quant.Add(m); batch != nil {
+			r.Fail(errors.New("pending buffer holds a full quantum"))
+			return nil
+		}
+	}
+	return d
 }

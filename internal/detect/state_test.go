@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dygraph"
 	"repro/internal/stream"
 	"repro/internal/tracegen"
@@ -86,23 +89,38 @@ func TestCheckpointRoundTripState(t *testing.T) {
 	for _, m := range msgs {
 		d.Ingest(m)
 	}
-	s1 := d.State()
-	d2, err := FromState(s1)
+	if !reflect.DeepEqual(d.State(), reload(t, d).State()) {
+		t.Fatalf("Save → Load does not restore the state")
+	}
+}
+
+// reload returns the detector Save → Load makes of d.
+func reload(t testing.TB, d *Detector) *Detector {
+	t.Helper()
+	restored, err := Load(bytes.NewReader(save(t, d)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := d2.State()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("State → FromState → State not a fixpoint")
+	return restored
+}
+
+// refused fails t unless Load refuses writeState's bytes for s with an
+// error that says want.
+func refused(t *testing.T, name string, s DetectorState, want string) {
+	t.Helper()
+	_, err := Load(bytes.NewReader(writeState(t, s)))
+	switch {
+	case err == nil:
+		t.Errorf("%s: accepted", name)
+	case !strings.Contains(err.Error(), want):
+		t.Errorf("%s: %v; want an error about %q", name, err, want)
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("definitely not gob"))); err == nil {
-		t.Fatalf("garbage checkpoint accepted")
-	}
-	if _, err := FromState(DetectorState{Magic: "wrong"}); err == nil {
-		t.Fatalf("bad magic accepted")
+	_, err := Load(bytes.NewReader([]byte("definitely not a checkpoint")))
+	if err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
+		t.Fatalf("garbage checkpoint: %v", err)
 	}
 }
 
@@ -111,45 +129,197 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // 2³¹, which would size a table in gigabytes — is refused with an error
 // wherever it appears, before anything is allocated for it.
 func TestFromStateRejectsForeignIDs(t *testing.T) {
+	d, good := validationState(t)
+	words := dygraph.NodeID(len(good.Words))
+	for _, id := range []dygraph.NodeID{words + 1, 1 << 31} {
+		for name, tc := range map[string]struct {
+			corrupt func(s *DetectorState)
+			want    string
+		}{
+			"ring keyword": {func(s *DetectorState) {
+				q := &s.AKG.Ring[len(s.AKG.Ring)-1]
+				q.Keywords = append(q.Keywords, id)
+				q.Users = append(q.Users, []uint64{1})
+			}, "beyond the vocabulary"},
+			"engine node": {func(s *DetectorState) {
+				s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id)
+			}, "beyond the bound"},
+			"engine edge endpoint": {func(s *DetectorState) {
+				g := &s.AKG.Engine.Graph
+				g.Edges = append(g.Edges, dygraph.NewEdge(g.Nodes[len(g.Nodes)-1], id))
+				g.Weights = append(g.Weights, 1)
+			}, "not in the graph"},
+		} {
+			s := d.State() // fresh deep copy
+			tc.corrupt(&s)
+			refused(t, fmt.Sprintf("%s %d", name, id), s, tc.want)
+		}
+	}
+	// The bitmap holds IDs up to the word count and pads its last byte.
+	if words%8 == 7 {
+		t.Fatalf("%d words fill the noun-seen bitmap: no padding bit to set", words)
+	}
+	s := d.State()
+	s.NounSeen = append(s.NounSeen, words+1)
+	refused(t, "noun-seen padding bit", s, "noun-seen bitmap")
+	// A list that repeats a word interns one word fewer than it counts.
+	s = d.State()
+	s.Words[len(s.Words)-1] = s.Words[0]
+	s.NounSeen = append(s.NounSeen, words)
+	refused(t, "noun-seen keyword past a repeated word", s, "noun-seen bitmap")
+}
+
+// validationState returns the detector whose state the validation tests
+// corrupt, and that state: a full window, several clusters and live
+// events, which Load accepts as written.
+func validationState(t *testing.T) (*Detector, DetectorState) {
+	t.Helper()
 	msgs, _ := tracegen.Generate(tracegen.TWConfig(5, 8000))
 	d := New(Config{Delta: 100})
 	for _, m := range msgs {
 		d.Ingest(m)
 	}
-	if len(d.State().AKG.Present) == 0 {
-		t.Fatal("no AKG nodes: the engine cases are vacuous")
+	s := d.State()
+	if len(s.AKG.Ring) != d.AKG().Config().Window || len(s.AKG.Engine.Clusters) < 2 || len(s.Events) == 0 {
+		t.Fatalf("%d ring entries, %d clusters, %d live events: the cases are vacuous",
+			len(s.AKG.Ring), len(s.AKG.Engine.Clusters), len(s.Events))
 	}
-	words := dygraph.NodeID(len(d.State().Words))
-	for _, id := range []dygraph.NodeID{words + 1, 1 << 31} {
-		for name, corrupt := range map[string]func(s *DetectorState){
-			"NounSeen": func(s *DetectorState) { s.NounSeen = append(s.NounSeen, id) },
-			"ring keyword": func(s *DetectorState) {
-				q := &s.AKG.Ring[len(s.AKG.Ring)-1]
-				q.Keywords = append(q.Keywords, id)
-				q.Users = append(q.Users, []uint64{1})
-			},
-			"Present":     func(s *DetectorState) { s.AKG.Present = append(s.AKG.Present, id) },
-			"engine node": func(s *DetectorState) { s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id) },
-			"engine edge endpoint": func(s *DetectorState) {
-				g := &s.AKG.Engine.Graph
-				g.Edges = append(g.Edges, dygraph.NewEdge(s.AKG.Present[0], id))
-				g.Weights = append(g.Weights, 1)
-			},
-			"engine and Present": func(s *DetectorState) {
-				s.AKG.Present = append(s.AKG.Present, id)
-				s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, id)
-			},
-		} {
-			s := d.State() // fresh deep copy
-			corrupt(&s)
-			if _, err := FromState(s); err == nil {
-				t.Errorf("%s = %d accepted with a vocabulary of %d", name, id, words)
-			}
-		}
-	}
-	if _, err := FromState(d.State()); err != nil {
+	if _, err := Load(bytes.NewReader(writeState(t, s))); err != nil {
 		t.Fatalf("untouched state refused: %v", err)
 	}
+	return d, s
+}
+
+// TestAKGStateValidation: the window ring must be what Save writes —
+// no longer than the window, keywords strictly ascending per quantum,
+// users strictly ascending and present per keyword — because the id
+// sets are maintained by merge and would be silently corrupted by
+// anything else; and every AKG member (engine graph node) must be seen
+// inside the window.
+func TestAKGStateValidation(t *testing.T) {
+	d, good := validationState(t)
+	const huge = dygraph.NodeID(1) << 31
+	// Ring entry 0 and a keyword of it with two users or more.
+	multi := slices.IndexFunc(good.AKG.Ring[0].Users, func(us []uint64) bool { return len(us) > 1 })
+	if len(good.AKG.Ring[0].Keywords) < 2 || multi < 0 {
+		t.Fatal("ring entry 0 too small for the reshaping cases")
+	}
+	// A vocabulary word that is neither in the ring nor in the graph.
+	inRing := map[dygraph.NodeID]bool{}
+	for _, q := range good.AKG.Ring {
+		for _, k := range q.Keywords {
+			inRing[k] = true
+		}
+	}
+	unseen := dygraph.NodeID(1)
+	for inRing[unseen] {
+		unseen++
+	}
+	maxRing := dygraph.NodeID(0)
+	for _, q := range good.AKG.Ring {
+		maxRing = max(maxRing, q.Keywords[len(q.Keywords)-1])
+	}
+	for name, tc := range map[string]struct {
+		corrupt func(s *DetectorState)
+		want    string
+	}{
+		"ring longer than the window": {func(s *DetectorState) {
+			s.AKG.Ring = append(s.AKG.Ring, s.AKG.Ring[0])
+		}, "window is"},
+		"member unseen in the window": {func(s *DetectorState) {
+			g := &s.AKG.Engine.Graph
+			at, _ := slices.BinarySearch(g.Nodes, unseen)
+			g.Nodes = slices.Insert(g.Nodes, at, unseen)
+		}, "unseen inside the window"},
+		"vocabulary shorter than the ring": {func(s *DetectorState) {
+			s.Words = s.Words[:maxRing-1]
+			s.NounSeen = slices.DeleteFunc(s.NounSeen, func(id dygraph.NodeID) bool { return id >= maxRing })
+		}, "beyond the vocabulary"},
+		"keywords descending": {func(s *DetectorState) {
+			slices.Reverse(s.AKG.Ring[0].Keywords)
+			slices.Reverse(s.AKG.Ring[0].Users)
+		}, "out of range"},
+		"keyword repeated": {func(s *DetectorState) {
+			q := &s.AKG.Ring[0]
+			q.Keywords[1] = q.Keywords[0]
+		}, "not strictly ascending"},
+		"users descending": {func(s *DetectorState) {
+			slices.Reverse(s.AKG.Ring[0].Users[multi])
+		}, "out of range"},
+		"user repeated": {func(s *DetectorState) {
+			us := s.AKG.Ring[0].Users[multi]
+			us[1] = us[0]
+		}, "not strictly ascending"},
+		"no users": {func(s *DetectorState) {
+			s.AKG.Ring[0].Users[0] = nil
+		}, "has no users"},
+		"keyword 2^31": {func(s *DetectorState) {
+			q := &s.AKG.Ring[0]
+			q.Keywords = append(q.Keywords, huge)
+			q.Users = append(q.Users, []uint64{1})
+		}, "beyond the vocabulary"},
+	} {
+		s := d.State() // fresh deep copy
+		tc.corrupt(&s)
+		refused(t, name, s, tc.want)
+	}
+}
+
+// TestEngineStateValidation: every cluster needs an ID from 1 to NextID,
+// ascending, and at least three edges of the graph that no other
+// cluster holds. (The graph's ID bound is TestFromStateRejectsForeignIDs'.)
+func TestEngineStateValidation(t *testing.T) {
+	d, good := validationState(t)
+	edges := map[dygraph.Edge]bool{}
+	for _, e := range good.AKG.Engine.Graph.Edges {
+		edges[e] = true
+	}
+	nodes := good.AKG.Engine.Graph.Nodes
+	var missing dygraph.Edge
+	for _, v := range nodes[1:] {
+		if e := dygraph.NewEdge(nodes[0], v); !edges[e] {
+			missing = e
+			break
+		}
+	}
+	if missing == (dygraph.Edge{}) {
+		t.Fatalf("node %d is adjacent to every other node", nodes[0])
+	}
+	for name, tc := range map[string]struct {
+		corrupt func(en *core.EngineState)
+		want    string
+	}{
+		"cluster ID past NextID": {func(en *core.EngineState) {
+			en.Clusters[len(en.Clusters)-1].ID = en.NextID + 1
+		}, "out of range"},
+		"missing edge": {func(en *core.EngineState) {
+			en.Clusters[0].Edges = []dygraph.Edge{missing}
+		}, "missing edge"},
+		"sub-triangle cluster": {func(en *core.EngineState) {
+			en.Clusters[0].Edges = en.Clusters[0].Edges[:2]
+		}, "minimum cluster is a triangle"},
+		"duplicate cluster": {func(en *core.EngineState) {
+			en.Clusters = slices.Insert(en.Clusters, 1, en.Clusters[0])
+		}, "not ascending"},
+		"edge in two clusters": {func(en *core.EngineState) {
+			en.Clusters[1].Edges = en.Clusters[0].Edges
+		}, "claimed by clusters"},
+	} {
+		s := d.State() // fresh deep copy
+		tc.corrupt(&s.AKG.Engine)
+		refused(t, name, s, tc.want)
+	}
+}
+
+// TestGraphStateValidation: a self-loop cannot be written in the edge
+// list's order, and is refused.
+func TestGraphStateValidation(t *testing.T) {
+	_, s := validationState(t)
+	g := &s.AKG.Engine.Graph
+	last := g.Nodes[len(g.Nodes)-1]
+	g.Edges = append(g.Edges, dygraph.Edge{U: last, V: last})
+	g.Weights = append(g.Weights, 1)
+	refused(t, "self-loop", s, "out of order")
 }
 
 func TestCheckpointPendingBuffer(t *testing.T) {

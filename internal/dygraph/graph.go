@@ -322,9 +322,9 @@ func (g *Graph) Nodes() []NodeID {
 }
 
 // AppendNodes appends every node ID (sorted ascending) to dst, reusing
-// its capacity, and returns the extended slice. Snapshot/checkpoint
-// callers (see AppendState) pass a reused buffer (dst[:0]) to amortise
-// the allocation across calls; it grows exactly once when too small.
+// its capacity, and returns the extended slice. A caller may pass a
+// reused buffer (dst[:0]) to amortise the allocation across calls; it
+// grows exactly once when too small.
 func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
 	dst = slices.Grow(dst, g.nodes)
 	g.ForEachNode(func(n NodeID) { dst = append(dst, n) })

@@ -1,10 +1,13 @@
 package dygraph
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/codec"
 )
 
 func TestNewEdgeCanonical(t *testing.T) {
@@ -316,18 +319,6 @@ func TestAppendReuse(t *testing.T) {
 	if len(edges) != 2 || edges[0] != (Edge{U: 1, V: 3}) || edges[1] != (Edge{U: 2, V: 3}) {
 		t.Fatalf("AppendEdges = %v", edges)
 	}
-
-	s := g.State()
-	s2 := g.AppendState(s)
-	if len(s2.Nodes) != 3 || len(s2.Edges) != 2 || len(s2.Weights) != 2 {
-		t.Fatalf("AppendState = %+v", s2)
-	}
-	if &s2.Edges[0] != &s.Edges[0] {
-		t.Fatal("AppendState did not reuse the edge buffer")
-	}
-	if s2.Weights[0] != 0.5 || s2.Weights[1] != 0.25 {
-		t.Fatalf("weights = %v", s2.Weights)
-	}
 }
 
 // TestGraphSteadyStateAllocs pins the graph's hot operations to zero
@@ -441,8 +432,8 @@ func FuzzGraphOps(f *testing.F) {
 
 // compareGraphs fails unless g reads exactly like the oracle: counters,
 // sorted node and edge listings with weights, every node's degree, sorted
-// neighbors and owners, common neighbors of every pair of nodes, and a
-// State round trip.
+// neighbors and owners, common neighbors of every pair of nodes, and an
+// Encode → Decode round trip.
 func compareGraphs(t *testing.T, g *Graph, want *mapGraph, owners map[Edge]uint64) {
 	t.Helper()
 	if g.NodeCount() != want.NodeCount() || g.EdgeCount() != want.EdgeCount() {
@@ -498,12 +489,23 @@ func compareGraphs(t *testing.T, g *Graph, want *mapGraph, owners map[Edge]uint6
 		}
 	}
 	s := g.State()
-	back, err := FromState(s)
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf, "")
+	g.Encode(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.ReadFrames(&buf, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := codec.NewReader(payload)
+	back := Decode(&r, ^NodeID(0))
+	if err := r.End(); err != nil {
+		t.Fatalf("Encode → Decode: %v", err)
+	}
 	if s2 := back.State(); !slices.Equal(s.Nodes, s2.Nodes) || !slices.Equal(s.Edges, s2.Edges) || !slices.Equal(s.Weights, s2.Weights) {
-		t.Fatalf("State round trip changed the graph: %+v, then %+v", s, s2)
+		t.Fatalf("Encode → Decode changed the graph: %+v, then %+v", s, s2)
 	}
 	for i, e := range s.Edges {
 		if exp, _ := want.Weight(e.U, e.V); s.Weights[i] != exp {
@@ -698,9 +700,8 @@ func (g *mapGraph) Nodes() []NodeID {
 }
 
 // AppendNodes appends every node ID (sorted ascending) to dst, reusing
-// its capacity, and returns the extended slice. Snapshot/checkpoint
-// callers (see AppendState) pass a reused buffer (dst[:0]) to amortise
-// the allocation across calls; it grows exactly once when too small.
+// its capacity, and returns the extended slice; it grows exactly once
+// when too small.
 func (g *mapGraph) AppendNodes(dst []NodeID) []NodeID {
 	start := len(dst)
 	if need := start + len(g.adj); cap(dst) < need {

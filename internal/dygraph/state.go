@@ -7,36 +7,22 @@ import (
 	"repro/internal/codec"
 )
 
-// State is a serialisable snapshot of a Graph (for detector checkpoints).
-// Edge owners are not part of it: they belong to the layer that set them.
+// State is a plain-data picture of a Graph, in sorted order, which tests
+// compare graphs by. Edge owners are not part of it: they belong to the
+// layer that set them.
 type State struct {
 	Nodes   []NodeID // includes isolated nodes
 	Edges   []Edge
 	Weights []float64 // parallel to Edges
 }
 
-// State captures the graph. Nodes and edges are emitted in sorted order so
-// snapshots of equal graphs are byte-identical. AppendState is the
-// buffer-reusing variant.
+// State captures the graph. Nodes and edges are emitted in sorted order.
 func (g *Graph) State() State {
-	return g.AppendState(State{})
-}
-
-// AppendState fills buf's slices (reusing their capacity) with the
-// graph's current state and returns it.
-func (g *Graph) AppendState(buf State) State {
-	s := State{
-		Nodes:   g.AppendNodes(buf.Nodes[:0]),
-		Edges:   g.AppendEdges(buf.Edges[:0]),
-		Weights: buf.Weights[:0],
-	}
-	if cap(s.Weights) < len(s.Edges) {
-		s.Weights = make([]float64, 0, len(s.Edges))
-	}
-	for _, e := range s.Edges {
-		w, _ := g.Weight(e.U, e.V)
+	s := State{Nodes: g.Nodes(), Edges: make([]Edge, 0, g.edges), Weights: make([]float64, 0, g.edges)}
+	g.ForEachEdge(func(e Edge, w float64) {
+		s.Edges = append(s.Edges, e)
 		s.Weights = append(s.Weights, w)
-	}
+	})
 	return s
 }
 
@@ -58,20 +44,36 @@ func (g *Graph) Encode(w *codec.Writer) {
 	})
 }
 
-// DecodeState reads what Encode wrote. Structural damage fails r;
-// FromState's checks still apply to what it returns.
-func DecodeState(r *codec.Reader) State {
-	var s State
-	s.Nodes = codec.ReadAscending(r, s.Nodes)
-	n := r.Count(1 + 1 + 8) // two one-byte deltas and a weight
-	s.Edges = make([]Edge, 0, n)
-	s.Weights = make([]float64, 0, n)
-	var er EdgeReader
-	for range n {
-		s.Edges = append(s.Edges, er.Get(r))
-		s.Weights = append(s.Weights, r.Float64())
+// Decode reads what Encode wrote into a new graph. The node table is
+// sized by the largest ID, so a node above maxID fails r before any
+// node is added; an edge naming a node the list does not hold fails it
+// too. Whatever fails r, the graph returned is not to be used.
+func Decode(r *codec.Reader, maxID NodeID) *Graph {
+	g := New()
+	nodes := codec.ReadAscending[NodeID](r, nil)
+	if n := len(nodes); n > 0 && nodes[n-1] > maxID {
+		r.Fail(fmt.Errorf("dygraph: node %d beyond the bound %d", nodes[n-1], maxID))
 	}
-	return s
+	if r.Err() != nil {
+		return g
+	}
+	for _, n := range nodes {
+		g.AddNode(n)
+	}
+	var er EdgeReader
+	for range r.Count(1 + 1 + 8) { // two one-byte deltas and a weight
+		e := er.Get(r)
+		w := r.Float64()
+		switch {
+		case r.Err() != nil:
+			return g
+		case !g.HasNode(e.U) || !g.HasNode(e.V):
+			r.Fail(fmt.Errorf("dygraph: edge %v names a node not in the graph", e))
+			return g
+		}
+		g.AddEdge(e.U, e.V, w)
+	}
+	return g
 }
 
 // EdgeWriter writes a list of edges, sorted by (U,V) with U < V, as
@@ -92,7 +94,7 @@ func (p *EdgeWriter) Put(w *codec.Writer, e Edge) {
 
 // EdgeReader reads what an EdgeWriter wrote. An edge that does not
 // follow its predecessor in (U,V) order, or leaves the NodeID range,
-// fails the reader.
+// fails the reader; so every edge it returns has U < V.
 type EdgeReader struct{ prev Edge }
 
 // Get reads the next edge.
@@ -114,24 +116,4 @@ func (p *EdgeReader) Get(r *codec.Reader) Edge {
 	}
 	p.prev = Edge{U: NodeID(u), V: NodeID(v)}
 	return p.prev
-}
-
-// FromState reconstructs a graph from a snapshot. The graph's node table
-// is sized by the largest ID the state names, so a caller restoring an
-// untrusted state bounds its IDs first.
-func FromState(s State) (*Graph, error) {
-	if len(s.Edges) != len(s.Weights) {
-		return nil, fmt.Errorf("dygraph: state has %d edges but %d weights", len(s.Edges), len(s.Weights))
-	}
-	g := New()
-	for _, n := range s.Nodes {
-		g.AddNode(n)
-	}
-	for i, e := range s.Edges {
-		if e.U == e.V {
-			return nil, fmt.Errorf("dygraph: state contains self-loop on node %d", e.U)
-		}
-		g.AddEdge(e.U, e.V, s.Weights[i])
-	}
-	return g, nil
 }

@@ -156,9 +156,9 @@ func (s *tenantStorage) restore() (*detect.Detector, int, uint64, error) {
 	if r == nil {
 		det = detect.New(s.cfg.Detector)
 	} else {
-		// Load reads exactly the checkpoint (a retired gob one through
-		// the bufio.Reader's ReadByte), so the image is left for
-		// RestoreBuffer. The file's size bounds the checkpoint's.
+		// Load reads exactly the checkpoint, so the image after it is
+		// left for RestoreBuffer. The file's size bounds the
+		// checkpoint's.
 		br := bufio.NewReader(r)
 		det, err = detect.LoadSized(br, snapshotSize(r))
 		if err == nil && s.arch != nil {

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -260,4 +264,56 @@ func storageRow(t *testing.T, st *tenantStorage, family string) float64 {
 	}
 	t.Fatalf("no table row %s", family)
 	return 0
+}
+
+// TestRecoveryRefusesGobCheckpoint: a tenant whose WAL snapshot is a
+// retired gob checkpoint (repro-detector-v1) fails pool recovery with an
+// error that names it and the way past it, and recovery changes no file
+// in the directory, so that the previous build can still read it.
+func TestRecoveryRefusesGobCheckpoint(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "detect", "testdata", "detector-v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	tenantDir := filepath.Join(walDir, "t")
+	if err := os.MkdirAll(tenantDir, 0o755); err != nil { //repro:vfs-exempt lays out a directory an older build left, not storage-layer I/O
+		t.Fatal(err)
+	}
+	snap := filepath.Join(tenantDir, "snap-00000000000000000000.snap")
+	if err := os.WriteFile(snap, v1, 0o644); err != nil { //repro:vfs-exempt lays out a directory an older build left, not storage-layer I/O
+		t.Fatal(err)
+	}
+	before := treeFiles(t, walDir)
+
+	pool, err := NewPool(PoolConfig{Detector: persistCfg(), WALDir: walDir})
+	if err == nil {
+		pool.Shutdown(context.Background()) //nolint:errcheck // already failing
+		t.Fatal("pool recovered a tenant from a gob checkpoint")
+	}
+	for _, want := range []string{"gob", "previous build", "stop it cleanly"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
+	}
+	if after := treeFiles(t, walDir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("recovery changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// treeFiles returns every file under dir by its path, with its bytes.
+func treeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		files[path], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

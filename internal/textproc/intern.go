@@ -2,9 +2,11 @@ package textproc
 
 import (
 	"hash/maphash"
+	"iter"
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"unsafe"
 
 	"repro/internal/dygraph"
@@ -268,13 +270,15 @@ func (in *Interner) Words(ids []dygraph.NodeID) []string {
 func (in *Interner) Size() int { return len(in.arena.ends) - 1 }
 
 // WordList returns all interned words in ID order (excluding the reserved
-// zero entry), for checkpointing.
+// zero entry).
 func (in *Interner) WordList() []string {
-	out := make([]string, in.Size())
-	for i := range out {
-		out[i] = in.arena.word(i + 1)
-	}
-	return out
+	return slices.AppendSeq(make([]string, 0, in.Size()), in.All())
+}
+
+// All yields every interned word in ID order from ID 1, as Word returns
+// it, walking the arena once: for checkpointing.
+func (in *Interner) All() iter.Seq[string] {
+	return func(yield func(string) bool) { in.arena.all(yield) }
 }
 
 // FromWordList reconstructs an interner so that each word receives the
@@ -329,22 +333,31 @@ type wordArena struct {
 }
 
 // word returns word id (≥ 1) as a string over the arena.
-func (a *wordArena) word(id int) string {
-	p, e := a.ends[id-1], a.ends[id]
-	start := p
-	if p&chunkMask+(e-p) > chunkSize {
-		start = (p + chunkMask) &^ chunkMask // it opened a chunk
+func (a *wordArena) word(id int) string { return a.span(a.ends[id-1], a.ends[id]) }
+
+// all yields word(id) for every ID from 1 in order, in one pass over
+// the end offsets.
+func (a *wordArena) all(yield func(string) bool) {
+	var p uint32
+	for _, e := range a.ends[1:] {
+		if !yield(a.span(p, e)) {
+			return
+		}
+		p = e
 	}
-	n := e - start
-	if n == 0 {
+}
+
+// span returns the word that ends at e and follows one that ends at p:
+// it starts at p, or at the next chunk boundary when it opened a chunk.
+func (a *wordArena) span(p, e uint32) string {
+	if p&chunkMask+(e-p) > chunkSize {
+		p = (p + chunkMask) &^ chunkMask
+	}
+	if e == p {
 		return ""
 	}
-	c := a.chunks[start>>chunkShift]
-	if n > chunkSize {
-		c = c[:len(c):len(c)] // a chunk of its own, exactly the word
-	} else {
-		c = c[start&chunkMask : start&chunkMask+n]
-	}
+	c := a.chunks[p>>chunkShift]
+	c = c[p&chunkMask : min(int(p&chunkMask+e-p), len(c))] // a long word is all of its chunk
 	return unsafe.String(unsafe.SliceData(c), len(c))
 }
 
