@@ -1,5 +1,5 @@
 # Developer entry points. CI runs the same checks as `make check`.
-.PHONY: build test lint check bench-smoke bench-module fuzz-smoke
+.PHONY: build test lint check bench-smoke bench-module fuzz-smoke loc
 
 build:
 	go build ./...
@@ -45,3 +45,17 @@ fuzz-smoke:
 bench-module:
 	go build -o bin/repro-lint ./cmd/repro-lint
 	cd bench && go build ./... && go vet ./... && go test ./... && go vet -vettool=../bin/repro-lint ./...
+
+# Non-test Go line counts: every file outside bench/ and testdata, and
+# the read path's set (ROADMAP item 8). Untracked files count unless
+# git ignores them.
+READ_PATH = internal/query internal/detect/snapshot.go \
+	internal/server/query.go internal/server/handlers.go \
+	internal/server/encode.go internal/server/reads.go
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | \
+		grep -v -e '^bench/' -e '/testdata/' | xargs cat | wc -l | \
+		sed 's/^/non-test Go outside bench\/ and testdata: /'
+	@git ls-files -co --exclude-standard $(READ_PATH) | grep '\.go$$' | \
+		grep -v '_test\.go$$' | xargs cat | wc -l | \
+		sed 's/^/non-test Go in the read path (ROADMAP item 8): /'

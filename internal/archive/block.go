@@ -26,7 +26,7 @@ import (
 //	size, support, first_reported columns: n × zigzag varint
 //	merged_into, split_from columns: n × uvarint
 //	flags    column: n × byte (evolved/reported/spurious + nil-ness of the
-//	         keyword slices, so JSON null vs [] survives a v1→v2 rewrite)
+//	         keyword slices, so a decoded row keeps JSON null vs [])
 //	state    column: n × uvarint dictionary index
 //	keywords column: n × (uvarint m, m × uvarint dictionary index)
 //	all_keywords column: same shape
@@ -121,7 +121,7 @@ func (z *blockZone) mayContainKeywords(kws []string) bool {
 }
 
 // blockEncoder holds the reusable state for encoding blocks. Not safe
-// for concurrent use; the compactor owns one per rewrite.
+// for concurrent use; encodeSegment owns one per segment image.
 type blockEncoder struct {
 	idx  map[string]uint64
 	keys []string

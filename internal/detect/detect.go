@@ -884,8 +884,10 @@ func (d *Detector) reportable(ev *Event, c *core.Cluster) bool {
 }
 
 // LiveEvents returns the currently live events sorted by rank
-// descending: the live views of a fresh Snapshot.
-func (d *Detector) LiveEvents() []*Event { return d.Snapshot(nil).live }
+// descending (ties: ID): the live views of a fresh Snapshot.
+func (d *Detector) LiveEvents() []*Event {
+	return slices.SortedFunc(slices.Values(d.Snapshot(nil).live), byRankDesc)
+}
 
 // LiveCount returns the number of live events without copying them.
 func (d *Detector) LiveCount() int { return len(d.events) }

@@ -3,6 +3,7 @@ package detect
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,7 @@ func factsOf(s *Snapshot) snapshotFacts {
 	f := snapshotFacts{
 		All:         deref(s.AllEvents()),
 		Top:         deref(s.TopK(0)),
-		Since:       deref(s.EventsSinceQuantum(0)),
+		Since:       deref(slices.Concat(s.EventsSinceQuantum(0))),
 		Related:     s.Related(0),
 		KeywordIDs:  map[string][]uint64{},
 		WithKeyword: map[string][]uint64{},

@@ -22,12 +22,18 @@
 //     fresh array on a trim, so every epoch shares that list itself,
 //     capacity-clipped, in eviction order.
 //
-// What no epoch may need — the ID order of the finished events, the
-// related-pair list and the query engine's time and keyword-history
-// indexes — is built lazily from the views on the first read.
+// Per quantum the snapshot stores only the two orders the detector
+// already has. Events retire in the quantum after their last, in
+// cluster-ID order, which event IDs follow, and leave the list oldest
+// first, so the finished list is in (LastQuantum, ID) order; every live
+// view is at the epoch's quantum, so the live views in ID order extend
+// it (Load refuses a checkpoint that breaks this). Rank order is sorted
+// per read; the finished events' ID order, the related-pair list and
+// the keyword-history index are built on the first read that needs them.
 package detect
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -45,6 +51,10 @@ func byIDAsc(a, b *Event) int {
 	}
 	return 0
 }
+
+// byRankDesc orders views by rank descending, ties by ID: the top-k
+// order.
+func byRankDesc(a, b *Event) int { return cmp.Or(cmp.Compare(b.Rank, a.Rank), byIDAsc(a, b)) }
 
 // snapshotCounters count the sharing the epoch builder achieved; atomic
 // because a metrics scrape reads them while ingest applies quanta.
@@ -77,9 +87,8 @@ type Snapshot struct {
 	AKGNodes int
 	AKGEdges int
 
-	fin      []*Event // finished events, eviction order (the detector's list)
-	live     []*Event // live events, rank-descending (ties: ID)
-	liveByID []*Event // the same live views, ID ascending
+	fin  []*Event // finished events, (LastQuantum, ID) ascending: the detector's list
+	live []*Event // live views, ID ascending, each at LastQuantum == Quantum
 
 	// The finished events by ID ascending, for Find and AllEvents.
 	finByIDOnce sync.Once
@@ -92,15 +101,11 @@ type Snapshot struct {
 	related     []RelatedPair
 	counters    *snapshotCounters
 
-	// Retained-event indexes for the unified query engine, also built
-	// lazily from the immutable views: byLast orders every retained
-	// event (live + finished) by (LastQuantum, ID) — the engine's
-	// deterministic merge order — and allKw inverts the full keyword
+	// The keyword-history index for the unified query engine, also
+	// built lazily: it inverts every retained event's full keyword
 	// history the same way the archive's Bloom filters do, so a query
 	// matches identically whether an event is still retained or already
 	// evicted.
-	rangeOnce sync.Once
-	byLast    []*Event
 	allKwOnce sync.Once
 	allKw     map[string][]*Event
 }
@@ -121,19 +126,19 @@ func (s *Snapshot) finishedByID() []*Event {
 // read-only.
 func (s *Snapshot) AllEvents() []*Event {
 	fin := s.finishedByID()
-	out := make([]*Event, 0, len(fin)+len(s.liveByID))
+	out := make([]*Event, 0, len(fin)+len(s.live))
 	i, j := 0, 0
-	for i < len(fin) && j < len(s.liveByID) {
-		if fin[i].ID < s.liveByID[j].ID {
+	for i < len(fin) && j < len(s.live) {
+		if fin[i].ID < s.live[j].ID {
 			out = append(out, fin[i])
 			i++
 		} else {
-			out = append(out, s.liveByID[j])
+			out = append(out, s.live[j])
 			j++
 		}
 	}
 	out = append(out, fin[i:]...)
-	out = append(out, s.liveByID[j:]...)
+	out = append(out, s.live[j:]...)
 	return out
 }
 
@@ -146,7 +151,7 @@ func (s *Snapshot) Find(id uint64) *Event {
 	if ev := findByID(s.finishedByID(), id); ev != nil {
 		return ev
 	}
-	return findByID(s.liveByID, id)
+	return findByID(s.live, id)
 }
 
 func findByID(sorted []*Event, id uint64) *Event {
@@ -167,8 +172,8 @@ func (s *Snapshot) TotalCount() int { return len(s.fin) + len(s.live) }
 // with its overlap, from the views alone.
 func (s *Snapshot) relatedPairs() []RelatedPair {
 	s.relatedOnce.Do(func() {
-		reported := make([]*Event, 0, len(s.liveByID))
-		for _, ev := range s.liveByID {
+		reported := make([]*Event, 0, len(s.live))
+		for _, ev := range s.live {
 			if ev.Reported {
 				reported = append(reported, ev)
 			}
@@ -194,39 +199,19 @@ func (s *Snapshot) Related(minOverlap float64) []RelatedPair {
 	return out
 }
 
-// byLastAsc orders snapshot views by (LastQuantum, ID) — the unified
-// query engine's deterministic merge order.
-func byLastAsc(a, b *Event) int {
-	if a.LastQuantum != b.LastQuantum {
-		if a.LastQuantum < b.LastQuantum {
-			return -1
-		}
-		return 1
+// EventsSinceQuantum returns every retained event whose LastQuantum is
+// at least from, as two runs: the finished events, a suffix of their
+// (LastQuantum, ID)-ordered list found by binary search, then the live
+// views in ID order when from ≤ Quantum. Every live view is at Quantum
+// and every finished event before it, so the concatenation is ordered
+// by (LastQuantum, ID) too — the range a query starts from. Both slices
+// are shared with the snapshot: read-only.
+func (s *Snapshot) EventsSinceQuantum(from int) (finished, live []*Event) {
+	i := sort.Search(len(s.fin), func(i int) bool { return s.fin[i].LastQuantum >= from })
+	if from > s.Quantum {
+		return s.fin[i:], nil
 	}
-	return byIDAsc(a, b)
-}
-
-// rangeIndex builds (once, thread-safely) the (LastQuantum, ID)-ordered
-// view of every retained event, live and finished alike.
-func (s *Snapshot) rangeIndex() []*Event {
-	s.rangeOnce.Do(func() {
-		all := make([]*Event, 0, len(s.fin)+len(s.liveByID))
-		all = append(all, s.fin...)
-		all = append(all, s.liveByID...)
-		slices.SortFunc(all, byLastAsc)
-		s.byLast = all
-	})
-	return s.byLast
-}
-
-// EventsSinceQuantum returns every retained event (live + finished)
-// whose LastQuantum is at least from, ordered by (LastQuantum, ID)
-// ascending — the suffix of the retained-event time index a range query
-// starts from. The slice is shared with the snapshot: read-only.
-func (s *Snapshot) EventsSinceQuantum(from int) []*Event {
-	idx := s.rangeIndex()
-	i := sort.Search(len(idx), func(i int) bool { return idx[i].LastQuantum >= from })
-	return idx[i:]
+	return s.fin[i:], s.live
 }
 
 // keywordHistoryIndex builds (once, thread-safely) the inverted index
@@ -236,15 +221,17 @@ func (s *Snapshot) EventsSinceQuantum(from int) []*Event {
 func (s *Snapshot) keywordHistoryIndex() map[string][]*Event {
 	s.allKwOnce.Do(func() {
 		m := make(map[string][]*Event)
-		// rangeIndex is (LastQuantum, ID)-ordered, so each keyword's
-		// list inherits that order without a per-list sort.
-		for _, ev := range s.rangeIndex() {
-			kws := ev.KeywordHistory()
-			if len(kws) == 0 {
-				kws = ev.Keywords
-			}
-			for _, kw := range kws {
-				m[kw] = append(m[kw], ev)
+		// The finished events, then the live views, are in (LastQuantum,
+		// ID) order, so each keyword's list is too without a sort.
+		for _, run := range [2][]*Event{s.fin, s.live} {
+			for _, ev := range run {
+				kws := ev.KeywordHistory()
+				if len(kws) == 0 {
+					kws = ev.Keywords
+				}
+				for _, kw := range kws {
+					m[kw] = append(m[kw], ev)
+				}
 			}
 		}
 		s.allKw = m
@@ -260,22 +247,18 @@ func (s *Snapshot) EventsWithKeyword(kw string) []*Event {
 }
 
 // TopKKeyword is TopK restricted to events whose current keyword set
-// contains kw (kw "" admits every event): a filter of the same
-// rank-ordered live view, in one allocation. Never nil.
+// contains kw (kw "" admits every event): the live reported views that
+// pass, sorted by rank descending (ties: ID) and cut to k. Never nil.
 func (s *Snapshot) TopKKeyword(k int, kw string) []*Event {
-	n := len(s.live)
-	if k > 0 {
-		n = min(n, k)
-	}
-	out := make([]*Event, 0, n)
+	out := make([]*Event, 0, len(s.live))
 	for _, ev := range s.live {
-		if !ev.Reported || kw != "" && !slices.Contains(ev.Keywords, kw) {
-			continue
+		if ev.Reported && (kw == "" || slices.Contains(ev.Keywords, kw)) {
+			out = append(out, ev)
 		}
-		out = append(out, ev)
-		if len(out) == k {
-			break
-		}
+	}
+	slices.SortFunc(out, byRankDesc)
+	if k > 0 && len(out) > k {
+		out = out[:k]
 	}
 	return out
 }
@@ -299,28 +282,17 @@ func (d *Detector) Snapshot(res *QuantumResult) *Snapshot {
 		d.snapCounters.viewsRebuilt.Add(uint64(res.Recomputed))
 	}
 
-	// One header copy per live event, carved from one allocation; the
-	// two orderings of the overlay are by ID for history merges and
-	// lookups, by rank for the top-k view.
+	// One header copy per live event, carved from one allocation, in ID
+	// order for history merges, lookups and the query engine.
 	views := make([]Event, len(d.events))
-	liveByID := make([]*Event, 0, len(d.events))
-	for _, ev := range d.events { //repro:order-insensitive one header copy per event into its own slot; liveByID is sorted by ID before use
-		v := &views[len(liveByID)]
+	live := make([]*Event, 0, len(d.events))
+	for _, ev := range d.events { //repro:order-insensitive one header copy per event into its own slot; live is sorted by ID before use
+		v := &views[len(live)]
 		*v = *ev
 		v.RankHistory = slices.Clip(ev.RankHistory)
-		liveByID = append(liveByID, v)
+		live = append(live, v)
 	}
-	slices.SortFunc(liveByID, byIDAsc)
-	live := slices.Clone(liveByID)
-	slices.SortFunc(live, func(a, b *Event) int {
-		if a.Rank != b.Rank {
-			if a.Rank > b.Rank {
-				return -1
-			}
-			return 1
-		}
-		return byIDAsc(a, b)
-	})
-	s.live, s.liveByID = live, liveByID
+	slices.SortFunc(live, byIDAsc)
+	s.live = live
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -327,9 +328,18 @@ func decode(r *codec.Reader) *Detector {
 	if r.Err() != nil {
 		return nil
 	}
+	// Snapshots hand the query engine both lists as its (LastQuantum, ID)
+	// order: live events at the checkpoint's quantum, the finished ones
+	// strictly ascending below it.
+	quantum := d.akg.Quantum()
 	for range r.Count(minEventBytes) {
 		ev := readEvent(r)
 		if r.Err() != nil {
+			return nil
+		}
+		if ev.LastQuantum != quantum {
+			r.Fail(fmt.Errorf("live event %d was last seen at quantum %d, not at the checkpoint's quantum %d",
+				ev.ID, ev.LastQuantum, quantum))
 			return nil
 		}
 		c := d.akg.Engine().Cluster(ev.ClusterID)
@@ -342,8 +352,18 @@ func decode(r *codec.Reader) *Detector {
 		d.events[ev.ClusterID] = ev
 	}
 	d.finished = make([]*Event, r.Count(minEventBytes))
+	prev := &Event{LastQuantum: math.MinInt}
 	for i := range d.finished {
-		d.finished[i] = readEvent(r)
+		ev := readEvent(r)
+		switch {
+		case ev.LastQuantum >= quantum:
+			r.Fail(fmt.Errorf("finished event %d was last seen at quantum %d, not before the checkpoint's quantum %d",
+				ev.ID, ev.LastQuantum, quantum))
+		case ev.LastQuantum < prev.LastQuantum || ev.LastQuantum == prev.LastQuantum && ev.ID <= prev.ID:
+			r.Fail(fmt.Errorf("finished events out of (LastQuantum, ID) order: event %d at quantum %d follows event %d at quantum %d",
+				ev.ID, ev.LastQuantum, prev.ID, prev.LastQuantum))
+		}
+		d.finished[i], prev = ev, ev
 	}
 
 	// The pending quantum comes before the quantizer's position, which

@@ -1,12 +1,12 @@
 // Package query is the unified time-travel query engine: one request —
 // a quantum range, keyword(s), a rank floor, a limit and an optional
 // resume cursor — answered over both live state and history. The
-// planner fans the request across the epoch snapshot's keyword/time
-// indexes (events still retained in detector memory) and the archive's
-// segment skip-index (events evicted to disk), and the executor merges
-// the two source streams into one deterministic (LastQuantum, event-ID)
-// ascending order, deduplicating events that appear on both sides of
-// the eviction boundary.
+// planner fans the request across the epoch snapshot's keyword index
+// and its two ordered runs (events still retained in detector memory)
+// and the archive's segment skip-index (events evicted to disk), and
+// the executor merges the two source streams into one deterministic
+// (LastQuantum, event-ID) ascending order, deduplicating events that
+// appear on both sides of the eviction boundary.
 //
 // LIMIT is pushed down, NeedleTail-style, instead of applied after a
 // full scan: candidates feed a bounded max-heap of the limit best
@@ -47,9 +47,10 @@ import (
 // retained (live + finished) events, plus the ID probe the executor
 // uses to deduplicate events that are both retained and archived.
 type Snapshot interface {
-	// EventsSinceQuantum returns retained events with LastQuantum ≥ from
-	// in (LastQuantum, ID) ascending order.
-	EventsSinceQuantum(from int) []*detect.Event
+	// EventsSinceQuantum returns the retained events with LastQuantum ≥
+	// from as two runs, each in (LastQuantum, ID) ascending order and the
+	// second's keys above the first's, so their concatenation is too.
+	EventsSinceQuantum(from int) (finished, live []*detect.Event)
 	// EventsWithKeyword returns retained events whose keyword history
 	// contains kw, in (LastQuantum, ID) ascending order.
 	EventsWithKeyword(kw string) []*detect.Event
@@ -279,13 +280,35 @@ func (s *scan) admits(born, last int, id uint64, peakRank float64) (key, bool) {
 		(s.req.MinRank <= 0 || peakRank >= s.req.MinRank)
 }
 
-// snapshot feeds matching retained events into the pool. The candidate
-// lists are (LastQuantum, ID)-ordered, so once the pool is full and the
-// next candidate's key is worse than the pool's worst, no later
-// candidate can improve the page and the scan stops (reported as trunc
-// — more matches exist beyond the page).
+// snapshot feeds matching retained events into the pool: the shortest
+// keyword posting list (the remaining keywords become filter probes)
+// or, with no keywords, the two runs at the floor.
 func (s *scan) snapshot(snap Snapshot, floor int) (trunc bool) {
-	for _, ev := range snapshotCandidates(snap, s.req, floor) {
+	if len(s.req.Keywords) == 0 {
+		fin, live := snap.EventsSinceQuantum(floor)
+		return s.retained(fin) || s.retained(live)
+	}
+	var base []*detect.Event
+	for i, kw := range s.req.Keywords {
+		l := snap.EventsWithKeyword(kw)
+		if i == 0 || len(l) < len(base) {
+			base = l
+		}
+		if len(base) == 0 {
+			return false
+		}
+	}
+	i := sort.Search(len(base), func(i int) bool { return base[i].LastQuantum >= floor })
+	return s.retained(base[i:])
+}
+
+// retained feeds the matching events of one (LastQuantum, ID)-ordered
+// run into the pool. Once the pool is full and the next candidate's key
+// is worse than the pool's worst, no later candidate — in this run or a
+// later one — can improve the page and the scan stops (reported as
+// trunc: more matches exist beyond the page).
+func (s *scan) retained(run []*detect.Event) (trunc bool) {
+	for _, ev := range run {
 		k, ok := s.admits(ev.BornQuantum, ev.LastQuantum, ev.ID, ev.PeakRank)
 		if !ok || !hasKeywords(ev.KeywordHistory(), ev.Keywords, s.req.Keywords) {
 			continue
@@ -299,29 +322,6 @@ func (s *scan) snapshot(snap Snapshot, floor int) (trunc bool) {
 		s.p.add(Row{Event: ev, k: k})
 	}
 	return false
-}
-
-// snapshotCandidates picks the cheapest index for the request: the
-// shortest keyword posting list (the remaining keywords become filter
-// probes) or, with no keywords, the time index suffix. Either list is
-// pre-trimmed to LastQuantum ≥ floor by binary search.
-func snapshotCandidates(snap Snapshot, req Request, floor int) []*detect.Event {
-	var base []*detect.Event
-	if len(req.Keywords) > 0 {
-		for i, kw := range req.Keywords {
-			l := snap.EventsWithKeyword(kw)
-			if i == 0 || len(l) < len(base) {
-				base = l
-			}
-			if len(base) == 0 {
-				return nil
-			}
-		}
-	} else {
-		return snap.EventsSinceQuantum(floor)
-	}
-	i := sort.Search(len(base), func(i int) bool { return base[i].LastQuantum >= floor })
-	return base[i:]
 }
 
 // archive plans over the segment indexes and scans the survivors

@@ -33,9 +33,9 @@ func newFakeSnap(evs ...*detect.Event) *fakeSnap {
 	return &fakeSnap{evs: evs}
 }
 
-func (f *fakeSnap) EventsSinceQuantum(from int) []*detect.Event {
+func (f *fakeSnap) EventsSinceQuantum(from int) (finished, live []*detect.Event) {
 	i := sort.Search(len(f.evs), func(i int) bool { return f.evs[i].LastQuantum >= from })
-	return f.evs[i:]
+	return f.evs[i:], nil
 }
 
 func (f *fakeSnap) EventsWithKeyword(kw string) []*detect.Event {

@@ -17,8 +17,8 @@ import (
 // hands back every event, so the engine's keyword rule alone decides.
 type retained []*detect.Event
 
-func (r retained) EventsSinceQuantum(int) []*detect.Event   { return r }
-func (r retained) EventsWithKeyword(string) []*detect.Event { return r }
+func (r retained) EventsSinceQuantum(int) (finished, live []*detect.Event) { return r, nil }
+func (r retained) EventsWithKeyword(string) []*detect.Event                { return r }
 func (r retained) Find(id uint64) *detect.Event { // IDs are 1..len(r)
 	if id == 0 || id > uint64(len(r)) {
 		return nil

@@ -85,7 +85,7 @@ func NewHandler(p *Pool) http.Handler {
 			httpError(w, http.StatusBadRequest, "k applies to live events; drop all=1 (page history with /query)")
 			return nil
 		case keyword != "":
-			// A filter of the same rank-ordered live view.
+			// The same live views as /events, filtered by keyword.
 			events = snap.TopKKeyword(k, keyword)
 		case all:
 			events = snap.AllEvents()

@@ -47,8 +47,8 @@ func (s Symbol) IsAlias() bool { return s.flags&symAlias != 0 }
 // are not part of the vocabulary until a message actually interns them.
 //
 // A stream's vocabulary only grows, so the interner holds no pointer
-// per word: the words' bytes lie back to back in an arena of fixed
-// chunks, and both lookup tables are flat arrays of 16-byte slots.
+// per word: the words' bytes lie back to back in an arena of chunks,
+// and both lookup tables are flat arrays of 16-byte slots.
 type Interner struct {
 	// A word of at most seven bytes is keyed by those bytes and its
 	// length packed into one integer, in a flat table: the probe hashes
@@ -308,14 +308,19 @@ func (in *Interner) Footprint() int {
 	return n
 }
 
-// The arena's chunk size. A chunk is allocated at this capacity and
-// only ever appended to within it, so it never moves: a string over its
-// bytes (every Word) is never copied and pins one chunk, not an
-// outgrown array.
+// The arena's chunk size, and the size the first chunk's array starts
+// at. That array doubles, its bytes copied, as words fill it, until it
+// holds chunkSize bytes, so a fresh vocabulary holds a small array, not
+// a whole chunk; a vocabulary that has filled one chunk is not small,
+// and every later chunk is allocated whole. Bytes below a chunk's length
+// are never written again, so a string over an outgrown array (a Word
+// taken before the move) stays valid, and pins that array beside the
+// copy: under chunkSize bytes in all, however large the vocabulary.
 const (
 	chunkShift = 16
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
+	minChunk   = 1 << 10
 )
 
 // wordArena holds the interned words' bytes in ID order. Offsets run
@@ -387,9 +392,17 @@ func (a *wordArena) push(word string) {
 		}
 	default:
 		if k == len(a.chunks) {
-			a.chunks = append(a.chunks, make([]byte, 0, chunkSize))
+			size := chunkSize
+			if k == 0 {
+				size = minChunk
+			}
+			a.chunks = append(a.chunks, make([]byte, 0, size))
 		}
-		a.chunks[k] = append(a.chunks[k], word...)
+		c := a.chunks[k]
+		if len(c)+int(n) > cap(c) {
+			c = append(make([]byte, 0, min(chunkSize, max(2*cap(c), len(c)+int(n)))), c...)
+		}
+		a.chunks[k] = append(c, word...)
 	}
 	a.ends = append(a.ends, uint32(end))
 }
